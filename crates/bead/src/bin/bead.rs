@@ -5,6 +5,7 @@
 //! socket accepts connections so scripts can synchronize on stdout.
 
 use bead::server::{accidents_store, socket_from, BeadServer, ServerConfig};
+use std::io::{ErrorKind, Write};
 
 const USAGE: &str = "usage: bead [--socket PATH] [--tuples N] [--seed N] [--threads N] \
                      [--fetch-budget N] [--max-alloc-surface N] [--cache-rows N]";
@@ -69,20 +70,33 @@ fn main() {
             std::process::exit(1);
         }
     };
-    println!(
+    say(format_args!(
         "bead: listening on {} (threads={} budget={})",
         socket.display(),
         server.threads(),
         server
             .fetch_budget()
             .map_or_else(|| "unlimited".to_owned(), |b| b.to_string()),
-    );
-    println!("ready");
+    ));
+    say(format_args!("ready"));
     if let Err(error) = server.serve() {
         eprintln!("bead: serve failed: {error}");
         std::process::exit(1);
     }
-    println!("bead: bye");
+    say(format_args!("bead: bye"));
+}
+
+/// Print one status line to stdout. Whoever started the daemon may have stopped
+/// reading (or closed the pipe outright); `println!` would panic on the resulting
+/// `BrokenPipe` and take a healthy daemon — or its clean exit — down with it, so a
+/// vanished reader is ignored. Any other failure is reported on stderr, best effort.
+fn say(line: std::fmt::Arguments<'_>) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(error) = writeln!(stdout, "{line}").and_then(|()| stdout.flush()) {
+        if error.kind() != ErrorKind::BrokenPipe {
+            let _ = writeln!(std::io::stderr(), "bead: stdout: {error}");
+        }
+    }
 }
 
 fn parse(flag: &str, value: &str) -> u64 {

@@ -5,6 +5,7 @@ use bea_core::plan::{bounded_plan, bounded_plan_ucq, QueryPlan};
 use bea_core::query::Query;
 use bea_core::reason::ReasonConfig;
 use bea_engine::session::{Rejection, Session, SessionConfig, SharedStore, SubmitError};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -98,9 +99,15 @@ impl BeadServer {
             return;
         };
         let mut writer = write_half;
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
+        let mut reader = BufReader::new(stream);
+        // One line buffer for the connection's lifetime, not one `String` per request.
+        let mut line = String::new();
+        loop {
+            line.clear();
+            match reader.read_line(&mut line) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
             if line.trim().is_empty() {
                 continue;
             }
@@ -204,16 +211,7 @@ impl BeadServer {
                 // and surface the payload as an ERR reply.
                 match catch_unwind(AssertUnwindSafe(|| handle.wait())) {
                     Ok(Ok((table, stats))) => {
-                        let body = table
-                            .rows()
-                            .iter()
-                            .map(|row| {
-                                row.iter()
-                                    .map(ToString::to_string)
-                                    .collect::<Vec<_>>()
-                                    .join("\t")
-                            })
-                            .collect();
+                        let body = table.rows().iter().map(|row| body_line(row)).collect();
                         Reply::ok(
                             format!(
                                 "rows={} fetch_bound={fetch_bound} alloc_surface={alloc_surface} \
@@ -243,6 +241,19 @@ impl BeadServer {
             }
         }
     }
+}
+
+/// One result row as a reply body line: the values' display forms, tab-separated,
+/// written straight into the line's one `String`.
+fn body_line(row: &[bea_core::Value]) -> String {
+    let mut line = String::with_capacity(16 * row.len());
+    for (i, value) in row.iter().enumerate() {
+        if i > 0 {
+            line.push('\t');
+        }
+        write!(line, "{value}").expect("writing to a String cannot fail");
+    }
+    line
 }
 
 /// Build the daemon's default store: the generated accidents workload of Example
@@ -279,6 +290,16 @@ mod tests {
     use super::*;
     use crate::client;
     use crate::protocol::ReplyStatus;
+
+    #[test]
+    fn body_lines_are_tab_separated_display_forms() {
+        use bea_core::Value;
+        assert_eq!(
+            body_line(&[Value::int(7), Value::str("a b"), Value::Bool(true)]),
+            "7\t\"a b\"\ttrue"
+        );
+        assert_eq!(body_line(&[]), "");
+    }
 
     /// End-to-end over a real socket: accept, reject, stats, shutdown.
     #[test]

@@ -126,6 +126,47 @@ fn mixed_accept_reject_batch_and_clean_shutdown() {
     assert!(!daemon.socket.exists(), "socket file removed on shutdown");
 }
 
+/// A supervisor that closes the daemon's stdout must not be able to kill it: the
+/// banner, the `ready` line and the final `bye` all hit a broken pipe here, and the
+/// daemon still serves, shuts down with exit code 0, and removes its socket.
+#[test]
+fn closed_stdout_does_not_break_serving_or_the_clean_exit() {
+    let socket = std::env::temp_dir().join(format!("bead-nostdout-{}.sock", std::process::id()));
+    let mut child = Command::new(BEAD)
+        .args(["--socket", socket.to_str().unwrap(), "--tuples", "2000"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn bead");
+    // Drop the read end before the daemon has printed anything.
+    drop(child.stdout.take());
+    let mut daemon = Daemon { child, socket };
+
+    // No `ready` line to wait for: poll the socket instead.
+    let mut pong = None;
+    for _ in 0..200 {
+        if let (0, reply) = daemon.ctl(&["ping"]) {
+            pong = Some(reply);
+            break;
+        }
+        assert_eq!(
+            daemon.child.try_wait().expect("poll bead"),
+            None,
+            "bead died writing to its closed stdout"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    assert_eq!(pong.as_deref().map(str::trim), Some("OK pong"));
+
+    let (code, reply) = daemon.ctl(&["shutdown"]);
+    assert_eq!((code, reply.trim()), (0, "OK bye"));
+    assert_eq!(
+        daemon.child.wait_timeout(),
+        Some(0),
+        "bead exits 0 after SHUTDOWN even though `bye` had nowhere to go"
+    );
+    assert!(!daemon.socket.exists(), "socket file removed on shutdown");
+}
+
 trait WaitTimeout {
     /// Poll-wait up to ~10s for exit; `None` if still running.
     fn wait_timeout(&mut self) -> Option<i32>;

@@ -538,6 +538,19 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
             },
         );
     }
+    // A miss demands one buffer (its key), so Q0's probe-path demand is bounded by
+    // its lookups — and those by its fetched rows, give or take the few keys that
+    // match nothing. A per-key batch creeping back into the miss path (the old
+    // `positions + 2` per miss: 1466 demands for these 572 rows) fails here, at
+    // generation time, before a record can be committed.
+    let q0 = &report.scenarios["accidents_q0"];
+    assert!(
+        q0.allocs_per_probe <= q0.rows_fetched + 16,
+        "accidents_q0 demanded {} probe-path buffers for {} fetched rows — the keyed \
+         lookup is allocating per key again",
+        q0.allocs_per_probe,
+        q0.rows_fetched
+    );
     // The multi-pipeline scenario: every recorded counter comes from the 1-thread run
     // (`values_cloned` and the access counters are identical at every thread count,
     // and the 1-thread residency peak is schedule-independent — the 4-thread peak

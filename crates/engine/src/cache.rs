@@ -1,8 +1,8 @@
 //! The session-level cross-query fetch cache: a striped, bounded LRU hot tier in
 //! front of the index partition.
 //!
-//! [`crate::ops`]'s `KeyedLookupOp` already caches per-key fetch results — but that
-//! cache dies with its query, so a service replaying the same anchored probes
+//! [`crate::ops`]'s `KeyedLookupOp` already retains per-key fetch results — but its
+//! arena dies with its query, so a service replaying the same anchored probes
 //! re-fetches identical postings on every connection. [`SessionFetchCache`] hoists
 //! the idea one level up: it is owned by the [`crate::session::Session`], shared by
 //! every query the session runs, and probed *before* the index partition. A warm hit
@@ -11,9 +11,9 @@
 //! `allocs_per_probe`) are charged; the hit is visible only in the additive
 //! [`crate::stats::AccessStats::cache_hits`] / `rows_served_from_cache` counters. A
 //! miss hands the prober a unique fill claim (the morsel split's condvar
-//! fill-exactly-once protocol, generalized across queries) and then runs the
-//! ordinary uncached miss path, charging exactly what an uncached run charges — which
-//! is why a cold run reproduces the uncached counters bit-for-bit.
+//! fill-exactly-once protocol, generalized across queries), which it resolves with
+//! the ordinary uncached miss plus an uncharged compact copy as the published entry
+//! (see `allocs_per_probe`) — so a cold run reproduces the uncached counters exactly.
 //!
 //! # What a cache entry is
 //!

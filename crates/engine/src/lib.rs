@@ -167,8 +167,8 @@
 //!   (additive, excluded from [`AccessStats::same_data_access`]); `tuples_fetched`,
 //!   `index_lookups` and `allocs_per_probe` record genuine store traffic only, so
 //!   a warm repeat reports `tuples_fetched == 0` and `allocs_per_probe == 0`. A
-//!   miss runs today's uncached path verbatim — byte-for-byte the counters a
-//!   cache-disabled session produces — and publishes its result exactly once
+//!   miss runs the one arena fetch every lookup runs — byte-for-byte the counters a
+//!   cache-disabled session produces — and publishes a copy of its result exactly once
 //!   (concurrent probes of the same key block on the filling query rather than
 //!   fetching twice).
 //! * **Bounded, loudly.** Eviction is strict LRU over resident rows against the

@@ -175,10 +175,7 @@ impl Batch {
 
     /// Does logical row `i` satisfy every predicate?
     pub(crate) fn passes(&self, i: usize, predicates: &[Predicate]) -> bool {
-        predicates.iter().all(|p| match p {
-            Predicate::ColEqCol(a, b) => self.value(i, *a) == self.value(i, *b),
-            Predicate::ColEqConst(a, c) => self.value(i, *a) == c,
-        })
+        passes_with(predicates, |col| self.value(i, col))
     }
 
     /// Restrict the batch to the logical rows `keep` says yes to: the columns are
@@ -252,46 +249,15 @@ impl Batch {
         let rows = (0..len).map(|i| self.row(i)).collect();
         (rows, clones)
     }
-
-    /// Hand the batch's uniquely-owned buffers back to `pool` for reuse. Buffers a
-    /// downstream consumer still shares are left to their remaining owners —
-    /// recycling is best-effort, never a transfer of live data. Called on
-    /// keyed-lookup cache teardown so steady-state probe buffers cycle through the
-    /// pool instead of the allocator.
-    pub(crate) fn recycle_into(self, pool: &mut super::BufferPool) {
-        if let Some(selection) = self.selection {
-            if let Ok(selection) = Arc::try_unwrap(selection) {
-                pool.put_indices(selection);
-            }
-        }
-        if let Ok(columns) = Arc::try_unwrap(self.columns) {
-            for column in columns {
-                if let Ok(column) = Arc::try_unwrap(column) {
-                    pool.put_values(column);
-                }
-            }
-        }
-    }
 }
 
-/// Evaluate `predicates` over the concatenation of `left`'s logical row `i` and
-/// `right`'s logical row `j` (columns `0..left.arity()` come from `left`), without
-/// materializing the combined row.
-pub(crate) fn passes_pair(
-    left: &Batch,
-    i: usize,
-    right: &Batch,
-    j: usize,
+/// Evaluate `predicates` over a row given by column accessor — `value(col)` — without
+/// materializing it: the row may be one batch row, or the concatenation of a source
+/// row and a fetched posting the keyed lookup never builds.
+pub(crate) fn passes_with<'a>(
     predicates: &[Predicate],
+    value: impl Fn(usize) -> &'a Value,
 ) -> bool {
-    let split = left.arity();
-    let value = |col: usize| {
-        if col < split {
-            left.value(i, col)
-        } else {
-            right.value(j, col - split)
-        }
-    };
     predicates.iter().all(|p| match p {
         Predicate::ColEqCol(a, b) => value(*a) == value(*b),
         Predicate::ColEqConst(a, c) => value(*a) == c,
@@ -379,22 +345,18 @@ mod tests {
         assert!(!b.passes(1, &[Predicate::ColEqCol(0, 1)]));
         assert!(b.passes(1, &[Predicate::ColEqConst(1, Value::int(5))]));
 
+        // A concatenated row that is never built: column 0 from `left`, 1 from `right`.
         let left = Batch::singleton(vec![Value::int(7)]);
         let right = Batch::from_dense(vec![vec![Value::int(7), Value::int(8)]], 2);
-        assert!(passes_pair(
-            &left,
-            0,
-            &right,
-            0,
-            &[Predicate::ColEqCol(0, 1)]
-        ));
-        assert!(!passes_pair(
-            &left,
-            0,
-            &right,
-            1,
-            &[Predicate::ColEqCol(0, 1)]
-        ));
+        let joined = |j: usize| {
+            let (left, right) = (&left, &right);
+            move |col: usize| match col {
+                0 => left.value(0, 0),
+                _ => right.value(j, col - 1),
+            }
+        };
+        assert!(passes_with(&[Predicate::ColEqCol(0, 1)], joined(0)));
+        assert!(!passes_with(&[Predicate::ColEqCol(0, 1)], joined(1)));
     }
 
     #[test]

@@ -1,23 +1,26 @@
 //! Index-backed operators: the streaming fetch and the fused keyed-lookup join.
 //!
-//! Both operators fill their output columns through the store's `fetch_into_columns`
+//! Both operators fill their columns through the store's `fetch_into_columns`
 //! ([`bea_storage::Store`]): matched tuples are projected straight from the relation
-//! into the batch under construction, without an intermediate row allocation per
-//! tuple. Per-key duplicate elimination runs *hash-then-compare* over the freshly
-//! appended column range (see [`super::batch::hash_row_at`]) and masks duplicates with
-//! a selection vector — no value is cloned to decide freshness.
+//! into the columns under construction — a fetch's output batch, a keyed lookup's
+//! arena — without an intermediate row allocation per tuple. Per-key duplicate
+//! elimination runs *hash-then-compare* over the freshly appended column range (see
+//! [`super::batch::hash_row_at`]) and compacts duplicates away in place — no value is
+//! cloned to decide freshness, and a key that matched at most one tuple is not hashed
+//! at all.
 //!
 //! # The probe path's allocation budget
 //!
-//! Output columns, selection vectors and probe-key scratch are drawn from the
-//! worker's [`super::BufferPool`] and recycled on operator teardown, and every
-//! allocation event the probe path *demands* (pool hit or not) is counted in
-//! [`crate::stats::AccessStats::allocs_per_probe`]: one per source row gathered into
-//! a fetch's key set, and `positions + 2` per keyed-lookup cache miss. A cache hit
-//! counts — and performs — none: the steady-state anchored probe (single key, warm
-//! cache, fused projection) emits the pre-projected cached batch by pure refcount
-//! bumps, which is what makes `allocs_per_probe == 0` assertable for the serving
-//! loop.
+//! What the probe path demands per key is counted in
+//! [`crate::stats::AccessStats::allocs_per_probe`], whose doc is the charging rule:
+//! one owned key row per source row a [`FetchOp`] gathers, one per keyed-lookup
+//! **miss** (the key entering the arena's range map) — the postings land in arena
+//! columns drawn from the worker's [`super::BufferPool`] once per operator instance.
+//! A repeat of a fetched key is one hash over the reusable key scratch plus emission
+//! from the arena range; a hit in an outer tier (session cache, split cache) is a
+//! refcount bump — both demand nothing, so the warm anchored serving loop runs at
+//! `allocs_per_probe == 0`. Resolving an outer tier's *fill claim* is the same miss,
+//! then an uncharged compact copy of the key's range published as the tier's entry.
 //!
 //! # Shard routing
 //!
@@ -32,7 +35,7 @@
 //! [`crate::stats::AccessStats::same_data_access`] shard-count-invariant. Batches a
 //! branch emits are tagged with their origin shard ([`Batch::origin_shard`]).
 
-use super::batch::{hash_row_at, passes_pair, rows_equal_at, Batch};
+use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch};
 use super::morsel::{CacheProbe, SharedLookupCache};
 use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
 use crate::cache::{CacheShape, CacheSpace, SessionFetchCache, SessionProbe};
@@ -45,7 +48,7 @@ use std::sync::Arc;
 
 /// A handle to the session's cross-query fetch cache, resolved to the operator's
 /// [`CacheShape`] space once, off the per-probe path. `None` outside sessions (and
-/// in cache-disabled sessions), where the historical probe paths run untouched.
+/// in cache-disabled sessions), where only the per-query tiers run.
 type SessionCache = Option<(Arc<SessionFetchCache>, Arc<CacheSpace>)>;
 
 /// RAII resolution of a session-cache fill claim: publishes the batch when one was
@@ -67,23 +70,15 @@ impl Drop for SessionClaim<'_> {
     }
 }
 
-/// Append a session-cached posting batch into a fetch's shared gather (`cols` +
-/// `selection`) — the cache-hit analogue of [`fetch_key_into`]. The cached batch is
-/// already per-key deduplicated, so every logical row is appended fresh, in the
-/// exact order the store fetch would have produced it.
-fn append_cached_postings(batch: &Batch, cols: &mut [Vec<Value>], selection: &mut Vec<u32>) {
-    if cols.is_empty() {
-        // Zero-column projection: mirrors the kernel's special case — a nonempty
-        // posting list contributes exactly one empty row.
-        if !batch.is_empty() {
-            selection.push(selection.len() as u32);
-        }
-        return;
-    }
+/// Append a session-cached posting batch to a fetch's shared gather — the cache-hit
+/// analogue of [`fetch_key_into`]. The cached batch is already per-key deduplicated,
+/// so every logical row is appended, in the exact order the store fetch would have
+/// produced it. (A zero-column batch holds at most the one empty row.)
+fn append_cached_postings(batch: &Batch, cols: &mut [Vec<Value>], rows: &mut usize) {
     for j in 0..batch.len() {
-        selection.push(cols[0].len() as u32);
         batch.append_row_to(j, cols);
     }
+    *rows += batch.len();
 }
 
 /// Does this operator's shard branch own `batch`'s row `i`? Routing hashes the key
@@ -96,47 +91,80 @@ fn owns_row(batch: &Batch, i: usize, key_cols: &[usize], route: Option<ShardRout
     }
 }
 
-/// Append every tuple matching `key` into `cols` (projected at `positions`) and extend
-/// `selection` with the physical indices of the *fresh* projections within this key's
-/// range — the shared fetch kernel of [`FetchOp`] and [`KeyedLookupOp`]. Returns the
-/// number of tuples read (for access accounting) and the index-partition shard that
-/// served them. Distinct keys cannot produce equal projections as long as the key
-/// attributes survive in `positions` (lowering adds a global dedup when a pushed-down
-/// projection dropped them), so per-key dedup suffices.
-#[allow(clippy::too_many_arguments)]
+/// Reusable open-addressing set of physical row positions — the per-key dedup table
+/// of [`fetch_key_into`]. One slot vector, re-sized and blanked per key, so deciding
+/// freshness never allocates once the table has grown to the largest posting list.
+#[derive(Debug, Default)]
+struct RowSet {
+    slots: Vec<u32>,
+}
+
+impl RowSet {
+    const EMPTY: u32 = u32::MAX;
+
+    /// Blank the table for a key that appended `rows` tuples (load factor ≤ ½).
+    fn reset(&mut self, rows: usize) {
+        self.slots.clear();
+        self.slots
+            .resize((rows * 2).next_power_of_two(), Self::EMPTY);
+    }
+
+    /// Is row `idx` of `cols` new to the set? A fresh row is recorded at position
+    /// `at` — where the caller is about to compact it to.
+    fn insert(&mut self, cols: &[Vec<Value>], idx: usize, at: usize) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash_row_at(cols, idx) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                Self::EMPTY => {
+                    self.slots[slot] = at as u32;
+                    return true;
+                }
+                kept if rows_equal_at(cols, kept as usize, idx) => return false,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+}
+
+/// Append the distinct `positions`-projections of every tuple matching `key` to
+/// `cols`, in posting order — the shared fetch kernel of [`FetchOp`] and
+/// [`KeyedLookupOp`]. `rows` is the dense length of `cols` (tracked by the caller so
+/// zero-column gathers keep a row count) and advances by the fresh rows; duplicates
+/// are compacted away in place. Returns the number of tuples read (for access
+/// accounting) and the index-partition shard that served them. Distinct keys cannot
+/// produce equal projections as long as the key attributes survive in `positions`
+/// (lowering adds a global dedup when a pushed-down projection dropped them), so
+/// per-key dedup suffices.
 fn fetch_key_into(
     store: Store<'_>,
     constraint_index: usize,
     key: &[Value],
     positions: &[usize],
     cols: &mut [Vec<Value>],
-    selection: &mut Vec<u32>,
-    dedup: &mut HashMap<u64, Vec<u32>>,
+    rows: &mut usize,
+    dedup: &mut RowSet,
 ) -> Result<(u64, u32)> {
     let (appended, shard) = store.fetch_into_columns(constraint_index, key, positions, cols)?;
-    if cols.is_empty() {
-        // Zero-column projection: every matched tuple projects to the empty row, so a
-        // nonempty posting list contributes exactly one fresh row. With no columns the
-        // batch's physical length is the selection length itself.
-        if appended > 0 {
-            selection.push(selection.len() as u32);
-        }
+    let appended_rows = appended as usize;
+    if cols.is_empty() || appended_rows <= 1 {
+        // Nothing to deduplicate, nothing hashed: at most one tuple (every probe of
+        // a bound-1 constraint) — or a zero-column projection, where every matched
+        // tuple projects to the empty row and a nonempty posting list contributes one.
+        *rows += appended_rows.min(1);
         return Ok((appended, shard));
     }
-    let base = cols[0].len() - appended as usize;
-    dedup.clear();
-    for idx in base..base + appended as usize {
-        let hash = hash_row_at(cols, idx);
-        let candidates = dedup.entry(hash).or_default();
-        if candidates
-            .iter()
-            .any(|&c| rows_equal_at(cols, c as usize, idx))
-        {
-            continue;
+    dedup.reset(appended_rows);
+    let base = *rows;
+    for idx in base..base + appended_rows {
+        if dedup.insert(cols, idx, *rows) {
+            if *rows != idx {
+                cols.iter_mut().for_each(|col| col.swap(*rows, idx));
+            }
+            *rows += 1;
         }
-        candidates.push(idx as u32);
-        selection.push(idx as u32);
     }
+    cols.iter_mut().for_each(|col| col.truncate(*rows));
     Ok((appended, shard))
 }
 
@@ -162,11 +190,11 @@ pub(crate) struct FetchOp<'db> {
     session: SessionCache,
     keys: std::collections::btree_set::IntoIter<Row>,
     num_keys: u64,
-    /// Per-key dedup scratch, reused across batches (cleared per key by the kernel).
-    dedup: HashMap<u64, Vec<u32>>,
+    /// Per-key dedup scratch, reused across batches (blanked per key by the kernel).
+    dedup: RowSet,
     /// Chunks of an oversized gather round not yet emitted. A single key can match far
     /// more than `BATCH_SIZE` tuples; the round is then emitted as several batches
-    /// sharing the one dense gather (selection slices only — zero value copies), so
+    /// sharing the one dense gather (selection ranges only — zero value copies), so
     /// downstream consumers that reason in batches (morsel splitting above all) see
     /// cuttable boundaries instead of one monolithic batch.
     pending: VecDeque<Batch>,
@@ -205,7 +233,7 @@ impl<'db> FetchOp<'db> {
             session,
             keys: BTreeSet::new().into_iter(),
             num_keys: 0,
-            dedup: HashMap::new(),
+            dedup: RowSet::default(),
             pending: VecDeque::new(),
             done: false,
         }
@@ -251,14 +279,14 @@ impl Operator for FetchOp<'_> {
         if self.done {
             return Ok(None);
         }
-        let (mut cols, mut selection) = {
+        let mut cols: Vec<Vec<Value>> = {
             let mut state = self.state.borrow_mut();
-            let cols: Vec<Vec<Value>> = (0..self.positions.len())
+            (0..self.positions.len())
                 .map(|_| state.pool.get_values())
-                .collect();
-            (cols, state.pool.get_indices())
+                .collect()
         };
-        while selection.len() < BATCH_SIZE {
+        let mut rows = 0usize;
+        while rows < BATCH_SIZE {
             let Some(key) = self.keys.next() else {
                 self.done = true;
                 let mut state = self.state.borrow_mut();
@@ -276,7 +304,7 @@ impl Operator for FetchOp<'_> {
                     // Hot-tier hit: the postings are served by appending the cached
                     // batch — physical clones (counted) but no index lookup and no
                     // store fetch, so none of the fetch-side counters move.
-                    append_cached_postings(&batch, &mut cols, &mut selection);
+                    append_cached_postings(&batch, &mut cols, &mut rows);
                     let mut state = self.state.borrow_mut();
                     state.stats.cache_hits += 1;
                     state.stats.rows_served_from_cache += batch.len() as u64;
@@ -293,7 +321,7 @@ impl Operator for FetchOp<'_> {
                 &key,
                 &self.positions,
                 &mut cols,
-                &mut selection,
+                &mut rows,
                 &mut self.dedup,
             )?;
             let mut state = self.state.borrow_mut();
@@ -302,31 +330,27 @@ impl Operator for FetchOp<'_> {
                 .record_fetched_sharded(&self.relation, shard, fetched);
             state.stats.values_cloned += fetched * self.positions.len() as u64;
         }
-        if selection.is_empty() && self.done {
+        if rows == 0 && self.done {
             // Nothing was emitted: the pooled buffers go straight back.
             let mut state = self.state.borrow_mut();
             for col in cols {
                 state.pool.put_values(col);
             }
-            state.pool.put_indices(selection);
-            Ok(None)
-        } else {
-            let stored = cols.first().map_or(selection.len(), Vec::len);
-            let batch =
-                Batch::from_dense(cols, stored).with_origin_shard(self.route.map(|r| r.shard));
-            if selection.len() <= BATCH_SIZE {
-                return Ok(Some(batch.keep_physical(selection)));
-            }
-            // Oversized round (one key matched more than a batch's worth): emit it as
-            // `BATCH_SIZE`-row slices of the shared gather, in order. Identical rows,
-            // identical counters — only the batch boundaries move.
-            let mut chunks = selection.chunks(BATCH_SIZE).map(<[u32]>::to_vec);
-            let first = batch.clone().keep_physical(chunks.next().unwrap());
-            self.pending
-                .extend(chunks.map(|chunk| batch.clone().keep_physical(chunk)));
-            self.state.borrow_mut().pool.put_indices(selection);
-            Ok(Some(first))
+            return Ok(None);
         }
+        let batch = Batch::from_dense(cols, rows).with_origin_shard(self.route.map(|r| r.shard));
+        if rows <= BATCH_SIZE {
+            return Ok(Some(batch));
+        }
+        // Oversized round (one key matched more than a batch's worth): emit it as
+        // `BATCH_SIZE`-row slices of the shared gather, in order. Identical rows,
+        // identical counters — only the batch boundaries move.
+        self.pending
+            .extend((0..rows).step_by(BATCH_SIZE).map(|start| {
+                let end = rows.min(start + BATCH_SIZE) as u32;
+                batch.clone().keep_physical((start as u32..end).collect())
+            }));
+        Ok(self.pending.pop_front())
     }
 }
 
@@ -341,27 +365,112 @@ impl Drop for FetchOp<'_> {
     }
 }
 
+/// Rows `start..start + len` of one segment of a [`PostingArena`]: where a key's
+/// projected, deduplicated postings live.
+#[derive(Debug, Clone, Copy)]
+struct ArenaRange {
+    segment: usize,
+    start: usize,
+    len: usize,
+}
+
+/// The keyed lookup's per-query tier: every key the operator fetched, appended by the
+/// shared kernel into one set of growing value columns, plus the `key → range` map
+/// that serves repeats.
+///
+/// The columns are normally one *open* segment. An anchor emission (see
+/// [`KeyedLookupOp`]) needs its postings as a shareable [`Batch`], so it *seals* the
+/// open segment — moves the columns into a batch, zero value copies — and later
+/// misses start a fresh one. Segment `k` is sealed iff `k < sealed.len()`; the open
+/// segment is the next index, so sealing never rewrites a range.
+#[derive(Debug, Default)]
+struct PostingArena {
+    sealed: Vec<Batch>,
+    cols: Vec<Vec<Value>>,
+    /// Dense length of the open segment — a zero-column arena has no column to ask.
+    rows: usize,
+    ranges: HashMap<Row, ArenaRange>,
+    dedup: RowSet,
+}
+
+impl PostingArena {
+    /// The value at row `j`, fetched position `c` of `range`.
+    fn value(&self, range: ArenaRange, j: usize, c: usize) -> &Value {
+        match self.sealed.get(range.segment) {
+            Some(batch) => batch.value(range.start + j, c),
+            None => &self.cols[c][range.start + j],
+        }
+    }
+
+    /// A compact standalone copy of `range`, projected onto `emit` when the operator
+    /// stores outer-tier entries pre-projected — what a fill claim publishes. Cache
+    /// maintenance, off the cache-off path, so its clones are not `values_cloned`.
+    fn copy_out(&self, range: ArenaRange, emit: Option<&[usize]>) -> Batch {
+        let column = |c: usize| -> Vec<Value> {
+            (0..range.len)
+                .map(|j| self.value(range, j, c).clone())
+                .collect()
+        };
+        let columns = match emit {
+            Some(mapped) => mapped.iter().map(|&c| column(c)).collect(),
+            None => (0..self.cols.len()).map(column).collect(),
+        };
+        Batch::from_dense(columns, range.len)
+    }
+
+    /// Drop the open segment's rows from `rows` on.
+    fn truncate(&mut self, rows: usize) {
+        self.cols.iter_mut().for_each(|col| col.truncate(rows));
+        self.rows = rows;
+    }
+
+    /// `range` as a shareable batch over the arena's own storage, zero value copies:
+    /// seals the open segment if the range lives there, then restricts it to `range`.
+    fn seal(&mut self, range: ArenaRange) -> Batch {
+        if range.segment == self.sealed.len() {
+            let cols = self.cols.iter_mut().map(std::mem::take).collect();
+            self.sealed.push(Batch::from_dense(cols, self.rows));
+            self.rows = 0;
+        }
+        let segment = &self.sealed[range.segment];
+        if range.len == segment.len() {
+            return segment.clone();
+        }
+        let rows = range.start..range.start + range.len;
+        segment.retain(|i| rows.contains(&i))
+    }
+}
+
+/// One probe's postings, wherever they live.
+enum Postings {
+    /// Fetched by this operator: a range of its arena.
+    Arena(ArenaRange),
+    /// Served — or just published — by an outer tier, in that tier's entry shape
+    /// (pre-projected when [`KeyedLookupOp::fused_emit`] is set).
+    Cached(Arc<Batch>),
+}
+
 /// The fused `σ[key equalities](source × fetch(X ∈ source, R, …))`: an index
 /// nested-loop join. Streams the source; for each row, probes the index with the row's
-/// key (once per distinct key — results are cached so the data access is identical to a
-/// standalone fetch over the deduplicated key set), gathers the concatenation with
-/// every match into output columns, and applies the residual predicates.
+/// key (once per distinct key — results are retained so the data access is identical
+/// to a standalone fetch over the deduplicated key set), gathers the concatenation
+/// with every match into output columns, and applies the residual predicates.
 ///
-/// Durable state is the per-key cache of projected postings — `Arc<Batch>` values
-/// probed with a reusable key scratch, so a cache hit costs a single hash and a
-/// refcount bump: no allocation, no clone. Only a miss builds buffers (drawn from the
-/// worker's pool, counted in `allocs_per_probe`), and when the projection is fused
-/// and residual-free the miss stores the batch *pre-projected*, so hits have nothing
-/// left to permute. The cache is bounded by the fetch's access-schema bound times the
-/// number of distinct keys; it is drained back into the buffer pool on exhaustion
-/// (released on drop if a consumer short-circuits). Neither the cross product nor the
-/// fetched table is ever materialized.
+/// Durable state is the [`PostingArena`], bounded by the fetch's access-schema bound
+/// times the number of distinct keys; its columns come from the worker's pool and go
+/// back on exhaustion, its rows are released then (or on drop if a consumer
+/// short-circuits). Neither the cross product nor the fetched table is ever
+/// materialized.
 ///
-/// On a morsel of a split pipeline ([`KeyedLookupOp::for_morsel`]) the local cache is
-/// replaced by the split's [`SharedLookupCache`]: a key any morsel filled is a warm
-/// hit for every other, so the split fetches each distinct key exactly once — fills
-/// charge the identical miss costs, and the shared rows are released by the scheduler
-/// when the split's last morsel finalizes instead of at operator exhaustion.
+/// Two outer tiers may sit in front, both trading in `Arc<Batch>`: the session's
+/// cross-query cache, probed first, and — on a morsel of a split pipeline
+/// ([`KeyedLookupOp::for_morsel`]) — the split's [`SharedLookupCache`], which
+/// replaces the range map so that the split fetches each distinct key exactly once.
+/// A hit there is emitted from the cached batch; a fill claim is resolved by the
+/// same arena miss ([`KeyedLookupOp::fetch`]) followed by publishing a compact copy
+/// of the key's range. In morsel mode the arena only stages that copy, and the
+/// published rows are released by the scheduler when the split's last morsel
+/// finalizes instead of at operator exhaustion.
 pub(crate) struct KeyedLookupOp<'db> {
     input: BoxOp<'db>,
     key_cols: Vec<usize>,
@@ -380,10 +489,12 @@ pub(crate) struct KeyedLookupOp<'db> {
     route: Option<ShardRoute>,
     store: Store<'db>,
     state: SharedState,
-    cache: HashMap<Row, Arc<Batch>>,
+    arena: PostingArena,
+    /// Arena rows this operator holds on the residency ledger (none in morsel mode,
+    /// where the split's shared cache owns the published rows).
     cached_rows: u64,
     /// The split's shared cache when this instance serves one morsel of a split
-    /// pipeline; `None` runs the private cache above.
+    /// pipeline; `None` runs the arena's own range map.
     shared: Option<Arc<SharedLookupCache>>,
     /// The session's cross-query cache, probed before both per-query tiers. Resolved
     /// together with [`KeyedLookupOp::fused_emit`] — the fused pre-projection is part
@@ -393,16 +504,14 @@ pub(crate) struct KeyedLookupOp<'db> {
     /// exhaustion. Only a split's first morsel does — the split is one logical fetch
     /// operation, composing with the shard-0 convention for sharded branches.
     report_fetch_ops: bool,
-    /// Reusable probe-key buffer: every probe gathers into it (no allocation once
-    /// grown); a miss *moves* it into the cache as the owned key and lets the next
-    /// gather regrow it — which is the one key allocation a miss is charged for.
+    /// Reusable probe-key buffer: every probe gathers into it; a miss *moves* it
+    /// into the range map as the owned key — the one buffer a miss is charged for.
     key_scratch: Row,
-    /// Per-key dedup scratch, reused across misses (cleared per key by the kernel).
-    dedup: HashMap<u64, Vec<u32>>,
-    /// `Some(mapped)` when cache entries are stored pre-projected: no residual
-    /// predicates and a fused projection keeping only fetched columns, `mapped` being
-    /// those columns rebased to the fetch result. Decided once — input arity is fixed
-    /// by the plan — by [`KeyedLookupOp::ensure_fused_emit`].
+    /// `Some(mapped)` when the emission is exactly a projection of the fetched
+    /// columns: no residual predicates and a fused projection keeping only fetched
+    /// columns, `mapped` being those columns rebased to the fetch result. Outer-tier
+    /// entries are then stored pre-projected. Decided once — input arity is fixed by
+    /// the plan — by [`KeyedLookupOp::ensure_fused_emit`].
     fused_emit: Option<Vec<usize>>,
     fused_checked: bool,
     done: bool,
@@ -422,6 +531,12 @@ impl<'db> KeyedLookupOp<'db> {
         store: Store<'db>,
         state: SharedState,
     ) -> Self {
+        let cols = {
+            let mut state = state.borrow_mut();
+            (0..positions.len())
+                .map(|_| state.pool.get_values())
+                .collect()
+        };
         Self {
             input,
             key_cols,
@@ -433,13 +548,15 @@ impl<'db> KeyedLookupOp<'db> {
             route,
             store,
             state,
-            cache: HashMap::new(),
+            arena: PostingArena {
+                cols,
+                ..PostingArena::default()
+            },
             cached_rows: 0,
             shared: None,
             session: None,
             report_fetch_ops: true,
             key_scratch: Row::new(),
-            dedup: HashMap::new(),
             fused_emit: None,
             fused_checked: false,
             done: false,
@@ -461,9 +578,9 @@ impl<'db> KeyedLookupOp<'db> {
 }
 
 impl KeyedLookupOp<'_> {
-    /// Decide once whether cache entries can be stored pre-projected; see
-    /// [`KeyedLookupOp::fused_emit`]. Input arity is plan-fixed, so the first batch
-    /// settles it for the operator's lifetime.
+    /// Decide once whether the emission is a pure projection of the fetched columns;
+    /// see [`KeyedLookupOp::fused_emit`]. Input arity is plan-fixed, so the first
+    /// batch settles it for the operator's lifetime.
     fn ensure_fused_emit(&mut self, left_arity: usize) {
         if self.fused_checked {
             return;
@@ -491,31 +608,25 @@ impl KeyedLookupOp<'_> {
     }
 
     /// The (projected, per-key deduplicated) fetch result for the key currently in
-    /// `key_scratch`, from the cache when present. A hit is one hash over the scratch
-    /// and a refcount bump — no allocation of any kind, which is the steady state the
-    /// anchored serving loop relies on. Only a miss builds fresh buffers (drawn from
-    /// the worker's pool) and is charged `positions + 2` in `allocs_per_probe`: the
-    /// key row, one buffer per fetched position, and the selection vector.
-    fn lookup(&mut self) -> Result<Arc<Batch>> {
+    /// `key_scratch`. The session tier is probed before the per-query tiers: a hit
+    /// charges only the cache counters; a miss claims the key session-wide, resolves
+    /// it through the per-query tiers — charging exactly the uncached costs — and
+    /// publishes the result for every later probe.
+    fn lookup(&mut self) -> Result<Postings> {
         let Some((cache, space)) = self.session.clone() else {
-            return self.lookup_uncached();
+            return self.lookup_in_query();
         };
-        // The session tier is probed before both per-query tiers: a hit filled by
-        // any earlier query (or any concurrent worker) costs one hash and a
-        // refcount bump and charges only the cache counters. A miss claims the key
-        // session-wide and runs the per-query path unchanged — charging exactly the
-        // uncached miss costs — then publishes its batch for every later probe.
         match cache.probe(&space, &self.key_scratch) {
             SessionProbe::Hit(batch) => {
                 let mut state = self.state.borrow_mut();
                 state.stats.cache_hits += 1;
                 state.stats.rows_served_from_cache += batch.len() as u64;
-                Ok(batch)
+                Ok(Postings::Cached(batch))
             }
             SessionProbe::Fill => {
-                // The uncached path may move the scratch into the private cache;
-                // snapshot the key (refcount bumps, uncounted like the claim's own
-                // map key) so the claim can be resolved afterwards.
+                // An arena miss moves the scratch into the range map; snapshot the
+                // key (refcount bumps, uncounted like the claim's own map key) so the
+                // claim can be resolved afterwards.
                 let key = self.key_scratch.clone();
                 let mut claim = SessionClaim {
                     cache: &cache,
@@ -523,95 +634,131 @@ impl KeyedLookupOp<'_> {
                     key: &key,
                     publish: None,
                 };
-                let filled = self.lookup_uncached();
-                if let Ok(batch) = &filled {
-                    claim.publish = Some(Arc::clone(batch));
-                }
-                filled
+                let known = self.arena.ranges.len();
+                let batch = match self.lookup_in_query()? {
+                    Postings::Cached(batch) => batch,
+                    Postings::Arena(range) if self.arena.ranges.len() > known => {
+                        Arc::new(self.arena.copy_out(range, self.fused_emit.as_deref()))
+                    }
+                    // A repeat of a key this query already fetched, whose copy the
+                    // cache declined or has evicted since: withdraw the claim and
+                    // read the range in place rather than copy it again.
+                    repeat => return Ok(repeat),
+                };
+                claim.publish = Some(Arc::clone(&batch));
+                Ok(Postings::Cached(batch))
             }
         }
     }
 
-    /// The per-query lookup tiers (the split's shared cache in morsel mode, the
-    /// private per-key cache otherwise), exactly as they run without a session
-    /// cache.
-    fn lookup_uncached(&mut self) -> Result<Arc<Batch>> {
-        if let Some(shared) = self.shared.clone() {
-            // Morsel mode: the split's shared cache replaces the private one. A probe
-            // that wins the fill claim performs — and is charged — exactly the local
-            // miss below; every other morsel then hits warm. The scratch is lent out
-            // and restored, so the hit path's no-allocation property is unchanged.
-            return match shared.probe(&self.key_scratch) {
-                CacheProbe::Hit(batch) => Ok(batch),
-                CacheProbe::Fill => {
-                    let key: Row = std::mem::take(&mut self.key_scratch);
-                    let filled = self.fill(&key);
-                    self.key_scratch = key;
-                    match filled {
-                        Ok(cached) => {
-                            let cached = Arc::new(cached);
-                            shared.complete(&self.key_scratch, Arc::clone(&cached));
-                            Ok(cached)
-                        }
-                        Err(error) => {
-                            shared.abort(&self.key_scratch);
-                            Err(error)
-                        }
-                    }
+    /// The per-query tiers: the arena's range map, or — in morsel mode, where the
+    /// arena only stages fills — the split's shared cache. Both resolve a miss
+    /// through [`KeyedLookupOp::fetch`].
+    fn lookup_in_query(&mut self) -> Result<Postings> {
+        let Some(shared) = self.shared.clone() else {
+            if let Some(&range) = self.arena.ranges.get(&self.key_scratch) {
+                return Ok(Postings::Arena(range));
+            }
+            let range = self.fetch()?;
+            self.cached_rows += range.len as u64;
+            let key = std::mem::take(&mut self.key_scratch);
+            self.arena.ranges.insert(key, range);
+            return Ok(Postings::Arena(range));
+        };
+        match shared.probe(&self.key_scratch) {
+            CacheProbe::Hit(batch) => Ok(Postings::Cached(batch)),
+            CacheProbe::Fill => match self.fetch() {
+                Ok(range) => {
+                    let batch = Arc::new(self.arena.copy_out(range, self.fused_emit.as_deref()));
+                    // The split's cache owns the copy; the staged rows are done with.
+                    self.arena.truncate(range.start);
+                    shared.complete(&self.key_scratch, Arc::clone(&batch));
+                    Ok(Postings::Cached(batch))
                 }
-            };
+                Err(error) => {
+                    shared.abort(&self.key_scratch);
+                    Err(error)
+                }
+            },
         }
-        if let Some(hit) = self.cache.get(&self.key_scratch) {
-            return Ok(hit.clone());
-        }
-        // Move the scratch in as the owned cache key — no value is re-cloned; the
-        // next probe's gather regrows the scratch, which is the key allocation this
-        // miss is charged for.
-        let key: Row = std::mem::take(&mut self.key_scratch);
-        let cached = self.fill(&key)?;
-        self.cached_rows += cached.len() as u64;
-        let cached = Arc::new(cached);
-        self.cache.insert(key, Arc::clone(&cached));
-        Ok(cached)
     }
 
-    /// The miss body shared by the private and morsel cache paths: fetch, project and
-    /// per-key-dedup the postings for `key`, charging the miss costs —
-    /// `index_lookups`, `allocs_per_probe` (`positions + 2`), the fetch accounting,
-    /// and the residency acquire for the rows the cache will hold.
-    fn fill(&mut self, key: &Row) -> Result<Batch> {
-        let (mut cols, mut selection) = {
+    /// The one miss path: fetch, project and per-key-dedup the postings for the key
+    /// in `key_scratch` onto the arena's open segment, charging the miss costs —
+    /// `index_lookups`, `allocs_per_probe` (one), the fetch accounting, and the
+    /// residency acquire for the rows now held.
+    fn fetch(&mut self) -> Result<ArenaRange> {
+        {
             let mut state = self.state.borrow_mut();
             state.stats.index_lookups += 1;
-            state.stats.allocs_per_probe += self.positions.len() as u64 + 2;
-            let cols: Vec<Vec<Value>> = (0..self.positions.len())
-                .map(|_| state.pool.get_values())
-                .collect();
-            (cols, state.pool.get_indices())
-        };
+            state.stats.allocs_per_probe += 1;
+        }
+        let arena = &mut self.arena;
+        let start = arena.rows;
         let (fetched, shard) = fetch_key_into(
             self.store,
             self.constraint_index,
-            key,
+            &self.key_scratch,
             &self.positions,
-            &mut cols,
-            &mut selection,
-            &mut self.dedup,
+            &mut arena.cols,
+            &mut arena.rows,
+            &mut arena.dedup,
         )?;
-        let stored = cols.first().map_or(selection.len(), Vec::len);
-        let mut cached = Batch::from_dense(cols, stored).keep_physical(selection);
-        if let Some(mapped) = &self.fused_emit {
-            // Store the batch pre-projected: every hit then emits the cached batch
-            // itself, with nothing left to permute per probe.
-            cached = cached.project(mapped);
-        }
+        let range = ArenaRange {
+            segment: arena.sealed.len(),
+            start,
+            len: arena.rows - start,
+        };
         let mut state = self.state.borrow_mut();
         state
             .stats
             .record_fetched_sharded(&self.relation, shard, fetched);
         state.stats.values_cloned += fetched * self.positions.len() as u64;
-        state.acquire(cached.len() as u64);
-        Ok(cached)
+        state.acquire(range.len as u64);
+        Ok(range)
+    }
+
+    /// Gather source row `i` of `batch` joined with each of the `len` posting rows
+    /// `fetched(j, c)` yields — `c` indexing the posting columns as stored, i.e. the
+    /// pre-projected ones under [`KeyedLookupOp::fused_emit`] — into `out`, applying
+    /// the residual predicates. Returns the number of rows emitted.
+    fn emit<'a>(
+        &self,
+        batch: &Batch,
+        i: usize,
+        len: usize,
+        fetched: impl Fn(usize, usize) -> &'a Value,
+        out: &mut [Vec<Value>],
+    ) -> usize {
+        if self.fused_emit.is_some() {
+            // No residual, fetched columns only: a straight per-row append.
+            for j in 0..len {
+                for (c, sink) in out.iter_mut().enumerate() {
+                    sink.push(fetched(j, c).clone());
+                }
+            }
+            return len;
+        }
+        let left_arity = batch.arity();
+        let mut emitted = 0;
+        for j in 0..len {
+            let combined = |c: usize| {
+                if c < left_arity {
+                    batch.value(i, c)
+                } else {
+                    fetched(j, c - left_arity)
+                }
+            };
+            if !passes_with(&self.residual, combined) {
+                continue;
+            }
+            for (k, sink) in out.iter_mut().enumerate() {
+                let c = self.out_cols.as_ref().map_or(k, |cols| cols[k]);
+                sink.push(combined(c).clone());
+            }
+            emitted += 1;
+        }
+        emitted
     }
 }
 
@@ -631,16 +778,11 @@ impl Operator for KeyedLookupOp<'_> {
             }
             state.release(self.cached_rows);
             self.cached_rows = 0;
-            // Drain the private cache through the buffer pool: uniquely-owned key
-            // rows and batch buffers come back cleared for the next probe loop;
-            // anything a downstream consumer still shares stays with that consumer.
-            // (In morsel mode the private cache is empty — the shared cache outlives
-            // this instance and is released at split finalize.)
-            for (key, cached) in self.cache.drain() {
-                state.pool.put_values(key);
-                if let Ok(batch) = Arc::try_unwrap(cached) {
-                    batch.recycle_into(&mut state.pool);
-                }
+            // The arena's open columns and the key scratch go back to the pool,
+            // cleared, for the worker's next probe loop; sealed segments stay with
+            // the consumers that share them.
+            for col in self.arena.cols.drain(..) {
+                state.pool.put_values(col);
             }
             state.pool.put_values(std::mem::take(&mut self.key_scratch));
             return Ok(None);
@@ -650,18 +792,26 @@ impl Operator for KeyedLookupOp<'_> {
         self.ensure_fused_emit(left_arity);
         // Anchor fast path: a single source row (owned by this branch), no residual,
         // and a fused projection that keeps only fetched columns — the output *is*
-        // the pre-projected cached batch, emitted by refcount bumps with zero value
-        // clones and, on a warm cache, zero allocations. This is the first lookup of
-        // every anchored plan, where the fan-out (and hence the row-pipeline's copy
-        // bill) is largest — and the whole body of the steady-state serving loop.
+        // the key's projected postings, emitted as a batch over the storage that
+        // already holds them (an outer tier's entry, or the arena segment, sealed):
+        // zero value clones and, on a warm session cache, zero allocations. This is
+        // the first lookup of every anchored plan, where the fan-out (and hence the
+        // row-pipeline's copy bill) is largest — and the whole body of the
+        // steady-state serving loop.
         if batch.len() == 1
             && self.fused_emit.is_some()
             && owns_row(&batch, 0, &self.key_cols, self.route)
         {
             batch.gather_into(0, &self.key_cols, &mut self.key_scratch);
             self.state.borrow_mut().stats.values_cloned += self.key_cols.len() as u64;
-            let fetched = self.lookup()?;
-            return Ok(Some((*fetched).clone().with_origin_shard(origin)));
+            let emitted = match self.lookup()? {
+                Postings::Cached(cached) => (*cached).clone(),
+                Postings::Arena(range) => {
+                    let mapped = self.fused_emit.as_deref().expect("checked above");
+                    self.arena.seal(range).project(mapped)
+                }
+            };
+            return Ok(Some(emitted.with_origin_shard(origin)));
         }
         let out_arity = self
             .out_cols
@@ -681,39 +831,19 @@ impl Operator for KeyedLookupOp<'_> {
             }
             probed_rows += 1;
             batch.gather_into(i, &self.key_cols, &mut self.key_scratch);
-            let fetched = self.lookup()?;
-            if self.fused_emit.is_some() {
-                // Cache entries are pre-projected (and there is no residual): the
-                // emission is a straight per-row append of the cached columns.
-                for j in 0..fetched.len() {
-                    fetched.append_row_to(j, &mut out);
-                    out_rows += 1;
+            out_rows += match self.lookup()? {
+                Postings::Cached(cached) => {
+                    self.emit(&batch, i, cached.len(), |j, c| cached.value(j, c), &mut out)
                 }
-                continue;
-            }
-            for j in 0..fetched.len() {
-                if !passes_pair(&batch, i, &fetched, j, &self.residual) {
-                    continue;
+                Postings::Arena(range) => {
+                    // The arena holds the raw fetched positions; a fused emission
+                    // reads them through its projection.
+                    let arena = &self.arena;
+                    let mapped = self.fused_emit.as_deref();
+                    let fetched = |j, c: usize| arena.value(range, j, mapped.map_or(c, |m| m[c]));
+                    self.emit(&batch, i, range.len, fetched, &mut out)
                 }
-                match &self.out_cols {
-                    None => {
-                        let (left_cols, right_cols) = out.split_at_mut(left_arity);
-                        batch.append_row_to(i, left_cols);
-                        fetched.append_row_to(j, right_cols);
-                    }
-                    Some(cols) => {
-                        for (sink, &c) in out.iter_mut().zip(cols) {
-                            let value = if c < left_arity {
-                                batch.value(i, c)
-                            } else {
-                                fetched.value(j, c - left_arity)
-                            };
-                            sink.push(value.clone());
-                        }
-                    }
-                }
-                out_rows += 1;
-            }
+            };
         }
         // One probe-key gather per owned source row, hit or miss.
         self.state.borrow_mut().stats.values_cloned +=
@@ -730,5 +860,313 @@ impl Drop for KeyedLookupOp<'_> {
             self.state.borrow_mut().release(self.cached_rows);
             self.cached_rows = 0;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{ExecState, ResidencyLedger};
+    use super::*;
+    use bea_core::access::{AccessConstraint, AccessSchema};
+    use bea_core::error::Error;
+    use bea_storage::{Database, IndexedDatabase};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// The access-schema bound of the one constraint: at most this many tuples per key.
+    const BOUND: u64 = 4;
+
+    /// `R(k, v, w)` under `k → (v, w)`: key 1 matches three tuples, two of which agree
+    /// on `v`; key 2 matches one; key 3 matches none.
+    fn store() -> IndexedDatabase {
+        let mut catalog = bea_core::schema::Catalog::new();
+        catalog.declare("R", ["k", "v", "w"]).unwrap();
+        let schema = AccessSchema::from_constraints([AccessConstraint::new(
+            &catalog,
+            "R",
+            &["k"],
+            &["v", "w"],
+            BOUND,
+        )
+        .unwrap()]);
+        let mut db = Database::new(catalog);
+        db.extend(
+            "R",
+            [[1, 10, 100], [1, 10, 101], [1, 11, 100], [2, 20, 200]]
+                .map(|row| row.map(Value::int).to_vec()),
+        )
+        .unwrap();
+        IndexedDatabase::build(db, schema).unwrap()
+    }
+
+    /// A source replaying scripted pulls — batches, or an error.
+    struct Script(VecDeque<Result<Batch>>);
+
+    impl Operator for Script {
+        fn next_batch(&mut self) -> Result<Option<Batch>> {
+            self.0.pop_front().transpose()
+        }
+    }
+
+    fn ints(rows: &[&[i64]]) -> Batch {
+        let arity = rows.first().map_or(0, |row| row.len());
+        let rows = rows
+            .iter()
+            .map(|row| row.iter().copied().map(Value::int).collect())
+            .collect();
+        Batch::from_rows(arity, rows)
+    }
+
+    struct Harness {
+        ledger: Arc<ResidencyLedger>,
+        state: SharedState,
+    }
+
+    impl Harness {
+        fn new() -> Self {
+            let ledger = Arc::new(ResidencyLedger::default());
+            let state = Rc::new(RefCell::new(ExecState::new(ledger.clone())));
+            Self { ledger, state }
+        }
+
+        /// A lookup on `R` keyed by source column 0, fetching `positions`.
+        fn lookup<'db>(
+            &self,
+            idb: &'db IndexedDatabase,
+            pulls: Vec<Result<Batch>>,
+            positions: &[usize],
+            residual: Vec<Predicate>,
+            out_cols: Option<Vec<usize>>,
+        ) -> KeyedLookupOp<'db> {
+            KeyedLookupOp::new(
+                Box::new(Script(pulls.into())),
+                vec![0],
+                "R".into(),
+                positions.to_vec(),
+                0,
+                residual,
+                out_cols,
+                None,
+                Store::Indexed(idb),
+                self.state.clone(),
+            )
+        }
+
+        fn stats(&self) -> crate::stats::AccessStats {
+            self.state.borrow().stats.clone()
+        }
+    }
+
+    /// Pull `op` dry; the emitted rows as plain integers, batch by batch.
+    fn drain(op: &mut KeyedLookupOp<'_>) -> Vec<Vec<Vec<i64>>> {
+        let mut batches = Vec::new();
+        while let Some(batch) = op.next_batch().unwrap() {
+            let rows = (0..batch.len()).map(|i| {
+                let row = batch.row(i).into_iter();
+                row.map(|v| match v {
+                    Value::Int(i) => i,
+                    other => panic!("unexpected {other}"),
+                })
+                .collect()
+            });
+            batches.push(rows.collect());
+        }
+        batches
+    }
+
+    #[test]
+    fn a_key_repeated_across_batches_is_fetched_once() {
+        let idb = store();
+        let h = Harness::new();
+        let pulls = vec![Ok(ints(&[&[1], &[2], &[1]])), Ok(ints(&[&[2], &[1], &[3]]))];
+        let mut op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
+        let out = drain(&mut op);
+        let key1 = [[1, 1, 10, 100], [1, 1, 10, 101], [1, 1, 11, 100]].map(Vec::from);
+        let key2 = [vec![2, 2, 20, 200]];
+        assert_eq!(out[0], [&key1[..], &key2, &key1].concat(), "first batch");
+        assert_eq!(out[1], [&key2[..], &key1].concat(), "second batch");
+
+        let stats = h.stats();
+        assert_eq!(stats.index_lookups, 3, "one lookup per distinct key");
+        assert_eq!(
+            stats.allocs_per_probe, 3,
+            "one demand per miss, none per hit"
+        );
+        assert_eq!(stats.tuples_fetched, 4);
+        // What a ticket prices this lookup at: the bound, once per distinct key.
+        assert!(stats.tuples_fetched <= stats.index_lookups * BOUND);
+        assert_eq!(stats.fetch_ops, 1);
+        // 6 probe keys + 4 fetched tuples × 3 positions + 11 emitted rows × 4 columns.
+        assert_eq!(stats.values_cloned, 6 + 12 + 44);
+        assert_eq!(
+            h.ledger.peak(),
+            4,
+            "the arena held exactly the fetched rows"
+        );
+        assert_eq!(h.ledger.resident(), 0, "exhaustion releases the arena");
+    }
+
+    #[test]
+    fn dropping_the_distinguishing_column_still_dedups_per_key() {
+        let idb = store();
+        let h = Harness::new();
+        // Without `w`, key 1's first two tuples project equal: the kernel compacts
+        // the duplicate away, and key 2's range starts right behind the survivors.
+        let pulls = vec![Ok(ints(&[&[1], &[2], &[1]]))];
+        let mut op = h.lookup(&idb, pulls, &[0, 1], Vec::new(), Some(vec![1, 2]));
+        assert_eq!(
+            drain(&mut op),
+            [[[1, 10], [1, 11], [2, 20], [1, 10], [1, 11]].map(Vec::from)]
+        );
+        let stats = h.stats();
+        assert_eq!(stats.tuples_fetched, 4, "duplicates are read, then dropped");
+        assert_eq!(
+            h.ledger.peak(),
+            3,
+            "only distinct projections stay resident"
+        );
+        assert_eq!(h.ledger.resident(), 0);
+    }
+
+    #[test]
+    fn residuals_and_mixed_output_columns_read_the_arena_in_place() {
+        let idb = store();
+        let h = Harness::new();
+        // Combined row: source (k, x) then fetched (k, v, w). Keep rows with x = v,
+        // emit (x, w, k) — source and fetched columns interleaved.
+        let pulls = vec![Ok(ints(&[&[1, 10], &[1, 11], &[2, 99]]))];
+        let mut op = h.lookup(
+            &idb,
+            pulls,
+            &[0, 1, 2],
+            vec![Predicate::ColEqCol(1, 3)],
+            Some(vec![1, 4, 0]),
+        );
+        assert_eq!(
+            drain(&mut op),
+            [[[10, 100, 1], [10, 101, 1], [11, 100, 1]].map(Vec::from)]
+        );
+        assert_eq!(h.stats().index_lookups, 2);
+        assert_eq!(h.ledger.resident(), 0);
+    }
+
+    #[test]
+    fn zero_column_projections_keep_one_row_per_matching_key() {
+        let idb = store();
+        let h = Harness::new();
+        let pulls = vec![Ok(ints(&[&[1], &[3], &[1]]))];
+        let mut op = h.lookup(&idb, pulls, &[], Vec::new(), None);
+        assert_eq!(drain(&mut op), [[[1], [1]].map(Vec::from)]);
+        let stats = h.stats();
+        assert_eq!(stats.index_lookups, 2);
+        assert_eq!(stats.tuples_fetched, 3, "key 1's tuples are read once");
+        assert_eq!(h.ledger.peak(), 1);
+        assert_eq!(h.ledger.resident(), 0);
+    }
+
+    #[test]
+    fn anchor_emissions_share_the_arena_and_later_probes_still_find_them() {
+        let idb = store();
+        let h = Harness::new();
+        // Fused projection onto `w`: single-row batches take the anchor path, which
+        // seals the arena segment into the emitted batch instead of copying it.
+        let pulls = vec![
+            Ok(ints(&[&[1]])),
+            Ok(ints(&[&[1]])),
+            Ok(ints(&[&[2], &[1]])),
+        ];
+        let mut op = h.lookup(&idb, pulls, &[0, 2], Vec::new(), Some(vec![2]));
+        assert_eq!(
+            drain(&mut op),
+            [
+                vec![vec![100], vec![101]],
+                vec![vec![100], vec![101]],
+                vec![vec![200], vec![100], vec![101]],
+            ]
+        );
+        let stats = h.stats();
+        assert_eq!(stats.index_lookups, 2, "the sealed key is never re-fetched");
+        assert_eq!(stats.tuples_fetched, 4);
+        // 4 probe keys + 4 tuples × 2 positions + the gathered batch's 3 rows × 1
+        // column; the two anchor emissions clone nothing.
+        assert_eq!(stats.values_cloned, 4 + 8 + 3);
+        assert_eq!(h.ledger.resident(), 0);
+    }
+
+    #[test]
+    fn a_morsel_fill_leaves_nothing_staged_in_the_arena() {
+        let idb = store();
+        let h = Harness::new();
+        let shared = Arc::new(SharedLookupCache::new());
+        let pulls = vec![Ok(ints(&[&[1], &[2], &[1]]))];
+        let mut op = h
+            .lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None)
+            .for_morsel(Some(shared.clone()), true);
+        assert_eq!(op.next_batch().unwrap().unwrap().len(), 7);
+        // The split's cache holds the only copy of the rows the ledger was charged.
+        assert_eq!(op.arena.rows, 0);
+        assert!(op.arena.cols.iter().all(Vec::is_empty));
+        assert_eq!((shared.rows(), h.ledger.resident()), (4, 4));
+        assert_eq!(h.stats().index_lookups, 2);
+    }
+
+    #[test]
+    fn a_repeat_the_session_cache_declined_is_read_from_the_arena() {
+        let idb = store();
+        let h = Harness::new();
+        // Key 1's three rows exceed the whole budget: the published copy is declined,
+        // so every probe of the key comes back as a fill claim.
+        let cache = Arc::new(SessionFetchCache::new(2));
+        h.state.borrow_mut().cache = Some(cache.clone());
+        let mut op = h.lookup(&idb, Vec::new(), &[0, 1, 2], Vec::new(), None);
+        op.ensure_fused_emit(1);
+        op.key_scratch = vec![Value::int(1)];
+        assert!(matches!(op.lookup().unwrap(), Postings::Cached(batch) if batch.len() == 3));
+        op.key_scratch = vec![Value::int(1)];
+        assert!(matches!(op.lookup().unwrap(), Postings::Arena(range) if range.len == 3));
+        assert_eq!(h.stats().index_lookups, 1);
+        // The withdrawn claim strands nobody: the next probe claims the key afresh.
+        let (_, space) = op.session.clone().unwrap();
+        assert!(matches!(
+            cache.probe(&space, &vec![Value::int(1)]),
+            SessionProbe::Fill
+        ));
+        cache.abort(&space, &vec![Value::int(1)]);
+    }
+
+    #[test]
+    fn drops_and_errors_mid_stream_return_the_ledger_to_zero() {
+        let idb = store();
+
+        // Dropped after one batch: the arena's rows are released by `Drop`.
+        let h = Harness::new();
+        let pulls = vec![Ok(ints(&[&[1], &[2]])), Ok(ints(&[&[1]]))];
+        let mut op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
+        assert_eq!(op.next_batch().unwrap().unwrap().len(), 4);
+        assert_eq!(h.ledger.resident(), 4);
+        drop(op);
+        assert_eq!(h.ledger.resident(), 0);
+
+        // The source fails while the arena holds rows.
+        let h = Harness::new();
+        let pulls = vec![
+            Ok(ints(&[&[1], &[2]])),
+            Err(Error::invalid("source failed")),
+        ];
+        let mut op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
+        assert!(op.next_batch().unwrap().is_some());
+        assert!(op.next_batch().is_err());
+        drop(op);
+        assert_eq!(h.ledger.resident(), 0);
+
+        // A probe fails inside a batch (the key arity does not fit the constraint):
+        // nothing was acquired for it, and nothing leaks.
+        let h = Harness::new();
+        let mut op = h.lookup(&idb, vec![Ok(ints(&[&[1], &[2]]))], &[0], Vec::new(), None);
+        op.key_cols = vec![0, 0];
+        assert!(op.next_batch().is_err());
+        assert_eq!(h.stats().tuples_fetched, 0);
+        drop(op);
+        assert_eq!(h.ledger.resident(), 0);
     }
 }

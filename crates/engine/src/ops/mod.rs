@@ -126,17 +126,16 @@ impl ResidencyLedger {
 /// Freelists of cleared executor buffers, recycled across probes so the steady-state
 /// anchored serving loop stops asking the allocator for anything.
 ///
-/// The contract: a buffer in the pool is always *empty* (cleared before `put_*`), so
-/// the pool holds capacity, never rows — the [`ResidencyLedger`]'s drained-to-zero
-/// assertion is unaffected by pooling. Operators draw per-batch gather columns,
-/// selection vectors and probe-key scratch from here and hand uniquely-owned buffers
-/// back on teardown (keyed-lookup cache drains, exhausted scratch); buffers still
+/// The contract: a buffer in the pool is always *empty* (cleared before
+/// `put_values`), so the pool holds capacity, never rows — the [`ResidencyLedger`]'s
+/// drained-to-zero assertion is unaffected by pooling. Operators draw per-batch
+/// gather columns and the keyed lookup's arena columns from here and hand
+/// uniquely-owned buffers back on teardown (exhausted arenas and scratch); buffers
 /// shared downstream simply stay with their owners. The pool lives on [`ExecState`]
 /// and is dropped with it, so everything pooled is freed at executor teardown.
 #[derive(Debug)]
 pub(crate) struct BufferPool {
     values: Vec<Vec<Value>>,
-    indices: Vec<Vec<u32>>,
     cap: usize,
 }
 
@@ -147,45 +146,39 @@ impl Default for BufferPool {
 }
 
 impl BufferPool {
-    /// Freelist cap per buffer kind when no plan is in sight (bare `ExecState`s in
-    /// tests); executions size the cap from the plan via [`pool_cap_for`].
+    /// Freelist cap when no plan is in sight (bare `ExecState`s in tests);
+    /// executions size the cap from the plan via [`pool_cap_for`].
     pub(crate) const DEFAULT_CAP: usize = 64;
     /// Floor for the plan-derived cap: even a single-fetch plan keeps a few buffers
-    /// warm across cache drains.
+    /// warm across operator teardowns.
     pub(crate) const MIN_CAP: usize = 8;
     /// Ceiling for the plan-derived cap, so one very wide plan cannot pin unbounded
     /// capacity.
     pub(crate) const MAX_CAP: usize = 256;
 
-    /// An empty pool that retains at most `cap` buffers per kind.
+    /// An empty pool that retains at most `cap` buffers.
     pub(crate) fn with_cap(cap: usize) -> Self {
         Self {
             values: Vec::new(),
-            indices: Vec::new(),
             cap,
         }
     }
 
-    /// The freelist cap per buffer kind.
+    /// The freelist cap.
     #[cfg(test)]
     pub(crate) fn cap(&self) -> usize {
         self.cap
     }
 
-    /// Buffers currently pooled (both kinds), for sizing tests.
+    /// Buffers currently pooled, for sizing tests.
     #[cfg(test)]
     pub(crate) fn pooled(&self) -> usize {
-        self.values.len() + self.indices.len()
+        self.values.len()
     }
 
     /// A cleared value buffer — recycled capacity when available, fresh otherwise.
     pub(crate) fn get_values(&mut self) -> Vec<Value> {
         self.values.pop().unwrap_or_default()
-    }
-
-    /// A cleared index buffer — recycled capacity when available, fresh otherwise.
-    pub(crate) fn get_indices(&mut self) -> Vec<u32> {
-        self.indices.pop().unwrap_or_default()
     }
 
     /// Return a value buffer to the freelist (cleared; dropped if the list is full
@@ -196,22 +189,15 @@ impl BufferPool {
             self.values.push(buffer);
         }
     }
-
-    /// Return an index buffer to the freelist (cleared; dropped if full/zero-cap).
-    pub(crate) fn put_indices(&mut self, mut buffer: Vec<u32>) {
-        buffer.clear();
-        if buffer.capacity() > 0 && self.indices.len() < self.cap {
-            self.indices.push(buffer);
-        }
-    }
 }
 
 /// The buffer-pool freelist cap for executions of `plan`: the probe path's worst-case
-/// simultaneous buffer demand — one value buffer per fetched position plus the key row
-/// and the selection vector for every fetch-shaped step — clamped to
+/// simultaneous buffer demand — for every fetch-shaped step one value buffer per
+/// fetched position (the arena or gather columns), with two to spare for the key
+/// scratch and the emission — clamped to
 /// [`BufferPool::MIN_CAP`]`..=`[`BufferPool::MAX_CAP`]. Tiny plans pool a handful of
-/// buffers instead of pinning 64 per kind; wide plans get enough headroom that cache
-/// drains don't thrash the freelist.
+/// buffers instead of pinning 64; wide plans get enough headroom that operator
+/// teardowns don't thrash the freelist.
 pub(crate) fn pool_cap_for(plan: &PhysicalPlan) -> usize {
     let demand: usize = plan
         .steps()
@@ -253,7 +239,7 @@ impl ExecState {
         Self::with_pool_cap(ledger, BufferPool::DEFAULT_CAP)
     }
 
-    /// A state whose buffer pool retains at most `pool_cap` buffers per kind —
+    /// A state whose buffer pool retains at most `pool_cap` buffers —
     /// executions derive the cap from the plan with [`pool_cap_for`].
     pub(crate) fn with_pool_cap(ledger: Arc<ResidencyLedger>, pool_cap: usize) -> Self {
         Self {
@@ -1181,10 +1167,9 @@ mod tests {
         assert_eq!(pool.cap(), 2);
         for _ in 0..5 {
             pool.put_values(Vec::with_capacity(4));
-            pool.put_indices(Vec::with_capacity(4));
         }
-        // At most `cap` buffers per kind are retained; the rest are dropped.
-        assert_eq!(pool.pooled(), 4);
+        // At most `cap` buffers are retained; the rest are dropped.
+        assert_eq!(pool.pooled(), 2);
     }
 
     /// A two-hop lookup chain whose first hop fans out wide enough that its

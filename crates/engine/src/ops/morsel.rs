@@ -34,8 +34,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 /// serializing distinct keys: a probe that misses installs a `Filling` placeholder
 /// under the map lock and fetches *outside* it; a concurrent probe of the same key
 /// blocks on the condvar until the fill resolves, while probes of other keys proceed.
-/// Fills charge exactly the local-cache miss costs at the filling operator, so the
-/// split's totals match the unsplit pipeline's.
+/// A fill is the filling operator's ordinary arena miss plus an uncharged compact
+/// copy as the published entry, so the split's totals match the unsplit pipeline's.
 ///
 /// The cache is **striped** by key hash: every probe takes a lock, so a single map
 /// mutex would put one contended cache line on the hot path of every worker — the

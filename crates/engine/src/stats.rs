@@ -46,22 +46,27 @@ pub struct AccessStats {
     /// execution-strategy artifact and excluded from
     /// [`AccessStats::same_data_access`]; across workers it merges additively.
     pub values_cloned: u64,
-    /// Number of probe-path buffer allocations the streaming executor performs, the
-    /// steady-state allocation model of the anchored serving loop. Two sites count:
-    /// each source row a fetch gathers into its key set (one owned key row per probed
-    /// row), and each keyed-lookup cache *miss* (the owned cache key plus one column
-    /// buffer per fetched position plus the selection vector — `positions + 2`). Cache
-    /// hits count zero, so a warmed anchored probe — single key, cached
-    /// [`KeyedLookupOp`](crate::ops), fused projection — contributes nothing: its
-    /// marginal `allocs_per_probe` is exactly 0, which the property tests assert.
-    /// Per-batch emission buffers are deliberately *excluded*: they scale with batch
-    /// boundaries (an execution-schedule artifact), are recycled through the
-    /// executor's buffer pool, and counting them would break the thread- and
-    /// shard-invariance this counter is asserted to have. The counter models the
-    /// probe path's demand for fresh buffers, not the allocator's view (a pool hit
-    /// still counts — the *miss event* is what the serving loop must avoid). It is a
-    /// streaming-pipeline metric: the materialized executor reports 0. Like
-    /// `values_cloned` it is an execution-strategy artifact, excluded from
+    /// Number of buffers the streaming executor's probe path demands — the
+    /// steady-state allocation model of the anchored serving loop. Two sites count,
+    /// one buffer each: every source row a fetch gathers into its key set (the owned
+    /// key row), and every keyed-lookup *miss* (the owned key row entering the
+    /// operator's `key → range` map — the postings are appended to the operator's
+    /// arena columns and demand nothing per key). A repeat of a fetched key and a hit
+    /// in an outer cache tier count zero, so a warmed anchored probe — single key,
+    /// cached [`KeyedLookupOp`](crate::ops), fused projection — has a marginal
+    /// `allocs_per_probe` of exactly 0, which the property tests assert; a cold
+    /// bounded plan counts at most its index lookups plus its fetch source rows.
+    ///
+    /// Deliberately *excluded* are buffers whose number follows the execution
+    /// schedule or the cache configuration rather than the probes: per-batch emission
+    /// columns and per-operator arena columns (pooled; a morsel split runs one
+    /// operator instance per morsel), and the compact copy a fill claim publishes
+    /// into a cache tier. Counting them would break the thread-, shard- and
+    /// morsel-invariance this counter is asserted to have, and the equality of cold
+    /// cached and uncached runs. A pool hit still counts — the *miss event* is what
+    /// the serving loop must avoid. It is a streaming-pipeline metric: the
+    /// materialized executor reports 0. Like `values_cloned` it is an
+    /// execution-strategy artifact, excluded from
     /// [`AccessStats::same_data_access`], and merges additively across workers.
     pub allocs_per_probe: u64,
     /// Number of probes served by the session-level cross-query fetch cache (see
