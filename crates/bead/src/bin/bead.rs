@@ -70,8 +70,10 @@ fn main() {
             std::process::exit(1);
         }
     };
+    let (store_bytes, index_bytes) = server.footprint();
     say(format_args!(
-        "bead: listening on {} (threads={} budget={})",
+        "bead: listening on {} (threads={} budget={} store_bytes={store_bytes} \
+         index_bytes={index_bytes})",
         socket.display(),
         server.threads(),
         server

@@ -40,6 +40,11 @@
 //! `REJECT query=… fetch_bound=… budget=…` (or `surface=… limit=…` for the
 //! allocation-surface veto) and nothing is executed.
 //!
+//! A `STATS` reply is one `OK` head of `key=value` counters: the admission counters
+//! (`submitted` … `budget`), the cache counters, and the store's exact footprint —
+//! `store_bytes=` (flat tuple values) and `index_bytes=` (posting indexes), string
+//! payloads excluded; the daemon's start-up banner carries the same two fields.
+//!
 //! `beactl` exit codes: `0` for `OK`, `3` for `REJECT`, `1` for `ERR` or any
 //! transport failure.
 

@@ -72,6 +72,11 @@ impl BeadServer {
         self.session.threads()
     }
 
+    /// Exact `(tuple_bytes, index_bytes)` of the store (string payloads excluded).
+    pub fn footprint(&self) -> (u64, u64) {
+        self.store.store().footprint()
+    }
+
     /// Serve connections until a `SHUTDOWN` request arrives. Each connection gets
     /// its own scoped thread, so queries from concurrent clients genuinely
     /// interleave in the session's job queue.
@@ -134,11 +139,13 @@ impl BeadServer {
             Request::Stats => {
                 let stats = self.session.admission_stats();
                 let cache = self.session.cache_stats();
+                let (store_bytes, index_bytes) = self.footprint();
                 Reply::ok(
                     format!(
                         "submitted={} admitted={} queued={} rejected={} completed={} failed={} \
                          inflight_bound={} peak_admitted_bound={} budget={} cache_hits={} \
-                         rows_served_from_cache={} cache_evictions={}",
+                         rows_served_from_cache={} cache_evictions={} store_bytes={store_bytes} \
+                         index_bytes={index_bytes}",
                         stats.submitted,
                         stats.admitted,
                         stats.queued,
@@ -368,6 +375,15 @@ mod tests {
             assert!(stats.head.contains("cache_hits=1"), "head: {}", stats.head);
             assert!(
                 stats.head.contains("cache_evictions=0"),
+                "head: {}",
+                stats.head
+            );
+            let (store_bytes, index_bytes) = server.footprint();
+            assert!(store_bytes > 0 && index_bytes > 0);
+            assert!(
+                stats.head.ends_with(&format!(
+                    "store_bytes={store_bytes} index_bytes={index_bytes}"
+                )),
                 "head: {}",
                 stats.head
             );

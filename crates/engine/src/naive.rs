@@ -64,7 +64,7 @@ pub fn eval_cq(query: &ConjunctiveQuery, database: &Database) -> Result<(Table, 
 
         // Build the hash table over the relation, keyed on those positions, keeping only
         // tuples that are self-consistent with repeated variables in the atom.
-        let mut buckets: HashMap<Row, Vec<&Row>> = HashMap::new();
+        let mut buckets: HashMap<Row, Vec<&[Value]>> = HashMap::new();
         'tuples: for tuple in relation.rows() {
             for p1 in 0..atom.args.len() {
                 for p2 in (p1 + 1)..atom.args.len() {
@@ -303,7 +303,7 @@ fn eval_formula(
     match formula {
         Formula::Atom { relation, args } => {
             let row: Row = args.iter().map(resolve).collect::<Result<_>>()?;
-            Ok(database.relation(relation)?.rows().contains(&row))
+            Ok(database.relation(relation)?.rows().any(|t| t == row))
         }
         Formula::Eq(l, r) => Ok(resolve(l)? == resolve(r)?),
         Formula::Not(inner) => Ok(!eval_formula(inner, database, domain, assignment)?),

@@ -1147,7 +1147,10 @@ mod tests {
             fixture(8),
             SessionConfig::new().with_threads(2).with_fetch_budget(30),
         );
-        // Each query's bound is 20: only one fits at a time under budget 30.
+        // Each query's bound is 20: only one fits at a time under budget 30. Hold 20
+        // units the way an admitted query would, so none fits while they are submitted
+        // and queueing does not depend on how fast a worker retires the first one.
+        session.inner.lock_state().admitted_bound = 20;
         let plans: Vec<QueryPlan> = (0..4)
             .map(|i| lookup_union(&format!("Q{i}"), &[1 + i, 2 + i]))
             .collect();
@@ -1156,9 +1159,18 @@ mod tests {
             .map(|plan| session.submit(plan).unwrap())
             .collect();
         assert!(
-            handles.iter().skip(1).any(|handle| handle.was_queued()),
-            "with budget 30 and bounds of 20, later submissions must queue"
+            handles.iter().all(QueryHandle::was_queued),
+            "with 20 of 30 units held and bounds of 20, every submission must queue"
         );
+        assert_eq!(session.admission_stats().queued, 4);
+        assert_eq!(session.admission_stats().admitted, 0);
+        // Release the hold exactly as a retiring query does: headroom, drain, wake.
+        {
+            let mut state = session.inner.lock_state();
+            state.admitted_bound -= 20;
+            assert!(drain_pending(&mut state, session.inner.budget) > 0);
+        }
+        session.inner.work.notify_all();
         for handle in handles {
             handle.wait().unwrap();
         }

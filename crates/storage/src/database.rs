@@ -3,23 +3,21 @@
 use crate::relation::Relation;
 use bea_core::error::{Error, Result};
 use bea_core::schema::Catalog;
-use bea_core::value::Row;
-use std::collections::BTreeMap;
+use bea_core::value::Value;
 
 /// A database instance over a catalog.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Database {
     catalog: Catalog,
-    relations: BTreeMap<String, Relation>,
+    /// One instance per declared relation, in name order — so a relation's position is
+    /// stable for the database's lifetime and the indexed stores resolve it once.
+    relations: Vec<Relation>,
 }
 
 impl Database {
     /// Create an empty instance of a catalog (every declared relation starts empty).
     pub fn new(catalog: Catalog) -> Self {
-        let relations = catalog
-            .relations()
-            .map(|schema| (schema.name().to_owned(), Relation::new(schema.clone())))
-            .collect();
+        let relations = catalog.relations().cloned().map(Relation::new).collect();
         Self { catalog, relations }
     }
 
@@ -28,42 +26,62 @@ impl Database {
         &self.catalog
     }
 
-    /// The relation instance with the given name.
-    pub fn relation(&self, name: &str) -> Result<&Relation> {
+    /// The position of a relation in [`Database::relations`] (name order).
+    pub(crate) fn position(&self, name: &str) -> Result<usize> {
         self.relations
-            .get(name)
-            .ok_or_else(|| Error::UnknownRelation {
+            .binary_search_by(|r| r.name().cmp(name))
+            .map_err(|_| Error::UnknownRelation {
                 relation: name.to_owned(),
             })
+    }
+
+    /// The relation instance at a [`Database::position`].
+    pub(crate) fn relation_at(&self, position: usize) -> &Relation {
+        &self.relations[position]
+    }
+
+    /// The relation instance with the given name.
+    pub fn relation(&self, name: &str) -> Result<&Relation> {
+        Ok(&self.relations[self.position(name)?])
     }
 
     /// Mutable access to a relation instance.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
-        self.relations
-            .get_mut(name)
-            .ok_or_else(|| Error::UnknownRelation {
-                relation: name.to_owned(),
-            })
+        let position = self.position(name)?;
+        Ok(&mut self.relations[position])
     }
 
-    /// Insert a tuple into a relation.
-    pub fn insert(&mut self, relation: &str, row: Row) -> Result<()> {
+    /// Insert a tuple (any exact-sized sequence of values) into a relation.
+    pub fn insert<T>(&mut self, relation: &str, row: T) -> Result<()>
+    where
+        T: IntoIterator<Item = Value>,
+        T::IntoIter: ExactSizeIterator,
+    {
         self.relation_mut(relation)?.insert(row)
     }
 
     /// Insert many tuples into a relation.
-    pub fn extend(&mut self, relation: &str, rows: impl IntoIterator<Item = Row>) -> Result<()> {
+    pub fn extend<T>(&mut self, relation: &str, rows: impl IntoIterator<Item = T>) -> Result<()>
+    where
+        T: IntoIterator<Item = Value>,
+        T::IntoIter: ExactSizeIterator,
+    {
         self.relation_mut(relation)?.extend(rows)
     }
 
     /// All relation instances, in name order.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
-        self.relations.values()
+        self.relations.iter()
     }
 
     /// Total number of tuples `|D|`.
     pub fn size(&self) -> u64 {
-        self.relations.values().map(|r| r.len() as u64).sum()
+        self.relations.iter().map(|r| r.len() as u64).sum()
+    }
+
+    /// Bytes the tuples occupy (see [`Relation::tuple_bytes`]; string payloads excluded).
+    pub fn tuple_bytes(&self) -> u64 {
+        self.relations.iter().map(Relation::tuple_bytes).sum()
     }
 
     /// True when every relation is empty.
@@ -75,7 +93,7 @@ impl Database {
     pub fn summary(&self) -> String {
         let parts: Vec<String> = self
             .relations
-            .values()
+            .iter()
             .map(|r| format!("{}: {} tuples", r.name(), r.len()))
             .collect();
         parts.join(", ")

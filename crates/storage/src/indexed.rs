@@ -2,6 +2,7 @@
 
 use crate::database::Database;
 use crate::index::HashIndex;
+use crate::relation::Relation;
 use bea_core::access::AccessSchema;
 use bea_core::error::{Error, Result};
 use bea_core::value::{Row, Value};
@@ -28,25 +29,40 @@ pub struct ConstraintViolation {
 pub struct IndexedDatabase {
     database: Database,
     schema: AccessSchema,
+    /// Per constraint: its relation's position in `database`, resolved at build time.
+    relations: Vec<usize>,
     indexes: Vec<HashIndex>,
+}
+
+/// Validate `schema` against the database's catalog and resolve every constraint's
+/// relation to its position in the database — once, so no fetch looks a name up.
+pub(crate) fn resolve_relations(database: &Database, schema: &AccessSchema) -> Result<Vec<usize>> {
+    schema.validate(database.catalog())?;
+    let constraints = schema.constraints().iter();
+    constraints
+        .map(|constraint| database.position(constraint.relation()))
+        .collect()
 }
 
 impl IndexedDatabase {
     /// Build the indexes required by the access schema over the database.
     ///
     /// Fails if the schema references relations or attribute positions the catalog does
-    /// not declare. Whether the *cardinality* part of each constraint holds is a separate
-    /// question — check it with [`IndexedDatabase::validate`].
+    /// not declare, or if a constrained relation has more tuples than 32-bit posting
+    /// offsets can address. Whether the *cardinality* part of each constraint holds is a
+    /// separate question — check it with [`IndexedDatabase::validate`].
     pub fn build(database: Database, schema: AccessSchema) -> Result<Self> {
-        schema.validate(database.catalog())?;
-        let mut indexes = Vec::with_capacity(schema.len());
-        for constraint in schema.constraints() {
-            let relation = database.relation(constraint.relation())?;
-            indexes.push(HashIndex::build(relation, constraint.x()));
-        }
+        let relations = resolve_relations(&database, &schema)?;
+        let indexes = schema
+            .constraints()
+            .iter()
+            .zip(&relations)
+            .map(|(constraint, &at)| HashIndex::build(database.relation_at(at), constraint.x()))
+            .collect::<Result<_>>()?;
         Ok(Self {
             database,
             schema,
+            relations,
             indexes,
         })
     }
@@ -66,14 +82,22 @@ impl IndexedDatabase {
         self.database.size()
     }
 
+    /// Exact `(tuple_bytes, index_bytes)` of the store, from lengths × `size_of`:
+    /// the flat tuple values and the indexes' `u32` arrays. String payloads (shared
+    /// `Arc<str>` allocations) are not counted.
+    pub fn footprint(&self) -> (u64, u64) {
+        let index_bytes = self.indexes.iter().map(HashIndex::bytes).sum();
+        (self.database.tuple_bytes(), index_bytes)
+    }
+
     /// Retrieve, through the index of constraint `constraint_index`, the tuples of its
     /// relation whose `X`-projection equals `key`. Returns full tuples; callers project
     /// onto `X ∪ Y` as needed (the executor in `bea-engine` does).
     ///
     /// Thin compatibility wrapper over [`IndexedDatabase::fetch_iter`]; hot paths should
     /// prefer the iterator, which walks the index postings without allocating a
-    /// `Vec<&Row>` per key.
-    pub fn fetch(&self, constraint_index: usize, key: &[Value]) -> Result<Vec<&Row>> {
+    /// `Vec` per key.
+    pub fn fetch(&self, constraint_index: usize, key: &[Value]) -> Result<Vec<&[Value]>> {
         Ok(self.fetch_iter(constraint_index, key)?.collect())
     }
 
@@ -85,24 +109,12 @@ impl IndexedDatabase {
     /// consumer decides what to project out of them. The iterator is exact-sized, so
     /// callers can account for the number of tuples read before walking them.
     pub fn fetch_iter(&self, constraint_index: usize, key: &[Value]) -> Result<FetchIter<'_>> {
-        let constraint =
-            self.schema
-                .constraint(constraint_index)
-                .ok_or_else(|| Error::MissingConstraint {
-                    reason: format!("no access constraint with index {constraint_index}"),
-                })?;
-        if key.len() != constraint.x().len() {
-            return Err(Error::invalid(format!(
-                "fetch key has {} values but constraint {constraint_index} expects {}",
-                key.len(),
-                constraint.x().len()
-            )));
-        }
-        let relation = self.database.relation(constraint.relation())?;
-        Ok(FetchIter {
-            rows: relation.rows(),
-            offsets: self.indexes[constraint_index].lookup(key).iter(),
-        })
+        let index = self
+            .indexes
+            .get(constraint_index)
+            .ok_or_else(|| missing_constraint(constraint_index))?;
+        let relation = self.database.relation_at(self.relations[constraint_index]);
+        probe(relation, index, constraint_index, key)
     }
 
     /// Columnar counterpart of [`IndexedDatabase::fetch_iter`]: append, for every tuple
@@ -135,27 +147,13 @@ impl IndexedDatabase {
 
     /// Check the cardinality part of every constraint: does `D ⊨ A` hold?
     ///
-    /// Returns the list of violations (empty iff the instance satisfies the schema).
+    /// Returns the list of violations (empty iff the instance satisfies the schema), by
+    /// constraint and, within one, in order of the offending keys' first occurrence.
     pub fn validate(&self) -> Vec<ConstraintViolation> {
-        let db_size = self.size();
-        let mut violations = Vec::new();
-        for (ci, constraint) in self.schema.constraints().iter().enumerate() {
-            let allowed = constraint.cardinality().bound(db_size);
-            let relation = match self.database.relation(constraint.relation()) {
-                Ok(r) => r,
-                Err(_) => continue,
-            };
-            for (key, offsets) in self.indexes[ci].buckets() {
-                check_bucket(
-                    relation.rows(),
-                    constraint.y(),
-                    ci,
-                    allowed,
-                    key,
-                    offsets,
-                    &mut violations,
-                );
-            }
+        let (db_size, mut violations) = (self.size(), Vec::new());
+        for (ci, index) in self.indexes.iter().enumerate() {
+            let relation = self.database.relation_at(self.relations[ci]);
+            check_groups(&self.schema, db_size, ci, relation, index, &mut violations);
         }
         violations
     }
@@ -169,6 +167,34 @@ impl IndexedDatabase {
     pub fn into_parts(self) -> (Database, AccessSchema) {
         (self.database, self.schema)
     }
+}
+
+/// The error of a fetch naming a constraint the schema does not have.
+pub(crate) fn missing_constraint(constraint_index: usize) -> Error {
+    Error::MissingConstraint {
+        reason: format!("no access constraint with index {constraint_index}"),
+    }
+}
+
+/// Probe one index of constraint `constraint_index` over its relation — the fetch both
+/// stores share once they have picked the index (the only one, or the owning shard's).
+pub(crate) fn probe<'a>(
+    relation: &'a Relation,
+    index: &'a HashIndex,
+    constraint_index: usize,
+    key: &[Value],
+) -> Result<FetchIter<'a>> {
+    if key.len() != index.key_attrs().len() {
+        return Err(Error::invalid(format!(
+            "fetch key has {} values but constraint {constraint_index} expects {}",
+            key.len(),
+            index.key_attrs().len()
+        )));
+    }
+    Ok(FetchIter {
+        relation,
+        offsets: index.lookup(relation, key).iter(),
+    })
 }
 
 /// Append, for every tuple of `iter`, the values at `positions` into the
@@ -195,33 +221,35 @@ pub(crate) fn append_projected(
     appended
 }
 
-/// Check one index bucket against its constraint's cardinality bound: count the
-/// distinct `Y`-projections among the bucket's rows and record a
-/// [`ConstraintViolation`] if they exceed `allowed`. Shared by the unsharded and
-/// sharded validators — a key's full bucket lives in exactly one index either way, so
-/// both see every key exactly once.
-pub(crate) fn check_bucket(
-    rows: &[Row],
-    y_attrs: &[usize],
+/// Check every key of one index against its constraint's cardinality bound: count the
+/// distinct `Y`-projections among the key's tuples and record a [`ConstraintViolation`]
+/// if they exceed the bound. Shared by the unsharded and sharded validators — a key's
+/// full posting list lives in exactly one index either way, so both see every key once.
+pub(crate) fn check_groups(
+    schema: &AccessSchema,
+    db_size: u64,
     constraint_index: usize,
-    allowed: u64,
-    key: &Row,
-    offsets: &[u32],
+    relation: &Relation,
+    index: &HashIndex,
     violations: &mut Vec<ConstraintViolation>,
 ) {
-    let mut ys: Vec<Row> = offsets
-        .iter()
-        .map(|&o| crate::relation::Relation::project(&rows[o as usize], y_attrs))
-        .collect();
-    ys.sort();
-    ys.dedup();
-    if ys.len() as u64 > allowed {
-        violations.push(ConstraintViolation {
-            constraint_index,
-            key: key.clone(),
-            observed: ys.len() as u64,
-            allowed,
-        });
+    let constraint = &schema.constraints()[constraint_index];
+    let allowed = constraint.cardinality().bound(db_size);
+    for offsets in index.groups() {
+        let mut ys: Vec<Row> = offsets
+            .iter()
+            .map(|&o| Relation::project(relation.tuple(o as usize), constraint.y()))
+            .collect();
+        ys.sort();
+        ys.dedup();
+        if ys.len() as u64 > allowed {
+            violations.push(ConstraintViolation {
+                constraint_index,
+                key: Relation::project(relation.tuple(offsets[0] as usize), constraint.x()),
+                observed: ys.len() as u64,
+                allowed,
+            });
+        }
     }
 }
 
@@ -229,25 +257,16 @@ pub(crate) fn check_bucket(
 /// [`IndexedDatabase::fetch_iter`].
 #[derive(Debug, Clone)]
 pub struct FetchIter<'a> {
-    rows: &'a [Row],
+    relation: &'a Relation,
     offsets: std::slice::Iter<'a, u32>,
 }
 
-impl<'a> FetchIter<'a> {
-    /// Wrap a relation's rows and an index posting list — shared with the sharded
-    /// store, whose per-shard indexes produce the same iterators.
-    pub(crate) fn new(rows: &'a [Row], offsets: std::slice::Iter<'a, u32>) -> Self {
-        Self { rows, offsets }
-    }
-}
-
 impl<'a> Iterator for FetchIter<'a> {
-    type Item = &'a Row;
+    type Item = &'a [Value];
 
-    fn next(&mut self) -> Option<&'a Row> {
-        self.offsets
-            .next()
-            .map(|&offset| &self.rows[offset as usize])
+    fn next(&mut self) -> Option<&'a [Value]> {
+        let &offset = self.offsets.next()?;
+        Some(self.relation.tuple(offset as usize))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -319,6 +338,55 @@ mod tests {
     }
 
     #[test]
+    fn violations_come_in_first_occurrence_order() {
+        let c = catalog();
+        let mut db = Database::new(c.clone());
+        for (a, b) in [
+            (3, 0),
+            (1, 0),
+            (3, 1),
+            (2, 0),
+            (9, 0),
+            (1, 1),
+            (2, 1),
+            (3, 1),
+        ] {
+            db.insert("R", [Value::int(a), Value::int(b)]).unwrap();
+        }
+        let tight =
+            AccessSchema::from_constraints([
+                AccessConstraint::new(&c, "R", &["a"], &["b"], 1).unwrap()
+            ]);
+        let idb = IndexedDatabase::build(db, tight).unwrap();
+        let keys: Vec<Row> = idb.validate().into_iter().map(|v| v.key).collect();
+        // 9 has one b-value and (3, 1) twice is still two distinct b-values.
+        assert_eq!(
+            keys,
+            [
+                vec![Value::int(3)],
+                vec![Value::int(1)],
+                vec![Value::int(2)]
+            ]
+        );
+        assert_eq!(idb.validate(), idb.validate(), "and the order is stable");
+        assert!(idb.validate().iter().all(|v| v.observed == 2));
+    }
+
+    #[test]
+    fn footprint_is_exact_from_lengths() {
+        let c = catalog();
+        let schema =
+            AccessSchema::from_constraints([
+                AccessConstraint::new(&c, "R", &["a"], &["b"], 2).unwrap()
+            ]);
+        let idb = IndexedDatabase::build(sample_db(), schema).unwrap();
+        // 3 tuples × 2 values; 3 postings + 3 starts + 4 slots (2 keys) + 1 key position.
+        let value = std::mem::size_of::<Value>() as u64;
+        let position = std::mem::size_of::<usize>() as u64;
+        assert_eq!(idb.footprint(), (6 * value, (3 + 3 + 4) * 4 + position));
+    }
+
+    #[test]
     fn fetch_iter_matches_fetch() {
         let c = catalog();
         let schema =
@@ -328,7 +396,7 @@ mod tests {
         let idb = IndexedDatabase::build(sample_db(), schema).unwrap();
         let iter = idb.fetch_iter(0, &[Value::int(1)]).unwrap();
         assert_eq!(iter.len(), 2);
-        let via_iter: Vec<&Row> = iter.collect();
+        let via_iter: Vec<&[Value]> = iter.collect();
         let via_fetch = idb.fetch(0, &[Value::int(1)]).unwrap();
         assert_eq!(via_iter, via_fetch);
         // Missing keys yield an empty, zero-length iterator — not an error.

@@ -141,10 +141,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bea_io_test_{}", std::process::id()));
         write_tsv(&db, &dir).unwrap();
         let loaded = read_tsv(db.catalog(), &dir).unwrap();
-        assert_eq!(
-            loaded.relation("R").unwrap().rows(),
-            db.relation("R").unwrap().rows()
-        );
+        assert_eq!(loaded.relation("R").unwrap(), db.relation("R").unwrap());
         assert!(loaded.relation("Empty").unwrap().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }

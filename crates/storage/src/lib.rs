@@ -6,8 +6,9 @@
 //! scanning `R` — which is exactly the `fetch` operation of boundedly evaluable query
 //! plans.
 //!
-//! * [`relation`] / [`database`] — relations, instances, catalog validation.
-//! * [`index`] — hash indexes keyed on attribute subsets.
+//! * [`relation`] / [`database`] — relations, instances, catalog validation. A relation
+//!   is ONE flat row-major `Vec<Value>` (stride = arity); readers get `&[Value]` slices.
+//! * [`index`] — keyless CSR posting indexes keyed on attribute subsets.
 //! * [`indexed`] — [`indexed::IndexedDatabase`]: a database plus the indexes mandated by
 //!   an access schema, with constraint validation (`D ⊨ A`).
 //! * [`sharded`] — [`sharded::ShardedDatabase`]: the same indexes partitioned into
@@ -19,6 +20,32 @@
 //! * [`discovery`] — mining access constraints from data (the paper notes that the
 //!   constraints of Example 1.1 "are discovered by simple aggregate queries on D₀").
 //! * [`io`] — minimal tab-separated import/export, for persisting generated workloads.
+//!
+//! # Physical layout and what it costs
+//!
+//! The paper's premise is that `D` is big and a bounded query touches only the
+//! access-constraint indexes, so bytes per tuple and per key decide how big a `D` one
+//! process can serve. The store is a handful of large arrays and no per-tuple or per-key
+//! heap object:
+//!
+//! | what | layout | bytes |
+//! |---|---|---|
+//! | a tuple of arity `k` | `k` consecutive [`bea_core::value::Value`]s in its relation's one `Vec` | `24·k` (+ shared string payloads) |
+//! | a posting | one `u32` tuple offset in its index's `postings` | 4 |
+//! | a distinct key | one `u32` CSR start + 2–4 `u32` hash slots; the key values themselves are *not* stored | 12–20 |
+//!
+//! A fetch hashes the key (one multiply per value), walks the slot table (linear probing,
+//! at most half full), compares the key against the first tuple of the candidate group —
+//! a tuple the fetch returns anyway — and hands out a subslice of `postings`; the tuples
+//! are then slices of the relation at `offset · k`. Posting lists keep insertion order
+//! and key groups are numbered by first occurrence, so every result and every
+//! `validate()` report is deterministic and identical between the unsharded store and
+//! any shard count. [`IndexedDatabase::footprint`] reports the exact tuple and index
+//! bytes; on the accidents workload the four indexes of ψ1–ψ4 cost ≈12 B per posting.
+//! Each constraint's relation is resolved to a position at build time; a fetch looks no
+//! name up. Tuple offsets are 32-bit: building over a relation beyond `u32::MAX` tuples
+//! is an error, not a silent wrap. Flat offset arrays are also what an mmap-backed
+//! segment would need — nothing here holds a pointer.
 
 pub mod database;
 pub mod discovery;

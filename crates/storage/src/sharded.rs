@@ -8,8 +8,9 @@
 //!   partitioning, because the set of `(constraint, key)` lookups a bounded plan
 //!   performs is unchanged and each lookup touches one shard;
 //! * the per-key result (tuples *and* their order) is identical to the unsharded
-//!   [`IndexedDatabase`], because a shard's buckets are built by the same procedure
-//!   over the key's full posting list;
+//!   [`IndexedDatabase`], because a shard's index is built by the same procedure (the
+//!   two counting passes of `HashIndex`) over the tuples routed to it, in row order,
+//!   and those include the key's full posting list;
 //! * `shard_count = 1` reproduces today's [`IndexedDatabase`] exactly: one shard owns
 //!   every key and its index equals the unsharded one.
 //!
@@ -25,15 +26,14 @@
 //! accounting (`AccessStats::rows_fetched_by_shard` in `bea-engine`) possible.
 
 use crate::database::Database;
-use crate::index::HashIndex;
+use crate::index::{offset_bound, HashIndex};
 use crate::indexed::{
-    append_projected, check_bucket, ConstraintViolation, FetchIter, IndexedDatabase,
+    append_projected, check_groups, missing_constraint, probe, resolve_relations,
+    ConstraintViolation, FetchIter, IndexedDatabase,
 };
-use crate::relation::Relation;
 use bea_core::access::AccessSchema;
 use bea_core::error::{Error, Result};
-use bea_core::value::{Row, Value};
-use std::collections::HashMap;
+use bea_core::value::Value;
 
 /// Environment variable naming the default shard count test suites build their sharded
 /// stores with (the CI matrix runs the suite at `BEA_SHARDS=1` and `BEA_SHARDS=4`).
@@ -133,6 +133,8 @@ pub struct ShardedDatabase {
     database: Database,
     schema: AccessSchema,
     shard_count: u32,
+    /// Per constraint: its relation's position in `database`, resolved at build time.
+    relations: Vec<usize>,
     /// `shards[constraint][shard]`: the slice of constraint `constraint`'s index whose
     /// keys route to `shard`.
     shards: Vec<Vec<HashIndex>>,
@@ -141,40 +143,34 @@ pub struct ShardedDatabase {
 impl ShardedDatabase {
     /// Build the sharded indexes required by the access schema over the database.
     ///
-    /// Every tuple of a constrained relation is routed by the [`shard_of`] hash of its
-    /// key projection, so a key's full posting list lands in one shard, in row order —
-    /// exactly the bucket the unsharded [`IndexedDatabase`] would build.
+    /// Every tuple of a constrained relation is routed once, by the [`shard_of`] hash of
+    /// its key projection, and each shard's index is then built over the tuples routed
+    /// to it, in row order — so a key's full posting list lands in one shard, exactly
+    /// the list the unsharded [`IndexedDatabase`] would build.
     pub fn build(database: Database, schema: AccessSchema, shard_count: u32) -> Result<Self> {
         if shard_count == 0 {
             return Err(Error::invalid(
                 "a sharded database needs at least one shard".to_owned(),
             ));
         }
-        schema.validate(database.catalog())?;
+        let relations = resolve_relations(&database, &schema)?;
         let mut shards = Vec::with_capacity(schema.len());
-        for constraint in schema.constraints() {
-            let relation = database.relation(constraint.relation())?;
-            let mut buckets: Vec<HashMap<Row, Vec<u32>>> =
-                (0..shard_count).map(|_| HashMap::new()).collect();
-            for (offset, row) in relation.rows().iter().enumerate() {
-                let key = Relation::project(row, constraint.x());
-                let shard = shard_of(key.iter(), shard_count);
-                buckets[shard as usize]
-                    .entry(key)
-                    .or_default()
-                    .push(offset as u32);
+        for (constraint, &at) in schema.constraints().iter().zip(&relations) {
+            let (relation, x) = (database.relation_at(at), constraint.x());
+            let mut routed: Vec<Vec<u32>> = vec![Vec::new(); shard_count as usize];
+            let offsets = 0..offset_bound(relation.name(), relation.len())?;
+            for (offset, row) in offsets.zip(relation.rows()) {
+                let shard = shard_of(x.iter().map(|&attr| &row[attr]), shard_count);
+                routed[shard as usize].push(offset);
             }
-            shards.push(
-                buckets
-                    .into_iter()
-                    .map(|b| HashIndex::from_buckets(constraint.x().to_vec(), b))
-                    .collect(),
-            );
+            let over = |offsets: &Vec<u32>| HashIndex::over(relation, x, offsets.iter().copied());
+            shards.push(routed.iter().map(over).collect());
         }
         Ok(Self {
             database,
             schema,
             shard_count,
+            relations,
             shards,
         })
     }
@@ -219,37 +215,14 @@ impl ShardedDatabase {
     /// Postings stored per shard for one constraint's index — how evenly the hash
     /// spread the key space, for experiments and balance checks.
     pub fn postings_per_shard(&self, constraint_index: usize) -> Option<Vec<u64>> {
-        self.shards.get(constraint_index).map(|shards| {
-            shards
-                .iter()
-                .map(|index| {
-                    index
-                        .buckets()
-                        .map(|(_, offsets)| offsets.len() as u64)
-                        .sum()
-                })
-                .collect()
-        })
+        let shards = self.shards.get(constraint_index)?;
+        Some(shards.iter().map(|i| i.num_postings() as u64).collect())
     }
 
-    /// Resolve a fetch's constraint and key the same way [`IndexedDatabase`] does,
-    /// returning the backing relation and the owning shard.
-    fn resolve(&self, constraint_index: usize, key: &[Value]) -> Result<(&Relation, u32)> {
-        let constraint =
-            self.schema
-                .constraint(constraint_index)
-                .ok_or_else(|| Error::MissingConstraint {
-                    reason: format!("no access constraint with index {constraint_index}"),
-                })?;
-        if key.len() != constraint.x().len() {
-            return Err(Error::invalid(format!(
-                "fetch key has {} values but constraint {constraint_index} expects {}",
-                key.len(),
-                constraint.x().len()
-            )));
-        }
-        let relation = self.database.relation(constraint.relation())?;
-        Ok((relation, shard_of(key.iter(), self.shard_count)))
+    /// Exact `(tuple_bytes, index_bytes)`; see [`IndexedDatabase::footprint`].
+    pub fn footprint(&self) -> (u64, u64) {
+        let index_bytes = self.shards.iter().flatten().map(HashIndex::bytes).sum();
+        (self.database.tuple_bytes(), index_bytes)
     }
 
     /// Borrowing fetch through the owning shard's index: iterate over the tuples whose
@@ -261,12 +234,14 @@ impl ShardedDatabase {
         constraint_index: usize,
         key: &[Value],
     ) -> Result<(FetchIter<'_>, u32)> {
-        let (relation, shard) = self.resolve(constraint_index, key)?;
-        let index = &self.shards[constraint_index][shard as usize];
-        Ok((
-            FetchIter::new(relation.rows(), index.lookup(key).iter()),
-            shard,
-        ))
+        let shards = self
+            .shards
+            .get(constraint_index)
+            .ok_or_else(|| missing_constraint(constraint_index))?;
+        let relation = self.database.relation_at(self.relations[constraint_index]);
+        let shard = shard_of(key.iter(), self.shard_count);
+        let iter = probe(relation, &shards[shard as usize], constraint_index, key)?;
+        Ok((iter, shard))
     }
 
     /// Columnar fetch through the owning shard's index: append, for every tuple whose
@@ -285,29 +260,14 @@ impl ShardedDatabase {
     }
 
     /// Check the cardinality part of every constraint over the sharded indexes: does
-    /// `D ⊨ A` hold? Each key's bucket lives wholly inside one shard, so checking
+    /// `D ⊨ A` hold? Each key's posting list lives wholly inside one shard, so checking
     /// shard by shard sees every key exactly once.
     pub fn validate(&self) -> Vec<ConstraintViolation> {
-        let db_size = self.size();
-        let mut violations = Vec::new();
-        for (ci, constraint) in self.schema.constraints().iter().enumerate() {
-            let allowed = constraint.cardinality().bound(db_size);
-            let relation = match self.database.relation(constraint.relation()) {
-                Ok(r) => r,
-                Err(_) => continue,
-            };
-            for index in &self.shards[ci] {
-                for (key, offsets) in index.buckets() {
-                    check_bucket(
-                        relation.rows(),
-                        constraint.y(),
-                        ci,
-                        allowed,
-                        key,
-                        offsets,
-                        &mut violations,
-                    );
-                }
+        let (db_size, mut violations) = (self.size(), Vec::new());
+        for (ci, shards) in self.shards.iter().enumerate() {
+            let relation = self.database.relation_at(self.relations[ci]);
+            for index in shards {
+                check_groups(&self.schema, db_size, ci, relation, index, &mut violations);
             }
         }
         violations
@@ -361,6 +321,14 @@ impl<'a> Store<'a> {
         match self {
             Store::Indexed(_) => 1,
             Store::Sharded(db) => db.shard_count(),
+        }
+    }
+
+    /// Exact `(tuple_bytes, index_bytes)`; see [`IndexedDatabase::footprint`].
+    pub fn footprint(&self) -> (u64, u64) {
+        match self {
+            Store::Indexed(db) => db.footprint(),
+            Store::Sharded(db) => db.footprint(),
         }
     }
 
@@ -484,10 +452,10 @@ mod tests {
         assert_eq!(sdb.shard_count(), 1);
         for key in 0..20i64 {
             let key = vec![Value::int(key)];
-            let unsharded: Vec<&Row> = idb.fetch_iter(0, &key).unwrap().collect();
+            let unsharded: Vec<&[Value]> = idb.fetch_iter(0, &key).unwrap().collect();
             let (iter, shard) = sdb.fetch_iter(0, &key).unwrap();
             assert_eq!(shard, 0);
-            let sharded: Vec<&Row> = iter.collect();
+            let sharded: Vec<&[Value]> = iter.collect();
             assert_eq!(unsharded, sharded, "tuples and order must match");
         }
     }
@@ -500,10 +468,10 @@ mod tests {
             assert!(sdb.satisfies_schema());
             for key in 0..20i64 {
                 let key = vec![Value::int(key)];
-                let unsharded: Vec<&Row> = idb.fetch_iter(0, &key).unwrap().collect();
+                let unsharded: Vec<&[Value]> = idb.fetch_iter(0, &key).unwrap().collect();
                 let (iter, shard) = sdb.fetch_iter(0, &key).unwrap();
                 assert_eq!(shard, sdb.shard_of_key(&key));
-                let sharded: Vec<&Row> = iter.collect();
+                let sharded: Vec<&[Value]> = iter.collect();
                 assert_eq!(unsharded, sharded);
 
                 let mut cols: Vec<Vec<Value>> = vec![Vec::new(), Vec::new()];
@@ -521,6 +489,76 @@ mod tests {
                     per_shard.iter().filter(|&&n| n > 0).count() >= 2,
                     "16 keys across {count} shards should occupy at least two"
                 );
+            }
+        }
+    }
+
+    /// Seeded differential over random relations with composite and string keys: the
+    /// shards partition every index, and no key's posting list is split or reordered.
+    #[test]
+    fn shards_partition_each_index_and_keep_every_posting_list_whole() {
+        use crate::index::tests::{random_relation, reference};
+        let mut c = Catalog::new();
+        c.declare("R", ["a", "b", "c"]).unwrap();
+        let schema = AccessSchema::from_constraints([
+            AccessConstraint::new(&c, "R", &["a", "c"], &["b"], 2).unwrap(),
+            AccessConstraint::new(&c, "R", &["b"], &["a"], 3).unwrap(),
+        ]);
+        for seed in [3u64, 17, 92] {
+            let source = random_relation(seed, 600, 12);
+            let mut db = Database::new(c.clone());
+            db.extend("R", source.rows().map(<[Value]>::to_vec))
+                .unwrap();
+            let idb = IndexedDatabase::build(db, schema.clone()).unwrap();
+            let relation = idb.database().relation("R").unwrap();
+            let mut expected_violations = idb.validate();
+            assert!(
+                !expected_violations.is_empty(),
+                "the bounds are meant to bite"
+            );
+            for count in [1u32, 2, 3, 8] {
+                let sdb = ShardedDatabase::shard(&idb, count).unwrap();
+                for (ci, constraint) in schema.constraints().iter().enumerate() {
+                    let (map, _) = reference(relation, constraint.x());
+                    for (key, postings) in &map {
+                        let owners: Vec<u32> = (0..count)
+                            .filter(|&s| {
+                                !sdb.shards[ci][s as usize].lookup(relation, key).is_empty()
+                            })
+                            .collect();
+                        assert_eq!(owners, [shard_of(key.iter(), count)], "key {key:?}");
+                        let (sharded, shard) = sdb.fetch_iter(ci, key).unwrap();
+                        assert_eq!(shard, owners[0]);
+                        let sharded: Vec<&[Value]> = sharded.collect();
+                        let unsharded: Vec<&[Value]> = idb.fetch_iter(ci, key).unwrap().collect();
+                        assert_eq!(sharded, unsharded, "tuples and order");
+                        let by_offset: Vec<&[Value]> = postings
+                            .iter()
+                            .map(|&o| relation.row(o as usize).unwrap())
+                            .collect();
+                        assert_eq!(sharded, by_offset, "the seed layout's list");
+                    }
+                    let mut offsets: Vec<u32> = sdb.shards[ci]
+                        .iter()
+                        .flat_map(|index| index.groups().flatten().copied())
+                        .collect();
+                    offsets.sort_unstable();
+                    assert!(offsets.iter().copied().eq(0..relation.len() as u32));
+                    let per_shard = sdb.postings_per_shard(ci).unwrap();
+                    assert_eq!(per_shard.len(), count as usize);
+                    assert_eq!(per_shard.iter().sum::<u64>(), relation.len() as u64);
+                }
+                // The same violations; one shard reports them in the unsharded order.
+                let mut violations = sdb.validate();
+                if count == 1 {
+                    assert_eq!(violations, idb.validate());
+                }
+                let by_key = |v: &ConstraintViolation| (v.constraint_index, v.key.clone());
+                violations.sort_by_key(by_key);
+                expected_violations.sort_by_key(by_key);
+                assert_eq!(violations, expected_violations);
+                assert_eq!(sdb.footprint().0, idb.footprint().0);
+                assert!(sdb.footprint().1 >= idb.footprint().1 / 2);
             }
         }
     }
@@ -561,14 +599,14 @@ mod tests {
         assert_eq!(stores[0].shard_count(), 1);
         assert_eq!(stores[1].shard_count(), 4);
         let key = vec![Value::int(3)];
-        let mut results: Vec<Vec<Row>> = Vec::new();
+        let mut results: Vec<Vec<Vec<Value>>> = Vec::new();
         for store in stores {
             assert_eq!(store.size(), 64);
             assert_eq!(store.schema().len(), 1);
             assert_eq!(store.database().catalog().len(), 1);
             let (iter, shard) = store.fetch_iter(0, &key).unwrap();
             assert!(shard < store.shard_count());
-            results.push(iter.cloned().collect());
+            results.push(iter.map(<[Value]>::to_vec).collect());
             let mut cols: Vec<Vec<Value>> = vec![Vec::new()];
             let (appended, _) = store.fetch_into_columns(0, &key, &[1], &mut cols).unwrap();
             assert_eq!(appended as usize, results.last().unwrap().len());

@@ -132,10 +132,23 @@ pub fn generate(config: &AccidentsConfig) -> Result<Database> {
     let mut vid: i64 = 0;
     let per_day_cap = MAX_ACCIDENTS_PER_DAY as u32;
     let per_accident_cap = MAX_CASUALTIES_PER_ACCIDENT as u32;
+    let avg = config.avg_accidents_per_day.max(1);
+    let c_avg = config.avg_casualties_per_accident.max(1);
+
+    // Expected sizes: `avg` accidents a day, `c_avg + ½` casualties (and vehicles) each.
+    let accidents = config.num_days as usize * avg.min(per_day_cap) as usize;
+    let casualties = accidents * (2 * c_avg as usize + 1) / 2;
+    db.relation_mut("Accident")?.reserve(accidents);
+    db.relation_mut("Casualty")?.reserve(casualties);
+    db.relation_mut("Vehicle")?.reserve(casualties);
+    // One shared payload per district and per day; every tuple clones it in O(1).
+    let districts: Vec<Value> = (0..config.num_districts.max(1))
+        .map(district_value)
+        .collect();
 
     for day in 0..config.num_days {
+        let date = date_value(day);
         // Accidents on this day: uniform in [avg/2, 3·avg/2], capped by ψ1.
-        let avg = config.avg_accidents_per_day.max(1);
         let count = rng
             .gen_range(avg.div_ceil(2)..=avg + avg / 2)
             .min(per_day_cap);
@@ -144,11 +157,14 @@ pub fn generate(config: &AccidentsConfig) -> Result<Database> {
             let district = rng.gen_range(0..config.num_districts.max(1));
             db.insert(
                 "Accident",
-                vec![Value::Int(aid), district_value(district), date_value(day)],
+                [
+                    Value::Int(aid),
+                    districts[district as usize].clone(),
+                    date.clone(),
+                ],
             )?;
 
             // Casualties / vehicles of this accident: at least 1, average ~avg_casualties.
-            let c_avg = config.avg_casualties_per_accident.max(1);
             let casualties = rng.gen_range(1..=(2 * c_avg).max(1)).min(per_accident_cap);
             for _ in 0..casualties {
                 cid += 1;
@@ -156,7 +172,7 @@ pub fn generate(config: &AccidentsConfig) -> Result<Database> {
                 let class = rng.gen_range(1..=3);
                 db.insert(
                     "Casualty",
-                    vec![
+                    [
                         Value::Int(cid),
                         Value::Int(aid),
                         Value::Int(class),
@@ -166,7 +182,7 @@ pub fn generate(config: &AccidentsConfig) -> Result<Database> {
                 let age = rng.gen_range(17..=90);
                 db.insert(
                     "Vehicle",
-                    vec![
+                    [
                         Value::Int(vid),
                         Value::str(format!("driver-{vid}")),
                         Value::Int(age),
@@ -241,15 +257,48 @@ mod tests {
         let a = generate(&config).unwrap();
         let b = generate(&config).unwrap();
         assert_eq!(a.size(), b.size());
-        assert_eq!(
-            a.relation("Vehicle").unwrap().rows(),
-            b.relation("Vehicle").unwrap().rows()
-        );
+        assert_eq!(a, b, "value for value, in every relation");
+        // Pinned against the generator that allocated one `Arc<str>` per district and
+        // date occurrence: FNV-1a over every value's display form, relation by relation.
+        let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+        for value in a.relations().flat_map(|r| r.rows()).flatten() {
+            for byte in value.to_string().bytes() {
+                fnv = (fnv ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!((a.size(), fnv), (207, 0x7387_4ec3_3a8d_cc2d));
         let other = generate(&AccidentsConfig { seed: 43, ..config }).unwrap();
         assert_ne!(
-            a.relation("Vehicle").unwrap().rows(),
-            other.relation("Vehicle").unwrap().rows()
+            a.relation("Vehicle").unwrap(),
+            other.relation("Vehicle").unwrap()
         );
+    }
+
+    /// Footprint guard: ψ1–ψ4 over 20k tuples must stay a few `u32`s per posting. A
+    /// keyed map (an owned key and a posting `Vec` per entry, ≈110 B per key) cannot
+    /// pass, so that layout cannot creep back unnoticed.
+    #[test]
+    fn the_accidents_indexes_cost_at_most_32_bytes_per_posting() {
+        let db = generate(&AccidentsConfig::with_total_tuples(20_000, 0xBEAD)).unwrap();
+        let schema = access_schema(db.catalog());
+        let postings: u64 = schema
+            .constraints()
+            .iter()
+            .map(|constraint| db.relation(constraint.relation()).unwrap().len() as u64)
+            .sum();
+        let tuple_values: u64 = db
+            .relations()
+            .map(|r| (r.len() * r.schema().arity()) as u64)
+            .sum();
+        let idb = IndexedDatabase::build(db, schema).unwrap();
+        let (tuple_bytes, index_bytes) = idb.footprint();
+        assert!(postings > 20_000, "Accident is indexed twice: {postings}");
+        assert!(
+            index_bytes <= 32 * postings,
+            "{index_bytes} B of index for {postings} postings"
+        );
+        let value = std::mem::size_of::<Value>() as u64;
+        assert_eq!(tuple_bytes, tuple_values * value, "no per-tuple overhead");
     }
 
     #[test]

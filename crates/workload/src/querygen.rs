@@ -204,7 +204,7 @@ pub fn random_workload_from_db(
     let mut pools: std::collections::HashMap<(String, usize), Vec<Value>> =
         std::collections::HashMap::new();
     for relation in database.relations() {
-        for row in relation.rows().iter().take(2_000) {
+        for row in relation.rows().take(2_000) {
             for (position, value) in row.iter().enumerate() {
                 let pool = pools
                     .entry((relation.name().to_owned(), position))

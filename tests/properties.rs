@@ -1366,8 +1366,8 @@ fn small_instance_evaluator_agrees_with_engine() {
             let mut small = SmallInstance::new();
             let mut copied = 0;
             for relation in db.relations() {
-                for row in relation.rows().iter().take(40) {
-                    small.insert(relation.name(), row.clone());
+                for row in relation.rows().take(40) {
+                    small.insert(relation.name(), row.to_vec());
                     copied += 1;
                 }
             }
@@ -1375,7 +1375,7 @@ fn small_instance_evaluator_agrees_with_engine() {
             let mut small_db = bea::storage::Database::new(catalog.clone());
             for relation in db.relations() {
                 small_db
-                    .extend(relation.name(), relation.rows().iter().take(40).cloned())
+                    .extend(relation.name(), relation.rows().take(40).map(<[_]>::to_vec))
                     .unwrap();
             }
 
