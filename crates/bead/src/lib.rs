@@ -41,9 +41,15 @@
 //! allocation-surface veto) and nothing is executed.
 //!
 //! A `STATS` reply is one `OK` head of `key=value` counters: the admission counters
-//! (`submitted` … `budget`), the cache counters, and the store's exact footprint —
-//! `store_bytes=` (flat tuple values) and `index_bytes=` (posting indexes), string
-//! payloads excluded; the daemon's start-up banner carries the same two fields.
+//! (`submitted` … `budget`), the cache counters, who ran the queries' jobs —
+//! `caller_jobs=` (connection threads) and `worker_jobs=` (the session's pool) — and
+//! the store's exact footprint — `store_bytes=` (flat tuple values) and
+//! `index_bytes=` (posting indexes), string payloads excluded; the daemon's start-up
+//! banner carries the same two fields.
+//!
+//! A request line is at most 64 KiB, newline included
+//! ([`server::MAX_REQUEST_LINE_BYTES`]); a longer one is answered
+//! `ERR request line exceeds 65536 bytes` and the connection is closed.
 //!
 //! `beactl` exit codes: `0` for `OK`, `3` for `REJECT`, `1` for `ERR` or any
 //! transport failure.

@@ -6,11 +6,16 @@ use bea_core::query::Query;
 use bea_core::reason::ReasonConfig;
 use bea_engine::session::{Rejection, Session, SessionConfig, SharedStore, SubmitError};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+
+/// The longest request line `bead` reads, newline included. A connection that sends
+/// more without a newline is answered with an `ERR` and closed, so no client can make
+/// the daemon buffer an unbounded line.
+pub const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024;
 
 /// Daemon configuration: where to listen and how to configure the session.
 #[derive(Debug, Clone, Default)]
@@ -105,18 +110,31 @@ impl BeadServer {
         };
         let mut writer = write_half;
         let mut reader = BufReader::new(stream);
-        // One line buffer for the connection's lifetime, not one `String` per request.
-        let mut line = String::new();
+        // One line buffer for the connection's lifetime, not one per request.
+        let mut line: Vec<u8> = Vec::new();
         loop {
             line.clear();
-            match reader.read_line(&mut line) {
+            // One byte past the cap tells an over-long line from one that just fits.
+            let mut capped = (&mut reader).take(MAX_REQUEST_LINE_BYTES as u64 + 1);
+            match capped.read_until(b'\n', &mut line) {
                 Ok(0) | Err(_) => break,
                 Ok(_) => {}
             }
+            if line.len() > MAX_REQUEST_LINE_BYTES {
+                // The rest of the line is unread and unbounded: answer and hang up.
+                let reply = Reply::err(format!(
+                    "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
+                ));
+                let _ = writer.write_all(reply.wire().as_bytes());
+                break;
+            }
+            let Ok(line) = std::str::from_utf8(&line) else {
+                break;
+            };
             if line.trim().is_empty() {
                 continue;
             }
-            let reply = match Request::parse(&line) {
+            let reply = match Request::parse(line) {
                 Ok(request) => self.dispatch(request),
                 Err(message) => Reply::err(message),
             };
@@ -144,8 +162,8 @@ impl BeadServer {
                     format!(
                         "submitted={} admitted={} queued={} rejected={} completed={} failed={} \
                          inflight_bound={} peak_admitted_bound={} budget={} cache_hits={} \
-                         rows_served_from_cache={} cache_evictions={} store_bytes={store_bytes} \
-                         index_bytes={index_bytes}",
+                         rows_served_from_cache={} cache_evictions={} caller_jobs={} \
+                         worker_jobs={} store_bytes={store_bytes} index_bytes={index_bytes}",
                         stats.submitted,
                         stats.admitted,
                         stats.queued,
@@ -160,6 +178,8 @@ impl BeadServer {
                         cache.hits,
                         cache.rows_served,
                         cache.evictions,
+                        stats.jobs_run_by_callers,
+                        stats.jobs_run_by_workers,
                     ),
                     Vec::new(),
                 )
@@ -172,7 +192,8 @@ impl BeadServer {
         }
     }
 
-    /// Parse → synthesize a bounded plan → submit → wait → format. Every failure
+    /// Parse → synthesize a bounded plan → run on this connection's thread (the
+    /// session's workers join in when the query goes wide) → format. Every failure
     /// mode maps to a distinct reply so clients can tell a syntax error from an
     /// uncovered query from an admission rejection.
     fn run_query(&self, text: &str) -> Reply {
@@ -199,7 +220,21 @@ impl BeadServer {
                 )
             }
         };
-        match self.session.submit(&plan) {
+        // A panicking operator fails only its own query; keep the daemon up and
+        // surface the payload as an ERR reply.
+        let ran = match catch_unwind(AssertUnwindSafe(|| self.session.run(&plan))) {
+            Ok(ran) => ran,
+            Err(payload) => {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .map(str::to_owned)
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "opaque panic payload".to_owned());
+                return Reply::err(format!("execute: query panicked: {message}"));
+            }
+        };
+        match ran {
             Err(SubmitError::Rejected { ticket, rejection }) => match rejection {
                 Rejection::FetchBound { bound, budget } => Reply::reject(format!(
                     "query={} fetch_bound={bound} budget={budget}",
@@ -211,40 +246,25 @@ impl BeadServer {
                 )),
             },
             Err(SubmitError::Invalid(error)) => Reply::err(format!("submit: {error}")),
-            Ok(handle) => {
-                let fetch_bound = handle.ticket().fetch_bound;
-                let alloc_surface = handle.ticket().alloc_surface;
-                // A panicking operator fails only its own query; keep the daemon up
-                // and surface the payload as an ERR reply.
-                match catch_unwind(AssertUnwindSafe(|| handle.wait())) {
-                    Ok(Ok((table, stats))) => {
-                        let body = table.rows().iter().map(|row| body_line(row)).collect();
-                        Reply::ok(
-                            format!(
-                                "rows={} fetch_bound={fetch_bound} alloc_surface={alloc_surface} \
-                                 tuples_fetched={} values_cloned={} allocs_per_probe={} \
-                                 cache_hits={} rows_served_from_cache={}",
-                                table.rows().len(),
-                                stats.tuples_fetched,
-                                stats.values_cloned,
-                                stats.allocs_per_probe,
-                                stats.cache_hits,
-                                stats.rows_served_from_cache,
-                            ),
-                            body,
-                        )
-                    }
-                    Ok(Err(error)) => Reply::err(format!("execute: {error}")),
-                    Err(payload) => {
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .copied()
-                            .map(str::to_owned)
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "opaque panic payload".to_owned());
-                        Reply::err(format!("execute: query panicked: {message}"))
-                    }
-                }
+            Ok((_, Err(error))) => Reply::err(format!("execute: {error}")),
+            Ok((ticket, Ok((table, stats)))) => {
+                let body = table.rows().iter().map(|row| body_line(row)).collect();
+                Reply::ok(
+                    format!(
+                        "rows={} fetch_bound={} alloc_surface={} tuples_fetched={} \
+                         values_cloned={} allocs_per_probe={} cache_hits={} \
+                         rows_served_from_cache={}",
+                        table.rows().len(),
+                        ticket.fetch_bound,
+                        ticket.alloc_surface,
+                        stats.tuples_fetched,
+                        stats.values_cloned,
+                        stats.allocs_per_probe,
+                        stats.cache_hits,
+                        stats.rows_served_from_cache,
+                    ),
+                    body,
+                )
             }
         }
     }
@@ -378,6 +398,17 @@ mod tests {
                 "head: {}",
                 stats.head
             );
+            // Who ran the two served queries' jobs is on the reply, in front of the
+            // footprint: connection threads and pool workers, every job counted once.
+            let jobs = |field: &str| -> u64 {
+                let value = stats.head.split_once(field).expect(field).1;
+                value.split(' ').next().unwrap().parse().expect(field)
+            };
+            assert!(
+                jobs(" caller_jobs=") + jobs(" worker_jobs=") >= 2,
+                "head: {}",
+                stats.head
+            );
             let (store_bytes, index_bytes) = server.footprint();
             assert!(store_bytes > 0 && index_bytes > 0);
             assert!(
@@ -396,5 +427,52 @@ mod tests {
             !socket.exists(),
             "the socket file is cleaned up on shutdown"
         );
+    }
+
+    /// A newline-free megabyte is answered with an `ERR` and a closed connection after
+    /// the daemon has read one line's worth of it, and the daemon keeps serving.
+    #[test]
+    fn an_oversized_request_line_is_refused_and_the_connection_closed() {
+        let socket =
+            std::env::temp_dir().join(format!("bead-test-line-{}.sock", std::process::id()));
+        let config = ServerConfig {
+            socket: socket.clone(),
+            threads: 1,
+            ..ServerConfig::default()
+        };
+        let server = BeadServer::bind(accidents_store(500, 0xBEAD).unwrap(), &config).unwrap();
+        std::thread::scope(|scope| {
+            let serving = scope.spawn(|| server.serve());
+
+            let mut stream = UnixStream::connect(&socket).unwrap();
+            // The daemon stops reading at the cap and hangs up, so the tail of the
+            // write may fail; the reply is what counts.
+            let _ = stream.write_all(&vec![b'a'; 1 << 20]);
+            let mut head = String::new();
+            BufReader::new(&stream).read_line(&mut head).unwrap();
+            assert_eq!(
+                head.trim_end(),
+                format!("ERR request line exceeds {MAX_REQUEST_LINE_BYTES} bytes")
+            );
+
+            // A line that just fits is parsed as a request like any other.
+            let mut fits = "QUERY ".to_owned();
+            fits.push_str(&"x".repeat(MAX_REQUEST_LINE_BYTES - fits.len() - 1));
+            fits.push('\n');
+            assert_eq!(fits.len(), MAX_REQUEST_LINE_BYTES);
+            let mut stream = UnixStream::connect(&socket).unwrap();
+            stream.write_all(fits.as_bytes()).unwrap();
+            let mut head = String::new();
+            BufReader::new(&stream).read_line(&mut head).unwrap();
+            assert!(head.starts_with("ERR parse:"), "head: {head}");
+            // `serve` returns only once every connection is closed.
+            drop(stream);
+
+            let ping = client::request(&socket, &Request::Ping).unwrap();
+            assert_eq!(ping.head, "OK pong");
+            let bye = client::request(&socket, &Request::Shutdown).unwrap();
+            assert_eq!(bye.head, "OK bye");
+            serving.join().unwrap().unwrap();
+        });
     }
 }

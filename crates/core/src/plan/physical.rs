@@ -48,8 +48,9 @@
 //!   concurrently on the worker pool (see [`Pipeline::morsel_source`]).
 //! * **Shard fan-out** (opt-in, [`LowerOptions::shard_fanout`]) — when the store's
 //!   constraint indexes are partitioned into `K` shards, every keyed fetch and keyed
-//!   lookup is rewritten into `K` per-shard branches (each tagged with a
-//!   [`ShardRoute`], each a materialization point) merged by a union: branch `k`
+//!   lookup whose probe keys depend on data is rewritten into `K` per-shard branches
+//!   (each tagged with a [`ShardRoute`], each a materialization point) merged by a
+//!   union: branch `k`
 //!   processes exactly the probe keys the routing hash assigns to shard `k`, so the
 //!   branches partition the key set and the union of their outputs equals the
 //!   unsharded result — boundedness survives partitioning, and the pipeline DAG gains
@@ -57,7 +58,14 @@
 //!   projection over a fanned-out keyed lookup is absorbed into the branches' `emit`
 //!   column set, so the sharded plan gathers exactly the values the unsharded
 //!   executor's projection fusion would — copy traffic is shard-count-invariant.
-//!   Fetches whose key is empty are not fanned out (a single shard owns the lone key).
+//!   **Pruning:** a fetch that probes one key known at plan time — its key is empty,
+//!   or its source is statically one row (a constant, the unit row, a product of
+//!   those), as for a constant in the query text — is not fanned out and carries no
+//!   route: one shard owns that key, the executor sends an un-tagged probe to the
+//!   owning shard (the routing hash stays in `bea-storage`), and the step lowers
+//!   exactly as in the unsharded plan. A point lookup on a sharded store is therefore
+//!   the unsharded plan, pipeline for pipeline; only data-dependent keys pay for
+//!   `K` branches.
 //!
 //! [`PhysicalPlan::pipeline_dag`] decomposes any lowered plan into its pipelines: each
 //! materialization point, together with the streaming region feeding it, becomes one
@@ -1299,9 +1307,10 @@ fn remap_op_inputs(op: &mut PhysOp, map: &[Option<PhysId>]) {
     }
 }
 
-/// Rewrite every keyed fetch/lookup into `fanout` per-shard branches merged by a union
-/// chain, returning the rewritten steps, the remapped output, and the branch step ids
-/// (which the caller forces to materialize — one shard-local pipeline each).
+/// Rewrite every keyed fetch/lookup whose keys depend on data into `fanout` per-shard
+/// branches merged by a union chain, returning the rewritten steps, the remapped
+/// output, and the branch step ids (which the caller forces to materialize — one
+/// shard-local pipeline each).
 ///
 /// The branches partition the probe-key set by the routing hash, so their outputs are
 /// disjoint slices of the unsharded result: the union preserves the original step's
@@ -1309,8 +1318,10 @@ fn remap_op_inputs(op: &mut PhysOp, map: &[Option<PhysId>]) {
 /// exactly the unsharded plan's. A sole-consumer projection directly over a fanned-out
 /// keyed lookup is absorbed into the branches' `emit` columns, so the branches gather
 /// exactly the values the unsharded executor's projection fusion would — the copy
-/// traffic of a plan is invariant under the shard count. Fetches with an empty key are
-/// left alone: one shard owns the lone key, so there is nothing to fan out.
+/// traffic of a plan is invariant under the shard count. Fetches that probe a single
+/// key known at plan time — an empty key, or a key read off a constant row — are left
+/// alone, un-tagged, with their projection unabsorbed: one shard owns the lone key,
+/// so there is nothing to fan out and the step lowers as in the unsharded plan.
 fn fan_out_shards(
     steps: Vec<PhysStep>,
     output: PhysId,
@@ -1326,19 +1337,38 @@ fn fan_out_shards(
     }
     counts[output] += 1;
 
+    // Steps that statically produce exactly one row: constants, the unit row, and
+    // products of those. A fetch keyed by such a step probes one key, which one shard
+    // owns — the executor routes an un-tagged key there — so it is not fanned out.
+    let mut one_row: Vec<bool> = vec![false; steps.len()];
+    for (i, step) in steps.iter().enumerate() {
+        one_row[i] = match &step.op {
+            PhysOp::Const { .. } | PhysOp::Unit => true,
+            PhysOp::Product { left, right } => one_row[*left] && one_row[*right],
+            _ => false,
+        };
+    }
+    let fans_out = |step: &PhysStep| match &step.op {
+        PhysOp::Fetch {
+            source, key_cols, ..
+        }
+        | PhysOp::KeyedLookup {
+            source, key_cols, ..
+        } => !key_cols.is_empty() && !one_row[*source],
+        _ => false,
+    };
+
     // Projections absorbed into the branches of the keyed lookup they solely consume.
     let mut absorb: BTreeMap<PhysId, PhysId> = BTreeMap::new(); // lookup -> projection
     for (i, step) in steps.iter().enumerate() {
         let PhysOp::Project { source, .. } = &step.op else {
             continue;
         };
-        if counts[*source] != 1 {
+        if counts[*source] != 1 || !fans_out(&steps[*source]) {
             continue;
         }
-        if let PhysOp::KeyedLookup { key_cols, emit, .. } = &steps[*source].op {
-            if !key_cols.is_empty() && emit.is_none() {
-                absorb.insert(*source, i);
-            }
+        if let PhysOp::KeyedLookup { emit: None, .. } = &steps[*source].op {
+            absorb.insert(*source, i);
         }
     }
     let absorbed_projects: BTreeSet<PhysId> = absorb.values().copied().collect();
@@ -1355,13 +1385,7 @@ fn fan_out_shards(
             map[i] = map[*source];
             continue;
         }
-        let fan = match &step.op {
-            PhysOp::Fetch { key_cols, .. } | PhysOp::KeyedLookup { key_cols, .. } => {
-                !key_cols.is_empty()
-            }
-            _ => false,
-        };
-        if !fan {
+        if !fans_out(step) {
             let mut copy = step.clone();
             remap_op_inputs(&mut copy.op, &map);
             out.push(copy);
@@ -2060,6 +2084,111 @@ mod tests {
         let unsharded = lower_plan(&plan).unwrap();
         let sharded = lower_plan_with(&plan, &LowerOptions::new().with_shard_fanout(4)).unwrap();
         assert_eq!(unsharded, sharded);
+    }
+
+    #[test]
+    fn shard_fanout_prunes_constant_keys_to_the_unsharded_plan() {
+        // A point lookup — the key is a constant of the query — probes one key, which
+        // one shard owns: at any fan-out it must lower to the unsharded step list,
+        // projection unabsorbed, no route, no extra pipeline.
+        let mut b = PlanBuilder::new();
+        let k = b.constant(Value::int(1), "k");
+        let fetched = b.fetch(
+            k,
+            vec![0],
+            "R",
+            vec![0],
+            vec![1],
+            0,
+            vec!["a".into(), "b".into()],
+        );
+        let prod = b.product(k, fetched);
+        let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
+        let projected = b.project(sel, vec![2]);
+        let point = b.finish("Q", projected).unwrap();
+
+        // The same with a two-column key assembled from two constants.
+        let mut b = PlanBuilder::new();
+        let x = b.constant(Value::int(1), "x");
+        let y = b.constant(Value::int(2), "y");
+        let key = b.product(x, y);
+        let fetched = b.fetch(
+            key,
+            vec![0, 1],
+            "T",
+            vec![0, 1],
+            vec![2],
+            0,
+            vec!["a".into(), "b".into(), "c".into()],
+        );
+        let pair = b.finish("Q", fetched).unwrap();
+
+        for plan in [&point, &pair] {
+            for exchange in [false, true] {
+                let options = LowerOptions::new().with_exchange_parallelism(exchange);
+                let one = lower_plan_with(plan, &options.with_shard_fanout(1)).unwrap();
+                let four = lower_plan_with(plan, &options.with_shard_fanout(4)).unwrap();
+                assert_eq!(one, four, "fan-out changed a constant-key plan");
+            }
+        }
+    }
+
+    #[test]
+    fn shard_fanout_prunes_only_the_constant_keyed_lookup() {
+        // fetch(R, k = 1) feeding fetch(S, ·): the first key is a constant and stays
+        // one un-tagged lookup; the second comes out of R and fans out per shard.
+        let mut b = PlanBuilder::new();
+        let k = b.constant(Value::int(1), "k");
+        let f1 = b.fetch(
+            k,
+            vec![0],
+            "R",
+            vec![0],
+            vec![1],
+            0,
+            vec!["a".into(), "b".into()],
+        );
+        let p1 = b.product(k, f1);
+        let s1 = b.select(p1, vec![Predicate::ColEqCol(0, 1)]); // [k, a, b]
+        let f2 = b.fetch(
+            s1,
+            vec![2],
+            "S",
+            vec![0],
+            vec![1],
+            1,
+            vec!["b".into(), "c".into()],
+        );
+        let p2 = b.product(s1, f2);
+        let s2 = b.select(p2, vec![Predicate::ColEqCol(2, 3)]);
+        let plan = b.finish("Q", s2).unwrap();
+
+        let sharded = lower_plan_with(&plan, &LowerOptions::new().with_shard_fanout(4)).unwrap();
+        let routes = |relation: &str| -> Vec<Option<ShardRoute>> {
+            sharded
+                .steps()
+                .iter()
+                .filter_map(|s| match &s.op {
+                    PhysOp::KeyedLookup {
+                        relation: r, shard, ..
+                    } if r == relation => Some(*shard),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(
+            routes("R"),
+            vec![None],
+            "the constant key is not fanned out"
+        );
+        let tags: Vec<u32> = routes("S")
+            .into_iter()
+            .map(|route| route.expect("data-dependent branches carry a route").shard)
+            .collect();
+        assert_eq!(tags, vec![0, 1, 2, 3]);
+        // One pipeline for the pruned lookup (the branches' shared source), one per
+        // branch, one for the merged output.
+        assert_eq!(sharded.pipeline_dag().len(), 6);
     }
 
     #[test]

@@ -146,6 +146,10 @@
 //! * **Affinity across queries.** Workers keep the single-query scheduler's
 //!   preference order — own split's morsels first, then same-shard jobs (from any
 //!   query; the partition is store-wide), then FIFO.
+//! * **Callers run their own query.** The thread inside [`session::Session::run`]
+//!   (the synchronous entry) or [`session::QueryHandle::wait`] executes its query's
+//!   ready jobs through the same code as a worker and blocks only when none is
+//!   ready, so a query that is never wider than one job wakes no worker at all.
 //!
 //! # The cross-query fetch cache — ownership and coherence
 //!

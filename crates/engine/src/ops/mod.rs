@@ -1038,68 +1038,104 @@ mod tests {
         assert!(execute_plan_with_options(&plan, &idb, &ExecOptions::materialized()).is_err());
     }
 
+    /// One keyed lookup over the union of `keys` — the same probes as
+    /// [`union_of_lookups`], but read off a data-dependent source, so a sharded
+    /// lowering fans the lookup out instead of pruning it.
+    fn lookup_over_key_union(keys: &[i64]) -> bea_core::plan::QueryPlan {
+        let mut b = PlanBuilder::new();
+        let mut source = b.constant(Value::int(keys[0]), "k");
+        for &key in &keys[1..] {
+            let next = b.constant(Value::int(key), "k");
+            source = b.union(source, next);
+        }
+        let fetched = b.fetch(
+            source,
+            vec![0],
+            "R",
+            vec![0],
+            vec![1],
+            0,
+            vec!["a".into(), "b".into()],
+        );
+        let prod = b.product(source, fetched);
+        let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
+        b.finish("Q", sel).unwrap()
+    }
+
     #[test]
     fn sharded_execution_is_invariant_and_accounts_per_shard() {
         use bea_storage::ShardedDatabase;
 
         let idb = setup();
-        let plan = union_of_lookups(&[1, 2, 3]);
-        let baseline = {
-            let phys = bea_core::plan::lower_plan(&plan).unwrap();
-            execute_inner(
-                &phys,
-                Store::Indexed(&idb),
-                1,
-                crate::exec::DEFAULT_MORSEL_ROWS,
-            )
-            .unwrap()
-        };
-        let (base_table, base_stats, _) = &baseline;
+        // The same three probes twice: as constants in the plan (pruned to the owning
+        // shard at plan time) and as data (fanned out over every shard).
+        let pruned_plan = union_of_lookups(&[1, 2, 3]);
+        let fanned_plan = lookup_over_key_union(&[1, 2, 3]);
 
         for shards in [1u32, 2, 4] {
             let sdb = ShardedDatabase::shard(&idb, shards).unwrap();
-            let phys =
-                lower_plan_with(&plan, &LowerOptions::new().with_shard_fanout(shards)).unwrap();
-            if shards >= 2 {
-                // One shard-local pipeline per shard and branch: real parallel width.
-                assert!(
-                    phys.pipeline_dag().parallel_width() >= shards as usize,
-                    "width {} below shard count {shards}",
-                    phys.pipeline_dag().parallel_width()
-                );
-            }
-            for threads in [1usize, 4] {
-                let (table, stats, ledger) = execute_inner(
-                    &phys,
-                    Store::Sharded(&sdb),
-                    threads,
+            let lower = LowerOptions::new().with_shard_fanout(shards);
+            let mut fetched_by_shard = Vec::new();
+            for (plan, fans_out) in [(&pruned_plan, false), (&fanned_plan, true)] {
+                let unsharded = bea_core::plan::lower_plan(plan).unwrap();
+                let (base_table, base_stats, _) = execute_inner(
+                    &unsharded,
+                    Store::Indexed(&idb),
+                    1,
                     crate::exec::DEFAULT_MORSEL_ROWS,
                 )
                 .unwrap();
-                assert_eq!(
-                    table.row_set(),
-                    base_table.row_set(),
-                    "answers changed at {shards} shards / {threads} threads"
-                );
-                assert!(
-                    stats.same_data_access(base_stats),
-                    "data access changed at {shards} shards: {stats} vs {base_stats}"
-                );
-                assert_eq!(
-                    stats.values_cloned, base_stats.values_cloned,
-                    "copy traffic changed at {shards} shards / {threads} threads"
-                );
-                // Boundedness per shard: the partitions serve exactly the total.
-                assert_eq!(
-                    stats.rows_fetched_by_shard.values().sum::<u64>(),
-                    stats.tuples_fetched
-                );
-                assert!(stats
-                    .rows_fetched_by_shard
-                    .keys()
-                    .all(|&shard| shard < shards));
-                assert_eq!(ledger.resident(), 0);
+                let phys = lower_plan_with(plan, &lower).unwrap();
+                if !fans_out {
+                    assert_eq!(phys, unsharded, "constant keys prune to the unsharded plan");
+                } else if shards >= 2 {
+                    // One shard-local pipeline per shard and branch: real parallel width.
+                    assert!(
+                        phys.pipeline_dag().parallel_width() >= shards as usize,
+                        "width {} below shard count {shards}",
+                        phys.pipeline_dag().parallel_width()
+                    );
+                }
+                for threads in [1usize, 4] {
+                    let (table, stats, ledger) = execute_inner(
+                        &phys,
+                        Store::Sharded(&sdb),
+                        threads,
+                        crate::exec::DEFAULT_MORSEL_ROWS,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        table.row_set(),
+                        base_table.row_set(),
+                        "answers changed at {shards} shards / {threads} threads"
+                    );
+                    assert!(
+                        stats.same_data_access(&base_stats),
+                        "data access changed at {shards} shards: {stats} vs {base_stats}"
+                    );
+                    assert_eq!(
+                        stats.values_cloned, base_stats.values_cloned,
+                        "copy traffic changed at {shards} shards / {threads} threads"
+                    );
+                    // Boundedness per shard: the partitions serve exactly the total.
+                    assert_eq!(
+                        stats.rows_fetched_by_shard.values().sum::<u64>(),
+                        stats.tuples_fetched
+                    );
+                    assert!(stats
+                        .rows_fetched_by_shard
+                        .keys()
+                        .all(|&shard| shard < shards));
+                    assert_eq!(ledger.resident(), 0);
+                    fetched_by_shard.push(stats.rows_fetched_by_shard);
+                }
             }
+            // Pruning moves no fetch to another shard: the un-tagged probes land on
+            // the shards the fanned-out branches would have served them from.
+            assert!(
+                fetched_by_shard.windows(2).all(|pair| pair[0] == pair[1]),
+                "per-shard fetched counts differ at {shards} shards: {fetched_by_shard:?}"
+            );
         }
     }
 

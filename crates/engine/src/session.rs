@@ -14,7 +14,7 @@
 //!   clock, never data. Errors are per-query: the first failing job of a query wins,
 //!   its queued jobs are discarded, and every other query proceeds untouched. A
 //!   panicking operator fails only its own query; the payload is re-raised from
-//!   [`QueryHandle::wait`].
+//!   [`QueryHandle::wait`] / [`Session::run`], on that query's caller only.
 //! * **Admission control** — every submission is priced by a
 //!   [`CostTicket`] *before* it runs (the paper's bounded-evaluability guarantee:
 //!   worst-case fetch volume is a static quantity). Against a configured aggregate
@@ -27,11 +27,28 @@
 //!   [`AdmissionStats::peak_admitted_bound`]). An optional allocation-surface cap
 //!   ([`SessionConfig::with_max_alloc_surface`]) additionally vetoes plans that
 //!   would allocate on the per-probe hot path beyond the cap.
-//! * **Scheduling** — the pool generalizes the single-query scheduler's affinity
-//!   rules across queries: a worker prefers another morsel of the *same query's same
-//!   pipeline* (its warmed split), then any job tagged with its last shard (shard
-//!   affinity crosses queries — the partition is store-wide), then the queue front.
-//!   Splittable pipelines cut into morsels exactly as in a solo run.
+//! * **Scheduling** — a query's jobs (pipelines, and morsels of split pipelines) sit in
+//!   one ready queue, and two kinds of thread may run them. A *pool worker* takes any
+//!   query's job, by the single-query scheduler's affinity rules generalized across
+//!   queries: first another morsel of the *same query's same pipeline* (its warmed
+//!   split), then any job tagged with its last shard (shard affinity crosses queries —
+//!   the partition is store-wide), then the queue front. A *caller* — the thread inside
+//!   [`Session::run`] or [`QueryHandle::wait`] — takes ready jobs of **its own query
+//!   only**, and blocks for the outcome when none is ready (they are on workers, or the
+//!   query is still queued for headroom; workers then run it). Both go through one
+//!   `run_claimed`: split, execute, fold the outcome, unlock dependents, retire. A
+//!   width-1 query (a point lookup's chained pipelines) therefore runs start to finish
+//!   on the thread that asked for it; a wide or morsel-split query still fans out,
+//!   because every job beyond the one the running thread will take itself is announced
+//!   to the pool. That is the one wake-up rule: *a thread that is about to look at the
+//!   queue itself is not sent a wake-up* — `run` withholds one for its caller, a
+//!   finished job withholds one for the thread that finished it, every other new job
+//!   wakes exactly one worker, and only shutdown broadcasts. [`SessionConfig::threads`]
+//!   counts pool workers; callers execute in addition to them, so the number of
+//!   threads inside operators is bounded by workers plus connections — the fetch budget
+//!   remains the only bound on concurrent data volume. Splittable pipelines cut into
+//!   morsels exactly as in a solo run, and who runs a job never changes what it
+//!   computes.
 //!
 //! [`Session::shutdown`] (or drop) drains every admitted and queued query before the
 //! workers exit, so no accepted query is ever abandoned.
@@ -49,7 +66,7 @@ use bea_storage::{IndexedDatabase, ShardedDatabase, Store};
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::resume_unwind;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
@@ -293,6 +310,11 @@ pub struct AdmissionStats {
     pub peak_admitted_bound: u64,
     /// The effective aggregate fetch budget (`None` = unlimited).
     pub budget: Option<u64>,
+    /// Jobs (pipelines and morsels) executed by the thread waiting for their query —
+    /// inside [`Session::run`] or [`QueryHandle::wait`].
+    pub jobs_run_by_callers: u64,
+    /// Jobs executed by the pool's worker threads.
+    pub jobs_run_by_workers: u64,
 }
 
 /// How one query ended, delivered to its [`QueryHandle`].
@@ -303,12 +325,23 @@ enum QueryOutcome {
 }
 
 /// The caller's handle to one admitted (or queued) query.
-#[derive(Debug)]
 pub struct QueryHandle {
     id: u64,
     ticket: CostTicket,
     queued: bool,
     rx: Receiver<QueryOutcome>,
+    /// The pool the query runs in, so the waiting thread can run its jobs.
+    inner: Arc<SessionInner>,
+}
+
+impl std::fmt::Debug for QueryHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryHandle")
+            .field("id", &self.id)
+            .field("ticket", &self.ticket)
+            .field("queued", &self.queued)
+            .finish_non_exhaustive()
+    }
 }
 
 impl QueryHandle {
@@ -328,16 +361,46 @@ impl QueryHandle {
         self.queued
     }
 
-    /// Block until the query finishes, returning its table and access statistics —
+    /// Wait until the query finishes, returning its table and access statistics —
     /// exactly what [`crate::exec::execute_plan_on`] would have returned for the
-    /// same plan. A panic inside the query's own operators is re-raised here, on
-    /// the owner; other queries are unaffected.
+    /// same plan. The waiting thread helps: while the outcome is not in it runs the
+    /// query's own ready jobs, and blocks only when none is ready. A panic inside the
+    /// query's own operators is re-raised here, on the owner; other queries are
+    /// unaffected.
     pub fn wait(self) -> Result<(Table, AccessStats)> {
-        match self.rx.recv() {
+        self.join()
+    }
+
+    fn join(&self) -> Result<(Table, AccessStats)> {
+        let outcome = loop {
+            match self.rx.try_recv() {
+                Err(TryRecvError::Empty) => {}
+                settled => break settled.map_err(|_| RecvError),
+            }
+            let claimed = {
+                let mut guard = self.inner.lock_state();
+                let state = &mut *guard;
+                state
+                    .ready
+                    .iter()
+                    .position(|(owner, _)| *owner == self.id)
+                    .and_then(|position| state.ready.remove(position))
+                    .map(|(id, job)| (job, claim(&mut state.active, id)))
+            };
+            match claimed {
+                Some((job, shared)) => {
+                    run_claimed(&self.inner, self.id, job, &shared, Runner::Caller)
+                }
+                // Nothing of this query is ready: its jobs are on workers, or it is
+                // still queued for headroom. Workers finish it and send the outcome.
+                None => break self.rx.recv(),
+            }
+        };
+        match outcome {
             Ok(QueryOutcome::Finished(output)) => Ok(*output),
             Ok(QueryOutcome::Failed(error)) => Err(error),
             Ok(QueryOutcome::Panicked(payload)) => resume_unwind(payload),
-            Err(_) => panic!("the session dropped a submitted query without an outcome"),
+            Err(RecvError) => panic!("the session dropped a submitted query without an outcome"),
         }
     }
 }
@@ -413,6 +476,8 @@ struct Counters {
     rejected: u64,
     completed: u64,
     failed: u64,
+    jobs_run_by_callers: u64,
+    jobs_run_by_workers: u64,
 }
 
 struct SessionInner {
@@ -434,6 +499,13 @@ impl SessionInner {
     /// taken anyway, same as the single-query scheduler.
     fn lock_state(&self) -> MutexGuard<'_, PoolState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wake one idle worker per job in `jobs`. Called after the pool lock is released.
+    fn wake_workers(&self, jobs: usize) {
+        for _ in 0..jobs {
+            self.work.notify_one();
+        }
     }
 }
 
@@ -506,7 +578,34 @@ impl Session {
     /// Price `plan`, run it through admission control, and — if admitted or queued —
     /// hand its jobs to the pool. Returns a [`QueryHandle`] to wait on, or a
     /// [`SubmitError`] when the plan is invalid or deterministically over budget.
+    /// The asynchronous entry: every ready job wakes a worker, so the query makes
+    /// progress whether or not anyone waits on the handle.
     pub fn submit(&self, plan: &QueryPlan) -> std::result::Result<QueryHandle, SubmitError> {
+        self.submit_with(plan, false)
+    }
+
+    /// [`Session::submit`] and a helping wait in one call, for synchronous callers:
+    /// admission, pricing, queueing and rejection are `submit`'s, then the calling
+    /// thread runs the query's ready jobs itself (see the module docs), so a query
+    /// that never goes wider than one job completes without waking a worker. Returns
+    /// the accepted ticket beside the execution result; a panic inside the query's
+    /// operators is re-raised here.
+    pub fn run(
+        &self,
+        plan: &QueryPlan,
+    ) -> std::result::Result<(CostTicket, Result<(Table, AccessStats)>), SubmitError> {
+        let handle = self.submit_with(plan, true)?;
+        let result = handle.join();
+        Ok((handle.ticket, result))
+    }
+
+    /// [`Session::submit`]; with `caller_runs` the submitting thread goes straight on
+    /// to look at the queue for this query, so one wake-up fewer than jobs is sent.
+    fn submit_with(
+        &self,
+        plan: &QueryPlan,
+        caller_runs: bool,
+    ) -> std::result::Result<QueryHandle, SubmitError> {
         let inner = &self.inner;
         let store = inner.store.store();
         // Lower exactly as `execute_plan_on` does for this thread count, so a
@@ -583,15 +682,14 @@ impl Session {
         } else {
             let added = admit(&mut guard, id, shared, tx);
             drop(guard);
-            for _ in 0..added {
-                inner.work.notify_one();
-            }
+            inner.wake_workers(added.saturating_sub(usize::from(caller_runs)));
         }
         Ok(QueryHandle {
             id,
             ticket,
             queued,
             rx,
+            inner: Arc::clone(inner),
         })
     }
 
@@ -608,6 +706,8 @@ impl Session {
             inflight_bound: guard.admitted_bound,
             peak_admitted_bound: guard.peak_admitted_bound,
             budget: self.inner.budget,
+            jobs_run_by_callers: guard.counters.jobs_run_by_callers,
+            jobs_run_by_workers: guard.counters.jobs_run_by_workers,
         }
     }
 
@@ -784,7 +884,6 @@ fn finish_query(shared: &QueryShared, mut stats: AccessStats) -> (Table, AccessS
 /// is released.
 enum Retired {
     Finished {
-        shared: Arc<QueryShared>,
         stats: AccessStats,
         outcome: Sender<QueryOutcome>,
     },
@@ -794,10 +893,28 @@ enum Retired {
     },
 }
 
-/// The pool's worker loop: claim a job (with affinity), split freshly claimed
-/// splittable pipelines into morsels, execute with a per-job private state, and fold
-/// the outcome into the owning query's bookkeeping. Exits when the session is shut
-/// down and fully drained.
+/// Which kind of thread is running a claimed job.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Runner {
+    /// A pool worker: after the job it looks at the whole queue again.
+    Worker,
+    /// The thread waiting for the job's query: after the job it looks at the queue
+    /// again for that query only, and not at all once the query has retired.
+    Caller,
+}
+
+/// Count a job popped off the ready queue as running on its query, and hand back the
+/// query's execution context. Caller holds the pool lock.
+fn claim(active: &mut BTreeMap<u64, ActiveQuery>, id: u64) -> Arc<QueryShared> {
+    let query = active
+        .get_mut(&id)
+        .expect("ready jobs belong to active queries");
+    query.running += 1;
+    Arc::clone(&query.shared)
+}
+
+/// The pool's worker loop: claim any query's next job (with affinity) and run it.
+/// Exits when the session is shut down and fully drained.
 fn worker_loop(inner: &SessionInner) {
     // The (query, pipeline) and shard of this worker's previous job — its affinity.
     let mut last: Option<(u64, usize)> = None;
@@ -810,12 +927,7 @@ fn worker_loop(inner: &SessionInner) {
                 if let Some((id, job)) =
                     pick_ready_multi(&mut state.ready, &state.active, last, last_shard)
                 {
-                    let query = state
-                        .active
-                        .get_mut(&id)
-                        .expect("ready jobs belong to active queries");
-                    query.running += 1;
-                    break (id, job, Arc::clone(&query.shared));
+                    break (id, job, claim(&mut state.active, id));
                 }
                 if guard.shutdown && guard.active.is_empty() && guard.pending.is_empty() {
                     return;
@@ -828,193 +940,201 @@ fn worker_loop(inner: &SessionInner) {
         };
         last = Some((id, job_pipeline(&job)));
         last_shard = shared.shards[job_pipeline(&job)];
-        // A freshly claimed pipeline may be splittable: cut it, enqueue the other
-        // morsels (waking one worker per extra job), and run the first morsel in
-        // this claim's place — same protocol as the single-query scheduler.
-        let job = match job {
-            Job::Pipeline(pipeline) => {
-                match try_split(
-                    &shared.plan,
-                    &shared.dag,
-                    pipeline,
-                    &shared.mats,
-                    inner.morsel_rows,
-                ) {
-                    Some(work) => {
-                        let work = Arc::new(work);
-                        let morsels = work.ranges.len();
-                        let split = {
-                            let mut guard = inner.lock_state();
-                            let state = &mut *guard;
-                            let query = state
-                                .active
-                                .get_mut(&id)
-                                .expect("a running query stays active");
-                            let split = query.splits.len();
-                            query.splits.push(SplitState::new(morsels));
-                            for index in 1..morsels {
-                                state.ready.push_back((
-                                    id,
-                                    Job::Morsel {
-                                        work: Arc::clone(&work),
-                                        split,
-                                        index,
-                                    },
-                                ));
-                            }
-                            split
-                        };
-                        for _ in 1..morsels {
-                            inner.work.notify_one();
+        run_claimed(inner, id, job, &shared, Runner::Worker);
+    }
+}
+
+/// Run one claimed job of query `id` to the end on the current thread: split a
+/// freshly claimed splittable pipeline into morsels, execute with a per-job private
+/// state, fold the outcome into the query's bookkeeping, unlock its dependents, and —
+/// when that was its last job — retire the query, admit whatever the freed headroom
+/// lets in, and deliver the outcome. Workers and waiting callers share this; `runner`
+/// only decides which counter the job lands in and whether a wake-up is withheld for
+/// the running thread.
+fn run_claimed(inner: &SessionInner, id: u64, job: Job, shared: &QueryShared, runner: Runner) {
+    // Cut a splittable pipeline, enqueue the other morsels (waking one worker per
+    // extra job), and run the first morsel in this claim's place — same protocol as
+    // the single-query scheduler.
+    let job = match job {
+        Job::Pipeline(pipeline) => {
+            match try_split(
+                &shared.plan,
+                &shared.dag,
+                pipeline,
+                &shared.mats,
+                inner.morsel_rows,
+            ) {
+                Some(work) => {
+                    let work = Arc::new(work);
+                    let morsels = work.ranges.len();
+                    let split = {
+                        let mut guard = inner.lock_state();
+                        let state = &mut *guard;
+                        let query = state
+                            .active
+                            .get_mut(&id)
+                            .expect("a running query stays active");
+                        let split = query.splits.len();
+                        query.splits.push(SplitState::new(morsels));
+                        for index in 1..morsels {
+                            state.ready.push_back((
+                                id,
+                                Job::Morsel {
+                                    work: Arc::clone(&work),
+                                    split,
+                                    index,
+                                },
+                            ));
                         }
-                        Job::Morsel {
-                            work,
-                            split,
-                            index: 0,
+                        split
+                    };
+                    inner.wake_workers(morsels - 1);
+                    Job::Morsel {
+                        work,
+                        split,
+                        index: 0,
+                    }
+                }
+                None => Job::Pipeline(pipeline),
+            }
+        }
+        morsel => morsel,
+    };
+    let outcome = execute_job(
+        &shared.plan,
+        &shared.dag,
+        inner.store.store(),
+        &shared.ledger,
+        &shared.mats,
+        shared.pool_cap,
+        inner.cache.as_ref(),
+        &job,
+    );
+
+    let mut guard = inner.lock_state();
+    let state = &mut *guard;
+    match runner {
+        Runner::Worker => state.counters.jobs_run_by_workers += 1,
+        Runner::Caller => state.counters.jobs_run_by_callers += 1,
+    }
+    let mut added = 0usize;
+    let mut retired: Option<Retired> = None;
+    {
+        let query = state
+            .active
+            .get_mut(&id)
+            .expect("a running query stays active");
+        query.running -= 1;
+        match outcome {
+            // Successful job of a healthy query: fold its counters in and
+            // advance the query's DAG.
+            Ok((Ok(output), stats)) if query.failure.is_none() => {
+                query.stats.merge_concurrent(stats);
+                match (&job, output) {
+                    (Job::Pipeline(pipeline), _) => {
+                        query.completed += 1;
+                        added += unlock_dependents(query, id, *pipeline, &mut state.ready);
+                    }
+                    (Job::Morsel { work, split, index }, Some((batches, rows))) => {
+                        let split_state = &mut query.splits[*split];
+                        split_state.results[*index] = Some(batches);
+                        split_state.rows += rows;
+                        split_state.remaining -= 1;
+                        if split_state.remaining == 0 {
+                            let mut split_state =
+                                std::mem::replace(&mut query.splits[*split], SplitState::new(0));
+                            finalize_split(
+                                &shared.plan,
+                                &mut split_state,
+                                work,
+                                shared.dag.pipelines()[work.pipeline].sink,
+                                &shared.mats,
+                                &shared.ledger,
+                            );
+                            query.completed += 1;
+                            added += unlock_dependents(query, id, work.pipeline, &mut state.ready);
                         }
                     }
-                    None => Job::Pipeline(pipeline),
+                    _ => unreachable!("job kinds and outputs always pair up"),
                 }
             }
-            morsel => morsel,
-        };
-        let outcome = execute_job(
-            &shared.plan,
-            &shared.dag,
-            inner.store.store(),
-            &shared.ledger,
-            &shared.mats,
-            shared.pool_cap,
-            inner.cache.as_ref(),
-            &job,
-        );
-
-        let mut guard = inner.lock_state();
-        let state = &mut *guard;
-        let mut added = 0usize;
-        let mut retired: Option<Retired> = None;
-        {
+            // A job landing on an already-failed query: its work is discarded;
+            // only the running count mattered.
+            Ok((Ok(_), _)) => {}
+            Ok((Err(error), _)) => {
+                // First failure wins for *this* query; its queued jobs are
+                // discarded, every other query is untouched.
+                if query.failure.is_none() {
+                    query.failure = Some(Failure::Error(error));
+                    state.ready.retain(|(owner, _)| *owner != id);
+                }
+            }
+            Err(payload) => {
+                if query.failure.is_none() {
+                    query.failure = Some(Failure::Panic(payload));
+                    state.ready.retain(|(owner, _)| *owner != id);
+                }
+            }
+        }
+        // Terminal transitions: all pipelines done, or failed and fully
+        // drained of in-flight jobs.
+        let done = query.completed == query.shared.dag.len();
+        let failed = query.failure.is_some() && query.running == 0;
+        if done || failed {
+            // A split registered after the failure purge may have re-enqueued
+            // morsels; drop any leftovers before retiring the query.
+            state.ready.retain(|(owner, _)| *owner != id);
             let query = state
                 .active
-                .get_mut(&id)
-                .expect("a running query stays active");
-            query.running -= 1;
-            match outcome {
-                // Successful job of a healthy query: fold its counters in and
-                // advance the query's DAG.
-                Ok((Ok(output), stats)) if query.failure.is_none() => {
-                    query.stats.merge_concurrent(stats);
-                    match (&job, output) {
-                        (Job::Pipeline(pipeline), _) => {
-                            query.completed += 1;
-                            added += unlock_dependents(query, id, *pipeline, &mut state.ready);
-                        }
-                        (Job::Morsel { work, split, index }, Some((batches, rows))) => {
-                            let split_state = &mut query.splits[*split];
-                            split_state.results[*index] = Some(batches);
-                            split_state.rows += rows;
-                            split_state.remaining -= 1;
-                            if split_state.remaining == 0 {
-                                let mut split_state = std::mem::replace(
-                                    &mut query.splits[*split],
-                                    SplitState::new(0),
-                                );
-                                finalize_split(
-                                    &shared.plan,
-                                    &mut split_state,
-                                    work,
-                                    shared.dag.pipelines()[work.pipeline].sink,
-                                    &shared.mats,
-                                    &shared.ledger,
-                                );
-                                query.completed += 1;
-                                added +=
-                                    unlock_dependents(query, id, work.pipeline, &mut state.ready);
-                            }
-                        }
-                        _ => unreachable!("job kinds and outputs always pair up"),
-                    }
-                }
-                // A job landing on an already-failed query: its work is discarded;
-                // only the running count mattered.
-                Ok((Ok(_), _)) => {}
-                Ok((Err(error), _)) => {
-                    // First failure wins for *this* query; its queued jobs are
-                    // discarded, every other query is untouched.
-                    if query.failure.is_none() {
-                        query.failure = Some(Failure::Error(error));
-                        state.ready.retain(|(owner, _)| *owner != id);
-                    }
-                }
-                Err(payload) => {
-                    if query.failure.is_none() {
-                        query.failure = Some(Failure::Panic(payload));
-                        state.ready.retain(|(owner, _)| *owner != id);
-                    }
-                }
-            }
-            // Terminal transitions: all pipelines done, or failed and fully
-            // drained of in-flight jobs.
-            let done = query.completed == query.shared.dag.len();
-            let failed = query.failure.is_some() && query.running == 0;
-            if done || failed {
-                // A split registered after the failure purge may have re-enqueued
-                // morsels; drop any leftovers before retiring the query.
-                state.ready.retain(|(owner, _)| *owner != id);
-                let query = state
-                    .active
-                    .remove(&id)
-                    .expect("the query was just looked up");
-                state.admitted_bound -= query.shared.fetch_bound;
-                retired = Some(if done {
-                    state.counters.completed += 1;
-                    Retired::Finished {
-                        shared: query.shared,
-                        stats: query.stats,
-                        outcome: query.outcome,
-                    }
-                } else {
-                    state.counters.failed += 1;
-                    Retired::Failed {
-                        failure: query.failure.expect("the failed branch set it"),
-                        outcome: query.outcome,
-                    }
-                });
-                added += drain_pending(state, inner.budget);
-            }
-        }
-        let retiring = retired.is_some();
-        drop(guard);
-        if retiring {
-            // Budget headroom moved and waiters may need to re-check shutdown:
-            // wake everyone.
-            inner.work.notify_all();
-        } else {
-            // Counted wakeups: this worker loops around and claims one of the
-            // newly-ready jobs itself; wake one waiter per extra job.
-            for _ in 0..added.saturating_sub(1) {
-                inner.work.notify_one();
-            }
-        }
-        if let Some(retired) = retired {
-            // The output transpose (potentially large) runs outside the lock.
-            match retired {
+                .remove(&id)
+                .expect("the query was just looked up");
+            state.admitted_bound -= query.shared.fetch_bound;
+            retired = Some(if done {
+                state.counters.completed += 1;
                 Retired::Finished {
-                    shared,
-                    stats,
-                    outcome,
-                } => {
-                    let (table, stats) = finish_query(&shared, stats);
-                    let _ = outcome.send(QueryOutcome::Finished(Box::new((table, stats))));
+                    stats: query.stats,
+                    outcome: query.outcome,
                 }
-                Retired::Failed { failure, outcome } => {
-                    let _ = outcome.send(match failure {
-                        Failure::Error(error) => QueryOutcome::Failed(error),
-                        Failure::Panic(payload) => QueryOutcome::Panicked(payload),
-                    });
+            } else {
+                state.counters.failed += 1;
+                Retired::Failed {
+                    failure: query.failure.expect("the failed branch set it"),
+                    outcome: query.outcome,
                 }
-            }
+            });
+            // The retired query left nothing behind, so every job added from here
+            // on belongs to a query the freed headroom just admitted.
+            added = drain_pending(state, inner.budget);
         }
+    }
+    let shutdown = state.shutdown;
+    drop(guard);
+    // The running thread looks at the queue next and takes one of the new jobs
+    // itself — except a caller whose query just retired: the new jobs are other
+    // queries', and it is leaving.
+    let leaving = runner == Runner::Caller && retired.is_some();
+    inner.wake_workers(if leaving {
+        added
+    } else {
+        added.saturating_sub(1)
+    });
+    if shutdown && retired.is_some() {
+        // Idle workers exit once the last query is gone; all of them must re-check.
+        inner.work.notify_all();
+    }
+    // The output transpose (potentially large) runs outside the lock.
+    match retired {
+        Some(Retired::Finished { stats, outcome }) => {
+            let (table, stats) = finish_query(shared, stats);
+            let _ = outcome.send(QueryOutcome::Finished(Box::new((table, stats))));
+        }
+        Some(Retired::Failed { failure, outcome }) => {
+            let _ = outcome.send(match failure {
+                Failure::Error(error) => QueryOutcome::Failed(error),
+                Failure::Panic(payload) => QueryOutcome::Panicked(payload),
+            });
+        }
+        None => {}
     }
 }
 
@@ -1027,6 +1147,7 @@ mod tests {
     use bea_core::schema::Catalog;
     use bea_core::value::Value;
     use bea_storage::Database;
+    use std::sync::mpsc::RecvTimeoutError;
 
     /// A tiny R(a → b) store with keys 1..=n, two b-values per key.
     fn fixture(n: i64) -> IndexedDatabase {
@@ -1165,12 +1286,13 @@ mod tests {
         assert_eq!(session.admission_stats().queued, 4);
         assert_eq!(session.admission_stats().admitted, 0);
         // Release the hold exactly as a retiring query does: headroom, drain, wake.
-        {
+        let admitted_jobs = {
             let mut state = session.inner.lock_state();
             state.admitted_bound -= 20;
-            assert!(drain_pending(&mut state, session.inner.budget) > 0);
-        }
-        session.inner.work.notify_all();
+            drain_pending(&mut state, session.inner.budget)
+        };
+        assert!(admitted_jobs > 0);
+        session.inner.wake_workers(admitted_jobs);
         for handle in handles {
             handle.wait().unwrap();
         }
@@ -1215,8 +1337,9 @@ mod tests {
         assert_eq!(table.rows(), expected.rows());
     }
 
-    #[test]
-    fn a_panicking_query_fails_alone_and_reraises_on_wait() {
+    /// [`fixture`] plus a `PANIC_RELATION(a → b)` (constraint 1) whose fetches panic
+    /// inside the operator.
+    fn panicking_fixture(n: i64) -> IndexedDatabase {
         use crate::ops::PANIC_RELATION;
         let mut c = Catalog::new();
         c.declare("R", ["a", "b"]).unwrap();
@@ -1226,28 +1349,43 @@ mod tests {
             AccessConstraint::new(&c, PANIC_RELATION, &["a"], &["b"], 10).unwrap(),
         ]);
         let mut db = Database::new(c);
-        db.extend("R", [vec![Value::int(1), Value::int(10)]])
-            .unwrap();
+        db.extend(
+            "R",
+            (1..=n).flat_map(|k| {
+                [
+                    vec![Value::int(k), Value::int(10 * k)],
+                    vec![Value::int(k), Value::int(10 * k + 1)],
+                ]
+            }),
+        )
+        .unwrap();
         db.extend(PANIC_RELATION, [vec![Value::int(1), Value::int(10)]])
             .unwrap();
-        let idb = IndexedDatabase::build(db, schema).unwrap();
+        IndexedDatabase::build(db, schema).unwrap()
+    }
 
-        let session = Session::new(idb, SessionConfig::new().with_threads(2));
+    /// One keyed fetch over `PANIC_RELATION` (fetch bound 10): a single job, which
+    /// panics.
+    fn doomed_plan() -> QueryPlan {
         let mut b = PlanBuilder::new();
         let k = b.constant(Value::int(1), "k");
         let f = b.fetch(
             k,
             vec![0],
-            PANIC_RELATION,
+            crate::ops::PANIC_RELATION,
             vec![0],
             vec![1],
             1,
             vec!["a".into(), "b".into()],
         );
-        let doomed = b.finish("doomed", f).unwrap();
-        let handle = session.submit(&doomed).unwrap();
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.wait()))
-            .expect_err("the injected panic must re-raise on wait");
+        b.finish("doomed", f).unwrap()
+    }
+
+    /// Run `body`, which must re-raise the injected operator panic.
+    fn assert_reraises_the_injected_panic<T>(body: impl FnOnce() -> T) {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body))
+            .err()
+            .expect("the injected panic must re-raise on the query's owner");
         let message = payload
             .downcast_ref::<&str>()
             .copied()
@@ -1258,12 +1396,246 @@ mod tests {
             message.contains("injected operator panic"),
             "expected the injected payload, got {message:?}"
         );
+    }
+
+    /// Fail the test if `body` has not returned after a minute — a lost wake-up shows
+    /// as a hang, which must not hang the suite.
+    fn within_a_minute(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = channel();
+        let runner = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => runner.join().unwrap(),
+            // The body panicked before signalling: surface its assertion.
+            Err(RecvTimeoutError::Disconnected) => resume_unwind(runner.join().unwrap_err()),
+            Err(RecvTimeoutError::Timeout) => panic!("the session hung: a wake-up was lost"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_query_fails_alone_and_reraises_on_wait() {
+        let session = Session::new(panicking_fixture(1), SessionConfig::new().with_threads(2));
+        let handle = session.submit(&doomed_plan()).unwrap();
+        assert_reraises_the_injected_panic(|| handle.wait());
         // The pool survives: a healthy query still completes afterwards.
         let good = lookup_union("good", &[1]);
         session.submit(&good).unwrap().wait().unwrap();
         let admission = session.admission_stats();
         assert_eq!(admission.failed, 1);
         assert_eq!(admission.completed, 1);
+    }
+
+    #[test]
+    fn a_query_panicking_on_its_callers_thread_reraises_there_only() {
+        let session = Session::new(panicking_fixture(2), SessionConfig::new().with_threads(2));
+        let doomed = doomed_plan();
+        // `run` sends no wake-up for a one-job query, so its caller runs the job —
+        // unless a worker that has not parked yet finds it first. Repeat until the
+        // panic was raised on this thread; every attempt must isolate the failure.
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            let before = session.admission_stats().jobs_run_by_callers;
+            assert_reraises_the_injected_panic(|| session.run(&doomed));
+            let admission = session.admission_stats();
+            assert_eq!(admission.failed, attempts);
+            assert_eq!(
+                admission.inflight_bound, 0,
+                "a failed query frees its bound"
+            );
+            if admission.jobs_run_by_callers > before {
+                break;
+            }
+            assert!(attempts < 100, "the caller never ran its own job");
+        }
+        // The session keeps serving, on both entries.
+        let good = lookup_union("good", &[1, 2]);
+        let (_, ran) = session.run(&good).unwrap();
+        let (waited, _) = session.submit(&good).unwrap().wait().unwrap();
+        assert_eq!(ran.unwrap().0.rows(), waited.rows());
+        let admission = session.admission_stats();
+        assert_eq!((admission.failed, admission.completed), (attempts, 2));
+        assert_eq!(admission.inflight_bound, 0);
+        session.shutdown();
+    }
+
+    /// How many jobs `plan` is at `session`'s lowering (nothing here splits), read
+    /// off a completed run's ticket.
+    fn plan_jobs(session: &Session, plan: &QueryPlan) -> u64 {
+        let (ticket, result) = session.run(plan).unwrap();
+        result.unwrap();
+        ticket.pipelines as u64
+    }
+
+    #[test]
+    fn a_single_job_query_runs_on_its_callers_thread() {
+        // A point lookup is a chain of width one: once the workers are parked, `run`
+        // completes it without waking any of them.
+        let session = Session::new(fixture(2), SessionConfig::new().with_threads(2));
+        let plan = lookup_union("point", &[1]);
+        let jobs = plan_jobs(&session, &plan);
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            let before = session.admission_stats();
+            session.run(&plan).unwrap().1.unwrap();
+            let after = session.admission_stats();
+            assert_eq!(
+                (after.jobs_run_by_callers + after.jobs_run_by_workers)
+                    - (before.jobs_run_by_callers + before.jobs_run_by_workers),
+                jobs,
+                "every job is counted once, by whoever ran it"
+            );
+            if after.jobs_run_by_callers - before.jobs_run_by_callers == jobs {
+                break;
+            }
+            assert!(attempts < 100, "the caller never ran its whole query");
+        }
+        session.shutdown();
+    }
+
+    #[test]
+    fn a_queued_query_is_finished_by_workers_while_its_caller_blocks_in_run() {
+        within_a_minute(|| {
+            let session = Session::new(
+                fixture(4),
+                SessionConfig::new().with_threads(2).with_fetch_budget(30),
+            );
+            let plan = lookup_union("queued", &[1, 2]);
+            let (expected, _) = session.submit(&plan).unwrap().wait().unwrap();
+            let jobs = plan_jobs(&session, &plan);
+            assert_eq!(session.admission_stats().queued, 0);
+            // The caller may still catch its query being admitted before it blocks,
+            // and run it itself; repeat until workers did all of it.
+            let mut attempts = 0;
+            loop {
+                attempts += 1;
+                // Hold 20 of 30 units the way an admitted query would: a bound of 20
+                // must queue.
+                session.inner.lock_state().admitted_bound += 20;
+                let before = session.admission_stats();
+                std::thread::scope(|scope| {
+                    let caller = scope.spawn(|| session.run(&plan).unwrap().1.unwrap());
+                    while session.admission_stats().queued == before.queued {
+                        std::thread::yield_now();
+                    }
+                    // Release the hold exactly as a retiring query does.
+                    let admitted_jobs = {
+                        let mut state = session.inner.lock_state();
+                        state.admitted_bound -= 20;
+                        drain_pending(&mut state, session.inner.budget)
+                    };
+                    session.inner.wake_workers(admitted_jobs);
+                    let (table, _) = caller.join().unwrap();
+                    assert_eq!(table.rows(), expected.rows());
+                });
+                let after = session.admission_stats();
+                assert_eq!(after.inflight_bound, 0);
+                if after.jobs_run_by_workers - before.jobs_run_by_workers == jobs {
+                    break;
+                }
+                assert!(attempts < 100, "workers never ran the queued query");
+            }
+            session.shutdown();
+        });
+    }
+
+    #[test]
+    fn handles_waited_on_in_reverse_all_complete() {
+        within_a_minute(|| {
+            let session = Session::new(
+                fixture(8),
+                SessionConfig::new().with_threads(2).with_fetch_budget(45),
+            );
+            let plans: Vec<QueryPlan> = (0..6)
+                .map(|i| lookup_union(&format!("Q{i}"), &[1 + i, 2 + i]))
+                .collect();
+            let handles: Vec<QueryHandle> = plans
+                .iter()
+                .map(|plan| session.submit(plan).unwrap())
+                .collect();
+            // Last submitted, first waited on: the waiter helps its own query only,
+            // and the queued tail still gets in as the head retires.
+            for handle in handles.into_iter().rev() {
+                handle.wait().unwrap();
+            }
+            let admission = session.admission_stats();
+            assert_eq!((admission.admitted, admission.completed), (6, 6));
+            assert_eq!(admission.inflight_bound, 0);
+            assert!(admission.peak_admitted_bound <= 45);
+            session.shutdown();
+        });
+    }
+
+    #[test]
+    fn callers_and_workers_lose_no_wake_up_under_a_tight_budget() {
+        within_a_minute(|| {
+            // Bounds of 20 under a budget of 45: two queries run at a time, the rest
+            // queue behind them, so callers keep blocking on workers and on each other.
+            let session = Session::new(
+                panicking_fixture(8),
+                SessionConfig::new().with_threads(2).with_fetch_budget(45),
+            );
+            let healthy: Vec<QueryPlan> = (0..4)
+                .map(|i| lookup_union(&format!("Q{i}"), &[1 + i, 2 + i]))
+                .collect();
+            let over_budget = lookup_union("big", &[1, 2, 3, 4, 5]);
+            let doomed = doomed_plan();
+            std::thread::scope(|scope| {
+                for caller in 0..8usize {
+                    let (session, healthy, over_budget, doomed) =
+                        (&session, &healthy, &over_budget, &doomed);
+                    scope.spawn(move || {
+                        let mut in_flight: Vec<QueryHandle> = Vec::new();
+                        for i in 0..200usize {
+                            let plan = &healthy[(caller + i) % healthy.len()];
+                            match i % 10 {
+                                // An asynchronous submission, collected two rounds on.
+                                3 | 7 => in_flight.push(session.submit(plan).unwrap()),
+                                5 if !in_flight.is_empty() => {
+                                    in_flight.pop().unwrap().wait().unwrap();
+                                }
+                                8 => assert!(matches!(
+                                    session.run(over_budget),
+                                    Err(SubmitError::Rejected { .. })
+                                )),
+                                9 => assert_reraises_the_injected_panic(|| session.run(doomed)),
+                                _ => {
+                                    let (_, result) = session.run(plan).unwrap();
+                                    assert_eq!(result.unwrap().0.len(), 4);
+                                }
+                            }
+                        }
+                        for handle in in_flight.into_iter().rev() {
+                            handle.wait().unwrap();
+                        }
+                    });
+                }
+            });
+            let admission = session.admission_stats();
+            assert_eq!(admission.submitted, 8 * 200 - 8 * 20);
+            assert_eq!(admission.submitted, admission.admitted + admission.rejected);
+            assert_eq!(admission.completed + admission.failed, admission.admitted);
+            assert_eq!((admission.rejected, admission.failed), (8 * 20, 8 * 20));
+            assert_eq!(admission.inflight_bound, 0);
+            assert!(admission.peak_admitted_bound <= 45);
+            assert!(admission.jobs_run_by_callers > 0 && admission.jobs_run_by_workers > 0);
+
+            // Dropping the session with queries in flight drains them and returns: the
+            // shutdown broadcast reaches every parked worker.
+            let in_flight: Vec<QueryHandle> = healthy
+                .iter()
+                .cycle()
+                .take(12)
+                .map(|plan| session.submit(plan).unwrap())
+                .collect();
+            drop(session);
+            for handle in in_flight {
+                assert_eq!(handle.wait().unwrap().0.len(), 4);
+            }
+        });
     }
 
     #[test]

@@ -86,6 +86,8 @@ echo "$STATS" | grep -q 'rejected=1' || { echo "error: stats missing rejected=1"
 echo "$STATS" | grep -q 'budget=10000' || { echo "error: stats missing budget=10000" >&2; exit 1; }
 echo "$STATS" | grep -q 'cache_hits=1' || { echo "error: stats missing cache_hits=1" >&2; exit 1; }
 echo "$STATS" | grep -q 'cache_evictions=0' || { echo "error: stats missing cache_evictions=0" >&2; exit 1; }
+# The anchored queries are chains of width one: the connection's own thread ran them.
+echo "$STATS" | grep -Eq ' caller_jobs=[1-9]' || { echo "error: no job ran on a connection thread" >&2; exit 1; }
 
 expect_exit 0 "shutdown acknowledged" shutdown
 

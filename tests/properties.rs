@@ -27,6 +27,7 @@ use bea_core::access::AccessSchema;
 use bea_core::query::cq::ConjunctiveQuery;
 use bea_core::query::ucq::UnionQuery;
 use bea_core::reason::ReasonConfig;
+use bea_core::schema::Catalog;
 use bea_core::value::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,6 +76,60 @@ fn accidents_fixture(seed: u64, days: u32) -> (bea::storage::Database, AccessSch
     })
     .expect("generation succeeds");
     (db, schema)
+}
+
+/// A small e-commerce database, its catalog and its access schema.
+fn ecommerce_fixture(seed: u64) -> (bea::storage::Database, Catalog, AccessSchema) {
+    let catalog = ecommerce::catalog();
+    let schema = ecommerce::access_schema(&catalog);
+    let db = ecommerce::generate(&ecommerce::EcommerceConfig {
+        num_customers: 60,
+        num_categories: 5,
+        products_per_category: 12,
+        avg_orders_per_customer: 6,
+        num_cities: 4,
+        seed,
+    })
+    .unwrap();
+    (db, catalog, schema)
+}
+
+/// A small social graph, its catalog and its access schema.
+fn graph_fixture(seed: u64) -> (bea::storage::Database, Catalog, AccessSchema) {
+    let catalog = graph::catalog();
+    let config = graph::GraphConfig {
+        num_persons: 120,
+        max_degree: 10,
+        avg_degree: 4,
+        num_cities: 3,
+        num_tags: 5,
+        max_likes: 3,
+        seed,
+    };
+    let schema = graph::access_schema(&catalog, &config);
+    let db = graph::generate(&config).unwrap();
+    (db, catalog, schema)
+}
+
+/// `count` random queries over `db`, anchored on values it holds.
+fn random_workload(
+    catalog: &Catalog,
+    schema: &AccessSchema,
+    db: &bea::storage::Database,
+    count: usize,
+    seed: u64,
+) -> Vec<ConjunctiveQuery> {
+    querygen::random_workload_from_db(
+        catalog,
+        Some(schema),
+        db,
+        count,
+        &querygen::QueryGenConfig {
+            seed,
+            ..querygen::QueryGenConfig::default()
+        },
+    )
+    .unwrap()
 }
 
 /// The core differential property shared by the three scenario families: for every
@@ -211,17 +266,7 @@ fn covered_plans_agree_with_naive_evaluation() {
         let qseed = rng.gen_range(0u64..1_000);
         let (db, schema) = accidents_fixture(seed, 3);
         let catalog = accidents::catalog();
-        let workload = querygen::random_workload_from_db(
-            &catalog,
-            Some(&schema),
-            &db,
-            12,
-            &querygen::QueryGenConfig {
-                seed: qseed,
-                ..querygen::QueryGenConfig::default()
-            },
-        )
-        .unwrap();
+        let workload = random_workload(&catalog, &schema, &db, 12, qseed);
         assert_bounded_plans_agree_with_naive(&schema, db, &workload)
     });
 }
@@ -234,28 +279,8 @@ fn covered_plans_agree_with_naive_evaluation_on_ecommerce() {
         |rng| {
             let seed = rng.gen_range(0u64..1_000);
             let qseed = rng.gen_range(0u64..1_000);
-            let catalog = ecommerce::catalog();
-            let schema = ecommerce::access_schema(&catalog);
-            let db = ecommerce::generate(&ecommerce::EcommerceConfig {
-                num_customers: 60,
-                num_categories: 5,
-                products_per_category: 12,
-                avg_orders_per_customer: 6,
-                num_cities: 4,
-                seed,
-            })
-            .unwrap();
-            let workload = querygen::random_workload_from_db(
-                &catalog,
-                Some(&schema),
-                &db,
-                12,
-                &querygen::QueryGenConfig {
-                    seed: qseed,
-                    ..querygen::QueryGenConfig::default()
-                },
-            )
-            .unwrap();
+            let (db, catalog, schema) = ecommerce_fixture(seed);
+            let workload = random_workload(&catalog, &schema, &db, 12, qseed);
             assert_bounded_plans_agree_with_naive(&schema, db, &workload)
         },
     );
@@ -269,29 +294,8 @@ fn covered_plans_agree_with_naive_evaluation_on_graph() {
         |rng| {
             let seed = rng.gen_range(0u64..1_000);
             let qseed = rng.gen_range(0u64..1_000);
-            let catalog = graph::catalog();
-            let config = graph::GraphConfig {
-                num_persons: 120,
-                max_degree: 10,
-                avg_degree: 4,
-                num_cities: 3,
-                num_tags: 5,
-                max_likes: 3,
-                seed,
-            };
-            let schema = graph::access_schema(&catalog, &config);
-            let db = graph::generate(&config).unwrap();
-            let workload = querygen::random_workload_from_db(
-                &catalog,
-                Some(&schema),
-                &db,
-                12,
-                &querygen::QueryGenConfig {
-                    seed: qseed,
-                    ..querygen::QueryGenConfig::default()
-                },
-            )
-            .unwrap();
+            let (db, catalog, schema) = graph_fixture(seed);
+            let workload = random_workload(&catalog, &schema, &db, 12, qseed);
             assert_bounded_plans_agree_with_naive(&schema, db, &workload)
         },
     );
@@ -611,17 +615,7 @@ fn sharded_execution_is_invariant_across_shard_counts() {
             let qseed = rng.gen_range(0u64..1_000);
             let (db, schema) = accidents_fixture(seed, 2);
             let catalog = accidents::catalog();
-            let workload = querygen::random_workload_from_db(
-                &catalog,
-                Some(&schema),
-                &db,
-                8,
-                &querygen::QueryGenConfig {
-                    seed: qseed,
-                    ..querygen::QueryGenConfig::default()
-                },
-            )
-            .unwrap();
+            let workload = random_workload(&catalog, &schema, &db, 8, qseed);
             let stores: Vec<ShardedDatabase> = [1u32, 2, 8]
                 .into_iter()
                 .map(|shards| ShardedDatabase::build(db.clone(), schema.clone(), shards).unwrap())
@@ -768,17 +762,7 @@ fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
             let qseed = rng.gen_range(0u64..1_000);
             let (db, schema) = accidents_fixture(seed, 3);
             let catalog = accidents::catalog();
-            let workload = querygen::random_workload_from_db(
-                &catalog,
-                Some(&schema),
-                &db,
-                10,
-                &querygen::QueryGenConfig {
-                    seed: qseed,
-                    ..querygen::QueryGenConfig::default()
-                },
-            )
-            .unwrap();
+            let workload = random_workload(&catalog, &schema, &db, 10, qseed);
             let shards = shards_from_env().max(2);
             let sharded = ShardedDatabase::build(db, schema.clone(), shards).unwrap();
             let store = SharedStore::from(sharded);
@@ -946,6 +930,128 @@ fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
             );
             session.shutdown();
             plans.len()
+        },
+    );
+}
+
+/// Who runs a query's jobs is a scheduling decision, never a semantic one: on every
+/// querygen family, the caller-runs entry ([`Session::run`]), the asynchronous entry
+/// (`submit` then `wait`) and a solo [`execute_plan_on`] return the same rows in the
+/// same order with the same data access, copy traffic and probe-path buffer demand —
+/// at 1 and 4 pool workers, on an unsharded and a 4-way sharded store, with the
+/// session's fetch cache off and on. Each lane gets a fresh session per query, so a
+/// cached session starts cold; it may serve a key the query repeats from the cache, so
+/// there the counters are compared lane against lane and only the rows against solo.
+#[test]
+fn session_lanes_match_solo_execution_on_every_family() {
+    use bea::engine::{Session, SessionConfig, SharedStore};
+
+    /// Every covered query of `workload` through all three lanes at all eight
+    /// corners; returns how many queries were exercised.
+    fn assert_lanes_agree(
+        schema: &AccessSchema,
+        db: &bea::storage::Database,
+        workload: &[ConjunctiveQuery],
+    ) -> usize {
+        let plans: Vec<_> = workload
+            .iter()
+            .filter(|query| cover::is_covered(query, schema))
+            .map(|query| bounded_plan(query, schema).unwrap())
+            .collect();
+        let stores = [
+            SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap()),
+            SharedStore::from(ShardedDatabase::build(db.clone(), schema.clone(), 4).unwrap()),
+        ];
+        for store in &stores {
+            for threads in [1usize, 4] {
+                let options = ExecOptions::new().with_threads(threads);
+                for cache_rows in [0u64, 1 << 20] {
+                    let config = SessionConfig::new()
+                        .with_threads(threads)
+                        .with_cache_budget_rows(cache_rows);
+                    for plan in &plans {
+                        let corner = format!(
+                            "{} at {threads} threads / {} shards / cache {cache_rows}",
+                            plan.query_name(),
+                            store.store().shard_count()
+                        );
+                        let (solo_table, solo_stats) =
+                            execute_plan_on(plan, store.store(), &options).unwrap();
+                        let ran = {
+                            let session = Session::new(store.clone(), config);
+                            let (_, result) = session.run(plan).unwrap();
+                            result.unwrap()
+                        };
+                        let waited = {
+                            let session = Session::new(store.clone(), config);
+                            session.submit(plan).unwrap().wait().unwrap()
+                        };
+                        // The two lanes agree with each other on everything counted.
+                        assert!(
+                            ran.1.same_data_access(&waited.1),
+                            "the lanes disagree on the data access of {corner}: \
+                             {} vs {}",
+                            ran.1,
+                            waited.1
+                        );
+                        let traffic = |stats: &bea::engine::AccessStats| {
+                            (
+                                stats.values_cloned,
+                                stats.allocs_per_probe,
+                                stats.cache_hits,
+                                stats.rows_served_from_cache,
+                            )
+                        };
+                        assert_eq!(
+                            traffic(&ran.1),
+                            traffic(&waited.1),
+                            "the lanes disagree on the copy or cache traffic of {corner}"
+                        );
+                        // Both agree with the solo run: always in rows and row order,
+                        // and uncached in every counter (a cached session serves a key
+                        // the query probes twice from the cache the second time).
+                        for (lane, (table, stats)) in [("run", &ran), ("submit + wait", &waited)] {
+                            assert_eq!(
+                                table.rows(),
+                                solo_table.rows(),
+                                "`{lane}` changed the rows (or their order) of {corner}"
+                            );
+                            if cache_rows == 0 {
+                                assert!(
+                                    stats.same_data_access(&solo_stats),
+                                    "`{lane}` changed the data access of {corner}: \
+                                     {stats} vs {solo_stats}"
+                                );
+                                assert_eq!(
+                                    traffic(stats),
+                                    (solo_stats.values_cloned, solo_stats.allocs_per_probe, 0, 0),
+                                    "`{lane}` changed the copy traffic or buffer demand \
+                                     of {corner}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        plans.len()
+    }
+
+    run_cases_counting(
+        "session_lanes_match_solo_execution_on_every_family",
+        0x1A9E,
+        |rng| {
+            let seed = rng.gen_range(0u64..1_000);
+            let qseed = rng.gen_range(0u64..1_000);
+            let (db, schema) = accidents_fixture(seed, 2);
+            let workload = random_workload(&accidents::catalog(), &schema, &db, 6, qseed);
+            let mut exercised = assert_lanes_agree(&schema, &db, &workload);
+            let (db, catalog, schema) = ecommerce_fixture(seed);
+            let workload = random_workload(&catalog, &schema, &db, 6, qseed);
+            exercised += assert_lanes_agree(&schema, &db, &workload);
+            let (db, catalog, schema) = graph_fixture(seed);
+            let workload = random_workload(&catalog, &schema, &db, 6, qseed);
+            exercised + assert_lanes_agree(&schema, &db, &workload)
         },
     );
 }
