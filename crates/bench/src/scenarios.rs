@@ -538,17 +538,16 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
             },
         );
     }
-    // A miss demands one buffer (its key), so Q0's probe-path demand is bounded by
-    // its lookups — and those by its fetched rows, give or take the few keys that
-    // match nothing. A per-key batch creeping back into the miss path (the old
-    // `positions + 2` per miss: 1466 demands for these 572 rows) fails here, at
-    // generation time, before a record can be committed.
+    // Q0 lowers to keyed lookups only, and a keyed lookup demands no buffer per key —
+    // a miss moves its key into the arena's flat columns. A per-key buffer creeping
+    // back into the miss path (an owned key per miss: 295 demands for these 572 rows;
+    // before that `positions + 2` per miss: 1466) fails here, at generation time,
+    // before a record can be committed.
     let q0 = &report.scenarios["accidents_q0"];
-    assert!(
-        q0.allocs_per_probe <= q0.rows_fetched + 16,
-        "accidents_q0 demanded {} probe-path buffers for {} fetched rows — the keyed \
+    assert_eq!(
+        q0.allocs_per_probe, 0,
+        "accidents_q0 demanded probe-path buffers for {} fetched rows — the keyed \
          lookup is allocating per key again",
-        q0.allocs_per_probe,
         q0.rows_fetched
     );
     // The multi-pipeline scenario: every recorded counter comes from the 1-thread run
@@ -774,9 +773,14 @@ mod tests {
             assert!(entry.rows_fetched > 0, "{scenario} fetched nothing");
             assert!(entry.values_cloned > 0, "{scenario} cloned nothing");
             assert!(entry.peak_rows_resident > 0);
-            // Cold single-shot executions pay their cache misses; only the warmed
-            // anchored fast path is zero-allocation (asserted in the property tests).
-            assert!(entry.allocs_per_probe > 0, "{scenario} demanded no buffers");
+            // Cold or warm, a keyed lookup demands no buffer per key; what is left is
+            // the streaming fetch's key gather — one owned key per source row, and
+            // these anchored plans feed a streaming fetch one row at most.
+            assert!(
+                entry.allocs_per_probe <= 1,
+                "{scenario} demanded {} probe-path buffers",
+                entry.allocs_per_probe
+            );
             assert_eq!(
                 entry.rows_served_from_cache, 0,
                 "{scenario} runs cold — nothing is cached yet"

@@ -127,6 +127,45 @@ impl Ord for Value {
 /// A tuple of values, i.e. one row of a relation or of a query answer.
 pub type Row = Vec<Value>;
 
+/// One step of [`hash_row`]: fold the 128-bit product of the mixed-in word.
+#[inline]
+fn mix(hash: u64, word: u64) -> u64 {
+    let product = u128::from(hash ^ word) * 0x9E37_79B9_7F4A_7C15_u128;
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// The one hash of a row of values — a key, a projection, a whole tuple — shared by the
+/// store's posting indexes and every membership table, memo and cache stripe of the
+/// executor, so a row is hashed the same way wherever it is looked up.
+///
+/// A fixed folded-multiply mixer over the values a word at a time, not SipHash: the
+/// rows come from data the operator loaded and from constants of the query being run,
+/// every table it feeds is open-addressing over rows *compared by value* on each hit,
+/// and so a bad distribution can only lengthen a slot walk — never change a result.
+/// Each variant perturbs the state differently, so `Int(1)`, `Bool(true)`,
+/// `Labelled(1)` and `Str("1")` start different walks (equality, not the hash, is what
+/// keeps them apart).
+#[inline]
+pub fn hash_row<'v>(row: impl IntoIterator<Item = &'v Value>) -> u64 {
+    row.into_iter()
+        .fold(0x2545_F491_4F6C_DD1D, |hash, value| match value {
+            Value::Int(i) => mix(hash, *i as u64),
+            Value::Bool(b) => mix(!hash, u64::from(*b)),
+            Value::Labelled(l) => mix(hash.rotate_left(32), u64::from(*l)),
+            Value::Str(s) => {
+                let mut words = s.as_bytes().chunks_exact(8);
+                let mut hash = mix(hash.rotate_left(16), s.len() as u64);
+                for word in &mut words {
+                    let word = word.try_into().expect("chunks_exact(8) yields 8 bytes");
+                    hash = mix(hash, u64::from_le_bytes(word));
+                }
+                let mut tail = [0u8; 8];
+                tail[..words.remainder().len()].copy_from_slice(words.remainder());
+                mix(hash, u64::from_le_bytes(tail))
+            }
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,6 +229,36 @@ mod tests {
         assert_ne!(Value::Labelled(2), Value::int(2));
         assert!(Value::Labelled(0).is_labelled());
         assert!(!Value::int(0).is_labelled());
+    }
+
+    #[test]
+    fn hash_row_is_pinned() {
+        // `core`, `storage` and `engine` all call this one function; the constants pin
+        // it, so an index, a dedup table and a cache stripe cannot drift apart.
+        let empty: [Value; 0] = [];
+        assert_eq!(hash_row(&empty), 0x2545_F491_4F6C_DD1D);
+        assert_eq!(hash_row(&[Value::int(1)]), 0x4BC4_2E7B_41F3_8A49);
+        assert_eq!(
+            hash_row(&[
+                Value::str("day-0001"),
+                Value::Bool(true),
+                Value::Labelled(3)
+            ]),
+            0x08F0_7E76_5B5A_3F30
+        );
+        // Look-alikes start different walks, and order matters.
+        let alikes = [
+            Value::int(1),
+            Value::Bool(true),
+            Value::str("1"),
+            Value::Labelled(1),
+        ];
+        let hashes: HashSet<u64> = alikes.iter().map(|v| hash_row([v])).collect();
+        assert_eq!(hashes.len(), 4);
+        assert_ne!(
+            hash_row(&[Value::int(1), Value::int(2)]),
+            hash_row(&[Value::int(2), Value::int(1)])
+        );
     }
 
     #[test]

@@ -6,14 +6,19 @@
 //! re-fetches identical postings on every connection. [`SessionFetchCache`] hoists
 //! the idea one level up: it is owned by the [`crate::session::Session`], shared by
 //! every query the session runs, and probed *before* the index partition. A warm hit
-//! is one hash plus a refcount bump — zero value clones, zero probe allocations, and
-//! none of the fetch-side counters (`tuples_fetched`, `index_lookups`,
-//! `allocs_per_probe`) are charged; the hit is visible only in the additive
+//! is one map lookup under the hash its key already carries ([`HashedRow`]: the same
+//! hash picked the stripe) plus a refcount bump — zero value clones, zero probe
+//! allocations, and none of the fetch-side counters (`tuples_fetched`,
+//! `index_lookups`) are charged; the hit is visible only in the additive
 //! [`crate::stats::AccessStats::cache_hits`] / `rows_served_from_cache` counters. A
 //! miss hands the prober a unique fill claim (the morsel split's condvar
 //! fill-exactly-once protocol, generalized across queries), which it resolves with
 //! the ordinary uncached miss plus an uncharged compact copy as the published entry
 //! (see `allocs_per_probe`) — so a cold run reproduces the uncached counters exactly.
+//! The maps trust the carried hash instead of SipHash-ing keys again: keys are data
+//! the operator loaded and constants of admitted queries, and a hit is confirmed by
+//! comparing values, so a poor spread costs time under one stripe lock, never a
+//! wrong entry.
 //!
 //! # What a cache entry is
 //!
@@ -36,10 +41,8 @@
 //! control never looks at cache state: a query is priced at its uncached worst case,
 //! so boundedness guarantees hold even if every entry is evicted mid-flight.
 
-use crate::ops::batch::Batch;
+use crate::ops::batch::{Batch, HashedRow, HashedRowMap};
 use crate::ops::ResidencyLedger;
-use bea_core::value::Row;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -76,7 +79,7 @@ enum SpaceEntry {
 
 #[derive(Debug, Default)]
 struct SpaceMap {
-    entries: HashMap<Row, SpaceEntry>,
+    entries: HashedRowMap<SpaceEntry>,
     /// Probes blocked on this stripe's condvar; completions skip the wakeup when
     /// nobody waits (the common case).
     waiters: usize,
@@ -116,11 +119,10 @@ impl CacheSpace {
         }
     }
 
-    fn stripe(&self, key: &Row) -> &SpaceStripe {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.stripes[hasher.finish() as usize % SPACE_STRIPES]
+    /// The stripe owning `key`, chosen by the hash the key carries — the same hash
+    /// the stripe's map then looks it up with, so a probe hashes its key once.
+    fn stripe(&self, key: &HashedRow) -> &SpaceStripe {
+        &self.stripes[key.stripe(SPACE_STRIPES)]
     }
 }
 
@@ -194,7 +196,7 @@ impl SessionFetchCache {
     /// recency and counting the hit); a miss installs a session-wide fill claim; a
     /// probe racing an in-flight fill — possibly from another query — blocks until
     /// that fill resolves. An aborted fill hands the claim to a waiting prober.
-    pub(crate) fn probe(&self, space: &CacheSpace, key: &Row) -> SessionProbe {
+    pub(crate) fn probe(&self, space: &CacheSpace, key: &HashedRow) -> SessionProbe {
         let stripe = space.stripe(key);
         let mut map = stripe
             .entries
@@ -232,7 +234,7 @@ impl SessionFetchCache {
     /// waiting. This is the streaming fetch's probe — `FetchOp` gathers many keys
     /// into one shared buffer and cannot produce the standalone per-key batch a fill
     /// claim would owe, so it only ever consumes entries the lookup path published.
-    pub(crate) fn lookup(&self, space: &CacheSpace, key: &Row) -> Option<Arc<Batch>> {
+    pub(crate) fn lookup(&self, space: &CacheSpace, key: &HashedRow) -> Option<Arc<Batch>> {
         let stripe = space.stripe(key);
         let mut map = stripe
             .entries
@@ -252,7 +254,7 @@ impl SessionFetchCache {
 
     /// Resolve a fill claim with its batch, wake the probes waiting on it, and
     /// evict down to the row budget if the new entry pushed the cache past it.
-    pub(crate) fn complete(&self, space: &CacheSpace, key: &Row, batch: Arc<Batch>) {
+    pub(crate) fn complete(&self, space: &CacheSpace, key: &HashedRow, batch: Arc<Batch>) {
         let rows = batch.len() as u64;
         let stripe = space.stripe(key);
         let mut map = stripe
@@ -278,7 +280,7 @@ impl SessionFetchCache {
 
     /// Withdraw a fill claim after a failed fetch so waiting probes — from this
     /// query or any other — can retry or re-claim.
-    pub(crate) fn abort(&self, space: &CacheSpace, key: &Row) {
+    pub(crate) fn abort(&self, space: &CacheSpace, key: &HashedRow) {
         let stripe = space.stripe(key);
         let mut map = stripe
             .entries
@@ -305,7 +307,7 @@ impl SessionFetchCache {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        let mut candidates: Vec<(u64, usize, Row, u64)> = Vec::new();
+        let mut candidates: Vec<(u64, usize, HashedRow, u64)> = Vec::new();
         for (si, space) in spaces.iter().enumerate() {
             for stripe in &space.stripes {
                 let map = stripe
@@ -401,8 +403,8 @@ mod tests {
         ))
     }
 
-    fn key_of(k: i64) -> Row {
-        vec![Value::int(k)]
+    fn key_of(k: i64) -> HashedRow {
+        HashedRow::new(vec![Value::int(k)])
     }
 
     #[test]

@@ -41,8 +41,10 @@
 //! # Buffer pooling and the zero-allocation probe path
 //!
 //! Steady-state anchored probes — one probe key hitting a warmed
-//! [`ops`] `KeyedLookupOp` cache with a fused projection — allocate nothing. The
-//! machinery behind the guarantee, and its ownership contract:
+//! [`ops`] `KeyedLookupOp` cache with a fused projection — allocate nothing, and a
+//! cold keyed probe allocates nothing *per key* either: keys and postings land in
+//! flat pooled columns, set membership (δ, −, join build keys) in flat row tables.
+//! The machinery behind the guarantee, and its ownership contract:
 //!
 //! * every [`ops`] execution state owns a **buffer pool** of recycled column and
 //!   selection-vector buffers; operators draw probe-path buffers from it and return
@@ -57,9 +59,13 @@
 //! * [`stats::AccessStats::allocs_per_probe`] counts probe-path *buffer-demand*
 //!   events (a pool hit still counts — the metric models demand, not the allocator),
 //!   so it is deterministic, additive, thread- and shard-invariant, and **zero for
-//!   warmed probes** — the property the test suite asserts and `BENCH_pipeline.json`
-//!   records; like the shard distribution it is excluded from
-//!   [`AccessStats::same_data_access`].
+//!   keyed lookups, cold or warm** — only a streaming fetch's owned key rows count —
+//!   the property the test suite asserts and `BENCH_pipeline.json` records; like the
+//!   shard distribution it is excluded from [`AccessStats::same_data_access`];
+//! * one row hash, [`bea_core::value::hash_row`], serves every one of those tables,
+//!   the cache stripes and the store's indexes: a fixed mixer, not SipHash — rows
+//!   are loaded data and query constants, every hit is confirmed by comparing
+//!   values, so a bad distribution can only lengthen a slot walk.
 //!
 //! # Threading model
 //!

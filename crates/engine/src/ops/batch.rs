@@ -19,10 +19,17 @@
 //!
 //! The batch length is tracked explicitly (`stored`), so zero-column batches — unit
 //! rows, as produced by `PhysOp::Unit` — still have a well-defined row count.
+//!
+//! Beside the batch lives [`RowTable`], the one structure operators *remember* rows in
+//! (δ's seen set, −'s removal set, the hash join's build keys, the keyed lookup's
+//! fetched keys), and [`HashedRow`], a key carrying its hash through the cache tiers.
+//! All of them hash rows with [`bea_core::value::hash_row`] — the same function the
+//! store's indexes use — and nothing in the engine hashes a row any other way.
 
+use bea_core::error::{Error, Result};
 use bea_core::plan::Predicate;
-use bea_core::value::{Row, Value};
-use std::hash::{Hash, Hasher};
+use bea_core::value::{hash_row, Row, Value};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// One shared column of values. Cloning the handle is a refcount bump.
@@ -160,17 +167,7 @@ impl Batch {
     /// to ask whether it was seen before.
     pub(crate) fn hash_row(&self, i: usize) -> u64 {
         let p = self.physical(i);
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        for column in self.columns.iter() {
-            column[p].hash(&mut hasher);
-        }
-        hasher.finish()
-    }
-
-    /// Is logical row `i` equal to `row`, value by value?
-    pub(crate) fn row_equals(&self, i: usize, row: &[Value]) -> bool {
-        let p = self.physical(i);
-        self.columns.len() == row.len() && self.columns.iter().zip(row).all(|(c, v)| &c[p] == v)
+        hash_row(self.columns.iter().map(|column| &column[p]))
     }
 
     /// Does logical row `i` satisfy every predicate?
@@ -267,17 +264,285 @@ pub(crate) fn passes_with<'a>(
 /// Hash the values of physical row `idx` across `cols` — the zero-copy half of
 /// hash-then-compare deduplication over freshly appended columns.
 pub(crate) fn hash_row_at(cols: &[Vec<Value>], idx: usize) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    for column in cols {
-        column[idx].hash(&mut hasher);
-    }
-    hasher.finish()
+    hash_row(cols.iter().map(|column| &column[idx]))
 }
 
 /// Are physical rows `a` and `b` of `cols` equal in every column?
 pub(crate) fn rows_equal_at(cols: &[Vec<Value>], a: usize, b: usize) -> bool {
     cols.iter().all(|column| column[a] == column[b])
 }
+
+/// Marks an unoccupied [`RowTable`] slot; never a position (see [`position_bound`]).
+const EMPTY: u32 = u32::MAX;
+
+/// `rows` as the exclusive bound of 32-bit row positions. Tables and join chains store
+/// positions as `u32` with [`EMPTY`] as the free marker; an `owner` asked to hold more
+/// rows than that fails instead of aliasing a slot.
+pub(crate) fn position_bound(owner: &str, rows: usize) -> Result<u32> {
+    match u32::try_from(rows) {
+        Ok(bound) if bound < EMPTY => Ok(bound),
+        _ => Err(Error::invalid(format!(
+            "{owner} would hold {rows} rows, but row positions are 32-bit \
+             (at most {} rows per operator)",
+            EMPTY - 1
+        ))),
+    }
+}
+
+/// A flat table of distinct rows: what δ has seen, what − removes, the build keys of a
+/// hash join, the keys a keyed lookup has fetched. A row's *position* is its insertion
+/// rank — stable for the table's life, so callers hang their own per-row data (posting
+/// ranges, match chains) off plain vectors indexed by it.
+///
+/// Layout: the rows column-wise in `columns` (pooled buffers, handed in by the owner
+/// and handed back through [`RowTable::release`]), each row's hash in `hashes`, and an
+/// open-addressing `slots` table (linear probing, power-of-two size, at most half
+/// full) from hash to position. Membership is hash-then-compare **in place** against a
+/// row the caller describes by accessor — `|c| batch.value(i, c)` — so asking clones
+/// nothing, only a fresh row's values are cloned in, and once the vectors have grown
+/// no call allocates: growth is by doubling, O(log n) allocations for n rows.
+///
+/// The caller supplies the hash, and every caller supplies [`hash_row`] of the row:
+/// rows are data the operator loaded and constants of the running query, a bad
+/// distribution only lengthens a slot walk, and every hit is confirmed by comparing
+/// values — the argument `bea_storage`'s index makes for the same function.
+#[derive(Debug)]
+pub(crate) struct RowTable {
+    /// Names the owning operator when [`position_bound`] refuses a row.
+    owner: &'static str,
+    columns: Vec<Vec<Value>>,
+    /// Per position. Its length is the row count (a zero-column table has no column
+    /// to ask); re-slotting on growth reads it instead of re-hashing the rows.
+    hashes: Vec<u64>,
+    slots: Vec<u32>,
+}
+
+impl RowTable {
+    /// The smallest slot table: skips the first few doublings of a growing table.
+    const MIN_SLOTS: usize = 16;
+
+    /// An empty table of `columns.len()`-ary rows over the given (cleared) buffers.
+    pub(crate) fn new(owner: &'static str, columns: Vec<Vec<Value>>) -> Self {
+        debug_assert!(columns.iter().all(Vec::is_empty));
+        Self {
+            owner,
+            columns,
+            hashes: Vec::new(),
+            slots: Vec::new(),
+        }
+    }
+
+    /// Number of rows held.
+    pub(crate) fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.hashes.is_empty()
+    }
+
+    /// Column `c` of the row at `position`.
+    #[cfg(test)]
+    pub(crate) fn value(&self, position: u32, c: usize) -> &Value {
+        &self.columns[c][position as usize]
+    }
+
+    /// Walk the slots from `hash`'s home: the position of the first row `is_row`
+    /// accepts, or else the free slot that ends the walk (the table is at most half
+    /// full, so there is one).
+    fn walk(&self, hash: u64, is_row: impl Fn(u32) -> bool) -> std::result::Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                position if self.hashes[position as usize] == hash && is_row(position) => {
+                    return Ok(position)
+                }
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Does the row at `position` equal the row `row(c)` describes?
+    fn holds<'a>(&self, position: u32, row: &impl Fn(usize) -> &'a Value) -> bool {
+        let mut columns = self.columns.iter().enumerate();
+        columns.all(|(c, column)| &column[position as usize] == row(c))
+    }
+
+    /// The position of the row `row(c)` describes, `hash` being its [`hash_row`].
+    /// Clones nothing.
+    pub(crate) fn find<'a>(&self, hash: u64, row: impl Fn(usize) -> &'a Value) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.walk(hash, |position| self.holds(position, &row)).ok()
+    }
+
+    /// Insert the row `row(c)` describes unless it is present: its position, and
+    /// whether it was fresh — the only case that clones (one O(1) clone per column).
+    pub(crate) fn insert<'a>(
+        &mut self,
+        hash: u64,
+        row: impl Fn(usize) -> &'a Value,
+    ) -> Result<(u32, bool)> {
+        self.reserve(1)?;
+        let position = self.len() as u32;
+        match self.walk(hash, |held| self.holds(held, &row)) {
+            Ok(held) => Ok((held, false)),
+            Err(slot) => {
+                self.slots[slot] = position;
+                self.hashes.push(hash);
+                for (c, column) in self.columns.iter_mut().enumerate() {
+                    column.push(row(c).clone());
+                }
+                Ok((position, true))
+            }
+        }
+    }
+
+    /// [`RowTable::find`] for a key that carries its hash.
+    pub(crate) fn find_key(&self, key: &HashedRow) -> Option<u32> {
+        self.find(key.hash, |c| &key.values[c])
+    }
+
+    /// [`RowTable::push`] for a key that carries its hash: the values move out of
+    /// `key`, which keeps its buffer and is empty until its next
+    /// [`HashedRow::gather`].
+    pub(crate) fn push_key(&mut self, key: &mut HashedRow) -> Result<u32> {
+        let hash = std::mem::replace(&mut key.hash, hash_row(std::iter::empty()));
+        self.push(hash, key.values.drain(..))
+    }
+
+    /// Append a row the caller knows is absent (it just asked [`RowTable::find`]),
+    /// *moving* its values in. Returns its position.
+    pub(crate) fn push(&mut self, hash: u64, row: impl IntoIterator<Item = Value>) -> Result<u32> {
+        self.reserve(1)?;
+        let position = self.len() as u32;
+        let slot = self.walk(hash, |_| false).expect_err("no row is accepted");
+        self.slots[slot] = position;
+        self.hashes.push(hash);
+        let mut row = row.into_iter();
+        for column in &mut self.columns {
+            column.push(row.next().expect("a row has one value per column"));
+        }
+        debug_assert!(row.next().is_none(), "a row has one value per column");
+        Ok(position)
+    }
+
+    /// Make room for `additional` more rows: slots stay at most half full, columns
+    /// grow once instead of per row. Fails, changing nothing, if the table would
+    /// outgrow 32-bit positions.
+    pub(crate) fn reserve(&mut self, additional: usize) -> Result<()> {
+        let rows = self.len().saturating_add(additional);
+        position_bound(self.owner, rows)?;
+        if rows * 2 > self.slots.len() {
+            let size = (rows * 2).next_power_of_two().max(Self::MIN_SLOTS);
+            self.slots.clear();
+            self.slots.resize(size, EMPTY);
+            for (position, &hash) in (0..).zip(&self.hashes) {
+                let slot = self.walk(hash, |_| false).expect_err("no row is accepted");
+                self.slots[slot] = position;
+            }
+            self.hashes.reserve(additional);
+            for column in &mut self.columns {
+                column.reserve(additional);
+            }
+        }
+        Ok(())
+    }
+
+    /// Forget every row, keeping the capacity of every vector.
+    pub(crate) fn clear(&mut self) {
+        self.columns.iter_mut().for_each(Vec::clear);
+        self.hashes.clear();
+        self.slots.fill(EMPTY);
+    }
+
+    /// Forget every row and hand the column buffers back (for the owner's pool); the
+    /// table is left zero-column and must not be used for rows again.
+    pub(crate) fn release(&mut self) -> Vec<Vec<Value>> {
+        self.clear();
+        std::mem::take(&mut self.columns)
+    }
+}
+
+/// A key row that carries its own [`hash_row`], computed once when the key is gathered:
+/// the cache tiers pick a stripe *and* look the key up in that stripe's map with it,
+/// and the keyed lookup probes its arena with it — one pass over the values per probe,
+/// wherever the probe ends up.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct HashedRow {
+    hash: u64,
+    values: Row,
+}
+
+impl Default for HashedRow {
+    /// The empty key (allocates nothing).
+    fn default() -> Self {
+        Self::new(Row::new())
+    }
+}
+
+impl HashedRow {
+    pub(crate) fn new(values: Row) -> Self {
+        Self {
+            hash: hash_row(&values),
+            values,
+        }
+    }
+
+    /// Refill with `batch`'s logical row `i` at `cols` (`cols.len()` O(1) clones into
+    /// the buffer already held) and re-hash.
+    pub(crate) fn gather(&mut self, batch: &Batch, i: usize, cols: &[usize]) {
+        batch.gather_into(i, cols, &mut self.values);
+        self.hash = hash_row(&self.values);
+    }
+
+    pub(crate) fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// The values back, with the buffer that held them.
+    pub(crate) fn into_values(self) -> Row {
+        self.values
+    }
+
+    /// Which of `stripes` lock stripes the key belongs to. Taken from the hash's upper
+    /// half: the map inside the stripe indexes its buckets with the lower bits, which
+    /// would otherwise be equal for every key the stripe holds.
+    pub(crate) fn stripe(&self, stripes: usize) -> usize {
+        (self.hash >> 32) as usize % stripes
+    }
+}
+
+impl Hash for HashedRow {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The hasher of maps keyed by [`HashedRow`]: passes the carried hash through.
+#[derive(Debug, Default)]
+pub(crate) struct CarriedHash(u64);
+
+impl Hasher for CarriedHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a HashedRow feeds its hash as one u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map from keys to `V` that never re-hashes a key: see [`HashedRow`].
+pub(crate) type HashedRowMap<V> =
+    std::collections::HashMap<HashedRow, V, BuildHasherDefault<CarriedHash>>;
 
 #[cfg(test)]
 mod tests {
@@ -423,5 +688,224 @@ mod tests {
         let none: Vec<Vec<Value>> = Vec::new();
         assert!(rows_equal_at(&none, 0, 5));
         assert_eq!(hash_row_at(&none, 0), hash_row_at(&none, 5));
+    }
+
+    /// A seeded xorshift64 stream (the engine's unit tests have no `rand`).
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// A random value from a domain of `domain` integers plus the four look-alikes.
+    fn random_value(next: &mut impl FnMut() -> u64, domain: u64) -> Value {
+        match next() % (domain + 4) {
+            0 => Value::int(1),
+            1 => Value::Bool(true),
+            2 => Value::str("1"),
+            3 => Value::Labelled(1),
+            n => Value::int(n as i64),
+        }
+    }
+
+    fn table(arity: usize) -> RowTable {
+        RowTable::new("a test", vec![Vec::new(); arity])
+    }
+
+    fn insert(table: &mut RowTable, row: &[Value]) -> (u32, bool) {
+        table.insert(hash_row(row), |c| &row[c]).unwrap()
+    }
+
+    fn held(table: &RowTable, position: u32, arity: usize) -> Row {
+        (0..arity)
+            .map(|c| table.value(position, c).clone())
+            .collect()
+    }
+
+    #[test]
+    fn row_table_agrees_with_a_map_oracle_through_growth_and_reuse() {
+        use std::collections::BTreeMap;
+        for arity in 0..=4usize {
+            let mut next = xorshift(0x7AB1E ^ arity as u64);
+            let mut table = table(arity);
+            // Two rounds over one table: `clear` must forget everything and reuse.
+            for round in 0..2 {
+                // Ordered, so the oracle shares no hashing with the table it judges.
+                let mut oracle: BTreeMap<Row, u32> = BTreeMap::new();
+                // Mostly repeats first, then mostly fresh rows.
+                let domain = [6, 5_000][round];
+                for _ in 0..10_000 {
+                    let row: Row = (0..arity)
+                        .map(|_| random_value(&mut next, domain))
+                        .collect();
+                    let expected = oracle.len() as u32;
+                    match oracle.get(&row) {
+                        Some(&position) => {
+                            assert_eq!(table.find(hash_row(&row), |c| &row[c]), Some(position));
+                            assert_eq!(insert(&mut table, &row), (position, false));
+                        }
+                        None => {
+                            assert_eq!(table.find(hash_row(&row), |c| &row[c]), None);
+                            assert_eq!(insert(&mut table, &row), (expected, true));
+                            oracle.insert(row, expected);
+                        }
+                    }
+                    assert_eq!(table.len(), oracle.len());
+                }
+                // Every position is still where it was handed out, however often the
+                // slots were re-built in between, and holds the row it was given.
+                assert!(
+                    table.slots.len() >= 2 * table.len() && table.slots.len().is_power_of_two()
+                );
+                assert!(
+                    arity == 0 || round == 0 || oracle.len() > 4_000,
+                    "several rehashes"
+                );
+                for (row, &position) in &oracle {
+                    assert_eq!(table.find(hash_row(row), |c| &row[c]), Some(position));
+                    assert_eq!(&held(&table, position, arity), row);
+                }
+                table.clear();
+                assert!(table.is_empty());
+                for row in oracle.keys() {
+                    assert_eq!(table.find(hash_row(row), |c| &row[c]), None);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_table_keeps_first_occurrence_order_like_a_set_oracle() {
+        use std::collections::BTreeSet;
+        let mut next = xorshift(0x5E7);
+        let mut table = table(2);
+        let mut oracle: BTreeSet<Row> = BTreeSet::new();
+        let mut order: Vec<Row> = Vec::new();
+        for _ in 0..10_000 {
+            let row = vec![random_value(&mut next, 30), random_value(&mut next, 30)];
+            let fresh = oracle.insert(row.clone());
+            assert_eq!(insert(&mut table, &row).1, fresh);
+            if fresh {
+                order.push(row);
+            }
+        }
+        let positions: Vec<Row> = (0..table.len() as u32)
+            .map(|p| held(&table, p, 2))
+            .collect();
+        assert_eq!(positions, order, "positions are insertion ranks");
+    }
+
+    #[test]
+    fn row_table_look_alikes_never_alias() {
+        let alikes = [
+            Value::int(1),
+            Value::Bool(true),
+            Value::str("1"),
+            Value::Labelled(1),
+        ];
+        let mut table = table(1);
+        for (position, value) in (0..).zip(&alikes) {
+            assert_eq!(
+                insert(&mut table, std::slice::from_ref(value)),
+                (position, true)
+            );
+        }
+        for (position, value) in (0..).zip(&alikes) {
+            assert_eq!(
+                insert(&mut table, std::slice::from_ref(value)),
+                (position, false)
+            );
+        }
+        for absent in [Value::int(0), Value::Bool(false), Value::str("11")] {
+            assert_eq!(table.find(hash_row([&absent]), |_| &absent), None);
+        }
+    }
+
+    #[test]
+    fn row_table_survives_every_probe_landing_on_one_slot_run() {
+        // One hash for every row: the walks degenerate to a linear scan of one run,
+        // and equality alone decides — through growth, `push` and `clear`.
+        const HASH: u64 = 0xDEAD_BEEF;
+        let rows: Vec<Row> = (0..300)
+            .map(|i| vec![Value::int(i), Value::str("x")])
+            .collect();
+        let mut table = table(2);
+        for round in 0..2 {
+            for (position, row) in (0..).zip(&rows) {
+                assert_eq!(table.find(HASH, |c| &row[c]), None);
+                if position % 2 == 0 {
+                    assert_eq!(table.insert(HASH, |c| &row[c]).unwrap(), (position, true));
+                } else {
+                    assert_eq!(table.push(HASH, row.clone()).unwrap(), position);
+                }
+            }
+            for (position, row) in (0..).zip(&rows) {
+                assert_eq!(
+                    table.find(HASH, |c| &row[c]),
+                    Some(position),
+                    "round {round}"
+                );
+                assert_eq!(table.insert(HASH, |c| &row[c]).unwrap(), (position, false));
+            }
+            let absent = [Value::int(-1), Value::str("x")];
+            assert_eq!(table.find(HASH, |c| &absent[c]), None);
+            table.clear();
+        }
+    }
+
+    #[test]
+    fn row_table_release_hands_back_cleared_columns() {
+        let mut table = RowTable::new("a test", vec![Vec::with_capacity(8), Vec::new()]);
+        insert(&mut table, &[Value::int(1), Value::int(2)]);
+        let columns = table.release();
+        assert_eq!(columns.len(), 2);
+        assert!(columns.iter().all(Vec::is_empty));
+        assert!(columns[0].capacity() >= 8, "capacity goes back to the pool");
+        assert!(table.is_empty() && table.release().is_empty());
+    }
+
+    #[test]
+    fn positions_beyond_32_bits_are_refused_not_aliased() {
+        assert_eq!(position_bound("δ", 0).unwrap(), 0);
+        assert_eq!(position_bound("δ", EMPTY as usize - 1).unwrap(), EMPTY - 1);
+        // `EMPTY` itself is the free-slot marker, so it is no position either.
+        for too_many in [EMPTY as usize, EMPTY as usize + 1] {
+            let error = position_bound("a hash join's build side", too_many)
+                .unwrap_err()
+                .to_string();
+            assert!(error.contains("a hash join's build side"), "{error}");
+            assert!(error.contains(&too_many.to_string()), "{error}");
+        }
+        // A table refuses the reservation up front and is left untouched.
+        let mut table = table(1);
+        insert(&mut table, &[Value::int(7)]);
+        let error = table.reserve(EMPTY as usize).unwrap_err().to_string();
+        assert!(error.contains("a test"), "{error}");
+        assert_eq!(insert(&mut table, &[Value::int(7)]), (0, false));
+    }
+
+    #[test]
+    fn every_row_hash_in_the_engine_is_the_shared_one() {
+        let batch = sample().retain(|i| i != 0);
+        let row = batch.row(1);
+        assert_eq!(row, vec![Value::int(3), Value::str("a")]);
+        assert_eq!(batch.hash_row(1), hash_row(&row));
+        assert_eq!(HashedRow::new(row.clone()).hash, hash_row(&row));
+        let mut gathered = HashedRow::default();
+        gathered.gather(&batch, 1, &[1, 0]);
+        assert_eq!(gathered.values(), [Value::str("a"), Value::int(3)]);
+        assert_eq!(gathered.hash, hash_row(gathered.values()));
+        // Moving the values into a table leaves the (empty) key consistent with its
+        // hash, and the table finds the key again.
+        let (key, mut keys) = (gathered.clone(), table(2));
+        assert_eq!(keys.find_key(&key), None);
+        assert_eq!(keys.push_key(&mut gathered).unwrap(), 0);
+        assert_eq!(gathered, HashedRow::default());
+        assert_eq!(keys.find_key(&key), Some(0));
+        assert_eq!(HashedRow::default(), HashedRow::new(Vec::new()));
     }
 }

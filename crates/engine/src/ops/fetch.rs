@@ -13,14 +13,25 @@
 //!
 //! What the probe path demands per key is counted in
 //! [`crate::stats::AccessStats::allocs_per_probe`], whose doc is the charging rule:
-//! one owned key row per source row a [`FetchOp`] gathers, one per keyed-lookup
-//! **miss** (the key entering the arena's range map) — the postings land in arena
-//! columns drawn from the worker's [`super::BufferPool`] once per operator instance.
-//! A repeat of a fetched key is one hash over the reusable key scratch plus emission
-//! from the arena range; a hit in an outer tier (session cache, split cache) is a
-//! refcount bump — both demand nothing, so the warm anchored serving loop runs at
-//! `allocs_per_probe == 0`. Resolving an outer tier's *fill claim* is the same miss,
-//! then an uncharged compact copy of the key's range published as the tier's entry.
+//! one owned key row per source row a [`FetchOp`] gathers into its key set — and
+//! nothing for a keyed lookup, hit or miss. Every probe gathers its key into one
+//! reusable scratch and hashes it once; a **miss** moves the scratch's values into the
+//! arena's flat key columns and appends the postings to its value columns (both drawn
+//! from the worker's [`super::BufferPool`] once per operator instance), so no buffer
+//! is demanded per key. A repeat of a fetched key is a slot walk plus emission from
+//! the arena range; a hit in an outer tier (session cache, split cache) is a refcount
+//! bump. Resolving an outer tier's *fill claim* is the same miss, then an uncharged
+//! compact copy of the key's range published as the tier's entry (with an owned copy
+//! of the key — cache maintenance, like the tier's own map key).
+//! `tests/alloc_budget.rs` holds the model to the allocator: a cold Q0 stays under a
+//! fixed number of heap allocations, whatever it fetches.
+//!
+//! # Access accounting
+//!
+//! Neither operator touches the shared [`crate::stats::AccessStats`] per key: the
+//! relation is fixed per operator, so lookups, fetched tuples (per shard), clones and
+//! cache hits accumulate in an operator-local [`ProbeTally`], flushed once per pull
+//! and on drop — an error or a short-circuiting consumer loses nothing.
 //!
 //! # Shard routing
 //!
@@ -35,15 +46,16 @@
 //! [`crate::stats::AccessStats::same_data_access`] shard-count-invariant. Batches a
 //! branch emits are tagged with their origin shard ([`Batch::origin_shard`]).
 
-use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch};
+use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, HashedRow, RowTable};
 use super::morsel::{CacheProbe, SharedLookupCache};
 use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
 use crate::cache::{CacheShape, CacheSpace, SessionFetchCache, SessionProbe};
+use crate::stats::AccessStats;
 use bea_core::error::Result;
 use bea_core::plan::{Predicate, ShardRoute};
 use bea_core::value::{Row, Value};
 use bea_storage::{shard_of, Store};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// A handle to the session's cross-query fetch cache, resolved to the operator's
@@ -57,7 +69,7 @@ type SessionCache = Option<(Arc<SessionFetchCache>, Arc<CacheSpace>)>;
 struct SessionClaim<'a> {
     cache: &'a SessionFetchCache,
     space: &'a CacheSpace,
-    key: &'a Row,
+    key: &'a HashedRow,
     publish: Option<Arc<Batch>>,
 }
 
@@ -79,6 +91,50 @@ fn append_cached_postings(batch: &Batch, cols: &mut [Vec<Value>], rows: &mut usi
         batch.append_row_to(j, cols);
     }
     *rows += batch.len();
+}
+
+/// What an operator's probes have cost since its last flush; see the module docs.
+#[derive(Debug, Default)]
+struct ProbeTally {
+    index_lookups: u64,
+    values_cloned: u64,
+    cache_hits: u64,
+    rows_served_from_cache: u64,
+    /// Tuples fetched from each index-partition shard a probe reached — `Some(0)`
+    /// when its keys matched nothing, since a probed shard is reported either way.
+    fetched_by_shard: Vec<Option<u64>>,
+}
+
+impl ProbeTally {
+    /// A store fetch returned `tuples` tuples of `shard`, projected onto `positions`
+    /// columns each.
+    fn fetched(&mut self, shard: u32, tuples: u64, positions: usize) {
+        self.values_cloned += tuples * positions as u64;
+        let shard = shard as usize;
+        if self.fetched_by_shard.len() <= shard {
+            self.fetched_by_shard.resize(shard + 1, None);
+        }
+        *self.fetched_by_shard[shard].get_or_insert(0) += tuples;
+    }
+
+    /// The session cache served `rows` rows for one key.
+    fn served(&mut self, rows: usize) {
+        self.cache_hits += 1;
+        self.rows_served_from_cache += rows as u64;
+    }
+
+    /// Move everything tallied into `stats`, attributing the fetches to `relation`.
+    fn flush(&mut self, relation: &str, stats: &mut AccessStats) {
+        stats.index_lookups += std::mem::take(&mut self.index_lookups);
+        stats.values_cloned += std::mem::take(&mut self.values_cloned);
+        stats.cache_hits += std::mem::take(&mut self.cache_hits);
+        stats.rows_served_from_cache += std::mem::take(&mut self.rows_served_from_cache);
+        for (shard, fetched) in (0..).zip(&mut self.fetched_by_shard) {
+            if let Some(tuples) = fetched.take() {
+                stats.record_fetched_sharded(relation, shard, tuples);
+            }
+        }
+    }
 }
 
 /// Does this operator's shard branch own `batch`'s row `i`? Routing hashes the key
@@ -192,6 +248,7 @@ pub(crate) struct FetchOp<'db> {
     num_keys: u64,
     /// Per-key dedup scratch, reused across batches (blanked per key by the kernel).
     dedup: RowSet,
+    tally: ProbeTally,
     /// Chunks of an oversized gather round not yet emitted. A single key can match far
     /// more than `BATCH_SIZE` tuples; the round is then emitted as several batches
     /// sharing the one dense gather (selection ranges only — zero value copies), so
@@ -234,6 +291,7 @@ impl<'db> FetchOp<'db> {
             keys: BTreeSet::new().into_iter(),
             num_keys: 0,
             dedup: RowSet::default(),
+            tally: ProbeTally::default(),
             pending: VecDeque::new(),
             done: false,
         }
@@ -299,22 +357,23 @@ impl Operator for FetchOp<'_> {
                 self.num_keys = 0;
                 break;
             };
-            if let Some((cache, space)) = &self.session {
-                if let Some(batch) = cache.lookup(space, &key) {
-                    // Hot-tier hit: the postings are served by appending the cached
-                    // batch — physical clones (counted) but no index lookup and no
-                    // store fetch, so none of the fetch-side counters move.
-                    append_cached_postings(&batch, &mut cols, &mut rows);
-                    let mut state = self.state.borrow_mut();
-                    state.stats.cache_hits += 1;
-                    state.stats.rows_served_from_cache += batch.len() as u64;
-                    state.stats.values_cloned += batch.len() as u64 * self.positions.len() as u64;
-                    continue;
+            let key = match &self.session {
+                None => key,
+                Some((cache, space)) => {
+                    let key = HashedRow::new(key);
+                    if let Some(batch) = cache.lookup(space, &key) {
+                        // Hot-tier hit: the postings are served by appending the
+                        // cached batch — physical clones (counted) but no index lookup
+                        // and no store fetch, so none of the fetch-side counters move.
+                        append_cached_postings(&batch, &mut cols, &mut rows);
+                        self.tally.served(batch.len());
+                        self.tally.values_cloned += (batch.len() * self.positions.len()) as u64;
+                        continue;
+                    }
+                    key.into_values()
                 }
-            }
-            let mut state = self.state.borrow_mut();
-            state.stats.index_lookups += 1;
-            drop(state);
+            };
+            self.tally.index_lookups += 1;
             let (fetched, shard) = fetch_key_into(
                 self.store,
                 self.constraint_index,
@@ -324,12 +383,10 @@ impl Operator for FetchOp<'_> {
                 &mut rows,
                 &mut self.dedup,
             )?;
-            let mut state = self.state.borrow_mut();
-            state
-                .stats
-                .record_fetched_sharded(&self.relation, shard, fetched);
-            state.stats.values_cloned += fetched * self.positions.len() as u64;
+            self.tally.fetched(shard, fetched, self.positions.len());
         }
+        self.tally
+            .flush(&self.relation, &mut self.state.borrow_mut().stats);
         if rows == 0 && self.done {
             // Nothing was emitted: the pooled buffers go straight back.
             let mut state = self.state.borrow_mut();
@@ -358,10 +415,10 @@ impl Drop for FetchOp<'_> {
     fn drop(&mut self) {
         // Dropped mid-stream (short-circuiting consumer or error): the key set is
         // still durable — release it so residency returns to zero.
-        if self.num_keys > 0 {
-            self.state.borrow_mut().release(self.num_keys);
-            self.num_keys = 0;
-        }
+        let mut state = self.state.borrow_mut();
+        state.release(std::mem::take(&mut self.num_keys));
+        // What a failed pull had tallied before its error.
+        self.tally.flush(&self.relation, &mut state.stats);
     }
 }
 
@@ -375,25 +432,41 @@ struct ArenaRange {
 }
 
 /// The keyed lookup's per-query tier: every key the operator fetched, appended by the
-/// shared kernel into one set of growing value columns, plus the `key → range` map
-/// that serves repeats.
+/// shared kernel into one set of growing value columns, plus the memo that serves
+/// repeats — the fetched keys in a [`RowTable`], and each key's range at its position.
 ///
 /// The columns are normally one *open* segment. An anchor emission (see
 /// [`KeyedLookupOp`]) needs its postings as a shareable [`Batch`], so it *seals* the
 /// open segment — moves the columns into a batch, zero value copies — and later
 /// misses start a fresh one. Segment `k` is sealed iff `k < sealed.len()`; the open
 /// segment is the next index, so sealing never rewrites a range.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PostingArena {
     sealed: Vec<Batch>,
     cols: Vec<Vec<Value>>,
     /// Dense length of the open segment — a zero-column arena has no column to ask.
     rows: usize,
-    ranges: HashMap<Row, ArenaRange>,
+    keys: RowTable,
+    /// `ranges[p]` is where the postings of the key at position `p` of `keys` live.
+    ranges: Vec<ArenaRange>,
     dedup: RowSet,
 }
 
 impl PostingArena {
+    /// The range memoized for `key`, if this operator fetched it before.
+    fn range_of(&self, key: &HashedRow) -> Option<ArenaRange> {
+        let position = self.keys.find_key(key)?;
+        Some(self.ranges[position as usize])
+    }
+
+    /// Memoize `range` for `key`, which [`PostingArena::range_of`] just missed; the
+    /// key's values move into the key columns.
+    fn remember(&mut self, key: &mut HashedRow, range: ArenaRange) -> Result<()> {
+        self.keys.push_key(key)?;
+        self.ranges.push(range);
+        Ok(())
+    }
+
     /// The value at row `j`, fetched position `c` of `range`.
     fn value(&self, range: ArenaRange, j: usize, c: usize) -> &Value {
         match self.sealed.get(range.segment) {
@@ -465,7 +538,7 @@ enum Postings {
 /// Two outer tiers may sit in front, both trading in `Arc<Batch>`: the session's
 /// cross-query cache, probed first, and — on a morsel of a split pipeline
 /// ([`KeyedLookupOp::for_morsel`]) — the split's [`SharedLookupCache`], which
-/// replaces the range map so that the split fetches each distinct key exactly once.
+/// replaces the arena's memo so that the split fetches each distinct key exactly once.
 /// A hit there is emitted from the cached batch; a fill claim is resolved by the
 /// same arena miss ([`KeyedLookupOp::fetch`]) followed by publishing a compact copy
 /// of the key's range. In morsel mode the arena only stages that copy, and the
@@ -494,7 +567,7 @@ pub(crate) struct KeyedLookupOp<'db> {
     /// where the split's shared cache owns the published rows).
     cached_rows: u64,
     /// The split's shared cache when this instance serves one morsel of a split
-    /// pipeline; `None` runs the arena's own range map.
+    /// pipeline; `None` runs the arena's own memo.
     shared: Option<Arc<SharedLookupCache>>,
     /// The session's cross-query cache, probed before both per-query tiers. Resolved
     /// together with [`KeyedLookupOp::fused_emit`] — the fused pre-projection is part
@@ -504,9 +577,10 @@ pub(crate) struct KeyedLookupOp<'db> {
     /// exhaustion. Only a split's first morsel does — the split is one logical fetch
     /// operation, composing with the shard-0 convention for sharded branches.
     report_fetch_ops: bool,
-    /// Reusable probe-key buffer: every probe gathers into it; a miss *moves* it
-    /// into the range map as the owned key — the one buffer a miss is charged for.
-    key_scratch: Row,
+    /// Reusable probe-key buffer: every probe gathers into it and hashes it once; a
+    /// miss *moves* its values into the arena's key columns and keeps the buffer.
+    key_scratch: HashedRow,
+    tally: ProbeTally,
     /// `Some(mapped)` when the emission is exactly a projection of the fetched
     /// columns: no residual predicates and a fused projection keeping only fetched
     /// columns, `mapped` being those columns rebased to the fetch result. Outer-tier
@@ -531,11 +605,12 @@ impl<'db> KeyedLookupOp<'db> {
         store: Store<'db>,
         state: SharedState,
     ) -> Self {
-        let cols = {
+        let (cols, keys) = {
             let mut state = state.borrow_mut();
-            (0..positions.len())
-                .map(|_| state.pool.get_values())
-                .collect()
+            let cols = (0..positions.len()).map(|_| state.pool.get_values());
+            let cols: Vec<_> = cols.collect();
+            let keys = (0..key_cols.len()).map(|_| state.pool.get_values());
+            (cols, RowTable::new("a keyed lookup", keys.collect()))
         };
         Self {
             input,
@@ -549,14 +624,19 @@ impl<'db> KeyedLookupOp<'db> {
             store,
             state,
             arena: PostingArena {
+                sealed: Vec::new(),
                 cols,
-                ..PostingArena::default()
+                rows: 0,
+                keys,
+                ranges: Vec::new(),
+                dedup: RowSet::default(),
             },
             cached_rows: 0,
             shared: None,
             session: None,
             report_fetch_ops: true,
-            key_scratch: Row::new(),
+            key_scratch: HashedRow::default(),
+            tally: ProbeTally::default(),
             fused_emit: None,
             fused_checked: false,
             done: false,
@@ -618,15 +698,13 @@ impl KeyedLookupOp<'_> {
         };
         match cache.probe(&space, &self.key_scratch) {
             SessionProbe::Hit(batch) => {
-                let mut state = self.state.borrow_mut();
-                state.stats.cache_hits += 1;
-                state.stats.rows_served_from_cache += batch.len() as u64;
+                self.tally.served(batch.len());
                 Ok(Postings::Cached(batch))
             }
             SessionProbe::Fill => {
-                // An arena miss moves the scratch into the range map; snapshot the
-                // key (refcount bumps, uncounted like the claim's own map key) so the
-                // claim can be resolved afterwards.
+                // An arena miss moves the scratch's values into the key columns;
+                // snapshot the key (refcount bumps, uncounted like the claim's own map
+                // key) so the claim can be resolved afterwards.
                 let key = self.key_scratch.clone();
                 let mut claim = SessionClaim {
                     cache: &cache,
@@ -651,18 +729,17 @@ impl KeyedLookupOp<'_> {
         }
     }
 
-    /// The per-query tiers: the arena's range map, or — in morsel mode, where the
-    /// arena only stages fills — the split's shared cache. Both resolve a miss
-    /// through [`KeyedLookupOp::fetch`].
+    /// The per-query tiers: the arena's memo, or — in morsel mode, where the arena
+    /// only stages fills — the split's shared cache. Both resolve a miss through
+    /// [`KeyedLookupOp::fetch`].
     fn lookup_in_query(&mut self) -> Result<Postings> {
         let Some(shared) = self.shared.clone() else {
-            if let Some(&range) = self.arena.ranges.get(&self.key_scratch) {
+            if let Some(range) = self.arena.range_of(&self.key_scratch) {
                 return Ok(Postings::Arena(range));
             }
             let range = self.fetch()?;
             self.cached_rows += range.len as u64;
-            let key = std::mem::take(&mut self.key_scratch);
-            self.arena.ranges.insert(key, range);
+            self.arena.remember(&mut self.key_scratch, range)?;
             return Ok(Postings::Arena(range));
         };
         match shared.probe(&self.key_scratch) {
@@ -684,21 +761,17 @@ impl KeyedLookupOp<'_> {
     }
 
     /// The one miss path: fetch, project and per-key-dedup the postings for the key
-    /// in `key_scratch` onto the arena's open segment, charging the miss costs —
-    /// `index_lookups`, `allocs_per_probe` (one), the fetch accounting, and the
-    /// residency acquire for the rows now held.
+    /// in `key_scratch` onto the arena's open segment, tallying the miss costs — an
+    /// index lookup and the fetch accounting — and acquiring residency for the rows
+    /// now held.
     fn fetch(&mut self) -> Result<ArenaRange> {
-        {
-            let mut state = self.state.borrow_mut();
-            state.stats.index_lookups += 1;
-            state.stats.allocs_per_probe += 1;
-        }
+        self.tally.index_lookups += 1;
         let arena = &mut self.arena;
         let start = arena.rows;
         let (fetched, shard) = fetch_key_into(
             self.store,
             self.constraint_index,
-            &self.key_scratch,
+            self.key_scratch.values(),
             &self.positions,
             &mut arena.cols,
             &mut arena.rows,
@@ -709,13 +782,15 @@ impl KeyedLookupOp<'_> {
             start,
             len: arena.rows - start,
         };
-        let mut state = self.state.borrow_mut();
-        state
-            .stats
-            .record_fetched_sharded(&self.relation, shard, fetched);
-        state.stats.values_cloned += fetched * self.positions.len() as u64;
-        state.acquire(range.len as u64);
+        self.tally.fetched(shard, fetched, self.positions.len());
+        self.state.borrow_mut().acquire(range.len as u64);
         Ok(range)
+    }
+
+    /// Move the probes' tally into the shared statistics.
+    fn flush_tally(&mut self) {
+        self.tally
+            .flush(&self.relation, &mut self.state.borrow_mut().stats);
     }
 
     /// Gather source row `i` of `batch` joined with each of the `len` posting rows
@@ -769,6 +844,7 @@ impl Operator for KeyedLookupOp<'_> {
         }
         let Some(batch) = self.input.next_batch()? else {
             self.done = true;
+            self.flush_tally();
             let mut state = self.state.borrow_mut();
             // As for `FetchOp`: a sharded lookup's branches are one logical fetch
             // operation, reported once by the shard-0 branch — and a split
@@ -778,13 +854,14 @@ impl Operator for KeyedLookupOp<'_> {
             }
             state.release(self.cached_rows);
             self.cached_rows = 0;
-            // The arena's open columns and the key scratch go back to the pool,
-            // cleared, for the worker's next probe loop; sealed segments stay with
-            // the consumers that share them.
-            for col in self.arena.cols.drain(..) {
+            // The arena's open columns, its key columns and the key scratch go back
+            // to the pool, cleared, for the worker's next probe loop; sealed segments
+            // stay with the consumers that share them.
+            let scratch = std::mem::take(&mut self.key_scratch).into_values();
+            let arena = &mut self.arena;
+            for col in (arena.cols.drain(..).chain(arena.keys.release())).chain([scratch]) {
                 state.pool.put_values(col);
             }
-            state.pool.put_values(std::mem::take(&mut self.key_scratch));
             return Ok(None);
         };
         let left_arity = batch.arity();
@@ -802,8 +879,8 @@ impl Operator for KeyedLookupOp<'_> {
             && self.fused_emit.is_some()
             && owns_row(&batch, 0, &self.key_cols, self.route)
         {
-            batch.gather_into(0, &self.key_cols, &mut self.key_scratch);
-            self.state.borrow_mut().stats.values_cloned += self.key_cols.len() as u64;
+            self.key_scratch.gather(&batch, 0, &self.key_cols);
+            self.tally.values_cloned += self.key_cols.len() as u64;
             let emitted = match self.lookup()? {
                 Postings::Cached(cached) => (*cached).clone(),
                 Postings::Arena(range) => {
@@ -811,6 +888,7 @@ impl Operator for KeyedLookupOp<'_> {
                     self.arena.seal(range).project(mapped)
                 }
             };
+            self.flush_tally();
             return Ok(Some(emitted.with_origin_shard(origin)));
         }
         let out_arity = self
@@ -830,7 +908,7 @@ impl Operator for KeyedLookupOp<'_> {
                 continue;
             }
             probed_rows += 1;
-            batch.gather_into(i, &self.key_cols, &mut self.key_scratch);
+            self.key_scratch.gather(&batch, i, &self.key_cols);
             out_rows += match self.lookup()? {
                 Postings::Cached(cached) => {
                     self.emit(&batch, i, cached.len(), |j, c| cached.value(j, c), &mut out)
@@ -846,8 +924,9 @@ impl Operator for KeyedLookupOp<'_> {
             };
         }
         // One probe-key gather per owned source row, hit or miss.
-        self.state.borrow_mut().stats.values_cloned +=
+        self.tally.values_cloned +=
             probed_rows * self.key_cols.len() as u64 + (out_rows * out_arity) as u64;
+        self.flush_tally();
         Ok(Some(
             Batch::from_dense(out, out_rows).with_origin_shard(origin),
         ))
@@ -856,15 +935,16 @@ impl Operator for KeyedLookupOp<'_> {
 
 impl Drop for KeyedLookupOp<'_> {
     fn drop(&mut self) {
-        if self.cached_rows > 0 {
-            self.state.borrow_mut().release(self.cached_rows);
-            self.cached_rows = 0;
-        }
+        // What a failed pull had tallied before its error.
+        self.flush_tally();
+        self.state
+            .borrow_mut()
+            .release(std::mem::take(&mut self.cached_rows));
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::super::{ExecState, ResidencyLedger};
     use super::*;
     use bea_core::access::{AccessConstraint, AccessSchema};
@@ -900,7 +980,7 @@ mod tests {
     }
 
     /// A source replaying scripted pulls — batches, or an error.
-    struct Script(VecDeque<Result<Batch>>);
+    pub(crate) struct Script(pub(crate) VecDeque<Result<Batch>>);
 
     impl Operator for Script {
         fn next_batch(&mut self) -> Result<Option<Batch>> {
@@ -908,7 +988,7 @@ mod tests {
         }
     }
 
-    fn ints(rows: &[&[i64]]) -> Batch {
+    pub(crate) fn ints(rows: &[&[i64]]) -> Batch {
         let arity = rows.first().map_or(0, |row| row.len());
         let rows = rows
             .iter()
@@ -917,13 +997,13 @@ mod tests {
         Batch::from_rows(arity, rows)
     }
 
-    struct Harness {
-        ledger: Arc<ResidencyLedger>,
-        state: SharedState,
+    pub(crate) struct Harness {
+        pub(crate) ledger: Arc<ResidencyLedger>,
+        pub(crate) state: SharedState,
     }
 
     impl Harness {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             let ledger = Arc::new(ResidencyLedger::default());
             let state = Rc::new(RefCell::new(ExecState::new(ledger.clone())));
             Self { ledger, state }
@@ -952,13 +1032,13 @@ mod tests {
             )
         }
 
-        fn stats(&self) -> crate::stats::AccessStats {
+        pub(crate) fn stats(&self) -> crate::stats::AccessStats {
             self.state.borrow().stats.clone()
         }
     }
 
     /// Pull `op` dry; the emitted rows as plain integers, batch by batch.
-    fn drain(op: &mut KeyedLookupOp<'_>) -> Vec<Vec<Vec<i64>>> {
+    pub(crate) fn drain(op: &mut dyn Operator) -> Vec<Vec<Vec<i64>>> {
         let mut batches = Vec::new();
         while let Some(batch) = op.next_batch().unwrap() {
             let rows = (0..batch.len()).map(|i| {
@@ -989,8 +1069,8 @@ mod tests {
         let stats = h.stats();
         assert_eq!(stats.index_lookups, 3, "one lookup per distinct key");
         assert_eq!(
-            stats.allocs_per_probe, 3,
-            "one demand per miss, none per hit"
+            stats.allocs_per_probe, 0,
+            "a miss moves its key into the arena's columns: no buffer per key, hit or miss"
         );
         assert_eq!(stats.tuples_fetched, 4);
         // What a ticket prices this lookup at: the bound, once per distinct key.
@@ -1120,18 +1200,17 @@ mod tests {
         h.state.borrow_mut().cache = Some(cache.clone());
         let mut op = h.lookup(&idb, Vec::new(), &[0, 1, 2], Vec::new(), None);
         op.ensure_fused_emit(1);
-        op.key_scratch = vec![Value::int(1)];
+        let key = HashedRow::new(vec![Value::int(1)]);
+        op.key_scratch = key.clone();
         assert!(matches!(op.lookup().unwrap(), Postings::Cached(batch) if batch.len() == 3));
-        op.key_scratch = vec![Value::int(1)];
+        op.key_scratch = key.clone();
         assert!(matches!(op.lookup().unwrap(), Postings::Arena(range) if range.len == 3));
+        op.flush_tally();
         assert_eq!(h.stats().index_lookups, 1);
         // The withdrawn claim strands nobody: the next probe claims the key afresh.
         let (_, space) = op.session.clone().unwrap();
-        assert!(matches!(
-            cache.probe(&space, &vec![Value::int(1)]),
-            SessionProbe::Fill
-        ));
-        cache.abort(&space, &vec![Value::int(1)]);
+        assert!(matches!(cache.probe(&space, &key), SessionProbe::Fill));
+        cache.abort(&space, &key);
     }
 
     #[test]

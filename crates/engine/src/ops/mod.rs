@@ -700,9 +700,11 @@ fn build_op<'db>(
             }
             Box::new(relational::ProjectOp::new(input(*source)?, cols.clone()))
         }
-        PhysOp::Dedup { source } => {
-            Box::new(relational::DedupOp::new(input(*source)?, state.clone()))
-        }
+        PhysOp::Dedup { source } => Box::new(relational::DedupOp::new(
+            input(*source)?,
+            plan.steps()[node].columns.len(),
+            state.clone(),
+        )),
         PhysOp::Product { left, right } => Box::new(relational::ProductOp::new(
             input(*left)?,
             input(*right)?,
@@ -714,6 +716,7 @@ fn build_op<'db>(
         PhysOp::Difference { left, right } => Box::new(relational::DifferenceOp::new(
             input(*left)?,
             input(*right)?,
+            plan.steps()[node].columns.len(),
             state.clone(),
         )),
     };

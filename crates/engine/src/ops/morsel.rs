@@ -19,12 +19,11 @@
 //! workers. Cached rows stay resident until the split's last morsel lands; the
 //! scheduler releases them at finalize.
 
-use super::batch::Batch;
+use super::batch::{Batch, HashedRow, HashedRowMap};
 use super::Operator;
 use bea_core::error::Result;
 use bea_core::plan::{PhysOp, PhysicalPlan};
-use bea_core::value::Row;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -37,15 +36,17 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 /// A fill is the filling operator's ordinary arena miss plus an uncharged compact
 /// copy as the published entry, so the split's totals match the unsplit pipeline's.
 ///
-/// The cache is **striped** by key hash: every probe takes a lock, so a single map
-/// mutex would put one contended cache line on the hot path of every worker — the
-/// contention, not the critical section, is what would serialize the morsels. With
+/// The cache is **striped** by the hash its keys carry ([`HashedRow`]: one pass over
+/// the key per probe serves the stripe choice and the map lookup). Every probe takes
+/// a lock, so a single map mutex would put one contended cache line on the hot path of
+/// every worker — the contention, not the critical section, is what would serialize
+/// the morsels. With
 /// independent stripes (own map, own condvar, own waiter count) concurrent probes of
 /// different keys almost never collide, and a fill's completion wakes a stripe only
 /// when someone is actually waiting on it.
 ///
 /// The map key is a second handle to already-gathered (and already-charged) key
-/// values — cloning a `Row` bumps interned-payload refcounts, like the batch handles
+/// values — cloning a key bumps interned-payload refcounts, like the batch handles
 /// cloned at exchange edges — so installing it copies no values and charges nothing.
 pub(crate) struct SharedLookupCache {
     stripes: Vec<CacheStripe>,
@@ -60,7 +61,7 @@ struct CacheStripe {
 
 #[derive(Default)]
 struct StripeMap {
-    entries: HashMap<Row, CacheEntry>,
+    entries: HashedRowMap<CacheEntry>,
     /// Probes currently blocked on this stripe's condvar; completions skip the wakeup
     /// when nobody is waiting (the common case — fills of distinct keys).
     waiters: usize,
@@ -98,17 +99,14 @@ impl SharedLookupCache {
         }
     }
 
-    fn stripe(&self, key: &Row) -> &CacheStripe {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.stripes[hasher.finish() as usize % CACHE_STRIPES]
+    fn stripe(&self, key: &HashedRow) -> &CacheStripe {
+        &self.stripes[key.stripe(CACHE_STRIPES)]
     }
 
     /// Probe for `key`: a warm hit returns the cached batch; a miss installs a fill
     /// claim and returns [`CacheProbe::Fill`]; a probe racing an in-flight fill of the
     /// same key blocks until that fill resolves.
-    pub(crate) fn probe(&self, key: &Row) -> CacheProbe {
+    pub(crate) fn probe(&self, key: &HashedRow) -> CacheProbe {
         let stripe = self.stripe(key);
         let mut map = stripe
             .entries
@@ -134,7 +132,7 @@ impl SharedLookupCache {
     }
 
     /// Resolve a fill claim with its batch and wake the probes waiting on it.
-    pub(crate) fn complete(&self, key: &Row, batch: Arc<Batch>) {
+    pub(crate) fn complete(&self, key: &HashedRow, batch: Arc<Batch>) {
         self.rows.fetch_add(batch.len() as u64, Ordering::Relaxed);
         let stripe = self.stripe(key);
         let mut map = stripe
@@ -154,7 +152,7 @@ impl SharedLookupCache {
 
     /// Withdraw a fill claim after a failed fetch, so waiting probes can retry (the
     /// run is failing anyway — the retry only keeps the protocol deadlock-free).
-    pub(crate) fn abort(&self, key: &Row) {
+    pub(crate) fn abort(&self, key: &HashedRow) {
         let stripe = self.stripe(key);
         let mut map = stripe
             .entries
@@ -310,7 +308,7 @@ mod tests {
     fn shared_cache_fills_each_key_exactly_once_across_threads() {
         let cache = Arc::new(SharedLookupCache::new());
         let fills = Arc::new(AtomicU64::new(0));
-        let key: Row = vec![Value::int(7)];
+        let key = HashedRow::new(vec![Value::int(7)]);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let cache = Arc::clone(&cache);
@@ -333,7 +331,7 @@ mod tests {
     #[test]
     fn aborted_fills_hand_the_claim_to_the_next_prober() {
         let cache = SharedLookupCache::new();
-        let key: Row = vec![Value::int(1)];
+        let key = HashedRow::new(vec![Value::int(1)]);
         assert!(matches!(cache.probe(&key), CacheProbe::Fill));
         cache.abort(&key);
         // The claim is free again: a later probe may retry the fill.

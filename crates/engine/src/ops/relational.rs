@@ -6,12 +6,11 @@
 //! rows. The product is the one genuine gather here: it writes combined rows into
 //! fresh output columns.
 
-use super::batch::Batch;
+use super::batch::{Batch, RowTable};
 use super::{BoxOp, Operator, SharedState};
 use bea_core::error::Result;
 use bea_core::plan::Predicate;
-use bea_core::value::{Row, Value};
-use std::collections::HashMap;
+use bea_core::value::Value;
 
 /// Streaming selection: writes a selection vector over the input batch's shared
 /// columns. No values move.
@@ -57,71 +56,56 @@ impl Operator for ProjectOp<'_> {
     }
 }
 
-/// Hash-then-compare membership set over whole rows: buckets of owned rows keyed by
-/// their hash, so *asking* whether a batch row is present clones nothing
-/// ([`Batch::hash_row`] + [`Batch::row_equals`]) and only genuinely fresh rows are
-/// ever gathered into the set. Shared by [`DedupOp`] (seen set) and [`DifferenceOp`]
-/// (removal set).
-#[derive(Default)]
-struct RowSet {
-    buckets: HashMap<u64, Vec<Row>>,
-    len: u64,
+/// The membership set of [`DedupOp`] (rows seen) and [`DifferenceOp`] (rows to
+/// remove): a [`RowTable`] over columns drawn from the worker's pool.
+fn row_set(owner: &'static str, arity: usize, state: &SharedState) -> RowTable {
+    let mut state = state.borrow_mut();
+    RowTable::new(owner, (0..arity).map(|_| state.pool.get_values()).collect())
 }
 
-impl RowSet {
-    /// Is `batch`'s logical row `i` in the set? No clones.
-    fn contains(&self, batch: &Batch, i: usize) -> bool {
-        self.buckets
-            .get(&batch.hash_row(i))
-            .is_some_and(|bucket| bucket.iter().any(|row| batch.row_equals(i, row)))
-    }
+/// Insert `batch`'s logical row `i` into `set` if absent; returns whether it was fresh
+/// (the only case that clones the row — `arity` O(1) value clones). The caller has
+/// reserved room for the whole batch, which is where an overflowing set is refused.
+fn insert_row(set: &mut RowTable, batch: &Batch, i: usize) -> bool {
+    let inserted = set.insert(batch.hash_row(i), |c| batch.value(i, c));
+    inserted.expect("room for the whole batch is reserved").1
+}
 
-    /// Insert `batch`'s logical row `i` if absent; returns whether it was fresh (the
-    /// only case that clones the row — `arity` O(1) value clones).
-    fn insert(&mut self, batch: &Batch, i: usize) -> bool {
-        let bucket = self.buckets.entry(batch.hash_row(i)).or_default();
-        if bucket.iter().any(|row| batch.row_equals(i, row)) {
-            return false;
-        }
-        bucket.push(batch.row(i));
-        self.len += 1;
-        true
-    }
+/// Charge the `fresh` rows of `batch` just inserted into a set: clones and residency.
+fn charge_fresh_rows(state: &SharedState, batch: &Batch, fresh: usize) {
+    let mut state = state.borrow_mut();
+    state.stats.values_cloned += (fresh * batch.arity()) as u64;
+    state.acquire(fresh as u64);
+}
 
-    /// Number of rows stored.
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    fn clear(&mut self) {
-        self.buckets.clear();
-        self.len = 0;
-    }
-
-    /// Pre-size for `additional` more rows instead of growing incrementally.
-    fn reserve(&mut self, additional: usize) {
-        self.buckets.reserve(additional);
+/// Release `set`'s rows from the residency ledger and return its columns to the pool.
+fn retire_row_set(set: &mut RowTable, state: &SharedState) {
+    let mut state = state.borrow_mut();
+    state.release(set.len() as u64);
+    for column in set.release() {
+        state.pool.put_values(column);
     }
 }
 
 /// Streaming duplicate elimination. The set of rows seen so far is durable state,
 /// released when the input is exhausted (or on drop); fresh rows pass through as a
-/// selection over the input batch — the emitted values are never copied, and only the
-/// fresh set entries are cloned (duplicates are detected hash-then-compare, with no
-/// clone at all).
+/// selection over the input batch, in first-occurrence order — the emitted values are
+/// never copied, and only the fresh set entries are cloned (duplicates are detected
+/// hash-then-compare in place, with no clone and no allocation).
 pub(crate) struct DedupOp<'db> {
     input: BoxOp<'db>,
     state: SharedState,
-    seen: RowSet,
+    seen: RowTable,
     done: bool,
 }
 
 impl<'db> DedupOp<'db> {
-    pub(crate) fn new(input: BoxOp<'db>, state: SharedState) -> Self {
+    /// `arity` is the input's arity from the plan.
+    pub(crate) fn new(input: BoxOp<'db>, arity: usize, state: SharedState) -> Self {
         Self {
             input,
+            seen: row_set("a duplicate elimination", arity, &state),
             state,
-            seen: RowSet::default(),
             done: false,
         }
     }
@@ -134,35 +118,20 @@ impl Operator for DedupOp<'_> {
         }
         let Some(batch) = self.input.next_batch()? else {
             self.done = true;
-            let mut state = self.state.borrow_mut();
-            state.release(self.seen.len());
-            self.seen.clear();
+            retire_row_set(&mut self.seen, &self.state);
             return Ok(None);
         };
-        self.seen.reserve(batch.len());
-        let mut fresh = 0u64;
-        let arity = batch.arity() as u64;
-        let out = batch.retain(|i| {
-            if self.seen.insert(&batch, i) {
-                fresh += 1;
-                true
-            } else {
-                false
-            }
-        });
-        let mut state = self.state.borrow_mut();
-        state.stats.values_cloned += fresh * arity;
-        state.acquire(fresh);
+        let before = self.seen.len();
+        self.seen.reserve(batch.len())?;
+        let out = batch.retain(|i| insert_row(&mut self.seen, &batch, i));
+        charge_fresh_rows(&self.state, &batch, self.seen.len() - before);
         Ok(Some(out))
     }
 }
 
 impl Drop for DedupOp<'_> {
     fn drop(&mut self) {
-        if self.seen.len() > 0 {
-            self.state.borrow_mut().release(self.seen.len());
-            self.seen.clear();
-        }
+        retire_row_set(&mut self.seen, &self.state);
     }
 }
 
@@ -199,24 +168,30 @@ impl Operator for UnionOp<'_> {
     }
 }
 
-/// Anti-semijoin on whole rows: the right side is buffered as a [`RowSet`] (durable
+/// Anti-semijoin on whole rows: the right side is buffered as a [`RowTable`] (durable
 /// state, released on exhaustion or on drop), the left side streams through it as a
 /// selection over its own shared columns — membership probes clone nothing.
 pub(crate) struct DifferenceOp<'db> {
     left: BoxOp<'db>,
     right: Option<BoxOp<'db>>,
     state: SharedState,
-    remove: RowSet,
+    remove: RowTable,
     done: bool,
 }
 
 impl<'db> DifferenceOp<'db> {
-    pub(crate) fn new(left: BoxOp<'db>, right: BoxOp<'db>, state: SharedState) -> Self {
+    /// `arity` is the arity of both inputs, from the plan.
+    pub(crate) fn new(
+        left: BoxOp<'db>,
+        right: BoxOp<'db>,
+        arity: usize,
+        state: SharedState,
+    ) -> Self {
         Self {
             left,
             right: Some(right),
+            remove: row_set("a difference", arity, &state),
             state,
-            remove: RowSet::default(),
             done: false,
         }
     }
@@ -229,36 +204,30 @@ impl Operator for DifferenceOp<'_> {
         }
         if let Some(mut right) = self.right.take() {
             while let Some(batch) = right.next_batch()? {
-                self.remove.reserve(batch.len());
-                let mut fresh = 0u64;
-                let arity = batch.arity() as u64;
+                let before = self.remove.len();
+                self.remove.reserve(batch.len())?;
                 for i in 0..batch.len() {
-                    if self.remove.insert(&batch, i) {
-                        fresh += 1;
-                    }
+                    insert_row(&mut self.remove, &batch, i);
                 }
-                let mut state = self.state.borrow_mut();
-                state.stats.values_cloned += fresh * arity;
-                state.acquire(fresh);
+                charge_fresh_rows(&self.state, &batch, self.remove.len() - before);
             }
         }
         let Some(batch) = self.left.next_batch()? else {
             self.done = true;
-            let mut state = self.state.borrow_mut();
-            state.release(self.remove.len());
-            self.remove.clear();
+            retire_row_set(&mut self.remove, &self.state);
             return Ok(None);
         };
-        Ok(Some(batch.retain(|i| !self.remove.contains(&batch, i))))
+        let removed = |i: usize| {
+            let row = |c: usize| batch.value(i, c);
+            self.remove.find(batch.hash_row(i), row).is_some()
+        };
+        Ok(Some(batch.retain(|i| !removed(i))))
     }
 }
 
 impl Drop for DifferenceOp<'_> {
     fn drop(&mut self) {
-        if self.remove.len() > 0 {
-            self.state.borrow_mut().release(self.remove.len());
-            self.remove.clear();
-        }
+        retire_row_set(&mut self.remove, &self.state);
     }
 }
 
@@ -398,5 +367,77 @@ impl Drop for ProductOp<'_> {
         for column in self.buffered.drain(..) {
             state.pool.put_values(column);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::fetch::tests::{drain, ints, Harness, Script};
+    use super::*;
+    use bea_core::error::Error;
+
+    fn script(batches: &[&[&[i64]]]) -> BoxOp<'static> {
+        Box::new(Script(batches.iter().map(|rows| Ok(ints(rows))).collect()))
+    }
+
+    #[test]
+    fn dedup_emits_first_occurrences_in_input_order_across_batches() {
+        let h = Harness::new();
+        let input = script(&[
+            &[&[3, 1], &[1, 1], &[3, 1], &[2, 9]],
+            &[&[1, 1], &[0, 0], &[2, 9], &[3, 2]],
+            &[&[3, 2], &[0, 0]],
+        ]);
+        let mut op = DedupOp::new(input, 2, h.state.clone());
+        assert_eq!(
+            drain(&mut op),
+            [
+                vec![vec![3, 1], vec![1, 1], vec![2, 9]],
+                vec![vec![0, 0], vec![3, 2]],
+                vec![],
+            ]
+        );
+        // Five fresh rows of two values entered the set; it is gone again.
+        assert_eq!(h.stats().values_cloned, 10);
+        assert_eq!((h.ledger.peak(), h.ledger.resident()), (5, 0));
+    }
+
+    #[test]
+    fn difference_removes_right_rows_and_keeps_left_order_and_duplicates() {
+        let h = Harness::new();
+        let left = script(&[&[&[1], &[2], &[3], &[2]], &[&[4], &[1], &[5]]]);
+        let right = script(&[&[&[2], &[9]], &[&[4], &[2]]]);
+        let mut op = DifferenceOp::new(left, right, 1, h.state.clone());
+        assert_eq!(
+            drain(&mut op),
+            [vec![vec![1], vec![3]], vec![vec![1], vec![5]]]
+        );
+        // The removal set held the right side's three distinct rows.
+        assert_eq!(h.stats().values_cloned, 3);
+        assert_eq!((h.ledger.peak(), h.ledger.resident()), (3, 0));
+    }
+
+    #[test]
+    fn membership_sets_are_released_when_dropped_mid_stream_or_on_error() {
+        let h = Harness::new();
+        let mut op = DedupOp::new(script(&[&[&[1], &[2]], &[&[3]]]), 1, h.state.clone());
+        assert_eq!(op.next_batch().unwrap().unwrap().len(), 2);
+        assert_eq!(h.ledger.resident(), 2);
+        drop(op);
+        assert_eq!(h.ledger.resident(), 0);
+        assert!(
+            h.state.borrow().pool.pooled() > 0,
+            "the set's column is pooled again"
+        );
+
+        let h = Harness::new();
+        let left = script(&[&[&[1]]]);
+        let right = Box::new(Script(
+            [Ok(ints(&[&[1], &[2]])), Err(Error::invalid("right failed"))].into(),
+        ));
+        let mut op = DifferenceOp::new(left, right, 1, h.state.clone());
+        assert!(op.next_batch().is_err());
+        drop(op);
+        assert_eq!(h.ledger.resident(), 0);
     }
 }

@@ -36,34 +36,37 @@ pub struct AccessStats {
     pub peak_rows_resident: u64,
     /// Number of individual [`bea_core::value::Value`] clones the executor physically
     /// performs: gathers into output columns, row copies between step tables, key
-    /// projections (probe keys included — they are cloned whether or not they hit),
-    /// and membership/cache insertions. Index lookups that only *read* tuples are not
-    /// counted, and neither is work that performs no clone — the columnar pipeline's
-    /// duplicate detection is hash-then-compare, so only genuinely fresh rows enter a
-    /// set. This is the copy-traffic side of execution, the quantity the columnar
+    /// projections (probe keys included — they are cloned into the operator's key
+    /// scratch whether or not they hit), and membership/cache insertions. Index
+    /// lookups that only *read* tuples are not counted, and neither is work that
+    /// performs no clone — the columnar pipeline's duplicate detection is
+    /// hash-then-compare in place, so only genuinely fresh rows enter a set. This is the copy-traffic side of execution, the quantity the columnar
     /// pipeline exists to minimize; value clones are O(1) (interned strings), so the
     /// counter measures traffic, not bytes. Like residency, it is an
     /// execution-strategy artifact and excluded from
     /// [`AccessStats::same_data_access`]; across workers it merges additively.
     pub values_cloned: u64,
-    /// Number of buffers the streaming executor's probe path demands — the
-    /// steady-state allocation model of the anchored serving loop. Two sites count,
-    /// one buffer each: every source row a fetch gathers into its key set (the owned
-    /// key row), and every keyed-lookup *miss* (the owned key row entering the
-    /// operator's `key → range` map — the postings are appended to the operator's
-    /// arena columns and demand nothing per key). A repeat of a fetched key and a hit
-    /// in an outer cache tier count zero, so a warmed anchored probe — single key,
-    /// cached [`KeyedLookupOp`](crate::ops), fused projection — has a marginal
-    /// `allocs_per_probe` of exactly 0, which the property tests assert; a cold
-    /// bounded plan counts at most its index lookups plus its fetch source rows.
+    /// Number of buffers the streaming executor's probe path demands per key — the
+    /// steady-state allocation model of the serving loop. One site counts, one
+    /// buffer each: every source row a streaming fetch gathers into its key set (the
+    /// owned key row the set keeps). A keyed lookup — [`KeyedLookupOp`](crate::ops),
+    /// the operator every anchored join lowers to — counts **nothing**, hit or miss:
+    /// each probe gathers its key into one reusable scratch, a miss moves the
+    /// scratch's values into the operator's flat arena key columns and appends the
+    /// postings to its arena value columns, and a repeat or a hit in an outer cache
+    /// tier reads what is already there. So a plan made of keyed lookups (the paper's
+    /// Q0 among them) reports 0 cold and warm, and a bounded plan in general counts at
+    /// most its streaming fetches' source rows. `tests/alloc_budget.rs` checks the
+    /// claim against the allocator itself.
     ///
     /// Deliberately *excluded* are buffers whose number follows the execution
     /// schedule or the cache configuration rather than the probes: per-batch emission
-    /// columns and per-operator arena columns (pooled; a morsel split runs one
-    /// operator instance per morsel), and the compact copy a fill claim publishes
-    /// into a cache tier. Counting them would break the thread-, shard- and
+    /// columns and per-operator arena, key and membership-table columns (pooled,
+    /// growing by doubling; a morsel split runs one operator instance per morsel),
+    /// and the compact copy — with its owned key — a fill claim publishes into a
+    /// cache tier. Counting them would break the thread-, shard- and
     /// morsel-invariance this counter is asserted to have, and the equality of cold
-    /// cached and uncached runs. A pool hit still counts — the *miss event* is what
+    /// cached and uncached runs. A pool hit still counts — the *demand* is what
     /// the serving loop must avoid. It is a streaming-pipeline metric: the
     /// materialized executor reports 0. Like `values_cloned` it is an
     /// execution-strategy artifact, excluded from

@@ -27,14 +27,14 @@
 //! slot walk (expected < 1.5 slots at load ≤ ½), one `starts` pair, and one key
 //! comparison per visited group; a hit returns a subslice of `postings`.
 //!
-//! The hash is a fixed folded-multiply mixer, not SipHash: the index is built once over
-//! data the operator loaded, probe keys cannot insert, and a bad distribution can only
-//! lengthen slot walks — never change a result, since every hit is confirmed by
-//! comparing values.
+//! The hash is [`bea_core::value::hash_row`] — the workspace's one row hash, a fixed
+//! folded-multiply mixer, not SipHash: the index is built once over data the operator
+//! loaded, probe keys cannot insert, and a bad distribution can only lengthen slot
+//! walks — never change a result, since every hit is confirmed by comparing values.
 
 use crate::relation::Relation;
 use bea_core::error::{Error, Result};
-use bea_core::value::Value;
+use bea_core::value::{hash_row, Value};
 
 /// Marks an unoccupied slot; never a group number, since groups ≤ tuples ≤ `u32::MAX`.
 const EMPTY: u32 = u32::MAX;
@@ -49,34 +49,6 @@ pub(crate) fn offset_bound(relation: &str, tuples: usize) -> Result<u32> {
              (at most {} tuples per indexed relation)",
             u32::MAX
         ))
-    })
-}
-
-/// One step of the key hash: fold the 128-bit product of the mixed-in word.
-fn mix(hash: u64, word: u64) -> u64 {
-    let product = u128::from(hash ^ word) * 0x9E37_79B9_7F4A_7C15_u128;
-    (product as u64) ^ ((product >> 64) as u64)
-}
-
-/// Hash a key a word at a time. Each variant perturbs the state differently, so
-/// `Int(1)`, `Bool(true)`, `Labelled(1)` and `Str("1")` start different slot walks
-/// (equality, not the hash, is what keeps them apart).
-fn hash_key<'v>(key: impl Iterator<Item = &'v Value>) -> u64 {
-    key.fold(0x2545_F491_4F6C_DD1D, |hash, value| match value {
-        Value::Int(i) => mix(hash, *i as u64),
-        Value::Bool(b) => mix(!hash, u64::from(*b)),
-        Value::Labelled(l) => mix(hash.rotate_left(32), u64::from(*l)),
-        Value::Str(s) => {
-            let mut words = s.as_bytes().chunks_exact(8);
-            let mut hash = mix(hash.rotate_left(16), s.len() as u64);
-            for word in &mut words {
-                let word = word.try_into().expect("chunks_exact(8) yields 8 bytes");
-                hash = mix(hash, u64::from_le_bytes(word));
-            }
-            let mut tail = [0u8; 8];
-            tail[..words.remainder().len()].copy_from_slice(words.remainder());
-            mix(hash, u64::from_le_bytes(tail))
-        }
     })
 }
 
@@ -131,7 +103,7 @@ impl HashIndex {
         let mut groups = 0u32;
         let mut group_of: Vec<u32> = Vec::with_capacity(offsets.size_hint().0);
         for offset in offsets.clone() {
-            let hash = hash_key(key(offset));
+            let hash = hash_row(key(offset));
             let same_key = |group: u32| key(firsts[group as usize]).eq(key(offset));
             let group = walk(&slots, hash, same_key).unwrap_or_else(|free| {
                 // A new key: the next group number, standing on this tuple.
@@ -142,7 +114,7 @@ impl HashIndex {
                 if firsts.len() * 2 > slots.len() {
                     slots = vec![EMPTY; slots.len() * 2];
                     for (group, &first) in (0..).zip(&firsts) {
-                        let free = walk(&slots, hash_key(key(first)), |_| false);
+                        let free = walk(&slots, hash_row(key(first)), |_| false);
                         slots[free.expect_err("no group is accepted")] = group;
                     }
                 }
@@ -186,7 +158,7 @@ impl HashIndex {
             let tuple = relation.tuple(self.group(group as usize)[0] as usize);
             self.key_attrs.iter().map(|&attr| &tuple[attr]).eq(key)
         };
-        match walk(&self.slots, hash_key(key.iter()), is_key) {
+        match walk(&self.slots, hash_row(key), is_key) {
             Ok(group) => self.group(group as usize),
             Err(_) => &[],
         }
@@ -360,7 +332,7 @@ pub(crate) mod tests {
         // must turn them away, and the walk must end at the next free slot.
         let colliding: Vec<Row> = (0..)
             .map(|i| vec![Value::str(format!("absent-{i}"))])
-            .filter(|key| index.slots[hash_key(key.iter()) as usize & mask] != EMPTY)
+            .filter(|key| index.slots[hash_row(key) as usize & mask] != EMPTY)
             .take(50)
             .collect();
         for key in &colliding {

@@ -1,0 +1,142 @@
+//! Heap allocations of the executor, counted by the allocator instead of self-reported.
+//!
+//! `AccessStats::allocs_per_probe` is a model of what the probe path *demands*; this
+//! binary checks the real thing. It installs a counting `#[global_allocator]` — which is
+//! why it is a test binary of its own: nothing else pays for the counter — and bounds
+//! the allocations of one cold Q0 execution and of a large δ. The count is per thread,
+//! so the harness's own threads cannot leak into a measurement.
+
+use bea::bench::scenarios::{AccidentsScenario, BENCH_REPORT_SEED};
+use bea::core::access::{AccessConstraint, AccessSchema};
+use bea::core::plan::{lower_plan, PhysOp, PhysicalPlan, PlanBuilder, Predicate};
+use bea::core::schema::Catalog;
+use bea::core::value::Value;
+use bea::engine::{execute_physical_on, ExecOptions};
+use bea::storage::{Database, IndexedDatabase, Store};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Forwards to the system allocator, counting `alloc` and `realloc` calls (a growing
+/// `Vec` is a `realloc`) on the calling thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap allocations `run` performs on this thread.
+fn allocations_of<T>(run: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = run();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+#[test]
+fn a_cold_q0_stays_inside_its_allocation_budget() {
+    let scenario = AccidentsScenario::with_total_tuples(20_000, BENCH_REPORT_SEED).unwrap();
+    let physical = lower_plan(&scenario.plan).unwrap();
+    let store = Store::Indexed(&scenario.indexed);
+    let options = ExecOptions::new().with_threads(1);
+    // Once unmeasured, so lazily initialised process state is not billed to the query.
+    let (expected, _) = execute_physical_on(&physical, store, &options).unwrap();
+    let ((table, stats), allocations) =
+        allocations_of(|| execute_physical_on(&physical, store, &options).unwrap());
+    assert_eq!(table.rows(), expected.rows());
+    assert!(
+        stats.tuples_fetched > 400,
+        "Q0 fetched {stats}: too little for the budget to mean anything"
+    );
+    // One owned row per answer, the output table, and per pipeline a handful of
+    // operator boxes, batch handles and pooled columns growing by doubling — nothing
+    // per fetched tuple or per probed key (which used to cost 1 293 here).
+    assert!(
+        allocations <= 450,
+        "one cold Q0 ({stats}) performed {allocations} heap allocations"
+    );
+}
+
+/// `σ[v = 5] δ π[v] fetch(k = 1, R)` over `R(k, v)` holding `rows` tuples `(1, i)`: the
+/// δ sees `rows` distinct rows, and only one row leaves the plan — so the owned rows of
+/// the output table do not drown the count.
+fn dedup_of_distinct_rows(rows: i64) -> (IndexedDatabase, PhysicalPlan) {
+    let mut catalog = Catalog::new();
+    catalog.declare("R", ["k", "v"]).unwrap();
+    let constraint = AccessConstraint::new(&catalog, "R", &["k"], &["v"], rows as u64).unwrap();
+    let mut db = Database::new(catalog);
+    db.extend("R", (0..rows).map(|i| vec![Value::int(1), Value::int(i)]))
+        .unwrap();
+    let store = IndexedDatabase::build(db, AccessSchema::from_constraints([constraint])).unwrap();
+
+    let mut b = PlanBuilder::new();
+    let key = b.constant(Value::int(1), "k");
+    let fetched = b.fetch(
+        key,
+        vec![0],
+        "R",
+        vec![0],
+        vec![1],
+        0,
+        vec!["k".into(), "v".into()],
+    );
+    // Dropping the key attribute is what makes lowering ask for a δ.
+    let values = b.project(fetched, vec![1]);
+    let out = b.select(values, vec![Predicate::ColEqConst(0, Value::int(5))]);
+    let physical = lower_plan(&b.finish("Q", out).unwrap()).unwrap();
+    assert!(
+        physical
+            .steps()
+            .iter()
+            .any(|step| matches!(step.op, PhysOp::Dedup { .. })),
+        "the plan must run a δ:\n{physical}"
+    );
+    (store, physical)
+}
+
+#[test]
+fn dedup_allocates_logarithmically_in_its_distinct_rows() {
+    const ROWS: i64 = 16_384;
+    let (store, physical) = dedup_of_distinct_rows(ROWS);
+    let options = ExecOptions::new().with_threads(1);
+    let ((table, stats), allocations) = allocations_of(|| {
+        execute_physical_on(&physical, Store::Indexed(&store), &options).unwrap()
+    });
+    assert_eq!(table.rows(), [vec![Value::int(5)]]);
+    assert_eq!(stats.tuples_fetched, ROWS as u64);
+    // Per 1 024-row batch a selection vector and a few handles (16 batches here), per
+    // doubling a column, hash or slot reallocation (14 doublings) — against two
+    // allocations per distinct row (32 768) when δ kept a hash bucket and an owned row
+    // for each.
+    assert!(
+        allocations <= 400,
+        "δ over {ROWS} distinct rows performed {allocations} heap allocations"
+    );
+}

@@ -455,7 +455,10 @@ fn warmed_anchored_probes_allocate_nothing() {
                     "pooled probe loop changed the data access at m = {m}: \
                      {stats} vs {reference_stats}"
                 );
-                assert!(stats.allocs_per_probe > 0, "cold probes must be charged");
+                assert!(
+                    stats.allocs_per_probe > 0,
+                    "the streaming fetch of R gathers an owned key: that is charged"
+                );
                 per_size.push(stats.allocs_per_probe);
             }
             totals.push((per_size[0], per_size[1]));
