@@ -128,15 +128,14 @@ impl BeadServer {
                 let _ = writer.write_all(reply.wire().as_bytes());
                 break;
             }
-            let Ok(line) = std::str::from_utf8(&line) else {
-                break;
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let reply = match Request::parse(line) {
-                Ok(request) => self.dispatch(request),
-                Err(message) => Reply::err(message),
+            let reply = match std::str::from_utf8(&line) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => match Request::parse(line) {
+                    Ok(request) => self.dispatch(request),
+                    Err(message) => Reply::err(message),
+                },
+                // The line was read up to its newline, so the next request starts clean.
+                Err(_) => Reply::err("request is not valid UTF-8"),
             };
             if writer.write_all(reply.wire().as_bytes()).is_err() {
                 break;
@@ -316,7 +315,7 @@ pub fn socket_from(arg: Option<&str>) -> PathBuf {
 mod tests {
     use super::*;
     use crate::client;
-    use crate::protocol::ReplyStatus;
+    use crate::protocol::{ReplyStatus, END};
 
     #[test]
     fn body_lines_are_tab_separated_display_forms() {
@@ -427,6 +426,42 @@ mod tests {
             !socket.exists(),
             "the socket file is cleaned up on shutdown"
         );
+    }
+
+    /// A request line that is not UTF-8 is answered with an `ERR`, and the connection
+    /// goes on serving the requests behind it.
+    #[test]
+    fn a_request_that_is_not_utf8_is_refused_and_the_connection_kept() {
+        let socket =
+            std::env::temp_dir().join(format!("bead-test-utf8-{}.sock", std::process::id()));
+        let config = ServerConfig {
+            socket: socket.clone(),
+            threads: 1,
+            ..ServerConfig::default()
+        };
+        let server = BeadServer::bind(accidents_store(500, 0xBEAD).unwrap(), &config).unwrap();
+        std::thread::scope(|scope| {
+            let serving = scope.spawn(|| server.serve());
+
+            let mut stream = UnixStream::connect(&socket).unwrap();
+            stream.write_all(b"QUERY \xff\xfe\n").unwrap();
+            stream.write_all(b"PING\n").unwrap();
+            let mut replies = BufReader::new(&stream).lines().map(Result::unwrap);
+            assert_eq!(
+                replies.next().as_deref(),
+                Some("ERR request is not valid UTF-8")
+            );
+            assert_eq!(replies.next().as_deref(), Some(END));
+            assert_eq!(replies.next().as_deref(), Some("OK pong"));
+            assert_eq!(replies.next().as_deref(), Some(END));
+            // `serve` returns only once every connection is closed.
+            drop(replies);
+            drop(stream);
+
+            let bye = client::request(&socket, &Request::Shutdown).unwrap();
+            assert_eq!(bye.head, "OK bye");
+            serving.join().unwrap().unwrap();
+        });
     }
 
     /// A newline-free megabyte is answered with an `ERR` and a closed connection after

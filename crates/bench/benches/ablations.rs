@@ -8,7 +8,7 @@
 //! * **reasoning budget** — the effect of the enumeration budget on `A`-containment
 //!   checks (larger budgets admit more of the search space before giving up);
 //! * **materialized vs streaming execution** — the same bounded plans run through the
-//!   historical table-per-step executor and the streaming batch pipeline, on all three
+//!   reference table-per-step executor and the streaming batch pipeline, on all three
 //!   scenario families. Before timing, the bench prints the memory-residency comparison
 //!   (`peak_rows_resident`): identical data access, lower high-water mark.
 //! * **single-threaded vs parallel pipelines** — one exchange-lowered multi-pipeline
@@ -32,9 +32,7 @@ use bea_core::cover;
 use bea_core::plan::QueryPlan;
 use bea_core::reason::containment::a_contained;
 use bea_core::reason::ReasonConfig;
-use bea_engine::{
-    execute_physical_on, execute_physical_with_options, execute_plan_with_options, ExecOptions,
-};
+use bea_engine::{execute_physical_on, execute_plan_materialized, execute_plan_on, ExecOptions};
 use bea_storage::{IndexedDatabase, Store};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -91,7 +89,7 @@ fn bench_ablations(c: &mut Criterion) {
 }
 
 /// Materialized vs streaming execution on the three scenario families. Prints the
-/// residency comparison once, then times both strategies.
+/// residency comparison once, then times both.
 fn bench_execution_strategies(c: &mut Criterion) {
     let accidents = AccidentsScenario::with_total_tuples(20_000, 42).expect("scenario builds");
     let graph = GraphScenario::with_persons(500, 42).expect("scenario builds");
@@ -114,10 +112,9 @@ fn bench_execution_strategies(c: &mut Criterion) {
     ]);
     for (name, plan, indexed) in &cases {
         let (streamed, streaming_stats) =
-            execute_plan_with_options(plan, indexed, &ExecOptions::new()).expect("plan executes");
+            execute_plan_on(plan, *indexed, &ExecOptions::new()).expect("plan executes");
         let (materialized, materialized_stats) =
-            execute_plan_with_options(plan, indexed, &ExecOptions::materialized())
-                .expect("plan executes");
+            execute_plan_materialized(plan, *indexed).expect("plan executes");
         assert!(
             streamed.same_rows(&materialized),
             "{name}: strategies disagree"
@@ -180,16 +177,10 @@ fn bench_execution_strategies(c: &mut Criterion) {
     group.sample_size(20);
     for (name, plan, indexed) in &cases {
         group.bench_with_input(BenchmarkId::new("materialized", name), name, |b, _| {
-            b.iter(|| {
-                execute_plan_with_options(plan, indexed, &ExecOptions::materialized())
-                    .expect("plan executes")
-            })
+            b.iter(|| execute_plan_materialized(plan, *indexed).expect("plan executes"))
         });
         group.bench_with_input(BenchmarkId::new("streaming", name), name, |b, _| {
-            b.iter(|| {
-                execute_plan_with_options(plan, indexed, &ExecOptions::new())
-                    .expect("plan executes")
-            })
+            b.iter(|| execute_plan_on(plan, *indexed, &ExecOptions::new()).expect("plan executes"))
         });
     }
     group.finish();
@@ -202,13 +193,13 @@ fn bench_parallel_pipelines(c: &mut Criterion) {
     let scenario = ParallelScenario::with_branches(6, 20_000, 42).expect("scenario builds");
     let dag = scenario.physical.pipeline_dag();
 
-    let (single, single_stats) = execute_physical_with_options(
+    let (single, single_stats) = execute_physical_on(
         &scenario.physical,
         &scenario.indexed,
         &ExecOptions::new().with_threads(1),
     )
     .expect("plan executes");
-    let (parallel, parallel_stats) = execute_physical_with_options(
+    let (parallel, parallel_stats) = execute_physical_on(
         &scenario.physical,
         &scenario.indexed,
         &ExecOptions::new().with_threads(4),
@@ -270,7 +261,7 @@ fn bench_parallel_pipelines(c: &mut Criterion) {
         let options = ExecOptions::new().with_threads(threads);
         group.bench_with_input(BenchmarkId::new("q0_batch_6", threads), &threads, |b, _| {
             b.iter(|| {
-                execute_physical_with_options(&scenario.physical, &scenario.indexed, &options)
+                execute_physical_on(&scenario.physical, &scenario.indexed, &options)
                     .expect("plan executes")
             })
         });

@@ -39,9 +39,7 @@ use bea_core::envelope::{lower_envelope_cq, upper_envelope_cq, EnvelopeConfig};
 use bea_core::plan::lower_plan;
 use bea_core::reason::ReasonConfig;
 use bea_core::specialize::{specialize_cq, SpecializeConfig};
-use bea_engine::{
-    execute_physical_on, execute_physical_with_options, execute_plan_with_options, ExecOptions,
-};
+use bea_engine::{execute_physical_on, execute_plan_materialized, execute_plan_on, ExecOptions};
 use bea_storage::Store;
 
 /// Tolerated growth of the deterministic counters (`values_cloned`,
@@ -315,9 +313,8 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
         ("ecommerce orders-of", &ecommerce.plan, &ecommerce.indexed),
     ];
     for (name, plan, indexed) in cases {
-        let (streamed, streaming) = execute_plan_with_options(plan, indexed, &ExecOptions::new())?;
-        let (materialized_out, materialized) =
-            execute_plan_with_options(plan, indexed, &ExecOptions::materialized())?;
+        let (streamed, streaming) = execute_plan_on(plan, indexed, &ExecOptions::new())?;
+        let (materialized_out, materialized) = execute_plan_materialized(plan, indexed)?;
         assert!(streamed.same_rows(&materialized_out));
         assert!(streaming.same_data_access(&materialized));
         let ratio = if streaming.peak_rows_resident > 0 {
@@ -392,7 +389,7 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
     for threads in [1usize, 2, 4] {
         let options = ExecOptions::new().with_threads(threads);
         let (result, ms) =
-            time_ms(|| execute_physical_with_options(&batch.physical, &batch.indexed, &options));
+            time_ms(|| execute_physical_on(&batch.physical, &batch.indexed, &options));
         let (_, stats) = result?;
         if let Some(baseline) = &single_threaded {
             assert!(
@@ -476,7 +473,7 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
                 .with_threads(*threads)
                 .with_morsel_size(*morsel_size);
             let start = std::time::Instant::now();
-            execute_physical_with_options(&morsel.physical, &morsel.indexed, &options)?;
+            execute_physical_on(&morsel.physical, &morsel.indexed, &options)?;
             samples[leg].push(start.elapsed().as_nanos() as u64);
         }
     }
@@ -484,8 +481,7 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
         let options = ExecOptions::new()
             .with_threads(threads)
             .with_morsel_size(morsel_size);
-        let (_, stats) =
-            execute_physical_with_options(&morsel.physical, &morsel.indexed, &options)?;
+        let (_, stats) = execute_physical_on(&morsel.physical, &morsel.indexed, &options)?;
         if let Some(baseline) = &unsplit {
             assert!(
                 baseline.same_data_access(&stats),

@@ -12,8 +12,8 @@ use bea_core::query::ucq::UnionQuery;
 use bea_core::reason::ReasonConfig;
 use bea_core::schema::Catalog;
 use bea_engine::{
-    execute_physical_on, execute_physical_with_options, execute_plan_on, execute_plan_with_options,
-    AccessStats, ExecOptions, Session, SessionConfig, SharedStore, SubmitError,
+    execute_physical_on, execute_plan_on, AccessStats, ExecOptions, Session, SessionConfig,
+    SharedStore, SubmitError,
 };
 use bea_storage::{IndexedDatabase, ShardedDatabase, Store};
 use bea_workload::{accidents, ecommerce, graph};
@@ -521,9 +521,9 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
         ("ecommerce_orders", &ecommerce.plan, &ecommerce.indexed),
     ];
     for (name, plan, indexed) in cases {
-        let (_, stats) = execute_plan_with_options(plan, indexed, &single)?;
+        let (_, stats) = execute_plan_on(plan, indexed, &single)?;
         let (ns_p50, ns_p99) = time_percentiles(timing_iters, || {
-            execute_plan_with_options(plan, indexed, &single).map(|_| ())
+            execute_plan_on(plan, indexed, &single).map(|_| ())
         })?;
         report.insert(
             name,
@@ -555,10 +555,10 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
     // and the 1-thread residency peak is schedule-independent — the 4-thread peak
     // depends on pipeline overlap and would make the committed record flaky). Only
     // the wall-clock figure is taken at 4 workers, the scenario's target shape.
-    let (_, stats) = execute_physical_with_options(&batch.physical, &batch.indexed, &single)?;
+    let (_, stats) = execute_physical_on(&batch.physical, &batch.indexed, &single)?;
     let parallel = ExecOptions::new().with_threads(4);
     let (ns_p50, ns_p99) = time_percentiles(timing_iters, || {
-        execute_physical_with_options(&batch.physical, &batch.indexed, &parallel).map(|_| ())
+        execute_physical_on(&batch.physical, &batch.indexed, &parallel).map(|_| ())
     })?;
     report.insert(
         "parallel_q0_batch_6",
@@ -576,9 +576,9 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
     // 1-thread (unsplit) run — morsel splitting is asserted not to change any of
     // them — and wall clock at 4 workers, where the scheduler actually cuts the
     // heavy probe pipeline into morsels.
-    let (_, stats) = execute_physical_with_options(&morsel.physical, &morsel.indexed, &single)?;
+    let (_, stats) = execute_physical_on(&morsel.physical, &morsel.indexed, &single)?;
     let (ns_p50, ns_p99) = time_percentiles(timing_iters, || {
-        execute_physical_with_options(&morsel.physical, &morsel.indexed, &parallel).map(|_| ())
+        execute_physical_on(&morsel.physical, &morsel.indexed, &parallel).map(|_| ())
     })?;
     report.insert(
         "morsel_chain_fan_16384",
@@ -749,7 +749,7 @@ pub fn time_percentiles(iters: u32, mut op: impl FnMut() -> Result<()>) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bea_engine::{eval_cq, eval_ucq, execute_plan};
+    use bea_engine::{eval_cq, eval_ucq, execute_plan, execute_plan_materialized};
 
     /// The perf record is complete, deterministic (same numbers on a second build) and
     /// internally consistent with a direct execution of the same scenarios.
@@ -856,9 +856,8 @@ mod tests {
         indexed: &IndexedDatabase,
     ) {
         let (streamed, streamed_stats) =
-            execute_plan_with_options(plan, indexed, &ExecOptions::new()).unwrap();
-        let (materialized, materialized_stats) =
-            execute_plan_with_options(plan, indexed, &ExecOptions::materialized()).unwrap();
+            execute_plan_on(plan, indexed, &ExecOptions::new()).unwrap();
+        let (materialized, materialized_stats) = execute_plan_materialized(plan, indexed).unwrap();
         assert!(streamed.same_rows(&materialized));
         assert!(streamed_stats.same_data_access(&materialized_stats));
         assert!(
@@ -914,7 +913,7 @@ mod tests {
         assert_eq!(tags.into_iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
 
         // shards = 1 baseline: the plain indexed store, single-threaded.
-        let (baseline, baseline_stats) = execute_plan_with_options(
+        let (baseline, baseline_stats) = execute_plan_on(
             &scenario.plan,
             &scenario.indexed,
             &ExecOptions::new().with_threads(1),
@@ -972,7 +971,7 @@ mod tests {
             "the chain must lower to a morsel-splittable pipeline"
         );
 
-        let (baseline, baseline_stats) = execute_physical_with_options(
+        let (baseline, baseline_stats) = execute_physical_on(
             &scenario.physical,
             &scenario.indexed,
             &ExecOptions::new().with_threads(1),
@@ -984,7 +983,7 @@ mod tests {
         assert!(baseline.same_rows(&naive), "chain disagrees with naive");
 
         for morsel_size in [1usize, 0, usize::MAX] {
-            let (table, stats) = execute_physical_with_options(
+            let (table, stats) = execute_physical_on(
                 &scenario.physical,
                 &scenario.indexed,
                 &ExecOptions::new()
@@ -1100,13 +1099,13 @@ mod tests {
         assert!(dag.len() >= 7, "6 branches + output, got {}", dag.len());
         assert!(dag.parallel_width() >= 6);
 
-        let (single, single_stats) = execute_physical_with_options(
+        let (single, single_stats) = execute_physical_on(
             &scenario.physical,
             &scenario.indexed,
             &ExecOptions::new().with_threads(1),
         )
         .unwrap();
-        let (parallel, parallel_stats) = execute_physical_with_options(
+        let (parallel, parallel_stats) = execute_physical_on(
             &scenario.physical,
             &scenario.indexed,
             &ExecOptions::new().with_threads(4),

@@ -18,7 +18,7 @@
 //!   other consumer, the triple collapses into one [`PhysOp::KeyedLookup`]: an index
 //!   nested-loop join that streams `T`, probes the constraint's index once per distinct
 //!   key, and never materializes the cross product *or* the fetched table. This
-//!   generalizes the `defer_products` peephole that used to live in the executor.
+//!   generalizes the keyed-join peephole of the engine's materialized reference executor.
 //! * **Hash-join fallback** — same pattern but with a fetch that other steps also
 //!   consume: the product/selection pair becomes a [`PhysOp::HashJoin`] against the
 //!   (still shared) fetch node instead of a materialized product.

@@ -12,11 +12,15 @@
 //!   the relations and hash-joining them, the stand-in for "just run it on the DBMS"
 //!   (MySQL in the paper's Example 1.1). Its cost grows with `|D|`.
 //!
-//! The bounded executor has two strategies behind one entry point: the **streaming batch
-//! pipeline** ([`ops`], the default — plans are lowered to physical plans and run with
-//! bounded memory residency) and the historical **materialized step loop** (the ablation
-//! baseline). [`stats::AccessStats::peak_rows_resident`] makes the difference
-//! observable; both strategies read exactly the same data.
+//! The bounded executor is the **streaming batch pipeline** ([`ops`]): plans are
+//! lowered to physical plans and run with bounded memory residency, through three
+//! entry points — [`execute_plan`] (default options), [`execute_plan_on`] and
+//! [`execute_physical_on`] (either store flavor, explicit [`ExecOptions`]: `threads`
+//! and `morsel_size`, nothing else). Beside it stands a reference it is tested
+//! against, not a second way to serve a query: [`execute_plan_materialized`], the
+//! literal step loop that keeps one table per plan step.
+//! [`stats::AccessStats::peak_rows_resident`] makes the difference observable; both
+//! read exactly the same data.
 //!
 //! # Batch layout and interning rules
 //!
@@ -69,23 +73,26 @@
 //!
 //! # Threading model
 //!
-//! The streaming pipeline can use worker threads ([`ExecOptions::with_threads`]; the
-//! default resolves to the `BEA_THREADS` environment variable or the machine's
-//! available parallelism). The plan's pipeline DAG — pipelines bounded by
-//! materialization points, materialized results as exchange edges — is scheduled over
-//! scoped workers: a pipeline runs as soon as its sources are complete, operator trees
-//! stay on one thread, and only the materialized steps and the **shared residency
-//! ledger** cross threads. The ledger makes `peak_rows_resident` the *true* number of
-//! simultaneously resident rows across all workers. Per-worker counters are combined
-//! with [`AccessStats::merge_concurrent`] (peaks add — overlapping windows), in
-//! contrast to [`AccessStats::merge_sequential`] / `+=` (peaks max — disjoint
-//! windows). `threads = 1` reproduces the single-threaded streaming behavior exactly;
-//! every data-access counter is identical at any thread count.
+//! One driver walks every plan's pipeline DAG — pipelines bounded by materialization
+//! points, materialized results as exchange edges — whether the query runs alone or
+//! in a [`session::Session`]: a job pool ([`ops`]' `sched::Pool`) whose queue holds
+//! the pipelines whose sources are complete and whose one job-running routine is
+//! shared by every thread involved. A solo execution runs on the calling thread,
+//! joined by scoped helpers when [`ExecOptions::with_threads`] asks for more than one
+//! (the default resolves to the `BEA_THREADS` environment variable or the machine's
+//! available parallelism); with `threads = 1` the caller runs the pipelines whole, in
+//! step order, spawning nothing. Operator trees stay on one thread, and only the
+//! materialized steps and the **shared residency ledger** cross threads. The ledger
+//! makes `peak_rows_resident` the *true* number of simultaneously resident rows across
+//! all threads. Per-job counters are combined with
+//! [`AccessStats::merge_concurrent`] (peaks add — overlapping windows), in contrast to
+//! [`AccessStats::merge_sequential`] / `+=` (peaks max — disjoint windows). Every
+//! data-access counter is identical at any thread count.
 //!
 //! Parallelism also reaches *inside* a single heavy pipeline: a linear chain of
 //! per-batch operators over one materialized source is **morsel-splittable**
-//! (`bea_core::plan::Pipeline::morsel_source`), and the scheduler cuts its source
-//! batches into morsels — groups of consecutive *whole* batches of at least
+//! (`bea_core::plan::Pipeline::morsel_source`), and a multi-threaded run cuts its
+//! source batches into morsels — groups of consecutive *whole* batches of at least
 //! [`ExecOptions::morsel_size`] rows (`BEA_MORSELS`, default
 //! [`DEFAULT_MORSEL_ROWS`]) — that run as concurrent operator-chain instances.
 //! Each morsel owns its `ExecState` (stats and buffer pool stay per-worker); the
@@ -113,7 +120,7 @@
 //!   Each fetch probes only the index partition that owns its key, and each emitted
 //!   batch carries its origin shard.
 //! * **Scheduling** honors shard affinity: a worker that just ran shard `k`'s
-//!   pipeline prefers the next ready pipeline tagged `k` (see [`ops`]' scheduler), so
+//!   pipeline prefers the next ready pipeline tagged `k` (see [`ops`]' `sched`), so
 //!   consecutive probes of one partition stay on one worker.
 //! * **Accounting**: [`AccessStats::rows_fetched_by_shard`] splits `tuples_fetched`
 //!   by serving shard (the two always sum up), so boundedness is assertable per
@@ -124,10 +131,10 @@
 //!
 //! # Multi-query execution and admission control
 //!
-//! [`session::Session`] turns the scheduler around: instead of one query owning the
-//! worker pool for one call, a session owns a persistent pool over one shared store
-//! and [`session::Session::submit`] interleaves the pipelines and morsels of many
-//! concurrently admitted queries in a single job queue. The contract, asserted by
+//! [`session::Session`] keeps that job pool alive across queries: it owns the store,
+//! persistent workers, the admission limits and the fetch cache, and
+//! [`session::Session::submit`] interleaves the pipelines and morsels of many
+//! concurrently admitted queries in the pool's single job queue. The contract, asserted by
 //! `tests/properties.rs` across the thread × shard matrix:
 //!
 //! * **Per-query isolation.** Each admitted query runs against its own
@@ -149,9 +156,8 @@
 //!   high-water mark). The ticket also carries the plan's per-pipeline
 //!   **allocation surface**, so a session can veto hot-path-allocating plans
 //!   outright ([`session::SessionConfig::with_max_alloc_surface`]).
-//! * **Affinity across queries.** Workers keep the single-query scheduler's
-//!   preference order — own split's morsels first, then same-shard jobs (from any
-//!   query; the partition is store-wide), then FIFO.
+//! * **Affinity across queries.** Workers prefer their own split's morsels, then
+//!   same-shard jobs (from any query; the partition is store-wide), then FIFO.
 //! * **Callers run their own query.** The thread inside [`session::Session::run`]
 //!   (the synchronous entry) or [`session::QueryHandle::wait`] executes its query's
 //!   ready jobs through the same code as a worker and blocks only when none is
@@ -203,9 +209,8 @@ pub mod table;
 pub use cache::CacheStats;
 
 pub use exec::{
-    execute_physical, execute_physical_on, execute_physical_with_options, execute_plan,
-    execute_plan_on, execute_plan_with_options, ExecOptions, DEFAULT_MORSEL_ROWS, MORSELS_ENV,
-    THREADS_ENV,
+    execute_physical_on, execute_plan, execute_plan_materialized, execute_plan_on, ExecOptions,
+    DEFAULT_MORSEL_ROWS, MORSELS_ENV, THREADS_ENV,
 };
 pub use naive::{eval_cq, eval_fo, eval_query, eval_ucq};
 pub use session::{

@@ -1,7 +1,6 @@
-//! The streaming batch pipeline executing physical plans — sequentially or on worker
-//! threads.
+//! The streaming batch pipeline executing physical plans.
 //!
-//! [`crate::exec::execute_physical`] runs a [`PhysicalPlan`] (lowered by
+//! [`crate::exec::execute_physical_on`] runs a [`PhysicalPlan`] (lowered by
 //! `bea_core::plan::physical::lower_plan`) against a [`Store`] — an unsharded
 //! `IndexedDatabase` or a `ShardedDatabase` whose index partitions the per-shard fetch
 //! branches probe — as a tree of pull-based operators, each implementing
@@ -23,28 +22,36 @@
 //! # Threading model
 //!
 //! The plan's [`bea_core::plan::PipelineDag`] cuts it into pipelines at the
-//! materialization points; the materialized results are the exchange edges. Execution
-//! walks the DAG:
+//! materialization points; the materialized results are the exchange edges, and
+//! [`Operator::next_batch`] over a completed materialization ([`source::ScanOp`]) is
+//! the exchange protocol. One driver walks every DAG — [`sched::Pool`], whose
+//! `run_claimed` is the only code that runs a pipeline (see the [`sched`] docs):
 //!
-//! * **sequentially** (`threads == 1`, or a single-pipeline DAG) — pipelines run in
-//!   step order on the calling thread, exactly the historical streaming behavior;
-//! * **in parallel** (`threads > 1`) — a scoped worker pool runs every pipeline whose
-//!   dependencies are complete; [`Operator::next_batch`] over a completed
-//!   materialization ([`source::ScanOp`]) is the exchange protocol. Each worker
-//!   executes a pipeline with its *own* [`ExecState`] (operators stay single-threaded
-//!   and `Rc`-based), and the per-pipeline counters are combined with
-//!   [`AccessStats::merge_concurrent`]. A **morsel-splittable** pipeline
-//!   (`bea_core::plan::Pipeline::morsel_source`) is additionally cut *within*: its
-//!   source batches are grouped into morsels of whole batches ([`morsel`]) and each
-//!   morsel runs the chain as its own job with its own `ExecState`, sharing only the
-//!   per-lookup [`morsel::SharedLookupCache`]s; the scheduler concatenates the
-//!   per-morsel outputs in morsel order, so rows, row order and every deterministic
-//!   counter are identical at any morsel size.
+//! * [`execute`], under [`crate::exec::execute_plan_on`] and
+//!   [`crate::exec::execute_physical_on`], builds a pool on the caller's stack for its
+//!   one query and the calling thread runs the query's ready pipelines itself, lowest
+//!   first. With `threads == 1` (or a single-pipeline DAG) that is all there is:
+//!   pipelines run whole, in step order, on the calling thread — no thread is spawned
+//!   and nothing waits. With `threads > 1` the caller is joined by scoped helpers
+//!   (`threads`, or as many as there are pipelines when none can split, less the
+//!   caller) that take any ready job;
+//! * a [`crate::session::Session`] keeps one pool and its workers alive across
+//!   queries, and the thread asking for an answer helps the same way.
 //!
-//! Residency is accounted in a [`ResidencyLedger`] *shared by all workers*: every
-//! durable row acquisition and release goes through one pair of atomics, so
-//! [`crate::stats::AccessStats::peak_rows_resident`] reflects true simultaneous
-//! residency across threads — never the per-worker maxima that a sequential merge
+//! Each job runs with its *own* [`ExecState`] (operators stay single-threaded and
+//! `Rc`-based), and the per-job counters are combined with
+//! [`AccessStats::merge_concurrent`]. A **morsel-splittable** pipeline
+//! (`bea_core::plan::Pipeline::morsel_source`) is additionally cut *within* when more
+//! than one thread runs the query: its source batches are grouped into morsels of
+//! whole batches ([`morsel`]) and each morsel runs the chain as its own job, sharing
+//! only the per-lookup [`morsel::SharedLookupCache`]s; the per-morsel outputs are
+//! concatenated in morsel order, so rows, row order and every deterministic counter
+//! are identical at any morsel size.
+//!
+//! Residency is accounted in a [`ResidencyLedger`] *shared by all threads running one
+//! query*: every durable row acquisition and release goes through one pair of atomics,
+//! so [`crate::stats::AccessStats::peak_rows_resident`] reflects true simultaneous
+//! residency across threads — never the per-job maxima that a sequential merge
 //! would report. Data access (index lookups, tuples fetched, per-relation counters)
 //! is accounted identically at every thread count: scheduling changes *when* operators
 //! run, never *what* they fetch, so a bounded plan stays bounded and
@@ -68,8 +75,9 @@ use crate::table::Table;
 use batch::Batch;
 use bea_core::error::{Error, Result};
 use bea_core::plan::{PhysOp, PhysicalPlan};
-use bea_core::value::{Row, Value};
+use bea_core::value::Value;
 use bea_storage::Store;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,7 +88,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub(crate) const BATCH_SIZE: usize = 1024;
 
 /// Relation name that makes a streaming fetch panic on its first pull — the
-/// worker-panic injection hook for the scheduler's panic-safety tests (test builds
+/// panic injection hook for the driver's panic-safety tests (test builds
 /// only; release builds carry no such check).
 #[cfg(test)]
 pub(crate) const PANIC_RELATION: &str = "__panic__";
@@ -212,12 +220,11 @@ pub(crate) fn pool_cap_for(plan: &PhysicalPlan) -> usize {
     demand.clamp(BufferPool::MIN_CAP, BufferPool::MAX_CAP)
 }
 
-/// Mutable state owned by one worker: its share of the access statistics, a handle
-/// to the execution-wide [`ResidencyLedger`], and the worker's [`BufferPool`].
-/// Sequential execution uses a single `ExecState`; parallel execution gives each
-/// pipeline its own and combines the counter parts with
-/// [`AccessStats::merge_concurrent`], while residency peaks always come from the
-/// shared ledger. The pool is per-state on purpose: buffers never cross threads.
+/// Mutable state owned by one job: its share of the access statistics, a handle to
+/// the query-wide [`ResidencyLedger`], and the job's [`BufferPool`]. The driver
+/// combines the counter parts with [`AccessStats::merge_concurrent`], while residency
+/// peaks always come from the shared ledger. The pool is per-state on purpose:
+/// buffers never cross threads.
 #[derive(Debug)]
 pub(crate) struct ExecState {
     /// Access statistics accumulated by this worker's operators.
@@ -226,8 +233,8 @@ pub(crate) struct ExecState {
     pub(crate) pool: BufferPool,
     /// The session's cross-query fetch cache, when this worker executes a session
     /// job and the session has one configured ([`crate::cache::SessionFetchCache`]).
-    /// `None` everywhere else — the solo executors and cache-disabled sessions run
-    /// the historical probe paths untouched.
+    /// `None` everywhere else — solo executions and cache-disabled sessions probe the
+    /// store directly.
     pub(crate) cache: Option<Arc<crate::cache::SessionFetchCache>>,
     ledger: Arc<ResidencyLedger>,
 }
@@ -310,8 +317,8 @@ pub(crate) type MatSlots = [OnceLock<SharedMat>];
 /// step 3") against the database it is about to probe: the backing constraint must
 /// exist in the access schema, agree with the key arity, and `attrs` may only name
 /// attribute positions the relation has. Shared by the streaming executor (physical
-/// fetch/keyed-lookup steps) and the materialized executor (logical fetch steps) so the
-/// two strategies can never drift on what counts as a malformed plan.
+/// fetch/keyed-lookup steps) and the materialized reference (logical fetch steps) so the
+/// two can never drift on what counts as a malformed plan.
 pub(crate) fn validate_fetch_shape<'a>(
     store: Store<'_>,
     step: &str,
@@ -392,9 +399,9 @@ pub(crate) fn validate_for(plan: &PhysicalPlan, store: Store<'_>) -> Result<()> 
     Ok(())
 }
 
-/// Execute a physical plan with `threads` worker threads (1 = sequential) and
-/// `morsel_rows` as the intra-pipeline morsel size, returning the output table and
-/// the access/residency statistics.
+/// Execute a physical plan on the calling thread and up to `threads - 1` scoped
+/// helpers, with `morsel_rows` as the intra-pipeline morsel size, returning the output
+/// table and the access/residency statistics.
 pub(crate) fn execute(
     plan: &PhysicalPlan,
     store: Store<'_>,
@@ -414,80 +421,44 @@ pub(crate) fn execute_inner(
     morsel_rows: usize,
 ) -> Result<(Table, AccessStats, Arc<ResidencyLedger>)> {
     validate_for(plan, store)?;
-    let dag = plan.pipeline_dag();
-    let ledger = Arc::new(ResidencyLedger::default());
-    let mats: Vec<OnceLock<SharedMat>> = (0..plan.len()).map(|_| OnceLock::new()).collect();
-    let pool_cap = pool_cap_for(plan);
-
-    let mut stats = if threads <= 1 || dag.len() <= 1 {
-        run_sequential(plan, &dag, store, &ledger, &mats, pool_cap)?
+    let query = sched::QueryShared::new(Cow::Borrowed(plan), 0);
+    let ledger = Arc::clone(&query.ledger);
+    // A single thread runs every pipeline whole.
+    let morsel_rows = if threads <= 1 {
+        usize::MAX
     } else {
-        sched::run_parallel(
-            plan,
-            &dag,
-            store,
-            &ledger,
-            &mats,
-            threads,
-            morsel_rows,
-            pool_cap,
-        )?
+        morsel_rows
     };
-
-    let output = plan.output();
-    let (batches, output_rows) = {
-        let mut node = mats[output]
-            .get()
-            .expect("lowering marks the output step as a materialization point")
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let batches = node
-            .batches
-            .take()
-            .expect("the output's virtual consumer is the caller");
-        (batches, node.rows)
-    };
-    // The caller owns the output now; the executor's residency accounting is over.
-    ledger.release(output_rows);
-    stats.peak_rows_resident = ledger.peak();
-    debug_assert_eq!(
-        ledger.resident(),
-        0,
-        "the residency ledger must drain back to zero after execution"
-    );
-    // Hand the result over as rows. Output batches are usually uniquely owned dense
-    // columns, so the transpose moves the values; any clones it does perform count.
-    let mut rows: Vec<Row> = Vec::with_capacity(output_rows as usize);
-    for batch in batches {
-        let (mut batch_rows, clones) = batch.into_rows();
-        stats.values_cloned += clones;
-        rows.append(&mut batch_rows);
+    // One thread per pipeline is enough when nothing can split, but a splittable
+    // pipeline fans out into more jobs than the DAG has nodes — give it the full
+    // thread budget so its morsels actually run side by side. The caller is one of
+    // the threads.
+    let dag = query.dag();
+    let splittable =
+        morsel_rows != usize::MAX && dag.pipelines().iter().any(|p| p.morsel_source.is_some());
+    let helpers = if splittable {
+        threads
+    } else {
+        threads.min(dag.len())
     }
-    let table = Table::with_rows(plan.steps()[output].columns.clone(), rows);
+    .saturating_sub(1);
+
+    let pool = sched::Pool::new(morsel_rows, None, None);
+    let submitted = pool.submit(query, true)?;
+    // The pool's only query is in: helpers leave when it retires.
+    pool.shut_down();
+    let join = || pool.join(store, submitted.id, &submitted.outcome);
+    let (table, stats) = if helpers == 0 {
+        join()
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(|| pool.worker_loop(store));
+            }
+            join()
+        })
+    }?;
     Ok((table, stats, ledger))
-}
-
-/// Run every pipeline in step order on the calling thread. This is exactly the
-/// historical single-threaded streaming execution: `threads == 1` must reproduce it.
-fn run_sequential(
-    plan: &PhysicalPlan,
-    dag: &bea_core::plan::PipelineDag,
-    store: Store<'_>,
-    ledger: &Arc<ResidencyLedger>,
-    mats: &MatSlots,
-    pool_cap: usize,
-) -> Result<AccessStats> {
-    let state: SharedState = Rc::new(RefCell::new(ExecState::with_pool_cap(
-        ledger.clone(),
-        pool_cap,
-    )));
-    for pipeline in dag.pipelines() {
-        run_pipeline(plan, pipeline.sink, store, &state, mats)?;
-    }
-    Ok(Rc::try_unwrap(state)
-        .expect("pipeline operators are dropped before their stats are read")
-        .into_inner()
-        .stats)
 }
 
 /// Execute one pipeline: pull the operator tree rooted at `sink` to exhaustion and
@@ -524,7 +495,7 @@ pub(crate) fn run_pipeline(
 /// Execute one morsel of a split pipeline: the operator chain rooted at `sink`,
 /// instantiated over this morsel's range of the source batches, pulled to
 /// exhaustion. The emitted batches are acquired against the ledger exactly as
-/// [`run_pipeline`] acquires them; the scheduler concatenates the per-morsel results
+/// [`run_pipeline`] acquires them; the driver concatenates the per-morsel results
 /// in morsel order and publishes the materialization when the split's last morsel
 /// lands, so the published batch list is identical to the unsplit pipeline's.
 pub(crate) fn run_morsel(
@@ -660,7 +631,7 @@ fn build_op<'db>(
             //
             // Deliberately an operator-tree concern, not a lowering rule: which
             // columns get *physically gathered* is a property of this executor's
-            // columnar batches (the materialized strategy and plan
+            // columnar batches (the materialized reference and plan
             // validation/costing/pipeline_dag all reason about the unfused steps,
             // and must keep doing so). If the fused pattern is broken by a future
             // lowering change, execution falls back to the explicit ProjectOp —
@@ -726,10 +697,10 @@ fn build_op<'db>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute_plan_with_options, ExecOptions};
+    use crate::exec::{execute_plan_materialized, execute_plan_on, ExecOptions};
     use bea_core::access::{AccessConstraint, AccessSchema};
     use bea_core::plan::{lower_plan_with, LowerOptions, PlanBuilder, Predicate};
-    use bea_core::value::Value;
+    use bea_core::value::Row;
     use bea_storage::{Database, IndexedDatabase};
 
     fn setup() -> IndexedDatabase {
@@ -984,7 +955,7 @@ mod tests {
 
     #[test]
     fn malformed_fetch_positions_fail_at_plan_time_not_mid_execution() {
-        // y-attribute 5 does not exist in R(a, b): both strategies must return a plan
+        // y-attribute 5 does not exist in R(a, b): both executors must return a plan
         // error before touching any data instead of panicking on `tuple[5]`.
         let idb = setup();
         let mut b = PlanBuilder::new();
@@ -999,8 +970,8 @@ mod tests {
             vec!["a".into(), "oob".into()],
         );
         let plan = b.finish("Q", f).unwrap();
-        assert!(execute_plan_with_options(&plan, &idb, &ExecOptions::new()).is_err());
-        assert!(execute_plan_with_options(&plan, &idb, &ExecOptions::materialized()).is_err());
+        assert!(execute_plan_on(&plan, &idb, &ExecOptions::new()).is_err());
+        assert!(execute_plan_materialized(&plan, &idb).is_err());
     }
 
     #[test]
@@ -1019,8 +990,8 @@ mod tests {
             vec!["a".into(), "b".into()],
         );
         let plan = b.finish("Q", f).unwrap();
-        assert!(execute_plan_with_options(&plan, &idb, &ExecOptions::new()).is_err());
-        assert!(execute_plan_with_options(&plan, &idb, &ExecOptions::materialized()).is_err());
+        assert!(execute_plan_on(&plan, &idb, &ExecOptions::new()).is_err());
+        assert!(execute_plan_materialized(&plan, &idb).is_err());
 
         // Two key columns probe a one-column constraint key.
         let mut b = PlanBuilder::new();
@@ -1037,8 +1008,8 @@ mod tests {
             vec!["a".into(), "b".into()],
         );
         let plan = b.finish("Q", f).unwrap();
-        assert!(execute_plan_with_options(&plan, &idb, &ExecOptions::new()).is_err());
-        assert!(execute_plan_with_options(&plan, &idb, &ExecOptions::materialized()).is_err());
+        assert!(execute_plan_on(&plan, &idb, &ExecOptions::new()).is_err());
+        assert!(execute_plan_materialized(&plan, &idb).is_err());
     }
 
     /// One keyed lookup over the union of `keys` — the same probes as
@@ -1317,6 +1288,39 @@ mod tests {
                 0,
                 "residency leaked at morsel size {morsel_rows}"
             );
+        }
+    }
+
+    #[test]
+    fn a_solo_run_with_helpers_splits_the_chain_and_matches_one_thread() {
+        // 2 600 rows per anchor key → six source batches, so a morsel size of one row
+        // cuts the second hop into six morsels: the caller registers the split, wakes
+        // helpers for the other five and runs the first itself. Repeated, with fewer
+        // and more helpers than morsels — a wake-up lost on the split path would hang
+        // this test rather than fail it.
+        let (idb, plan) = morsel_chain_setup(2_600);
+        let phys = bea_core::plan::lower_plan_with(
+            &plan,
+            &LowerOptions::new().with_exchange_parallelism(true),
+        )
+        .unwrap();
+        let store = Store::Indexed(&idb);
+        let (base_table, base_stats, base_ledger) = execute_inner(&phys, store, 1, 1).unwrap();
+        assert_eq!(base_table.rows().len(), 5_200);
+        assert_eq!(base_ledger.resident(), 0);
+
+        for threads in [2usize, 4, 8] {
+            for round in 0..5 {
+                let (table, stats, ledger) = execute_inner(&phys, store, threads, 1).unwrap();
+                let run = format!("{threads} threads, round {round}");
+                assert_eq!(table.rows(), base_table.rows(), "rows or row order, {run}");
+                assert!(
+                    stats.same_data_access(&base_stats),
+                    "data access, {run}: {stats} vs {base_stats}"
+                );
+                assert_eq!(stats.values_cloned, base_stats.values_cloned, "{run}");
+                assert_eq!(ledger.resident(), 0, "residency leaked, {run}");
+            }
         }
     }
 

@@ -1,17 +1,19 @@
 //! Multi-query execution sessions: one worker pool, many concurrently admitted
 //! queries, fetch-bound admission control.
 //!
-//! [`crate::exec::execute_plan_on`] gives one query the whole scheduler. A
-//! [`Session`] inverts that ownership: it owns a persistent pool of worker threads
-//! and a single shared store, and [`Session::submit`] hands it queries whose
-//! pipelines and morsels *interleave* in one global job queue. The contract:
+//! [`crate::exec::execute_plan_on`] builds a job pool ([`crate::ops`]' `sched::Pool`)
+//! for one query and tears it down with the call. A [`Session`] is that same pool kept
+//! alive: it owns the store (behind an `Arc`), a set of persistent worker threads, the
+//! admission limits and the fetch cache, and [`Session::submit`] hands the pool
+//! queries whose pipelines and morsels *interleave* in its one job queue. The contract:
 //!
 //! * **Isolation** — every query executes against its own materialization slots,
 //!   residency ledger, split table and [`AccessStats`]; the only state queries share
 //!   is the store (immutable) and the workers' time. A query's rows, row order and
 //!   every deterministic access counter are *identical* to a solo
-//!   [`crate::exec::execute_plan_on`] run of the same plan — concurrency moves wall
-//!   clock, never data. Errors are per-query: the first failing job of a query wins,
+//!   [`crate::exec::execute_plan_on`] run of the same plan — it is the same code
+//!   running the same jobs; concurrency moves wall clock, never data. Errors are
+//!   per-query: the first failing job of a query wins,
 //!   its queued jobs are discarded, and every other query proceeds untouched. A
 //!   panicking operator fails only its own query; the payload is re-raised from
 //!   [`QueryHandle::wait`] / [`Session::run`], on that query's caller only.
@@ -29,14 +31,15 @@
 //!   would allocate on the per-probe hot path beyond the cap.
 //! * **Scheduling** — a query's jobs (pipelines, and morsels of split pipelines) sit in
 //!   one ready queue, and two kinds of thread may run them. A *pool worker* takes any
-//!   query's job, by the single-query scheduler's affinity rules generalized across
-//!   queries: first another morsel of the *same query's same pipeline* (its warmed
-//!   split), then any job tagged with its last shard (shard affinity crosses queries —
-//!   the partition is store-wide), then the queue front. A *caller* — the thread inside
+//!   query's job, with affinity: first another morsel of the *same query's same
+//!   pipeline* (its warmed split), then any job tagged with its last shard (shard
+//!   affinity crosses queries — the partition is store-wide), then the queue front. A
+//!   *caller* — the thread inside
 //!   [`Session::run`] or [`QueryHandle::wait`] — takes ready jobs of **its own query
 //!   only**, and blocks for the outcome when none is ready (they are on workers, or the
-//!   query is still queued for headroom; workers then run it). Both go through one
-//!   `run_claimed`: split, execute, fold the outcome, unlock dependents, retire. A
+//!   query is still queued for headroom; workers then run it). Both go through the
+//!   pool's one `run_claimed`: split, execute, fold the outcome, unlock dependents,
+//!   retire. A
 //!   width-1 query (a point lookup's chained pipelines) therefore runs start to finish
 //!   on the thread that asked for it; a wide or morsel-split query still fans out,
 //!   because every job beyond the one the running thread will take itself is announced
@@ -47,27 +50,23 @@
 //!   counts pool workers; callers execute in addition to them, so the number of
 //!   threads inside operators is bounded by workers plus connections — the fetch budget
 //!   remains the only bound on concurrent data volume. Splittable pipelines cut into
-//!   morsels exactly as in a solo run, and who runs a job never changes what it
-//!   computes.
+//!   morsels exactly as in a multi-threaded solo run, and who runs a job never changes
+//!   what it computes.
 //!
 //! [`Session::shutdown`] (or drop) drains every admitted and queued query before the
 //! workers exit, so no accepted query is ever abandoned.
 
 use crate::cache::{CacheStats, SessionFetchCache};
-use crate::ops::sched::{execute_job, finalize_split, job_pipeline, try_split, Job, SplitState};
-use crate::ops::{pool_cap_for, validate_for, ResidencyLedger, SharedMat};
+use crate::ops::sched::{Pool, QueryShared, Submitted};
+use crate::ops::validate_for;
 use crate::stats::AccessStats;
 use crate::table::Table;
 use bea_core::error::{Error, Result};
-use bea_core::plan::{
-    lower_plan_with, CostTicket, LowerOptions, PhysicalPlan, PipelineDag, QueryPlan,
-};
+use bea_core::plan::{lower_plan_with, CostTicket, LowerOptions, QueryPlan};
 use bea_storage::{IndexedDatabase, ShardedDatabase, Store};
-use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::borrow::Cow;
 use std::panic::resume_unwind;
-use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Environment variable configuring the session's aggregate fetch budget — the
@@ -317,19 +316,11 @@ pub struct AdmissionStats {
     pub jobs_run_by_workers: u64,
 }
 
-/// How one query ended, delivered to its [`QueryHandle`].
-enum QueryOutcome {
-    Finished(Box<(Table, AccessStats)>),
-    Failed(Error),
-    Panicked(Box<dyn Any + Send>),
-}
-
 /// The caller's handle to one admitted (or queued) query.
 pub struct QueryHandle {
-    id: u64,
     ticket: CostTicket,
-    queued: bool,
-    rx: Receiver<QueryOutcome>,
+    /// The pool's receipt: id, whether it queued, and where the outcome arrives.
+    submitted: Submitted,
     /// The pool the query runs in, so the waiting thread can run its jobs.
     inner: Arc<SessionInner>,
 }
@@ -337,9 +328,9 @@ pub struct QueryHandle {
 impl std::fmt::Debug for QueryHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryHandle")
-            .field("id", &self.id)
+            .field("id", &self.submitted.id)
             .field("ticket", &self.ticket)
-            .field("queued", &self.queued)
+            .field("queued", &self.submitted.queued)
             .finish_non_exhaustive()
     }
 }
@@ -347,7 +338,7 @@ impl std::fmt::Debug for QueryHandle {
 impl QueryHandle {
     /// The session-unique id of this submission (submission order).
     pub fn id(&self) -> u64 {
-        self.id
+        self.submitted.id
     }
 
     /// The priced ticket the admission controller accepted.
@@ -358,7 +349,7 @@ impl QueryHandle {
     /// Whether the query had to queue for budget headroom (it still runs; this is
     /// informational).
     pub fn was_queued(&self) -> bool {
-        self.queued
+        self.submitted.queued
     }
 
     /// Wait until the query finishes, returning its table and access statistics —
@@ -372,141 +363,20 @@ impl QueryHandle {
     }
 
     fn join(&self) -> Result<(Table, AccessStats)> {
-        let outcome = loop {
-            match self.rx.try_recv() {
-                Err(TryRecvError::Empty) => {}
-                settled => break settled.map_err(|_| RecvError),
-            }
-            let claimed = {
-                let mut guard = self.inner.lock_state();
-                let state = &mut *guard;
-                state
-                    .ready
-                    .iter()
-                    .position(|(owner, _)| *owner == self.id)
-                    .and_then(|position| state.ready.remove(position))
-                    .map(|(id, job)| (job, claim(&mut state.active, id)))
-            };
-            match claimed {
-                Some((job, shared)) => {
-                    run_claimed(&self.inner, self.id, job, &shared, Runner::Caller)
-                }
-                // Nothing of this query is ready: its jobs are on workers, or it is
-                // still queued for headroom. Workers finish it and send the outcome.
-                None => break self.rx.recv(),
-            }
-        };
-        match outcome {
-            Ok(QueryOutcome::Finished(output)) => Ok(*output),
-            Ok(QueryOutcome::Failed(error)) => Err(error),
-            Ok(QueryOutcome::Panicked(payload)) => resume_unwind(payload),
-            Err(RecvError) => panic!("the session dropped a submitted query without an outcome"),
-        }
+        let (inner, submitted) = (&self.inner, &self.submitted);
+        inner
+            .pool
+            .join(inner.store.store(), submitted.id, &submitted.outcome)
     }
-}
-
-/// The immutable execution context of one admitted query, shared between the pool's
-/// workers via `Arc`.
-struct QueryShared {
-    plan: PhysicalPlan,
-    dag: PipelineDag,
-    /// Per-pipeline shard tags, for cross-query shard affinity.
-    shards: Vec<Option<u32>>,
-    /// This query's private materialization slots.
-    mats: Vec<OnceLock<SharedMat>>,
-    /// This query's private residency ledger.
-    ledger: Arc<ResidencyLedger>,
-    pool_cap: usize,
-    fetch_bound: u64,
-}
-
-/// What ended an admitted query early. First failure wins, per query.
-enum Failure {
-    Error(Error),
-    Panic(Box<dyn Any + Send>),
-}
-
-/// Mutable pool-side state of one admitted query.
-struct ActiveQuery {
-    shared: Arc<QueryShared>,
-    /// Remaining incomplete dependencies per pipeline.
-    deps_left: Vec<usize>,
-    /// Completion state per registered split.
-    splits: Vec<SplitState>,
-    /// Completed pipelines.
-    completed: usize,
-    /// This query's jobs currently executing on a worker.
-    running: usize,
-    failure: Option<Failure>,
-    /// Concurrent merge of this query's per-job counters.
-    stats: AccessStats,
-    outcome: Sender<QueryOutcome>,
-}
-
-/// A submission waiting for budget headroom.
-struct PendingQuery {
-    id: u64,
-    shared: Arc<QueryShared>,
-    outcome: Sender<QueryOutcome>,
-}
-
-/// The pool's shared state, guarded by one mutex.
-struct PoolState {
-    /// Jobs ready for a worker, across all admitted queries.
-    ready: VecDeque<(u64, Job)>,
-    /// Admitted queries by id.
-    active: BTreeMap<u64, ActiveQuery>,
-    /// Admissible queries waiting for headroom, in submission order (FIFO — a big
-    /// query at the front is never starved by small ones behind it).
-    pending: VecDeque<PendingQuery>,
-    /// Sum of admitted queries' fetch bounds.
-    admitted_bound: u64,
-    /// High-water mark of `admitted_bound`.
-    peak_admitted_bound: u64,
-    next_id: u64,
-    counters: Counters,
-    shutdown: bool,
-}
-
-#[derive(Default)]
-struct Counters {
-    submitted: u64,
-    admitted: u64,
-    queued: u64,
-    rejected: u64,
-    completed: u64,
-    failed: u64,
-    jobs_run_by_callers: u64,
-    jobs_run_by_workers: u64,
 }
 
 struct SessionInner {
     store: SharedStore,
     threads: usize,
-    morsel_rows: usize,
-    budget: Option<u64>,
     max_alloc_surface: Option<u64>,
-    /// The cross-query fetch cache, when the session has a cache budget. `None`
-    /// reproduces the uncached engine bit-for-bit.
-    cache: Option<Arc<SessionFetchCache>>,
-    state: Mutex<PoolState>,
-    work: Condvar,
-}
-
-impl SessionInner {
-    /// Take the pool mutex. Worker panics are caught inside [`execute_job`], so the
-    /// bookkeeping this mutex guards is never left half-done; a poisoned guard is
-    /// taken anyway, same as the single-query scheduler.
-    fn lock_state(&self) -> MutexGuard<'_, PoolState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Wake one idle worker per job in `jobs`. Called after the pool lock is released.
-    fn wake_workers(&self, jobs: usize) {
-        for _ in 0..jobs {
-            self.work.notify_one();
-        }
-    }
+    /// The job queue the workers and the waiting callers run; it carries the fetch
+    /// budget and the cross-query fetch cache.
+    pool: Pool<'static>,
 }
 
 /// A multi-query execution session. See the module docs for the contract.
@@ -525,30 +395,21 @@ impl Session {
         let inner = Arc::new(SessionInner {
             store: store.into(),
             threads: exec.resolved_threads(),
-            morsel_rows: exec.resolved_morsel_size(),
-            budget: config.resolved_fetch_budget(),
             max_alloc_surface: (config.max_alloc_surface > 0).then_some(config.max_alloc_surface),
-            cache: config
-                .resolved_cache_budget_rows()
-                .map(|rows| Arc::new(SessionFetchCache::new(rows))),
-            state: Mutex::new(PoolState {
-                ready: VecDeque::new(),
-                active: BTreeMap::new(),
-                pending: VecDeque::new(),
-                admitted_bound: 0,
-                peak_admitted_bound: 0,
-                next_id: 0,
-                counters: Counters::default(),
-                shutdown: false,
-            }),
-            work: Condvar::new(),
+            pool: Pool::new(
+                exec.resolved_morsel_size(),
+                config.resolved_fetch_budget(),
+                config
+                    .resolved_cache_budget_rows()
+                    .map(|rows| Arc::new(SessionFetchCache::new(rows))),
+            ),
         });
         let workers = (0..inner.threads.max(1))
             .map(|worker| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("bea-session-{worker}"))
-                    .spawn(move || worker_loop(&inner))
+                    .spawn(move || inner.pool.worker_loop(inner.store.store()))
                     .expect("spawning a session worker thread")
             })
             .collect();
@@ -557,7 +418,7 @@ impl Session {
 
     /// The session's effective aggregate fetch budget (`None` = unlimited).
     pub fn fetch_budget(&self) -> Option<u64> {
-        self.inner.budget
+        self.inner.pool.budget
     }
 
     /// The session's worker-thread count.
@@ -568,11 +429,8 @@ impl Session {
     /// A snapshot of the cross-query fetch cache's counters. All-zero (including
     /// `budget_rows`) when the cache is disabled.
     pub fn cache_stats(&self) -> CacheStats {
-        self.inner
-            .cache
-            .as_ref()
-            .map(|cache| cache.stats())
-            .unwrap_or_default()
+        let cache = self.inner.pool.cache.as_ref();
+        cache.map(|cache| cache.stats()).unwrap_or_default()
     }
 
     /// Price `plan`, run it through admission control, and — if admitted or queued —
@@ -619,7 +477,7 @@ impl Session {
 
         // Deterministic rejections first: verdicts that depend only on the ticket
         // and the configuration, never on current load.
-        let rejection = match (inner.budget, inner.max_alloc_surface) {
+        let rejection = match (inner.pool.budget, inner.max_alloc_surface) {
             (Some(budget), _) if ticket.fetch_bound > budget => Some(Rejection::FetchBound {
                 bound: ticket.fetch_bound,
                 budget,
@@ -631,7 +489,7 @@ impl Session {
             _ => None,
         };
         if let Some(rejection) = rejection {
-            let mut guard = self.inner.lock_state();
+            let mut guard = inner.pool.lock_state();
             guard.counters.submitted += 1;
             guard.counters.rejected += 1;
             drop(guard);
@@ -641,61 +499,21 @@ impl Session {
             });
         }
 
-        let dag = physical.pipeline_dag();
-        let shards = dag.pipelines().iter().map(|p| p.shard).collect();
-        let mats = (0..physical.len()).map(|_| OnceLock::new()).collect();
-        let shared = Arc::new(QueryShared {
-            pool_cap: pool_cap_for(&physical),
-            plan: physical,
-            dag,
-            shards,
-            mats,
-            ledger: Arc::new(ResidencyLedger::default()),
-            fetch_bound: ticket.fetch_bound,
-        });
-        let (tx, rx) = channel();
-
-        let mut guard = inner.lock_state();
-        if guard.shutdown {
-            return Err(SubmitError::Invalid(Error::Invalid {
-                reason: "the session is shut down".into(),
-            }));
-        }
-        guard.counters.submitted += 1;
-        let id = guard.next_id;
-        guard.next_id += 1;
-        // Strict FIFO fairness: nothing overtakes an already-queued query, even if
-        // it would fit the current headroom.
-        let fits = guard.pending.is_empty()
-            && inner
-                .budget
-                .is_none_or(|budget| guard.admitted_bound + shared.fetch_bound <= budget);
-        let queued = !fits;
-        if queued {
-            guard.counters.queued += 1;
-            guard.pending.push_back(PendingQuery {
-                id,
-                shared,
-                outcome: tx,
-            });
-            drop(guard);
-        } else {
-            let added = admit(&mut guard, id, shared, tx);
-            drop(guard);
-            inner.wake_workers(added.saturating_sub(usize::from(caller_runs)));
-        }
+        let query = QueryShared::new(Cow::Owned(physical), ticket.fetch_bound);
+        let submitted = inner
+            .pool
+            .submit(query, caller_runs)
+            .map_err(SubmitError::Invalid)?;
         Ok(QueryHandle {
-            id,
             ticket,
-            queued,
-            rx,
+            submitted,
             inner: Arc::clone(inner),
         })
     }
 
     /// A snapshot of the admission counters.
     pub fn admission_stats(&self) -> AdmissionStats {
-        let guard = self.inner.lock_state();
+        let guard = self.inner.pool.lock_state();
         AdmissionStats {
             submitted: guard.counters.submitted,
             admitted: guard.counters.admitted,
@@ -705,7 +523,7 @@ impl Session {
             failed: guard.counters.failed,
             inflight_bound: guard.admitted_bound,
             peak_admitted_bound: guard.peak_admitted_bound,
-            budget: self.inner.budget,
+            budget: self.inner.pool.budget,
             jobs_run_by_callers: guard.counters.jobs_run_by_callers,
             jobs_run_by_workers: guard.counters.jobs_run_by_workers,
         }
@@ -718,11 +536,7 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        {
-            let mut guard = self.inner.lock_state();
-            guard.shutdown = true;
-        }
-        self.inner.work.notify_all();
+        self.inner.pool.shut_down();
         for worker in self.workers.drain(..) {
             // A worker that panicked outside a job is a bug; surface it rather
             // than shutting down half-torn.
@@ -732,409 +546,9 @@ impl Drop for Session {
         }
         // With the workers gone nothing probes the cache; release its resident
         // rows so its ledger's teardown zero-assertion holds.
-        if let Some(cache) = &self.inner.cache {
+        if let Some(cache) = &self.inner.pool.cache {
             cache.drain();
         }
-    }
-}
-
-/// Admit one query: charge its fetch bound against the budget, register its
-/// bookkeeping, and enqueue its dependency-free pipelines. Returns how many jobs
-/// were added. Caller holds the pool lock and emits the wakeups.
-fn admit(
-    state: &mut PoolState,
-    id: u64,
-    shared: Arc<QueryShared>,
-    outcome: Sender<QueryOutcome>,
-) -> usize {
-    state.counters.admitted += 1;
-    state.admitted_bound += shared.fetch_bound;
-    state.peak_admitted_bound = state.peak_admitted_bound.max(state.admitted_bound);
-    let n = shared.dag.len();
-    let deps_left: Vec<usize> = (0..n).map(|i| shared.dag.dependencies(i).len()).collect();
-    let mut added = 0;
-    for (pipeline, &deps) in deps_left.iter().enumerate() {
-        if deps == 0 {
-            state.ready.push_back((id, Job::Pipeline(pipeline)));
-            added += 1;
-        }
-    }
-    state.active.insert(
-        id,
-        ActiveQuery {
-            shared,
-            deps_left,
-            splits: Vec::new(),
-            completed: 0,
-            running: 0,
-            failure: None,
-            stats: AccessStats::default(),
-            outcome,
-        },
-    );
-    added
-}
-
-/// Admit queued queries, in order, while the budget has headroom. Stops at the first
-/// queued query that does not fit (FIFO — nothing overtakes it). Returns how many
-/// jobs were added.
-fn drain_pending(state: &mut PoolState, budget: Option<u64>) -> usize {
-    let mut added = 0;
-    loop {
-        let fits = state.pending.front().is_some_and(|next| {
-            budget.is_none_or(|budget| state.admitted_bound + next.shared.fetch_bound <= budget)
-        });
-        if !fits {
-            return added;
-        }
-        let next = state.pending.pop_front().expect("front() was Some");
-        added += admit(state, next.id, next.shared, next.outcome);
-    }
-}
-
-/// Pop the next job for a worker whose previous job belonged to `last` =
-/// `(query, pipeline)` on shard `last_shard`: first a morsel of the same query's
-/// same pipeline (the split whose cache and batches this worker has warm), then the
-/// first job tagged with the same shard — *any* query's, the partition is
-/// store-wide — then the queue front. Pure queue reordering, exactly like the
-/// single-query scheduler's `pick_ready`.
-fn pick_ready_multi(
-    ready: &mut VecDeque<(u64, Job)>,
-    active: &BTreeMap<u64, ActiveQuery>,
-    last: Option<(u64, usize)>,
-    last_shard: Option<u32>,
-) -> Option<(u64, Job)> {
-    let shard_of = |id: &u64, job: &Job| {
-        active
-            .get(id)
-            .and_then(|query| query.shared.shards[job_pipeline(job)])
-    };
-    let position = last
-        .and_then(|(query, pipeline)| {
-            ready
-                .iter()
-                .position(|(id, job)| *id == query && job_pipeline(job) == pipeline)
-        })
-        .or_else(|| {
-            last_shard.and_then(|shard| {
-                ready
-                    .iter()
-                    .position(|(id, job)| shard_of(id, job) == Some(shard))
-            })
-        })
-        .unwrap_or(0);
-    ready.remove(position)
-}
-
-/// Decrement the dependency counts of `pipeline`'s dependents within one query,
-/// enqueueing the ones that became ready. Returns how many jobs were added.
-fn unlock_dependents(
-    query: &mut ActiveQuery,
-    id: u64,
-    pipeline: usize,
-    ready: &mut VecDeque<(u64, Job)>,
-) -> usize {
-    let shared = Arc::clone(&query.shared);
-    let mut added = 0;
-    for &dependent in shared.dag.dependents(pipeline) {
-        query.deps_left[dependent] -= 1;
-        if query.deps_left[dependent] == 0 {
-            ready.push_back((id, Job::Pipeline(dependent)));
-            added += 1;
-        }
-    }
-    added
-}
-
-/// Extract a finished query's output, mirroring the tail of the single-query
-/// executor: take the output materialization, settle the residency ledger, count the
-/// transpose's clones, and build the table. Runs *outside* the pool lock.
-fn finish_query(shared: &QueryShared, mut stats: AccessStats) -> (Table, AccessStats) {
-    let output = shared.plan.output();
-    let (batches, output_rows) = {
-        let mut node = shared.mats[output]
-            .get()
-            .expect("lowering marks the output step as a materialization point")
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let batches = node
-            .batches
-            .take()
-            .expect("the output's virtual consumer is the session");
-        (batches, node.rows)
-    };
-    shared.ledger.release(output_rows);
-    stats.peak_rows_resident = shared.ledger.peak();
-    debug_assert_eq!(
-        shared.ledger.resident(),
-        0,
-        "a query's residency ledger must drain back to zero when it completes"
-    );
-    let mut rows: Vec<bea_core::value::Row> = Vec::with_capacity(output_rows as usize);
-    for batch in batches {
-        let (mut batch_rows, clones) = batch.into_rows();
-        stats.values_cloned += clones;
-        rows.append(&mut batch_rows);
-    }
-    let table = Table::with_rows(shared.plan.steps()[output].columns.clone(), rows);
-    (table, stats)
-}
-
-/// One query's terminal transition, computed under the lock and delivered after it
-/// is released.
-enum Retired {
-    Finished {
-        stats: AccessStats,
-        outcome: Sender<QueryOutcome>,
-    },
-    Failed {
-        failure: Failure,
-        outcome: Sender<QueryOutcome>,
-    },
-}
-
-/// Which kind of thread is running a claimed job.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Runner {
-    /// A pool worker: after the job it looks at the whole queue again.
-    Worker,
-    /// The thread waiting for the job's query: after the job it looks at the queue
-    /// again for that query only, and not at all once the query has retired.
-    Caller,
-}
-
-/// Count a job popped off the ready queue as running on its query, and hand back the
-/// query's execution context. Caller holds the pool lock.
-fn claim(active: &mut BTreeMap<u64, ActiveQuery>, id: u64) -> Arc<QueryShared> {
-    let query = active
-        .get_mut(&id)
-        .expect("ready jobs belong to active queries");
-    query.running += 1;
-    Arc::clone(&query.shared)
-}
-
-/// The pool's worker loop: claim any query's next job (with affinity) and run it.
-/// Exits when the session is shut down and fully drained.
-fn worker_loop(inner: &SessionInner) {
-    // The (query, pipeline) and shard of this worker's previous job — its affinity.
-    let mut last: Option<(u64, usize)> = None;
-    let mut last_shard: Option<u32> = None;
-    loop {
-        let (id, job, shared) = {
-            let mut guard = inner.lock_state();
-            loop {
-                let state = &mut *guard;
-                if let Some((id, job)) =
-                    pick_ready_multi(&mut state.ready, &state.active, last, last_shard)
-                {
-                    break (id, job, claim(&mut state.active, id));
-                }
-                if guard.shutdown && guard.active.is_empty() && guard.pending.is_empty() {
-                    return;
-                }
-                guard = inner
-                    .work
-                    .wait(guard)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        last = Some((id, job_pipeline(&job)));
-        last_shard = shared.shards[job_pipeline(&job)];
-        run_claimed(inner, id, job, &shared, Runner::Worker);
-    }
-}
-
-/// Run one claimed job of query `id` to the end on the current thread: split a
-/// freshly claimed splittable pipeline into morsels, execute with a per-job private
-/// state, fold the outcome into the query's bookkeeping, unlock its dependents, and —
-/// when that was its last job — retire the query, admit whatever the freed headroom
-/// lets in, and deliver the outcome. Workers and waiting callers share this; `runner`
-/// only decides which counter the job lands in and whether a wake-up is withheld for
-/// the running thread.
-fn run_claimed(inner: &SessionInner, id: u64, job: Job, shared: &QueryShared, runner: Runner) {
-    // Cut a splittable pipeline, enqueue the other morsels (waking one worker per
-    // extra job), and run the first morsel in this claim's place — same protocol as
-    // the single-query scheduler.
-    let job = match job {
-        Job::Pipeline(pipeline) => {
-            match try_split(
-                &shared.plan,
-                &shared.dag,
-                pipeline,
-                &shared.mats,
-                inner.morsel_rows,
-            ) {
-                Some(work) => {
-                    let work = Arc::new(work);
-                    let morsels = work.ranges.len();
-                    let split = {
-                        let mut guard = inner.lock_state();
-                        let state = &mut *guard;
-                        let query = state
-                            .active
-                            .get_mut(&id)
-                            .expect("a running query stays active");
-                        let split = query.splits.len();
-                        query.splits.push(SplitState::new(morsels));
-                        for index in 1..morsels {
-                            state.ready.push_back((
-                                id,
-                                Job::Morsel {
-                                    work: Arc::clone(&work),
-                                    split,
-                                    index,
-                                },
-                            ));
-                        }
-                        split
-                    };
-                    inner.wake_workers(morsels - 1);
-                    Job::Morsel {
-                        work,
-                        split,
-                        index: 0,
-                    }
-                }
-                None => Job::Pipeline(pipeline),
-            }
-        }
-        morsel => morsel,
-    };
-    let outcome = execute_job(
-        &shared.plan,
-        &shared.dag,
-        inner.store.store(),
-        &shared.ledger,
-        &shared.mats,
-        shared.pool_cap,
-        inner.cache.as_ref(),
-        &job,
-    );
-
-    let mut guard = inner.lock_state();
-    let state = &mut *guard;
-    match runner {
-        Runner::Worker => state.counters.jobs_run_by_workers += 1,
-        Runner::Caller => state.counters.jobs_run_by_callers += 1,
-    }
-    let mut added = 0usize;
-    let mut retired: Option<Retired> = None;
-    {
-        let query = state
-            .active
-            .get_mut(&id)
-            .expect("a running query stays active");
-        query.running -= 1;
-        match outcome {
-            // Successful job of a healthy query: fold its counters in and
-            // advance the query's DAG.
-            Ok((Ok(output), stats)) if query.failure.is_none() => {
-                query.stats.merge_concurrent(stats);
-                match (&job, output) {
-                    (Job::Pipeline(pipeline), _) => {
-                        query.completed += 1;
-                        added += unlock_dependents(query, id, *pipeline, &mut state.ready);
-                    }
-                    (Job::Morsel { work, split, index }, Some((batches, rows))) => {
-                        let split_state = &mut query.splits[*split];
-                        split_state.results[*index] = Some(batches);
-                        split_state.rows += rows;
-                        split_state.remaining -= 1;
-                        if split_state.remaining == 0 {
-                            let mut split_state =
-                                std::mem::replace(&mut query.splits[*split], SplitState::new(0));
-                            finalize_split(
-                                &shared.plan,
-                                &mut split_state,
-                                work,
-                                shared.dag.pipelines()[work.pipeline].sink,
-                                &shared.mats,
-                                &shared.ledger,
-                            );
-                            query.completed += 1;
-                            added += unlock_dependents(query, id, work.pipeline, &mut state.ready);
-                        }
-                    }
-                    _ => unreachable!("job kinds and outputs always pair up"),
-                }
-            }
-            // A job landing on an already-failed query: its work is discarded;
-            // only the running count mattered.
-            Ok((Ok(_), _)) => {}
-            Ok((Err(error), _)) => {
-                // First failure wins for *this* query; its queued jobs are
-                // discarded, every other query is untouched.
-                if query.failure.is_none() {
-                    query.failure = Some(Failure::Error(error));
-                    state.ready.retain(|(owner, _)| *owner != id);
-                }
-            }
-            Err(payload) => {
-                if query.failure.is_none() {
-                    query.failure = Some(Failure::Panic(payload));
-                    state.ready.retain(|(owner, _)| *owner != id);
-                }
-            }
-        }
-        // Terminal transitions: all pipelines done, or failed and fully
-        // drained of in-flight jobs.
-        let done = query.completed == query.shared.dag.len();
-        let failed = query.failure.is_some() && query.running == 0;
-        if done || failed {
-            // A split registered after the failure purge may have re-enqueued
-            // morsels; drop any leftovers before retiring the query.
-            state.ready.retain(|(owner, _)| *owner != id);
-            let query = state
-                .active
-                .remove(&id)
-                .expect("the query was just looked up");
-            state.admitted_bound -= query.shared.fetch_bound;
-            retired = Some(if done {
-                state.counters.completed += 1;
-                Retired::Finished {
-                    stats: query.stats,
-                    outcome: query.outcome,
-                }
-            } else {
-                state.counters.failed += 1;
-                Retired::Failed {
-                    failure: query.failure.expect("the failed branch set it"),
-                    outcome: query.outcome,
-                }
-            });
-            // The retired query left nothing behind, so every job added from here
-            // on belongs to a query the freed headroom just admitted.
-            added = drain_pending(state, inner.budget);
-        }
-    }
-    let shutdown = state.shutdown;
-    drop(guard);
-    // The running thread looks at the queue next and takes one of the new jobs
-    // itself — except a caller whose query just retired: the new jobs are other
-    // queries', and it is leaving.
-    let leaving = runner == Runner::Caller && retired.is_some();
-    inner.wake_workers(if leaving {
-        added
-    } else {
-        added.saturating_sub(1)
-    });
-    if shutdown && retired.is_some() {
-        // Idle workers exit once the last query is gone; all of them must re-check.
-        inner.work.notify_all();
-    }
-    // The output transpose (potentially large) runs outside the lock.
-    match retired {
-        Some(Retired::Finished { stats, outcome }) => {
-            let (table, stats) = finish_query(shared, stats);
-            let _ = outcome.send(QueryOutcome::Finished(Box::new((table, stats))));
-        }
-        Some(Retired::Failed { failure, outcome }) => {
-            let _ = outcome.send(match failure {
-                Failure::Error(error) => QueryOutcome::Failed(error),
-                Failure::Panic(payload) => QueryOutcome::Panicked(payload),
-            });
-        }
-        None => {}
     }
 }
 
@@ -1142,12 +556,13 @@ fn run_claimed(inner: &SessionInner, id: u64, job: Job, shared: &QueryShared, ru
 mod tests {
     use super::*;
     use crate::exec::{execute_plan_on, ExecOptions};
+    use crate::ops::sched::drain_pending;
     use bea_core::access::{AccessConstraint, AccessSchema};
     use bea_core::plan::{PlanBuilder, Predicate};
     use bea_core::schema::Catalog;
     use bea_core::value::Value;
     use bea_storage::Database;
-    use std::sync::mpsc::RecvTimeoutError;
+    use std::sync::mpsc::{channel, RecvTimeoutError};
 
     /// A tiny R(a → b) store with keys 1..=n, two b-values per key.
     fn fixture(n: i64) -> IndexedDatabase {
@@ -1271,7 +686,7 @@ mod tests {
         // Each query's bound is 20: only one fits at a time under budget 30. Hold 20
         // units the way an admitted query would, so none fits while they are submitted
         // and queueing does not depend on how fast a worker retires the first one.
-        session.inner.lock_state().admitted_bound = 20;
+        session.inner.pool.lock_state().admitted_bound = 20;
         let plans: Vec<QueryPlan> = (0..4)
             .map(|i| lookup_union(&format!("Q{i}"), &[1 + i, 2 + i]))
             .collect();
@@ -1287,12 +702,12 @@ mod tests {
         assert_eq!(session.admission_stats().admitted, 0);
         // Release the hold exactly as a retiring query does: headroom, drain, wake.
         let admitted_jobs = {
-            let mut state = session.inner.lock_state();
+            let mut state = session.inner.pool.lock_state();
             state.admitted_bound -= 20;
-            drain_pending(&mut state, session.inner.budget)
+            drain_pending(&mut state, session.inner.pool.budget)
         };
         assert!(admitted_jobs > 0);
-        session.inner.wake_workers(admitted_jobs);
+        session.inner.pool.wake_workers(admitted_jobs);
         for handle in handles {
             handle.wait().unwrap();
         }
@@ -1514,7 +929,7 @@ mod tests {
                 attempts += 1;
                 // Hold 20 of 30 units the way an admitted query would: a bound of 20
                 // must queue.
-                session.inner.lock_state().admitted_bound += 20;
+                session.inner.pool.lock_state().admitted_bound += 20;
                 let before = session.admission_stats();
                 std::thread::scope(|scope| {
                     let caller = scope.spawn(|| session.run(&plan).unwrap().1.unwrap());
@@ -1523,11 +938,11 @@ mod tests {
                     }
                     // Release the hold exactly as a retiring query does.
                     let admitted_jobs = {
-                        let mut state = session.inner.lock_state();
+                        let mut state = session.inner.pool.lock_state();
                         state.admitted_bound -= 20;
-                        drain_pending(&mut state, session.inner.budget)
+                        drain_pending(&mut state, session.inner.pool.budget)
                     };
-                    session.inner.wake_workers(admitted_jobs);
+                    session.inner.pool.wake_workers(admitted_jobs);
                     let (table, _) = caller.join().unwrap();
                     assert_eq!(table.rows(), expected.rows());
                 });

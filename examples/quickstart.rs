@@ -5,7 +5,7 @@
 
 use bea::core::bounded::{analyze_cq, BoundedConfig, BoundedVerdict};
 use bea::core::plan::bounded_plan;
-use bea::engine::{eval_cq, execute_plan, execute_plan_with_options, ExecOptions};
+use bea::engine::{eval_cq, execute_plan, execute_plan_on, ExecOptions};
 use bea::parser::{parse_access_schema, parse_catalog, parse_query};
 use bea::storage::{Database, IndexedDatabase};
 use bea_core::value::Value;
@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    machine's parallelism). Whatever the thread count, a bounded plan touches
     //    exactly the same data — parallelism scales the hardware, not the access bound.
     let (parallel_answer, parallel_stats) =
-        execute_plan_with_options(&plan, &indexed, &ExecOptions::new().with_threads(4))?;
+        execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(4))?;
     assert!(parallel_answer.same_rows(&bounded_answer));
     assert!(parallel_stats.same_data_access(&bounded_stats));
     println!("parallel (4 threads) reads the same data: {parallel_stats}");

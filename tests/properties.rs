@@ -15,8 +15,8 @@ use bea::core::plan::{
 use bea::core::reason::{instance::eval_cq as eval_cq_small, instance::SmallInstance};
 use bea::core::specialize::{generic_template, instantiate, specialize_cq, SpecializeConfig};
 use bea::engine::{
-    eval_cq, eval_ucq, execute_physical_with_options, execute_plan, execute_plan_on,
-    execute_plan_with_options, ExecOptions,
+    eval_cq, eval_ucq, execute_physical_on, execute_plan, execute_plan_materialized,
+    execute_plan_on, ExecOptions,
 };
 use bea::storage::{
     discover_constraints, shards_from_env, DiscoveryOptions, IndexedDatabase, ShardedDatabase,
@@ -165,13 +165,11 @@ fn assert_bounded_plans_agree_with_naive(
         let plan = bounded_plan_for_report(query, schema, &report).unwrap();
         assert!(plan.is_bounded_under(schema));
         let (bounded, stats) =
-            execute_plan_with_options(&plan, &indexed, &ExecOptions::new().with_threads(1))
-                .unwrap();
+            execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(1)).unwrap();
         let (parallel, parallel_stats) =
-            execute_plan_with_options(&plan, &indexed, &ExecOptions::new().with_threads(4))
-                .unwrap();
+            execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(4)).unwrap();
         let (materialized, materialized_stats) =
-            execute_plan_with_options(&plan, &indexed, &ExecOptions::materialized()).unwrap();
+            execute_plan_materialized(&plan, &indexed).unwrap();
         let (sharded_out, sharded_stats) = execute_plan_on(
             &plan,
             Store::Sharded(&sharded),
@@ -319,12 +317,10 @@ fn columnar_pipeline_halves_copy_traffic_on_target_scenarios() {
         (&batch.plan, &batch.indexed, "parallel q0 batch"),
     ];
     for (plan, indexed, name) in cases {
-        let (row_table, row_stats) =
-            execute_plan_with_options(plan, indexed, &ExecOptions::materialized()).unwrap();
+        let (row_table, row_stats) = execute_plan_materialized(plan, indexed).unwrap();
         for threads in [1usize, 4] {
             let (columnar_table, columnar_stats) =
-                execute_plan_with_options(plan, indexed, &ExecOptions::new().with_threads(threads))
-                    .unwrap();
+                execute_plan_on(plan, indexed, &ExecOptions::new().with_threads(threads)).unwrap();
             assert!(
                 columnar_table.same_rows(&row_table),
                 "{name}: executors disagree at {threads} threads"
@@ -433,7 +429,7 @@ fn warmed_anchored_probes_allocate_nothing() {
                 let db = database_with_rows(m);
                 let indexed = IndexedDatabase::build(db.clone(), schema.clone()).unwrap();
                 let (table, stats) = if shards == 1 {
-                    execute_plan_with_options(&plan, &indexed, &options).unwrap()
+                    execute_plan_on(&plan, &indexed, &options).unwrap()
                 } else {
                     let sharded = ShardedDatabase::build(db, schema.clone(), shards).unwrap();
                     execute_plan_on(&plan, Store::Sharded(&sharded), &options).unwrap()
@@ -442,8 +438,7 @@ fn warmed_anchored_probes_allocate_nothing() {
                 // the answers and the data-access counters match the unpooled
                 // materialized executor exactly.
                 let (reference, reference_stats) =
-                    execute_plan_with_options(&plan, &indexed, &ExecOptions::materialized())
-                        .unwrap();
+                    execute_plan_materialized(&plan, &indexed).unwrap();
                 assert!(
                     table.same_rows(&reference),
                     "pooled probe loop changed the answers at m = {m}, \
@@ -564,7 +559,7 @@ fn morsel_size_never_changes_what_is_computed() {
 
     let indexed = IndexedDatabase::build(db.clone(), schema.clone()).unwrap();
     let (baseline, baseline_stats) =
-        execute_plan_with_options(&plan, &indexed, &ExecOptions::new().with_threads(1)).unwrap();
+        execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(1)).unwrap();
     assert_eq!(baseline.len() as i64, FAN_OUT);
 
     for shards in [1u32, 4] {
@@ -579,7 +574,7 @@ fn morsel_size_never_changes_what_is_computed() {
                     .with_morsel_size(morsel_size);
                 let (table, stats) = match &sharded {
                     Some(store) => execute_plan_on(&plan, Store::Sharded(store), &options).unwrap(),
-                    None => execute_plan_with_options(&plan, &indexed, &options).unwrap(),
+                    None => execute_plan_on(&plan, &indexed, &options).unwrap(),
                 };
                 let corner =
                     format!("morsel size {morsel_size} / {threads} threads / {shards} shards");
@@ -633,8 +628,7 @@ fn sharded_execution_is_invariant_across_shard_counts() {
                 exercised += 1;
                 let plan = bounded_plan(query, &schema).unwrap();
                 let (baseline, baseline_stats) =
-                    execute_plan_with_options(&plan, &indexed, &ExecOptions::new().with_threads(1))
-                        .unwrap();
+                    execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(1)).unwrap();
                 for sharded in &stores {
                     for threads in [1usize, 4] {
                         let (table, stats) = execute_plan_on(
@@ -715,7 +709,7 @@ fn parallel_execution_is_deterministic_across_thread_counts() {
             let runs: Vec<_> = [1usize, 2, 4]
                 .into_iter()
                 .map(|threads| {
-                    execute_physical_with_options(
+                    execute_physical_on(
                         &physical,
                         &indexed,
                         &ExecOptions::new().with_threads(threads),
