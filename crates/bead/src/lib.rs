@@ -42,10 +42,49 @@
 //!
 //! A `STATS` reply is one `OK` head of `key=value` counters: the admission counters
 //! (`submitted` … `budget`), the cache counters, who ran the queries' jobs —
-//! `caller_jobs=` (connection threads) and `worker_jobs=` (the session's pool) — and
-//! the store's exact footprint — `store_bytes=` (flat tuple values) and
-//! `index_bytes=` (posting indexes), string payloads excluded; the daemon's start-up
-//! banner carries the same two fields.
+//! `caller_jobs=` (connection threads) and `worker_jobs=` (the session's pool) — the
+//! plan table (`plan_templates=` entries held, `plan_hits=` requests served from one,
+//! `plan_misses=` all other `QUERY` requests), and the store's exact footprint —
+//! `store_bytes=` (flat tuple values) and `index_bytes=` (posting indexes), string
+//! payloads excluded; the daemon's start-up banner carries the same two fields.
+//!
+//! ## One path for a `QUERY`: split → look up or prepare → bind → admit → run
+//!
+//! Whether `Q(x̄ = c̄)` is covered, and the plan and the bound that follow, depend on
+//! *which* variables are constants and which constants coincide, never on their values
+//! (Section 5 of the paper; [`bea_core::specialize`] plans against pairwise distinct
+//! labelled nulls for that reason). Clients send a handful of rule texts that differ
+//! only in their constants, so the daemon plans once per *template*:
+//!
+//! 1. **split** — one scan of the lexer ([`bea_parser::Skeleton::of`]) yields the
+//!    template key (the tokens with every integer and string literal blanked to its
+//!    kind and class, so `x = 1, y = 1` and `x = 1, y = 2` are different templates and
+//!    layout and comments are none) and the text's distinct literals;
+//! 2. **look up or prepare** — a hit in the plan table is an `Arc` clone. A miss
+//!    parses the text with a placeholder per literal class
+//!    ([`bea_parser::parse_template`]), runs coverage and synthesis on that, and has
+//!    the session lower, validate and price the plan
+//!    ([`bea_engine::session::Session::prepare`]). Validation and pricing are per
+//!    template because nothing they read can change between requests: the store is
+//!    immutable, and the plan's shape — fetch steps, constraint indexes, pipeline DAG,
+//!    fetch bound, allocation surface — holds no value;
+//! 3. **bind → admit → run** — [`bea_engine::session::Session::run_prepared`] checks
+//!    the stored ticket against the budget (a `REJECT` costs no clone), writes the
+//!    request's literals into a copy of the plan, and runs it on the connection's
+//!    thread. This is the only step a request served from the table pays for.
+//!
+//! A text the lexer refuses, and a template that fails to parse or plan, store nothing:
+//! the request is then served from the literal text ([`BeadServer::query_unprepared`] —
+//! parse, plan, prepare, run, as every request was before the table existed), so an
+//! `ERR` names the text's own line, column and constants. Replies are byte-identical
+//! on both routes; `crates/bead/tests/templates.rs` holds that property.
+//!
+//! The table is bounded by construction, by constants in the code: at most
+//! [`server::MAX_PLAN_TEMPLATES`] (1024) entries, keys of at most
+//! [`server::MAX_TEMPLATE_KEY_BYTES`] (4 KiB) — 4 MiB of retained client text at worst,
+//! plus one prepared plan per entry. A longer key is served unprepared; a template that
+//! would be entry 1025 finds the table dropped and starts its refill. Keys are client
+//! text, so the map keeps std's keyed SipHash.
 //!
 //! A request line is at most 64 KiB, newline included
 //! ([`server::MAX_REQUEST_LINE_BYTES`]); a longer one is answered

@@ -1,21 +1,38 @@
-//! The daemon side: a [`Session`] behind a Unix-socket accept loop.
+//! The daemon side: a [`Session`] behind a Unix-socket accept loop, and the table of
+//! prepared plans that lets a `QUERY` pay for planning once per template.
 
 use crate::protocol::{Reply, Request};
-use bea_core::plan::{bounded_plan, bounded_plan_ucq, QueryPlan};
+use bea_core::plan::{bounded_plan, bounded_plan_ucq};
 use bea_core::query::Query;
 use bea_core::reason::ReasonConfig;
-use bea_engine::session::{Rejection, Session, SessionConfig, SharedStore, SubmitError};
+use bea_core::Value;
+use bea_engine::session::{
+    PreparedPlan, Rejection, Session, SessionConfig, SharedStore, SubmitError,
+};
+use bea_parser::Skeleton;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// The longest request line `bead` reads, newline included. A connection that sends
 /// more without a newline is answered with an `ERR` and closed, so no client can make
 /// the daemon buffer an unbounded line.
 pub const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024;
+
+/// The most templates the plan table holds. A template that would be one more finds the
+/// table dropped and starts its refill: clients that rotate through more than this
+/// many rule shapes plan as often as they did without a table, and no worse.
+pub const MAX_PLAN_TEMPLATES: usize = 1024;
+
+/// The longest template key ([`Skeleton::key`]) the plan table stores; a longer one is
+/// planned per request, like every query was before there was a table. With
+/// [`MAX_PLAN_TEMPLATES`] this caps the client text the table retains at 4 MiB.
+pub const MAX_TEMPLATE_KEY_BYTES: usize = 4 * 1024;
 
 /// Daemon configuration: where to listen and how to configure the session.
 #[derive(Debug, Clone, Default)]
@@ -40,6 +57,12 @@ pub struct BeadServer {
     socket: PathBuf,
     store: SharedStore,
     shutdown: AtomicBool,
+    /// Prepared plans by template key. The keys are client text, so the map keeps
+    /// std's keyed SipHash.
+    templates: RwLock<HashMap<Box<str>, Arc<PreparedPlan>>>,
+    /// `QUERY` requests served from `templates`, and all the others.
+    plan_hits: AtomicU64,
+    plan_misses: AtomicU64,
 }
 
 impl BeadServer {
@@ -64,6 +87,9 @@ impl BeadServer {
             socket: config.socket.clone(),
             store,
             shutdown: AtomicBool::new(false),
+            templates: RwLock::default(),
+            plan_hits: AtomicU64::new(0),
+            plan_misses: AtomicU64::new(0),
         })
     }
 
@@ -150,19 +176,22 @@ impl BeadServer {
         }
     }
 
-    fn dispatch(&self, request: Request) -> Reply {
+    /// Answer one request: what a connection does with each line it reads.
+    pub fn dispatch(&self, request: Request) -> Reply {
         match request {
             Request::Ping => Reply::ok("pong", Vec::new()),
             Request::Stats => {
                 let stats = self.session.admission_stats();
                 let cache = self.session.cache_stats();
                 let (store_bytes, index_bytes) = self.footprint();
+                let plan_templates = self.templates().len();
                 Reply::ok(
                     format!(
                         "submitted={} admitted={} queued={} rejected={} completed={} failed={} \
                          inflight_bound={} peak_admitted_bound={} budget={} cache_hits={} \
                          rows_served_from_cache={} cache_evictions={} caller_jobs={} \
-                         worker_jobs={} store_bytes={store_bytes} index_bytes={index_bytes}",
+                         worker_jobs={} plan_templates={plan_templates} plan_hits={} \
+                         plan_misses={} store_bytes={store_bytes} index_bytes={index_bytes}",
                         stats.submitted,
                         stats.admitted,
                         stats.queued,
@@ -179,6 +208,8 @@ impl BeadServer {
                         cache.evictions,
                         stats.jobs_run_by_callers,
                         stats.jobs_run_by_workers,
+                        self.plan_hits.load(Ordering::Relaxed),
+                        self.plan_misses.load(Ordering::Relaxed),
                     ),
                     Vec::new(),
                 )
@@ -191,37 +222,93 @@ impl BeadServer {
         }
     }
 
-    /// Parse → synthesize a bounded plan → run on this connection's thread (the
-    /// session's workers join in when the query goes wide) → format. Every failure
-    /// mode maps to a distinct reply so clients can tell a syntax error from an
-    /// uncovered query from an admission rejection.
+    /// Split → look up or prepare → bind → admit → run (see the crate docs). The text's
+    /// constants come out first; what is left names a template, whose plan is prepared
+    /// the first time it is seen and afterwards only bound to each request's constants.
     fn run_query(&self, text: &str) -> Reply {
+        let skeleton = Skeleton::of(text)
+            .ok()
+            .filter(|skeleton| skeleton.key.len() <= MAX_TEMPLATE_KEY_BYTES);
+        if let Some(Skeleton { key, literals }) = &skeleton {
+            let hit = self.templates().get(key.as_str()).cloned();
+            if let Some(prepared) = hit {
+                self.plan_hits.fetch_add(1, Ordering::Relaxed);
+                return self.run_prepared(&prepared, literals);
+            }
+        }
+        self.plan_misses.fetch_add(1, Ordering::Relaxed);
+        if let Some(Skeleton { key, literals }) = skeleton {
+            let catalog = self.store.store().database().catalog();
+            if let Ok(prepared) = self.prepare(bea_parser::parse_template(catalog, text)) {
+                let prepared = Arc::new(prepared);
+                let mut templates = self
+                    .templates
+                    .write()
+                    .expect("no code panics holding the template table");
+                // A full table is emptied, and its plans freed once the lock is gone.
+                let full = templates.len() >= MAX_PLAN_TEMPLATES;
+                let dropped = full.then(|| std::mem::take(&mut *templates));
+                templates.insert(key.into_boxed_str(), Arc::clone(&prepared));
+                drop(templates);
+                drop(dropped);
+                return self.run_prepared(&prepared, &literals);
+            }
+        }
+        // A text the lexer refuses, a key too long to keep, or a template that does not
+        // parse or plan: nothing is stored, and the reply — an `ERR` naming the literal
+        // text's own line, column and constants, if it is one — comes off the text.
+        self.query_unprepared(text)
+    }
+
+    /// Serve `text` as written, constants in place and no table involved: parse, plan,
+    /// prepare and run for this request alone. What [`Request::Query`] falls back to
+    /// for a text it cannot serve from a template, and what every template-served
+    /// reply must equal byte for byte.
+    pub fn query_unprepared(&self, text: &str) -> Reply {
+        let catalog = self.store.store().database().catalog();
+        match self.prepare(bea_parser::parse_query(catalog, text)) {
+            Ok(prepared) => self.run_prepared(&prepared, &[]),
+            Err(reply) => reply,
+        }
+    }
+
+    fn templates(&self) -> std::sync::RwLockReadGuard<'_, HashMap<Box<str>, Arc<PreparedPlan>>> {
+        self.templates
+            .read()
+            .expect("no code panics holding the template table")
+    }
+
+    /// Synthesize a bounded plan for a parsed query and prepare it for the session.
+    /// Every failure mode maps to a distinct reply so clients can tell a syntax error
+    /// from an uncovered query from a plan the store refuses.
+    fn prepare(&self, parsed: bea_core::error::Result<Query>) -> Result<PreparedPlan, Reply> {
         let store = self.store.store();
-        let catalog = store.database().catalog();
-        let query = match bea_parser::parse_query(catalog, text) {
-            Ok(query) => query,
-            Err(error) => return Reply::err(format!("parse: {error}")),
-        };
-        let plan: QueryPlan = match &query {
-            Query::Cq(cq) => match bounded_plan(cq, store.schema()) {
-                Ok(plan) => plan,
-                Err(error) => return Reply::err(format!("plan: {error}")),
-            },
-            Query::Ucq(ucq) => {
-                match bounded_plan_ucq(ucq, store.schema(), &ReasonConfig::default()) {
-                    Ok(plan) => plan,
-                    Err(error) => return Reply::err(format!("plan: {error}")),
-                }
-            }
+        let query = parsed.map_err(|error| Reply::err(format!("parse: {error}")))?;
+        let plan = match &query {
+            Query::Cq(cq) => bounded_plan(cq, store.schema()),
+            Query::Ucq(ucq) => bounded_plan_ucq(ucq, store.schema(), &ReasonConfig::default()),
             _ => {
-                return Reply::err(
+                return Err(Reply::err(
                     "plan: only CQ and UCQ queries are served; rewrite ∃FO⁺/FO queries first",
-                )
+                ))
             }
-        };
+        }
+        .map_err(|error| Reply::err(format!("plan: {error}")))?;
+        self.session
+            .prepare(&plan)
+            .map_err(|error| Reply::err(format!("submit: {error}")))
+    }
+
+    /// Bind `values` into `prepared`, admit it and run it on this connection's thread
+    /// (the session's workers join in when the query goes wide), and format the
+    /// outcome: an admission rejection, an execution error and a served query each
+    /// get their own reply.
+    fn run_prepared(&self, prepared: &PreparedPlan, values: &[Value]) -> Reply {
+        let ticket = prepared.ticket();
         // A panicking operator fails only its own query; keep the daemon up and
         // surface the payload as an ERR reply.
-        let ran = match catch_unwind(AssertUnwindSafe(|| self.session.run(&plan))) {
+        let run = || self.session.run_prepared(prepared, values);
+        let ran = match catch_unwind(AssertUnwindSafe(run)) {
             Ok(ran) => ran,
             Err(payload) => {
                 let message = payload
@@ -245,8 +332,8 @@ impl BeadServer {
                 )),
             },
             Err(SubmitError::Invalid(error)) => Reply::err(format!("submit: {error}")),
-            Ok((_, Err(error))) => Reply::err(format!("execute: {error}")),
-            Ok((ticket, Ok((table, stats)))) => {
+            Ok(Err(error)) => Reply::err(format!("execute: {error}")),
+            Ok(Ok((table, stats))) => {
                 let body = table.rows().iter().map(|row| body_line(row)).collect();
                 Reply::ok(
                     format!(
@@ -271,7 +358,7 @@ impl BeadServer {
 
 /// One result row as a reply body line: the values' display forms, tab-separated,
 /// written straight into the line's one `String`.
-fn body_line(row: &[bea_core::Value]) -> String {
+fn body_line(row: &[Value]) -> String {
     let mut line = String::with_capacity(16 * row.len());
     for (i, value) in row.iter().enumerate() {
         if i > 0 {
@@ -319,7 +406,6 @@ mod tests {
 
     #[test]
     fn body_lines_are_tab_separated_display_forms() {
-        use bea_core::Value;
         assert_eq!(
             body_line(&[Value::int(7), Value::str("a b"), Value::Bool(true)]),
             "7\t\"a b\"\ttrue"
@@ -397,8 +483,18 @@ mod tests {
                 "head: {}",
                 stats.head
             );
+            // The repeat was bound into the plan the first request prepared; the
+            // rejected rule's plan is kept too, the malformed one's is not.
+            assert!(
+                stats
+                    .head
+                    .contains(" plan_templates=2 plan_hits=1 plan_misses=3 "),
+                "head: {}",
+                stats.head
+            );
             // Who ran the two served queries' jobs is on the reply, in front of the
-            // footprint: connection threads and pool workers, every job counted once.
+            // plan table's counters and the footprint: connection threads and pool
+            // workers, every job counted once.
             let jobs = |field: &str| -> u64 {
                 let value = stats.head.split_once(field).expect(field).1;
                 value.split(' ').next().unwrap().parse().expect(field)

@@ -89,6 +89,30 @@ fn mixed_accept_reject_batch_and_clean_shutdown() {
     assert!(reply.contains("allocs_per_probe="), "reply: {reply}");
     let cold_rows: Vec<&str> = reply.lines().skip(1).collect();
 
+    // The same rule under another id: one template, planned by the query above and
+    // only bound here — a hit, no new entry, and the district of the id that was sent.
+    let stat = |daemon: &Daemon, name: &str| -> String {
+        let (_, stats) = daemon.ctl(&["stats"]);
+        let value = stats.split_once(&format!(" {name}=")).expect(name).1;
+        value.split_whitespace().next().expect(name).to_owned()
+    };
+    let templates = stat(&daemon, "plan_templates");
+    let (code, other) = daemon.ctl(&["query", "Q(d) :- Accident(x, d, t), x = 2."]);
+    assert_eq!(code, 0, "another id exits 0; reply: {other}");
+    assert_eq!(
+        cold_rows,
+        ["\"district-023\""],
+        "the district of accident 1"
+    );
+    let other_rows: Vec<&str> = other.lines().skip(1).collect();
+    assert_eq!(
+        other_rows,
+        ["\"district-001\""],
+        "the district of accident 2"
+    );
+    assert_eq!(stat(&daemon, "plan_hits"), "1");
+    assert_eq!(stat(&daemon, "plan_templates"), templates);
+
     // The same anchored query again: identical rows, served from the session's
     // cross-query fetch cache without touching the store.
     let (code, warm) = daemon.ctl(&["query", "Q(d) :- Accident(x, d, t), x = 1."]);
@@ -112,12 +136,18 @@ fn mixed_accept_reject_batch_and_clean_shutdown() {
 
     let (code, reply) = daemon.ctl(&["stats"]);
     assert_eq!(code, 0);
-    assert!(reply.contains("completed=2"), "reply: {reply}");
+    assert!(reply.contains("completed=3"), "reply: {reply}");
     assert!(reply.contains("rejected=1"), "reply: {reply}");
     assert!(reply.contains("budget=10000"), "reply: {reply}");
     assert!(reply.contains("cache_hits=1"), "reply: {reply}");
     assert!(reply.contains("rows_served_from_cache="), "reply: {reply}");
     assert!(reply.contains("cache_evictions=0"), "reply: {reply}");
+    // The anchored rule and Q0 are kept (Q0's REJECT is off its stored ticket); the
+    // malformed rule missed and left nothing behind.
+    assert!(
+        reply.contains("plan_templates=2 plan_hits=2 plan_misses=3"),
+        "reply: {reply}"
+    );
 
     let (code, reply) = daemon.ctl(&["shutdown"]);
     assert_eq!((code, reply.trim()), (0, "OK bye"));

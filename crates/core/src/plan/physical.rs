@@ -398,6 +398,50 @@ impl PhysicalPlan {
         Ok(())
     }
 
+    /// This plan with every [`Value::placeholder`] in a [`PhysOp::Const`] or a
+    /// [`Predicate::ColEqConst`] replaced by `values[class]` — the constant-binding
+    /// half of a plan lowered once from a template query. Nothing else in a plan holds
+    /// a value, and lowering never looks at one, so the result is step for step the
+    /// plan the template's text lowers to with `values` written in. A placeholder with
+    /// no value is an error, not a plan: labelled nulls never reach the executor.
+    pub fn bind(&self, values: &[Value]) -> Result<PhysicalPlan> {
+        let bind = |value: &mut Value| -> Result<()> {
+            if let Some(class) = value.placeholder_class() {
+                *value = values.get(class as usize).cloned().ok_or_else(|| {
+                    Error::invalid(format!(
+                        "plan for {} leaves placeholder {class} unbound: {} values given",
+                        self.query_name,
+                        values.len()
+                    ))
+                })?;
+            }
+            Ok(())
+        };
+        let mut bound = self.clone();
+        for step in &mut bound.steps {
+            match &mut step.op {
+                PhysOp::Const { value } => bind(value)?,
+                PhysOp::KeyedLookup {
+                    residual: predicates,
+                    ..
+                }
+                | PhysOp::HashJoin {
+                    residual: predicates,
+                    ..
+                }
+                | PhysOp::Filter { predicates, .. } => {
+                    for predicate in predicates {
+                        if let Predicate::ColEqConst(_, value) = predicate {
+                            bind(value)?;
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(bound)
+    }
+
     /// Count how many steps are marked as materialization points (pipeline breakers).
     pub fn materialization_points(&self) -> usize {
         self.steps.iter().filter(|s| s.materialize).count()
@@ -1536,6 +1580,50 @@ mod tests {
         let display = phys.to_string();
         assert!(display.contains("lookup"));
         assert!(display.contains("(output)"));
+    }
+
+    #[test]
+    fn bind_writes_values_where_lowering_left_placeholders() {
+        // `σ[b = c1](σ[k = a]({c0} × fetch(a ∈ {c0}, R, b)))`, as a template and as text.
+        let plan = |c0: Value, c1: Value| {
+            let mut b = PlanBuilder::new();
+            let key = b.constant(c0, "k");
+            let fetched = b.fetch(
+                key,
+                vec![0],
+                "R",
+                vec![0],
+                vec![1],
+                0,
+                vec!["a".into(), "b".into()],
+            );
+            let prod = b.product(key, fetched);
+            let sel = b.select(
+                prod,
+                vec![Predicate::ColEqCol(0, 1), Predicate::ColEqConst(2, c1)],
+            );
+            let filtered = b.select(sel, vec![Predicate::ColEqConst(0, Value::Bool(true))]);
+            b.finish("Q", filtered).unwrap()
+        };
+        let values = [Value::int(-4), Value::str("k")];
+        let template = plan(Value::placeholder(0), Value::placeholder(1));
+        let literal = plan(values[0].clone(), values[1].clone());
+        for options in [
+            LowerOptions::new(),
+            LowerOptions::new()
+                .with_exchange_parallelism(true)
+                .with_shard_fanout(4),
+        ] {
+            let lowered = lower_plan_with(&template, &options).unwrap();
+            let expected = lower_plan_with(&literal, &options).unwrap();
+            assert_ne!(lowered, expected);
+            assert_eq!(lowered.bind(&values).unwrap(), expected);
+            // A plan without placeholders binds to itself, whatever it is given.
+            assert_eq!(expected.bind(&[]).unwrap(), expected);
+            // One value short: the second placeholder has nothing to become.
+            let error = lowered.bind(&values[..1]).unwrap_err().to_string();
+            assert!(error.contains("placeholder 1 unbound"), "{error}");
+        }
     }
 
     #[test]

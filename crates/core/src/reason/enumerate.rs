@@ -117,12 +117,14 @@ pub fn visit_a_instances(
                     return Ok(true);
                 }
             }
-            // Previously used labelled nulls, plus one fresh null (canonical form).
+            // Previously used labelled nulls, plus one fresh null (canonical form). A
+            // labelled null among the named constants is a template's placeholder
+            // ([`Value::placeholder`]), not a null this search introduced.
             let used: u32 = self
                 .choice
                 .iter()
                 .filter_map(|v| match v {
-                    Value::Labelled(i) => Some(*i + 1),
+                    Value::Labelled(i) if self.named.binary_search(v).is_err() => Some(*i + 1),
                     _ => None,
                 })
                 .max()
@@ -302,6 +304,33 @@ mod tests {
         )
         .unwrap();
         assert_eq!(all.len(), 3);
+    }
+
+    #[test]
+    fn placeholder_constants_enumerate_like_the_constants_they_stand_for() {
+        let c = catalog();
+        // Q(x) :- R(x, y), T(x, z, w), y = c0, z = c1: whatever c0 ≠ c1 are, x and w
+        // range over {c0, c1, a null, a second null} in the same merge patterns.
+        let count = |c0: Value, c1: Value| {
+            let q = ConjunctiveQuery::builder("Q")
+                .head(["x"])
+                .atom("R", ["x", "y"])
+                .atom("T", ["x", "z", "w"])
+                .eq("y", c0)
+                .eq("z", c1)
+                .build(&c)
+                .unwrap();
+            let all = a_instances(&q, &AccessSchema::new(), &[], &ReasonConfig::default());
+            all.unwrap().len()
+        };
+        let literal = count(Value::int(1), Value::str("k"));
+        assert_eq!(
+            literal,
+            3 + 3 + 4,
+            "x named (w: 2 named, 1 null) twice; x null"
+        );
+        assert_eq!(count(Value::placeholder(0), Value::placeholder(1)), literal);
+        assert_eq!(count(Value::int(1), Value::placeholder(0)), literal);
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub fn generic_template(query: &ConjunctiveQuery, parameters: &[Var]) -> Result<
     let bindings: Vec<(Var, Value)> = parameters
         .iter()
         .enumerate()
-        .map(|(i, &v)| (v, Value::Labelled(u32::MAX - i as u32)))
+        .map(|(i, &v)| (v, Value::placeholder(i as u32)))
         .collect();
     query
         .with_const_equalities(&bindings)

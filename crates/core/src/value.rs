@@ -51,6 +51,23 @@ impl Value {
         matches!(self, Value::Labelled(_))
     }
 
+    /// The placeholder for the `class`-th constant a query template leaves open: labelled
+    /// nulls counted down from the top, out of the way of the small indices the
+    /// reasoning procedures mint fresh nulls from. Pairwise distinct, and distinct from
+    /// every user value — the least-merging valuation (Section 5).
+    pub const fn placeholder(class: u32) -> Self {
+        Value::Labelled(u32::MAX - class)
+    }
+
+    /// The class a labelled null stands for when read as a [`Value::placeholder`];
+    /// `None` for every user value.
+    pub const fn placeholder_class(&self) -> Option<u32> {
+        match self {
+            Value::Labelled(label) => Some(u32::MAX - *label),
+            _ => None,
+        }
+    }
+
     /// A short tag describing the value's type, used in error messages.
     pub const fn type_name(&self) -> &'static str {
         match self {

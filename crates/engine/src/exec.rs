@@ -383,7 +383,7 @@ fn validate_fetches_for(plan: &QueryPlan, store: Store<'_>) -> Result<()> {
         };
         ops::validate_fetch_shape(
             store,
-            &format!("plan step {i}"),
+            format_args!("plan step {i}"),
             relation,
             key_cols,
             x_attrs.iter().chain(y_attrs.iter()),

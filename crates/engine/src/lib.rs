@@ -214,8 +214,8 @@ pub use exec::{
 };
 pub use naive::{eval_cq, eval_fo, eval_query, eval_ucq};
 pub use session::{
-    parse_cache_rows, parse_fetch_budget, AdmissionStats, QueryHandle, Rejection, Session,
-    SessionConfig, SharedStore, SubmitError, CACHE_ROWS_ENV, FETCH_BUDGET_ENV,
+    parse_cache_rows, parse_fetch_budget, AdmissionStats, PreparedPlan, QueryHandle, Rejection,
+    Session, SessionConfig, SharedStore, SubmitError, CACHE_ROWS_ENV, FETCH_BUDGET_ENV,
 };
 pub use stats::AccessStats;
 pub use table::Table;

@@ -313,15 +313,15 @@ pub(crate) type SharedMat = Arc<Mutex<MatNode>>;
 /// it and read by the pipelines that scan it.
 pub(crate) type MatSlots = [OnceLock<SharedMat>];
 
-/// Validate one fetch-shaped step (`step` names it in error messages, e.g. "physical
-/// step 3") against the database it is about to probe: the backing constraint must
-/// exist in the access schema, agree with the key arity, and `attrs` may only name
-/// attribute positions the relation has. Shared by the streaming executor (physical
+/// Validate one fetch-shaped step (`step` names it, e.g. "physical step 3", and is
+/// formatted only into an error message) against the database it is about to probe:
+/// the backing constraint must exist in the access schema, agree with the key arity,
+/// and `attrs` may only name attribute positions the relation has. Shared by the streaming executor (physical
 /// fetch/keyed-lookup steps) and the materialized reference (logical fetch steps) so the
 /// two can never drift on what counts as a malformed plan.
 pub(crate) fn validate_fetch_shape<'a>(
     store: Store<'_>,
-    step: &str,
+    step: impl std::fmt::Display,
     relation: &str,
     key_cols: &[usize],
     attrs: impl Iterator<Item = &'a usize>,
@@ -389,7 +389,7 @@ pub(crate) fn validate_for(plan: &PhysicalPlan, store: Store<'_>) -> Result<()> 
         };
         validate_fetch_shape(
             store,
-            &format!("physical step {i}"),
+            format_args!("physical step {i}"),
             relation,
             key_cols,
             x_attrs.iter().chain(positions.iter()),

@@ -17,6 +17,16 @@
 //!   its queued jobs are discarded, and every other query proceeds untouched. A
 //!   panicking operator fails only its own query; the payload is re-raised from
 //!   [`QueryHandle::wait`] / [`Session::run`], on that query's caller only.
+//! * **One way in** — a submission is two halves. [`Session::prepare`] is the
+//!   value-free one: lower the logical plan with this session's thread and shard
+//!   counts, validate it against the store, derive its [`CostTicket`]. None of that
+//!   reads a constant's value and the store is immutable, so a [`PreparedPlan`] made
+//!   from a template — [`bea_core::value::Value::placeholder`]s where the constants go
+//!   — is good for every request of that shape: validation and pricing are paid per
+//!   template, not per query. [`Session::run_prepared`] is the other half: rejection
+//!   checks on the stored ticket, [`PhysicalPlan::bind`] of the request's values, the
+//!   pool. [`Session::run`] and [`Session::submit`] are `prepare` followed by the same
+//!   admission with the plan they just prepared, so there is no second path in.
 //! * **Admission control** — every submission is priced by a
 //!   [`CostTicket`] *before* it runs (the paper's bounded-evaluability guarantee:
 //!   worst-case fetch volume is a static quantity). Against a configured aggregate
@@ -62,7 +72,8 @@ use crate::ops::validate_for;
 use crate::stats::AccessStats;
 use crate::table::Table;
 use bea_core::error::{Error, Result};
-use bea_core::plan::{lower_plan_with, CostTicket, LowerOptions, QueryPlan};
+use bea_core::plan::{lower_plan_with, CostTicket, LowerOptions, PhysicalPlan, QueryPlan};
+use bea_core::value::Value;
 use bea_storage::{IndexedDatabase, ShardedDatabase, Store};
 use std::borrow::Cow;
 use std::panic::resume_unwind;
@@ -359,14 +370,7 @@ impl QueryHandle {
     /// query's own operators is re-raised here, on the owner; other queries are
     /// unaffected.
     pub fn wait(self) -> Result<(Table, AccessStats)> {
-        self.join()
-    }
-
-    fn join(&self) -> Result<(Table, AccessStats)> {
-        let (inner, submitted) = (&self.inner, &self.submitted);
-        inner
-            .pool
-            .join(inner.store.store(), submitted.id, &submitted.outcome)
+        self.inner.join(&self.submitted)
     }
 }
 
@@ -377,6 +381,34 @@ struct SessionInner {
     /// The job queue the workers and the waiting callers run; it carries the fetch
     /// budget and the cross-query fetch cache.
     pool: Pool<'static>,
+}
+
+impl SessionInner {
+    /// The helping wait for one submitted query (see [`QueryHandle::wait`]).
+    fn join(&self, submitted: &Submitted) -> Result<(Table, AccessStats)> {
+        self.pool
+            .join(self.store.store(), submitted.id, &submitted.outcome)
+    }
+}
+
+/// A logical plan lowered, validated and priced for one [`Session`] — everything a
+/// submission computes before it looks at the load. See [`Session::prepare`].
+#[derive(Debug)]
+pub struct PreparedPlan {
+    physical: PhysicalPlan,
+    ticket: CostTicket,
+}
+
+impl PreparedPlan {
+    /// The lowered plan, placeholders and all.
+    pub fn physical(&self) -> &PhysicalPlan {
+        &self.physical
+    }
+
+    /// What every binding of this plan costs: the ticket admission judges it by.
+    pub fn ticket(&self) -> &CostTicket {
+        &self.ticket
+    }
 }
 
 /// A multi-query execution session. See the module docs for the contract.
@@ -433,13 +465,38 @@ impl Session {
         cache.map(|cache| cache.stats()).unwrap_or_default()
     }
 
-    /// Price `plan`, run it through admission control, and — if admitted or queued —
-    /// hand its jobs to the pool. Returns a [`QueryHandle`] to wait on, or a
-    /// [`SubmitError`] when the plan is invalid or deterministically over budget.
-    /// The asynchronous entry: every ready job wakes a worker, so the query makes
-    /// progress whether or not anyone waits on the handle.
+    /// The value-free half of a submission: lower `plan` exactly as
+    /// [`crate::exec::execute_plan_on`] does for this session's thread and shard
+    /// counts (so a session run is job-for-job the same physical plan as a solo run),
+    /// validate the result against the store, and price it. None of the three looks
+    /// at a constant's value, and the store is immutable, so one [`PreparedPlan`]
+    /// serves every query that differs from `plan` only in its constants — prepare a
+    /// template once ([`bea_core::value::Value::placeholder`] where the constants go)
+    /// and hand each request's values to [`Session::run_prepared`].
+    pub fn prepare(&self, plan: &QueryPlan) -> Result<PreparedPlan> {
+        let store = self.inner.store.store();
+        let lower = LowerOptions::new()
+            .with_exchange_parallelism(self.inner.threads > 1)
+            .with_shard_fanout(store.shard_count());
+        let physical = lower_plan_with(plan, &lower)?;
+        validate_for(&physical, store)?;
+        let ticket = CostTicket::derive(plan, store.schema(), store.size(), &physical);
+        Ok(PreparedPlan { physical, ticket })
+    }
+
+    /// [`Session::prepare`] `plan`, run it through admission control, and — if
+    /// admitted or queued — hand its jobs to the pool. Returns a [`QueryHandle`] to
+    /// wait on, or a [`SubmitError`] when the plan is invalid or deterministically
+    /// over budget. The asynchronous entry: every ready job wakes a worker, so the
+    /// query makes progress whether or not anyone waits on the handle.
     pub fn submit(&self, plan: &QueryPlan) -> std::result::Result<QueryHandle, SubmitError> {
-        self.submit_with(plan, false)
+        let PreparedPlan { physical, ticket } = self.prepare(plan).map_err(SubmitError::Invalid)?;
+        let submitted = self.admit(&ticket, || Ok(physical), false)?;
+        Ok(QueryHandle {
+            ticket,
+            submitted,
+            inner: Arc::clone(&self.inner),
+        })
     }
 
     /// [`Session::submit`] and a helping wait in one call, for synchronous callers:
@@ -452,31 +509,38 @@ impl Session {
         &self,
         plan: &QueryPlan,
     ) -> std::result::Result<(CostTicket, Result<(Table, AccessStats)>), SubmitError> {
-        let handle = self.submit_with(plan, true)?;
-        let result = handle.join();
-        Ok((handle.ticket, result))
+        let PreparedPlan { physical, ticket } = self.prepare(plan).map_err(SubmitError::Invalid)?;
+        let submitted = self.admit(&ticket, || Ok(physical), true)?;
+        Ok((ticket, self.inner.join(&submitted)))
     }
 
-    /// [`Session::submit`]; with `caller_runs` the submitting thread goes straight on
-    /// to look at the queue for this query, so one wake-up fewer than jobs is sent.
-    fn submit_with(
+    /// [`Session::run`] for a plan prepared earlier: bind `values` into its
+    /// placeholders ([`PhysicalPlan::bind`]) and admit and run the result on the
+    /// calling thread. What a request pays here is its constants — the rejection
+    /// checks read the stored ticket ([`PreparedPlan::ticket`], which is also the
+    /// accepted one) before anything is cloned, and a placeholder left without a
+    /// value is a [`SubmitError::Invalid`], never a run.
+    pub fn run_prepared(
         &self,
-        plan: &QueryPlan,
-        caller_runs: bool,
-    ) -> std::result::Result<QueryHandle, SubmitError> {
-        let inner = &self.inner;
-        let store = inner.store.store();
-        // Lower exactly as `execute_plan_on` does for this thread count, so a
-        // session run is job-for-job the same physical plan as a solo run.
-        let lower = LowerOptions::new()
-            .with_exchange_parallelism(inner.threads > 1)
-            .with_shard_fanout(store.shard_count());
-        let physical = lower_plan_with(plan, &lower).map_err(SubmitError::Invalid)?;
-        validate_for(&physical, store).map_err(SubmitError::Invalid)?;
-        let ticket = CostTicket::derive(plan, store.schema(), store.size(), &physical);
+        prepared: &PreparedPlan,
+        values: &[Value],
+    ) -> std::result::Result<Result<(Table, AccessStats)>, SubmitError> {
+        let submitted = self.admit(&prepared.ticket, || prepared.physical.bind(values), true)?;
+        Ok(self.inner.join(&submitted))
+    }
 
-        // Deterministic rejections first: verdicts that depend only on the ticket
-        // and the configuration, never on current load.
+    /// The one way into the pool: the deterministic rejections — verdicts that depend
+    /// only on the ticket and the configuration, never on current load — and then the
+    /// `bound` plan's jobs to [`Pool::submit`]. With `caller_runs` the submitting
+    /// thread goes straight on to look at the queue for this query, so one wake-up
+    /// fewer than jobs is sent.
+    fn admit(
+        &self,
+        ticket: &CostTicket,
+        bound: impl FnOnce() -> Result<PhysicalPlan>,
+        caller_runs: bool,
+    ) -> std::result::Result<Submitted, SubmitError> {
+        let inner = &self.inner;
         let rejection = match (inner.pool.budget, inner.max_alloc_surface) {
             (Some(budget), _) if ticket.fetch_bound > budget => Some(Rejection::FetchBound {
                 bound: ticket.fetch_bound,
@@ -494,21 +558,16 @@ impl Session {
             guard.counters.rejected += 1;
             drop(guard);
             return Err(SubmitError::Rejected {
-                ticket: Box::new(ticket),
+                ticket: Box::new(ticket.clone()),
                 rejection,
             });
         }
-
+        let physical = bound().map_err(SubmitError::Invalid)?;
         let query = QueryShared::new(Cow::Owned(physical), ticket.fetch_bound);
-        let submitted = inner
+        inner
             .pool
             .submit(query, caller_runs)
-            .map_err(SubmitError::Invalid)?;
-        Ok(QueryHandle {
-            ticket,
-            submitted,
-            inner: Arc::clone(inner),
-        })
+            .map_err(SubmitError::Invalid)
     }
 
     /// A snapshot of the admission counters.
@@ -560,7 +619,6 @@ mod tests {
     use bea_core::access::{AccessConstraint, AccessSchema};
     use bea_core::plan::{PlanBuilder, Predicate};
     use bea_core::schema::Catalog;
-    use bea_core::value::Value;
     use bea_storage::Database;
     use std::sync::mpsc::{channel, RecvTimeoutError};
 
@@ -588,9 +646,15 @@ mod tests {
 
     /// A union of `keys.len()` keyed-lookup branches — fetch bound 10 per branch.
     fn lookup_union(name: &str, keys: &[i64]) -> QueryPlan {
+        let keys: Vec<Value> = keys.iter().copied().map(Value::int).collect();
+        lookup_union_of(name, &keys)
+    }
+
+    /// [`lookup_union`] over any constants, placeholders included.
+    fn lookup_union_of(name: &str, keys: &[Value]) -> QueryPlan {
         let mut b = PlanBuilder::new();
-        let branch = |b: &mut PlanBuilder, key: i64| {
-            let k = b.constant(Value::int(key), "k");
+        let branch = |b: &mut PlanBuilder, key: &Value| {
+            let k = b.constant(key.clone(), "k");
             let fetched = b.fetch(
                 k,
                 vec![0],
@@ -603,12 +667,65 @@ mod tests {
             let prod = b.product(k, fetched);
             b.select(prod, vec![Predicate::ColEqCol(0, 1)])
         };
-        let mut acc = branch(&mut b, keys[0]);
-        for &key in &keys[1..] {
+        let mut acc = branch(&mut b, &keys[0]);
+        for key in &keys[1..] {
             let next = branch(&mut b, key);
             acc = b.union(acc, next);
         }
         b.finish(name, acc).unwrap()
+    }
+
+    #[test]
+    fn a_prepared_template_is_bound_per_run_and_judged_by_its_one_ticket() {
+        let session = Session::new(
+            fixture(6),
+            SessionConfig::new().with_threads(2).with_fetch_budget(25),
+        );
+        let template = lookup_union_of("Q", &[Value::placeholder(0), Value::placeholder(1)]);
+        let prepared = session.prepare(&template).unwrap();
+        for keys in [[1, 2], [5, 3], [4, 4]] {
+            let (ticket, expected) = session.run(&lookup_union("Q", &keys)).unwrap();
+            let (expected_table, expected_stats) = expected.unwrap();
+            assert_eq!(prepared.ticket(), &ticket, "pricing never reads a constant");
+            let (table, stats) = session
+                .run_prepared(&prepared, &keys.map(Value::int))
+                .unwrap()
+                .unwrap();
+            assert_eq!(table.rows(), expected_table.rows(), "rows and row order");
+            assert!(stats.same_data_access(&expected_stats));
+            assert_eq!(stats.values_cloned, expected_stats.values_cloned);
+        }
+
+        // A placeholder without a value is refused before the pool sees the query.
+        let before = session.admission_stats();
+        let short = session.run_prepared(&prepared, &[Value::int(1)]);
+        assert!(
+            matches!(&short, Err(SubmitError::Invalid(error)) if error.to_string().contains("unbound")),
+            "{short:?}"
+        );
+        assert_eq!(session.admission_stats(), before);
+
+        // Three branches price at 30 > 25: rejected off the stored ticket, with the
+        // ticket, before binding — the missing values are never looked for.
+        let placeholders: Vec<Value> = (0..3).map(Value::placeholder).collect();
+        let big = session
+            .prepare(&lookup_union_of("big", &placeholders))
+            .unwrap();
+        match session.run_prepared(&big, &[]) {
+            Err(SubmitError::Rejected { ticket, rejection }) => {
+                assert_eq!(*ticket, *big.ticket());
+                assert_eq!(
+                    rejection,
+                    Rejection::FetchBound {
+                        bound: 30,
+                        budget: 25
+                    }
+                );
+            }
+            other => panic!("expected a fetch-bound rejection, got {other:?}"),
+        }
+        assert_eq!(session.admission_stats().rejected, before.rejected + 1);
+        session.shutdown();
     }
 
     #[test]

@@ -38,6 +38,9 @@
 //! ```
 
 pub mod lexer;
+mod template;
+
+pub use template::Skeleton;
 
 use bea_core::access::{AccessConstraint, AccessSchema, Cardinality, SublinearFn};
 use bea_core::error::{Error, Result};
@@ -48,6 +51,7 @@ use bea_core::query::Query;
 use bea_core::schema::Catalog;
 use bea_core::value::Value;
 use lexer::{tokenize, Token, TokenKind};
+use template::class_of;
 
 /// Parse a catalog declaration: a sequence of `relation Name(attr, …);` clauses.
 pub fn parse_catalog(input: &str) -> Result<Catalog> {
@@ -107,12 +111,12 @@ pub fn parse_access_schema(catalog: &Catalog, input: &str) -> Result<AccessSchem
                     cardinality = Cardinality::Const(n as u64);
                     break;
                 }
-                TokenKind::Ident(word) if word == "log" => {
+                TokenKind::Ident("log") => {
                     parser.advance();
                     cardinality = Cardinality::Sublinear(SublinearFn::Log2);
                     break;
                 }
-                TokenKind::Ident(word) if word == "sqrt" => {
+                TokenKind::Ident("sqrt") => {
                     parser.advance();
                     cardinality = Cardinality::Sublinear(SublinearFn::Sqrt);
                     break;
@@ -145,7 +149,36 @@ pub fn parse_access_schema(catalog: &Catalog, input: &str) -> Result<AccessSchem
 /// Parse one query: a single rule yields a CQ, several rules with the same head name
 /// yield a UCQ.
 pub fn parse_query(catalog: &Catalog, input: &str) -> Result<Query> {
-    let mut queries = parse_queries(catalog, input)?;
+    single_query(parse_queries(catalog, input)?)
+}
+
+/// [`parse_query`] with the constants taken out: every integer and string literal is
+/// replaced by [`Value::placeholder`] of its class in [`Skeleton::of`]'s numbering, so
+/// equal literals share a placeholder and distinct ones never do. What the analyses
+/// look at — which variables are constants, and which constants coincide — is that of
+/// every text with this skeleton; plan the result once and bind each text's
+/// [`Skeleton::literals`] into it.
+pub fn parse_template(catalog: &Catalog, input: &str) -> Result<Query> {
+    let mut parser = Parser::new(input)?;
+    let mut classes = Vec::new();
+    for token in &parser.tokens {
+        match &token.kind {
+            TokenKind::Int(i) => class_of(&mut classes, Value::Int(*i)),
+            TokenKind::Str(s) => class_of(&mut classes, Value::str(&**s)),
+            _ => continue,
+        };
+    }
+    parser.classes = Some(classes);
+    single_query(parser.parse_program(catalog)?)
+}
+
+/// Parse a program: rules grouped by head name, in first-appearance order. Each group
+/// becomes a CQ (single rule) or a UCQ (several rules).
+pub fn parse_queries(catalog: &Catalog, input: &str) -> Result<Vec<Query>> {
+    Parser::new(input)?.parse_program(catalog)
+}
+
+fn single_query(mut queries: Vec<Query>) -> Result<Query> {
     match queries.len() {
         0 => Err(Error::invalid("no query rules found in the input")),
         1 => Ok(queries.remove(0)),
@@ -155,51 +188,64 @@ pub fn parse_query(catalog: &Catalog, input: &str) -> Result<Query> {
     }
 }
 
-/// Parse a program: rules grouped by head name, in first-appearance order. Each group
-/// becomes a CQ (single rule) or a UCQ (several rules).
-pub fn parse_queries(catalog: &Catalog, input: &str) -> Result<Vec<Query>> {
-    let mut parser = Parser::new(input)?;
-    let mut groups: Vec<(String, Vec<ConjunctiveQuery>)> = Vec::new();
-    let mut rule_counter = 0usize;
-    while !parser.at_eof() {
-        let (name, cq) = parser.parse_rule(catalog, rule_counter)?;
-        rule_counter += 1;
-        match groups.iter_mut().find(|(n, _)| n == &name) {
-            Some((_, branch)) => branch.push(cq),
-            None => groups.push((name, vec![cq])),
-        }
-    }
-    groups
-        .into_iter()
-        .map(|(name, mut branches)| {
-            if branches.len() == 1 {
-                Ok(Query::Cq(branches.remove(0).with_name(name)))
-            } else {
-                Ok(Query::Ucq(UnionQuery::from_branches(name, branches)?))
-            }
-        })
-        .collect()
-}
-
 /// Internal recursive-descent parser state.
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     position: usize,
+    /// Template mode ([`parse_template`]): the input's distinct literals in
+    /// first-appearance order; a literal parses to the placeholder of its index here.
+    classes: Option<Vec<Value>>,
 }
 
-impl Parser {
-    fn new(input: &str) -> Result<Self> {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Result<Self> {
         Ok(Self {
             tokens: tokenize(input)?,
             position: 0,
+            classes: None,
         })
     }
 
-    fn peek(&self) -> &Token {
+    fn parse_program(mut self, catalog: &Catalog) -> Result<Vec<Query>> {
+        let mut groups: Vec<(String, Vec<ConjunctiveQuery>)> = Vec::new();
+        let mut rule_counter = 0usize;
+        while !self.at_eof() {
+            let (name, cq) = self.parse_rule(catalog, rule_counter)?;
+            rule_counter += 1;
+            match groups.iter_mut().find(|(n, _)| n == &name) {
+                Some((_, branch)) => branch.push(cq),
+                None => groups.push((name, vec![cq])),
+            }
+        }
+        groups
+            .into_iter()
+            .map(|(name, mut branches)| {
+                if branches.len() == 1 {
+                    Ok(Query::Cq(branches.remove(0).with_name(name)))
+                } else {
+                    Ok(Query::Ucq(UnionQuery::from_branches(name, branches)?))
+                }
+            })
+            .collect()
+    }
+
+    /// The constant a literal stands for: itself, or in template mode its class's
+    /// placeholder.
+    fn constant(&self, literal: Value) -> Value {
+        match &self.classes {
+            None => literal,
+            Some(classes) => {
+                let class = classes.iter().position(|seen| *seen == literal);
+                Value::placeholder(class.expect("every literal token was classed") as u32)
+            }
+        }
+    }
+
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.position]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
+    fn peek_kind(&self) -> &TokenKind<'a> {
         &self.peek().kind
     }
 
@@ -207,7 +253,7 @@ impl Parser {
         matches!(self.peek_kind(), TokenKind::Eof)
     }
 
-    fn advance(&mut self) -> Token {
+    fn advance(&mut self) -> Token<'a> {
         let token = self.tokens[self.position].clone();
         if self.position + 1 < self.tokens.len() {
             self.position += 1;
@@ -215,11 +261,11 @@ impl Parser {
         token
     }
 
-    fn check(&self, kind: &TokenKind) -> bool {
+    fn check(&self, kind: &TokenKind<'_>) -> bool {
         self.peek_kind() == kind
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: &TokenKind<'_>) -> bool {
         if self.check(kind) {
             self.advance();
             true
@@ -228,7 +274,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token> {
+    fn expect(&mut self, kind: &TokenKind<'_>) -> Result<Token<'a>> {
         if self.check(kind) {
             Ok(self.advance())
         } else {
@@ -240,7 +286,7 @@ impl Parser {
         match self.peek_kind().clone() {
             TokenKind::Ident(name) => {
                 self.advance();
-                Ok(name)
+                Ok(name.to_owned())
             }
             _ => Err(self.unexpected("an identifier")),
         }
@@ -331,26 +377,26 @@ impl Parser {
         match self.peek_kind().clone() {
             TokenKind::Ident(name) => {
                 self.advance();
-                match name.as_str() {
+                match name {
                     "true" => Ok(Arg::Const(Value::Bool(true))),
                     "false" => Ok(Arg::Const(Value::Bool(false))),
-                    _ => Ok(Arg::Var(name)),
+                    _ => Ok(Arg::Var(name.to_owned())),
                 }
             }
             TokenKind::Param(name) => {
                 self.advance();
-                if !params.contains(&name) {
-                    params.push(name.clone());
+                if !params.iter().any(|param| param == name) {
+                    params.push(name.to_owned());
                 }
-                Ok(Arg::Var(name))
+                Ok(Arg::Var(name.to_owned()))
             }
             TokenKind::Int(i) => {
                 self.advance();
-                Ok(Arg::Const(Value::Int(i)))
+                Ok(Arg::Const(self.constant(Value::Int(i))))
             }
             TokenKind::Str(s) => {
                 self.advance();
-                Ok(Arg::Const(Value::Str(s.into())))
+                Ok(Arg::Const(self.constant(Value::str(s))))
             }
             _ => Err(self.unexpected("a variable, parameter or constant")),
         }

@@ -59,6 +59,18 @@ COLD="$("$BEACTL" --socket "$SOCKET" query 'Q(d) :- Accident(x, d, t), x = 1.')"
     || { echo "error: cheap query not admitted" >&2; exit 1; }
 echo "ok: cheap query admitted (exit 0)"
 
+# The same rule under another id: one template, planned by the query above and only
+# bound here — a hit, no new entry, and the district of the id that was sent.
+stat_of() { "$BEACTL" --socket "$SOCKET" stats | tr ' ' '\n' | grep "^$1=" | cut -d= -f2; }
+TEMPLATES="$(stat_of plan_templates)"
+OTHER="$("$BEACTL" --socket "$SOCKET" query 'Q(d) :- Accident(x, d, t), x = 2.')" \
+    || { echo "error: the anchored query under another id not admitted" >&2; exit 1; }
+[ "$(echo "$COLD" | tail -n +2)" = '"district-023"' ] && [ "$(echo "$OTHER" | tail -n +2)" = '"district-001"' ] \
+    || { echo "error: wrong districts for ids 1 and 2: $COLD / $OTHER" >&2; exit 1; }
+[ "$(stat_of plan_hits)" = 1 ] && [ "$(stat_of plan_templates)" = "$TEMPLATES" ] \
+    || { echo "error: the second id was planned again: $("$BEACTL" --socket "$SOCKET" stats)" >&2; exit 1; }
+echo "ok: another id served from the prepared template (plan_hits=1)"
+
 # The same anchored query again — identical rows, served entirely from the
 # session's cross-query fetch cache (zero store fetches, a recorded cache hit).
 WARM="$("$BEACTL" --socket "$SOCKET" query 'Q(d) :- Accident(x, d, t), x = 1.')" \
@@ -81,11 +93,15 @@ expect_exit 1 "broken query errors" query 'Q(x) :- Nowhere(x).'
 # The counters reflect exactly the batch above.
 STATS="$("$BEACTL" --socket "$SOCKET" stats)"
 echo "$STATS"
-echo "$STATS" | grep -q 'completed=2' || { echo "error: stats missing completed=2" >&2; exit 1; }
+echo "$STATS" | grep -q 'completed=3' || { echo "error: stats missing completed=3" >&2; exit 1; }
 echo "$STATS" | grep -q 'rejected=1' || { echo "error: stats missing rejected=1" >&2; exit 1; }
 echo "$STATS" | grep -q 'budget=10000' || { echo "error: stats missing budget=10000" >&2; exit 1; }
 echo "$STATS" | grep -q 'cache_hits=1' || { echo "error: stats missing cache_hits=1" >&2; exit 1; }
 echo "$STATS" | grep -q 'cache_evictions=0' || { echo "error: stats missing cache_evictions=0" >&2; exit 1; }
+# Two templates planned and kept (the anchored rule, Q0 — its REJECT is off the stored
+# ticket); the broken rule missed and left nothing behind.
+echo "$STATS" | grep -q 'plan_templates=2 plan_hits=2 plan_misses=3' \
+    || { echo "error: stats missing plan_templates=2 plan_hits=2 plan_misses=3" >&2; exit 1; }
 # The anchored queries are chains of width one: the connection's own thread ran them.
 echo "$STATS" | grep -Eq ' caller_jobs=[1-9]' || { echo "error: no job ran on a connection thread" >&2; exit 1; }
 
