@@ -93,6 +93,7 @@
 //! `beactl` exit codes: `0` for `OK`, `3` for `REJECT`, `1` for `ERR` or any
 //! transport failure.
 
+#![deny(unsafe_code)]
 pub mod client;
 pub mod protocol;
 pub mod server;

@@ -110,9 +110,11 @@ impl Reply {
         }
     }
 
-    /// Serialize head, body and terminator for the wire.
+    /// Serialize head, body and terminator for the wire, into one buffer sized up
+    /// front: every line plus its newline, then `END\n`.
     pub fn wire(&self) -> String {
-        let mut out = String::with_capacity(self.head.len() + 16);
+        let body: usize = self.body.iter().map(|line| line.len() + 1).sum();
+        let mut out = String::with_capacity(self.head.len() + 1 + body + END.len() + 1);
         out.push_str(&self.head);
         out.push('\n');
         for line in &self.body {
@@ -173,6 +175,11 @@ mod tests {
         let ok = Reply::ok("rows=2", vec!["a\tb".into(), "c\td".into()]);
         assert_eq!(ok.status(), ReplyStatus::Ok);
         assert_eq!(ok.wire(), "OK rows=2\na\tb\nc\td\nEND\n");
+        // Sized once from the head, the body lines and the terminator: no growth.
+        for reply in [ok.clone(), Reply::ok("rows=0", Vec::new())] {
+            let wire = reply.wire();
+            assert_eq!(wire.capacity(), wire.len());
+        }
         assert_eq!(
             Reply::reject("query=Q fetch_bound=30 budget=10").status(),
             ReplyStatus::Reject

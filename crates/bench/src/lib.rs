@@ -18,6 +18,7 @@
 //! scenario builders ([`scenarios`]), chain-query families for the complexity experiment
 //! ([`families`]), and small text-table helpers ([`report`]).
 
+#![deny(unsafe_code)]
 pub mod families;
 pub mod report;
 pub mod scenarios;

@@ -29,6 +29,7 @@
 //! Execution of plans against data lives in `bea-engine`; storage and indexes in
 //! `bea-storage`.
 
+#![deny(unsafe_code)]
 pub mod access;
 pub mod bounded;
 pub mod cover;

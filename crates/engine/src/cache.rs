@@ -40,6 +40,14 @@
 //! cache), and the session drains the cache ledger to zero on teardown. Admission
 //! control never looks at cache state: a query is priced at its uncached worst case,
 //! so boundedness guarantees hold even if every entry is evicted mid-flight.
+//!
+//! Hits for one source batch are taken before that batch's fills: a keyed lookup first
+//! reads every key of the batch without claiming ([`SessionFetchCache::lookup`]), then
+//! probes and fills the rest row by row. So an entry that a fill later in the same
+//! batch evicts can still serve that batch — the victims differ from what a strict
+//! row-by-row order would evict. Eviction order is approximate in any case (recency is
+//! a relaxed clock), and no test asserts it: the property suites assert budgets,
+//! answers and counters.
 
 use crate::ops::batch::{Batch, HashedRow, HashedRowMap};
 use crate::ops::ResidencyLedger;
@@ -231,9 +239,10 @@ impl SessionFetchCache {
 
     /// Non-claiming read: a warm hit like [`SessionFetchCache::probe`]'s, but a miss
     /// or an in-flight fill returns `None` immediately instead of claiming or
-    /// waiting. This is the streaming fetch's probe — `FetchOp` gathers many keys
-    /// into one shared buffer and cannot produce the standalone per-key batch a fill
-    /// claim would owe, so it only ever consumes entries the lookup path published.
+    /// waiting. A keyed lookup's first pass reads with it. It is also the streaming
+    /// fetch's only probe — `FetchOp` gathers many keys into one shared buffer and
+    /// cannot produce the standalone per-key batch a fill claim would owe, so it only
+    /// ever consumes entries the lookup path published.
     pub(crate) fn lookup(&self, space: &CacheSpace, key: &HashedRow) -> Option<Arc<Batch>> {
         let stripe = space.stripe(key);
         let mut map = stripe

@@ -198,6 +198,7 @@
 //!
 //! [`table::Table`] is the shared result representation (set semantics).
 
+#![deny(unsafe_code)]
 pub(crate) mod cache;
 pub mod exec;
 pub mod naive;

@@ -499,6 +499,22 @@ impl HashedRow {
         self.hash = hash_row(&self.values);
     }
 
+    /// Move the values onto the end of `flat` — the key is left empty, its buffer kept
+    /// — and return their hash.
+    pub(crate) fn move_into(&mut self, flat: &mut Vec<Value>) -> u64 {
+        flat.append(&mut self.values);
+        std::mem::replace(&mut self.hash, hash_row(std::iter::empty()))
+    }
+
+    /// Refill with `values`, moved in, whose [`hash_row`] the caller carries as `hash`.
+    pub(crate) fn refill(&mut self, hash: u64, values: impl IntoIterator<Item = Value>) {
+        self.values.clear();
+        self.values.extend(values);
+        self.hash = hash;
+        debug_assert_eq!(hash, hash_row(&self.values), "a carried hash is its key's");
+    }
+
+    #[cfg(test)]
     pub(crate) fn values(&self) -> &[Value] {
         &self.values
     }
@@ -907,5 +923,14 @@ mod tests {
         assert_eq!(gathered, HashedRow::default());
         assert_eq!(keys.find_key(&key), Some(0));
         assert_eq!(HashedRow::default(), HashedRow::new(Vec::new()));
+        // A key moved into a flat buffer and back keeps its values and its hash.
+        let (mut moved, mut flat) = (key.clone(), vec![Value::int(9)]);
+        assert_eq!(moved.move_into(&mut flat), key.hash);
+        assert_eq!(
+            (moved.clone(), &flat[1..]),
+            (HashedRow::default(), key.values())
+        );
+        moved.refill(key.hash, flat.drain(1..));
+        assert_eq!(moved, key);
     }
 }

@@ -1,13 +1,35 @@
 //! Index-backed operators: the streaming fetch and the fused keyed-lookup join.
 //!
-//! Both operators fill their columns through the store's `fetch_into_columns`
-//! ([`bea_storage::Store`]): matched tuples are projected straight from the relation
-//! into the columns under construction — a fetch's output batch, a keyed lookup's
-//! arena — without an intermediate row allocation per tuple. Per-key duplicate
-//! elimination runs *hash-then-compare* over the freshly appended column range (see
+//! Both operators reach the index through one call, the store's batched
+//! [`Store::resolve`], which walks many keys at once with their cache misses
+//! overlapped. Each key's tuples are then projected straight from the relation into
+//! the columns under construction — a fetch's output batch, a keyed lookup's arena —
+//! without an intermediate row allocation per tuple. Per-key duplicate elimination
+//! runs *hash-then-compare* over the freshly appended column range (see
 //! [`super::batch::hash_row_at`]) and compacts duplicates away in place — no value is
 //! cloned to decide freshness, and a key that matched at most one tuple is not hashed
 //! at all.
+//!
+//! # Two passes per source batch
+//!
+//! 1. **Stage.** [`KeyedLookupOp`] gathers and hashes each owned row's key once and
+//!    looks it up, without claiming or waiting, in every tier that may hold it, in
+//!    protocol order: the session cache (a hit is stamped and counted like a probe's),
+//!    then the split's shared cache on a morsel, else the arena's memo. It keeps every
+//!    hit and sends the keys nothing holds to one `resolve`.
+//! 2. **Settle.** In row order, a pass-1 hit is emitted from what it returned; any
+//!    other row runs the per-row protocol — session probe or claim, split probe or
+//!    claim, memo, miss — and a miss appends the postings pass 1 resolved.
+//!
+//! Hits come first so that a key an outer tier serves never costs a walk. Claims wait
+//! for pass 2 because a claim obliges its holder to fill: holding one while probing,
+//! let alone waiting on, another key could leave two queries (or morsels) each waiting
+//! for the other's fill, so each claim is taken and resolved within its own row. Rows,
+//! their order, the arena's layout and every counter are a per-row loop's, except under
+//! eviction pressure: a pass-1 hit serves its row even if a fill earlier in the batch
+//! evicted the entry since (see [`crate::cache`]). A missed key is hashed once, when
+//! gathered. [`FetchOp`] resolves its key set the same way, [`BATCH_SIZE`] keys at a
+//! time: session-cache hits first, one `resolve` for the rest.
 //!
 //! # The probe path's allocation budget
 //!
@@ -17,9 +39,9 @@
 //! nothing for a keyed lookup, hit or miss. Every probe gathers its key into one
 //! reusable scratch and hashes it once; a **miss** moves the scratch's values into the
 //! arena's flat key columns and appends the postings to its value columns (both drawn
-//! from the worker's [`super::BufferPool`] once per operator instance), so no buffer
-//! is demanded per key. A repeat of a fetched key is a slot walk plus emission from
-//! the arena range; a hit in an outer tier (session cache, split cache) is a refcount
+//! from the worker's [`super::BufferPool`] once per operator instance, like the flat
+//! buffer pass 1 moves missed keys into), so no buffer is demanded per key. A repeat
+//! of a fetched key is a slot walk plus emission from the arena range; a hit in an outer tier (session cache, split cache) is a refcount
 //! bump. Resolving an outer tier's *fill claim* is the same miss, then an uncharged
 //! compact copy of the key's range published as the tier's entry (with an owned copy
 //! of the key — cache maintenance, like the tier's own map key).
@@ -54,7 +76,7 @@ use crate::stats::AccessStats;
 use bea_core::error::Result;
 use bea_core::plan::{Predicate, ShardRoute};
 use bea_core::value::{Row, Value};
-use bea_storage::{shard_of, Store};
+use bea_storage::{shard_of, FetchIter, Probes, Store};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -63,22 +85,88 @@ use std::sync::Arc;
 /// in cache-disabled sessions), where only the per-query tiers run.
 type SessionCache = Option<(Arc<SessionFetchCache>, Arc<CacheSpace>)>;
 
-/// RAII resolution of a session-cache fill claim: publishes the batch when one was
-/// produced, withdraws the claim otherwise — on error *or* unwind — so probes
-/// waiting in other queries are never stranded by this query's failure.
-struct SessionClaim<'a> {
-    cache: &'a SessionFetchCache,
-    space: &'a CacheSpace,
-    key: &'a HashedRow,
+/// RAII resolution of a fill claim, the session's or the split's: `resolve` publishes
+/// the batch when one was produced and withdraws the claim otherwise — on error *or*
+/// unwind — so probes waiting elsewhere are never stranded by this one's failure.
+struct Claim<F: FnMut(Option<Arc<Batch>>)> {
+    resolve: F,
     publish: Option<Arc<Batch>>,
 }
 
-impl Drop for SessionClaim<'_> {
+impl<F: FnMut(Option<Arc<Batch>>)> Drop for Claim<F> {
     fn drop(&mut self) {
-        match self.publish.take() {
-            Some(batch) => self.cache.complete(self.space, self.key, batch),
-            None => self.cache.abort(self.space, self.key),
+        (self.resolve)(self.publish.take());
+    }
+}
+
+/// What pass 1 found for one key (see the module docs): `Held` by a tier — an outer
+/// tier's batch, or for a keyed lookup its arena's range — or `Missed`, its postings
+/// being probe `p` of the pass's `resolve`.
+enum Found<H> {
+    Held(H),
+    Missed(usize),
+}
+
+/// The flat probe buffers of pass 1: the keys nothing held (moved in, `arity` values
+/// each), their carried hashes, and what `resolve` returned for each.
+struct Pass<'db> {
+    arity: usize,
+    keys: Vec<Value>,
+    hashes: Vec<u64>,
+    resolved: Vec<(FetchIter<'db>, u32)>,
+}
+
+impl<'db> Pass<'db> {
+    /// Buffers for keys of `arity` values, the flat one drawn from `state`'s pool.
+    fn new(arity: usize, state: &SharedState) -> Self {
+        let keys = state.borrow_mut().pool.get_values();
+        let (hashes, resolved) = (Vec::new(), Vec::new());
+        Self {
+            arity,
+            keys,
+            hashes,
+            resolved,
         }
+    }
+
+    /// Start a pass of up to `keys` probes: forget the last one, and grow once instead
+    /// of per key.
+    fn begin(&mut self, keys: usize) {
+        self.keys.clear();
+        self.keys.reserve(keys * self.arity);
+        self.hashes.clear();
+        self.hashes.reserve(keys);
+    }
+
+    /// Queue `key` (moved out) for the resolve; its probe number.
+    fn miss(&mut self, key: &mut HashedRow) -> usize {
+        self.hashes.push(key.move_into(&mut self.keys));
+        self.hashes.len() - 1
+    }
+
+    /// Move probe `p`'s key back into `key`, for the per-row protocol of pass 2.
+    fn take_key(&mut self, p: usize, key: &mut HashedRow) {
+        let values = self.keys[p * self.arity..(p + 1) * self.arity].iter_mut();
+        let taken = values.map(|value| std::mem::replace(value, Value::Bool(false)));
+        key.refill(self.hashes[p], taken);
+    }
+
+    /// Resolve every queued key of `constraint` in one batched walk (nothing to do when
+    /// every key was held — and then no fetch error either, as in a per-key loop).
+    fn resolve(&mut self, store: Store<'db>, constraint: usize) -> Result<()> {
+        if self.hashes.is_empty() {
+            return Ok(());
+        }
+        let (arity, keys, hashes) = (self.arity, &self.keys, &self.hashes);
+        store.resolve(
+            constraint,
+            Probes {
+                arity,
+                keys,
+                hashes,
+            },
+            &mut self.resolved,
+        )
     }
 }
 
@@ -183,32 +271,29 @@ impl RowSet {
     }
 }
 
-/// Append the distinct `positions`-projections of every tuple matching `key` to
+/// Append the distinct `positions`-projections of one key's resolved `tuples` to
 /// `cols`, in posting order — the shared fetch kernel of [`FetchOp`] and
 /// [`KeyedLookupOp`]. `rows` is the dense length of `cols` (tracked by the caller so
 /// zero-column gathers keep a row count) and advances by the fresh rows; duplicates
 /// are compacted away in place. Returns the number of tuples read (for access
-/// accounting) and the index-partition shard that served them. Distinct keys cannot
-/// produce equal projections as long as the key attributes survive in `positions`
-/// (lowering adds a global dedup when a pushed-down projection dropped them), so
-/// per-key dedup suffices.
+/// accounting). Distinct keys cannot produce equal projections as long as the key
+/// attributes survive in `positions` (lowering adds a global dedup when a pushed-down
+/// projection dropped them), so per-key dedup suffices.
 fn fetch_key_into(
-    store: Store<'_>,
-    constraint_index: usize,
-    key: &[Value],
+    tuples: FetchIter<'_>,
     positions: &[usize],
     cols: &mut [Vec<Value>],
     rows: &mut usize,
     dedup: &mut RowSet,
-) -> Result<(u64, u32)> {
-    let (appended, shard) = store.fetch_into_columns(constraint_index, key, positions, cols)?;
+) -> u64 {
+    let appended = tuples.project_into(positions, cols);
     let appended_rows = appended as usize;
     if cols.is_empty() || appended_rows <= 1 {
         // Nothing to deduplicate, nothing hashed: at most one tuple (every probe of
         // a bound-1 constraint) — or a zero-column projection, where every matched
         // tuple projects to the empty row and a nonempty posting list contributes one.
         *rows += appended_rows.min(1);
-        return Ok((appended, shard));
+        return appended;
     }
     dedup.reset(appended_rows);
     let base = *rows;
@@ -221,12 +306,13 @@ fn fetch_key_into(
         }
     }
     cols.iter_mut().for_each(|col| col.truncate(*rows));
-    Ok((appended, shard))
+    appended
 }
 
 /// Streaming `fetch(X ∈ source, R, …)`: drain the source, deduplicate the key
 /// projections, then emit the `positions`-projection of every tuple each key matches,
-/// one key at a time, straight off the index postings into output columns.
+/// key by key, straight off the index postings into output columns. Keys are
+/// resolved [`BATCH_SIZE`] at a time (see the module docs).
 ///
 /// Only the key set is durable state (released on exhaustion, or on drop if a consumer
 /// short-circuits); fetched tuples flow through without ever being collected per fetch.
@@ -246,6 +332,11 @@ pub(crate) struct FetchOp<'db> {
     session: SessionCache,
     keys: std::collections::btree_set::IntoIter<Row>,
     num_keys: u64,
+    /// The chunk of up to [`BATCH_SIZE`] keys being emitted: what its pass 1 found per
+    /// key, in key order, and how many of them are emitted already.
+    chunk: Vec<Found<Arc<Batch>>>,
+    emitted: usize,
+    pass: Pass<'db>,
     /// Per-key dedup scratch, reused across batches (blanked per key by the kernel).
     dedup: RowSet,
     tally: ProbeTally,
@@ -278,6 +369,7 @@ impl<'db> FetchOp<'db> {
             });
             (cache, space)
         });
+        let pass = Pass::new(key_cols.len(), &state);
         Self {
             input: Some(input),
             key_cols,
@@ -290,11 +382,31 @@ impl<'db> FetchOp<'db> {
             session,
             keys: BTreeSet::new().into_iter(),
             num_keys: 0,
+            chunk: Vec::new(),
+            emitted: 0,
+            pass,
             dedup: RowSet::default(),
             tally: ProbeTally::default(),
             pending: VecDeque::new(),
             done: false,
         }
+    }
+
+    /// Pass 1 over the next chunk of keys: take session-cache hits, resolve the rest.
+    /// Leaves the chunk empty once the key set is.
+    fn stage(&mut self) -> Result<()> {
+        self.chunk.clear();
+        self.emitted = 0;
+        self.pass.begin(BATCH_SIZE.min(self.keys.len()));
+        for key in self.keys.by_ref().take(BATCH_SIZE) {
+            let mut key = HashedRow::new(key);
+            let hit = (self.session.as_ref()).and_then(|(cache, space)| cache.lookup(space, &key));
+            self.chunk.push(match hit {
+                Some(batch) => Found::Held(batch),
+                None => Found::Missed(self.pass.miss(&mut key)),
+            });
+        }
+        self.pass.resolve(self.store, self.constraint_index)
     }
 }
 
@@ -345,7 +457,10 @@ impl Operator for FetchOp<'_> {
         };
         let mut rows = 0usize;
         while rows < BATCH_SIZE {
-            let Some(key) = self.keys.next() else {
+            if self.emitted == self.chunk.len() {
+                self.stage()?;
+            }
+            let Some(found) = self.chunk.get(self.emitted) else {
                 self.done = true;
                 let mut state = self.state.borrow_mut();
                 // The K branches of one sharded fetch are one logical fetch
@@ -355,35 +470,32 @@ impl Operator for FetchOp<'_> {
                 }
                 state.release(self.num_keys);
                 self.num_keys = 0;
+                state.pool.put_values(std::mem::take(&mut self.pass.keys));
                 break;
             };
-            let key = match &self.session {
-                None => key,
-                Some((cache, space)) => {
-                    let key = HashedRow::new(key);
-                    if let Some(batch) = cache.lookup(space, &key) {
-                        // Hot-tier hit: the postings are served by appending the
-                        // cached batch — physical clones (counted) but no index lookup
-                        // and no store fetch, so none of the fetch-side counters move.
-                        append_cached_postings(&batch, &mut cols, &mut rows);
-                        self.tally.served(batch.len());
-                        self.tally.values_cloned += (batch.len() * self.positions.len()) as u64;
-                        continue;
-                    }
-                    key.into_values()
+            self.emitted += 1;
+            match found {
+                Found::Held(batch) => {
+                    // Hot-tier hit: the postings are served by appending the cached
+                    // batch — physical clones (counted) but no index lookup and no
+                    // store fetch, so none of the fetch-side counters move.
+                    append_cached_postings(batch, &mut cols, &mut rows);
+                    self.tally.served(batch.len());
+                    self.tally.values_cloned += (batch.len() * self.positions.len()) as u64;
                 }
-            };
-            self.tally.index_lookups += 1;
-            let (fetched, shard) = fetch_key_into(
-                self.store,
-                self.constraint_index,
-                &key,
-                &self.positions,
-                &mut cols,
-                &mut rows,
-                &mut self.dedup,
-            )?;
-            self.tally.fetched(shard, fetched, self.positions.len());
+                &Found::Missed(p) => {
+                    self.tally.index_lookups += 1;
+                    let (tuples, shard) = self.pass.resolved[p].clone();
+                    let fetched = fetch_key_into(
+                        tuples,
+                        &self.positions,
+                        &mut cols,
+                        &mut rows,
+                        &mut self.dedup,
+                    );
+                    self.tally.fetched(shard, fetched, self.positions.len());
+                }
+            }
         }
         self.tally
             .flush(&self.relation, &mut self.state.borrow_mut().stats);
@@ -527,7 +639,9 @@ enum Postings {
 /// nested-loop join. Streams the source; for each row, probes the index with the row's
 /// key (once per distinct key — results are retained so the data access is identical
 /// to a standalone fetch over the deduplicated key set), gathers the concatenation
-/// with every match into output columns, and applies the residual predicates.
+/// with every match into output columns, and applies the residual predicates. A
+/// source batch's keys are staged and resolved together, then settled row by row
+/// (the two passes of the module docs).
 ///
 /// Durable state is the [`PostingArena`], bounded by the fetch's access-schema bound
 /// times the number of distinct keys; its columns come from the worker's pool and go
@@ -577,9 +691,13 @@ pub(crate) struct KeyedLookupOp<'db> {
     /// exhaustion. Only a split's first morsel does — the split is one logical fetch
     /// operation, composing with the shard-0 convention for sharded branches.
     report_fetch_ops: bool,
-    /// Reusable probe-key buffer: every probe gathers into it and hashes it once; a
-    /// miss *moves* its values into the arena's key columns and keeps the buffer.
+    /// Reusable probe-key buffer: pass 1 gathers every key into it and hashes it once,
+    /// moving a key nothing held on into `pass`; pass 2 moves it back, and a miss
+    /// *moves* its values into the arena's key columns, keeping the buffer.
     key_scratch: HashedRow,
+    /// Pass 1's verdict on each owned row of the current source batch, with the row.
+    found: Vec<(usize, Found<Postings>)>,
+    pass: Pass<'db>,
     tally: ProbeTally,
     /// `Some(mapped)` when the emission is exactly a projection of the fetched
     /// columns: no residual predicates and a fused projection keeping only fetched
@@ -612,6 +730,7 @@ impl<'db> KeyedLookupOp<'db> {
             let keys = (0..key_cols.len()).map(|_| state.pool.get_values());
             (cols, RowTable::new("a keyed lookup", keys.collect()))
         };
+        let pass = Pass::new(key_cols.len(), &state);
         Self {
             input,
             key_cols,
@@ -636,6 +755,8 @@ impl<'db> KeyedLookupOp<'db> {
             session: None,
             report_fetch_ops: true,
             key_scratch: HashedRow::default(),
+            found: Vec::new(),
+            pass,
             tally: ProbeTally::default(),
             fused_emit: None,
             fused_checked: false,
@@ -687,14 +808,69 @@ impl KeyedLookupOp<'_> {
         }
     }
 
-    /// The (projected, per-key deduplicated) fetch result for the key currently in
-    /// `key_scratch`. The session tier is probed before the per-query tiers: a hit
-    /// charges only the cache counters; a miss claims the key session-wide, resolves
-    /// it through the per-query tiers — charging exactly the uncached costs — and
-    /// publishes the result for every later probe.
-    fn lookup(&mut self) -> Result<Postings> {
+    /// Pass 1 over `batch` (see the module docs): gather and hash every owned row's key
+    /// once, keep what a tier already holds, and resolve the rest in one batched walk.
+    /// `found` gets one entry per owned row, in row order. Takes no claim, never waits.
+    fn stage(&mut self, batch: &Batch) -> Result<()> {
+        self.found.clear();
+        self.found.reserve(batch.len());
+        self.pass.begin(batch.len());
+        for i in 0..batch.len() {
+            // Rows routed to other shards are skipped by an in-place hash — nothing
+            // cloned — so each source row is probe-gathered on exactly one branch.
+            if !owns_row(batch, i, &self.key_cols, self.route) {
+                continue;
+            }
+            self.key_scratch.gather(batch, i, &self.key_cols);
+            let found = match self.held() {
+                Some(postings) => Found::Held(postings),
+                None => Found::Missed(self.pass.miss(&mut self.key_scratch)),
+            };
+            self.found.push((i, found));
+        }
+        self.pass.resolve(self.store, self.constraint_index)?;
+        // One probe-key gather per owned source row, hit or miss.
+        self.tally.values_cloned += (self.found.len() * self.key_cols.len()) as u64;
+        Ok(())
+    }
+
+    /// What a tier already holds for the key in `key_scratch`, asked in protocol order
+    /// without claiming or waiting: the session cache (a hit is stamped and counted
+    /// exactly like a probe's), then the split's shared cache on a morsel, else the
+    /// arena's memo.
+    fn held(&mut self) -> Option<Postings> {
+        if let Some((cache, space)) = &self.session {
+            if let Some(batch) = cache.lookup(space, &self.key_scratch) {
+                self.tally.served(batch.len());
+                return Some(Postings::Cached(batch));
+            }
+        }
+        match &self.shared {
+            Some(shared) => shared.lookup(&self.key_scratch).map(Postings::Cached),
+            None => self.arena.range_of(&self.key_scratch).map(Postings::Arena),
+        }
+    }
+
+    /// Pass 2 for one row: a pass-1 hit as it was found; otherwise the row's key,
+    /// moved back into `key_scratch`, through the per-row protocol.
+    fn settle(&mut self, found: Found<Postings>) -> Result<Postings> {
+        match found {
+            Found::Held(postings) => Ok(postings),
+            Found::Missed(p) => {
+                self.pass.take_key(p, &mut self.key_scratch);
+                self.lookup(p)
+            }
+        }
+    }
+
+    /// The (projected, per-key deduplicated) fetch result for the key in
+    /// `key_scratch`, which pass 1 resolved as probe `p`. The session tier is probed
+    /// before the per-query tiers: a hit charges only the cache counters; a miss claims
+    /// the key session-wide, resolves it through the per-query tiers — charging exactly
+    /// the uncached costs — and publishes the result for every later probe.
+    fn lookup(&mut self, p: usize) -> Result<Postings> {
         let Some((cache, space)) = self.session.clone() else {
-            return self.lookup_in_query();
+            return self.lookup_in_query(p);
         };
         match cache.probe(&space, &self.key_scratch) {
             SessionProbe::Hit(batch) => {
@@ -706,14 +882,15 @@ impl KeyedLookupOp<'_> {
                 // snapshot the key (refcount bumps, uncounted like the claim's own map
                 // key) so the claim can be resolved afterwards.
                 let key = self.key_scratch.clone();
-                let mut claim = SessionClaim {
-                    cache: &cache,
-                    space: &space,
-                    key: &key,
+                let mut claim = Claim {
+                    resolve: |batch: Option<Arc<Batch>>| match batch {
+                        Some(batch) => cache.complete(&space, &key, batch),
+                        None => cache.abort(&space, &key),
+                    },
                     publish: None,
                 };
                 let known = self.arena.ranges.len();
-                let batch = match self.lookup_in_query()? {
+                let batch = match self.lookup_in_query(p)? {
                     Postings::Cached(batch) => batch,
                     Postings::Arena(range) if self.arena.ranges.len() > known => {
                         Arc::new(self.arena.copy_out(range, self.fused_emit.as_deref()))
@@ -732,51 +909,56 @@ impl KeyedLookupOp<'_> {
     /// The per-query tiers: the arena's memo, or — in morsel mode, where the arena
     /// only stages fills — the split's shared cache. Both resolve a miss through
     /// [`KeyedLookupOp::fetch`].
-    fn lookup_in_query(&mut self) -> Result<Postings> {
+    fn lookup_in_query(&mut self, p: usize) -> Result<Postings> {
         let Some(shared) = self.shared.clone() else {
             if let Some(range) = self.arena.range_of(&self.key_scratch) {
                 return Ok(Postings::Arena(range));
             }
-            let range = self.fetch()?;
+            let range = self.fetch(p);
             self.cached_rows += range.len as u64;
             self.arena.remember(&mut self.key_scratch, range)?;
             return Ok(Postings::Arena(range));
         };
         match shared.probe(&self.key_scratch) {
             CacheProbe::Hit(batch) => Ok(Postings::Cached(batch)),
-            CacheProbe::Fill => match self.fetch() {
-                Ok(range) => {
-                    let batch = Arc::new(self.arena.copy_out(range, self.fused_emit.as_deref()));
-                    // The split's cache owns the copy; the staged rows are done with.
-                    self.arena.truncate(range.start);
-                    shared.complete(&self.key_scratch, Arc::clone(&batch));
-                    Ok(Postings::Cached(batch))
-                }
-                Err(error) => {
-                    shared.abort(&self.key_scratch);
-                    Err(error)
-                }
-            },
+            CacheProbe::Fill => {
+                // The claim holds the key while the fill runs; the scratch gets its
+                // buffer back once the claim is resolved.
+                let key = std::mem::take(&mut self.key_scratch);
+                let mut claim = Claim {
+                    resolve: |batch: Option<Arc<Batch>>| match batch {
+                        Some(batch) => shared.complete(&key, batch),
+                        None => shared.abort(&key),
+                    },
+                    publish: None,
+                };
+                let range = self.fetch(p);
+                let batch = Arc::new(self.arena.copy_out(range, self.fused_emit.as_deref()));
+                // The split's cache owns the copy; the staged rows are done with.
+                self.arena.truncate(range.start);
+                claim.publish = Some(Arc::clone(&batch));
+                drop(claim);
+                self.key_scratch = key;
+                Ok(Postings::Cached(batch))
+            }
         }
     }
 
-    /// The one miss path: fetch, project and per-key-dedup the postings for the key
-    /// in `key_scratch` onto the arena's open segment, tallying the miss costs — an
-    /// index lookup and the fetch accounting — and acquiring residency for the rows
-    /// now held.
-    fn fetch(&mut self) -> Result<ArenaRange> {
+    /// The one miss path: project and per-key-dedup probe `p`'s resolved postings onto
+    /// the arena's open segment, tallying the miss costs — an index lookup and the
+    /// fetch accounting — and acquiring residency for the rows now held.
+    fn fetch(&mut self, p: usize) -> ArenaRange {
         self.tally.index_lookups += 1;
+        let (tuples, shard) = self.pass.resolved[p].clone();
         let arena = &mut self.arena;
         let start = arena.rows;
-        let (fetched, shard) = fetch_key_into(
-            self.store,
-            self.constraint_index,
-            self.key_scratch.values(),
+        let fetched = fetch_key_into(
+            tuples,
             &self.positions,
             &mut arena.cols,
             &mut arena.rows,
             &mut arena.dedup,
-        )?;
+        );
         let range = ArenaRange {
             segment: arena.sealed.len(),
             start,
@@ -784,7 +966,7 @@ impl KeyedLookupOp<'_> {
         };
         self.tally.fetched(shard, fetched, self.positions.len());
         self.state.borrow_mut().acquire(range.len as u64);
-        Ok(range)
+        range
     }
 
     /// Move the probes' tally into the shared statistics.
@@ -854,12 +1036,14 @@ impl Operator for KeyedLookupOp<'_> {
             }
             state.release(self.cached_rows);
             self.cached_rows = 0;
-            // The arena's open columns, its key columns and the key scratch go back
-            // to the pool, cleared, for the worker's next probe loop; sealed segments
+            // The arena's open columns, its key columns, the key scratch and pass 1's
+            // key buffer go back to the pool, cleared, for the worker's next probe loop; sealed segments
             // stay with the consumers that share them.
             let scratch = std::mem::take(&mut self.key_scratch).into_values();
+            let probes = std::mem::take(&mut self.pass.keys);
             let arena = &mut self.arena;
-            for col in (arena.cols.drain(..).chain(arena.keys.release())).chain([scratch]) {
+            let buffers = arena.cols.drain(..).chain(arena.keys.release());
+            for col in buffers.chain([scratch, probes]) {
                 state.pool.put_values(col);
             }
             return Ok(None);
@@ -867,6 +1051,8 @@ impl Operator for KeyedLookupOp<'_> {
         let left_arity = batch.arity();
         let origin = self.route.map(|r| r.shard);
         self.ensure_fused_emit(left_arity);
+        self.stage(&batch)?;
+        let mut found = std::mem::take(&mut self.found);
         // Anchor fast path: a single source row (owned by this branch), no residual,
         // and a fused projection that keeps only fetched columns — the output *is*
         // the key's projected postings, emitted as a batch over the storage that
@@ -875,21 +1061,19 @@ impl Operator for KeyedLookupOp<'_> {
         // the first lookup of every anchored plan, where the fan-out (and hence the
         // row-pipeline's copy bill) is largest — and the whole body of the
         // steady-state serving loop.
-        if batch.len() == 1
-            && self.fused_emit.is_some()
-            && owns_row(&batch, 0, &self.key_cols, self.route)
-        {
-            self.key_scratch.gather(&batch, 0, &self.key_cols);
-            self.tally.values_cloned += self.key_cols.len() as u64;
-            let emitted = match self.lookup()? {
-                Postings::Cached(cached) => (*cached).clone(),
-                Postings::Arena(range) => {
-                    let mapped = self.fused_emit.as_deref().expect("checked above");
-                    self.arena.seal(range).project(mapped)
-                }
-            };
-            self.flush_tally();
-            return Ok(Some(emitted.with_origin_shard(origin)));
+        if batch.len() == 1 && self.fused_emit.is_some() {
+            if let Some((_, only)) = found.pop() {
+                self.found = found;
+                let emitted = match self.settle(only)? {
+                    Postings::Cached(cached) => (*cached).clone(),
+                    Postings::Arena(range) => {
+                        let mapped = self.fused_emit.as_deref().expect("checked above");
+                        self.arena.seal(range).project(mapped)
+                    }
+                };
+                self.flush_tally();
+                return Ok(Some(emitted.with_origin_shard(origin)));
+            }
         }
         let out_arity = self
             .out_cols
@@ -900,16 +1084,8 @@ impl Operator for KeyedLookupOp<'_> {
             (0..out_arity).map(|_| state.pool.get_values()).collect()
         };
         let mut out_rows = 0usize;
-        let mut probed_rows = 0u64;
-        for i in 0..batch.len() {
-            // Rows routed to other shards are skipped by an in-place hash — nothing
-            // cloned — so each source row is probe-gathered on exactly one branch.
-            if !owns_row(&batch, i, &self.key_cols, self.route) {
-                continue;
-            }
-            probed_rows += 1;
-            self.key_scratch.gather(&batch, i, &self.key_cols);
-            out_rows += match self.lookup()? {
+        for (i, row) in found.drain(..) {
+            out_rows += match self.settle(row)? {
                 Postings::Cached(cached) => {
                     self.emit(&batch, i, cached.len(), |j, c| cached.value(j, c), &mut out)
                 }
@@ -923,9 +1099,8 @@ impl Operator for KeyedLookupOp<'_> {
                 }
             };
         }
-        // One probe-key gather per owned source row, hit or miss.
-        self.tally.values_cloned +=
-            probed_rows * self.key_cols.len() as u64 + (out_rows * out_arity) as u64;
+        self.found = found;
+        self.tally.values_cloned += (out_rows * out_arity) as u64;
         self.flush_tally();
         Ok(Some(
             Batch::from_dense(out, out_rows).with_origin_shard(origin),
@@ -1200,12 +1375,17 @@ pub(crate) mod tests {
         h.state.borrow_mut().cache = Some(cache.clone());
         let mut op = h.lookup(&idb, Vec::new(), &[0, 1, 2], Vec::new(), None);
         op.ensure_fused_emit(1);
-        let key = HashedRow::new(vec![Value::int(1)]);
-        op.key_scratch = key.clone();
-        assert!(matches!(op.lookup().unwrap(), Postings::Cached(batch) if batch.len() == 3));
-        op.key_scratch = key.clone();
-        assert!(matches!(op.lookup().unwrap(), Postings::Arena(range) if range.len == 3));
+        // Nothing holds key 1 yet, so both rows miss in pass 1 and settle in pass 2.
+        op.stage(&ints(&[&[1], &[1]])).unwrap();
+        let mut found = std::mem::take(&mut op.found)
+            .into_iter()
+            .map(|(_, found)| found);
+        let first = op.settle(found.next().unwrap()).unwrap();
+        assert!(matches!(first, Postings::Cached(batch) if batch.len() == 3));
+        let repeat = op.settle(found.next().unwrap()).unwrap();
+        assert!(matches!(repeat, Postings::Arena(range) if range.len == 3));
         op.flush_tally();
+        let key = HashedRow::new(vec![Value::int(1)]);
         assert_eq!(h.stats().index_lookups, 1);
         // The withdrawn claim strands nobody: the next probe claims the key afresh.
         let (_, space) = op.session.clone().unwrap();
@@ -1242,10 +1422,147 @@ pub(crate) mod tests {
         // nothing was acquired for it, and nothing leaks.
         let h = Harness::new();
         let mut op = h.lookup(&idb, vec![Ok(ints(&[&[1], &[2]]))], &[0], Vec::new(), None);
-        op.key_cols = vec![0, 0];
+        (op.key_cols, op.pass.arity) = (vec![0, 0], 2);
         assert!(op.next_batch().is_err());
         assert_eq!(h.stats().tuples_fetched, 0);
         drop(op);
         assert_eq!(h.ledger.resident(), 0);
+    }
+
+    /// The same source rows as one batch, as two, and one row per batch.
+    fn feeds(rows: &[&[i64]]) -> [Vec<Result<Batch>>; 3] {
+        let (front, back) = rows.split_at(rows.len() / 2);
+        [
+            vec![Ok(ints(rows))],
+            vec![Ok(ints(front)), Ok(ints(back))],
+            rows.iter().map(|&row| Ok(ints(&[row]))).collect(),
+        ]
+    }
+
+    /// A lookup fetching every position of `R` for each feed of `rows`, set up by
+    /// `prepare`; what it emitted (flattened, in order), its counters and its peak
+    /// residency must not depend on how the rows were batched. Returns them.
+    fn assert_batching_is_invisible(
+        idb: &IndexedDatabase,
+        rows: &[&[i64]],
+        prepare: impl Fn(&Harness),
+        run: impl Fn(&mut KeyedLookupOp<'_>) -> Vec<Vec<Vec<i64>>>,
+    ) -> (Vec<Vec<i64>>, crate::stats::AccessStats) {
+        let runs = feeds(rows).map(|pulls| {
+            let h = Harness::new();
+            prepare(&h);
+            let mut op = h.lookup(idb, pulls, &[0, 1, 2], Vec::new(), None);
+            let out = run(&mut op).concat();
+            drop(op);
+            (out, h.stats(), h.ledger.peak())
+        });
+        assert_eq!(runs[0], runs[1], "one batch against two");
+        assert_eq!(runs[0], runs[2], "one batch against one row per batch");
+        let [(out, stats, _), ..] = runs;
+        (out, stats)
+    }
+
+    #[test]
+    fn keys_repeated_within_and_across_batches_settle_as_a_row_loop_would() {
+        let idb = store();
+        let rows: &[&[i64]] = &[&[1], &[2], &[1], &[3], &[2], &[1], &[1]];
+        let (out, stats) = assert_batching_is_invisible(&idb, rows, |_| {}, |op| drain(op));
+        assert_eq!(out.len(), 4 * 3 + 2);
+        assert_eq!(
+            stats.index_lookups, 3,
+            "one per distinct key, absent included"
+        );
+        assert_eq!(stats.tuples_fetched, 4);
+    }
+
+    #[test]
+    fn pass_one_hits_and_pass_two_fills_share_a_batch() {
+        let idb = store();
+        // Key 2 is served warm; key 1 is filled by its first row and hit by its
+        // second; absent key 3 is filled with the empty batch.
+        let rows: &[&[i64]] = &[&[2], &[1], &[3], &[2], &[1]];
+        let warm = |h: &Harness| {
+            let cache = Arc::new(SessionFetchCache::new(1_000));
+            let warmer = Harness::new();
+            warmer.state.borrow_mut().cache = Some(cache.clone());
+            let pulls = vec![Ok(ints(&[&[2]]))];
+            drain(&mut warmer.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None));
+            h.state.borrow_mut().cache = Some(cache);
+        };
+        let (out, stats) = assert_batching_is_invisible(&idb, rows, warm, |op| drain(op));
+        assert_eq!(out.len(), 1 + 3 + 1 + 3);
+        assert_eq!(stats.index_lookups, 2, "keys 1 and 3, once each");
+        assert_eq!(
+            (stats.cache_hits, stats.rows_served_from_cache),
+            (3, 1 + 1 + 3)
+        );
+    }
+
+    #[test]
+    fn a_key_another_morsel_is_filling_is_waited_for_in_pass_two_only() {
+        let idb = store();
+        let rows: &[&[i64]] = &[&[2], &[1], &[2]];
+        let key = HashedRow::new(vec![Value::int(1)]);
+        let unsplit = assert_batching_is_invisible(&idb, rows, |_| {}, |op| drain(op));
+        let split = assert_batching_is_invisible(
+            &idb,
+            rows,
+            |_| {},
+            |op| {
+                // Another morsel holds key 1's fill claim before this one starts, so
+                // pass 1 passes the key by; the claim is resolved only once this
+                // morsel waits on it, in pass 2.
+                let shared = Arc::new(SharedLookupCache::new());
+                assert!(matches!(shared.probe(&key), CacheProbe::Fill));
+                op.shared = Some(shared.clone());
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        while shared.waiters(&key) == 0 {
+                            std::thread::yield_now();
+                        }
+                        let postings = [&[1, 10, 100][..], &[1, 10, 101], &[1, 11, 100]];
+                        shared.complete(&key, Arc::new(ints(&postings)));
+                    });
+                    drain(op)
+                })
+            },
+        );
+        assert_eq!(split.0, unsplit.0, "the other morsel's entry serves key 1");
+        assert_eq!(unsplit.1.index_lookups, 2);
+        assert_eq!(split.1.index_lookups, 1, "only key 2 is fetched here");
+    }
+
+    #[test]
+    fn a_failed_resolve_mid_batch_leaves_no_claim_and_no_residency() {
+        let idb = store();
+        // Constraint 7 does not exist: every key nothing holds fails to resolve, after
+        // pass 1 has already taken key 2's warm hits from the session cache.
+        let cache = Arc::new(SessionFetchCache::new(1_000));
+        let space = cache.space(CacheShape {
+            constraint: 7,
+            positions: vec![0, 1, 2],
+            emit: None,
+        });
+        let warm = HashedRow::new(vec![Value::int(2)]);
+        assert!(matches!(cache.probe(&space, &warm), SessionProbe::Fill));
+        cache.complete(&space, &warm, Arc::new(ints(&[&[2, 20, 200]])));
+        for pulls in feeds(&[&[2], &[1], &[2], &[3]]) {
+            let h = Harness::new();
+            h.state.borrow_mut().cache = Some(cache.clone());
+            let mut op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
+            op.constraint_index = 7;
+            let failure = std::iter::from_fn(|| op.next_batch().transpose()).find(Result::is_err);
+            assert!(failure.is_some(), "key 1 cannot be resolved");
+            drop(op);
+            assert_eq!(h.ledger.resident(), 0);
+            assert_eq!(h.stats().tuples_fetched, 0);
+            // No key was left claimed: the next prober of each gets the claim at once.
+            for k in [1, 3] {
+                let key = HashedRow::new(vec![Value::int(k)]);
+                assert!(matches!(cache.probe(&space, &key), SessionProbe::Fill));
+                cache.abort(&space, &key);
+            }
+        }
+        assert_eq!(cache.stats().resident_rows, 1);
     }
 }

@@ -131,6 +131,22 @@ impl SharedLookupCache {
         }
     }
 
+    /// Non-claiming read: a warm hit like [`SharedLookupCache::probe`]'s, but a miss or
+    /// an in-flight fill returns `None` at once instead of claiming or waiting — the
+    /// split's counterpart of `SessionFetchCache::lookup`, for a keyed lookup's first
+    /// pass.
+    pub(crate) fn lookup(&self, key: &HashedRow) -> Option<Arc<Batch>> {
+        let stripe = self.stripe(key);
+        let map = stripe
+            .entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        match map.entries.get(key) {
+            Some(CacheEntry::Ready(batch)) => Some(Arc::clone(batch)),
+            Some(CacheEntry::Filling) | None => None,
+        }
+    }
+
     /// Resolve a fill claim with its batch and wake the probes waiting on it.
     pub(crate) fn complete(&self, key: &HashedRow, batch: Arc<Batch>) {
         self.rows.fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -150,8 +166,9 @@ impl SharedLookupCache {
         }
     }
 
-    /// Withdraw a fill claim after a failed fetch, so waiting probes can retry (the
-    /// run is failing anyway — the retry only keeps the protocol deadlock-free).
+    /// Withdraw a fill claim whose filler failed or unwound, so waiting probes can
+    /// retry (the run is failing anyway — the retry only keeps the protocol
+    /// deadlock-free).
     pub(crate) fn abort(&self, key: &HashedRow) {
         let stripe = self.stripe(key);
         let mut map = stripe
@@ -283,6 +300,14 @@ mod tests {
     use super::*;
     use bea_core::value::Value;
 
+    impl SharedLookupCache {
+        /// Probes blocked on the stripe of `key`, waiting for a fill to resolve.
+        pub(crate) fn waiters(&self, key: &HashedRow) -> usize {
+            let map = self.stripe(key).entries.lock();
+            map.unwrap_or_else(PoisonError::into_inner).waiters
+        }
+    }
+
     fn batch_of(rows: usize) -> Batch {
         Batch::from_rows(1, (0..rows).map(|i| vec![Value::int(i as i64)]).collect())
     }
@@ -326,6 +351,19 @@ mod tests {
         assert_eq!(fills.load(Ordering::Relaxed), 1, "exactly one fill per key");
         assert_eq!(cache.rows(), 2);
         assert!(matches!(cache.probe(&key), CacheProbe::Hit(_)));
+    }
+
+    #[test]
+    fn lookup_never_claims_or_waits() {
+        let cache = SharedLookupCache::new();
+        let key = HashedRow::new(vec![Value::int(4)]);
+        // Cold: nothing, and no claim installed — a probe still gets the fill claim.
+        assert!(cache.lookup(&key).is_none());
+        assert!(matches!(cache.probe(&key), CacheProbe::Fill));
+        // In flight: `None` at once instead of blocking on the filler.
+        assert!(cache.lookup(&key).is_none());
+        cache.complete(&key, Arc::new(batch_of(2)));
+        assert_eq!(cache.lookup(&key).unwrap().len(), 2);
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //!            Vehicle(vid, driver, age).
 //! ```
 
+#![deny(unsafe_code)]
 pub mod lexer;
 mod template;
 

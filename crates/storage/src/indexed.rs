@@ -109,12 +109,19 @@ impl IndexedDatabase {
     /// consumer decides what to project out of them. The iterator is exact-sized, so
     /// callers can account for the number of tuples read before walking them.
     pub fn fetch_iter(&self, constraint_index: usize, key: &[Value]) -> Result<FetchIter<'_>> {
+        let (relation, index) = self.indexed(constraint_index)?;
+        probe(relation, &index[0], constraint_index, key)
+    }
+
+    /// Constraint `constraint_index`'s relation and its index (one: this store is
+    /// unsharded).
+    pub(crate) fn indexed(&self, constraint_index: usize) -> Result<(&Relation, &[HashIndex])> {
         let index = self
             .indexes
             .get(constraint_index)
             .ok_or_else(|| missing_constraint(constraint_index))?;
         let relation = self.database.relation_at(self.relations[constraint_index]);
-        probe(relation, index, constraint_index, key)
+        Ok((relation, std::slice::from_ref(index)))
     }
 
     /// Columnar counterpart of [`IndexedDatabase::fetch_iter`]: append, for every tuple
@@ -138,11 +145,9 @@ impl IndexedDatabase {
         positions: &[usize],
         out: &mut [Vec<Value>],
     ) -> Result<u64> {
-        Ok(append_projected(
-            self.fetch_iter(constraint_index, key)?,
-            positions,
-            out,
-        ))
+        Ok(self
+            .fetch_iter(constraint_index, key)?
+            .project_into(positions, out))
     }
 
     /// Check the cardinality part of every constraint: does `D ⊨ A` hold?
@@ -184,41 +189,27 @@ pub(crate) fn probe<'a>(
     constraint_index: usize,
     key: &[Value],
 ) -> Result<FetchIter<'a>> {
-    if key.len() != index.key_attrs().len() {
-        return Err(Error::invalid(format!(
-            "fetch key has {} values but constraint {constraint_index} expects {}",
-            key.len(),
-            index.key_attrs().len()
-        )));
-    }
+    check_key_arity(index, constraint_index, key.len())?;
     Ok(FetchIter {
         relation,
         offsets: index.lookup(relation, key).iter(),
     })
 }
 
-/// Append, for every tuple of `iter`, the values at `positions` into the
-/// corresponding output columns, returning how many tuples were appended — the
-/// columnar fetch kernel shared by [`IndexedDatabase::fetch_into_columns`] and its
-/// sharded counterpart, so the two stores can never drift on the append semantics.
-pub(crate) fn append_projected(
-    iter: FetchIter<'_>,
-    positions: &[usize],
-    out: &mut [Vec<Value>],
-) -> u64 {
-    debug_assert_eq!(
-        positions.len(),
-        out.len(),
-        "one output column per projected position"
-    );
-    let mut appended = 0u64;
-    for tuple in iter {
-        for (column, &position) in out.iter_mut().zip(positions) {
-            column.push(tuple[position].clone());
-        }
-        appended += 1;
+/// Refuse a key of `arity` values for constraint `constraint_index`, served by `index`
+/// (every index of a constraint has the constraint's key attributes).
+pub(crate) fn check_key_arity(
+    index: &HashIndex,
+    constraint_index: usize,
+    arity: usize,
+) -> Result<()> {
+    let expected = index.key_attrs().len();
+    if arity != expected {
+        return Err(Error::invalid(format!(
+            "fetch key has {arity} values but constraint {constraint_index} expects {expected}"
+        )));
     }
-    appended
+    Ok(())
 }
 
 /// Check every key of one index against its constraint's cardinality bound: count the
@@ -257,8 +248,8 @@ pub(crate) fn check_groups(
 /// [`IndexedDatabase::fetch_iter`].
 #[derive(Debug, Clone)]
 pub struct FetchIter<'a> {
-    relation: &'a Relation,
-    offsets: std::slice::Iter<'a, u32>,
+    pub(crate) relation: &'a Relation,
+    pub(crate) offsets: std::slice::Iter<'a, u32>,
 }
 
 impl<'a> Iterator for FetchIter<'a> {
@@ -275,6 +266,29 @@ impl<'a> Iterator for FetchIter<'a> {
 }
 
 impl ExactSizeIterator for FetchIter<'_> {}
+
+impl FetchIter<'_> {
+    /// Append, for every remaining tuple, the values at `positions` into the
+    /// corresponding output columns (`out[i]` receives `tuple[positions[i]]`); returns
+    /// how many tuples were appended. The columnar fetch kernel: both stores'
+    /// `fetch_into_columns` and the executor's resolved fetches go through it, so they
+    /// cannot drift on the append semantics.
+    pub fn project_into(self, positions: &[usize], out: &mut [Vec<Value>]) -> u64 {
+        debug_assert_eq!(
+            positions.len(),
+            out.len(),
+            "one output column per projected position"
+        );
+        let mut appended = 0u64;
+        for tuple in self {
+            for (column, &position) in out.iter_mut().zip(positions) {
+                column.push(tuple[position].clone());
+            }
+            appended += 1;
+        }
+        appended
+    }
+}
 
 #[cfg(test)]
 mod tests {

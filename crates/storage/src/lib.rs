@@ -37,7 +37,9 @@
 //! A fetch hashes the key (one multiply per value), walks the slot table (linear probing,
 //! at most half full), compares the key against the first tuple of the candidate group —
 //! a tuple the fetch returns anyway — and hands out a subslice of `postings`; the tuples
-//! are then slices of the relation at `offset · k`. Posting lists keep insertion order
+//! are then slices of the relation at `offset · k`. The executor fetches batches of
+//! keys ([`Store::resolve`]), walked together so their cache misses overlap; see
+//! [`index`]. Posting lists keep insertion order
 //! and key groups are numbered by first occurrence, so every result and every
 //! `validate()` report is deterministic and identical between the unsharded store and
 //! any shard count. [`IndexedDatabase::footprint`] reports the exact tuple and index
@@ -47,6 +49,7 @@
 //! is an error, not a silent wrap. Flat offset arrays are also what an mmap-backed
 //! segment would need — nothing here holds a pointer.
 
+#![deny(unsafe_code)]
 pub mod database;
 pub mod discovery;
 pub mod index;
@@ -57,6 +60,7 @@ pub mod sharded;
 
 pub use database::Database;
 pub use discovery::{discover_constraints, measure_cardinality, DiscoveryOptions};
+pub use index::Probes;
 pub use indexed::{ConstraintViolation, FetchIter, IndexedDatabase};
 pub use relation::Relation;
 pub use sharded::{shard_of, shards_from_env, ShardedDatabase, Store, SHARDS_ENV};

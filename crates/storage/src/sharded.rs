@@ -26,11 +26,12 @@
 //! accounting (`AccessStats::rows_fetched_by_shard` in `bea-engine`) possible.
 
 use crate::database::Database;
-use crate::index::{offset_bound, HashIndex};
+use crate::index::{offset_bound, resolve_each, HashIndex, Probes};
 use crate::indexed::{
-    append_projected, check_groups, missing_constraint, probe, resolve_relations,
+    check_groups, check_key_arity, missing_constraint, probe, resolve_relations,
     ConstraintViolation, FetchIter, IndexedDatabase,
 };
+use crate::relation::Relation;
 use bea_core::access::AccessSchema;
 use bea_core::error::{Error, Result};
 use bea_core::value::Value;
@@ -234,14 +235,22 @@ impl ShardedDatabase {
         constraint_index: usize,
         key: &[Value],
     ) -> Result<(FetchIter<'_>, u32)> {
+        let (relation, shards) = self.indexed(constraint_index)?;
+        let shard = shard_of(key.iter(), self.shard_count);
+        let iter = probe(relation, &shards[shard as usize], constraint_index, key)?;
+        Ok((iter, shard))
+    }
+
+    /// Constraint `constraint_index`'s relation and its index shards, by shard number.
+    pub(crate) fn indexed(&self, constraint_index: usize) -> Result<(&Relation, &[HashIndex])> {
         let shards = self
             .shards
             .get(constraint_index)
             .ok_or_else(|| missing_constraint(constraint_index))?;
-        let relation = self.database.relation_at(self.relations[constraint_index]);
-        let shard = shard_of(key.iter(), self.shard_count);
-        let iter = probe(relation, &shards[shard as usize], constraint_index, key)?;
-        Ok((iter, shard))
+        Ok((
+            self.database.relation_at(self.relations[constraint_index]),
+            shards,
+        ))
     }
 
     /// Columnar fetch through the owning shard's index: append, for every tuple whose
@@ -256,7 +265,7 @@ impl ShardedDatabase {
         out: &mut [Vec<Value>],
     ) -> Result<(u64, u32)> {
         let (iter, shard) = self.fetch_iter(constraint_index, key)?;
-        Ok((append_projected(iter, positions, out), shard))
+        Ok((iter.project_into(positions, out), shard))
     }
 
     /// Check the cardinality part of every constraint over the sharded indexes: does
@@ -360,6 +369,37 @@ impl<'a> Store<'a> {
             )),
             Store::Sharded(db) => db.fetch_into_columns(constraint_index, key, positions, out),
         }
+    }
+
+    /// Batched fetch: clear `out`, then push, for every probe in order, the tuples whose
+    /// `X`-projection equals its key (empty if none) and the shard that owns the key
+    /// ([`shard_of`]) and served them — per probe what [`Store::fetch_iter`] returns.
+    /// The keys are walked together, their cache misses overlapped (see
+    /// [`crate::index`]). The executor's keyed operators reach the index only here.
+    pub fn resolve(
+        &self,
+        constraint_index: usize,
+        probes: Probes<'_>,
+        out: &mut Vec<(FetchIter<'a>, u32)>,
+    ) -> Result<()> {
+        out.clear();
+        let (relation, indexes) = match self {
+            Store::Indexed(db) => db.indexed(constraint_index)?,
+            Store::Sharded(db) => db.indexed(constraint_index)?,
+        };
+        check_key_arity(&indexes[0], constraint_index, probes.arity)?;
+        let count = probes.hashes.len();
+        assert_eq!(probes.keys.len(), probes.arity * count, "one key per hash");
+        out.reserve(count);
+        let route = |key: &[Value]| {
+            let shard = shard_of(key, indexes.len() as u32);
+            (&indexes[shard as usize], shard)
+        };
+        resolve_each(relation, probes, route, |postings, shard| {
+            let offsets = postings.iter();
+            out.push((FetchIter { relation, offsets }, shard));
+        });
+        Ok(())
     }
 }
 
@@ -560,6 +600,77 @@ mod tests {
                 assert_eq!(sdb.footprint().0, idb.footprint().0);
                 assert!(sdb.footprint().1 >= idb.footprint().1 / 2);
             }
+        }
+    }
+
+    /// Seeded differential of the batched fetch: every probe is reported served by the
+    /// shard [`shard_of`] names, with exactly that shard's single-key fetch — at every
+    /// shard count, for present, absent and repeated keys, 0 to 2 500 probes per call.
+    #[test]
+    fn batched_resolve_routes_each_probe_and_matches_its_single_key_fetch() {
+        use crate::index::tests::{random_relation, reference};
+        use bea_core::value::{hash_row, Row};
+        let mut c = Catalog::new();
+        c.declare("R", ["a", "b", "c"]).unwrap();
+        let schema = AccessSchema::from_constraints([
+            AccessConstraint::new(&c, "R", &["a", "c"], &["b"], 2).unwrap(),
+            AccessConstraint::new(&c, "R", &["b"], &["a"], 3).unwrap(),
+            AccessConstraint::new(&c, "R", &[], &["a"], 3).unwrap(),
+        ]);
+        let source = random_relation(0x5EED, 900, 15);
+        let mut db = Database::new(c);
+        db.extend("R", source.rows().map(<[Value]>::to_vec))
+            .unwrap();
+        let idb = IndexedDatabase::build(db, schema.clone()).unwrap();
+        let relation = idb.database().relation("R").unwrap();
+        for count in [1u32, 2, 3, 8] {
+            let sdb = ShardedDatabase::shard(&idb, count).unwrap();
+            let mut out = Vec::new();
+            for (ci, constraint) in schema.constraints().iter().enumerate() {
+                let (_, present) = reference(relation, constraint.x());
+                let absent: Row = vec![Value::int(-9); constraint.x().len()];
+                for total in [0usize, 1, 17, 2_500] {
+                    let keys: Vec<&Row> = (0..total)
+                        .map(|i| match i % 7 {
+                            3 => &absent,
+                            _ => &present[(i * 31) % present.len()],
+                        })
+                        .collect();
+                    let flat: Vec<Value> = keys.iter().copied().flatten().cloned().collect();
+                    let hashes: Vec<u64> = keys.iter().map(|key| hash_row(*key)).collect();
+                    let probes = Probes {
+                        arity: constraint.x().len(),
+                        keys: &flat,
+                        hashes: &hashes,
+                    };
+                    for store in [Store::from(&idb), Store::from(&sdb)] {
+                        store.resolve(ci, probes, &mut out).unwrap();
+                        assert_eq!(out.len(), total);
+                        for (key, (tuples, shard)) in keys.iter().zip(out.drain(..)) {
+                            assert_eq!(shard, shard_of(key.iter(), store.shard_count()));
+                            let (single, single_shard) = store.fetch_iter(ci, key).unwrap();
+                            assert_eq!(single_shard, shard);
+                            assert!(tuples.eq(single), "key {key:?} at {count} shards");
+                        }
+                    }
+                }
+            }
+            // The single-key fetch's errors, for the whole call.
+            let one = [Value::int(1)];
+            let hash = [hash_row(&one)];
+            let probes = Probes {
+                arity: 1,
+                keys: &one,
+                hashes: &hash,
+            };
+            let sharded = Store::from(&sdb);
+            assert!(sharded.resolve(7, probes, &mut out).is_err());
+            let message = sharded
+                .resolve(0, probes, &mut out)
+                .unwrap_err()
+                .to_string();
+            assert!(message.contains("expects 2"), "{message}");
+            assert!(out.is_empty(), "a refused call resolves nothing");
         }
     }
 

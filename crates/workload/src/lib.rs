@@ -17,6 +17,7 @@
 //!   coverage-rate experiment (what fraction of a workload is covered by a constraint
 //!   set of a given size).
 
+#![deny(unsafe_code)]
 pub mod accidents;
 pub mod ecommerce;
 pub mod graph;

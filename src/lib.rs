@@ -41,6 +41,7 @@
 //! assert!(report.is_covered());
 //! ```
 
+#![deny(unsafe_code)]
 pub use bea_bench as bench;
 pub use bea_core as core;
 pub use bea_engine as engine;
