@@ -228,14 +228,15 @@ fn family_texts(
 /// (rows, row order, `fetch_bound`, `alloc_surface`, `tuples_fetched`, `values_cloned`,
 /// `allocs_per_probe`, the cache counters; or the same `ERR` / `REJECT`), the bound
 /// plan to be the literal text's plan step for step, and exactly the later texts of a
-/// stored class to be hits. Returns how many texts were answered `OK`.
+/// stored class to be hits. Returns how many texts were answered `OK`, and every reply
+/// on the wire, in order.
 fn assert_served_alike(
     store: &SharedStore,
     threads: usize,
     cache_rows: u64,
     fetch_budget: u64,
     classes: &[Vec<String>],
-) -> usize {
+) -> (usize, Vec<String>) {
     let templated = Daemon::new(store, threads, cache_rows, fetch_budget);
     let literal = Daemon::new(store, threads, cache_rows, fetch_budget);
     let session = Session::new(store.clone(), SessionConfig::new().with_threads(threads));
@@ -248,6 +249,7 @@ fn assert_served_alike(
     };
     let mut stored: HashSet<String> = HashSet::new();
     let (mut hits, mut answered) = (0, 0);
+    let mut wires = Vec::new();
     for text in classes.iter().flatten() {
         let corner = format!(
             "{text:?} at {threads} threads / {} shards / cache {cache_rows}",
@@ -261,6 +263,7 @@ fn assert_served_alike(
             "the replies differ for {corner}"
         );
         answered += usize::from(reply.status() == ReplyStatus::Ok);
+        wires.push(reply.wire());
 
         // A text the lexer refuses has no skeleton, and an `ERR parse:` for a reply.
         let Ok(skeleton) = Skeleton::of(text) else {
@@ -295,25 +298,33 @@ fn assert_served_alike(
     let texts = classes.iter().flatten().count() as u64;
     assert_eq!(templated.stat("plan_misses"), texts - hits);
     assert_eq!(literal.stat("plan_templates"), 0);
-    answered
+    (answered, wires)
 }
 
-/// [`assert_served_alike`] at threads {1, 4} × shards {1, 4} × cache off/on.
+/// [`assert_served_alike`] at threads {1, 4} × shards {1, 4} × cache off/on, and the
+/// 4-shard daemon's replies byte for byte the 1-shard daemon's: the same rows in the
+/// same order, the same ticket (`alloc_surface=` included) and the same counters.
 fn assert_served_alike_at_every_corner(
     schema: &AccessSchema,
     db: &Database,
     classes: &[Vec<String>],
 ) -> usize {
-    let stores = [
-        SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap()),
-        SharedStore::from(ShardedDatabase::build(db.clone(), schema.clone(), 4).unwrap()),
-    ];
+    let unsharded = SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
+    let sharded = SharedStore::from(ShardedDatabase::build(db.clone(), schema.clone(), 4).unwrap());
     let mut answered = 0;
-    for store in &stores {
-        for threads in [1, 4] {
-            for cache_rows in [0, 1 << 20] {
-                answered += assert_served_alike(store, threads, cache_rows, 0, classes);
+    for threads in [1, 4] {
+        for cache_rows in [0, 1 << 20] {
+            let (one, expected) = assert_served_alike(&unsharded, threads, cache_rows, 0, classes);
+            let (four, wires) = assert_served_alike(&sharded, threads, cache_rows, 0, classes);
+            for (text, (wire, expected)) in
+                classes.iter().flatten().zip(wires.iter().zip(&expected))
+            {
+                assert_eq!(
+                    wire, expected,
+                    "4 shards answer {text:?} unlike 1 at {threads} threads / cache {cache_rows}"
+                );
             }
+            answered += one + four;
         }
     }
     answered

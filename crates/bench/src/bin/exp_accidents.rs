@@ -3,7 +3,7 @@
 //!
 //! Paper reference points: Q0 can be answered by accessing at most
 //! 610 + 610·192·2 = 234_850 tuples out of >31 million (and typically ~3_050), and the
-//! bounded plans of [12] take ~9 seconds where MySQL needs >14 hours. We reproduce the
+//! bounded plans of \[12\] take ~9 seconds where MySQL needs >14 hours. We reproduce the
 //! *shape*: the bounded column stays flat while the baseline grows linearly with |D|.
 //!
 //! Run with `cargo run --release -p bea-bench --bin exp_accidents`.

@@ -1,6 +1,6 @@
 //! E3 — coverage rate of a CQ workload as the access schema grows.
 //!
-//! Paper reference point (Example 1.1 / [12]): 77% of conjunctive queries on the UK
+//! Paper reference point (Example 1.1 / \[12\]): 77% of conjunctive queries on the UK
 //! accident data are boundedly evaluable under 84 simple access constraints. We mine
 //! constraints from generated accident data, take prefixes of increasing size, and report
 //! the fraction of a 500-query workload that is covered (plus the fraction that the full

@@ -1,6 +1,6 @@
 //! E4 — personalized graph pattern queries: bounded evaluation vs full-relation joins.
 //!
-//! Paper reference points (introduction, citing [11]): 60% of graph pattern queries on
+//! Paper reference points (introduction, citing \[11\]): 60% of graph pattern queries on
 //! real-life Web graphs are boundedly evaluable under simple access constraints, and
 //! bounded evaluation outperforms conventional subgraph-isomorphism evaluation by about
 //! four orders of magnitude. We reproduce the shape on synthetic degree-bounded social

@@ -36,7 +36,7 @@ use bea_bench::scenarios::{
 use bea_core::bounded::{analyze_cq, BoundedConfig};
 use bea_core::cover;
 use bea_core::envelope::{lower_envelope_cq, upper_envelope_cq, EnvelopeConfig};
-use bea_core::plan::lower_plan;
+use bea_core::plan::{lower_plan, PhysicalPlan};
 use bea_core::reason::ReasonConfig;
 use bea_core::specialize::{specialize_cq, SpecializeConfig};
 use bea_engine::{execute_physical_on, execute_plan_materialized, execute_plan_on, ExecOptions};
@@ -527,11 +527,10 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
          and per-morsel outputs concatenate in morsel order."
     );
 
-    // Sharded execution: the anchored Q0 plan fanned out over K index-partition
-    // shards. The per-shard branches probe only the partitions owning their keys, so
-    // the fetch totals — and the copy traffic — are identical to shards = 1 while the
-    // pipeline DAG gains one shard-local pipeline per shard (run here at 4 workers,
-    // the shard-affine schedule).
+    // Sharded execution: the anchored Q0 plan over K index-partition shards. One plan,
+    // keys routed at run time: the sharded physical plan equals the unsharded one, and
+    // the fetch totals — and the copy traffic — are identical to shards = 1; only the
+    // per-shard distribution differs (run here at 4 workers).
     println!("\n## sharded execution — anchored Q0 over K index-partition shards\n");
     let mut sharded_table = TextTable::new([
         "shards",
@@ -543,7 +542,7 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
         "probe allocs",
         "wall time",
     ]);
-    let mut unsharded: Option<bea_engine::AccessStats> = None;
+    let mut unsharded: Option<(PhysicalPlan, bea_engine::AccessStats)> = None;
     for shards in [1u32, 4] {
         let scenario = ShardedScenario::with_shards(shards, 20_000, 42)?;
         let dag = scenario.physical.pipeline_dag();
@@ -551,7 +550,11 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
         let options = ExecOptions::new().with_threads(4);
         let (result, ms) = time_ms(|| execute_physical_on(&scenario.physical, store, &options));
         let (_, stats) = result?;
-        if let Some(baseline) = &unsharded {
+        if let Some((physical, baseline)) = &unsharded {
+            assert_eq!(
+                physical, &scenario.physical,
+                "shard count changed the physical plan"
+            );
             assert!(
                 baseline.same_data_access(&stats),
                 "shard count changed the data access"
@@ -580,14 +583,13 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
             stats.allocs_per_probe.to_string(),
             fmt_ms(ms),
         ]);
-        unsharded.get_or_insert(stats);
+        unsharded.get_or_insert((scenario.physical, stats));
     }
     sharded_table.print();
     println!(
         "\nPartitioning the constraint indexes relocates the bounded fetch volume \
          across shards (the per-shard counts always sum to the same total) without \
-         changing what is read or copied — boundedness survives sharding, and the \
-         shard-local pipelines give the scheduler real parallel width."
+         changing the plan or what is read or copied — boundedness survives sharding."
     );
 
     // The multi-query service: a mixed batch of priced queries against one shared

@@ -299,13 +299,11 @@ impl MorselScenario {
     }
 }
 
-/// The sharded-execution scenario: the anchored Q0 accidents query fanned out over `K`
-/// index-partition shards. The physical plan is lowered with a shard fan-out equal to
-/// the store's shard count, so every keyed fetch becomes one branch per shard probing
-/// only the partition that owns its keys — the pipeline DAG gains one shard-local
-/// pipeline per branch, which is the shape shard-affine scheduling and (eventually)
-/// NUMA placement target. The unsharded `indexed` twin of the same data is kept so
-/// invariants (same rows, same access totals, same copy traffic) are assertable
+/// The sharded-execution scenario: the anchored Q0 accidents query over `K`
+/// index-partition shards. One plan, keys routed at run time: the physical plan is the
+/// one the unsharded store runs, and the store sends every probe to the shard that owns
+/// its key. The unsharded `indexed` twin of the same data is kept so invariants (same
+/// rows in the same order, same access totals, same copy traffic) are assertable
 /// against shards = 1.
 pub struct ShardedScenario {
     /// The relational schema.
@@ -320,8 +318,8 @@ pub struct ShardedScenario {
     pub q0: ConjunctiveQuery,
     /// The boundedly evaluable plan for Q0.
     pub plan: QueryPlan,
-    /// The plan lowered with shard fan-out (and exchange points): one shard-local
-    /// pipeline per branch.
+    /// The plan lowered with exchange points — the same physical plan at every shard
+    /// count.
     pub physical: PhysicalPlan,
     /// Number of shards.
     pub shards: u32,
@@ -340,12 +338,8 @@ impl ShardedScenario {
             &accidents::date_value(1),
         )?;
         let plan = bounded_plan(&q0, &schema)?;
-        let physical = lower_plan_with(
-            &plan,
-            &LowerOptions::new()
-                .with_exchange_parallelism(true)
-                .with_shard_fanout(shards),
-        )?;
+        let physical =
+            lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true))?;
         let sharded = ShardedDatabase::build(db.clone(), schema.clone(), shards)?;
         let indexed = IndexedDatabase::build(db, schema.clone())?;
         Ok(Self {
@@ -595,8 +589,7 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
     // The sharded scenario follows the same recording convention: deterministic
     // fields from the sequential run (pipelines execute in step order, so the peak is
     // schedule-independent; access counters and copy traffic are shard- and
-    // thread-invariant anyway), wall clock at 4 workers — the shard-affine schedule
-    // the scenario exists to exercise.
+    // thread-invariant anyway), wall clock at 4 workers.
     let sharded_store = Store::Sharded(&sharded.sharded);
     let (_, stats) = execute_physical_on(&sharded.physical, sharded_store, &single)?;
     let (ns_p50, ns_p99) = time_percentiles(timing_iters, || {
@@ -886,35 +879,24 @@ mod tests {
         assert_streaming_beats_materialized(&scenario.plan, &scenario.indexed);
     }
 
-    /// The acceptance property of sharded execution on its target scenario: a
-    /// shards = 4 / threads = 4 run of the anchored Q0 fan-out fetches *exactly* the
-    /// same total rows as shards = 1 — boundedness is preserved under partitioning,
+    /// The acceptance property of sharded execution on its target scenario: the
+    /// sharded physical plan equals the unsharded one, and a shards = 4 / threads = 4
+    /// run of it returns the unsharded run's rows in the same order and fetches
+    /// *exactly* the same total rows — boundedness is preserved under partitioning,
     /// asserted via the per-shard `AccessStats` (the shard counts sum to the total and
-    /// the work genuinely spreads over several partitions) — and the sharded pipeline
-    /// DAG exposes parallel width of at least the shard count.
+    /// the work genuinely spreads over several partitions).
     #[test]
     fn sharded_scenario_preserves_boundedness_under_partitioning() {
         let scenario = ShardedScenario::with_shards(4, 10_000, BENCH_REPORT_SEED).unwrap();
         assert!(scenario.sharded.satisfies_schema());
         assert!(scenario.plan.is_bounded_under(&scenario.schema));
         assert_eq!(scenario.catalog.len(), 3);
-
-        let dag = scenario.physical.pipeline_dag();
-        assert!(
-            dag.parallel_width() >= scenario.shards as usize,
-            "sharded DAG width {} below shard count {}",
-            dag.parallel_width(),
-            scenario.shards
-        );
-        // The branch pipelines carry their shard tags (what the scheduler's affinity
-        // keys on), covering every shard.
-        let tags: std::collections::BTreeSet<u32> =
-            dag.pipelines().iter().filter_map(|p| p.shard).collect();
-        assert_eq!(tags.into_iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        let unsharded = ShardedScenario::with_shards(1, 10_000, BENCH_REPORT_SEED).unwrap();
+        assert_eq!(scenario.physical, unsharded.physical);
 
         // shards = 1 baseline: the plain indexed store, single-threaded.
-        let (baseline, baseline_stats) = execute_plan_on(
-            &scenario.plan,
+        let (baseline, baseline_stats) = execute_physical_on(
+            &scenario.physical,
             &scenario.indexed,
             &ExecOptions::new().with_threads(1),
         )
@@ -927,7 +909,7 @@ mod tests {
         )
         .unwrap();
 
-        assert!(sharded.same_rows(&baseline));
+        assert_eq!(sharded.rows(), baseline.rows());
         assert_eq!(
             sharded_stats.tuples_fetched, baseline_stats.tuples_fetched,
             "partitioning changed the fetch volume"

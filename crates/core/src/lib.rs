@@ -23,8 +23,8 @@
 //!   witnesses (constructive direction of Theorem 3.11).
 //! * [`envelope`] — upper and lower boundedly evaluable envelopes (Section 4).
 //! * [`specialize`] — bounded query specialization (Section 5, Proposition 5.4).
-//! * [`env`] — shared loud-failure parsing for the `BEA_*` environment knobs used by
-//!   the engine, storage and service crates.
+//! * [`env`](mod@env) — shared loud-failure parsing for the `BEA_*` environment knobs
+//!   used by the engine, storage and service crates.
 //!
 //! Execution of plans against data lives in `bea-engine`; storage and indexes in
 //! `bea-storage`.

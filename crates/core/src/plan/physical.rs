@@ -46,26 +46,13 @@
 //!   heads a pipeline whose probe stream is a materialized batch sequence, which the
 //!   scheduler can split into **morsels** — consecutive batch groups executed
 //!   concurrently on the worker pool (see [`Pipeline::morsel_source`]).
-//! * **Shard fan-out** (opt-in, [`LowerOptions::shard_fanout`]) — when the store's
-//!   constraint indexes are partitioned into `K` shards, every keyed fetch and keyed
-//!   lookup whose probe keys depend on data is rewritten into `K` per-shard branches
-//!   (each tagged with a [`ShardRoute`], each a materialization point) merged by a
-//!   union: branch `k`
-//!   processes exactly the probe keys the routing hash assigns to shard `k`, so the
-//!   branches partition the key set and the union of their outputs equals the
-//!   unsharded result — boundedness survives partitioning, and the pipeline DAG gains
-//!   one shard-local pipeline per branch (parallel width ≥ `K`). A sole-consumer
-//!   projection over a fanned-out keyed lookup is absorbed into the branches' `emit`
-//!   column set, so the sharded plan gathers exactly the values the unsharded
-//!   executor's projection fusion would — copy traffic is shard-count-invariant.
-//!   **Pruning:** a fetch that probes one key known at plan time — its key is empty,
-//!   or its source is statically one row (a constant, the unit row, a product of
-//!   those), as for a constant in the query text — is not fanned out and carries no
-//!   route: one shard owns that key, the executor sends an un-tagged probe to the
-//!   owning shard (the routing hash stays in `bea-storage`), and the step lowers
-//!   exactly as in the unsharded plan. A point lookup on a sharded store is therefore
-//!   the unsharded plan, pipeline for pipeline; only data-dependent keys pay for
-//!   `K` branches.
+//!
+//! **One plan, keys routed at run time.** Lowering never looks at the store. Where a
+//! key's postings live is the store's business: a partitioned store sends every probe
+//! to the shard that owns its key when the plan runs, so a sharded store executes
+//! exactly the plan its unsharded twin does — same steps, same pipelines, same
+//! [`super::ticket::CostTicket`]. The paper's bound is about *which* `(constraint,
+//! key)` lookups a plan makes, and partitioning changes none of them.
 //!
 //! [`PhysicalPlan::pipeline_dag`] decomposes any lowered plan into its pipelines: each
 //! materialization point, together with the streaming region feeding it, becomes one
@@ -84,18 +71,6 @@ use std::fmt;
 
 /// Identifier of a physical step within a [`PhysicalPlan`].
 pub type PhysId = usize;
-
-/// Routing tag of a per-shard fetch branch: the branch processes exactly the probe
-/// keys whose routing hash (`bea-storage`'s `shard_of`) equals `shard` under `of`
-/// shards. Lowering only records the tag; the executor applies the hash, so the plan
-/// layer never needs to know the hash function itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRoute {
-    /// The shard this branch serves.
-    pub shard: u32,
-    /// Total number of shards the key space is partitioned into (≥ 2).
-    pub of: u32,
-}
 
 /// One physical operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,9 +105,6 @@ pub enum PhysOp {
         positions: Vec<usize>,
         /// Index of the backing access constraint in the access schema.
         constraint_index: usize,
-        /// `Some` on a per-shard branch of a sharded lowering: only probe keys routed
-        /// to this shard are fetched. `None` fetches every key (the unsharded plan).
-        shard: Option<ShardRoute>,
     },
     /// Index nested-loop join: for each row of `source`, probe the constraint's index
     /// with the row's `key_cols` projection (once per distinct key) and emit the row
@@ -153,15 +125,7 @@ pub enum PhysOp {
         /// Index of the backing access constraint in the access schema.
         constraint_index: usize,
         /// Predicates (over the concatenated output) beyond the fused key equalities.
-        /// Evaluated over the *full* concatenation even when `emit` projects it.
         residual: Vec<Predicate>,
-        /// `Some` on a per-shard branch of a sharded lowering: only source rows whose
-        /// key routes to this shard are probed and emitted.
-        shard: Option<ShardRoute>,
-        /// Columns of the concatenated output (source columns, then fetched
-        /// positions) to emit, set when shard fan-out absorbed a sole-consumer
-        /// projection into the branches. `None` emits the full concatenation.
-        emit: Option<Vec<usize>>,
     },
     /// Hash join on column equalities: build a hash table over `right` keyed by
     /// `right_keys`, stream `left`, and emit matching concatenations filtered by the
@@ -330,13 +294,11 @@ impl PhysicalPlan {
                     x_attrs,
                     positions,
                     source,
-                    shard,
                     ..
                 } => {
                     key_cols.len() == x_attrs.len()
                         && key_cols.iter().all(|&c| c < arity(*source))
                         && step.columns.len() == positions.len()
-                        && shard.is_none_or(|r| r.of >= 2 && r.shard < r.of)
                 }
                 PhysOp::KeyedLookup {
                     key_cols,
@@ -344,22 +306,12 @@ impl PhysicalPlan {
                     positions,
                     source,
                     residual,
-                    shard,
-                    emit,
                     ..
                 } => {
-                    let full_arity = arity(*source) + positions.len();
                     key_cols.len() == x_attrs.len()
                         && key_cols.iter().all(|&c| c < arity(*source))
-                        && match emit {
-                            None => step.columns.len() == full_arity,
-                            Some(cols) => {
-                                step.columns.len() == cols.len()
-                                    && cols.iter().all(|&c| c < full_arity)
-                            }
-                        }
-                        && preds_in_range(residual, full_arity)
-                        && shard.is_none_or(|r| r.of >= 2 && r.shard < r.of)
+                        && step.columns.len() == arity(*source) + positions.len()
+                        && preds_in_range(residual, step.columns.len())
                 }
                 PhysOp::HashJoin {
                     left,
@@ -447,8 +399,6 @@ impl PhysicalPlan {
         self.steps.iter().filter(|s| s.materialize).count()
     }
 
-    /// Decompose the plan into its pipeline DAG: one [`Pipeline`] per materialization
-    /// point, whose `sources` are the materialized steps its streaming region scans
     /// The steps of the streaming region rooted at `sink`: the sink itself plus every
     /// non-materialized step feeding it, stopping at materialized inputs (the region's
     /// exchange sources), in ascending step order. This is the set of operators one
@@ -468,6 +418,8 @@ impl PhysicalPlan {
         region
     }
 
+    /// Decompose the plan into its pipeline DAG: one [`Pipeline`] per materialization
+    /// point, whose `sources` are the materialized steps its streaming region scans
     /// (the exchange edges). Pipelines appear in step order, which is a topological
     /// order of the DAG; pipelines with no path between them are independent and may
     /// run concurrently.
@@ -480,13 +432,8 @@ impl PhysicalPlan {
             }
             // Walk the streaming region feeding this sink. Non-materialized steps have
             // exactly one consumer (multi-consumer steps are always materialized), so
-            // the region is a tree and the walk is linear. Along the way, collect the
-            // shard routes of the region's fetch-shaped steps: a region that probes
-            // exactly one shard tags the pipeline with it (shard affinity in the
-            // scheduler); mixed or shard-free regions stay untagged.
+            // the region is a tree and the walk is linear.
             let mut sources: BTreeSet<PhysId> = BTreeSet::new();
-            let mut shard: Option<u32> = None;
-            let mut mixed = false;
             // Morsel eligibility of the region: every step must be a per-batch pure
             // map over its input — keyed lookups, filters and projections. Fetch is
             // excluded (it deduplicates keys globally across its whole input), and so
@@ -494,31 +441,18 @@ impl PhysicalPlan {
             // differences, unions).
             let mut splittable = true;
             let mut has_lookup = false;
-            let mut note_shard = |op: &PhysOp, splittable: &mut bool, has_lookup: &mut bool| {
-                match op {
-                    PhysOp::KeyedLookup { .. } => *has_lookup = true,
-                    PhysOp::Filter { .. } | PhysOp::Project { .. } => {}
-                    _ => *splittable = false,
-                }
-                let tag = match op {
-                    PhysOp::Fetch { shard, .. } | PhysOp::KeyedLookup { shard, .. } => {
-                        shard.map(|route| route.shard)
-                    }
-                    _ => None,
-                };
-                match (tag, shard) {
-                    (Some(tag), Some(seen)) if tag != seen => mixed = true,
-                    (Some(tag), None) => shard = Some(tag),
-                    _ => {}
-                }
+            let mut note = |op: &PhysOp| match op {
+                PhysOp::KeyedLookup { .. } => has_lookup = true,
+                PhysOp::Filter { .. } | PhysOp::Project { .. } => {}
+                _ => splittable = false,
             };
-            note_shard(&step.op, &mut splittable, &mut has_lookup);
+            note(&step.op);
             let mut stack: Vec<PhysId> = self.steps[sink].op.inputs();
             while let Some(j) = stack.pop() {
                 if self.steps[j].materialize {
                     sources.insert(j);
                 } else {
-                    note_shard(&self.steps[j].op, &mut splittable, &mut has_lookup);
+                    note(&self.steps[j].op);
                     stack.extend(self.steps[j].op.inputs());
                 }
             }
@@ -534,7 +468,6 @@ impl PhysicalPlan {
             pipelines.push(Pipeline {
                 sink,
                 sources,
-                shard: if mixed { None } else { shard },
                 morsel_source,
             });
         }
@@ -573,11 +506,6 @@ pub struct Pipeline {
     /// The materialized steps its streaming region reads (exchange edges), in step
     /// order.
     pub sources: Vec<PhysId>,
-    /// The index-partition shard this pipeline probes, when its region is shard-local
-    /// (a per-shard branch of a sharded lowering). The parallel scheduler uses it for
-    /// shard affinity: a worker that just ran shard `k`'s pipeline prefers the next
-    /// pipeline tagged `k`.
-    pub shard: Option<u32>,
     /// The pipeline's sole materialized source, when its streaming region is
     /// morsel-splittable: a linear chain of per-batch pure maps (keyed lookups,
     /// filters, projections — at least one lookup) over exactly one source. Such a
@@ -668,16 +596,11 @@ impl fmt::Display for PhysicalPlan {
                     relation,
                     positions,
                     constraint_index,
-                    shard,
                     ..
-                } => {
-                    let route =
-                        shard.map_or_else(String::new, |r| format!(" @shard {}/{}", r.shard, r.of));
-                    writeln!(
-                        f,
-                        "  P{i} = fetch(X ∈ π{key_cols:?}(P{source}), {relation}→{positions:?}) via φ{constraint_index}{route}{marks} [{cols}]"
-                    )?
-                }
+                } => writeln!(
+                    f,
+                    "  P{i} = fetch(X ∈ π{key_cols:?}(P{source}), {relation}→{positions:?}) via φ{constraint_index}{marks} [{cols}]"
+                )?,
                 PhysOp::KeyedLookup {
                     source,
                     key_cols,
@@ -685,21 +608,12 @@ impl fmt::Display for PhysicalPlan {
                     positions,
                     constraint_index,
                     residual,
-                    shard,
-                    emit,
                     ..
-                } => {
-                    let route =
-                        shard.map_or_else(String::new, |r| format!(" @shard {}/{}", r.shard, r.of));
-                    let emitted = emit
-                        .as_ref()
-                        .map_or_else(String::new, |cols| format!(" π{cols:?}"));
-                    writeln!(
-                        f,
-                        "  P{i} = P{source} ⋉× lookup({relation}→{positions:?} by {key_cols:?}, σ[{} residual]){emitted} via φ{constraint_index}{route}{marks} [{cols}]",
-                        residual.len()
-                    )?
-                }
+                } => writeln!(
+                    f,
+                    "  P{i} = P{source} ⋉× lookup({relation}→{positions:?} by {key_cols:?}, σ[{} residual]) via φ{constraint_index}{marks} [{cols}]",
+                    residual.len()
+                )?,
                 PhysOp::HashJoin {
                     left,
                     right,
@@ -750,7 +664,7 @@ enum Fusion {
 ///
 /// The struct is `#[non_exhaustive]`: construct it with [`LowerOptions::new`] (or
 /// [`Default`]) and adjust knobs through the `with_*` methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct LowerOptions {
     /// Additionally mark the inputs of unions and the buffered sides of products,
@@ -759,25 +673,10 @@ pub struct LowerOptions {
     /// Off by default: the single-threaded executor prefers the minimal set of
     /// breakers, which minimizes residency.
     pub exchange_parallelism: bool,
-    /// Fan every keyed fetch/lookup out into this many per-shard branches merged by
-    /// union (see the module docs). `1` (the default) and `0` leave the plan
-    /// unsharded; set it to the store's shard count when executing against a
-    /// `ShardedDatabase`, so every branch probes only the index partition that owns
-    /// its keys.
-    pub shard_fanout: u32,
-}
-
-impl Default for LowerOptions {
-    fn default() -> Self {
-        Self {
-            exchange_parallelism: false,
-            shard_fanout: 1,
-        }
-    }
 }
 
 impl LowerOptions {
-    /// The default options: minimal materialization, no exchange points, no sharding.
+    /// The default options: minimal materialization, no exchange points.
     pub fn new() -> Self {
         Self::default()
     }
@@ -788,9 +687,11 @@ impl LowerOptions {
         self
     }
 
-    /// Set the shard fan-out (the store's shard count; 0 or 1 = unsharded).
-    pub fn with_shard_fanout(mut self, shard_fanout: u32) -> Self {
-        self.shard_fanout = shard_fanout;
+    /// Does nothing: lowering does not depend on the store, and a sharded store routes
+    /// every key at run time (see the module docs). Kept only because the end-to-end
+    /// benchmark harness (`benchmark/`) still calls it; the next change to the harness
+    /// drops that call, and then this method goes.
+    pub fn with_shard_fanout(self, _shards: u32) -> Self {
         self
     }
 }
@@ -957,7 +858,6 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
                         x_attrs: x_attrs.clone(),
                         positions: fetch_base_positions(i),
                         constraint_index: *constraint_index,
-                        shard: None,
                     },
                     step.columns.clone(),
                     true,
@@ -990,7 +890,6 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
                             x_attrs: x_attrs.clone(),
                             positions,
                             constraint_index: *constraint_index,
-                            shard: None,
                         },
                         step.columns.clone(),
                         sv,
@@ -1061,8 +960,6 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
                             positions: fetch_base_positions(*fetch),
                             constraint_index: *constraint_index,
                             residual,
-                            shard: None,
-                            emit: None,
                         },
                         step.columns.clone(),
                         sv,
@@ -1185,16 +1082,7 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
 
     // Prune steps no longer reachable from the output (sources of eliminated renames,
     // ∅ branches, steps absorbed into fused operators).
-    let (phys, output) = prune_unreachable(phys, output);
-
-    // Shard fan-out: rewrite every keyed fetch/lookup into one branch per shard,
-    // merged by union (see the module docs). The branch steps are forced to
-    // materialize below, so each becomes a shard-local pipeline.
-    let (mut phys, output, shard_branches) = if options.shard_fanout >= 2 {
-        fan_out_shards(phys, output, options.shard_fanout)
-    } else {
-        (phys, output, Vec::new())
-    };
+    let (mut phys, output) = prune_unreachable(phys, output);
 
     // Consumer counts over the physical graph decide the materialization points.
     let mut counts: Vec<usize> = vec![0; phys.len()];
@@ -1209,9 +1097,6 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
         step.materialize = count >= 2;
     }
     phys[output].materialize = true;
-    for &branch in &shard_branches {
-        phys[branch].materialize = true;
-    }
 
     // Exchange points: cut the plan at the inputs of unions and at the buffered sides
     // of products, differences and hash joins, provided the cut-off subtree actually
@@ -1351,150 +1236,6 @@ fn remap_op_inputs(op: &mut PhysOp, map: &[Option<PhysId>]) {
     }
 }
 
-/// Rewrite every keyed fetch/lookup whose keys depend on data into `fanout` per-shard
-/// branches merged by a union chain, returning the rewritten steps, the remapped
-/// output, and the branch step ids (which the caller forces to materialize — one
-/// shard-local pipeline each).
-///
-/// The branches partition the probe-key set by the routing hash, so their outputs are
-/// disjoint slices of the unsharded result: the union preserves the original step's
-/// set-valuedness, and data access (which keys are probed, which tuples fetched) is
-/// exactly the unsharded plan's. A sole-consumer projection directly over a fanned-out
-/// keyed lookup is absorbed into the branches' `emit` columns, so the branches gather
-/// exactly the values the unsharded executor's projection fusion would — the copy
-/// traffic of a plan is invariant under the shard count. Fetches that probe a single
-/// key known at plan time — an empty key, or a key read off a constant row — are left
-/// alone, un-tagged, with their projection unabsorbed: one shard owns the lone key,
-/// so there is nothing to fan out and the step lowers as in the unsharded plan.
-fn fan_out_shards(
-    steps: Vec<PhysStep>,
-    output: PhysId,
-    fanout: u32,
-) -> (Vec<PhysStep>, PhysId, Vec<PhysId>) {
-    // Consumer counts decide which projections are sole consumers (the output counts
-    // as one extra, so an output-feeding lookup keeps its full arity).
-    let mut counts: Vec<usize> = vec![0; steps.len()];
-    for step in &steps {
-        for input in step.op.inputs() {
-            counts[input] += 1;
-        }
-    }
-    counts[output] += 1;
-
-    // Steps that statically produce exactly one row: constants, the unit row, and
-    // products of those. A fetch keyed by such a step probes one key, which one shard
-    // owns — the executor routes an un-tagged key there — so it is not fanned out.
-    let mut one_row: Vec<bool> = vec![false; steps.len()];
-    for (i, step) in steps.iter().enumerate() {
-        one_row[i] = match &step.op {
-            PhysOp::Const { .. } | PhysOp::Unit => true,
-            PhysOp::Product { left, right } => one_row[*left] && one_row[*right],
-            _ => false,
-        };
-    }
-    let fans_out = |step: &PhysStep| match &step.op {
-        PhysOp::Fetch {
-            source, key_cols, ..
-        }
-        | PhysOp::KeyedLookup {
-            source, key_cols, ..
-        } => !key_cols.is_empty() && !one_row[*source],
-        _ => false,
-    };
-
-    // Projections absorbed into the branches of the keyed lookup they solely consume.
-    let mut absorb: BTreeMap<PhysId, PhysId> = BTreeMap::new(); // lookup -> projection
-    for (i, step) in steps.iter().enumerate() {
-        let PhysOp::Project { source, .. } = &step.op else {
-            continue;
-        };
-        if counts[*source] != 1 || !fans_out(&steps[*source]) {
-            continue;
-        }
-        if let PhysOp::KeyedLookup { emit: None, .. } = &steps[*source].op {
-            absorb.insert(*source, i);
-        }
-    }
-    let absorbed_projects: BTreeSet<PhysId> = absorb.values().copied().collect();
-
-    let mut out: Vec<PhysStep> = Vec::with_capacity(steps.len());
-    let mut map: Vec<Option<PhysId>> = vec![None; steps.len()];
-    let mut branches: Vec<PhysId> = Vec::new();
-    for (i, step) in steps.iter().enumerate() {
-        if absorbed_projects.contains(&i) {
-            // The projection's result is the union its lookup was fanned out into.
-            let PhysOp::Project { source, .. } = &step.op else {
-                unreachable!("absorbed steps are projections");
-            };
-            map[i] = map[*source];
-            continue;
-        }
-        if !fans_out(step) {
-            let mut copy = step.clone();
-            remap_op_inputs(&mut copy.op, &map);
-            out.push(copy);
-            map[i] = Some(out.len() - 1);
-            continue;
-        }
-        // The fanned result carries the absorbed projection's shape when there is one.
-        let (columns, set_valued, emit_cols) = match absorb.get(&i) {
-            Some(&project) => {
-                let PhysOp::Project { cols, .. } = &steps[project].op else {
-                    unreachable!("absorb targets are projections");
-                };
-                (
-                    steps[project].columns.clone(),
-                    steps[project].set_valued,
-                    Some(cols.clone()),
-                )
-            }
-            None => (step.columns.clone(), step.set_valued, None),
-        };
-        let mut branch_ids = Vec::with_capacity(fanout as usize);
-        for shard in 0..fanout {
-            let mut op = step.op.clone();
-            remap_op_inputs(&mut op, &map);
-            let route = Some(ShardRoute { shard, of: fanout });
-            match &mut op {
-                PhysOp::Fetch { shard: s, .. } => *s = route,
-                PhysOp::KeyedLookup { shard: s, emit, .. } => {
-                    *s = route;
-                    *emit = emit_cols.clone();
-                }
-                _ => unreachable!("only fetch-shaped steps are fanned out"),
-            }
-            out.push(PhysStep {
-                op,
-                columns: columns.clone(),
-                set_valued,
-                materialize: false,
-                consumers: 0,
-            });
-            branch_ids.push(out.len() - 1);
-        }
-        // Merge the branches. They partition the key space, so the chain keeps the
-        // original step's set-valuedness even though a generic union would lose it.
-        let mut acc = branch_ids[0];
-        for &branch in &branch_ids[1..] {
-            out.push(PhysStep {
-                op: PhysOp::Union {
-                    left: acc,
-                    right: branch,
-                },
-                columns: columns.clone(),
-                set_valued,
-                materialize: false,
-                consumers: 0,
-            });
-            acc = out.len() - 1;
-        }
-        branches.extend(branch_ids);
-        map[i] = Some(acc);
-    }
-    let output = map[output].expect("output survives fan-out");
-    (out, output, branches)
-}
-
 /// True when `predicates` equates every fetch key column with its source column — the
 /// `σ[key equalities](T × fetch(X ∈ T, …))` shape plan synthesis emits for every fetch.
 /// Shared with the materialized executor's deferred-product peephole so the two
@@ -1610,9 +1351,7 @@ mod tests {
         let literal = plan(values[0].clone(), values[1].clone());
         for options in [
             LowerOptions::new(),
-            LowerOptions::new()
-                .with_exchange_parallelism(true)
-                .with_shard_fanout(4),
+            LowerOptions::new().with_exchange_parallelism(true),
         ] {
             let lowered = lower_plan_with(&template, &options).unwrap();
             let expected = lower_plan_with(&literal, &options).unwrap();
@@ -2032,251 +1771,6 @@ mod tests {
         assert_eq!(output_pipe.sink, exchanged.output());
         assert_eq!(output_pipe.sources, vec![splittable[0].sink]);
         assert!(output_pipe.morsel_source.is_none());
-    }
-
-    #[test]
-    fn sharded_branches_are_morsel_splittable() {
-        // Per-shard lookup branches are single-source keyed-lookup regions: each is a
-        // morsel-splittable pipeline tagged with its shard.
-        let plan = keyed_join_plan();
-        let sharded = lower_plan_with(&plan, &LowerOptions::new().with_shard_fanout(4)).unwrap();
-        let dag = sharded.pipeline_dag();
-        let splittable: Vec<&Pipeline> = dag
-            .pipelines()
-            .iter()
-            .filter(|p| p.morsel_source.is_some())
-            .collect();
-        assert_eq!(splittable.len(), 4);
-        let mut shards: Vec<u32> = splittable.iter().map(|p| p.shard.unwrap()).collect();
-        shards.sort_unstable();
-        assert_eq!(shards, vec![0, 1, 2, 3]);
-        // All four branches read the same materialized key set.
-        let sources: BTreeSet<Option<PhysId>> =
-            splittable.iter().map(|p| p.morsel_source).collect();
-        assert_eq!(sources.len(), 1);
-    }
-
-    #[test]
-    fn shard_fanout_partitions_keyed_lookups() {
-        let plan = keyed_join_plan();
-        let unsharded = lower_plan(&plan).unwrap();
-        let sharded = lower_plan_with(&plan, &LowerOptions::new().with_shard_fanout(4)).unwrap();
-        assert!(sharded.validate().is_ok());
-
-        // One branch per shard, tagged 0..4, each a materialization point.
-        let branches: Vec<&PhysStep> = sharded
-            .steps()
-            .iter()
-            .filter(|s| matches!(s.op, PhysOp::KeyedLookup { .. }))
-            .collect();
-        assert_eq!(branches.len(), 4);
-        let mut tags: Vec<u32> = branches
-            .iter()
-            .map(|s| {
-                let PhysOp::KeyedLookup { shard, .. } = &s.op else {
-                    unreachable!()
-                };
-                let route = shard.expect("branches carry a route");
-                assert_eq!(route.of, 4);
-                assert!(s.materialize, "branches are shard-local pipelines");
-                route.shard
-            })
-            .collect();
-        tags.sort_unstable();
-        assert_eq!(tags, vec![0, 1, 2, 3]);
-        // Three unions merge the four branches.
-        let unions = sharded
-            .steps()
-            .iter()
-            .filter(|s| matches!(s.op, PhysOp::Union { .. }))
-            .count();
-        assert!(unions >= 3);
-
-        // The DAG gains real parallel width: the branch pipelines are independent and
-        // tagged with their shard.
-        let dag = sharded.pipeline_dag();
-        assert!(dag.parallel_width() >= 4, "width {}", dag.parallel_width());
-        let mut pipeline_shards: Vec<u32> =
-            dag.pipelines().iter().filter_map(|p| p.shard).collect();
-        pipeline_shards.sort_unstable();
-        assert_eq!(pipeline_shards, vec![0, 1, 2, 3]);
-
-        // A fan-out of 1 (or 0) is the identity.
-        for fanout in [0, 1] {
-            let same =
-                lower_plan_with(&plan, &LowerOptions::new().with_shard_fanout(fanout)).unwrap();
-            assert_eq!(same, unsharded);
-        }
-    }
-
-    #[test]
-    fn shard_fanout_absorbs_sole_consumer_projection() {
-        // π over the fused lookup: the fan-out must absorb the projection into the
-        // branches' emit set so the sharded plan gathers exactly what the unsharded
-        // executor's projection fusion would.
-        let mut b = PlanBuilder::new();
-        let k1 = b.constant(Value::int(1), "k");
-        let k2 = b.constant(Value::int(2), "k");
-        let keys = b.union(k1, k2);
-        let fetched = b.fetch(
-            keys,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let prod = b.product(keys, fetched);
-        let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
-        let projected = b.project(sel, vec![2]); // keep only the fetched b column
-        let plan = b.finish("Q", projected).unwrap();
-        let sharded = lower_plan_with(&plan, &LowerOptions::new().with_shard_fanout(2)).unwrap();
-        assert!(sharded.validate().is_ok());
-        // No standalone projection survives; both branches emit the projected column.
-        assert!(sharded
-            .steps()
-            .iter()
-            .all(|s| !matches!(s.op, PhysOp::Project { .. })));
-        let emits: Vec<_> = sharded
-            .steps()
-            .iter()
-            .filter_map(|s| match &s.op {
-                PhysOp::KeyedLookup { emit, .. } => Some(emit.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(emits.len(), 2);
-        assert!(emits.iter().all(|e| e == &Some(vec![2])));
-        let display = sharded.to_string();
-        assert!(display.contains("@shard 0/2"));
-        assert!(display.contains("@shard 1/2"));
-    }
-
-    #[test]
-    fn shard_fanout_skips_empty_key_fetches() {
-        // An empty-key fetch has exactly one key; a single shard owns it, so there is
-        // nothing to fan out and the plan must lower unchanged.
-        let mut b = PlanBuilder::new();
-        let u = b.unit();
-        let fetched = b.fetch(
-            u,
-            vec![],
-            "R",
-            vec![],
-            vec![0, 1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let plan = b.finish("Q", fetched).unwrap();
-        let unsharded = lower_plan(&plan).unwrap();
-        let sharded = lower_plan_with(&plan, &LowerOptions::new().with_shard_fanout(4)).unwrap();
-        assert_eq!(unsharded, sharded);
-    }
-
-    #[test]
-    fn shard_fanout_prunes_constant_keys_to_the_unsharded_plan() {
-        // A point lookup — the key is a constant of the query — probes one key, which
-        // one shard owns: at any fan-out it must lower to the unsharded step list,
-        // projection unabsorbed, no route, no extra pipeline.
-        let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "k");
-        let fetched = b.fetch(
-            k,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let prod = b.product(k, fetched);
-        let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
-        let projected = b.project(sel, vec![2]);
-        let point = b.finish("Q", projected).unwrap();
-
-        // The same with a two-column key assembled from two constants.
-        let mut b = PlanBuilder::new();
-        let x = b.constant(Value::int(1), "x");
-        let y = b.constant(Value::int(2), "y");
-        let key = b.product(x, y);
-        let fetched = b.fetch(
-            key,
-            vec![0, 1],
-            "T",
-            vec![0, 1],
-            vec![2],
-            0,
-            vec!["a".into(), "b".into(), "c".into()],
-        );
-        let pair = b.finish("Q", fetched).unwrap();
-
-        for plan in [&point, &pair] {
-            for exchange in [false, true] {
-                let options = LowerOptions::new().with_exchange_parallelism(exchange);
-                let one = lower_plan_with(plan, &options.with_shard_fanout(1)).unwrap();
-                let four = lower_plan_with(plan, &options.with_shard_fanout(4)).unwrap();
-                assert_eq!(one, four, "fan-out changed a constant-key plan");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_fanout_prunes_only_the_constant_keyed_lookup() {
-        // fetch(R, k = 1) feeding fetch(S, ·): the first key is a constant and stays
-        // one un-tagged lookup; the second comes out of R and fans out per shard.
-        let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "k");
-        let f1 = b.fetch(
-            k,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let p1 = b.product(k, f1);
-        let s1 = b.select(p1, vec![Predicate::ColEqCol(0, 1)]); // [k, a, b]
-        let f2 = b.fetch(
-            s1,
-            vec![2],
-            "S",
-            vec![0],
-            vec![1],
-            1,
-            vec!["b".into(), "c".into()],
-        );
-        let p2 = b.product(s1, f2);
-        let s2 = b.select(p2, vec![Predicate::ColEqCol(2, 3)]);
-        let plan = b.finish("Q", s2).unwrap();
-
-        let sharded = lower_plan_with(&plan, &LowerOptions::new().with_shard_fanout(4)).unwrap();
-        let routes = |relation: &str| -> Vec<Option<ShardRoute>> {
-            sharded
-                .steps()
-                .iter()
-                .filter_map(|s| match &s.op {
-                    PhysOp::KeyedLookup {
-                        relation: r, shard, ..
-                    } if r == relation => Some(*shard),
-                    _ => None,
-                })
-                .collect()
-        };
-        assert_eq!(
-            routes("R"),
-            vec![None],
-            "the constant key is not fanned out"
-        );
-        let tags: Vec<u32> = routes("S")
-            .into_iter()
-            .map(|route| route.expect("data-dependent branches carry a route").shard)
-            .collect();
-        assert_eq!(tags, vec![0, 1, 2, 3]);
-        // One pipeline for the pruned lookup (the branches' shared source), one per
-        // branch, one for the merged output.
-        assert_eq!(sharded.pipeline_dag().len(), 6);
     }
 
     #[test]

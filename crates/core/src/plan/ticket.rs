@@ -10,19 +10,22 @@
 //!
 //! A ticket is derived once per submission from the logical plan (the fetch bound, via
 //! [`super::QueryPlan::cost`]) and its lowering (the pipeline decomposition, parallel
-//! width, and the per-pipeline **allocation surface**). The allocation surface mirrors
-//! the engine's buffer-pool sizing rule — every fetch-shaped physical step demands one
-//! buffer per fetched position plus the key row and the selection vector — so a
-//! controller can also veto plans that would allocate on the per-probe hot path
-//! beyond a configured surface, before the first probe runs.
+//! width, and the per-pipeline **allocation surface**). The allocation surface is the
+//! engine's buffer-pool sizing rule, [`step_surface`] — every fetch-shaped physical
+//! step demands one buffer per fetched position plus the key row and the selection
+//! vector — so a controller can also veto plans that would allocate on the per-probe
+//! hot path beyond a configured surface, before the first probe runs. Lowering does not
+//! depend on the store, so neither does the ticket: a sharded store prices a query
+//! exactly as its unsharded twin does.
 
 use super::physical::{PhysOp, PhysicalPlan};
 use super::{AccessSchema, QueryPlan};
 
 /// Per-fetch-step buffer demand: one buffer per fetched position, plus the key row
-/// and the selection vector. The same formula the engine's executor uses to size its
-/// per-worker buffer pools, so the ticket's surface and the runtime's demand agree.
-fn step_surface(op: &PhysOp) -> u64 {
+/// and the selection vector; zero for every other step. The one copy of the formula:
+/// the engine sizes its per-worker buffer pools with it too, so the ticket's surface
+/// and the runtime's demand agree.
+pub fn step_surface(op: &PhysOp) -> u64 {
     match op {
         PhysOp::Fetch { positions, .. } | PhysOp::KeyedLookup { positions, .. } => {
             positions.len() as u64 + 2
@@ -36,8 +39,6 @@ fn step_surface(op: &PhysOp) -> u64 {
 pub struct PipelineCost {
     /// The physical step this pipeline materializes.
     pub sink: usize,
-    /// The shard this pipeline's region probes, when shard-local.
-    pub shard: Option<u32>,
     /// Fetch-shaped steps (fetches and keyed lookups) in the pipeline's region.
     pub fetch_steps: usize,
     /// The pipeline's worst-case simultaneous buffer demand on the probe path.
@@ -91,7 +92,6 @@ impl CostTicket {
                 let ops = region.iter().map(|&j| &physical.steps()[j].op);
                 PipelineCost {
                     sink: pipeline.sink,
-                    shard: pipeline.shard,
                     fetch_steps: ops
                         .clone()
                         .filter(|op| {

@@ -149,8 +149,8 @@ pub fn parse_morsels(value: &str) -> std::result::Result<Option<usize>, String> 
 
 /// Execute an already-lowered physical plan under explicit [`ExecOptions`] (the
 /// lowering knobs were decided when `plan` was built) against either store flavor —
-/// `&IndexedDatabase`, `&ShardedDatabase` or a [`Store`]. A shard-fanned plan runs
-/// against the index partitions that own its keys.
+/// `&IndexedDatabase`, `&ShardedDatabase` or a [`Store`]. One plan, keys routed at
+/// run time: a sharded store sends each probe to the shard that owns its key.
 pub fn execute_physical_on<'a>(
     plan: &PhysicalPlan,
     store: impl Into<Store<'a>>,
@@ -171,12 +171,11 @@ pub fn execute_plan(plan: &QueryPlan, database: &IndexedDatabase) -> Result<(Tab
 
 /// Execute a plan under explicit [`ExecOptions`] against either store flavor.
 ///
-/// When the store is sharded, the plan is lowered with a shard fan-out equal to the
-/// store's shard count: every keyed fetch whose keys depend on data becomes one branch
-/// per shard, each probing only the index partition that owns its keys (see
-/// `bea_core::plan::physical`). The answers, the data-access totals and the copy
-/// traffic are identical to an unsharded run — only the per-shard fetch distribution
-/// (`AccessStats::rows_fetched_by_shard`) and the pipeline decomposition change.
+/// One plan, keys routed at run time: lowering never looks at the store, so a sharded
+/// store runs exactly the plan its unsharded twin does, and the store sends each probe
+/// to the shard that owns its key. Rows, their order and every counter are the
+/// unsharded run's, except the per-shard fetch distribution
+/// (`AccessStats::rows_fetched_by_shard`).
 pub fn execute_plan_on<'a>(
     plan: &QueryPlan,
     store: impl Into<Store<'a>>,
@@ -186,11 +185,8 @@ pub fn execute_plan_on<'a>(
     let threads = options.resolved_threads();
     // Multi-threaded runs lower with exchange points so the pipeline DAG gains
     // parallel width; single-threaded runs keep the minimal (lowest-residency)
-    // breaker set. Exchange points never change what is fetched, and neither does
-    // the shard fan-out (it partitions the probe keys without altering their set).
-    let lower_options = LowerOptions::new()
-        .with_exchange_parallelism(threads > 1)
-        .with_shard_fanout(store.shard_count());
+    // breaker set. Exchange points never change what is fetched.
+    let lower_options = LowerOptions::new().with_exchange_parallelism(threads > 1);
     let physical = lower_plan_with(plan, &lower_options)?;
     ops::execute(&physical, store, threads, options.resolved_morsel_size())
 }

@@ -103,31 +103,23 @@
 //! the property `tests/properties.rs` asserts across the morsel × thread × shard
 //! matrix.
 //!
-//! # Sharded execution and routing rules
+//! # Sharded execution: one plan, keys routed at run time
 //!
 //! Executing against a `bea_storage::ShardedDatabase` (via [`exec::execute_plan_on`] /
-//! [`exec::execute_physical_on`] and `bea_storage::Store::Sharded`) pushes the store's
-//! partitioning through the whole stack:
+//! [`exec::execute_physical_on`] and `bea_storage::Store::Sharded`) changes where a
+//! key's postings are read, and nothing else:
 //!
-//! * **Lowering** fans every keyed fetch/lookup out into one branch per shard
-//!   (`bea_core::plan::physical`, `LowerOptions::shard_fanout`), merged by union; the
-//!   branches are materialization points, so the pipeline DAG gains one shard-local
-//!   pipeline per shard and parallel width ≥ the shard count.
-//! * **Routing** is the store's deterministic key hash (`bea_storage::shard_of`),
-//!   applied by the branch operators *in place* over the probe-key columns: a row
-//!   owned by another shard is skipped without cloning anything, so across branches
-//!   every key is gathered exactly once and `values_cloned` is shard-count-invariant.
-//!   Each fetch probes only the index partition that owns its key, and each emitted
-//!   batch carries its origin shard.
-//! * **Scheduling** honors shard affinity: a worker that just ran shard `k`'s
-//!   pipeline prefers the next ready pipeline tagged `k` (see [`ops`]' `sched`), so
-//!   consecutive probes of one partition stay on one worker.
+//! * **Lowering and scheduling** never look at the store: a sharded store runs the
+//!   plan its unsharded twin runs, pipeline for pipeline, with the same ticket.
+//! * **Routing** is the store's: every batch of probe keys goes to
+//!   `bea_storage::Store::resolve`, which sends each key to the shard that owns it
+//!   (`bea_storage::shard_of`, a deterministic hash) and reports the serving shard.
 //! * **Accounting**: [`AccessStats::rows_fetched_by_shard`] splits `tuples_fetched`
 //!   by serving shard (the two always sum up), so boundedness is assertable per
 //!   shard; the distribution is a placement artifact and excluded from
-//!   [`AccessStats::same_data_access`]. Answers, data-access totals and copy traffic
-//!   are identical at every shard count — partitioning relocates bounded work, it
-//!   never adds any.
+//!   [`AccessStats::same_data_access`]. Rows, row order, data-access totals and copy
+//!   traffic are identical at every shard count — partitioning relocates bounded
+//!   work, it never adds any.
 //!
 //! # Multi-query execution and admission control
 //!
@@ -157,7 +149,7 @@
 //!   **allocation surface**, so a session can veto hot-path-allocating plans
 //!   outright ([`session::SessionConfig::with_max_alloc_surface`]).
 //! * **Affinity across queries.** Workers prefer their own split's morsels, then
-//!   same-shard jobs (from any query; the partition is store-wide), then FIFO.
+//!   FIFO.
 //! * **Callers run their own query.** The thread inside [`session::Session::run`]
 //!   (the synchronous entry) or [`session::QueryHandle::wait`] executes its query's
 //!   ready jobs through the same code as a worker and blocks only when none is

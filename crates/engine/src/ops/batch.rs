@@ -47,11 +47,6 @@ pub(crate) struct Batch {
     stored: usize,
     /// Logical row `i` lives at physical position `selection[i]`; `None` = identity.
     selection: Option<Arc<Vec<u32>>>,
-    /// The index-partition shard every row of this batch was fetched from, when the
-    /// batch was produced by one per-shard fetch branch (`None` otherwise). Metadata
-    /// only — it survives filters, projections and exchanges, and is the hook for
-    /// routing a batch to the worker nearest its partition (shard-aware placement).
-    origin_shard: Option<u32>,
 }
 
 impl Batch {
@@ -63,7 +58,6 @@ impl Batch {
             columns: Arc::new(columns.into_iter().map(Arc::new).collect()),
             stored,
             selection: None,
-            origin_shard: None,
         }
     }
 
@@ -74,21 +68,7 @@ impl Batch {
             columns,
             stored: 1,
             selection: None,
-            origin_shard: None,
         }
-    }
-
-    /// Tag the batch with the shard its rows were fetched from (builder style).
-    pub(crate) fn with_origin_shard(mut self, origin_shard: Option<u32>) -> Self {
-        self.origin_shard = origin_shard;
-        self
-    }
-
-    /// The shard every row of this batch was fetched from, if it was produced by a
-    /// single per-shard fetch branch.
-    #[allow(dead_code)] // the hook for shard-aware batch placement; exercised by tests
-    pub(crate) fn origin_shard(&self) -> Option<u32> {
-        self.origin_shard
     }
 
     /// Transpose owned rows of the given arity into a dense batch (moves the values).
@@ -186,7 +166,6 @@ impl Batch {
             columns: Arc::clone(&self.columns),
             stored: self.stored,
             selection: Some(Arc::new(selection)),
-            origin_shard: self.origin_shard,
         }
     }
 
@@ -199,7 +178,6 @@ impl Batch {
             columns: self.columns,
             stored: self.stored,
             selection: Some(Arc::new(selection)),
-            origin_shard: self.origin_shard,
         }
     }
 
@@ -210,7 +188,6 @@ impl Batch {
             columns: Arc::new(cols.iter().map(|&c| self.columns[c].clone()).collect()),
             stored: self.stored,
             selection: self.selection.clone(),
-            origin_shard: self.origin_shard,
         }
     }
 
@@ -673,21 +650,6 @@ mod tests {
         let empty = Batch::from_rows(2, Vec::new());
         assert!(empty.is_empty());
         assert_eq!(empty.arity(), 2);
-    }
-
-    #[test]
-    fn origin_shard_survives_metadata_operations() {
-        let tagged = sample().with_origin_shard(Some(3));
-        assert_eq!(tagged.origin_shard(), Some(3));
-        assert_eq!(tagged.retain(|i| i == 0).origin_shard(), Some(3));
-        assert_eq!(tagged.project(&[1]).origin_shard(), Some(3));
-        assert_eq!(
-            tagged.clone().keep_physical(vec![0]).origin_shard(),
-            Some(3)
-        );
-        // Freshly gathered batches are unrouted until a shard branch tags them.
-        assert_eq!(sample().origin_shard(), None);
-        assert_eq!(Batch::singleton(vec![Value::int(1)]).origin_shard(), None);
     }
 
     #[test]

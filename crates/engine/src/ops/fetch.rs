@@ -12,7 +12,7 @@
 //!
 //! # Two passes per source batch
 //!
-//! 1. **Stage.** [`KeyedLookupOp`] gathers and hashes each owned row's key once and
+//! 1. **Stage.** [`KeyedLookupOp`] gathers and hashes each row's key once and
 //!    looks it up, without claiming or waiting, in every tier that may hold it, in
 //!    protocol order: the session cache (a hit is stamped and counted like a probe's),
 //!    then the split's shared cache on a morsel, else the arena's memo. It keeps every
@@ -57,16 +57,13 @@
 //!
 //! # Shard routing
 //!
-//! A per-shard branch of a sharded lowering carries a
-//! [`bea_core::plan::ShardRoute`]: the operator then processes exactly the probe keys
-//! the routing hash ([`bea_storage::shard_of`]) assigns to its shard, and skips the
-//! rest. Ownership is decided by hashing the key columns *in place* — a skipped row
-//! clones nothing — so across all branches every key is gathered exactly once and the
-//! copy traffic (`values_cloned`) is invariant under the shard count. The `K` branches
-//! of one sharded fetch are one logical fetch operation: only the shard-0 branch
-//! reports `fetch_ops`, keeping every counter of
-//! [`crate::stats::AccessStats::same_data_access`] shard-count-invariant. Batches a
-//! branch emits are tagged with their origin shard ([`Batch::origin_shard`]).
+//! One plan, keys routed at run time: a sharded store runs exactly the plan its
+//! unsharded twin does, and neither operator knows how many shards there are. Every
+//! key goes to [`Store::resolve`], which sends it to the shard that owns it
+//! ([`bea_storage::shard_of`]) and reports that shard beside its postings, so
+//! [`crate::stats::AccessStats::rows_fetched_by_shard`] is the only trace sharding
+//! leaves in the counters. Rows, their order and every other counter are the
+//! unsharded run's.
 
 use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, HashedRow, RowTable};
 use super::morsel::{CacheProbe, SharedLookupCache};
@@ -74,9 +71,9 @@ use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
 use crate::cache::{CacheShape, CacheSpace, SessionFetchCache, SessionProbe};
 use crate::stats::AccessStats;
 use bea_core::error::Result;
-use bea_core::plan::{Predicate, ShardRoute};
+use bea_core::plan::Predicate;
 use bea_core::value::{Row, Value};
-use bea_storage::{shard_of, FetchIter, Probes, Store};
+use bea_storage::{FetchIter, Probes, Store};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -225,16 +222,6 @@ impl ProbeTally {
     }
 }
 
-/// Does this operator's shard branch own `batch`'s row `i`? Routing hashes the key
-/// columns in place — deciding ownership never clones a value. Route-free operators
-/// own every row.
-fn owns_row(batch: &Batch, i: usize, key_cols: &[usize], route: Option<ShardRoute>) -> bool {
-    match route {
-        None => true,
-        Some(r) => shard_of(key_cols.iter().map(|&c| batch.value(i, c)), r.of) == r.shard,
-    }
-}
-
 /// Reusable open-addressing set of physical row positions — the per-key dedup table
 /// of [`fetch_key_into`]. One slot vector, re-sized and blanked per key, so deciding
 /// freshness never allocates once the table has grown to the largest posting list.
@@ -322,7 +309,6 @@ pub(crate) struct FetchOp<'db> {
     relation: String,
     positions: Vec<usize>,
     constraint_index: usize,
-    route: Option<ShardRoute>,
     store: Store<'db>,
     state: SharedState,
     /// The session's cross-query cache, probed per key before the index partition.
@@ -357,7 +343,6 @@ impl<'db> FetchOp<'db> {
         relation: String,
         positions: Vec<usize>,
         constraint_index: usize,
-        route: Option<ShardRoute>,
         store: Store<'db>,
         state: SharedState,
     ) -> Self {
@@ -376,7 +361,6 @@ impl<'db> FetchOp<'db> {
             relation,
             positions,
             constraint_index,
-            route,
             store,
             state,
             session,
@@ -422,15 +406,10 @@ impl Operator for FetchOp<'_> {
             let mut key_values = 0u64;
             let mut key_allocs = 0u64;
             while let Some(batch) = input.next_batch()? {
-                // Every candidate key projection this branch owns is physically
-                // gathered (the set discards duplicates after the fact), so every one
-                // counts — as a clone per key column and as one key-row allocation.
-                // Rows routed to other shards are skipped by an in-place hash
-                // — no clone — so the branches together gather each row exactly once.
+                // Every candidate key projection is physically gathered (the set
+                // discards duplicates after the fact), so every one counts — as a
+                // clone per key column and as one key-row allocation.
                 for i in 0..batch.len() {
-                    if !owns_row(&batch, i, &self.key_cols, self.route) {
-                        continue;
-                    }
                     key_values += self.key_cols.len() as u64;
                     key_allocs += 1;
                     keys.insert(batch.gather(i, &self.key_cols));
@@ -463,11 +442,7 @@ impl Operator for FetchOp<'_> {
             let Some(found) = self.chunk.get(self.emitted) else {
                 self.done = true;
                 let mut state = self.state.borrow_mut();
-                // The K branches of one sharded fetch are one logical fetch
-                // operation; the shard-0 branch reports it for all of them.
-                if self.route.is_none_or(|r| r.shard == 0) {
-                    state.stats.fetch_ops += 1;
-                }
+                state.stats.fetch_ops += 1;
                 state.release(self.num_keys);
                 self.num_keys = 0;
                 state.pool.put_values(std::mem::take(&mut self.pass.keys));
@@ -507,7 +482,7 @@ impl Operator for FetchOp<'_> {
             }
             return Ok(None);
         }
-        let batch = Batch::from_dense(cols, rows).with_origin_shard(self.route.map(|r| r.shard));
+        let batch = Batch::from_dense(cols, rows);
         if rows <= BATCH_SIZE {
             return Ok(Some(batch));
         }
@@ -666,14 +641,10 @@ pub(crate) struct KeyedLookupOp<'db> {
     constraint_index: usize,
     residual: Vec<Predicate>,
     /// Which columns of the *combined* row (source columns, then fetched positions) to
-    /// emit. `None` emits all of them; `Some` is a projection fused in — either by the
-    /// operator-tree builder from a directly consuming `Project` step, or by the
-    /// sharded lowering's fan-out (`PhysOp::KeyedLookup::emit`) — so values a
-    /// downstream projection would discard are never gathered in the first place.
+    /// emit. `None` emits all of them; `Some` is a projection the operator-tree builder
+    /// fused in from a directly consuming `Project` step, so values the projection
+    /// would discard are never gathered in the first place.
     out_cols: Option<Vec<usize>>,
-    /// `Some` on a per-shard branch: only source rows whose key routes to this shard
-    /// are probed; the rest are skipped without cloning anything.
-    route: Option<ShardRoute>,
     store: Store<'db>,
     state: SharedState,
     arena: PostingArena,
@@ -689,14 +660,14 @@ pub(crate) struct KeyedLookupOp<'db> {
     session: SessionCache,
     /// Whether this instance reports the once-per-pipeline `fetch_ops` on
     /// exhaustion. Only a split's first morsel does — the split is one logical fetch
-    /// operation, composing with the shard-0 convention for sharded branches.
+    /// operation.
     report_fetch_ops: bool,
     /// Reusable probe-key buffer: pass 1 gathers every key into it and hashes it once,
     /// moving a key nothing held on into `pass`; pass 2 moves it back, and a miss
     /// *moves* its values into the arena's key columns, keeping the buffer.
     key_scratch: HashedRow,
-    /// Pass 1's verdict on each owned row of the current source batch, with the row.
-    found: Vec<(usize, Found<Postings>)>,
+    /// Pass 1's verdict on each row of the current source batch, in row order.
+    found: Vec<Found<Postings>>,
     pass: Pass<'db>,
     tally: ProbeTally,
     /// `Some(mapped)` when the emission is exactly a projection of the fetched
@@ -719,7 +690,6 @@ impl<'db> KeyedLookupOp<'db> {
         constraint_index: usize,
         residual: Vec<Predicate>,
         out_cols: Option<Vec<usize>>,
-        route: Option<ShardRoute>,
         store: Store<'db>,
         state: SharedState,
     ) -> Self {
@@ -739,7 +709,6 @@ impl<'db> KeyedLookupOp<'db> {
             constraint_index,
             residual,
             out_cols,
-            route,
             store,
             state,
             arena: PostingArena {
@@ -808,28 +777,23 @@ impl KeyedLookupOp<'_> {
         }
     }
 
-    /// Pass 1 over `batch` (see the module docs): gather and hash every owned row's key
-    /// once, keep what a tier already holds, and resolve the rest in one batched walk.
-    /// `found` gets one entry per owned row, in row order. Takes no claim, never waits.
+    /// Pass 1 over `batch` (see the module docs): gather and hash every row's key once,
+    /// keep what a tier already holds, and resolve the rest in one batched walk.
+    /// `found` gets one entry per row, in row order. Takes no claim, never waits.
     fn stage(&mut self, batch: &Batch) -> Result<()> {
         self.found.clear();
         self.found.reserve(batch.len());
         self.pass.begin(batch.len());
         for i in 0..batch.len() {
-            // Rows routed to other shards are skipped by an in-place hash — nothing
-            // cloned — so each source row is probe-gathered on exactly one branch.
-            if !owns_row(batch, i, &self.key_cols, self.route) {
-                continue;
-            }
             self.key_scratch.gather(batch, i, &self.key_cols);
             let found = match self.held() {
                 Some(postings) => Found::Held(postings),
                 None => Found::Missed(self.pass.miss(&mut self.key_scratch)),
             };
-            self.found.push((i, found));
+            self.found.push(found);
         }
         self.pass.resolve(self.store, self.constraint_index)?;
-        // One probe-key gather per owned source row, hit or miss.
+        // One probe-key gather per source row, hit or miss.
         self.tally.values_cloned += (self.found.len() * self.key_cols.len()) as u64;
         Ok(())
     }
@@ -1028,10 +992,9 @@ impl Operator for KeyedLookupOp<'_> {
             self.done = true;
             self.flush_tally();
             let mut state = self.state.borrow_mut();
-            // As for `FetchOp`: a sharded lookup's branches are one logical fetch
-            // operation, reported once by the shard-0 branch — and a split
-            // pipeline's morsels likewise, reported once by the first morsel.
-            if self.report_fetch_ops && self.route.is_none_or(|r| r.shard == 0) {
+            // A split pipeline's morsels are one logical fetch operation, reported
+            // once by the first morsel.
+            if self.report_fetch_ops {
                 state.stats.fetch_ops += 1;
             }
             state.release(self.cached_rows);
@@ -1049,20 +1012,18 @@ impl Operator for KeyedLookupOp<'_> {
             return Ok(None);
         };
         let left_arity = batch.arity();
-        let origin = self.route.map(|r| r.shard);
         self.ensure_fused_emit(left_arity);
         self.stage(&batch)?;
         let mut found = std::mem::take(&mut self.found);
-        // Anchor fast path: a single source row (owned by this branch), no residual,
-        // and a fused projection that keeps only fetched columns — the output *is*
-        // the key's projected postings, emitted as a batch over the storage that
-        // already holds them (an outer tier's entry, or the arena segment, sealed):
-        // zero value clones and, on a warm session cache, zero allocations. This is
-        // the first lookup of every anchored plan, where the fan-out (and hence the
-        // row-pipeline's copy bill) is largest — and the whole body of the
-        // steady-state serving loop.
+        // Anchor fast path: a single source row, no residual, and a fused projection
+        // that keeps only fetched columns — the output *is* the key's projected
+        // postings, emitted as a batch over the storage that already holds them (an
+        // outer tier's entry, or the arena segment, sealed): zero value clones and, on
+        // a warm session cache, zero allocations. This is the first lookup of every
+        // anchored plan, where the fan-out (and hence the row-pipeline's copy bill) is
+        // largest — and the whole body of the steady-state serving loop.
         if batch.len() == 1 && self.fused_emit.is_some() {
-            if let Some((_, only)) = found.pop() {
+            if let Some(only) = found.pop() {
                 self.found = found;
                 let emitted = match self.settle(only)? {
                     Postings::Cached(cached) => (*cached).clone(),
@@ -1072,7 +1033,7 @@ impl Operator for KeyedLookupOp<'_> {
                     }
                 };
                 self.flush_tally();
-                return Ok(Some(emitted.with_origin_shard(origin)));
+                return Ok(Some(emitted));
             }
         }
         let out_arity = self
@@ -1084,7 +1045,7 @@ impl Operator for KeyedLookupOp<'_> {
             (0..out_arity).map(|_| state.pool.get_values()).collect()
         };
         let mut out_rows = 0usize;
-        for (i, row) in found.drain(..) {
+        for (i, row) in found.drain(..).enumerate() {
             out_rows += match self.settle(row)? {
                 Postings::Cached(cached) => {
                     self.emit(&batch, i, cached.len(), |j, c| cached.value(j, c), &mut out)
@@ -1102,9 +1063,7 @@ impl Operator for KeyedLookupOp<'_> {
         self.found = found;
         self.tally.values_cloned += (out_rows * out_arity) as u64;
         self.flush_tally();
-        Ok(Some(
-            Batch::from_dense(out, out_rows).with_origin_shard(origin),
-        ))
+        Ok(Some(Batch::from_dense(out, out_rows)))
     }
 }
 
@@ -1201,7 +1160,6 @@ pub(crate) mod tests {
                 0,
                 residual,
                 out_cols,
-                None,
                 Store::Indexed(idb),
                 self.state.clone(),
             )
@@ -1377,9 +1335,7 @@ pub(crate) mod tests {
         op.ensure_fused_emit(1);
         // Nothing holds key 1 yet, so both rows miss in pass 1 and settle in pass 2.
         op.stage(&ints(&[&[1], &[1]])).unwrap();
-        let mut found = std::mem::take(&mut op.found)
-            .into_iter()
-            .map(|(_, found)| found);
+        let mut found = std::mem::take(&mut op.found).into_iter();
         let first = op.settle(found.next().unwrap()).unwrap();
         assert!(matches!(first, Postings::Cached(batch) if batch.len() == 3));
         let repeat = op.settle(found.next().unwrap()).unwrap();

@@ -2,8 +2,8 @@
 //!
 //! [`crate::exec::execute_physical_on`] runs a [`PhysicalPlan`] (lowered by
 //! `bea_core::plan::physical::lower_plan`) against a [`Store`] — an unsharded
-//! `IndexedDatabase` or a `ShardedDatabase` whose index partitions the per-shard fetch
-//! branches probe — as a tree of pull-based operators, each implementing
+//! `IndexedDatabase`, or a `ShardedDatabase` that routes each probe key to the shard
+//! owning it — as a tree of pull-based operators, each implementing
 //! [`Operator::next_batch`]. Rows move through
 //! the pipeline in bounded **columnar** [`batch::Batch`]es — filter and project are
 //! selection-vector and column-permutation metadata, only gathers (joins, products,
@@ -74,7 +74,7 @@ use crate::stats::AccessStats;
 use crate::table::Table;
 use batch::Batch;
 use bea_core::error::{Error, Result};
-use bea_core::plan::{PhysOp, PhysicalPlan};
+use bea_core::plan::{step_surface, PhysOp, PhysicalPlan};
 use bea_core::value::Value;
 use bea_storage::Store;
 use std::borrow::Cow;
@@ -200,24 +200,14 @@ impl BufferPool {
 }
 
 /// The buffer-pool freelist cap for executions of `plan`: the probe path's worst-case
-/// simultaneous buffer demand — for every fetch-shaped step one value buffer per
-/// fetched position (the arena or gather columns), with two to spare for the key
-/// scratch and the emission — clamped to
+/// simultaneous buffer demand — the sum of every step's [`step_surface`], the formula
+/// a cost ticket prices allocation surfaces with — clamped to
 /// [`BufferPool::MIN_CAP`]`..=`[`BufferPool::MAX_CAP`]. Tiny plans pool a handful of
 /// buffers instead of pinning 64; wide plans get enough headroom that operator
 /// teardowns don't thrash the freelist.
 pub(crate) fn pool_cap_for(plan: &PhysicalPlan) -> usize {
-    let demand: usize = plan
-        .steps()
-        .iter()
-        .map(|step| match &step.op {
-            PhysOp::Fetch { positions, .. } | PhysOp::KeyedLookup { positions, .. } => {
-                positions.len() + 2
-            }
-            _ => 0,
-        })
-        .sum();
-    demand.clamp(BufferPool::MIN_CAP, BufferPool::MAX_CAP)
+    let demand: u64 = plan.steps().iter().map(|step| step_surface(&step.op)).sum();
+    (demand as usize).clamp(BufferPool::MIN_CAP, BufferPool::MAX_CAP)
 }
 
 /// Mutable state owned by one job: its share of the access statistics, a handle to
@@ -567,7 +557,6 @@ fn build_op<'db>(
             relation,
             positions,
             constraint_index,
-            shard,
             ..
         } => Box::new(fetch::FetchOp::new(
             input(*source)?,
@@ -575,7 +564,6 @@ fn build_op<'db>(
             relation.clone(),
             positions.clone(),
             *constraint_index,
-            *shard,
             store,
             state.clone(),
         )),
@@ -586,8 +574,6 @@ fn build_op<'db>(
             positions,
             constraint_index,
             residual,
-            shard,
-            emit,
             ..
         } => Box::new(morselize(
             fetch::KeyedLookupOp::new(
@@ -597,8 +583,7 @@ fn build_op<'db>(
                 positions.clone(),
                 *constraint_index,
                 residual.clone(),
-                emit.clone(),
-                *shard,
+                None,
                 store,
                 state.clone(),
             ),
@@ -644,14 +629,9 @@ fn build_op<'db>(
                     positions,
                     constraint_index,
                     residual,
-                    shard,
-                    emit: None,
                     ..
                 } = &plan.steps()[*source].op
                 {
-                    // (A lookup that already carries a lowering-level `emit` — a
-                    // sharded branch — never reaches here: its projection was absorbed
-                    // during fan-out and the branch is materialized anyway.)
                     return Ok(Box::new(morselize(
                         fetch::KeyedLookupOp::new(
                             input(*klu_source)?,
@@ -661,7 +641,6 @@ fn build_op<'db>(
                             *constraint_index,
                             residual.clone(),
                             Some(cols.clone()),
-                            *shard,
                             store,
                             state.clone(),
                         ),
@@ -1013,8 +992,8 @@ mod tests {
     }
 
     /// One keyed lookup over the union of `keys` — the same probes as
-    /// [`union_of_lookups`], but read off a data-dependent source, so a sharded
-    /// lowering fans the lookup out instead of pruning it.
+    /// [`union_of_lookups`], but read off a data-dependent source: one lookup probes
+    /// keys that several shards own.
     fn lookup_over_key_union(keys: &[i64]) -> bea_core::plan::QueryPlan {
         let mut b = PlanBuilder::new();
         let mut source = b.constant(Value::int(keys[0]), "k");
@@ -1041,35 +1020,24 @@ mod tests {
         use bea_storage::ShardedDatabase;
 
         let idb = setup();
-        // The same three probes twice: as constants in the plan (pruned to the owning
-        // shard at plan time) and as data (fanned out over every shard).
-        let pruned_plan = union_of_lookups(&[1, 2, 3]);
-        let fanned_plan = lookup_over_key_union(&[1, 2, 3]);
+        // The same three probes twice: as constants in the plan, one lookup each, and
+        // as data, one lookup probing keys of several shards. Either way the plan is
+        // the unsharded one and the store routes every key at run time.
+        let constant_keys = union_of_lookups(&[1, 2, 3]);
+        let data_keys = lookup_over_key_union(&[1, 2, 3]);
 
         for shards in [1u32, 2, 4] {
             let sdb = ShardedDatabase::shard(&idb, shards).unwrap();
-            let lower = LowerOptions::new().with_shard_fanout(shards);
             let mut fetched_by_shard = Vec::new();
-            for (plan, fans_out) in [(&pruned_plan, false), (&fanned_plan, true)] {
-                let unsharded = bea_core::plan::lower_plan(plan).unwrap();
+            for plan in [&constant_keys, &data_keys] {
+                let phys = bea_core::plan::lower_plan(plan).unwrap();
                 let (base_table, base_stats, _) = execute_inner(
-                    &unsharded,
+                    &phys,
                     Store::Indexed(&idb),
                     1,
                     crate::exec::DEFAULT_MORSEL_ROWS,
                 )
                 .unwrap();
-                let phys = lower_plan_with(plan, &lower).unwrap();
-                if !fans_out {
-                    assert_eq!(phys, unsharded, "constant keys prune to the unsharded plan");
-                } else if shards >= 2 {
-                    // One shard-local pipeline per shard and branch: real parallel width.
-                    assert!(
-                        phys.pipeline_dag().parallel_width() >= shards as usize,
-                        "width {} below shard count {shards}",
-                        phys.pipeline_dag().parallel_width()
-                    );
-                }
                 for threads in [1usize, 4] {
                     let (table, stats, ledger) = execute_inner(
                         &phys,
@@ -1079,9 +1047,9 @@ mod tests {
                     )
                     .unwrap();
                     assert_eq!(
-                        table.row_set(),
-                        base_table.row_set(),
-                        "answers changed at {shards} shards / {threads} threads"
+                        table.rows(),
+                        base_table.rows(),
+                        "rows or row order changed at {shards} shards / {threads} threads"
                     );
                     assert!(
                         stats.same_data_access(&base_stats),
@@ -1100,55 +1068,18 @@ mod tests {
                         .rows_fetched_by_shard
                         .keys()
                         .all(|&shard| shard < shards));
+                    if threads == 1 {
+                        assert_eq!(stats.peak_rows_resident, base_stats.peak_rows_resident);
+                    }
                     assert_eq!(ledger.resident(), 0);
                     fetched_by_shard.push(stats.rows_fetched_by_shard);
                 }
             }
-            // Pruning moves no fetch to another shard: the un-tagged probes land on
-            // the shards the fanned-out branches would have served them from.
+            // A key is served by the shard that owns it, whichever plan probes it.
             assert!(
                 fetched_by_shard.windows(2).all(|pair| pair[0] == pair[1]),
                 "per-shard fetched counts differ at {shards} shards: {fetched_by_shard:?}"
             );
-        }
-    }
-
-    #[test]
-    fn sharded_branches_tag_their_batches() {
-        use bea_storage::ShardedDatabase;
-
-        // Drive one shard branch directly: every batch it emits must carry its shard.
-        let idb = setup();
-        let sdb = ShardedDatabase::shard(&idb, 2).unwrap();
-        for shard in 0..2u32 {
-            let keys =
-                Batch::from_rows(1, (1..=3).map(|k| vec![Value::int(k)]).collect::<Vec<_>>());
-            struct OneBatch(Option<Batch>);
-            impl Operator for OneBatch {
-                fn next_batch(&mut self) -> Result<Option<Batch>> {
-                    Ok(self.0.take())
-                }
-            }
-            let ledger = Arc::new(ResidencyLedger::default());
-            let state: SharedState = Rc::new(RefCell::new(ExecState::new(ledger.clone())));
-            let mut op = fetch::FetchOp::new(
-                Box::new(OneBatch(Some(keys))),
-                vec![0],
-                "R".into(),
-                vec![0, 1],
-                0,
-                Some(bea_core::plan::ShardRoute { shard, of: 2 }),
-                Store::Sharded(&sdb),
-                state,
-            );
-            let mut rows = 0;
-            while let Some(batch) = op.next_batch().unwrap() {
-                assert_eq!(batch.origin_shard(), Some(shard));
-                rows += batch.len();
-            }
-            assert!(rows <= 4, "a branch sees only its shard's keys");
-            drop(op);
-            assert_eq!(ledger.resident(), 0);
         }
     }
 

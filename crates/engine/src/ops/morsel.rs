@@ -202,8 +202,7 @@ pub(crate) struct MorselCtx {
     /// The split's shared per-lookup-step caches, keyed by lookup step id.
     pub(crate) caches: Arc<BTreeMap<usize, Arc<SharedLookupCache>>>,
     /// Whether this morsel reports the once-per-run counters (`fetch_ops`). Only the
-    /// split's first morsel does — the split is one logical fetch operation,
-    /// mirroring the shard-0 reporting convention of sharded branches.
+    /// split's first morsel does — the split is one logical fetch operation.
     pub(crate) report: bool,
 }
 

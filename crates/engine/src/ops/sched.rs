@@ -44,13 +44,10 @@
 //!
 //! # Affinity and wake-ups
 //!
-//! Pipelines carry the shard their region probes ([`bea_core::plan::Pipeline::shard`],
-//! set on the per-shard branches of a sharded lowering). [`pick_ready`] gives a worker
-//! first a morsel of the query and pipeline it just worked on (its warmed split), then
-//! a job of its last shard — any query's, the partition is store-wide — then the queue
-//! front: morsel stealing respects shard affinity before stealing cross-shard.
-//! Affinity only reorders the ready queue — which jobs run, and what they compute, is
-//! unchanged.
+//! [`pick_ready`] gives a worker first a morsel of the query and pipeline it just
+//! worked on (its warmed split), then the queue front. Affinity only reorders the
+//! ready queue — which jobs run, and what they compute, is unchanged. Pipelines know
+//! nothing of shards: the store routes every key at run time.
 //!
 //! One wake-up rule: *a thread that is about to look at the queue itself is not sent a
 //! wake-up*. A submission whose caller goes on to join withholds one for that caller,
@@ -147,8 +144,6 @@ pub(crate) fn job_pipeline(job: &Job) -> usize {
 pub(crate) struct QueryShared<'p> {
     plan: Cow<'p, PhysicalPlan>,
     dag: PipelineDag,
-    /// Per-pipeline shard tags, for shard affinity.
-    shards: Vec<Option<u32>>,
     /// This query's private materialization slots.
     mats: Vec<OnceLock<SharedMat>>,
     /// This query's private residency ledger.
@@ -163,7 +158,6 @@ impl<'p> QueryShared<'p> {
     pub(crate) fn new(plan: Cow<'p, PhysicalPlan>, fetch_bound: u64) -> Self {
         let dag = plan.pipeline_dag();
         QueryShared {
-            shards: dag.pipelines().iter().map(|p| p.shard).collect(),
             mats: (0..plan.len()).map(|_| OnceLock::new()).collect(),
             ledger: Arc::new(ResidencyLedger::default()),
             pool_cap: pool_cap_for(&plan),
@@ -445,29 +439,15 @@ pub(crate) fn drain_pending(state: &mut PoolState<'_>, budget: Option<u64>) -> u
 }
 
 /// Pop the next job for a worker whose previous job belonged to `last` =
-/// `(query, pipeline)` on shard `last_shard`: first a morsel of the same query's
-/// same pipeline (the split whose cache and batches this worker has warm), then the
-/// first job tagged with the same shard — `shard_of(query, pipeline)`, *any* query's:
-/// the partition is store-wide — then the queue front. Pure queue reordering — every
-/// ready job still runs exactly once.
-fn pick_ready(
-    ready: &mut VecDeque<(u64, Job)>,
-    shard_of: impl Fn(u64, usize) -> Option<u32>,
-    last: Option<(u64, usize)>,
-    last_shard: Option<u32>,
-) -> Option<(u64, Job)> {
+/// `(query, pipeline)`: first a morsel of the same query's same pipeline (the split
+/// whose cache and batches this worker has warm), then the queue front. Pure queue
+/// reordering — every ready job still runs exactly once.
+fn pick_ready(ready: &mut VecDeque<(u64, Job)>, last: Option<(u64, usize)>) -> Option<(u64, Job)> {
     let position = last
         .and_then(|last| {
             ready
                 .iter()
                 .position(|(id, job)| (*id, job_pipeline(job)) == last)
-        })
-        .or_else(|| {
-            last_shard.and_then(|shard| {
-                ready
-                    .iter()
-                    .position(|(id, job)| shard_of(*id, job_pipeline(job)) == Some(shard))
-            })
         })
         .unwrap_or(0);
     ready.remove(position)
@@ -654,19 +634,14 @@ impl<'p> Pool<'p> {
     /// Claim any query's next job (with affinity) and run it against `store`, until
     /// the pool is shut down and fully drained.
     pub(crate) fn worker_loop(&self, store: Store<'_>) {
-        // The (query, pipeline) and shard of this worker's previous job — its affinity.
+        // The (query, pipeline) of this worker's previous job — its affinity.
         let mut last: Option<(u64, usize)> = None;
-        let mut last_shard: Option<u32> = None;
         loop {
             let (id, job, shared) = {
                 let mut guard = self.lock_state();
                 loop {
                     let state = &mut *guard;
-                    let shard_of =
-                        |id: u64, pipeline: usize| state.active.get(&id)?.shared.shards[pipeline];
-                    if let Some((id, job)) =
-                        pick_ready(&mut state.ready, shard_of, last, last_shard)
-                    {
+                    if let Some((id, job)) = pick_ready(&mut state.ready, last) {
                         break (id, job, claim(&mut state.active, id));
                     }
                     if state.shutdown && state.active.is_empty() && state.pending.is_empty() {
@@ -679,7 +654,6 @@ impl<'p> Pool<'p> {
                 }
             };
             last = Some((id, job_pipeline(&job)));
-            last_shard = shared.shards[job_pipeline(&job)];
             self.run_claimed(store, id, job, &shared, Runner::Worker);
         }
     }
@@ -959,53 +933,10 @@ mod tests {
         (query, Job::Morsel { work, split, index })
     }
 
-    /// Query 0's whole pipelines `pipelines`, queued in that order.
-    fn pipelines_of_query_0(pipelines: &[usize]) -> VecDeque<(u64, Job)> {
-        pipelines.iter().map(|&p| (0, Job::Pipeline(p))).collect()
-    }
-
     #[test]
-    fn pick_ready_prefers_the_affine_shard() {
-        let shards = [Some(0), Some(1), Some(1), None];
-        let mut ready = pipelines_of_query_0(&[0, 1, 2, 3]);
-        let mut pick = |shard: Option<u32>| {
-            pick_ready(&mut ready, |_, pipeline| shards[pipeline], None, shard)
-                .map(|(_, job)| job_pipeline(&job))
-        };
-        // A worker fresh off shard 1 jumps the queue to pipeline 1.
-        assert_eq!(pick(Some(1)), Some(1));
-        // Same worker again: the other shard-1 pipeline.
-        assert_eq!(pick(Some(1)), Some(2));
-        // No shard-1 work left: fall back to the queue front.
-        assert_eq!(pick(Some(1)), Some(0));
-        // No affinity at all: plain FIFO.
-        assert_eq!(pick(None), Some(3));
-        assert_eq!(pick(None), None);
-    }
-
-    #[test]
-    fn pick_ready_ignores_untagged_pipelines_for_affinity() {
-        let shards = [None, Some(2)];
-        let mut ready = pipelines_of_query_0(&[0, 1]);
-        let mut pick = |shard: Option<u32>| {
-            pick_ready(&mut ready, |_, pipeline| shards[pipeline], None, shard)
-                .map(|(_, job)| job_pipeline(&job))
-        };
-        // Affinity to shard 7 matches nothing; the front (untagged) pipeline runs.
-        assert_eq!(pick(Some(7)), Some(0));
-        assert_eq!(pick(Some(2)), Some(1));
-    }
-
-    #[test]
-    fn morsel_stealing_respects_shard_affinity_before_cross_shard() {
-        // Query 0's pipelines 0 and 1 are shard-0 and shard-1 branches, both split into
-        // morsels, and its pipeline 2 is untagged; query 1's pipeline 1 is a shard-0
-        // branch that happens to carry the same pipeline number.
-        let shard_of = |query: u64, pipeline: usize| match (query, pipeline) {
-            (0, 0) | (1, 1) => Some(0),
-            (0, 1) => Some(1),
-            _ => None,
-        };
+    fn morsel_stealing_finishes_the_warm_split_before_the_queue_front() {
+        // Query 0's pipelines 0 and 1 are both split into morsels, and its pipeline 2
+        // is whole; query 1's pipeline 1 carries the same pipeline number.
         let mut ready: VecDeque<(u64, Job)> = VecDeque::new();
         ready.push_back(morsel_job(1, 1, 0));
         ready.push_back(morsel_job(0, 0, 0));
@@ -1013,28 +944,26 @@ mod tests {
         ready.push_back(morsel_job(0, 1, 1));
         ready.push_back((0, Job::Pipeline(2)));
 
-        // A worker fresh off query 0's pipeline 1 (shard 1) keeps eating its own
-        // split's morsels first, even though shard-0 morsels — one of them another
-        // query's pipeline 1 — sit at the queue front.
+        // A worker fresh off query 0's pipeline 1 keeps eating its own split's morsels
+        // first, even though other morsels — one of them another query's pipeline 1 —
+        // sit at the queue front.
         let own = Some((0, 1));
-        let (query, job) = pick_ready(&mut ready, shard_of, own, Some(1)).unwrap();
+        let (query, job) = pick_ready(&mut ready, own).unwrap();
         assert!(matches!(&job, Job::Morsel { work, index: 0, .. } if work.pipeline == 1));
         assert_eq!(query, 0);
-        let (query, job) = pick_ready(&mut ready, shard_of, own, Some(1)).unwrap();
+        let (query, job) = pick_ready(&mut ready, own).unwrap();
         assert!(matches!(&job, Job::Morsel { work, index: 1, .. } if work.pipeline == 1));
         assert_eq!(query, 0);
-        // Its split exhausted, and no other shard-1 job exists: only now does it
-        // steal the cross-shard morsel at the front — another query's.
-        let (query, job) = pick_ready(&mut ready, shard_of, own, Some(1)).unwrap();
+        // Its split exhausted: only now does it take the front — another query's.
+        let (query, job) = pick_ready(&mut ready, own).unwrap();
         assert!(matches!(&job, Job::Morsel { work, .. } if work.pipeline == 1));
         assert_eq!(query, 1);
-        // A worker with shard-0 affinity takes the shard-0 morsel over the front.
-        ready.push_front((0, Job::Pipeline(2)));
-        let (_, job) = pick_ready(&mut ready, shard_of, None, Some(0)).unwrap();
+        // A worker with no warm split takes the queue in FIFO order.
+        let (_, job) = pick_ready(&mut ready, None).unwrap();
         assert!(matches!(&job, Job::Morsel { work, .. } if work.pipeline == 0));
-        // A worker with shard-1 affinity but no matching jobs takes the front.
-        let (_, job) = pick_ready(&mut ready, shard_of, None, Some(1)).unwrap();
+        let (_, job) = pick_ready(&mut ready, None).unwrap();
         assert_eq!(job_pipeline(&job), 2);
+        assert!(pick_ready(&mut ready, None).is_none());
     }
 
     #[test]

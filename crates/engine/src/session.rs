@@ -18,8 +18,9 @@
 //!   panicking operator fails only its own query; the payload is re-raised from
 //!   [`QueryHandle::wait`] / [`Session::run`], on that query's caller only.
 //! * **One way in** — a submission is two halves. [`Session::prepare`] is the
-//!   value-free one: lower the logical plan with this session's thread and shard
-//!   counts, validate it against the store, derive its [`CostTicket`]. None of that
+//!   value-free one: lower the logical plan with this session's thread count (one
+//!   plan at any shard count, keys routed at run time), validate it against the
+//!   store, derive its [`CostTicket`]. None of that
 //!   reads a constant's value and the store is immutable, so a [`PreparedPlan`] made
 //!   from a template — [`bea_core::value::Value::placeholder`]s where the constants go
 //!   — is good for every request of that shape: validation and pricing are paid per
@@ -42,9 +43,7 @@
 //! * **Scheduling** — a query's jobs (pipelines, and morsels of split pipelines) sit in
 //!   one ready queue, and two kinds of thread may run them. A *pool worker* takes any
 //!   query's job, with affinity: first another morsel of the *same query's same
-//!   pipeline* (its warmed split), then any job tagged with its last shard (shard
-//!   affinity crosses queries — the partition is store-wide), then the queue front. A
-//!   *caller* — the thread inside
+//!   pipeline* (its warmed split), then the queue front. A *caller* — the thread inside
 //!   [`Session::run`] or [`QueryHandle::wait`] — takes ready jobs of **its own query
 //!   only**, and blocks for the outcome when none is ready (they are on workers, or the
 //!   query is still queued for headroom; workers then run it). Both go through the
@@ -122,8 +121,8 @@ pub fn parse_cache_rows(value: &str) -> std::result::Result<Option<u64>, String>
 pub enum SharedStore {
     /// A single indexed database.
     Indexed(Arc<IndexedDatabase>),
-    /// A sharded database; lowering fans keyed fetches out per shard exactly as
-    /// [`crate::exec::execute_plan_on`] does.
+    /// A sharded database: the same plans as an indexed one, each key routed to its
+    /// owning shard at run time.
     Sharded(Arc<ShardedDatabase>),
 }
 
@@ -466,18 +465,17 @@ impl Session {
     }
 
     /// The value-free half of a submission: lower `plan` exactly as
-    /// [`crate::exec::execute_plan_on`] does for this session's thread and shard
-    /// counts (so a session run is job-for-job the same physical plan as a solo run),
-    /// validate the result against the store, and price it. None of the three looks
+    /// [`crate::exec::execute_plan_on`] does for this session's thread count (so a
+    /// session run is job-for-job the same physical plan as a solo run — and, keys
+    /// being routed at run time, the same plan at every shard count), validate the
+    /// result against the store, and price it. None of the three looks
     /// at a constant's value, and the store is immutable, so one [`PreparedPlan`]
     /// serves every query that differs from `plan` only in its constants — prepare a
     /// template once ([`bea_core::value::Value::placeholder`] where the constants go)
     /// and hand each request's values to [`Session::run_prepared`].
     pub fn prepare(&self, plan: &QueryPlan) -> Result<PreparedPlan> {
         let store = self.inner.store.store();
-        let lower = LowerOptions::new()
-            .with_exchange_parallelism(self.inner.threads > 1)
-            .with_shard_fanout(store.shard_count());
+        let lower = LowerOptions::new().with_exchange_parallelism(self.inner.threads > 1);
         let physical = lower_plan_with(plan, &lower)?;
         validate_for(&physical, store)?;
         let ticket = CostTicket::derive(plan, store.schema(), store.size(), &physical);

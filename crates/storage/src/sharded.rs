@@ -16,10 +16,10 @@
 //!
 //! Routing is a pure function of the key values ([`shard_of`] — FNV-1a over an
 //! explicit little-endian value serialization, so it is platform-, process- and
-//! run-independent), shared with `bea-engine`: physical plans
-//! lowered with shard fan-out tag each per-shard fetch branch with a
-//! `ShardRoute { shard, of }`, and the executor filters probe keys with the same
-//! function, so the store and the plan can never disagree about ownership.
+//! run-independent), and it is the store's alone: one plan, keys routed at run time.
+//! A physical plan never names a shard; [`Store::resolve`] sends each probe to the
+//! shard that owns its key, so a sharded store runs exactly the plan its unsharded
+//! twin does.
 //!
 //! [`Store`] is the executor-facing handle over either store flavor; fetches through it
 //! additionally report the shard that served them, which is what makes per-shard access
@@ -113,8 +113,7 @@ impl Fnv1a {
 /// The shard that owns `key` under `shard_count` shards: a deterministic,
 /// platform-independent hash of the key values modulo the shard count.
 /// `shard_count <= 1` always routes to shard 0. Shared by index construction
-/// ([`ShardedDatabase::build`]) and the executor's per-shard key filters, which must
-/// agree exactly.
+/// ([`ShardedDatabase::build`]) and probe routing, which must agree exactly.
 pub fn shard_of<'v>(key: impl IntoIterator<Item = &'v Value>, shard_count: u32) -> u32 {
     if shard_count <= 1 {
         return 0;
@@ -324,8 +323,8 @@ impl<'a> Store<'a> {
         self.database().size()
     }
 
-    /// Number of shards: 1 for the unsharded store. Physical lowering fans keyed
-    /// fetches out to this many per-shard branches.
+    /// Number of shards: 1 for the unsharded store. Informational — plans are the same
+    /// at every shard count, and each key is routed to its shard at run time.
     pub fn shard_count(&self) -> u32 {
         match self {
             Store::Indexed(_) => 1,

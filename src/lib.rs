@@ -15,7 +15,7 @@
 //! * [`parser`] — a datalog-style text syntax for queries and access constraints.
 //! * [`workload`] — synthetic data and query generators used by the examples,
 //!   tests and benchmarks.
-//! * [`bench`] — the experiment harness behind the `exp_*` binaries and criterion
+//! * [`bench`](mod@bench) — the experiment harness behind the `exp_*` binaries and criterion
 //!   benches: scenario builders, chain-query families, report helpers.
 //!
 //! ## Quickstart

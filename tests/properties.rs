@@ -136,18 +136,19 @@ fn random_workload(
 /// covered query of a random workload over `db`, the **streaming** bounded executor
 /// (forced single-threaded), the **parallel** streaming executor (4 worker threads),
 /// the **materialized** bounded executor, the **sharded** streaming executor (the same
-/// plan fanned out over a partitioned store — `BEA_SHARDS` shards, at least 2) and the
-/// **naive** baseline compute exactly the same answer; the bounded strategies read
-/// exactly the same data (boundedness is a property of the plan — not of the execution
-/// strategy, the thread count, or the shard count); nothing fetches more than the
-/// statically derived bound (Theorem 3.11, constructive direction); and the streaming
-/// pipeline's peak row residency never exceeds the materialized executor's.
+/// plan over a partitioned store, each key routed to its shard — `BEA_SHARDS` shards,
+/// at least 2) and the **naive** baseline compute exactly the same answer; the bounded
+/// strategies read exactly the same data (boundedness is a property of the plan — not
+/// of the execution strategy, the thread count, or the shard count); nothing fetches
+/// more than the statically derived bound (Theorem 3.11, constructive direction); and
+/// the streaming pipeline's peak row residency never exceeds the materialized
+/// executor's.
 fn assert_bounded_plans_agree_with_naive(
     schema: &AccessSchema,
     db: bea::storage::Database,
     workload: &[ConjunctiveQuery],
 ) -> usize {
-    // At least 2 shards so the sharded leg always exercises real fan-out; the CI
+    // At least 2 shards so the sharded leg always routes keys to several shards; the CI
     // matrix raises it through BEA_SHARDS.
     let shards = shards_from_env().max(2);
     let sharded = ShardedDatabase::build(db.clone(), schema.clone(), shards).unwrap();
@@ -597,12 +598,13 @@ fn morsel_size_never_changes_what_is_computed() {
 }
 
 /// Shard-count invariance: the same covered queries executed against partitioned
-/// stores with shards ∈ {1, 2, 8}, at threads ∈ {1, 4}, produce identical rows,
-/// identical data access (`same_data_access`) and identical copy traffic
-/// (`values_cloned`) — partitioning the constraint indexes relocates the bounded work
-/// across shards (the per-shard counts always sum to the unchanged total) without
-/// altering what is computed, read or moved. Shards = 1 is additionally pinned to the
-/// unsharded `IndexedDatabase` baseline, closing the "shard 1 ≡ today's store" loop.
+/// stores with shards ∈ {1, 2, 8}, at threads ∈ {1, 4}, produce identical rows in
+/// identical order, identical data access (`same_data_access`) and identical copy
+/// traffic (`values_cloned`) — one plan, keys routed at run time: partitioning the
+/// constraint indexes relocates the bounded work across shards (the per-shard counts
+/// always sum to the unchanged total) without altering what is computed, read or
+/// moved. Shards = 1 is additionally pinned to the unsharded `IndexedDatabase`
+/// baseline, closing the "shard 1 ≡ today's store" loop.
 #[test]
 fn sharded_execution_is_invariant_across_shard_counts() {
     run_cases_counting(
@@ -638,9 +640,11 @@ fn sharded_execution_is_invariant_across_shard_counts() {
                         )
                         .unwrap();
                         let shards = sharded.shard_count();
-                        assert!(
-                            table.same_rows(&baseline),
-                            "rows changed at {shards} shards / {threads} threads for {query}"
+                        assert_eq!(
+                            table.rows(),
+                            baseline.rows(),
+                            "rows or their order changed at {shards} shards / {threads} \
+                             threads for {query}"
                         );
                         assert!(
                             stats.same_data_access(&baseline_stats),
@@ -662,8 +666,100 @@ fn sharded_execution_is_invariant_across_shard_counts() {
                             .rows_fetched_by_shard
                             .keys()
                             .all(|&shard| shard < shards));
+                        if threads == 1 {
+                            assert_eq!(
+                                stats.peak_rows_resident, baseline_stats.peak_rows_resident,
+                                "residency changed at {shards} shards for {query}"
+                            );
+                        }
                     }
                 }
+            }
+            exercised
+        },
+    );
+}
+
+/// Admission cannot see the shard count: a session over a 2-, 4- or 8-way sharded store
+/// prepares every covered query of the three querygen families to the physical plan and
+/// the [`bea_core::plan::CostTicket`] a session over the unsharded twin prepares, field
+/// for field, with exchange points off (one thread) and on (two) — so an
+/// allocation-surface cap set to the unsharded Q0 surface admits Q0 on the sharded
+/// store, and its answer is the unsharded one, row for row.
+#[test]
+fn sharded_sessions_prepare_the_unsharded_plan_and_ticket() {
+    use bea::engine::{Session, SessionConfig, SharedStore};
+
+    run_cases_counting(
+        "sharded_sessions_prepare_the_unsharded_plan_and_ticket",
+        0x71C4,
+        |rng| {
+            let seed = rng.gen_range(0u64..1_000);
+            let qseed = rng.gen_range(0u64..1_000);
+            let (accidents_db, accidents_schema) = accidents_fixture(seed, 2);
+            let (ecommerce_db, ecommerce_catalog, ecommerce_schema) = ecommerce_fixture(seed);
+            let (graph_db, graph_catalog, graph_schema) = graph_fixture(seed);
+            let families = [
+                (accidents::catalog(), accidents_schema, accidents_db),
+                (ecommerce_catalog, ecommerce_schema, ecommerce_db),
+                (graph_catalog, graph_schema, graph_db),
+            ];
+            let mut exercised = 0;
+            for (catalog, schema, db) in families {
+                let workload = random_workload(&catalog, &schema, &db, 8, qseed);
+                let plans: Vec<_> = workload
+                    .iter()
+                    .filter(|query| cover::is_covered(query, &schema))
+                    .map(|query| bounded_plan(query, &schema).unwrap())
+                    .collect();
+                exercised += plans.len();
+                let unsharded =
+                    SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
+                for shards in [2, 4, 8] {
+                    let sharded = ShardedDatabase::build(db.clone(), schema.clone(), shards);
+                    let sharded = SharedStore::from(sharded.unwrap());
+                    for threads in [1, 2] {
+                        let config = SessionConfig::new().with_threads(threads);
+                        let one = Session::new(unsharded.clone(), config);
+                        let many = Session::new(sharded.clone(), config);
+                        for plan in &plans {
+                            let (expected, prepared) =
+                                (one.prepare(plan).unwrap(), many.prepare(plan).unwrap());
+                            let corner = format!(
+                                "{} at {shards} shards / {threads} threads",
+                                plan.query_name()
+                            );
+                            assert_eq!(prepared.physical(), expected.physical(), "{corner}");
+                            assert_eq!(prepared.ticket(), expected.ticket(), "{corner}");
+                        }
+                    }
+                }
+            }
+
+            // Q0 under a surface cap that admits exactly its unsharded surface.
+            let (db, schema) = accidents_fixture(seed, 2);
+            let catalog = accidents::catalog();
+            let q0 = accidents::q0(
+                &catalog,
+                &accidents::district_value(0),
+                &accidents::date_value(1),
+            )
+            .unwrap();
+            let plan = bounded_plan(&q0, &schema).unwrap();
+            let unsharded =
+                SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
+            let sharded = SharedStore::from(ShardedDatabase::build(db, schema, 4).unwrap());
+            for threads in [1, 4] {
+                let config = SessionConfig::new().with_threads(threads);
+                let one = Session::new(unsharded.clone(), config);
+                let (ticket, expected) = one.run(&plan).expect("no cap, no veto");
+                let capped = config.with_max_alloc_surface(ticket.alloc_surface);
+                let four = Session::new(sharded.clone(), capped);
+                let (admitted, answer) = four
+                    .run(&plan)
+                    .expect("the unsharded surface admits the sharded Q0");
+                assert_eq!(admitted, ticket);
+                assert_eq!(answer.unwrap().0.rows(), expected.unwrap().0.rows());
             }
             exercised
         },
