@@ -263,6 +263,11 @@ fn assert_served_alike(
             "the replies differ for {corner}"
         );
         answered += usize::from(reply.status() == ReplyStatus::Ok);
+        let mut rows = HashSet::new();
+        assert!(
+            reply.body.iter().all(|line| rows.insert(line)),
+            "a row repeats in the reply for {corner}"
+        );
         wires.push(reply.wire());
 
         // A text the lexer refuses has no skeleton, and an `ERR parse:` for a reply.

@@ -29,7 +29,16 @@
 //!   set ([`PhysStep::set_valued`]); explicit [`PhysOp::Dedup`] steps are inserted only
 //!   where the logical plan's set semantics actually needs them (e.g. after a union, or
 //!   after a projection that drops key columns), never after an operator whose output is
-//!   provably duplicate-free.
+//!   provably duplicate-free. A projection of a set keeps it a set when every column it
+//!   drops is determined by the plan on every row: **constant** (it traces back through
+//!   products, lookup source columns, projections, filters and δs to a
+//!   [`PhysOp::Const`]) or **key-equal** to a kept column (a keyed lookup's fetched key
+//!   attribute, which the fused key equality makes equal to the source's key column).
+//!   The same fact tells the engine where a keyed lookup's source never repeats a key
+//!   ([`PhysicalPlan::keys_distinct`]). Equalities a filter predicate establishes are not
+//!   used, and neither are access constraints of bound 1 read as functional
+//!   dependencies: that would make answers depend on the instance satisfying the access
+//!   schema, which nothing on the query path checks.
 //! * **Rename and empty-branch elimination** — ρ steps vanish into column labels;
 //!   `T ∪ ∅` and `T − ∅` collapse to `T`.
 //! * **Materialization points** — a step is marked [`PhysStep::materialize`] only when
@@ -392,6 +401,14 @@ impl PhysicalPlan {
             }
         }
         Ok(bound)
+    }
+
+    /// True when no two rows of step `source` agree on its `key_cols`: the step is a set
+    /// and each of its other columns is constant or equal to a key column on every row
+    /// (see the module docs). A keyed lookup over such a source never sees a key twice,
+    /// so it has nothing to memoize.
+    pub fn keys_distinct(&self, source: PhysId, key_cols: &[usize]) -> bool {
+        self.steps[source].set_valued && determined_by(&self.steps, source, key_cols)
     }
 
     /// Count how many steps are marked as materialization points (pipeline breakers).
@@ -906,11 +923,9 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
                     }
                 } else {
                     let src = map[*source].expect("source lowered earlier");
-                    let src_arity = phys[src].columns.len();
-                    // Keeping every input column (in any order, possibly duplicated)
-                    // makes the projection injective on rows.
-                    let injective = (0..src_arity).all(|c| cols.contains(&c));
-                    let sv = phys[src].set_valued && injective;
+                    // Injective on rows when every dropped column is constant or equal
+                    // to a kept one (see the module docs).
+                    let sv = phys[src].set_valued && determined_by(&phys, src, cols);
                     let id = push(
                         &mut phys,
                         PhysOp::Project {
@@ -1187,6 +1202,65 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
     Ok(plan)
 }
 
+/// Where the values of one column of a step come from, as far as the plan alone tells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// A query constant: one value on every row.
+    Const,
+    /// Column `.1` of step `.0`: columns of one step with the same origin are equal on
+    /// every row.
+    Col(PhysId, usize),
+}
+
+/// The [`Origin`] of column `col` of `step`. Each output row of a step holds exactly one
+/// row of every step on its left spine (sources, left sides), so an origin passes through
+/// those; a right side's non-constant column is a fresh origin, since it may come from
+/// another row of a step the left side also reads.
+fn origin(steps: &[PhysStep], step: PhysId, col: usize) -> Origin {
+    let fresh = Origin::Col(step, col);
+    match &steps[step].op {
+        PhysOp::Const { .. } => Origin::Const,
+        PhysOp::Project { source, cols } => origin(steps, *source, cols[col]),
+        PhysOp::Filter { source, .. }
+        | PhysOp::Dedup { source }
+        | PhysOp::Difference { left: source, .. } => origin(steps, *source, col),
+        PhysOp::KeyedLookup {
+            source,
+            key_cols,
+            x_attrs,
+            positions,
+            ..
+        } => match col.checked_sub(steps[*source].columns.len()) {
+            None => origin(steps, *source, col),
+            // A fetched key attribute equals its key column: the fused key equality.
+            Some(c) => match x_attrs.iter().position(|&a| a == positions[c]) {
+                Some(k) => origin(steps, *source, key_cols[k]),
+                None => fresh,
+            },
+        },
+        PhysOp::Product { left, right } | PhysOp::HashJoin { left, right, .. } => {
+            match col.checked_sub(steps[*left].columns.len()) {
+                None => origin(steps, *left, col),
+                Some(c) if origin(steps, *right, c) == Origin::Const => Origin::Const,
+                Some(_) => fresh,
+            }
+        }
+        PhysOp::Unit | PhysOp::Empty { .. } | PhysOp::Fetch { .. } | PhysOp::Union { .. } => fresh,
+    }
+}
+
+/// True when every column of `step` is one of `kept`, constant, or has the origin of a
+/// kept column — so rows of `step` that agree on `kept` agree everywhere.
+fn determined_by(steps: &[PhysStep], step: PhysId, kept: &[usize]) -> bool {
+    (0..steps[step].columns.len()).all(|c| {
+        kept.contains(&c)
+            || match origin(steps, step, c) {
+                Origin::Const => true,
+                dropped => kept.iter().any(|&k| origin(steps, step, k) == dropped),
+            }
+    })
+}
+
 /// Drop steps unreachable from the output, remapping step ids (order is preserved, so
 /// topological validity is too).
 fn prune_unreachable(steps: Vec<PhysStep>, output: PhysId) -> (Vec<PhysStep>, PhysId) {
@@ -1275,6 +1349,12 @@ mod tests {
     /// `σ[k = a](keys × fetch(a ∈ keys, R, b))` — the exact shape plan synthesis emits.
     fn keyed_join_plan() -> QueryPlan {
         let mut b = PlanBuilder::new();
+        let sel = keyed_join(&mut b);
+        b.finish("Q", sel).unwrap()
+    }
+
+    /// The step of [`keyed_join_plan`], `[k, a, b]` over the keys `{1, 2}`.
+    fn keyed_join(b: &mut PlanBuilder) -> NodeId {
         let k1 = b.constant(Value::int(1), "k");
         let k2 = b.constant(Value::int(2), "k");
         let keys = b.union(k1, k2);
@@ -1288,8 +1368,7 @@ mod tests {
             vec!["a".into(), "b".into()],
         );
         let prod = b.product(keys, fetched);
-        let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
-        b.finish("Q", sel).unwrap()
+        b.select(prod, vec![Predicate::ColEqCol(0, 1)])
     }
 
     #[test]
@@ -1493,33 +1572,78 @@ mod tests {
         assert_eq!(phys.steps()[phys.output()].columns, vec!["y".to_owned()]);
     }
 
+    /// How many δ steps `plan` lowers to.
+    fn dedups(plan: &QueryPlan) -> usize {
+        let phys = lower_plan(plan).unwrap();
+        let steps = phys.steps().iter();
+        steps
+            .filter(|s| matches!(s.op, PhysOp::Dedup { .. }))
+            .count()
+    }
+
     #[test]
     fn injective_projection_eliminates_dedup() {
-        let mut b = PlanBuilder::new();
-        let x = b.constant(Value::int(1), "x");
-        let y = b.constant(Value::int(2), "y");
-        let p = b.product(x, y);
+        let constants = |cols: Vec<usize>| {
+            let mut b = PlanBuilder::new();
+            let x = b.constant(Value::int(1), "x");
+            let y = b.constant(Value::int(2), "y");
+            let p = b.product(x, y);
+            let projected = b.project(p, cols);
+            b.finish("Q", projected).unwrap()
+        };
         // Swapping columns keeps every input column: injective, no dedup needed.
-        let swapped = b.project(p, vec![1, 0]);
-        let plan = b.finish("Q", swapped).unwrap();
-        let phys = lower_plan(&plan).unwrap();
-        assert!(phys
-            .steps()
-            .iter()
-            .all(|s| !matches!(s.op, PhysOp::Dedup { .. })));
-        // Dropping a column of a product of singletons is still injective-free but the
-        // source is set-valued… dropping makes it non-injective:
+        assert_eq!(dedups(&constants(vec![1, 0])), 0);
+        // Dropping a constant column cannot merge two rows either.
+        assert_eq!(dedups(&constants(vec![0])), 0);
+
+        // Over `[k, a, b]` with data-dependent keys: dropping the fetched key attribute
+        // `a` (equal to `k` by the fused key equality) keeps a set; dropping the fetched
+        // non-key `b` does not. (The union of the keys brings one δ of its own.)
+        let lookup = |cols: Vec<usize>| {
+            let mut b = PlanBuilder::new();
+            let joined = keyed_join(&mut b);
+            let projected = b.project(joined, cols);
+            b.finish("Q", projected).unwrap()
+        };
+        assert_eq!(dedups(&lookup(vec![0, 2])), 1);
+        assert_eq!(dedups(&lookup(vec![2, 1])), 1);
+        assert_eq!(dedups(&lookup(vec![0, 1])), 2);
+
+        // Equal to a kept column only through a filter predicate: conservatively a δ.
+        let mut b = PlanBuilder::new();
+        let keys = |b: &mut PlanBuilder| {
+            let k1 = b.constant(Value::int(1), "k");
+            let k2 = b.constant(Value::int(2), "k");
+            b.union(k1, k2)
+        };
+        let (left, right) = (keys(&mut b), keys(&mut b));
+        let p = b.product(left, right);
+        let equal = b.select(p, vec![Predicate::ColEqCol(0, 1)]);
+        let dropped = b.project(equal, vec![0]);
+        let plan = b.finish("Q", dropped).unwrap();
+        // The two unions' δs, and the projection's.
+        assert_eq!(dedups(&plan), 3);
+    }
+
+    #[test]
+    fn keys_are_distinct_where_every_other_column_is_determined() {
+        // `[k, a, b]`, a set: keyed by `(k, b)` — or `(b, a)`, `a` being equal to `k` —
+        // a lookup over it never repeats a key; keyed by `k` or `b` alone it may.
+        let phys = lower_plan(&keyed_join_plan()).unwrap();
+        let out = phys.output();
+        assert!(phys.keys_distinct(out, &[0, 2]));
+        assert!(phys.keys_distinct(out, &[2, 1]));
+        assert!(!phys.keys_distinct(out, &[0]));
+        assert!(!phys.keys_distinct(out, &[2]));
+        // A source that is not a set repeats whatever it holds twice.
         let mut b = PlanBuilder::new();
         let x = b.constant(Value::int(1), "x");
-        let y = b.constant(Value::int(2), "y");
-        let p = b.product(x, y);
-        let dropped = b.project(p, vec![0]);
-        let plan = b.finish("Q", dropped).unwrap();
-        let phys = lower_plan(&plan).unwrap();
-        assert!(phys
-            .steps()
-            .iter()
-            .any(|s| matches!(s.op, PhysOp::Dedup { .. })));
+        let y = b.constant(Value::int(1), "x");
+        let u = b.union(x, y);
+        let phys = lower_plan(&b.finish("Q", u).unwrap()).unwrap();
+        let union = phys.steps().iter().position(|s| !s.set_valued).unwrap();
+        assert!(!phys.keys_distinct(union, &[0]));
+        assert!(phys.keys_distinct(phys.output(), &[0]));
     }
 
     #[test]

@@ -10,6 +10,17 @@
 //! cloned to decide freshness, and a key that matched at most one tuple is not hashed
 //! at all.
 //!
+//! A keyed lookup copies only what needs a copy. Its arena holds the keys that matched
+//! two or more tuples, whose per-key dedup needs the projected columns; a key that
+//! matched at most one tuple (every probe of a bound-1 constraint) is read where the
+//! tuple lies in the store — residual predicates and the emission read it there, and
+//! only emitted values are cloned. Its memo, which serves a repeated key from the
+//! arena or the store, exists only where keys can repeat: when the plan proves that
+//! the source never repeats a key ([`PhysicalPlan::keys_distinct`]), every probe is a
+//! first probe and nothing is remembered.
+//!
+//! [`PhysicalPlan::keys_distinct`]: bea_core::plan::PhysicalPlan::keys_distinct
+//!
 //! # Two passes per source batch
 //!
 //! 1. **Stage.** [`KeyedLookupOp`] gathers and hashes each row's key once and
@@ -19,7 +30,8 @@
 //!    hit and sends the keys nothing holds to one `resolve`.
 //! 2. **Settle.** In row order, a pass-1 hit is emitted from what it returned; any
 //!    other row runs the per-row protocol — session probe or claim, split probe or
-//!    claim, memo, miss — and a miss appends the postings pass 1 resolved.
+//!    claim, memo, miss — and a miss serves the postings pass 1 resolved. A row
+//!    whose key no tier would probe or remember goes straight to them.
 //!
 //! Hits come first so that a key an outer tier serves never costs a walk. Claims wait
 //! for pass 2 because a claim obliges its holder to fill: holding one while probing,
@@ -38,13 +50,17 @@
 //! one owned key row per source row a [`FetchOp`] gathers into its key set — and
 //! nothing for a keyed lookup, hit or miss. Every probe gathers its key into one
 //! reusable scratch and hashes it once; a **miss** moves the scratch's values into the
-//! arena's flat key columns and appends the postings to its value columns (both drawn
-//! from the worker's [`super::BufferPool`] once per operator instance, like the flat
-//! buffer pass 1 moves missed keys into), so no buffer is demanded per key. A repeat
-//! of a fetched key is a slot walk plus emission from the arena range; a hit in an outer tier (session cache, split cache) is a refcount
-//! bump. Resolving an outer tier's *fill claim* is the same miss, then an uncharged
-//! compact copy of the key's range published as the tier's entry (with an owned copy
-//! of the key — cache maintenance, like the tier's own map key).
+//! memo's flat key columns, where keys can repeat, and appends multi-tuple postings to
+//! the arena's value columns (both drawn from the worker's [`super::BufferPool`] once
+//! per operator instance, like the flat buffer pass 1 moves missed keys into), so no
+//! buffer is demanded per key. A repeat of a fetched key is a slot walk plus emission
+//! from where its postings lie; a hit in an outer tier (session cache, split cache) is
+//! a refcount bump. Resolving an outer tier's *fill claim* is the same miss, then an
+//! uncharged compact copy of the key's postings — taken from the arena range, or
+//! straight from the one tuple — published as the tier's entry (with an owned copy of
+//! the key — cache maintenance, like the tier's own map key); the row itself is served
+//! as the miss serves it, so a cold cache or a split charges what a cache-off, unsplit
+//! run charges.
 //! `tests/alloc_budget.rs` holds the model to the allocator: a cold Q0 stays under a
 //! fixed number of heap allocations, whatever it fetches.
 //!
@@ -191,10 +207,10 @@ struct ProbeTally {
 }
 
 impl ProbeTally {
-    /// A store fetch returned `tuples` tuples of `shard`, projected onto `positions`
-    /// columns each.
-    fn fetched(&mut self, shard: u32, tuples: u64, positions: usize) {
-        self.values_cloned += tuples * positions as u64;
+    /// A store fetch returned `tuples` tuples of `shard`, copied onto `columns` columns
+    /// each (none when they are read in place).
+    fn fetched(&mut self, shard: u32, tuples: u64, columns: usize) {
+        self.values_cloned += tuples * columns as u64;
         let shard = shard as usize;
         if self.fetched_by_shard.len() <= shard {
             self.fetched_by_shard.resize(shard + 1, None);
@@ -518,9 +534,10 @@ struct ArenaRange {
     len: usize,
 }
 
-/// The keyed lookup's per-query tier: every key the operator fetched, appended by the
-/// shared kernel into one set of growing value columns, plus the memo that serves
-/// repeats — the fetched keys in a [`RowTable`], and each key's range at its position.
+/// The keyed lookup's per-query tier: the postings of every multi-tuple key the
+/// operator fetched, appended by the shared kernel into one set of growing value
+/// columns, plus — where keys can repeat — the memo that serves repeats: the fetched
+/// keys in a [`RowTable`], and at each key's position where its postings lie.
 ///
 /// The columns are normally one *open* segment. An anchor emission (see
 /// [`KeyedLookupOp`]) needs its postings as a shareable [`Batch`], so it *seals* the
@@ -528,29 +545,30 @@ struct ArenaRange {
 /// misses start a fresh one. Segment `k` is sealed iff `k < sealed.len()`; the open
 /// segment is the next index, so sealing never rewrites a range.
 #[derive(Debug)]
-struct PostingArena {
+struct PostingArena<'db> {
     sealed: Vec<Batch>,
     cols: Vec<Vec<Value>>,
     /// Dense length of the open segment — a zero-column arena has no column to ask.
     rows: usize,
     keys: RowTable,
-    /// `ranges[p]` is where the postings of the key at position `p` of `keys` live.
-    ranges: Vec<ArenaRange>,
+    /// `held[p]` is where the postings of the key at position `p` of `keys` lie: in
+    /// the store or in the arena, never in an outer tier.
+    held: Vec<Postings<'db>>,
     dedup: RowSet,
 }
 
-impl PostingArena {
-    /// The range memoized for `key`, if this operator fetched it before.
-    fn range_of(&self, key: &HashedRow) -> Option<ArenaRange> {
+impl<'db> PostingArena<'db> {
+    /// Where the postings of `key` lie, if this operator remembered fetching it.
+    fn find(&self, key: &HashedRow) -> Option<Postings<'db>> {
         let position = self.keys.find_key(key)?;
-        Some(self.ranges[position as usize])
+        Some(self.held[position as usize].clone())
     }
 
-    /// Memoize `range` for `key`, which [`PostingArena::range_of`] just missed; the
+    /// Remember `postings` for `key`, which [`PostingArena::find`] just missed; the
     /// key's values move into the key columns.
-    fn remember(&mut self, key: &mut HashedRow, range: ArenaRange) -> Result<()> {
+    fn remember(&mut self, key: &mut HashedRow, postings: Postings<'db>) -> Result<()> {
         self.keys.push_key(key)?;
-        self.ranges.push(range);
+        self.held.push(postings);
         Ok(())
     }
 
@@ -560,22 +578,6 @@ impl PostingArena {
             Some(batch) => batch.value(range.start + j, c),
             None => &self.cols[c][range.start + j],
         }
-    }
-
-    /// A compact standalone copy of `range`, projected onto `emit` when the operator
-    /// stores outer-tier entries pre-projected — what a fill claim publishes. Cache
-    /// maintenance, off the cache-off path, so its clones are not `values_cloned`.
-    fn copy_out(&self, range: ArenaRange, emit: Option<&[usize]>) -> Batch {
-        let column = |c: usize| -> Vec<Value> {
-            (0..range.len)
-                .map(|j| self.value(range, j, c).clone())
-                .collect()
-        };
-        let columns = match emit {
-            Some(mapped) => mapped.iter().map(|&c| column(c)).collect(),
-            None => (0..self.cols.len()).map(column).collect(),
-        };
-        Batch::from_dense(columns, range.len)
     }
 
     /// Drop the open segment's rows from `rows` on.
@@ -602,12 +604,26 @@ impl PostingArena {
 }
 
 /// One probe's postings, wherever they live.
-enum Postings {
-    /// Fetched by this operator: a range of its arena.
+#[derive(Debug, Clone)]
+enum Postings<'db> {
+    /// Fetched by this operator, at most one tuple: read where it lies in the store.
+    Tuple(Option<&'db [Value]>),
+    /// Fetched by this operator, two or more tuples: a range of its arena.
     Arena(ArenaRange),
     /// Served — or just published — by an outer tier, in that tier's entry shape
     /// (pre-projected when [`KeyedLookupOp::fused_emit`] is set).
     Cached(Arc<Batch>),
+}
+
+impl Postings<'_> {
+    /// Rows held.
+    fn len(&self) -> usize {
+        match self {
+            Postings::Tuple(tuple) => usize::from(tuple.is_some()),
+            Postings::Arena(range) => range.len,
+            Postings::Cached(batch) => batch.len(),
+        }
+    }
 }
 
 /// The fused `σ[key equalities](source × fetch(X ∈ source, R, …))`: an index
@@ -619,20 +635,21 @@ enum Postings {
 /// (the two passes of the module docs).
 ///
 /// Durable state is the [`PostingArena`], bounded by the fetch's access-schema bound
-/// times the number of distinct keys; its columns come from the worker's pool and go
-/// back on exhaustion, its rows are released then (or on drop if a consumer
-/// short-circuits). Neither the cross product nor the fetched table is ever
-/// materialized.
+/// times the number of distinct multi-tuple keys; its columns come from the worker's
+/// pool and go back on exhaustion, its rows are released then (or on drop if a
+/// consumer short-circuits). A single-tuple key holds nothing: its tuple stays in the
+/// store, which outlives the operator. Neither the cross product nor the fetched table
+/// is ever materialized.
 ///
 /// Two outer tiers may sit in front, both trading in `Arc<Batch>`: the session's
 /// cross-query cache, probed first, and — on a morsel of a split pipeline
 /// ([`KeyedLookupOp::for_morsel`]) — the split's [`SharedLookupCache`], which
 /// replaces the arena's memo so that the split fetches each distinct key exactly once.
 /// A hit there is emitted from the cached batch; a fill claim is resolved by the
-/// same arena miss ([`KeyedLookupOp::fetch`]) followed by publishing a compact copy
-/// of the key's range. In morsel mode the arena only stages that copy, and the
-/// published rows are released by the scheduler when the split's last morsel
-/// finalizes instead of at operator exhaustion.
+/// same miss ([`KeyedLookupOp::fetch`]) followed by publishing a compact copy of the
+/// key's postings. In morsel mode the arena only stages that copy, and the published
+/// rows are released by the scheduler when the split's last morsel finalizes instead
+/// of at operator exhaustion.
 pub(crate) struct KeyedLookupOp<'db> {
     input: BoxOp<'db>,
     key_cols: Vec<usize>,
@@ -647,7 +664,10 @@ pub(crate) struct KeyedLookupOp<'db> {
     out_cols: Option<Vec<usize>>,
     store: Store<'db>,
     state: SharedState,
-    arena: PostingArena,
+    arena: PostingArena<'db>,
+    /// Whether the arena's memo is kept: false when the plan proves the source never
+    /// repeats a key ([`KeyedLookupOp::distinct_keys`]).
+    memo: bool,
     /// Arena rows this operator holds on the residency ledger (none in morsel mode,
     /// where the split's shared cache owns the published rows).
     cached_rows: u64,
@@ -663,11 +683,12 @@ pub(crate) struct KeyedLookupOp<'db> {
     /// operation.
     report_fetch_ops: bool,
     /// Reusable probe-key buffer: pass 1 gathers every key into it and hashes it once,
-    /// moving a key nothing held on into `pass`; pass 2 moves it back, and a miss
-    /// *moves* its values into the arena's key columns, keeping the buffer.
+    /// moving a key nothing held on into `pass`; pass 2 moves it back when a tier needs
+    /// it, and a miss *moves* its values into the memo's key columns, keeping the
+    /// buffer.
     key_scratch: HashedRow,
     /// Pass 1's verdict on each row of the current source batch, in row order.
-    found: Vec<Found<Postings>>,
+    found: Vec<Found<Postings<'db>>>,
     pass: Pass<'db>,
     tally: ProbeTally,
     /// `Some(mapped)` when the emission is exactly a projection of the fetched
@@ -716,9 +737,10 @@ impl<'db> KeyedLookupOp<'db> {
                 cols,
                 rows: 0,
                 keys,
-                ranges: Vec::new(),
+                held: Vec::new(),
                 dedup: RowSet::default(),
             },
+            memo: true,
             cached_rows: 0,
             shared: None,
             session: None,
@@ -745,9 +767,49 @@ impl<'db> KeyedLookupOp<'db> {
         self.report_fetch_ops = report_fetch_ops;
         self
     }
-}
 
-impl KeyedLookupOp<'_> {
+    /// Drop the arena's memo when `distinct`: the plan proves the source never repeats
+    /// a key (`PhysicalPlan::keys_distinct`), so every probe is a first probe and a
+    /// memo would only cost a slot walk and a key insert per miss.
+    pub(crate) fn distinct_keys(mut self, distinct: bool) -> Self {
+        self.memo = !distinct;
+        self
+    }
+
+    /// Where the postings of the key in `key_scratch` lie, if the memo remembers them.
+    fn remembered(&self) -> Option<Postings<'db>> {
+        if !self.memo {
+            return None;
+        }
+        self.arena.find(&self.key_scratch)
+    }
+
+    /// The value at row `j`, fetched position `c`, of postings this operator fetched.
+    fn local_value(&self, postings: &Postings<'db>, j: usize, c: usize) -> &Value {
+        match postings {
+            Postings::Tuple(Some(tuple)) => &tuple[self.positions[c]],
+            Postings::Arena(range) => self.arena.value(*range, j, c),
+            Postings::Tuple(None) | Postings::Cached(_) => {
+                unreachable!("no row {j} of the fetched postings here")
+            }
+        }
+    }
+
+    /// A compact standalone copy of postings this operator fetched, projected onto
+    /// [`KeyedLookupOp::fused_emit`] when set — what a fill claim publishes. Cache
+    /// maintenance, off the cache-off path, so its clones are not `values_cloned`.
+    fn copy_out(&self, postings: &Postings<'db>) -> Batch {
+        let emit = self.fused_emit.as_deref();
+        let width = emit.map_or(self.positions.len(), <[usize]>::len);
+        let column = |k: usize| -> Vec<Value> {
+            let c = emit.map_or(k, |mapped| mapped[k]);
+            let rows = 0..postings.len();
+            rows.map(|j| self.local_value(postings, j, c).clone())
+                .collect()
+        };
+        Batch::from_dense((0..width).map(column).collect(), postings.len())
+    }
+
     /// Decide once whether the emission is a pure projection of the fetched columns;
     /// see [`KeyedLookupOp::fused_emit`]. Input arity is plan-fixed, so the first
     /// batch settles it for the operator's lifetime.
@@ -802,7 +864,7 @@ impl KeyedLookupOp<'_> {
     /// without claiming or waiting: the session cache (a hit is stamped and counted
     /// exactly like a probe's), then the split's shared cache on a morsel, else the
     /// arena's memo.
-    fn held(&mut self) -> Option<Postings> {
+    fn held(&mut self) -> Option<Postings<'db>> {
         if let Some((cache, space)) = &self.session {
             if let Some(batch) = cache.lookup(space, &self.key_scratch) {
                 self.tally.served(batch.len());
@@ -811,15 +873,19 @@ impl KeyedLookupOp<'_> {
         }
         match &self.shared {
             Some(shared) => shared.lookup(&self.key_scratch).map(Postings::Cached),
-            None => self.arena.range_of(&self.key_scratch).map(Postings::Arena),
+            None => self.remembered(),
         }
     }
 
     /// Pass 2 for one row: a pass-1 hit as it was found; otherwise the row's key,
-    /// moved back into `key_scratch`, through the per-row protocol.
-    fn settle(&mut self, found: Found<Postings>) -> Result<Postings> {
+    /// moved back into `key_scratch`, through the per-row protocol — or, when no tier
+    /// would probe or remember the key, straight to the store's answer.
+    fn settle(&mut self, found: Found<Postings<'db>>) -> Result<Postings<'db>> {
         match found {
             Found::Held(postings) => Ok(postings),
+            Found::Missed(p) if self.session.is_none() && self.shared.is_none() && !self.memo => {
+                Ok(self.fetch(p))
+            }
             Found::Missed(p) => {
                 self.pass.take_key(p, &mut self.key_scratch);
                 self.lookup(p)
@@ -831,8 +897,8 @@ impl KeyedLookupOp<'_> {
     /// `key_scratch`, which pass 1 resolved as probe `p`. The session tier is probed
     /// before the per-query tiers: a hit charges only the cache counters; a miss claims
     /// the key session-wide, resolves it through the per-query tiers — charging exactly
-    /// the uncached costs — and publishes the result for every later probe.
-    fn lookup(&mut self, p: usize) -> Result<Postings> {
+    /// the uncached costs — and publishes a copy of the result for every later probe.
+    fn lookup(&mut self, p: usize) -> Result<Postings<'db>> {
         let Some((cache, space)) = self.session.clone() else {
             return self.lookup_in_query(p);
         };
@@ -842,7 +908,14 @@ impl KeyedLookupOp<'_> {
                 Ok(Postings::Cached(batch))
             }
             SessionProbe::Fill => {
-                // An arena miss moves the scratch's values into the key columns;
+                // A repeat of a key this query already fetched, whose copy the cache
+                // declined or has evicted since: withdraw the claim and read the
+                // postings where they lie rather than copy them again.
+                if let Some(repeat) = self.remembered() {
+                    cache.abort(&space, &self.key_scratch);
+                    return Ok(repeat);
+                }
+                // A miss moves the scratch's values into the memo's key columns;
                 // snapshot the key (refcount bumps, uncounted like the claim's own map
                 // key) so the claim can be resolved afterwards.
                 let key = self.key_scratch.clone();
@@ -853,19 +926,12 @@ impl KeyedLookupOp<'_> {
                     },
                     publish: None,
                 };
-                let known = self.arena.ranges.len();
-                let batch = match self.lookup_in_query(p)? {
-                    Postings::Cached(batch) => batch,
-                    Postings::Arena(range) if self.arena.ranges.len() > known => {
-                        Arc::new(self.arena.copy_out(range, self.fused_emit.as_deref()))
-                    }
-                    // A repeat of a key this query already fetched, whose copy the
-                    // cache declined or has evicted since: withdraw the claim and
-                    // read the range in place rather than copy it again.
-                    repeat => return Ok(repeat),
-                };
-                claim.publish = Some(Arc::clone(&batch));
-                Ok(Postings::Cached(batch))
+                let postings = self.lookup_in_query(p)?;
+                claim.publish = Some(match &postings {
+                    Postings::Cached(batch) => Arc::clone(batch),
+                    fetched => Arc::new(self.copy_out(fetched)),
+                });
+                Ok(postings)
             }
         }
     }
@@ -873,15 +939,17 @@ impl KeyedLookupOp<'_> {
     /// The per-query tiers: the arena's memo, or — in morsel mode, where the arena
     /// only stages fills — the split's shared cache. Both resolve a miss through
     /// [`KeyedLookupOp::fetch`].
-    fn lookup_in_query(&mut self, p: usize) -> Result<Postings> {
+    fn lookup_in_query(&mut self, p: usize) -> Result<Postings<'db>> {
         let Some(shared) = self.shared.clone() else {
-            if let Some(range) = self.arena.range_of(&self.key_scratch) {
-                return Ok(Postings::Arena(range));
+            if let Some(repeat) = self.remembered() {
+                return Ok(repeat);
             }
-            let range = self.fetch(p);
-            self.cached_rows += range.len as u64;
-            self.arena.remember(&mut self.key_scratch, range)?;
-            return Ok(Postings::Arena(range));
+            let postings = self.fetch(p);
+            if self.memo {
+                self.arena
+                    .remember(&mut self.key_scratch, postings.clone())?;
+            }
+            return Ok(postings);
         };
         match shared.probe(&self.key_scratch) {
             CacheProbe::Hit(batch) => Ok(Postings::Cached(batch)),
@@ -896,24 +964,40 @@ impl KeyedLookupOp<'_> {
                     },
                     publish: None,
                 };
-                let range = self.fetch(p);
-                let batch = Arc::new(self.arena.copy_out(range, self.fused_emit.as_deref()));
-                // The split's cache owns the copy; the staged rows are done with.
-                self.arena.truncate(range.start);
-                claim.publish = Some(Arc::clone(&batch));
+                let fetched = self.fetch(p);
+                let batch = Arc::new(self.copy_out(&fetched));
+                let postings = match fetched {
+                    // The split's cache owns the copy; the staged rows are done with.
+                    Postings::Arena(range) => {
+                        self.arena.truncate(range.start);
+                        Postings::Cached(Arc::clone(&batch))
+                    }
+                    // Read in place, as an unsplit run reads it; the split's cache holds
+                    // the copy until the split's last morsel finalizes.
+                    tuple => {
+                        self.state.borrow_mut().acquire(batch.len() as u64);
+                        tuple
+                    }
+                };
+                claim.publish = Some(batch);
                 drop(claim);
                 self.key_scratch = key;
-                Ok(Postings::Cached(batch))
+                Ok(postings)
             }
         }
     }
 
-    /// The one miss path: project and per-key-dedup probe `p`'s resolved postings onto
-    /// the arena's open segment, tallying the miss costs — an index lookup and the
-    /// fetch accounting — and acquiring residency for the rows now held.
-    fn fetch(&mut self, p: usize) -> ArenaRange {
+    /// The one miss path, tallying its costs — an index lookup and the fetch
+    /// accounting. At most one tuple is read where it lies: nothing to deduplicate,
+    /// nothing copied, nothing held. More are projected and per-key deduplicated onto
+    /// the arena's open segment, acquiring residency for the rows now held.
+    fn fetch(&mut self, p: usize) -> Postings<'db> {
         self.tally.index_lookups += 1;
-        let (tuples, shard) = self.pass.resolved[p].clone();
+        let (mut tuples, shard) = self.pass.resolved[p].clone();
+        if tuples.len() <= 1 {
+            self.tally.fetched(shard, tuples.len() as u64, 0);
+            return Postings::Tuple(tuples.next());
+        }
         let arena = &mut self.arena;
         let start = arena.rows;
         let fetched = fetch_key_into(
@@ -930,7 +1014,10 @@ impl KeyedLookupOp<'_> {
         };
         self.tally.fetched(shard, fetched, self.positions.len());
         self.state.borrow_mut().acquire(range.len as u64);
-        range
+        if self.shared.is_none() {
+            self.cached_rows += range.len as u64;
+        }
+        Postings::Arena(range)
     }
 
     /// Move the probes' tally into the shared statistics.
@@ -1021,19 +1108,26 @@ impl Operator for KeyedLookupOp<'_> {
         // outer tier's entry, or the arena segment, sealed): zero value clones and, on
         // a warm session cache, zero allocations. This is the first lookup of every
         // anchored plan, where the fan-out (and hence the row-pipeline's copy bill) is
-        // largest — and the whole body of the steady-state serving loop.
+        // largest — and the whole body of the steady-state serving loop. A tuple read
+        // in place has no such storage: it is gathered below like any row.
         if batch.len() == 1 && self.fused_emit.is_some() {
             if let Some(only) = found.pop() {
-                self.found = found;
                 let emitted = match self.settle(only)? {
-                    Postings::Cached(cached) => (*cached).clone(),
+                    Postings::Cached(cached) => Some((*cached).clone()),
                     Postings::Arena(range) => {
                         let mapped = self.fused_emit.as_deref().expect("checked above");
-                        self.arena.seal(range).project(mapped)
+                        Some(self.arena.seal(range).project(mapped))
+                    }
+                    tuple => {
+                        found.push(Found::Held(tuple));
+                        None
                     }
                 };
-                self.flush_tally();
-                return Ok(Some(emitted));
+                if let Some(emitted) = emitted {
+                    self.found = found;
+                    self.flush_tally();
+                    return Ok(Some(emitted));
+                }
             }
         }
         let out_arity = self
@@ -1050,13 +1144,13 @@ impl Operator for KeyedLookupOp<'_> {
                 Postings::Cached(cached) => {
                     self.emit(&batch, i, cached.len(), |j, c| cached.value(j, c), &mut out)
                 }
-                Postings::Arena(range) => {
-                    // The arena holds the raw fetched positions; a fused emission
-                    // reads them through its projection.
-                    let arena = &self.arena;
+                // What this operator fetched holds the raw fetched positions; a fused
+                // emission reads them through its projection.
+                fetched => {
                     let mapped = self.fused_emit.as_deref();
-                    let fetched = |j, c: usize| arena.value(range, j, mapped.map_or(c, |m| m[c]));
-                    self.emit(&batch, i, range.len, fetched, &mut out)
+                    let value =
+                        |j, c: usize| self.local_value(&fetched, j, mapped.map_or(c, |m| m[c]));
+                    self.emit(&batch, i, fetched.len(), value, &mut out)
                 }
             };
         }
@@ -1209,12 +1303,13 @@ pub(crate) mod tests {
         // What a ticket prices this lookup at: the bound, once per distinct key.
         assert!(stats.tuples_fetched <= stats.index_lookups * BOUND);
         assert_eq!(stats.fetch_ops, 1);
-        // 6 probe keys + 4 fetched tuples × 3 positions + 11 emitted rows × 4 columns.
-        assert_eq!(stats.values_cloned, 6 + 12 + 44);
+        // 6 probe keys + key 1's 3 tuples × 3 positions (key 2's one tuple is read in
+        // place) + 11 emitted rows × 4 columns.
+        assert_eq!(stats.values_cloned, 6 + 9 + 44);
         assert_eq!(
             h.ledger.peak(),
-            4,
-            "the arena held exactly the fetched rows"
+            3,
+            "the arena held key 1's rows; key 2's tuple stayed in the store"
         );
         assert_eq!(h.ledger.resident(), 0, "exhaustion releases the arena");
     }
@@ -1224,7 +1319,7 @@ pub(crate) mod tests {
         let idb = store();
         let h = Harness::new();
         // Without `w`, key 1's first two tuples project equal: the kernel compacts
-        // the duplicate away, and key 2's range starts right behind the survivors.
+        // the duplicate away. Key 2's one tuple is read in place.
         let pulls = vec![Ok(ints(&[&[1], &[2], &[1]]))];
         let mut op = h.lookup(&idb, pulls, &[0, 1], Vec::new(), Some(vec![1, 2]));
         assert_eq!(
@@ -1235,8 +1330,8 @@ pub(crate) mod tests {
         assert_eq!(stats.tuples_fetched, 4, "duplicates are read, then dropped");
         assert_eq!(
             h.ledger.peak(),
-            3,
-            "only distinct projections stay resident"
+            2,
+            "only key 1's distinct projections stay resident"
         );
         assert_eq!(h.ledger.resident(), 0);
     }
@@ -1300,9 +1395,9 @@ pub(crate) mod tests {
         let stats = h.stats();
         assert_eq!(stats.index_lookups, 2, "the sealed key is never re-fetched");
         assert_eq!(stats.tuples_fetched, 4);
-        // 4 probe keys + 4 tuples × 2 positions + the gathered batch's 3 rows × 1
-        // column; the two anchor emissions clone nothing.
-        assert_eq!(stats.values_cloned, 4 + 8 + 3);
+        // 4 probe keys + key 1's 3 tuples × 2 positions + the gathered batch's 3 rows ×
+        // 1 column; the two anchor emissions clone nothing.
+        assert_eq!(stats.values_cloned, 4 + 6 + 3);
         assert_eq!(h.ledger.resident(), 0);
     }
 
@@ -1337,7 +1432,7 @@ pub(crate) mod tests {
         op.stage(&ints(&[&[1], &[1]])).unwrap();
         let mut found = std::mem::take(&mut op.found).into_iter();
         let first = op.settle(found.next().unwrap()).unwrap();
-        assert!(matches!(first, Postings::Cached(batch) if batch.len() == 3));
+        assert!(matches!(first, Postings::Arena(range) if range.len == 3));
         let repeat = op.settle(found.next().unwrap()).unwrap();
         assert!(matches!(repeat, Postings::Arena(range) if range.len == 3));
         op.flush_tally();
@@ -1352,37 +1447,133 @@ pub(crate) mod tests {
     #[test]
     fn drops_and_errors_mid_stream_return_the_ledger_to_zero() {
         let idb = store();
+        // With the memo kept and dropped alike.
+        for distinct in [false, true] {
+            let lookup = |h: &Harness, pulls| {
+                h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None)
+                    .distinct_keys(distinct)
+            };
 
-        // Dropped after one batch: the arena's rows are released by `Drop`.
+            // Dropped after one batch: the arena's rows are released by `Drop`; key
+            // 2's one tuple was never held.
+            let h = Harness::new();
+            let mut op = lookup(&h, vec![Ok(ints(&[&[1], &[2]])), Ok(ints(&[&[3]]))]);
+            assert_eq!(op.next_batch().unwrap().unwrap().len(), 4);
+            assert_eq!(h.ledger.resident(), 3);
+            drop(op);
+            assert_eq!(h.ledger.resident(), 0);
+
+            // The source fails while the arena holds rows.
+            let h = Harness::new();
+            let pulls = vec![
+                Ok(ints(&[&[1], &[2]])),
+                Err(Error::invalid("source failed")),
+            ];
+            let mut op = lookup(&h, pulls);
+            assert!(op.next_batch().unwrap().is_some());
+            assert!(op.next_batch().is_err());
+            drop(op);
+            assert_eq!(h.ledger.resident(), 0);
+
+            // A probe fails inside a batch (the key arity does not fit the
+            // constraint): nothing was acquired for it, and nothing leaks.
+            let h = Harness::new();
+            let mut op = lookup(&h, vec![Ok(ints(&[&[1], &[2]]))]);
+            (op.key_cols, op.pass.arity) = (vec![0, 0], 2);
+            assert!(op.next_batch().is_err());
+            assert_eq!(h.stats().tuples_fetched, 0);
+            drop(op);
+            assert_eq!(h.ledger.resident(), 0);
+        }
+    }
+
+    /// One lookup fetching every position of `R` over `pulls` and emitting `out_cols`,
+    /// its memo dropped when `distinct`, its session cache off or `cold`: what it
+    /// emitted (flattened, in order), its counters and its peak residency. The ledger
+    /// is back at zero afterwards.
+    fn run_lookup(
+        idb: &IndexedDatabase,
+        pulls: Vec<Result<Batch>>,
+        out_cols: Option<Vec<usize>>,
+        distinct: bool,
+        cold: bool,
+    ) -> (Vec<Vec<i64>>, crate::stats::AccessStats, u64) {
         let h = Harness::new();
-        let pulls = vec![Ok(ints(&[&[1], &[2]])), Ok(ints(&[&[1]]))];
-        let mut op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
-        assert_eq!(op.next_batch().unwrap().unwrap().len(), 4);
-        assert_eq!(h.ledger.resident(), 4);
+        if cold {
+            h.state.borrow_mut().cache = Some(Arc::new(SessionFetchCache::new(1_000)));
+        }
+        let mut op = h
+            .lookup(idb, pulls, &[0, 1, 2], Vec::new(), out_cols)
+            .distinct_keys(distinct);
+        let out = drain(&mut op).concat();
         drop(op);
         assert_eq!(h.ledger.resident(), 0);
+        (out, h.stats(), h.ledger.peak())
+    }
 
-        // The source fails while the arena holds rows.
-        let h = Harness::new();
-        let pulls = vec![
-            Ok(ints(&[&[1], &[2]])),
-            Err(Error::invalid("source failed")),
-        ];
-        let mut op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
-        assert!(op.next_batch().unwrap().is_some());
-        assert!(op.next_batch().is_err());
-        drop(op);
-        assert_eq!(h.ledger.resident(), 0);
+    #[test]
+    fn single_tuple_keys_and_memo_free_lookups_change_only_copies() {
+        let idb = store();
+        // Key 1 matches three tuples, key 2 one, key 3 none.
+        let postings = |key: i64| match key {
+            1 => vec![[1, 10, 100], [1, 10, 101], [1, 11, 100]],
+            2 => vec![[2, 20, 200]],
+            _ => Vec::new(),
+        };
+        let repeated: &[&[i64]] = &[&[1], &[2], &[3], &[2], &[1], &[3], &[2], &[1]];
+        let distinct: &[&[i64]] = &[&[2], &[1], &[3]];
+        // The full combined row, and a fused projection onto `(v, w)`, whose one-row
+        // batches take the anchor path.
+        for out_cols in [None, Some(vec![2, 3])] {
+            let expected = |rows: &[&[i64]]| -> Vec<Vec<i64>> {
+                let joined = rows.iter().flat_map(|row| {
+                    let tuples = postings(row[0]).into_iter();
+                    tuples.map(|tuple| [row[0]].into_iter().chain(tuple).collect::<Vec<_>>())
+                });
+                let project = |row: Vec<i64>| match &out_cols {
+                    Some(cols) => cols.iter().map(|&c| row[c]).collect(),
+                    None => row,
+                };
+                joined.map(project).collect()
+            };
+            let mut per_feed = Vec::new();
+            for feed in 0..3 {
+                let pulls = |rows| feeds(rows).into_iter().nth(feed).unwrap();
+                let corner = format!("feed {feed}, columns {out_cols:?}");
 
-        // A probe fails inside a batch (the key arity does not fit the constraint):
-        // nothing was acquired for it, and nothing leaks.
-        let h = Harness::new();
-        let mut op = h.lookup(&idb, vec![Ok(ints(&[&[1], &[2]]))], &[0], Vec::new(), None);
-        (op.key_cols, op.pass.arity) = (vec![0, 0], 2);
-        assert!(op.next_batch().is_err());
-        assert_eq!(h.stats().tuples_fetched, 0);
-        drop(op);
-        assert_eq!(h.ledger.resident(), 0);
+                // Repeated keys keep the memo. A cold session serves a key's repeats
+                // from the cache, but fetches, holds and demands what the cache-off
+                // run does.
+                let off = run_lookup(&idb, pulls(repeated), out_cols.clone(), false, false);
+                let cold = run_lookup(&idb, pulls(repeated), out_cols.clone(), false, true);
+                assert_eq!(off.0, expected(repeated), "{corner}");
+                assert_eq!(cold.0, off.0, "{corner}");
+                let (stats, cold_stats) = (&off.1, &cold.1);
+                assert_eq!((stats.index_lookups, stats.tuples_fetched), (3, 4));
+                assert!(cold_stats.same_data_access(stats), "{corner}");
+                assert_eq!(cold_stats.allocs_per_probe, stats.allocs_per_probe);
+                assert_eq!((cold_stats.cache_hits, stats.cache_hits), (5, 0));
+                // Only key 1's three rows are ever held.
+                assert_eq!((off.2, cold.2), (3, 3), "{corner}");
+                if out_cols.is_none() {
+                    // 8 probe keys + key 1's 3 tuples × 3 positions + 12 rows × 4.
+                    assert_eq!(stats.values_cloned, 8 + 9 + 48, "{corner}");
+                    assert_eq!(cold_stats.values_cloned, stats.values_cloned);
+                    per_feed.push(off);
+                }
+
+                // Distinct keys: dropping the memo, or a cold session, changes nothing
+                // at all.
+                let kept = run_lookup(&idb, pulls(distinct), out_cols.clone(), false, false);
+                let dropped = run_lookup(&idb, pulls(distinct), out_cols.clone(), true, false);
+                let cold = run_lookup(&idb, pulls(distinct), out_cols.clone(), true, true);
+                assert_eq!(kept.0, expected(distinct), "{corner}");
+                assert_eq!(dropped, kept, "{corner}");
+                assert_eq!(cold, kept, "{corner}");
+            }
+            // Batching is invisible where no one-row batch takes the anchor path.
+            assert!(per_feed.windows(2).all(|pair| pair[0] == pair[1]));
+        }
     }
 
     /// The same source rows as one batch, as two, and one row per batch.
@@ -1502,10 +1693,14 @@ pub(crate) mod tests {
         let warm = HashedRow::new(vec![Value::int(2)]);
         assert!(matches!(cache.probe(&space, &warm), SessionProbe::Fill));
         cache.complete(&space, &warm, Arc::new(ints(&[&[2, 20, 200]])));
-        for pulls in feeds(&[&[2], &[1], &[2], &[3]]) {
+        // With the memo kept and dropped alike.
+        let runs = [false, true]
+            .map(|distinct| feeds(&[&[2], &[1], &[2], &[3]]).map(|pulls| (distinct, pulls)));
+        for (distinct, pulls) in runs.into_iter().flatten() {
             let h = Harness::new();
             h.state.borrow_mut().cache = Some(cache.clone());
-            let mut op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
+            let op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
+            let mut op = op.distinct_keys(distinct);
             op.constraint_index = 7;
             let failure = std::iter::from_fn(|| op.next_batch().transpose()).find(Result::is_err);
             assert!(failure.is_some(), "key 1 cannot be resolved");

@@ -539,9 +539,17 @@ fn build_op<'db>(
             build_op(plan, j, store, state, mats, morsel)
         }
     };
-    // A keyed lookup built inside a morsel shares the split's cache for its step and
-    // reports once-per-run counters only on the split's first morsel.
-    let morselize = |op: fetch::KeyedLookupOp<'db>, step: usize| -> fetch::KeyedLookupOp<'db> {
+    // A keyed lookup keeps a memo only where its source can repeat a key. Built inside
+    // a morsel, it shares the split's cache for its step and reports once-per-run
+    // counters only on the split's first morsel.
+    let configure = |op: fetch::KeyedLookupOp<'db>, step: usize| -> fetch::KeyedLookupOp<'db> {
+        let PhysOp::KeyedLookup {
+            source, key_cols, ..
+        } = &plan.steps()[step].op
+        else {
+            unreachable!("configured steps are keyed lookups");
+        };
+        let op = op.distinct_keys(plan.keys_distinct(*source, key_cols));
         match morsel {
             Some(ctx) => op.for_morsel(ctx.caches.get(&step).cloned(), ctx.report),
             None => op,
@@ -575,7 +583,7 @@ fn build_op<'db>(
             constraint_index,
             residual,
             ..
-        } => Box::new(morselize(
+        } => Box::new(configure(
             fetch::KeyedLookupOp::new(
                 input(*source)?,
                 key_cols.clone(),
@@ -632,7 +640,7 @@ fn build_op<'db>(
                     ..
                 } = &plan.steps()[*source].op
                 {
-                    return Ok(Box::new(morselize(
+                    return Ok(Box::new(configure(
                         fetch::KeyedLookupOp::new(
                             input(*klu_source)?,
                             key_cols.clone(),
@@ -1219,6 +1227,99 @@ mod tests {
                 0,
                 "residency leaked at morsel size {morsel_rows}"
             );
+        }
+    }
+
+    #[test]
+    fn morsel_splits_of_mixed_postings_match_the_unsplit_run() {
+        // `R` maps two anchors to 700 `b`s each; `S` maps `b` to 0, 1 or 3 tuples (by
+        // `b mod 3`). The second hop probes `S` over `[k, a, b]`, whose `b`s the plan
+        // cannot prove distinct (the memo is kept), or over `δπ[b]` (it is dropped).
+        let mut c = bea_core::schema::Catalog::new();
+        c.declare("R", ["a", "b"]).unwrap();
+        c.declare("S", ["b", "c"]).unwrap();
+        let schema = AccessSchema::from_constraints([
+            AccessConstraint::new(&c, "R", &["a"], &["b"], 700).unwrap(),
+            AccessConstraint::new(&c, "S", &["b"], &["c"], 3).unwrap(),
+        ]);
+        let mut db = Database::new(c);
+        let bs: Vec<i64> = [1, 2]
+            .iter()
+            .flat_map(|k| (0..700).map(move |i| k * 10_000 + i))
+            .collect();
+        db.extend(
+            "R",
+            bs.iter()
+                .map(|&b| vec![Value::int(b / 10_000), Value::int(b)]),
+        )
+        .unwrap();
+        let s_rows = bs.iter().flat_map(|&b| {
+            let tuples = [0, 1, 3][(b % 3) as usize];
+            (0..tuples).map(move |j| vec![Value::int(b), Value::int(b * 10 + j)])
+        });
+        db.extend("S", s_rows).unwrap();
+        let idb = IndexedDatabase::build(db, schema).unwrap();
+
+        for distinct in [false, true] {
+            let mut b = PlanBuilder::new();
+            let k1 = b.constant(Value::int(1), "k");
+            let k2 = b.constant(Value::int(2), "k");
+            let keys = b.union(k1, k2);
+            let f1 = b.fetch(
+                keys,
+                vec![0],
+                "R",
+                vec![0],
+                vec![1],
+                0,
+                vec!["a".into(), "b".into()],
+            );
+            let p1 = b.product(keys, f1);
+            let mut source = b.select(p1, vec![Predicate::ColEqCol(0, 1)]); // [k, a, b]
+            let mut key = 2;
+            if distinct {
+                (source, key) = (b.project(source, vec![2]), 0);
+            }
+            let f2 = b.fetch(
+                source,
+                vec![key],
+                "S",
+                vec![0],
+                vec![1],
+                1,
+                vec!["b".into(), "c".into()],
+            );
+            let p2 = b.product(source, f2);
+            let arity = b.columns(source).len();
+            let s2 = b.select(p2, vec![Predicate::ColEqCol(key, arity)]);
+            let out = b.project(s2, vec![arity + 1]);
+            let plan = b.finish("Q", out).unwrap();
+            let options = LowerOptions::new().with_exchange_parallelism(true);
+            let phys = lower_plan_with(&plan, &options).unwrap();
+            let second = phys.steps().iter().rev().find_map(|step| match &step.op {
+                PhysOp::KeyedLookup {
+                    source, key_cols, ..
+                } => Some(phys.keys_distinct(*source, key_cols)),
+                _ => None,
+            });
+            assert_eq!(second, Some(distinct));
+
+            let store = Store::Indexed(&idb);
+            let (base_table, base_stats, _) = execute_inner(&phys, store, 1, 1).unwrap();
+            let matched: usize = bs.iter().map(|b| [0, 1, 3][(b % 3) as usize]).sum();
+            assert_eq!(base_table.len(), matched);
+            for morsel_rows in [1usize, crate::exec::DEFAULT_MORSEL_ROWS, usize::MAX] {
+                let (table, stats, ledger) = execute_inner(&phys, store, 4, morsel_rows).unwrap();
+                let corner = format!("morsel size {morsel_rows}, distinct keys {distinct}");
+                assert_eq!(table.rows(), base_table.rows(), "{corner}");
+                assert!(stats.same_data_access(&base_stats), "{corner}");
+                assert_eq!(stats.values_cloned, base_stats.values_cloned, "{corner}");
+                assert_eq!(
+                    stats.allocs_per_probe, base_stats.allocs_per_probe,
+                    "{corner}"
+                );
+                assert_eq!(ledger.resident(), 0, "{corner}");
+            }
         }
     }
 

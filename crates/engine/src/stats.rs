@@ -32,19 +32,28 @@ pub struct AccessStats {
     /// intermediate tables, join build sides, per-key fetch caches, dedup sets and the
     /// accumulating output. The streaming executor frees intermediates as soon as their
     /// last consumer is done, so this is the number the materialized-vs-streaming
-    /// ablation compares.
+    /// ablation compares. A keyed lookup holds only the postings of keys that matched
+    /// two or more tuples; a single matched tuple is read where it lies in the store
+    /// and counts nothing — except in a morsel split, whose shared cache holds a copy
+    /// of every key's postings until the split's last morsel is done.
     pub peak_rows_resident: u64,
     /// Number of individual [`bea_core::value::Value`] clones the executor physically
     /// performs: gathers into output columns, row copies between step tables, key
     /// projections (probe keys included — they are cloned into the operator's key
     /// scratch whether or not they hit), and membership/cache insertions. Index
-    /// lookups that only *read* tuples are not counted, and neither is work that
-    /// performs no clone — the columnar pipeline's duplicate detection is
-    /// hash-then-compare in place, so only genuinely fresh rows enter a set. This is the copy-traffic side of execution, the quantity the columnar
-    /// pipeline exists to minimize; value clones are O(1) (interned strings), so the
-    /// counter measures traffic, not bytes. Like residency, it is an
-    /// execution-strategy artifact and excluded from
-    /// [`AccessStats::same_data_access`]; across workers it merges additively.
+    /// lookups that only *read* tuples are not counted — a keyed lookup copies a key's
+    /// postings into its arena only when they hold two or more tuples, and reads a
+    /// single tuple in place, so only its emitted values are cloned — and neither is
+    /// work that performs no clone: the columnar pipeline's duplicate detection is
+    /// hash-then-compare in place, so only genuinely fresh rows enter a set, and a δ
+    /// the plan proves redundant is not run at all. The compact copy a fill claim
+    /// publishes into a cache tier is cache maintenance and not counted either, so a
+    /// fill charges what the same miss charges without a cache. This is the
+    /// copy-traffic side of execution, the quantity the columnar pipeline exists to
+    /// minimize; value clones are O(1) (interned strings), so the counter measures
+    /// traffic, not bytes. Like residency, it is an execution-strategy artifact and
+    /// excluded from [`AccessStats::same_data_access`]; across workers it merges
+    /// additively.
     pub values_cloned: u64,
     /// Number of buffers the streaming executor's probe path demands per key — the
     /// steady-state allocation model of the serving loop. One site counts, one
@@ -52,12 +61,12 @@ pub struct AccessStats {
     /// owned key row the set keeps). A keyed lookup — [`KeyedLookupOp`](crate::ops),
     /// the operator every anchored join lowers to — counts **nothing**, hit or miss:
     /// each probe gathers its key into one reusable scratch, a miss moves the
-    /// scratch's values into the operator's flat arena key columns and appends the
-    /// postings to its arena value columns, and a repeat or a hit in an outer cache
-    /// tier reads what is already there. So a plan made of keyed lookups (the paper's
-    /// Q0 among them) reports 0 cold and warm, and a bounded plan in general counts at
-    /// most its streaming fetches' source rows. `tests/alloc_budget.rs` checks the
-    /// claim against the allocator itself.
+    /// scratch's values into the operator's flat memo key columns (where keys can
+    /// repeat) and appends multi-tuple postings to its arena value columns, and a
+    /// repeat or a hit in an outer cache tier reads what is already there. So a plan
+    /// made of keyed lookups (the paper's Q0 among them) reports 0 cold and warm, and
+    /// a bounded plan in general counts at most its streaming fetches' source rows.
+    /// `tests/alloc_budget.rs` checks the claim against the allocator itself.
     ///
     /// Deliberately *excluded* are buffers whose number follows the execution
     /// schedule or the cache configuration rather than the probes: per-batch emission

@@ -67,9 +67,15 @@ impl Table {
         self.rows.iter().cloned().collect()
     }
 
-    /// True when both tables contain the same set of rows.
+    /// True when both tables contain the same set of rows. Blind to repeated rows: pair
+    /// it with [`Table::is_set`] where an answer must be a set.
     pub fn same_rows(&self, other: &Table) -> bool {
         self.row_set() == other.row_set()
+    }
+
+    /// True when no row occurs twice — what every query answer must be.
+    pub fn is_set(&self) -> bool {
+        self.row_set().len() == self.rows.len()
     }
 
     /// Sort rows lexicographically (for deterministic output).
@@ -109,7 +115,9 @@ mod tests {
         t.push(vec![Value::int(1), Value::int(2)]);
         t.push(vec![Value::int(3), Value::int(4)]);
         assert_eq!(t.len(), 3);
+        assert!(!t.is_set());
         t.dedup();
+        assert!(t.is_set());
         assert_eq!(t.len(), 2);
         assert_eq!(t.arity(), 2);
         assert_eq!(t.columns(), &["a".to_owned(), "b".to_owned()]);

@@ -5,12 +5,13 @@
 use bea::core::bounded::{analyze_cq, BoundedConfig, BoundedVerdict};
 use bea::core::cover;
 use bea::core::envelope::{lower_envelope_cq, upper_envelope_cq, EnvelopeConfig};
-use bea::core::plan::bounded_plan;
+use bea::core::plan::{bounded_plan, lower_plan_with, CostTicket, LowerOptions, PhysOp};
 use bea::core::reason::ReasonConfig;
 use bea::core::specialize::{instantiate, specialize_cq, SpecializeConfig};
 use bea::engine::{eval_cq, execute_plan};
 use bea::parser::{parse_access_schema, parse_catalog, parse_query};
 use bea::storage::{Database, IndexedDatabase};
+use bea::workload::accidents;
 use bea_core::value::Value;
 
 /// Example 1.1: Q0 is boundedly evaluable under ψ1–ψ4 and the bounded plan agrees with
@@ -101,6 +102,56 @@ fn example_1_1_end_to_end() {
     // Its worst case is also bounded a priori (independent of |D|).
     let cost = plan.cost(&schema, u64::MAX / 4);
     assert!(cost.max_fetched_tuples <= 610 + 610 + 2 * 610 * 192);
+}
+
+/// Example 1.1's plan lowers with two δ steps: the one after ψ3's projection, which
+/// drops the fetched district and date (equal to constants only through the residual
+/// filter), and the one at the output. The projections after the ψ1 anchor, ψ2 and ψ4
+/// drop only constant or key-equal columns and keep a set. The ticket prices the plan
+/// as before; only the pipeline count of the exchange lowering falls (8 → 6).
+#[test]
+fn example_1_1_lowers_with_two_dedups() {
+    let catalog = accidents::catalog();
+    let schema = accidents::access_schema(&catalog);
+    let district = accidents::district_value(0);
+    let q0 = accidents::q0(&catalog, &district, &accidents::date_value(1)).unwrap();
+    let plan = bounded_plan(&q0, &schema).unwrap();
+    for (exchange, pipelines) in [(false, 1), (true, 6)] {
+        let options = LowerOptions::new().with_exchange_parallelism(exchange);
+        let physical = lower_plan_with(&plan, &options).unwrap();
+        let steps = physical.steps();
+        let dedups: Vec<usize> = (0..steps.len())
+            .filter(|&i| matches!(steps[i].op, PhysOp::Dedup { .. }))
+            .collect();
+        assert_eq!(dedups.len(), 2, "{physical}");
+        assert_eq!(dedups[1], physical.output());
+        let PhysOp::Dedup { source } = steps[dedups[0]].op else {
+            unreachable!()
+        };
+        let PhysOp::Project { source: lookup, .. } = steps[source].op else {
+            panic!("the first δ follows a projection:\n{physical}");
+        };
+        assert!(
+            matches!(
+                steps[lookup].op,
+                PhysOp::KeyedLookup {
+                    constraint_index: 2,
+                    ..
+                }
+            ),
+            "ψ3 feeds it:\n{physical}"
+        );
+        let ticket = CostTicket::derive(&plan, &schema, 1_000_000, &physical);
+        assert_eq!(ticket.pipelines, pipelines);
+        let priced = (
+            ticket.fetch_bound,
+            ticket.max_output_rows,
+            ticket.fetch_ops,
+            ticket.parallel_width,
+            ticket.alloc_surface,
+        );
+        assert_eq!(priced, (235_460, 117_120, 4, 1, 18));
+    }
 }
 
 /// Example 3.1 through the analysis API: Q1 unknown/not bounded, Q2 bounded via

@@ -178,6 +178,16 @@ fn assert_bounded_plans_agree_with_naive(
         )
         .unwrap();
         let (naive, _) = eval_cq(query, indexed.database()).unwrap();
+        // `same_rows` compares sets, so a leg that emits a row twice would pass it.
+        let legs = [
+            ("serial", &bounded),
+            ("parallel", &parallel),
+            ("materialized", &materialized),
+            ("sharded", &sharded_out),
+        ];
+        for (leg, table) in legs {
+            assert!(table.is_set(), "the {leg} leg repeats a row of {query}");
+        }
         assert!(bounded.same_rows(&naive), "mismatch for {query}");
         assert!(parallel.same_rows(&naive), "parallel mismatch for {query}");
         assert!(
@@ -319,9 +329,14 @@ fn columnar_pipeline_halves_copy_traffic_on_target_scenarios() {
     ];
     for (plan, indexed, name) in cases {
         let (row_table, row_stats) = execute_plan_materialized(plan, indexed).unwrap();
+        assert!(row_table.is_set(), "{name}: the row path repeats a row");
         for threads in [1usize, 4] {
             let (columnar_table, columnar_stats) =
                 execute_plan_on(plan, indexed, &ExecOptions::new().with_threads(threads)).unwrap();
+            assert!(
+                columnar_table.is_set(),
+                "{name}: repeated row at {threads} threads"
+            );
             assert!(
                 columnar_table.same_rows(&row_table),
                 "{name}: executors disagree at {threads} threads"
@@ -440,6 +455,10 @@ fn warmed_anchored_probes_allocate_nothing() {
                 // materialized executor exactly.
                 let (reference, reference_stats) =
                     execute_plan_materialized(&plan, &indexed).unwrap();
+                assert!(
+                    table.is_set() && reference.is_set(),
+                    "repeated row at m = {m}"
+                );
                 assert!(
                     table.same_rows(&reference),
                     "pooled probe loop changed the answers at m = {m}, \
@@ -562,6 +581,7 @@ fn morsel_size_never_changes_what_is_computed() {
     let (baseline, baseline_stats) =
         execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(1)).unwrap();
     assert_eq!(baseline.len() as i64, FAN_OUT);
+    assert!(baseline.is_set());
 
     for shards in [1u32, 4] {
         let sharded = (shards > 1)
@@ -579,6 +599,7 @@ fn morsel_size_never_changes_what_is_computed() {
                 };
                 let corner =
                     format!("morsel size {morsel_size} / {threads} threads / {shards} shards");
+                assert!(table.is_set(), "repeated row at {corner}");
                 assert!(table.same_rows(&baseline), "rows changed at {corner}");
                 assert!(
                     stats.same_data_access(&baseline_stats),
@@ -631,6 +652,7 @@ fn sharded_execution_is_invariant_across_shard_counts() {
                 let plan = bounded_plan(query, &schema).unwrap();
                 let (baseline, baseline_stats) =
                     execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(1)).unwrap();
+                assert!(baseline.is_set(), "repeated row for {query}");
                 for sharded in &stores {
                     for threads in [1usize, 4] {
                         let (table, stats) = execute_plan_on(
@@ -759,7 +781,9 @@ fn sharded_sessions_prepare_the_unsharded_plan_and_ticket() {
                     .run(&plan)
                     .expect("the unsharded surface admits the sharded Q0");
                 assert_eq!(admitted, ticket);
-                assert_eq!(answer.unwrap().0.rows(), expected.unwrap().0.rows());
+                let (answer, expected) = (answer.unwrap().0, expected.unwrap().0);
+                assert!(answer.is_set(), "the sharded Q0 repeats a row");
+                assert_eq!(answer.rows(), expected.rows());
             }
             exercised
         },
@@ -814,6 +838,7 @@ fn parallel_execution_is_deterministic_across_thread_counts() {
                 })
                 .collect();
             let (base_table, base_stats) = &runs[0];
+            assert!(base_table.is_set(), "repeated row in the union's answer");
             for (table, stats) in &runs[1..] {
                 assert_eq!(base_table.columns(), table.columns());
                 assert_eq!(
@@ -903,6 +928,10 @@ fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
                 concurrent.iter().zip(&serial).enumerate()
             {
                 let query = plans[i].query_name();
+                assert!(
+                    table.is_set() && serial_table.is_set(),
+                    "repeated row for {query}"
+                );
                 assert_eq!(
                     table.rows(),
                     serial_table.rows(),
@@ -1103,7 +1132,9 @@ fn session_lanes_match_solo_execution_on_every_family() {
                         // Both agree with the solo run: always in rows and row order,
                         // and uncached in every counter (a cached session serves a key
                         // the query probes twice from the cache the second time).
+                        assert!(solo_table.is_set(), "repeated row solo, {corner}");
                         for (lane, (table, stats)) in [("run", &ran), ("submit + wait", &waited)] {
+                            assert!(table.is_set(), "`{lane}` repeated a row of {corner}");
                             assert_eq!(
                                 table.rows(),
                                 solo_table.rows(),
@@ -1248,6 +1279,7 @@ fn repeated_session_submissions_are_served_from_the_fetch_cache() {
                 );
                 for submission in 0..REPEATS {
                     let (table, stats) = session.submit(&plan).unwrap().wait().unwrap();
+                    assert!(table.is_set(), "submission {submission} repeated a row");
                     assert_eq!(
                         table.rows(),
                         serial_table.rows(),
@@ -1423,6 +1455,10 @@ fn envelopes_sandwich_exact_answers() {
             if let Some(upper) = upper_envelope_cq(query, &schema, &config).unwrap() {
                 let plan = bounded_plan(&upper.query, &schema).unwrap();
                 let (answer, _) = execute_plan(&plan, &indexed).unwrap();
+                assert!(
+                    answer.is_set(),
+                    "the upper envelope repeats a row of {query}"
+                );
                 assert!(exact.row_set().is_subset(&answer.row_set()));
                 let bound = upper.approximation_bound(&schema, indexed.size()).unwrap();
                 assert!((answer.len() - exact.len()) as u64 <= bound);
@@ -1430,6 +1466,10 @@ fn envelopes_sandwich_exact_answers() {
             if let Some(lower) = lower_envelope_cq(query, &schema, &catalog, 1, &config).unwrap() {
                 let plan = bounded_plan(&lower.query, &schema).unwrap();
                 let (answer, _) = execute_plan(&plan, &indexed).unwrap();
+                assert!(
+                    answer.is_set(),
+                    "the lower envelope repeats a row of {query}"
+                );
                 assert!(answer.row_set().is_subset(&exact.row_set()));
             }
         }
@@ -1528,6 +1568,7 @@ fn personalized_graph_search_matches_naive() {
         let plan = bounded_plan(&query, &schema).unwrap();
         let (bounded, stats) = execute_plan(&plan, &indexed).unwrap();
         let (naive, _) = eval_cq(&query, indexed.database()).unwrap();
+        assert!(bounded.is_set());
         assert!(bounded.same_rows(&naive));
         // Personalized search touches at most (1 + 2·max_degree) + a few person/likes
         // lookups — far less than the database size for any graph.
