@@ -48,7 +48,7 @@
 //! `store_bytes=` (flat tuple values) and `index_bytes=` (posting indexes), string
 //! payloads excluded; the daemon's start-up banner carries the same two fields.
 //!
-//! ## One path for a `QUERY`: split → look up or prepare → bind → admit → run
+//! ## One path for a `QUERY`: split → look up or prepare → admit → run
 //!
 //! Whether `Q(x̄ = c̄)` is covered, and the plan and the bound that follow, depend on
 //! *which* variables are constants and which constants coincide, never on their values
@@ -68,10 +68,12 @@
 //!    template because nothing they read can change between requests: the store is
 //!    immutable, and the plan's shape — fetch steps, constraint indexes, pipeline DAG,
 //!    fetch bound, allocation surface — holds no value;
-//! 3. **bind → admit → run** — [`bea_engine::session::Session::run_prepared`] checks
-//!    the stored ticket against the budget (a `REJECT` costs no clone), writes the
-//!    request's literals into a copy of the plan, and runs it on the connection's
-//!    thread. This is the only step a request served from the table pays for.
+//! 3. **admit → run** — [`bea_engine::session::Session::run_prepared`] checks the
+//!    stored ticket against the budget (a `REJECT` costs no clone) and runs the
+//!    prepared plan in place on the connection's thread: the request carries only its
+//!    literals, and each operator reads its placeholders' values from them when it is
+//!    built — no copy of the plan, no second pipeline DAG. This is the only step a
+//!    request served from the table pays for.
 //!
 //! A text the lexer refuses, and a template that fails to parse or plan, store nothing:
 //! the request is then served from the literal text ([`BeadServer::query_unprepared`] —

@@ -222,22 +222,21 @@ impl BeadServer {
         }
     }
 
-    /// Split → look up or prepare → bind → admit → run (see the crate docs). The text's
+    /// Split → look up or prepare → admit → run (see the crate docs). The text's
     /// constants come out first; what is left names a template, whose plan is prepared
-    /// the first time it is seen and afterwards only bound to each request's constants.
+    /// the first time it is seen and afterwards run in place with each request's
+    /// constants.
     fn run_query(&self, text: &str) -> Reply {
         let skeleton = Skeleton::of(text)
             .ok()
             .filter(|skeleton| skeleton.key.len() <= MAX_TEMPLATE_KEY_BYTES);
-        if let Some(Skeleton { key, literals }) = &skeleton {
+        if let Some(Skeleton { key, literals }) = skeleton {
             let hit = self.templates().get(key.as_str()).cloned();
             if let Some(prepared) = hit {
                 self.plan_hits.fetch_add(1, Ordering::Relaxed);
                 return self.run_prepared(&prepared, literals);
             }
-        }
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(Skeleton { key, literals }) = skeleton {
+            self.plan_misses.fetch_add(1, Ordering::Relaxed);
             let catalog = self.store.store().database().catalog();
             if let Ok(prepared) = self.prepare(bea_parser::parse_template(catalog, text)) {
                 let prepared = Arc::new(prepared);
@@ -251,8 +250,10 @@ impl BeadServer {
                 templates.insert(key.into_boxed_str(), Arc::clone(&prepared));
                 drop(templates);
                 drop(dropped);
-                return self.run_prepared(&prepared, &literals);
+                return self.run_prepared(&prepared, literals);
             }
+        } else {
+            self.plan_misses.fetch_add(1, Ordering::Relaxed);
         }
         // A text the lexer refuses, a key too long to keep, or a template that does not
         // parse or plan: nothing is stored, and the reply — an `ERR` naming the literal
@@ -267,7 +268,7 @@ impl BeadServer {
     pub fn query_unprepared(&self, text: &str) -> Reply {
         let catalog = self.store.store().database().catalog();
         match self.prepare(bea_parser::parse_query(catalog, text)) {
-            Ok(prepared) => self.run_prepared(&prepared, &[]),
+            Ok(prepared) => self.run_prepared(&prepared, Vec::new()),
             Err(reply) => reply,
         }
     }
@@ -299,15 +300,20 @@ impl BeadServer {
             .map_err(|error| Reply::err(format!("submit: {error}")))
     }
 
-    /// Bind `values` into `prepared`, admit it and run it on this connection's thread
-    /// (the session's workers join in when the query goes wide), and format the
-    /// outcome: an admission rejection, an execution error and a served query each
-    /// get their own reply.
-    fn run_prepared(&self, prepared: &PreparedPlan, values: &[Value]) -> Reply {
+    /// Admit `prepared` with a text's `literals` for its placeholders and run it on this
+    /// connection's thread (the session's workers join in when the query goes wide),
+    /// and format the outcome: an admission rejection, an execution error and a served
+    /// query each get their own reply. The plan reads the first
+    /// [`PreparedPlan::placeholders`] literal classes: planning can decide a class
+    /// without reading it (`x = 1, x = 2` is empty whatever the two values are, `4 = 4`
+    /// holds for every value), and when such classes are the last ones the plan takes
+    /// fewer constants than the text has.
+    fn run_prepared(&self, prepared: &PreparedPlan, mut literals: Vec<Value>) -> Reply {
         let ticket = prepared.ticket();
+        literals.truncate(prepared.placeholders());
         // A panicking operator fails only its own query; keep the daemon up and
         // surface the payload as an ERR reply.
-        let run = || self.session.run_prepared(prepared, values);
+        let run = move || self.session.run_prepared(prepared, literals);
         let ran = match catch_unwind(AssertUnwindSafe(run)) {
             Ok(ran) => ran,
             Err(payload) => {
@@ -335,22 +341,24 @@ impl BeadServer {
             Ok(Err(error)) => Reply::err(format!("execute: {error}")),
             Ok(Ok((table, stats))) => {
                 let body = table.rows().iter().map(|row| body_line(row)).collect();
-                Reply::ok(
-                    format!(
-                        "rows={} fetch_bound={} alloc_surface={} tuples_fetched={} \
-                         values_cloned={} allocs_per_probe={} cache_hits={} \
-                         rows_served_from_cache={}",
-                        table.rows().len(),
-                        ticket.fetch_bound,
-                        ticket.alloc_surface,
-                        stats.tuples_fetched,
-                        stats.values_cloned,
-                        stats.allocs_per_probe,
-                        stats.cache_hits,
-                        stats.rows_served_from_cache,
-                    ),
-                    body,
+                // Formatted once, into a head long enough for any counts.
+                let mut head = String::with_capacity(256);
+                write!(
+                    head,
+                    "OK rows={} fetch_bound={} alloc_surface={} tuples_fetched={} \
+                     values_cloned={} allocs_per_probe={} cache_hits={} \
+                     rows_served_from_cache={}",
+                    table.rows().len(),
+                    ticket.fetch_bound,
+                    ticket.alloc_surface,
+                    stats.tuples_fetched,
+                    stats.values_cloned,
+                    stats.allocs_per_probe,
+                    stats.cache_hits,
+                    stats.rows_served_from_cache,
                 )
+                .expect("writing to a String cannot fail");
+                Reply { head, body }
             }
         }
     }

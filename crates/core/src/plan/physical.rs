@@ -359,48 +359,36 @@ impl PhysicalPlan {
         Ok(())
     }
 
-    /// This plan with every [`Value::placeholder`] in a [`PhysOp::Const`] or a
-    /// [`Predicate::ColEqConst`] replaced by `values[class]` — the constant-binding
-    /// half of a plan lowered once from a template query. Nothing else in a plan holds
-    /// a value, and lowering never looks at one, so the result is step for step the
-    /// plan the template's text lowers to with `values` written in. A placeholder with
-    /// no value is an error, not a plan: labelled nulls never reach the executor.
-    pub fn bind(&self, values: &[Value]) -> Result<PhysicalPlan> {
-        let bind = |value: &mut Value| -> Result<()> {
-            if let Some(class) = value.placeholder_class() {
-                *value = values.get(class as usize).cloned().ok_or_else(|| {
-                    Error::invalid(format!(
-                        "plan for {} leaves placeholder {class} unbound: {} values given",
-                        self.query_name,
-                        values.len()
-                    ))
-                })?;
+    /// How many constants a run of this plan takes: one past the highest
+    /// [`Value::placeholder`] class in a [`PhysOp::Const`] or a
+    /// [`Predicate::ColEqConst`], 0 when there is none. Nothing else in a plan holds a
+    /// value, and lowering never looks at one, so a plan lowered once from a template
+    /// is step for step the plan of the template's text except where these
+    /// placeholders stand; a run reads its constants in when it builds its operators
+    /// ([`Value::bound`]), and the plan itself is never copied.
+    pub fn placeholders(&self) -> usize {
+        let class = |value: &Value| value.placeholder_class().map_or(0, |c| c as usize + 1);
+        let step = |step: &PhysStep| match &step.op {
+            PhysOp::Const { value } => class(value),
+            PhysOp::KeyedLookup {
+                residual: predicates,
+                ..
             }
-            Ok(())
+            | PhysOp::HashJoin {
+                residual: predicates,
+                ..
+            }
+            | PhysOp::Filter { predicates, .. } => predicates
+                .iter()
+                .map(|predicate| match predicate {
+                    Predicate::ColEqConst(_, value) => class(value),
+                    Predicate::ColEqCol(..) => 0,
+                })
+                .max()
+                .unwrap_or(0),
+            _ => 0,
         };
-        let mut bound = self.clone();
-        for step in &mut bound.steps {
-            match &mut step.op {
-                PhysOp::Const { value } => bind(value)?,
-                PhysOp::KeyedLookup {
-                    residual: predicates,
-                    ..
-                }
-                | PhysOp::HashJoin {
-                    residual: predicates,
-                    ..
-                }
-                | PhysOp::Filter { predicates, .. } => {
-                    for predicate in predicates {
-                        if let Predicate::ColEqConst(_, value) = predicate {
-                            bind(value)?;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        Ok(bound)
+        self.steps.iter().map(step).max().unwrap_or(0)
     }
 
     /// True when no two rows of step `source` agree on its `key_cols`: the step is a set
@@ -1435,13 +1423,41 @@ mod tests {
             let lowered = lower_plan_with(&template, &options).unwrap();
             let expected = lower_plan_with(&literal, &options).unwrap();
             assert_ne!(lowered, expected);
-            assert_eq!(lowered.bind(&values).unwrap(), expected);
-            // A plan without placeholders binds to itself, whatever it is given.
-            assert_eq!(expected.bind(&[]).unwrap(), expected);
-            // One value short: the second placeholder has nothing to become.
-            let error = lowered.bind(&values[..1]).unwrap_err().to_string();
-            assert!(error.contains("placeholder 1 unbound"), "{error}");
+            assert_eq!((lowered.placeholders(), expected.placeholders()), (2, 0));
+            assert_eq!(bind(&lowered, &values), expected);
+            // A plan without placeholders reads no constant, whatever it is given.
+            assert_eq!(bind(&expected, &values), expected);
+            // A class given no value stays the placeholder it is.
+            assert_eq!(bind(&lowered, &[]), lowered);
         }
+    }
+
+    /// `plan` with every value read the way a run given `values` reads it
+    /// ([`Value::bound`]) — what the executor sees, written out as a plan.
+    fn bind(plan: &PhysicalPlan, values: &[Value]) -> PhysicalPlan {
+        let mut bound = plan.clone();
+        for step in &mut bound.steps {
+            match &mut step.op {
+                PhysOp::Const { value } => *value = value.bound(values).clone(),
+                PhysOp::KeyedLookup {
+                    residual: predicates,
+                    ..
+                }
+                | PhysOp::HashJoin {
+                    residual: predicates,
+                    ..
+                }
+                | PhysOp::Filter { predicates, .. } => {
+                    for predicate in predicates {
+                        if let Predicate::ColEqConst(_, value) = predicate {
+                            *value = value.bound(values).clone();
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        bound
     }
 
     #[test]

@@ -68,6 +68,15 @@ impl Value {
         }
     }
 
+    /// This value as a run given `constants` reads it: `constants[class]` for a
+    /// [`Value::placeholder`] of a class the run supplies, the value itself otherwise.
+    /// How a plan lowered once from a template takes each request's constants.
+    pub fn bound<'a>(&'a self, constants: &'a [Value]) -> &'a Value {
+        self.placeholder_class()
+            .and_then(|class| constants.get(class as usize))
+            .unwrap_or(self)
+    }
+
     /// A short tag describing the value's type, used in error messages.
     pub const fn type_name(&self) -> &'static str {
         match self {

@@ -55,11 +55,19 @@
 //!   them when a batch or cache entry is retired. Buffers are always **cleared before
 //!   they are pooled** — the pool holds capacity, never rows, so the residency
 //!   ledger's teardown zero-assertion is unaffected;
-//! * the pool lives and dies with its executor state: it never crosses threads, and
-//!   draining it at teardown is a plain drop — recycled capacity is an optimization,
-//!   not state. Its freelist cap is sized from the plan's own fetch surface (the sum
-//!   of fetched positions across lookup steps, clamped to a small floor and ceiling),
-//!   so tiny plans pin a handful of buffers and wide plans cannot hoard capacity;
+//! * the pool belongs to a thread, not a job: it never crosses threads, and the
+//!   execution state that holds it is parked on the thread between jobs — a session
+//!   worker's, or the connection thread that runs its own query — so the next job
+//!   starts warm. Recycled capacity is an optimization, not state. While a job runs
+//!   the freelist cap is sized from the plan's own fetch surface (the sum of fetched
+//!   positions across lookup steps, clamped to a small floor and ceiling), so tiny
+//!   plans pin a handful of buffers and wide plans cannot hoard capacity; between jobs
+//!   the thread keeps at most 64 buffers of at most a batch's worth of values each,
+//!   so one large query cannot pin memory on a thread;
+//! * a run of a prepared plan shares it: the plan, its pipeline DAG and its pool cap
+//!   are worked out once per template, and operators borrow their step's fields from
+//!   the plan — only a predicate that compares with a request's constant is copied,
+//!   with the constant in;
 //! * [`stats::AccessStats::allocs_per_probe`] counts probe-path *buffer-demand*
 //!   events (a pool hit still counts — the metric models demand, not the allocator),
 //!   so it is deterministic, additive, thread- and shard-invariant, and **zero for
@@ -95,13 +103,13 @@
 //! source batches into morsels — groups of consecutive *whole* batches of at least
 //! [`ExecOptions::morsel_size`] rows (`BEA_MORSELS`, default
 //! [`DEFAULT_MORSEL_ROWS`]) — that run as concurrent operator-chain instances.
-//! Each morsel owns its `ExecState` (stats and buffer pool stay per-worker); the
-//! only cross-morsel state is a shared per-lookup-step result cache that fills each
-//! distinct key exactly once, so the split performs the *same* data access as the
-//! unsplit pipeline. Per-morsel outputs are concatenated in morsel order, so rows,
-//! row order and every deterministic counter are identical at every morsel size —
-//! the property `tests/properties.rs` asserts across the morsel × thread × shard
-//! matrix.
+//! Each morsel runs with its thread's `ExecState` (stats and buffer pool stay
+//! per-worker); the only cross-morsel state is a shared per-lookup-step result cache
+//! that fills each distinct key exactly once, so the split performs the *same* data
+//! access as the unsplit pipeline. Per-morsel outputs are concatenated in morsel
+//! order, so rows, row order and every deterministic counter are identical at every
+//! morsel size — the property `tests/properties.rs` asserts across the morsel ×
+//! thread × shard matrix.
 //!
 //! # Sharded execution: one plan, keys routed at run time
 //!

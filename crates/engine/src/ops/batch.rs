@@ -37,12 +37,12 @@ pub(crate) type Column = Arc<Vec<Value>>;
 
 /// A columnar batch of rows; see the module docs for the layout.
 ///
-/// The column list itself is behind an `Arc` too, so `Batch::clone` — the exchange
+/// The column list itself is a shared slice too, so `Batch::clone` — the exchange
 /// protocol between pipelines, and a keyed-lookup cache hit — is purely refcount
 /// bumps: no allocation anywhere on the clone path.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Batch {
-    columns: Arc<Vec<Column>>,
+    columns: Arc<[Column]>,
     /// Physical rows stored in every column (the columns all have this length).
     stored: usize,
     /// Logical row `i` lives at physical position `selection[i]`; `None` = identity.
@@ -55,15 +55,19 @@ impl Batch {
     pub(crate) fn from_dense(columns: Vec<Vec<Value>>, stored: usize) -> Self {
         debug_assert!(columns.iter().all(|c| c.len() == stored));
         Self {
-            columns: Arc::new(columns.into_iter().map(Arc::new).collect()),
+            columns: columns.into_iter().map(Arc::new).collect(),
             stored,
             selection: None,
         }
     }
 
-    /// A batch holding exactly one row, taking ownership of its values (no clones).
+    /// A batch holding exactly one row, taking ownership of its values (no clones). A
+    /// one-value row becomes the batch's one column as it is.
     pub(crate) fn singleton(row: Row) -> Self {
-        let columns = Arc::new(row.into_iter().map(|v| Arc::new(vec![v])).collect());
+        let columns = match row.len() {
+            1 => Arc::from([Arc::new(row)]),
+            _ => row.into_iter().map(|v| Arc::new(vec![v])).collect(),
+        };
         Self {
             columns,
             stored: 1,
@@ -183,9 +187,19 @@ impl Batch {
 
     /// Project onto `cols` (in order, duplicates allowed): permutes the shared column
     /// handles. Zero value copies.
+    /// Projecting onto every column in order is the batch itself.
     pub(crate) fn project(&self, cols: &[usize]) -> Batch {
+        if cols.len() == self.arity() && cols.iter().enumerate().all(|(k, &c)| k == c) {
+            return self.clone();
+        }
+        self.project_map(cols.len(), |k| cols[k])
+    }
+
+    /// Project onto the `width` columns `col(0)`, `col(1)`, …: [`Batch::project`] for a
+    /// column list computed on the fly.
+    pub(crate) fn project_map(&self, width: usize, col: impl Fn(usize) -> usize) -> Batch {
         Batch {
-            columns: Arc::new(cols.iter().map(|&c| self.columns[c].clone()).collect()),
+            columns: (0..width).map(|k| self.columns[col(k)].clone()).collect(),
             stored: self.stored,
             selection: self.selection.clone(),
         }
@@ -193,30 +207,27 @@ impl Batch {
 
     /// Turn the batch into owned rows, returning the number of value clones this
     /// performed. Dense batches whose columns are not shared are transposed by *move*
-    /// (zero clones); shared or selected batches gather.
-    pub(crate) fn into_rows(self) -> (Vec<Row>, u64) {
+    /// (zero clones), and their emptied column buffers are handed to `spare`; shared
+    /// or selected batches gather.
+    pub(crate) fn into_rows(mut self, mut spare: impl FnMut(Vec<Value>)) -> (Vec<Row>, u64) {
         let len = self.len();
-        if self.selection.is_none()
-            && Arc::strong_count(&self.columns) == 1
-            && self.columns.iter().all(|c| Arc::strong_count(c) == 1)
-        {
-            let columns = Arc::try_unwrap(self.columns).expect("strong count checked above");
-            let mut iters: Vec<_> = columns
-                .into_iter()
-                .map(|c| {
-                    Arc::try_unwrap(c)
-                        .expect("strong count checked above")
-                        .into_iter()
-                })
-                .collect();
-            let rows = (0..len)
-                .map(|_| {
-                    iters
-                        .iter_mut()
-                        .map(|it| it.next().expect("columns have `stored` values"))
-                        .collect()
-                })
-                .collect();
+        let arity = self.arity();
+        let owned = match Arc::get_mut(&mut self.columns) {
+            Some(columns) if self.selection.is_none() => {
+                let unique = columns.iter_mut().all(|c| Arc::get_mut(c).is_some());
+                unique.then_some(columns)
+            }
+            _ => None,
+        };
+        if let Some(columns) = owned {
+            let mut rows: Vec<Row> = (0..len).map(|_| Vec::with_capacity(arity)).collect();
+            for column in columns.iter_mut() {
+                let column = Arc::get_mut(column).expect("uniqueness checked above");
+                for (row, value) in rows.iter_mut().zip(column.drain(..)) {
+                    row.push(value);
+                }
+                spare(std::mem::take(column));
+            }
             return (rows, 0);
         }
         let clones = (len * self.arity()) as u64;
@@ -619,7 +630,7 @@ mod tests {
 
     #[test]
     fn into_rows_moves_unique_dense_batches() {
-        let (rows, clones) = sample().into_rows();
+        let (rows, clones) = sample().into_rows(drop);
         assert_eq!(clones, 0, "unshared dense columns transpose by move");
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0], vec![Value::int(1), Value::str("a")]);
@@ -627,13 +638,13 @@ mod tests {
         // A shared batch (exchange-style clone alive) must gather instead.
         let b = sample();
         let alias = b.clone();
-        let (rows, clones) = b.into_rows();
+        let (rows, clones) = b.into_rows(drop);
         assert_eq!(rows.len(), 3);
         assert_eq!(clones, 6);
         drop(alias);
 
         // A selected batch gathers only the selected rows.
-        let (rows, clones) = sample().retain(|i| i == 1).into_rows();
+        let (rows, clones) = sample().retain(|i| i == 1).into_rows(drop);
         assert_eq!(rows, vec![vec![Value::int(2), Value::str("b")]]);
         assert_eq!(clones, 2);
     }
@@ -643,7 +654,7 @@ mod tests {
         let unit = Batch::singleton(Vec::new());
         assert_eq!(unit.arity(), 0);
         assert_eq!(unit.len(), 1);
-        let (rows, clones) = unit.into_rows();
+        let (rows, clones) = unit.into_rows(drop);
         assert_eq!(rows, vec![Vec::<Value>::new()]);
         assert_eq!(clones, 0);
 

@@ -61,15 +61,25 @@
 //! the key — cache maintenance, like the tier's own map key); the row itself is served
 //! as the miss serves it, so a cold cache or a split charges what a cache-off, unsplit
 //! run charges.
-//! `tests/alloc_budget.rs` holds the model to the allocator: a cold Q0 stays under a
-//! fixed number of heap allocations, whatever it fetches.
+//!
+//! Per operator instance, what remains is its box, its column lists and its staging
+//! vectors: the step's key columns, positions, relation and predicates are borrowed
+//! from the plan ([`FetchStep`]; only a residual that compares with a request's
+//! constant is a copy, with the constant in), the key scratch and every pooled column
+//! come from the thread's pool, which outlives the job, and the fused emission is an
+//! offset, not a column list. `tests/alloc_budget.rs` holds the model to the
+//! allocator: a cold Q0 stays under a fixed number of heap allocations, whatever it
+//! fetches; `crates/bead/tests/alloc_request.rs` bounds a whole served request.
 //!
 //! # Access accounting
 //!
-//! Neither operator touches the shared [`crate::stats::AccessStats`] per key: the
-//! relation is fixed per operator, so lookups, fetched tuples (per shard), clones and
-//! cache hits accumulate in an operator-local [`ProbeTally`], flushed once per pull
-//! and on drop — an error or a short-circuiting consumer loses nothing.
+//! Neither operator touches the shared [`crate::stats::AccessStats`] per key: lookups,
+//! clones and cache hits accumulate in an operator-local [`ProbeTally`], flushed once
+//! per pull and on drop — an error or a short-circuiting consumer loses nothing. A
+//! miss's fetched tuples go straight to the job's flat per-(step, shard) tally
+//! ([`crate::stats::FetchTally`]), which names no relation and allocates nothing once
+//! the thread's state has grown to its plans; the scheduler writes it into the query's
+//! per-relation and per-shard maps when the job lands.
 //!
 //! # Shard routing
 //!
@@ -87,9 +97,10 @@ use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
 use crate::cache::{CacheShape, CacheSpace, SessionFetchCache, SessionProbe};
 use crate::stats::AccessStats;
 use bea_core::error::Result;
-use bea_core::plan::Predicate;
+use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
 use bea_core::value::{Row, Value};
 use bea_storage::{FetchIter, Probes, Store};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -201,40 +212,21 @@ struct ProbeTally {
     values_cloned: u64,
     cache_hits: u64,
     rows_served_from_cache: u64,
-    /// Tuples fetched from each index-partition shard a probe reached — `Some(0)`
-    /// when its keys matched nothing, since a probed shard is reported either way.
-    fetched_by_shard: Vec<Option<u64>>,
 }
 
 impl ProbeTally {
-    /// A store fetch returned `tuples` tuples of `shard`, copied onto `columns` columns
-    /// each (none when they are read in place).
-    fn fetched(&mut self, shard: u32, tuples: u64, columns: usize) {
-        self.values_cloned += tuples * columns as u64;
-        let shard = shard as usize;
-        if self.fetched_by_shard.len() <= shard {
-            self.fetched_by_shard.resize(shard + 1, None);
-        }
-        *self.fetched_by_shard[shard].get_or_insert(0) += tuples;
-    }
-
     /// The session cache served `rows` rows for one key.
     fn served(&mut self, rows: usize) {
         self.cache_hits += 1;
         self.rows_served_from_cache += rows as u64;
     }
 
-    /// Move everything tallied into `stats`, attributing the fetches to `relation`.
-    fn flush(&mut self, relation: &str, stats: &mut AccessStats) {
+    /// Move everything tallied into the job's counters.
+    fn flush(&mut self, stats: &mut AccessStats) {
         stats.index_lookups += std::mem::take(&mut self.index_lookups);
         stats.values_cloned += std::mem::take(&mut self.values_cloned);
         stats.cache_hits += std::mem::take(&mut self.cache_hits);
         stats.rows_served_from_cache += std::mem::take(&mut self.rows_served_from_cache);
-        for (shard, fetched) in (0..).zip(&mut self.fetched_by_shard) {
-            if let Some(tuples) = fetched.take() {
-                stats.record_fetched_sharded(relation, shard, tuples);
-            }
-        }
     }
 }
 
@@ -312,6 +304,79 @@ fn fetch_key_into(
     appended
 }
 
+/// The fields of a fetch-shaped plan step ([`PhysOp::Fetch`] or
+/// [`PhysOp::KeyedLookup`]) that validation and the index operators read, borrowed
+/// from the plan.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FetchStep<'a> {
+    /// The step's index in the plan, under which its fetches are counted.
+    pub(crate) step: usize,
+    /// The relation fetched from.
+    pub(crate) relation: &'a str,
+    /// Columns of the source holding the key.
+    pub(crate) key_cols: &'a [usize],
+    /// Attribute positions of the relation forming the index key.
+    pub(crate) x_attrs: &'a [usize],
+    /// Attribute positions of the relation fetched, in output-column order.
+    pub(crate) positions: &'a [usize],
+    /// Index of the backing access constraint in the access schema.
+    pub(crate) constraint_index: usize,
+}
+
+impl<'a> FetchStep<'a> {
+    /// The fields of `plan`'s step `step`, if it fetches.
+    pub(crate) fn of(plan: &'a PhysicalPlan, step: usize) -> Option<Self> {
+        match &plan.steps()[step].op {
+            PhysOp::Fetch {
+                relation,
+                key_cols,
+                x_attrs,
+                positions,
+                constraint_index,
+                ..
+            }
+            | PhysOp::KeyedLookup {
+                relation,
+                key_cols,
+                x_attrs,
+                positions,
+                constraint_index,
+                ..
+            } => Some(FetchStep {
+                step,
+                relation,
+                key_cols,
+                x_attrs,
+                positions,
+                constraint_index: *constraint_index,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Count `tuples` this step fetched from `shard` on the job's state, at once — a
+    /// probed shard is reported even when its keys matched nothing.
+    fn fetched(self, state: &SharedState, shard: u32, tuples: u64) {
+        state.borrow_mut().fetched.add(self.step, shard, tuples);
+    }
+
+    /// The session cache's space for this step's entries, with the pre-projection
+    /// `emit` gives baked in; `None` when the job has no session cache.
+    fn session(
+        self,
+        state: &SharedState,
+        emit: impl FnOnce() -> Option<Vec<usize>>,
+    ) -> SessionCache {
+        let cache = state.borrow().cache.clone()?;
+        let space = cache.space(CacheShape {
+            constraint: self.constraint_index,
+            positions: self.positions.to_vec(),
+            emit: emit(),
+        });
+        Some((cache, space))
+    }
+}
+
 /// Streaming `fetch(X ∈ source, R, …)`: drain the source, deduplicate the key
 /// projections, then emit the `positions`-projection of every tuple each key matches,
 /// key by key, straight off the index postings into output columns. Keys are
@@ -321,10 +386,7 @@ fn fetch_key_into(
 /// short-circuits); fetched tuples flow through without ever being collected per fetch.
 pub(crate) struct FetchOp<'db> {
     input: Option<BoxOp<'db>>,
-    key_cols: Vec<usize>,
-    relation: String,
-    positions: Vec<usize>,
-    constraint_index: usize,
+    fetch: FetchStep<'db>,
     store: Store<'db>,
     state: SharedState,
     /// The session's cross-query cache, probed per key before the index partition.
@@ -352,31 +414,17 @@ pub(crate) struct FetchOp<'db> {
 }
 
 impl<'db> FetchOp<'db> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         input: BoxOp<'db>,
-        key_cols: Vec<usize>,
-        relation: String,
-        positions: Vec<usize>,
-        constraint_index: usize,
+        fetch: FetchStep<'db>,
         store: Store<'db>,
         state: SharedState,
     ) -> Self {
-        let session = state.borrow().cache.clone().map(|cache| {
-            let space = cache.space(CacheShape {
-                constraint: constraint_index,
-                positions: positions.clone(),
-                emit: None,
-            });
-            (cache, space)
-        });
-        let pass = Pass::new(key_cols.len(), &state);
+        let session = fetch.session(&state, || None);
+        let pass = Pass::new(fetch.key_cols.len(), &state);
         Self {
             input: Some(input),
-            key_cols,
-            relation,
-            positions,
-            constraint_index,
+            fetch,
             store,
             state,
             session,
@@ -406,14 +454,14 @@ impl<'db> FetchOp<'db> {
                 None => Found::Missed(self.pass.miss(&mut key)),
             });
         }
-        self.pass.resolve(self.store, self.constraint_index)
+        self.pass.resolve(self.store, self.fetch.constraint_index)
     }
 }
 
 impl Operator for FetchOp<'_> {
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         #[cfg(test)]
-        if self.relation == super::PANIC_RELATION {
+        if self.fetch.relation == super::PANIC_RELATION {
             panic!("injected operator panic");
         }
         if let Some(mut input) = self.input.take() {
@@ -426,9 +474,9 @@ impl Operator for FetchOp<'_> {
                 // discards duplicates after the fact), so every one counts — as a
                 // clone per key column and as one key-row allocation.
                 for i in 0..batch.len() {
-                    key_values += self.key_cols.len() as u64;
+                    key_values += self.fetch.key_cols.len() as u64;
                     key_allocs += 1;
-                    keys.insert(batch.gather(i, &self.key_cols));
+                    keys.insert(batch.gather(i, self.fetch.key_cols));
                 }
             }
             self.num_keys = keys.len() as u64;
@@ -446,7 +494,7 @@ impl Operator for FetchOp<'_> {
         }
         let mut cols: Vec<Vec<Value>> = {
             let mut state = self.state.borrow_mut();
-            (0..self.positions.len())
+            (0..self.fetch.positions.len())
                 .map(|_| state.pool.get_values())
                 .collect()
         };
@@ -472,24 +520,20 @@ impl Operator for FetchOp<'_> {
                     // store fetch, so none of the fetch-side counters move.
                     append_cached_postings(batch, &mut cols, &mut rows);
                     self.tally.served(batch.len());
-                    self.tally.values_cloned += (batch.len() * self.positions.len()) as u64;
+                    self.tally.values_cloned += (batch.len() * self.fetch.positions.len()) as u64;
                 }
                 &Found::Missed(p) => {
                     self.tally.index_lookups += 1;
                     let (tuples, shard) = self.pass.resolved[p].clone();
-                    let fetched = fetch_key_into(
-                        tuples,
-                        &self.positions,
-                        &mut cols,
-                        &mut rows,
-                        &mut self.dedup,
-                    );
-                    self.tally.fetched(shard, fetched, self.positions.len());
+                    let positions = self.fetch.positions;
+                    let fetched =
+                        fetch_key_into(tuples, positions, &mut cols, &mut rows, &mut self.dedup);
+                    self.tally.values_cloned += fetched * positions.len() as u64;
+                    self.fetch.fetched(&self.state, shard, fetched);
                 }
             }
         }
-        self.tally
-            .flush(&self.relation, &mut self.state.borrow_mut().stats);
+        self.tally.flush(&mut self.state.borrow_mut().stats);
         if rows == 0 && self.done {
             // Nothing was emitted: the pooled buffers go straight back.
             let mut state = self.state.borrow_mut();
@@ -521,7 +565,7 @@ impl Drop for FetchOp<'_> {
         let mut state = self.state.borrow_mut();
         state.release(std::mem::take(&mut self.num_keys));
         // What a failed pull had tallied before its error.
-        self.tally.flush(&self.relation, &mut state.stats);
+        self.tally.flush(&mut state.stats);
     }
 }
 
@@ -652,16 +696,14 @@ impl Postings<'_> {
 /// of at operator exhaustion.
 pub(crate) struct KeyedLookupOp<'db> {
     input: BoxOp<'db>,
-    key_cols: Vec<usize>,
-    relation: String,
-    positions: Vec<usize>,
-    constraint_index: usize,
-    residual: Vec<Predicate>,
+    fetch: FetchStep<'db>,
+    /// The step's residual predicates, with the run's constants read in.
+    residual: Cow<'db, [Predicate]>,
     /// Which columns of the *combined* row (source columns, then fetched positions) to
     /// emit. `None` emits all of them; `Some` is a projection the operator-tree builder
     /// fused in from a directly consuming `Project` step, so values the projection
     /// would discard are never gathered in the first place.
-    out_cols: Option<Vec<usize>>,
+    out_cols: Option<&'db [usize]>,
     store: Store<'db>,
     state: SharedState,
     arena: PostingArena<'db>,
@@ -691,43 +733,38 @@ pub(crate) struct KeyedLookupOp<'db> {
     found: Vec<Found<Postings<'db>>>,
     pass: Pass<'db>,
     tally: ProbeTally,
-    /// `Some(mapped)` when the emission is exactly a projection of the fetched
+    /// `Some(left_arity)` when the emission is exactly a projection of the fetched
     /// columns: no residual predicates and a fused projection keeping only fetched
-    /// columns, `mapped` being those columns rebased to the fetch result. Outer-tier
-    /// entries are then stored pre-projected. Decided once — input arity is fixed by
-    /// the plan — by [`KeyedLookupOp::ensure_fused_emit`].
-    fused_emit: Option<Vec<usize>>,
+    /// columns — column `k` is fetched column `out_cols[k] - left_arity`
+    /// ([`KeyedLookupOp::stored_col`]). Outer-tier entries are then stored
+    /// pre-projected. Decided once — input arity is fixed by the plan — by
+    /// [`KeyedLookupOp::ensure_fused_emit`].
+    fused_emit: Option<usize>,
     fused_checked: bool,
     done: bool,
 }
 
 impl<'db> KeyedLookupOp<'db> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         input: BoxOp<'db>,
-        key_cols: Vec<usize>,
-        relation: String,
-        positions: Vec<usize>,
-        constraint_index: usize,
-        residual: Vec<Predicate>,
-        out_cols: Option<Vec<usize>>,
+        fetch: FetchStep<'db>,
+        residual: Cow<'db, [Predicate]>,
+        out_cols: Option<&'db [usize]>,
         store: Store<'db>,
         state: SharedState,
     ) -> Self {
-        let (cols, keys) = {
+        let (cols, keys, key_scratch) = {
             let mut state = state.borrow_mut();
-            let cols = (0..positions.len()).map(|_| state.pool.get_values());
+            let cols = (0..fetch.positions.len()).map(|_| state.pool.get_values());
             let cols: Vec<_> = cols.collect();
-            let keys = (0..key_cols.len()).map(|_| state.pool.get_values());
-            (cols, RowTable::new("a keyed lookup", keys.collect()))
+            let keys = (0..fetch.key_cols.len()).map(|_| state.pool.get_values());
+            let keys = RowTable::new("a keyed lookup", keys.collect());
+            (cols, keys, HashedRow::new(state.pool.get_values()))
         };
-        let pass = Pass::new(key_cols.len(), &state);
+        let pass = Pass::new(fetch.key_cols.len(), &state);
         Self {
             input,
-            key_cols,
-            relation,
-            positions,
-            constraint_index,
+            fetch,
             residual,
             out_cols,
             store,
@@ -745,7 +782,7 @@ impl<'db> KeyedLookupOp<'db> {
             shared: None,
             session: None,
             report_fetch_ops: true,
-            key_scratch: HashedRow::default(),
+            key_scratch,
             found: Vec::new(),
             pass,
             tally: ProbeTally::default(),
@@ -787,7 +824,7 @@ impl<'db> KeyedLookupOp<'db> {
     /// The value at row `j`, fetched position `c`, of postings this operator fetched.
     fn local_value(&self, postings: &Postings<'db>, j: usize, c: usize) -> &Value {
         match postings {
-            Postings::Tuple(Some(tuple)) => &tuple[self.positions[c]],
+            Postings::Tuple(Some(tuple)) => &tuple[self.fetch.positions[c]],
             Postings::Arena(range) => self.arena.value(*range, j, c),
             Postings::Tuple(None) | Postings::Cached(_) => {
                 unreachable!("no row {j} of the fetched postings here")
@@ -795,19 +832,36 @@ impl<'db> KeyedLookupOp<'db> {
         }
     }
 
+    /// The fetched column behind column `k` of a key's postings as outer tiers store
+    /// them: `k` itself, or under a fused emission ([`KeyedLookupOp::fused_emit`]) the
+    /// fetched column that the emission's `k`-th column reads.
+    fn stored_col(&self, k: usize) -> usize {
+        match (self.fused_emit, self.out_cols) {
+            (Some(left_arity), Some(cols)) => cols[k] - left_arity,
+            _ => k,
+        }
+    }
+
+    /// How many columns a key's postings have as outer tiers store them.
+    fn stored_width(&self) -> usize {
+        match (self.fused_emit, self.out_cols) {
+            (Some(_), Some(cols)) => cols.len(),
+            _ => self.fetch.positions.len(),
+        }
+    }
+
     /// A compact standalone copy of postings this operator fetched, projected onto
-    /// [`KeyedLookupOp::fused_emit`] when set — what a fill claim publishes. Cache
+    /// the fused emission when there is one — what a fill claim publishes. Cache
     /// maintenance, off the cache-off path, so its clones are not `values_cloned`.
     fn copy_out(&self, postings: &Postings<'db>) -> Batch {
-        let emit = self.fused_emit.as_deref();
-        let width = emit.map_or(self.positions.len(), <[usize]>::len);
         let column = |k: usize| -> Vec<Value> {
-            let c = emit.map_or(k, |mapped| mapped[k]);
+            let c = self.stored_col(k);
             let rows = 0..postings.len();
             rows.map(|j| self.local_value(postings, j, c).clone())
                 .collect()
         };
-        Batch::from_dense((0..width).map(column).collect(), postings.len())
+        let columns = (0..self.stored_width()).map(column).collect();
+        Batch::from_dense(columns, postings.len())
     }
 
     /// Decide once whether the emission is a pure projection of the fetched columns;
@@ -819,24 +873,24 @@ impl<'db> KeyedLookupOp<'db> {
         }
         self.fused_checked = true;
         if self.residual.is_empty() {
-            if let Some(cols) = &self.out_cols {
+            if let Some(cols) = self.out_cols {
                 if cols.iter().all(|&c| c >= left_arity) {
-                    self.fused_emit = Some(cols.iter().map(|&c| c - left_arity).collect());
+                    self.fused_emit = Some(left_arity);
                 }
             }
         }
         // The fused pre-projection is baked into cached batches, so it is part of
         // the session-cache entry shape — resolve the operator's space only now
         // that it is settled.
-        let cache = self.state.borrow().cache.clone();
-        if let Some(cache) = cache {
-            let space = cache.space(CacheShape {
-                constraint: self.constraint_index,
-                positions: self.positions.clone(),
-                emit: self.fused_emit.clone(),
-            });
-            self.session = Some((cache, space));
-        }
+        let emit = || {
+            let fused = self.fused_emit.is_some();
+            fused.then(|| {
+                (0..self.stored_width())
+                    .map(|k| self.stored_col(k))
+                    .collect()
+            })
+        };
+        self.session = self.fetch.session(&self.state, emit);
     }
 
     /// Pass 1 over `batch` (see the module docs): gather and hash every row's key once,
@@ -847,16 +901,16 @@ impl<'db> KeyedLookupOp<'db> {
         self.found.reserve(batch.len());
         self.pass.begin(batch.len());
         for i in 0..batch.len() {
-            self.key_scratch.gather(batch, i, &self.key_cols);
+            self.key_scratch.gather(batch, i, self.fetch.key_cols);
             let found = match self.held() {
                 Some(postings) => Found::Held(postings),
                 None => Found::Missed(self.pass.miss(&mut self.key_scratch)),
             };
             self.found.push(found);
         }
-        self.pass.resolve(self.store, self.constraint_index)?;
+        self.pass.resolve(self.store, self.fetch.constraint_index)?;
         // One probe-key gather per source row, hit or miss.
-        self.tally.values_cloned += (self.found.len() * self.key_cols.len()) as u64;
+        self.tally.values_cloned += (self.found.len() * self.fetch.key_cols.len()) as u64;
         Ok(())
     }
 
@@ -995,14 +1049,14 @@ impl<'db> KeyedLookupOp<'db> {
         self.tally.index_lookups += 1;
         let (mut tuples, shard) = self.pass.resolved[p].clone();
         if tuples.len() <= 1 {
-            self.tally.fetched(shard, tuples.len() as u64, 0);
+            self.fetch.fetched(&self.state, shard, tuples.len() as u64);
             return Postings::Tuple(tuples.next());
         }
         let arena = &mut self.arena;
         let start = arena.rows;
         let fetched = fetch_key_into(
             tuples,
-            &self.positions,
+            self.fetch.positions,
             &mut arena.cols,
             &mut arena.rows,
             &mut arena.dedup,
@@ -1012,7 +1066,8 @@ impl<'db> KeyedLookupOp<'db> {
             start,
             len: arena.rows - start,
         };
-        self.tally.fetched(shard, fetched, self.positions.len());
+        self.tally.values_cloned += fetched * self.fetch.positions.len() as u64;
+        self.fetch.fetched(&self.state, shard, fetched);
         self.state.borrow_mut().acquire(range.len as u64);
         if self.shared.is_none() {
             self.cached_rows += range.len as u64;
@@ -1022,8 +1077,7 @@ impl<'db> KeyedLookupOp<'db> {
 
     /// Move the probes' tally into the shared statistics.
     fn flush_tally(&mut self) {
-        self.tally
-            .flush(&self.relation, &mut self.state.borrow_mut().stats);
+        self.tally.flush(&mut self.state.borrow_mut().stats);
     }
 
     /// Gather source row `i` of `batch` joined with each of the `len` posting rows
@@ -1061,7 +1115,7 @@ impl<'db> KeyedLookupOp<'db> {
                 continue;
             }
             for (k, sink) in out.iter_mut().enumerate() {
-                let c = self.out_cols.as_ref().map_or(k, |cols| cols[k]);
+                let c = self.out_cols.map_or(k, |cols| cols[k]);
                 sink.push(combined(c).clone());
             }
             emitted += 1;
@@ -1115,8 +1169,8 @@ impl Operator for KeyedLookupOp<'_> {
                 let emitted = match self.settle(only)? {
                     Postings::Cached(cached) => Some((*cached).clone()),
                     Postings::Arena(range) => {
-                        let mapped = self.fused_emit.as_deref().expect("checked above");
-                        Some(self.arena.seal(range).project(mapped))
+                        let sealed = self.arena.seal(range);
+                        Some(sealed.project_map(self.stored_width(), |k| self.stored_col(k)))
                     }
                     tuple => {
                         found.push(Found::Held(tuple));
@@ -1132,8 +1186,7 @@ impl Operator for KeyedLookupOp<'_> {
         }
         let out_arity = self
             .out_cols
-            .as_ref()
-            .map_or(left_arity + self.positions.len(), Vec::len);
+            .map_or(left_arity + self.fetch.positions.len(), <[usize]>::len);
         let mut out: Vec<Vec<Value>> = {
             let mut state = self.state.borrow_mut();
             (0..out_arity).map(|_| state.pool.get_values()).collect()
@@ -1147,9 +1200,7 @@ impl Operator for KeyedLookupOp<'_> {
                 // What this operator fetched holds the raw fetched positions; a fused
                 // emission reads them through its projection.
                 fetched => {
-                    let mapped = self.fused_emit.as_deref();
-                    let value =
-                        |j, c: usize| self.local_value(&fetched, j, mapped.map_or(c, |m| m[c]));
+                    let value = |j, c: usize| self.local_value(&fetched, j, self.stored_col(c));
                     self.emit(&batch, i, fetched.len(), value, &mut out)
                 }
             };
@@ -1242,25 +1293,33 @@ pub(crate) mod tests {
             &self,
             idb: &'db IndexedDatabase,
             pulls: Vec<Result<Batch>>,
-            positions: &[usize],
+            positions: &'db [usize],
             residual: Vec<Predicate>,
-            out_cols: Option<Vec<usize>>,
+            out_cols: Option<&'db [usize]>,
         ) -> KeyedLookupOp<'db> {
+            let fetch = FetchStep {
+                step: 0,
+                relation: "R",
+                key_cols: &[0],
+                x_attrs: &[0],
+                positions,
+                constraint_index: 0,
+            };
             KeyedLookupOp::new(
                 Box::new(Script(pulls.into())),
-                vec![0],
-                "R".into(),
-                positions.to_vec(),
-                0,
-                residual,
+                fetch,
+                Cow::Owned(residual),
                 out_cols,
                 Store::Indexed(idb),
                 self.state.clone(),
             )
         }
 
+        /// The counters so far, fetches attributed to `R`.
         pub(crate) fn stats(&self) -> crate::stats::AccessStats {
-            self.state.borrow().stats.clone()
+            let state = &mut *self.state.borrow_mut();
+            state.fetched.drain_into(&mut state.stats, |_| "R");
+            state.stats.clone()
         }
     }
 
@@ -1321,7 +1380,7 @@ pub(crate) mod tests {
         // Without `w`, key 1's first two tuples project equal: the kernel compacts
         // the duplicate away. Key 2's one tuple is read in place.
         let pulls = vec![Ok(ints(&[&[1], &[2], &[1]]))];
-        let mut op = h.lookup(&idb, pulls, &[0, 1], Vec::new(), Some(vec![1, 2]));
+        let mut op = h.lookup(&idb, pulls, &[0, 1], Vec::new(), Some(&[1, 2]));
         assert_eq!(
             drain(&mut op),
             [[[1, 10], [1, 11], [2, 20], [1, 10], [1, 11]].map(Vec::from)]
@@ -1348,7 +1407,7 @@ pub(crate) mod tests {
             pulls,
             &[0, 1, 2],
             vec![Predicate::ColEqCol(1, 3)],
-            Some(vec![1, 4, 0]),
+            Some(&[1, 4, 0]),
         );
         assert_eq!(
             drain(&mut op),
@@ -1383,7 +1442,7 @@ pub(crate) mod tests {
             Ok(ints(&[&[1]])),
             Ok(ints(&[&[2], &[1]])),
         ];
-        let mut op = h.lookup(&idb, pulls, &[0, 2], Vec::new(), Some(vec![2]));
+        let mut op = h.lookup(&idb, pulls, &[0, 2], Vec::new(), Some(&[2]));
         assert_eq!(
             drain(&mut op),
             [
@@ -1479,7 +1538,7 @@ pub(crate) mod tests {
             // constraint): nothing was acquired for it, and nothing leaks.
             let h = Harness::new();
             let mut op = lookup(&h, vec![Ok(ints(&[&[1], &[2]]))]);
-            (op.key_cols, op.pass.arity) = (vec![0, 0], 2);
+            (op.fetch.key_cols, op.pass.arity) = (&[0, 0], 2);
             assert!(op.next_batch().is_err());
             assert_eq!(h.stats().tuples_fetched, 0);
             drop(op);
@@ -1494,7 +1553,7 @@ pub(crate) mod tests {
     fn run_lookup(
         idb: &IndexedDatabase,
         pulls: Vec<Result<Batch>>,
-        out_cols: Option<Vec<usize>>,
+        out_cols: Option<&[usize]>,
         distinct: bool,
         cold: bool,
     ) -> (Vec<Vec<i64>>, crate::stats::AccessStats, u64) {
@@ -1524,7 +1583,7 @@ pub(crate) mod tests {
         let distinct: &[&[i64]] = &[&[2], &[1], &[3]];
         // The full combined row, and a fused projection onto `(v, w)`, whose one-row
         // batches take the anchor path.
-        for out_cols in [None, Some(vec![2, 3])] {
+        for out_cols in [None, Some(&[2, 3][..])] {
             let expected = |rows: &[&[i64]]| -> Vec<Vec<i64>> {
                 let joined = rows.iter().flat_map(|row| {
                     let tuples = postings(row[0]).into_iter();
@@ -1544,8 +1603,8 @@ pub(crate) mod tests {
                 // Repeated keys keep the memo. A cold session serves a key's repeats
                 // from the cache, but fetches, holds and demands what the cache-off
                 // run does.
-                let off = run_lookup(&idb, pulls(repeated), out_cols.clone(), false, false);
-                let cold = run_lookup(&idb, pulls(repeated), out_cols.clone(), false, true);
+                let off = run_lookup(&idb, pulls(repeated), out_cols, false, false);
+                let cold = run_lookup(&idb, pulls(repeated), out_cols, false, true);
                 assert_eq!(off.0, expected(repeated), "{corner}");
                 assert_eq!(cold.0, off.0, "{corner}");
                 let (stats, cold_stats) = (&off.1, &cold.1);
@@ -1564,9 +1623,9 @@ pub(crate) mod tests {
 
                 // Distinct keys: dropping the memo, or a cold session, changes nothing
                 // at all.
-                let kept = run_lookup(&idb, pulls(distinct), out_cols.clone(), false, false);
-                let dropped = run_lookup(&idb, pulls(distinct), out_cols.clone(), true, false);
-                let cold = run_lookup(&idb, pulls(distinct), out_cols.clone(), true, true);
+                let kept = run_lookup(&idb, pulls(distinct), out_cols, false, false);
+                let dropped = run_lookup(&idb, pulls(distinct), out_cols, true, false);
+                let cold = run_lookup(&idb, pulls(distinct), out_cols, true, true);
                 assert_eq!(kept.0, expected(distinct), "{corner}");
                 assert_eq!(dropped, kept, "{corner}");
                 assert_eq!(cold, kept, "{corner}");
@@ -1701,7 +1760,7 @@ pub(crate) mod tests {
             h.state.borrow_mut().cache = Some(cache.clone());
             let op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
             let mut op = op.distinct_keys(distinct);
-            op.constraint_index = 7;
+            op.fetch.constraint_index = 7;
             let failure = std::iter::from_fn(|| op.next_batch().transpose()).find(Result::is_err);
             assert!(failure.is_some(), "key 1 cannot be resolved");
             drop(op);

@@ -5,6 +5,7 @@ use super::{BoxOp, Operator, SharedState};
 use bea_core::error::Result;
 use bea_core::plan::Predicate;
 use bea_core::value::Value;
+use std::borrow::Cow;
 
 /// Ends a [`HashJoinOp`] match chain; never a build row (see [`position_bound`]).
 const END: u32 = u32::MAX;
@@ -26,9 +27,9 @@ const OWNER: &str = "a hash join's build side";
 pub(crate) struct HashJoinOp<'db> {
     left: BoxOp<'db>,
     right: Option<BoxOp<'db>>,
-    left_keys: Vec<usize>,
-    right_keys: Vec<usize>,
-    residual: Vec<Predicate>,
+    left_keys: &'db [usize],
+    right_keys: &'db [usize],
+    residual: Cow<'db, [Predicate]>,
     state: SharedState,
     /// The build side as dense columns; the chains hold row indices into them.
     build: Vec<Vec<Value>>,
@@ -55,9 +56,9 @@ impl<'db> HashJoinOp<'db> {
     pub(crate) fn new(
         left: BoxOp<'db>,
         right: BoxOp<'db>,
-        left_keys: Vec<usize>,
-        right_keys: Vec<usize>,
-        residual: Vec<Predicate>,
+        left_keys: &'db [usize],
+        right_keys: &'db [usize],
+        residual: Cow<'db, [Predicate]>,
         right_arity: usize,
         state: SharedState,
     ) -> Self {
@@ -121,7 +122,7 @@ impl Operator for HashJoinOp<'_> {
                     let row = self.next.len() as u32;
                     self.next.push(END);
                     let key = &mut self.key_scratch;
-                    key.gather(&batch, i, &self.right_keys);
+                    key.gather(&batch, i, self.right_keys);
                     match self.keys.find_key(key) {
                         Some(k) => {
                             let tail = std::mem::replace(&mut self.last[k as usize], row);
@@ -165,7 +166,7 @@ impl Operator for HashJoinOp<'_> {
         let mut out_rows = 0usize;
         for i in 0..batch.len() {
             let probe = &mut self.key_scratch;
-            probe.gather(&batch, i, &self.left_keys);
+            probe.gather(&batch, i, self.left_keys);
             let Some(k) = self.keys.find_key(probe) else {
                 continue;
             };
@@ -245,9 +246,9 @@ mod tests {
         let mut op = HashJoinOp::new(
             probe,
             build,
-            vec![0],
-            vec![0],
-            Vec::new(),
+            &[0],
+            &[0],
+            Cow::Borrowed(&[]),
             2,
             h.state.clone(),
         );
@@ -273,9 +274,9 @@ mod tests {
         let mut op = HashJoinOp::new(
             probe,
             build,
-            vec![0],
-            vec![0],
-            vec![Predicate::ColEqCol(1, 3)],
+            &[0],
+            &[0],
+            Cow::Owned(vec![Predicate::ColEqCol(1, 3)]),
             2,
             h.state.clone(),
         );
@@ -294,9 +295,9 @@ mod tests {
         let mut op = HashJoinOp::new(
             probe,
             build,
-            vec![0, 1],
-            vec![0, 1],
-            Vec::new(),
+            &[0, 1],
+            &[0, 1],
+            Cow::Borrowed(&[]),
             3,
             h.state.clone(),
         );
@@ -308,9 +309,9 @@ mod tests {
         let mut op = HashJoinOp::new(
             script(&[&[&[1], &[2]]]),
             script(&[&[&[8], &[9]]]),
-            Vec::new(),
-            Vec::new(),
-            Vec::new(),
+            &[],
+            &[],
+            Cow::Borrowed(&[]),
             1,
             h.state.clone(),
         );

@@ -38,7 +38,7 @@
 //! * a [`crate::session::Session`] keeps one pool and its workers alive across
 //!   queries, and the thread asking for an answer helps the same way.
 //!
-//! Each job runs with its *own* [`ExecState`] (operators stay single-threaded and
+//! Each job runs with its thread's [`ExecState`] (operators stay single-threaded and
 //! `Rc`-based), and the per-job counters are combined with
 //! [`AccessStats::merge_concurrent`]. A **morsel-splittable** pipeline
 //! (`bea_core::plan::Pipeline::morsel_source`) is additionally cut *within* when more
@@ -70,15 +70,15 @@ pub(crate) mod relational;
 pub(crate) mod sched;
 pub(crate) mod source;
 
-use crate::stats::AccessStats;
+use crate::stats::{AccessStats, FetchTally};
 use crate::table::Table;
 use batch::Batch;
 use bea_core::error::{Error, Result};
-use bea_core::plan::{step_surface, PhysOp, PhysicalPlan};
+use bea_core::plan::{step_surface, PhysOp, PhysicalPlan, Predicate};
 use bea_core::value::Value;
 use bea_storage::Store;
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -131,26 +131,24 @@ impl ResidencyLedger {
     }
 }
 
-/// Freelists of cleared executor buffers, recycled across probes so the steady-state
-/// anchored serving loop stops asking the allocator for anything.
+/// Freelists of cleared executor buffers, recycled across probes — and across the jobs
+/// one thread runs — so the steady-state anchored serving loop stops asking the
+/// allocator for anything.
 ///
 /// The contract: a buffer in the pool is always *empty* (cleared before
 /// `put_values`), so the pool holds capacity, never rows — the [`ResidencyLedger`]'s
 /// drained-to-zero assertion is unaffected by pooling. Operators draw per-batch
 /// gather columns and the keyed lookup's arena columns from here and hand
-/// uniquely-owned buffers back on teardown (exhausted arenas and scratch); buffers
-/// shared downstream simply stay with their owners. The pool lives on [`ExecState`]
-/// and is dropped with it, so everything pooled is freed at executor teardown.
+/// uniquely-owned buffers back on teardown (exhausted arenas and scratch, and the
+/// output columns a finished query was transposed out of); buffers shared downstream
+/// simply stay with their owners. The pool lives on [`ExecState`], which a thread
+/// keeps between its jobs ([`ExecState::park`]): between jobs it holds at most
+/// [`BufferPool::RETAINED`] buffers of at most [`BufferPool::RETAINED_VALUES`] values,
+/// so one large query cannot pin memory on a worker or a connection thread.
 #[derive(Debug)]
 pub(crate) struct BufferPool {
     values: Vec<Vec<Value>>,
     cap: usize,
-}
-
-impl Default for BufferPool {
-    fn default() -> Self {
-        Self::with_cap(Self::DEFAULT_CAP)
-    }
 }
 
 impl BufferPool {
@@ -163,6 +161,10 @@ impl BufferPool {
     /// Ceiling for the plan-derived cap, so one very wide plan cannot pin unbounded
     /// capacity.
     pub(crate) const MAX_CAP: usize = 256;
+    /// Buffers a thread keeps between jobs.
+    pub(crate) const RETAINED: usize = Self::DEFAULT_CAP;
+    /// The largest buffer, in values, a thread keeps between jobs: a batch's worth.
+    pub(crate) const RETAINED_VALUES: usize = BATCH_SIZE;
 
     /// An empty pool that retains at most `cap` buffers.
     pub(crate) fn with_cap(cap: usize) -> Self {
@@ -210,15 +212,19 @@ pub(crate) fn pool_cap_for(plan: &PhysicalPlan) -> usize {
     (demand as usize).clamp(BufferPool::MIN_CAP, BufferPool::MAX_CAP)
 }
 
-/// Mutable state owned by one job: its share of the access statistics, a handle to
-/// the query-wide [`ResidencyLedger`], and the job's [`BufferPool`]. The driver
-/// combines the counter parts with [`AccessStats::merge_concurrent`], while residency
-/// peaks always come from the shared ledger. The pool is per-state on purpose:
-/// buffers never cross threads.
+/// Mutable state of the job a thread is running: its share of the access statistics
+/// and fetch counts, a handle to the query-wide [`ResidencyLedger`], and the thread's
+/// [`BufferPool`]. The scheduler combines the counters with
+/// [`AccessStats::merge_concurrent`], while residency peaks always come from the shared
+/// ledger. The state is per thread on purpose — buffers never cross threads — and
+/// outlives the job: a worker's or a connection thread's next job reuses it
+/// ([`ExecState::claim`], [`ExecState::park`]).
 #[derive(Debug)]
 pub(crate) struct ExecState {
     /// Access statistics accumulated by this worker's operators.
     pub stats: AccessStats,
+    /// Tuples fetched per step and shard by this job's operators.
+    pub(crate) fetched: FetchTally,
     /// Recycled gather/selection/key buffers; see [`BufferPool`].
     pub(crate) pool: BufferPool,
     /// The session's cross-query fetch cache, when this worker executes a session
@@ -229,22 +235,55 @@ pub(crate) struct ExecState {
     ledger: Arc<ResidencyLedger>,
 }
 
-impl ExecState {
-    /// A state with the default pool cap, for tests that have no plan in hand.
-    #[cfg(test)]
-    pub(crate) fn new(ledger: Arc<ResidencyLedger>) -> Self {
-        Self::with_pool_cap(ledger, BufferPool::DEFAULT_CAP)
-    }
+thread_local! {
+    /// The job state this thread's last job left behind, its pool warm for the next.
+    static PARKED: Cell<Option<SharedState>> = const { Cell::new(None) };
+}
 
-    /// A state whose buffer pool retains at most `pool_cap` buffers —
-    /// executions derive the cap from the plan with [`pool_cap_for`].
-    pub(crate) fn with_pool_cap(ledger: Arc<ResidencyLedger>, pool_cap: usize) -> Self {
+impl ExecState {
+    /// A state with the default pool cap.
+    pub(crate) fn new(ledger: Arc<ResidencyLedger>) -> Self {
         Self {
             stats: AccessStats::default(),
-            pool: BufferPool::with_cap(pool_cap),
+            fetched: FetchTally::default(),
+            pool: BufferPool::with_cap(BufferPool::DEFAULT_CAP),
             cache: None,
             ledger,
         }
+    }
+
+    /// The state for a job on this thread — the one its last job parked, else a fresh
+    /// one — accounting against `ledger`, pooling up to `pool_cap` buffers (the plan's
+    /// [`pool_cap_for`]) and probing `cache`.
+    pub(crate) fn claim(
+        ledger: &Arc<ResidencyLedger>,
+        pool_cap: usize,
+        cache: Option<&Arc<crate::cache::SessionFetchCache>>,
+    ) -> SharedState {
+        let state = PARKED
+            .take()
+            .unwrap_or_else(|| Rc::new(RefCell::new(Self::new(Arc::clone(ledger)))));
+        let mut job = state.borrow_mut();
+        (job.ledger, job.pool.cap, job.cache) = (Arc::clone(ledger), pool_cap, cache.cloned());
+        drop(job);
+        state
+    }
+
+    /// Keep `state` for this thread's next job once the job's operators are gone: its
+    /// leftover counters (a failed job's) and cache handle are dropped, and its pool
+    /// keeps what a thread may hold between jobs.
+    pub(crate) fn park(state: SharedState) {
+        if Rc::strong_count(&state) > 1 {
+            return;
+        }
+        let mut job = state.borrow_mut();
+        (job.stats, job.cache) = (AccessStats::default(), None);
+        job.fetched.clear();
+        let pool = &mut job.pool.values;
+        pool.retain(|buffer| buffer.capacity() <= BufferPool::RETAINED_VALUES);
+        pool.truncate(BufferPool::RETAINED);
+        drop(job);
+        PARKED.set(Some(state));
     }
 
     /// Record `rows` newly held by a durable structure (materialized step, build side,
@@ -357,33 +396,14 @@ pub(crate) fn validate_fetch_shape<'a>(
 /// [`validate_fetch_shape`] checks every fetch against the schema and catalog.
 pub(crate) fn validate_for(plan: &PhysicalPlan, store: Store<'_>) -> Result<()> {
     plan.validate()?;
-    for (i, step) in plan.steps().iter().enumerate() {
-        let (relation, key_cols, x_attrs, positions, constraint_index) = match &step.op {
-            PhysOp::Fetch {
-                relation,
-                key_cols,
-                x_attrs,
-                positions,
-                constraint_index,
-                ..
-            }
-            | PhysOp::KeyedLookup {
-                relation,
-                key_cols,
-                x_attrs,
-                positions,
-                constraint_index,
-                ..
-            } => (relation, key_cols, x_attrs, positions, constraint_index),
-            _ => continue,
-        };
+    for fetch in (0..plan.len()).filter_map(|step| fetch::FetchStep::of(plan, step)) {
         validate_fetch_shape(
             store,
-            format_args!("physical step {i}"),
-            relation,
-            key_cols,
-            x_attrs.iter().chain(positions.iter()),
-            *constraint_index,
+            format_args!("physical step {}", fetch.step),
+            fetch.relation,
+            fetch.key_cols,
+            fetch.x_attrs.iter().chain(fetch.positions),
+            fetch.constraint_index,
         )?;
     }
     Ok(())
@@ -411,7 +431,8 @@ pub(crate) fn execute_inner(
     morsel_rows: usize,
 ) -> Result<(Table, AccessStats, Arc<ResidencyLedger>)> {
     validate_for(plan, store)?;
-    let query = sched::QueryShared::new(Cow::Borrowed(plan), 0);
+    let prepared = Arc::new(sched::Prepared::new(Cow::Borrowed(plan)));
+    let query = sched::QueryShared::new(Arc::clone(&prepared), Vec::new(), 0);
     let ledger = Arc::clone(&query.ledger);
     // A single thread runs every pipeline whole.
     let morsel_rows = if threads <= 1 {
@@ -423,7 +444,7 @@ pub(crate) fn execute_inner(
     // pipeline fans out into more jobs than the DAG has nodes — give it the full
     // thread budget so its morsels actually run side by side. The caller is one of
     // the threads.
-    let dag = query.dag();
+    let dag = &prepared.dag;
     let splittable =
         morsel_rows != usize::MAX && dag.pipelines().iter().any(|p| p.morsel_source.is_some());
     let helpers = if splittable {
@@ -437,7 +458,7 @@ pub(crate) fn execute_inner(
     let submitted = pool.submit(query, true)?;
     // The pool's only query is in: helpers leave when it retires.
     pool.shut_down();
-    let join = || pool.join(store, submitted.id, &submitted.outcome);
+    let join = || pool.join(store, &submitted);
     let (table, stats) = if helpers == 0 {
         join()
     } else {
@@ -451,32 +472,31 @@ pub(crate) fn execute_inner(
     Ok((table, stats, ledger))
 }
 
+/// What the operators of one job are built from, all of it outliving the operator
+/// tree: the plan, the constants of the run, the store, the job's state and the
+/// query's materialization slots. Operators borrow their step's fields from the plan
+/// rather than copying them, and read a placeholder's value from the constants when
+/// they are built ([`bea_core::value::Value::bound`]), so one plan serves every run
+/// of its template without being copied.
+#[derive(Clone, Copy)]
+pub(crate) struct JobCtx<'a> {
+    pub(crate) plan: &'a PhysicalPlan,
+    pub(crate) constants: &'a [Value],
+    pub(crate) store: Store<'a>,
+    pub(crate) state: &'a SharedState,
+    pub(crate) mats: &'a MatSlots,
+}
+
 /// Execute one pipeline: pull the operator tree rooted at `sink` to exhaustion and
 /// publish the materialized result for the pipelines that scan it.
-pub(crate) fn run_pipeline(
-    plan: &PhysicalPlan,
-    sink: usize,
-    store: Store<'_>,
-    state: &SharedState,
-    mats: &MatSlots,
-) -> Result<()> {
-    let mut op = build_op(plan, sink, store, state, mats, None)?;
-    let mut batches: Vec<Batch> = Vec::new();
-    let mut rows: u64 = 0;
-    while let Some(batch) = op.next_batch()? {
-        state.borrow_mut().acquire(batch.len() as u64);
-        rows += batch.len() as u64;
-        if !batch.is_empty() {
-            batches.push(batch);
-        }
-    }
-    drop(op);
+pub(crate) fn run_pipeline(job: JobCtx<'_>, sink: usize) -> Result<()> {
+    let (batches, rows) = drain(build_op(job, sink, None)?, job.state)?;
     let node = Arc::new(Mutex::new(MatNode {
         batches: Some(batches),
         rows,
-        remaining: plan.steps()[sink].consumers,
+        remaining: job.plan.steps()[sink].consumers,
     }));
-    if mats[sink].set(node).is_err() {
+    if job.mats[sink].set(node).is_err() {
         unreachable!("each pipeline is executed exactly once");
     }
     Ok(())
@@ -489,14 +509,16 @@ pub(crate) fn run_pipeline(
 /// in morsel order and publishes the materialization when the split's last morsel
 /// lands, so the published batch list is identical to the unsplit pipeline's.
 pub(crate) fn run_morsel(
-    plan: &PhysicalPlan,
+    job: JobCtx<'_>,
     sink: usize,
-    store: Store<'_>,
-    state: &SharedState,
-    mats: &MatSlots,
     ctx: &morsel::MorselCtx,
 ) -> Result<(Vec<Batch>, u64)> {
-    let mut op = build_op(plan, sink, store, state, mats, Some(ctx))?;
+    drain(build_op(job, sink, Some(ctx))?, job.state)
+}
+
+/// Pull `op` to exhaustion, acquiring every emitted row against the ledger; the
+/// nonempty batches and the row count. The operator tree is dropped before returning.
+fn drain(mut op: BoxOp<'_>, state: &SharedState) -> Result<(Vec<Batch>, u64)> {
     let mut batches: Vec<Batch> = Vec::new();
     let mut rows: u64 = 0;
     while let Some(batch) = op.next_batch()? {
@@ -509,19 +531,40 @@ pub(crate) fn run_morsel(
     Ok((batches, rows))
 }
 
+/// `predicates` as a run given `constants` reads them: borrowed from the plan, unless
+/// one compares with a placeholder the run supplies — then a copy with the value in.
+fn bound_predicates<'a>(predicates: &'a [Predicate], constants: &[Value]) -> Cow<'a, [Predicate]> {
+    let bound = |predicate: &Predicate| match predicate {
+        Predicate::ColEqConst(c, value) => {
+            Predicate::ColEqConst(*c, value.bound(constants).clone())
+        }
+        other => other.clone(),
+    };
+    let open = |predicate: &Predicate| matches!(predicate, Predicate::ColEqConst(_, value) if value.bound(constants) != value);
+    if predicates.iter().any(open) {
+        Cow::Owned(predicates.iter().map(bound).collect())
+    } else {
+        Cow::Borrowed(predicates)
+    }
+}
+
 /// Build the operator for step `node`, recursing into non-materialized inputs and
 /// scanning materialized ones. With a [`morsel::MorselCtx`] the chain is instantiated
 /// for one morsel: the morsel source replays its batch range instead of a full scan,
 /// and keyed lookups attach the split's shared caches.
-fn build_op<'db>(
-    plan: &PhysicalPlan,
+fn build_op<'a>(
+    job: JobCtx<'a>,
     node: usize,
-    store: Store<'db>,
-    state: &SharedState,
-    mats: &MatSlots,
     morsel: Option<&morsel::MorselCtx>,
-) -> Result<BoxOp<'db>> {
-    let input = |j: usize| -> Result<BoxOp<'db>> {
+) -> Result<BoxOp<'a>> {
+    let JobCtx {
+        plan,
+        constants,
+        store,
+        state,
+        mats,
+    } = job;
+    let input = |j: usize| -> Result<BoxOp<'a>> {
         if let Some(ctx) = morsel {
             if j == ctx.source {
                 return Ok(Box::new(morsel::MorselScanOp::new(
@@ -536,67 +579,49 @@ fn build_op<'db>(
                 .expect("the scheduler completes a pipeline's sources before starting it");
             Ok(Box::new(source::ScanOp::new(mat.clone(), state.clone())))
         } else {
-            build_op(plan, j, store, state, mats, morsel)
+            build_op(job, j, morsel)
         }
     };
     // A keyed lookup keeps a memo only where its source can repeat a key. Built inside
     // a morsel, it shares the split's cache for its step and reports once-per-run
     // counters only on the split's first morsel.
-    let configure = |op: fetch::KeyedLookupOp<'db>, step: usize| -> fetch::KeyedLookupOp<'db> {
+    let lookup = |step: usize, out_cols: Option<&'a [usize]>| -> Result<BoxOp<'a>> {
         let PhysOp::KeyedLookup {
-            source, key_cols, ..
-        } = &plan.steps()[step].op
-        else {
-            unreachable!("configured steps are keyed lookups");
-        };
-        let op = op.distinct_keys(plan.keys_distinct(*source, key_cols));
-        match morsel {
-            Some(ctx) => op.for_morsel(ctx.caches.get(&step).cloned(), ctx.report),
-            None => op,
-        }
-    };
-    let op: BoxOp<'db> = match &plan.steps()[node].op {
-        PhysOp::Const { value } => Box::new(source::SingletonOp::new(vec![value.clone()])),
-        PhysOp::Unit => Box::new(source::SingletonOp::new(Vec::new())),
-        PhysOp::Empty { .. } => Box::new(source::EmptyOp),
-        PhysOp::Fetch {
             source,
             key_cols,
-            relation,
-            positions,
-            constraint_index,
+            residual,
             ..
-        } => Box::new(fetch::FetchOp::new(
+        } = &plan.steps()[step].op
+        else {
+            unreachable!("a lookup is built from a keyed-lookup step");
+        };
+        let op = fetch::KeyedLookupOp::new(
             input(*source)?,
-            key_cols.clone(),
-            relation.clone(),
-            positions.clone(),
-            *constraint_index,
+            fetch::FetchStep::of(plan, step).expect("a keyed lookup fetches"),
+            bound_predicates(residual, constants),
+            out_cols,
+            store,
+            state.clone(),
+        )
+        .distinct_keys(plan.keys_distinct(*source, key_cols));
+        Ok(Box::new(match morsel {
+            Some(ctx) => op.for_morsel(ctx.caches.get(&step).cloned(), ctx.report),
+            None => op,
+        }))
+    };
+    let op: BoxOp<'a> = match &plan.steps()[node].op {
+        PhysOp::Const { value } => Box::new(source::SingletonOp::new(vec![value
+            .bound(constants)
+            .clone()])),
+        PhysOp::Unit => Box::new(source::SingletonOp::new(Vec::new())),
+        PhysOp::Empty { .. } => Box::new(source::EmptyOp),
+        PhysOp::Fetch { source, .. } => Box::new(fetch::FetchOp::new(
+            input(*source)?,
+            fetch::FetchStep::of(plan, node).expect("a fetch fetches"),
             store,
             state.clone(),
         )),
-        PhysOp::KeyedLookup {
-            source,
-            key_cols,
-            relation,
-            positions,
-            constraint_index,
-            residual,
-            ..
-        } => Box::new(configure(
-            fetch::KeyedLookupOp::new(
-                input(*source)?,
-                key_cols.clone(),
-                relation.clone(),
-                positions.clone(),
-                *constraint_index,
-                residual.clone(),
-                None,
-                store,
-                state.clone(),
-            ),
-            node,
-        )),
+        PhysOp::KeyedLookup { .. } => lookup(node, None)?,
         PhysOp::HashJoin {
             left,
             right,
@@ -606,15 +631,15 @@ fn build_op<'db>(
         } => Box::new(join::HashJoinOp::new(
             input(*left)?,
             input(*right)?,
-            left_keys.clone(),
-            right_keys.clone(),
-            residual.clone(),
+            left_keys,
+            right_keys,
+            bound_predicates(residual, constants),
             plan.steps()[*right].columns.len(),
             state.clone(),
         )),
         PhysOp::Filter { source, predicates } => Box::new(relational::FilterOp::new(
             input(*source)?,
-            predicates.clone(),
+            bound_predicates(predicates, constants),
         )),
         PhysOp::Project { source, cols } => {
             // Fusion: a projection whose direct (sole, non-materialized) input is a
@@ -629,34 +654,11 @@ fn build_op<'db>(
             // and must keep doing so). If the fused pattern is broken by a future
             // lowering change, execution falls back to the explicit ProjectOp —
             // slower, never wrong.
-            if !plan.steps()[*source].materialize {
-                if let PhysOp::KeyedLookup {
-                    source: klu_source,
-                    key_cols,
-                    relation,
-                    positions,
-                    constraint_index,
-                    residual,
-                    ..
-                } = &plan.steps()[*source].op
-                {
-                    return Ok(Box::new(configure(
-                        fetch::KeyedLookupOp::new(
-                            input(*klu_source)?,
-                            key_cols.clone(),
-                            relation.clone(),
-                            positions.clone(),
-                            *constraint_index,
-                            residual.clone(),
-                            Some(cols.clone()),
-                            store,
-                            state.clone(),
-                        ),
-                        *source,
-                    )));
-                }
+            let step = &plan.steps()[*source];
+            if !step.materialize && matches!(step.op, PhysOp::KeyedLookup { .. }) {
+                return lookup(*source, Some(cols));
             }
-            Box::new(relational::ProjectOp::new(input(*source)?, cols.clone()))
+            Box::new(relational::ProjectOp::new(input(*source)?, cols))
         }
         PhysOp::Dedup { source } => Box::new(relational::DedupOp::new(
             input(*source)?,
@@ -1108,6 +1110,70 @@ mod tests {
         // each branch lowers to one keyed lookup carrying both fetched columns.
         let mid = bea_core::plan::lower_plan(&union_of_lookups(&[1, 2, 3])).unwrap();
         assert_eq!(pool_cap_for(&mid), 12);
+    }
+
+    #[test]
+    fn a_thread_keeps_buffers_between_jobs_but_none_past_the_retention_cap() {
+        // `σ[v = 5] δ π[v] fetch(k = 1, R)` over 16 384 tuples `(1, i)`: the fetch and
+        // the δ grow buffers to many batches' worth.
+        const ROWS: i64 = 16_384;
+        let mut c = bea_core::schema::Catalog::new();
+        c.declare("R", ["k", "v"]).unwrap();
+        let schema = AccessSchema::from_constraints([AccessConstraint::new(
+            &c,
+            "R",
+            &["k"],
+            &["v"],
+            ROWS as u64,
+        )
+        .unwrap()]);
+        let mut db = Database::new(c);
+        db.extend("R", (0..ROWS).map(|i| vec![Value::int(1), Value::int(i)]))
+            .unwrap();
+        let wide = IndexedDatabase::build(db, schema).unwrap();
+        let mut b = PlanBuilder::new();
+        let key = b.constant(Value::int(1), "k");
+        let columns = vec!["k".into(), "v".into()];
+        let fetched = b.fetch(key, vec![0], "R", vec![0], vec![1], 0, columns);
+        let values = b.project(fetched, vec![1]);
+        let out = b.select(values, vec![Predicate::ColEqConst(0, Value::int(5))]);
+        let dedup = bea_core::plan::lower_plan(&b.finish("Q", out).unwrap()).unwrap();
+        assert!(dedup
+            .steps()
+            .iter()
+            .any(|step| matches!(step.op, PhysOp::Dedup { .. })));
+
+        // On this thread, one job each: the large δ, then a point lookup.
+        let run = |plan: &PhysicalPlan, store| {
+            let (table, _, ledger) =
+                execute_inner(plan, store, 1, crate::exec::DEFAULT_MORSEL_ROWS).unwrap();
+            assert_eq!(ledger.resident(), 0, "the ledger drains whatever is pooled");
+            let state = PARKED
+                .take()
+                .expect("the job's state stays with its thread");
+            let (pooled, largest) = {
+                let buffers = &state.borrow().pool.values;
+                (buffers.len(), buffers.iter().map(Vec::capacity).max())
+            };
+            PARKED.set(Some(state));
+            let largest = largest.unwrap_or(0);
+            assert!(pooled <= BufferPool::RETAINED);
+            assert!(
+                largest <= BufferPool::RETAINED_VALUES,
+                "a buffer of {largest} values outlived its job"
+            );
+            (table, pooled)
+        };
+        let (table, _) = run(&dedup, Store::Indexed(&wide));
+        assert_eq!(table.rows(), [vec![Value::int(5)]]);
+        let idb = setup();
+        let point = bea_core::plan::lower_plan(&union_of_lookups(&[1])).unwrap();
+        let (table, pooled) = run(&point, Store::Indexed(&idb));
+        assert_eq!(table.len(), 2);
+        assert!(
+            pooled > 0,
+            "the point lookup's buffers are kept for the next job"
+        );
     }
 
     #[test]

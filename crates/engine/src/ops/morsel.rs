@@ -11,8 +11,8 @@
 //! unsplit pipeline's output batch for batch — rows, order, and every deterministic
 //! counter included.
 //!
-//! Each morsel runs the chain with its own `ExecState` (stats and buffer pool stay
-//! per-worker), replaying its batch range through a [`MorselScanOp`]. The only state
+//! Each morsel runs the chain with its thread's `ExecState` (stats and buffer pool
+//! stay per-worker), replaying its batch range through a [`MorselScanOp`]. The only state
 //! shared between morsels is the per-lookup-step [`SharedLookupCache`]: a key filled by
 //! one morsel is a warm hit for every other, so the split fetches each distinct key
 //! exactly once — the same data access as the unsplit pipeline, just spread over

@@ -11,16 +11,17 @@ use super::{BoxOp, Operator, SharedState};
 use bea_core::error::Result;
 use bea_core::plan::Predicate;
 use bea_core::value::Value;
+use std::borrow::Cow;
 
 /// Streaming selection: writes a selection vector over the input batch's shared
 /// columns. No values move.
 pub(crate) struct FilterOp<'db> {
     input: BoxOp<'db>,
-    predicates: Vec<Predicate>,
+    predicates: Cow<'db, [Predicate]>,
 }
 
 impl<'db> FilterOp<'db> {
-    pub(crate) fn new(input: BoxOp<'db>, predicates: Vec<Predicate>) -> Self {
+    pub(crate) fn new(input: BoxOp<'db>, predicates: Cow<'db, [Predicate]>) -> Self {
         Self { input, predicates }
     }
 }
@@ -38,11 +39,11 @@ impl Operator for FilterOp<'_> {
 /// permutes the shared column handles. No values move.
 pub(crate) struct ProjectOp<'db> {
     input: BoxOp<'db>,
-    cols: Vec<usize>,
+    cols: &'db [usize],
 }
 
 impl<'db> ProjectOp<'db> {
-    pub(crate) fn new(input: BoxOp<'db>, cols: Vec<usize>) -> Self {
+    pub(crate) fn new(input: BoxOp<'db>, cols: &'db [usize]) -> Self {
         Self { input, cols }
     }
 }
@@ -52,7 +53,7 @@ impl Operator for ProjectOp<'_> {
         let Some(batch) = self.input.next_batch()? else {
             return Ok(None);
         };
-        Ok(Some(batch.project(&self.cols)))
+        Ok(Some(batch.project(self.cols)))
     }
 }
 

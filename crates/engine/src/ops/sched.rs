@@ -6,10 +6,13 @@
 //! split pipeline. A pipeline is *ready* when every pipeline it scans (its exchange
 //! edges) has completed. A [`Pool`] holds the ready jobs of every admitted query in
 //! one queue behind one mutex, and [`Pool::run_claimed`] is the only code that runs a
-//! job: split, execute with a private [`ExecState`] (operator trees never cross
-//! threads) against the query's [`ResidencyLedger`], fold the counters in with
-//! [`AccessStats::merge_concurrent`], unlock dependents, retire the query. The pool
-//! owns no thread and no store; both are lent by its user:
+//! job: split, execute with the running thread's [`ExecState`] (operator trees never
+//! cross threads) against the query's [`ResidencyLedger`], fold the counters in with
+//! [`AccessStats::merge_concurrent`], unlock dependents, retire the query and put its
+//! outcome where its owner waits. A query runs a [`Prepared`] plan in place — the
+//! plan, its DAG and its pool cap shared by every run of a template, the run's own
+//! constants beside them. The pool owns no thread and no store; both are lent by its
+//! user:
 //!
 //! * a solo execution ([`super::execute`]) builds a pool on its caller's stack,
 //!   submits its one query, and the calling thread runs [`Pool::join`] — the helping
@@ -61,25 +64,23 @@
 //! thread count, morsel size and interleaving.
 
 use super::batch::Batch;
+use super::fetch::FetchStep;
 use super::morsel::{lookup_steps_in_region, morsel_ranges, MorselCtx, SharedLookupCache};
 use super::{
-    pool_cap_for, run_morsel, run_pipeline, ExecState, MatNode, ResidencyLedger, SharedMat,
-    SharedState,
+    pool_cap_for, run_morsel, run_pipeline, BufferPool, ExecState, JobCtx, MatNode,
+    ResidencyLedger, SharedMat, SharedState,
 };
 use crate::cache::SessionFetchCache;
 use crate::stats::AccessStats;
 use crate::table::Table;
 use bea_core::error::{Error, Result};
 use bea_core::plan::{PhysicalPlan, PipelineDag};
-use bea_core::value::Row;
+use bea_core::value::{Row, Value};
 use bea_storage::Store;
 use std::any::Any;
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::rc::Rc;
-use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The immutable description of one split pipeline, shared by its morsel jobs.
@@ -139,37 +140,84 @@ pub(crate) fn job_pipeline(job: &Job) -> usize {
     }
 }
 
-/// The immutable execution context of one query, shared between the threads running
-/// its jobs. A session owns the plan it lowered; a solo run borrows its caller's.
+/// A lowered plan and what every run derives from it alone, worked out once: a
+/// session keeps one per prepared template, a solo run borrows its caller's plan.
+#[derive(Debug)]
+pub(crate) struct Prepared<'p> {
+    pub(crate) plan: Cow<'p, PhysicalPlan>,
+    pub(crate) dag: PipelineDag,
+    pool_cap: usize,
+    /// [`PhysicalPlan::placeholders`].
+    pub(crate) placeholders: usize,
+    /// The output step's column labels, shared by every result table.
+    labels: Arc<[String]>,
+}
+
+impl<'p> Prepared<'p> {
+    /// `plan` (validated by the caller) with what its runs share.
+    pub(crate) fn new(plan: Cow<'p, PhysicalPlan>) -> Self {
+        Prepared {
+            dag: plan.pipeline_dag(),
+            pool_cap: pool_cap_for(&plan),
+            placeholders: plan.placeholders(),
+            labels: plan.steps()[plan.output()].columns.as_slice().into(),
+            plan,
+        }
+    }
+}
+
+/// The execution context of one query, shared between the threads running its jobs:
+/// the prepared plan, the constants this run reads into it, and this run's own state.
 pub(crate) struct QueryShared<'p> {
-    plan: Cow<'p, PhysicalPlan>,
-    dag: PipelineDag,
+    prepared: Arc<Prepared<'p>>,
+    /// The values of the plan's placeholders, by class.
+    constants: Vec<Value>,
     /// This query's private materialization slots.
     mats: Vec<OnceLock<SharedMat>>,
     /// This query's private residency ledger.
     pub(crate) ledger: Arc<ResidencyLedger>,
-    pool_cap: usize,
     /// What the query is charged against the pool's fetch budget while admitted.
     fetch_bound: u64,
+    /// How the query ended, once it has: put here by the thread that retires it,
+    /// taken by its owner in [`Pool::join`].
+    outcome: Mutex<Option<QueryOutcome>>,
+    settled: Condvar,
 }
 
 impl<'p> QueryShared<'p> {
-    /// The context for one execution of `plan` (validated by the caller).
-    pub(crate) fn new(plan: Cow<'p, PhysicalPlan>, fetch_bound: u64) -> Self {
-        let dag = plan.pipeline_dag();
+    /// The context for one run of `prepared` with `constants`.
+    pub(crate) fn new(
+        prepared: Arc<Prepared<'p>>,
+        constants: Vec<Value>,
+        fetch_bound: u64,
+    ) -> Self {
         QueryShared {
-            mats: (0..plan.len()).map(|_| OnceLock::new()).collect(),
+            mats: (0..prepared.plan.len()).map(|_| OnceLock::new()).collect(),
             ledger: Arc::new(ResidencyLedger::default()),
-            pool_cap: pool_cap_for(&plan),
-            dag,
-            plan,
+            prepared,
+            constants,
             fetch_bound,
+            outcome: Mutex::new(None),
+            settled: Condvar::new(),
         }
     }
 
-    /// The query's pipeline DAG.
-    pub(crate) fn dag(&self) -> &PipelineDag {
-        &self.dag
+    /// Hand the query's outcome to its owner.
+    fn settle(&self, outcome: QueryOutcome) {
+        *self.outcome.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        self.settled.notify_all();
+    }
+
+    /// The outcome, if the query has ended; with `wait`, block until it has.
+    fn outcome(&self, wait: bool) -> Option<QueryOutcome> {
+        let mut slot = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
+        while wait && slot.is_none() {
+            slot = self
+                .settled
+                .wait(slot)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        slot.take()
     }
 }
 
@@ -178,28 +226,31 @@ impl<'p> QueryShared<'p> {
 /// morsel source, splitting is disabled (`morsel_rows == usize::MAX`), or the source
 /// holds at most one morsel's worth of batches.
 fn try_split(shared: &QueryShared<'_>, p: usize, morsel_rows: usize) -> Option<MorselWork> {
-    let pipeline = &shared.dag.pipelines()[p];
+    let pipeline = &shared.prepared.dag.pipelines()[p];
     let source = pipeline.morsel_source?;
     if morsel_rows == usize::MAX {
         return None;
     }
-    let batches: Vec<Batch> = {
+    let (batches, ranges) = {
         let node = shared.mats[source]
             .get()
             .expect("a pipeline's sources complete before it is ready")
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        node.batches
-            .as_ref()
-            .expect("a source stays materialized while consumers remain")
-            .clone()
+        let batches =
+            (node.batches.as_ref()).expect("a source stays materialized while consumers remain");
+        // One batch is one morsel: nothing to cut, and nothing to copy.
+        if batches.len() <= 1 {
+            return None;
+        }
+        let ranges = morsel_ranges(batches, morsel_rows);
+        if ranges.len() <= 1 {
+            return None;
+        }
+        (batches.clone(), ranges)
     };
-    let ranges = morsel_ranges(&batches, morsel_rows);
-    if ranges.len() <= 1 {
-        return None;
-    }
     let caches: BTreeMap<usize, Arc<SharedLookupCache>> =
-        lookup_steps_in_region(&shared.plan, pipeline.sink)
+        lookup_steps_in_region(&shared.prepared.plan, pipeline.sink)
             .into_iter()
             .map(|step| (step, Arc::new(SharedLookupCache::new())))
             .collect();
@@ -217,7 +268,7 @@ fn try_split(shared: &QueryShared<'_>, p: usize, morsel_rows: usize) -> Option<M
 /// consumer claim on the source materialization — exactly once for the whole split,
 /// mirroring [`super::source::ScanOp`]'s last-consumer protocol.
 fn finalize_split(shared: &QueryShared<'_>, state: SplitState, work: &MorselWork) {
-    let sink = shared.dag.pipelines()[work.pipeline].sink;
+    let sink = shared.prepared.dag.pipelines()[work.pipeline].sink;
     let batches: Vec<Batch> = state
         .results
         .into_iter()
@@ -228,7 +279,7 @@ fn finalize_split(shared: &QueryShared<'_>, state: SplitState, work: &MorselWork
     let node = Arc::new(Mutex::new(MatNode {
         batches: Some(batches),
         rows: state.rows,
-        remaining: shared.plan.steps()[sink].consumers,
+        remaining: shared.prepared.plan.steps()[sink].consumers,
     }));
     if shared.mats[sink].set(node).is_err() {
         unreachable!("each pipeline is executed exactly once");
@@ -255,29 +306,30 @@ fn finalize_split(shared: &QueryShared<'_>, state: SplitState, work: &MorselWork
 /// [`std::thread::Result`] carries a caught panic.
 type JobOutcome = std::thread::Result<(Result<Option<(Vec<Batch>, u64)>>, AccessStats)>;
 
-/// Execute one [`Job`] with a fresh per-job [`ExecState`] — counters stay private to
-/// the job, residency goes through the query's ledger — catching panics on the running
-/// thread. An uncaught panic would kill a worker without a wakeup, stranding the
-/// others on the condvar, and poison any `MatNode` lock it held — turning one bad
+/// Execute one [`Job`] with the running thread's [`ExecState`] — counters stay private
+/// to the job, residency goes through the query's ledger — catching panics on the
+/// running thread. An uncaught panic would kill a worker without a wakeup, stranding
+/// the others on the condvar, and poison any `MatNode` lock it held — turning one bad
 /// operator into an opaque secondary panic elsewhere. The unwind still runs the
 /// operator drops inside the catch, so residency is released before the payload is
-/// returned. `cache` is the session's fetch cache for the job's operators to probe;
-/// a solo run has none.
+/// returned. The job's fetch counts stay on `state` for the scheduler to fold in.
 fn execute_job(
     shared: &QueryShared<'_>,
     store: Store<'_>,
-    cache: Option<&Arc<SessionFetchCache>>,
+    state: &SharedState,
     job: &Job,
 ) -> JobOutcome {
     catch_unwind(AssertUnwindSafe(|| {
-        let mut exec_state = ExecState::with_pool_cap(shared.ledger.clone(), shared.pool_cap);
-        exec_state.cache = cache.cloned();
-        let state: SharedState = Rc::new(RefCell::new(exec_state));
-        let sink = shared.dag.pipelines()[job_pipeline(job)].sink;
+        let run = JobCtx {
+            plan: &shared.prepared.plan,
+            constants: &shared.constants,
+            store,
+            state,
+            mats: &shared.mats,
+        };
+        let sink = shared.prepared.dag.pipelines()[job_pipeline(job)].sink;
         let result = match job {
-            Job::Pipeline(_) => {
-                run_pipeline(&shared.plan, sink, store, &state, &shared.mats).map(|()| None)
-            }
+            Job::Pipeline(_) => run_pipeline(run, sink).map(|()| None),
             Job::Morsel { work, index, .. } => {
                 let ctx = MorselCtx {
                     source: work.source,
@@ -286,26 +338,23 @@ fn execute_job(
                     caches: Arc::clone(&work.caches),
                     report: *index == 0,
                 };
-                run_morsel(&shared.plan, sink, store, &state, &shared.mats, &ctx).map(Some)
+                run_morsel(run, sink, &ctx).map(Some)
             }
         };
-        let stats = Rc::try_unwrap(state)
-            .expect("pipeline operators are dropped before their stats are read")
-            .into_inner()
-            .stats;
-        (result, stats)
+        (result, std::mem::take(&mut state.borrow_mut().stats))
     }))
 }
 
-/// How one query ended, delivered to whoever holds the receiving end.
+/// How one query ended, delivered to its owner.
 pub(crate) enum QueryOutcome {
-    Finished(Box<(Table, AccessStats)>),
+    Finished(Table, AccessStats),
     Failed(Error),
     Panicked(Box<dyn Any + Send>),
 }
 
 /// Mutable pool-side state of one admitted query.
 struct ActiveQuery<'p> {
+    id: u64,
     shared: Arc<QueryShared<'p>>,
     /// Remaining incomplete dependencies per pipeline.
     deps_left: Vec<usize>,
@@ -320,22 +369,29 @@ struct ActiveQuery<'p> {
     failure: Option<QueryOutcome>,
     /// Concurrent merge of this query's per-job counters.
     stats: AccessStats,
-    outcome: Sender<QueryOutcome>,
+}
+
+/// Admitted query `id`, found in the pool's list of them.
+fn active<'a, 'p>(active: &'a mut [ActiveQuery<'p>], id: u64) -> &'a mut ActiveQuery<'p> {
+    let mut queries = active.iter_mut();
+    queries
+        .find(|query| query.id == id)
+        .expect("a running query stays active")
 }
 
 /// A submission waiting for budget headroom.
 struct PendingQuery<'p> {
     id: u64,
     shared: Arc<QueryShared<'p>>,
-    outcome: Sender<QueryOutcome>,
 }
 
 /// The pool's shared state, guarded by one mutex.
 pub(crate) struct PoolState<'p> {
     /// Ready jobs, across all admitted queries, tagged with their query's id.
     ready: VecDeque<(u64, Job)>,
-    /// Admitted queries by id.
-    active: BTreeMap<u64, ActiveQuery<'p>>,
+    /// Admitted queries: a short list (the budget and the asking threads keep it so)
+    /// whose capacity outlives them.
+    active: Vec<ActiveQuery<'p>>,
     /// Admissible queries waiting for headroom, in submission order (FIFO — a big
     /// query at the front is never starved by small ones behind it).
     pending: VecDeque<PendingQuery<'p>>,
@@ -375,29 +431,24 @@ pub(crate) struct Pool<'p> {
 }
 
 /// A submission the pool took in: admitted, or queued for headroom.
-pub(crate) struct Submitted {
+pub(crate) struct Submitted<'p> {
     /// Pool-unique id, in submission order.
     pub(crate) id: u64,
     /// Whether the query had to queue for headroom.
     pub(crate) queued: bool,
-    /// Where its outcome arrives; [`Pool::join`] reads it.
-    pub(crate) outcome: Receiver<QueryOutcome>,
+    /// The query, where its outcome arrives; [`Pool::join`] reads it.
+    query: Arc<QueryShared<'p>>,
 }
 
 /// Admit one query: charge its fetch bound against the budget, register its
 /// bookkeeping, and enqueue its dependency-free pipelines. Returns how many jobs
 /// were added. Caller holds the pool lock and emits the wakeups.
-fn admit<'p>(
-    state: &mut PoolState<'p>,
-    id: u64,
-    shared: Arc<QueryShared<'p>>,
-    outcome: Sender<QueryOutcome>,
-) -> usize {
+fn admit<'p>(state: &mut PoolState<'p>, id: u64, shared: Arc<QueryShared<'p>>) -> usize {
     state.counters.admitted += 1;
     state.admitted_bound += shared.fetch_bound;
     state.peak_admitted_bound = state.peak_admitted_bound.max(state.admitted_bound);
-    let n = shared.dag.len();
-    let deps_left: Vec<usize> = (0..n).map(|i| shared.dag.dependencies(i).len()).collect();
+    let dag = &shared.prepared.dag;
+    let deps_left: Vec<usize> = (0..dag.len()).map(|i| dag.dependencies(i).len()).collect();
     let mut added = 0;
     for (pipeline, &deps) in deps_left.iter().enumerate() {
         if deps == 0 {
@@ -405,19 +456,16 @@ fn admit<'p>(
             added += 1;
         }
     }
-    state.active.insert(
+    state.active.push(ActiveQuery {
         id,
-        ActiveQuery {
-            shared,
-            deps_left,
-            splits: Vec::new(),
-            completed: 0,
-            running: 0,
-            failure: None,
-            stats: AccessStats::default(),
-            outcome,
-        },
-    );
+        shared,
+        deps_left,
+        splits: Vec::new(),
+        completed: 0,
+        running: 0,
+        failure: None,
+        stats: AccessStats::default(),
+    });
     added
 }
 
@@ -434,7 +482,7 @@ pub(crate) fn drain_pending(state: &mut PoolState<'_>, budget: Option<u64>) -> u
             return added;
         }
         let next = state.pending.pop_front().expect("front() was Some");
-        added += admit(state, next.id, next.shared, next.outcome);
+        added += admit(state, next.id, next.shared);
     }
 }
 
@@ -475,7 +523,7 @@ fn unlock_dependents(
     ready: &mut VecDeque<(u64, Job)>,
 ) -> usize {
     let mut added = 0;
-    for &dependent in query.shared.dag.dependents(pipeline) {
+    for &dependent in query.shared.prepared.dag.dependents(pipeline) {
         query.deps_left[dependent] -= 1;
         if query.deps_left[dependent] == 0 {
             ready.push_back((id, Job::Pipeline(dependent)));
@@ -486,10 +534,14 @@ fn unlock_dependents(
 }
 
 /// Extract a finished query's output: take the output materialization, settle the
-/// residency ledger, count the transpose's clones, and build the table. Runs
-/// *outside* the pool lock.
-fn finish_query(shared: &QueryShared<'_>, mut stats: AccessStats) -> (Table, AccessStats) {
-    let output = shared.plan.output();
+/// residency ledger, count the transpose's clones, and build the table. The emptied
+/// column buffers go to `pool`, the finishing thread's. Runs *outside* the pool lock.
+fn finish_query(
+    shared: &QueryShared<'_>,
+    mut stats: AccessStats,
+    pool: &mut BufferPool,
+) -> QueryOutcome {
+    let output = shared.prepared.plan.output();
     let (batches, output_rows) = {
         let mut node = shared.mats[output]
             .get()
@@ -512,14 +564,18 @@ fn finish_query(shared: &QueryShared<'_>, mut stats: AccessStats) -> (Table, Acc
     );
     // Hand the result over as rows. Output batches are usually uniquely owned dense
     // columns, so the transpose moves the values; any clones it does perform count.
-    let mut rows: Vec<Row> = Vec::with_capacity(output_rows as usize);
+    let mut rows: Vec<Row> = Vec::new();
     for batch in batches {
-        let (mut batch_rows, clones) = batch.into_rows();
+        let (batch_rows, clones) = batch.into_rows(|buffer| pool.put_values(buffer));
         stats.values_cloned += clones;
-        rows.append(&mut batch_rows);
+        if rows.is_empty() {
+            rows = batch_rows;
+        } else {
+            rows.extend(batch_rows);
+        }
     }
-    let table = Table::with_rows(shared.plan.steps()[output].columns.clone(), rows);
-    (table, stats)
+    let table = Table::with_labels(Arc::clone(&shared.prepared.labels), rows);
+    QueryOutcome::Finished(table, stats)
 }
 
 /// Which kind of thread is running a claimed job.
@@ -536,10 +592,8 @@ enum Runner {
 
 /// Count a job popped off the ready queue as running on its query, and hand back the
 /// query's execution context. Caller holds the pool lock.
-fn claim<'p>(active: &mut BTreeMap<u64, ActiveQuery<'p>>, id: u64) -> Arc<QueryShared<'p>> {
-    let query = active
-        .get_mut(&id)
-        .expect("ready jobs belong to active queries");
+fn claim<'p>(queries: &mut [ActiveQuery<'p>], id: u64) -> Arc<QueryShared<'p>> {
+    let query = active(queries, id);
     query.running += 1;
     Arc::clone(&query.shared)
 }
@@ -554,7 +608,7 @@ impl<'p> Pool<'p> {
         Pool {
             state: Mutex::new(PoolState {
                 ready: VecDeque::new(),
-                active: BTreeMap::new(),
+                active: Vec::new(),
                 pending: VecDeque::new(),
                 admitted_bound: 0,
                 peak_admitted_bound: 0,
@@ -587,9 +641,13 @@ impl<'p> Pool<'p> {
     /// bound fits the budget's headroom, else queue it FIFO. With `caller_runs` the
     /// submitting thread goes straight on to [`Pool::join`], so one wake-up fewer than
     /// jobs is sent. Refused once the pool is shut down.
-    pub(crate) fn submit(&self, shared: QueryShared<'p>, caller_runs: bool) -> Result<Submitted> {
+    pub(crate) fn submit(
+        &self,
+        shared: QueryShared<'p>,
+        caller_runs: bool,
+    ) -> Result<Submitted<'p>> {
         let shared = Arc::new(shared);
-        let (tx, outcome) = channel();
+        let query = Arc::clone(&shared);
         let mut guard = self.lock_state();
         if guard.shutdown {
             return Err(Error::Invalid {
@@ -606,21 +664,17 @@ impl<'p> Pool<'p> {
                 .budget
                 .is_none_or(|budget| guard.admitted_bound + shared.fetch_bound <= budget);
         if fits {
-            let added = admit(&mut guard, id, shared, tx);
+            let added = admit(&mut guard, id, shared);
             drop(guard);
             self.wake_workers(added.saturating_sub(usize::from(caller_runs)));
         } else {
             guard.counters.queued += 1;
-            guard.pending.push_back(PendingQuery {
-                id,
-                shared,
-                outcome: tx,
-            });
+            guard.pending.push_back(PendingQuery { id, shared });
         }
         Ok(Submitted {
             id,
             queued: !fits,
-            outcome,
+            query,
         })
     }
 
@@ -666,13 +720,12 @@ impl<'p> Pool<'p> {
     pub(crate) fn join(
         &self,
         store: Store<'_>,
-        id: u64,
-        outcome: &Receiver<QueryOutcome>,
+        submitted: &Submitted<'p>,
     ) -> Result<(Table, AccessStats)> {
+        let (id, query) = (submitted.id, &submitted.query);
         let outcome = loop {
-            match outcome.try_recv() {
-                Err(TryRecvError::Empty) => {}
-                settled => break settled.map_err(|_| RecvError),
+            if let Some(outcome) = query.outcome(false) {
+                break outcome;
             }
             let claimed = {
                 let mut guard = self.lock_state();
@@ -681,14 +734,13 @@ impl<'p> Pool<'p> {
             };
             match claimed {
                 Some((job, shared)) => self.run_claimed(store, id, job, &shared, Runner::Caller),
-                None => break outcome.recv(),
+                None => break query.outcome(true).expect("waited for"),
             }
         };
         match outcome {
-            Ok(QueryOutcome::Finished(output)) => Ok(*output),
-            Ok(QueryOutcome::Failed(error)) => Err(error),
-            Ok(QueryOutcome::Panicked(payload)) => resume_unwind(payload),
-            Err(RecvError) => panic!("the pool dropped a submitted query without an outcome"),
+            QueryOutcome::Finished(table, stats) => Ok((table, stats)),
+            QueryOutcome::Failed(error) => Err(error),
+            QueryOutcome::Panicked(payload) => resume_unwind(payload),
         }
     }
 
@@ -717,10 +769,7 @@ impl<'p> Pool<'p> {
                     let split = {
                         let mut guard = self.lock_state();
                         let state = &mut *guard;
-                        let query = state
-                            .active
-                            .get_mut(&id)
-                            .expect("a running query stays active");
+                        let query = active(&mut state.active, id);
                         let split = query.splits.len();
                         query.splits.push(Some(SplitState::new(morsels)));
                         for index in 1..morsels {
@@ -742,7 +791,9 @@ impl<'p> Pool<'p> {
             },
             morsel => morsel,
         };
-        let outcome = execute_job(shared, store, self.cache.as_ref(), &job);
+        let pool_cap = shared.prepared.pool_cap;
+        let job_state = ExecState::claim(&shared.ledger, pool_cap, self.cache.as_ref());
+        let outcome = execute_job(shared, store, &job_state, &job);
 
         let mut guard = self.lock_state();
         let state = &mut *guard;
@@ -751,16 +802,17 @@ impl<'p> Pool<'p> {
             Runner::Caller => state.counters.jobs_run_by_callers += 1,
         }
         let mut added = 0usize;
-        let query = state
-            .active
-            .get_mut(&id)
-            .expect("a running query stays active");
+        let query = active(&mut state.active, id);
         query.running -= 1;
         match outcome {
             // Successful job of a healthy query: fold its counters in and advance the
             // query's DAG.
             Ok((Ok(output), stats)) if query.failure.is_none() => {
                 query.stats.merge_concurrent(stats);
+                let fetch =
+                    |step| FetchStep::of(&shared.prepared.plan, step).expect("only fetches fetch");
+                let relation = |step| fetch(step).relation;
+                (job_state.borrow_mut().fetched).drain_into(&mut query.stats, relation);
                 match (&job, output) {
                     (Job::Pipeline(pipeline), _) => {
                         query.completed += 1;
@@ -797,7 +849,7 @@ impl<'p> Pool<'p> {
         }
         // Terminal transitions: all pipelines done, or failed and fully drained of
         // in-flight jobs.
-        let done = query.completed == shared.dag.len();
+        let done = query.completed == shared.prepared.dag.len();
         let failed = query.failure.is_some();
         if failed {
             // Also drops morsels a split registered after the failure re-enqueued.
@@ -805,7 +857,8 @@ impl<'p> Pool<'p> {
         }
         let mut retired: Option<ActiveQuery<'p>> = None;
         if done || (failed && query.running == 0) {
-            retired = state.active.remove(&id);
+            let at = state.active.iter().position(|query| query.id == id);
+            retired = at.map(|at| state.active.swap_remove(at));
             state.admitted_bound -= shared.fetch_bound;
             if failed {
                 state.counters.failed += 1;
@@ -830,10 +883,11 @@ impl<'p> Pool<'p> {
         // The output transpose (potentially large) runs outside the lock.
         if let Some(query) = retired {
             let outcome = query.failure.unwrap_or_else(|| {
-                QueryOutcome::Finished(Box::new(finish_query(shared, query.stats)))
+                finish_query(shared, query.stats, &mut job_state.borrow_mut().pool)
             });
-            let _ = query.outcome.send(outcome);
+            shared.settle(outcome);
         }
+        ExecState::park(job_state);
     }
 }
 

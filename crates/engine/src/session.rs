@@ -23,11 +23,14 @@
 //!   store, derive its [`CostTicket`]. None of that
 //!   reads a constant's value and the store is immutable, so a [`PreparedPlan`] made
 //!   from a template — [`bea_core::value::Value::placeholder`]s where the constants go
-//!   — is good for every request of that shape: validation and pricing are paid per
-//!   template, not per query. [`Session::run_prepared`] is the other half: rejection
-//!   checks on the stored ticket, [`PhysicalPlan::bind`] of the request's values, the
-//!   pool. [`Session::run`] and [`Session::submit`] are `prepare` followed by the same
-//!   admission with the plan they just prepared, so there is no second path in.
+//!   — is good for every request of that shape: validation, pricing, the pipeline DAG
+//!   and the buffer-pool cap are paid per template, not per query.
+//!   [`Session::run_prepared`] is the other half: the constant count checked,
+//!   rejection checks on the stored ticket, then the pool, which runs the shared plan
+//!   in place — a request carries only its constants, and each operator reads its
+//!   placeholders' values when it is built. [`Session::run`] and [`Session::submit`]
+//!   are `prepare` followed by the same admission with the plan they just prepared
+//!   and no constants, so there is no second path in.
 //! * **Admission control** — every submission is priced by a
 //!   [`CostTicket`] *before* it runs (the paper's bounded-evaluability guarantee:
 //!   worst-case fetch volume is a static quantity). Against a configured aggregate
@@ -66,7 +69,7 @@
 //! workers exit, so no accepted query is ever abandoned.
 
 use crate::cache::{CacheStats, SessionFetchCache};
-use crate::ops::sched::{Pool, QueryShared, Submitted};
+use crate::ops::sched::{Pool, Prepared, QueryShared, Submitted};
 use crate::ops::validate_for;
 use crate::stats::AccessStats;
 use crate::table::Table;
@@ -330,7 +333,7 @@ pub struct AdmissionStats {
 pub struct QueryHandle {
     ticket: CostTicket,
     /// The pool's receipt: id, whether it queued, and where the outcome arrives.
-    submitted: Submitted,
+    submitted: Submitted<'static>,
     /// The pool the query runs in, so the waiting thread can run its jobs.
     inner: Arc<SessionInner>,
 }
@@ -384,29 +387,36 @@ struct SessionInner {
 
 impl SessionInner {
     /// The helping wait for one submitted query (see [`QueryHandle::wait`]).
-    fn join(&self, submitted: &Submitted) -> Result<(Table, AccessStats)> {
-        self.pool
-            .join(self.store.store(), submitted.id, &submitted.outcome)
+    fn join(&self, submitted: &Submitted<'static>) -> Result<(Table, AccessStats)> {
+        self.pool.join(self.store.store(), submitted)
     }
 }
 
 /// A logical plan lowered, validated and priced for one [`Session`] — everything a
-/// submission computes before it looks at the load. See [`Session::prepare`].
+/// submission computes before it looks at the load, and what every run of it shares:
+/// the lowered plan, its pipeline DAG and its buffer-pool cap, behind one `Arc` that
+/// each run holds beside its own constants. See [`Session::prepare`].
 #[derive(Debug)]
 pub struct PreparedPlan {
-    physical: PhysicalPlan,
+    prepared: Arc<Prepared<'static>>,
     ticket: CostTicket,
 }
 
 impl PreparedPlan {
     /// The lowered plan, placeholders and all.
     pub fn physical(&self) -> &PhysicalPlan {
-        &self.physical
+        &self.prepared.plan
     }
 
-    /// What every binding of this plan costs: the ticket admission judges it by.
+    /// What every run of this plan costs: the ticket admission judges it by.
     pub fn ticket(&self) -> &CostTicket {
         &self.ticket
+    }
+
+    /// How many constants a run takes ([`PhysicalPlan::placeholders`]) — exactly what
+    /// [`Session::run_prepared`] must be given.
+    pub fn placeholders(&self) -> usize {
+        self.prepared.placeholders
     }
 }
 
@@ -479,7 +489,8 @@ impl Session {
         let physical = lower_plan_with(plan, &lower)?;
         validate_for(&physical, store)?;
         let ticket = CostTicket::derive(plan, store.schema(), store.size(), &physical);
-        Ok(PreparedPlan { physical, ticket })
+        let prepared = Arc::new(Prepared::new(Cow::Owned(physical)));
+        Ok(PreparedPlan { prepared, ticket })
     }
 
     /// [`Session::prepare`] `plan`, run it through admission control, and — if
@@ -488,10 +499,10 @@ impl Session {
     /// over budget. The asynchronous entry: every ready job wakes a worker, so the
     /// query makes progress whether or not anyone waits on the handle.
     pub fn submit(&self, plan: &QueryPlan) -> std::result::Result<QueryHandle, SubmitError> {
-        let PreparedPlan { physical, ticket } = self.prepare(plan).map_err(SubmitError::Invalid)?;
-        let submitted = self.admit(&ticket, || Ok(physical), false)?;
+        let prepared = self.prepare(plan).map_err(SubmitError::Invalid)?;
+        let submitted = self.admit(&prepared, Vec::new(), false)?;
         Ok(QueryHandle {
-            ticket,
+            ticket: prepared.ticket,
             submitted,
             inner: Arc::clone(&self.inner),
         })
@@ -507,38 +518,46 @@ impl Session {
         &self,
         plan: &QueryPlan,
     ) -> std::result::Result<(CostTicket, Result<(Table, AccessStats)>), SubmitError> {
-        let PreparedPlan { physical, ticket } = self.prepare(plan).map_err(SubmitError::Invalid)?;
-        let submitted = self.admit(&ticket, || Ok(physical), true)?;
-        Ok((ticket, self.inner.join(&submitted)))
+        let prepared = self.prepare(plan).map_err(SubmitError::Invalid)?;
+        let submitted = self.admit(&prepared, Vec::new(), true)?;
+        Ok((prepared.ticket, self.inner.join(&submitted)))
     }
 
-    /// [`Session::run`] for a plan prepared earlier: bind `values` into its
-    /// placeholders ([`PhysicalPlan::bind`]) and admit and run the result on the
-    /// calling thread. What a request pays here is its constants — the rejection
-    /// checks read the stored ticket ([`PreparedPlan::ticket`], which is also the
-    /// accepted one) before anything is cloned, and a placeholder left without a
-    /// value is a [`SubmitError::Invalid`], never a run.
+    /// [`Session::run`] for a plan prepared earlier: a request carries its constants,
+    /// not a plan. The run shares the prepared plan, and its operators read each
+    /// placeholder's value from `values` when they are built. Any count of values but
+    /// [`PreparedPlan::placeholders`] is a [`SubmitError::Invalid`] naming both, before
+    /// admission counts the request; the rejection checks read the stored ticket.
     pub fn run_prepared(
         &self,
         prepared: &PreparedPlan,
-        values: &[Value],
+        values: impl Into<Vec<Value>>,
     ) -> std::result::Result<Result<(Table, AccessStats)>, SubmitError> {
-        let submitted = self.admit(&prepared.ticket, || prepared.physical.bind(values), true)?;
+        let values = values.into();
+        let expected = prepared.placeholders();
+        if values.len() != expected {
+            return Err(SubmitError::Invalid(Error::invalid(format!(
+                "the plan for {} takes {expected} constants, {} were given",
+                prepared.ticket.query_name,
+                values.len()
+            ))));
+        }
+        let submitted = self.admit(prepared, values, true)?;
         Ok(self.inner.join(&submitted))
     }
 
     /// The one way into the pool: the deterministic rejections — verdicts that depend
-    /// only on the ticket and the configuration, never on current load — and then the
-    /// `bound` plan's jobs to [`Pool::submit`]. With `caller_runs` the submitting
-    /// thread goes straight on to look at the queue for this query, so one wake-up
-    /// fewer than jobs is sent.
+    /// only on the ticket and the configuration, never on current load — and then a
+    /// run of `prepared` with `constants` to [`Pool::submit`]. With `caller_runs` the
+    /// submitting thread goes straight on to look at the queue for this query, so one
+    /// wake-up fewer than jobs is sent.
     fn admit(
         &self,
-        ticket: &CostTicket,
-        bound: impl FnOnce() -> Result<PhysicalPlan>,
+        prepared: &PreparedPlan,
+        constants: Vec<Value>,
         caller_runs: bool,
-    ) -> std::result::Result<Submitted, SubmitError> {
-        let inner = &self.inner;
+    ) -> std::result::Result<Submitted<'static>, SubmitError> {
+        let (inner, ticket) = (&self.inner, &prepared.ticket);
         let rejection = match (inner.pool.budget, inner.max_alloc_surface) {
             (Some(budget), _) if ticket.fetch_bound > budget => Some(Rejection::FetchBound {
                 bound: ticket.fetch_bound,
@@ -560,8 +579,7 @@ impl Session {
                 rejection,
             });
         }
-        let physical = bound().map_err(SubmitError::Invalid)?;
-        let query = QueryShared::new(Cow::Owned(physical), ticket.fetch_bound);
+        let query = QueryShared::new(prepared.prepared.clone(), constants, ticket.fetch_bound);
         inner
             .pool
             .submit(query, caller_runs)
@@ -686,7 +704,7 @@ mod tests {
             let (expected_table, expected_stats) = expected.unwrap();
             assert_eq!(prepared.ticket(), &ticket, "pricing never reads a constant");
             let (table, stats) = session
-                .run_prepared(&prepared, &keys.map(Value::int))
+                .run_prepared(&prepared, keys.map(Value::int))
                 .unwrap()
                 .unwrap();
             assert_eq!(table.rows(), expected_table.rows(), "rows and row order");
@@ -694,22 +712,14 @@ mod tests {
             assert_eq!(stats.values_cloned, expected_stats.values_cloned);
         }
 
-        // A placeholder without a value is refused before the pool sees the query.
-        let before = session.admission_stats();
-        let short = session.run_prepared(&prepared, &[Value::int(1)]);
-        assert!(
-            matches!(&short, Err(SubmitError::Invalid(error)) if error.to_string().contains("unbound")),
-            "{short:?}"
-        );
-        assert_eq!(session.admission_stats(), before);
-
         // Three branches price at 30 > 25: rejected off the stored ticket, with the
-        // ticket, before binding — the missing values are never looked for.
+        // ticket, before any constant is read into the plan.
         let placeholders: Vec<Value> = (0..3).map(Value::placeholder).collect();
         let big = session
             .prepare(&lookup_union_of("big", &placeholders))
             .unwrap();
-        match session.run_prepared(&big, &[]) {
+        let before = session.admission_stats();
+        match session.run_prepared(&big, [1, 2, 3].map(Value::int)) {
             Err(SubmitError::Rejected { ticket, rejection }) => {
                 assert_eq!(*ticket, *big.ticket());
                 assert_eq!(
@@ -724,6 +734,51 @@ mod tests {
         }
         assert_eq!(session.admission_stats().rejected, before.rejected + 1);
         session.shutdown();
+    }
+
+    /// `run_prepared` of a two-placeholder template with `values`: refused as invalid
+    /// with a message naming both counts, and no admission counter moved.
+    fn assert_refused_with(values: &[Value]) {
+        let session = Session::new(fixture(6), SessionConfig::new().with_threads(2));
+        let template = lookup_union_of("Q", &[Value::placeholder(0), Value::placeholder(1)]);
+        let prepared = session.prepare(&template).unwrap();
+        assert_eq!(prepared.placeholders(), 2);
+        let before = session.admission_stats();
+        match session.run_prepared(&prepared, values) {
+            Err(SubmitError::Invalid(error)) => {
+                let expected = format!("takes 2 constants, {} were given", values.len());
+                assert!(error.to_string().contains(&expected), "{error}");
+            }
+            other => panic!("{} values must be refused, got {other:?}", values.len()),
+        }
+        assert_eq!(
+            session.admission_stats(),
+            before,
+            "admission saw the request"
+        );
+        // The same session serves the right count.
+        let two = [Value::int(1), Value::int(2)];
+        assert_eq!(
+            session
+                .run_prepared(&prepared, &two)
+                .unwrap()
+                .unwrap()
+                .0
+                .len(),
+            4
+        );
+        session.shutdown();
+    }
+
+    #[test]
+    fn too_few_constants_are_refused_before_admission() {
+        assert_refused_with(&[]);
+        assert_refused_with(&[Value::int(1)]);
+    }
+
+    #[test]
+    fn surplus_constants_are_refused_before_admission() {
+        assert_refused_with(&[1, 2, 3].map(Value::int));
     }
 
     #[test]

@@ -195,6 +195,42 @@ impl AccessStats {
     }
 }
 
+/// Tuples fetched per `(plan step, shard)` while a job runs: a flat list on the
+/// thread's reused job state, so no probe allocates a map entry or a relation name.
+/// When the job lands it is recorded into the query's per-relation and per-shard maps
+/// (a probe that fetched nothing still names its relation and shard there).
+#[derive(Debug, Default)]
+pub(crate) struct FetchTally {
+    counts: Vec<(usize, u32, u64)>,
+}
+
+impl FetchTally {
+    /// Count `tuples` fetched by `step` from `shard`.
+    pub(crate) fn add(&mut self, step: usize, shard: u32, tuples: u64) {
+        match (self.counts.iter_mut()).find(|(s, h, _)| (*s, *h) == (step, shard)) {
+            Some((_, _, count)) => *count += tuples,
+            None => self.counts.push((step, shard, tuples)),
+        }
+    }
+
+    /// Forget every count, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.counts.clear();
+    }
+
+    /// Record every count into `stats` ([`AccessStats::record_fetched_sharded`]),
+    /// leaving the tally empty; `relation` names the relation each step fetches from.
+    pub(crate) fn drain_into<'a>(
+        &mut self,
+        stats: &mut AccessStats,
+        relation: impl Fn(usize) -> &'a str,
+    ) {
+        for (step, shard, tuples) in self.counts.drain(..) {
+            stats.record_fetched_sharded(relation(step), shard, tuples);
+        }
+    }
+}
+
 impl AddAssign for AccessStats {
     /// Alias for [`AccessStats::merge_sequential`]: `a += b` treats `b` as the stats of
     /// an execution that ran after `a`'s.

@@ -3,26 +3,30 @@
 use bea_core::value::{Row, Value};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A named-column table of rows. Query answers are sets, so [`Table::dedup`] (applied by
 /// both evaluators) removes duplicates; comparisons go through [`Table::row_set`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table {
-    columns: Vec<String>,
+    /// Shared with the plan that produced the table, so a result costs no label copy.
+    columns: Arc<[String]>,
     rows: Vec<Row>,
 }
 
 impl Table {
     /// Create an empty table with the given column labels.
     pub fn new(columns: Vec<String>) -> Self {
-        Self {
-            columns,
-            rows: Vec::new(),
-        }
+        Self::with_rows(columns, Vec::new())
     }
 
     /// Create a table from columns and rows.
     pub fn with_rows(columns: Vec<String>, rows: Vec<Row>) -> Self {
+        Self::with_labels(columns.into(), rows)
+    }
+
+    /// [`Table::with_rows`] over labels shared with their owner.
+    pub(crate) fn with_labels(columns: Arc<[String]>, rows: Vec<Row>) -> Self {
         Self { columns, rows }
     }
 
