@@ -18,8 +18,9 @@
 //!   baseline of the streaming pipeline's copy traffic, probe-path buffer demand,
 //!   cross-query cache service, and latency distribution.
 //! * `exp_table1 --check <baseline.json>` — perf-smoke mode (used by CI): rebuild the
-//!   record and fail (exit 1) if any deterministic counter (`values_cloned`,
-//!   `allocs_per_probe`, `rows_served_from_cache`) regressed more than 10% above the
+//!   record and fail (exit 1) if any deterministic counter (`rows_fetched`,
+//!   `values_cloned`, `allocs_per_probe`, `rows_served_from_cache`) regressed more
+//!   than 10% above the
 //!   committed baseline — the warm cached-repeat leg commits `allocs_per_probe: 0`,
 //!   which a zero baseline holds with zero slack — if the
 //!   scenario set drifted from the committed record in either direction, or if any
@@ -42,7 +43,7 @@ use bea_core::specialize::{specialize_cq, SpecializeConfig};
 use bea_engine::{execute_physical_on, execute_plan_materialized, execute_plan_on, ExecOptions};
 use bea_storage::Store;
 
-/// Tolerated growth of the deterministic counters (`values_cloned`,
+/// Tolerated growth of the deterministic counters (`rows_fetched`, `values_cloned`,
 /// `allocs_per_probe`, `rows_served_from_cache`) over the committed baseline, in
 /// percent. A zero baseline tolerates exactly zero — the anchored fast path's
 /// zero-allocation guarantee gets no slack.
@@ -86,7 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// Perf-smoke mode: recompute the pipeline record and gate on the deterministic
-/// counters (`values_cloned`, `allocs_per_probe`, exact scenario-set match) plus the
+/// counters (`rows_fetched`, `values_cloned`, `allocs_per_probe`,
+/// `rows_served_from_cache`, exact scenario-set match) plus the
 /// p99 tail-latency budget. A missing or malformed baseline is an operator error,
 /// reported as a plain one-line message (never a panic or an opaque `Err` debug dump)
 /// with the fix spelled out.
@@ -145,8 +147,9 @@ fn check_against_baseline(baseline_path: &str) -> Result<(), Box<dyn std::error:
     }
     if violations.is_empty() {
         println!(
-            "perf-smoke OK: values_cloned, allocs_per_probe and rows_served_from_cache \
-             within {CLONE_REGRESSION_TOLERANCE_PERCENT}% of the baseline, scenario set \
+            "perf-smoke OK: rows_fetched, values_cloned, allocs_per_probe and \
+             rows_served_from_cache within {CLONE_REGRESSION_TOLERANCE_PERCENT}% of the \
+             baseline, scenario set \
              unchanged, and p99 within max({P99_FLOOR_NS} ns, baseline × \
              {P99_BUDGET_FACTOR}) on every scenario"
         );

@@ -200,10 +200,12 @@ impl PipelineBenchReport {
     /// Compare this (fresh) report against a committed baseline on the deterministic
     /// counters: the scenario sets must match exactly (a scenario that disappeared
     /// *or* appeared without a committed baseline is a hard error — the record and
-    /// the harness must never drift apart silently), and neither `values_cloned` nor
-    /// `allocs_per_probe` may exceed its baseline by more than `tolerance_percent`.
-    /// Returns the list of violations (empty = pass). Timing fields are never
-    /// compared here — see [`PipelineBenchReport::tail_latency_regressions`].
+    /// the harness must never drift apart silently), and none of `rows_fetched` (the
+    /// paper's figure of merit), `values_cloned`, `allocs_per_probe` and
+    /// `rows_served_from_cache` may exceed its baseline by more than
+    /// `tolerance_percent`. Returns the list of violations (empty = pass). Timing
+    /// fields are never compared here — see
+    /// [`PipelineBenchReport::tail_latency_regressions`].
     pub fn regressions_against(
         &self,
         baseline: &PipelineBenchReport,
@@ -221,6 +223,7 @@ impl PipelineBenchReport {
                 None => violations.push(format!("scenario `{name}` disappeared from the report")),
                 Some(fresh) => {
                     for (field, fresh_value, base_value) in [
+                        ("rows_fetched", fresh.rows_fetched, base.rows_fetched),
                         ("values_cloned", fresh.values_cloned, base.values_cloned),
                         (
                             "allocs_per_probe",
@@ -404,6 +407,31 @@ mod tests {
         assert!(
             PipelineBenchReport::parse_json("{\"scenarios\": {\"x\": {\"nope\": 1}}}").is_err()
         );
+    }
+
+    #[test]
+    fn rows_fetched_is_gated_like_every_deterministic_counter() {
+        // Tuples fetched per answer is the paper's figure of merit: a plan that
+        // fetches 11% more than the record fails, 10% more passes.
+        let mut baseline = PipelineBenchReport::default();
+        baseline.insert("accidents_q0", entry(500, 0));
+        let mut fresh = baseline.clone();
+        fresh
+            .scenarios
+            .get_mut("accidents_q0")
+            .unwrap()
+            .rows_fetched = 110;
+        assert!(fresh.regressions_against(&baseline, 10).is_empty());
+        fresh
+            .scenarios
+            .get_mut("accidents_q0")
+            .unwrap()
+            .rows_fetched = 111;
+        let violations = fresh.regressions_against(&baseline, 10);
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].contains("`rows_fetched`"));
+        assert!(violations[0].contains("fresh 111"));
+        assert!(violations[0].contains("allowed up to 110"));
     }
 
     #[test]

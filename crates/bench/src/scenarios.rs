@@ -766,13 +766,11 @@ mod tests {
             assert!(entry.rows_fetched > 0, "{scenario} fetched nothing");
             assert!(entry.values_cloned > 0, "{scenario} cloned nothing");
             assert!(entry.peak_rows_resident > 0);
-            // Cold or warm, a keyed lookup demands no buffer per key; what is left is
-            // the streaming fetch's key gather — one owned key per source row, and
-            // these anchored plans feed a streaming fetch one row at most.
-            assert!(
-                entry.allocs_per_probe <= 1,
-                "{scenario} demanded {} probe-path buffers",
-                entry.allocs_per_probe
+            // Cold or warm, a keyed lookup demands no buffer per key, and every fetch
+            // runs as one.
+            assert_eq!(
+                entry.allocs_per_probe, 0,
+                "{scenario} demanded probe-path buffers"
             );
             assert_eq!(
                 entry.rows_served_from_cache, 0,

@@ -19,12 +19,18 @@
 //!   nested-loop join that streams `T`, probes the constraint's index once per distinct
 //!   key, and never materializes the cross product *or* the fetched table. This
 //!   generalizes the keyed-join peephole of the engine's materialized reference executor.
+//! * **One index operator** — a fetch the fusion does not absorb becomes the same
+//!   operator over its distinct keys: `π[keys](T)`, a [`PhysOp::Dedup`] unless `T`
+//!   provably never repeats a key ([`PhysicalPlan::keys_distinct`]), a
+//!   [`PhysOp::KeyedLookup`] keyed by all of them with no residual, and a
+//!   [`PhysOp::Project`] onto the fetched columns, which the engine fuses into the
+//!   lookup's emission. Every index access in a physical plan is a keyed lookup.
 //! * **Hash-join fallback** — same pattern but with a fetch that other steps also
 //!   consume: the product/selection pair becomes a [`PhysOp::HashJoin`] against the
-//!   (still shared) fetch node instead of a materialized product.
+//!   (still shared) lowered fetch instead of a materialized product.
 //! * **Projection pushdown** — a projection that is the sole consumer of a fetch is
-//!   folded into the fetch's output positions ([`PhysOp::Fetch::positions`]), so dropped
-//!   `Y`-attributes are never copied out of the store.
+//!   folded into the fetched positions of its lookup ([`PhysOp::KeyedLookup`]'s
+//!   `positions`), so dropped `Y`-attributes are never copied out of the store.
 //! * **Dedup elimination** — each physical step tracks whether its output is already a
 //!   set ([`PhysStep::set_valued`]); explicit [`PhysOp::Dedup`] steps are inserted only
 //!   where the logical plan's set semantics actually needs them (e.g. after a union, or
@@ -96,30 +102,12 @@ pub enum PhysOp {
         /// Number of columns.
         arity: usize,
     },
-    /// Streaming index fetch: drain `source`, deduplicate the key projections, then for
-    /// each key probe the constraint's index and emit the `positions`-projection of every
-    /// matching tuple (deduplicated per key).
-    Fetch {
-        /// The step supplying the key values.
-        source: PhysId,
-        /// Columns of `source` holding the key, aligned with `x_attrs`.
-        key_cols: Vec<usize>,
-        /// The relation fetched from.
-        relation: String,
-        /// Attribute positions of the relation forming the index key `X`.
-        x_attrs: Vec<usize>,
-        /// Attribute positions of the relation to emit, in output-column order. For an
-        /// unfused fetch this is `x_attrs ++ y_attrs`; projection pushdown narrows or
-        /// reorders it.
-        positions: Vec<usize>,
-        /// Index of the backing access constraint in the access schema.
-        constraint_index: usize,
-    },
     /// Index nested-loop join: for each row of `source`, probe the constraint's index
     /// with the row's `key_cols` projection (once per distinct key) and emit the row
-    /// concatenated with each matching tuple's `positions`-projection, filtered by the
-    /// `residual` predicates. This is the fused form of
-    /// `σ[key equalities](T × fetch(X ∈ T, R, Y))`.
+    /// concatenated with each matching tuple's `positions`-projection (deduplicated per
+    /// key), filtered by the `residual` predicates. This is the fused form of
+    /// `σ[key equalities](T × fetch(X ∈ T, R, Y))`, and the operator every other fetch
+    /// lowers to as well (see the module docs).
     KeyedLookup {
         /// The step supplying the probe rows.
         source: PhysId,
@@ -129,7 +117,9 @@ pub enum PhysOp {
         relation: String,
         /// Attribute positions of the relation forming the index key `X`.
         x_attrs: Vec<usize>,
-        /// Attribute positions of the relation to emit for the fetch side.
+        /// Attribute positions of the relation to emit for the fetch side, in
+        /// output-column order: `x_attrs ++ y_attrs`, unless projection pushdown
+        /// narrowed or reordered them.
         positions: Vec<usize>,
         /// Index of the backing access constraint in the access schema.
         constraint_index: usize,
@@ -201,8 +191,7 @@ impl PhysOp {
     pub fn inputs(&self) -> Vec<PhysId> {
         match self {
             PhysOp::Const { .. } | PhysOp::Unit | PhysOp::Empty { .. } => Vec::new(),
-            PhysOp::Fetch { source, .. }
-            | PhysOp::KeyedLookup { source, .. }
+            PhysOp::KeyedLookup { source, .. }
             | PhysOp::Filter { source, .. }
             | PhysOp::Project { source, .. }
             | PhysOp::Dedup { source } => vec![*source],
@@ -298,17 +287,6 @@ impl PhysicalPlan {
                 PhysOp::Const { .. } => step.columns.len() == 1,
                 PhysOp::Unit => step.columns.is_empty(),
                 PhysOp::Empty { arity: a } => step.columns.len() == *a,
-                PhysOp::Fetch {
-                    key_cols,
-                    x_attrs,
-                    positions,
-                    source,
-                    ..
-                } => {
-                    key_cols.len() == x_attrs.len()
-                        && key_cols.iter().all(|&c| c < arity(*source))
-                        && step.columns.len() == positions.len()
-                }
                 PhysOp::KeyedLookup {
                     key_cols,
                     x_attrs,
@@ -440,10 +418,10 @@ impl PhysicalPlan {
             // the region is a tree and the walk is linear.
             let mut sources: BTreeSet<PhysId> = BTreeSet::new();
             // Morsel eligibility of the region: every step must be a per-batch pure
-            // map over its input — keyed lookups, filters and projections. Fetch is
-            // excluded (it deduplicates keys globally across its whole input), and so
-            // is every buffered / order-sensitive operator (dedup, joins, products,
-            // differences, unions).
+            // map over its input — keyed lookups, filters and projections. Every
+            // buffered / order-sensitive operator is excluded: dedup (the δ over a
+            // lowered fetch's keys among them, which deduplicates across its whole
+            // input), joins, products, differences and unions.
             let mut splittable = true;
             let mut has_lookup = false;
             let mut note = |op: &PhysOp| match op {
@@ -519,8 +497,8 @@ pub struct Pipeline {
     /// batch groups) and run them concurrently: the concatenated per-morsel results,
     /// in morsel order, equal the unsplit pipeline's output batch-for-batch, and
     /// every data-access counter is unchanged. `None` for regions with buffered or
-    /// order-sensitive state (fetch's global key dedup, dedup, joins, products,
-    /// unions, differences) or with several sources.
+    /// order-sensitive state (dedup, joins, products, unions, differences) or with
+    /// several sources.
     pub morsel_source: Option<PhysId>,
 }
 
@@ -595,17 +573,6 @@ impl fmt::Display for PhysicalPlan {
                 PhysOp::Const { value } => writeln!(f, "  P{i} = {{{value}}}{marks} [{cols}]")?,
                 PhysOp::Unit => writeln!(f, "  P{i} = {{()}}{marks}")?,
                 PhysOp::Empty { arity } => writeln!(f, "  P{i} = ∅/{arity}{marks}")?,
-                PhysOp::Fetch {
-                    source,
-                    key_cols,
-                    relation,
-                    positions,
-                    constraint_index,
-                    ..
-                } => writeln!(
-                    f,
-                    "  P{i} = fetch(X ∈ π{key_cols:?}(P{source}), {relation}→{positions:?}) via φ{constraint_index}{marks} [{cols}]"
-                )?,
                 PhysOp::KeyedLookup {
                     source,
                     key_cols,
@@ -802,26 +769,6 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
     // Emit physical steps.
     let mut phys: Vec<PhysStep> = Vec::with_capacity(n);
     let mut map: Vec<Option<PhysId>> = vec![None; n];
-    let push = |phys: &mut Vec<PhysStep>, op: PhysOp, columns: Vec<String>, sv: bool| {
-        phys.push(PhysStep {
-            op,
-            columns,
-            set_valued: sv,
-            materialize: false,
-            consumers: 0,
-        });
-        phys.len() - 1
-    };
-    // Fetch output = x_attrs ++ y_attrs, expressed as relation-attribute positions.
-    let fetch_base_positions = |node: NodeId| -> Vec<usize> {
-        let PlanOp::Fetch {
-            x_attrs, y_attrs, ..
-        } = &steps[node].op
-        else {
-            unreachable!("caller checked the step is a fetch");
-        };
-        x_attrs.iter().chain(y_attrs.iter()).copied().collect()
-    };
 
     for (i, step) in steps.iter().enumerate() {
         if absorbed.contains(&i) {
@@ -843,72 +790,18 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
                 step.columns.clone(),
                 true,
             ),
-            PlanOp::Fetch {
-                source,
-                key_cols,
-                relation,
-                x_attrs,
-                constraint_index,
-                ..
-            } => {
-                // An unfused fetch emits X ++ Y: distinct keys yield rows that differ on
-                // the X prefix, and the operator deduplicates within each key, so the
-                // output is a set and the logical fetch's dedup is eliminated.
-                push(
-                    &mut phys,
-                    PhysOp::Fetch {
-                        source: map[*source].expect("source lowered earlier"),
-                        key_cols: key_cols.clone(),
-                        relation: relation.clone(),
-                        x_attrs: x_attrs.clone(),
-                        positions: fetch_base_positions(i),
-                        constraint_index: *constraint_index,
-                    },
-                    step.columns.clone(),
-                    true,
-                )
+            PlanOp::Fetch { source, .. } => {
+                let source = map[*source].expect("source lowered earlier");
+                lower_fetch(&mut phys, source, &step.op, None, &step.columns)
             }
             PlanOp::Project { source, cols } => {
                 if let Some(&fetch_node) = pushdown.get(&i) {
-                    let PlanOp::Fetch {
-                        source: fsrc,
-                        key_cols,
-                        relation,
-                        x_attrs,
-                        constraint_index,
-                        ..
-                    } = &steps[fetch_node].op
-                    else {
+                    let fetch = &steps[fetch_node].op;
+                    let PlanOp::Fetch { source, .. } = fetch else {
                         unreachable!("pushdown targets are fetches");
                     };
-                    let base = fetch_base_positions(fetch_node);
-                    let positions: Vec<usize> = cols.iter().map(|&c| base[c]).collect();
-                    // Set-valued only if the projection kept every key attribute —
-                    // otherwise rows from different keys can collide.
-                    let sv = x_attrs.iter().all(|a| positions.contains(a));
-                    let id = push(
-                        &mut phys,
-                        PhysOp::Fetch {
-                            source: map[*fsrc].expect("source lowered earlier"),
-                            key_cols: key_cols.clone(),
-                            relation: relation.clone(),
-                            x_attrs: x_attrs.clone(),
-                            positions,
-                            constraint_index: *constraint_index,
-                        },
-                        step.columns.clone(),
-                        sv,
-                    );
-                    if sv {
-                        id
-                    } else {
-                        push(
-                            &mut phys,
-                            PhysOp::Dedup { source: id },
-                            step.columns.clone(),
-                            true,
-                        )
-                    }
+                    let source = map[*source].expect("source lowered earlier");
+                    lower_fetch(&mut phys, source, fetch, Some(cols), &step.columns)
                 } else {
                     let src = map[*source].expect("source lowered earlier");
                     // Injective on rows when every dropped column is constant or equal
@@ -941,6 +834,7 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
                         key_cols,
                         relation,
                         x_attrs,
+                        y_attrs,
                         constraint_index,
                         ..
                     } = &steps[*fetch].op
@@ -960,7 +854,7 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
                             key_cols: key_cols.clone(),
                             relation: relation.clone(),
                             x_attrs: x_attrs.clone(),
-                            positions: fetch_base_positions(*fetch),
+                            positions: x_attrs.iter().chain(y_attrs).copied().collect(),
                             constraint_index: *constraint_index,
                             residual,
                         },
@@ -1110,10 +1004,8 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
     if options.exchange_parallelism {
         let mut has_access: Vec<bool> = vec![false; phys.len()];
         for i in 0..phys.len() {
-            has_access[i] = matches!(
-                phys[i].op,
-                PhysOp::Fetch { .. } | PhysOp::KeyedLookup { .. }
-            ) || phys[i].op.inputs().iter().any(|&j| has_access[j]);
+            has_access[i] = matches!(phys[i].op, PhysOp::KeyedLookup { .. })
+                || phys[i].op.inputs().iter().any(|&j| has_access[j]);
         }
         let mut exchange: Vec<PhysId> = Vec::new();
         for step in &phys {
@@ -1190,6 +1082,95 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
     Ok(plan)
 }
 
+/// Append a step that no one consumes yet; its id.
+fn push(phys: &mut Vec<PhysStep>, op: PhysOp, columns: Vec<String>, set_valued: bool) -> PhysId {
+    phys.push(PhysStep {
+        op,
+        columns,
+        set_valued,
+        materialize: false,
+        consumers: 0,
+    });
+    phys.len() - 1
+}
+
+/// Lower the logical fetch `fetch`, whose keys come from physical step `source`, to a
+/// keyed lookup over its distinct keys: `π[key_cols](source)`, a δ unless the source
+/// never repeats a key, the lookup, and `π` onto the fetched columns — `x_attrs ++
+/// y_attrs`, or their `cols` when a projection is pushed down — labelled `columns`.
+/// The lookup deduplicates within each key, so the result is a set as long as every
+/// key attribute is fetched; otherwise rows of different keys can collide and a δ
+/// follows.
+fn lower_fetch(
+    phys: &mut Vec<PhysStep>,
+    source: PhysId,
+    fetch: &PlanOp,
+    cols: Option<&[usize]>,
+    columns: &[String],
+) -> PhysId {
+    let PlanOp::Fetch {
+        key_cols,
+        relation,
+        x_attrs,
+        y_attrs,
+        constraint_index,
+        ..
+    } = fetch
+    else {
+        unreachable!("only fetches are lowered to lookups");
+    };
+    let base: Vec<usize> = x_attrs.iter().chain(y_attrs).copied().collect();
+    let positions = match cols {
+        Some(cols) => cols.iter().map(|&c| base[c]).collect(),
+        None => base,
+    };
+    let key_labels: Vec<String> = key_cols
+        .iter()
+        .map(|&c| phys[source].columns[c].clone())
+        .collect();
+    let distinct = phys[source].set_valued && determined_by(phys, source, key_cols);
+    let project = PhysOp::Project {
+        source,
+        cols: key_cols.clone(),
+    };
+    let mut keys = push(phys, project, key_labels.clone(), distinct);
+    if !distinct {
+        keys = push(
+            phys,
+            PhysOp::Dedup { source: keys },
+            key_labels.clone(),
+            true,
+        );
+    }
+    let (k, fetched) = (key_cols.len(), positions.len());
+    let set_valued = x_attrs.iter().all(|a| positions.contains(a));
+    let lookup = PhysOp::KeyedLookup {
+        source: keys,
+        key_cols: (0..k).collect(),
+        relation: relation.clone(),
+        x_attrs: x_attrs.clone(),
+        positions,
+        constraint_index: *constraint_index,
+        residual: Vec::new(),
+    };
+    let labels = key_labels
+        .into_iter()
+        .chain(columns.iter().cloned())
+        .collect();
+    let lookup = push(phys, lookup, labels, true);
+    let cols = (k..k + fetched).collect();
+    let out = PhysOp::Project {
+        source: lookup,
+        cols,
+    };
+    let out = push(phys, out, columns.to_vec(), set_valued);
+    if set_valued {
+        out
+    } else {
+        push(phys, PhysOp::Dedup { source: out }, columns.to_vec(), true)
+    }
+}
+
 /// Where the values of one column of a step come from, as far as the plan alone tells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Origin {
@@ -1233,7 +1214,7 @@ fn origin(steps: &[PhysStep], step: PhysId, col: usize) -> Origin {
                 Some(_) => fresh,
             }
         }
-        PhysOp::Unit | PhysOp::Empty { .. } | PhysOp::Fetch { .. } | PhysOp::Union { .. } => fresh,
+        PhysOp::Unit | PhysOp::Empty { .. } | PhysOp::Union { .. } => fresh,
     }
 }
 
@@ -1283,8 +1264,7 @@ fn remap_op_inputs(op: &mut PhysOp, map: &[Option<PhysId>]) {
     let fix = |j: &mut PhysId| *j = map[*j].expect("inputs lowered earlier");
     match op {
         PhysOp::Const { .. } | PhysOp::Unit | PhysOp::Empty { .. } => {}
-        PhysOp::Fetch { source, .. }
-        | PhysOp::KeyedLookup { source, .. }
+        PhysOp::KeyedLookup { source, .. }
         | PhysOp::Filter { source, .. }
         | PhysOp::Project { source, .. }
         | PhysOp::Dedup { source } => fix(source),
@@ -1364,11 +1344,11 @@ mod tests {
         let plan = keyed_join_plan();
         let phys = lower_plan(&plan).unwrap();
         assert!(phys.validate().is_ok());
-        // No physical product, no standalone fetch: the whole pattern is one lookup.
+        // No physical product: the whole pattern is one lookup.
         assert!(phys
             .steps()
             .iter()
-            .all(|s| !matches!(s.op, PhysOp::Product { .. } | PhysOp::Fetch { .. })));
+            .all(|s| !matches!(s.op, PhysOp::Product { .. })));
         let lookups = phys
             .steps()
             .iter()
@@ -1460,6 +1440,158 @@ mod tests {
         bound
     }
 
+    /// The operators of `plan`, in step order.
+    fn ops(plan: &PhysicalPlan) -> Vec<&PhysOp> {
+        plan.steps().iter().map(|s| &s.op).collect()
+    }
+
+    /// The ids of `plan`'s keyed lookups.
+    fn lookups(plan: &PhysicalPlan) -> Vec<PhysId> {
+        let steps = plan.steps().iter().enumerate();
+        let lookups = steps.filter(|(_, s)| matches!(s.op, PhysOp::KeyedLookup { .. }));
+        lookups.map(|(i, _)| i).collect()
+    }
+
+    /// `fetch(X ∈ keys, R, Y)` over `R(a, b, c)`, unfused: `X` is `x_attrs`, read from
+    /// `key_cols` of the step `keys` builds, `Y` the other attributes. `tail` builds the
+    /// plan output on top of the fetch (return the fetch itself to leave it alone).
+    fn lowered_fetch(
+        keys: impl FnOnce(&mut PlanBuilder) -> NodeId,
+        key_cols: Vec<usize>,
+        x_attrs: Vec<usize>,
+        tail: impl FnOnce(&mut PlanBuilder, NodeId) -> NodeId,
+    ) -> PhysicalPlan {
+        let mut b = PlanBuilder::new();
+        let keys = keys(&mut b);
+        let y_attrs: Vec<usize> = (0..3).filter(|a| !x_attrs.contains(a)).collect();
+        let labels = x_attrs
+            .iter()
+            .chain(&y_attrs)
+            .map(|&a| ["a", "b", "c"][a].into());
+        let labels = labels.collect();
+        let fetched = b.fetch(keys, key_cols, "R", x_attrs, y_attrs, 0, labels);
+        let out = tail(&mut b, fetched);
+        lower_plan(&b.finish("Q", out).unwrap()).unwrap()
+    }
+
+    /// `{1} × ({2} ∪ {3})`, columns `[k, x]`: keyed by `k` alone, it repeats a key.
+    fn repeating_keys(b: &mut PlanBuilder) -> NodeId {
+        let k = b.constant(Value::int(1), "k");
+        let x2 = b.constant(Value::int(2), "x");
+        let x3 = b.constant(Value::int(3), "x");
+        let xs = b.union(x2, x3);
+        b.product(k, xs)
+    }
+
+    #[test]
+    fn an_unfused_fetch_lowers_to_a_lookup_over_its_distinct_keys() {
+        // Over a constant: `π[k]` of it, no δ (a constant never repeats a key), the
+        // lookup by every key column with no residual, and `π` onto the fetched
+        // columns — which is the output, already a set.
+        let constant = |b: &mut PlanBuilder| b.constant(Value::int(1), "k");
+        let phys = lowered_fetch(constant, vec![0], vec![0], |_, f| f);
+        let lookup = PhysOp::KeyedLookup {
+            source: 1,
+            key_cols: vec![0],
+            relation: "R".into(),
+            x_attrs: vec![0],
+            positions: vec![0, 1, 2],
+            constraint_index: 0,
+            residual: Vec::new(),
+        };
+        let expected = [
+            PhysOp::Const {
+                value: Value::int(1),
+            },
+            PhysOp::Project {
+                source: 0,
+                cols: vec![0],
+            },
+            lookup,
+            PhysOp::Project {
+                source: 2,
+                cols: vec![1, 2, 3],
+            },
+        ];
+        assert_eq!(ops(&phys), expected.iter().collect::<Vec<_>>());
+        assert_eq!(phys.steps()[2].columns, ["k", "a", "b", "c"]);
+        assert_eq!(phys.steps()[3].columns, ["a", "b", "c"]);
+        assert_eq!(phys.output(), 3);
+        assert!(phys.steps().iter().all(|s| s.set_valued));
+        assert!(phys.keys_distinct(1, &[0]));
+        assert_eq!(phys.pipeline_dag().len(), 1);
+
+        // A source that repeats keys gets a δ between the key projection and the
+        // lookup, so every key is probed once; the union's own δ is the other one.
+        let phys = lowered_fetch(repeating_keys, vec![0], vec![0], |_, f| f);
+        let [lookup] = lookups(&phys)[..] else {
+            panic!("one lookup: {phys}");
+        };
+        let PhysOp::KeyedLookup { source, .. } = phys.steps()[lookup].op else {
+            unreachable!();
+        };
+        let PhysOp::Dedup { source: keys } = phys.steps()[source].op else {
+            panic!("no δ over the keys: {phys}");
+        };
+        assert_eq!(
+            phys.steps()[keys].op,
+            PhysOp::Project {
+                source: keys - 1,
+                cols: vec![0]
+            }
+        );
+        assert!(!phys.steps()[keys].set_valued);
+        let dedups = ops(&phys).into_iter();
+        assert_eq!(
+            dedups
+                .filter(|op| matches!(op, PhysOp::Dedup { .. }))
+                .count(),
+            2
+        );
+        assert_eq!(phys.output(), lookup + 1);
+    }
+
+    #[test]
+    fn an_unfused_fetch_with_an_empty_key_probes_the_empty_key_once() {
+        // `X = ∅`: the key projection has no column. Over the unit table it is the one
+        // empty row; over a source with several rows a δ collapses them to it.
+        for (repeats, dedups) in [(false, 0), (true, 2)] {
+            let keys = |b: &mut PlanBuilder| {
+                if repeats {
+                    repeating_keys(b)
+                } else {
+                    b.unit()
+                }
+            };
+            let phys = lowered_fetch(keys, Vec::new(), Vec::new(), |_, f| f);
+            let [lookup] = lookups(&phys)[..] else {
+                panic!("one lookup: {phys}");
+            };
+            let PhysOp::KeyedLookup {
+                source,
+                key_cols,
+                positions,
+                ..
+            } = &phys.steps()[lookup].op
+            else {
+                unreachable!();
+            };
+            assert!(key_cols.is_empty());
+            assert_eq!(positions, &[0, 1, 2]);
+            assert!(phys.steps()[*source].columns.is_empty());
+            assert_eq!(
+                phys.steps()[phys.output()].op,
+                PhysOp::Project {
+                    source: lookup,
+                    cols: vec![0, 1, 2]
+                }
+            );
+            let ops = ops(&phys).into_iter();
+            let found = ops.filter(|op| matches!(op, PhysOp::Dedup { .. })).count();
+            assert_eq!(found, dedups, "source repeats: {repeats}");
+        }
+    }
+
     #[test]
     fn shared_fetch_falls_back_to_hash_join() {
         // Same pattern, but the fetch result is also consumed by a projection, so it
@@ -1481,21 +1613,25 @@ mod tests {
         let out = b.product(sel, other);
         let plan = b.finish("Q", out).unwrap();
         let phys = lower_plan(&plan).unwrap();
-        assert!(phys
-            .steps()
-            .iter()
-            .any(|s| matches!(s.op, PhysOp::HashJoin { .. })));
-        assert!(phys
-            .steps()
-            .iter()
-            .any(|s| matches!(s.op, PhysOp::Fetch { .. })));
-        // The shared fetch is a pipeline breaker: it feeds both the join and the
-        // projection.
-        let fetch_step = phys
-            .steps()
-            .iter()
-            .find(|s| matches!(s.op, PhysOp::Fetch { .. }))
-            .unwrap();
+        let Some(&PhysOp::HashJoin { right, .. }) = ops(&phys)
+            .into_iter()
+            .find(|op| matches!(op, PhysOp::HashJoin { .. }))
+        else {
+            panic!("no hash join: {phys}");
+        };
+        // The join's build side is the lowered fetch, `π` over its lookup — and a
+        // pipeline breaker: it feeds both the join and the projection.
+        let [lookup] = lookups(&phys)[..] else {
+            panic!("one lookup: {phys}");
+        };
+        let fetch_step = &phys.steps()[right];
+        assert_eq!(
+            fetch_step.op,
+            PhysOp::Project {
+                source: lookup,
+                cols: vec![1, 2]
+            }
+        );
         assert!(fetch_step.materialize);
         assert_eq!(fetch_step.consumers, 2);
     }
@@ -1517,19 +1653,22 @@ mod tests {
         let projected = b.project(fetched, vec![0, 2]);
         let plan = b.finish("Q", projected).unwrap();
         let phys = lower_plan(&plan).unwrap();
-        assert!(phys
-            .steps()
-            .iter()
-            .all(|s| !matches!(s.op, PhysOp::Project { .. })));
-        let Some(PhysOp::Fetch { positions, .. }) = phys
-            .steps()
-            .iter()
-            .map(|s| &s.op)
-            .find(|op| matches!(op, PhysOp::Fetch { .. }))
-        else {
-            panic!("no fetch");
+        let [lookup] = lookups(&phys)[..] else {
+            panic!("one lookup: {phys}");
+        };
+        let PhysOp::KeyedLookup { positions, .. } = &phys.steps()[lookup].op else {
+            unreachable!();
         };
         assert_eq!(positions, &[0, 2]);
+        // The projection is the lookup's own final `π`, not a step of its own.
+        assert_eq!(
+            phys.steps()[phys.output()].op,
+            PhysOp::Project {
+                source: lookup,
+                cols: vec![1, 2]
+            }
+        );
+        assert_eq!(phys.len(), 4);
         // The key attribute survives the projection, so no dedup step is needed.
         assert!(phys
             .steps()
@@ -1539,36 +1678,55 @@ mod tests {
 
     #[test]
     fn projection_dropping_keys_requires_dedup() {
-        let mut b = PlanBuilder::new();
-        let k1 = b.constant(Value::int(1), "k");
-        let k2 = b.constant(Value::int(2), "k");
-        let keys = b.union(k1, k2);
-        let fetched = b.fetch(
-            keys,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        // Keep only b: rows fetched under different keys can now collide.
-        let projected = b.project(fetched, vec![1]);
-        let plan = b.finish("Q", projected).unwrap();
-        let phys = lower_plan(&plan).unwrap();
-        let Some(PhysOp::Fetch { positions, .. }) = phys
-            .steps()
-            .iter()
-            .map(|s| &s.op)
-            .find(|op| matches!(op, PhysOp::Fetch { .. }))
-        else {
-            panic!("no fetch");
+        // Keep only `b`: rows fetched under different keys can now collide, so a δ
+        // follows the lookup's final `π` — whatever the keys are.
+        let keys = |b: &mut PlanBuilder| {
+            let k1 = b.constant(Value::int(1), "k");
+            let k2 = b.constant(Value::int(2), "k");
+            b.union(k1, k2)
         };
-        assert_eq!(positions, &[1]);
-        assert!(phys
-            .steps()
-            .iter()
-            .any(|s| matches!(s.op, PhysOp::Dedup { .. })));
+        let constant = |b: &mut PlanBuilder| b.constant(Value::int(1), "k");
+        for (phys, dedups) in [
+            (
+                lowered_fetch(keys, vec![0], vec![0], |b, f| b.project(f, vec![1])),
+                2,
+            ),
+            (
+                lowered_fetch(constant, vec![0], vec![0], |b, f| b.project(f, vec![1])),
+                1,
+            ),
+        ] {
+            let [lookup] = lookups(&phys)[..] else {
+                panic!("one lookup: {phys}");
+            };
+            let PhysOp::KeyedLookup { positions, .. } = &phys.steps()[lookup].op else {
+                unreachable!();
+            };
+            assert_eq!(positions, &[1]);
+            assert_eq!(
+                phys.steps()[phys.output()].op,
+                PhysOp::Dedup { source: lookup + 1 }
+            );
+            assert!(!phys.steps()[lookup + 1].set_valued);
+            let ops = ops(&phys).into_iter();
+            let found = ops.filter(|op| matches!(op, PhysOp::Dedup { .. })).count();
+            assert_eq!(found, dedups, "{phys}");
+        }
+        // A zero-column projection keeps one empty row per matching key; the δ makes
+        // that one row.
+        let phys = lowered_fetch(keys, vec![0], vec![0], |b, f| b.project(f, Vec::new()));
+        let [lookup] = lookups(&phys)[..] else {
+            panic!("one lookup: {phys}");
+        };
+        let PhysOp::KeyedLookup { positions, .. } = &phys.steps()[lookup].op else {
+            unreachable!();
+        };
+        assert!(positions.is_empty());
+        assert!(phys.steps()[phys.output()].columns.is_empty());
+        assert!(matches!(
+            phys.steps()[phys.output()].op,
+            PhysOp::Dedup { .. }
+        ));
     }
 
     #[test]
@@ -1716,9 +1874,13 @@ mod tests {
             phys.steps()[const_pipe.sink].op,
             PhysOp::Const { .. }
         ));
+        // The fetch's pipeline ends in the `π` over its lookup.
+        let PhysOp::Project { source, .. } = phys.steps()[fetch_pipe.sink].op else {
+            panic!("the shared fetch lowers to `π` over a lookup: {phys}");
+        };
         assert!(matches!(
-            phys.steps()[fetch_pipe.sink].op,
-            PhysOp::Fetch { .. }
+            phys.steps()[source].op,
+            PhysOp::KeyedLookup { .. }
         ));
         assert_eq!(out_pipe.sink, phys.output());
         // Exchange edges: the fetch scans the constant; the output scans both.

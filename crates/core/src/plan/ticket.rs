@@ -11,10 +11,11 @@
 //! A ticket is derived once per submission from the logical plan (the fetch bound, via
 //! [`super::QueryPlan::cost`]) and its lowering (the pipeline decomposition, parallel
 //! width, and the per-pipeline **allocation surface**). The allocation surface is the
-//! engine's buffer-pool sizing rule, [`step_surface`] — every fetch-shaped physical
-//! step demands one buffer per fetched position plus the key row and the selection
-//! vector — so a controller can also veto plans that would allocate on the per-probe
-//! hot path beyond a configured surface, before the first probe runs. Lowering does not
+//! engine's buffer-pool sizing rule, [`step_surface`] — every keyed lookup (the one
+//! physical step that fetches) demands one buffer per fetched position plus the key
+//! row and the selection vector — so a controller can also veto plans that would
+//! allocate on the per-probe hot path beyond a configured surface, before the first
+//! probe runs. Lowering does not
 //! depend on the store, so neither does the ticket: a sharded store prices a query
 //! exactly as its unsharded twin does.
 
@@ -27,9 +28,7 @@ use super::{AccessSchema, QueryPlan};
 /// and the runtime's demand agree.
 pub fn step_surface(op: &PhysOp) -> u64 {
     match op {
-        PhysOp::Fetch { positions, .. } | PhysOp::KeyedLookup { positions, .. } => {
-            positions.len() as u64 + 2
-        }
+        PhysOp::KeyedLookup { positions, .. } => positions.len() as u64 + 2,
         _ => 0,
     }
 }
@@ -39,7 +38,7 @@ pub fn step_surface(op: &PhysOp) -> u64 {
 pub struct PipelineCost {
     /// The physical step this pipeline materializes.
     pub sink: usize,
-    /// Fetch-shaped steps (fetches and keyed lookups) in the pipeline's region.
+    /// Keyed lookups — the steps that fetch — in the pipeline's region.
     pub fetch_steps: usize,
     /// The pipeline's worst-case simultaneous buffer demand on the probe path.
     pub alloc_surface: u64,
@@ -94,9 +93,7 @@ impl CostTicket {
                     sink: pipeline.sink,
                     fetch_steps: ops
                         .clone()
-                        .filter(|op| {
-                            matches!(op, PhysOp::Fetch { .. } | PhysOp::KeyedLookup { .. })
-                        })
+                        .filter(|op| matches!(op, PhysOp::KeyedLookup { .. }))
                         .count(),
                     alloc_surface: ops.map(step_surface).sum(),
                     splittable: pipeline.morsel_source.is_some(),

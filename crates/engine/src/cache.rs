@@ -239,10 +239,9 @@ impl SessionFetchCache {
 
     /// Non-claiming read: a warm hit like [`SessionFetchCache::probe`]'s, but a miss
     /// or an in-flight fill returns `None` immediately instead of claiming or
-    /// waiting. A keyed lookup's first pass reads with it. It is also the streaming
-    /// fetch's only probe — `FetchOp` gathers many keys into one shared buffer and
-    /// cannot produce the standalone per-key batch a fill claim would owe, so it only
-    /// ever consumes entries the lookup path published.
+    /// waiting. A keyed lookup's first pass reads with it; every key it misses is
+    /// then probed — and, if need be, claimed and filled — in the second (see the
+    /// module docs).
     pub(crate) fn lookup(&self, space: &CacheSpace, key: &HashedRow) -> Option<Arc<Batch>> {
         let stripe = space.stripe(key);
         let mut map = stripe

@@ -69,11 +69,12 @@
 //!   the plan — only a predicate that compares with a request's constant is copied,
 //!   with the constant in;
 //! * [`stats::AccessStats::allocs_per_probe`] counts probe-path *buffer-demand*
-//!   events (a pool hit still counts — the metric models demand, not the allocator),
-//!   so it is deterministic, additive, thread- and shard-invariant, and **zero for
-//!   keyed lookups, cold or warm** — only a streaming fetch's owned key rows count —
-//!   the property the test suite asserts and `BENCH_pipeline.json` records; like the
-//!   shard distribution it is excluded from [`AccessStats::same_data_access`];
+//!   events, and the probe path has none left: every fetch runs as a keyed lookup,
+//!   which demands no buffer per key, cold or warm, so nothing charges the counter
+//!   and it reads 0 on every run. It stays on the wire (`bead` replies,
+//!   `BENCH_pipeline.json`) until the modelled accounting is deleted as a whole; the
+//!   real allocation counts come from counting-allocator tests. Like the shard
+//!   distribution it is excluded from [`AccessStats::same_data_access`];
 //! * one row hash, [`bea_core::value::hash_row`], serves every one of those tables,
 //!   the cache stripes and the store's indexes: a fixed mixer, not SipHash — rows
 //!   are loaded data and query constants, every hit is confirmed by comparing

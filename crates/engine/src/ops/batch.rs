@@ -122,15 +122,9 @@ impl Batch {
         self.columns.iter().map(|c| c[p].clone()).collect()
     }
 
-    /// Gather the values of logical row `i` at `cols` (`cols.len()` O(1) clones).
-    pub(crate) fn gather(&self, i: usize, cols: &[usize]) -> Row {
-        let p = self.physical(i);
-        cols.iter().map(|&c| self.columns[c][p].clone()).collect()
-    }
-
     /// Gather the values of logical row `i` at `cols` into `out`, clearing it first:
-    /// the reuse-a-scratch form of [`Batch::gather`] — the same `cols.len()` O(1)
-    /// clones, but no fresh allocation once the scratch has grown to capacity.
+    /// `cols.len()` O(1) clones, and no fresh allocation once the scratch has grown to
+    /// capacity.
     pub(crate) fn gather_into(&self, i: usize, cols: &[usize], out: &mut Row) {
         let p = self.physical(i);
         out.clear();
@@ -173,13 +167,12 @@ impl Batch {
         }
     }
 
-    /// Replace the batch's selection with an explicit list of *physical* row indices
-    /// (the caller guarantees they are in range — used by the fetch kernel, whose
-    /// dedup works directly over physical positions). Zero value copies.
-    pub(crate) fn keep_physical(self, selection: Vec<u32>) -> Batch {
-        debug_assert!(selection.iter().all(|&i| (i as usize) < self.stored));
+    /// The logical rows `rows`, in order: [`Batch::retain`] for a contiguous range,
+    /// without a pass over the rows outside it. Zero value copies.
+    pub(crate) fn slice(&self, rows: std::ops::Range<usize>) -> Batch {
+        let selection = rows.map(|i| self.physical(i) as u32).collect();
         Batch {
-            columns: self.columns,
+            columns: Arc::clone(&self.columns),
             stored: self.stored,
             selection: Some(Arc::new(selection)),
         }
@@ -570,7 +563,9 @@ mod tests {
         assert!(!b.is_empty());
         assert_eq!(b.value(1, 0), &Value::int(2));
         assert_eq!(b.row(2), vec![Value::int(3), Value::str("a")]);
-        assert_eq!(b.gather(0, &[1]), vec![Value::str("a")]);
+        let mut gathered = vec![Value::int(9)];
+        b.gather_into(0, &[1], &mut gathered);
+        assert_eq!(gathered, vec![Value::str("a")]);
     }
 
     #[test]

@@ -1,23 +1,26 @@
-//! Index-backed operators: the streaming fetch and the fused keyed-lookup join.
+//! The index operator: [`KeyedLookupOp`], through which every fetch of a physical plan
+//! reads the store.
 //!
-//! Both operators reach the index through one call, the store's batched
+//! Lowering leaves a plan one index operator. Plan synthesis wraps each fetch as
+//! `σ[key equalities](T × fetch(X ∈ T, R, Y))`, which is a keyed lookup over `T`; any
+//! other fetch becomes a keyed lookup over its distinct keys `δπ[keys](T)` whose
+//! emission keeps only the fetched columns (see `bea_core::plan::physical`). The
+//! operator reaches the index through one call, the store's batched
 //! [`Store::resolve`], which walks many keys at once with their cache misses
-//! overlapped. Each key's tuples are then projected straight from the relation into
-//! the columns under construction — a fetch's output batch, a keyed lookup's arena —
-//! without an intermediate row allocation per tuple. Per-key duplicate elimination
-//! runs *hash-then-compare* over the freshly appended column range (see
-//! [`super::batch::hash_row_at`]) and compacts duplicates away in place — no value is
-//! cloned to decide freshness, and a key that matched at most one tuple is not hashed
-//! at all.
+//! overlapped.
 //!
 //! A keyed lookup copies only what needs a copy. Its arena holds the keys that matched
-//! two or more tuples, whose per-key dedup needs the projected columns; a key that
-//! matched at most one tuple (every probe of a bound-1 constraint) is read where the
-//! tuple lies in the store — residual predicates and the emission read it there, and
-//! only emitted values are cloned. Its memo, which serves a repeated key from the
-//! arena or the store, exists only where keys can repeat: when the plan proves that
-//! the source never repeats a key ([`PhysicalPlan::keys_distinct`]), every probe is a
-//! first probe and nothing is remembered.
+//! two or more tuples, projected straight from the relation into its columns without
+//! an intermediate row per tuple; per-key duplicate elimination runs
+//! *hash-then-compare* over the freshly appended range (see
+//! [`super::batch::hash_row_at`]) and compacts duplicates away in place, so no value is
+//! cloned to decide freshness. A key that matched at most one tuple (every probe of a
+//! bound-1 constraint) is neither hashed nor copied: it is read where the tuple lies in
+//! the store — residual predicates and the emission read it there, and only emitted
+//! values are cloned. Its memo, which serves a repeated key from the arena or the
+//! store, exists only where keys can repeat: when the plan proves that the source never
+//! repeats a key ([`PhysicalPlan::keys_distinct`]), every probe is a first probe and
+//! nothing is remembered.
 //!
 //! [`PhysicalPlan::keys_distinct`]: bea_core::plan::PhysicalPlan::keys_distinct
 //!
@@ -40,20 +43,17 @@
 //! their order, the arena's layout and every counter are a per-row loop's, except under
 //! eviction pressure: a pass-1 hit serves its row even if a fill earlier in the batch
 //! evicted the entry since (see [`crate::cache`]). A missed key is hashed once, when
-//! gathered. [`FetchOp`] resolves its key set the same way, [`BATCH_SIZE`] keys at a
-//! time: session-cache hits first, one `resolve` for the rest.
+//! gathered.
 //!
 //! # The probe path's allocation budget
 //!
-//! What the probe path demands per key is counted in
-//! [`crate::stats::AccessStats::allocs_per_probe`], whose doc is the charging rule:
-//! one owned key row per source row a [`FetchOp`] gathers into its key set — and
-//! nothing for a keyed lookup, hit or miss. Every probe gathers its key into one
-//! reusable scratch and hashes it once; a **miss** moves the scratch's values into the
-//! memo's flat key columns, where keys can repeat, and appends multi-tuple postings to
-//! the arena's value columns (both drawn from the worker's [`super::BufferPool`] once
-//! per operator instance, like the flat buffer pass 1 moves missed keys into), so no
-//! buffer is demanded per key. A repeat of a fetched key is a slot walk plus emission
+//! The probe path demands no buffer per key, hit or miss — which is why nothing
+//! charges [`crate::stats::AccessStats::allocs_per_probe`]. Every probe gathers its
+//! key into one reusable scratch and hashes it once; a **miss** moves the scratch's
+//! values into the memo's flat key columns, where keys can repeat, and appends
+//! multi-tuple postings to the arena's value columns (both drawn from the worker's
+//! [`super::BufferPool`] once per operator instance, like the flat buffer pass 1 moves
+//! missed keys into). A repeat of a fetched key is a slot walk plus emission
 //! from where its postings lie; a hit in an outer tier (session cache, split cache) is
 //! a refcount bump. Resolving an outer tier's *fill claim* is the same miss, then an
 //! uncharged compact copy of the key's postings — taken from the arena range, or
@@ -73,10 +73,10 @@
 //!
 //! # Access accounting
 //!
-//! Neither operator touches the shared [`crate::stats::AccessStats`] per key: lookups,
-//! clones and cache hits accumulate in an operator-local [`ProbeTally`], flushed once
-//! per pull and on drop — an error or a short-circuiting consumer loses nothing. A
-//! miss's fetched tuples go straight to the job's flat per-(step, shard) tally
+//! The operator does not touch the shared [`crate::stats::AccessStats`] per key:
+//! lookups, clones and cache hits accumulate in an operator-local [`ProbeTally`],
+//! flushed once per pull and on drop — an error or a short-circuiting consumer loses
+//! nothing. A miss's fetched tuples go straight to the job's flat per-(step, shard) tally
 //! ([`crate::stats::FetchTally`]), which names no relation and allocates nothing once
 //! the thread's state has grown to its plans; the scheduler writes it into the query's
 //! per-relation and per-shard maps when the job lands.
@@ -84,8 +84,8 @@
 //! # Shard routing
 //!
 //! One plan, keys routed at run time: a sharded store runs exactly the plan its
-//! unsharded twin does, and neither operator knows how many shards there are. Every
-//! key goes to [`Store::resolve`], which sends it to the shard that owns it
+//! unsharded twin does, and the operator does not know how many shards there are.
+//! Every key goes to [`Store::resolve`], which sends it to the shard that owns it
 //! ([`bea_storage::shard_of`]) and reports that shard beside its postings, so
 //! [`crate::stats::AccessStats::rows_fetched_by_shard`] is the only trace sharding
 //! leaves in the counters. Rows, their order and every other counter are the
@@ -98,10 +98,10 @@ use crate::cache::{CacheShape, CacheSpace, SessionFetchCache, SessionProbe};
 use crate::stats::AccessStats;
 use bea_core::error::Result;
 use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
-use bea_core::value::{Row, Value};
+use bea_core::value::Value;
 use bea_storage::{FetchIter, Probes, Store};
 use std::borrow::Cow;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A handle to the session's cross-query fetch cache, resolved to the operator's
@@ -124,10 +124,10 @@ impl<F: FnMut(Option<Arc<Batch>>)> Drop for Claim<F> {
 }
 
 /// What pass 1 found for one key (see the module docs): `Held` by a tier — an outer
-/// tier's batch, or for a keyed lookup its arena's range — or `Missed`, its postings
-/// being probe `p` of the pass's `resolve`.
-enum Found<H> {
-    Held(H),
+/// tier's batch, or the arena's memo — or `Missed`, its postings being probe `p` of
+/// the pass's `resolve`.
+enum Found<'db> {
+    Held(Postings<'db>),
     Missed(usize),
 }
 
@@ -194,17 +194,6 @@ impl<'db> Pass<'db> {
     }
 }
 
-/// Append a session-cached posting batch to a fetch's shared gather — the cache-hit
-/// analogue of [`fetch_key_into`]. The cached batch is already per-key deduplicated,
-/// so every logical row is appended, in the exact order the store fetch would have
-/// produced it. (A zero-column batch holds at most the one empty row.)
-fn append_cached_postings(batch: &Batch, cols: &mut [Vec<Value>], rows: &mut usize) {
-    for j in 0..batch.len() {
-        batch.append_row_to(j, cols);
-    }
-    *rows += batch.len();
-}
-
 /// What an operator's probes have cost since its last flush; see the module docs.
 #[derive(Debug, Default)]
 struct ProbeTally {
@@ -231,8 +220,9 @@ impl ProbeTally {
 }
 
 /// Reusable open-addressing set of physical row positions — the per-key dedup table
-/// of [`fetch_key_into`]. One slot vector, re-sized and blanked per key, so deciding
-/// freshness never allocates once the table has grown to the largest posting list.
+/// of [`PostingArena::append`]. One slot vector, re-sized and blanked per key, so
+/// deciding freshness never allocates once the table has grown to the largest posting
+/// list.
 #[derive(Debug, Default)]
 struct RowSet {
     slots: Vec<u32>,
@@ -266,47 +256,8 @@ impl RowSet {
     }
 }
 
-/// Append the distinct `positions`-projections of one key's resolved `tuples` to
-/// `cols`, in posting order — the shared fetch kernel of [`FetchOp`] and
-/// [`KeyedLookupOp`]. `rows` is the dense length of `cols` (tracked by the caller so
-/// zero-column gathers keep a row count) and advances by the fresh rows; duplicates
-/// are compacted away in place. Returns the number of tuples read (for access
-/// accounting). Distinct keys cannot produce equal projections as long as the key
-/// attributes survive in `positions` (lowering adds a global dedup when a pushed-down
-/// projection dropped them), so per-key dedup suffices.
-fn fetch_key_into(
-    tuples: FetchIter<'_>,
-    positions: &[usize],
-    cols: &mut [Vec<Value>],
-    rows: &mut usize,
-    dedup: &mut RowSet,
-) -> u64 {
-    let appended = tuples.project_into(positions, cols);
-    let appended_rows = appended as usize;
-    if cols.is_empty() || appended_rows <= 1 {
-        // Nothing to deduplicate, nothing hashed: at most one tuple (every probe of
-        // a bound-1 constraint) — or a zero-column projection, where every matched
-        // tuple projects to the empty row and a nonempty posting list contributes one.
-        *rows += appended_rows.min(1);
-        return appended;
-    }
-    dedup.reset(appended_rows);
-    let base = *rows;
-    for idx in base..base + appended_rows {
-        if dedup.insert(cols, idx, *rows) {
-            if *rows != idx {
-                cols.iter_mut().for_each(|col| col.swap(*rows, idx));
-            }
-            *rows += 1;
-        }
-    }
-    cols.iter_mut().for_each(|col| col.truncate(*rows));
-    appended
-}
-
-/// The fields of a fetch-shaped plan step ([`PhysOp::Fetch`] or
-/// [`PhysOp::KeyedLookup`]) that validation and the index operators read, borrowed
-/// from the plan.
+/// The fields of a [`PhysOp::KeyedLookup`] step that validation and the index operator
+/// read, borrowed from the plan.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FetchStep<'a> {
     /// The step's index in the plan, under which its fetches are counted.
@@ -327,15 +278,7 @@ impl<'a> FetchStep<'a> {
     /// The fields of `plan`'s step `step`, if it fetches.
     pub(crate) fn of(plan: &'a PhysicalPlan, step: usize) -> Option<Self> {
         match &plan.steps()[step].op {
-            PhysOp::Fetch {
-                relation,
-                key_cols,
-                x_attrs,
-                positions,
-                constraint_index,
-                ..
-            }
-            | PhysOp::KeyedLookup {
+            PhysOp::KeyedLookup {
                 relation,
                 key_cols,
                 x_attrs,
@@ -377,198 +320,6 @@ impl<'a> FetchStep<'a> {
     }
 }
 
-/// Streaming `fetch(X ∈ source, R, …)`: drain the source, deduplicate the key
-/// projections, then emit the `positions`-projection of every tuple each key matches,
-/// key by key, straight off the index postings into output columns. Keys are
-/// resolved [`BATCH_SIZE`] at a time (see the module docs).
-///
-/// Only the key set is durable state (released on exhaustion, or on drop if a consumer
-/// short-circuits); fetched tuples flow through without ever being collected per fetch.
-pub(crate) struct FetchOp<'db> {
-    input: Option<BoxOp<'db>>,
-    fetch: FetchStep<'db>,
-    store: Store<'db>,
-    state: SharedState,
-    /// The session's cross-query cache, probed per key before the index partition.
-    /// The streaming fetch is a *consumer only* — it gathers many keys into one
-    /// shared buffer and cannot produce the standalone per-key batch a fill claim
-    /// would owe, so misses fetch from the store exactly as without a cache.
-    session: SessionCache,
-    keys: std::collections::btree_set::IntoIter<Row>,
-    num_keys: u64,
-    /// The chunk of up to [`BATCH_SIZE`] keys being emitted: what its pass 1 found per
-    /// key, in key order, and how many of them are emitted already.
-    chunk: Vec<Found<Arc<Batch>>>,
-    emitted: usize,
-    pass: Pass<'db>,
-    /// Per-key dedup scratch, reused across batches (blanked per key by the kernel).
-    dedup: RowSet,
-    tally: ProbeTally,
-    /// Chunks of an oversized gather round not yet emitted. A single key can match far
-    /// more than `BATCH_SIZE` tuples; the round is then emitted as several batches
-    /// sharing the one dense gather (selection ranges only — zero value copies), so
-    /// downstream consumers that reason in batches (morsel splitting above all) see
-    /// cuttable boundaries instead of one monolithic batch.
-    pending: VecDeque<Batch>,
-    done: bool,
-}
-
-impl<'db> FetchOp<'db> {
-    pub(crate) fn new(
-        input: BoxOp<'db>,
-        fetch: FetchStep<'db>,
-        store: Store<'db>,
-        state: SharedState,
-    ) -> Self {
-        let session = fetch.session(&state, || None);
-        let pass = Pass::new(fetch.key_cols.len(), &state);
-        Self {
-            input: Some(input),
-            fetch,
-            store,
-            state,
-            session,
-            keys: BTreeSet::new().into_iter(),
-            num_keys: 0,
-            chunk: Vec::new(),
-            emitted: 0,
-            pass,
-            dedup: RowSet::default(),
-            tally: ProbeTally::default(),
-            pending: VecDeque::new(),
-            done: false,
-        }
-    }
-
-    /// Pass 1 over the next chunk of keys: take session-cache hits, resolve the rest.
-    /// Leaves the chunk empty once the key set is.
-    fn stage(&mut self) -> Result<()> {
-        self.chunk.clear();
-        self.emitted = 0;
-        self.pass.begin(BATCH_SIZE.min(self.keys.len()));
-        for key in self.keys.by_ref().take(BATCH_SIZE) {
-            let mut key = HashedRow::new(key);
-            let hit = (self.session.as_ref()).and_then(|(cache, space)| cache.lookup(space, &key));
-            self.chunk.push(match hit {
-                Some(batch) => Found::Held(batch),
-                None => Found::Missed(self.pass.miss(&mut key)),
-            });
-        }
-        self.pass.resolve(self.store, self.fetch.constraint_index)
-    }
-}
-
-impl Operator for FetchOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        #[cfg(test)]
-        if self.fetch.relation == super::PANIC_RELATION {
-            panic!("injected operator panic");
-        }
-        if let Some(mut input) = self.input.take() {
-            // Distinct keys only: fetching the same key twice reads the same data.
-            let mut keys: BTreeSet<Row> = BTreeSet::new();
-            let mut key_values = 0u64;
-            let mut key_allocs = 0u64;
-            while let Some(batch) = input.next_batch()? {
-                // Every candidate key projection is physically gathered (the set
-                // discards duplicates after the fact), so every one counts — as a
-                // clone per key column and as one key-row allocation.
-                for i in 0..batch.len() {
-                    key_values += self.fetch.key_cols.len() as u64;
-                    key_allocs += 1;
-                    keys.insert(batch.gather(i, self.fetch.key_cols));
-                }
-            }
-            self.num_keys = keys.len() as u64;
-            let mut state = self.state.borrow_mut();
-            state.stats.values_cloned += key_values;
-            state.stats.allocs_per_probe += key_allocs;
-            state.acquire(self.num_keys);
-            self.keys = keys.into_iter();
-        }
-        if let Some(chunk) = self.pending.pop_front() {
-            return Ok(Some(chunk));
-        }
-        if self.done {
-            return Ok(None);
-        }
-        let mut cols: Vec<Vec<Value>> = {
-            let mut state = self.state.borrow_mut();
-            (0..self.fetch.positions.len())
-                .map(|_| state.pool.get_values())
-                .collect()
-        };
-        let mut rows = 0usize;
-        while rows < BATCH_SIZE {
-            if self.emitted == self.chunk.len() {
-                self.stage()?;
-            }
-            let Some(found) = self.chunk.get(self.emitted) else {
-                self.done = true;
-                let mut state = self.state.borrow_mut();
-                state.stats.fetch_ops += 1;
-                state.release(self.num_keys);
-                self.num_keys = 0;
-                state.pool.put_values(std::mem::take(&mut self.pass.keys));
-                break;
-            };
-            self.emitted += 1;
-            match found {
-                Found::Held(batch) => {
-                    // Hot-tier hit: the postings are served by appending the cached
-                    // batch — physical clones (counted) but no index lookup and no
-                    // store fetch, so none of the fetch-side counters move.
-                    append_cached_postings(batch, &mut cols, &mut rows);
-                    self.tally.served(batch.len());
-                    self.tally.values_cloned += (batch.len() * self.fetch.positions.len()) as u64;
-                }
-                &Found::Missed(p) => {
-                    self.tally.index_lookups += 1;
-                    let (tuples, shard) = self.pass.resolved[p].clone();
-                    let positions = self.fetch.positions;
-                    let fetched =
-                        fetch_key_into(tuples, positions, &mut cols, &mut rows, &mut self.dedup);
-                    self.tally.values_cloned += fetched * positions.len() as u64;
-                    self.fetch.fetched(&self.state, shard, fetched);
-                }
-            }
-        }
-        self.tally.flush(&mut self.state.borrow_mut().stats);
-        if rows == 0 && self.done {
-            // Nothing was emitted: the pooled buffers go straight back.
-            let mut state = self.state.borrow_mut();
-            for col in cols {
-                state.pool.put_values(col);
-            }
-            return Ok(None);
-        }
-        let batch = Batch::from_dense(cols, rows);
-        if rows <= BATCH_SIZE {
-            return Ok(Some(batch));
-        }
-        // Oversized round (one key matched more than a batch's worth): emit it as
-        // `BATCH_SIZE`-row slices of the shared gather, in order. Identical rows,
-        // identical counters — only the batch boundaries move.
-        self.pending
-            .extend((0..rows).step_by(BATCH_SIZE).map(|start| {
-                let end = rows.min(start + BATCH_SIZE) as u32;
-                batch.clone().keep_physical((start as u32..end).collect())
-            }));
-        Ok(self.pending.pop_front())
-    }
-}
-
-impl Drop for FetchOp<'_> {
-    fn drop(&mut self) {
-        // Dropped mid-stream (short-circuiting consumer or error): the key set is
-        // still durable — release it so residency returns to zero.
-        let mut state = self.state.borrow_mut();
-        state.release(std::mem::take(&mut self.num_keys));
-        // What a failed pull had tallied before its error.
-        self.tally.flush(&mut state.stats);
-    }
-}
-
 /// Rows `start..start + len` of one segment of a [`PostingArena`]: where a key's
 /// projected, deduplicated postings live.
 #[derive(Debug, Clone, Copy)]
@@ -579,7 +330,7 @@ struct ArenaRange {
 }
 
 /// The keyed lookup's per-query tier: the postings of every multi-tuple key the
-/// operator fetched, appended by the shared kernel into one set of growing value
+/// operator fetched, appended by the fetch kernel into one set of growing value
 /// columns, plus — where keys can repeat — the memo that serves repeats: the fetched
 /// keys in a [`RowTable`], and at each key's position where its postings lie.
 ///
@@ -616,6 +367,37 @@ impl<'db> PostingArena<'db> {
         Ok(())
     }
 
+    /// Append the distinct `positions`-projections of a key's `tuples` — two or more —
+    /// to the open segment, in posting order, hash-then-compare deduplicated and
+    /// compacted in place; the tuples read, and where the key's postings now lie.
+    /// Distinct keys cannot produce equal projections as long as the key attributes
+    /// survive in `positions` (lowering adds a global dedup when a pushed-down
+    /// projection dropped them), so per-key dedup suffices.
+    fn append(&mut self, tuples: FetchIter<'_>, positions: &[usize]) -> (u64, ArenaRange) {
+        let start = self.rows;
+        let fetched = tuples.project_into(positions, &mut self.cols);
+        if self.cols.is_empty() {
+            // Every tuple projects to the empty row: the key holds that one row.
+            self.rows += 1;
+        } else {
+            self.dedup.reset(fetched as usize);
+            for idx in start..start + fetched as usize {
+                if self.dedup.insert(&self.cols, idx, self.rows) {
+                    let at = self.rows;
+                    self.cols.iter_mut().for_each(|col| col.swap(at, idx));
+                    self.rows += 1;
+                }
+            }
+            self.cols.iter_mut().for_each(|col| col.truncate(self.rows));
+        }
+        let range = ArenaRange {
+            segment: self.sealed.len(),
+            start,
+            len: self.rows - start,
+        };
+        (fetched, range)
+    }
+
     /// The value at row `j`, fetched position `c` of `range`.
     fn value(&self, range: ArenaRange, j: usize, c: usize) -> &Value {
         match self.sealed.get(range.segment) {
@@ -642,8 +424,7 @@ impl<'db> PostingArena<'db> {
         if range.len == segment.len() {
             return segment.clone();
         }
-        let rows = range.start..range.start + range.len;
-        segment.retain(|i| rows.contains(&i))
+        segment.slice(range.start..range.start + range.len)
     }
 }
 
@@ -673,10 +454,10 @@ impl Postings<'_> {
 /// The fused `σ[key equalities](source × fetch(X ∈ source, R, …))`: an index
 /// nested-loop join. Streams the source; for each row, probes the index with the row's
 /// key (once per distinct key — results are retained so the data access is identical
-/// to a standalone fetch over the deduplicated key set), gathers the concatenation
-/// with every match into output columns, and applies the residual predicates. A
-/// source batch's keys are staged and resolved together, then settled row by row
-/// (the two passes of the module docs).
+/// to a fetch over the deduplicated key set), gathers the concatenation with every
+/// match into output columns, and applies the residual predicates. A source batch's
+/// keys are staged and resolved together, then settled row by row (the two passes of
+/// the module docs).
 ///
 /// Durable state is the [`PostingArena`], bounded by the fetch's access-schema bound
 /// times the number of distinct multi-tuple keys; its columns come from the worker's
@@ -730,7 +511,7 @@ pub(crate) struct KeyedLookupOp<'db> {
     /// buffer.
     key_scratch: HashedRow,
     /// Pass 1's verdict on each row of the current source batch, in row order.
-    found: Vec<Found<Postings<'db>>>,
+    found: Vec<Found<'db>>,
     pass: Pass<'db>,
     tally: ProbeTally,
     /// `Some(left_arity)` when the emission is exactly a projection of the fetched
@@ -741,6 +522,9 @@ pub(crate) struct KeyedLookupOp<'db> {
     /// [`KeyedLookupOp::ensure_fused_emit`].
     fused_emit: Option<usize>,
     fused_checked: bool,
+    /// Slices of an anchor emission past [`BATCH_SIZE`] rows not yet emitted
+    /// ([`KeyedLookupOp::sliced`]).
+    pending: VecDeque<Batch>,
     done: bool,
 }
 
@@ -788,6 +572,7 @@ impl<'db> KeyedLookupOp<'db> {
             tally: ProbeTally::default(),
             fused_emit: None,
             fused_checked: false,
+            pending: VecDeque::new(),
             done: false,
         }
     }
@@ -934,7 +719,7 @@ impl<'db> KeyedLookupOp<'db> {
     /// Pass 2 for one row: a pass-1 hit as it was found; otherwise the row's key,
     /// moved back into `key_scratch`, through the per-row protocol — or, when no tier
     /// would probe or remember the key, straight to the store's answer.
-    fn settle(&mut self, found: Found<Postings<'db>>) -> Result<Postings<'db>> {
+    fn settle(&mut self, found: Found<'db>) -> Result<Postings<'db>> {
         match found {
             Found::Held(postings) => Ok(postings),
             Found::Missed(p) if self.session.is_none() && self.shared.is_none() && !self.memo => {
@@ -1052,20 +837,7 @@ impl<'db> KeyedLookupOp<'db> {
             self.fetch.fetched(&self.state, shard, tuples.len() as u64);
             return Postings::Tuple(tuples.next());
         }
-        let arena = &mut self.arena;
-        let start = arena.rows;
-        let fetched = fetch_key_into(
-            tuples,
-            self.fetch.positions,
-            &mut arena.cols,
-            &mut arena.rows,
-            &mut arena.dedup,
-        );
-        let range = ArenaRange {
-            segment: arena.sealed.len(),
-            start,
-            len: arena.rows - start,
-        };
+        let (fetched, range) = self.arena.append(tuples, self.fetch.positions);
         self.tally.values_cloned += fetched * self.fetch.positions.len() as u64;
         self.fetch.fetched(&self.state, shard, fetched);
         self.state.borrow_mut().acquire(range.len as u64);
@@ -1078,6 +850,21 @@ impl<'db> KeyedLookupOp<'db> {
     /// Move the probes' tally into the shared statistics.
     fn flush_tally(&mut self) {
         self.tally.flush(&mut self.state.borrow_mut().stats);
+    }
+
+    /// An anchor emission of more than [`BATCH_SIZE`] rows cut into slices of that
+    /// size, zero value copies: the first is returned, the rest queued. A key that fans
+    /// out past a batch's worth (a fetch's anchor above all) thus reaches the operators
+    /// downstream — and the morsel splits of a pipeline scanning it — batch by batch.
+    fn sliced(&mut self, batch: Batch) -> Batch {
+        let len = batch.len();
+        if len <= BATCH_SIZE {
+            return batch;
+        }
+        let slice = |start: usize| batch.slice(start..len.min(start + BATCH_SIZE));
+        self.pending
+            .extend((BATCH_SIZE..len).step_by(BATCH_SIZE).map(slice));
+        slice(0)
     }
 
     /// Gather source row `i` of `batch` joined with each of the `len` posting rows
@@ -1126,6 +913,13 @@ impl<'db> KeyedLookupOp<'db> {
 
 impl Operator for KeyedLookupOp<'_> {
     fn next_batch(&mut self) -> Result<Option<Batch>> {
+        #[cfg(test)]
+        if self.fetch.relation == super::PANIC_RELATION {
+            panic!("injected operator panic");
+        }
+        if let Some(slice) = self.pending.pop_front() {
+            return Ok(Some(slice));
+        }
         if self.done {
             return Ok(None);
         }
@@ -1180,7 +974,7 @@ impl Operator for KeyedLookupOp<'_> {
                 if let Some(emitted) = emitted {
                     self.found = found;
                     self.flush_tally();
-                    return Ok(Some(emitted));
+                    return Ok(Some(self.sliced(emitted)));
                 }
             }
         }

@@ -14,10 +14,10 @@
 //! * steps marked [`bea_core::plan::PhysStep::materialize`] (shared by several
 //!   consumers, the plan output, or exchange points inserted for parallelism) are
 //!   materialized once and *freed as soon as their last consumer has drained them*;
-//! * join build sides, per-key fetch caches, dedup sets and the key set of a fetch are
-//!   operator-internal state, released when the operator is exhausted — or when it is
-//!   dropped undrained (every operator holding durable state implements `Drop`), so a
-//!   short-circuiting or failing consumer can never leak residency.
+//! * join build sides, per-key fetch caches and dedup sets are operator-internal
+//!   state, released when the operator is exhausted — or when it is dropped undrained
+//!   (every operator holding durable state implements `Drop`), so a short-circuiting
+//!   or failing consumer can never leak residency.
 //!
 //! # Threading model
 //!
@@ -58,7 +58,7 @@
 //! [`AccessStats::same_data_access`] holds across `threads` settings.
 //!
 //! Operator catalogue: [`source`] (constants, unit, empty, scans of materialized
-//! steps), [`fetch`] (streaming index fetch and the fused keyed-lookup join),
+//! steps), [`fetch`] (the keyed lookup, the one operator that reads the index),
 //! [`relational`] (filter, project, dedup, union, difference, product) and [`join`]
 //! (the generic hash join used when a fetch result stays shared).
 
@@ -87,7 +87,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// buffers stay negligible next to any real intermediate result.
 pub(crate) const BATCH_SIZE: usize = 1024;
 
-/// Relation name that makes a streaming fetch panic on its first pull — the
+/// Relation name that makes a keyed lookup panic on its first pull — the
 /// panic injection hook for the driver's panic-safety tests (test builds
 /// only; release builds carry no such check).
 #[cfg(test)]
@@ -345,9 +345,9 @@ pub(crate) type MatSlots = [OnceLock<SharedMat>];
 /// Validate one fetch-shaped step (`step` names it, e.g. "physical step 3", and is
 /// formatted only into an error message) against the database it is about to probe:
 /// the backing constraint must exist in the access schema, agree with the key arity,
-/// and `attrs` may only name attribute positions the relation has. Shared by the streaming executor (physical
-/// fetch/keyed-lookup steps) and the materialized reference (logical fetch steps) so the
-/// two can never drift on what counts as a malformed plan.
+/// and `attrs` may only name attribute positions the relation has. Shared by the
+/// streaming executor (keyed-lookup steps) and the materialized reference (logical
+/// fetch steps) so the two can never drift on what counts as a malformed plan.
 pub(crate) fn validate_fetch_shape<'a>(
     store: Store<'_>,
     step: impl std::fmt::Display,
@@ -615,12 +615,6 @@ fn build_op<'a>(
             .clone()])),
         PhysOp::Unit => Box::new(source::SingletonOp::new(Vec::new())),
         PhysOp::Empty { .. } => Box::new(source::EmptyOp),
-        PhysOp::Fetch { source, .. } => Box::new(fetch::FetchOp::new(
-            input(*source)?,
-            fetch::FetchStep::of(plan, node).expect("a fetch fetches"),
-            store,
-            state.clone(),
-        )),
         PhysOp::KeyedLookup { .. } => lookup(node, None)?,
         PhysOp::HashJoin {
             left,
@@ -688,7 +682,9 @@ mod tests {
     use super::*;
     use crate::exec::{execute_plan_materialized, execute_plan_on, ExecOptions};
     use bea_core::access::{AccessConstraint, AccessSchema};
-    use bea_core::plan::{lower_plan_with, LowerOptions, PlanBuilder, Predicate};
+    use bea_core::plan::{
+        lower_plan_with, LowerOptions, NodeId, PlanBuilder, Predicate, QueryPlan,
+    };
     use bea_core::value::Row;
     use bea_storage::{Database, IndexedDatabase};
 
@@ -999,6 +995,122 @@ mod tests {
         let plan = b.finish("Q", f).unwrap();
         assert!(execute_plan_on(&plan, &idb, &ExecOptions::new()).is_err());
         assert!(execute_plan_materialized(&plan, &idb).is_err());
+    }
+
+    /// Tuples of `A(a, b, c)` under the anchor `a = 1` (`b` = `i mod JOIN_KEYS`, so
+    /// every `b` repeats within and across source batches), and `R(k, v, w)`'s
+    /// postings for key `k`: `k mod 4` tuples, the first two equal on `v`.
+    const FAN_OUT: i64 = 3_000;
+    const JOIN_KEYS: i64 = 50;
+
+    /// `A(a → b, c)`, `R(k → v, w)` and `E(∅ → e)` (an empty key): see [`FAN_OUT`].
+    fn unfused_fetch_setup() -> IndexedDatabase {
+        let mut c = bea_core::schema::Catalog::new();
+        c.declare("A", ["a", "b", "c"]).unwrap();
+        c.declare("R", ["k", "v", "w"]).unwrap();
+        c.declare("E", ["e"]).unwrap();
+        let schema = AccessSchema::from_constraints([
+            AccessConstraint::new(&c, "A", &["a"], &["b", "c"], FAN_OUT as u64).unwrap(),
+            AccessConstraint::new(&c, "R", &["k"], &["v", "w"], 3).unwrap(),
+            AccessConstraint::new(&c, "E", &[], &["e"], 2).unwrap(),
+        ]);
+        let mut db = Database::new(c);
+        let a = (0..FAN_OUT).map(|i| [1, i % JOIN_KEYS, i]);
+        let r = (0..JOIN_KEYS).flat_map(|k| (0..k % 4).map(move |j| [k, k + j / 2, j]));
+        let ints = |row: [i64; 3]| row.map(Value::int).to_vec();
+        db.extend("A", a.map(ints)).unwrap();
+        db.extend("R", r.map(ints)).unwrap();
+        db.extend("E", [[7], [8]].map(|row| row.map(Value::int).to_vec()))
+            .unwrap();
+        IndexedDatabase::build(db, schema).unwrap()
+    }
+
+    #[test]
+    fn unfused_fetches_match_the_materialized_reference() {
+        let idb = unfused_fetch_setup();
+        // Each plan starts from the anchor's A-rows `[a, b, c]` (one lookup), fetched
+        // unfused; `add` builds the rest and names how many distinct keys it probes.
+        let plan = |add: &dyn Fn(&mut PlanBuilder, NodeId) -> NodeId| {
+            let mut b = PlanBuilder::new();
+            let anchor = b.constant(Value::int(1), "x");
+            let labels = vec!["a".into(), "b".into(), "c".into()];
+            let rows = b.fetch(anchor, vec![0], "A", vec![0], vec![1, 2], 0, labels);
+            let out = add(&mut b, rows);
+            b.finish("Q", out).unwrap()
+        };
+        let fetch_r = |b: &mut PlanBuilder, rows: NodeId| {
+            let labels = vec!["k".into(), "v".into(), "w".into()];
+            b.fetch(rows, vec![1], "R", vec![0], vec![1, 2], 1, labels)
+        };
+        let keys = 1 + JOIN_KEYS as u64;
+        let cases: [(&str, QueryPlan, u64); 5] = [
+            (
+                "keys repeated within and across batches",
+                plan(&fetch_r),
+                keys,
+            ),
+            (
+                "a pushed-down projection that drops the key",
+                plan(&|b, rows| {
+                    let fetched = fetch_r(b, rows);
+                    b.project(fetched, vec![1])
+                }),
+                keys,
+            ),
+            (
+                "a zero-column projection",
+                plan(&|b, rows| {
+                    let fetched = fetch_r(b, rows);
+                    b.project(fetched, Vec::new())
+                }),
+                keys,
+            ),
+            (
+                "an empty key",
+                plan(&|b, rows| b.fetch(rows, vec![], "E", vec![], vec![0], 2, vec!["e".into()])),
+                2,
+            ),
+            (
+                "a fetch shared by a hash join",
+                plan(&|b, rows| {
+                    let fetched = fetch_r(b, rows);
+                    let joined = b.product(rows, fetched);
+                    let tied = b.select(joined, vec![Predicate::ColEqCol(1, 3)]);
+                    let left = b.project(tied, vec![3, 4, 5]);
+                    let right = b.project(fetched, vec![0, 1, 2]);
+                    b.union(left, right)
+                }),
+                keys,
+            ),
+        ];
+        // Not vacuous: more than one thread cuts R's lookup off its source, into a
+        // pipeline whose source batches are split into morsels.
+        let exchange = LowerOptions::new().with_exchange_parallelism(true);
+        let phys = lower_plan_with(&cases[0].1, &exchange).unwrap();
+        let dag = phys.pipeline_dag();
+        assert!(dag.pipelines().iter().any(|p| p.morsel_source.is_some()));
+        for (case, plan, distinct_keys) in &cases {
+            let (reference, reference_stats) = execute_plan_materialized(plan, &idb).unwrap();
+            assert!(!reference.is_empty(), "{case}: vacuous");
+            assert_eq!(reference_stats.index_lookups, *distinct_keys, "{case}");
+            for threads in [1, 4] {
+                for morsel_size in [1, 0] {
+                    let options = ExecOptions::new()
+                        .with_threads(threads)
+                        .with_morsel_size(morsel_size);
+                    let (table, stats) = execute_plan_on(plan, &idb, &options).unwrap();
+                    let corner = format!("{case}, {threads} threads, morsel size {morsel_size}");
+                    assert!(table.is_set(), "{corner}: a row repeats");
+                    assert!(table.same_rows(&reference), "{corner}: rows differ");
+                    assert!(
+                        stats.same_data_access(&reference_stats),
+                        "{corner}: {stats} vs {reference_stats}"
+                    );
+                    assert_eq!(stats.index_lookups, *distinct_keys, "{corner}");
+                    assert_eq!(stats.allocs_per_probe, 0, "{corner}");
+                }
+            }
+        }
     }
 
     /// One keyed lookup over the union of `keys` — the same probes as

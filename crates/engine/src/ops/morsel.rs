@@ -276,8 +276,7 @@ pub(crate) fn lookup_steps_in_region(plan: &PhysicalPlan, sink: usize) -> Vec<us
                 lookups.push(j);
                 stack.push(*source);
             }
-            PhysOp::Fetch { source, .. }
-            | PhysOp::Filter { source, .. }
+            PhysOp::Filter { source, .. }
             | PhysOp::Project { source, .. }
             | PhysOp::Dedup { source } => stack.push(*source),
             PhysOp::HashJoin { left, right, .. }

@@ -56,17 +56,16 @@ pub struct AccessStats {
     /// additively.
     pub values_cloned: u64,
     /// Number of buffers the streaming executor's probe path demands per key — the
-    /// steady-state allocation model of the serving loop. One site counts, one
-    /// buffer each: every source row a streaming fetch gathers into its key set (the
-    /// owned key row the set keeps). A keyed lookup — [`KeyedLookupOp`](crate::ops),
-    /// the operator every anchored join lowers to — counts **nothing**, hit or miss:
-    /// each probe gathers its key into one reusable scratch, a miss moves the
+    /// steady-state allocation model of the serving loop. Nothing charges it any more:
+    /// every fetch of a physical plan runs as a keyed lookup
+    /// ([`KeyedLookupOp`](crate::ops)), which demands **no** buffer per key, hit or
+    /// miss — each probe gathers its key into one reusable scratch, a miss moves the
     /// scratch's values into the operator's flat memo key columns (where keys can
     /// repeat) and appends multi-tuple postings to its arena value columns, and a
-    /// repeat or a hit in an outer cache tier reads what is already there. So a plan
-    /// made of keyed lookups (the paper's Q0 among them) reports 0 cold and warm, and
-    /// a bounded plan in general counts at most its streaming fetches' source rows.
-    /// `tests/alloc_budget.rs` checks the claim against the allocator itself.
+    /// repeat or a hit in an outer cache tier reads what is already there. So every
+    /// run reports 0, cold and warm. The field stays on the wire (`bead` replies,
+    /// `BENCH_pipeline.json`) until the modelled allocation accounting is deleted as a
+    /// whole; `tests/alloc_budget.rs` checks the claim against the allocator itself.
     ///
     /// Deliberately *excluded* are buffers whose number follows the execution
     /// schedule or the cache configuration rather than the probes: per-batch emission
