@@ -32,7 +32,7 @@ use bea_bench::families;
 use bea_bench::report::{fmt_ms, time_ms, PipelineBenchReport, TextTable};
 use bea_bench::scenarios::{
     pipeline_bench_report, AccidentsScenario, ConcurrentTrafficScenario, EcommerceScenario,
-    GraphScenario, MorselScenario, ParallelScenario, ShardedScenario,
+    GraphScenario, HeavyChainScenario, ParallelScenario, ShardedScenario,
 };
 use bea_core::bounded::{analyze_cq, BoundedConfig};
 use bea_core::cover;
@@ -367,11 +367,11 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
          high-water mark tracks the access-schema bounds instead of the plan algebra."
     );
 
-    // Parallel pipelines: a batch of independently anchored Q0 branches, lowered with
-    // exchange points so every branch is its own pipeline, executed at increasing
-    // worker-thread counts. The access side is identical at every thread count —
-    // parallelism scales the hardware while the access bound stays put.
-    println!("\n## parallel pipelines — one exchange-lowered plan, varying threads\n");
+    // A batch of independently anchored Q0 branches as one query, executed at
+    // increasing thread counts. The union streams, so the batch is one pipeline and
+    // runs on one thread whatever the thread count: every counter, the residency peak
+    // included, is identical at every thread count.
+    println!("\n## a batch of Q0s as one query — varying threads\n");
     let batch = ParallelScenario::with_branches(6, 20_000, 42)?;
     let dag = batch.physical.pipeline_dag();
     println!(
@@ -403,7 +403,7 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
                 baseline.allocs_per_probe, stats.allocs_per_probe,
                 "thread count changed the probe-path buffer demand"
             );
-            assert!(stats.peak_rows_resident >= baseline.peak_rows_resident);
+            assert_eq!(stats.peak_rows_resident, baseline.peak_rows_resident);
         }
         parallel_table.row([
             threads.to_string(),
@@ -418,116 +418,74 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
     parallel_table.print();
     println!(
         "\nEvery thread count reads exactly the same tuples through the same index \
-         lookups; only the schedule (and hence wall time on multi-core hardware, plus \
-         the overlap-induced residency peak) changes."
+         lookups: a pipeline runs whole, on one thread, and a query never uses more \
+         threads than its pipeline DAG is wide — parallelism pays across queries."
     );
 
-    // Morsel parallelism: one *heavy* pipeline instead of many small ones. The
-    // exchange-lowered chain has a single morsel-splittable probe pipeline whose
-    // source spans many batches; the scheduler cuts it into morsels that run as
-    // concurrent operator-chain instances over a shared fill-once lookup cache.
-    // Every deterministic counter is asserted morsel-size-invariant.
-    println!("\n## morsel parallelism — one heavy pipeline, varying morsel size\n");
-    let morsel = MorselScenario::with_fan_out(16_384, 42)?;
+    // One heavy query: a single anchor fans out to 16 384 keys that a second hop
+    // probes, all in one pipeline. It runs on one thread at any thread count, so the
+    // 4-thread leg measures what "one core per query" costs the heaviest query here.
+    println!("\n## heavy chain — one heavy query at 1 and 4 threads\n");
+    let chain = HeavyChainScenario::with_fan_out(16_384, 42)?;
     println!(
-        "morsel_chain: fan-out {} over {} tuples, {} pipelines ({} morsel-splittable)\n",
-        morsel.fan_out,
-        morsel.indexed.size(),
-        morsel.physical.pipeline_dag().len(),
-        morsel
-            .physical
-            .pipeline_dag()
-            .pipelines()
-            .iter()
-            .filter(|p| p.morsel_source.is_some())
-            .count()
+        "heavy_chain: fan-out {} over {} tuples, {} pipeline(s)\n",
+        chain.fan_out,
+        chain.indexed.size(),
+        chain.physical.pipeline_dag().len(),
     );
-    let mut morsel_table = TextTable::new([
+    let mut chain_table = TextTable::new([
         "threads",
-        "morsel rows",
         "tuples fetched",
         "index lookups",
         "peak rows resident",
         "probe allocs",
         "wall p50",
     ]);
-    let mut unsplit: Option<bea_engine::AccessStats> = None;
-    // (threads, morsel_size, label): 1 thread never splits; at 4 threads the morsel
-    // size sweeps from never-split through the default to one-batch morsels.
-    let legs = [
-        (1usize, usize::MAX, "unsplit".to_owned()),
-        (4, usize::MAX, "unsplit".to_owned()),
-        (
-            4,
-            0,
-            format!("{} (default)", bea_engine::DEFAULT_MORSEL_ROWS),
-        ),
-        (4, 1, "per source batch".to_owned()),
-    ];
+    let legs = [1usize, 4];
     // Time the legs *interleaved* (round-robin, one sample per leg per round) and
     // report each leg's fastest sample: background load drifts over seconds, so
     // back-to-back per-leg loops would charge the drift to whichever leg ran under
     // it, while the minimum estimates each leg's noise-free cost.
-    const MORSEL_TIMING_ROUNDS: usize = 12;
+    const CHAIN_TIMING_ROUNDS: usize = 12;
     let mut samples: Vec<Vec<u64>> = vec![Vec::new(); legs.len()];
-    for _ in 0..MORSEL_TIMING_ROUNDS {
-        for (leg, (threads, morsel_size, _)) in legs.iter().enumerate() {
-            let options = ExecOptions::new()
-                .with_threads(*threads)
-                .with_morsel_size(*morsel_size);
+    for _ in 0..CHAIN_TIMING_ROUNDS {
+        for (leg, threads) in legs.iter().enumerate() {
+            let options = ExecOptions::new().with_threads(*threads);
             let start = std::time::Instant::now();
-            execute_physical_on(&morsel.physical, &morsel.indexed, &options)?;
+            execute_physical_on(&chain.physical, &chain.indexed, &options)?;
             samples[leg].push(start.elapsed().as_nanos() as u64);
         }
     }
-    for (leg, (threads, morsel_size, label)) in legs.into_iter().enumerate() {
-        let options = ExecOptions::new()
-            .with_threads(threads)
-            .with_morsel_size(morsel_size);
-        let (_, stats) = execute_physical_on(&morsel.physical, &morsel.indexed, &options)?;
-        if let Some(baseline) = &unsplit {
+    let best_of = |leg: usize| *samples[leg].iter().min().expect("rounds > 0") as f64 / 1e6;
+    let mut one_thread: Option<bea_engine::AccessStats> = None;
+    for (leg, threads) in legs.into_iter().enumerate() {
+        let options = ExecOptions::new().with_threads(threads);
+        let (_, stats) = execute_physical_on(&chain.physical, &chain.indexed, &options)?;
+        if let Some(baseline) = &one_thread {
             assert!(
                 baseline.same_data_access(&stats),
-                "morsel size changed the data access"
+                "thread count changed the data access"
             );
             assert_eq!(
                 baseline.values_cloned, stats.values_cloned,
-                "morsel size changed the copy traffic"
-            );
-            assert_eq!(
-                baseline.allocs_per_probe, stats.allocs_per_probe,
-                "morsel size changed the probe-path buffer demand"
+                "thread count changed the copy traffic"
             );
         }
-        let best = *samples[leg].iter().min().expect("rounds > 0");
-        morsel_table.row([
+        chain_table.row([
             threads.to_string(),
-            label,
             stats.tuples_fetched.to_string(),
             stats.index_lookups.to_string(),
             stats.peak_rows_resident.to_string(),
             stats.allocs_per_probe.to_string(),
-            fmt_ms(best as f64 / 1e6),
+            fmt_ms(best_of(leg)),
         ]);
-        unsplit.get_or_insert(stats);
+        one_thread.get_or_insert(stats);
     }
-    morsel_table.print();
-    let best_of = |leg: usize| *samples[leg].iter().min().expect("rounds > 0") as f64 / 1e6;
+    chain_table.print();
     println!(
-        "\nbest-of-{MORSEL_TIMING_ROUNDS}: 1 thread {:.2} ms | 4 threads unsplit {:.2} ms | \
-         split (default morsel) {:.2} ms — split speedup {:.2}× vs unsplit at 4 threads, \
-         {:.2}× vs 1 thread",
+        "\nbest-of-{CHAIN_TIMING_ROUNDS}: 1 thread {:.2} ms | 4 threads {:.2} ms",
         best_of(0),
-        best_of(1),
-        best_of(2),
-        best_of(1) / best_of(2),
-        best_of(0) / best_of(2)
-    );
-    println!(
-        "\nSplitting the probe stream into morsels spreads the fills of the shared \
-         lookup cache across workers without changing a single deterministic counter: \
-         whole source batches are never cut, each distinct key is filled exactly once, \
-         and per-morsel outputs concatenate in morsel order."
+        best_of(1)
     );
 
     // Sharded execution: the anchored Q0 plan over K index-partition shards. One plan,

@@ -4,9 +4,7 @@
 use crate::report::{BenchEntry, PipelineBenchReport};
 use bea_core::access::AccessSchema;
 use bea_core::error::Result;
-use bea_core::plan::{
-    bounded_plan, bounded_plan_ucq, lower_plan_with, LowerOptions, PhysicalPlan, QueryPlan,
-};
+use bea_core::plan::{bounded_plan, bounded_plan_ucq, lower_plan, PhysicalPlan, QueryPlan};
 use bea_core::query::cq::ConjunctiveQuery;
 use bea_core::query::ucq::UnionQuery;
 use bea_core::reason::ReasonConfig;
@@ -151,12 +149,10 @@ impl EcommerceScenario {
     }
 }
 
-/// The parallel-pipelines scenario: a union of `branches` independently anchored Q0
-/// queries over one accidents database — the "batch of personalized queries" shape.
-/// Lowered with exchange points, each branch becomes its own pipeline, so this is the
-/// multi-pipeline workload the parallel scheduler targets: at `threads = 1` it
-/// reproduces sequential streaming; at higher thread counts the branches run
-/// concurrently with identical data access.
+/// The batch scenario: a union of `branches` independently anchored Q0 queries over
+/// one accidents database — the "batch of personalized queries" shape, submitted as
+/// one query. The union streams, so the batch is one pipeline and runs on one thread
+/// at any thread count; the record times it at 4 threads to keep that visible.
 pub struct ParallelScenario {
     /// The relational schema.
     pub catalog: Catalog,
@@ -168,8 +164,7 @@ pub struct ParallelScenario {
     pub query: UnionQuery,
     /// Its boundedly evaluable (union) plan.
     pub plan: QueryPlan,
-    /// The plan lowered with exchange points: one pipeline per branch plus the output
-    /// pipeline.
+    /// The lowered plan: one pipeline.
     pub physical: PhysicalPlan,
 }
 
@@ -192,8 +187,7 @@ impl ParallelScenario {
             .collect::<Result<_>>()?;
         let query = UnionQuery::from_branches("Q0batch", queries)?;
         let plan = bounded_plan_ucq(&query, &schema, &ReasonConfig::default())?;
-        let physical =
-            lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true))?;
+        let physical = lower_plan(&plan)?;
         let indexed = IndexedDatabase::build(db, schema.clone())?;
         Ok(Self {
             catalog,
@@ -206,16 +200,13 @@ impl ParallelScenario {
     }
 }
 
-/// The morsel-parallelism scenario: one *heavy* pipeline instead of many small ones.
-/// A single anchor key fans out to `fan_out` rows with distinct join keys, which a
-/// second hop joins through the fused keyed-lookup pattern — so the exchange-lowered
-/// plan has one morsel-splittable probe pipeline whose materialized source spans
-/// `fan_out / 1024` batches. This is the shape the jobs-of-morsels scheduler targets:
-/// at `threads = 1` the chain runs unsplit; at higher thread counts the scheduler cuts
-/// the probe stream into morsels that fill the shared lookup cache concurrently, with
-/// identical rows, data access, copy traffic and probe-path buffer demand at every
-/// morsel size (asserted in `tests/properties.rs` and below).
-pub struct MorselScenario {
+/// The heavy-chain scenario: one *heavy* query instead of many small ones. A single
+/// anchor key fans out to `fan_out` rows with distinct join keys, which a second hop
+/// joins through the fused keyed-lookup pattern, so one pipeline probes `fan_out`
+/// keys over `fan_out / 1024` batches. Nothing splits a pipeline, so the query runs on
+/// one thread at any thread count, with identical rows and counters; the record times
+/// it at 4 threads, which measures what "one core per query" costs a heavy query.
+pub struct HeavyChainScenario {
     /// The relational schema (R(a, b) fan-out, S(k, v) lookups).
     pub catalog: Catalog,
     /// a → b with bound `fan_out`; k → v with bound 1.
@@ -224,14 +215,13 @@ pub struct MorselScenario {
     pub indexed: IndexedDatabase,
     /// The two-hop anchored lookup chain.
     pub plan: QueryPlan,
-    /// The plan lowered with exchange points: the heavy probe pipeline is
-    /// morsel-splittable.
+    /// The lowered plan: one pipeline.
     pub physical: PhysicalPlan,
     /// Rows the anchor fans out to (= distinct keys the second hop fills).
     pub fan_out: u32,
 }
 
-impl MorselScenario {
+impl HeavyChainScenario {
     /// Build the scenario with the given fan-out.
     pub fn with_fan_out(fan_out: u32, seed: u64) -> Result<Self> {
         use bea_core::access::AccessConstraint;
@@ -284,10 +274,9 @@ impl MorselScenario {
             let joined = b.product(r, s);
             let selected = b.select(joined, vec![Predicate::ColEqCol(1, 2)]);
             let out = b.project(selected, vec![1, 3]);
-            b.finish("MorselChain", out)?
+            b.finish("HeavyChain", out)?
         };
-        let physical =
-            lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true))?;
+        let physical = lower_plan(&plan)?;
         Ok(Self {
             catalog,
             schema,
@@ -318,8 +307,7 @@ pub struct ShardedScenario {
     pub q0: ConjunctiveQuery,
     /// The boundedly evaluable plan for Q0.
     pub plan: QueryPlan,
-    /// The plan lowered with exchange points — the same physical plan at every shard
-    /// count.
+    /// The lowered plan — the same physical plan at every shard count.
     pub physical: PhysicalPlan,
     /// Number of shards.
     pub shards: u32,
@@ -338,8 +326,7 @@ impl ShardedScenario {
             &accidents::date_value(1),
         )?;
         let plan = bounded_plan(&q0, &schema)?;
-        let physical =
-            lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true))?;
+        let physical = lower_plan(&plan)?;
         let sharded = ShardedDatabase::build(db.clone(), schema.clone(), shards)?;
         let indexed = IndexedDatabase::build(db, schema.clone())?;
         Ok(Self {
@@ -505,7 +492,7 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
     let ecommerce = EcommerceScenario::with_customers(300, BENCH_REPORT_SEED)?;
     let batch = ParallelScenario::with_branches(6, 20_000, BENCH_REPORT_SEED)?;
     let sharded = ShardedScenario::with_shards(4, 20_000, BENCH_REPORT_SEED)?;
-    let morsel = MorselScenario::with_fan_out(16_384, BENCH_REPORT_SEED)?;
+    let chain = HeavyChainScenario::with_fan_out(16_384, BENCH_REPORT_SEED)?;
 
     let mut report = PipelineBenchReport::default();
     let single = ExecOptions::new().with_threads(1);
@@ -544,11 +531,11 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
          lookup is allocating per key again",
         q0.rows_fetched
     );
-    // The multi-pipeline scenario: every recorded counter comes from the 1-thread run
-    // (`values_cloned` and the access counters are identical at every thread count,
-    // and the 1-thread residency peak is schedule-independent — the 4-thread peak
-    // depends on pipeline overlap and would make the committed record flaky). Only
-    // the wall-clock figure is taken at 4 workers, the scenario's target shape.
+    // The batch, the heavy chain and the sharded Q0: every recorded counter comes from
+    // the 1-thread run (`values_cloned` and the access counters are identical at every
+    // thread count, and the 1-thread residency peak is schedule-independent). Only the
+    // wall-clock figure is taken at 4 threads, to show what a solo run at 4 threads
+    // pays.
     let (_, stats) = execute_physical_on(&batch.physical, &batch.indexed, &single)?;
     let parallel = ExecOptions::new().with_threads(4);
     let (ns_p50, ns_p99) = time_percentiles(timing_iters, || {
@@ -566,13 +553,9 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
             ns_p99,
         },
     );
-    // The morsel scenario records the same way: deterministic fields from the
-    // 1-thread (unsplit) run — morsel splitting is asserted not to change any of
-    // them — and wall clock at 4 workers, where the scheduler actually cuts the
-    // heavy probe pipeline into morsels.
-    let (_, stats) = execute_physical_on(&morsel.physical, &morsel.indexed, &single)?;
+    let (_, stats) = execute_physical_on(&chain.physical, &chain.indexed, &single)?;
     let (ns_p50, ns_p99) = time_percentiles(timing_iters, || {
-        execute_physical_on(&morsel.physical, &morsel.indexed, &parallel).map(|_| ())
+        execute_physical_on(&chain.physical, &chain.indexed, &parallel).map(|_| ())
     })?;
     report.insert(
         "morsel_chain_fan_16384",
@@ -586,10 +569,6 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
             ns_p99,
         },
     );
-    // The sharded scenario follows the same recording convention: deterministic
-    // fields from the sequential run (pipelines execute in step order, so the peak is
-    // schedule-independent; access counters and copy traffic are shard- and
-    // thread-invariant anyway), wall clock at 4 workers.
     let sharded_store = Store::Sharded(&sharded.sharded);
     let (_, stats) = execute_physical_on(&sharded.physical, sharded_store, &single)?;
     let (ns_p50, ns_p99) = time_percentiles(timing_iters, || {
@@ -931,64 +910,29 @@ mod tests {
         assert!(sharded.same_rows(&naive));
     }
 
-    /// The acceptance property of morsel parallelism on its target scenario: the
-    /// heavy chain genuinely lowers to a morsel-splittable pipeline with a multi-batch
-    /// source, and executing it at 4 threads with morsel sizes from one-batch-per-
-    /// morsel to never-split changes neither the rows nor any deterministic counter
-    /// relative to the 1-thread unsplit baseline.
+    /// The heavy chain is one pipeline, agrees with the naive evaluator, and runs the
+    /// same at 1 and 4 threads: rows in order, data access, copy traffic, residency.
     #[test]
-    fn morsel_scenario_is_invariant_across_morsel_sizes() {
-        let scenario = MorselScenario::with_fan_out(4_096, BENCH_REPORT_SEED).unwrap();
+    fn heavy_chain_scenario_is_one_pipeline_at_every_thread_count() {
+        let scenario = HeavyChainScenario::with_fan_out(4_096, BENCH_REPORT_SEED).unwrap();
         assert!(scenario.indexed.satisfies_schema());
         assert_eq!(scenario.catalog.len(), 2);
-        assert!(
-            scenario
-                .physical
-                .pipeline_dag()
-                .pipelines()
-                .iter()
-                .any(|p| p.morsel_source.is_some()),
-            "the chain must lower to a morsel-splittable pipeline"
-        );
+        assert_eq!(scenario.physical.pipeline_dag().len(), 1);
 
-        let (baseline, baseline_stats) = execute_physical_on(
-            &scenario.physical,
-            &scenario.indexed,
-            &ExecOptions::new().with_threads(1),
-        )
-        .unwrap();
+        let run = |threads| {
+            let options = ExecOptions::new().with_threads(threads);
+            execute_physical_on(&scenario.physical, &scenario.indexed, &options).unwrap()
+        };
+        let (baseline, baseline_stats) = run(1);
         assert_eq!(baseline.len(), scenario.fan_out as usize);
         let (naive, _) =
             eval_cq(&chain_query(&scenario.catalog), scenario.indexed.database()).unwrap();
         assert!(baseline.same_rows(&naive), "chain disagrees with naive");
-
-        for morsel_size in [1usize, 0, usize::MAX] {
-            let (table, stats) = execute_physical_on(
-                &scenario.physical,
-                &scenario.indexed,
-                &ExecOptions::new()
-                    .with_threads(4)
-                    .with_morsel_size(morsel_size),
-            )
-            .unwrap();
-            assert_eq!(
-                table.rows(),
-                baseline.rows(),
-                "rows (or their order) changed at morsel size {morsel_size}"
-            );
-            assert!(
-                stats.same_data_access(&baseline_stats),
-                "data access changed at morsel size {morsel_size}"
-            );
-            assert_eq!(
-                stats.values_cloned, baseline_stats.values_cloned,
-                "copy traffic changed at morsel size {morsel_size}"
-            );
-            assert_eq!(
-                stats.allocs_per_probe, baseline_stats.allocs_per_probe,
-                "probe-path buffer demand changed at morsel size {morsel_size}"
-            );
-        }
+        let (table, stats) = run(4);
+        assert_eq!(table.rows(), baseline.rows());
+        assert!(stats.same_data_access(&baseline_stats));
+        assert_eq!(stats.values_cloned, baseline_stats.values_cloned);
+        assert_eq!(stats.peak_rows_resident, baseline_stats.peak_rows_resident);
     }
 
     /// The acceptance property of the multi-query service scenario: the cost model
@@ -1050,7 +994,7 @@ mod tests {
 
     /// The scenario's chain as a conjunctive query, for the naive differential.
     fn chain_query(catalog: &Catalog) -> bea_core::query::cq::ConjunctiveQuery {
-        bea_core::query::cq::ConjunctiveQuery::builder("MorselChainNaive")
+        bea_core::query::cq::ConjunctiveQuery::builder("HeavyChainNaive")
             .head(["b", "v"])
             .atom("R", ["a", "b"])
             .atom("S", ["b", "v"])
@@ -1059,25 +1003,14 @@ mod tests {
             .unwrap()
     }
 
-    /// The acceptance property of the parallel scheduler on its target scenario: the
-    /// plan genuinely decomposes into independent pipelines; 1-thread and 4-thread
-    /// execution produce the identical table with identical data access; and the
-    /// concurrent residency peak is an upper bound on (never less than) the
-    /// single-threaded streaming peak for the same physical plan.
-    ///
-    /// The peak comparison is deterministic *for this scenario shape* (it is not an
-    /// invariant of arbitrary plans/schedules): the sequential peak occurs while the
-    /// output pipeline drains the branch materializations — every branch result is
-    /// resident plus the accumulating union/dedup state — and the output pipeline runs
-    /// last, alone, with the identical resident trajectory under every schedule, so
-    /// any parallel run passes through the sequential maximum.
+    /// The batch is one pipeline: 1-thread and 4-thread execution produce the
+    /// identical table with identical data access and the identical residency peak,
+    /// and agree with the naive evaluator.
     #[test]
     fn parallel_scenario_is_consistent_across_thread_counts() {
         let scenario = ParallelScenario::with_branches(6, 5_000, 11).unwrap();
         assert!(scenario.indexed.satisfies_schema());
-        let dag = scenario.physical.pipeline_dag();
-        assert!(dag.len() >= 7, "6 branches + output, got {}", dag.len());
-        assert!(dag.parallel_width() >= 6);
+        assert_eq!(scenario.physical.pipeline_dag().len(), 1);
 
         let (single, single_stats) = execute_physical_on(
             &scenario.physical,
@@ -1093,9 +1026,7 @@ mod tests {
         .unwrap();
         assert_eq!(single.rows(), parallel.rows());
         assert!(single_stats.same_data_access(&parallel_stats));
-        assert!(
-            parallel_stats.peak_rows_resident >= single_stats.peak_rows_resident,
-            "concurrent peak {} understates the single-threaded peak {}",
+        assert_eq!(
             parallel_stats.peak_rows_resident,
             single_stats.peak_rows_resident
         );

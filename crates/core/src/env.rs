@@ -1,12 +1,12 @@
 //! Shared parsing for the `BEA_*` tuning variables.
 //!
 //! Every knob the test matrix and the service read from the environment
-//! (`BEA_THREADS`, `BEA_SHARDS`, `BEA_MORSELS`, `BEA_FETCH_BUDGET`,
-//! `BEA_CACHE_ROWS`) follows the same loud-failure contract: an unset variable means "use the default", and a
+//! (`BEA_THREADS`, `BEA_SHARDS`, `BEA_FETCH_BUDGET`, `BEA_CACHE_ROWS`) follows the
+//! same loud-failure contract: an unset variable means "use the default", and a
 //! set-but-invalid value **panics with the rejection reason** instead of silently
 //! falling back — a CI matrix typo must fail the job, not quietly test the wrong
-//! configuration. The contract grew up independently in `bea-engine` (threads,
-//! morsels) and `bea-storage` (shards); this module is the one copy both delegate to,
+//! configuration. The contract grew up independently in `bea-engine` (threads)
+//! and `bea-storage` (shards); this module is the one copy both delegate to,
 //! so the rules can never drift apart again.
 //!
 //! Parsing is split from environment access on purpose: [`parse_count`] is a pure
@@ -28,7 +28,7 @@ pub enum EnvCount {
 
 impl EnvCount {
     /// The count under the "zero means automatic" reading shared by `BEA_THREADS`,
-    /// `BEA_MORSELS`, `BEA_FETCH_BUDGET` and `BEA_CACHE_ROWS` (where "automatic"
+    /// `BEA_FETCH_BUDGET` and `BEA_CACHE_ROWS` (where "automatic"
     /// means unlimited or disabled, per knob): `None` for [`EnvCount::Unset`] and
     /// [`EnvCount::Zero`], the value otherwise.
     pub fn auto_when_zero(self) -> Option<u64> {

@@ -50,24 +50,16 @@
 //! * **Materialization points** — a step is marked [`PhysStep::materialize`] only when
 //!   it is a genuine pipeline breaker: its result is consumed by more than one operator
 //!   (or it is the plan output). Everything else streams.
-//! * **Exchange points** (opt-in, [`LowerOptions::exchange_parallelism`]) — the inputs
-//!   of a union and the buffered sides of products, differences and hash joins are
-//!   additionally marked as materialization points when their subtree performs index
-//!   access. This cuts the plan into more, *independent* pipelines that a parallel
-//!   scheduler can run on worker threads; it trades some residency (the exchanged
-//!   results are buffered instead of streamed) for parallelism, and never changes what
-//!   data is accessed. The same option additionally cuts the plan at the source of
-//!   every keyed lookup whose source subtree performs index access: the lookup then
-//!   heads a pipeline whose probe stream is a materialized batch sequence, which the
-//!   scheduler can split into **morsels** — consecutive batch groups executed
-//!   concurrently on the worker pool (see [`Pipeline::morsel_source`]).
 //!
-//! **One plan, keys routed at run time.** Lowering never looks at the store. Where a
-//! key's postings live is the store's business: a partitioned store sends every probe
-//! to the shard that owns its key when the plan runs, so a sharded store executes
-//! exactly the plan its unsharded twin does — same steps, same pipelines, same
-//! [`super::ticket::CostTicket`]. The paper's bound is about *which* `(constraint,
-//! key)` lookups a plan makes, and partitioning changes none of them.
+//! **One plan at every shard and thread count.** Lowering never looks at the store.
+//! Where a key's postings live is the store's business: a partitioned store sends
+//! every probe to the shard that owns its key when the plan runs, so a sharded store
+//! executes exactly the plan its unsharded twin does — same steps, same pipelines,
+//! same [`super::ticket::CostTicket`]. The paper's bound is about *which*
+//! `(constraint, key)` lookups a plan makes, and partitioning changes none of them.
+//! Nor does lowering look at how many threads will run the plan: a bounded query
+//! touches a small slice of the data, so a pipeline is never cut for parallelism.
+//! Threads run many queries at once, and the independent pipelines of one plan.
 //!
 //! [`PhysicalPlan::pipeline_dag`] decomposes any lowered plan into its pipelines: each
 //! materialization point, together with the streaming region feeding it, becomes one
@@ -385,8 +377,8 @@ impl PhysicalPlan {
     /// The steps of the streaming region rooted at `sink`: the sink itself plus every
     /// non-materialized step feeding it, stopping at materialized inputs (the region's
     /// exchange sources), in ascending step order. This is the set of operators one
-    /// pipeline instantiates — the unit the scheduler runs, the morsel machinery
-    /// caches for, and [`super::ticket::CostTicket`] sizes allocation surfaces over.
+    /// pipeline instantiates — the unit the scheduler runs, and the one
+    /// [`super::ticket::CostTicket`] sizes allocation surfaces over.
     pub fn region_steps(&self, sink: PhysId) -> Vec<PhysId> {
         let mut region = vec![sink];
         let mut stack: Vec<PhysId> = self.steps[sink].op.inputs();
@@ -417,42 +409,17 @@ impl PhysicalPlan {
             // exactly one consumer (multi-consumer steps are always materialized), so
             // the region is a tree and the walk is linear.
             let mut sources: BTreeSet<PhysId> = BTreeSet::new();
-            // Morsel eligibility of the region: every step must be a per-batch pure
-            // map over its input — keyed lookups, filters and projections. Every
-            // buffered / order-sensitive operator is excluded: dedup (the δ over a
-            // lowered fetch's keys among them, which deduplicates across its whole
-            // input), joins, products, differences and unions.
-            let mut splittable = true;
-            let mut has_lookup = false;
-            let mut note = |op: &PhysOp| match op {
-                PhysOp::KeyedLookup { .. } => has_lookup = true,
-                PhysOp::Filter { .. } | PhysOp::Project { .. } => {}
-                _ => splittable = false,
-            };
-            note(&step.op);
-            let mut stack: Vec<PhysId> = self.steps[sink].op.inputs();
+            let mut stack: Vec<PhysId> = step.op.inputs();
             while let Some(j) = stack.pop() {
                 if self.steps[j].materialize {
                     sources.insert(j);
                 } else {
-                    note(&self.steps[j].op);
                     stack.extend(self.steps[j].op.inputs());
                 }
             }
             sink_to_pipeline.insert(sink, pipelines.len());
-            let sources: Vec<PhysId> = sources.into_iter().collect();
-            // A splittable region is a linear chain of per-batch maps over exactly
-            // one materialized source: its probe stream can be cut into batch groups
-            // (morsels) executed concurrently without changing any result or counter.
-            let morsel_source = match sources.as_slice() {
-                [source] if splittable && has_lookup => Some(*source),
-                _ => None,
-            };
-            pipelines.push(Pipeline {
-                sink,
-                sources,
-                morsel_source,
-            });
+            let sources = sources.into_iter().collect();
+            pipelines.push(Pipeline { sink, sources });
         }
         let deps: Vec<Vec<usize>> = pipelines
             .iter()
@@ -489,17 +456,6 @@ pub struct Pipeline {
     /// The materialized steps its streaming region reads (exchange edges), in step
     /// order.
     pub sources: Vec<PhysId>,
-    /// The pipeline's sole materialized source, when its streaming region is
-    /// morsel-splittable: a linear chain of per-batch pure maps (keyed lookups,
-    /// filters, projections — at least one lookup) over exactly one source. Such a
-    /// region computes each output batch from one input batch independently, so the
-    /// scheduler may cut the source's batch stream into **morsels** (consecutive
-    /// batch groups) and run them concurrently: the concatenated per-morsel results,
-    /// in morsel order, equal the unsplit pipeline's output batch-for-batch, and
-    /// every data-access counter is unchanged. `None` for regions with buffered or
-    /// order-sensitive state (dedup, joins, products, unions, differences) or with
-    /// several sources.
-    pub morsel_source: Option<PhysId>,
 }
 
 /// The pipeline decomposition of a [`PhysicalPlan`]: pipelines in topological (step)
@@ -632,30 +588,28 @@ enum Fusion {
     Hash { left: NodeId, fetch: NodeId },
 }
 
-/// Options controlling [`lower_plan_with`].
+/// Options of [`lower_plan_with`]: none are left. Lowering depends on neither the
+/// store nor the thread count (see the module docs), so every `LowerOptions` lowers a
+/// plan the same way [`lower_plan`] does.
 ///
 /// The struct is `#[non_exhaustive]`: construct it with [`LowerOptions::new`] (or
-/// [`Default`]) and adjust knobs through the `with_*` methods.
+/// [`Default`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
-pub struct LowerOptions {
-    /// Additionally mark the inputs of unions and the buffered sides of products,
-    /// differences and hash joins as materialization points when their subtrees perform
-    /// index access, so the pipeline DAG gains parallel width (see the module docs).
-    /// Off by default: the single-threaded executor prefers the minimal set of
-    /// breakers, which minimizes residency.
-    pub exchange_parallelism: bool,
-}
+pub struct LowerOptions {}
 
 impl LowerOptions {
-    /// The default options: minimal materialization, no exchange points.
+    /// The options, all of them no-ops.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Set whether lowering inserts exchange points for parallel execution.
-    pub fn with_exchange_parallelism(mut self, exchange_parallelism: bool) -> Self {
-        self.exchange_parallelism = exchange_parallelism;
+    /// Does nothing: lowering does not depend on the thread count, and no pipeline is
+    /// cut for parallelism (see the module docs). Kept, like
+    /// [`LowerOptions::with_shard_fanout`], only because the end-to-end benchmark
+    /// harness (`benchmark/`) still calls it; the next change to the harness drops that
+    /// call, and then this method goes.
+    pub fn with_exchange_parallelism(self, _exchange_parallelism: bool) -> Self {
         self
     }
 
@@ -668,14 +622,9 @@ impl LowerOptions {
     }
 }
 
-/// Lower a logical plan to a physical streaming plan with the default options. See the
-/// module docs for the rules.
+/// Lower a logical plan to a physical streaming plan. See the module docs for the
+/// rules.
 pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
-    lower_plan_with(plan, &LowerOptions::default())
-}
-
-/// Lower a logical plan to a physical streaming plan under explicit [`LowerOptions`].
-pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<PhysicalPlan> {
     plan.validate()?;
     let steps = plan.steps();
     let n = steps.len();
@@ -995,84 +944,6 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
     }
     phys[output].materialize = true;
 
-    // Exchange points: cut the plan at the inputs of unions and at the buffered sides
-    // of products, differences and hash joins, provided the cut-off subtree actually
-    // performs index access (there is nothing to win by running a constant on its own
-    // thread). Materializing a step never changes what is fetched — the same operator
-    // tree runs, its result is just buffered at the cut — so data-access accounting is
-    // identical with and without exchange points.
-    if options.exchange_parallelism {
-        let mut has_access: Vec<bool> = vec![false; phys.len()];
-        for i in 0..phys.len() {
-            has_access[i] = matches!(phys[i].op, PhysOp::KeyedLookup { .. })
-                || phys[i].op.inputs().iter().any(|&j| has_access[j]);
-        }
-        let mut exchange: Vec<PhysId> = Vec::new();
-        for step in &phys {
-            match &step.op {
-                PhysOp::Union { left, right } => {
-                    exchange.extend([*left, *right]);
-                }
-                PhysOp::Product { right, .. }
-                | PhysOp::Difference { right, .. }
-                | PhysOp::HashJoin { right, .. } => {
-                    exchange.push(*right);
-                }
-                _ => {}
-            }
-        }
-        for j in exchange {
-            if has_access[j] {
-                phys[j].materialize = true;
-            }
-        }
-        // Morsel cuts: the source of a keyed lookup becomes a materialization point
-        // when the source subtree itself performs index access. This turns a heavy
-        // straight-line chain (fetch → lookup → lookup) into lookup-over-materialized-
-        // source pipelines whose probe streams the scheduler can split into
-        // batch-sized morsels (see [`Pipeline::morsel_source`]). Like every exchange
-        // point, the cut only buffers a result that was computed anyway — the batch
-        // boundaries, data access and copy traffic are all unchanged.
-        let mut morsel_cuts: Vec<PhysId> = Vec::new();
-        for step in &phys {
-            if let PhysOp::KeyedLookup { source, .. } = &step.op {
-                if has_access[*source] {
-                    morsel_cuts.push(*source);
-                }
-            }
-        }
-        for j in morsel_cuts.drain(..) {
-            phys[j].materialize = true;
-        }
-        // A dedup that caps a lookup chain (the set-restoring step over the plan
-        // output, typically) is order-sensitive and can never be part of a morsel
-        // region — cut *below* it when doing so leaves a splittable chain behind:
-        // walking from the dedup's source through streaming filters/projections must
-        // reach a streaming keyed lookup.
-        for step in &phys {
-            let PhysOp::Dedup { source } = &step.op else {
-                continue;
-            };
-            let mut j = *source;
-            loop {
-                if phys[j].materialize {
-                    break;
-                }
-                match &phys[j].op {
-                    PhysOp::KeyedLookup { .. } => {
-                        morsel_cuts.push(*source);
-                        break;
-                    }
-                    PhysOp::Filter { source, .. } | PhysOp::Project { source, .. } => j = *source,
-                    _ => break,
-                }
-            }
-        }
-        for j in morsel_cuts {
-            phys[j].materialize = true;
-        }
-    }
-
     let plan = PhysicalPlan {
         query_name: plan.query_name().to_owned(),
         steps: phys,
@@ -1080,6 +951,11 @@ pub fn lower_plan_with(plan: &QueryPlan, options: &LowerOptions) -> Result<Physi
     };
     plan.validate()?;
     Ok(plan)
+}
+
+/// [`lower_plan`]; `options` change nothing (see [`LowerOptions`]).
+pub fn lower_plan_with(plan: &QueryPlan, _options: &LowerOptions) -> Result<PhysicalPlan> {
+    lower_plan(plan)
 }
 
 /// Append a step that no one consumes yet; its id.
@@ -1396,20 +1272,15 @@ mod tests {
         let values = [Value::int(-4), Value::str("k")];
         let template = plan(Value::placeholder(0), Value::placeholder(1));
         let literal = plan(values[0].clone(), values[1].clone());
-        for options in [
-            LowerOptions::new(),
-            LowerOptions::new().with_exchange_parallelism(true),
-        ] {
-            let lowered = lower_plan_with(&template, &options).unwrap();
-            let expected = lower_plan_with(&literal, &options).unwrap();
-            assert_ne!(lowered, expected);
-            assert_eq!((lowered.placeholders(), expected.placeholders()), (2, 0));
-            assert_eq!(bind(&lowered, &values), expected);
-            // A plan without placeholders reads no constant, whatever it is given.
-            assert_eq!(bind(&expected, &values), expected);
-            // A class given no value stays the placeholder it is.
-            assert_eq!(bind(&lowered, &[]), lowered);
-        }
+        let lowered = lower_plan(&template).unwrap();
+        let expected = lower_plan(&literal).unwrap();
+        assert_ne!(lowered, expected);
+        assert_eq!((lowered.placeholders(), expected.placeholders()), (2, 0));
+        assert_eq!(bind(&lowered, &values), expected);
+        // A plan without placeholders reads no constant, whatever it is given.
+        assert_eq!(bind(&expected, &values), expected);
+        // A class given no value stays the placeholder it is.
+        assert_eq!(bind(&lowered, &[]), lowered);
     }
 
     /// `plan` with every value read the way a run given `values` reads it
@@ -1893,8 +1764,7 @@ mod tests {
         assert_eq!(dag.parallel_width(), 1);
     }
 
-    /// A union of two independent keyed-lookup branches — the shape that parallel
-    /// execution targets.
+    /// A union of two independent keyed-lookup branches.
     fn union_of_lookups_plan() -> QueryPlan {
         let mut b = PlanBuilder::new();
         let branch = |b: &mut PlanBuilder, key: i64| {
@@ -1918,161 +1788,27 @@ mod tests {
     }
 
     #[test]
-    fn exchange_lowering_widens_the_pipeline_dag() {
-        let plan = union_of_lookups_plan();
-
-        // Default lowering: the union streams, one pipeline.
-        let streaming = lower_plan(&plan).unwrap();
-        assert_eq!(streaming.pipeline_dag().len(), 1);
-
-        // Exchange lowering: each branch becomes an independent pipeline feeding the
-        // output pipeline.
-        let exchanged =
-            lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true)).unwrap();
-        assert!(exchanged.validate().is_ok());
-        let dag = exchanged.pipeline_dag();
-        assert_eq!(dag.len(), 3);
-        assert_eq!(dag.parallel_width(), 2);
-        let out_pipe = dag.pipelines().last().unwrap();
-        assert_eq!(out_pipe.sink, exchanged.output());
-        assert_eq!(out_pipe.sources.len(), 2);
-        assert_eq!(dag.dependencies(2), &[0, 1]);
-        // The two branch pipelines are independent: neither depends on the other.
-        assert!(dag.dependencies(0).is_empty());
-        assert!(dag.dependencies(1).is_empty());
-        // Exchange changes only materialization, never the operators themselves.
-        let ops = |p: &PhysicalPlan| p.steps().iter().map(|s| s.op.clone()).collect::<Vec<_>>();
-        assert_eq!(ops(&streaming), ops(&exchanged));
-    }
-
-    #[test]
-    fn exchange_lowering_skips_access_free_subtrees() {
-        // A union of constants performs no index access: nothing to parallelize, so
-        // exchange lowering must not add breakers.
+    fn lowering_ignores_its_options() {
+        // The union and a two-hop lookup chain stream end to end: one pipeline, whatever
+        // the options say.
         let mut b = PlanBuilder::new();
-        let one = b.constant(Value::int(1), "x");
-        let two = b.constant(Value::int(2), "x");
-        let u = b.union(one, two);
-        let plan = b.finish("Q", u).unwrap();
-        let streaming = lower_plan(&plan).unwrap();
-        let exchanged =
-            lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true)).unwrap();
-        assert_eq!(
-            streaming.materialization_points(),
-            exchanged.materialization_points()
-        );
-        let options = LowerOptions::new().with_exchange_parallelism(true);
-        assert!(options.exchange_parallelism);
-        assert!(!LowerOptions::default().exchange_parallelism);
-    }
-
-    /// A two-hop lookup chain — `fetch(R, keys)` feeding `fetch(S, ·)` — the
-    /// straight-line shape the morsel cut targets.
-    fn lookup_chain_plan(project_tail: bool) -> QueryPlan {
-        let mut b = PlanBuilder::new();
-        let k1 = b.constant(Value::int(1), "k");
-        let k2 = b.constant(Value::int(2), "k");
-        let keys = b.union(k1, k2);
-        let f1 = b.fetch(
-            keys,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
+        let keys = b.constant(Value::int(1), "k");
+        let labels = |x: &str, y: &str| vec![x.into(), y.into()];
+        let f1 = b.fetch(keys, vec![0], "R", vec![0], vec![1], 0, labels("a", "b"));
         let p1 = b.product(keys, f1);
-        let s1 = b.select(p1, vec![Predicate::ColEqCol(0, 1)]); // [k, a, b]
-        let f2 = b.fetch(
-            s1,
-            vec![2],
-            "S",
-            vec![0],
-            vec![1],
-            1,
-            vec!["b".into(), "c".into()],
-        );
+        let s1 = b.select(p1, vec![Predicate::ColEqCol(0, 1)]);
+        let f2 = b.fetch(s1, vec![2], "S", vec![0], vec![1], 1, labels("b", "c"));
         let p2 = b.product(s1, f2);
-        let s2 = b.select(p2, vec![Predicate::ColEqCol(2, 3)]); // [k, a, b, b, c]
-        let out = if project_tail {
-            b.project(s2, vec![4]) // drop the key columns: forces a dedup at the output
-        } else {
-            s2
-        };
-        b.finish("Q", out).unwrap()
-    }
-
-    #[test]
-    fn exchange_lowering_cuts_lookup_chains_into_morsel_pipelines() {
-        let plan = lookup_chain_plan(false);
-        let streaming = lower_plan(&plan).unwrap();
-        let exchanged =
-            lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true)).unwrap();
-        // The cut changes only materialization, never the operators.
-        let ops = |p: &PhysicalPlan| p.steps().iter().map(|s| s.op.clone()).collect::<Vec<_>>();
-        assert_eq!(ops(&streaming), ops(&exchanged));
-
-        // Streaming: one pipeline, no materialized source, so nothing to split.
-        let dag = streaming.pipeline_dag();
-        assert!(dag.pipelines().iter().all(|p| p.morsel_source.is_none()));
-
-        // Exchanged: the chain's first lookup is cut into its own pipeline, and the
-        // second lookup heads a morsel-splittable pipeline reading it.
-        let dag = exchanged.pipeline_dag();
-        let lookups: Vec<PhysId> = exchanged
-            .steps()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s.op, PhysOp::KeyedLookup { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(lookups.len(), 2);
-        let (first, second) = (lookups[0], lookups[1]);
-        assert!(
-            exchanged.steps()[first].materialize,
-            "the chain must be cut at the second lookup's source"
-        );
-        let splittable: Vec<&Pipeline> = dag
-            .pipelines()
-            .iter()
-            .filter(|p| p.morsel_source.is_some())
-            .collect();
-        assert_eq!(splittable.len(), 1);
-        assert_eq!(splittable[0].sink, second);
-        assert_eq!(splittable[0].morsel_source, Some(first));
-        assert_eq!(splittable[0].sources, vec![first]);
-    }
-
-    #[test]
-    fn exchange_lowering_cuts_below_the_output_dedup() {
-        // Projecting away the key columns forces a dedup at the output; the dedup is
-        // order-sensitive, so the cut lands below it and the lookup + projection chain
-        // becomes the morsel-splittable pipeline.
-        let plan = lookup_chain_plan(true);
-        let exchanged =
-            lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true)).unwrap();
-        assert!(matches!(
-            exchanged.steps()[exchanged.output()].op,
-            PhysOp::Dedup { .. }
-        ));
-        let dag = exchanged.pipeline_dag();
-        let splittable: Vec<&Pipeline> = dag
-            .pipelines()
-            .iter()
-            .filter(|p| p.morsel_source.is_some())
-            .collect();
-        assert_eq!(splittable.len(), 1);
-        // The splittable pipeline's sink is the projection feeding the dedup, and its
-        // region holds the chain's second lookup.
-        assert!(matches!(
-            exchanged.steps()[splittable[0].sink].op,
-            PhysOp::Project { .. }
-        ));
-        let output_pipe = dag.pipelines().last().unwrap();
-        assert_eq!(output_pipe.sink, exchanged.output());
-        assert_eq!(output_pipe.sources, vec![splittable[0].sink]);
-        assert!(output_pipe.morsel_source.is_none());
+        let s2 = b.select(p2, vec![Predicate::ColEqCol(2, 3)]);
+        let chain = b.finish("Q", s2).unwrap();
+        for plan in [union_of_lookups_plan(), chain] {
+            let lowered = lower_plan(&plan).unwrap();
+            assert_eq!(lowered.pipeline_dag().len(), 1, "\n{lowered}");
+            let options = LowerOptions::new()
+                .with_exchange_parallelism(true)
+                .with_shard_fanout(4);
+            assert_eq!(lower_plan_with(&plan, &options).unwrap(), lowered);
+        }
     }
 
     #[test]

@@ -42,8 +42,6 @@ pub struct PipelineCost {
     pub fetch_steps: usize,
     /// The pipeline's worst-case simultaneous buffer demand on the probe path.
     pub alloc_surface: u64,
-    /// Whether the scheduler may cut this pipeline into concurrent morsels.
-    pub splittable: bool,
 }
 
 /// The admission-control summary of one lowered query: everything a controller needs
@@ -59,7 +57,7 @@ pub struct CostTicket {
     pub max_output_rows: u64,
     /// Fetch operations in the logical plan.
     pub fetch_ops: usize,
-    /// Pipelines in the lowered plan's DAG — the query's job count before splitting.
+    /// Pipelines in the lowered plan's DAG — the query's job count.
     pub pipelines: usize,
     /// Maximum pipelines runnable concurrently (the DAG's level width).
     pub parallel_width: usize,
@@ -96,7 +94,6 @@ impl CostTicket {
                         .filter(|op| matches!(op, PhysOp::KeyedLookup { .. }))
                         .count(),
                     alloc_surface: ops.map(step_surface).sum(),
-                    splittable: pipeline.morsel_source.is_some(),
                 }
             })
             .collect();
@@ -134,7 +131,7 @@ impl std::fmt::Display for CostTicket {
 mod tests {
     use super::*;
     use crate::access::AccessConstraint;
-    use crate::plan::{lower_plan, lower_plan_with, LowerOptions, PlanBuilder, Predicate};
+    use crate::plan::{lower_plan, PlanBuilder, Predicate};
     use crate::schema::Catalog;
     use crate::value::Value;
 
@@ -148,8 +145,7 @@ mod tests {
         (c, schema)
     }
 
-    /// A union of keyed-lookup branches anchored at `keys` — the canonical
-    /// multi-pipeline shape.
+    /// A union of keyed-lookup branches anchored at `keys`.
     fn union_of_lookups(keys: &[i64]) -> QueryPlan {
         let mut b = PlanBuilder::new();
         let branch = |b: &mut PlanBuilder, key: i64| {
@@ -178,8 +174,7 @@ mod tests {
     fn ticket_matches_the_cost_model_and_the_dag() {
         let (_, schema) = setup();
         let plan = union_of_lookups(&[1, 2, 3]);
-        let physical =
-            lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true)).unwrap();
+        let physical = lower_plan(&plan).unwrap();
         let ticket = CostTicket::derive(&plan, &schema, 1_000, &physical);
 
         let cost = plan.cost(&schema, 1_000);
@@ -192,16 +187,15 @@ mod tests {
         let dag = physical.pipeline_dag();
         assert_eq!(ticket.pipelines, dag.len());
         assert_eq!(ticket.parallel_width, dag.parallel_width());
-        assert!(ticket.parallel_width >= 3);
-        assert_eq!(ticket.per_pipeline.len(), dag.len());
-        // Each branch pipeline carries one keyed lookup over 2 positions: surface 4.
-        let branch_surfaces: Vec<u64> = ticket
-            .per_pipeline
-            .iter()
-            .filter(|p| p.fetch_steps > 0)
-            .map(|p| p.alloc_surface)
-            .collect();
-        assert_eq!(branch_surfaces, vec![4, 4, 4]);
+        // The union streams: one pipeline, whose three keyed lookups over 2 positions
+        // each demand 4 buffers.
+        let only = PipelineCost {
+            sink: physical.output(),
+            fetch_steps: 3,
+            alloc_surface: 12,
+        };
+        assert_eq!((ticket.pipelines, ticket.parallel_width), (1, 1));
+        assert_eq!(ticket.per_pipeline, [only]);
         assert_eq!(ticket.alloc_surface, 12);
     }
 

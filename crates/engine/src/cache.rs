@@ -11,8 +11,8 @@
 //! allocations, and none of the fetch-side counters (`tuples_fetched`,
 //! `index_lookups`) are charged; the hit is visible only in the additive
 //! [`crate::stats::AccessStats::cache_hits`] / `rows_served_from_cache` counters. A
-//! miss hands the prober a unique fill claim (the morsel split's condvar
-//! fill-exactly-once protocol, generalized across queries), which it resolves with
+//! miss hands the prober a unique fill claim (a condvar fill-exactly-once protocol:
+//! a concurrent probe of the same key waits for the fill), which it resolves with
 //! the ordinary uncached miss plus an uncharged compact copy as the published entry
 //! (see `allocs_per_probe`) — so a cold run reproduces the uncached counters exactly.
 //! The maps trust the carried hash instead of SipHash-ing keys again: keys are data
@@ -100,9 +100,9 @@ struct SpaceStripe {
     filled: Condvar,
 }
 
-/// Same sizing rationale as the morsel split's shared cache: 64 stripes keep a
-/// handful of concurrently probing workers off each other's locks while an idle
-/// space stays in the low kilobytes.
+/// Enough stripes that a handful of concurrently probing workers rarely meet on a
+/// lock (at 64 stripes, four concurrent probers collide under ten percent of the
+/// time), few enough that an idle space stays in the low kilobytes.
 const SPACE_STRIPES: usize = 64;
 
 /// All cached entries of one [`CacheShape`]. Operators resolve their space once

@@ -8,10 +8,11 @@
 //! [`execute_physical_on`] runs it through the batch pipeline in [`crate::ops`]:
 //! intermediate results flow through operators in bounded batches, and only genuine
 //! pipeline breakers hold rows, so peak memory residency tracks the access-schema
-//! bounds. With [`ExecOptions::threads`] > 1 the plan is lowered with exchange points
-//! and scoped helper threads join the caller in running its independent pipelines (see
-//! the [`crate::ops`] docs for the threading model); data access is identical at every
-//! thread count. [`execute_plan`] is the same with default options.
+//! bounds. The plan is lowered the same way at every thread count; with
+//! [`ExecOptions::threads`] > 1 scoped helper threads join the caller in running its
+//! independent pipelines, if it has any (see the [`crate::ops`] docs for the threading
+//! model); data access is identical at every thread count. [`execute_plan`] is the same
+//! with default options.
 //!
 //! [`execute_plan_materialized`] is the **reference**: the literal step loop, one
 //! [`Table`] per plan step, all of them alive until the end. It takes no options and
@@ -24,8 +25,7 @@ use crate::stats::AccessStats;
 use crate::table::Table;
 use bea_core::error::{Error, Result};
 use bea_core::plan::{
-    keys_all_tied, lower_plan_with, residual_predicates, LowerOptions, PhysicalPlan, PlanOp,
-    Predicate, QueryPlan,
+    keys_all_tied, lower_plan, residual_predicates, PhysicalPlan, PlanOp, Predicate, QueryPlan,
 };
 use bea_core::value::Row;
 use bea_storage::{IndexedDatabase, Store};
@@ -36,15 +36,6 @@ use std::collections::BTreeSet;
 /// [`ExecOptions::with_threads`] beats the environment.
 pub const THREADS_ENV: &str = "BEA_THREADS";
 
-/// Environment variable overriding the automatic morsel size (rows per intra-pipeline
-/// work unit; see [`ExecOptions::morsel_size`]). An explicit
-/// [`ExecOptions::with_morsel_size`] beats the environment.
-pub const MORSELS_ENV: &str = "BEA_MORSELS";
-
-/// The automatic morsel size: one full batch per morsel, the finest split that keeps
-/// batch boundaries (and therefore every per-batch counter charge) intact.
-pub const DEFAULT_MORSEL_ROWS: usize = 1024;
-
 /// Options controlling plan execution.
 ///
 /// The struct is `#[non_exhaustive]`: construct it with [`ExecOptions::new`] (or
@@ -54,25 +45,15 @@ pub const DEFAULT_MORSEL_ROWS: usize = 1024;
 pub struct ExecOptions {
     /// Threads running the query, the calling thread included. `0` (the default)
     /// resolves automatically: the [`THREADS_ENV`] environment variable if set,
-    /// otherwise the machine's available parallelism. `1` runs every pipeline whole,
-    /// in step order, on the calling thread; `> 1` lowers with exchange points and
-    /// spawns scoped helpers for the independent pipelines (see
-    /// `bea_core::plan::physical` and the `ops` module docs).
+    /// otherwise the machine's available parallelism. `1` runs every pipeline in step
+    /// order on the calling thread; `> 1` spawns scoped helpers for the plan's
+    /// independent pipelines, as many as can run beside the caller (see the `ops`
+    /// module docs). A pipeline always runs whole, on one thread.
     pub threads: usize,
-    /// Target rows per **morsel** — the unit in which a morsel-splittable pipeline's
-    /// probe stream is split across the threads (see
-    /// `bea_core::plan::Pipeline::morsel_source`). A morsel is a group of consecutive
-    /// whole source batches totaling at least this many rows; batches are never cut,
-    /// so every per-batch counter charge is identical at any morsel size. `0` (the
-    /// default) resolves automatically: the [`MORSELS_ENV`] environment variable if
-    /// set, otherwise [`DEFAULT_MORSEL_ROWS`]. `usize::MAX` forces a single morsel
-    /// (the unsplit pipeline). Only multi-threaded runs split; results and every
-    /// deterministic counter are morsel-size-invariant — only wall clock moves.
-    pub morsel_size: usize,
 }
 
 impl ExecOptions {
-    /// The default options: automatic thread count and morsel size.
+    /// The default options: automatic thread count.
     pub fn new() -> Self {
         Self::default()
     }
@@ -80,12 +61,6 @@ impl ExecOptions {
     /// Set the thread count (0 = automatic).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Set the target rows per morsel (0 = automatic, `usize::MAX` = never split).
-    pub fn with_morsel_size(mut self, morsel_size: usize) -> Self {
-        self.morsel_size = morsel_size;
         self
     }
 
@@ -107,22 +82,6 @@ impl ExecOptions {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     }
-
-    /// The effective morsel size: the explicit [`ExecOptions::morsel_size`] if
-    /// nonzero, else the [`MORSELS_ENV`] environment variable, else
-    /// [`DEFAULT_MORSEL_ROWS`]. Follows the same loud-failure contract as
-    /// [`ExecOptions::resolved_threads`]: a set-but-invalid variable
-    /// (`BEA_MORSELS=big`) panics with the rejection reason instead of silently
-    /// benchmarking the wrong split; `BEA_MORSELS=0` and the empty string mean
-    /// "automatic".
-    pub fn resolved_morsel_size(&self) -> usize {
-        if self.morsel_size > 0 {
-            return self.morsel_size;
-        }
-        bea_core::env::read_env(MORSELS_ENV, parse_morsels)
-            .flatten()
-            .unwrap_or(DEFAULT_MORSEL_ROWS)
-    }
 }
 
 /// Parse a [`THREADS_ENV`] value. `Ok(Some(n))` is an explicit worker count;
@@ -137,18 +96,8 @@ pub fn parse_threads(value: &str) -> std::result::Result<Option<usize>, String> 
         .map(|threads| threads as usize))
 }
 
-/// Parse a [`MORSELS_ENV`] value. `Ok(Some(n))` is an explicit rows-per-morsel target;
-/// `Ok(None)` means "automatic" (`0`, or the empty string); anything unparsable is an
-/// error naming the reason. Same shared contract — and the same
-/// testable-without-the-environment split — as [`parse_threads`].
-pub fn parse_morsels(value: &str) -> std::result::Result<Option<usize>, String> {
-    Ok(bea_core::env::parse_count(value)?
-        .auto_when_zero()
-        .map(|rows| rows as usize))
-}
-
-/// Execute an already-lowered physical plan under explicit [`ExecOptions`] (the
-/// lowering knobs were decided when `plan` was built) against either store flavor —
+/// Execute an already-lowered physical plan under explicit [`ExecOptions`] against
+/// either store flavor —
 /// `&IndexedDatabase`, `&ShardedDatabase` or a [`Store`]. One plan, keys routed at
 /// run time: a sharded store sends each probe to the shard that owns its key.
 pub fn execute_physical_on<'a>(
@@ -156,12 +105,7 @@ pub fn execute_physical_on<'a>(
     store: impl Into<Store<'a>>,
     options: &ExecOptions,
 ) -> Result<(Table, AccessStats)> {
-    ops::execute(
-        plan,
-        store.into(),
-        options.resolved_threads(),
-        options.resolved_morsel_size(),
-    )
+    ops::execute(plan, store.into(), options.resolved_threads())
 }
 
 /// Execute a plan with the default options.
@@ -181,14 +125,8 @@ pub fn execute_plan_on<'a>(
     store: impl Into<Store<'a>>,
     options: &ExecOptions,
 ) -> Result<(Table, AccessStats)> {
-    let store = store.into();
-    let threads = options.resolved_threads();
-    // Multi-threaded runs lower with exchange points so the pipeline DAG gains
-    // parallel width; single-threaded runs keep the minimal (lowest-residency)
-    // breaker set. Exchange points never change what is fetched.
-    let lower_options = LowerOptions::new().with_exchange_parallelism(threads > 1);
-    let physical = lower_plan_with(plan, &lower_options)?;
-    ops::execute(&physical, store, threads, options.resolved_morsel_size())
+    let physical = lower_plan(plan)?;
+    ops::execute(&physical, store.into(), options.resolved_threads())
 }
 
 /// The reference executor — the materialized step loop: every plan step produces a
@@ -567,35 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn morsel_env_values_are_validated() {
-        assert_eq!(parse_morsels("512").unwrap(), Some(512));
-        assert_eq!(parse_morsels(" 64 ").unwrap(), Some(64));
-        assert_eq!(parse_morsels("0").unwrap(), None, "0 means automatic");
-        assert_eq!(parse_morsels("").unwrap(), None, "empty means unset");
-        // Same loud-failure contract as BEA_THREADS: a typo must fail the run, not
-        // silently benchmark the default split.
-        assert!(parse_morsels("big").unwrap_err().contains("integer"));
-        assert!(parse_morsels("-8").is_err());
-        assert!(parse_morsels("1k").is_err());
-        // An explicit morsel size always beats the environment; the automatic default
-        // honors whatever the environment set for this process.
-        assert_eq!(
-            ExecOptions::new()
-                .with_morsel_size(7)
-                .resolved_morsel_size(),
-            7
-        );
-        let resolved = ExecOptions::new().resolved_morsel_size();
-        match std::env::var(MORSELS_ENV) {
-            Ok(value) => match parse_morsels(&value).unwrap() {
-                Some(rows) => assert_eq!(resolved, rows),
-                None => assert_eq!(resolved, DEFAULT_MORSEL_ROWS),
-            },
-            Err(_) => assert_eq!(resolved, DEFAULT_MORSEL_ROWS),
-        }
-    }
-
-    #[test]
     fn execute_bounded_plan_for_simple_query() {
         let (c, schema, idb) = setup();
         // Q(y) :- R(x, y), x = 1.
@@ -861,8 +770,6 @@ mod tests {
         assert_eq!(default, ExecOptions::default());
         let pinned = ExecOptions::new().with_threads(4);
         assert_eq!(pinned.threads, 4);
-        assert_eq!(default.morsel_size, 0, "0 = resolve automatically");
-        assert_eq!(ExecOptions::new().with_morsel_size(256).morsel_size, 256);
         assert_eq!(
             pinned.resolved_threads(),
             4,

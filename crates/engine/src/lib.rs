@@ -15,8 +15,8 @@
 //! The bounded executor is the **streaming batch pipeline** ([`ops`]): plans are
 //! lowered to physical plans and run with bounded memory residency, through three
 //! entry points — [`execute_plan`] (default options), [`execute_plan_on`] and
-//! [`execute_physical_on`] (either store flavor, explicit [`ExecOptions`]: `threads`
-//! and `morsel_size`, nothing else). Beside it stands a reference it is tested
+//! [`execute_physical_on`] (either store flavor, explicit [`ExecOptions`]: `threads`,
+//! nothing else). Beside it stands a reference it is tested
 //! against, not a second way to serve a query: [`execute_plan_materialized`], the
 //! literal step loop that keeps one table per plan step.
 //! [`stats::AccessStats::peak_rows_resident`] makes the difference observable; both
@@ -89,7 +89,8 @@
 //! shared by every thread involved. A solo execution runs on the calling thread,
 //! joined by scoped helpers when [`ExecOptions::with_threads`] asks for more than one
 //! (the default resolves to the `BEA_THREADS` environment variable or the machine's
-//! available parallelism); with `threads = 1` the caller runs the pipelines whole, in
+//! available parallelism) and the plan has pipelines that can run beside each other;
+//! with `threads = 1`, or a DAG one pipeline wide, the caller runs the pipelines in
 //! step order, spawning nothing. Operator trees stay on one thread, and only the
 //! materialized steps and the **shared residency ledger** cross threads. The ledger
 //! makes `peak_rows_resident` the *true* number of simultaneously resident rows across
@@ -98,19 +99,12 @@
 //! [`AccessStats::merge_sequential`] / `+=` (peaks max — disjoint windows). Every
 //! data-access counter is identical at any thread count.
 //!
-//! Parallelism also reaches *inside* a single heavy pipeline: a linear chain of
-//! per-batch operators over one materialized source is **morsel-splittable**
-//! (`bea_core::plan::Pipeline::morsel_source`), and a multi-threaded run cuts its
-//! source batches into morsels — groups of consecutive *whole* batches of at least
-//! [`ExecOptions::morsel_size`] rows (`BEA_MORSELS`, default
-//! [`DEFAULT_MORSEL_ROWS`]) — that run as concurrent operator-chain instances.
-//! Each morsel runs with its thread's `ExecState` (stats and buffer pool stay
-//! per-worker); the only cross-morsel state is a shared per-lookup-step result cache
-//! that fills each distinct key exactly once, so the split performs the *same* data
-//! access as the unsplit pipeline. Per-morsel outputs are concatenated in morsel
-//! order, so rows, row order and every deterministic counter are identical at every
-//! morsel size — the property `tests/properties.rs` asserts across the morsel ×
-//! thread × shard matrix.
+//! Parallelism stops at the pipeline: nothing cuts one pipeline across threads, and
+//! lowering does not depend on the thread count, so a query runs the same physical
+//! plan at every thread count and never on more threads than its DAG is wide. A
+//! bounded query touches a small slice of the data (Q0 fetches about 640 tuples), so
+//! splitting one would cost more coordination than it saves; threads pay across
+//! queries, which a [`session::Session`] runs side by side.
 //!
 //! # Sharded execution: one plan, keys routed at run time
 //!
@@ -134,7 +128,7 @@
 //!
 //! [`session::Session`] keeps that job pool alive across queries: it owns the store,
 //! persistent workers, the admission limits and the fetch cache, and
-//! [`session::Session::submit`] interleaves the pipelines and morsels of many
+//! [`session::Session::submit`] interleaves the pipelines of many
 //! concurrently admitted queries in the pool's single job queue. The contract, asserted by
 //! `tests/properties.rs` across the thread × shard matrix:
 //!
@@ -157,8 +151,8 @@
 //!   high-water mark). The ticket also carries the plan's per-pipeline
 //!   **allocation surface**, so a session can veto hot-path-allocating plans
 //!   outright ([`session::SessionConfig::with_max_alloc_surface`]).
-//! * **Affinity across queries.** Workers prefer their own split's morsels, then
-//!   FIFO.
+//! * **FIFO across queries.** A worker takes the queue front, whichever query it
+//!   belongs to.
 //! * **Callers run their own query.** The thread inside [`session::Session::run`]
 //!   (the synchronous entry) or [`session::QueryHandle::wait`] executes its query's
 //!   ready jobs through the same code as a worker and blocks only when none is
@@ -212,7 +206,7 @@ pub use cache::CacheStats;
 
 pub use exec::{
     execute_physical_on, execute_plan, execute_plan_materialized, execute_plan_on, ExecOptions,
-    DEFAULT_MORSEL_ROWS, MORSELS_ENV, THREADS_ENV,
+    THREADS_ENV,
 };
 pub use naive::{eval_cq, eval_fo, eval_query, eval_ucq};
 pub use session::{

@@ -29,17 +29,17 @@
 //! 1. **Stage.** [`KeyedLookupOp`] gathers and hashes each row's key once and
 //!    looks it up, without claiming or waiting, in every tier that may hold it, in
 //!    protocol order: the session cache (a hit is stamped and counted like a probe's),
-//!    then the split's shared cache on a morsel, else the arena's memo. It keeps every
-//!    hit and sends the keys nothing holds to one `resolve`.
+//!    then the arena's memo. It keeps every hit and sends the keys nothing holds to
+//!    one `resolve`.
 //! 2. **Settle.** In row order, a pass-1 hit is emitted from what it returned; any
-//!    other row runs the per-row protocol — session probe or claim, split probe or
-//!    claim, memo, miss — and a miss serves the postings pass 1 resolved. A row
-//!    whose key no tier would probe or remember goes straight to them.
+//!    other row runs the per-row protocol — session probe or claim, memo, miss — and a
+//!    miss serves the postings pass 1 resolved. A row whose key no tier would probe or
+//!    remember goes straight to them.
 //!
-//! Hits come first so that a key an outer tier serves never costs a walk. Claims wait
-//! for pass 2 because a claim obliges its holder to fill: holding one while probing,
-//! let alone waiting on, another key could leave two queries (or morsels) each waiting
-//! for the other's fill, so each claim is taken and resolved within its own row. Rows,
+//! Hits come first so that a key the session cache serves never costs a walk. Claims
+//! wait for pass 2 because a claim obliges its holder to fill: holding one while
+//! probing, let alone waiting on, another key could leave two queries each waiting for
+//! the other's fill, so each claim is taken and resolved within its own row. Rows,
 //! their order, the arena's layout and every counter are a per-row loop's, except under
 //! eviction pressure: a pass-1 hit serves its row even if a fill earlier in the batch
 //! evicted the entry since (see [`crate::cache`]). A missed key is hashed once, when
@@ -54,13 +54,12 @@
 //! multi-tuple postings to the arena's value columns (both drawn from the worker's
 //! [`super::BufferPool`] once per operator instance, like the flat buffer pass 1 moves
 //! missed keys into). A repeat of a fetched key is a slot walk plus emission
-//! from where its postings lie; a hit in an outer tier (session cache, split cache) is
-//! a refcount bump. Resolving an outer tier's *fill claim* is the same miss, then an
-//! uncharged compact copy of the key's postings — taken from the arena range, or
-//! straight from the one tuple — published as the tier's entry (with an owned copy of
-//! the key — cache maintenance, like the tier's own map key); the row itself is served
-//! as the miss serves it, so a cold cache or a split charges what a cache-off, unsplit
-//! run charges.
+//! from where its postings lie; a hit in the session cache is a refcount bump.
+//! Resolving the session cache's *fill claim* is the same miss, then an uncharged
+//! compact copy of the key's postings — taken from the arena range, or straight from
+//! the one tuple — published as the cache's entry (with an owned copy of the key —
+//! cache maintenance, like the cache's own map key); the row itself is served as the
+//! miss serves it, so a cold cache charges what a cache-off run charges.
 //!
 //! Per operator instance, what remains is its box, its column lists and its staging
 //! vectors: the step's key columns, positions, relation and predicates are borrowed
@@ -92,7 +91,6 @@
 //! unsharded run's.
 
 use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, HashedRow, RowTable};
-use super::morsel::{CacheProbe, SharedLookupCache};
 use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
 use crate::cache::{CacheShape, CacheSpace, SessionFetchCache, SessionProbe};
 use crate::stats::AccessStats;
@@ -106,12 +104,12 @@ use std::sync::Arc;
 
 /// A handle to the session's cross-query fetch cache, resolved to the operator's
 /// [`CacheShape`] space once, off the per-probe path. `None` outside sessions (and
-/// in cache-disabled sessions), where only the per-query tiers run.
+/// in cache-disabled sessions), where only the arena's memo runs.
 type SessionCache = Option<(Arc<SessionFetchCache>, Arc<CacheSpace>)>;
 
-/// RAII resolution of a fill claim, the session's or the split's: `resolve` publishes
-/// the batch when one was produced and withdraws the claim otherwise — on error *or*
-/// unwind — so probes waiting elsewhere are never stranded by this one's failure.
+/// RAII resolution of a session-cache fill claim: `resolve` publishes the batch when
+/// one was produced and withdraws the claim otherwise — on error *or* unwind — so
+/// probes waiting elsewhere are never stranded by this one's failure.
 struct Claim<F: FnMut(Option<Arc<Batch>>)> {
     resolve: F,
     publish: Option<Arc<Batch>>,
@@ -123,9 +121,9 @@ impl<F: FnMut(Option<Arc<Batch>>)> Drop for Claim<F> {
     }
 }
 
-/// What pass 1 found for one key (see the module docs): `Held` by a tier — an outer
-/// tier's batch, or the arena's memo — or `Missed`, its postings being probe `p` of
-/// the pass's `resolve`.
+/// What pass 1 found for one key (see the module docs): `Held` by a tier — the
+/// session cache's batch, or the arena's memo — or `Missed`, its postings being probe
+/// `p` of the pass's `resolve`.
 enum Found<'db> {
     Held(Postings<'db>),
     Missed(usize),
@@ -347,7 +345,7 @@ struct PostingArena<'db> {
     rows: usize,
     keys: RowTable,
     /// `held[p]` is where the postings of the key at position `p` of `keys` lie: in
-    /// the store or in the arena, never in an outer tier.
+    /// the store or in the arena, never in the session cache.
     held: Vec<Postings<'db>>,
     dedup: RowSet,
 }
@@ -406,12 +404,6 @@ impl<'db> PostingArena<'db> {
         }
     }
 
-    /// Drop the open segment's rows from `rows` on.
-    fn truncate(&mut self, rows: usize) {
-        self.cols.iter_mut().for_each(|col| col.truncate(rows));
-        self.rows = rows;
-    }
-
     /// `range` as a shareable batch over the arena's own storage, zero value copies:
     /// seals the open segment if the range lives there, then restricts it to `range`.
     fn seal(&mut self, range: ArenaRange) -> Batch {
@@ -435,7 +427,7 @@ enum Postings<'db> {
     Tuple(Option<&'db [Value]>),
     /// Fetched by this operator, two or more tuples: a range of its arena.
     Arena(ArenaRange),
-    /// Served — or just published — by an outer tier, in that tier's entry shape
+    /// Served — or just published — by the session cache, in its entry shape
     /// (pre-projected when [`KeyedLookupOp::fused_emit`] is set).
     Cached(Arc<Batch>),
 }
@@ -466,15 +458,10 @@ impl Postings<'_> {
 /// store, which outlives the operator. Neither the cross product nor the fetched table
 /// is ever materialized.
 ///
-/// Two outer tiers may sit in front, both trading in `Arc<Batch>`: the session's
-/// cross-query cache, probed first, and — on a morsel of a split pipeline
-/// ([`KeyedLookupOp::for_morsel`]) — the split's [`SharedLookupCache`], which
-/// replaces the arena's memo so that the split fetches each distinct key exactly once.
-/// A hit there is emitted from the cached batch; a fill claim is resolved by the
-/// same miss ([`KeyedLookupOp::fetch`]) followed by publishing a compact copy of the
-/// key's postings. In morsel mode the arena only stages that copy, and the published
-/// rows are released by the scheduler when the split's last morsel finalizes instead
-/// of at operator exhaustion.
+/// In a session with a cache, the session's cross-query cache sits in front of the
+/// memo, trading in `Arc<Batch>`. A hit there is emitted from the cached batch; a fill
+/// claim is resolved by the same miss ([`KeyedLookupOp::fetch`]) followed by
+/// publishing a compact copy of the key's postings.
 pub(crate) struct KeyedLookupOp<'db> {
     input: BoxOp<'db>,
     fetch: FetchStep<'db>,
@@ -491,20 +478,12 @@ pub(crate) struct KeyedLookupOp<'db> {
     /// Whether the arena's memo is kept: false when the plan proves the source never
     /// repeats a key ([`KeyedLookupOp::distinct_keys`]).
     memo: bool,
-    /// Arena rows this operator holds on the residency ledger (none in morsel mode,
-    /// where the split's shared cache owns the published rows).
+    /// Arena rows this operator holds on the residency ledger.
     cached_rows: u64,
-    /// The split's shared cache when this instance serves one morsel of a split
-    /// pipeline; `None` runs the arena's own memo.
-    shared: Option<Arc<SharedLookupCache>>,
-    /// The session's cross-query cache, probed before both per-query tiers. Resolved
-    /// together with [`KeyedLookupOp::fused_emit`] — the fused pre-projection is part
-    /// of the entry shape — by [`KeyedLookupOp::ensure_fused_emit`].
+    /// The session's cross-query cache, probed before the memo. Resolved together
+    /// with [`KeyedLookupOp::fused_emit`] — the fused pre-projection is part of the
+    /// entry shape — by [`KeyedLookupOp::ensure_fused_emit`].
     session: SessionCache,
-    /// Whether this instance reports the once-per-pipeline `fetch_ops` on
-    /// exhaustion. Only a split's first morsel does — the split is one logical fetch
-    /// operation.
-    report_fetch_ops: bool,
     /// Reusable probe-key buffer: pass 1 gathers every key into it and hashes it once,
     /// moving a key nothing held on into `pass`; pass 2 moves it back when a tier needs
     /// it, and a miss *moves* its values into the memo's key columns, keeping the
@@ -517,7 +496,7 @@ pub(crate) struct KeyedLookupOp<'db> {
     /// `Some(left_arity)` when the emission is exactly a projection of the fetched
     /// columns: no residual predicates and a fused projection keeping only fetched
     /// columns — column `k` is fetched column `out_cols[k] - left_arity`
-    /// ([`KeyedLookupOp::stored_col`]). Outer-tier entries are then stored
+    /// ([`KeyedLookupOp::stored_col`]). Session-cache entries are then stored
     /// pre-projected. Decided once — input arity is fixed by the plan — by
     /// [`KeyedLookupOp::ensure_fused_emit`].
     fused_emit: Option<usize>,
@@ -563,9 +542,7 @@ impl<'db> KeyedLookupOp<'db> {
             },
             memo: true,
             cached_rows: 0,
-            shared: None,
             session: None,
-            report_fetch_ops: true,
             key_scratch,
             found: Vec::new(),
             pass,
@@ -575,19 +552,6 @@ impl<'db> KeyedLookupOp<'db> {
             pending: VecDeque::new(),
             done: false,
         }
-    }
-
-    /// Configure this instance to serve one morsel of a split pipeline: probe the
-    /// split's shared cache (when the builder registered one for this step), and
-    /// report once-per-pipeline counters only on the first morsel.
-    pub(crate) fn for_morsel(
-        mut self,
-        shared: Option<Arc<SharedLookupCache>>,
-        report_fetch_ops: bool,
-    ) -> Self {
-        self.shared = shared;
-        self.report_fetch_ops = report_fetch_ops;
-        self
     }
 
     /// Drop the arena's memo when `distinct`: the plan proves the source never repeats
@@ -617,9 +581,10 @@ impl<'db> KeyedLookupOp<'db> {
         }
     }
 
-    /// The fetched column behind column `k` of a key's postings as outer tiers store
-    /// them: `k` itself, or under a fused emission ([`KeyedLookupOp::fused_emit`]) the
-    /// fetched column that the emission's `k`-th column reads.
+    /// The fetched column behind column `k` of a key's postings as the session cache
+    /// stores them: `k` itself, or under a fused emission
+    /// ([`KeyedLookupOp::fused_emit`]) the fetched column that the emission's `k`-th
+    /// column reads.
     fn stored_col(&self, k: usize) -> usize {
         match (self.fused_emit, self.out_cols) {
             (Some(left_arity), Some(cols)) => cols[k] - left_arity,
@@ -627,7 +592,7 @@ impl<'db> KeyedLookupOp<'db> {
         }
     }
 
-    /// How many columns a key's postings have as outer tiers store them.
+    /// How many columns a key's postings have as the session cache stores them.
     fn stored_width(&self) -> usize {
         match (self.fused_emit, self.out_cols) {
             (Some(_), Some(cols)) => cols.len(),
@@ -701,8 +666,7 @@ impl<'db> KeyedLookupOp<'db> {
 
     /// What a tier already holds for the key in `key_scratch`, asked in protocol order
     /// without claiming or waiting: the session cache (a hit is stamped and counted
-    /// exactly like a probe's), then the split's shared cache on a morsel, else the
-    /// arena's memo.
+    /// exactly like a probe's), then the arena's memo.
     fn held(&mut self) -> Option<Postings<'db>> {
         if let Some((cache, space)) = &self.session {
             if let Some(batch) = cache.lookup(space, &self.key_scratch) {
@@ -710,10 +674,7 @@ impl<'db> KeyedLookupOp<'db> {
                 return Some(Postings::Cached(batch));
             }
         }
-        match &self.shared {
-            Some(shared) => shared.lookup(&self.key_scratch).map(Postings::Cached),
-            None => self.remembered(),
-        }
+        self.remembered()
     }
 
     /// Pass 2 for one row: a pass-1 hit as it was found; otherwise the row's key,
@@ -722,9 +683,7 @@ impl<'db> KeyedLookupOp<'db> {
     fn settle(&mut self, found: Found<'db>) -> Result<Postings<'db>> {
         match found {
             Found::Held(postings) => Ok(postings),
-            Found::Missed(p) if self.session.is_none() && self.shared.is_none() && !self.memo => {
-                Ok(self.fetch(p))
-            }
+            Found::Missed(p) if self.session.is_none() && !self.memo => Ok(self.fetch(p)),
             Found::Missed(p) => {
                 self.pass.take_key(p, &mut self.key_scratch);
                 self.lookup(p)
@@ -734,9 +693,9 @@ impl<'db> KeyedLookupOp<'db> {
 
     /// The (projected, per-key deduplicated) fetch result for the key in
     /// `key_scratch`, which pass 1 resolved as probe `p`. The session tier is probed
-    /// before the per-query tiers: a hit charges only the cache counters; a miss claims
-    /// the key session-wide, resolves it through the per-query tiers — charging exactly
-    /// the uncached costs — and publishes a copy of the result for every later probe.
+    /// before the memo: a hit charges only the cache counters; a miss claims the key
+    /// session-wide, resolves it through the memo — charging exactly the uncached
+    /// costs — and publishes a copy of the result for every later probe.
     fn lookup(&mut self, p: usize) -> Result<Postings<'db>> {
         let Some((cache, space)) = self.session.clone() else {
             return self.lookup_in_query(p);
@@ -775,55 +734,17 @@ impl<'db> KeyedLookupOp<'db> {
         }
     }
 
-    /// The per-query tiers: the arena's memo, or — in morsel mode, where the arena
-    /// only stages fills — the split's shared cache. Both resolve a miss through
-    /// [`KeyedLookupOp::fetch`].
+    /// The arena's memo, resolving a miss through [`KeyedLookupOp::fetch`].
     fn lookup_in_query(&mut self, p: usize) -> Result<Postings<'db>> {
-        let Some(shared) = self.shared.clone() else {
-            if let Some(repeat) = self.remembered() {
-                return Ok(repeat);
-            }
-            let postings = self.fetch(p);
-            if self.memo {
-                self.arena
-                    .remember(&mut self.key_scratch, postings.clone())?;
-            }
-            return Ok(postings);
-        };
-        match shared.probe(&self.key_scratch) {
-            CacheProbe::Hit(batch) => Ok(Postings::Cached(batch)),
-            CacheProbe::Fill => {
-                // The claim holds the key while the fill runs; the scratch gets its
-                // buffer back once the claim is resolved.
-                let key = std::mem::take(&mut self.key_scratch);
-                let mut claim = Claim {
-                    resolve: |batch: Option<Arc<Batch>>| match batch {
-                        Some(batch) => shared.complete(&key, batch),
-                        None => shared.abort(&key),
-                    },
-                    publish: None,
-                };
-                let fetched = self.fetch(p);
-                let batch = Arc::new(self.copy_out(&fetched));
-                let postings = match fetched {
-                    // The split's cache owns the copy; the staged rows are done with.
-                    Postings::Arena(range) => {
-                        self.arena.truncate(range.start);
-                        Postings::Cached(Arc::clone(&batch))
-                    }
-                    // Read in place, as an unsplit run reads it; the split's cache holds
-                    // the copy until the split's last morsel finalizes.
-                    tuple => {
-                        self.state.borrow_mut().acquire(batch.len() as u64);
-                        tuple
-                    }
-                };
-                claim.publish = Some(batch);
-                drop(claim);
-                self.key_scratch = key;
-                Ok(postings)
-            }
+        if let Some(repeat) = self.remembered() {
+            return Ok(repeat);
         }
+        let postings = self.fetch(p);
+        if self.memo {
+            self.arena
+                .remember(&mut self.key_scratch, postings.clone())?;
+        }
+        Ok(postings)
     }
 
     /// The one miss path, tallying its costs — an index lookup and the fetch
@@ -841,9 +762,7 @@ impl<'db> KeyedLookupOp<'db> {
         self.tally.values_cloned += fetched * self.fetch.positions.len() as u64;
         self.fetch.fetched(&self.state, shard, fetched);
         self.state.borrow_mut().acquire(range.len as u64);
-        if self.shared.is_none() {
-            self.cached_rows += range.len as u64;
-        }
+        self.cached_rows += range.len as u64;
         Postings::Arena(range)
     }
 
@@ -855,7 +774,7 @@ impl<'db> KeyedLookupOp<'db> {
     /// An anchor emission of more than [`BATCH_SIZE`] rows cut into slices of that
     /// size, zero value copies: the first is returned, the rest queued. A key that fans
     /// out past a batch's worth (a fetch's anchor above all) thus reaches the operators
-    /// downstream — and the morsel splits of a pipeline scanning it — batch by batch.
+    /// downstream batch by batch, in the batch size every operator is built for.
     fn sliced(&mut self, batch: Batch) -> Batch {
         let len = batch.len();
         if len <= BATCH_SIZE {
@@ -927,11 +846,7 @@ impl Operator for KeyedLookupOp<'_> {
             self.done = true;
             self.flush_tally();
             let mut state = self.state.borrow_mut();
-            // A split pipeline's morsels are one logical fetch operation, reported
-            // once by the first morsel.
-            if self.report_fetch_ops {
-                state.stats.fetch_ops += 1;
-            }
+            state.stats.fetch_ops += 1;
             state.release(self.cached_rows);
             self.cached_rows = 0;
             // The arena's open columns, its key columns, the key scratch and pass 1's
@@ -953,7 +868,7 @@ impl Operator for KeyedLookupOp<'_> {
         // Anchor fast path: a single source row, no residual, and a fused projection
         // that keeps only fetched columns — the output *is* the key's projected
         // postings, emitted as a batch over the storage that already holds them (an
-        // outer tier's entry, or the arena segment, sealed): zero value clones and, on
+        // session-cache entry, or the arena segment, sealed): zero value clones and, on
         // a warm session cache, zero allocations. This is the first lookup of every
         // anchored plan, where the fan-out (and hence the row-pipeline's copy bill) is
         // largest — and the whole body of the steady-state serving loop. A tuple read
@@ -1255,23 +1170,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_morsel_fill_leaves_nothing_staged_in_the_arena() {
-        let idb = store();
-        let h = Harness::new();
-        let shared = Arc::new(SharedLookupCache::new());
-        let pulls = vec![Ok(ints(&[&[1], &[2], &[1]]))];
-        let mut op = h
-            .lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None)
-            .for_morsel(Some(shared.clone()), true);
-        assert_eq!(op.next_batch().unwrap().unwrap().len(), 7);
-        // The split's cache holds the only copy of the rows the ledger was charged.
-        assert_eq!(op.arena.rows, 0);
-        assert!(op.arena.cols.iter().all(Vec::is_empty));
-        assert_eq!((shared.rows(), h.ledger.resident()), (4, 4));
-        assert_eq!(h.stats().index_lookups, 2);
-    }
-
-    #[test]
     fn a_repeat_the_session_cache_declined_is_read_from_the_arena() {
         let idb = store();
         let h = Harness::new();
@@ -1496,40 +1394,6 @@ pub(crate) mod tests {
             (stats.cache_hits, stats.rows_served_from_cache),
             (3, 1 + 1 + 3)
         );
-    }
-
-    #[test]
-    fn a_key_another_morsel_is_filling_is_waited_for_in_pass_two_only() {
-        let idb = store();
-        let rows: &[&[i64]] = &[&[2], &[1], &[2]];
-        let key = HashedRow::new(vec![Value::int(1)]);
-        let unsplit = assert_batching_is_invisible(&idb, rows, |_| {}, |op| drain(op));
-        let split = assert_batching_is_invisible(
-            &idb,
-            rows,
-            |_| {},
-            |op| {
-                // Another morsel holds key 1's fill claim before this one starts, so
-                // pass 1 passes the key by; the claim is resolved only once this
-                // morsel waits on it, in pass 2.
-                let shared = Arc::new(SharedLookupCache::new());
-                assert!(matches!(shared.probe(&key), CacheProbe::Fill));
-                op.shared = Some(shared.clone());
-                std::thread::scope(|scope| {
-                    scope.spawn(|| {
-                        while shared.waiters(&key) == 0 {
-                            std::thread::yield_now();
-                        }
-                        let postings = [&[1, 10, 100][..], &[1, 10, 101], &[1, 11, 100]];
-                        shared.complete(&key, Arc::new(ints(&postings)));
-                    });
-                    drain(op)
-                })
-            },
-        );
-        assert_eq!(split.0, unsplit.0, "the other morsel's entry serves key 1");
-        assert_eq!(unsplit.1.index_lookups, 2);
-        assert_eq!(split.1.index_lookups, 1, "only key 2 is fetched here");
     }
 
     #[test]

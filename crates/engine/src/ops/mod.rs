@@ -12,8 +12,8 @@
 //! longer than a batch:
 //!
 //! * steps marked [`bea_core::plan::PhysStep::materialize`] (shared by several
-//!   consumers, the plan output, or exchange points inserted for parallelism) are
-//!   materialized once and *freed as soon as their last consumer has drained them*;
+//!   consumers, or the plan output) are materialized once and *freed as soon as
+//!   their last consumer has drained them*;
 //! * join build sides, per-key fetch caches and dedup sets are operator-internal
 //!   state, released when the operator is exhausted — or when it is dropped undrained
 //!   (every operator holding durable state implements `Drop`), so a short-circuiting
@@ -30,23 +30,20 @@
 //! * [`execute`], under [`crate::exec::execute_plan_on`] and
 //!   [`crate::exec::execute_physical_on`], builds a pool on the caller's stack for its
 //!   one query and the calling thread runs the query's ready pipelines itself, lowest
-//!   first. With `threads == 1` (or a single-pipeline DAG) that is all there is:
-//!   pipelines run whole, in step order, on the calling thread — no thread is spawned
-//!   and nothing waits. With `threads > 1` the caller is joined by scoped helpers
-//!   (`threads`, or as many as there are pipelines when none can split, less the
-//!   caller) that take any ready job;
+//!   first. With `threads == 1` (or a DAG of width 1: one pipeline, or a chain of
+//!   them) that is all there is: pipelines run in step order on the calling thread —
+//!   no thread is spawned and nothing waits. Otherwise the caller is joined by scoped
+//!   helpers (`threads` or the DAG's [`bea_core::plan::PipelineDag::parallel_width`],
+//!   whichever is smaller, less the caller) that take any ready job;
 //! * a [`crate::session::Session`] keeps one pool and its workers alive across
 //!   queries, and the thread asking for an answer helps the same way.
 //!
 //! Each job runs with its thread's [`ExecState`] (operators stay single-threaded and
 //! `Rc`-based), and the per-job counters are combined with
-//! [`AccessStats::merge_concurrent`]. A **morsel-splittable** pipeline
-//! (`bea_core::plan::Pipeline::morsel_source`) is additionally cut *within* when more
-//! than one thread runs the query: its source batches are grouped into morsels of
-//! whole batches ([`morsel`]) and each morsel runs the chain as its own job, sharing
-//! only the per-lookup [`morsel::SharedLookupCache`]s; the per-morsel outputs are
-//! concatenated in morsel order, so rows, row order and every deterministic counter
-//! are identical at any morsel size.
+//! [`AccessStats::merge_concurrent`]. A job is always a whole pipeline: nothing cuts
+//! one pipeline across threads, so a query never runs on more threads than its DAG
+//! is wide. A bounded query is small, and parallelism pays across queries instead
+//! (a session's workers).
 //!
 //! Residency is accounted in a [`ResidencyLedger`] *shared by all threads running one
 //! query*: every durable row acquisition and release goes through one pair of atomics,
@@ -65,7 +62,6 @@
 pub(crate) mod batch;
 pub(crate) mod fetch;
 pub(crate) mod join;
-pub(crate) mod morsel;
 pub(crate) mod relational;
 pub(crate) mod sched;
 pub(crate) mod source;
@@ -410,15 +406,13 @@ pub(crate) fn validate_for(plan: &PhysicalPlan, store: Store<'_>) -> Result<()> 
 }
 
 /// Execute a physical plan on the calling thread and up to `threads - 1` scoped
-/// helpers, with `morsel_rows` as the intra-pipeline morsel size, returning the output
-/// table and the access/residency statistics.
+/// helpers, returning the output table and the access/residency statistics.
 pub(crate) fn execute(
     plan: &PhysicalPlan,
     store: Store<'_>,
     threads: usize,
-    morsel_rows: usize,
 ) -> Result<(Table, AccessStats)> {
-    let (table, stats, _ledger) = execute_inner(plan, store, threads, morsel_rows)?;
+    let (table, stats, _ledger) = execute_inner(plan, store, threads)?;
     Ok((table, stats))
 }
 
@@ -428,33 +422,19 @@ pub(crate) fn execute_inner(
     plan: &PhysicalPlan,
     store: Store<'_>,
     threads: usize,
-    morsel_rows: usize,
 ) -> Result<(Table, AccessStats, Arc<ResidencyLedger>)> {
     validate_for(plan, store)?;
     let prepared = Arc::new(sched::Prepared::new(Cow::Borrowed(plan)));
     let query = sched::QueryShared::new(Arc::clone(&prepared), Vec::new(), 0);
     let ledger = Arc::clone(&query.ledger);
-    // A single thread runs every pipeline whole.
-    let morsel_rows = if threads <= 1 {
-        usize::MAX
-    } else {
-        morsel_rows
+    // No more threads than pipelines can run side by side; the caller is one of them.
+    // (A lone caller does not ask: working the width out allocates.)
+    let helpers = match threads {
+        0 | 1 => 0,
+        _ => threads.min(prepared.dag.parallel_width()) - 1,
     };
-    // One thread per pipeline is enough when nothing can split, but a splittable
-    // pipeline fans out into more jobs than the DAG has nodes — give it the full
-    // thread budget so its morsels actually run side by side. The caller is one of
-    // the threads.
-    let dag = &prepared.dag;
-    let splittable =
-        morsel_rows != usize::MAX && dag.pipelines().iter().any(|p| p.morsel_source.is_some());
-    let helpers = if splittable {
-        threads
-    } else {
-        threads.min(dag.len())
-    }
-    .saturating_sub(1);
 
-    let pool = sched::Pool::new(morsel_rows, None, None);
+    let pool = sched::Pool::new(None, None);
     let submitted = pool.submit(query, true)?;
     // The pool's only query is in: helpers leave when it retires.
     pool.shut_down();
@@ -490,7 +470,7 @@ pub(crate) struct JobCtx<'a> {
 /// Execute one pipeline: pull the operator tree rooted at `sink` to exhaustion and
 /// publish the materialized result for the pipelines that scan it.
 pub(crate) fn run_pipeline(job: JobCtx<'_>, sink: usize) -> Result<()> {
-    let (batches, rows) = drain(build_op(job, sink, None)?, job.state)?;
+    let (batches, rows) = drain(build_op(job, sink)?, job.state)?;
     let node = Arc::new(Mutex::new(MatNode {
         batches: Some(batches),
         rows,
@@ -500,20 +480,6 @@ pub(crate) fn run_pipeline(job: JobCtx<'_>, sink: usize) -> Result<()> {
         unreachable!("each pipeline is executed exactly once");
     }
     Ok(())
-}
-
-/// Execute one morsel of a split pipeline: the operator chain rooted at `sink`,
-/// instantiated over this morsel's range of the source batches, pulled to
-/// exhaustion. The emitted batches are acquired against the ledger exactly as
-/// [`run_pipeline`] acquires them; the driver concatenates the per-morsel results
-/// in morsel order and publishes the materialization when the split's last morsel
-/// lands, so the published batch list is identical to the unsplit pipeline's.
-pub(crate) fn run_morsel(
-    job: JobCtx<'_>,
-    sink: usize,
-    ctx: &morsel::MorselCtx,
-) -> Result<(Vec<Batch>, u64)> {
-    drain(build_op(job, sink, Some(ctx))?, job.state)
 }
 
 /// Pull `op` to exhaustion, acquiring every emitted row against the ledger; the
@@ -549,14 +515,8 @@ fn bound_predicates<'a>(predicates: &'a [Predicate], constants: &[Value]) -> Cow
 }
 
 /// Build the operator for step `node`, recursing into non-materialized inputs and
-/// scanning materialized ones. With a [`morsel::MorselCtx`] the chain is instantiated
-/// for one morsel: the morsel source replays its batch range instead of a full scan,
-/// and keyed lookups attach the split's shared caches.
-fn build_op<'a>(
-    job: JobCtx<'a>,
-    node: usize,
-    morsel: Option<&morsel::MorselCtx>,
-) -> Result<BoxOp<'a>> {
+/// scanning materialized ones.
+fn build_op<'a>(job: JobCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
     let JobCtx {
         plan,
         constants,
@@ -565,26 +525,16 @@ fn build_op<'a>(
         mats,
     } = job;
     let input = |j: usize| -> Result<BoxOp<'a>> {
-        if let Some(ctx) = morsel {
-            if j == ctx.source {
-                return Ok(Box::new(morsel::MorselScanOp::new(
-                    ctx.batches.clone(),
-                    ctx.range,
-                )));
-            }
-        }
         if plan.steps()[j].materialize {
             let mat = mats[j]
                 .get()
                 .expect("the scheduler completes a pipeline's sources before starting it");
             Ok(Box::new(source::ScanOp::new(mat.clone(), state.clone())))
         } else {
-            build_op(job, j, morsel)
+            build_op(job, j)
         }
     };
-    // A keyed lookup keeps a memo only where its source can repeat a key. Built inside
-    // a morsel, it shares the split's cache for its step and reports once-per-run
-    // counters only on the split's first morsel.
+    // A keyed lookup keeps a memo only where its source can repeat a key.
     let lookup = |step: usize, out_cols: Option<&'a [usize]>| -> Result<BoxOp<'a>> {
         let PhysOp::KeyedLookup {
             source,
@@ -604,10 +554,7 @@ fn build_op<'a>(
             state.clone(),
         )
         .distinct_keys(plan.keys_distinct(*source, key_cols));
-        Ok(Box::new(match morsel {
-            Some(ctx) => op.for_morsel(ctx.caches.get(&step).cloned(), ctx.report),
-            None => op,
-        }))
+        Ok(Box::new(op))
     };
     let op: BoxOp<'a> = match &plan.steps()[node].op {
         PhysOp::Const { value } => Box::new(source::SingletonOp::new(vec![value
@@ -639,7 +586,8 @@ fn build_op<'a>(
             // Fusion: a projection whose direct (sole, non-materialized) input is a
             // keyed lookup becomes the lookup's emission column set, so values the
             // projection would drop are never gathered at all. Materialized sources
-            // are exchange points and must stay full-width for their other consumers.
+            // are materialization points and must stay full-width for their other
+            // consumers.
             //
             // Deliberately an operator-tree concern, not a lowering rule: which
             // columns get *physically gathered* is a property of this executor's
@@ -678,13 +626,11 @@ fn build_op<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::exec::{execute_plan_materialized, execute_plan_on, ExecOptions};
     use bea_core::access::{AccessConstraint, AccessSchema};
-    use bea_core::plan::{
-        lower_plan_with, LowerOptions, NodeId, PlanBuilder, Predicate, QueryPlan,
-    };
+    use bea_core::plan::{lower_plan, NodeId, PlanBuilder, Predicate, QueryPlan};
     use bea_core::value::Row;
     use bea_storage::{Database, IndexedDatabase};
 
@@ -709,10 +655,8 @@ mod tests {
         IndexedDatabase::build(db, schema).unwrap()
     }
 
-    /// A union of two independent keyed-lookup branches anchored at `keys` — lowered
-    /// with exchange points this decomposes into one pipeline per branch plus the
-    /// output pipeline.
-    fn union_of_lookups(keys: &[i64]) -> bea_core::plan::QueryPlan {
+    /// A union of independent keyed-lookup branches anchored at `keys`: one pipeline.
+    fn union_of_lookups(keys: &[i64]) -> QueryPlan {
         let mut b = PlanBuilder::new();
         let branch = |b: &mut PlanBuilder, key: i64| {
             let k = b.constant(Value::int(key), "k");
@@ -736,30 +680,40 @@ mod tests {
         b.finish("Q", acc).unwrap()
     }
 
+    /// `(f₁ ∪ f₁) ∪ … ∪ (fₙ ∪ fₙ)`, where `fᵢ` fetches `relation`'s tuples `(a, b)`
+    /// under `a = key` through constraint `constraint`, for each
+    /// `(relation, constraint, key)` of `fetches`. Each fetch has two consumers, so it is
+    /// materialized by a pipeline of its own, and those pipelines are independent: the
+    /// DAG is `fetches.len()` wide — the shape on which more than one thread runs a
+    /// query.
+    pub(crate) fn shared_fetches(fetches: &[(&str, usize, i64)]) -> QueryPlan {
+        let mut b = PlanBuilder::new();
+        let branches: Vec<NodeId> = fetches
+            .iter()
+            .map(|&(relation, constraint, key)| {
+                let k = b.constant(Value::int(key), "k");
+                let columns = vec!["a".into(), "b".into()];
+                let f = b.fetch(k, vec![0], relation, vec![0], vec![1], constraint, columns);
+                b.union(f, f)
+            })
+            .collect();
+        let out = (branches[1..].iter()).fold(branches[0], |acc, &branch| b.union(acc, branch));
+        b.finish("Q", out).unwrap()
+    }
+
     #[test]
     fn parallel_execution_matches_sequential_and_drains_the_ledger() {
         let idb = setup();
-        let plan = union_of_lookups(&[1, 2, 3]);
-        let phys =
-            lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true)).unwrap();
+        let plan = shared_fetches(&[("R", 0, 1), ("R", 0, 2), ("R", 0, 3)]);
+        let phys = lower_plan(&plan).unwrap();
         let dag = phys.pipeline_dag();
-        assert!(dag.len() >= 4, "expected one pipeline per branch + output");
-        assert!(dag.parallel_width() >= 3);
+        assert_eq!(dag.len(), 4, "one pipeline per fetch + output\n{phys}");
+        assert_eq!(dag.parallel_width(), 3);
 
-        let (seq_table, seq_stats, seq_ledger) = execute_inner(
-            &phys,
-            Store::Indexed(&idb),
-            1,
-            crate::exec::DEFAULT_MORSEL_ROWS,
-        )
-        .unwrap();
-        let (par_table, par_stats, par_ledger) = execute_inner(
-            &phys,
-            Store::Indexed(&idb),
-            4,
-            crate::exec::DEFAULT_MORSEL_ROWS,
-        )
-        .unwrap();
+        let (seq_table, seq_stats, seq_ledger) =
+            execute_inner(&phys, Store::Indexed(&idb), 1).unwrap();
+        let (par_table, par_stats, par_ledger) =
+            execute_inner(&phys, Store::Indexed(&idb), 4).unwrap();
 
         // Identical output — rows *and* their order are schedule-independent.
         assert_eq!(seq_table.columns(), par_table.columns());
@@ -803,23 +757,12 @@ mod tests {
         let other = b.project(fetched, vec![1]);
         let out = b.product(sel, other);
         let plan = b.finish("Q", out).unwrap();
-        let phys = bea_core::plan::lower_plan(&plan).unwrap();
+        let phys = lower_plan(&plan).unwrap();
         assert!(phys.pipeline_dag().len() >= 3);
 
-        let (seq_table, seq_stats, _) = execute_inner(
-            &phys,
-            Store::Indexed(&idb),
-            1,
-            crate::exec::DEFAULT_MORSEL_ROWS,
-        )
-        .unwrap();
-        let (par_table, par_stats, par_ledger) = execute_inner(
-            &phys,
-            Store::Indexed(&idb),
-            4,
-            crate::exec::DEFAULT_MORSEL_ROWS,
-        )
-        .unwrap();
+        let (seq_table, seq_stats, _) = execute_inner(&phys, Store::Indexed(&idb), 1).unwrap();
+        let (par_table, par_stats, par_ledger) =
+            execute_inner(&phys, Store::Indexed(&idb), 4).unwrap();
         assert_eq!(seq_table.rows(), par_table.rows());
         assert!(seq_stats.same_data_access(&par_stats));
         assert_eq!(par_ledger.resident(), 0);
@@ -846,20 +789,14 @@ mod tests {
         let other = b.project(fetched, vec![1]);
         let out = b.product(sel, other);
         let plan = b.finish("Q", out).unwrap();
-        let phys = bea_core::plan::lower_plan(&plan).unwrap();
+        let phys = lower_plan(&plan).unwrap();
         assert!(phys
             .steps()
             .iter()
             .any(|s| matches!(s.op, PhysOp::HashJoin { .. })));
 
         for threads in [1, 4] {
-            let (table, _, ledger) = execute_inner(
-                &phys,
-                Store::Indexed(&idb),
-                threads,
-                crate::exec::DEFAULT_MORSEL_ROWS,
-            )
-            .unwrap();
+            let (table, _, ledger) = execute_inner(&phys, Store::Indexed(&idb), threads).unwrap();
             assert!(table.is_empty());
             assert_eq!(
                 ledger.resident(),
@@ -892,19 +829,13 @@ mod tests {
         let other = b.project(fetched, vec![1]);
         let out = b.product(projected, other);
         let plan = b.finish("Q", out).unwrap();
-        let phys = bea_core::plan::lower_plan(&plan).unwrap();
+        let phys = lower_plan(&plan).unwrap();
         assert!(phys
             .steps()
             .iter()
             .any(|s| matches!(s.op, PhysOp::HashJoin { .. })));
         for threads in [1, 4] {
-            let (table, _, ledger) = execute_inner(
-                &phys,
-                Store::Indexed(&idb),
-                threads,
-                crate::exec::DEFAULT_MORSEL_ROWS,
-            )
-            .unwrap();
+            let (table, _, ledger) = execute_inner(&phys, Store::Indexed(&idb), threads).unwrap();
             assert!(table.is_empty());
             assert_eq!(ledger.resident(), 0);
         }
@@ -1083,32 +1014,22 @@ mod tests {
                 keys,
             ),
         ];
-        // Not vacuous: more than one thread cuts R's lookup off its source, into a
-        // pipeline whose source batches are split into morsels.
-        let exchange = LowerOptions::new().with_exchange_parallelism(true);
-        let phys = lower_plan_with(&cases[0].1, &exchange).unwrap();
-        let dag = phys.pipeline_dag();
-        assert!(dag.pipelines().iter().any(|p| p.morsel_source.is_some()));
         for (case, plan, distinct_keys) in &cases {
             let (reference, reference_stats) = execute_plan_materialized(plan, &idb).unwrap();
             assert!(!reference.is_empty(), "{case}: vacuous");
             assert_eq!(reference_stats.index_lookups, *distinct_keys, "{case}");
             for threads in [1, 4] {
-                for morsel_size in [1, 0] {
-                    let options = ExecOptions::new()
-                        .with_threads(threads)
-                        .with_morsel_size(morsel_size);
-                    let (table, stats) = execute_plan_on(plan, &idb, &options).unwrap();
-                    let corner = format!("{case}, {threads} threads, morsel size {morsel_size}");
-                    assert!(table.is_set(), "{corner}: a row repeats");
-                    assert!(table.same_rows(&reference), "{corner}: rows differ");
-                    assert!(
-                        stats.same_data_access(&reference_stats),
-                        "{corner}: {stats} vs {reference_stats}"
-                    );
-                    assert_eq!(stats.index_lookups, *distinct_keys, "{corner}");
-                    assert_eq!(stats.allocs_per_probe, 0, "{corner}");
-                }
+                let options = ExecOptions::new().with_threads(threads);
+                let (table, stats) = execute_plan_on(plan, &idb, &options).unwrap();
+                let corner = format!("{case}, {threads} threads");
+                assert!(table.is_set(), "{corner}: a row repeats");
+                assert!(table.same_rows(&reference), "{corner}: rows differ");
+                assert!(
+                    stats.same_data_access(&reference_stats),
+                    "{corner}: {stats} vs {reference_stats}"
+                );
+                assert_eq!(stats.index_lookups, *distinct_keys, "{corner}");
+                assert_eq!(stats.allocs_per_probe, 0, "{corner}");
             }
         }
     }
@@ -1116,7 +1037,7 @@ mod tests {
     /// One keyed lookup over the union of `keys` — the same probes as
     /// [`union_of_lookups`], but read off a data-dependent source: one lookup probes
     /// keys that several shards own.
-    fn lookup_over_key_union(keys: &[i64]) -> bea_core::plan::QueryPlan {
+    fn lookup_over_key_union(keys: &[i64]) -> QueryPlan {
         let mut b = PlanBuilder::new();
         let mut source = b.constant(Value::int(keys[0]), "k");
         for &key in &keys[1..] {
@@ -1153,21 +1074,11 @@ mod tests {
             let mut fetched_by_shard = Vec::new();
             for plan in [&constant_keys, &data_keys] {
                 let phys = bea_core::plan::lower_plan(plan).unwrap();
-                let (base_table, base_stats, _) = execute_inner(
-                    &phys,
-                    Store::Indexed(&idb),
-                    1,
-                    crate::exec::DEFAULT_MORSEL_ROWS,
-                )
-                .unwrap();
+                let (base_table, base_stats, _) =
+                    execute_inner(&phys, Store::Indexed(&idb), 1).unwrap();
                 for threads in [1usize, 4] {
-                    let (table, stats, ledger) = execute_inner(
-                        &phys,
-                        Store::Sharded(&sdb),
-                        threads,
-                        crate::exec::DEFAULT_MORSEL_ROWS,
-                    )
-                    .unwrap();
+                    let (table, stats, ledger) =
+                        execute_inner(&phys, Store::Sharded(&sdb), threads).unwrap();
                     assert_eq!(
                         table.rows(),
                         base_table.rows(),
@@ -1257,8 +1168,7 @@ mod tests {
 
         // On this thread, one job each: the large δ, then a point lookup.
         let run = |plan: &PhysicalPlan, store| {
-            let (table, _, ledger) =
-                execute_inner(plan, store, 1, crate::exec::DEFAULT_MORSEL_ROWS).unwrap();
+            let (table, _, ledger) = execute_inner(plan, store, 1).unwrap();
             assert_eq!(ledger.resident(), 0, "the ledger drains whatever is pooled");
             let state = PARKED
                 .take()
@@ -1297,241 +1207,6 @@ mod tests {
         }
         // At most `cap` buffers are retained; the rest are dropped.
         assert_eq!(pool.pooled(), 2);
-    }
-
-    /// A two-hop lookup chain whose first hop fans out wide enough that its
-    /// materialization spans several batches — the shape whose second hop the
-    /// scheduler splits into morsels. `R` maps two anchor keys to `per_key` rows
-    /// each; `S` maps every `b` value back to one row.
-    fn morsel_chain_setup(per_key: i64) -> (IndexedDatabase, bea_core::plan::QueryPlan) {
-        let mut c = bea_core::schema::Catalog::new();
-        c.declare("R", ["a", "b"]).unwrap();
-        c.declare("S", ["b", "c"]).unwrap();
-        let schema = AccessSchema::from_constraints([
-            AccessConstraint::new(&c, "R", &["a"], &["b"], per_key as u64).unwrap(),
-            AccessConstraint::new(&c, "S", &["b"], &["c"], 1).unwrap(),
-        ]);
-        let mut db = Database::new(c);
-        let mut r_rows = Vec::new();
-        let mut s_rows = Vec::new();
-        for key in [1i64, 2] {
-            for i in 0..per_key {
-                let b = key * 10_000 + i;
-                r_rows.push(vec![Value::int(key), Value::int(b)]);
-                s_rows.push(vec![Value::int(b), Value::int(b + 1)]);
-            }
-        }
-        db.extend("R", r_rows).unwrap();
-        db.extend("S", s_rows).unwrap();
-        let idb = IndexedDatabase::build(db, schema).unwrap();
-
-        let mut b = PlanBuilder::new();
-        let k1 = b.constant(Value::int(1), "k");
-        let k2 = b.constant(Value::int(2), "k");
-        let keys = b.union(k1, k2);
-        let f1 = b.fetch(
-            keys,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let p1 = b.product(keys, f1);
-        let s1 = b.select(p1, vec![Predicate::ColEqCol(0, 1)]); // [k, a, b]
-        let f2 = b.fetch(
-            s1,
-            vec![2],
-            "S",
-            vec![0],
-            vec![1],
-            1,
-            vec!["b".into(), "c".into()],
-        );
-        let p2 = b.product(s1, f2);
-        let s2 = b.select(p2, vec![Predicate::ColEqCol(2, 3)]);
-        let out = b.project(s2, vec![4]);
-        (idb, b.finish("Q", out).unwrap())
-    }
-
-    #[test]
-    fn morsel_split_matches_unsplit_execution_exactly() {
-        // 700 rows per anchor key → the first hop materializes 1400 rows in two
-        // batches, so `morsel_rows = 1` splits the second hop into two morsels.
-        let (idb, plan) = morsel_chain_setup(700);
-        let phys = bea_core::plan::lower_plan_with(
-            &plan,
-            &LowerOptions::new().with_exchange_parallelism(true),
-        )
-        .unwrap();
-        assert!(
-            phys.pipeline_dag()
-                .pipelines()
-                .iter()
-                .any(|p| p.morsel_source.is_some()),
-            "the chain must lower to a morsel-splittable pipeline"
-        );
-
-        let (base_table, base_stats, base_ledger) =
-            execute_inner(&phys, Store::Indexed(&idb), 1, 1).unwrap();
-        assert_eq!(base_table.rows().len(), 1400);
-        assert_eq!(base_ledger.resident(), 0);
-
-        for morsel_rows in [1usize, crate::exec::DEFAULT_MORSEL_ROWS, usize::MAX] {
-            let (table, stats, ledger) =
-                execute_inner(&phys, Store::Indexed(&idb), 4, morsel_rows).unwrap();
-            // Identical rows *and row order* — per-morsel outputs are concatenated
-            // in morsel order, reproducing the unsplit batch sequence exactly.
-            assert_eq!(
-                table.rows(),
-                base_table.rows(),
-                "output changed at morsel size {morsel_rows}"
-            );
-            assert!(
-                stats.same_data_access(&base_stats),
-                "data access changed at morsel size {morsel_rows}: {stats} vs {base_stats}"
-            );
-            assert_eq!(
-                stats.values_cloned, base_stats.values_cloned,
-                "copy traffic changed at morsel size {morsel_rows}"
-            );
-            assert_eq!(
-                stats.allocs_per_probe, base_stats.allocs_per_probe,
-                "allocation demand changed at morsel size {morsel_rows}"
-            );
-            assert_eq!(
-                ledger.resident(),
-                0,
-                "residency leaked at morsel size {morsel_rows}"
-            );
-        }
-    }
-
-    #[test]
-    fn morsel_splits_of_mixed_postings_match_the_unsplit_run() {
-        // `R` maps two anchors to 700 `b`s each; `S` maps `b` to 0, 1 or 3 tuples (by
-        // `b mod 3`). The second hop probes `S` over `[k, a, b]`, whose `b`s the plan
-        // cannot prove distinct (the memo is kept), or over `δπ[b]` (it is dropped).
-        let mut c = bea_core::schema::Catalog::new();
-        c.declare("R", ["a", "b"]).unwrap();
-        c.declare("S", ["b", "c"]).unwrap();
-        let schema = AccessSchema::from_constraints([
-            AccessConstraint::new(&c, "R", &["a"], &["b"], 700).unwrap(),
-            AccessConstraint::new(&c, "S", &["b"], &["c"], 3).unwrap(),
-        ]);
-        let mut db = Database::new(c);
-        let bs: Vec<i64> = [1, 2]
-            .iter()
-            .flat_map(|k| (0..700).map(move |i| k * 10_000 + i))
-            .collect();
-        db.extend(
-            "R",
-            bs.iter()
-                .map(|&b| vec![Value::int(b / 10_000), Value::int(b)]),
-        )
-        .unwrap();
-        let s_rows = bs.iter().flat_map(|&b| {
-            let tuples = [0, 1, 3][(b % 3) as usize];
-            (0..tuples).map(move |j| vec![Value::int(b), Value::int(b * 10 + j)])
-        });
-        db.extend("S", s_rows).unwrap();
-        let idb = IndexedDatabase::build(db, schema).unwrap();
-
-        for distinct in [false, true] {
-            let mut b = PlanBuilder::new();
-            let k1 = b.constant(Value::int(1), "k");
-            let k2 = b.constant(Value::int(2), "k");
-            let keys = b.union(k1, k2);
-            let f1 = b.fetch(
-                keys,
-                vec![0],
-                "R",
-                vec![0],
-                vec![1],
-                0,
-                vec!["a".into(), "b".into()],
-            );
-            let p1 = b.product(keys, f1);
-            let mut source = b.select(p1, vec![Predicate::ColEqCol(0, 1)]); // [k, a, b]
-            let mut key = 2;
-            if distinct {
-                (source, key) = (b.project(source, vec![2]), 0);
-            }
-            let f2 = b.fetch(
-                source,
-                vec![key],
-                "S",
-                vec![0],
-                vec![1],
-                1,
-                vec!["b".into(), "c".into()],
-            );
-            let p2 = b.product(source, f2);
-            let arity = b.columns(source).len();
-            let s2 = b.select(p2, vec![Predicate::ColEqCol(key, arity)]);
-            let out = b.project(s2, vec![arity + 1]);
-            let plan = b.finish("Q", out).unwrap();
-            let options = LowerOptions::new().with_exchange_parallelism(true);
-            let phys = lower_plan_with(&plan, &options).unwrap();
-            let second = phys.steps().iter().rev().find_map(|step| match &step.op {
-                PhysOp::KeyedLookup {
-                    source, key_cols, ..
-                } => Some(phys.keys_distinct(*source, key_cols)),
-                _ => None,
-            });
-            assert_eq!(second, Some(distinct));
-
-            let store = Store::Indexed(&idb);
-            let (base_table, base_stats, _) = execute_inner(&phys, store, 1, 1).unwrap();
-            let matched: usize = bs.iter().map(|b| [0, 1, 3][(b % 3) as usize]).sum();
-            assert_eq!(base_table.len(), matched);
-            for morsel_rows in [1usize, crate::exec::DEFAULT_MORSEL_ROWS, usize::MAX] {
-                let (table, stats, ledger) = execute_inner(&phys, store, 4, morsel_rows).unwrap();
-                let corner = format!("morsel size {morsel_rows}, distinct keys {distinct}");
-                assert_eq!(table.rows(), base_table.rows(), "{corner}");
-                assert!(stats.same_data_access(&base_stats), "{corner}");
-                assert_eq!(stats.values_cloned, base_stats.values_cloned, "{corner}");
-                assert_eq!(
-                    stats.allocs_per_probe, base_stats.allocs_per_probe,
-                    "{corner}"
-                );
-                assert_eq!(ledger.resident(), 0, "{corner}");
-            }
-        }
-    }
-
-    #[test]
-    fn a_solo_run_with_helpers_splits_the_chain_and_matches_one_thread() {
-        // 2 600 rows per anchor key → six source batches, so a morsel size of one row
-        // cuts the second hop into six morsels: the caller registers the split, wakes
-        // helpers for the other five and runs the first itself. Repeated, with fewer
-        // and more helpers than morsels — a wake-up lost on the split path would hang
-        // this test rather than fail it.
-        let (idb, plan) = morsel_chain_setup(2_600);
-        let phys = bea_core::plan::lower_plan_with(
-            &plan,
-            &LowerOptions::new().with_exchange_parallelism(true),
-        )
-        .unwrap();
-        let store = Store::Indexed(&idb);
-        let (base_table, base_stats, base_ledger) = execute_inner(&phys, store, 1, 1).unwrap();
-        assert_eq!(base_table.rows().len(), 5_200);
-        assert_eq!(base_ledger.resident(), 0);
-
-        for threads in [2usize, 4, 8] {
-            for round in 0..5 {
-                let (table, stats, ledger) = execute_inner(&phys, store, threads, 1).unwrap();
-                let run = format!("{threads} threads, round {round}");
-                assert_eq!(table.rows(), base_table.rows(), "rows or row order, {run}");
-                assert!(
-                    stats.same_data_access(&base_stats),
-                    "data access, {run}: {stats} vs {base_stats}"
-                );
-                assert_eq!(stats.values_cloned, base_stats.values_cloned, "{run}");
-                assert_eq!(ledger.resident(), 0, "residency leaked, {run}");
-            }
-        }
     }
 
     #[test]

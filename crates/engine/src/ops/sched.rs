@@ -1,13 +1,14 @@
 //! The pipeline-DAG driver: one job queue, one job-running loop, whoever owns the
 //! threads.
 //!
-//! The unit of work is a [`Job`]: either one [`bea_core::plan::Pipeline`] (a
-//! materialization point plus the streaming region feeding it) or one morsel of a
-//! split pipeline. A pipeline is *ready* when every pipeline it scans (its exchange
-//! edges) has completed. A [`Pool`] holds the ready jobs of every admitted query in
-//! one queue behind one mutex, and [`Pool::run_claimed`] is the only code that runs a
-//! job: split, execute with the running thread's [`ExecState`] (operator trees never
-//! cross threads) against the query's [`ResidencyLedger`], fold the counters in with
+//! The unit of work is a job: one whole [`bea_core::plan::Pipeline`] (a
+//! materialization point plus the streaming region feeding it), named by its index in
+//! the query's DAG. Nothing splits a pipeline. A pipeline is *ready* when every
+//! pipeline it scans (its exchange edges) has completed. A [`Pool`] holds the ready
+//! jobs of every admitted query in one queue behind one mutex, and
+//! [`Pool::run_claimed`] is the only code that runs a job: execute with the running
+//! thread's [`ExecState`] (operator trees never cross threads) against the query's
+//! [`ResidencyLedger`], fold the counters in with
 //! [`AccessStats::merge_concurrent`], unlock dependents, retire the query and put its
 //! outcome where its owner waits. A query runs a [`Prepared`] plan in place — the
 //! plan, its DAG and its pool cap shared by every run of a template, the run's own
@@ -17,7 +18,7 @@
 //! * a solo execution ([`super::execute`]) builds a pool on its caller's stack,
 //!   submits its one query, and the calling thread runs [`Pool::join`] — the helping
 //!   wait — beside scoped helpers running [`Pool::worker_loop`]; with one thread (or
-//!   one pipeline) there are no helpers, no scope and no wait;
+//!   a DAG one pipeline wide) there are no helpers, no scope and no wait;
 //! * a [`crate::session::Session`] keeps one pool for its lifetime, persistent
 //!   threads in [`Pool::worker_loop`], and every thread waiting for a query's answer
 //!   in [`Pool::join`]. The admission limits and the fetch cache are the session's;
@@ -29,27 +30,9 @@
 //! for the outcome when none is ready (they are running elsewhere, or the query is
 //! still queued for headroom).
 //!
-//! # Morsel splitting
+//! # Wake-ups
 //!
-//! When a thread claims a pipeline whose region is morsel-splittable
-//! ([`bea_core::plan::Pipeline::morsel_source`]), it first tries to cut the source
-//! materialization into morsels — groups of consecutive whole batches totalling at
-//! least the configured morsel size (see [`super::morsel`]). If more than one morsel
-//! results, it registers the split, enqueues the other morsels (waking one worker per
-//! extra job), and runs the first morsel itself. Each morsel re-instantiates the
-//! pipeline's operator chain over its batch range; the split's keyed lookups share
-//! per-step [`SharedLookupCache`]s so every distinct key is fetched exactly once. The
-//! thread whose morsel completes the split *finalizes* it: the per-morsel outputs are
-//! concatenated in morsel order (making the published materialization batch-for-batch
-//! identical to the unsplit pipeline's), the shared caches' rows are released, and the
-//! split's single consumer claim on the source materialization is retired — mirroring
-//! [`super::source::ScanOp`]'s last-consumer protocol.
-//!
-//! # Affinity and wake-ups
-//!
-//! [`pick_ready`] gives a worker first a morsel of the query and pipeline it just
-//! worked on (its warmed split), then the queue front. Affinity only reorders the
-//! ready queue — which jobs run, and what they compute, is unchanged. Pipelines know
+//! A worker takes the queue front, whichever query it belongs to. Pipelines know
 //! nothing of shards: the store routes every key at run time.
 //!
 //! One wake-up rule: *a thread that is about to look at the queue itself is not sent a
@@ -61,14 +44,12 @@
 //!
 //! Scheduling affects only timing: every pipeline computes a function of its completed
 //! sources, so the output table, and every data-access counter, are identical at any
-//! thread count, morsel size and interleaving.
+//! thread count and interleaving.
 
-use super::batch::Batch;
 use super::fetch::FetchStep;
-use super::morsel::{lookup_steps_in_region, morsel_ranges, MorselCtx, SharedLookupCache};
 use super::{
-    pool_cap_for, run_morsel, run_pipeline, BufferPool, ExecState, JobCtx, MatNode,
-    ResidencyLedger, SharedMat, SharedState,
+    pool_cap_for, run_pipeline, BufferPool, ExecState, JobCtx, ResidencyLedger, SharedMat,
+    SharedState,
 };
 use crate::cache::SessionFetchCache;
 use crate::stats::AccessStats;
@@ -79,66 +60,9 @@ use bea_core::value::{Row, Value};
 use bea_storage::Store;
 use std::any::Any;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// The immutable description of one split pipeline, shared by its morsel jobs.
-pub(crate) struct MorselWork {
-    /// The pipeline's index in the DAG.
-    pub(crate) pipeline: usize,
-    /// The materialized source step whose batches the morsels replay.
-    pub(crate) source: usize,
-    /// Snapshot of the source's batches. Morsels are ranges of *whole* batches, so
-    /// every per-batch charge the chain makes is identical under any grouping.
-    pub(crate) batches: Arc<Vec<Batch>>,
-    /// Disjoint `[start, end)` ranges over `batches`, one per morsel.
-    pub(crate) ranges: Vec<(usize, usize)>,
-    /// Per-lookup-step caches shared by all morsels of this split.
-    pub(crate) caches: Arc<BTreeMap<usize, Arc<SharedLookupCache>>>,
-}
-
-/// Completion state of one split, guarded by the pool mutex.
-struct SplitState {
-    /// Per-morsel output batches, filled in as morsels land and concatenated in
-    /// morsel order at finalize.
-    results: Vec<Option<Vec<Batch>>>,
-    /// Total output rows across the landed morsels.
-    rows: u64,
-    /// Morsels still in flight.
-    remaining: usize,
-}
-
-impl SplitState {
-    /// A fresh state expecting `morsels` results.
-    fn new(morsels: usize) -> Self {
-        SplitState {
-            results: (0..morsels).map(|_| None).collect(),
-            rows: 0,
-            remaining: morsels,
-        }
-    }
-}
-
-/// One unit of work.
-pub(crate) enum Job {
-    /// A whole pipeline, run unsplit.
-    Pipeline(usize),
-    /// One morsel of a split pipeline; `split` indexes its query's split table.
-    Morsel {
-        work: Arc<MorselWork>,
-        split: usize,
-        index: usize,
-    },
-}
-
-/// The pipeline a job belongs to — the unit affinity reasons about.
-pub(crate) fn job_pipeline(job: &Job) -> usize {
-    match job {
-        Job::Pipeline(pipeline) => *pipeline,
-        Job::Morsel { work, .. } => work.pipeline,
-    }
-}
 
 /// A lowered plan and what every run derives from it alone, worked out once: a
 /// session keeps one per prepared template, a solo run borrows its caller's plan.
@@ -221,94 +145,14 @@ impl<'p> QueryShared<'p> {
     }
 }
 
-/// Cut pipeline `p`'s source materialization into morsels, when it is splittable and
-/// worth it. Returns `None` — run the pipeline unsplit — when the pipeline has no
-/// morsel source, splitting is disabled (`morsel_rows == usize::MAX`), or the source
-/// holds at most one morsel's worth of batches.
-fn try_split(shared: &QueryShared<'_>, p: usize, morsel_rows: usize) -> Option<MorselWork> {
-    let pipeline = &shared.prepared.dag.pipelines()[p];
-    let source = pipeline.morsel_source?;
-    if morsel_rows == usize::MAX {
-        return None;
-    }
-    let (batches, ranges) = {
-        let node = shared.mats[source]
-            .get()
-            .expect("a pipeline's sources complete before it is ready")
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let batches =
-            (node.batches.as_ref()).expect("a source stays materialized while consumers remain");
-        // One batch is one morsel: nothing to cut, and nothing to copy.
-        if batches.len() <= 1 {
-            return None;
-        }
-        let ranges = morsel_ranges(batches, morsel_rows);
-        if ranges.len() <= 1 {
-            return None;
-        }
-        (batches.clone(), ranges)
-    };
-    let caches: BTreeMap<usize, Arc<SharedLookupCache>> =
-        lookup_steps_in_region(&shared.prepared.plan, pipeline.sink)
-            .into_iter()
-            .map(|step| (step, Arc::new(SharedLookupCache::new())))
-            .collect();
-    Some(MorselWork {
-        pipeline: p,
-        source,
-        batches: Arc::new(batches),
-        ranges,
-        caches: Arc::new(caches),
-    })
-}
-
-/// The split's last morsel landed: publish the concatenated result as the pipeline's
-/// materialization, release the shared caches' rows, and retire the split's single
-/// consumer claim on the source materialization — exactly once for the whole split,
-/// mirroring [`super::source::ScanOp`]'s last-consumer protocol.
-fn finalize_split(shared: &QueryShared<'_>, state: SplitState, work: &MorselWork) {
-    let sink = shared.prepared.dag.pipelines()[work.pipeline].sink;
-    let batches: Vec<Batch> = state
-        .results
-        .into_iter()
-        .flat_map(|result| {
-            result.expect("every morsel stores its result before the split finalizes")
-        })
-        .collect();
-    let node = Arc::new(Mutex::new(MatNode {
-        batches: Some(batches),
-        rows: state.rows,
-        remaining: shared.prepared.plan.steps()[sink].consumers,
-    }));
-    if shared.mats[sink].set(node).is_err() {
-        unreachable!("each pipeline is executed exactly once");
-    }
-    // The shared caches die with the split: their fills acquired these rows.
-    for cache in work.caches.values() {
-        shared.ledger.release(cache.rows());
-    }
-    let mut source = shared.mats[work.source]
-        .get()
-        .expect("the split's source completed before the split started")
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    source.remaining -= 1;
-    if source.remaining == 0 {
-        source.batches = None;
-        shared.ledger.release(source.rows);
-    }
-}
-
-/// What one job produced: `None` for a whole pipeline (its result is published into
-/// the query's slots by the run), `Some((batches, rows))` for a morsel (buffered until
-/// its split finalizes) — paired with the job's private access counters. The outer
+/// What one job produced — its result is published into the query's slots by the
+/// run — paired with the job's private access counters. The outer
 /// [`std::thread::Result`] carries a caught panic.
-type JobOutcome = std::thread::Result<(Result<Option<(Vec<Batch>, u64)>>, AccessStats)>;
+type JobOutcome = std::thread::Result<(Result<()>, AccessStats)>;
 
-/// Execute one [`Job`] with the running thread's [`ExecState`] — counters stay private
-/// to the job, residency goes through the query's ledger — catching panics on the
-/// running thread. An uncaught panic would kill a worker without a wakeup, stranding
+/// Execute pipeline `pipeline` with the running thread's [`ExecState`] — counters stay
+/// private to the job, residency goes through the query's ledger — catching panics on
+/// the running thread. An uncaught panic would kill a worker without a wakeup, stranding
 /// the others on the condvar, and poison any `MatNode` lock it held — turning one bad
 /// operator into an opaque secondary panic elsewhere. The unwind still runs the
 /// operator drops inside the catch, so residency is released before the payload is
@@ -317,7 +161,7 @@ fn execute_job(
     shared: &QueryShared<'_>,
     store: Store<'_>,
     state: &SharedState,
-    job: &Job,
+    pipeline: usize,
 ) -> JobOutcome {
     catch_unwind(AssertUnwindSafe(|| {
         let run = JobCtx {
@@ -327,20 +171,8 @@ fn execute_job(
             state,
             mats: &shared.mats,
         };
-        let sink = shared.prepared.dag.pipelines()[job_pipeline(job)].sink;
-        let result = match job {
-            Job::Pipeline(_) => run_pipeline(run, sink).map(|()| None),
-            Job::Morsel { work, index, .. } => {
-                let ctx = MorselCtx {
-                    source: work.source,
-                    batches: Arc::clone(&work.batches),
-                    range: work.ranges[*index],
-                    caches: Arc::clone(&work.caches),
-                    report: *index == 0,
-                };
-                run_morsel(run, sink, &ctx).map(Some)
-            }
-        };
+        let sink = shared.prepared.dag.pipelines()[pipeline].sink;
+        let result = run_pipeline(run, sink);
         (result, std::mem::take(&mut state.borrow_mut().stats))
     }))
 }
@@ -358,8 +190,6 @@ struct ActiveQuery<'p> {
     shared: Arc<QueryShared<'p>>,
     /// Remaining incomplete dependencies per pipeline.
     deps_left: Vec<usize>,
-    /// Completion state per registered split.
-    splits: Vec<Option<SplitState>>,
     /// Completed pipelines.
     completed: usize,
     /// This query's jobs currently executing.
@@ -387,8 +217,8 @@ struct PendingQuery<'p> {
 
 /// The pool's shared state, guarded by one mutex.
 pub(crate) struct PoolState<'p> {
-    /// Ready jobs, across all admitted queries, tagged with their query's id.
-    ready: VecDeque<(u64, Job)>,
+    /// Ready jobs, across all admitted queries: (query id, pipeline).
+    ready: VecDeque<(u64, usize)>,
     /// Admitted queries: a short list (the budget and the asking threads keep it so)
     /// whose capacity outlives them.
     active: Vec<ActiveQuery<'p>>,
@@ -422,8 +252,6 @@ pub(crate) struct Counters {
 pub(crate) struct Pool<'p> {
     state: Mutex<PoolState<'p>>,
     work: Condvar,
-    /// Target rows per morsel; `usize::MAX` never splits.
-    morsel_rows: usize,
     /// The ceiling on the sum of admitted queries' fetch bounds (`None` = unlimited).
     pub(crate) budget: Option<u64>,
     /// The fetch cache every job's operators probe, when there is one.
@@ -452,7 +280,7 @@ fn admit<'p>(state: &mut PoolState<'p>, id: u64, shared: Arc<QueryShared<'p>>) -
     let mut added = 0;
     for (pipeline, &deps) in deps_left.iter().enumerate() {
         if deps == 0 {
-            state.ready.push_back((id, Job::Pipeline(pipeline)));
+            state.ready.push_back((id, pipeline));
             added += 1;
         }
     }
@@ -460,7 +288,6 @@ fn admit<'p>(state: &mut PoolState<'p>, id: u64, shared: Arc<QueryShared<'p>>) -
         id,
         shared,
         deps_left,
-        splits: Vec::new(),
         completed: 0,
         running: 0,
         failure: None,
@@ -486,32 +313,17 @@ pub(crate) fn drain_pending(state: &mut PoolState<'_>, budget: Option<u64>) -> u
     }
 }
 
-/// Pop the next job for a worker whose previous job belonged to `last` =
-/// `(query, pipeline)`: first a morsel of the same query's same pipeline (the split
-/// whose cache and batches this worker has warm), then the queue front. Pure queue
-/// reordering — every ready job still runs exactly once.
-fn pick_ready(ready: &mut VecDeque<(u64, Job)>, last: Option<(u64, usize)>) -> Option<(u64, Job)> {
-    let position = last
-        .and_then(|last| {
-            ready
-                .iter()
-                .position(|(id, job)| (*id, job_pipeline(job)) == last)
-        })
-        .unwrap_or(0);
-    ready.remove(position)
-}
-
 /// Pop the next job for the thread waiting on query `id`: that query's ready job of
-/// the lowest-numbered pipeline (the first queued among a split's morsels). Pipelines
-/// are numbered topologically, so a caller running alone executes them in step order.
-fn pick_own(ready: &mut VecDeque<(u64, Job)>, id: u64) -> Option<(u64, Job)> {
+/// the lowest-numbered pipeline. Pipelines are numbered topologically, so a caller
+/// running alone executes them in step order.
+fn pick_own(ready: &mut VecDeque<(u64, usize)>, id: u64) -> Option<usize> {
     let position = ready
         .iter()
         .enumerate()
         .filter(|(_, (owner, _))| *owner == id)
-        .min_by_key(|(_, (_, job))| job_pipeline(job))
+        .min_by_key(|(_, (_, pipeline))| *pipeline)
         .map(|(position, _)| position)?;
-    ready.remove(position)
+    ready.remove(position).map(|(_, pipeline)| pipeline)
 }
 
 /// Decrement the dependency counts of `pipeline`'s dependents within one query,
@@ -520,13 +332,13 @@ fn unlock_dependents(
     query: &mut ActiveQuery<'_>,
     id: u64,
     pipeline: usize,
-    ready: &mut VecDeque<(u64, Job)>,
+    ready: &mut VecDeque<(u64, usize)>,
 ) -> usize {
     let mut added = 0;
     for &dependent in query.shared.prepared.dag.dependents(pipeline) {
         query.deps_left[dependent] -= 1;
         if query.deps_left[dependent] == 0 {
-            ready.push_back((id, Job::Pipeline(dependent)));
+            ready.push_back((id, dependent));
             added += 1;
         }
     }
@@ -599,12 +411,8 @@ fn claim<'p>(queries: &mut [ActiveQuery<'p>], id: u64) -> Arc<QueryShared<'p>> {
 }
 
 impl<'p> Pool<'p> {
-    /// An idle pool: no query, no thread. `morsel_rows == usize::MAX` never splits.
-    pub(crate) fn new(
-        morsel_rows: usize,
-        budget: Option<u64>,
-        cache: Option<Arc<SessionFetchCache>>,
-    ) -> Self {
+    /// An idle pool: no query, no thread.
+    pub(crate) fn new(budget: Option<u64>, cache: Option<Arc<SessionFetchCache>>) -> Self {
         Pool {
             state: Mutex::new(PoolState {
                 ready: VecDeque::new(),
@@ -617,7 +425,6 @@ impl<'p> Pool<'p> {
                 shutdown: false,
             }),
             work: Condvar::new(),
-            morsel_rows,
             budget,
             cache,
         }
@@ -685,18 +492,16 @@ impl<'p> Pool<'p> {
         self.work.notify_all();
     }
 
-    /// Claim any query's next job (with affinity) and run it against `store`, until
-    /// the pool is shut down and fully drained.
+    /// Claim the queue front's job, whichever query it belongs to, and run it against
+    /// `store`, until the pool is shut down and fully drained.
     pub(crate) fn worker_loop(&self, store: Store<'_>) {
-        // The (query, pipeline) of this worker's previous job — its affinity.
-        let mut last: Option<(u64, usize)> = None;
         loop {
-            let (id, job, shared) = {
+            let (id, pipeline, shared) = {
                 let mut guard = self.lock_state();
                 loop {
                     let state = &mut *guard;
-                    if let Some((id, job)) = pick_ready(&mut state.ready, last) {
-                        break (id, job, claim(&mut state.active, id));
+                    if let Some((id, pipeline)) = state.ready.pop_front() {
+                        break (id, pipeline, claim(&mut state.active, id));
                     }
                     if state.shutdown && state.active.is_empty() && state.pending.is_empty() {
                         return;
@@ -707,8 +512,7 @@ impl<'p> Pool<'p> {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            last = Some((id, job_pipeline(&job)));
-            self.run_claimed(store, id, job, &shared, Runner::Worker);
+            self.run_claimed(store, id, pipeline, &shared, Runner::Worker);
         }
     }
 
@@ -730,10 +534,13 @@ impl<'p> Pool<'p> {
             let claimed = {
                 let mut guard = self.lock_state();
                 let state = &mut *guard;
-                pick_own(&mut state.ready, id).map(|(id, job)| (job, claim(&mut state.active, id)))
+                pick_own(&mut state.ready, id)
+                    .map(|pipeline| (pipeline, claim(&mut state.active, id)))
             };
             match claimed {
-                Some((job, shared)) => self.run_claimed(store, id, job, &shared, Runner::Caller),
+                Some((pipeline, shared)) => {
+                    self.run_claimed(store, id, pipeline, &shared, Runner::Caller)
+                }
                 None => break query.outcome(true).expect("waited for"),
             }
         };
@@ -744,9 +551,9 @@ impl<'p> Pool<'p> {
         }
     }
 
-    /// Run one claimed job of query `id` to the end on the current thread: split a
-    /// freshly claimed splittable pipeline into morsels, execute with a per-job private
-    /// state, fold the outcome into the query's bookkeeping, unlock its dependents, and
+    /// Run one claimed pipeline of query `id` to the end on the current thread: execute
+    /// with a per-job private state, fold the outcome into the query's bookkeeping,
+    /// unlock its dependents, and
     /// — when that was its last job — retire the query, admit whatever the freed
     /// headroom lets in, and deliver the outcome. The one place a job runs; `runner`
     /// only decides which counter the job lands in and whether a wake-up is withheld
@@ -755,45 +562,13 @@ impl<'p> Pool<'p> {
         &self,
         store: Store<'_>,
         id: u64,
-        job: Job,
+        pipeline: usize,
         shared: &QueryShared<'p>,
         runner: Runner,
     ) {
-        // Cut a splittable pipeline, enqueue the other morsels (waking one worker per
-        // extra job), and run the first morsel in this claim's place.
-        let job = match job {
-            Job::Pipeline(pipeline) => match try_split(shared, pipeline, self.morsel_rows) {
-                Some(work) => {
-                    let work = Arc::new(work);
-                    let morsels = work.ranges.len();
-                    let split = {
-                        let mut guard = self.lock_state();
-                        let state = &mut *guard;
-                        let query = active(&mut state.active, id);
-                        let split = query.splits.len();
-                        query.splits.push(Some(SplitState::new(morsels)));
-                        for index in 1..morsels {
-                            let work = Arc::clone(&work);
-                            state
-                                .ready
-                                .push_back((id, Job::Morsel { work, split, index }));
-                        }
-                        split
-                    };
-                    self.wake_workers(morsels - 1);
-                    Job::Morsel {
-                        work,
-                        split,
-                        index: 0,
-                    }
-                }
-                None => Job::Pipeline(pipeline),
-            },
-            morsel => morsel,
-        };
         let pool_cap = shared.prepared.pool_cap;
         let job_state = ExecState::claim(&shared.ledger, pool_cap, self.cache.as_ref());
-        let outcome = execute_job(shared, store, &job_state, &job);
+        let outcome = execute_job(shared, store, &job_state, pipeline);
 
         let mut guard = self.lock_state();
         let state = &mut *guard;
@@ -807,33 +582,14 @@ impl<'p> Pool<'p> {
         match outcome {
             // Successful job of a healthy query: fold its counters in and advance the
             // query's DAG.
-            Ok((Ok(output), stats)) if query.failure.is_none() => {
+            Ok((Ok(()), stats)) if query.failure.is_none() => {
                 query.stats.merge_concurrent(stats);
                 let fetch =
                     |step| FetchStep::of(&shared.prepared.plan, step).expect("only fetches fetch");
                 let relation = |step| fetch(step).relation;
                 (job_state.borrow_mut().fetched).drain_into(&mut query.stats, relation);
-                match (&job, output) {
-                    (Job::Pipeline(pipeline), _) => {
-                        query.completed += 1;
-                        added += unlock_dependents(query, id, *pipeline, &mut state.ready);
-                    }
-                    (Job::Morsel { work, split, index }, Some((batches, rows))) => {
-                        let landed = query.splits[*split]
-                            .as_mut()
-                            .expect("a split stays registered until its last morsel lands");
-                        landed.results[*index] = Some(batches);
-                        landed.rows += rows;
-                        landed.remaining -= 1;
-                        if landed.remaining == 0 {
-                            let landed = query.splits[*split].take().expect("checked above");
-                            finalize_split(shared, landed, work);
-                            query.completed += 1;
-                            added += unlock_dependents(query, id, work.pipeline, &mut state.ready);
-                        }
-                    }
-                    _ => unreachable!("job kinds and outputs always pair up"),
-                }
+                query.completed += 1;
+                added += unlock_dependents(query, id, pipeline, &mut state.ready);
             }
             // A job landing on an already-failed query: its work is discarded; only
             // the running count mattered.
@@ -852,7 +608,6 @@ impl<'p> Pool<'p> {
         let done = query.completed == shared.prepared.dag.len();
         let failed = query.failure.is_some();
         if failed {
-            // Also drops morsels a split registered after the failure re-enqueued.
             state.ready.retain(|(owner, _)| *owner != id);
         }
         let mut retired: Option<ActiveQuery<'p>> = None;
@@ -893,13 +648,12 @@ impl<'p> Pool<'p> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn worker_panic_propagates_cleanly_instead_of_deadlocking() {
+        use crate::ops::tests::shared_fetches;
         use crate::ops::{execute_inner, PANIC_RELATION};
         use bea_core::access::{AccessConstraint, AccessSchema};
-        use bea_core::plan::{lower_plan_with, LowerOptions, PlanBuilder};
+        use bea_core::plan::lower_plan;
         use bea_core::value::Value;
         use bea_storage::{Database, IndexedDatabase};
 
@@ -917,35 +671,12 @@ mod tests {
             .unwrap();
         let idb = IndexedDatabase::build(db, schema).unwrap();
 
-        // Two independent branches, so several workers are live at once: a healthy
+        // Two independent pipelines, so several workers are live at once: a healthy
         // fetch of R, and a fetch of the injection relation whose operator panics on
         // its first pull.
-        let mut b = PlanBuilder::new();
-        let k1 = b.constant(Value::int(1), "k");
-        let healthy = b.fetch(
-            k1,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let k2 = b.constant(Value::int(1), "k");
-        let panicking = b.fetch(
-            k2,
-            vec![0],
-            PANIC_RELATION,
-            vec![0],
-            vec![1],
-            1,
-            vec!["a".into(), "b".into()],
-        );
-        let out = b.union(healthy, panicking);
-        let plan = b.finish("Q", out).unwrap();
-        let phys =
-            lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true)).unwrap();
-        assert!(phys.pipeline_dag().len() >= 3);
+        let plan = shared_fetches(&[("R", 0, 1), (PANIC_RELATION, 1, 1)]);
+        let phys = lower_plan(&plan).unwrap();
+        assert_eq!(phys.pipeline_dag().parallel_width(), 2);
 
         // Before the fix this deadlocked: the panicking worker died without a
         // wakeup, stranding the other workers in the condvar wait, and any
@@ -953,12 +684,7 @@ mod tests {
         // lock" panic on whichever worker touched it next. Now the original payload
         // must reach the caller.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_inner(
-                &phys,
-                bea_storage::Store::Indexed(&idb),
-                4,
-                crate::exec::DEFAULT_MORSEL_ROWS,
-            )
+            execute_inner(&phys, bea_storage::Store::Indexed(&idb), 4)
         }));
         let payload = outcome.expect_err("the injected panic must propagate to the caller");
         let message = payload
@@ -973,53 +699,6 @@ mod tests {
         );
     }
 
-    /// A morsel job of query `query`'s pipeline `pipeline` with trivial (empty) work,
-    /// for queue tests that only exercise [`pick_ready`]'s ordering.
-    fn morsel_job(query: u64, pipeline: usize, index: usize) -> (u64, Job) {
-        let work = Arc::new(MorselWork {
-            pipeline,
-            source: 0,
-            batches: Arc::new(Vec::new()),
-            ranges: vec![(0, 1), (1, 2)],
-            caches: Arc::new(BTreeMap::new()),
-        });
-        let split = 0;
-        (query, Job::Morsel { work, split, index })
-    }
-
-    #[test]
-    fn morsel_stealing_finishes_the_warm_split_before_the_queue_front() {
-        // Query 0's pipelines 0 and 1 are both split into morsels, and its pipeline 2
-        // is whole; query 1's pipeline 1 carries the same pipeline number.
-        let mut ready: VecDeque<(u64, Job)> = VecDeque::new();
-        ready.push_back(morsel_job(1, 1, 0));
-        ready.push_back(morsel_job(0, 0, 0));
-        ready.push_back(morsel_job(0, 1, 0));
-        ready.push_back(morsel_job(0, 1, 1));
-        ready.push_back((0, Job::Pipeline(2)));
-
-        // A worker fresh off query 0's pipeline 1 keeps eating its own split's morsels
-        // first, even though other morsels — one of them another query's pipeline 1 —
-        // sit at the queue front.
-        let own = Some((0, 1));
-        let (query, job) = pick_ready(&mut ready, own).unwrap();
-        assert!(matches!(&job, Job::Morsel { work, index: 0, .. } if work.pipeline == 1));
-        assert_eq!(query, 0);
-        let (query, job) = pick_ready(&mut ready, own).unwrap();
-        assert!(matches!(&job, Job::Morsel { work, index: 1, .. } if work.pipeline == 1));
-        assert_eq!(query, 0);
-        // Its split exhausted: only now does it take the front — another query's.
-        let (query, job) = pick_ready(&mut ready, own).unwrap();
-        assert!(matches!(&job, Job::Morsel { work, .. } if work.pipeline == 1));
-        assert_eq!(query, 1);
-        // A worker with no warm split takes the queue in FIFO order.
-        let (_, job) = pick_ready(&mut ready, None).unwrap();
-        assert!(matches!(&job, Job::Morsel { work, .. } if work.pipeline == 0));
-        let (_, job) = pick_ready(&mut ready, None).unwrap();
-        assert_eq!(job_pipeline(&job), 2);
-        assert!(pick_ready(&mut ready, None).is_none());
-    }
-
     #[test]
     fn no_worker_is_stranded_by_counted_wakeups() {
         // A fan-out of independent branches plus a dependent output pipeline, run
@@ -1027,8 +706,9 @@ mod tests {
         // completion ever under-notified, a worker would sleep forever with ready
         // jobs in the queue and this test would hang rather than fail.
         use crate::ops::execute_inner;
+        use crate::ops::tests::shared_fetches;
         use bea_core::access::{AccessConstraint, AccessSchema};
-        use bea_core::plan::{lower_plan_with, LowerOptions, PlanBuilder, Predicate};
+        use bea_core::plan::lower_plan;
         use bea_core::value::Value;
         use bea_storage::{Database, IndexedDatabase};
 
@@ -1046,40 +726,14 @@ mod tests {
         .unwrap();
         let idb = IndexedDatabase::build(db, schema).unwrap();
 
-        let mut b = PlanBuilder::new();
-        let mut acc = None;
-        for key in 1..=4 {
-            let k = b.constant(Value::int(key), "k");
-            let f = b.fetch(
-                k,
-                vec![0],
-                "R",
-                vec![0],
-                vec![1],
-                0,
-                vec!["a".into(), "b".into()],
-            );
-            let p = b.product(k, f);
-            let s = b.select(p, vec![Predicate::ColEqCol(0, 1)]);
-            acc = Some(match acc {
-                None => s,
-                Some(prev) => b.union(prev, s),
-            });
-        }
-        let plan = b.finish("Q", acc.unwrap()).unwrap();
-        let phys =
-            lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true)).unwrap();
-        assert!(phys.pipeline_dag().len() >= 5);
+        let phys = lower_plan(&shared_fetches(&[("R", 0, 1), ("R", 0, 2), ("R", 0, 3)])).unwrap();
+        let dag = phys.pipeline_dag();
+        assert_eq!((dag.len(), dag.parallel_width()), (4, 3));
 
         let mut baseline = None;
         for _ in 0..25 {
-            let (table, stats, ledger) = execute_inner(
-                &phys,
-                bea_storage::Store::Indexed(&idb),
-                8,
-                crate::exec::DEFAULT_MORSEL_ROWS,
-            )
-            .unwrap();
+            let (table, stats, ledger) =
+                execute_inner(&phys, bea_storage::Store::Indexed(&idb), 8).unwrap();
             assert_eq!(ledger.resident(), 0);
             let fingerprint = (table.rows().to_vec(), stats.tuples_fetched);
             match &baseline {
@@ -1132,13 +786,8 @@ mod tests {
         let deps: Vec<&[usize]> = (0..dag.len()).map(|i| dag.dependencies(i)).collect();
         assert_eq!(deps, [&[][..], &[0], &[], &[1, 2]], "\n{phys}");
 
-        let (table, stats, ledger) = execute_inner(
-            &phys,
-            bea_storage::Store::Indexed(&idb),
-            1,
-            crate::exec::DEFAULT_MORSEL_ROWS,
-        )
-        .unwrap();
+        let (table, stats, ledger) =
+            execute_inner(&phys, bea_storage::Store::Indexed(&idb), 1).unwrap();
         assert!(table.is_empty());
         assert_eq!(ledger.resident(), 0);
         // Step order peaks inside pipeline 1 at 2 · 4 rows, with nothing else resident

@@ -5,10 +5,10 @@
 //! for one query and tears it down with the call. A [`Session`] is that same pool kept
 //! alive: it owns the store (behind an `Arc`), a set of persistent worker threads, the
 //! admission limits and the fetch cache, and [`Session::submit`] hands the pool
-//! queries whose pipelines and morsels *interleave* in its one job queue. The contract:
+//! queries whose pipelines *interleave* in its one job queue. The contract:
 //!
 //! * **Isolation** — every query executes against its own materialization slots,
-//!   residency ledger, split table and [`AccessStats`]; the only state queries share
+//!   residency ledger and [`AccessStats`]; the only state queries share
 //!   is the store (immutable) and the workers' time. A query's rows, row order and
 //!   every deterministic access counter are *identical* to a solo
 //!   [`crate::exec::execute_plan_on`] run of the same plan — it is the same code
@@ -18,9 +18,9 @@
 //!   panicking operator fails only its own query; the payload is re-raised from
 //!   [`QueryHandle::wait`] / [`Session::run`], on that query's caller only.
 //! * **One way in** — a submission is two halves. [`Session::prepare`] is the
-//!   value-free one: lower the logical plan with this session's thread count (one
-//!   plan at any shard count, keys routed at run time), validate it against the
-//!   store, derive its [`CostTicket`]. None of that
+//!   value-free one: lower the logical plan (one plan at any thread and shard count,
+//!   keys routed at run time), validate it against the store, derive its
+//!   [`CostTicket`]. None of that
 //!   reads a constant's value and the store is immutable, so a [`PreparedPlan`] made
 //!   from a template — [`bea_core::value::Value::placeholder`]s where the constants go
 //!   — is good for every request of that shape: validation, pricing, the pipeline DAG
@@ -43,27 +43,26 @@
 //!   [`AdmissionStats::peak_admitted_bound`]). An optional allocation-surface cap
 //!   ([`SessionConfig::with_max_alloc_surface`]) additionally vetoes plans that
 //!   would allocate on the per-probe hot path beyond the cap.
-//! * **Scheduling** — a query's jobs (pipelines, and morsels of split pipelines) sit in
-//!   one ready queue, and two kinds of thread may run them. A *pool worker* takes any
-//!   query's job, with affinity: first another morsel of the *same query's same
-//!   pipeline* (its warmed split), then the queue front. A *caller* — the thread inside
+//! * **Scheduling** — a query's jobs (its whole pipelines; nothing splits one) sit in
+//!   one ready queue, and two kinds of thread may run them. A *pool worker* takes the
+//!   queue front, whichever query it belongs to. A *caller* — the thread inside
 //!   [`Session::run`] or [`QueryHandle::wait`] — takes ready jobs of **its own query
 //!   only**, and blocks for the outcome when none is ready (they are on workers, or the
 //!   query is still queued for headroom; workers then run it). Both go through the
-//!   pool's one `run_claimed`: split, execute, fold the outcome, unlock dependents,
-//!   retire. A
-//!   width-1 query (a point lookup's chained pipelines) therefore runs start to finish
-//!   on the thread that asked for it; a wide or morsel-split query still fans out,
-//!   because every job beyond the one the running thread will take itself is announced
-//!   to the pool. That is the one wake-up rule: *a thread that is about to look at the
-//!   queue itself is not sent a wake-up* — `run` withholds one for its caller, a
-//!   finished job withholds one for the thread that finished it, every other new job
-//!   wakes exactly one worker, and only shutdown broadcasts. [`SessionConfig::threads`]
-//!   counts pool workers; callers execute in addition to them, so the number of
-//!   threads inside operators is bounded by workers plus connections — the fetch budget
-//!   remains the only bound on concurrent data volume. Splittable pipelines cut into
-//!   morsels exactly as in a multi-threaded solo run, and who runs a job never changes
-//!   what it computes.
+//!   pool's one `run_claimed`: execute, fold the outcome, unlock dependents, retire. A
+//!   width-1 query (every single-pipeline plan, a chain of pipelines) therefore runs
+//!   start to finish on the thread that asked for it; the independent pipelines of a
+//!   wider query still fan out, because every job beyond the one the running thread
+//!   will take itself is announced to the pool. That is the one wake-up rule: *a
+//!   thread that is about to look at the queue itself is not sent a wake-up* — `run`
+//!   withholds one for its caller, a finished job withholds one for the thread that
+//!   finished it, every other new job wakes exactly one worker, and only shutdown
+//!   broadcasts. [`SessionConfig::threads`] counts pool workers; callers execute in
+//!   addition to them, so the number of threads inside operators is bounded by
+//!   workers plus connections — the fetch budget remains the only bound on concurrent
+//!   data volume. Parallelism is across queries and across independent pipelines, so a
+//!   single query never runs on more threads than its DAG is wide, and who runs a job
+//!   never changes what it computes.
 //!
 //! [`Session::shutdown`] (or drop) drains every admitted and queued query before the
 //! workers exit, so no accepted query is ever abandoned.
@@ -74,7 +73,7 @@ use crate::ops::validate_for;
 use crate::stats::AccessStats;
 use crate::table::Table;
 use bea_core::error::{Error, Result};
-use bea_core::plan::{lower_plan_with, CostTicket, LowerOptions, PhysicalPlan, QueryPlan};
+use bea_core::plan::{lower_plan, CostTicket, PhysicalPlan, QueryPlan};
 use bea_core::value::Value;
 use bea_storage::{IndexedDatabase, ShardedDatabase, Store};
 use std::borrow::Cow;
@@ -151,7 +150,7 @@ impl From<ShardedDatabase> for SharedStore {
     }
 }
 
-/// Options controlling a [`Session`]: pool size, morsel size, and the admission
+/// Options controlling a [`Session`]: pool size and the admission
 /// controller's limits. `#[non_exhaustive]`, same pattern as
 /// [`crate::exec::ExecOptions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -161,9 +160,6 @@ pub struct SessionConfig {
     /// [`crate::exec::ExecOptions::threads`]: `BEA_THREADS`, else available
     /// parallelism.
     pub threads: usize,
-    /// Target rows per morsel, resolved like
-    /// [`crate::exec::ExecOptions::morsel_size`] (`BEA_MORSELS`, else the default).
-    pub morsel_size: usize,
     /// Aggregate fetch budget: the ceiling on the sum of admitted queries' fetch
     /// bounds. `0` (the default) resolves automatically: [`FETCH_BUDGET_ENV`] if
     /// set, otherwise unlimited.
@@ -188,12 +184,6 @@ impl SessionConfig {
     /// Set the worker-thread count (0 = automatic).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Set the target rows per morsel (0 = automatic).
-    pub fn with_morsel_size(mut self, morsel_size: usize) -> Self {
-        self.morsel_size = morsel_size;
         self
     }
 
@@ -322,7 +312,7 @@ pub struct AdmissionStats {
     pub peak_admitted_bound: u64,
     /// The effective aggregate fetch budget (`None` = unlimited).
     pub budget: Option<u64>,
-    /// Jobs (pipelines and morsels) executed by the thread waiting for their query —
+    /// Jobs (pipelines) executed by the thread waiting for their query —
     /// inside [`Session::run`] or [`QueryHandle::wait`].
     pub jobs_run_by_callers: u64,
     /// Jobs executed by the pool's worker threads.
@@ -430,15 +420,12 @@ impl Session {
     /// Start a session over `store` with `config`'s pool and admission settings.
     /// Spawns the worker threads immediately; they idle until a query is admitted.
     pub fn new(store: impl Into<SharedStore>, config: SessionConfig) -> Self {
-        let exec = crate::exec::ExecOptions::new()
-            .with_threads(config.threads)
-            .with_morsel_size(config.morsel_size);
+        let exec = crate::exec::ExecOptions::new().with_threads(config.threads);
         let inner = Arc::new(SessionInner {
             store: store.into(),
             threads: exec.resolved_threads(),
             max_alloc_surface: (config.max_alloc_surface > 0).then_some(config.max_alloc_surface),
             pool: Pool::new(
-                exec.resolved_morsel_size(),
                 config.resolved_fetch_budget(),
                 config
                     .resolved_cache_budget_rows()
@@ -475,9 +462,9 @@ impl Session {
     }
 
     /// The value-free half of a submission: lower `plan` exactly as
-    /// [`crate::exec::execute_plan_on`] does for this session's thread count (so a
-    /// session run is job-for-job the same physical plan as a solo run — and, keys
-    /// being routed at run time, the same plan at every shard count), validate the
+    /// [`crate::exec::execute_plan_on`] does (so a session run is job-for-job the same
+    /// physical plan as a solo run at any thread count — and, keys being routed at run
+    /// time, the same plan at every shard count), validate the
     /// result against the store, and price it. None of the three looks
     /// at a constant's value, and the store is immutable, so one [`PreparedPlan`]
     /// serves every query that differs from `plan` only in its constants — prepare a
@@ -485,8 +472,7 @@ impl Session {
     /// and hand each request's values to [`Session::run_prepared`].
     pub fn prepare(&self, plan: &QueryPlan) -> Result<PreparedPlan> {
         let store = self.inner.store.store();
-        let lower = LowerOptions::new().with_exchange_parallelism(self.inner.threads > 1);
-        let physical = lower_plan_with(plan, &lower)?;
+        let physical = lower_plan(plan)?;
         validate_for(&physical, store)?;
         let ticket = CostTicket::derive(plan, store.schema(), store.size(), &physical);
         let prepared = Arc::new(Prepared::new(Cow::Owned(physical)));
@@ -632,6 +618,7 @@ mod tests {
     use super::*;
     use crate::exec::{execute_plan_on, ExecOptions};
     use crate::ops::sched::drain_pending;
+    use crate::ops::tests::shared_fetches;
     use bea_core::access::{AccessConstraint, AccessSchema};
     use bea_core::plan::{PlanBuilder, Predicate};
     use bea_core::schema::Catalog;
@@ -784,9 +771,13 @@ mod tests {
     #[test]
     fn concurrent_queries_match_solo_runs() {
         let idb = fixture(6);
+        // Three independent pipelines each, so workers and callers share a query.
         let plans: Vec<QueryPlan> = (0..5)
-            .map(|i| lookup_union(&format!("Q{i}"), &[1 + i, 2 + i, 3 + i]))
+            .map(|i| shared_fetches(&[("R", 0, 1 + i), ("R", 0, 2 + i), ("R", 0, 3 + i)]))
             .collect();
+        assert!(plans
+            .iter()
+            .all(|plan| lower_plan(plan).unwrap().pipeline_dag().parallel_width() == 3));
         let session = Session::new(
             SharedStore::Indexed(Arc::new(fixture(6))),
             SessionConfig::new().with_threads(4),
@@ -1046,8 +1037,7 @@ mod tests {
         session.shutdown();
     }
 
-    /// How many jobs `plan` is at `session`'s lowering (nothing here splits), read
-    /// off a completed run's ticket.
+    /// How many jobs `plan` is, read off a completed run's ticket.
     fn plan_jobs(session: &Session, plan: &QueryPlan) -> u64 {
         let (ticket, result) = session.run(plan).unwrap();
         result.unwrap();
@@ -1163,8 +1153,12 @@ mod tests {
                 panicking_fixture(8),
                 SessionConfig::new().with_threads(2).with_fetch_budget(45),
             );
+            // One pipeline, or two independent ones (two shared fetches).
             let healthy: Vec<QueryPlan> = (0..4)
-                .map(|i| lookup_union(&format!("Q{i}"), &[1 + i, 2 + i]))
+                .map(|i| match i % 2 {
+                    0 => lookup_union(&format!("Q{i}"), &[1 + i, 2 + i]),
+                    _ => shared_fetches(&[("R", 0, 1 + i), ("R", 0, 2 + i)]),
+                })
                 .collect();
             let over_budget = lookup_union("big", &[1, 2, 3, 4, 5]);
             let doomed = doomed_plan();

@@ -34,8 +34,7 @@ pub struct AccessStats {
     /// last consumer is done, so this is the number the materialized-vs-streaming
     /// ablation compares. A keyed lookup holds only the postings of keys that matched
     /// two or more tuples; a single matched tuple is read where it lies in the store
-    /// and counts nothing — except in a morsel split, whose shared cache holds a copy
-    /// of every key's postings until the split's last morsel is done.
+    /// and counts nothing.
     pub peak_rows_resident: u64,
     /// Number of individual [`bea_core::value::Value`] clones the executor physically
     /// performs: gathers into output columns, row copies between step tables, key
@@ -62,7 +61,7 @@ pub struct AccessStats {
     /// miss — each probe gathers its key into one reusable scratch, a miss moves the
     /// scratch's values into the operator's flat memo key columns (where keys can
     /// repeat) and appends multi-tuple postings to its arena value columns, and a
-    /// repeat or a hit in an outer cache tier reads what is already there. So every
+    /// repeat or a session-cache hit reads what is already there. So every
     /// run reports 0, cold and warm. The field stays on the wire (`bead` replies,
     /// `BENCH_pipeline.json`) until the modelled allocation accounting is deleted as a
     /// whole; `tests/alloc_budget.rs` checks the claim against the allocator itself.
@@ -70,10 +69,9 @@ pub struct AccessStats {
     /// Deliberately *excluded* are buffers whose number follows the execution
     /// schedule or the cache configuration rather than the probes: per-batch emission
     /// columns and per-operator arena, key and membership-table columns (pooled,
-    /// growing by doubling; a morsel split runs one operator instance per morsel),
-    /// and the compact copy — with its owned key — a fill claim publishes into a
-    /// cache tier. Counting them would break the thread-, shard- and
-    /// morsel-invariance this counter is asserted to have, and the equality of cold
+    /// growing by doubling), and the compact copy — with its owned key — a fill claim
+    /// publishes into the session cache. Counting them would break the thread- and
+    /// shard-invariance this counter is asserted to have, and the equality of cold
     /// cached and uncached runs. A pool hit still counts — the *demand* is what
     /// the serving loop must avoid. It is a streaming-pipeline metric: the
     /// materialized executor reports 0. Like `values_cloned` it is an

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     plans.push(q0);
 
     // 3. An unlimited session: every query is admitted; one worker pool
-    //    interleaves their pipelines and morsels. Each submitter gets its own
+    //    interleaves their pipelines. Each submitter gets its own
     //    handle and waits for its own table — isolation per query, shared store.
     let session = Session::new(store.clone(), SessionConfig::new().with_threads(4));
     std::thread::scope(|scope| -> Result<(), Box<dyn std::error::Error>> {

@@ -9,14 +9,12 @@
 use bea::core::bounded::{analyze_cq, BoundedConfig, BoundedVerdict};
 use bea::core::cover;
 use bea::core::envelope::{lower_envelope_cq, upper_envelope_cq, EnvelopeConfig};
-use bea::core::plan::{
-    bounded_plan, bounded_plan_for_report, bounded_plan_ucq, lower_plan_with, LowerOptions,
-};
+use bea::core::plan::{bounded_plan, bounded_plan_for_report};
 use bea::core::reason::{instance::eval_cq as eval_cq_small, instance::SmallInstance};
 use bea::core::specialize::{generic_template, instantiate, specialize_cq, SpecializeConfig};
 use bea::engine::{
-    eval_cq, eval_ucq, execute_physical_on, execute_plan, execute_plan_materialized,
-    execute_plan_on, ExecOptions,
+    eval_cq, execute_physical_on, execute_plan, execute_plan_materialized, execute_plan_on,
+    ExecOptions,
 };
 use bea::storage::{
     discover_constraints, shards_from_env, DiscoveryOptions, IndexedDatabase, ShardedDatabase,
@@ -25,8 +23,6 @@ use bea::storage::{
 use bea::workload::{accidents, ecommerce, graph, querygen};
 use bea_core::access::AccessSchema;
 use bea_core::query::cq::ConjunctiveQuery;
-use bea_core::query::ucq::UnionQuery;
-use bea_core::reason::ReasonConfig;
 use bea_core::schema::Catalog;
 use bea_core::value::Value;
 use rand::rngs::StdRng;
@@ -495,130 +491,6 @@ fn warmed_anchored_probes_allocate_nothing() {
     );
 }
 
-/// Morsel-size invariance (PR 7): splitting a heavy pipeline's probe stream into
-/// morsels is invisible to everything but wall-clock time. A two-hop lookup chain
-/// whose first hop fans one anchor out to `m` rows (several source batches) is run at
-/// every corner of morsel size ∈ {1, auto, never-split} × threads ∈ {1, 4} × shards
-/// ∈ {1, 4}; every corner must produce the same rows, the same data access
-/// (`same_data_access`), the same copy traffic (`values_cloned`) and the same
-/// probe-path buffer demand (`allocs_per_probe` — warmed probes stay free at every
-/// morsel size, the satellite assertion riding on PR 6's fast path). Whole source
-/// batches are never cut across morsels, which is what makes every per-batch counter
-/// charge partition-invariant.
-#[test]
-fn morsel_size_never_changes_what_is_computed() {
-    use bea::core::plan::{PlanBuilder, Predicate};
-    use bea_core::access::AccessConstraint;
-    use bea_core::schema::Catalog;
-
-    let catalog = {
-        let mut c = Catalog::new();
-        c.declare("R", ["a", "b"]).unwrap();
-        c.declare("S", ["k", "v"]).unwrap();
-        c
-    };
-    let schema = AccessSchema::from_constraints([
-        AccessConstraint::new(&catalog, "R", &["a"], &["b"], 2048u64).unwrap(),
-        AccessConstraint::new(&catalog, "S", &["k"], &["v"], 1u64).unwrap(),
-    ]);
-
-    // One anchor key fans out to 1400 R-rows with *distinct* join keys — the first
-    // hop materializes in several batches (the split's morsel source) and the second
-    // hop genuinely fills 1400 distinct lookup-cache keys.
-    const FAN_OUT: i64 = 1400;
-    let mut db = bea::storage::Database::new(catalog.clone());
-    db.extend(
-        "R",
-        (0..FAN_OUT).map(|i| vec![Value::int(1), Value::int(10_000 + i)]),
-    )
-    .unwrap();
-    db.extend(
-        "S",
-        (0..FAN_OUT).map(|i| vec![Value::int(10_000 + i), Value::int(i)]),
-    )
-    .unwrap();
-
-    let plan = {
-        let mut b = PlanBuilder::new();
-        let anchor = b.constant(Value::int(1), "x");
-        let r = b.fetch(
-            anchor,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let s = b.fetch(
-            r,
-            vec![1],
-            "S",
-            vec![0],
-            vec![1],
-            1,
-            vec!["k".into(), "v".into()],
-        );
-        let joined = b.product(r, s);
-        let selected = b.select(joined, vec![Predicate::ColEqCol(1, 2)]);
-        let out = b.project(selected, vec![1, 3]);
-        b.finish("MorselChain", out).unwrap()
-    };
-
-    // Not vacuous: with exchange points the chain lowers to a pipeline the scheduler
-    // may split (a morsel-splittable sink over a materialized source).
-    let physical = lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true))
-        .expect("chain lowers");
-    assert!(
-        physical
-            .pipeline_dag()
-            .pipelines()
-            .iter()
-            .any(|p| p.morsel_source.is_some()),
-        "the chain must lower to a morsel-splittable pipeline"
-    );
-
-    let indexed = IndexedDatabase::build(db.clone(), schema.clone()).unwrap();
-    let (baseline, baseline_stats) =
-        execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(1)).unwrap();
-    assert_eq!(baseline.len() as i64, FAN_OUT);
-    assert!(baseline.is_set());
-
-    for shards in [1u32, 4] {
-        let sharded = (shards > 1)
-            .then(|| ShardedDatabase::build(db.clone(), schema.clone(), shards).unwrap());
-        for threads in [1usize, 4] {
-            // 1 = one morsel per source batch, 0 = the resolved default,
-            // usize::MAX = never split; all must be indistinguishable.
-            for morsel_size in [1usize, 0, usize::MAX] {
-                let options = ExecOptions::new()
-                    .with_threads(threads)
-                    .with_morsel_size(morsel_size);
-                let (table, stats) = match &sharded {
-                    Some(store) => execute_plan_on(&plan, Store::Sharded(store), &options).unwrap(),
-                    None => execute_plan_on(&plan, &indexed, &options).unwrap(),
-                };
-                let corner =
-                    format!("morsel size {morsel_size} / {threads} threads / {shards} shards");
-                assert!(table.is_set(), "repeated row at {corner}");
-                assert!(table.same_rows(&baseline), "rows changed at {corner}");
-                assert!(
-                    stats.same_data_access(&baseline_stats),
-                    "data access changed at {corner}: {stats} vs {baseline_stats}"
-                );
-                assert_eq!(
-                    stats.values_cloned, baseline_stats.values_cloned,
-                    "copy traffic changed at {corner}"
-                );
-                assert_eq!(
-                    stats.allocs_per_probe, baseline_stats.allocs_per_probe,
-                    "probe-path buffer demand changed at {corner}"
-                );
-            }
-        }
-    }
-}
-
 /// Shard-count invariance: the same covered queries executed against partitioned
 /// stores with shards ∈ {1, 2, 8}, at threads ∈ {1, 4}, produce identical rows in
 /// identical order, identical data access (`same_data_access`) and identical copy
@@ -703,18 +575,19 @@ fn sharded_execution_is_invariant_across_shard_counts() {
     );
 }
 
-/// Admission cannot see the shard count: a session over a 2-, 4- or 8-way sharded store
-/// prepares every covered query of the three querygen families to the physical plan and
-/// the [`bea_core::plan::CostTicket`] a session over the unsharded twin prepares, field
-/// for field, with exchange points off (one thread) and on (two) — so an
-/// allocation-surface cap set to the unsharded Q0 surface admits Q0 on the sharded
-/// store, and its answer is the unsharded one, row for row.
+/// Admission sees neither the shard count nor the thread count: a session at 1, 2 or 4
+/// threads over the unsharded store or a 2-, 4- or 8-way sharded one prepares every
+/// covered query of the three querygen families to the physical plan and the
+/// [`bea_core::plan::CostTicket`] a 1-thread session over the unsharded store
+/// prepares, field for field — so an allocation-surface cap set to the unsharded Q0
+/// surface admits Q0 on the sharded store, and its answer is the unsharded one, row for
+/// row.
 #[test]
-fn sharded_sessions_prepare_the_unsharded_plan_and_ticket() {
+fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
     use bea::engine::{Session, SessionConfig, SharedStore};
 
     run_cases_counting(
-        "sharded_sessions_prepare_the_unsharded_plan_and_ticket",
+        "sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count",
         0x71C4,
         |rng| {
             let seed = rng.gen_range(0u64..1_000);
@@ -738,16 +611,23 @@ fn sharded_sessions_prepare_the_unsharded_plan_and_ticket() {
                 exercised += plans.len();
                 let unsharded =
                     SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
-                for shards in [2, 4, 8] {
-                    let sharded = ShardedDatabase::build(db.clone(), schema.clone(), shards);
-                    let sharded = SharedStore::from(sharded.unwrap());
-                    for threads in [1, 2] {
-                        let config = SessionConfig::new().with_threads(threads);
-                        let one = Session::new(unsharded.clone(), config);
-                        let many = Session::new(sharded.clone(), config);
-                        for plan in &plans {
-                            let (expected, prepared) =
-                                (one.prepare(plan).unwrap(), many.prepare(plan).unwrap());
+                let one = Session::new(unsharded.clone(), SessionConfig::new().with_threads(1));
+                let expected: Vec<_> = plans
+                    .iter()
+                    .map(|plan| one.prepare(plan).unwrap())
+                    .collect();
+                for shards in [1, 2, 4, 8] {
+                    let store = match shards {
+                        1 => unsharded.clone(),
+                        _ => SharedStore::from(
+                            ShardedDatabase::build(db.clone(), schema.clone(), shards).unwrap(),
+                        ),
+                    };
+                    for threads in [1, 2, 4] {
+                        let session =
+                            Session::new(store.clone(), SessionConfig::new().with_threads(threads));
+                        for (plan, expected) in plans.iter().zip(&expected) {
+                            let prepared = session.prepare(plan).unwrap();
                             let corner = format!(
                                 "{} at {shards} shards / {threads} threads",
                                 plan.query_name()
@@ -791,69 +671,88 @@ fn sharded_sessions_prepare_the_unsharded_plan_and_ticket() {
     );
 }
 
-/// Parallel pipeline execution is deterministic: on a genuinely multi-pipeline plan (a
-/// union of anchored Q0 branches, lowered with exchange points), the same seed at
-/// threads ∈ {1, 2, 4} produces identical output tables — rows *and* row order — and
-/// identical data-access statistics, and agrees with the naive UCQ baseline. Residency
-/// may legitimately differ with the schedule (overlap), which is why it is excluded
-/// from `same_data_access`.
+/// Parallel pipeline execution is deterministic: on a plan whose pipeline DAG is three
+/// wide (per day, the accidents of that day and their casualties' vehicles — a fetch
+/// with two consumers, so it heads a pipeline of its own — under one union), the same
+/// seed at threads ∈ {1, 2, 4}, solo and through a [`Session`], produces identical
+/// output tables — rows *and* row order — and identical data-access statistics, and
+/// agrees with the materialized reference. Residency may legitimately differ with the
+/// schedule (overlap), which is why it is excluded from `same_data_access`.
+///
+/// [`Session`]: bea::engine::Session
 #[test]
 fn parallel_execution_is_deterministic_across_thread_counts() {
+    use bea::core::plan::{lower_plan, PlanBuilder};
+    use bea::engine::{Session, SessionConfig, SharedStore};
+
     run_cases(
         "parallel_execution_is_deterministic_across_thread_counts",
         0x9A7A,
         |rng| {
             let seed = rng.gen_range(0u64..1_000);
             let (db, schema) = accidents_fixture(seed, 4);
-            let catalog = accidents::catalog();
-            let branches: Vec<ConjunctiveQuery> = (0..3)
-                .map(|day| {
-                    accidents::q0(
-                        &catalog,
-                        &accidents::district_value(day % 5),
-                        &accidents::date_value(day),
-                    )
-                    .unwrap()
-                })
-                .collect();
-            let union = UnionQuery::from_branches("Q0union", branches).unwrap();
-            let plan = bounded_plan_ucq(&union, &schema, &ReasonConfig::default()).unwrap();
-            let physical =
-                lower_plan_with(&plan, &LowerOptions::new().with_exchange_parallelism(true))
-                    .unwrap();
-            assert!(
-                physical.pipeline_dag().len() >= 3,
-                "exchange lowering should cut the union into independent pipelines"
-            );
-            let indexed = IndexedDatabase::build(db, schema.clone()).unwrap();
+            let plan = {
+                let mut b = PlanBuilder::new();
+                let branches: Vec<_> = (0..3)
+                    .map(|day| {
+                        let date = b.constant(accidents::date_value(day), "date");
+                        let columns = vec!["date".into(), "aid".into()];
+                        // ψ1: Accident(date → aid), then ψ2: Casualty(aid → vid).
+                        let accidents =
+                            b.fetch(date, vec![0], "Accident", vec![2], vec![0], 0, columns);
+                        let columns = vec!["aid".into(), "vid".into()];
+                        let vehicles =
+                            b.fetch(accidents, vec![1], "Casualty", vec![1], vec![3], 1, columns);
+                        b.union(vehicles, vehicles)
+                    })
+                    .collect();
+                let out = b.union(branches[0], branches[1]);
+                let out = b.union(out, branches[2]);
+                b.finish("DayVehicles", out).unwrap()
+            };
+            let physical = lower_plan(&plan).unwrap();
+            assert_eq!(physical.pipeline_dag().parallel_width(), 3, "\n{physical}");
+            let store = SharedStore::from(IndexedDatabase::build(db, schema).unwrap());
 
-            let runs: Vec<_> = [1usize, 2, 4]
-                .into_iter()
-                .map(|threads| {
-                    execute_physical_on(
-                        &physical,
-                        &indexed,
-                        &ExecOptions::new().with_threads(threads),
-                    )
-                    .unwrap()
-                })
-                .collect();
-            let (base_table, base_stats) = &runs[0];
+            let (reference, reference_stats) =
+                execute_plan_materialized(&plan, store.store()).unwrap();
+            assert!(
+                !reference.is_empty(),
+                "vacuous: no vehicle on any of the days"
+            );
+            let mut runs = Vec::new();
+            for threads in [1usize, 2, 4] {
+                let options = ExecOptions::new().with_threads(threads);
+                let solo = execute_physical_on(&physical, store.store(), &options).unwrap();
+                let session =
+                    Session::new(store.clone(), SessionConfig::new().with_threads(threads));
+                let (_, served) = session.run(&plan).unwrap();
+                session.shutdown();
+                runs.push((format!("{threads} threads, solo"), solo));
+                runs.push((format!("{threads} threads, session"), served.unwrap()));
+            }
+            let (_, (base_table, base_stats)) = &runs[0];
             assert!(base_table.is_set(), "repeated row in the union's answer");
-            for (table, stats) in &runs[1..] {
+            assert!(
+                base_table.same_rows(&reference),
+                "mismatch against the reference"
+            );
+            assert!(
+                base_stats.same_data_access(&reference_stats),
+                "{base_stats} vs the reference's {reference_stats}"
+            );
+            for (corner, (table, stats)) in &runs[1..] {
                 assert_eq!(base_table.columns(), table.columns());
                 assert_eq!(
                     base_table.rows(),
                     table.rows(),
-                    "thread count changed the output (or its order)"
+                    "{corner} changed the output (or its order)"
                 );
                 assert!(
                     base_stats.same_data_access(stats),
-                    "thread count changed the data access: {base_stats} vs {stats}"
+                    "{corner} changed the data access: {base_stats} vs {stats}"
                 );
             }
-            let (naive, _) = eval_ucq(&union, indexed.database()).unwrap();
-            assert!(base_table.same_rows(&naive), "mismatch against naive UCQ");
         },
     );
 }
@@ -1192,7 +1091,7 @@ fn session_lanes_match_solo_execution_on_every_family() {
 /// (`BEA_CACHE_ROWS` unset and no configured budget) all N submissions reproduce
 /// today's counters byte-for-byte. Thread and shard counts come from the
 /// environment, so the CI matrix drives all four `BEA_THREADS` × `BEA_SHARDS`
-/// corners through this property; morsel sizes are swept explicitly.
+/// corners through this property.
 #[test]
 fn repeated_session_submissions_are_served_from_the_fetch_cache() {
     use bea::core::plan::{PlanBuilder, Predicate};
@@ -1265,85 +1164,77 @@ fn repeated_session_submissions_are_served_from_the_fetch_cache() {
             let store = SharedStore::from(sharded);
 
             const REPEATS: usize = 4;
-            for morsel_size in [0usize, 1] {
-                // Uncached solo baseline at the same env-resolved options.
-                let options = ExecOptions::new().with_morsel_size(morsel_size);
-                let (serial_table, serial_stats) =
-                    execute_plan_on(&plan, store.store(), &options).unwrap();
+            // Uncached solo baseline at the same env-resolved options.
+            let options = ExecOptions::new();
+            let (serial_table, serial_stats) =
+                execute_plan_on(&plan, store.store(), &options).unwrap();
 
-                // Enabled leg: a budget far above the working set — nothing evicts.
-                let session = Session::new(
-                    store.clone(),
-                    SessionConfig::new()
-                        .with_morsel_size(morsel_size)
-                        .with_cache_budget_rows(1 << 20),
+            // Enabled leg: a budget far above the working set — nothing evicts.
+            let session = Session::new(
+                store.clone(),
+                SessionConfig::new().with_cache_budget_rows(1 << 20),
+            );
+            for submission in 0..REPEATS {
+                let (table, stats) = session.submit(&plan).unwrap().wait().unwrap();
+                assert!(table.is_set(), "submission {submission} repeated a row");
+                assert_eq!(
+                    table.rows(),
+                    serial_table.rows(),
+                    "submission {submission} changed the rows (or their order)"
                 );
-                for submission in 0..REPEATS {
-                    let (table, stats) = session.submit(&plan).unwrap().wait().unwrap();
-                    assert!(table.is_set(), "submission {submission} repeated a row");
+                if submission == 0 {
+                    // Cold: the cache fills but every uncached counter is
+                    // byte-for-byte the solo run's — admission and accounting
+                    // keep pricing the uncached worst case.
+                    assert!(
+                        stats.same_data_access(&serial_stats),
+                        "the cold submission changed the data access: \
+                         {stats} vs {serial_stats}"
+                    );
+                    assert_eq!(stats.values_cloned, serial_stats.values_cloned);
+                    assert_eq!(stats.allocs_per_probe, serial_stats.allocs_per_probe);
+                } else {
+                    // Warm: zero store traffic, zero probe-path buffer demand.
                     assert_eq!(
-                        table.rows(),
-                        serial_table.rows(),
-                        "submission {submission} changed the rows (or their order) \
-                         at morsel size {morsel_size}"
+                        stats.tuples_fetched, 0,
+                        "warm submission {submission} fetched from the store"
                     );
-                    if submission == 0 {
-                        // Cold: the cache fills but every uncached counter is
-                        // byte-for-byte the solo run's — admission and accounting
-                        // keep pricing the uncached worst case.
-                        assert!(
-                            stats.same_data_access(&serial_stats),
-                            "the cold submission changed the data access: \
-                             {stats} vs {serial_stats}"
-                        );
-                        assert_eq!(stats.values_cloned, serial_stats.values_cloned);
-                        assert_eq!(stats.allocs_per_probe, serial_stats.allocs_per_probe);
-                    } else {
-                        // Warm: zero store traffic, zero probe-path buffer demand.
-                        assert_eq!(
-                            stats.tuples_fetched, 0,
-                            "warm submission {submission} fetched from the store"
-                        );
-                        assert_eq!(stats.index_lookups, 0);
-                        assert_eq!(
-                            stats.allocs_per_probe, 0,
-                            "warm submission {submission} demanded probe buffers"
-                        );
-                        assert_eq!(stats.cache_hits, keys.len() as u64);
-                        assert_eq!(
-                            stats.rows_served_from_cache, serial_stats.tuples_fetched,
-                            "every posting the solo run fetched is served from the \
-                             cache when warm"
-                        );
-                    }
+                    assert_eq!(stats.index_lookups, 0);
+                    assert_eq!(
+                        stats.allocs_per_probe, 0,
+                        "warm submission {submission} demanded probe buffers"
+                    );
+                    assert_eq!(stats.cache_hits, keys.len() as u64);
+                    assert_eq!(
+                        stats.rows_served_from_cache, serial_stats.tuples_fetched,
+                        "every posting the solo run fetched is served from the \
+                         cache when warm"
+                    );
                 }
-                let cache = session.cache_stats();
-                assert_eq!(cache.resident_rows, serial_stats.tuples_fetched);
-                assert_eq!(cache.evictions, 0);
-                session.shutdown();
+            }
+            let cache = session.cache_stats();
+            assert_eq!(cache.resident_rows, serial_stats.tuples_fetched);
+            assert_eq!(cache.evictions, 0);
+            session.shutdown();
 
-                // Disabled leg: no configured budget. Guarded on the environment so
-                // a CI matrix leg that *sets* BEA_CACHE_ROWS doesn't turn this into
-                // a cached session behind our back.
-                if std::env::var_os(CACHE_ROWS_ENV).is_none() {
-                    let session = Session::new(
-                        store.clone(),
-                        SessionConfig::new().with_morsel_size(morsel_size),
+            // Disabled leg: no configured budget. Guarded on the environment so
+            // a CI matrix leg that *sets* BEA_CACHE_ROWS doesn't turn this into
+            // a cached session behind our back.
+            if std::env::var_os(CACHE_ROWS_ENV).is_none() {
+                let session = Session::new(store.clone(), SessionConfig::new());
+                for _ in 0..REPEATS {
+                    let (table, stats) = session.submit(&plan).unwrap().wait().unwrap();
+                    assert_eq!(table.rows(), serial_table.rows());
+                    assert!(
+                        stats.same_data_access(&serial_stats),
+                        "a disabled cache must reproduce the uncached engine: \
+                         {stats} vs {serial_stats}"
                     );
-                    for _ in 0..REPEATS {
-                        let (table, stats) = session.submit(&plan).unwrap().wait().unwrap();
-                        assert_eq!(table.rows(), serial_table.rows());
-                        assert!(
-                            stats.same_data_access(&serial_stats),
-                            "a disabled cache must reproduce the uncached engine: \
-                             {stats} vs {serial_stats}"
-                        );
-                        assert_eq!(stats.values_cloned, serial_stats.values_cloned);
-                        assert_eq!(stats.allocs_per_probe, serial_stats.allocs_per_probe);
-                        assert_eq!((stats.cache_hits, stats.rows_served_from_cache), (0, 0));
-                    }
-                    session.shutdown();
+                    assert_eq!(stats.values_cloned, serial_stats.values_cloned);
+                    assert_eq!(stats.allocs_per_probe, serial_stats.allocs_per_probe);
+                    assert_eq!((stats.cache_hits, stats.rows_served_from_cache), (0, 0));
                 }
+                session.shutdown();
             }
         },
     );
