@@ -378,22 +378,15 @@ fn body_line(row: &[Value]) -> String {
 }
 
 /// Build the daemon's default store: the generated accidents workload of Example
-/// 1.1 at roughly `tuples` tuples, indexed under ψ1–ψ4 — sharded into
-/// `BEA_SHARDS` partitions when that is set above 1.
+/// 1.1 at roughly `tuples` tuples, indexed under ψ1–ψ4 in `BEA_SHARDS` shards (1 when
+/// unset).
 pub fn accidents_store(tuples: u64, seed: u64) -> bea_core::error::Result<SharedStore> {
     let config = bea_workload::accidents::AccidentsConfig::with_total_tuples(tuples, seed);
     let db = bea_workload::accidents::generate(&config)?;
     let schema = bea_workload::accidents::access_schema(db.catalog());
     let shards = bea_storage::shards_from_env();
-    if shards > 1 {
-        Ok(SharedStore::from(bea_storage::ShardedDatabase::build(
-            db, schema, shards,
-        )?))
-    } else {
-        Ok(SharedStore::from(bea_storage::IndexedDatabase::build(
-            db, schema,
-        )?))
-    }
+    let store = bea_storage::IndexedDatabase::build_sharded(db, schema, shards)?;
+    Ok(SharedStore::from(store))
 }
 
 /// Hold the socket path helpers the two binaries share.

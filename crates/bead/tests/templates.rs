@@ -16,7 +16,7 @@ use bea_core::Value;
 use bea_engine::session::{Session, SessionConfig, SharedStore};
 use bea_parser::lexer::{tokenize, TokenKind};
 use bea_parser::{parse_query, parse_template, Skeleton};
-use bea_storage::{Database, IndexedDatabase, ShardedDatabase};
+use bea_storage::{Database, IndexedDatabase};
 use bea_workload::{accidents, ecommerce, graph, querygen};
 use bead::server::{MAX_PLAN_TEMPLATES, MAX_REQUEST_LINE_BYTES, MAX_TEMPLATE_KEY_BYTES};
 use bead::{BeadServer, Reply, ReplyStatus, Request, ServerConfig};
@@ -343,7 +343,8 @@ fn assert_served_alike_at_every_corner(
     classes: &[Vec<String>],
 ) -> usize {
     let unsharded = SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
-    let sharded = SharedStore::from(ShardedDatabase::build(db.clone(), schema.clone(), 4).unwrap());
+    let sharded =
+        SharedStore::from(IndexedDatabase::build_sharded(db.clone(), schema.clone(), 4).unwrap());
     let mut answered = 0;
     for threads in [1, 4] {
         for cache_rows in [0, 1 << 20] {

@@ -32,7 +32,7 @@ use bea_core::plan::QueryPlan;
 use bea_core::reason::containment::a_contained;
 use bea_core::reason::ReasonConfig;
 use bea_engine::{execute_physical_on, execute_plan_materialized, execute_plan_on, ExecOptions};
-use bea_storage::{IndexedDatabase, Store};
+use bea_storage::IndexedDatabase;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_ablations(c: &mut Criterion) {
@@ -111,9 +111,9 @@ fn bench_execution_strategies(c: &mut Criterion) {
     ]);
     for (name, plan, indexed) in &cases {
         let (streamed, streaming_stats) =
-            execute_plan_on(plan, *indexed, &ExecOptions::new()).expect("plan executes");
+            execute_plan_on(plan, indexed, &ExecOptions::new()).expect("plan executes");
         let (materialized, materialized_stats) =
-            execute_plan_materialized(plan, *indexed).expect("plan executes");
+            execute_plan_materialized(plan, indexed).expect("plan executes");
         assert!(
             streamed.same_rows(&materialized),
             "{name}: strategies disagree"
@@ -176,10 +176,10 @@ fn bench_execution_strategies(c: &mut Criterion) {
     group.sample_size(20);
     for (name, plan, indexed) in &cases {
         group.bench_with_input(BenchmarkId::new("materialized", name), name, |b, _| {
-            b.iter(|| execute_plan_materialized(plan, *indexed).expect("plan executes"))
+            b.iter(|| execute_plan_materialized(plan, indexed).expect("plan executes"))
         });
         group.bench_with_input(BenchmarkId::new("streaming", name), name, |b, _| {
-            b.iter(|| execute_plan_on(plan, *indexed, &ExecOptions::new()).expect("plan executes"))
+            b.iter(|| execute_plan_on(plan, indexed, &ExecOptions::new()).expect("plan executes"))
         });
     }
     group.finish();
@@ -277,18 +277,11 @@ fn bench_sharded_execution(c: &mut Criterion) {
     let sharded = ShardedScenario::with_shards(4, 20_000, 42).expect("scenario builds");
     let options = ExecOptions::new().with_threads(4);
 
-    let (base_table, base_stats) = execute_physical_on(
-        &unsharded.physical,
-        Store::Sharded(&unsharded.sharded),
-        &options,
-    )
-    .expect("plan executes");
-    let (sharded_table_out, sharded_stats) = execute_physical_on(
-        &sharded.physical,
-        Store::Sharded(&sharded.sharded),
-        &options,
-    )
-    .expect("plan executes");
+    let (base_table, base_stats) =
+        execute_physical_on(&unsharded.physical, &unsharded.sharded, &options)
+            .expect("plan executes");
+    let (sharded_table_out, sharded_stats) =
+        execute_physical_on(&sharded.physical, &sharded.sharded, &options).expect("plan executes");
     assert_eq!(
         sharded.physical, unsharded.physical,
         "shard count changed the physical plan"
@@ -349,12 +342,8 @@ fn bench_sharded_execution(c: &mut Criterion) {
             &scenario.shards,
             |b, _| {
                 b.iter(|| {
-                    execute_physical_on(
-                        &scenario.physical,
-                        Store::Sharded(&scenario.sharded),
-                        &options,
-                    )
-                    .expect("plan executes")
+                    execute_physical_on(&scenario.physical, &scenario.sharded, &options)
+                        .expect("plan executes")
                 })
             },
         );

@@ -41,7 +41,6 @@ use bea_core::plan::{lower_plan, PhysicalPlan};
 use bea_core::reason::ReasonConfig;
 use bea_core::specialize::{specialize_cq, SpecializeConfig};
 use bea_engine::{execute_physical_on, execute_plan_materialized, execute_plan_on, ExecOptions};
-use bea_storage::Store;
 
 /// Tolerated growth of the deterministic counters (`rows_fetched`, `values_cloned`,
 /// `allocs_per_probe`, `rows_served_from_cache`) over the committed baseline, in
@@ -507,7 +506,7 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
     for shards in [1u32, 4] {
         let scenario = ShardedScenario::with_shards(shards, 20_000, 42)?;
         let dag = scenario.physical.pipeline_dag();
-        let store = Store::Sharded(&scenario.sharded);
+        let store = &scenario.sharded;
         let options = ExecOptions::new().with_threads(4);
         let (result, ms) = time_ms(|| execute_physical_on(&scenario.physical, store, &options));
         let (_, stats) = result?;

@@ -13,7 +13,7 @@ use bea_engine::{
     execute_physical_on, execute_plan_on, AccessStats, ExecOptions, Session, SessionConfig,
     SharedStore, SubmitError,
 };
-use bea_storage::{IndexedDatabase, ShardedDatabase, Store};
+use bea_storage::IndexedDatabase;
 use bea_workload::{accidents, ecommerce, graph};
 
 /// The Example 1.1 scenario at a given scale: an indexed accidents database, the query
@@ -300,7 +300,7 @@ pub struct ShardedScenario {
     /// ψ1–ψ4.
     pub schema: AccessSchema,
     /// The sharded store (`shards` index partitions per constraint).
-    pub sharded: ShardedDatabase,
+    pub sharded: IndexedDatabase,
     /// The same data, unsharded — the shards = 1 baseline.
     pub indexed: IndexedDatabase,
     /// Q0 anchored at a district/day present in the data.
@@ -327,7 +327,7 @@ impl ShardedScenario {
         )?;
         let plan = bounded_plan(&q0, &schema)?;
         let physical = lower_plan(&plan)?;
-        let sharded = ShardedDatabase::build(db.clone(), schema.clone(), shards)?;
+        let sharded = IndexedDatabase::build_sharded(db.clone(), schema.clone(), shards)?;
         let indexed = IndexedDatabase::build(db, schema.clone())?;
         Ok(Self {
             catalog,
@@ -569,7 +569,7 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
             ns_p99,
         },
     );
-    let sharded_store = Store::Sharded(&sharded.sharded);
+    let sharded_store = &sharded.sharded;
     let (_, stats) = execute_physical_on(&sharded.physical, sharded_store, &single)?;
     let (ns_p50, ns_p99) = time_percentiles(timing_iters, || {
         execute_physical_on(&sharded.physical, sharded_store, &parallel).map(|_| ())
@@ -881,7 +881,7 @@ mod tests {
         // The sharded run at the scenario's target shape: 4 shards × 4 threads.
         let (sharded, sharded_stats) = execute_physical_on(
             &scenario.physical,
-            Store::Sharded(&scenario.sharded),
+            &scenario.sharded,
             &ExecOptions::new().with_threads(4),
         )
         .unwrap();

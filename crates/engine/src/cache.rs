@@ -34,12 +34,15 @@
 //! The cache is bounded by resident rows ([`SessionFetchCache::new`]'s budget;
 //! `SessionConfig::cache_budget_rows` / `BEA_CACHE_ROWS` upstream). Filling past the
 //! budget evicts least-recently-used entries — recency is a relaxed global clock
-//! stamped on every hit — until the resident total fits again. The cache holds its
-//! rows on its **own** residency ledger: per-query ledgers still drain to zero at
-//! query end (fills charge and release the filling query exactly as without the
-//! cache), and the session drains the cache ledger to zero on teardown. Admission
-//! control never looks at cache state: a query is priced at its uncached worst case,
-//! so boundedness guarantees hold even if every entry is evicted mid-flight.
+//! stamped on every hit — until the resident total fits again. A posting list longer
+//! than the whole budget is never published ([`SessionFetchCache::admits`]): its claim
+//! is withdrawn as after a failed fill, so it cannot evict every resident entry and
+//! then itself. The cache holds its rows on its **own** residency ledger: per-query
+//! ledgers still drain to zero at query end (fills charge and release the filling
+//! query exactly as without the cache), and the session drains the cache ledger to
+//! zero on teardown. Admission control never looks at cache state: a query is priced
+//! at its uncached worst case, so boundedness guarantees hold even if every entry is
+//! evicted mid-flight.
 //!
 //! Hits for one source batch are taken before that batch's fills: a keyed lookup first
 //! reads every key of the batch without claiming ([`SessionFetchCache::lookup`]), then
@@ -260,9 +263,20 @@ impl SessionFetchCache {
         None
     }
 
+    /// Whether a posting list of `rows` rows may be published: one longer than the
+    /// whole budget never is.
+    pub(crate) fn admits(&self, rows: usize) -> bool {
+        rows as u64 <= self.budget_rows
+    }
+
     /// Resolve a fill claim with its batch, wake the probes waiting on it, and
-    /// evict down to the row budget if the new entry pushed the cache past it.
+    /// evict down to the row budget if the new entry pushed the cache past it. A batch
+    /// the cache does not [admit](SessionFetchCache::admits) withdraws the claim
+    /// instead, as [`SessionFetchCache::abort`] does.
     pub(crate) fn complete(&self, space: &CacheSpace, key: &HashedRow, batch: Arc<Batch>) {
+        if !self.admits(batch.len()) {
+            return self.abort(space, key);
+        }
         let rows = batch.len() as u64;
         let stripe = space.stripe(key);
         let mut map = stripe
@@ -512,6 +526,23 @@ mod tests {
         assert!(cache.lookup(&space, &key_of(0)).is_some());
         assert!(cache.lookup(&space, &key_of(2)).is_some());
         assert!(cache.lookup(&space, &key_of(3)).is_some());
+        // A fill longer than the whole budget is not admitted: it evicts nothing, its
+        // claim is withdrawn, and the residents stay.
+        assert!(matches!(
+            cache.probe(&space, &key_of(4)),
+            SessionProbe::Fill
+        ));
+        cache.complete(&space, &key_of(4), batch_of(7));
+        let stats = cache.stats();
+        assert_eq!((stats.resident_rows, stats.evictions), (6, 1));
+        for k in [0, 2, 3] {
+            assert!(cache.lookup(&space, &key_of(k)).is_some(), "key {k} stays");
+        }
+        assert!(matches!(
+            cache.probe(&space, &key_of(4)),
+            SessionProbe::Fill
+        ));
+        cache.abort(&space, &key_of(4));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use bea_core::plan::{
     keys_all_tied, lower_plan, residual_predicates, PhysicalPlan, PlanOp, Predicate, QueryPlan,
 };
 use bea_core::value::Row;
-use bea_storage::{IndexedDatabase, Store};
+use bea_storage::Store;
 use std::collections::BTreeSet;
 
 /// Environment variable overriding the automatic worker-thread count (used by the CI
@@ -96,47 +96,45 @@ pub fn parse_threads(value: &str) -> std::result::Result<Option<usize>, String> 
         .map(|threads| threads as usize))
 }
 
-/// Execute an already-lowered physical plan under explicit [`ExecOptions`] against
-/// either store flavor —
-/// `&IndexedDatabase`, `&ShardedDatabase` or a [`Store`]. One plan, keys routed at
-/// run time: a sharded store sends each probe to the shard that owns its key.
-pub fn execute_physical_on<'a>(
+/// Execute an already-lowered physical plan under explicit [`ExecOptions`] against a
+/// store at any shard count. One plan, keys routed at run time: the store sends each
+/// probe to the shard that owns its key.
+pub fn execute_physical_on(
     plan: &PhysicalPlan,
-    store: impl Into<Store<'a>>,
+    store: Store<'_>,
     options: &ExecOptions,
 ) -> Result<(Table, AccessStats)> {
-    ops::execute(plan, store.into(), options.resolved_threads())
+    ops::execute(plan, store, options.resolved_threads())
 }
 
 /// Execute a plan with the default options.
-pub fn execute_plan(plan: &QueryPlan, database: &IndexedDatabase) -> Result<(Table, AccessStats)> {
-    execute_plan_on(plan, database, &ExecOptions::default())
+pub fn execute_plan(plan: &QueryPlan, store: Store<'_>) -> Result<(Table, AccessStats)> {
+    execute_plan_on(plan, store, &ExecOptions::default())
 }
 
-/// Execute a plan under explicit [`ExecOptions`] against either store flavor.
+/// Execute a plan under explicit [`ExecOptions`] against a store at any shard count.
 ///
-/// One plan, keys routed at run time: lowering never looks at the store, so a sharded
-/// store runs exactly the plan its unsharded twin does, and the store sends each probe
-/// to the shard that owns its key. Rows, their order and every counter are the
-/// unsharded run's, except the per-shard fetch distribution
+/// One plan, keys routed at run time: lowering never looks at the store, so a store
+/// runs the same plan at every shard count, and the store sends each probe to the
+/// shard that owns its key. Rows, their order and every counter are the 1-shard
+/// run's, except the per-shard fetch distribution
 /// (`AccessStats::rows_fetched_by_shard`).
-pub fn execute_plan_on<'a>(
+pub fn execute_plan_on(
     plan: &QueryPlan,
-    store: impl Into<Store<'a>>,
+    store: Store<'_>,
     options: &ExecOptions,
 ) -> Result<(Table, AccessStats)> {
     let physical = lower_plan(plan)?;
-    ops::execute(&physical, store.into(), options.resolved_threads())
+    ops::execute(&physical, store, options.resolved_threads())
 }
 
 /// The reference executor — the materialized step loop: every plan step produces a
 /// full [`Table`], all of which stay resident until the end (reflected in
-/// `peak_rows_resident`). A sharded store routes each fetch to the owning shard.
-pub fn execute_plan_materialized<'a>(
+/// `peak_rows_resident`). The store routes each fetch to the owning shard.
+pub fn execute_plan_materialized(
     plan: &QueryPlan,
-    store: impl Into<Store<'a>>,
+    store: Store<'_>,
 ) -> Result<(Table, AccessStats)> {
-    let store = store.into();
     plan.validate()?;
     validate_fetches_for(plan, store)?;
     let mut stats = AccessStats::default();
@@ -454,7 +452,7 @@ mod tests {
     use bea_core::query::term::Arg;
     use bea_core::schema::Catalog;
     use bea_core::value::Value;
-    use bea_storage::Database;
+    use bea_storage::{Database, IndexedDatabase};
 
     fn setup() -> (Catalog, AccessSchema, IndexedDatabase) {
         let mut c = Catalog::new();

@@ -15,8 +15,8 @@
 //! The bounded executor is the **streaming batch pipeline** ([`ops`]): plans are
 //! lowered to physical plans and run with bounded memory residency, through three
 //! entry points — [`execute_plan`] (default options), [`execute_plan_on`] and
-//! [`execute_physical_on`] (either store flavor, explicit [`ExecOptions`]: `threads`,
-//! nothing else). Beside it stands a reference it is tested
+//! [`execute_physical_on`] (a store at any shard count, explicit [`ExecOptions`]:
+//! `threads`, nothing else). Beside it stands a reference it is tested
 //! against, not a second way to serve a query: [`execute_plan_materialized`], the
 //! literal step loop that keeps one table per plan step.
 //! [`stats::AccessStats::peak_rows_resident`] makes the difference observable; both
@@ -108,15 +108,16 @@
 //!
 //! # Sharded execution: one plan, keys routed at run time
 //!
-//! Executing against a `bea_storage::ShardedDatabase` (via [`exec::execute_plan_on`] /
-//! [`exec::execute_physical_on`] and `bea_storage::Store::Sharded`) changes where a
-//! key's postings are read, and nothing else:
+//! There is one store type, `bea_storage::IndexedDatabase`, whose indexes are
+//! partitioned into `shard_count ≥ 1` shards; the unsharded store is the 1-shard
+//! store. The shard count changes where a key's postings are read, and nothing else:
 //!
-//! * **Lowering and scheduling** never look at the store: a sharded store runs the
-//!   plan its unsharded twin runs, pipeline for pipeline, with the same ticket.
+//! * **Lowering and scheduling** never look at the store: a store runs the same plan
+//!   at every shard count, pipeline for pipeline, with the same ticket.
 //! * **Routing** is the store's: every batch of probe keys goes to
-//!   `bea_storage::Store::resolve`, which sends each key to the shard that owns it
-//!   (`bea_storage::shard_of`, a deterministic hash) and reports the serving shard.
+//!   `bea_storage::IndexedDatabase::resolve`, which sends each key to the shard that
+//!   owns it (`bea_storage::shard_of`, a deterministic hash) and reports the serving
+//!   shard.
 //! * **Accounting**: [`AccessStats::rows_fetched_by_shard`] splits `tuples_fetched`
 //!   by serving shard (the two always sum up), so boundedness is assertable per
 //!   shard; the distribution is a placement artifact and excluded from
@@ -182,9 +183,12 @@
 //!   cache-disabled session produces — and publishes a copy of its result exactly once
 //!   (concurrent probes of the same key block on the filling query rather than
 //!   fetching twice).
-//! * **Bounded, loudly.** Eviction is strict LRU over resident rows against the
-//!   configured row budget; an entry larger than the whole budget is simply not
-//!   admitted. Admission control never reads the cache: a repeat query is priced
+//! * **Bounded, loudly.** Eviction is approximately least-recently-used over
+//!   resident rows against the configured row budget (recency is a relaxed clock, and
+//!   a batch's hits are taken before its fills; see `cache.rs`). A posting list longer
+//!   than the whole budget is never published: its fill claim is withdrawn, so no
+//!   resident entry is evicted for it and waiting probes re-probe as after a failed
+//!   fill. Admission control never reads the cache: a repeat query is priced
 //!   at its *uncached* worst case, because cached rows can be evicted between
 //!   pricing and execution — the bound must hold either way.
 //!

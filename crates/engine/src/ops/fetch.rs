@@ -6,8 +6,8 @@
 //! other fetch becomes a keyed lookup over its distinct keys `δπ[keys](T)` whose
 //! emission keeps only the fetched columns (see `bea_core::plan::physical`). The
 //! operator reaches the index through one call, the store's batched
-//! [`Store::resolve`], which walks many keys at once with their cache misses
-//! overlapped.
+//! [`bea_storage::IndexedDatabase::resolve`], which walks many keys at once with
+//! their cache misses overlapped.
 //!
 //! A keyed lookup copies only what needs a copy. Its arena holds the keys that matched
 //! two or more tuples, projected straight from the relation into its columns without
@@ -82,13 +82,13 @@
 //!
 //! # Shard routing
 //!
-//! One plan, keys routed at run time: a sharded store runs exactly the plan its
-//! unsharded twin does, and the operator does not know how many shards there are.
-//! Every key goes to [`Store::resolve`], which sends it to the shard that owns it
+//! One plan, keys routed at run time: a store runs the same plan at every shard
+//! count, and the operator does not know how many shards there are. Every key goes to
+//! [`bea_storage::IndexedDatabase::resolve`], which sends it to the shard that owns it
 //! ([`bea_storage::shard_of`]) and reports that shard beside its postings, so
 //! [`crate::stats::AccessStats::rows_fetched_by_shard`] is the only trace sharding
-//! leaves in the counters. Rows, their order and every other counter are the
-//! unsharded run's.
+//! leaves in the counters. Rows, their order and every other counter are the 1-shard
+//! run's.
 
 use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, HashedRow, RowTable};
 use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
@@ -725,10 +725,14 @@ impl<'db> KeyedLookupOp<'db> {
                     publish: None,
                 };
                 let postings = self.lookup_in_query(p)?;
-                claim.publish = Some(match &postings {
-                    Postings::Cached(batch) => Arc::clone(batch),
-                    fetched => Arc::new(self.copy_out(fetched)),
-                });
+                // A list the cache would not admit is not copied out: the claim is
+                // withdrawn when it drops.
+                if cache.admits(postings.len()) {
+                    claim.publish = Some(match &postings {
+                        Postings::Cached(batch) => Arc::clone(batch),
+                        fetched => Arc::new(self.copy_out(fetched)),
+                    });
+                }
                 Ok(postings)
             }
         }
@@ -1019,7 +1023,7 @@ pub(crate) mod tests {
                 fetch,
                 Cow::Owned(residual),
                 out_cols,
-                Store::Indexed(idb),
+                idb,
                 self.state.clone(),
             )
         }

@@ -1,9 +1,9 @@
 //! The streaming batch pipeline executing physical plans.
 //!
 //! [`crate::exec::execute_physical_on`] runs a [`PhysicalPlan`] (lowered by
-//! `bea_core::plan::physical::lower_plan`) against a [`Store`] — an unsharded
-//! `IndexedDatabase`, or a `ShardedDatabase` that routes each probe key to the shard
-//! owning it — as a tree of pull-based operators, each implementing
+//! `bea_core::plan::physical::lower_plan`) against a [`Store`] — at any shard count,
+//! the store routing each probe key to the shard owning it — as a tree of pull-based
+//! operators, each implementing
 //! [`Operator::next_batch`]. Rows move through
 //! the pipeline in bounded **columnar** [`batch::Batch`]es — filter and project are
 //! selection-vector and column-permutation metadata, only gathers (joins, products,
@@ -710,10 +710,8 @@ pub(crate) mod tests {
         assert_eq!(dag.len(), 4, "one pipeline per fetch + output\n{phys}");
         assert_eq!(dag.parallel_width(), 3);
 
-        let (seq_table, seq_stats, seq_ledger) =
-            execute_inner(&phys, Store::Indexed(&idb), 1).unwrap();
-        let (par_table, par_stats, par_ledger) =
-            execute_inner(&phys, Store::Indexed(&idb), 4).unwrap();
+        let (seq_table, seq_stats, seq_ledger) = execute_inner(&phys, &idb, 1).unwrap();
+        let (par_table, par_stats, par_ledger) = execute_inner(&phys, &idb, 4).unwrap();
 
         // Identical output — rows *and* their order are schedule-independent.
         assert_eq!(seq_table.columns(), par_table.columns());
@@ -760,9 +758,8 @@ pub(crate) mod tests {
         let phys = lower_plan(&plan).unwrap();
         assert!(phys.pipeline_dag().len() >= 3);
 
-        let (seq_table, seq_stats, _) = execute_inner(&phys, Store::Indexed(&idb), 1).unwrap();
-        let (par_table, par_stats, par_ledger) =
-            execute_inner(&phys, Store::Indexed(&idb), 4).unwrap();
+        let (seq_table, seq_stats, _) = execute_inner(&phys, &idb, 1).unwrap();
+        let (par_table, par_stats, par_ledger) = execute_inner(&phys, &idb, 4).unwrap();
         assert_eq!(seq_table.rows(), par_table.rows());
         assert!(seq_stats.same_data_access(&par_stats));
         assert_eq!(par_ledger.resident(), 0);
@@ -796,7 +793,7 @@ pub(crate) mod tests {
             .any(|s| matches!(s.op, PhysOp::HashJoin { .. })));
 
         for threads in [1, 4] {
-            let (table, _, ledger) = execute_inner(&phys, Store::Indexed(&idb), threads).unwrap();
+            let (table, _, ledger) = execute_inner(&phys, &idb, threads).unwrap();
             assert!(table.is_empty());
             assert_eq!(
                 ledger.resident(),
@@ -835,7 +832,7 @@ pub(crate) mod tests {
             .iter()
             .any(|s| matches!(s.op, PhysOp::HashJoin { .. })));
         for threads in [1, 4] {
-            let (table, _, ledger) = execute_inner(&phys, Store::Indexed(&idb), threads).unwrap();
+            let (table, _, ledger) = execute_inner(&phys, &idb, threads).unwrap();
             assert!(table.is_empty());
             assert_eq!(ledger.resident(), 0);
         }
@@ -1060,8 +1057,6 @@ pub(crate) mod tests {
 
     #[test]
     fn sharded_execution_is_invariant_and_accounts_per_shard() {
-        use bea_storage::ShardedDatabase;
-
         let idb = setup();
         // The same three probes twice: as constants in the plan, one lookup each, and
         // as data, one lookup probing keys of several shards. Either way the plan is
@@ -1070,15 +1065,18 @@ pub(crate) mod tests {
         let data_keys = lookup_over_key_union(&[1, 2, 3]);
 
         for shards in [1u32, 2, 4] {
-            let sdb = ShardedDatabase::shard(&idb, shards).unwrap();
+            let sdb = IndexedDatabase::build_sharded(
+                idb.database().clone(),
+                idb.schema().clone(),
+                shards,
+            )
+            .unwrap();
             let mut fetched_by_shard = Vec::new();
             for plan in [&constant_keys, &data_keys] {
                 let phys = bea_core::plan::lower_plan(plan).unwrap();
-                let (base_table, base_stats, _) =
-                    execute_inner(&phys, Store::Indexed(&idb), 1).unwrap();
+                let (base_table, base_stats, _) = execute_inner(&phys, &idb, 1).unwrap();
                 for threads in [1usize, 4] {
-                    let (table, stats, ledger) =
-                        execute_inner(&phys, Store::Sharded(&sdb), threads).unwrap();
+                    let (table, stats, ledger) = execute_inner(&phys, &sdb, threads).unwrap();
                     assert_eq!(
                         table.rows(),
                         base_table.rows(),
@@ -1186,11 +1184,11 @@ pub(crate) mod tests {
             );
             (table, pooled)
         };
-        let (table, _) = run(&dedup, Store::Indexed(&wide));
+        let (table, _) = run(&dedup, &wide);
         assert_eq!(table.rows(), [vec![Value::int(5)]]);
         let idb = setup();
         let point = bea_core::plan::lower_plan(&union_of_lookups(&[1])).unwrap();
-        let (table, pooled) = run(&point, Store::Indexed(&idb));
+        let (table, pooled) = run(&point, &idb);
         assert_eq!(table.len(), 2);
         assert!(
             pooled > 0,

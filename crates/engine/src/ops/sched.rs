@@ -684,7 +684,7 @@ mod tests {
         // lock" panic on whichever worker touched it next. Now the original payload
         // must reach the caller.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_inner(&phys, bea_storage::Store::Indexed(&idb), 4)
+            execute_inner(&phys, &idb, 4)
         }));
         let payload = outcome.expect_err("the injected panic must propagate to the caller");
         let message = payload
@@ -732,8 +732,7 @@ mod tests {
 
         let mut baseline = None;
         for _ in 0..25 {
-            let (table, stats, ledger) =
-                execute_inner(&phys, bea_storage::Store::Indexed(&idb), 8).unwrap();
+            let (table, stats, ledger) = execute_inner(&phys, &idb, 8).unwrap();
             assert_eq!(ledger.resident(), 0);
             let fingerprint = (table.rows().to_vec(), stats.tuples_fetched);
             match &baseline {
@@ -786,8 +785,7 @@ mod tests {
         let deps: Vec<&[usize]> = (0..dag.len()).map(|i| dag.dependencies(i)).collect();
         assert_eq!(deps, [&[][..], &[0], &[], &[1, 2]], "\n{phys}");
 
-        let (table, stats, ledger) =
-            execute_inner(&phys, bea_storage::Store::Indexed(&idb), 1).unwrap();
+        let (table, stats, ledger) = execute_inner(&phys, &idb, 1).unwrap();
         assert!(table.is_empty());
         assert_eq!(ledger.resident(), 0);
         // Step order peaks inside pipeline 1 at 2 · 4 rows, with nothing else resident

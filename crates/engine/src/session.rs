@@ -75,7 +75,7 @@ use crate::table::Table;
 use bea_core::error::{Error, Result};
 use bea_core::plan::{lower_plan, CostTicket, PhysicalPlan, QueryPlan};
 use bea_core::value::Value;
-use bea_storage::{IndexedDatabase, ShardedDatabase, Store};
+use bea_storage::{IndexedDatabase, Store};
 use std::borrow::Cow;
 use std::panic::resume_unwind;
 use std::sync::Arc;
@@ -117,36 +117,21 @@ pub fn parse_cache_rows(value: &str) -> std::result::Result<Option<u64>, String>
     Ok(bea_core::env::parse_count(value)?.auto_when_zero())
 }
 
-/// A store a [`Session`] can own: the `Arc`-shared flavor of
-/// [`bea_storage::Store`], since the session's workers outlive any caller borrow.
+/// A store a [`Session`] can own: an `Arc`-shared [`IndexedDatabase`], since the
+/// session's workers outlive any caller borrow. Cloning shares the store.
 #[derive(Clone)]
-pub enum SharedStore {
-    /// A single indexed database.
-    Indexed(Arc<IndexedDatabase>),
-    /// A sharded database: the same plans as an indexed one, each key routed to its
-    /// owning shard at run time.
-    Sharded(Arc<ShardedDatabase>),
-}
+pub struct SharedStore(Arc<IndexedDatabase>);
 
 impl SharedStore {
-    /// The borrowed [`Store`] view the executor runs against.
+    /// The borrowed [`Store`] the executor runs against.
     pub fn store(&self) -> Store<'_> {
-        match self {
-            SharedStore::Indexed(db) => Store::Indexed(db),
-            SharedStore::Sharded(db) => Store::Sharded(db),
-        }
+        &self.0
     }
 }
 
 impl From<IndexedDatabase> for SharedStore {
     fn from(db: IndexedDatabase) -> Self {
-        SharedStore::Indexed(Arc::new(db))
-    }
-}
-
-impl From<ShardedDatabase> for SharedStore {
-    fn from(db: ShardedDatabase) -> Self {
-        SharedStore::Sharded(Arc::new(db))
+        SharedStore(Arc::new(db))
     }
 }
 
@@ -294,7 +279,9 @@ impl std::error::Error for SubmitError {}
 /// A snapshot of the session's admission counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
-    /// Queries presented to [`Session::submit`].
+    /// Queries that reached admission through [`Session::submit`], [`Session::run`]
+    /// or [`Session::run_prepared`] — a plan that fails validation, or a run given the
+    /// wrong number of constants, is refused before it and not counted.
     pub submitted: u64,
     /// Queries admitted to the pool (immediately or after queueing).
     pub admitted: u64,
@@ -779,7 +766,7 @@ mod tests {
             .iter()
             .all(|plan| lower_plan(plan).unwrap().pipeline_dag().parallel_width() == 3));
         let session = Session::new(
-            SharedStore::Indexed(Arc::new(fixture(6))),
+            SharedStore::from(fixture(6)),
             SessionConfig::new().with_threads(4),
         );
         let handles: Vec<QueryHandle> = plans
@@ -789,7 +776,7 @@ mod tests {
         let solo_options = ExecOptions::new().with_threads(4);
         for (plan, handle) in plans.iter().zip(handles) {
             let (expected_table, expected_stats) =
-                execute_plan_on(plan, Store::Indexed(&idb), &solo_options).unwrap();
+                execute_plan_on(plan, &idb, &solo_options).unwrap();
             let (table, stats) = handle.wait().unwrap();
             assert_eq!(table.rows(), expected_table.rows(), "rows and row order");
             assert!(stats.same_data_access(&expected_stats));
@@ -904,12 +891,8 @@ mod tests {
         // A healthy neighbor still runs to completion.
         let good = lookup_union("good", &[1, 2]);
         let (table, _) = session.submit(&good).unwrap().wait().unwrap();
-        let (expected, _) = execute_plan_on(
-            &good,
-            Store::Indexed(&idb),
-            &ExecOptions::new().with_threads(2),
-        )
-        .unwrap();
+        let (expected, _) =
+            execute_plan_on(&good, &idb, &ExecOptions::new().with_threads(2)).unwrap();
         assert_eq!(table.rows(), expected.rows());
     }
 
@@ -1261,12 +1244,8 @@ mod tests {
                 .with_cache_budget_rows(4096),
         );
         let plan = lookup_union("repeat", &[1, 2, 3]);
-        let (expected_table, expected_stats) = execute_plan_on(
-            &plan,
-            Store::Indexed(&idb),
-            &ExecOptions::new().with_threads(2),
-        )
-        .unwrap();
+        let (expected_table, expected_stats) =
+            execute_plan_on(&plan, &idb, &ExecOptions::new().with_threads(2)).unwrap();
 
         // Cold run: fills the cache; every deterministic data-access counter is
         // identical to the uncached solo run.

@@ -238,7 +238,7 @@ impl HashIndex {
     }
 
     /// Build an index over the tuples at `offsets` (ascending) only — the whole
-    /// relation for the unsharded store, one shard's routed tuples for the sharded one.
+    /// relation for a 1-shard store, one shard's routed tuples for a sharded one.
     /// Two counting passes: number the keys and size their groups, then drop every
     /// offset into its group's next free posting, so each group keeps `offsets`' order.
     pub(crate) fn over(

@@ -1,8 +1,30 @@
-//! A database equipped with the indexes mandated by an access schema.
+//! The store: a database plus one index per access constraint, each index partitioned
+//! into `shard_count ≥ 1` shards by its key.
+//!
+//! [`IndexedDatabase`] partitions *each constraint's index* — not the relations — by a
+//! deterministic hash of the constraint key ([`shard_of`]). Every key, and hence every
+//! posting list, lives wholly inside exactly one shard, so:
+//!
+//! * a fetch for key `ā` probes only the shard that owns `ā` — boundedness survives
+//!   partitioning, because the set of `(constraint, key)` lookups a bounded plan
+//!   performs is unchanged and each lookup touches one shard;
+//! * the per-key result (tuples *and* their order) is the same at every shard count,
+//!   because a shard's index is built by the same procedure (the two counting passes of
+//!   `HashIndex`) over the tuples routed to it, in row order, and those include the
+//!   key's full posting list.
+//!
+//! The unsharded store is the 1-shard store: [`IndexedDatabase::build`] is
+//! [`IndexedDatabase::build_sharded`] at one shard, which indexes each relation
+//! directly and routes nothing. A physical plan never names a shard: the store routes
+//! every probe to the shard that owns its key ([`IndexedDatabase::resolve`]), so it
+//! runs the same plan at every shard count, and every fetch reports the shard that
+//! served it — what per-shard access accounting (`AccessStats::rows_fetched_by_shard`
+//! in `bea-engine`) counts.
 
 use crate::database::Database;
-use crate::index::HashIndex;
+use crate::index::{offset_bound, resolve_each, HashIndex, Probes};
 use crate::relation::Relation;
+use crate::sharded::shard_of;
 use bea_core::access::AccessSchema;
 use bea_core::error::{Error, Result};
 use bea_core::value::{Row, Value};
@@ -20,48 +42,66 @@ pub struct ConstraintViolation {
     pub allowed: u64,
 }
 
-/// A database instance together with one hash index per access constraint.
+/// A database instance together with one hash index per access constraint, each
+/// partitioned into [`IndexedDatabase::shard_count`] shards; see the module docs.
 ///
 /// Building an `IndexedDatabase` is the physical-design step of the paper's strategy:
 /// "develop and maintain an access schema `A` for an application" and build the indices
-/// it requires. Fetches through [`IndexedDatabase::fetch`] never scan a relation.
+/// it requires. Fetches through [`IndexedDatabase::fetch_iter`] never scan a relation.
 #[derive(Debug, Clone)]
 pub struct IndexedDatabase {
     database: Database,
     schema: AccessSchema,
+    shard_count: u32,
     /// Per constraint: its relation's position in `database`, resolved at build time.
     relations: Vec<usize>,
-    indexes: Vec<HashIndex>,
+    /// `indexes[constraint][shard]`: the part of constraint `constraint`'s index whose
+    /// keys route to `shard`.
+    indexes: Vec<Vec<HashIndex>>,
 }
 
-/// Validate `schema` against the database's catalog and resolve every constraint's
-/// relation to its position in the database — once, so no fetch looks a name up.
-pub(crate) fn resolve_relations(database: &Database, schema: &AccessSchema) -> Result<Vec<usize>> {
-    schema.validate(database.catalog())?;
-    let constraints = schema.constraints().iter();
-    constraints
-        .map(|constraint| database.position(constraint.relation()))
-        .collect()
-}
+/// The executor-facing handle on a store: a shared borrow, `Copy` and one word.
+pub type Store<'a> = &'a IndexedDatabase;
 
 impl IndexedDatabase {
-    /// Build the indexes required by the access schema over the database.
-    ///
-    /// Fails if the schema references relations or attribute positions the catalog does
-    /// not declare, or if a constrained relation has more tuples than 32-bit posting
-    /// offsets can address. Whether the *cardinality* part of each constraint holds is a
-    /// separate question — check it with [`IndexedDatabase::validate`].
+    /// Build the indexes required by the access schema over the database, unsharded:
+    /// [`IndexedDatabase::build_sharded`] at one shard.
     pub fn build(database: Database, schema: AccessSchema) -> Result<Self> {
-        let relations = resolve_relations(&database, &schema)?;
-        let indexes = schema
-            .constraints()
-            .iter()
+        Self::build_sharded(database, schema, 1)
+    }
+
+    /// Build the indexes required by the access schema over the database, each
+    /// partitioned into `shard_count` shards.
+    ///
+    /// Fails if `shard_count` is 0, if the schema references relations or attribute
+    /// positions the catalog does not declare, or if a constrained relation has more
+    /// tuples than 32-bit posting offsets can address. Whether the *cardinality* part
+    /// of each constraint holds is a separate question — check it with
+    /// [`IndexedDatabase::validate`].
+    pub fn build_sharded(
+        database: Database,
+        schema: AccessSchema,
+        shard_count: u32,
+    ) -> Result<Self> {
+        if shard_count == 0 {
+            return Err(Error::invalid("a store needs at least one shard"));
+        }
+        schema.validate(database.catalog())?;
+        let constraints = schema.constraints().iter();
+        let relations = constraints
+            .clone()
+            .map(|constraint| database.position(constraint.relation()))
+            .collect::<Result<Vec<_>>>()?;
+        let indexes = constraints
             .zip(&relations)
-            .map(|(constraint, &at)| HashIndex::build(database.relation_at(at), constraint.x()))
+            .map(|(constraint, &at)| {
+                partition(database.relation_at(at), constraint.x(), shard_count)
+            })
             .collect::<Result<_>>()?;
         Ok(Self {
             database,
             schema,
+            shard_count,
             relations,
             indexes,
         })
@@ -82,58 +122,46 @@ impl IndexedDatabase {
         self.database.size()
     }
 
+    /// Number of shards each constraint's index is partitioned into: 1 unsharded.
+    /// Informational — plans are the same at every shard count, and each key is
+    /// routed to its shard at run time.
+    pub fn shard_count(&self) -> u32 {
+        self.shard_count
+    }
+
     /// Exact `(tuple_bytes, index_bytes)` of the store, from lengths × `size_of`:
-    /// the flat tuple values and the indexes' `u32` arrays. String payloads (shared
+    /// the flat tuple values and every shard's `u32` arrays. String payloads (shared
     /// `Arc<str>` allocations) are not counted.
     pub fn footprint(&self) -> (u64, u64) {
-        let index_bytes = self.indexes.iter().map(HashIndex::bytes).sum();
+        let index_bytes = self.indexes.iter().flatten().map(HashIndex::bytes).sum();
         (self.database.tuple_bytes(), index_bytes)
     }
 
-    /// Retrieve, through the index of constraint `constraint_index`, the tuples of its
-    /// relation whose `X`-projection equals `key`. Returns full tuples; callers project
+    /// Iterate, through the index of constraint `constraint_index`, over the tuples of
+    /// its relation whose `X`-projection equals `key`, straight out of the owning
+    /// shard's postings; also returns that shard. Yields full tuples; callers project
     /// onto `X ∪ Y` as needed (the executor in `bea-engine` does).
     ///
-    /// Thin compatibility wrapper over [`IndexedDatabase::fetch_iter`]; hot paths should
-    /// prefer the iterator, which walks the index postings without allocating a
-    /// `Vec` per key.
-    pub fn fetch(&self, constraint_index: usize, key: &[Value]) -> Result<Vec<&[Value]>> {
-        Ok(self.fetch_iter(constraint_index, key)?.collect())
-    }
-
-    /// Borrowing counterpart of [`IndexedDatabase::fetch`]: iterate over the tuples whose
-    /// `X`-projection equals `key`, straight out of the index postings.
-    ///
-    /// This is the storage half of the streaming executor's fetch path: no intermediate
-    /// collection is allocated, and the rows stay borrowed from the relation until the
-    /// consumer decides what to project out of them. The iterator is exact-sized, so
-    /// callers can account for the number of tuples read before walking them.
-    pub fn fetch_iter(&self, constraint_index: usize, key: &[Value]) -> Result<FetchIter<'_>> {
-        let (relation, index) = self.indexed(constraint_index)?;
-        probe(relation, &index[0], constraint_index, key)
-    }
-
-    /// Constraint `constraint_index`'s relation and its index (one: this store is
-    /// unsharded).
-    pub(crate) fn indexed(&self, constraint_index: usize) -> Result<(&Relation, &[HashIndex])> {
-        let index = self
-            .indexes
-            .get(constraint_index)
-            .ok_or_else(|| missing_constraint(constraint_index))?;
-        let relation = self.database.relation_at(self.relations[constraint_index]);
-        Ok((relation, std::slice::from_ref(index)))
+    /// No intermediate collection is allocated, and the rows stay borrowed from the
+    /// relation until the consumer decides what to project out of them. The iterator
+    /// is exact-sized, so callers can account for the number of tuples read before
+    /// walking them.
+    pub fn fetch_iter(
+        &self,
+        constraint_index: usize,
+        key: &[Value],
+    ) -> Result<(FetchIter<'_>, u32)> {
+        let (relation, shards) = self.indexed(constraint_index, key.len())?;
+        let shard = shard_of(key, self.shard_count);
+        let offsets = shards[shard as usize].lookup(relation, key).iter();
+        Ok((FetchIter { relation, offsets }, shard))
     }
 
     /// Columnar counterpart of [`IndexedDatabase::fetch_iter`]: append, for every tuple
     /// whose `X`-projection equals `key`, the values at `positions` directly into the
-    /// corresponding output columns (`out[i]` receives `tuple[positions[i]]`).
-    ///
-    /// This is the storage half of the columnar fetch path: the matched tuples go
-    /// straight from the relation into the caller's column builders, without an
-    /// intermediate `Row` allocation per tuple. Value clones are O(1) (shared string
-    /// payloads), so the append is a pointer-sized copy per value. Returns the number
-    /// of tuples appended — the same count [`IndexedDatabase::fetch_iter`] would
-    /// report, for access accounting.
+    /// corresponding output columns (`out[i]` receives `tuple[positions[i]]`). Returns
+    /// the number of tuples appended — the count [`IndexedDatabase::fetch_iter`] would
+    /// report, for access accounting — and the serving shard.
     ///
     /// `out` must have exactly one column per requested position; positions beyond the
     /// relation's arity are the caller's responsibility (the engine validates plans
@@ -144,21 +172,90 @@ impl IndexedDatabase {
         key: &[Value],
         positions: &[usize],
         out: &mut [Vec<Value>],
-    ) -> Result<u64> {
-        Ok(self
-            .fetch_iter(constraint_index, key)?
-            .project_into(positions, out))
+    ) -> Result<(u64, u32)> {
+        let (iter, shard) = self.fetch_iter(constraint_index, key)?;
+        Ok((iter.project_into(positions, out), shard))
+    }
+
+    /// Batched fetch: clear `out`, then push, for every probe in order, the tuples whose
+    /// `X`-projection equals its key (empty if none) and the shard that owns the key
+    /// ([`shard_of`]) and served them — per probe what [`IndexedDatabase::fetch_iter`]
+    /// returns. The keys are walked together, their cache misses overlapped (see
+    /// [`crate::index`]). The executor's keyed operators reach the index only here.
+    pub fn resolve<'a>(
+        &'a self,
+        constraint_index: usize,
+        probes: Probes<'_>,
+        out: &mut Vec<(FetchIter<'a>, u32)>,
+    ) -> Result<()> {
+        out.clear();
+        let (relation, shards) = self.indexed(constraint_index, probes.arity)?;
+        let count = probes.hashes.len();
+        assert_eq!(probes.keys.len(), probes.arity * count, "one key per hash");
+        out.reserve(count);
+        let route = |key: &[Value]| {
+            let shard = shard_of(key, self.shard_count);
+            (&shards[shard as usize], shard)
+        };
+        resolve_each(relation, probes, route, |postings, shard| {
+            let offsets = postings.iter();
+            out.push((FetchIter { relation, offsets }, shard));
+        });
+        Ok(())
+    }
+
+    /// Constraint `constraint_index`'s relation and its index shards, by shard number —
+    /// refusing a constraint the schema does not have and a key of `arity` values that
+    /// is not the constraint's.
+    pub(crate) fn indexed(
+        &self,
+        constraint_index: usize,
+        arity: usize,
+    ) -> Result<(&Relation, &[HashIndex])> {
+        let Some(shards) = self.indexes.get(constraint_index) else {
+            return Err(Error::MissingConstraint {
+                reason: format!("no access constraint with index {constraint_index}"),
+            });
+        };
+        let expected = shards[0].key_attrs().len();
+        if arity != expected {
+            return Err(Error::invalid(format!(
+                "fetch key has {arity} values but constraint {constraint_index} expects {expected}"
+            )));
+        }
+        let relation = self.database.relation_at(self.relations[constraint_index]);
+        Ok((relation, shards))
     }
 
     /// Check the cardinality part of every constraint: does `D ⊨ A` hold?
     ///
     /// Returns the list of violations (empty iff the instance satisfies the schema), by
-    /// constraint and, within one, in order of the offending keys' first occurrence.
+    /// constraint, then by shard and, within one, in order of the offending keys' first
+    /// occurrence. Each key's posting list lives wholly inside one shard, so checking
+    /// shard by shard sees every key exactly once.
     pub fn validate(&self) -> Vec<ConstraintViolation> {
-        let (db_size, mut violations) = (self.size(), Vec::new());
-        for (ci, index) in self.indexes.iter().enumerate() {
+        let db_size = self.size();
+        let mut violations = Vec::new();
+        let constraints = self.schema.constraints().iter().enumerate();
+        for ((ci, constraint), shards) in constraints.zip(&self.indexes) {
             let relation = self.database.relation_at(self.relations[ci]);
-            check_groups(&self.schema, db_size, ci, relation, index, &mut violations);
+            let allowed = constraint.cardinality().bound(db_size);
+            for offsets in shards.iter().flat_map(HashIndex::groups) {
+                let mut ys: Vec<Row> = offsets
+                    .iter()
+                    .map(|&o| Relation::project(relation.tuple(o as usize), constraint.y()))
+                    .collect();
+                ys.sort();
+                ys.dedup();
+                if ys.len() as u64 > allowed {
+                    violations.push(ConstraintViolation {
+                        constraint_index: ci,
+                        key: Relation::project(relation.tuple(offsets[0] as usize), constraint.x()),
+                        observed: ys.len() as u64,
+                        allowed,
+                    });
+                }
+            }
         }
         violations
     }
@@ -167,89 +264,33 @@ impl IndexedDatabase {
     pub fn satisfies_schema(&self) -> bool {
         self.validate().is_empty()
     }
-
-    /// Tear the indexed database apart again (e.g. to add more data and rebuild).
-    pub fn into_parts(self) -> (Database, AccessSchema) {
-        (self.database, self.schema)
-    }
 }
 
-/// The error of a fetch naming a constraint the schema does not have.
-pub(crate) fn missing_constraint(constraint_index: usize) -> Error {
-    Error::MissingConstraint {
-        reason: format!("no access constraint with index {constraint_index}"),
+/// Constraint `x`'s index over `relation`, in `shard_count` shards: every tuple routed
+/// once by the [`shard_of`] hash of its key projection, and each shard's index built
+/// over the tuples routed to it, in row order — so a key's full posting list lands in
+/// one shard, exactly the list one shard would hold. One shard indexes the relation
+/// directly and routes nothing.
+fn partition(relation: &Relation, x: &[usize], shard_count: u32) -> Result<Vec<HashIndex>> {
+    if shard_count == 1 {
+        return Ok(vec![HashIndex::build(relation, x)?]);
     }
-}
-
-/// Probe one index of constraint `constraint_index` over its relation — the fetch both
-/// stores share once they have picked the index (the only one, or the owning shard's).
-pub(crate) fn probe<'a>(
-    relation: &'a Relation,
-    index: &'a HashIndex,
-    constraint_index: usize,
-    key: &[Value],
-) -> Result<FetchIter<'a>> {
-    check_key_arity(index, constraint_index, key.len())?;
-    Ok(FetchIter {
-        relation,
-        offsets: index.lookup(relation, key).iter(),
-    })
-}
-
-/// Refuse a key of `arity` values for constraint `constraint_index`, served by `index`
-/// (every index of a constraint has the constraint's key attributes).
-pub(crate) fn check_key_arity(
-    index: &HashIndex,
-    constraint_index: usize,
-    arity: usize,
-) -> Result<()> {
-    let expected = index.key_attrs().len();
-    if arity != expected {
-        return Err(Error::invalid(format!(
-            "fetch key has {arity} values but constraint {constraint_index} expects {expected}"
-        )));
+    let mut routed: Vec<Vec<u32>> = vec![Vec::new(); shard_count as usize];
+    let offsets = 0..offset_bound(relation.name(), relation.len())?;
+    for (offset, row) in offsets.zip(relation.rows()) {
+        let shard = shard_of(x.iter().map(|&attr| &row[attr]), shard_count);
+        routed[shard as usize].push(offset);
     }
-    Ok(())
-}
-
-/// Check every key of one index against its constraint's cardinality bound: count the
-/// distinct `Y`-projections among the key's tuples and record a [`ConstraintViolation`]
-/// if they exceed the bound. Shared by the unsharded and sharded validators — a key's
-/// full posting list lives in exactly one index either way, so both see every key once.
-pub(crate) fn check_groups(
-    schema: &AccessSchema,
-    db_size: u64,
-    constraint_index: usize,
-    relation: &Relation,
-    index: &HashIndex,
-    violations: &mut Vec<ConstraintViolation>,
-) {
-    let constraint = &schema.constraints()[constraint_index];
-    let allowed = constraint.cardinality().bound(db_size);
-    for offsets in index.groups() {
-        let mut ys: Vec<Row> = offsets
-            .iter()
-            .map(|&o| Relation::project(relation.tuple(o as usize), constraint.y()))
-            .collect();
-        ys.sort();
-        ys.dedup();
-        if ys.len() as u64 > allowed {
-            violations.push(ConstraintViolation {
-                constraint_index,
-                key: Relation::project(relation.tuple(offsets[0] as usize), constraint.x()),
-                observed: ys.len() as u64,
-                allowed,
-            });
-        }
-    }
+    let over = |offsets: &Vec<u32>| HashIndex::over(relation, x, offsets.iter().copied());
+    Ok(routed.iter().map(over).collect())
 }
 
 /// Borrowing iterator over the tuples an index lookup matched; see
 /// [`IndexedDatabase::fetch_iter`].
 #[derive(Debug, Clone)]
 pub struct FetchIter<'a> {
-    pub(crate) relation: &'a Relation,
-    pub(crate) offsets: std::slice::Iter<'a, u32>,
+    relation: &'a Relation,
+    offsets: std::slice::Iter<'a, u32>,
 }
 
 impl<'a> Iterator for FetchIter<'a> {
@@ -270,9 +311,9 @@ impl ExactSizeIterator for FetchIter<'_> {}
 impl FetchIter<'_> {
     /// Append, for every remaining tuple, the values at `positions` into the
     /// corresponding output columns (`out[i]` receives `tuple[positions[i]]`); returns
-    /// how many tuples were appended. The columnar fetch kernel: both stores'
-    /// `fetch_into_columns` and the executor's resolved fetches go through it, so they
-    /// cannot drift on the append semantics.
+    /// how many tuples were appended. The columnar fetch kernel:
+    /// [`IndexedDatabase::fetch_into_columns`] and the executor's resolved fetches go
+    /// through it, so they cannot drift on the append semantics.
     pub fn project_into(self, positions: &[usize], out: &mut [Vec<Value>]) -> u64 {
         debug_assert_eq!(
             positions.len(),
@@ -325,14 +366,12 @@ mod tests {
             ]);
         let idb = IndexedDatabase::build(sample_db(), schema).unwrap();
         assert_eq!(idb.size(), 3);
-        let rows = idb.fetch(0, &[Value::int(1)]).unwrap();
-        assert_eq!(rows.len(), 2);
-        let rows = idb.fetch(0, &[Value::int(9)]).unwrap();
-        assert!(rows.is_empty());
+        assert_eq!(idb.shard_count(), 1);
+        let (rows, shard) = idb.fetch_iter(0, &[Value::int(1)]).unwrap();
+        assert_eq!((rows.len(), shard), (2, 0));
+        let (rows, _) = idb.fetch_iter(0, &[Value::int(9)]).unwrap();
+        assert_eq!(rows.len(), 0);
         assert!(idb.satisfies_schema());
-        let (db, schema) = idb.into_parts();
-        assert_eq!(db.size(), 3);
-        assert_eq!(schema.len(), 1);
     }
 
     #[test]
@@ -408,18 +447,17 @@ mod tests {
                 AccessConstraint::new(&c, "R", &["a"], &["b"], 2).unwrap()
             ]);
         let idb = IndexedDatabase::build(sample_db(), schema).unwrap();
-        let iter = idb.fetch_iter(0, &[Value::int(1)]).unwrap();
+        let (iter, _) = idb.fetch_iter(0, &[Value::int(1)]).unwrap();
         assert_eq!(iter.len(), 2);
         let via_iter: Vec<&[Value]> = iter.collect();
-        let via_fetch = idb.fetch(0, &[Value::int(1)]).unwrap();
-        assert_eq!(via_iter, via_fetch);
+        // The paper's fetch `D_XY(X = 1)`, by a scan in row order.
+        let relation = idb.database().relation("R").unwrap();
+        let via_scan: Vec<&[Value]> = relation.rows().filter(|t| t[0] == Value::int(1)).collect();
+        assert_eq!(via_iter, via_scan);
         // Missing keys yield an empty, zero-length iterator — not an error.
-        let mut empty = idb.fetch_iter(0, &[Value::int(9)]).unwrap();
+        let (mut empty, _) = idb.fetch_iter(0, &[Value::int(9)]).unwrap();
         assert_eq!(empty.len(), 0);
         assert!(empty.next().is_none());
-        // The same argument errors apply as for `fetch`.
-        assert!(idb.fetch_iter(7, &[Value::int(1)]).is_err());
-        assert!(idb.fetch_iter(0, &[]).is_err());
     }
 
     #[test]
@@ -434,21 +472,24 @@ mod tests {
         let mut cols: Vec<Vec<Value>> = vec![Vec::new(), Vec::new()];
         let appended = idb
             .fetch_into_columns(0, &[Value::int(1)], &[1, 0], &mut cols)
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(appended, 2);
         assert_eq!(cols[0], vec![Value::int(10), Value::int(11)]);
         assert_eq!(cols[1], vec![Value::int(1), Value::int(1)]);
         // Appends accumulate: a second key extends the same columns.
         let appended = idb
             .fetch_into_columns(0, &[Value::int(2)], &[1, 0], &mut cols)
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(appended, 1);
         assert_eq!(cols[0].len(), 3);
         assert_eq!(cols[1][2], Value::int(2));
         // Missing keys append nothing; argument errors mirror `fetch_iter`.
         assert_eq!(
             idb.fetch_into_columns(0, &[Value::int(9)], &[0], &mut [Vec::new()])
-                .unwrap(),
+                .unwrap()
+                .0,
             0
         );
         assert!(idb
@@ -464,8 +505,10 @@ mod tests {
                 AccessConstraint::new(&c, "R", &["a"], &["b"], 2).unwrap()
             ]);
         let idb = IndexedDatabase::build(sample_db(), schema).unwrap();
-        assert!(idb.fetch(7, &[Value::int(1)]).is_err());
-        assert!(idb.fetch(0, &[]).is_err());
+        let missing = idb.fetch_iter(7, &[Value::int(1)]).unwrap_err();
+        assert!(missing.to_string().contains("index 7"), "{missing}");
+        let arity = idb.fetch_iter(0, &[]).unwrap_err();
+        assert!(arity.to_string().contains("expects 1"), "{arity}");
     }
 
     #[test]
@@ -488,7 +531,7 @@ mod tests {
                 AccessConstraint::new(&c, "R", &[], &["a"], 5).unwrap()
             ]);
         let idb = IndexedDatabase::build(sample_db(), schema).unwrap();
-        let rows = idb.fetch(0, &[]).unwrap();
+        let (rows, _) = idb.fetch_iter(0, &[]).unwrap();
         assert_eq!(rows.len(), 3);
         assert!(idb.satisfies_schema());
     }

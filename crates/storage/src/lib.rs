@@ -9,14 +9,15 @@
 //! * [`relation`] / [`database`] — relations, instances, catalog validation. A relation
 //!   is ONE flat row-major `Vec<Value>` (stride = arity); readers get `&[Value]` slices.
 //! * [`index`] — keyless CSR posting indexes keyed on attribute subsets.
-//! * [`indexed`] — [`indexed::IndexedDatabase`]: a database plus the indexes mandated by
-//!   an access schema, with constraint validation (`D ⊨ A`).
-//! * [`sharded`] — [`sharded::ShardedDatabase`]: the same indexes partitioned into
-//!   shards by a deterministic hash of the constraint key ([`sharded::shard_of`]), so a
-//!   fetch probes only the shard owning its key and boundedness survives partitioning;
-//!   [`sharded::Store`] is the executor-facing handle over either flavor. Shard layout:
-//!   a key's full posting list lives in exactly one shard, per-key results are
-//!   identical to the unsharded store, and `shard_count = 1` *is* the unsharded store.
+//! * [`indexed`] — [`IndexedDatabase`], the store: a database plus the indexes
+//!   mandated by an access schema, each partitioned into `shard_count ≥ 1` shards by a
+//!   deterministic hash of the constraint key, so a fetch probes only the shard owning
+//!   its key and boundedness survives partitioning; with constraint validation
+//!   (`D ⊨ A`). A key's full posting list lives in exactly one shard, so per-key
+//!   results are the same at every shard count, and the unsharded store is the
+//!   1-shard store. [`Store`] is the executor's name for a borrowed one.
+//! * [`sharded`] — routing: [`shard_of`], the hash that names a key's shard, and
+//!   [`SHARDS_ENV`], the shard count the daemon and the test suites build with.
 //! * [`discovery`] — mining access constraints from data (the paper notes that the
 //!   constraints of Example 1.1 "are discovered by simple aggregate queries on D₀").
 //! * [`io`] — minimal tab-separated import/export, for persisting generated workloads.
@@ -38,11 +39,12 @@
 //! at most half full), compares the key against the first tuple of the candidate group —
 //! a tuple the fetch returns anyway — and hands out a subslice of `postings`; the tuples
 //! are then slices of the relation at `offset · k`. The executor fetches batches of
-//! keys ([`Store::resolve`]), walked together so their cache misses overlap; see
-//! [`index`]. Posting lists keep insertion order
-//! and key groups are numbered by first occurrence, so every result and every
-//! `validate()` report is deterministic and identical between the unsharded store and
-//! any shard count. [`IndexedDatabase::footprint`] reports the exact tuple and index
+//! keys ([`IndexedDatabase::resolve`]), walked together so their cache misses overlap;
+//! see [`index`]. Posting lists keep insertion order and key groups are numbered by
+//! first occurrence, so every result is deterministic and the same at every shard
+//! count, and every `validate()` report is deterministic and, sorted, the same at every
+//! shard count. A shard is one such index over the tuples routed to it; one shard is
+//! the whole relation's. [`IndexedDatabase::footprint`] reports the exact tuple and index
 //! bytes; on the accidents workload the four indexes of ψ1–ψ4 cost ≈12 B per posting.
 //! Each constraint's relation is resolved to a position at build time; a fetch looks no
 //! name up. Tuple offsets are 32-bit: building over a relation beyond `u32::MAX` tuples
@@ -61,6 +63,6 @@ pub mod sharded;
 pub use database::Database;
 pub use discovery::{discover_constraints, measure_cardinality, DiscoveryOptions};
 pub use index::Probes;
-pub use indexed::{ConstraintViolation, FetchIter, IndexedDatabase};
+pub use indexed::{ConstraintViolation, FetchIter, IndexedDatabase, Store};
 pub use relation::Relation;
-pub use sharded::{shard_of, shards_from_env, ShardedDatabase, Store, SHARDS_ENV};
+pub use sharded::{shard_of, shards_from_env, SHARDS_ENV};

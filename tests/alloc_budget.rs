@@ -12,7 +12,7 @@ use bea::core::plan::{lower_plan, PhysOp, PhysicalPlan, PlanBuilder, Predicate};
 use bea::core::schema::Catalog;
 use bea::core::value::Value;
 use bea::engine::{execute_physical_on, ExecOptions};
-use bea::storage::{Database, IndexedDatabase, Store};
+use bea::storage::{Database, IndexedDatabase};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -64,7 +64,7 @@ fn allocations_of<T>(run: impl FnOnce() -> T) -> (T, u64) {
 fn a_cold_q0_stays_inside_its_allocation_budget() {
     let scenario = AccidentsScenario::with_total_tuples(20_000, BENCH_REPORT_SEED).unwrap();
     let physical = lower_plan(&scenario.plan).unwrap();
-    let store = Store::Indexed(&scenario.indexed);
+    let store = &scenario.indexed;
     let options = ExecOptions::new().with_threads(1);
     // Once unmeasured, so lazily initialised process state is not billed to the query.
     let (expected, _) = execute_physical_on(&physical, store, &options).unwrap();
@@ -129,9 +129,8 @@ fn dedup_allocates_logarithmically_in_its_distinct_rows() {
     const ROWS: i64 = 16_384;
     let (store, physical) = dedup_of_distinct_rows(ROWS);
     let options = ExecOptions::new().with_threads(1);
-    let ((table, stats), allocations) = allocations_of(|| {
-        execute_physical_on(&physical, Store::Indexed(&store), &options).unwrap()
-    });
+    let ((table, stats), allocations) =
+        allocations_of(|| execute_physical_on(&physical, &store, &options).unwrap());
     assert_eq!(table.rows(), [vec![Value::int(5)]]);
     assert_eq!(stats.tuples_fetched, ROWS as u64);
     // Per 1 024-row batch a selection vector and a few handles (16 batches here), per

@@ -16,10 +16,7 @@ use bea::engine::{
     eval_cq, execute_physical_on, execute_plan, execute_plan_materialized, execute_plan_on,
     ExecOptions,
 };
-use bea::storage::{
-    discover_constraints, shards_from_env, DiscoveryOptions, IndexedDatabase, ShardedDatabase,
-    Store,
-};
+use bea::storage::{discover_constraints, shards_from_env, DiscoveryOptions, IndexedDatabase};
 use bea::workload::{accidents, ecommerce, graph, querygen};
 use bea_core::access::AccessSchema;
 use bea_core::query::cq::ConjunctiveQuery;
@@ -147,7 +144,7 @@ fn assert_bounded_plans_agree_with_naive(
     // At least 2 shards so the sharded leg always routes keys to several shards; the CI
     // matrix raises it through BEA_SHARDS.
     let shards = shards_from_env().max(2);
-    let sharded = ShardedDatabase::build(db.clone(), schema.clone(), shards).unwrap();
+    let sharded = IndexedDatabase::build_sharded(db.clone(), schema.clone(), shards).unwrap();
     let indexed = IndexedDatabase::build(db, schema.clone()).unwrap();
     assert!(indexed.satisfies_schema());
     assert!(sharded.satisfies_schema());
@@ -167,12 +164,8 @@ fn assert_bounded_plans_agree_with_naive(
             execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(4)).unwrap();
         let (materialized, materialized_stats) =
             execute_plan_materialized(&plan, &indexed).unwrap();
-        let (sharded_out, sharded_stats) = execute_plan_on(
-            &plan,
-            Store::Sharded(&sharded),
-            &ExecOptions::new().with_threads(1),
-        )
-        .unwrap();
+        let (sharded_out, sharded_stats) =
+            execute_plan_on(&plan, &sharded, &ExecOptions::new().with_threads(1)).unwrap();
         let (naive, _) = eval_cq(query, indexed.database()).unwrap();
         // `same_rows` compares sets, so a leg that emits a row twice would pass it.
         let legs = [
@@ -444,8 +437,9 @@ fn warmed_anchored_probes_allocate_nothing() {
                 let (table, stats) = if shards == 1 {
                     execute_plan_on(&plan, &indexed, &options).unwrap()
                 } else {
-                    let sharded = ShardedDatabase::build(db, schema.clone(), shards).unwrap();
-                    execute_plan_on(&plan, Store::Sharded(&sharded), &options).unwrap()
+                    let sharded =
+                        IndexedDatabase::build_sharded(db, schema.clone(), shards).unwrap();
+                    execute_plan_on(&plan, &sharded, &options).unwrap()
                 };
                 // Pooling must be invisible to everything but the allocation counter:
                 // the answers and the data-access counters match the unpooled
@@ -510,9 +504,11 @@ fn sharded_execution_is_invariant_across_shard_counts() {
             let (db, schema) = accidents_fixture(seed, 2);
             let catalog = accidents::catalog();
             let workload = random_workload(&catalog, &schema, &db, 8, qseed);
-            let stores: Vec<ShardedDatabase> = [1u32, 2, 8]
+            let stores: Vec<IndexedDatabase> = [1u32, 2, 8]
                 .into_iter()
-                .map(|shards| ShardedDatabase::build(db.clone(), schema.clone(), shards).unwrap())
+                .map(|shards| {
+                    IndexedDatabase::build_sharded(db.clone(), schema.clone(), shards).unwrap()
+                })
                 .collect();
             let indexed = IndexedDatabase::build(db, schema.clone()).unwrap();
 
@@ -530,7 +526,7 @@ fn sharded_execution_is_invariant_across_shard_counts() {
                     for threads in [1usize, 4] {
                         let (table, stats) = execute_plan_on(
                             &plan,
-                            Store::Sharded(sharded),
+                            sharded,
                             &ExecOptions::new().with_threads(threads),
                         )
                         .unwrap();
@@ -620,7 +616,8 @@ fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
                     let store = match shards {
                         1 => unsharded.clone(),
                         _ => SharedStore::from(
-                            ShardedDatabase::build(db.clone(), schema.clone(), shards).unwrap(),
+                            IndexedDatabase::build_sharded(db.clone(), schema.clone(), shards)
+                                .unwrap(),
                         ),
                     };
                     for threads in [1, 2, 4] {
@@ -651,7 +648,7 @@ fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
             let plan = bounded_plan(&q0, &schema).unwrap();
             let unsharded =
                 SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
-            let sharded = SharedStore::from(ShardedDatabase::build(db, schema, 4).unwrap());
+            let sharded = SharedStore::from(IndexedDatabase::build_sharded(db, schema, 4).unwrap());
             for threads in [1, 4] {
                 let config = SessionConfig::new().with_threads(threads);
                 let one = Session::new(unsharded.clone(), config);
@@ -782,7 +779,7 @@ fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
             let catalog = accidents::catalog();
             let workload = random_workload(&catalog, &schema, &db, 10, qseed);
             let shards = shards_from_env().max(2);
-            let sharded = ShardedDatabase::build(db, schema.clone(), shards).unwrap();
+            let sharded = IndexedDatabase::build_sharded(db, schema.clone(), shards).unwrap();
             let store = SharedStore::from(sharded);
 
             let plans: Vec<_> = workload
@@ -982,7 +979,9 @@ fn session_lanes_match_solo_execution_on_every_family() {
             .collect();
         let stores = [
             SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap()),
-            SharedStore::from(ShardedDatabase::build(db.clone(), schema.clone(), 4).unwrap()),
+            SharedStore::from(
+                IndexedDatabase::build_sharded(db.clone(), schema.clone(), 4).unwrap(),
+            ),
         ];
         for store in &stores {
             for threads in [1usize, 4] {
@@ -1160,7 +1159,7 @@ fn repeated_session_submissions_are_served_from_the_fetch_cache() {
             };
 
             let shards = shards_from_env().max(2);
-            let sharded = ShardedDatabase::build(db, schema, shards).unwrap();
+            let sharded = IndexedDatabase::build_sharded(db, schema, shards).unwrap();
             let store = SharedStore::from(sharded);
 
             const REPEATS: usize = 4;
