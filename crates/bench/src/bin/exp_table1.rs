@@ -8,28 +8,19 @@
 //! theory predicts on the chain families, and (b) show the scaling split between the
 //! PTIME coverage test and the enumeration-based procedures as queries grow.
 //!
-//! Run with `cargo run --release -p bea-bench --bin exp_table1`.
-
-//! Besides the printed report, the binary maintains the machine-readable perf record:
+//! It also runs E7, the ablations of the analysis: the PTIME coverage check against
+//! the full bounded-evaluability analysis, A-equivalence rewrites on and off, and the
+//! reasoning budget of A-containment.
 //!
-//! * `exp_table1` — full run; also writes `BENCH_pipeline.json` (scenario →
-//!   rows_fetched / peak_rows_resident / values_cloned / allocs_per_probe /
-//!   rows_served_from_cache / ns_p50 / ns_p99) to the working directory, the committed
-//!   baseline of the streaming pipeline's copy traffic, probe-path buffer demand,
-//!   cross-query cache service, and latency distribution.
-//! * `exp_table1 --check <baseline.json>` — perf-smoke mode (used by CI): rebuild the
-//!   record and fail (exit 1) if any deterministic counter (`rows_fetched`,
-//!   `values_cloned`, `allocs_per_probe`, `rows_served_from_cache`) regressed more
-//!   than 10% above the
-//!   committed baseline — the warm cached-repeat leg commits `allocs_per_probe: 0`,
-//!   which a zero baseline holds with zero slack — if the
-//!   scenario set drifted from the committed record in either direction, or if any
-//!   scenario's fresh p99 blew the tail-latency budget
-//!   `max(50 ms, baseline p99 × 25)` — loose enough for machine-to-machine variance,
-//!   tight enough to catch order-of-magnitude tail blowups.
+//! Run with `cargo run --release -p bea-bench --bin exp_table1`. Besides the printed
+//! report, the binary rewrites the perf record `BENCH_pipeline.json` at the workspace
+//! root, whatever its working directory: scenario → rows_fetched / peak_rows_resident /
+//! values_cloned / allocs_per_probe / rows_served_from_cache, all deterministic. The
+//! `scenarios` tests compare the committed file with a fresh build of the record byte
+//! for byte, so a change that moves a counter commits the rewritten file with it.
 
 use bea_bench::families;
-use bea_bench::report::{fmt_ms, time_ms, PipelineBenchReport, TextTable};
+use bea_bench::report::{fmt_ms, time_ms, TextTable};
 use bea_bench::scenarios::{
     pipeline_bench_report, AccidentsScenario, ConcurrentTrafficScenario, EcommerceScenario,
     GraphScenario, HeavyChainScenario, ParallelScenario, ShardedScenario,
@@ -37,128 +28,84 @@ use bea_bench::scenarios::{
 use bea_core::bounded::{analyze_cq, BoundedConfig};
 use bea_core::cover;
 use bea_core::envelope::{lower_envelope_cq, upper_envelope_cq, EnvelopeConfig};
+use bea_core::error::Error;
 use bea_core::plan::{lower_plan, PhysicalPlan};
+use bea_core::reason::containment::a_contained;
 use bea_core::reason::ReasonConfig;
 use bea_core::specialize::{specialize_cq, SpecializeConfig};
 use bea_engine::{execute_physical_on, execute_plan_materialized, execute_plan_on, ExecOptions};
 
-/// Tolerated growth of the deterministic counters (`rows_fetched`, `values_cloned`,
-/// `allocs_per_probe`, `rows_served_from_cache`) over the committed baseline, in
-/// percent. A zero baseline tolerates exactly zero — the anchored fast path's
-/// zero-allocation guarantee gets no slack.
-const CLONE_REGRESSION_TOLERANCE_PERCENT: u64 = 10;
-
-/// Tail-latency budget: a fresh p99 may exceed the committed baseline p99 by this
-/// factor before `--check` fails. Deliberately loose — the baseline was recorded on a
-/// different machine; the gate is for order-of-magnitude blowups, not jitter.
-const P99_BUDGET_FACTOR: u64 = 25;
-
-/// Absolute floor of the tail budget in nanoseconds (50 ms): scenarios whose baseline
-/// p99 is tiny would otherwise fail on scheduler noise alone.
-const P99_FLOOR_NS: u64 = 50_000_000;
-
-/// Timed iterations per scenario in `--check` mode — enough samples for a meaningful
-/// nearest-rank p99 while keeping the CI perf-smoke fast.
-const CHECK_TIMING_ITERS: u32 = 20;
+/// The perf record, at the workspace root.
+const RECORD_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = args.iter().position(|a| a == "--check") {
-        let Some(baseline_path) = args.get(pos + 1) else {
-            eprintln!(
-                "error: --check needs a baseline path, e.g. \
-                 `exp_table1 --check BENCH_pipeline.json`"
-            );
-            std::process::exit(1);
-        };
-        return check_against_baseline(baseline_path);
+    if std::env::args().len() > 1 {
+        eprintln!(
+            "error: exp_table1 takes no arguments; `cargo test -p bea-bench` checks the \
+             committed BENCH_pipeline.json against a fresh build, byte for byte"
+        );
+        std::process::exit(2);
     }
     run_experiments()?;
+    run_ablations()?;
 
-    // The machine-readable perf record, committed as the regression baseline.
     println!("\n## BENCH_pipeline.json — pipeline perf record\n");
-    let report = pipeline_bench_report(CHECK_TIMING_ITERS)?;
-    let json = report.to_json();
-    std::fs::write("BENCH_pipeline.json", &json)?;
+    let json = pipeline_bench_report()?.to_json();
+    std::fs::write(RECORD_PATH, &json)?;
     print!("{json}");
-    println!("(written to BENCH_pipeline.json)");
+    println!("(written to BENCH_pipeline.json at the workspace root)");
     Ok(())
 }
 
-/// Perf-smoke mode: recompute the pipeline record and gate on the deterministic
-/// counters (`rows_fetched`, `values_cloned`, `allocs_per_probe`,
-/// `rows_served_from_cache`, exact scenario-set match) plus the
-/// p99 tail-latency budget. A missing or malformed baseline is an operator error,
-/// reported as a plain one-line message (never a panic or an opaque `Err` debug dump)
-/// with the fix spelled out.
-fn check_against_baseline(baseline_path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(error) => {
-            eprintln!(
-                "error: cannot read the perf baseline `{baseline_path}`: {error}\n\
-                 hint: the baseline is committed at the repository root as \
-                 BENCH_pipeline.json; regenerate it with \
-                 `cargo run --release -p bea-bench --bin exp_table1` and commit the \
-                 refreshed file."
-            );
-            std::process::exit(1);
-        }
-    };
-    let baseline = match PipelineBenchReport::parse_json(&text) {
-        Ok(baseline) => baseline,
-        Err(reason) => {
-            eprintln!(
-                "error: the perf baseline `{baseline_path}` is malformed: {reason}\n\
-                 hint: regenerate it with \
-                 `cargo run --release -p bea-bench --bin exp_table1` and commit the \
-                 refreshed file."
-            );
-            std::process::exit(1);
-        }
-    };
-    let fresh = pipeline_bench_report(CHECK_TIMING_ITERS)?;
-    let mut violations = fresh.regressions_against(&baseline, CLONE_REGRESSION_TOLERANCE_PERCENT);
-    violations.extend(fresh.tail_latency_regressions(&baseline, P99_BUDGET_FACTOR, P99_FLOOR_NS));
-    for (name, entry) in &fresh.scenarios {
-        let (base_cloned, base_allocs, base_p99) = baseline.scenarios.get(name).map_or_else(
-            || ("-".to_owned(), "-".to_owned(), "-".to_owned()),
-            |b| {
-                (
-                    b.values_cloned.to_string(),
-                    b.allocs_per_probe.to_string(),
-                    b.ns_p99.to_string(),
-                )
-            },
-        );
-        println!(
-            "{name}: values_cloned {} (baseline {base_cloned}), allocs_per_probe {} \
-             (baseline {base_allocs}), p50 {} ns, p99 {} ns (baseline p99 {base_p99}), \
-             rows_fetched {}, rows_served_from_cache {}, peak resident {}",
-            entry.values_cloned,
-            entry.allocs_per_probe,
-            entry.ns_p50,
-            entry.ns_p99,
-            entry.rows_fetched,
-            entry.rows_served_from_cache,
-            entry.peak_rows_resident
-        );
+/// E7: what the design choices of the analysis cost, on the unanchored 6-chain (not
+/// covered, so the full analysis runs its satisfiability and rewrite machinery) and on
+/// the anchored 6-chain contained in itself (a positive instance that sweeps the whole
+/// enumeration unless the budget stops it first).
+fn run_ablations() -> Result<(), Box<dyn std::error::Error>> {
+    println!("\n# E7 — ablations: effective syntax vs semantic analysis, rewrites, budgets\n");
+    let n = 6;
+    let catalog = families::chain_catalog(n);
+    let schema = families::chain_schema(&catalog, 4);
+    let uncovered = families::unanchored_chain(&catalog, n)?;
+    let covered = families::anchored_chain(&catalog, n)?;
+    let mut table = TextTable::new(["ablation", "setting", "time", "outcome"]);
+
+    let (report, ms) = time_ms(|| cover::coverage(&uncovered, &schema));
+    assert!(!report.is_covered());
+    table.row([
+        "coverage only (PTIME)",
+        "unanchored 6-chain",
+        &fmt_ms(ms),
+        "not covered",
+    ]);
+    for (setting, rewrites) in [("A-equivalence rewrites on", true), ("rewrites off", false)] {
+        let config = BoundedConfig {
+            use_a_equivalence_removal: rewrites,
+            ..BoundedConfig::default()
+        };
+        let (verdict, ms) = time_ms(|| analyze_cq(&uncovered, &schema, &config));
+        assert!(!verdict?.is_bounded());
+        table.row(["full analysis", setting, &fmt_ms(ms), "not established"]);
     }
-    if violations.is_empty() {
-        println!(
-            "perf-smoke OK: rows_fetched, values_cloned, allocs_per_probe and \
-             rows_served_from_cache within {CLONE_REGRESSION_TOLERANCE_PERCENT}% of the \
-             baseline, scenario set \
-             unchanged, and p99 within max({P99_FLOOR_NS} ns, baseline × \
-             {P99_BUDGET_FACTOR}) on every scenario"
-        );
-        Ok(())
-    } else {
-        for violation in &violations {
-            eprintln!("perf-smoke FAILED: {violation}");
-        }
-        std::process::exit(1);
+    for budget in [10_000u64, 100_000, 1_000_000] {
+        let config = ReasonConfig::with_budget(budget);
+        let (contained, ms) = time_ms(|| a_contained(&covered, &covered, &schema, &config));
+        let outcome = match contained {
+            Ok(true) => "contained",
+            Ok(false) => unreachable!("a query is A-contained in itself"),
+            Err(Error::BudgetExhausted { .. }) => "budget exhausted",
+            Err(error) => return Err(error.into()),
+        };
+        let setting = format!("budget {budget}");
+        table.row(["A-containment", &setting, &fmt_ms(ms), outcome]);
     }
+    table.print();
+    println!(
+        "\nThe coverage check answers in microseconds where the full analysis pays for \
+         satisfiability and rewrite searches before it can say \"not established\". The \
+         containment rows show, per budget, whether the enumeration fit in it."
+    );
+    Ok(())
 }
 
 fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {

@@ -1,21 +1,25 @@
 //! # bea-bench — the experiment harness
 //!
 //! Every table, figure and quantitative claim of the paper has a regenerating harness
-//! here (the experiment index lives in `DESIGN.md`, the recorded results in
-//! `EXPERIMENTS.md`):
+//! here. This table is the experiment index; each binary prints its results as a
+//! markdown report:
 //!
-//! | experiment | binary | criterion bench |
-//! |------------|--------|-----------------|
-//! | E1 — Table 1 (complexity of BEP/CQP/UEP/LEP/QSP per query class) | `exp_table1` | `table1_complexity` |
-//! | E2 — Example 1.1 (Q0 on the accidents data, bounded vs full scan) | `exp_accidents` | `accidents_q0` |
-//! | E3 — "77% of CQs are boundedly evaluable under 84 constraints" | `exp_coverage_rate` | — |
-//! | E4 — graph pattern queries, bounded vs subgraph matching | `exp_graph` | `graph_patterns` |
-//! | E5 — envelope approximation bounds (Section 4) | `exp_envelopes` | — |
-//! | E6 — bounded specialization (Section 5, Example 5.1) | `exp_specialization` | — |
-//! | E7 — ablations (effective syntax vs semantic analysis, rewrites, budgets) | — | `ablations` |
+//! | experiment | binary |
+//! |------------|--------|
+//! | E1 — Table 1 (complexity of BEP/CQP/UEP/LEP/QSP per query class) | `exp_table1` |
+//! | E2 — Example 1.1 (Q0 on the accidents data, bounded vs full scan) | `exp_accidents` |
+//! | E3 — "77% of CQs are boundedly evaluable under 84 constraints" | `exp_coverage_rate` |
+//! | E4 — graph pattern queries, bounded vs subgraph matching | `exp_graph` |
+//! | E5 — envelope approximation bounds (Section 4) | `exp_envelopes` |
+//! | E6 — bounded specialization (Section 5, Example 5.1) | `exp_specialization` |
+//! | E7 — ablations (effective syntax vs semantic analysis, rewrites, budgets) | `exp_table1` |
 //!
-//! The library part holds the pieces shared by the binaries and the criterion benches:
-//! scenario builders ([`scenarios`]), chain-query families for the complexity experiment
+//! `exp_table1` also writes the perf record `BENCH_pipeline.json` at the workspace root
+//! ([`scenarios::pipeline_bench_report`]); a `scenarios` test checks the committed file
+//! against a fresh build of it, byte for byte.
+//!
+//! The library part holds the pieces shared by the binaries and the tests: scenario
+//! builders ([`scenarios`]), chain-query families for the complexity experiment
 //! ([`families`]), and small text-table helpers ([`report`]).
 
 #![deny(unsafe_code)]

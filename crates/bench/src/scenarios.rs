@@ -1,5 +1,5 @@
 //! Shared experiment scenarios: generated database + access schema + queries, packaged
-//! so the binaries and the criterion benches measure exactly the same thing.
+//! so the `exp_*` binaries, the perf record and the tests measure exactly the same thing.
 
 use crate::report::{BenchEntry, PipelineBenchReport};
 use bea_core::access::AccessSchema;
@@ -152,7 +152,8 @@ impl EcommerceScenario {
 /// The batch scenario: a union of `branches` independently anchored Q0 queries over
 /// one accidents database — the "batch of personalized queries" shape, submitted as
 /// one query. The union streams, so the batch is one pipeline and runs on one thread
-/// at any thread count; the record times it at 4 threads to keep that visible.
+/// at any thread count; `exp_table1` times it at 1, 2 and 4 threads to keep that
+/// visible.
 pub struct ParallelScenario {
     /// The relational schema.
     pub catalog: Catalog,
@@ -204,8 +205,8 @@ impl ParallelScenario {
 /// anchor key fans out to `fan_out` rows with distinct join keys, which a second hop
 /// joins through the fused keyed-lookup pattern, so one pipeline probes `fan_out`
 /// keys over `fan_out / 1024` batches. Nothing splits a pipeline, so the query runs on
-/// one thread at any thread count, with identical rows and counters; the record times
-/// it at 4 threads, which measures what "one core per query" costs a heavy query.
+/// one thread at any thread count, with identical rows and counters; `exp_table1` times
+/// it at 1 and 4 threads, which measures what "one core per query" costs a heavy query.
 pub struct HeavyChainScenario {
     /// The relational schema (R(a, b) fan-out, S(k, v) lookups).
     pub catalog: Catalog,
@@ -475,18 +476,15 @@ impl ConcurrentTrafficScenario {
     }
 }
 
-/// The scenario scales the perf record is measured at — shared by `exp_table1` and the
-/// `ablations` bench so `BENCH_pipeline.json` means the same thing wherever it is
-/// emitted. Kept moderate so the CI perf-smoke stays fast.
+/// The seed every scenario of the perf record is built with. The scales are kept
+/// moderate so building the record stays well under a second in release mode.
 pub const BENCH_REPORT_SEED: u64 = 42;
 
 /// Build the `BENCH_pipeline.json` record: run the streaming pipeline once per
-/// scenario for the access/residency/copy-traffic/probe-allocation numbers (all
-/// deterministic), then `timing_iters` more times for the latency distribution
-/// (`ns_p50`/`ns_p99`, nearest-rank over the per-iteration samples). `timing_iters = 0`
-/// records zero for both timing fields (used by smoke runs that only care about the
-/// deterministic fields; the `--check` tail gate skips zero baselines).
-pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
+/// scenario and keep its deterministic counters (access, residency, copy traffic,
+/// probe-path buffer demand, cache service). Every run is single-threaded, so the
+/// record does not depend on the machine, `BEA_THREADS` or `BEA_SHARDS`.
+pub fn pipeline_bench_report() -> Result<PipelineBenchReport> {
     let accidents = AccidentsScenario::with_total_tuples(20_000, BENCH_REPORT_SEED)?;
     let graph = GraphScenario::with_persons(500, BENCH_REPORT_SEED)?;
     let ecommerce = EcommerceScenario::with_customers(300, BENCH_REPORT_SEED)?;
@@ -503,21 +501,7 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
     ];
     for (name, plan, indexed) in cases {
         let (_, stats) = execute_plan_on(plan, indexed, &single)?;
-        let (ns_p50, ns_p99) = time_percentiles(timing_iters, || {
-            execute_plan_on(plan, indexed, &single).map(|_| ())
-        })?;
-        report.insert(
-            name,
-            BenchEntry {
-                rows_fetched: stats.tuples_fetched,
-                peak_rows_resident: stats.peak_rows_resident,
-                values_cloned: stats.values_cloned,
-                allocs_per_probe: stats.allocs_per_probe,
-                rows_served_from_cache: stats.rows_served_from_cache,
-                ns_p50,
-                ns_p99,
-            },
-        );
+        report.insert(name, BenchEntry::from(&stats));
     }
     // Q0 lowers to keyed lookups only, and a keyed lookup demands no buffer per key —
     // a miss moves its key into the arena's flat columns. A per-key buffer creeping
@@ -531,109 +515,41 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
          lookup is allocating per key again",
         q0.rows_fetched
     );
-    // The batch, the heavy chain and the sharded Q0: every recorded counter comes from
-    // the 1-thread run (`values_cloned` and the access counters are identical at every
-    // thread count, and the 1-thread residency peak is schedule-independent). Only the
-    // wall-clock figure is taken at 4 threads, to show what a solo run at 4 threads
-    // pays.
-    let (_, stats) = execute_physical_on(&batch.physical, &batch.indexed, &single)?;
-    let parallel = ExecOptions::new().with_threads(4);
-    let (ns_p50, ns_p99) = time_percentiles(timing_iters, || {
-        execute_physical_on(&batch.physical, &batch.indexed, &parallel).map(|_| ())
-    })?;
-    report.insert(
-        "parallel_q0_batch_6",
-        BenchEntry {
-            rows_fetched: stats.tuples_fetched,
-            peak_rows_resident: stats.peak_rows_resident,
-            values_cloned: stats.values_cloned,
-            allocs_per_probe: stats.allocs_per_probe,
-            rows_served_from_cache: stats.rows_served_from_cache,
-            ns_p50,
-            ns_p99,
-        },
-    );
-    let (_, stats) = execute_physical_on(&chain.physical, &chain.indexed, &single)?;
-    let (ns_p50, ns_p99) = time_percentiles(timing_iters, || {
-        execute_physical_on(&chain.physical, &chain.indexed, &parallel).map(|_| ())
-    })?;
-    report.insert(
-        "morsel_chain_fan_16384",
-        BenchEntry {
-            rows_fetched: stats.tuples_fetched,
-            peak_rows_resident: stats.peak_rows_resident,
-            values_cloned: stats.values_cloned,
-            allocs_per_probe: stats.allocs_per_probe,
-            rows_served_from_cache: stats.rows_served_from_cache,
-            ns_p50,
-            ns_p99,
-        },
-    );
-    let sharded_store = &sharded.sharded;
-    let (_, stats) = execute_physical_on(&sharded.physical, sharded_store, &single)?;
-    let (ns_p50, ns_p99) = time_percentiles(timing_iters, || {
-        execute_physical_on(&sharded.physical, sharded_store, &parallel).map(|_| ())
-    })?;
-    report.insert(
-        "sharded_q0_shards_4",
-        BenchEntry {
-            rows_fetched: stats.tuples_fetched,
-            peak_rows_resident: stats.peak_rows_resident,
-            values_cloned: stats.values_cloned,
-            allocs_per_probe: stats.allocs_per_probe,
-            rows_served_from_cache: stats.rows_served_from_cache,
-            ns_p50,
-            ns_p99,
-        },
-    );
-    // The multi-query service scenario. Deterministic fields come from serial,
-    // single-threaded runs of the *admitted* set (the session is asserted elsewhere
-    // to reproduce them exactly, so recording the serial numbers keeps the committed
-    // record schedule-independent): totals are summed across the admitted queries,
-    // the residency peak is the largest single-query peak. Wall clock is the real
-    // thing — a fresh 4-worker budgeted session per iteration, the whole mixed batch
-    // (admitted + rejected) submitted concurrently, drained, and shut down; at
-    // `timing_iters = 0` no session is ever created.
-    let traffic = ConcurrentTrafficScenario::with_traffic(4, 2, 20_000, BENCH_REPORT_SEED)?;
-    let mut entry = BenchEntry::default();
-    for plan in &traffic.admitted {
-        let (_, stats) = execute_plan_on(plan, traffic.store.store(), &single)?;
-        entry.rows_fetched += stats.tuples_fetched;
-        entry.values_cloned += stats.values_cloned;
-        entry.allocs_per_probe += stats.allocs_per_probe;
-        entry.peak_rows_resident = entry.peak_rows_resident.max(stats.peak_rows_resident);
+    // The batch, the heavy chain and the sharded Q0 (every counter is identical at
+    // every thread count; the scenario tests assert it).
+    let physical_cases: [(&str, &PhysicalPlan, &IndexedDatabase); 3] = [
+        ("parallel_q0_batch_6", &batch.physical, &batch.indexed),
+        ("morsel_chain_fan_16384", &chain.physical, &chain.indexed),
+        ("sharded_q0_shards_4", &sharded.physical, &sharded.sharded),
+    ];
+    for (name, physical, store) in physical_cases {
+        let (_, stats) = execute_physical_on(physical, store, &single)?;
+        report.insert(name, BenchEntry::from(&stats));
     }
-    (entry.ns_p50, entry.ns_p99) = time_percentiles(timing_iters, || {
-        let (admitted, rejected) = traffic.drive_session(4)?;
-        debug_assert_eq!(
-            (admitted, rejected),
-            (traffic.admitted.len(), traffic.rejected.len())
-        );
-        Ok(())
-    })?;
-    report.insert("service_mixed_traffic", entry);
+    // The multi-query service scenario, recorded from serial runs of the *admitted*
+    // set (the session is asserted elsewhere to reproduce them exactly, so the record
+    // stays schedule-independent): totals summed across the admitted queries, the
+    // residency peak the largest single-query peak.
+    let traffic = ConcurrentTrafficScenario::with_traffic(4, 2, 20_000, BENCH_REPORT_SEED)?;
+    let mut total = AccessStats::default();
+    for plan in &traffic.admitted {
+        total += execute_plan_on(plan, traffic.store.store(), &single)?.1;
+    }
+    report.insert("service_mixed_traffic", BenchEntry::from(&total));
     // The cross-query fetch-cache scenario: the first admitted anchored Q0 submitted
-    // twice through one cache-enabled session (1 worker — the deterministic counters
-    // are thread-invariant, but a single worker keeps the two legs strictly ordered).
-    // The cold leg reproduces the uncached counters — filling the cache is a side
-    // effect, never a cost the query pays. The warm leg is what the hot tier exists
-    // for: zero store fetches, zero probe-path buffer demand, every posting row
-    // served out of the cache. Both legs are committed so `--check` holds the warm
-    // `allocs_per_probe: 0` baseline with zero slack and pins `rows_served_from_cache`
-    // like any other deterministic counter. Wall clock times each leg at its own
-    // temperature: the cold figure pays a fresh session + first-touch fill per
-    // iteration, the warm figure is the steady-state repeat inside one session.
-    let plan = &traffic.admitted[0];
-    let cached_session = || {
-        Session::new(
-            traffic.store.clone(),
-            SessionConfig::new()
-                .with_threads(1)
-                .with_cache_budget_rows(1 << 20),
-        )
-    };
-    let submit = |session: &Session| -> Result<AccessStats> {
-        match session.submit(plan) {
+    // twice through one cache-enabled session (1 worker keeps the two legs strictly
+    // ordered). The cold leg reproduces the uncached counters — filling the cache is a
+    // side effect, never a cost the query pays. The warm leg is what the hot tier
+    // exists for: zero store fetches, zero probe-path buffer demand, every posting row
+    // served out of the cache.
+    let session = Session::new(
+        traffic.store.clone(),
+        SessionConfig::new()
+            .with_threads(1)
+            .with_cache_budget_rows(1 << 20),
+    );
+    let submit = || -> Result<AccessStats> {
+        match session.submit(&traffic.admitted[0]) {
             Ok(handle) => handle.wait().map(|(_, stats)| stats),
             // No fetch budget is configured on this session, so admission never
             // rejects; an invalid plan is a real error.
@@ -641,9 +557,8 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
             Err(SubmitError::Invalid(error)) => Err(error),
         }
     };
-    let session = cached_session();
-    let cold = submit(&session)?;
-    let warm = submit(&session)?;
+    let cold = submit()?;
+    let warm = submit()?;
     session.shutdown();
     assert_eq!(
         (warm.tuples_fetched, warm.allocs_per_probe),
@@ -654,68 +569,9 @@ pub fn pipeline_bench_report(timing_iters: u32) -> Result<PipelineBenchReport> {
         warm.rows_served_from_cache, cold.tuples_fetched,
         "the warm repeat must cover exactly the cold leg's fetch volume"
     );
-    let (cold_p50, cold_p99) = time_percentiles(timing_iters, || {
-        let session = cached_session();
-        let stats = submit(&session)?;
-        session.shutdown();
-        debug_assert_eq!(stats.tuples_fetched, cold.tuples_fetched);
-        Ok(())
-    })?;
-    report.insert(
-        "cached_repeat_traffic_cold",
-        BenchEntry {
-            rows_fetched: cold.tuples_fetched,
-            peak_rows_resident: cold.peak_rows_resident,
-            values_cloned: cold.values_cloned,
-            allocs_per_probe: cold.allocs_per_probe,
-            rows_served_from_cache: cold.rows_served_from_cache,
-            ns_p50: cold_p50,
-            ns_p99: cold_p99,
-        },
-    );
-    let warm_session = cached_session();
-    submit(&warm_session)?; // prime the cache once outside the timed region
-    let (warm_p50, warm_p99) = time_percentiles(timing_iters, || {
-        let stats = submit(&warm_session)?;
-        debug_assert_eq!(stats.tuples_fetched, 0);
-        Ok(())
-    })?;
-    warm_session.shutdown();
-    report.insert(
-        "cached_repeat_traffic_warm",
-        BenchEntry {
-            rows_fetched: warm.tuples_fetched,
-            peak_rows_resident: warm.peak_rows_resident,
-            values_cloned: warm.values_cloned,
-            allocs_per_probe: warm.allocs_per_probe,
-            rows_served_from_cache: warm.rows_served_from_cache,
-            ns_p50: warm_p50,
-            ns_p99: warm_p99,
-        },
-    );
+    report.insert("cached_repeat_traffic_cold", BenchEntry::from(&cold));
+    report.insert("cached_repeat_traffic_warm", BenchEntry::from(&warm));
     Ok(report)
-}
-
-/// `(p50, p99)` nanoseconds per call of `op` over `iters` individually timed calls
-/// (0 → no measurement, `(0, 0)`). Nearest-rank percentiles over the sorted samples:
-/// p50 is `samples[len / 2]`, p99 is `samples[ceil(0.99 · len) - 1]` — at small `iters`
-/// the p99 is simply the slowest sample, which is exactly the figure a tail-latency
-/// budget should gate on.
-pub fn time_percentiles(iters: u32, mut op: impl FnMut() -> Result<()>) -> Result<(u64, u64)> {
-    if iters == 0 {
-        return Ok((0, 0));
-    }
-    let mut samples = Vec::with_capacity(iters as usize);
-    for _ in 0..iters {
-        let start = std::time::Instant::now();
-        op()?;
-        samples.push(start.elapsed().as_nanos() as u64);
-    }
-    samples.sort_unstable();
-    let p50 = samples[samples.len() / 2];
-    let p99_rank = (samples.len() * 99).div_ceil(100);
-    let p99 = samples[p99_rank - 1];
-    Ok((p50, p99))
 }
 
 #[cfg(test)]
@@ -724,10 +580,12 @@ mod tests {
     use bea_engine::{eval_cq, eval_ucq, execute_plan, execute_plan_materialized};
 
     /// The perf record is complete, deterministic (same numbers on a second build) and
-    /// internally consistent with a direct execution of the same scenarios.
+    /// equal, byte for byte, to the committed `BENCH_pipeline.json`: a counter that
+    /// moves by one in either direction fails here until `exp_table1` rewrites the
+    /// record and the new numbers are committed with the change that moved them.
     #[test]
     fn pipeline_bench_report_is_deterministic_and_complete() {
-        let report = pipeline_bench_report(0).unwrap();
+        let report = pipeline_bench_report().unwrap();
         for scenario in [
             "accidents_q0",
             "graph_personalized",
@@ -755,8 +613,6 @@ mod tests {
                 entry.rows_served_from_cache, 0,
                 "{scenario} runs cold — nothing is cached yet"
             );
-            assert_eq!(entry.ns_p50, 0, "timing_iters = 0 records no timing");
-            assert_eq!(entry.ns_p99, 0, "timing_iters = 0 records no timing");
         }
         // The warm leg inverts the cold invariants: the store is never touched, the
         // probe path demands no buffers, and the entire cold fetch volume is served
@@ -771,13 +627,13 @@ mod tests {
             "cached rows still move into outputs"
         );
         assert!(warm.values_cloned < cold.values_cloned);
-        assert_eq!((warm.ns_p50, warm.ns_p99), (0, 0));
-        let again = pipeline_bench_report(0).unwrap();
+        let again = pipeline_bench_report().unwrap();
         assert_eq!(report, again, "the deterministic fields must reproduce");
-        let json = report.to_json();
         assert_eq!(
-            crate::report::PipelineBenchReport::parse_json(&json).unwrap(),
-            report
+            report.to_json(),
+            include_str!("../../../BENCH_pipeline.json"),
+            "BENCH_pipeline.json is stale: run `cargo run --release -p bea-bench --bin \
+             exp_table1` and commit the rewritten record"
         );
     }
 
@@ -856,6 +712,31 @@ mod tests {
         assert_streaming_beats_materialized(&scenario.plan, &scenario.indexed);
     }
 
+    /// The columnar pipeline moves strictly fewer values than the row-at-a-time
+    /// reference on every scenario family at the perf record's scale. Not on
+    /// near-empty answers: the 300-person graph at seed 5 answers two tuples, and both
+    /// executors clone 3 values for them.
+    #[test]
+    fn streaming_clones_fewer_values_at_the_record_scale() {
+        let accidents = AccidentsScenario::with_total_tuples(20_000, BENCH_REPORT_SEED).unwrap();
+        let graph = GraphScenario::with_persons(500, BENCH_REPORT_SEED).unwrap();
+        let ecommerce = EcommerceScenario::with_customers(300, BENCH_REPORT_SEED).unwrap();
+        for (name, plan, indexed) in [
+            ("accidents_q0", &accidents.plan, &accidents.indexed),
+            ("graph_personalized", &graph.plan, &graph.indexed),
+            ("ecommerce_orders", &ecommerce.plan, &ecommerce.indexed),
+        ] {
+            let (_, streamed) = execute_plan_on(plan, indexed, &ExecOptions::new()).unwrap();
+            let (_, materialized) = execute_plan_materialized(plan, indexed).unwrap();
+            assert!(
+                streamed.values_cloned < materialized.values_cloned,
+                "{name}: streaming cloned {} values, not below the materialized {}",
+                streamed.values_cloned,
+                materialized.values_cloned
+            );
+        }
+    }
+
     /// The acceptance property of sharded execution on its target scenario: the
     /// sharded physical plan equals the unsharded one, and a shards = 4 / threads = 4
     /// run of it returns the unsharded run's rows in the same order and fetches
@@ -893,6 +774,10 @@ mod tests {
         );
         assert!(sharded_stats.same_data_access(&baseline_stats));
         assert_eq!(sharded_stats.values_cloned, baseline_stats.values_cloned);
+        assert_eq!(
+            sharded_stats.allocs_per_probe,
+            baseline_stats.allocs_per_probe
+        );
         // Per-shard boundedness: the partitions serve exactly the total, and more
         // than one partition actually serves (the anchored keys spread at this seed).
         assert_eq!(
@@ -1029,6 +914,11 @@ mod tests {
         assert_eq!(
             parallel_stats.peak_rows_resident,
             single_stats.peak_rows_resident
+        );
+        assert_eq!(parallel_stats.values_cloned, single_stats.values_cloned);
+        assert_eq!(
+            parallel_stats.allocs_per_probe,
+            single_stats.allocs_per_probe
         );
 
         let (naive, _) = eval_ucq(&scenario.query, scenario.indexed.database()).unwrap();

@@ -16,9 +16,9 @@
 //!
 //! [`execute_plan_materialized`] is the **reference**: the literal step loop, one
 //! [`Table`] per plan step, all of them alive until the end. It takes no options and
-//! serves no query; the property suites, `BENCH_pipeline.json` and the ablation bench
-//! compare the pipeline against it — both perform the same index lookups and fetch the
-//! same tuples; see [`AccessStats::same_data_access`].
+//! serves no query; the property suites, `bea-bench`'s scenario tests and `exp_table1`'s
+//! residency table compare the pipeline against it — both perform the same index lookups
+//! and fetch the same tuples; see [`AccessStats::same_data_access`].
 
 use crate::ops;
 use crate::stats::AccessStats;

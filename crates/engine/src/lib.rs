@@ -40,7 +40,7 @@
 //! caches and dedup sets therefore hold references to the same bytes the relations
 //! do. [`stats::AccessStats::values_cloned`] counts every value moved between executor
 //! buffers — deterministic for a plan at any thread count, which is what lets the
-//! perf-smoke CI step assert the pipeline's copy traffic instead of eyeballing it.
+//! committed `BENCH_pipeline.json` record the pipeline's copy traffic exactly.
 //!
 //! # Buffer pooling and the zero-allocation probe path
 //!

@@ -4,8 +4,8 @@
 //! aggregate queries on D₀": for a candidate pair of attribute sets `(X, Y)` of a
 //! relation, the cardinality `N = max_ā |D_Y(X = ā)|` is an aggregate over the data, and
 //! `R(X → Y, N)` is then an access constraint the instance satisfies by construction.
-//! This module implements that mining step, which the coverage-rate experiment (E3 in
-//! `EXPERIMENTS.md`) uses to build constraint sets of increasing size.
+//! This module implements that mining step, which the coverage-rate experiment (E3,
+//! `bea-bench`'s `exp_coverage_rate`) uses to build constraint sets of increasing size.
 
 use crate::database::Database;
 use bea_core::access::AccessConstraint;

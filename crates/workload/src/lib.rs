@@ -4,7 +4,7 @@
 //! road-accident database, real-life Web graphs, production e-commerce queries). This
 //! crate builds synthetic substitutes that preserve what matters for bounded
 //! evaluability: the schemas, the cardinality profiles behind the access constraints, and
-//! the shapes of the query workloads. `DESIGN.md` documents each substitution.
+//! the shapes of the query workloads. Each module's docs describe its substitution.
 //!
 //! * [`accidents`] — the UK road-accidents workload of Example 1.1 (`Accident`,
 //!   `Casualty`, `Vehicle`; constraints ψ1–ψ4; query `Q0` and its parameterized form of

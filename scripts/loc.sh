@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Lines of Rust per crate: every `.rs` file under the crate, and the non-test part of
 # its `src/` — the lines before a file's last top-level `#[cfg(test)]` (a file without
-# one counts whole). ROADMAP aim 2 tracks these numbers; CI prints them, ungated.
+# one counts whole). ROADMAP aim 2 tracks these numbers; CI prints them, ungated. The
+# vendored stand-ins under vendor/ get a row of their own, outside the workspace sum.
 #
 # Usage: scripts/loc.sh [file.rs ...]   with files: one line per file, no crate table
 set -euo pipefail
@@ -45,3 +46,6 @@ for crate in crates/* .; do
     sum_code=$((sum_code + code))
 done
 printf '%-22s %7d %9d\n' workspace "$sum_total" "$sum_code"
+# The offline stand-ins for crates.io dependencies: counted apart, never in the sum.
+read -r total code < <(find vendor -name '*.rs' -print0 | count)
+printf '%-22s %7d %9d\n' "vendor (not in sum)" "$total" "$code"
