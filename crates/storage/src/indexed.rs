@@ -271,7 +271,11 @@ impl IndexedDatabase {
 /// over the tuples routed to it, in row order — so a key's full posting list lands in
 /// one shard, exactly the list one shard would hold. One shard indexes the relation
 /// directly and routes nothing.
-fn partition(relation: &Relation, x: &[usize], shard_count: u32) -> Result<Vec<HashIndex>> {
+pub(crate) fn partition(
+    relation: &Relation,
+    x: &[usize],
+    shard_count: u32,
+) -> Result<Vec<HashIndex>> {
     if shard_count == 1 {
         return Ok(vec![HashIndex::build(relation, x)?]);
     }
@@ -282,7 +286,7 @@ fn partition(relation: &Relation, x: &[usize], shard_count: u32) -> Result<Vec<H
         routed[shard as usize].push(offset);
     }
     let over = |offsets: &Vec<u32>| HashIndex::over(relation, x, offsets.iter().copied());
-    Ok(routed.iter().map(over).collect())
+    routed.iter().map(over).collect()
 }
 
 /// Borrowing iterator over the tuples an index lookup matched; see
