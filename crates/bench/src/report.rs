@@ -1,6 +1,7 @@
 //! Small helpers for printing experiment results as aligned text / markdown tables,
 //! plus the machine-readable `BENCH_pipeline.json` perf record.
 
+use crate::claims::Claims;
 use bea_engine::AccessStats;
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -110,13 +111,15 @@ impl From<&AccessStats> for BenchEntry {
     }
 }
 
-/// The `BENCH_pipeline.json` perf record: scenario name → [`BenchEntry`]. Written by
-/// `exp_table1`; the `scenarios` tests rebuild it and compare it with the committed
-/// file byte for byte.
+/// The `BENCH_pipeline.json` perf record: scenario name → [`BenchEntry`], and claim key
+/// → value. Written by `exp_table1`; the `scenarios` tests rebuild it and compare it
+/// with the committed file byte for byte.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineBenchReport {
     /// Scenario entries in deterministic (sorted) order.
     pub scenarios: BTreeMap<String, BenchEntry>,
+    /// The paper's claims ([`crate::claims`]), keys sorted, values as JSON.
+    pub claims: Claims,
 }
 
 impl PipelineBenchReport {
@@ -125,10 +128,9 @@ impl PipelineBenchReport {
         self.scenarios.insert(scenario.into(), entry);
     }
 
-    /// Render as JSON (one scenario per line, keys sorted — diff-friendly).
+    /// Render as JSON (one scenario or claim per line, keys sorted — diff-friendly).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"scenarios\": {\n");
-        let lines: Vec<String> = self
+        let scenarios: Vec<String> = self
             .scenarios
             .iter()
             .map(|(name, e)| {
@@ -144,9 +146,16 @@ impl PipelineBenchReport {
                 )
             })
             .collect();
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n  }\n}\n");
-        out
+        let claims: Vec<String> = self
+            .claims
+            .iter()
+            .map(|(key, value)| format!("    \"{key}\": {value}"))
+            .collect();
+        format!(
+            "{{\n  \"scenarios\": {{\n{}\n  }},\n  \"claims\": {{\n{}\n  }}\n}}\n",
+            scenarios.join(",\n"),
+            claims.join(",\n")
+        )
     }
 }
 

@@ -5,7 +5,7 @@
 //! relation, the cardinality `N = max_ā |D_Y(X = ā)|` is an aggregate over the data, and
 //! `R(X → Y, N)` is then an access constraint the instance satisfies by construction.
 //! This module implements that mining step, which the coverage-rate experiment (E3,
-//! `bea-bench`'s `exp_coverage_rate`) uses to build constraint sets of increasing size.
+//! in `bea-bench`'s `claims`) uses to build constraint sets of increasing size.
 
 use crate::database::Database;
 use bea_core::access::AccessConstraint;

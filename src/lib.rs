@@ -15,9 +15,9 @@
 //! * [`parser`] — a datalog-style text syntax for queries and access constraints.
 //! * [`workload`] — synthetic data and query generators used by the examples,
 //!   tests and benchmarks.
-//! * [`bench`](mod@bench) — the experiment harness behind the `exp_*` binaries and the
-//!   `BENCH_pipeline.json` perf record: scenario builders, chain-query families, report
-//!   helpers.
+//! * [`bench`](mod@bench) — the experiment harness behind the `exp_table1` binary and
+//!   the `BENCH_pipeline.json` perf record: the paper's claims, scenario builders,
+//!   chain-query families, report helpers.
 //!
 //! ## Quickstart
 //!
