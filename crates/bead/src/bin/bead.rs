@@ -8,7 +8,7 @@ use bead::server::{accidents_store, socket_from, BeadServer, ServerConfig};
 use std::io::{ErrorKind, Write};
 
 const USAGE: &str = "usage: bead [--socket PATH] [--tuples N] [--seed N] [--threads N] \
-                     [--fetch-budget N] [--max-alloc-surface N] [--cache-rows N]";
+                     [--fetch-budget N] [--cache-rows N]";
 
 fn main() {
     let mut socket_arg: Option<String> = None;
@@ -16,7 +16,6 @@ fn main() {
     let mut seed: u64 = 0xBEAD;
     let mut threads: usize = 0;
     let mut fetch_budget: u64 = 0;
-    let mut max_alloc_surface: u64 = 0;
     let mut cache_rows: u64 = 0;
 
     let mut args = std::env::args().skip(1);
@@ -33,9 +32,6 @@ fn main() {
             "--seed" => seed = parse("--seed", &value("--seed")),
             "--threads" => threads = parse("--threads", &value("--threads")) as usize,
             "--fetch-budget" => fetch_budget = parse("--fetch-budget", &value("--fetch-budget")),
-            "--max-alloc-surface" => {
-                max_alloc_surface = parse("--max-alloc-surface", &value("--max-alloc-surface"));
-            }
             "--cache-rows" => cache_rows = parse("--cache-rows", &value("--cache-rows")),
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -60,7 +56,6 @@ fn main() {
         socket: socket.clone(),
         threads,
         fetch_budget,
-        max_alloc_surface,
         cache_rows,
     };
     let server = match BeadServer::bind(store, &config) {

@@ -27,18 +27,18 @@
 //! holding exactly `END`:
 //!
 //! ```text
-//! OK rows=1 fetch_bound=1 alloc_surface=4 tuples_fetched=1 values_cloned=3 allocs_per_probe=2
-//! Queen's Park
+//! OK rows=1 fetch_bound=1 alloc_surface=5 tuples_fetched=1 values_cloned=7 allocs_per_probe=0 cache_hits=0 rows_served_from_cache=0
+//! "district-010"
 //! END
 //! ```
 //!
 //! A `QUERY` reply's head carries both halves of the cost story: the *priced*
-//! quantities the admission controller judged (`fetch_bound`, `alloc_surface`) and
-//! the *measured* execution counters (`tuples_fetched`, `values_cloned`,
-//! `allocs_per_probe`), so a client can verify that the bound held — measured fetches
-//! never exceed the bound. A rejected query answers
-//! `REJECT query=… fetch_bound=… budget=…` (or `surface=… limit=…` for the
-//! allocation-surface veto) and nothing is executed.
+//! quantities of the query's ticket (`fetch_bound`, which admission judges, and
+//! `alloc_surface`) and the *measured* execution counters (`tuples_fetched`, `values_cloned`,
+//! `allocs_per_probe`, and the cache's `cache_hits` and `rows_served_from_cache`), so
+//! a client can verify that the bound held — measured fetches never exceed the bound.
+//! A rejected query answers `REJECT query=… fetch_bound=… budget=…` and nothing is
+//! executed.
 //!
 //! A `STATS` reply is one `OK` head of `key=value` counters: the admission counters
 //! (`submitted` … `budget`), the cache counters, who ran the queries' jobs —

@@ -43,8 +43,6 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Aggregate fetch budget (0 = `BEA_FETCH_BUDGET`, else unlimited).
     pub fetch_budget: u64,
-    /// Per-query allocation-surface cap (0 = no cap).
-    pub max_alloc_surface: u64,
     /// Cross-query fetch-cache budget in resident posting rows
     /// (0 = `BEA_CACHE_ROWS`, else disabled).
     pub cache_rows: u64,
@@ -78,7 +76,6 @@ impl BeadServer {
             SessionConfig::new()
                 .with_threads(config.threads)
                 .with_fetch_budget(config.fetch_budget)
-                .with_max_alloc_surface(config.max_alloc_surface)
                 .with_cache_budget_rows(config.cache_rows),
         );
         Ok(BeadServer {
@@ -423,7 +420,6 @@ mod tests {
             socket: socket.clone(),
             threads: 2,
             fetch_budget: 10_000,
-            max_alloc_surface: 0,
             cache_rows: 4_096,
         };
         let server = BeadServer::bind(store, &config).unwrap();

@@ -60,7 +60,6 @@ impl Daemon {
             threads,
             fetch_budget,
             cache_rows,
-            ..ServerConfig::default()
         };
         let server = BeadServer::bind(store.clone(), &config).expect("bind a test socket");
         Daemon { server, socket }

@@ -16,30 +16,25 @@
 //! Run with `cargo run --release -p bea-bench --bin exp_table1`. Besides the printed
 //! report, the binary rewrites the perf record `BENCH_pipeline.json` at the workspace
 //! root, whatever its working directory: scenario → rows_fetched / peak_rows_resident /
-//! values_cloned / allocs_per_probe / rows_served_from_cache, and claim → value, all
-//! deterministic. The `scenarios` tests compare the committed file with a fresh build
-//! of the record byte for byte, so a change that moves a counter or a claim commits the
-//! rewritten file with it.
+//! values_cloned / rows_served_from_cache, and claim → value, all deterministic. The
+//! `scenarios` tests compare the committed file with a fresh build of the record byte
+//! for byte, so a change that moves a counter or a claim commits the rewritten file
+//! with it. The pipeline's own properties — streaming ≡ the literal reference, thread-
+//! and shard-invariance, the service's accept/reject split — are the scenario tests'
+//! to assert, in every test leg; this binary does not repeat them.
 
 use bea_bench::claims::comparisons;
 use bea_bench::families;
 use bea_bench::report::{fmt_ms, time_ms, TextTable};
-use bea_bench::scenarios::{
-    pipeline_bench_report, AccidentsScenario, ConcurrentTrafficScenario, EcommerceScenario,
-    GraphScenario, HeavyChainScenario, ParallelScenario, ShardedScenario,
-};
+use bea_bench::scenarios::pipeline_bench_report;
 use bea_core::bounded::{analyze_cq, BoundedConfig};
 use bea_core::cover;
 use bea_core::envelope::{lower_envelope_cq, upper_envelope_cq, EnvelopeConfig};
 use bea_core::error::Error;
-use bea_core::plan::{lower_plan, PhysicalPlan};
 use bea_core::reason::containment::a_contained;
 use bea_core::reason::ReasonConfig;
 use bea_core::specialize::{specialize_cq, SpecializeConfig};
-use bea_engine::{
-    eval_cq, execute_physical_on, execute_plan, execute_plan_materialized, execute_plan_on,
-    ExecOptions,
-};
+use bea_engine::{eval_cq, execute_plan};
 
 /// The perf record, at the workspace root.
 const RECORD_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
@@ -267,318 +262,6 @@ fn run_experiments() -> Result<(), Box<dyn std::error::Error>> {
          BEP/QSP, envelope searches) grow steeply — the practical face of the complexity \
          gaps in Table 1. The FO row of Table 1 (undecidability) has no runnable \
          counterpart; the library exposes FO only through specialization (Prop. 5.4)."
-    );
-
-    // Memory residency: the same bounded plans, executed by the materialized step loop
-    // and by the streaming batch pipeline. Data access is identical by construction
-    // (boundedness is a property of the plan, not the execution strategy); the peak
-    // number of rows concurrently resident is what lowering buys.
-    println!("\n## memory residency — materialized vs streaming execution\n");
-    let accidents = AccidentsScenario::with_total_tuples(20_000, 42)?;
-    let graph = GraphScenario::with_persons(500, 42)?;
-    let ecommerce = EcommerceScenario::with_customers(300, 42)?;
-    let mut residency = TextTable::new([
-        "scenario",
-        "db tuples",
-        "shards",
-        "tuples fetched",
-        "index lookups",
-        "pipelines",
-        "peak resident (materialized)",
-        "peak resident (streaming)",
-        "residency ratio",
-        "values cloned (materialized)",
-        "values cloned (streaming)",
-        "clone ratio",
-        "probe allocs (streaming)",
-    ]);
-    let cases = [
-        ("accidents Q0", &accidents.plan, &accidents.indexed),
-        ("graph personalized", &graph.plan, &graph.indexed),
-        ("ecommerce orders-of", &ecommerce.plan, &ecommerce.indexed),
-    ];
-    for (name, plan, indexed) in cases {
-        let (streamed, streaming) = execute_plan_on(plan, indexed, &ExecOptions::new())?;
-        let (materialized_out, materialized) = execute_plan_materialized(plan, indexed)?;
-        assert!(streamed.same_rows(&materialized_out));
-        assert!(streaming.same_data_access(&materialized));
-        let ratio = if streaming.peak_rows_resident > 0 {
-            format!(
-                "{:.1}×",
-                materialized.peak_rows_resident as f64 / streaming.peak_rows_resident as f64
-            )
-        } else {
-            "∞".to_owned()
-        };
-        let clone_ratio = if streaming.values_cloned > 0 {
-            format!(
-                "{:.1}×",
-                materialized.values_cloned as f64 / streaming.values_cloned as f64
-            )
-        } else {
-            "∞".to_owned()
-        };
-        let pipelines = lower_plan(plan)?.pipeline_dag().len();
-        residency.row([
-            name.to_owned(),
-            indexed.size().to_string(),
-            "1".to_owned(),
-            streaming.tuples_fetched.to_string(),
-            streaming.index_lookups.to_string(),
-            pipelines.to_string(),
-            materialized.peak_rows_resident.to_string(),
-            streaming.peak_rows_resident.to_string(),
-            ratio,
-            materialized.values_cloned.to_string(),
-            streaming.values_cloned.to_string(),
-            clone_ratio,
-            streaming.allocs_per_probe.to_string(),
-        ]);
-        let per_relation: Vec<String> = streaming
-            .rows_fetched_by_relation
-            .iter()
-            .map(|(relation, tuples)| format!("{relation}: {tuples}"))
-            .collect();
-        println!("{name} fetched per relation — {}", per_relation.join(", "));
-    }
-    println!();
-    residency.print();
-    println!(
-        "\nBoth strategies perform the same index lookups and fetch the same tuples; the \
-         streaming pipeline just refuses to keep intermediate tables alive, so its \
-         high-water mark tracks the access-schema bounds instead of the plan algebra."
-    );
-
-    // A batch of independently anchored Q0 branches as one query, executed at
-    // increasing thread counts. The union streams, so the batch is one pipeline and
-    // runs on one thread whatever the thread count: every counter, the residency peak
-    // included, is identical at every thread count.
-    println!("\n## a batch of Q0s as one query — varying threads\n");
-    let batch = ParallelScenario::with_branches(6, 20_000, 42)?;
-    let dag = batch.physical.pipeline_dag();
-    println!(
-        "q0_batch_6: {} pipelines, parallel width {} (db: {} tuples)\n",
-        dag.len(),
-        dag.parallel_width(),
-        batch.indexed.size()
-    );
-    let mut parallel_table = TextTable::new([
-        "threads",
-        "tuples fetched",
-        "index lookups",
-        "peak rows resident",
-        "probe allocs",
-        "wall time",
-    ]);
-    let mut single_threaded: Option<bea_engine::AccessStats> = None;
-    for threads in [1usize, 2, 4] {
-        let options = ExecOptions::new().with_threads(threads);
-        let (result, ms) =
-            time_ms(|| execute_physical_on(&batch.physical, &batch.indexed, &options));
-        let (_, stats) = result?;
-        if let Some(baseline) = &single_threaded {
-            assert!(
-                baseline.same_data_access(&stats),
-                "thread count changed the data access"
-            );
-            assert_eq!(
-                baseline.allocs_per_probe, stats.allocs_per_probe,
-                "thread count changed the probe-path buffer demand"
-            );
-            assert_eq!(stats.peak_rows_resident, baseline.peak_rows_resident);
-        }
-        parallel_table.row([
-            threads.to_string(),
-            stats.tuples_fetched.to_string(),
-            stats.index_lookups.to_string(),
-            stats.peak_rows_resident.to_string(),
-            stats.allocs_per_probe.to_string(),
-            fmt_ms(ms),
-        ]);
-        single_threaded.get_or_insert(stats);
-    }
-    parallel_table.print();
-    println!(
-        "\nEvery thread count reads exactly the same tuples through the same index \
-         lookups: a pipeline runs whole, on one thread, and a query never uses more \
-         threads than its pipeline DAG is wide — parallelism pays across queries."
-    );
-
-    // One heavy query: a single anchor fans out to 16 384 keys that a second hop
-    // probes, all in one pipeline. It runs on one thread at any thread count, so the
-    // 4-thread leg measures what "one core per query" costs the heaviest query here.
-    println!("\n## heavy chain — one heavy query at 1 and 4 threads\n");
-    let chain = HeavyChainScenario::with_fan_out(16_384, 42)?;
-    println!(
-        "heavy_chain: fan-out {} over {} tuples, {} pipeline(s)\n",
-        chain.fan_out,
-        chain.indexed.size(),
-        chain.physical.pipeline_dag().len(),
-    );
-    let mut chain_table = TextTable::new([
-        "threads",
-        "tuples fetched",
-        "index lookups",
-        "peak rows resident",
-        "probe allocs",
-        "wall p50",
-    ]);
-    let legs = [1usize, 4];
-    // Time the legs *interleaved* (round-robin, one sample per leg per round) and
-    // report each leg's fastest sample: background load drifts over seconds, so
-    // back-to-back per-leg loops would charge the drift to whichever leg ran under
-    // it, while the minimum estimates each leg's noise-free cost.
-    const CHAIN_TIMING_ROUNDS: usize = 12;
-    let mut samples: Vec<Vec<u64>> = vec![Vec::new(); legs.len()];
-    for _ in 0..CHAIN_TIMING_ROUNDS {
-        for (leg, threads) in legs.iter().enumerate() {
-            let options = ExecOptions::new().with_threads(*threads);
-            let start = std::time::Instant::now();
-            execute_physical_on(&chain.physical, &chain.indexed, &options)?;
-            samples[leg].push(start.elapsed().as_nanos() as u64);
-        }
-    }
-    let best_of = |leg: usize| *samples[leg].iter().min().expect("rounds > 0") as f64 / 1e6;
-    let mut one_thread: Option<bea_engine::AccessStats> = None;
-    for (leg, threads) in legs.into_iter().enumerate() {
-        let options = ExecOptions::new().with_threads(threads);
-        let (_, stats) = execute_physical_on(&chain.physical, &chain.indexed, &options)?;
-        if let Some(baseline) = &one_thread {
-            assert!(
-                baseline.same_data_access(&stats),
-                "thread count changed the data access"
-            );
-            assert_eq!(
-                baseline.values_cloned, stats.values_cloned,
-                "thread count changed the copy traffic"
-            );
-        }
-        chain_table.row([
-            threads.to_string(),
-            stats.tuples_fetched.to_string(),
-            stats.index_lookups.to_string(),
-            stats.peak_rows_resident.to_string(),
-            stats.allocs_per_probe.to_string(),
-            fmt_ms(best_of(leg)),
-        ]);
-        one_thread.get_or_insert(stats);
-    }
-    chain_table.print();
-    println!(
-        "\nbest-of-{CHAIN_TIMING_ROUNDS}: 1 thread {:.2} ms | 4 threads {:.2} ms",
-        best_of(0),
-        best_of(1)
-    );
-
-    // Sharded execution: the anchored Q0 plan over K index-partition shards. One plan,
-    // keys routed at run time: the sharded physical plan equals the unsharded one, and
-    // the fetch totals — and the copy traffic — are identical to shards = 1; only the
-    // per-shard distribution differs (run here at 4 workers).
-    println!("\n## sharded execution — anchored Q0 over K index-partition shards\n");
-    let mut sharded_table = TextTable::new([
-        "shards",
-        "pipelines",
-        "parallel width",
-        "tuples fetched",
-        "fetched per shard",
-        "values cloned",
-        "probe allocs",
-        "wall time",
-    ]);
-    let mut unsharded: Option<(PhysicalPlan, bea_engine::AccessStats)> = None;
-    for shards in [1u32, 4] {
-        let scenario = ShardedScenario::with_shards(shards, 20_000, 42)?;
-        let dag = scenario.physical.pipeline_dag();
-        let store = &scenario.sharded;
-        let options = ExecOptions::new().with_threads(4);
-        let (result, ms) = time_ms(|| execute_physical_on(&scenario.physical, store, &options));
-        let (_, stats) = result?;
-        if let Some((physical, baseline)) = &unsharded {
-            assert_eq!(
-                physical, &scenario.physical,
-                "shard count changed the physical plan"
-            );
-            assert!(
-                baseline.same_data_access(&stats),
-                "shard count changed the data access"
-            );
-            assert_eq!(
-                baseline.values_cloned, stats.values_cloned,
-                "shard count changed the copy traffic"
-            );
-            assert_eq!(
-                baseline.allocs_per_probe, stats.allocs_per_probe,
-                "shard count changed the probe-path buffer demand"
-            );
-        }
-        let per_shard: Vec<String> = stats
-            .rows_fetched_by_shard
-            .iter()
-            .map(|(shard, tuples)| format!("s{shard}: {tuples}"))
-            .collect();
-        sharded_table.row([
-            shards.to_string(),
-            dag.len().to_string(),
-            dag.parallel_width().to_string(),
-            stats.tuples_fetched.to_string(),
-            per_shard.join(", "),
-            stats.values_cloned.to_string(),
-            stats.allocs_per_probe.to_string(),
-            fmt_ms(ms),
-        ]);
-        unsharded.get_or_insert((scenario.physical, stats));
-    }
-    sharded_table.print();
-    println!(
-        "\nPartitioning the constraint indexes relocates the bounded fetch volume \
-         across shards (the per-shard counts always sum to the same total) without \
-         changing the plan or what is read or copied — boundedness survives sharding."
-    );
-
-    // The multi-query service: a mixed batch of priced queries against one shared
-    // store under an aggregate fetch budget, every query submitted from its own
-    // client thread. The accept/reject split and the aggregate-bound ceiling are
-    // asserted, not just printed — bounded evaluability makes admission *exact*.
-    println!("\n## multi-query service — fetch-bound admission over one shared store\n");
-    let traffic = ConcurrentTrafficScenario::with_traffic(4, 2, 20_000, 42)?;
-    let db_size = traffic.store.store().size();
-    let mut service_table = TextTable::new(["query", "fetch bound", "verdict"]);
-    for plan in traffic.admitted.iter().chain(&traffic.rejected) {
-        let bound = plan.cost(&traffic.schema, db_size).max_fetched_tuples;
-        let verdict = if bound <= traffic.budget {
-            "admit"
-        } else {
-            "reject"
-        };
-        assert_eq!(
-            verdict == "admit",
-            traffic.admitted.iter().any(|p| std::ptr::eq(p, plan)),
-            "the cost model's verdict drifted from the scenario's split"
-        );
-        service_table.row([
-            plan.query_name().to_owned(),
-            bound.to_string(),
-            verdict.into(),
-        ]);
-    }
-    let ((admitted, rejected), ms) = {
-        let (result, ms) = time_ms(|| traffic.drive_session(4));
-        (result?, ms)
-    };
-    assert_eq!(
-        (admitted, rejected),
-        (traffic.admitted.len(), traffic.rejected.len()),
-        "the session's accept/reject split drifted from the cost model's"
-    );
-    service_table.print();
-    println!(
-        "\nbudget {} tuples | {} admitted, {} rejected (exactly the priced split; the \
-         admitted bounds' high-water mark is asserted ≤ budget inside the drive) | \
-         mixed batch drained concurrently at 4 workers in {}",
-        traffic.budget,
-        admitted,
-        rejected,
-        fmt_ms(ms)
     );
     Ok(())
 }

@@ -17,7 +17,10 @@
 //! `exp_table1` also writes the perf record `BENCH_pipeline.json` at the workspace root
 //! ([`scenarios::pipeline_bench_report`]): the `scenarios` counters and the `claims`
 //! of E2–E6. A `scenarios` test checks the committed file against a fresh build of it,
-//! byte for byte; `docs/CLAIMS.md` sets each claim beside the paper's number.
+//! byte for byte; `docs/CLAIMS.md` sets each claim beside the paper's number. The
+//! pipeline's properties on those scenarios — streaming ≡ the literal reference,
+//! thread- and shard-invariance, the service's accept/reject split — are asserted by
+//! the `scenarios` tests at the record's sizes, not by the binary.
 //!
 //! The library part holds the pieces shared by the binary and the tests: the claims
 //! builder ([`claims`]), scenario builders ([`scenarios`]), chain-query families for

@@ -79,8 +79,8 @@ impl TextTable {
 }
 
 /// One scenario's entry in the pipeline perf record: how much data the plan touched,
-/// its residency high-water mark, the executor's copy traffic, its probe-path buffer
-/// demand and the rows the session cache served. Every field is a deterministic
+/// its residency high-water mark, the executor's copy traffic and the rows the
+/// session cache served. Every field is a deterministic
 /// counter of one execution, so the committed record is reproduced byte for byte.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
@@ -91,9 +91,6 @@ pub struct BenchEntry {
     /// Value clones performed moving rows between executor buffers
     /// (`AccessStats::values_cloned`).
     pub values_cloned: u64,
-    /// Probe-path buffer-demand events (`AccessStats::allocs_per_probe`), zero on the
-    /// steady-state anchored fast path.
-    pub allocs_per_probe: u64,
     /// Posting rows served out of the session's cross-query fetch cache
     /// (`AccessStats::rows_served_from_cache`).
     pub rows_served_from_cache: u64,
@@ -105,7 +102,6 @@ impl From<&AccessStats> for BenchEntry {
             rows_fetched: stats.tuples_fetched,
             peak_rows_resident: stats.peak_rows_resident,
             values_cloned: stats.values_cloned,
-            allocs_per_probe: stats.allocs_per_probe,
             rows_served_from_cache: stats.rows_served_from_cache,
         }
     }
@@ -136,13 +132,8 @@ impl PipelineBenchReport {
             .map(|(name, e)| {
                 format!(
                     "    \"{name}\": {{\"rows_fetched\": {}, \"peak_rows_resident\": {}, \
-                     \"values_cloned\": {}, \"allocs_per_probe\": {}, \
-                     \"rows_served_from_cache\": {}}}",
-                    e.rows_fetched,
-                    e.peak_rows_resident,
-                    e.values_cloned,
-                    e.allocs_per_probe,
-                    e.rows_served_from_cache
+                     \"values_cloned\": {}, \"rows_served_from_cache\": {}}}",
+                    e.rows_fetched, e.peak_rows_resident, e.values_cloned, e.rows_served_from_cache
                 )
             })
             .collect();

@@ -153,8 +153,7 @@ impl EcommerceScenario {
 /// The batch scenario: a union of `branches` independently anchored Q0 queries over
 /// one accidents database — the "batch of personalized queries" shape, submitted as
 /// one query. The union streams, so the batch is one pipeline and runs on one thread
-/// at any thread count; `exp_table1` times it at 1, 2 and 4 threads to keep that
-/// visible.
+/// at any thread count, with identical rows and counters at 1, 2 and 4 threads.
 pub struct ParallelScenario {
     /// The relational schema.
     pub catalog: Catalog,
@@ -206,8 +205,7 @@ impl ParallelScenario {
 /// anchor key fans out to `fan_out` rows with distinct join keys, which a second hop
 /// joins through the fused keyed-lookup pattern, so one pipeline probes `fan_out`
 /// keys over `fan_out / 1024` batches. Nothing splits a pipeline, so the query runs on
-/// one thread at any thread count, with identical rows and counters; `exp_table1` times
-/// it at 1 and 4 threads, which measures what "one core per query" costs a heavy query.
+/// one thread at any thread count, with identical rows and counters.
 pub struct HeavyChainScenario {
     /// The relational schema (R(a, b) fan-out, S(k, v) lookups).
     pub catalog: Catalog,
@@ -513,18 +511,6 @@ pub fn scenario_record() -> Result<PipelineBenchReport> {
         let (_, stats) = execute_plan_on(plan, indexed, &single)?;
         report.insert(name, BenchEntry::from(&stats));
     }
-    // Q0 lowers to keyed lookups only, and a keyed lookup demands no buffer per key —
-    // a miss moves its key into the arena's flat columns. A per-key buffer creeping
-    // back into the miss path (an owned key per miss: 295 demands for these 572 rows;
-    // before that `positions + 2` per miss: 1466) fails here, at generation time,
-    // before a record can be committed.
-    let q0 = &report.scenarios["accidents_q0"];
-    assert_eq!(
-        q0.allocs_per_probe, 0,
-        "accidents_q0 demanded probe-path buffers for {} fetched rows — the keyed \
-         lookup is allocating per key again",
-        q0.rows_fetched
-    );
     // The batch, the heavy chain and the sharded Q0 (every counter is identical at
     // every thread count; the scenario tests assert it).
     let physical_cases: [(&str, &PhysicalPlan, &IndexedDatabase); 3] = [
@@ -550,8 +536,7 @@ pub fn scenario_record() -> Result<PipelineBenchReport> {
     // twice through one cache-enabled session (1 worker keeps the two legs strictly
     // ordered). The cold leg reproduces the uncached counters — filling the cache is a
     // side effect, never a cost the query pays. The warm leg is what the hot tier
-    // exists for: zero store fetches, zero probe-path buffer demand, every posting row
-    // served out of the cache.
+    // exists for: zero store fetches, every posting row served out of the cache.
     let session = Session::new(
         traffic.store.clone(),
         SessionConfig::new()
@@ -571,8 +556,7 @@ pub fn scenario_record() -> Result<PipelineBenchReport> {
     let warm = submit()?;
     session.shutdown();
     assert_eq!(
-        (warm.tuples_fetched, warm.allocs_per_probe),
-        (0, 0),
+        warm.tuples_fetched, 0,
         "the warm repeat must be served entirely from the session cache"
     );
     assert_eq!(
@@ -615,24 +599,16 @@ mod tests {
             assert!(entry.rows_fetched > 0, "{scenario} fetched nothing");
             assert!(entry.values_cloned > 0, "{scenario} cloned nothing");
             assert!(entry.peak_rows_resident > 0);
-            // Cold or warm, a keyed lookup demands no buffer per key, and every fetch
-            // runs as one.
-            assert_eq!(
-                entry.allocs_per_probe, 0,
-                "{scenario} demanded probe-path buffers"
-            );
             assert_eq!(
                 entry.rows_served_from_cache, 0,
                 "{scenario} runs cold — nothing is cached yet"
             );
         }
-        // The warm leg inverts the cold invariants: the store is never touched, the
-        // probe path demands no buffers, and the entire cold fetch volume is served
-        // out of the session cache instead.
+        // The warm leg inverts the cold invariants: the store is never touched, and
+        // the entire cold fetch volume is served out of the session cache instead.
         let cold = &report.scenarios["cached_repeat_traffic_cold"];
         let warm = &report.scenarios["cached_repeat_traffic_warm"];
         assert_eq!(warm.rows_fetched, 0, "warm repeat must not touch the store");
-        assert_eq!(warm.allocs_per_probe, 0, "warm repeat must not allocate");
         assert_eq!(warm.rows_served_from_cache, cold.rows_fetched);
         assert!(
             warm.values_cloned > 0,
@@ -727,10 +703,11 @@ mod tests {
         assert_streaming_beats_materialized(&scenario.plan, &scenario.indexed);
     }
 
-    /// The columnar pipeline moves strictly fewer values than the row-at-a-time
-    /// reference on every scenario family at the perf record's scale. Not on
-    /// near-empty answers: the 300-person graph at seed 5 answers two tuples, and both
-    /// executors clone 3 values for them.
+    /// At the perf record's scale, on every scenario family, the pipeline answers
+    /// exactly what the literal reference answers, through the same data access, and
+    /// moves strictly fewer values than it does. Not on near-empty answers: the
+    /// 300-person graph at seed 5 answers two tuples, and both executors clone 3 values
+    /// for them.
     #[test]
     fn streaming_clones_fewer_values_at_the_record_scale() {
         let accidents = AccidentsScenario::with_total_tuples(20_000, BENCH_REPORT_SEED).unwrap();
@@ -741,8 +718,13 @@ mod tests {
             ("graph_personalized", &graph.plan, &graph.indexed),
             ("ecommerce_orders", &ecommerce.plan, &ecommerce.indexed),
         ] {
-            let (_, streamed) = execute_plan_on(plan, indexed, &ExecOptions::new()).unwrap();
-            let (_, materialized) = execute_plan_materialized(plan, indexed).unwrap();
+            let (rows, streamed) = execute_plan_on(plan, indexed, &ExecOptions::new()).unwrap();
+            let (reference, materialized) = execute_plan_materialized(plan, indexed).unwrap();
+            assert!(rows.same_rows(&reference), "{name}: answers differ");
+            assert!(
+                streamed.same_data_access(&materialized),
+                "{name}: data access differs"
+            );
             assert!(
                 streamed.values_cloned < materialized.values_cloned,
                 "{name}: streaming cloned {} values, not below the materialized {}",
@@ -760,11 +742,11 @@ mod tests {
     /// the work genuinely spreads over several partitions).
     #[test]
     fn sharded_scenario_preserves_boundedness_under_partitioning() {
-        let scenario = ShardedScenario::with_shards(4, 10_000, BENCH_REPORT_SEED).unwrap();
+        let scenario = ShardedScenario::with_shards(4, 20_000, BENCH_REPORT_SEED).unwrap();
         assert!(scenario.sharded.satisfies_schema());
         assert!(scenario.plan.is_bounded_under(&scenario.schema));
         assert_eq!(scenario.catalog.len(), 3);
-        let unsharded = ShardedScenario::with_shards(1, 10_000, BENCH_REPORT_SEED).unwrap();
+        let unsharded = ShardedScenario::with_shards(1, 20_000, BENCH_REPORT_SEED).unwrap();
         assert_eq!(scenario.physical, unsharded.physical);
 
         // shards = 1 baseline: the plain indexed store, single-threaded.
@@ -810,11 +792,12 @@ mod tests {
         assert!(sharded.same_rows(&naive));
     }
 
-    /// The heavy chain is one pipeline, agrees with the naive evaluator, and runs the
-    /// same at 1 and 4 threads: rows in order, data access, copy traffic, residency.
+    /// The heavy chain, at the perf record's fan-out, is one pipeline, agrees with the
+    /// naive evaluator, and runs the same at 1 and 4 threads: rows in order, data
+    /// access, copy traffic, residency.
     #[test]
     fn heavy_chain_scenario_is_one_pipeline_at_every_thread_count() {
-        let scenario = HeavyChainScenario::with_fan_out(4_096, BENCH_REPORT_SEED).unwrap();
+        let scenario = HeavyChainScenario::with_fan_out(16_384, BENCH_REPORT_SEED).unwrap();
         assert!(scenario.indexed.satisfies_schema());
         assert_eq!(scenario.catalog.len(), 2);
         assert_eq!(scenario.physical.pipeline_dag().len(), 1);
@@ -903,38 +886,34 @@ mod tests {
             .unwrap()
     }
 
-    /// The batch is one pipeline: 1-thread and 4-thread execution produce the
-    /// identical table with identical data access and the identical residency peak,
-    /// and agree with the naive evaluator.
+    /// The batch, at the perf record's scale, is one pipeline: execution at 1, 2 and
+    /// 4 threads produces the identical table with identical data access, copy
+    /// traffic and residency peak, and agrees with the naive evaluator.
     #[test]
     fn parallel_scenario_is_consistent_across_thread_counts() {
-        let scenario = ParallelScenario::with_branches(6, 5_000, 11).unwrap();
+        let scenario = ParallelScenario::with_branches(6, 20_000, BENCH_REPORT_SEED).unwrap();
         assert!(scenario.indexed.satisfies_schema());
         assert_eq!(scenario.physical.pipeline_dag().len(), 1);
 
-        let (single, single_stats) = execute_physical_on(
-            &scenario.physical,
-            &scenario.indexed,
-            &ExecOptions::new().with_threads(1),
-        )
-        .unwrap();
-        let (parallel, parallel_stats) = execute_physical_on(
-            &scenario.physical,
-            &scenario.indexed,
-            &ExecOptions::new().with_threads(4),
-        )
-        .unwrap();
-        assert_eq!(single.rows(), parallel.rows());
-        assert!(single_stats.same_data_access(&parallel_stats));
-        assert_eq!(
-            parallel_stats.peak_rows_resident,
-            single_stats.peak_rows_resident
-        );
-        assert_eq!(parallel_stats.values_cloned, single_stats.values_cloned);
-        assert_eq!(
-            parallel_stats.allocs_per_probe,
-            single_stats.allocs_per_probe
-        );
+        let run = |threads| {
+            let options = ExecOptions::new().with_threads(threads);
+            execute_physical_on(&scenario.physical, &scenario.indexed, &options).unwrap()
+        };
+        let (single, single_stats) = run(1);
+        for threads in [2, 4] {
+            let (parallel, parallel_stats) = run(threads);
+            assert_eq!(single.rows(), parallel.rows(), "{threads} threads");
+            assert!(single_stats.same_data_access(&parallel_stats));
+            assert_eq!(
+                parallel_stats.peak_rows_resident,
+                single_stats.peak_rows_resident
+            );
+            assert_eq!(parallel_stats.values_cloned, single_stats.values_cloned);
+            assert_eq!(
+                parallel_stats.allocs_per_probe,
+                single_stats.allocs_per_probe
+            );
+        }
 
         let (naive, _) = eval_ucq(&scenario.query, scenario.indexed.database()).unwrap();
         assert!(single.same_rows(&naive));

@@ -25,11 +25,11 @@ pub mod synthesis;
 pub mod ticket;
 
 pub use physical::{
-    keys_all_tied, lower_plan, lower_plan_with, residual_predicates, LowerOptions, PhysOp,
-    PhysStep, PhysicalPlan, Pipeline, PipelineDag,
+    lower_plan, lower_plan_with, LowerOptions, PhysOp, PhysStep, PhysicalPlan, Pipeline,
+    PipelineDag,
 };
 pub use synthesis::{bounded_plan, bounded_plan_for_report, bounded_plan_ucq};
-pub use ticket::{step_surface, CostTicket, PipelineCost};
+pub use ticket::{step_surface, CostTicket};
 
 use crate::access::AccessSchema;
 use crate::error::{Error, Result};

@@ -17,8 +17,7 @@
 //!   `σ[key equalities](T × fetch(X ∈ T, R, Y))`. When the product and the fetch have no
 //!   other consumer, the triple collapses into one [`PhysOp::KeyedLookup`]: an index
 //!   nested-loop join that streams `T`, probes the constraint's index once per distinct
-//!   key, and never materializes the cross product *or* the fetched table. This
-//!   generalizes the keyed-join peephole of the engine's materialized reference executor.
+//!   key, and never materializes the cross product *or* the fetched table.
 //! * **One index operator** — a fetch the fusion does not absorb becomes the same
 //!   operator over its distinct keys: `π[keys](T)`, a [`PhysOp::Dedup`] unless `T`
 //!   provably never repeats a key ([`PhysicalPlan::keys_distinct`]), a
@@ -372,25 +371,6 @@ impl PhysicalPlan {
     /// Count how many steps are marked as materialization points (pipeline breakers).
     pub fn materialization_points(&self) -> usize {
         self.steps.iter().filter(|s| s.materialize).count()
-    }
-
-    /// The steps of the streaming region rooted at `sink`: the sink itself plus every
-    /// non-materialized step feeding it, stopping at materialized inputs (the region's
-    /// exchange sources), in ascending step order. This is the set of operators one
-    /// pipeline instantiates — the unit the scheduler runs, and the one
-    /// [`super::ticket::CostTicket`] sizes allocation surfaces over.
-    pub fn region_steps(&self, sink: PhysId) -> Vec<PhysId> {
-        let mut region = vec![sink];
-        let mut stack: Vec<PhysId> = self.steps[sink].op.inputs();
-        while let Some(j) = stack.pop() {
-            if self.steps[j].materialize {
-                continue;
-            }
-            region.push(j);
-            stack.extend(self.steps[j].op.inputs());
-        }
-        region.sort_unstable();
-        region
     }
 
     /// Decompose the plan into its pipeline DAG: one [`Pipeline`] per materialization
@@ -1155,10 +1135,9 @@ fn remap_op_inputs(op: &mut PhysOp, map: &[Option<PhysId>]) {
 }
 
 /// True when `predicates` equates every fetch key column with its source column — the
-/// `σ[key equalities](T × fetch(X ∈ T, …))` shape plan synthesis emits for every fetch.
-/// Shared with the materialized executor's deferred-product peephole so the two
-/// strategies always recognize the same pattern.
-pub fn keys_all_tied(predicates: &[Predicate], key_cols: &[usize], left_arity: usize) -> bool {
+/// `σ[key equalities](T × fetch(X ∈ T, …))` shape plan synthesis emits for every fetch,
+/// which keyed-lookup fusion collapses.
+fn keys_all_tied(predicates: &[Predicate], key_cols: &[usize], left_arity: usize) -> bool {
     key_cols
         .iter()
         .enumerate()
@@ -1167,7 +1146,7 @@ pub fn keys_all_tied(predicates: &[Predicate], key_cols: &[usize], left_arity: u
 
 /// The predicates of a fused selection that go beyond the key equalities (the part a
 /// keyed join still has to check per emitted row). Counterpart of [`keys_all_tied`].
-pub fn residual_predicates(
+fn residual_predicates(
     predicates: &[Predicate],
     key_cols: &[usize],
     left_arity: usize,

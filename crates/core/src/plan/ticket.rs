@@ -10,14 +10,12 @@
 //!
 //! A ticket is derived once per submission from the logical plan (the fetch bound, via
 //! [`super::QueryPlan::cost`]) and its lowering (the pipeline decomposition, parallel
-//! width, and the per-pipeline **allocation surface**). The allocation surface is the
-//! engine's buffer-pool sizing rule, [`step_surface`] — every keyed lookup (the one
-//! physical step that fetches) demands one buffer per fetched position plus the key
-//! row and the selection vector — so a controller can also veto plans that would
-//! allocate on the per-probe hot path beyond a configured surface, before the first
-//! probe runs. Lowering does not
-//! depend on the store, so neither does the ticket: a sharded store prices a query
-//! exactly as its unsharded twin does.
+//! width, and the **allocation surface**). The allocation surface is the engine's
+//! buffer-pool sizing rule, [`step_surface`] — every keyed lookup (the one physical
+//! step that fetches) demands one buffer per fetched position plus the key row and the
+//! selection vector — summed over the plan's steps. Lowering does not depend on the
+//! store, so neither does the ticket: a sharded store prices a query exactly as its
+//! unsharded twin does.
 
 use super::physical::{PhysOp, PhysicalPlan};
 use super::{AccessSchema, QueryPlan};
@@ -31,17 +29,6 @@ pub fn step_surface(op: &PhysOp) -> u64 {
         PhysOp::KeyedLookup { positions, .. } => positions.len() as u64 + 2,
         _ => 0,
     }
-}
-
-/// The cost summary of one pipeline of the lowered plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineCost {
-    /// The physical step this pipeline materializes.
-    pub sink: usize,
-    /// Keyed lookups — the steps that fetch — in the pipeline's region.
-    pub fetch_steps: usize,
-    /// The pipeline's worst-case simultaneous buffer demand on the probe path.
-    pub alloc_surface: u64,
 }
 
 /// The admission-control summary of one lowered query: everything a controller needs
@@ -61,18 +48,15 @@ pub struct CostTicket {
     pub pipelines: usize,
     /// Maximum pipelines runnable concurrently (the DAG's level width).
     pub parallel_width: usize,
-    /// Total per-probe buffer demand across all pipelines (the sum of the
-    /// per-pipeline surfaces). Admission can veto plans whose surface exceeds a
-    /// configured cap — plans that would allocate on the hot path.
+    /// Total per-probe buffer demand: [`step_surface`] summed over the lowered
+    /// plan's steps.
     pub alloc_surface: u64,
-    /// Per-pipeline breakdown, in the DAG's topological order.
-    pub per_pipeline: Vec<PipelineCost>,
 }
 
 impl CostTicket {
     /// Price `plan` (lowered to `physical`) under `schema` for a database of
     /// `db_size` tuples. The fetch bound comes from the logical cost model; the
-    /// pipeline shape and allocation surfaces come from the lowering.
+    /// pipeline shape and allocation surface come from the lowering.
     pub fn derive(
         plan: &QueryPlan,
         schema: &AccessSchema,
@@ -81,22 +65,6 @@ impl CostTicket {
     ) -> Self {
         let cost = plan.cost(schema, db_size);
         let dag = physical.pipeline_dag();
-        let per_pipeline: Vec<PipelineCost> = dag
-            .pipelines()
-            .iter()
-            .map(|pipeline| {
-                let region = physical.region_steps(pipeline.sink);
-                let ops = region.iter().map(|&j| &physical.steps()[j].op);
-                PipelineCost {
-                    sink: pipeline.sink,
-                    fetch_steps: ops
-                        .clone()
-                        .filter(|op| matches!(op, PhysOp::KeyedLookup { .. }))
-                        .count(),
-                    alloc_surface: ops.map(step_surface).sum(),
-                }
-            })
-            .collect();
         CostTicket {
             query_name: plan.query_name().to_owned(),
             fetch_bound: cost.max_fetched_tuples,
@@ -104,8 +72,7 @@ impl CostTicket {
             fetch_ops: cost.fetch_ops,
             pipelines: dag.len(),
             parallel_width: dag.parallel_width(),
-            alloc_surface: per_pipeline.iter().map(|p| p.alloc_surface).sum(),
-            per_pipeline,
+            alloc_surface: physical.steps().iter().map(|s| step_surface(&s.op)).sum(),
         }
     }
 }
@@ -189,13 +156,7 @@ mod tests {
         assert_eq!(ticket.parallel_width, dag.parallel_width());
         // The union streams: one pipeline, whose three keyed lookups over 2 positions
         // each demand 4 buffers.
-        let only = PipelineCost {
-            sink: physical.output(),
-            fetch_steps: 3,
-            alloc_surface: 12,
-        };
         assert_eq!((ticket.pipelines, ticket.parallel_width), (1, 1));
-        assert_eq!(ticket.per_pipeline, [only]);
         assert_eq!(ticket.alloc_surface, 12);
     }
 
@@ -213,7 +174,6 @@ mod tests {
         assert_eq!(ticket.alloc_surface, 0);
         assert_eq!(ticket.fetch_ops, 0);
         assert!(ticket.pipelines >= 1);
-        assert!(ticket.per_pipeline.iter().all(|p| p.fetch_steps == 0));
     }
 
     #[test]

@@ -15,18 +15,18 @@
 //! with default options.
 //!
 //! [`execute_plan_materialized`] is the **reference**: the literal step loop, one
-//! [`Table`] per plan step, all of them alive until the end. It takes no options and
-//! serves no query; the property suites, `bea-bench`'s scenario tests and `exp_table1`'s
-//! residency table compare the pipeline against it — both perform the same index lookups
-//! and fetch the same tuples; see [`AccessStats::same_data_access`].
+//! [`Table`] per plan step, all of them alive until the end. Every × materializes its
+//! full product and every σ filters the table it is given; nothing is fused, and no
+//! code is shared with lowering. It takes no options and serves no query; the property
+//! suites and `bea-bench`'s scenario tests compare the pipeline against it — both
+//! perform the same index lookups and fetch the same tuples; see
+//! [`AccessStats::same_data_access`].
 
 use crate::ops;
 use crate::stats::AccessStats;
 use crate::table::Table;
 use bea_core::error::{Error, Result};
-use bea_core::plan::{
-    keys_all_tied, lower_plan, residual_predicates, PhysicalPlan, PlanOp, Predicate, QueryPlan,
-};
+use bea_core::plan::{lower_plan, PhysicalPlan, PlanOp, Predicate, QueryPlan};
 use bea_core::value::Row;
 use bea_storage::Store;
 use std::collections::BTreeSet;
@@ -128,9 +128,10 @@ pub fn execute_plan_on(
     ops::execute(&physical, store, options.resolved_threads())
 }
 
-/// The reference executor — the materialized step loop: every plan step produces a
-/// full [`Table`], all of which stay resident until the end (reflected in
-/// `peak_rows_resident`). The store routes each fetch to the owning shard.
+/// The reference executor — the literal step loop: every plan step produces a full
+/// [`Table`], all of which stay resident until the end (reflected in
+/// `peak_rows_resident`), and every × materializes `|left| · |right|` rows (reflected
+/// in `product_rows_materialized`). The store routes each fetch to the owning shard.
 pub fn execute_plan_materialized(
     plan: &QueryPlan,
     store: Store<'_>,
@@ -141,19 +142,7 @@ pub fn execute_plan_materialized(
     let mut resident: u64 = 0;
     let mut results: Vec<Table> = Vec::with_capacity(plan.len());
 
-    // Peephole: plan synthesis joins a fetch back against its source with
-    // `σ[key equalities](source × fetch)`. Materializing the cross product first is
-    // wasteful (it is |source| · |fetch| rows even though each source row matches at most
-    // N fetched rows), so products that are consumed *only* by such a selection are
-    // deferred and the selection is executed as a hash join.
-    let deferred_products = find_deferred_products(plan);
-
-    for (node, step) in plan.steps().iter().enumerate() {
-        if deferred_products.contains(&node) {
-            // Placeholder; the consuming selection reads the operands directly.
-            results.push(Table::new(step.columns.clone()));
-            continue;
-        }
+    for step in plan.steps() {
         let table = match &step.op {
             PlanOp::Const { value } => {
                 Table::with_rows(step.columns.clone(), vec![vec![value.clone()]])
@@ -203,30 +192,19 @@ pub fn execute_plan_materialized(
                 out
             }
             PlanOp::Select { source, predicates } => {
-                if deferred_products.contains(source) {
-                    execute_keyed_join(
-                        plan,
-                        &results,
-                        *source,
-                        predicates,
-                        &step.columns,
-                        &mut stats,
-                    )?
-                } else {
-                    let src = &results[*source];
-                    let mut out = Table::new(step.columns.clone());
-                    for row in src.rows() {
-                        let keep = predicates.iter().all(|p| match p {
-                            Predicate::ColEqCol(a, b) => row[*a] == row[*b],
-                            Predicate::ColEqConst(a, c) => &row[*a] == c,
-                        });
-                        if keep {
-                            out.push(row.clone());
-                        }
+                let src = &results[*source];
+                let mut out = Table::new(step.columns.clone());
+                for row in src.rows() {
+                    let keep = predicates.iter().all(|p| match p {
+                        Predicate::ColEqCol(a, b) => row[*a] == row[*b],
+                        Predicate::ColEqConst(a, c) => &row[*a] == c,
+                    });
+                    if keep {
+                        out.push(row.clone());
                     }
-                    stats.values_cloned += (out.len() * out.arity()) as u64;
-                    out
                 }
+                stats.values_cloned += (out.len() * out.arity()) as u64;
+                out
             }
             PlanOp::Product { left, right } => {
                 let (l, r) = (&results[*left], &results[*right]);
@@ -323,124 +301,6 @@ fn validate_fetches_for(plan: &QueryPlan, store: Store<'_>) -> Result<()> {
         )?;
     }
     Ok(())
-}
-
-/// Product nodes of the shape `source × fetch(X ∈ source, …)` whose only consumer is a
-/// selection that equates every key column: these can be executed as hash joins by the
-/// consuming selection instead of being materialized.
-fn find_deferred_products(plan: &QueryPlan) -> BTreeSet<usize> {
-    let steps = plan.steps();
-
-    // Count consumers of every node (including the output marker).
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); steps.len()];
-    for (i, step) in steps.iter().enumerate() {
-        let mut add = |j: usize| consumers[j].push(i);
-        match &step.op {
-            PlanOp::Fetch { source, .. }
-            | PlanOp::Project { source, .. }
-            | PlanOp::Select { source, .. }
-            | PlanOp::Rename { source } => add(*source),
-            PlanOp::Product { left, right }
-            | PlanOp::Union { left, right }
-            | PlanOp::Difference { left, right } => {
-                add(*left);
-                add(*right);
-            }
-            PlanOp::Const { .. } | PlanOp::Unit | PlanOp::Empty { .. } => {}
-        }
-    }
-
-    let mut deferred = BTreeSet::new();
-    for step in steps {
-        let PlanOp::Select { source, predicates } = &step.op else {
-            continue;
-        };
-        if plan.output() == *source {
-            continue;
-        }
-        let PlanOp::Product { left, right } = &steps[*source].op else {
-            continue;
-        };
-        let PlanOp::Fetch {
-            source: fetch_source,
-            key_cols,
-            ..
-        } = &steps[*right].op
-        else {
-            continue;
-        };
-        if fetch_source != left || consumers[*source].len() != 1 {
-            continue;
-        }
-        let left_arity = steps[*left].columns.len();
-        // Same pattern test as physical lowering's keyed-lookup fusion, shared so the
-        // two can never drift apart.
-        if keys_all_tied(predicates, key_cols, left_arity) {
-            deferred.insert(*source);
-        }
-    }
-    deferred
-}
-
-/// Execute `σ[predicates](left × fetch)` as a hash join of `left` and the fetched table
-/// on the fetch's key columns, then apply the remaining predicates.
-fn execute_keyed_join(
-    plan: &QueryPlan,
-    results: &[Table],
-    product_node: usize,
-    predicates: &[Predicate],
-    columns: &[String],
-    stats: &mut AccessStats,
-) -> Result<Table> {
-    let PlanOp::Product { left, right } = &plan.steps()[product_node].op else {
-        return Err(Error::InvalidPlan {
-            reason: "deferred node is not a product".into(),
-        });
-    };
-    let PlanOp::Fetch { key_cols, .. } = &plan.steps()[*right].op else {
-        return Err(Error::InvalidPlan {
-            reason: "deferred product's right operand is not a fetch".into(),
-        });
-    };
-    let left_table = &results[*left];
-    let right_table = &results[*right];
-    let left_arity = left_table.arity();
-
-    // Hash the fetched rows on their key columns (the first |X| output columns),
-    // pre-sizing the table from the build side's row count.
-    let mut buckets: std::collections::HashMap<Vec<_>, Vec<&bea_core::value::Row>> =
-        std::collections::HashMap::with_capacity(right_table.len());
-    stats.values_cloned += (right_table.len() * key_cols.len()) as u64;
-    for row in right_table.rows() {
-        let key: Vec<_> = (0..key_cols.len()).map(|k| row[k].clone()).collect();
-        buckets.entry(key).or_default().push(row);
-    }
-
-    // Predicates other than the key equalities still need checking.
-    let residual = residual_predicates(predicates, key_cols, left_arity);
-
-    let mut out = Table::new(columns.to_vec());
-    // One probe-key gather per probe row.
-    stats.values_cloned += (left_table.len() * key_cols.len()) as u64;
-    for lrow in left_table.rows() {
-        let key: Vec<_> = key_cols.iter().map(|&c| lrow[c].clone()).collect();
-        let Some(matches) = buckets.get(&key) else {
-            continue;
-        };
-        for rrow in matches {
-            let mut row = lrow.clone();
-            row.extend(rrow.iter().cloned());
-            let keep = residual.iter().all(|p| match p {
-                Predicate::ColEqCol(a, b) => row[*a] == row[*b],
-                Predicate::ColEqConst(a, c) => &row[*a] == c,
-            });
-            if keep {
-                out.push(row);
-            }
-        }
-    }
-    stats.values_cloned += (out.len() * out.arity()) as u64;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -610,8 +470,8 @@ mod tests {
         assert!(execute_plan(&plan, &idb).is_err());
     }
 
-    /// Hand-build the exact shape the peephole targets: `σ[k = a](keys × fetch)` where
-    /// the fetch reads `R(a → b)` keyed by the `keys` column.
+    /// Hand-build the shape plan synthesis emits for every fetch, `σ[k = a](keys ×
+    /// fetch)`, where the fetch reads `R(a → b)` keyed by the `keys` column.
     fn keyed_join_plan() -> bea_core::plan::QueryPlan {
         let mut b = bea_core::plan::PlanBuilder::new();
         let k1 = b.constant(Value::int(1), "k");
@@ -628,7 +488,7 @@ mod tests {
         );
         let prod = b.product(keys, fetched);
         // Tie the fetch's key column (position 1 = left arity 1 + first X attr) back to
-        // the source key — the pattern the synthesis emits for every fetch.
+        // the source key.
         let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
         b.finish("Q", sel).unwrap()
     }
@@ -641,8 +501,8 @@ mod tests {
         let (reference, reference_stats) = execute_plan_materialized(&plan, &idb).unwrap();
         let (streamed, streamed_stats) = execute_plan_on(&plan, &idb, &ExecOptions::new()).unwrap();
 
-        // The keyed join yields the literal `σ[k = a](keys × fetch)`, as does the
-        // pipeline…
+        // The reference computes the literal `σ[k = a](keys × fetch)`, and the pipeline's
+        // fused keyed lookup yields the same rows…
         assert_eq!(reference.columns(), streamed.columns());
         assert_eq!(reference.row_set(), streamed.row_set());
         assert_eq!(
@@ -655,13 +515,14 @@ mod tests {
             .into_iter()
             .collect()
         );
-        // …with identical data access: the peephole changes join strategy, not fetches.
+        // …with identical data access: fusion changes join strategy, not fetches.
         assert_eq!(reference_stats.tuples_fetched, 3);
         assert!(reference_stats.same_data_access(&streamed_stats));
 
-        // The peephole never materializes the cross product (|keys| · |fetched| =
-        // 2 · 3 rows under the literal semantics).
-        assert_eq!(reference_stats.product_rows_materialized, 0);
+        // The reference materializes the literal cross product, |keys| · |fetched| =
+        // 2 · 3 rows; the pipeline never materializes it.
+        assert_eq!(reference_stats.product_rows_materialized, 6);
+        assert_eq!(streamed_stats.product_rows_materialized, 0);
     }
 
     #[test]
@@ -689,18 +550,18 @@ mod tests {
         );
         assert_eq!(reference.row_set(), streamed.row_set());
         assert!(reference_stats.same_data_access(&streamed_stats));
-        // The synthesized plan contains deferrable keyed-join products, and the
-        // peephole eliminates them. (Constant-sized seed products — unit × const — are
-        // not part of the pattern and may still materialize a row each.)
-        assert!(!find_deferred_products(&plan).is_empty());
+        // The reference materializes every product of the plan literally, the
+        // data-dependent `source × fetch` ones included, so it holds more product rows
+        // than the plan has product nodes. Lowering fuses those away: what the pipeline
+        // still materializes is at most one row per product node (constant-sized seed
+        // products such as unit × const), never a data-dependent cross product.
         let products = plan
             .steps()
             .iter()
             .filter(|s| matches!(s.op, PlanOp::Product { .. }))
             .count() as u64;
-        // Whatever remains materialized under the peephole is at most one row per
-        // product node — never a data-dependent cross product.
-        assert!(reference_stats.product_rows_materialized <= products);
+        assert!(reference_stats.product_rows_materialized > products);
+        assert!(streamed_stats.product_rows_materialized <= products);
     }
 
     #[test]

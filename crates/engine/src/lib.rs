@@ -18,9 +18,11 @@
 //! [`execute_physical_on`] (a store at any shard count, explicit [`ExecOptions`]:
 //! `threads`, nothing else). Beside it stands a reference it is tested
 //! against, not a second way to serve a query: [`execute_plan_materialized`], the
-//! literal step loop that keeps one table per plan step.
-//! [`stats::AccessStats::peak_rows_resident`] makes the difference observable; both
-//! read exactly the same data.
+//! literal step loop that keeps one table per plan step and materializes every
+//! product in full, sharing no code with lowering.
+//! [`stats::AccessStats::peak_rows_resident`] and
+//! [`stats::AccessStats::product_rows_materialized`] make the difference observable;
+//! both read exactly the same data.
 //!
 //! # Batch layout and interning rules
 //!
@@ -149,9 +151,7 @@
 //!   query that fits the budget but not the current headroom queues FIFO; at every
 //!   instant the sum of admitted bounds is at most the budget
 //!   ([`session::AdmissionStats::peak_admitted_bound`] is the observable
-//!   high-water mark). The ticket also carries the plan's per-pipeline
-//!   **allocation surface**, so a session can veto hot-path-allocating plans
-//!   outright ([`session::SessionConfig::with_max_alloc_surface`]).
+//!   high-water mark).
 //! * **FIFO across queries.** A worker takes the queue front, whichever query it
 //!   belongs to.
 //! * **Callers run their own query.** The thread inside [`session::Session::run`]

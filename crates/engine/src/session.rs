@@ -40,9 +40,7 @@
 //!   that fits the budget but not the *remaining* headroom is **queued** and admitted
 //!   FIFO as running queries retire; at every instant the sum of admitted queries'
 //!   fetch bounds is at most the budget (observable as
-//!   [`AdmissionStats::peak_admitted_bound`]). An optional allocation-surface cap
-//!   ([`SessionConfig::with_max_alloc_surface`]) additionally vetoes plans that
-//!   would allocate on the per-probe hot path beyond the cap.
+//!   [`AdmissionStats::peak_admitted_bound`]).
 //! * **Scheduling** — a query's jobs (its whole pipelines; nothing splits one) sit in
 //!   one ready queue, and two kinds of thread may run them. A *pool worker* takes the
 //!   queue front, whichever query it belongs to. A *caller* — the thread inside
@@ -149,10 +147,6 @@ pub struct SessionConfig {
     /// bounds. `0` (the default) resolves automatically: [`FETCH_BUDGET_ENV`] if
     /// set, otherwise unlimited.
     pub fetch_budget: u64,
-    /// Per-query allocation-surface cap: reject any query whose
-    /// [`CostTicket::alloc_surface`] exceeds this. `0` (the default) disables the
-    /// veto.
-    pub max_alloc_surface: u64,
     /// Cross-query fetch-cache budget, in resident posting rows. `0` (the default)
     /// resolves automatically: [`CACHE_ROWS_ENV`] if set, otherwise the cache is
     /// disabled and the session executes exactly as the uncached engine does.
@@ -176,12 +170,6 @@ impl SessionConfig {
     /// unlimited).
     pub fn with_fetch_budget(mut self, budget: u64) -> Self {
         self.fetch_budget = budget;
-        self
-    }
-
-    /// Set the per-query allocation-surface cap (0 = no cap).
-    pub fn with_max_alloc_surface(mut self, cap: u64) -> Self {
-        self.max_alloc_surface = cap;
         self
     }
 
@@ -224,7 +212,9 @@ pub enum Rejection {
         /// The session's aggregate budget.
         budget: u64,
     },
-    /// The query's per-probe allocation surface exceeds the configured cap.
+    /// The query's per-probe allocation surface exceeds a cap. Never constructed:
+    /// a session has no such cap. Kept only while the benchmark harness still
+    /// matches on it.
     AllocSurface {
         /// The query's allocation surface.
         surface: u64,
@@ -287,7 +277,7 @@ pub struct AdmissionStats {
     pub admitted: u64,
     /// Queries that had to wait for budget headroom before admission.
     pub queued: u64,
-    /// Queries refused outright (over-budget fetch bound or allocation surface).
+    /// Queries refused outright (over-budget fetch bound).
     pub rejected: u64,
     /// Admitted queries that finished successfully.
     pub completed: u64,
@@ -356,7 +346,6 @@ impl QueryHandle {
 struct SessionInner {
     store: SharedStore,
     threads: usize,
-    max_alloc_surface: Option<u64>,
     /// The job queue the workers and the waiting callers run; it carries the fetch
     /// budget and the cross-query fetch cache.
     pool: Pool<'static>,
@@ -411,7 +400,6 @@ impl Session {
         let inner = Arc::new(SessionInner {
             store: store.into(),
             threads: exec.resolved_threads(),
-            max_alloc_surface: (config.max_alloc_surface > 0).then_some(config.max_alloc_surface),
             pool: Pool::new(
                 config.resolved_fetch_budget(),
                 config
@@ -531,25 +519,21 @@ impl Session {
         caller_runs: bool,
     ) -> std::result::Result<Submitted<'static>, SubmitError> {
         let (inner, ticket) = (&self.inner, &prepared.ticket);
-        let rejection = match (inner.pool.budget, inner.max_alloc_surface) {
-            (Some(budget), _) if ticket.fetch_bound > budget => Some(Rejection::FetchBound {
-                bound: ticket.fetch_bound,
-                budget,
-            }),
-            (_, Some(limit)) if ticket.alloc_surface > limit => Some(Rejection::AllocSurface {
-                surface: ticket.alloc_surface,
-                limit,
-            }),
-            _ => None,
-        };
-        if let Some(rejection) = rejection {
+        if let Some(budget) = inner
+            .pool
+            .budget
+            .filter(|&budget| ticket.fetch_bound > budget)
+        {
             let mut guard = inner.pool.lock_state();
             guard.counters.submitted += 1;
             guard.counters.rejected += 1;
             drop(guard);
             return Err(SubmitError::Rejected {
                 ticket: Box::new(ticket.clone()),
-                rejection,
+                rejection: Rejection::FetchBound {
+                    bound: ticket.fetch_bound,
+                    budget,
+                },
             });
         }
         let query = QueryShared::new(prepared.prepared.clone(), constants, ticket.fetch_bound);

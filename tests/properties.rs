@@ -575,9 +575,7 @@ fn sharded_execution_is_invariant_across_shard_counts() {
 /// threads over the unsharded store or a 2-, 4- or 8-way sharded one prepares every
 /// covered query of the three querygen families to the physical plan and the
 /// [`bea_core::plan::CostTicket`] a 1-thread session over the unsharded store
-/// prepares, field for field — so an allocation-surface cap set to the unsharded Q0
-/// surface admits Q0 on the sharded store, and its answer is the unsharded one, row for
-/// row.
+/// prepares, field for field.
 #[test]
 fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
     use bea::engine::{Session, SessionConfig, SharedStore};
@@ -636,33 +634,6 @@ fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
                 }
             }
 
-            // Q0 under a surface cap that admits exactly its unsharded surface.
-            let (db, schema) = accidents_fixture(seed, 2);
-            let catalog = accidents::catalog();
-            let q0 = accidents::q0(
-                &catalog,
-                &accidents::district_value(0),
-                &accidents::date_value(1),
-            )
-            .unwrap();
-            let plan = bounded_plan(&q0, &schema).unwrap();
-            let unsharded =
-                SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
-            let sharded = SharedStore::from(IndexedDatabase::build_sharded(db, schema, 4).unwrap());
-            for threads in [1, 4] {
-                let config = SessionConfig::new().with_threads(threads);
-                let one = Session::new(unsharded.clone(), config);
-                let (ticket, expected) = one.run(&plan).expect("no cap, no veto");
-                let capped = config.with_max_alloc_surface(ticket.alloc_surface);
-                let four = Session::new(sharded.clone(), capped);
-                let (admitted, answer) = four
-                    .run(&plan)
-                    .expect("the unsharded surface admits the sharded Q0");
-                assert_eq!(admitted, ticket);
-                let (answer, expected) = (answer.unwrap().0, expected.unwrap().0);
-                assert!(answer.is_set(), "the sharded Q0 repeats a row");
-                assert_eq!(answer.rows(), expected.rows());
-            }
             exercised
         },
     );
