@@ -7,24 +7,27 @@
 //! style of indefinite databases).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
-/// A single data value.
+/// A single data value: 16 bytes, asserted at compile time.
 ///
-/// Cloning a `Value` is **O(1)**: the scalar variants are plain copies and the string
-/// payload is a shared [`Arc<str>`], so a clone is a refcount bump, never a deep copy of
-/// the character data. The executor relies on this — join keys, per-key fetch caches,
-/// dedup sets and columnar batch gathers all clone values freely; the bytes themselves
-/// are written once when the value is created (typically at data-load or parse time)
-/// and shared from then on.
+/// Cloning a `Value` is **O(1)**: the scalar variants and strings of at most
+/// [`Str::INLINE`] bytes are plain copies, and a longer string's payload is shared, so a
+/// clone of one is a refcount bump, never a deep copy of the character data. The
+/// executor relies on this — join keys, per-key fetch caches, dedup sets and columnar
+/// batch gathers all clone values freely; the bytes themselves are written once when the
+/// value is created (typically at data-load or parse time).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Value {
     /// A 64-bit signed integer.
     Int(i64),
-    /// A UTF-8 string. The payload is shared: clones alias the same allocation.
-    Str(Arc<str>),
+    /// A UTF-8 string, short ones inline (see [`Str`]).
+    Str(Str),
     /// A boolean.
     Bool(bool),
     /// A labelled null: a fresh constant distinct from every other value except itself.
@@ -35,9 +38,152 @@ pub enum Value {
     Labelled(u32),
 }
 
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
+/// The payload of [`Value::Str`]: an immutable UTF-8 string in 16 bytes.
+///
+/// A string of at most [`Str::INLINE`] bytes is kept in place, with no heap object; a
+/// longer one lives behind a thin shared pointer, so clones alias one allocation. Which
+/// form a string takes depends only on its length, and equality, order and hashing are
+/// those of its bytes, exactly as `str` defines them — the form is never observable.
+#[derive(Clone)]
+pub struct Str(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; Str::INLINE] },
+    Heap(Arc<Box<str>>),
+}
+
+impl Str {
+    /// The longest string, in bytes, kept inline.
+    pub const INLINE: usize = 14;
+
+    /// The string's UTF-8 bytes.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(text) => text.as_bytes(),
+        }
+    }
+
+    /// The string itself.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { .. } => std::str::from_utf8(self.as_bytes())
+                .expect("an inline string holds the bytes of the `str` it was built from"),
+            Repr::Heap(text) => text,
+        }
+    }
+
+    /// The string's length in bytes.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.as_bytes().len()
+    }
+
+    /// True for the empty string.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The inline form of `text`, if it is short enough to have one.
+    fn inline(text: &str) -> Option<Self> {
+        let len = text.len();
+        (len <= Self::INLINE).then(|| {
+            let mut bytes = [0; Self::INLINE];
+            bytes[..len].copy_from_slice(text.as_bytes());
+            Str(Repr::Inline {
+                len: len as u8,
+                bytes,
+            })
+        })
+    }
+}
+
+impl Deref for Str {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Str {
+    fn from(text: &str) -> Self {
+        Str::inline(text).unwrap_or_else(|| Str(Repr::Heap(Arc::new(text.into()))))
+    }
+}
+
+impl From<String> for Str {
+    fn from(text: String) -> Self {
+        Str::inline(&text).unwrap_or_else(|| Str(Repr::Heap(Arc::new(text.into_boxed_str()))))
+    }
+}
+
+impl From<Box<str>> for Str {
+    fn from(text: Box<str>) -> Self {
+        Str::inline(&text).unwrap_or_else(|| Str(Repr::Heap(Arc::new(text))))
+    }
+}
+
+impl From<Arc<str>> for Str {
+    fn from(text: Arc<str>) -> Self {
+        Str::from(&*text)
+    }
+}
+
+impl From<Cow<'_, str>> for Str {
+    fn from(text: Cow<'_, str>) -> Self {
+        match text {
+            Cow::Borrowed(text) => text.into(),
+            Cow::Owned(text) => text.into(),
+        }
+    }
+}
+
+impl PartialEq for Str {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Str {}
+
+impl PartialOrd for Str {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Str {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for Str {
+    /// What `str` feeds a hasher: the bytes, then `0xff`.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
+    }
+}
+
+impl fmt::Debug for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 impl Value {
-    /// Build a string value (the payload is allocated once and shared by every clone).
-    pub fn str(s: impl Into<Arc<str>>) -> Self {
+    /// Build a string value: inline up to [`Str::INLINE`] bytes, else allocated once and
+    /// shared by every clone.
+    pub fn str(s: impl Into<Str>) -> Self {
         Value::Str(s.into())
     }
 
@@ -203,6 +349,12 @@ mod tests {
         assert_eq!(Value::str("ab").to_string(), "\"ab\"");
         assert_eq!(Value::Bool(true).to_string(), "true");
         assert_eq!(Value::Labelled(3).to_string(), "⊥3");
+        // `{:?}` of the `str`, escapes included, in either form.
+        assert_eq!(Value::str("a\"b\\c\nd").to_string(), r#""a\"b\\c\nd""#);
+        assert_eq!(
+            Value::str("say \"hi\"\\\nto all").to_string(),
+            r#""say \"hi\"\\\nto all""#
+        );
     }
 
     #[test]
@@ -211,6 +363,89 @@ mod tests {
         assert_eq!(Value::from("x"), Value::Str("x".into()));
         assert_eq!(Value::from(String::from("y")), Value::Str("y".into()));
         assert_eq!(Value::from(true), Value::Bool(true));
+        // Every string source, on both sides of `Str::INLINE`.
+        for text in [
+            "day-0001",
+            "driver-10000000",
+            "a string well over fourteen bytes",
+        ] {
+            let want = Value::str(text);
+            for value in [
+                Value::from(text),
+                Value::from(text.to_owned()),
+                Value::str(Arc::<str>::from(text)),
+                Value::str(Box::<str>::from(text)),
+                Value::str(Cow::Borrowed(text)),
+                Value::str(Cow::<str>::Owned(text.to_owned())),
+            ] {
+                assert_eq!(value, want);
+                assert_eq!(hash_row([&value]), hash_row([&want]));
+            }
+        }
+    }
+
+    #[test]
+    fn a_value_is_16_bytes_with_a_niche_to_spare() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Value>>(), 16);
+    }
+
+    /// `text` with its payload forced onto the heap, whatever its length.
+    fn on_heap(text: &str) -> Value {
+        Value::Str(Str(Repr::Heap(Arc::new(text.into()))))
+    }
+
+    /// What `value` feeds a `Hasher`, byte for byte.
+    fn hash_feed(value: &impl Hash) -> Vec<u8> {
+        struct Feed(Vec<u8>);
+        impl Hasher for Feed {
+            fn write(&mut self, bytes: &[u8]) {
+                self.0.extend_from_slice(bytes);
+            }
+            fn finish(&self) -> u64 {
+                0
+            }
+        }
+        let mut feed = Feed(Vec::new());
+        value.hash(&mut feed);
+        feed.0
+    }
+
+    #[test]
+    fn strings_behave_as_their_bytes_on_both_sides_of_the_inline_line() {
+        let texts = [
+            String::new(),
+            "x".repeat(Str::INLINE),
+            "x".repeat(Str::INLINE + 1),
+            format!("{}é", "x".repeat(12)),
+            format!("{}é", "x".repeat(13)),
+            "y".repeat(40),
+        ];
+        assert_eq!(
+            texts.iter().map(String::len).collect::<Vec<_>>(),
+            [0, 14, 15, 14, 15, 40]
+        );
+        for a in &texts {
+            let Value::Str(a_str) = Value::str(a.as_str()) else {
+                unreachable!()
+            };
+            assert_eq!(a_str.as_str(), a);
+            assert_eq!(a_str.len(), a.len());
+            assert_eq!(hash_feed(&a_str), hash_feed(&a.as_str()));
+            // Either form of one string is the same value to every observer.
+            let (a_value, a_heap) = (Value::Str(a_str), on_heap(a));
+            assert_eq!(a_value, a_heap);
+            assert_eq!(a_value.cmp(&a_heap), Ordering::Equal);
+            assert_eq!(hash_row([&a_value]), hash_row([&a_heap]));
+            assert_eq!(hash_feed(&a_value), hash_feed(&a_heap));
+            assert_eq!(a_value.to_string(), format!("{a:?}"));
+            for b in &texts {
+                let b_value = Value::str(b.as_str());
+                assert_eq!(a_value.cmp(&b_value), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(a_value == b_value, a == b);
+                assert_eq!(a_value.cmp(&on_heap(b)), a.cmp(b));
+            }
+        }
     }
 
     #[test]
@@ -271,6 +506,11 @@ mod tests {
                 Value::Labelled(3)
             ]),
             0x08F0_7E76_5B5A_3F30
+        );
+        // Over `Str::INLINE` bytes: the heap form hashes what the inline one would.
+        assert_eq!(
+            hash_row(&[Value::str("driver-10000000")]),
+            0xF918_A7A8_78CD_B9BB
         );
         // Look-alikes start different walks, and order matters.
         let alikes = [

@@ -36,11 +36,12 @@
 //! * *gathers* — joins, products and fetch output, the operators that genuinely
 //!   combine rows — write values into fresh columns; everything else is metadata.
 //!
-//! Value writes are O(1) because [`bea_core::value::Value`] **interns by sharing**:
-//! string payloads live behind `Arc<str>`, written once when the value is created
-//! (data load or parse time) and aliased by every clone afterwards. Join keys, fetch
-//! caches and dedup sets therefore hold references to the same bytes the relations
-//! do. [`stats::AccessStats::values_cloned`] counts every value moved between executor
+//! Value writes are O(1) because a [`bea_core::value::Value`] is 16 bytes that never
+//! deep-copy: a string of at most 14 bytes is stored inline and copied with its value,
+//! a longer one is written once when the value is created (data load or parse time) and
+//! aliased by every clone afterwards. Join keys, fetch caches and dedup sets therefore
+//! hold either their own 16 bytes or references to the same bytes the relations do.
+//! [`stats::AccessStats::values_cloned`] counts every value moved between executor
 //! buffers — deterministic for a plan at any thread count, which is what lets the
 //! committed `BENCH_pipeline.json` record the pipeline's copy traffic exactly.
 //!

@@ -651,30 +651,46 @@ pub(crate) mod tests {
     #[test]
     fn look_alike_values_never_alias() {
         let mut r = Relation::new(RelationSchema::new("R", ["a", "b"]).unwrap());
+        // Strings of 14, 15 and 40 bytes, on both sides of `Str::INLINE`; the two
+        // 15-byte ones differ only in their last byte.
         let alikes = [
             Value::int(1),
             Value::Bool(true),
             Value::str("1"),
             Value::Labelled(1),
+            Value::str("driver-1000000"),
+            Value::str("driver-10000000"),
+            Value::str("a district name forty bytes long at most"),
+            Value::str("driver-10000001"),
         ];
         for (i, value) in (0..).zip(&alikes) {
             r.insert([value.clone(), Value::int(i)]).unwrap();
             r.insert([value.clone(), Value::int(i + 10)]).unwrap();
         }
         let index = HashIndex::build(&r, &[0]).unwrap();
-        assert_eq!(index.num_keys(), 4);
+        assert_eq!(index.num_keys(), alikes.len());
         for (i, value) in (0u32..).zip(&alikes) {
             let key = std::slice::from_ref(value);
             assert_eq!(index.lookup(&r, key), &[2 * i, 2 * i + 1]);
         }
-        for absent in [
+        let absents = [
             Value::int(0),
             Value::Bool(false),
             Value::str(""),
             Value::str("11"),
-        ] {
-            assert!(index.lookup(&r, &[absent]).is_empty());
+            Value::str("driver-10000002"),
+            Value::str("a district name forty bytes long at mosT"),
+        ];
+        for absent in &absents {
+            assert!(index.lookup(&r, std::slice::from_ref(absent)).is_empty());
         }
+        // The batched walk too, on present and absent keys of either string form.
+        let probes: Vec<Row> = alikes
+            .iter()
+            .chain(&absents)
+            .map(|v| vec![v.clone()])
+            .collect();
+        assert_batch_equals_lookups(&index, &r, &probes);
         assert_equals_reference(&r, &[0]);
     }
 

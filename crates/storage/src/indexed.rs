@@ -130,8 +130,8 @@ impl IndexedDatabase {
     }
 
     /// Exact `(tuple_bytes, index_bytes)` of the store, from lengths × `size_of`:
-    /// the flat tuple values and every shard's `u32` arrays. String payloads (shared
-    /// `Arc<str>` allocations) are not counted.
+    /// the flat tuple values and every shard's `u32` arrays. Only the shared payloads of
+    /// strings over [`bea_core::value::Str::INLINE`] bytes are not counted.
     pub fn footprint(&self) -> (u64, u64) {
         let index_bytes = self.indexes.iter().flatten().map(HashIndex::bytes).sum();
         (self.database.tuple_bytes(), index_bytes)

@@ -46,7 +46,7 @@ fn unescape(field: &str) -> String {
 fn render(value: &Value) -> String {
     match value {
         Value::Int(i) => format!("i:{i}"),
-        Value::Str(s) => format!("s:{}", escape(s)),
+        Value::Str(s) => format!("s:{}", escape(s.as_str())),
         Value::Bool(b) => format!("b:{b}"),
         Value::Labelled(n) => format!("l:{n}"),
     }

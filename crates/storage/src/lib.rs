@@ -31,7 +31,7 @@
 //!
 //! | what | layout | bytes |
 //! |---|---|---|
-//! | a tuple of arity `k` | `k` consecutive [`bea_core::value::Value`]s in its relation's one `Vec` | `24·k` (+ shared string payloads) |
+//! | a tuple of arity `k` | `k` consecutive [`bea_core::value::Value`]s in its relation's one `Vec` | `16·k` (+ shared payloads of strings over 14 B) |
 //! | a posting | one `u32` tuple offset in its index's `postings` | 4 |
 //! | a distinct key | one `u32` CSR start + 2–4 `u32` hash slots; the key values themselves are *not* stored | 12–20 |
 //!

@@ -4,9 +4,10 @@
 //!
 //! A relation of arity `k` holding `n` tuples is ONE row-major `Vec<Value>` of `n · k`
 //! values: tuple `i` is the slice `values[i·k .. (i+1)·k]`. A tuple therefore costs
-//! exactly `k · size_of::<Value>()` bytes (24 B per value: 72 B for a ternary tuple)
-//! with no per-tuple header, allocation or allocator slack; string payloads are shared
-//! `Arc<str>`s and come on top once per distinct allocation. Readers get `&[Value]`
+//! exactly `k · size_of::<Value>()` bytes (16 B per value: 48 B for a ternary tuple)
+//! with no per-tuple header, allocation or allocator slack; a string of at most
+//! [`bea_core::value::Str::INLINE`] bytes lives inside its value, and only a longer one
+//! adds a shared payload, once per distinct allocation. Readers get `&[Value]`
 //! slices ([`Relation::rows`], [`Relation::row`]) — there is no owned `Row` per tuple to
 //! hand out. A tuple's offset `i` is what the access-constraint indexes store
 //! ([`crate::index`]), so a fetch is one multiplication away from its values.

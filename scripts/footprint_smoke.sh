@@ -1,17 +1,21 @@
 #!/usr/bin/env bash
 # Footprint smoke: start the bead daemon on the benchmark-sized store (~1.2M tuples),
 # wait for `ready`, and fail if its peak resident set (VmHWM) is above the limit. The
-# end-to-end counterpart of the unit pin on index bytes per posting: the keyed-map layout
-# this guards against peaked at 326 MB, the flat one at about 142 MB. Also prints the
-# start-up time, spawn to `ready` (10 ms polls), without gating on it.
+# end-to-end counterpart of the unit pins on index bytes per posting and on the 16-byte
+# value: the keyed-map layout this guards against peaked at 326 MB, the flat one with
+# 24-byte values and a heap object per string at about 142 MB, and the flat one with
+# 16-byte values, short strings inline, at about 90 MB. Also prints, without gating on
+# them, the peak bytes per tuple and the start-up time, spawn to `ready` (10 ms polls).
 #
 # Usage: scripts/footprint_smoke.sh [path-to-target-dir] [limit-mb]
-#        (defaults: target/release, 160)
+#        (defaults: target/release, 110)
 
 set -euo pipefail
 
 TARGET="${1:-target/release}"
-LIMIT_MB="${2:-160}"
+LIMIT_MB="${2:-110}"
+# What `--tuples 1000000 --seed 48879` generates.
+TUPLES=1200172
 BEAD="$TARGET/bead"
 BEACTL="$TARGET/beactl"
 SOCKET="$(mktemp -u /tmp/bead-footprint-XXXXXX.sock)"
@@ -47,6 +51,7 @@ HWM_KB="$(awk '/^VmHWM:/ { print $2 }' "/proc/$BEAD_PID/status")"
 [ -n "$HWM_KB" ] || { echo "error: no VmHWM line in /proc/$BEAD_PID/status" >&2; exit 1; }
 echo "start-up: $READY_MS ms from spawn to ready (not gated)"
 echo "peak resident set: $((HWM_KB / 1024)) MB (limit $LIMIT_MB MB)"
+echo "peak bytes per tuple: $((HWM_KB * 1024 / TUPLES)) over $TUPLES tuples (not gated)"
 
 "$BEACTL" --socket "$SOCKET" shutdown >/dev/null
 wait "$BEAD_PID"

@@ -3,8 +3,9 @@
 //! `AccessStats::allocs_per_probe` is a model of what the probe path *demands*; this
 //! binary checks the real thing. It installs a counting `#[global_allocator]` — which is
 //! why it is a test binary of its own: nothing else pays for the counter — and bounds
-//! the allocations of one cold Q0 execution and of a large δ. The count is per thread,
-//! so the harness's own threads cannot leak into a measurement.
+//! the allocations of one cold Q0 execution, of a large δ and of generating a store.
+//! The count is per thread, so the harness's own threads cannot leak into a
+//! measurement.
 
 use bea::bench::scenarios::{AccidentsScenario, BENCH_REPORT_SEED};
 use bea::core::access::{AccessConstraint, AccessSchema};
@@ -13,6 +14,7 @@ use bea::core::schema::Catalog;
 use bea::core::value::Value;
 use bea::engine::{execute_physical_on, ExecOptions};
 use bea::storage::{Database, IndexedDatabase};
+use bea::workload::accidents::{generate, AccidentsConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -134,11 +136,27 @@ fn dedup_allocates_logarithmically_in_its_distinct_rows() {
     assert_eq!(table.rows(), [vec![Value::int(5)]]);
     assert_eq!(stats.tuples_fetched, ROWS as u64);
     // Per 1 024-row batch a selection vector and a few handles (16 batches here), per
-    // doubling a column, hash or slot reallocation (14 doublings) — against two
-    // allocations per distinct row (32 768) when δ kept a hash bucket and an owned row
-    // for each.
+    // doubling a column, hash or slot reallocation (14 doublings) — 293 today, against
+    // two allocations per distinct row (32 768) when δ kept a hash bucket and an owned
+    // row for each.
     assert!(
         allocations <= 400,
         "δ over {ROWS} distinct rows performed {allocations} heap allocations"
+    );
+}
+
+#[test]
+fn generation_allocates_per_relation_not_per_string() {
+    let config = AccidentsConfig::with_total_tuples(20_000, 0xBEAD);
+    let (db, allocations) = allocations_of(|| generate(&config).unwrap());
+    assert!(db.size() > 15_000, "generated only {} tuples", db.size());
+    // Every string the generator writes — dates, districts, driver names — is at most
+    // `Str::INLINE` bytes and so lives inside its value: what is left is the catalog,
+    // each relation's one `Vec` and one formatting buffer per district and per day.
+    // 111 today, against 9 662 while each driver name was a heap object of its own.
+    assert!(
+        allocations <= 128,
+        "generating {} tuples performed {allocations} heap allocations",
+        db.size()
     );
 }
