@@ -8,13 +8,14 @@ use bead::server::{accidents_store, socket_from, BeadServer, ServerConfig};
 use std::io::{ErrorKind, Write};
 
 const USAGE: &str = "usage: bead [--socket PATH] [--tuples N] [--seed N] [--threads N] \
-                     [--fetch-budget N] [--cache-rows N]";
+                     [--fetch-budget N] [--cache-rows N]\n\
+                     (--threads is accepted and ignored: each query runs on its \
+                     connection's thread)";
 
 fn main() {
     let mut socket_arg: Option<String> = None;
     let mut tuples: u64 = 5_000;
     let mut seed: u64 = 0xBEAD;
-    let mut threads: usize = 0;
     let mut fetch_budget: u64 = 0;
     let mut cache_rows: u64 = 0;
 
@@ -30,7 +31,8 @@ fn main() {
             "--socket" => socket_arg = Some(value("--socket")),
             "--tuples" => tuples = parse("--tuples", &value("--tuples")),
             "--seed" => seed = parse("--seed", &value("--seed")),
-            "--threads" => threads = parse("--threads", &value("--threads")) as usize,
+            // Still validated, so a malformed value fails as it always did.
+            "--threads" => _ = parse("--threads", &value("--threads")),
             "--fetch-budget" => fetch_budget = parse("--fetch-budget", &value("--fetch-budget")),
             "--cache-rows" => cache_rows = parse("--cache-rows", &value("--cache-rows")),
             "--help" | "-h" => {
@@ -54,7 +56,6 @@ fn main() {
     };
     let config = ServerConfig {
         socket: socket.clone(),
-        threads,
         fetch_budget,
         cache_rows,
     };
@@ -67,10 +68,9 @@ fn main() {
     };
     let (store_bytes, index_bytes) = server.footprint();
     say(format_args!(
-        "bead: listening on {} (threads={} budget={} store_bytes={store_bytes} \
+        "bead: listening on {} (budget={} store_bytes={store_bytes} \
          index_bytes={index_bytes})",
         socket.display(),
-        server.threads(),
         server
             .fetch_budget()
             .map_or_else(|| "unlimited".to_owned(), |b| b.to_string()),

@@ -1,8 +1,8 @@
 //! # bead — the bounded-evaluability query service
 //!
 //! A thin daemon/client pair over [`bea_engine::session::Session`]: `bead` owns a
-//! store and a multi-query worker pool behind a Unix domain socket, `beactl` is the
-//! one-shot client. The split mirrors the classic `daemon`/`ctl` pattern: all state
+//! store and a session behind a Unix domain socket, and runs each query on the thread
+//! of the connection that sent it; `beactl` is the one-shot client. The split mirrors the classic `daemon`/`ctl` pattern: all state
 //! lives in the daemon; the client serializes one request, prints the reply, and
 //! exits with a status that scripts can branch on.
 //!
@@ -41,9 +41,7 @@
 //! executed.
 //!
 //! A `STATS` reply is one `OK` head of `key=value` counters: the admission counters
-//! (`submitted` … `budget`), the cache counters, who ran the queries' jobs —
-//! `caller_jobs=` (connection threads) and `worker_jobs=` (the session's pool) — the
-//! plan table (`plan_templates=` entries held, `plan_hits=` requests served from one,
+//! (`submitted` … `budget`), the cache counters, the plan table (`plan_templates=` entries held, `plan_hits=` requests served from one,
 //! `plan_misses=` all other `QUERY` requests), and the store's exact footprint —
 //! `store_bytes=` (flat tuple values) and `index_bytes=` (posting indexes), string
 //! payloads excluded; the daemon's start-up banner carries the same two fields.
@@ -66,14 +64,14 @@
 //!    the session lower, validate and price the plan
 //!    ([`bea_engine::session::Session::prepare`]). Validation and pricing are per
 //!    template because nothing they read can change between requests: the store is
-//!    immutable, and the plan's shape — fetch steps, constraint indexes, pipeline DAG,
+//!    immutable, and the plan's shape — fetch steps, constraint indexes, pipelines,
 //!    fetch bound, allocation surface — holds no value;
 //! 3. **admit → run** — [`bea_engine::session::Session::run_prepared`] checks the
 //!    stored ticket against the budget (a `REJECT` costs no clone) and runs the
 //!    prepared plan in place on the connection's thread: the request carries only its
 //!    literals, and each operator reads its placeholders' values from them when it is
-//!    built — no copy of the plan, no second pipeline DAG. This is the only step a
-//!    request served from the table pays for.
+//!    built — no copy of the plan. This is the only step a request served from the
+//!    table pays for.
 //!
 //! A text the lexer refuses, and a template that fails to parse or plan, store nothing:
 //! the request is then served from the literal text ([`BeadServer::query_unprepared`] —

@@ -39,8 +39,6 @@ pub const MAX_TEMPLATE_KEY_BYTES: usize = 4 * 1024;
 pub struct ServerConfig {
     /// The Unix socket path to bind. A stale socket file is removed first.
     pub socket: PathBuf,
-    /// Worker threads (0 = automatic, `BEA_THREADS` / available parallelism).
-    pub threads: usize,
     /// Aggregate fetch budget (0 = `BEA_FETCH_BUDGET`, else unlimited).
     pub fetch_budget: u64,
     /// Cross-query fetch-cache budget in resident posting rows
@@ -64,7 +62,7 @@ pub struct BeadServer {
 }
 
 impl BeadServer {
-    /// Bind the socket and start the session's worker pool over `store`.
+    /// Bind the socket and start a session over `store`.
     pub fn bind(store: SharedStore, config: &ServerConfig) -> std::io::Result<Self> {
         // A stale socket file from a dead daemon would make bind fail; a *live*
         // daemon holds the listener, so removing first is safe for the smoke
@@ -74,7 +72,6 @@ impl BeadServer {
         let session = Session::new(
             store.clone(),
             SessionConfig::new()
-                .with_threads(config.threads)
                 .with_fetch_budget(config.fetch_budget)
                 .with_cache_budget_rows(config.cache_rows),
         );
@@ -95,19 +92,14 @@ impl BeadServer {
         self.session.fetch_budget()
     }
 
-    /// The session's worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.session.threads()
-    }
-
     /// Exact `(tuple_bytes, index_bytes)` of the store (string payloads excluded).
     pub fn footprint(&self) -> (u64, u64) {
         self.store.store().footprint()
     }
 
     /// Serve connections until a `SHUTDOWN` request arrives. Each connection gets
-    /// its own scoped thread, so queries from concurrent clients genuinely
-    /// interleave in the session's job queue.
+    /// its own scoped thread, which runs the connection's queries, so queries from
+    /// concurrent clients run side by side under the session's fetch budget.
     pub fn serve(&self) -> std::io::Result<()> {
         std::thread::scope(|scope| {
             for stream in self.listener.incoming() {
@@ -186,9 +178,9 @@ impl BeadServer {
                     format!(
                         "submitted={} admitted={} queued={} rejected={} completed={} failed={} \
                          inflight_bound={} peak_admitted_bound={} budget={} cache_hits={} \
-                         rows_served_from_cache={} cache_evictions={} caller_jobs={} \
-                         worker_jobs={} plan_templates={plan_templates} plan_hits={} \
-                         plan_misses={} store_bytes={store_bytes} index_bytes={index_bytes}",
+                         rows_served_from_cache={} cache_evictions={} \
+                         plan_templates={plan_templates} plan_hits={} plan_misses={} \
+                         store_bytes={store_bytes} index_bytes={index_bytes}",
                         stats.submitted,
                         stats.admitted,
                         stats.queued,
@@ -203,8 +195,6 @@ impl BeadServer {
                         cache.hits,
                         cache.rows_served,
                         cache.evictions,
-                        stats.jobs_run_by_callers,
-                        stats.jobs_run_by_workers,
                         self.plan_hits.load(Ordering::Relaxed),
                         self.plan_misses.load(Ordering::Relaxed),
                     ),
@@ -298,8 +288,7 @@ impl BeadServer {
     }
 
     /// Admit `prepared` with a text's `literals` for its placeholders and run it on this
-    /// connection's thread (the session's workers join in when the query goes wide),
-    /// and format the outcome: an admission rejection, an execution error and a served
+    /// connection's thread, and format the outcome: an admission rejection, an execution error and a served
     /// query each get their own reply. The plan reads the first
     /// [`PreparedPlan::placeholders`] literal classes: planning can decide a class
     /// without reading it (`x = 1, x = 2` is empty whatever the two values are, `4 = 4`
@@ -310,7 +299,7 @@ impl BeadServer {
         literals.truncate(prepared.placeholders());
         // A panicking operator fails only its own query; keep the daemon up and
         // surface the payload as an ERR reply.
-        let run = move || self.session.run_prepared(prepared, literals);
+        let run = || self.session.run_prepared(prepared, &literals);
         let ran = match catch_unwind(AssertUnwindSafe(run)) {
             Ok(ran) => ran,
             Err(payload) => {
@@ -418,7 +407,6 @@ mod tests {
         let store = accidents_store(2_000, 0xBEAD).unwrap();
         let config = ServerConfig {
             socket: socket.clone(),
-            threads: 2,
             fetch_budget: 10_000,
             cache_rows: 4_096,
         };
@@ -489,18 +477,6 @@ mod tests {
                 "head: {}",
                 stats.head
             );
-            // Who ran the two served queries' jobs is on the reply, in front of the
-            // plan table's counters and the footprint: connection threads and pool
-            // workers, every job counted once.
-            let jobs = |field: &str| -> u64 {
-                let value = stats.head.split_once(field).expect(field).1;
-                value.split(' ').next().unwrap().parse().expect(field)
-            };
-            assert!(
-                jobs(" caller_jobs=") + jobs(" worker_jobs=") >= 2,
-                "head: {}",
-                stats.head
-            );
             let (store_bytes, index_bytes) = server.footprint();
             assert!(store_bytes > 0 && index_bytes > 0);
             assert!(
@@ -529,7 +505,6 @@ mod tests {
             std::env::temp_dir().join(format!("bead-test-utf8-{}.sock", std::process::id()));
         let config = ServerConfig {
             socket: socket.clone(),
-            threads: 1,
             ..ServerConfig::default()
         };
         let server = BeadServer::bind(accidents_store(500, 0xBEAD).unwrap(), &config).unwrap();
@@ -565,7 +540,6 @@ mod tests {
             std::env::temp_dir().join(format!("bead-test-line-{}.sock", std::process::id()));
         let config = ServerConfig {
             socket: socket.clone(),
-            threads: 1,
             ..ServerConfig::default()
         };
         let server = BeadServer::bind(accidents_store(500, 0xBEAD).unwrap(), &config).unwrap();

@@ -2,8 +2,8 @@
 //! allocator: what [`BeadServer::dispatch`] performs for a point lookup and for the
 //! paper's Q0 once their templates are prepared. It installs a counting
 //! `#[global_allocator]` — which is why it is a test binary of its own — and counts per
-//! thread, so the session's workers cannot leak into a measurement; a measurement
-//! counts only when the calling thread ran every job of its query.
+//! thread: the query runs on the thread that dispatches it, and nothing else is
+//! counted.
 
 use bead::server::accidents_store;
 use bead::{BeadServer, ReplyStatus, Request, ServerConfig};
@@ -56,8 +56,7 @@ fn stat(server: &BeadServer, name: &str) -> u64 {
 }
 
 /// Heap allocations of one `dispatch` of `text` on this thread, from a warm template
-/// table, taken from the first of up to 100 attempts in which this thread ran every
-/// job of the query (a worker that has not parked yet may take one).
+/// table.
 fn served_allocations(server: &BeadServer, text: &str) -> u64 {
     // Once to prepare the template, then as hits until the thread's pooled buffers
     // have grown to what the query draws, so lazily grown state is not billed.
@@ -65,24 +64,14 @@ fn served_allocations(server: &BeadServer, text: &str) -> u64 {
         let reply = server.dispatch(Request::Query(text.to_owned()));
         assert_eq!(reply.status(), ReplyStatus::Ok, "{text}: {}", reply.head);
     }
-    for _ in 0..100 {
-        let (callers, workers) = (stat(server, "caller_jobs"), stat(server, "worker_jobs"));
-        let hits = stat(server, "plan_hits");
-        let request = Request::Query(text.to_owned());
-        let before = ALLOCATIONS.with(Cell::get);
-        let reply = server.dispatch(request);
-        let allocations = ALLOCATIONS.with(Cell::get) - before;
-        assert_eq!(reply.status(), ReplyStatus::Ok, "{text}: {}", reply.head);
-        assert_eq!(stat(server, "plan_hits"), hits + 1, "{text} is a table hit");
-        assert!(
-            stat(server, "caller_jobs") > callers,
-            "{text} ran on its caller"
-        );
-        if stat(server, "worker_jobs") == workers {
-            return allocations;
-        }
-    }
-    panic!("a worker ran a job of {text} in every attempt");
+    let hits = stat(server, "plan_hits");
+    let request = Request::Query(text.to_owned());
+    let before = ALLOCATIONS.with(Cell::get);
+    let reply = server.dispatch(request);
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(reply.status(), ReplyStatus::Ok, "{text}: {}", reply.head);
+    assert_eq!(stat(server, "plan_hits"), hits + 1, "{text} is a table hit");
+    allocations
 }
 
 #[test]
@@ -90,8 +79,6 @@ fn a_served_request_stays_inside_its_allocation_budget() {
     let socket = std::env::temp_dir().join(format!("bead-alloc-{}.sock", std::process::id()));
     let config = ServerConfig {
         socket: socket.clone(),
-        // As the daemon runs: two workers, a connection thread asking.
-        threads: 2,
         ..ServerConfig::default()
     };
     let server = BeadServer::bind(accidents_store(20_000, 0xBEAD).unwrap(), &config).unwrap();
@@ -103,14 +90,16 @@ fn a_served_request_stays_inside_its_allocation_budget() {
     );
     drop(server);
     let _ = std::fs::remove_file(&socket);
-    // Measured 39 and 162 (Q0 was 164 while its two string literals were each copied
-    // to the heap as the request was read; 169 while a 2-thread session cut it into 6
-    // pipelines; 99 and 360 while every request copied its template's plan, re-derived
-    // its pipeline DAG, rebuilt its operators' step fields, threw its job buffers away
-    // and kept its stats in per-job maps); each bound leaves 15 %.
+    // Measured 37 and 160 (39 and 162 while a query went through a job pool that
+    // shared its slots and ledger between threads; Q0 was 164 while its two string
+    // literals were each copied to the heap as the request was read, 169 while a
+    // 2-thread session cut it into 6 pipelines; 99 and 360 while every request copied
+    // its template's plan, re-derived its pipeline DAG, rebuilt its operators' step
+    // fields, threw its job buffers away and kept its stats in per-job maps); each
+    // bound leaves 15 %.
     assert!(
-        point <= 44,
+        point <= 42,
         "a served point request performed {point} heap allocations"
     );
-    assert!(q0 <= 186, "a served Q0 performed {q0} heap allocations");
+    assert!(q0 <= 184, "a served Q0 performed {q0} heap allocations");
 }

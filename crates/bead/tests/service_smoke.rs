@@ -28,6 +28,7 @@ impl Daemon {
                 "2000",
                 "--seed",
                 "48879",
+                // Accepted and ignored: the benchmark harness still passes it.
                 "--threads",
                 "2",
                 "--fetch-budget",

@@ -11,7 +11,7 @@ use bea_core::query::ucq::UnionQuery;
 use bea_core::reason::ReasonConfig;
 use bea_core::schema::Catalog;
 use bea_engine::{
-    execute_physical_on, execute_plan_on, AccessStats, ExecOptions, Session, SessionConfig,
+    execute_physical_on, execute_plan, AccessStats, ExecOptions, Session, SessionConfig,
     SharedStore, SubmitError,
 };
 use bea_storage::IndexedDatabase;
@@ -152,8 +152,7 @@ impl EcommerceScenario {
 
 /// The batch scenario: a union of `branches` independently anchored Q0 queries over
 /// one accidents database — the "batch of personalized queries" shape, submitted as
-/// one query. The union streams, so the batch is one pipeline and runs on one thread
-/// at any thread count, with identical rows and counters at 1, 2 and 4 threads.
+/// one query. The union streams, so the batch is one pipeline.
 pub struct ParallelScenario {
     /// The relational schema.
     pub catalog: Catalog,
@@ -204,8 +203,7 @@ impl ParallelScenario {
 /// The heavy-chain scenario: one *heavy* query instead of many small ones. A single
 /// anchor key fans out to `fan_out` rows with distinct join keys, which a second hop
 /// joins through the fused keyed-lookup pattern, so one pipeline probes `fan_out`
-/// keys over `fan_out / 1024` batches. Nothing splits a pipeline, so the query runs on
-/// one thread at any thread count, with identical rows and counters.
+/// keys over `fan_out / 1024` batches.
 pub struct HeavyChainScenario {
     /// The relational schema (R(a, b) fan-out, S(k, v) lookups).
     pub catalog: Catalog,
@@ -434,15 +432,13 @@ impl ConcurrentTrafficScenario {
         })
     }
 
-    /// Run the full mixed batch through a fresh budgeted [`Session`] at `threads`
-    /// workers, every query submitted from its own thread. Returns how many were
-    /// admitted and how many rejected; errors from admitted queries propagate.
-    pub fn drive_session(&self, threads: usize) -> Result<(usize, usize)> {
+    /// Run the full mixed batch through a fresh budgeted [`Session`], every query
+    /// submitted from its own thread. Returns how many were admitted and how many
+    /// rejected; errors from admitted queries propagate.
+    pub fn drive_session(&self) -> Result<(usize, usize)> {
         let session = Session::new(
             self.store.clone(),
-            SessionConfig::new()
-                .with_threads(threads)
-                .with_fetch_budget(self.budget),
+            SessionConfig::new().with_fetch_budget(self.budget),
         );
         let outcomes: Vec<bool> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
@@ -489,9 +485,8 @@ pub fn pipeline_bench_report() -> Result<PipelineBenchReport> {
 
 /// The record's `scenarios` section, its `claims` left empty: run the streaming
 /// pipeline once per scenario and keep its deterministic counters (access, residency,
-/// copy traffic, probe-path buffer demand, cache service). Every run is
-/// single-threaded, so the section does not depend on the machine, `BEA_THREADS` or
-/// `BEA_SHARDS`.
+/// copy traffic, probe-path buffer demand, cache service). Every run is alone on its
+/// thread, so the section does not depend on the machine or `BEA_SHARDS`.
 pub fn scenario_record() -> Result<PipelineBenchReport> {
     let accidents = AccidentsScenario::with_total_tuples(20_000, BENCH_REPORT_SEED)?;
     let graph = GraphScenario::with_persons(500, BENCH_REPORT_SEED)?;
@@ -501,25 +496,23 @@ pub fn scenario_record() -> Result<PipelineBenchReport> {
     let chain = HeavyChainScenario::with_fan_out(16_384, BENCH_REPORT_SEED)?;
 
     let mut report = PipelineBenchReport::default();
-    let single = ExecOptions::new().with_threads(1);
     let cases: [(&str, &QueryPlan, &IndexedDatabase); 3] = [
         ("accidents_q0", &accidents.plan, &accidents.indexed),
         ("graph_personalized", &graph.plan, &graph.indexed),
         ("ecommerce_orders", &ecommerce.plan, &ecommerce.indexed),
     ];
     for (name, plan, indexed) in cases {
-        let (_, stats) = execute_plan_on(plan, indexed, &single)?;
+        let (_, stats) = execute_plan(plan, indexed)?;
         report.insert(name, BenchEntry::from(&stats));
     }
-    // The batch, the heavy chain and the sharded Q0 (every counter is identical at
-    // every thread count; the scenario tests assert it).
+    // The batch, the heavy chain and the sharded Q0, from their lowered plans.
     let physical_cases: [(&str, &PhysicalPlan, &IndexedDatabase); 3] = [
         ("parallel_q0_batch_6", &batch.physical, &batch.indexed),
         ("heavy_chain_fan_16384", &chain.physical, &chain.indexed),
         ("sharded_q0_shards_4", &sharded.physical, &sharded.sharded),
     ];
     for (name, physical, store) in physical_cases {
-        let (_, stats) = execute_physical_on(physical, store, &single)?;
+        let (_, stats) = execute_physical_on(physical, store, &ExecOptions::new())?;
         report.insert(name, BenchEntry::from(&stats));
     }
     // The multi-query service scenario, recorded from serial runs of the *admitted*
@@ -529,19 +522,16 @@ pub fn scenario_record() -> Result<PipelineBenchReport> {
     let traffic = ConcurrentTrafficScenario::with_traffic(4, 2, 20_000, BENCH_REPORT_SEED)?;
     let mut total = AccessStats::default();
     for plan in &traffic.admitted {
-        total += execute_plan_on(plan, traffic.store.store(), &single)?.1;
+        total += execute_plan(plan, traffic.store.store())?.1;
     }
     report.insert("service_mixed_traffic", BenchEntry::from(&total));
     // The cross-query fetch-cache scenario: the first admitted anchored Q0 submitted
-    // twice through one cache-enabled session (1 worker keeps the two legs strictly
-    // ordered). The cold leg reproduces the uncached counters — filling the cache is a
+    // twice through one cache-enabled session, one after the other. The cold leg reproduces the uncached counters — filling the cache is a
     // side effect, never a cost the query pays. The warm leg is what the hot tier
     // exists for: zero store fetches, every posting row served out of the cache.
     let session = Session::new(
         traffic.store.clone(),
-        SessionConfig::new()
-            .with_threads(1)
-            .with_cache_budget_rows(1 << 20),
+        SessionConfig::new().with_cache_budget_rows(1 << 20),
     );
     let submit = || -> Result<AccessStats> {
         match session.submit(&traffic.admitted[0]) {
@@ -571,7 +561,7 @@ pub fn scenario_record() -> Result<PipelineBenchReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bea_engine::{eval_cq, eval_ucq, execute_plan, execute_plan_materialized};
+    use bea_engine::{eval_cq, eval_ucq, execute_plan_materialized};
 
     /// The perf record is complete, deterministic (same counters on a second build) and
     /// equal, byte for byte, to the committed `BENCH_pipeline.json`: a counter or a
@@ -672,8 +662,7 @@ mod tests {
         plan: &bea_core::plan::QueryPlan,
         indexed: &IndexedDatabase,
     ) {
-        let (streamed, streamed_stats) =
-            execute_plan_on(plan, indexed, &ExecOptions::new()).unwrap();
+        let (streamed, streamed_stats) = execute_plan(plan, indexed).unwrap();
         let (materialized, materialized_stats) = execute_plan_materialized(plan, indexed).unwrap();
         assert!(streamed.same_rows(&materialized));
         assert!(streamed_stats.same_data_access(&materialized_stats));
@@ -718,7 +707,7 @@ mod tests {
             ("graph_personalized", &graph.plan, &graph.indexed),
             ("ecommerce_orders", &ecommerce.plan, &ecommerce.indexed),
         ] {
-            let (rows, streamed) = execute_plan_on(plan, indexed, &ExecOptions::new()).unwrap();
+            let (rows, streamed) = execute_plan(plan, indexed).unwrap();
             let (reference, materialized) = execute_plan_materialized(plan, indexed).unwrap();
             assert!(rows.same_rows(&reference), "{name}: answers differ");
             assert!(
@@ -735,8 +724,7 @@ mod tests {
     }
 
     /// The acceptance property of sharded execution on its target scenario: the
-    /// sharded physical plan equals the unsharded one, and a shards = 4 / threads = 4
-    /// run of it returns the unsharded run's rows in the same order and fetches
+    /// sharded physical plan equals the unsharded one, and a 4-shard run of it returns the unsharded run's rows in the same order and fetches
     /// *exactly* the same total rows — boundedness is preserved under partitioning,
     /// asserted via the per-shard `AccessStats` (the shard counts sum to the total and
     /// the work genuinely spreads over several partitions).
@@ -749,20 +737,11 @@ mod tests {
         let unsharded = ShardedScenario::with_shards(1, 20_000, BENCH_REPORT_SEED).unwrap();
         assert_eq!(scenario.physical, unsharded.physical);
 
-        // shards = 1 baseline: the plain indexed store, single-threaded.
-        let (baseline, baseline_stats) = execute_physical_on(
-            &scenario.physical,
-            &scenario.indexed,
-            &ExecOptions::new().with_threads(1),
-        )
-        .unwrap();
-        // The sharded run at the scenario's target shape: 4 shards × 4 threads.
-        let (sharded, sharded_stats) = execute_physical_on(
-            &scenario.physical,
-            &scenario.sharded,
-            &ExecOptions::new().with_threads(4),
-        )
-        .unwrap();
+        // shards = 1 baseline: the plain indexed store.
+        let run = |store| execute_physical_on(&scenario.physical, store, &ExecOptions::new());
+        let (baseline, baseline_stats) = run(&scenario.indexed).unwrap();
+        // The sharded run at the scenario's target shape: 4 shards.
+        let (sharded, sharded_stats) = run(&scenario.sharded).unwrap();
 
         assert_eq!(sharded.rows(), baseline.rows());
         assert_eq!(
@@ -792,30 +771,22 @@ mod tests {
         assert!(sharded.same_rows(&naive));
     }
 
-    /// The heavy chain, at the perf record's fan-out, is one pipeline, agrees with the
-    /// naive evaluator, and runs the same at 1 and 4 threads: rows in order, data
-    /// access, copy traffic, residency.
+    /// The heavy chain, at the perf record's fan-out, is one pipeline and agrees with
+    /// the naive evaluator.
     #[test]
     fn heavy_chain_scenario_is_one_pipeline_at_every_thread_count() {
         let scenario = HeavyChainScenario::with_fan_out(16_384, BENCH_REPORT_SEED).unwrap();
         assert!(scenario.indexed.satisfies_schema());
         assert_eq!(scenario.catalog.len(), 2);
-        assert_eq!(scenario.physical.pipeline_dag().len(), 1);
+        assert_eq!(scenario.physical.materialization_points(), 1);
 
-        let run = |threads| {
-            let options = ExecOptions::new().with_threads(threads);
-            execute_physical_on(&scenario.physical, &scenario.indexed, &options).unwrap()
-        };
-        let (baseline, baseline_stats) = run(1);
-        assert_eq!(baseline.len(), scenario.fan_out as usize);
+        let (table, _) =
+            execute_physical_on(&scenario.physical, &scenario.indexed, &ExecOptions::new())
+                .unwrap();
+        assert_eq!(table.len(), scenario.fan_out as usize);
         let (naive, _) =
             eval_cq(&chain_query(&scenario.catalog), scenario.indexed.database()).unwrap();
-        assert!(baseline.same_rows(&naive), "chain disagrees with naive");
-        let (table, stats) = run(4);
-        assert_eq!(table.rows(), baseline.rows());
-        assert!(stats.same_data_access(&baseline_stats));
-        assert_eq!(stats.values_cloned, baseline_stats.values_cloned);
-        assert_eq!(stats.peak_rows_resident, baseline_stats.peak_rows_resident);
+        assert!(table.same_rows(&naive), "chain disagrees with naive");
     }
 
     /// The acceptance property of the multi-query service scenario: the cost model
@@ -838,7 +809,7 @@ mod tests {
             );
         }
 
-        let (admitted, rejected) = traffic.drive_session(4).unwrap();
+        let (admitted, rejected) = traffic.drive_session().unwrap();
         assert_eq!(
             (admitted, rejected),
             (4, 2),
@@ -848,17 +819,10 @@ mod tests {
         // The session reproduces the serial rows for every admitted plan.
         let session = Session::new(
             traffic.store.clone(),
-            SessionConfig::new()
-                .with_threads(4)
-                .with_fetch_budget(traffic.budget),
+            SessionConfig::new().with_fetch_budget(traffic.budget),
         );
         for plan in &traffic.admitted {
-            let (serial, serial_stats) = execute_plan_on(
-                plan,
-                traffic.store.store(),
-                &ExecOptions::new().with_threads(1),
-            )
-            .unwrap();
+            let (serial, serial_stats) = execute_plan(plan, traffic.store.store()).unwrap();
             let (table, stats) = session.submit(plan).unwrap().wait().unwrap();
             assert_eq!(
                 table.rows(),
@@ -886,34 +850,27 @@ mod tests {
             .unwrap()
     }
 
-    /// The batch, at the perf record's scale, is one pipeline: execution at 1, 2 and
-    /// 4 threads produces the identical table with identical data access, copy
+    /// The batch, at the perf record's scale, is one pipeline: run solo and served by a
+    /// session it produces the identical table with identical data access, copy
     /// traffic and residency peak, and agrees with the naive evaluator.
     #[test]
     fn parallel_scenario_is_consistent_across_thread_counts() {
         let scenario = ParallelScenario::with_branches(6, 20_000, BENCH_REPORT_SEED).unwrap();
         assert!(scenario.indexed.satisfies_schema());
-        assert_eq!(scenario.physical.pipeline_dag().len(), 1);
+        assert_eq!(scenario.physical.materialization_points(), 1);
 
-        let run = |threads| {
-            let options = ExecOptions::new().with_threads(threads);
-            execute_physical_on(&scenario.physical, &scenario.indexed, &options).unwrap()
-        };
-        let (single, single_stats) = run(1);
-        for threads in [2, 4] {
-            let (parallel, parallel_stats) = run(threads);
-            assert_eq!(single.rows(), parallel.rows(), "{threads} threads");
-            assert!(single_stats.same_data_access(&parallel_stats));
-            assert_eq!(
-                parallel_stats.peak_rows_resident,
-                single_stats.peak_rows_resident
-            );
-            assert_eq!(parallel_stats.values_cloned, single_stats.values_cloned);
-            assert_eq!(
-                parallel_stats.allocs_per_probe,
-                single_stats.allocs_per_probe
-            );
-        }
+        let (single, single_stats) = execute_plan(&scenario.plan, &scenario.indexed).unwrap();
+        let session = Session::new(scenario.indexed.clone(), SessionConfig::new());
+        let (_, served) = session.run(&scenario.plan).unwrap();
+        let (served, served_stats) = served.unwrap();
+        assert_eq!(single.rows(), served.rows());
+        assert!(single_stats.same_data_access(&served_stats));
+        assert_eq!(
+            served_stats.peak_rows_resident,
+            single_stats.peak_rows_resident
+        );
+        assert_eq!(served_stats.values_cloned, single_stats.values_cloned);
+        assert_eq!(served_stats.allocs_per_probe, single_stats.allocs_per_probe);
 
         let (naive, _) = eval_ucq(&scenario.query, scenario.indexed.database()).unwrap();
         assert!(single.same_rows(&naive));

@@ -1,13 +1,12 @@
 //! Shared parsing for the `BEA_*` tuning variables.
 //!
 //! Every knob the test matrix and the service read from the environment
-//! (`BEA_THREADS`, `BEA_SHARDS`, `BEA_FETCH_BUDGET`, `BEA_CACHE_ROWS`) follows the
+//! (`BEA_SHARDS`, `BEA_FETCH_BUDGET`, `BEA_CACHE_ROWS`) follows the
 //! same loud-failure contract: an unset variable means "use the default", and a
 //! set-but-invalid value **panics with the rejection reason** instead of silently
 //! falling back — a CI matrix typo must fail the job, not quietly test the wrong
-//! configuration. The contract grew up independently in `bea-engine` (threads)
-//! and `bea-storage` (shards); this module is the one copy both delegate to,
-//! so the rules can never drift apart again.
+//! configuration. This module is the one copy `bea-engine` (budget, cache) and
+//! `bea-storage` (shards) delegate to, so the rules can never drift apart.
 //!
 //! Parsing is split from environment access on purpose: [`parse_count`] is a pure
 //! function, so the rejection rules are testable without mutating the process
@@ -17,7 +16,7 @@
 /// A parsed counting variable: the three states every `BEA_*` knob distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnvCount {
-    /// The empty string — the `BEA_THREADS= cmd` shell idiom for "unset".
+    /// The empty string — the `BEA_SHARDS= cmd` shell idiom for "unset".
     Unset,
     /// An explicit `0`. Most knobs read this as "automatic"; `BEA_SHARDS` rejects it
     /// (a sharded store needs at least one shard).
@@ -27,9 +26,9 @@ pub enum EnvCount {
 }
 
 impl EnvCount {
-    /// The count under the "zero means automatic" reading shared by `BEA_THREADS`,
-    /// `BEA_FETCH_BUDGET` and `BEA_CACHE_ROWS` (where "automatic"
-    /// means unlimited or disabled, per knob): `None` for [`EnvCount::Unset`] and
+    /// The count under the "zero means automatic" reading shared by
+    /// `BEA_FETCH_BUDGET` and `BEA_CACHE_ROWS` (where "automatic" means unlimited or
+    /// disabled, per knob): `None` for [`EnvCount::Unset`] and
     /// [`EnvCount::Zero`], the value otherwise.
     pub fn auto_when_zero(self) -> Option<u64> {
         match self {

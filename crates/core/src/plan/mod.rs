@@ -24,10 +24,7 @@ pub mod physical;
 pub mod synthesis;
 pub mod ticket;
 
-pub use physical::{
-    lower_plan, lower_plan_with, LowerOptions, PhysOp, PhysStep, PhysicalPlan, Pipeline,
-    PipelineDag,
-};
+pub use physical::{lower_plan, lower_plan_with, LowerOptions, PhysOp, PhysStep, PhysicalPlan};
 pub use synthesis::{bounded_plan, bounded_plan_for_report, bounded_plan_ucq};
 pub use ticket::{step_surface, CostTicket};
 

@@ -56,14 +56,11 @@
 //! executes exactly the plan its unsharded twin does — same steps, same pipelines,
 //! same [`super::ticket::CostTicket`]. The paper's bound is about *which*
 //! `(constraint, key)` lookups a plan makes, and partitioning changes none of them.
-//! Nor does lowering look at how many threads will run the plan: a bounded query
-//! touches a small slice of the data, so a pipeline is never cut for parallelism.
-//! Threads run many queries at once, and the independent pipelines of one plan.
+//! Nor does lowering plan for threads: a bounded query touches a small slice of the
+//! data, so a plan runs on one thread, and threads run many queries at once.
 //!
-//! [`PhysicalPlan::pipeline_dag`] decomposes any lowered plan into its pipelines: each
-//! materialization point, together with the streaming region feeding it, becomes one
-//! [`Pipeline`]; the materialized steps it scans are its exchange edges. Pipelines with
-//! no path between them are independent and may execute concurrently.
+//! Each materialization point, together with the streaming region feeding it, is one
+//! pipeline; a step reads only earlier steps, so the engine runs them in step order.
 //!
 //! The companion executor lives in `bea-engine` (`ops` module); it assigns one streaming
 //! operator per physical step and reports peak rows resident alongside the usual access
@@ -371,125 +368,6 @@ impl PhysicalPlan {
     /// Count how many steps are marked as materialization points (pipeline breakers).
     pub fn materialization_points(&self) -> usize {
         self.steps.iter().filter(|s| s.materialize).count()
-    }
-
-    /// Decompose the plan into its pipeline DAG: one [`Pipeline`] per materialization
-    /// point, whose `sources` are the materialized steps its streaming region scans
-    /// (the exchange edges). Pipelines appear in step order, which is a topological
-    /// order of the DAG; pipelines with no path between them are independent and may
-    /// run concurrently.
-    pub fn pipeline_dag(&self) -> PipelineDag {
-        let mut sink_to_pipeline: BTreeMap<PhysId, usize> = BTreeMap::new();
-        let mut pipelines: Vec<Pipeline> = Vec::new();
-        for (sink, step) in self.steps.iter().enumerate() {
-            if !step.materialize {
-                continue;
-            }
-            // Walk the streaming region feeding this sink. Non-materialized steps have
-            // exactly one consumer (multi-consumer steps are always materialized), so
-            // the region is a tree and the walk is linear.
-            let mut sources: BTreeSet<PhysId> = BTreeSet::new();
-            let mut stack: Vec<PhysId> = step.op.inputs();
-            while let Some(j) = stack.pop() {
-                if self.steps[j].materialize {
-                    sources.insert(j);
-                } else {
-                    stack.extend(self.steps[j].op.inputs());
-                }
-            }
-            sink_to_pipeline.insert(sink, pipelines.len());
-            let sources = sources.into_iter().collect();
-            pipelines.push(Pipeline { sink, sources });
-        }
-        let deps: Vec<Vec<usize>> = pipelines
-            .iter()
-            .map(|p| {
-                p.sources
-                    .iter()
-                    .map(|s| sink_to_pipeline[s])
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); pipelines.len()];
-        for (i, dep) in deps.iter().enumerate() {
-            for &d in dep {
-                dependents[d].push(i);
-            }
-        }
-        PipelineDag {
-            pipelines,
-            deps,
-            dependents,
-        }
-    }
-}
-
-/// One pipeline of a physical plan: the materialization point `sink` plus the streaming
-/// region that feeds it. Executing a pipeline means pulling the operator tree rooted at
-/// `sink` to exhaustion and materializing the result; the `sources` are the
-/// materialization points that region scans, so a pipeline is runnable exactly when all
-/// of its sources have been produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pipeline {
-    /// The materialized step this pipeline produces.
-    pub sink: PhysId,
-    /// The materialized steps its streaming region reads (exchange edges), in step
-    /// order.
-    pub sources: Vec<PhysId>,
-}
-
-/// The pipeline decomposition of a [`PhysicalPlan`]: pipelines in topological (step)
-/// order plus the dependency edges between them. See [`PhysicalPlan::pipeline_dag`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineDag {
-    pipelines: Vec<Pipeline>,
-    deps: Vec<Vec<usize>>,
-    dependents: Vec<Vec<usize>>,
-}
-
-impl PipelineDag {
-    /// The pipelines in topological order (the last one produces the plan output).
-    pub fn pipelines(&self) -> &[Pipeline] {
-        &self.pipelines
-    }
-
-    /// Number of pipelines.
-    pub fn len(&self) -> usize {
-        self.pipelines.len()
-    }
-
-    /// True when the DAG has no pipelines (never the case for lowered plans).
-    pub fn is_empty(&self) -> bool {
-        self.pipelines.is_empty()
-    }
-
-    /// Pipelines that must complete before pipeline `i` can start.
-    pub fn dependencies(&self, i: usize) -> &[usize] {
-        &self.deps[i]
-    }
-
-    /// Pipelines unblocked (in part) by the completion of pipeline `i`.
-    pub fn dependents(&self, i: usize) -> &[usize] {
-        &self.dependents[i]
-    }
-
-    /// The maximum number of pipelines that can run concurrently under level-by-level
-    /// scheduling (all pipelines at equal longest-path depth are mutually independent).
-    /// A plan with a single pipeline has width 1; wider DAGs are where a parallel
-    /// scheduler can win.
-    pub fn parallel_width(&self) -> usize {
-        let mut level: Vec<usize> = vec![0; self.pipelines.len()];
-        let mut width: BTreeMap<usize, usize> = BTreeMap::new();
-        for i in 0..self.pipelines.len() {
-            let l = self.deps[i]
-                .iter()
-                .map(|&d| level[d] + 1)
-                .max()
-                .unwrap_or(0);
-            level[i] = l;
-            *width.entry(l).or_insert(0) += 1;
-        }
-        width.values().copied().max().unwrap_or(0)
     }
 }
 
@@ -1369,7 +1247,7 @@ mod tests {
         assert_eq!(phys.output(), 3);
         assert!(phys.steps().iter().all(|s| s.set_valued));
         assert!(phys.keys_distinct(1, &[0]));
-        assert_eq!(phys.pipeline_dag().len(), 1);
+        assert_eq!(phys.materialization_points(), 1);
 
         // A source that repeats keys gets a δ between the key projection and the
         // lookup, so every key is probed once; the union's own δ is the other one.
@@ -1682,15 +1560,13 @@ mod tests {
 
     #[test]
     fn single_pipeline_dag_for_fully_streaming_plan() {
+        // One pipeline: the output is the only materialization point, and nothing it
+        // reads is materialized.
         let phys = lower_plan(&keyed_join_plan()).unwrap();
-        let dag = phys.pipeline_dag();
-        assert_eq!(dag.len(), 1);
-        assert!(!dag.is_empty());
-        assert_eq!(dag.pipelines()[0].sink, phys.output());
-        assert!(dag.pipelines()[0].sources.is_empty());
-        assert!(dag.dependencies(0).is_empty());
-        assert!(dag.dependents(0).is_empty());
-        assert_eq!(dag.parallel_width(), 1);
+        let materialized: Vec<usize> = (0..phys.len())
+            .filter(|&step| phys.steps()[step].materialize)
+            .collect();
+        assert_eq!(materialized, [phys.output()]);
     }
 
     #[test]
@@ -1714,33 +1590,25 @@ mod tests {
         let out = b.product(sel, other);
         let plan = b.finish("Q", out).unwrap();
         let phys = lower_plan(&plan).unwrap();
-        let dag = phys.pipeline_dag();
-        // Three breakers: the shared constant, the shared fetch, and the output.
-        assert_eq!(dag.len(), 3);
-        let const_pipe = &dag.pipelines()[0];
-        let fetch_pipe = &dag.pipelines()[1];
-        let out_pipe = &dag.pipelines()[2];
-        assert!(matches!(
-            phys.steps()[const_pipe.sink].op,
-            PhysOp::Const { .. }
-        ));
-        // The fetch's pipeline ends in the `π` over its lookup.
-        let PhysOp::Project { source, .. } = phys.steps()[fetch_pipe.sink].op else {
+        // Three breakers, in step order: the shared constant, the shared fetch, and
+        // the output, each one pipeline's end.
+        let sinks: Vec<usize> = (0..phys.len())
+            .filter(|&step| phys.steps()[step].materialize)
+            .collect();
+        let [constant, fetch, output] = sinks[..] else {
+            panic!("three materialization points: {phys}");
+        };
+        assert!(matches!(phys.steps()[constant].op, PhysOp::Const { .. }));
+        // The fetch's pipeline ends in the `π` over its lookup, whose keys are the
+        // constant's.
+        let PhysOp::Project { source, .. } = phys.steps()[fetch].op else {
             panic!("the shared fetch lowers to `π` over a lookup: {phys}");
         };
-        assert!(matches!(
-            phys.steps()[source].op,
-            PhysOp::KeyedLookup { .. }
-        ));
-        assert_eq!(out_pipe.sink, phys.output());
-        // Exchange edges: the fetch scans the constant; the output scans both.
-        assert_eq!(fetch_pipe.sources, vec![const_pipe.sink]);
-        assert_eq!(out_pipe.sources, vec![const_pipe.sink, fetch_pipe.sink]);
-        assert_eq!(dag.dependencies(1), &[0]);
-        assert_eq!(dag.dependencies(2), &[0, 1]);
-        assert_eq!(dag.dependents(0), &[1, 2]);
-        // A chain has no parallel width.
-        assert_eq!(dag.parallel_width(), 1);
+        let PhysOp::KeyedLookup { source: keys, .. } = phys.steps()[source].op else {
+            panic!("the shared fetch lowers to `π` over a lookup: {phys}");
+        };
+        assert_eq!(phys.steps()[keys].op.inputs(), [constant], "\n{phys}");
+        assert_eq!(output, phys.output());
     }
 
     /// A union of two independent keyed-lookup branches.
@@ -1782,7 +1650,7 @@ mod tests {
         let chain = b.finish("Q", s2).unwrap();
         for plan in [union_of_lookups_plan(), chain] {
             let lowered = lower_plan(&plan).unwrap();
-            assert_eq!(lowered.pipeline_dag().len(), 1, "\n{lowered}");
+            assert_eq!(lowered.materialization_points(), 1, "\n{lowered}");
             let options = LowerOptions::new()
                 .with_exchange_parallelism(true)
                 .with_shard_fanout(4);

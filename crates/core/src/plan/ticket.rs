@@ -9,8 +9,8 @@
 //! trust in the client.
 //!
 //! A ticket is derived once per submission from the logical plan (the fetch bound, via
-//! [`super::QueryPlan::cost`]) and its lowering (the pipeline decomposition, parallel
-//! width, and the **allocation surface**). The allocation surface is the engine's
+//! [`super::QueryPlan::cost`]) and its lowering (the number of pipelines, and the
+//! **allocation surface**). The allocation surface is the engine's
 //! buffer-pool sizing rule, [`step_surface`] — every keyed lookup (the one physical
 //! step that fetches) demands one buffer per fetched position plus the key row and the
 //! selection vector — summed over the plan's steps. Lowering does not depend on the
@@ -44,10 +44,9 @@ pub struct CostTicket {
     pub max_output_rows: u64,
     /// Fetch operations in the logical plan.
     pub fetch_ops: usize,
-    /// Pipelines in the lowered plan's DAG — the query's job count.
+    /// Pipelines in the lowered plan: its materialization points
+    /// ([`PhysicalPlan::materialization_points`]).
     pub pipelines: usize,
-    /// Maximum pipelines runnable concurrently (the DAG's level width).
-    pub parallel_width: usize,
     /// Total per-probe buffer demand: [`step_surface`] summed over the lowered
     /// plan's steps.
     pub alloc_surface: u64,
@@ -56,7 +55,7 @@ pub struct CostTicket {
 impl CostTicket {
     /// Price `plan` (lowered to `physical`) under `schema` for a database of
     /// `db_size` tuples. The fetch bound comes from the logical cost model; the
-    /// pipeline shape and allocation surface come from the lowering.
+    /// pipeline count and allocation surface come from the lowering.
     pub fn derive(
         plan: &QueryPlan,
         schema: &AccessSchema,
@@ -64,14 +63,12 @@ impl CostTicket {
         physical: &PhysicalPlan,
     ) -> Self {
         let cost = plan.cost(schema, db_size);
-        let dag = physical.pipeline_dag();
         CostTicket {
             query_name: plan.query_name().to_owned(),
             fetch_bound: cost.max_fetched_tuples,
             max_output_rows: cost.max_output_rows,
             fetch_ops: cost.fetch_ops,
-            pipelines: dag.len(),
-            parallel_width: dag.parallel_width(),
+            pipelines: physical.materialization_points(),
             alloc_surface: physical.steps().iter().map(|s| step_surface(&s.op)).sum(),
         }
     }
@@ -81,14 +78,12 @@ impl std::fmt::Display for CostTicket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}: fetch_bound={} max_output_rows={} fetch_ops={} pipelines={} width={} \
-             alloc_surface={}",
+            "{}: fetch_bound={} max_output_rows={} fetch_ops={} pipelines={} alloc_surface={}",
             self.query_name,
             self.fetch_bound,
             self.max_output_rows,
             self.fetch_ops,
             self.pipelines,
-            self.parallel_width,
             self.alloc_surface
         )
     }
@@ -151,12 +146,10 @@ mod tests {
         assert_eq!(ticket.max_output_rows, cost.max_output_rows);
         assert_eq!(ticket.fetch_ops, 3);
 
-        let dag = physical.pipeline_dag();
-        assert_eq!(ticket.pipelines, dag.len());
-        assert_eq!(ticket.parallel_width, dag.parallel_width());
         // The union streams: one pipeline, whose three keyed lookups over 2 positions
         // each demand 4 buffers.
-        assert_eq!((ticket.pipelines, ticket.parallel_width), (1, 1));
+        assert_eq!(ticket.pipelines, physical.materialization_points());
+        assert_eq!(ticket.pipelines, 1);
         assert_eq!(ticket.alloc_surface, 12);
     }
 

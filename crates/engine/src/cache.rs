@@ -103,7 +103,7 @@ struct SpaceStripe {
     filled: Condvar,
 }
 
-/// Enough stripes that a handful of concurrently probing workers rarely meet on a
+/// Enough stripes that a handful of concurrently probing callers rarely meet on a
 /// lock (at 64 stripes, four concurrent probers collide under ten percent of the
 /// time), few enough that an idle space stays in the low kilobytes.
 const SPACE_STRIPES: usize = 64;

@@ -4,15 +4,11 @@
 //! index of its backing access constraint; nothing in this executor ever scans a
 //! relation, so the amount of data read is exactly what the plan's cost model bounds.
 //!
-//! [`execute_plan_on`] lowers the plan to a [`bea_core::plan::PhysicalPlan`] and
+//! [`execute_plan`] lowers the plan to a [`bea_core::plan::PhysicalPlan`] and
 //! [`execute_physical_on`] runs it through the batch pipeline in [`crate::ops`]:
 //! intermediate results flow through operators in bounded batches, and only genuine
 //! pipeline breakers hold rows, so peak memory residency tracks the access-schema
-//! bounds. The plan is lowered the same way at every thread count; with
-//! [`ExecOptions::threads`] > 1 scoped helper threads join the caller in running its
-//! independent pipelines, if it has any (see the [`crate::ops`] docs for the threading
-//! model); data access is identical at every thread count. [`execute_plan`] is the same
-//! with default options.
+//! bounds. Both run the query on the calling thread, its pipelines in step order.
 //!
 //! [`execute_plan_materialized`] is the **reference**: the literal step loop, one
 //! [`Table`] per plan step, all of them alive until the end. Every × materializes its
@@ -31,101 +27,46 @@ use bea_core::value::Row;
 use bea_storage::Store;
 use std::collections::BTreeSet;
 
-/// Environment variable overriding the automatic worker-thread count (used by the CI
-/// matrix to run the whole test suite at a fixed parallelism). An explicit
-/// [`ExecOptions::with_threads`] beats the environment.
-pub const THREADS_ENV: &str = "BEA_THREADS";
-
-/// Options controlling plan execution.
-///
-/// The struct is `#[non_exhaustive]`: construct it with [`ExecOptions::new`] (or
-/// [`Default`]) and adjust knobs through the `with_*` methods.
+/// Options controlling plan execution: there are none left. The struct stays, empty and
+/// `#[non_exhaustive]`, only because the benchmark harness still passes one to
+/// [`execute_physical_on`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
-pub struct ExecOptions {
-    /// Threads running the query, the calling thread included. `0` (the default)
-    /// resolves automatically: the [`THREADS_ENV`] environment variable if set,
-    /// otherwise the machine's available parallelism. `1` runs every pipeline in step
-    /// order on the calling thread; `> 1` spawns scoped helpers for the plan's
-    /// independent pipelines, as many as can run beside the caller (see the `ops`
-    /// module docs). A pipeline always runs whole, on one thread.
-    pub threads: usize,
-}
+pub struct ExecOptions {}
 
 impl ExecOptions {
-    /// The default options: automatic thread count.
+    /// The options.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Set the thread count (0 = automatic).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Does nothing: a query runs on the thread that asks for it. Kept only for the
+    /// benchmark harness.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
-
-    /// The effective thread count: the explicit [`ExecOptions::threads`] if
-    /// nonzero, else the [`THREADS_ENV`] environment variable, else the machine's
-    /// available parallelism (1 if unknown). A set-but-invalid variable
-    /// (`BEA_THREADS=four`) panics with the rejection reason instead of silently
-    /// falling back to automatic — a CI matrix typo must fail the job, not quietly
-    /// test the wrong thread count. `BEA_THREADS=0` and the empty string mean
-    /// "automatic", mirroring [`ExecOptions::threads`].
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        if let Some(threads) = bea_core::env::read_env(THREADS_ENV, parse_threads).flatten() {
-            return threads;
-        }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
 }
 
-/// Parse a [`THREADS_ENV`] value. `Ok(Some(n))` is an explicit worker count;
-/// `Ok(None)` means "automatic" (`0`, or the empty string — the `BEA_THREADS= cmd`
-/// shell idiom); anything unparsable is an error naming the reason. The rejection
-/// rules are the shared [`bea_core::env`] contract, and the parser stays a pure
-/// function so they are testable without mutating the process environment (which
-/// would race parallel tests).
-pub fn parse_threads(value: &str) -> std::result::Result<Option<usize>, String> {
-    Ok(bea_core::env::parse_count(value)?
-        .auto_when_zero()
-        .map(|threads| threads as usize))
-}
-
-/// Execute an already-lowered physical plan under explicit [`ExecOptions`] against a
-/// store at any shard count. One plan, keys routed at run time: the store sends each
+/// Execute an already-lowered physical plan against a store at any shard count (the
+/// options change nothing). One plan, keys routed at run time: the store sends each
 /// probe to the shard that owns its key.
 pub fn execute_physical_on(
     plan: &PhysicalPlan,
     store: Store<'_>,
-    options: &ExecOptions,
+    _options: &ExecOptions,
 ) -> Result<(Table, AccessStats)> {
-    ops::execute(plan, store, options.resolved_threads())
+    ops::execute(plan, store)
 }
 
-/// Execute a plan with the default options.
-pub fn execute_plan(plan: &QueryPlan, store: Store<'_>) -> Result<(Table, AccessStats)> {
-    execute_plan_on(plan, store, &ExecOptions::default())
-}
-
-/// Execute a plan under explicit [`ExecOptions`] against a store at any shard count.
+/// Execute a plan against a store at any shard count.
 ///
 /// One plan, keys routed at run time: lowering never looks at the store, so a store
 /// runs the same plan at every shard count, and the store sends each probe to the
 /// shard that owns its key. Rows, their order and every counter are the 1-shard
 /// run's, except the per-shard fetch distribution
 /// (`AccessStats::rows_fetched_by_shard`).
-pub fn execute_plan_on(
-    plan: &QueryPlan,
-    store: Store<'_>,
-    options: &ExecOptions,
-) -> Result<(Table, AccessStats)> {
-    let physical = lower_plan(plan)?;
-    ops::execute(&physical, store, options.resolved_threads())
+pub fn execute_plan(plan: &QueryPlan, store: Store<'_>) -> Result<(Table, AccessStats)> {
+    ops::execute(&lower_plan(plan)?, store)
 }
 
 /// The reference executor — the literal step loop: every plan step produces a full
@@ -337,32 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_env_values_are_validated() {
-        assert_eq!(parse_threads("4").unwrap(), Some(4));
-        assert_eq!(parse_threads(" 2 ").unwrap(), Some(2));
-        assert_eq!(parse_threads("0").unwrap(), None, "0 means automatic");
-        assert_eq!(parse_threads("").unwrap(), None, "empty means unset");
-        // The silent-fallback bug: `BEA_THREADS=four` used to mean "automatic"
-        // without a word. Every malformed value must now carry a rejection reason.
-        assert!(parse_threads("four").unwrap_err().contains("integer"));
-        assert!(parse_threads("-1").is_err());
-        assert!(parse_threads("2 threads").is_err());
-        // The resolved count honors whatever the CI matrix set for this process (the
-        // panic path cannot be exercised here without racing parallel tests on the
-        // process environment — hence the pure parser above).
-        let resolved = ExecOptions::new().resolved_threads();
-        match std::env::var(THREADS_ENV) {
-            Ok(value) => match parse_threads(&value).unwrap() {
-                Some(threads) => assert_eq!(resolved, threads),
-                None => assert!(resolved >= 1),
-            },
-            Err(_) => assert!(resolved >= 1),
-        }
-        // An explicit thread count always beats the environment.
-        assert_eq!(ExecOptions::new().with_threads(3).resolved_threads(), 3);
-    }
-
-    #[test]
     fn execute_bounded_plan_for_simple_query() {
         let (c, schema, idb) = setup();
         // Q(y) :- R(x, y), x = 1.
@@ -499,7 +414,7 @@ mod tests {
         let plan = keyed_join_plan();
 
         let (reference, reference_stats) = execute_plan_materialized(&plan, &idb).unwrap();
-        let (streamed, streamed_stats) = execute_plan_on(&plan, &idb, &ExecOptions::new()).unwrap();
+        let (streamed, streamed_stats) = execute_plan(&plan, &idb).unwrap();
 
         // The reference computes the literal `σ[k = a](keys × fetch)`, and the pipeline's
         // fused keyed lookup yields the same rows…
@@ -540,7 +455,7 @@ mod tests {
         let plan = bounded_plan(&q, &schema).unwrap();
 
         let (reference, reference_stats) = execute_plan_materialized(&plan, &idb).unwrap();
-        let (streamed, streamed_stats) = execute_plan_on(&plan, &idb, &ExecOptions::new()).unwrap();
+        let (streamed, streamed_stats) = execute_plan(&plan, &idb).unwrap();
 
         assert_eq!(
             reference.row_set(),
@@ -576,7 +491,7 @@ mod tests {
             .unwrap();
         let plan = bounded_plan(&q, &schema).unwrap();
 
-        let (streamed, streamed_stats) = execute_plan_on(&plan, &idb, &ExecOptions::new()).unwrap();
+        let (streamed, streamed_stats) = execute_plan(&plan, &idb).unwrap();
         let (materialized, materialized_stats) = execute_plan_materialized(&plan, &idb).unwrap();
 
         assert_eq!(streamed.row_set(), materialized.row_set());
@@ -610,7 +525,7 @@ mod tests {
         let renamed = b.rename(proj, vec!["y".into()]);
         let plan = b.finish("Q", renamed).unwrap();
 
-        let (streamed, _) = execute_plan_on(&plan, &idb, &ExecOptions::new()).unwrap();
+        let (streamed, _) = execute_plan(&plan, &idb).unwrap();
         let (materialized, _) = execute_plan_materialized(&plan, &idb).unwrap();
         assert_eq!(streamed.row_set(), materialized.row_set());
         assert_eq!(
@@ -624,17 +539,9 @@ mod tests {
 
     #[test]
     fn exec_options_builder_round_trips() {
-        let default = ExecOptions::new();
-        assert_eq!(default.threads, 0, "0 = resolve automatically");
-        assert_eq!(default, ExecOptions::default());
+        assert_eq!(ExecOptions::new(), ExecOptions::default());
         let pinned = ExecOptions::new().with_threads(4);
-        assert_eq!(pinned.threads, 4);
-        assert_eq!(
-            pinned.resolved_threads(),
-            4,
-            "an explicit thread count beats the environment"
-        );
-        assert!(ExecOptions::new().resolved_threads() >= 1);
+        assert_eq!(pinned, ExecOptions::new(), "a thread count changes nothing");
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //!   (MySQL in the paper's Example 1.1). Its cost grows with `|D|`.
 //!
 //! The bounded executor is the **streaming batch pipeline** ([`ops`]): plans are
-//! lowered to physical plans and run with bounded memory residency, through three
-//! entry points — [`execute_plan`] (default options), [`execute_plan_on`] and
-//! [`execute_physical_on`] (a store at any shard count, explicit [`ExecOptions`]:
-//! `threads`, nothing else). Beside it stands a reference it is tested
+//! lowered to physical plans and run with bounded memory residency on the calling
+//! thread, through two entry points — [`execute_plan`] and [`execute_physical_on`]
+//! (an already-lowered plan). Beside it stands a reference it is tested
 //! against, not a second way to serve a query: [`execute_plan_materialized`], the
 //! literal step loop that keeps one table per plan step and materializes every
 //! product in full, sharing no code with lowering.
@@ -42,7 +41,7 @@
 //! aliased by every clone afterwards. Join keys, fetch caches and dedup sets therefore
 //! hold either their own 16 bytes or references to the same bytes the relations do.
 //! [`stats::AccessStats::values_cloned`] counts every value moved between executor
-//! buffers — deterministic for a plan at any thread count, which is what lets the
+//! buffers — deterministic for a plan, which is what lets the
 //! committed `BENCH_pipeline.json` record the pipeline's copy traffic exactly.
 //!
 //! # Buffer pooling and the zero-allocation probe path
@@ -58,17 +57,17 @@
 //!   them when a batch or cache entry is retired. Buffers are always **cleared before
 //!   they are pooled** — the pool holds capacity, never rows, so the residency
 //!   ledger's teardown zero-assertion is unaffected;
-//! * the pool belongs to a thread, not a job: it never crosses threads, and the
-//!   execution state that holds it is parked on the thread between jobs — a session
-//!   worker's, or the connection thread that runs its own query — so the next job
-//!   starts warm. Recycled capacity is an optimization, not state. While a job runs
-//!   the freelist cap is sized from the plan's own fetch surface (the sum of fetched
-//!   positions across lookup steps, clamped to a small floor and ceiling), so tiny
-//!   plans pin a handful of buffers and wide plans cannot hoard capacity; between jobs
-//!   the thread keeps at most 64 buffers of at most a batch's worth of values each,
-//!   so one large query cannot pin memory on a thread;
-//! * a run of a prepared plan shares it: the plan, its pipeline DAG and its pool cap
-//!   are worked out once per template, and operators borrow their step's fields from
+//! * the pool belongs to a thread, not a query: it never crosses threads, and the
+//!   execution state that holds it is parked on the thread between queries — a
+//!   connection thread's, say — so the next query starts warm. Recycled capacity is an
+//!   optimization, not state. While a query runs the freelist cap is sized from the
+//!   plan's own fetch surface (the sum of fetched positions across lookup steps,
+//!   clamped to a small floor and ceiling), so tiny plans pin a handful of buffers and
+//!   wide plans cannot hoard capacity; between queries the thread keeps at most 64
+//!   buffers of at most a batch's worth of values each, so one large query cannot pin
+//!   memory on a thread;
+//! * a run of a prepared plan shares it: the plan and its pool cap are worked out
+//!   once per template, and operators borrow their step's fields from
 //!   the plan — only a predicate that compares with a request's constant is copied,
 //!   with the constant in;
 //! * [`stats::AccessStats::allocs_per_probe`] counts probe-path *buffer-demand*
@@ -83,31 +82,21 @@
 //!   are loaded data and query constants, every hit is confirmed by comparing
 //!   values, so a bad distribution can only lengthen a slot walk.
 //!
-//! # Threading model
+//! # One query, one thread
 //!
-//! One driver walks every plan's pipeline DAG — pipelines bounded by materialization
-//! points, materialized results as exchange edges — whether the query runs alone or
-//! in a [`session::Session`]: a job pool ([`ops`]' `sched::Pool`) whose queue holds
-//! the pipelines whose sources are complete and whose one job-running routine is
-//! shared by every thread involved. A solo execution runs on the calling thread,
-//! joined by scoped helpers when [`ExecOptions::with_threads`] asks for more than one
-//! (the default resolves to the `BEA_THREADS` environment variable or the machine's
-//! available parallelism) and the plan has pipelines that can run beside each other;
-//! with `threads = 1`, or a DAG one pipeline wide, the caller runs the pipelines in
-//! step order, spawning nothing. Operator trees stay on one thread, and only the
-//! materialized steps and the **shared residency ledger** cross threads. The ledger
-//! makes `peak_rows_resident` the *true* number of simultaneously resident rows across
-//! all threads. Per-job counters are combined with
-//! [`AccessStats::merge_concurrent`] (peaks add — overlapping windows), in contrast to
-//! [`AccessStats::merge_sequential`] / `+=` (peaks max — disjoint windows). Every
-//! data-access counter is identical at any thread count.
+//! A query runs start to finish on the thread that asks for it — the caller of
+//! [`execute_plan`], or of [`session::Session::run`] and its siblings. Its
+//! materialization points cut the plan into pipelines, and they run in step order:
+//! a step reads only earlier steps, so every materialized result a pipeline scans is
+//! complete when it starts, and step order is the lowest-residency order the plan was
+//! lowered for. Nothing of a query crosses threads; its residency ledger makes
+//! `peak_rows_resident` the number of rows it held at once, and every counter is a
+//! function of the plan and the store.
 //!
-//! Parallelism stops at the pipeline: nothing cuts one pipeline across threads, and
-//! lowering does not depend on the thread count, so a query runs the same physical
-//! plan at every thread count and never on more threads than its DAG is wide. A
-//! bounded query touches a small slice of the data (Q0 fetches about 640 tuples), so
-//! splitting one would cost more coordination than it saves; threads pay across
-//! queries, which a [`session::Session`] runs side by side.
+//! A bounded query touches a small slice of the data (Q0 fetches about 640 tuples),
+//! so there is nothing inside one worth splitting across threads; concurrency is
+//! across queries, which a [`session::Session`] admits side by side from its callers'
+//! threads.
 //!
 //! # Sharded execution: one plan, keys routed at run time
 //!
@@ -115,8 +104,8 @@
 //! partitioned into `shard_count ≥ 1` shards; the unsharded store is the 1-shard
 //! store. The shard count changes where a key's postings are read, and nothing else:
 //!
-//! * **Lowering and scheduling** never look at the store: a store runs the same plan
-//!   at every shard count, pipeline for pipeline, with the same ticket.
+//! * **Lowering and execution order** never look at the store: a store runs the same
+//!   plan at every shard count, pipeline for pipeline, with the same ticket.
 //! * **Routing** is the store's: every batch of probe keys goes to
 //!   `bea_storage::IndexedDatabase::resolve`, which sends each key to the shard that
 //!   owns it (`bea_storage::shard_of`, a deterministic hash) and reports the serving
@@ -130,35 +119,26 @@
 //!
 //! # Multi-query execution and admission control
 //!
-//! [`session::Session`] keeps that job pool alive across queries: it owns the store,
-//! persistent workers, the admission limits and the fetch cache, and
-//! [`session::Session::submit`] interleaves the pipelines of many
-//! concurrently admitted queries in the pool's single job queue. The contract, asserted by
-//! `tests/properties.rs` across the thread × shard matrix:
+//! [`session::Session`] runs many queries side by side, each on the thread that
+//! asked for it: it owns the store, the admission limits and the fetch cache, and no
+//! thread. The contract, asserted by `tests/properties.rs` across shard counts:
 //!
-//! * **Per-query isolation.** Each admitted query runs against its own
-//!   materialization slots, residency ledger and [`AccessStats`]; its rows, row
-//!   order and every deterministic counter are identical to a solo
-//!   [`exec::execute_plan_on`] run of the same plan. The first failing job of a
-//!   query fails *that query only* — its queued jobs are discarded, its error (or
-//!   re-raised panic) is delivered on [`session::QueryHandle::wait`], and every
-//!   other query proceeds untouched.
+//! * **Per-query isolation.** Each query runs against its own materialization slots,
+//!   residency ledger and [`AccessStats`]; its rows, row order and every
+//!   deterministic counter are identical to a solo [`exec::execute_plan`] run of the
+//!   same plan. A failing query fails *that query only*: its error, or its panic,
+//!   reaches its own caller, and every other query proceeds untouched.
 //! * **Fetch-bound admission.** Every submission is priced *before* it runs by a
 //!   [`bea_core::plan::CostTicket`] — the paper's bounded-evaluability guarantee
 //!   makes worst-case fetch volume a static quantity — and checked against the
 //!   session's aggregate fetch budget ([`session::FETCH_BUDGET_ENV`], or
 //!   [`session::SessionConfig::with_fetch_budget`]). A query whose own bound
 //!   exceeds the budget is rejected deterministically (same verdict at any load); a
-//!   query that fits the budget but not the current headroom queues FIFO; at every
-//!   instant the sum of admitted bounds is at most the budget
-//!   ([`session::AdmissionStats::peak_admitted_bound`] is the observable
-//!   high-water mark).
-//! * **FIFO across queries.** A worker takes the queue front, whichever query it
-//!   belongs to.
-//! * **Callers run their own query.** The thread inside [`session::Session::run`]
-//!   (the synchronous entry) or [`session::QueryHandle::wait`] executes its query's
-//!   ready jobs through the same code as a worker and blocks only when none is
-//!   ready, so a query that is never wider than one job wakes no worker at all.
+//!   query that fits the budget but not the current headroom waits, its caller
+//!   blocked, in strict arrival order; at every instant the sum of admitted bounds is
+//!   at most the budget ([`session::AdmissionStats::peak_admitted_bound`] is the
+//!   observable high-water mark). A query's hold on the budget is released however it
+//!   ends — completed, failed or unwound by a panic.
 //!
 //! # The cross-query fetch cache — ownership and coherence
 //!
@@ -209,10 +189,7 @@ pub mod table;
 
 pub use cache::CacheStats;
 
-pub use exec::{
-    execute_physical_on, execute_plan, execute_plan_materialized, execute_plan_on, ExecOptions,
-    THREADS_ENV,
-};
+pub use exec::{execute_physical_on, execute_plan, execute_plan_materialized, ExecOptions};
 pub use naive::{eval_cq, eval_fo, eval_query, eval_ucq};
 pub use session::{
     parse_cache_rows, parse_fetch_budget, AdmissionStats, PreparedPlan, QueryHandle, Rejection,

@@ -51,7 +51,7 @@
 //! charges [`crate::stats::AccessStats::allocs_per_probe`]. Every probe gathers its
 //! key into one reusable scratch and hashes it once; a **miss** moves the scratch's
 //! values into the memo's flat key columns, where keys can repeat, and appends
-//! multi-tuple postings to the arena's value columns (both drawn from the worker's
+//! multi-tuple postings to the arena's value columns (both drawn from the thread's
 //! [`super::BufferPool`] once per operator instance, like the flat buffer pass 1 moves
 //! missed keys into). A repeat of a fetched key is a slot walk plus emission
 //! from where its postings lie; a hit in the session cache is a refcount bump.
@@ -65,7 +65,7 @@
 //! vectors: the step's key columns, positions, relation and predicates are borrowed
 //! from the plan ([`FetchStep`]; only a residual that compares with a request's
 //! constant is a copy, with the constant in), the key scratch and every pooled column
-//! come from the thread's pool, which outlives the job, and the fused emission is an
+//! come from the thread's pool, which outlives the query, and the fused emission is an
 //! offset, not a column list. `tests/alloc_budget.rs` holds the model to the
 //! allocator: a cold Q0 stays under a fixed number of heap allocations, whatever it
 //! fetches; `crates/bead/tests/alloc_request.rs` bounds a whole served request.
@@ -75,10 +75,10 @@
 //! The operator does not touch the shared [`crate::stats::AccessStats`] per key:
 //! lookups, clones and cache hits accumulate in an operator-local [`ProbeTally`],
 //! flushed once per pull and on drop — an error or a short-circuiting consumer loses
-//! nothing. A miss's fetched tuples go straight to the job's flat per-(step, shard) tally
-//! ([`crate::stats::FetchTally`]), which names no relation and allocates nothing once
-//! the thread's state has grown to its plans; the scheduler writes it into the query's
-//! per-relation and per-shard maps when the job lands.
+//! nothing. A miss's fetched tuples go straight to the query's flat per-(step, shard)
+//! tally ([`crate::stats::FetchTally`]), which names no relation and allocates nothing
+//! once the thread's state has grown to its plans; it is written into the query's
+//! per-relation and per-shard maps when the query finishes.
 //!
 //! # Shard routing
 //!
@@ -208,7 +208,7 @@ impl ProbeTally {
         self.rows_served_from_cache += rows as u64;
     }
 
-    /// Move everything tallied into the job's counters.
+    /// Move everything tallied into the query's counters.
     fn flush(&mut self, stats: &mut AccessStats) {
         stats.index_lookups += std::mem::take(&mut self.index_lookups);
         stats.values_cloned += std::mem::take(&mut self.values_cloned);
@@ -295,14 +295,14 @@ impl<'a> FetchStep<'a> {
         }
     }
 
-    /// Count `tuples` this step fetched from `shard` on the job's state, at once — a
+    /// Count `tuples` this step fetched from `shard` on the query's state, at once — a
     /// probed shard is reported even when its keys matched nothing.
     fn fetched(self, state: &SharedState, shard: u32, tuples: u64) {
         state.borrow_mut().fetched.add(self.step, shard, tuples);
     }
 
     /// The session cache's space for this step's entries, with the pre-projection
-    /// `emit` gives baked in; `None` when the job has no session cache.
+    /// `emit` gives baked in; `None` when the query has no session cache.
     fn session(
         self,
         state: &SharedState,
@@ -452,7 +452,7 @@ impl Postings<'_> {
 /// the module docs).
 ///
 /// Durable state is the [`PostingArena`], bounded by the fetch's access-schema bound
-/// times the number of distinct multi-tuple keys; its columns come from the worker's
+/// times the number of distinct multi-tuple keys; its columns come from the thread's
 /// pool and go back on exhaustion, its rows are released then (or on drop if a
 /// consumer short-circuits). A single-tuple key holds nothing: its tuple stays in the
 /// store, which outlives the operator. Neither the cross product nor the fetched table
@@ -854,7 +854,7 @@ impl Operator for KeyedLookupOp<'_> {
             state.release(self.cached_rows);
             self.cached_rows = 0;
             // The arena's open columns, its key columns, the key scratch and pass 1's
-            // key buffer go back to the pool, cleared, for the worker's next probe loop; sealed segments
+            // key buffer go back to the pool, cleared, for the thread's next probe loop; sealed segments
             // stay with the consumers that share them.
             let scratch = std::mem::take(&mut self.key_scratch).into_values();
             let probes = std::mem::take(&mut self.pass.keys);

@@ -19,40 +19,24 @@
 //!   (every operator holding durable state implements `Drop`), so a short-circuiting
 //!   or failing consumer can never leak residency.
 //!
-//! # Threading model
+//! # One query, one thread
 //!
-//! The plan's [`bea_core::plan::PipelineDag`] cuts it into pipelines at the
-//! materialization points; the materialized results are the exchange edges, and
+//! A query runs start to finish on the thread that asks for it. The plan's
+//! materialization points cut it into pipelines, and [`sched::run`] runs them in step
+//! order — the materialized results are what later pipelines scan, and
 //! [`Operator::next_batch`] over a completed materialization ([`source::ScanOp`]) is
-//! the exchange protocol. One driver walks every DAG — [`sched::Pool`], whose
-//! `run_claimed` is the only code that runs a pipeline (see the [`sched`] docs):
+//! how they read them. Operators are single-threaded and `Rc`-based, and so are the
+//! materialized steps: nothing of a query crosses threads. A bounded query is small
+//! (Q0 fetches about 640 tuples), so splitting one would cost more coordination than
+//! it saves; threads pay across queries, which a [`crate::session::Session`] admits
+//! side by side from its callers' threads.
 //!
-//! * [`execute`], under [`crate::exec::execute_plan_on`] and
-//!   [`crate::exec::execute_physical_on`], builds a pool on the caller's stack for its
-//!   one query and the calling thread runs the query's ready pipelines itself, lowest
-//!   first. With `threads == 1` (or a DAG of width 1: one pipeline, or a chain of
-//!   them) that is all there is: pipelines run in step order on the calling thread —
-//!   no thread is spawned and nothing waits. Otherwise the caller is joined by scoped
-//!   helpers (`threads` or the DAG's [`bea_core::plan::PipelineDag::parallel_width`],
-//!   whichever is smaller, less the caller) that take any ready job;
-//! * a [`crate::session::Session`] keeps one pool and its workers alive across
-//!   queries, and the thread asking for an answer helps the same way.
-//!
-//! Each job runs with its thread's [`ExecState`] (operators stay single-threaded and
-//! `Rc`-based), and the per-job counters are combined with
-//! [`AccessStats::merge_concurrent`]. A job is always a whole pipeline: nothing cuts
-//! one pipeline across threads, so a query never runs on more threads than its DAG
-//! is wide. A bounded query is small, and parallelism pays across queries instead
-//! (a session's workers).
-//!
-//! Residency is accounted in a [`ResidencyLedger`] *shared by all threads running one
-//! query*: every durable row acquisition and release goes through one pair of atomics,
-//! so [`crate::stats::AccessStats::peak_rows_resident`] reflects true simultaneous
-//! residency across threads — never the per-job maxima that a sequential merge
-//! would report. Data access (index lookups, tuples fetched, per-relation counters)
-//! is accounted identically at every thread count: scheduling changes *when* operators
-//! run, never *what* they fetch, so a bounded plan stays bounded and
-//! [`AccessStats::same_data_access`] holds across `threads` settings.
+//! Residency is accounted in the query's [`ResidencyLedger`]: every durable row
+//! acquisition and release goes through it, so
+//! [`crate::stats::AccessStats::peak_rows_resident`] is the number of rows the query
+//! held at once. Data access (index lookups, tuples fetched, per-relation counters) is
+//! a function of the plan and the store alone, so a bounded plan stays bounded
+//! whoever runs it.
 //!
 //! Operator catalogue: [`source`] (constants, unit, empty, scans of materialized
 //! steps), [`fetch`] (the keyed lookup, the one operator that reads the index),
@@ -74,26 +58,24 @@ use bea_core::plan::{step_surface, PhysOp, PhysicalPlan, Predicate};
 use bea_core::value::Value;
 use bea_storage::Store;
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Rows per pulled batch. Large enough to amortize dispatch, small enough that batch
 /// buffers stay negligible next to any real intermediate result.
 pub(crate) const BATCH_SIZE: usize = 1024;
 
 /// Relation name that makes a keyed lookup panic on its first pull — the
-/// panic injection hook for the driver's panic-safety tests (test builds
-/// only; release builds carry no such check).
+/// panic injection hook for the panic-safety tests (test builds only; release
+/// builds carry no such check).
 #[cfg(test)]
 pub(crate) const PANIC_RELATION: &str = "__panic__";
 
-/// The residency ledger shared by every worker of one execution: a resident-row counter
-/// plus its high-water mark, both atomic so that concurrent pipelines account their
-/// durable rows against *one* total. The peak therefore measures true simultaneous
-/// residency — merging per-worker peaks after the fact (with either `max` or `+`) could
-/// only under- or over-state it.
+/// A residency ledger: a resident-row counter plus its high-water mark. Each query
+/// has its own; the session's fetch cache has one its callers' threads share, which
+/// is why both counters are atomic.
 #[derive(Debug, Default)]
 pub(crate) struct ResidencyLedger {
     resident: AtomicU64,
@@ -127,8 +109,8 @@ impl ResidencyLedger {
     }
 }
 
-/// Freelists of cleared executor buffers, recycled across probes — and across the jobs
-/// one thread runs — so the steady-state anchored serving loop stops asking the
+/// Freelists of cleared executor buffers, recycled across probes — and across the
+/// queries one thread runs — so the steady-state anchored serving loop stops asking the
 /// allocator for anything.
 ///
 /// The contract: a buffer in the pool is always *empty* (cleared before
@@ -138,9 +120,9 @@ impl ResidencyLedger {
 /// uniquely-owned buffers back on teardown (exhausted arenas and scratch, and the
 /// output columns a finished query was transposed out of); buffers shared downstream
 /// simply stay with their owners. The pool lives on [`ExecState`], which a thread
-/// keeps between its jobs ([`ExecState::park`]): between jobs it holds at most
+/// keeps between its queries ([`ExecState::park`]): between queries it holds at most
 /// [`BufferPool::RETAINED`] buffers of at most [`BufferPool::RETAINED_VALUES`] values,
-/// so one large query cannot pin memory on a worker or a connection thread.
+/// so one large query cannot pin memory on a connection thread.
 #[derive(Debug)]
 pub(crate) struct BufferPool {
     values: Vec<Vec<Value>>,
@@ -157,9 +139,9 @@ impl BufferPool {
     /// Ceiling for the plan-derived cap, so one very wide plan cannot pin unbounded
     /// capacity.
     pub(crate) const MAX_CAP: usize = 256;
-    /// Buffers a thread keeps between jobs.
+    /// Buffers a thread keeps between queries.
     pub(crate) const RETAINED: usize = Self::DEFAULT_CAP;
-    /// The largest buffer, in values, a thread keeps between jobs: a batch's worth.
+    /// The largest buffer, in values, a thread keeps between queries: a batch's worth.
     pub(crate) const RETAINED_VALUES: usize = BATCH_SIZE;
 
     /// An empty pool that retains at most `cap` buffers.
@@ -208,23 +190,21 @@ pub(crate) fn pool_cap_for(plan: &PhysicalPlan) -> usize {
     (demand as usize).clamp(BufferPool::MIN_CAP, BufferPool::MAX_CAP)
 }
 
-/// Mutable state of the job a thread is running: its share of the access statistics
-/// and fetch counts, a handle to the query-wide [`ResidencyLedger`], and the thread's
-/// [`BufferPool`]. The scheduler combines the counters with
-/// [`AccessStats::merge_concurrent`], while residency peaks always come from the shared
-/// ledger. The state is per thread on purpose — buffers never cross threads — and
-/// outlives the job: a worker's or a connection thread's next job reuses it
-/// ([`ExecState::claim`], [`ExecState::park`]).
+/// Mutable state of the query a thread is running: its access statistics and fetch
+/// counts, a handle to the query's [`ResidencyLedger`], and the thread's
+/// [`BufferPool`]. Residency peaks come from the ledger. The state is per thread on
+/// purpose — buffers never cross threads — and outlives the query: the thread's next
+/// query reuses it ([`ExecState::claim`], [`ExecState::park`]).
 #[derive(Debug)]
 pub(crate) struct ExecState {
-    /// Access statistics accumulated by this worker's operators.
+    /// Access statistics accumulated by the query's operators.
     pub stats: AccessStats,
-    /// Tuples fetched per step and shard by this job's operators.
+    /// Tuples fetched per step and shard by the query's operators.
     pub(crate) fetched: FetchTally,
     /// Recycled gather/selection/key buffers; see [`BufferPool`].
     pub(crate) pool: BufferPool,
-    /// The session's cross-query fetch cache, when this worker executes a session
-    /// job and the session has one configured ([`crate::cache::SessionFetchCache`]).
+    /// The session's cross-query fetch cache, when this thread runs a session's
+    /// query and the session has one configured ([`crate::cache::SessionFetchCache`]).
     /// `None` everywhere else — solo executions and cache-disabled sessions probe the
     /// store directly.
     pub(crate) cache: Option<Arc<crate::cache::SessionFetchCache>>,
@@ -232,7 +212,7 @@ pub(crate) struct ExecState {
 }
 
 thread_local! {
-    /// The job state this thread's last job left behind, its pool warm for the next.
+    /// The state this thread's last query left behind, its pool warm for the next.
     static PARKED: Cell<Option<SharedState>> = const { Cell::new(None) };
 }
 
@@ -248,8 +228,8 @@ impl ExecState {
         }
     }
 
-    /// The state for a job on this thread — the one its last job parked, else a fresh
-    /// one — accounting against `ledger`, pooling up to `pool_cap` buffers (the plan's
+    /// The state for a query on this thread — the one its last query parked, else a
+    /// fresh one — accounting against `ledger`, pooling up to `pool_cap` buffers (the plan's
     /// [`pool_cap_for`]) and probing `cache`.
     pub(crate) fn claim(
         ledger: &Arc<ResidencyLedger>,
@@ -259,31 +239,31 @@ impl ExecState {
         let state = PARKED
             .take()
             .unwrap_or_else(|| Rc::new(RefCell::new(Self::new(Arc::clone(ledger)))));
-        let mut job = state.borrow_mut();
-        (job.ledger, job.pool.cap, job.cache) = (Arc::clone(ledger), pool_cap, cache.cloned());
-        drop(job);
+        let mut exec = state.borrow_mut();
+        (exec.ledger, exec.pool.cap, exec.cache) = (Arc::clone(ledger), pool_cap, cache.cloned());
+        drop(exec);
         state
     }
 
-    /// Keep `state` for this thread's next job once the job's operators are gone: its
-    /// leftover counters (a failed job's) and cache handle are dropped, and its pool
-    /// keeps what a thread may hold between jobs.
+    /// Keep `state` for this thread's next query once the query's operators are gone:
+    /// its leftover counters (a failed query's) and cache handle are dropped, and its
+    /// pool keeps what a thread may hold between queries.
     pub(crate) fn park(state: SharedState) {
         if Rc::strong_count(&state) > 1 {
             return;
         }
-        let mut job = state.borrow_mut();
-        (job.stats, job.cache) = (AccessStats::default(), None);
-        job.fetched.clear();
-        let pool = &mut job.pool.values;
+        let mut exec = state.borrow_mut();
+        (exec.stats, exec.cache) = (AccessStats::default(), None);
+        exec.fetched.clear();
+        let pool = &mut exec.pool.values;
         pool.retain(|buffer| buffer.capacity() <= BufferPool::RETAINED_VALUES);
         pool.truncate(BufferPool::RETAINED);
-        drop(job);
+        drop(exec);
         PARKED.set(Some(state));
     }
 
     /// Record `rows` newly held by a durable structure (materialized step, build side,
-    /// cache, dedup set) against the shared ledger.
+    /// cache, dedup set) against the query's ledger.
     pub fn acquire(&mut self, rows: u64) {
         self.ledger.acquire(rows);
     }
@@ -294,9 +274,8 @@ impl ExecState {
     }
 }
 
-/// Per-worker handle to the execution state. `Rc` on purpose: an operator tree is
-/// built, run and dropped on a single worker thread; only the [`ResidencyLedger`] and
-/// the materialized steps cross threads.
+/// Handle to the execution state. `Rc` on purpose: a query is built, run and dropped
+/// on one thread.
 pub(crate) type SharedState = Rc<RefCell<ExecState>>;
 
 /// A pull-based streaming operator over columnar [`Batch`]es.
@@ -329,14 +308,12 @@ pub(crate) struct MatNode {
     pub(crate) remaining: usize,
 }
 
-/// Shared handle to a materialized step. `Arc<Mutex<…>>` because materialized results
-/// are the exchange edges between pipelines, which may drain them from different worker
-/// threads.
-pub(crate) type SharedMat = Arc<Mutex<MatNode>>;
+/// Shared handle to a materialized step, held by each pipeline that scans it.
+pub(crate) type SharedMat = Rc<RefCell<MatNode>>;
 
 /// One-shot slot for each step's materialization, written by the pipeline that produces
 /// it and read by the pipelines that scan it.
-pub(crate) type MatSlots = [OnceLock<SharedMat>];
+pub(crate) type MatSlots = [OnceCell<SharedMat>];
 
 /// Validate one fetch-shaped step (`step` names it, e.g. "physical step 3", and is
 /// formatted only into an error message) against the database it is about to probe:
@@ -405,14 +382,10 @@ pub(crate) fn validate_for(plan: &PhysicalPlan, store: Store<'_>) -> Result<()> 
     Ok(())
 }
 
-/// Execute a physical plan on the calling thread and up to `threads - 1` scoped
-/// helpers, returning the output table and the access/residency statistics.
-pub(crate) fn execute(
-    plan: &PhysicalPlan,
-    store: Store<'_>,
-    threads: usize,
-) -> Result<(Table, AccessStats)> {
-    let (table, stats, _ledger) = execute_inner(plan, store, threads)?;
+/// Execute a physical plan on the calling thread, returning the output table and the
+/// access/residency statistics.
+pub(crate) fn execute(plan: &PhysicalPlan, store: Store<'_>) -> Result<(Table, AccessStats)> {
+    let (table, stats, _ledger) = execute_inner(plan, store)?;
     Ok((table, stats))
 }
 
@@ -421,45 +394,19 @@ pub(crate) fn execute(
 pub(crate) fn execute_inner(
     plan: &PhysicalPlan,
     store: Store<'_>,
-    threads: usize,
 ) -> Result<(Table, AccessStats, Arc<ResidencyLedger>)> {
     validate_for(plan, store)?;
-    let prepared = Arc::new(sched::Prepared::new(Cow::Borrowed(plan)));
-    let query = sched::QueryShared::new(Arc::clone(&prepared), Vec::new(), 0);
-    let ledger = Arc::clone(&query.ledger);
-    // No more threads than pipelines can run side by side; the caller is one of them.
-    // (A lone caller does not ask: working the width out allocates.)
-    let helpers = match threads {
-        0 | 1 => 0,
-        _ => threads.min(prepared.dag.parallel_width()) - 1,
-    };
-
-    let pool = sched::Pool::new(None, None);
-    let submitted = pool.submit(query, true)?;
-    // The pool's only query is in: helpers leave when it retires.
-    pool.shut_down();
-    let join = || pool.join(store, &submitted);
-    let (table, stats) = if helpers == 0 {
-        join()
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..helpers {
-                scope.spawn(|| pool.worker_loop(store));
-            }
-            join()
-        })
-    }?;
-    Ok((table, stats, ledger))
+    sched::run(&sched::Prepared::new(Cow::Borrowed(plan)), &[], store, None)
 }
 
-/// What the operators of one job are built from, all of it outliving the operator
-/// tree: the plan, the constants of the run, the store, the job's state and the
-/// query's materialization slots. Operators borrow their step's fields from the plan
+/// What the operators of one query are built from, all of it outliving the operator
+/// trees: the plan, the constants of the run, the store, the query's state and its
+/// materialization slots. Operators borrow their step's fields from the plan
 /// rather than copying them, and read a placeholder's value from the constants when
 /// they are built ([`bea_core::value::Value::bound`]), so one plan serves every run
 /// of its template without being copied.
 #[derive(Clone, Copy)]
-pub(crate) struct JobCtx<'a> {
+pub(crate) struct RunCtx<'a> {
     pub(crate) plan: &'a PhysicalPlan,
     pub(crate) constants: &'a [Value],
     pub(crate) store: Store<'a>,
@@ -469,14 +416,14 @@ pub(crate) struct JobCtx<'a> {
 
 /// Execute one pipeline: pull the operator tree rooted at `sink` to exhaustion and
 /// publish the materialized result for the pipelines that scan it.
-pub(crate) fn run_pipeline(job: JobCtx<'_>, sink: usize) -> Result<()> {
-    let (batches, rows) = drain(build_op(job, sink)?, job.state)?;
-    let node = Arc::new(Mutex::new(MatNode {
+pub(crate) fn run_pipeline(ctx: RunCtx<'_>, sink: usize) -> Result<()> {
+    let (batches, rows) = drain(build_op(ctx, sink)?, ctx.state)?;
+    let node = Rc::new(RefCell::new(MatNode {
         batches: Some(batches),
         rows,
-        remaining: job.plan.steps()[sink].consumers,
+        remaining: ctx.plan.steps()[sink].consumers,
     }));
-    if job.mats[sink].set(node).is_err() {
+    if ctx.mats[sink].set(node).is_err() {
         unreachable!("each pipeline is executed exactly once");
     }
     Ok(())
@@ -516,22 +463,22 @@ fn bound_predicates<'a>(predicates: &'a [Predicate], constants: &[Value]) -> Cow
 
 /// Build the operator for step `node`, recursing into non-materialized inputs and
 /// scanning materialized ones.
-fn build_op<'a>(job: JobCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
-    let JobCtx {
+fn build_op<'a>(ctx: RunCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
+    let RunCtx {
         plan,
         constants,
         store,
         state,
         mats,
-    } = job;
+    } = ctx;
     let input = |j: usize| -> Result<BoxOp<'a>> {
         if plan.steps()[j].materialize {
             let mat = mats[j]
                 .get()
-                .expect("the scheduler completes a pipeline's sources before starting it");
+                .expect("a pipeline's sources come before it in step order");
             Ok(Box::new(source::ScanOp::new(mat.clone(), state.clone())))
         } else {
-            build_op(job, j)
+            build_op(ctx, j)
         }
     };
     // A keyed lookup keeps a memo only where its source can repeat a key.
@@ -591,9 +538,9 @@ fn build_op<'a>(job: JobCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
             //
             // Deliberately an operator-tree concern, not a lowering rule: which
             // columns get *physically gathered* is a property of this executor's
-            // columnar batches (the materialized reference and plan
-            // validation/costing/pipeline_dag all reason about the unfused steps,
-            // and must keep doing so). If the fused pattern is broken by a future
+            // columnar batches (the materialized reference, plan validation and
+            // costing all reason about the unfused steps, and must keep doing
+            // so). If the fused pattern is broken by a future
             // lowering change, execution falls back to the explicit ProjectOp —
             // slower, never wrong.
             let step = &plan.steps()[*source];
@@ -628,7 +575,7 @@ fn build_op<'a>(job: JobCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::exec::{execute_plan_materialized, execute_plan_on, ExecOptions};
+    use crate::exec::{execute_plan, execute_plan_materialized};
     use bea_core::access::{AccessConstraint, AccessSchema};
     use bea_core::plan::{lower_plan, NodeId, PlanBuilder, Predicate, QueryPlan};
     use bea_core::value::Row;
@@ -683,9 +630,8 @@ pub(crate) mod tests {
     /// `(f₁ ∪ f₁) ∪ … ∪ (fₙ ∪ fₙ)`, where `fᵢ` fetches `relation`'s tuples `(a, b)`
     /// under `a = key` through constraint `constraint`, for each
     /// `(relation, constraint, key)` of `fetches`. Each fetch has two consumers, so it is
-    /// materialized by a pipeline of its own, and those pipelines are independent: the
-    /// DAG is `fetches.len()` wide — the shape on which more than one thread runs a
-    /// query.
+    /// materialized by a pipeline of its own, and those `fetches.len()` pipelines are
+    /// independent of each other.
     pub(crate) fn shared_fetches(fetches: &[(&str, usize, i64)]) -> QueryPlan {
         let mut b = PlanBuilder::new();
         let branches: Vec<NodeId> = fetches
@@ -699,40 +645,6 @@ pub(crate) mod tests {
             .collect();
         let out = (branches[1..].iter()).fold(branches[0], |acc, &branch| b.union(acc, branch));
         b.finish("Q", out).unwrap()
-    }
-
-    #[test]
-    fn parallel_execution_matches_sequential_and_drains_the_ledger() {
-        let idb = setup();
-        let plan = shared_fetches(&[("R", 0, 1), ("R", 0, 2), ("R", 0, 3)]);
-        let phys = lower_plan(&plan).unwrap();
-        let dag = phys.pipeline_dag();
-        assert_eq!(dag.len(), 4, "one pipeline per fetch + output\n{phys}");
-        assert_eq!(dag.parallel_width(), 3);
-
-        let (seq_table, seq_stats, seq_ledger) = execute_inner(&phys, &idb, 1).unwrap();
-        let (par_table, par_stats, par_ledger) = execute_inner(&phys, &idb, 4).unwrap();
-
-        // Identical output — rows *and* their order are schedule-independent.
-        assert_eq!(seq_table.columns(), par_table.columns());
-        assert_eq!(seq_table.rows(), par_table.rows());
-        assert!(!par_table.is_empty());
-        // Identical data access at any thread count.
-        assert!(seq_stats.same_data_access(&par_stats));
-        // Concurrent residency is an upper bound on the sequential peak — deterministic
-        // for this plan shape (not for arbitrary plans): the sequential peak occurs
-        // while the output pipeline drains the branch materializations, and that
-        // pipeline runs last, alone, with the identical resident trajectory under
-        // every schedule.
-        assert!(
-            par_stats.peak_rows_resident >= seq_stats.peak_rows_resident,
-            "parallel peak {} below sequential peak {}",
-            par_stats.peak_rows_resident,
-            seq_stats.peak_rows_resident
-        );
-        // However an execution is scheduled, every durable row is released by the end.
-        assert_eq!(seq_ledger.resident(), 0);
-        assert_eq!(par_ledger.resident(), 0);
     }
 
     #[test]
@@ -756,13 +668,13 @@ pub(crate) mod tests {
         let out = b.product(sel, other);
         let plan = b.finish("Q", out).unwrap();
         let phys = lower_plan(&plan).unwrap();
-        assert!(phys.pipeline_dag().len() >= 3);
+        assert!(phys.materialization_points() >= 3);
 
-        let (seq_table, seq_stats, _) = execute_inner(&phys, &idb, 1).unwrap();
-        let (par_table, par_stats, par_ledger) = execute_inner(&phys, &idb, 4).unwrap();
-        assert_eq!(seq_table.rows(), par_table.rows());
-        assert!(seq_stats.same_data_access(&par_stats));
-        assert_eq!(par_ledger.resident(), 0);
+        let (table, stats, ledger) = execute_inner(&phys, &idb).unwrap();
+        let (reference, reference_stats) = execute_plan_materialized(&plan, &idb).unwrap();
+        assert!(!table.is_empty() && table.same_rows(&reference));
+        assert!(stats.same_data_access(&reference_stats));
+        assert_eq!(ledger.resident(), 0);
     }
 
     #[test]
@@ -792,15 +704,9 @@ pub(crate) mod tests {
             .iter()
             .any(|s| matches!(s.op, PhysOp::HashJoin { .. })));
 
-        for threads in [1, 4] {
-            let (table, _, ledger) = execute_inner(&phys, &idb, threads).unwrap();
-            assert!(table.is_empty());
-            assert_eq!(
-                ledger.resident(),
-                0,
-                "short-circuit shape leaked residency at {threads} threads"
-            );
-        }
+        let (table, _, ledger) = execute_inner(&phys, &idb).unwrap();
+        assert!(table.is_empty());
+        assert_eq!(ledger.resident(), 0, "short-circuit shape leaked residency");
     }
 
     #[test]
@@ -831,11 +737,9 @@ pub(crate) mod tests {
             .steps()
             .iter()
             .any(|s| matches!(s.op, PhysOp::HashJoin { .. })));
-        for threads in [1, 4] {
-            let (table, _, ledger) = execute_inner(&phys, &idb, threads).unwrap();
-            assert!(table.is_empty());
-            assert_eq!(ledger.resident(), 0);
-        }
+        let (table, _, ledger) = execute_inner(&phys, &idb).unwrap();
+        assert!(table.is_empty());
+        assert_eq!(ledger.resident(), 0);
     }
 
     #[test]
@@ -847,7 +751,7 @@ pub(crate) mod tests {
         let state: SharedState = Rc::new(RefCell::new(ExecState::new(ledger.clone())));
         let rows: Vec<Row> = (0..3).map(|i| vec![Value::int(i)]).collect();
         state.borrow_mut().acquire(rows.len() as u64);
-        let node: SharedMat = Arc::new(Mutex::new(MatNode {
+        let node: SharedMat = Rc::new(RefCell::new(MatNode {
             batches: Some(vec![Batch::from_rows(1, rows)]),
             rows: 3,
             remaining: 2,
@@ -856,13 +760,13 @@ pub(crate) mod tests {
         let mut first = source::ScanOp::new(node.clone(), state.clone());
         assert_eq!(first.next_batch().unwrap().unwrap().len(), 3);
         drop(first); // dropped before observing exhaustion
-        assert_eq!(node.lock().unwrap().remaining, 1);
+        assert_eq!(node.borrow().remaining, 1);
         assert_eq!(ledger.resident(), 3, "rows live while a consumer remains");
 
         let second = source::ScanOp::new(node.clone(), state.clone());
         drop(second); // never pulled at all
-        assert_eq!(node.lock().unwrap().remaining, 0);
-        assert!(node.lock().unwrap().batches.is_none());
+        assert_eq!(node.borrow().remaining, 0);
+        assert!(node.borrow().batches.is_none());
         assert_eq!(ledger.resident(), 0, "last drop must free the rows");
     }
 
@@ -883,7 +787,7 @@ pub(crate) mod tests {
             vec!["a".into(), "oob".into()],
         );
         let plan = b.finish("Q", f).unwrap();
-        assert!(execute_plan_on(&plan, &idb, &ExecOptions::new()).is_err());
+        assert!(execute_plan(&plan, &idb).is_err());
         assert!(execute_plan_materialized(&plan, &idb).is_err());
     }
 
@@ -903,7 +807,7 @@ pub(crate) mod tests {
             vec!["a".into(), "b".into()],
         );
         let plan = b.finish("Q", f).unwrap();
-        assert!(execute_plan_on(&plan, &idb, &ExecOptions::new()).is_err());
+        assert!(execute_plan(&plan, &idb).is_err());
         assert!(execute_plan_materialized(&plan, &idb).is_err());
 
         // Two key columns probe a one-column constraint key.
@@ -921,7 +825,7 @@ pub(crate) mod tests {
             vec!["a".into(), "b".into()],
         );
         let plan = b.finish("Q", f).unwrap();
-        assert!(execute_plan_on(&plan, &idb, &ExecOptions::new()).is_err());
+        assert!(execute_plan(&plan, &idb).is_err());
         assert!(execute_plan_materialized(&plan, &idb).is_err());
     }
 
@@ -1015,19 +919,15 @@ pub(crate) mod tests {
             let (reference, reference_stats) = execute_plan_materialized(plan, &idb).unwrap();
             assert!(!reference.is_empty(), "{case}: vacuous");
             assert_eq!(reference_stats.index_lookups, *distinct_keys, "{case}");
-            for threads in [1, 4] {
-                let options = ExecOptions::new().with_threads(threads);
-                let (table, stats) = execute_plan_on(plan, &idb, &options).unwrap();
-                let corner = format!("{case}, {threads} threads");
-                assert!(table.is_set(), "{corner}: a row repeats");
-                assert!(table.same_rows(&reference), "{corner}: rows differ");
-                assert!(
-                    stats.same_data_access(&reference_stats),
-                    "{corner}: {stats} vs {reference_stats}"
-                );
-                assert_eq!(stats.index_lookups, *distinct_keys, "{corner}");
-                assert_eq!(stats.allocs_per_probe, 0, "{corner}");
-            }
+            let (table, stats) = execute_plan(plan, &idb).unwrap();
+            assert!(table.is_set(), "{case}: a row repeats");
+            assert!(table.same_rows(&reference), "{case}: rows differ");
+            assert!(
+                stats.same_data_access(&reference_stats),
+                "{case}: {stats} vs {reference_stats}"
+            );
+            assert_eq!(stats.index_lookups, *distinct_keys, "{case}");
+            assert_eq!(stats.allocs_per_probe, 0, "{case}");
         }
     }
 
@@ -1074,37 +974,33 @@ pub(crate) mod tests {
             let mut fetched_by_shard = Vec::new();
             for plan in [&constant_keys, &data_keys] {
                 let phys = bea_core::plan::lower_plan(plan).unwrap();
-                let (base_table, base_stats, _) = execute_inner(&phys, &idb, 1).unwrap();
-                for threads in [1usize, 4] {
-                    let (table, stats, ledger) = execute_inner(&phys, &sdb, threads).unwrap();
-                    assert_eq!(
-                        table.rows(),
-                        base_table.rows(),
-                        "rows or row order changed at {shards} shards / {threads} threads"
-                    );
-                    assert!(
-                        stats.same_data_access(&base_stats),
-                        "data access changed at {shards} shards: {stats} vs {base_stats}"
-                    );
-                    assert_eq!(
-                        stats.values_cloned, base_stats.values_cloned,
-                        "copy traffic changed at {shards} shards / {threads} threads"
-                    );
-                    // Boundedness per shard: the partitions serve exactly the total.
-                    assert_eq!(
-                        stats.rows_fetched_by_shard.values().sum::<u64>(),
-                        stats.tuples_fetched
-                    );
-                    assert!(stats
-                        .rows_fetched_by_shard
-                        .keys()
-                        .all(|&shard| shard < shards));
-                    if threads == 1 {
-                        assert_eq!(stats.peak_rows_resident, base_stats.peak_rows_resident);
-                    }
-                    assert_eq!(ledger.resident(), 0);
-                    fetched_by_shard.push(stats.rows_fetched_by_shard);
-                }
+                let (base_table, base_stats, _) = execute_inner(&phys, &idb).unwrap();
+                let (table, stats, ledger) = execute_inner(&phys, &sdb).unwrap();
+                assert_eq!(
+                    table.rows(),
+                    base_table.rows(),
+                    "rows or row order changed at {shards} shards"
+                );
+                assert!(
+                    stats.same_data_access(&base_stats),
+                    "data access changed at {shards} shards: {stats} vs {base_stats}"
+                );
+                assert_eq!(
+                    stats.values_cloned, base_stats.values_cloned,
+                    "copy traffic changed at {shards} shards"
+                );
+                // Boundedness per shard: the partitions serve exactly the total.
+                assert_eq!(
+                    stats.rows_fetched_by_shard.values().sum::<u64>(),
+                    stats.tuples_fetched
+                );
+                assert!(stats
+                    .rows_fetched_by_shard
+                    .keys()
+                    .all(|&shard| shard < shards));
+                assert_eq!(stats.peak_rows_resident, base_stats.peak_rows_resident);
+                assert_eq!(ledger.resident(), 0);
+                fetched_by_shard.push(stats.rows_fetched_by_shard);
             }
             // A key is served by the shard that owns it, whichever plan probes it.
             assert!(
@@ -1164,13 +1060,13 @@ pub(crate) mod tests {
             .iter()
             .any(|step| matches!(step.op, PhysOp::Dedup { .. })));
 
-        // On this thread, one job each: the large δ, then a point lookup.
+        // On this thread, one query each: the large δ, then a point lookup.
         let run = |plan: &PhysicalPlan, store| {
-            let (table, _, ledger) = execute_inner(plan, store, 1).unwrap();
+            let (table, _, ledger) = execute_inner(plan, store).unwrap();
             assert_eq!(ledger.resident(), 0, "the ledger drains whatever is pooled");
             let state = PARKED
                 .take()
-                .expect("the job's state stays with its thread");
+                .expect("the query's state stays with its thread");
             let (pooled, largest) = {
                 let buffers = &state.borrow().pool.values;
                 (buffers.len(), buffers.iter().map(Vec::capacity).max())
@@ -1180,7 +1076,7 @@ pub(crate) mod tests {
             assert!(pooled <= BufferPool::RETAINED);
             assert!(
                 largest <= BufferPool::RETAINED_VALUES,
-                "a buffer of {largest} values outlived its job"
+                "a buffer of {largest} values outlived its query"
             );
             (table, pooled)
         };
@@ -1192,7 +1088,7 @@ pub(crate) mod tests {
         assert_eq!(table.len(), 2);
         assert!(
             pooled > 0,
-            "the point lookup's buffers are kept for the next job"
+            "the point lookup's buffers are kept for the next query"
         );
     }
 

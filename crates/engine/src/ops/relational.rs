@@ -58,7 +58,7 @@ impl Operator for ProjectOp<'_> {
 }
 
 /// The membership set of [`DedupOp`] (rows seen) and [`DifferenceOp`] (rows to
-/// remove): a [`RowTable`] over columns drawn from the worker's pool.
+/// remove): a [`RowTable`] over columns drawn from the thread's pool.
 fn row_set(owner: &'static str, arity: usize, state: &SharedState) -> RowTable {
     let mut state = state.borrow_mut();
     RowTable::new(owner, (0..arity).map(|_| state.pool.get_values()).collect())

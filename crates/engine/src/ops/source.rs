@@ -4,7 +4,6 @@ use super::batch::Batch;
 use super::{Operator, SharedMat, SharedState};
 use bea_core::error::Result;
 use bea_core::value::Row;
-use std::sync::PoisonError;
 
 /// Emits a single row once (constants and the unit table).
 pub(crate) struct SingletonOp {
@@ -62,11 +61,7 @@ impl ScanOp {
             return;
         }
         self.finished = true;
-        // Tolerate a lock poisoned by a worker that panicked while publishing or
-        // scanning: the node's bookkeeping is never left half-done, and the panic
-        // itself is what the scheduler reports — a secondary panic here would only
-        // mask it (and leak the consumer count during this drop's cleanup).
-        let mut node = self.node.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut node = self.node.borrow_mut();
         node.remaining -= 1;
         if node.remaining == 0 && node.batches.take().is_some() {
             self.state.borrow_mut().release(node.rows);
@@ -80,8 +75,7 @@ impl Operator for ScanOp {
             return Ok(None);
         }
         let batch = {
-            // Poison-tolerant for the same reason as `finish`.
-            let node = self.node.lock().unwrap_or_else(PoisonError::into_inner);
+            let node = self.node.borrow();
             let batches = node
                 .batches
                 .as_ref()

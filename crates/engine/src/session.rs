@@ -1,72 +1,47 @@
-//! Multi-query execution sessions: one worker pool, many concurrently admitted
-//! queries, fetch-bound admission control.
+//! Multi-query execution sessions: many callers, one store, fetch-bound admission
+//! control.
 //!
-//! [`crate::exec::execute_plan_on`] builds a job pool ([`crate::ops`]' `sched::Pool`)
-//! for one query and tears it down with the call. A [`Session`] is that same pool kept
-//! alive: it owns the store (behind an `Arc`), a set of persistent worker threads, the
-//! admission limits and the fetch cache, and [`Session::submit`] hands the pool
-//! queries whose pipelines *interleave* in its one job queue. The contract:
+//! A [`Session`] owns the store (behind an `Arc`), the admission limits and the fetch
+//! cache, and no thread: every query runs start to finish on the thread that calls
+//! [`Session::run`], [`Session::run_prepared`] or [`Session::submit`], its pipelines in
+//! step order. Concurrency is across queries — one per calling thread, a `bead`
+//! connection say. The contract:
 //!
 //! * **Isolation** — every query executes against its own materialization slots,
-//!   residency ledger and [`AccessStats`]; the only state queries share
-//!   is the store (immutable) and the workers' time. A query's rows, row order and
+//!   residency ledger and [`AccessStats`]; what queries share is the store
+//!   (immutable), the fetch budget and the fetch cache. A query's rows, row order and
 //!   every deterministic access counter are *identical* to a solo
-//!   [`crate::exec::execute_plan_on`] run of the same plan — it is the same code
-//!   running the same jobs; concurrency moves wall clock, never data. Errors are
-//!   per-query: the first failing job of a query wins,
-//!   its queued jobs are discarded, and every other query proceeds untouched. A
-//!   panicking operator fails only its own query; the payload is re-raised from
-//!   [`QueryHandle::wait`] / [`Session::run`], on that query's caller only.
+//!   [`crate::exec::execute_plan`] run of the same plan — it is the same code. Errors
+//!   are per query, and a panicking operator unwinds through its own caller only
+//!   ([`Session::submit`] keeps the payload for [`QueryHandle::wait`] to re-raise).
 //! * **One way in** — a submission is two halves. [`Session::prepare`] is the
-//!   value-free one: lower the logical plan (one plan at any thread and shard count,
-//!   keys routed at run time), validate it against the store, derive its
-//!   [`CostTicket`]. None of that
-//!   reads a constant's value and the store is immutable, so a [`PreparedPlan`] made
-//!   from a template — [`bea_core::value::Value::placeholder`]s where the constants go
-//!   — is good for every request of that shape: validation, pricing, the pipeline DAG
-//!   and the buffer-pool cap are paid per template, not per query.
+//!   value-free one: lower the logical plan (one plan at any shard count, keys routed
+//!   at run time), validate it against the store, derive its [`CostTicket`]. None of
+//!   that reads a constant's value and the store is immutable, so a [`PreparedPlan`]
+//!   made from a template — [`bea_core::value::Value::placeholder`]s where the
+//!   constants go — is good for every request of that shape: validation, pricing and
+//!   the buffer-pool cap are paid per template, not per query.
 //!   [`Session::run_prepared`] is the other half: the constant count checked,
-//!   rejection checks on the stored ticket, then the pool, which runs the shared plan
-//!   in place — a request carries only its constants, and each operator reads its
+//!   rejection checks on the stored ticket, admission, then the shared plan run in
+//!   place — a request carries only its constants, and each operator reads its
 //!   placeholders' values when it is built. [`Session::run`] and [`Session::submit`]
-//!   are `prepare` followed by the same admission with the plan they just prepared
-//!   and no constants, so there is no second path in.
-//! * **Admission control** — every submission is priced by a
-//!   [`CostTicket`] *before* it runs (the paper's bounded-evaluability guarantee:
-//!   worst-case fetch volume is a static quantity). Against a configured aggregate
-//!   fetch budget ([`SessionConfig::with_fetch_budget`] / the [`FETCH_BUDGET_ENV`]
-//!   variable), a query whose own `fetch_bound` exceeds the budget is **rejected**
-//!   deterministically — the same verdict at any load, any thread count. A query
-//!   that fits the budget but not the *remaining* headroom is **queued** and admitted
-//!   FIFO as running queries retire; at every instant the sum of admitted queries'
-//!   fetch bounds is at most the budget (observable as
-//!   [`AdmissionStats::peak_admitted_bound`]).
-//! * **Scheduling** — a query's jobs (its whole pipelines; nothing splits one) sit in
-//!   one ready queue, and two kinds of thread may run them. A *pool worker* takes the
-//!   queue front, whichever query it belongs to. A *caller* — the thread inside
-//!   [`Session::run`] or [`QueryHandle::wait`] — takes ready jobs of **its own query
-//!   only**, and blocks for the outcome when none is ready (they are on workers, or the
-//!   query is still queued for headroom; workers then run it). Both go through the
-//!   pool's one `run_claimed`: execute, fold the outcome, unlock dependents, retire. A
-//!   width-1 query (every single-pipeline plan, a chain of pipelines) therefore runs
-//!   start to finish on the thread that asked for it; the independent pipelines of a
-//!   wider query still fan out, because every job beyond the one the running thread
-//!   will take itself is announced to the pool. That is the one wake-up rule: *a
-//!   thread that is about to look at the queue itself is not sent a wake-up* — `run`
-//!   withholds one for its caller, a finished job withholds one for the thread that
-//!   finished it, every other new job wakes exactly one worker, and only shutdown
-//!   broadcasts. [`SessionConfig::threads`] counts pool workers; callers execute in
-//!   addition to them, so the number of threads inside operators is bounded by
-//!   workers plus connections — the fetch budget remains the only bound on concurrent
-//!   data volume. Parallelism is across queries and across independent pipelines, so a
-//!   single query never runs on more threads than its DAG is wide, and who runs a job
-//!   never changes what it computes.
-//!
-//! [`Session::shutdown`] (or drop) drains every admitted and queued query before the
-//! workers exit, so no accepted query is ever abandoned.
+//!   are `prepare` followed by the same admission and run with the plan they just
+//!   prepared and no constants, so there is no second path in.
+//! * **Admission control** — every submission is priced by a [`CostTicket`] *before*
+//!   it runs (the paper's bounded-evaluability guarantee: worst-case fetch volume is a
+//!   static quantity). Against a configured aggregate fetch budget
+//!   ([`SessionConfig::with_fetch_budget`] / the [`FETCH_BUDGET_ENV`] variable), a
+//!   query whose own `fetch_bound` exceeds the budget is **rejected**
+//!   deterministically — the same verdict at any load. A query that fits the budget
+//!   but not the *remaining* headroom is **queued**: its caller blocks until the
+//!   queries ahead of it have been admitted and enough headroom is free, in strict
+//!   arrival order (FIFO — a big query at the front is never starved by small ones
+//!   behind it). At every instant the sum of admitted queries' fetch bounds is at most
+//!   the budget (observable as [`AdmissionStats::peak_admitted_bound`]), and a query's
+//!   hold on it is released however the query ends: completed, failed or unwound.
 
 use crate::cache::{CacheStats, SessionFetchCache};
-use crate::ops::sched::{Pool, Prepared, QueryShared, Submitted};
+use crate::ops::sched::{self, Prepared};
 use crate::ops::validate_for;
 use crate::stats::AccessStats;
 use crate::table::Table;
@@ -75,9 +50,9 @@ use bea_core::plan::{lower_plan, CostTicket, PhysicalPlan, QueryPlan};
 use bea_core::value::Value;
 use bea_storage::{IndexedDatabase, Store};
 use std::borrow::Cow;
-use std::panic::resume_unwind;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Environment variable configuring the session's aggregate fetch budget — the
 /// ceiling on the sum of admitted queries' fetch bounds — when
@@ -99,9 +74,8 @@ pub const CACHE_ROWS_ENV: &str = "BEA_CACHE_ROWS";
 
 /// Parse a [`FETCH_BUDGET_ENV`] value. `Ok(Some(n))` is an aggregate budget of `n`
 /// tuples; `Ok(None)` means "unlimited" (`0`, or the empty string); anything
-/// unparsable is an error naming the reason. Pure, like
-/// [`crate::exec::parse_threads`], so it is testable without mutating the process
-/// environment.
+/// unparsable is an error naming the reason. Pure, so it is testable without mutating
+/// the process environment.
 pub fn parse_fetch_budget(value: &str) -> std::result::Result<Option<u64>, String> {
     Ok(bea_core::env::parse_count(value)?.auto_when_zero())
 }
@@ -115,8 +89,8 @@ pub fn parse_cache_rows(value: &str) -> std::result::Result<Option<u64>, String>
     Ok(bea_core::env::parse_count(value)?.auto_when_zero())
 }
 
-/// A store a [`Session`] can own: an `Arc`-shared [`IndexedDatabase`], since the
-/// session's workers outlive any caller borrow. Cloning shares the store.
+/// A store a [`Session`] can own: an `Arc`-shared [`IndexedDatabase`]. Cloning shares
+/// the store.
 #[derive(Clone)]
 pub struct SharedStore(Arc<IndexedDatabase>);
 
@@ -133,16 +107,11 @@ impl From<IndexedDatabase> for SharedStore {
     }
 }
 
-/// Options controlling a [`Session`]: pool size and the admission
-/// controller's limits. `#[non_exhaustive]`, same pattern as
-/// [`crate::exec::ExecOptions`].
+/// Options controlling a [`Session`]: the admission controller's limits and the fetch
+/// cache. `#[non_exhaustive]`, same pattern as [`crate::exec::ExecOptions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct SessionConfig {
-    /// Worker threads in the pool. `0` (the default) resolves like
-    /// [`crate::exec::ExecOptions::threads`]: `BEA_THREADS`, else available
-    /// parallelism.
-    pub threads: usize,
     /// Aggregate fetch budget: the ceiling on the sum of admitted queries' fetch
     /// bounds. `0` (the default) resolves automatically: [`FETCH_BUDGET_ENV`] if
     /// set, otherwise unlimited.
@@ -154,15 +123,14 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// The default config: automatic pool size, no admission limits (unless the
-    /// environment sets a budget).
+    /// The default config: no admission limits and no cache (unless the environment
+    /// sets them).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Set the worker-thread count (0 = automatic).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Does nothing: a session owns no thread. Kept only for the benchmark harness.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -249,7 +217,8 @@ pub enum SubmitError {
         /// The specific limit it broke.
         rejection: Rejection,
     },
-    /// The plan failed lowering or validation, or the session is shut down.
+    /// The plan failed lowering or validation, or a run was given the wrong number of
+    /// constants.
     Invalid(Error),
 }
 
@@ -273,7 +242,7 @@ pub struct AdmissionStats {
     /// or [`Session::run_prepared`] — a plan that fails validation, or a run given the
     /// wrong number of constants, is refused before it and not counted.
     pub submitted: u64,
-    /// Queries admitted to the pool (immediately or after queueing).
+    /// Queries admitted (immediately or after queueing).
     pub admitted: u64,
     /// Queries that had to wait for budget headroom before admission.
     pub queued: u64,
@@ -289,82 +258,45 @@ pub struct AdmissionStats {
     pub peak_admitted_bound: u64,
     /// The effective aggregate fetch budget (`None` = unlimited).
     pub budget: Option<u64>,
-    /// Jobs (pipelines) executed by the thread waiting for their query —
-    /// inside [`Session::run`] or [`QueryHandle::wait`].
-    pub jobs_run_by_callers: u64,
-    /// Jobs executed by the pool's worker threads.
-    pub jobs_run_by_workers: u64,
 }
 
-/// The caller's handle to one admitted (or queued) query.
+/// What [`Session::submit`] hands back: the accepted ticket and the outcome of the
+/// run it made.
+#[derive(Debug)]
 pub struct QueryHandle {
     ticket: CostTicket,
-    /// The pool's receipt: id, whether it queued, and where the outcome arrives.
-    submitted: Submitted<'static>,
-    /// The pool the query runs in, so the waiting thread can run its jobs.
-    inner: Arc<SessionInner>,
-}
-
-impl std::fmt::Debug for QueryHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryHandle")
-            .field("id", &self.submitted.id)
-            .field("ticket", &self.ticket)
-            .field("queued", &self.submitted.queued)
-            .finish_non_exhaustive()
-    }
+    queued: bool,
+    /// The run's result, or the payload of the panic that ended it.
+    outcome: std::thread::Result<Result<(Table, AccessStats)>>,
 }
 
 impl QueryHandle {
-    /// The session-unique id of this submission (submission order).
-    pub fn id(&self) -> u64 {
-        self.submitted.id
-    }
-
     /// The priced ticket the admission controller accepted.
     pub fn ticket(&self) -> &CostTicket {
         &self.ticket
     }
 
-    /// Whether the query had to queue for budget headroom (it still runs; this is
+    /// Whether the query had to queue for budget headroom (it still ran; this is
     /// informational).
     pub fn was_queued(&self) -> bool {
-        self.submitted.queued
+        self.queued
     }
 
-    /// Wait until the query finishes, returning its table and access statistics —
-    /// exactly what [`crate::exec::execute_plan_on`] would have returned for the
-    /// same plan. The waiting thread helps: while the outcome is not in it runs the
-    /// query's own ready jobs, and blocks only when none is ready. A panic inside the
-    /// query's own operators is re-raised here, on the owner; other queries are
-    /// unaffected.
+    /// The query's table and access statistics — exactly what
+    /// [`crate::exec::execute_plan`] returns for the same plan. A panic inside the
+    /// query's operators is re-raised here.
     pub fn wait(self) -> Result<(Table, AccessStats)> {
-        self.inner.join(&self.submitted)
-    }
-}
-
-struct SessionInner {
-    store: SharedStore,
-    threads: usize,
-    /// The job queue the workers and the waiting callers run; it carries the fetch
-    /// budget and the cross-query fetch cache.
-    pool: Pool<'static>,
-}
-
-impl SessionInner {
-    /// The helping wait for one submitted query (see [`QueryHandle::wait`]).
-    fn join(&self, submitted: &Submitted<'static>) -> Result<(Table, AccessStats)> {
-        self.pool.join(self.store.store(), submitted)
+        self.outcome
+            .unwrap_or_else(|payload| resume_unwind(payload))
     }
 }
 
 /// A logical plan lowered, validated and priced for one [`Session`] — everything a
 /// submission computes before it looks at the load, and what every run of it shares:
-/// the lowered plan, its pipeline DAG and its buffer-pool cap, behind one `Arc` that
-/// each run holds beside its own constants. See [`Session::prepare`].
+/// the lowered plan and its buffer-pool cap. See [`Session::prepare`].
 #[derive(Debug)]
 pub struct PreparedPlan {
-    prepared: Arc<Prepared<'static>>,
+    prepared: Prepared<'static>,
     ticket: CostTicket,
 }
 
@@ -386,102 +318,190 @@ impl PreparedPlan {
     }
 }
 
+/// The fetch-budget gate every admitted query passes: one mutex, one condition
+/// variable, strict FIFO.
+struct Gate {
+    /// The ceiling on the sum of admitted queries' fetch bounds (`None` = unlimited).
+    budget: Option<u64>,
+    state: Mutex<GateState>,
+    /// Notified whenever headroom frees or the front of the queue moves.
+    turn: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    /// The counters, `inflight_bound` (the admitted bounds' sum) among them.
+    stats: AdmissionStats,
+    /// The arrival numbers of the callers waiting for headroom, in arrival order.
+    waiting: VecDeque<u64>,
+    /// Arrival numbers handed out.
+    arrivals: u64,
+}
+
+impl Gate {
+    /// Take the gate's mutex. No code panics holding it; a poisoned guard is taken
+    /// anyway.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Count a submission refused outright.
+    fn reject(&self) {
+        let mut state = self.lock();
+        state.stats.submitted += 1;
+        state.stats.rejected += 1;
+    }
+
+    /// Charge `bound` against the budget: at once when nobody is waiting and it fits
+    /// the headroom, else after every caller that arrived earlier, once it fits.
+    fn admit(&self, bound: u64) -> Admission<'_> {
+        let fits = |stats: &AdmissionStats| {
+            (self.budget).is_none_or(|budget| stats.inflight_bound + bound <= budget)
+        };
+        let mut state = self.lock();
+        state.stats.submitted += 1;
+        // Nothing overtakes a waiting caller, even where it would fit.
+        let queued = !(state.waiting.is_empty() && fits(&state.stats));
+        if queued {
+            state.stats.queued += 1;
+            let arrival = state.arrivals;
+            state.arrivals += 1;
+            state.waiting.push_back(arrival);
+            while state.waiting.front() != Some(&arrival) || !fits(&state.stats) {
+                state = self
+                    .turn
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            state.waiting.pop_front();
+        }
+        let stats = &mut state.stats;
+        stats.admitted += 1;
+        stats.inflight_bound += bound;
+        stats.peak_admitted_bound = stats.peak_admitted_bound.max(stats.inflight_bound);
+        // The caller now at the front may fit the headroom left.
+        let next = !state.waiting.is_empty();
+        drop(state);
+        if next {
+            self.turn.notify_all();
+        }
+        Admission {
+            gate: self,
+            bound,
+            queued,
+            completed: false,
+        }
+    }
+}
+
+/// A query's hold on the fetch budget. Dropping it releases the hold and counts the
+/// query completed if it was marked so, failed otherwise — so an error or an unwinding
+/// panic releases it too.
+struct Admission<'s> {
+    gate: &'s Gate,
+    bound: u64,
+    /// Whether the query waited for headroom.
+    queued: bool,
+    completed: bool,
+}
+
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        let mut state = self.gate.lock();
+        state.stats.inflight_bound -= self.bound;
+        if self.completed {
+            state.stats.completed += 1;
+        } else {
+            state.stats.failed += 1;
+        }
+        let waiting = !state.waiting.is_empty();
+        drop(state);
+        if waiting {
+            self.gate.turn.notify_all();
+        }
+    }
+}
+
 /// A multi-query execution session. See the module docs for the contract.
 pub struct Session {
-    inner: Arc<SessionInner>,
-    workers: Vec<JoinHandle<()>>,
+    store: SharedStore,
+    gate: Gate,
+    /// The cross-query fetch cache every query's operators probe, when there is one.
+    cache: Option<Arc<SessionFetchCache>>,
 }
 
 impl Session {
-    /// Start a session over `store` with `config`'s pool and admission settings.
-    /// Spawns the worker threads immediately; they idle until a query is admitted.
+    /// Start a session over `store` with `config`'s admission and cache settings.
     pub fn new(store: impl Into<SharedStore>, config: SessionConfig) -> Self {
-        let exec = crate::exec::ExecOptions::new().with_threads(config.threads);
-        let inner = Arc::new(SessionInner {
+        let cache = config.resolved_cache_budget_rows();
+        Session {
             store: store.into(),
-            threads: exec.resolved_threads(),
-            pool: Pool::new(
-                config.resolved_fetch_budget(),
-                config
-                    .resolved_cache_budget_rows()
-                    .map(|rows| Arc::new(SessionFetchCache::new(rows))),
-            ),
-        });
-        let workers = (0..inner.threads.max(1))
-            .map(|worker| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("bea-session-{worker}"))
-                    .spawn(move || inner.pool.worker_loop(inner.store.store()))
-                    .expect("spawning a session worker thread")
-            })
-            .collect();
-        Session { inner, workers }
+            gate: Gate {
+                budget: config.resolved_fetch_budget(),
+                state: Mutex::default(),
+                turn: Condvar::new(),
+            },
+            cache: cache.map(|rows| Arc::new(SessionFetchCache::new(rows))),
+        }
     }
 
     /// The session's effective aggregate fetch budget (`None` = unlimited).
     pub fn fetch_budget(&self) -> Option<u64> {
-        self.inner.pool.budget
-    }
-
-    /// The session's worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.inner.threads
+        self.gate.budget
     }
 
     /// A snapshot of the cross-query fetch cache's counters. All-zero (including
     /// `budget_rows`) when the cache is disabled.
     pub fn cache_stats(&self) -> CacheStats {
-        let cache = self.inner.pool.cache.as_ref();
+        let cache = self.cache.as_ref();
         cache.map(|cache| cache.stats()).unwrap_or_default()
     }
 
     /// The value-free half of a submission: lower `plan` exactly as
-    /// [`crate::exec::execute_plan_on`] does (so a session run is job-for-job the same
-    /// physical plan as a solo run at any thread count — and, keys being routed at run
-    /// time, the same plan at every shard count), validate the
-    /// result against the store, and price it. None of the three looks
-    /// at a constant's value, and the store is immutable, so one [`PreparedPlan`]
+    /// [`crate::exec::execute_plan`] does (so a session run is the same physical plan
+    /// as a solo run — and, keys being routed at run time, the same plan at every shard
+    /// count), validate the result against the store, and price it. None of the three
+    /// looks at a constant's value, and the store is immutable, so one [`PreparedPlan`]
     /// serves every query that differs from `plan` only in its constants — prepare a
     /// template once ([`bea_core::value::Value::placeholder`] where the constants go)
     /// and hand each request's values to [`Session::run_prepared`].
     pub fn prepare(&self, plan: &QueryPlan) -> Result<PreparedPlan> {
-        let store = self.inner.store.store();
+        let store = self.store.store();
         let physical = lower_plan(plan)?;
         validate_for(&physical, store)?;
         let ticket = CostTicket::derive(plan, store.schema(), store.size(), &physical);
-        let prepared = Arc::new(Prepared::new(Cow::Owned(physical)));
+        let prepared = Prepared::new(Cow::Owned(physical));
         Ok(PreparedPlan { prepared, ticket })
     }
 
-    /// [`Session::prepare`] `plan`, run it through admission control, and — if
-    /// admitted or queued — hand its jobs to the pool. Returns a [`QueryHandle`] to
-    /// wait on, or a [`SubmitError`] when the plan is invalid or deterministically
-    /// over budget. The asynchronous entry: every ready job wakes a worker, so the
-    /// query makes progress whether or not anyone waits on the handle.
+    /// [`Session::run`], its outcome — a panic's payload included — kept in a
+    /// [`QueryHandle`]. Kept only for the benchmark harness.
     pub fn submit(&self, plan: &QueryPlan) -> std::result::Result<QueryHandle, SubmitError> {
         let prepared = self.prepare(plan).map_err(SubmitError::Invalid)?;
-        let submitted = self.admit(&prepared, Vec::new(), false)?;
+        let admission = self.admit(&prepared.ticket)?;
+        let queued = admission.queued;
+        let run = || self.execute(&prepared, &[], admission);
+        let outcome = catch_unwind(AssertUnwindSafe(run));
         Ok(QueryHandle {
             ticket: prepared.ticket,
-            submitted,
-            inner: Arc::clone(&self.inner),
+            queued,
+            outcome,
         })
     }
 
-    /// [`Session::submit`] and a helping wait in one call, for synchronous callers:
-    /// admission, pricing, queueing and rejection are `submit`'s, then the calling
-    /// thread runs the query's ready jobs itself (see the module docs), so a query
-    /// that never goes wider than one job completes without waking a worker. Returns
-    /// the accepted ticket beside the execution result; a panic inside the query's
-    /// operators is re-raised here.
+    /// [`Session::prepare`] `plan`, run it through admission control — a
+    /// [`SubmitError`] when the plan is invalid or deterministically over budget; a
+    /// wait, when the budget has no headroom for it yet — and run it on the calling
+    /// thread. Returns the accepted ticket beside the execution result; a panic inside
+    /// the query's operators unwinds from here.
     pub fn run(
         &self,
         plan: &QueryPlan,
     ) -> std::result::Result<(CostTicket, Result<(Table, AccessStats)>), SubmitError> {
         let prepared = self.prepare(plan).map_err(SubmitError::Invalid)?;
-        let submitted = self.admit(&prepared, Vec::new(), true)?;
-        Ok((prepared.ticket, self.inner.join(&submitted)))
+        let admission = self.admit(&prepared.ticket)?;
+        let outcome = self.execute(&prepared, &[], admission);
+        Ok((prepared.ticket, outcome))
     }
 
     /// [`Session::run`] for a plan prepared earlier: a request carries its constants,
@@ -492,9 +512,8 @@ impl Session {
     pub fn run_prepared(
         &self,
         prepared: &PreparedPlan,
-        values: impl Into<Vec<Value>>,
+        values: &[Value],
     ) -> std::result::Result<Result<(Table, AccessStats)>, SubmitError> {
-        let values = values.into();
         let expected = prepared.placeholders();
         if values.len() != expected {
             return Err(SubmitError::Invalid(Error::invalid(format!(
@@ -503,31 +522,19 @@ impl Session {
                 values.len()
             ))));
         }
-        let submitted = self.admit(prepared, values, true)?;
-        Ok(self.inner.join(&submitted))
+        let admission = self.admit(&prepared.ticket)?;
+        Ok(self.execute(prepared, values, admission))
     }
 
-    /// The one way into the pool: the deterministic rejections — verdicts that depend
-    /// only on the ticket and the configuration, never on current load — and then a
-    /// run of `prepared` with `constants` to [`Pool::submit`]. With `caller_runs` the
-    /// submitting thread goes straight on to look at the queue for this query, so one
-    /// wake-up fewer than jobs is sent.
-    fn admit(
-        &self,
-        prepared: &PreparedPlan,
-        constants: Vec<Value>,
-        caller_runs: bool,
-    ) -> std::result::Result<Submitted<'static>, SubmitError> {
-        let (inner, ticket) = (&self.inner, &prepared.ticket);
-        if let Some(budget) = inner
-            .pool
+    /// The one way in: the deterministic rejections — verdicts that depend only on the
+    /// ticket and the configuration, never on current load — then the budget gate.
+    fn admit(&self, ticket: &CostTicket) -> std::result::Result<Admission<'_>, SubmitError> {
+        let over = self
+            .gate
             .budget
-            .filter(|&budget| ticket.fetch_bound > budget)
-        {
-            let mut guard = inner.pool.lock_state();
-            guard.counters.submitted += 1;
-            guard.counters.rejected += 1;
-            drop(guard);
+            .filter(|&budget| ticket.fetch_bound > budget);
+        if let Some(budget) = over {
+            self.gate.reject();
             return Err(SubmitError::Rejected {
                 ticket: Box::new(ticket.clone()),
                 rejection: Rejection::FetchBound {
@@ -536,49 +543,41 @@ impl Session {
                 },
             });
         }
-        let query = QueryShared::new(prepared.prepared.clone(), constants, ticket.fetch_bound);
-        inner
-            .pool
-            .submit(query, caller_runs)
-            .map_err(SubmitError::Invalid)
+        Ok(self.gate.admit(ticket.fetch_bound))
+    }
+
+    /// Run `prepared` with `constants` on this thread, holding `admission` until the
+    /// run has ended.
+    fn execute(
+        &self,
+        prepared: &PreparedPlan,
+        constants: &[Value],
+        mut admission: Admission<'_>,
+    ) -> Result<(Table, AccessStats)> {
+        let (store, cache) = (self.store.store(), self.cache.as_ref());
+        let ran = sched::run(&prepared.prepared, constants, store, cache);
+        admission.completed = ran.is_ok();
+        ran.map(|(table, stats, _)| (table, stats))
     }
 
     /// A snapshot of the admission counters.
     pub fn admission_stats(&self) -> AdmissionStats {
-        let guard = self.inner.pool.lock_state();
         AdmissionStats {
-            submitted: guard.counters.submitted,
-            admitted: guard.counters.admitted,
-            queued: guard.counters.queued,
-            rejected: guard.counters.rejected,
-            completed: guard.counters.completed,
-            failed: guard.counters.failed,
-            inflight_bound: guard.admitted_bound,
-            peak_admitted_bound: guard.peak_admitted_bound,
-            budget: self.inner.pool.budget,
-            jobs_run_by_callers: guard.counters.jobs_run_by_callers,
-            jobs_run_by_workers: guard.counters.jobs_run_by_workers,
+            budget: self.gate.budget,
+            ..self.gate.lock().stats
         }
     }
 
-    /// Drain every admitted and queued query, stop the workers, and tear the pool
-    /// down. Equivalent to dropping the session, but explicit at call sites.
+    /// Drop the session. Equivalent to dropping it, but explicit at call sites.
     pub fn shutdown(self) {}
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
-        self.inner.pool.shut_down();
-        for worker in self.workers.drain(..) {
-            // A worker that panicked outside a job is a bug; surface it rather
-            // than shutting down half-torn.
-            if let Err(payload) = worker.join() {
-                resume_unwind(payload);
-            }
-        }
-        // With the workers gone nothing probes the cache; release its resident
-        // rows so its ledger's teardown zero-assertion holds.
-        if let Some(cache) = &self.inner.pool.cache {
+        // No query runs past its caller's borrow of the session, so nothing probes
+        // the cache now; release its resident rows so its ledger's teardown
+        // zero-assertion holds.
+        if let Some(cache) = &self.cache {
             cache.drain();
         }
     }
@@ -587,8 +586,7 @@ impl Drop for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute_plan_on, ExecOptions};
-    use crate::ops::sched::drain_pending;
+    use crate::exec::execute_plan;
     use crate::ops::tests::shared_fetches;
     use bea_core::access::{AccessConstraint, AccessSchema};
     use bea_core::plan::{PlanBuilder, Predicate};
@@ -651,10 +649,7 @@ mod tests {
 
     #[test]
     fn a_prepared_template_is_bound_per_run_and_judged_by_its_one_ticket() {
-        let session = Session::new(
-            fixture(6),
-            SessionConfig::new().with_threads(2).with_fetch_budget(25),
-        );
+        let session = Session::new(fixture(6), SessionConfig::new().with_fetch_budget(25));
         let template = lookup_union_of("Q", &[Value::placeholder(0), Value::placeholder(1)]);
         let prepared = session.prepare(&template).unwrap();
         for keys in [[1, 2], [5, 3], [4, 4]] {
@@ -662,7 +657,7 @@ mod tests {
             let (expected_table, expected_stats) = expected.unwrap();
             assert_eq!(prepared.ticket(), &ticket, "pricing never reads a constant");
             let (table, stats) = session
-                .run_prepared(&prepared, keys.map(Value::int))
+                .run_prepared(&prepared, &keys.map(Value::int))
                 .unwrap()
                 .unwrap();
             assert_eq!(table.rows(), expected_table.rows(), "rows and row order");
@@ -677,7 +672,7 @@ mod tests {
             .prepare(&lookup_union_of("big", &placeholders))
             .unwrap();
         let before = session.admission_stats();
-        match session.run_prepared(&big, [1, 2, 3].map(Value::int)) {
+        match session.run_prepared(&big, &[1, 2, 3].map(Value::int)) {
             Err(SubmitError::Rejected { ticket, rejection }) => {
                 assert_eq!(*ticket, *big.ticket());
                 assert_eq!(
@@ -697,7 +692,7 @@ mod tests {
     /// `run_prepared` of a two-placeholder template with `values`: refused as invalid
     /// with a message naming both counts, and no admission counter moved.
     fn assert_refused_with(values: &[Value]) {
-        let session = Session::new(fixture(6), SessionConfig::new().with_threads(2));
+        let session = Session::new(fixture(6), SessionConfig::new());
         let template = lookup_union_of("Q", &[Value::placeholder(0), Value::placeholder(1)]);
         let prepared = session.prepare(&template).unwrap();
         assert_eq!(prepared.placeholders(), 2);
@@ -742,30 +737,24 @@ mod tests {
     #[test]
     fn concurrent_queries_match_solo_runs() {
         let idb = fixture(6);
-        // Three independent pipelines each, so workers and callers share a query.
+        // Three pipelines ahead of the output each, every query on a thread of its own.
         let plans: Vec<QueryPlan> = (0..5)
             .map(|i| shared_fetches(&[("R", 0, 1 + i), ("R", 0, 2 + i), ("R", 0, 3 + i)]))
             .collect();
-        assert!(plans
-            .iter()
-            .all(|plan| lower_plan(plan).unwrap().pipeline_dag().parallel_width() == 3));
-        let session = Session::new(
-            SharedStore::from(fixture(6)),
-            SessionConfig::new().with_threads(4),
-        );
-        let handles: Vec<QueryHandle> = plans
-            .iter()
-            .map(|plan| session.submit(plan).unwrap())
-            .collect();
-        let solo_options = ExecOptions::new().with_threads(4);
-        for (plan, handle) in plans.iter().zip(handles) {
-            let (expected_table, expected_stats) =
-                execute_plan_on(plan, &idb, &solo_options).unwrap();
-            let (table, stats) = handle.wait().unwrap();
+        let session = Session::new(SharedStore::from(fixture(6)), SessionConfig::new());
+        let served: Vec<(Table, AccessStats)> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (plans.iter())
+                .map(|plan| scope.spawn(|| session.run(plan).unwrap().1.unwrap()))
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        for (plan, (table, stats)) in plans.iter().zip(served) {
+            let (expected_table, expected_stats) = execute_plan(plan, &idb).unwrap();
             assert_eq!(table.rows(), expected_table.rows(), "rows and row order");
             assert!(stats.same_data_access(&expected_stats));
             assert_eq!(stats.values_cloned, expected_stats.values_cloned);
             assert_eq!(stats.allocs_per_probe, expected_stats.allocs_per_probe);
+            assert_eq!(stats.peak_rows_resident, expected_stats.peak_rows_resident);
         }
         let admission = session.admission_stats();
         assert_eq!(admission.submitted, 5);
@@ -778,10 +767,7 @@ mod tests {
 
     #[test]
     fn over_budget_queries_are_rejected_deterministically() {
-        let session = Session::new(
-            fixture(4),
-            SessionConfig::new().with_threads(2).with_fetch_budget(25),
-        );
+        let session = Session::new(fixture(4), SessionConfig::new().with_fetch_budget(25));
         // Two branches: bound 20 ≤ 25 — admitted.
         let small = lookup_union("small", &[1, 2]);
         // Three branches: bound 30 > 25 — rejected, regardless of load.
@@ -811,53 +797,73 @@ mod tests {
 
     #[test]
     fn queued_queries_run_fifo_within_the_budget() {
-        let session = Session::new(
-            fixture(8),
-            SessionConfig::new().with_threads(2).with_fetch_budget(30),
-        );
-        // Each query's bound is 20: only one fits at a time under budget 30. Hold 20
-        // units the way an admitted query would, so none fits while they are submitted
-        // and queueing does not depend on how fast a worker retires the first one.
-        session.inner.pool.lock_state().admitted_bound = 20;
-        let plans: Vec<QueryPlan> = (0..4)
-            .map(|i| lookup_union(&format!("Q{i}"), &[1 + i, 2 + i]))
-            .collect();
-        let handles: Vec<QueryHandle> = plans
-            .iter()
-            .map(|plan| session.submit(plan).unwrap())
-            .collect();
-        assert!(
-            handles.iter().all(QueryHandle::was_queued),
-            "with 20 of 30 units held and bounds of 20, every submission must queue"
-        );
-        assert_eq!(session.admission_stats().queued, 4);
-        assert_eq!(session.admission_stats().admitted, 0);
-        // Release the hold exactly as a retiring query does: headroom, drain, wake.
-        let admitted_jobs = {
-            let mut state = session.inner.pool.lock_state();
-            state.admitted_bound -= 20;
-            drain_pending(&mut state, session.inner.pool.budget)
-        };
-        assert!(admitted_jobs > 0);
-        session.inner.pool.wake_workers(admitted_jobs);
-        for handle in handles {
-            handle.wait().unwrap();
-        }
-        let admission = session.admission_stats();
-        assert_eq!(admission.admitted, 4);
-        assert_eq!(admission.completed, 4);
-        assert!(
-            admission.peak_admitted_bound <= 30,
-            "the admitted aggregate bound {} must never exceed the budget",
-            admission.peak_admitted_bound
-        );
-        session.shutdown();
+        within_a_minute(|| {
+            let session = Session::new(fixture(8), SessionConfig::new().with_fetch_budget(30));
+            // Each query's bound is 20: only one fits at a time under budget 30. Hold 20
+            // units the way an admitted query does, so every caller queues.
+            let hold = session.gate.admit(20);
+            let plans: Vec<QueryPlan> = (0..4)
+                .map(|i| lookup_union(&format!("Q{i}"), &[1 + i, 2 + i]))
+                .collect();
+            std::thread::scope(|scope| {
+                let callers: Vec<_> = (plans.iter())
+                    .map(|plan| scope.spawn(|| session.run(plan).unwrap().1.unwrap()))
+                    .collect();
+                while session.admission_stats().queued < 4 {
+                    std::thread::yield_now();
+                }
+                assert_eq!(session.admission_stats().admitted, 1, "only the hold is in");
+                drop(hold);
+                for caller in callers {
+                    assert_eq!(caller.join().unwrap().0.len(), 4);
+                }
+            });
+            let admission = session.admission_stats();
+            assert_eq!((admission.admitted, admission.queued), (5, 4));
+            assert_eq!(
+                (admission.completed, admission.failed),
+                (4, 1),
+                "the hold failed"
+            );
+            assert_eq!(admission.inflight_bound, 0);
+            assert!(
+                admission.peak_admitted_bound <= 30,
+                "the admitted aggregate bound {} must never exceed the budget",
+                admission.peak_admitted_bound
+            );
+        });
+    }
+
+    #[test]
+    fn queued_callers_are_admitted_in_arrival_order() {
+        within_a_minute(|| {
+            // A budget of one caller's bound, held while four callers queue one by one.
+            let session = Session::new(fixture(1), SessionConfig::new().with_fetch_budget(20));
+            let hold = session.gate.admit(20);
+            let order = Mutex::new(Vec::new());
+            std::thread::scope(|scope| {
+                for caller in 0..4 {
+                    let (session, order) = (&session, &order);
+                    scope.spawn(move || {
+                        let admission = session.gate.admit(20);
+                        order.lock().unwrap().push(caller);
+                        drop(admission);
+                    });
+                    while session.admission_stats().queued <= caller {
+                        std::thread::yield_now();
+                    }
+                }
+                drop(hold);
+            });
+            assert_eq!(order.into_inner().unwrap(), [0, 1, 2, 3]);
+            assert_eq!(session.admission_stats().inflight_bound, 0);
+        });
     }
 
     #[test]
     fn a_failing_query_does_not_poison_its_neighbors() {
         let idb = fixture(4);
-        let session = Session::new(fixture(4), SessionConfig::new().with_threads(2));
+        let session = Session::new(fixture(4), SessionConfig::new());
         // An invalid plan fails at submit (validation), not at wait.
         let mut b = PlanBuilder::new();
         let k = b.constant(Value::int(1), "x");
@@ -875,8 +881,7 @@ mod tests {
         // A healthy neighbor still runs to completion.
         let good = lookup_union("good", &[1, 2]);
         let (table, _) = session.submit(&good).unwrap().wait().unwrap();
-        let (expected, _) =
-            execute_plan_on(&good, &idb, &ExecOptions::new().with_threads(2)).unwrap();
+        let (expected, _) = execute_plan(&good, &idb).unwrap();
         assert_eq!(table.rows(), expected.rows());
     }
 
@@ -907,8 +912,7 @@ mod tests {
         IndexedDatabase::build(db, schema).unwrap()
     }
 
-    /// One keyed fetch over `PANIC_RELATION` (fetch bound 10): a single job, which
-    /// panics.
+    /// One keyed fetch over `PANIC_RELATION` (fetch bound 10), which panics.
     fn doomed_plan() -> QueryPlan {
         let mut b = PlanBuilder::new();
         let k = b.constant(Value::int(1), "k");
@@ -941,8 +945,8 @@ mod tests {
         );
     }
 
-    /// Fail the test if `body` has not returned after a minute — a lost wake-up shows
-    /// as a hang, which must not hang the suite.
+    /// Fail the test if `body` has not returned after a minute — a lost wake-up or a
+    /// hold never released shows as a hang, which must not hang the suite.
     fn within_a_minute(body: impl FnOnce() + Send + 'static) {
         let (done, finished) = channel();
         let runner = std::thread::spawn(move || {
@@ -953,16 +957,16 @@ mod tests {
             Ok(()) => runner.join().unwrap(),
             // The body panicked before signalling: surface its assertion.
             Err(RecvTimeoutError::Disconnected) => resume_unwind(runner.join().unwrap_err()),
-            Err(RecvTimeoutError::Timeout) => panic!("the session hung: a wake-up was lost"),
+            Err(RecvTimeoutError::Timeout) => panic!("the session hung: a caller never got in"),
         }
     }
 
     #[test]
     fn a_panicking_query_fails_alone_and_reraises_on_wait() {
-        let session = Session::new(panicking_fixture(1), SessionConfig::new().with_threads(2));
+        let session = Session::new(panicking_fixture(1), SessionConfig::new());
         let handle = session.submit(&doomed_plan()).unwrap();
         assert_reraises_the_injected_panic(|| handle.wait());
-        // The pool survives: a healthy query still completes afterwards.
+        // The session survives: a healthy query still completes afterwards.
         let good = lookup_union("good", &[1]);
         session.submit(&good).unwrap().wait().unwrap();
         let admission = session.admission_stats();
@@ -972,125 +976,61 @@ mod tests {
 
     #[test]
     fn a_query_panicking_on_its_callers_thread_reraises_there_only() {
-        let session = Session::new(panicking_fixture(2), SessionConfig::new().with_threads(2));
+        let session = Session::new(panicking_fixture(2), SessionConfig::new());
         let doomed = doomed_plan();
-        // `run` sends no wake-up for a one-job query, so its caller runs the job —
-        // unless a worker that has not parked yet finds it first. Repeat until the
-        // panic was raised on this thread; every attempt must isolate the failure.
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let before = session.admission_stats().jobs_run_by_callers;
-            assert_reraises_the_injected_panic(|| session.run(&doomed));
-            let admission = session.admission_stats();
-            assert_eq!(admission.failed, attempts);
-            assert_eq!(
-                admission.inflight_bound, 0,
-                "a failed query frees its bound"
-            );
-            if admission.jobs_run_by_callers > before {
-                break;
+        std::thread::scope(|scope| {
+            let healthy = scope.spawn(|| {
+                let good = lookup_union("good", &[1, 2]);
+                (0..20).all(|_| session.run(&good).unwrap().1.unwrap().0.len() == 4)
+            });
+            for _ in 0..20 {
+                assert_reraises_the_injected_panic(|| session.run(&doomed));
             }
-            assert!(attempts < 100, "the caller never ran its own job");
-        }
-        // The session keeps serving, on both entries.
-        let good = lookup_union("good", &[1, 2]);
-        let (_, ran) = session.run(&good).unwrap();
-        let (waited, _) = session.submit(&good).unwrap().wait().unwrap();
-        assert_eq!(ran.unwrap().0.rows(), waited.rows());
+            assert!(healthy.join().unwrap(), "the neighbour's answers changed");
+        });
         let admission = session.admission_stats();
-        assert_eq!((admission.failed, admission.completed), (attempts, 2));
-        assert_eq!(admission.inflight_bound, 0);
-        session.shutdown();
-    }
-
-    /// How many jobs `plan` is, read off a completed run's ticket.
-    fn plan_jobs(session: &Session, plan: &QueryPlan) -> u64 {
-        let (ticket, result) = session.run(plan).unwrap();
-        result.unwrap();
-        ticket.pipelines as u64
-    }
-
-    #[test]
-    fn a_single_job_query_runs_on_its_callers_thread() {
-        // A point lookup is a chain of width one: once the workers are parked, `run`
-        // completes it without waking any of them.
-        let session = Session::new(fixture(2), SessionConfig::new().with_threads(2));
-        let plan = lookup_union("point", &[1]);
-        let jobs = plan_jobs(&session, &plan);
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let before = session.admission_stats();
-            session.run(&plan).unwrap().1.unwrap();
-            let after = session.admission_stats();
-            assert_eq!(
-                (after.jobs_run_by_callers + after.jobs_run_by_workers)
-                    - (before.jobs_run_by_callers + before.jobs_run_by_workers),
-                jobs,
-                "every job is counted once, by whoever ran it"
-            );
-            if after.jobs_run_by_callers - before.jobs_run_by_callers == jobs {
-                break;
-            }
-            assert!(attempts < 100, "the caller never ran its whole query");
-        }
+        assert_eq!((admission.failed, admission.completed), (20, 20));
+        assert_eq!(
+            admission.inflight_bound, 0,
+            "a failed query frees its bound"
+        );
         session.shutdown();
     }
 
     #[test]
-    fn a_queued_query_is_finished_by_workers_while_its_caller_blocks_in_run() {
+    fn a_panicking_query_releases_its_budget_however_it_was_entered() {
         within_a_minute(|| {
+            // The budget is exactly one query's bound: a hold a panic left behind would
+            // keep the next query queued for good.
             let session = Session::new(
-                fixture(4),
-                SessionConfig::new().with_threads(2).with_fetch_budget(30),
+                panicking_fixture(1),
+                SessionConfig::new().with_fetch_budget(10),
             );
-            let plan = lookup_union("queued", &[1, 2]);
-            let (expected, _) = session.submit(&plan).unwrap().wait().unwrap();
-            let jobs = plan_jobs(&session, &plan);
-            assert_eq!(session.admission_stats().queued, 0);
-            // The caller may still catch its query being admitted before it blocks,
-            // and run it itself; repeat until workers did all of it.
-            let mut attempts = 0;
-            loop {
-                attempts += 1;
-                // Hold 20 of 30 units the way an admitted query would: a bound of 20
-                // must queue.
-                session.inner.pool.lock_state().admitted_bound += 20;
-                let before = session.admission_stats();
-                std::thread::scope(|scope| {
-                    let caller = scope.spawn(|| session.run(&plan).unwrap().1.unwrap());
-                    while session.admission_stats().queued == before.queued {
-                        std::thread::yield_now();
-                    }
-                    // Release the hold exactly as a retiring query does.
-                    let admitted_jobs = {
-                        let mut state = session.inner.pool.lock_state();
-                        state.admitted_bound -= 20;
-                        drain_pending(&mut state, session.inner.pool.budget)
-                    };
-                    session.inner.pool.wake_workers(admitted_jobs);
-                    let (table, _) = caller.join().unwrap();
-                    assert_eq!(table.rows(), expected.rows());
-                });
-                let after = session.admission_stats();
-                assert_eq!(after.inflight_bound, 0);
-                if after.jobs_run_by_workers - before.jobs_run_by_workers == jobs {
-                    break;
-                }
-                assert!(attempts < 100, "workers never ran the queued query");
+            let doomed = doomed_plan();
+            let prepared = session.prepare(&doomed).unwrap();
+            let good = lookup_union("good", &[1]);
+            let entries: [&dyn Fn(); 3] = [
+                &|| drop(session.run(&doomed)),
+                &|| drop(session.run_prepared(&prepared, &[])),
+                &|| drop(session.submit(&doomed).map(QueryHandle::wait)),
+            ];
+            for (failed, entry) in (1..).zip(entries) {
+                assert_reraises_the_injected_panic(entry);
+                let admission = session.admission_stats();
+                assert_eq!(admission.inflight_bound, 0);
+                assert_eq!(admission.failed, failed);
+                let next = session.submit(&good).unwrap();
+                assert!(!next.was_queued(), "the next query waited for headroom");
+                assert_eq!(next.wait().unwrap().0.len(), 2);
             }
-            session.shutdown();
+            assert_eq!(session.admission_stats().queued, 0);
         });
     }
 
     #[test]
     fn handles_waited_on_in_reverse_all_complete() {
         within_a_minute(|| {
-            let session = Session::new(
-                fixture(8),
-                SessionConfig::new().with_threads(2).with_fetch_budget(45),
-            );
+            let session = Session::new(fixture(8), SessionConfig::new().with_fetch_budget(45));
             let plans: Vec<QueryPlan> = (0..6)
                 .map(|i| lookup_union(&format!("Q{i}"), &[1 + i, 2 + i]))
                 .collect();
@@ -1098,8 +1038,7 @@ mod tests {
                 .iter()
                 .map(|plan| session.submit(plan).unwrap())
                 .collect();
-            // Last submitted, first waited on: the waiter helps its own query only,
-            // and the queued tail still gets in as the head retires.
+            // Last submitted, first waited on: each handle holds its own outcome.
             for handle in handles.into_iter().rev() {
                 handle.wait().unwrap();
             }
@@ -1115,12 +1054,12 @@ mod tests {
     fn callers_and_workers_lose_no_wake_up_under_a_tight_budget() {
         within_a_minute(|| {
             // Bounds of 20 under a budget of 45: two queries run at a time, the rest
-            // queue behind them, so callers keep blocking on workers and on each other.
+            // queue behind them, so callers keep blocking on each other.
             let session = Session::new(
                 panicking_fixture(8),
-                SessionConfig::new().with_threads(2).with_fetch_budget(45),
+                SessionConfig::new().with_fetch_budget(45),
             );
-            // One pipeline, or two independent ones (two shared fetches).
+            // One pipeline, or three (two shared fetches and the output).
             let healthy: Vec<QueryPlan> = (0..4)
                 .map(|i| match i % 2 {
                     0 => lookup_union(&format!("Q{i}"), &[1 + i, 2 + i]),
@@ -1138,7 +1077,7 @@ mod tests {
                         for i in 0..200usize {
                             let plan = &healthy[(caller + i) % healthy.len()];
                             match i % 10 {
-                                // An asynchronous submission, collected two rounds on.
+                                // A submission, its handle collected two rounds on.
                                 3 | 7 => in_flight.push(session.submit(plan).unwrap()),
                                 5 if !in_flight.is_empty() => {
                                     in_flight.pop().unwrap().wait().unwrap();
@@ -1167,10 +1106,8 @@ mod tests {
             assert_eq!((admission.rejected, admission.failed), (8 * 20, 8 * 20));
             assert_eq!(admission.inflight_bound, 0);
             assert!(admission.peak_admitted_bound <= 45);
-            assert!(admission.jobs_run_by_callers > 0 && admission.jobs_run_by_workers > 0);
 
-            // Dropping the session with queries in flight drains them and returns: the
-            // shutdown broadcast reaches every parked worker.
+            // Handles outlive their session: each holds its own outcome.
             let in_flight: Vec<QueryHandle> = healthy
                 .iter()
                 .cycle()
@@ -1223,13 +1160,10 @@ mod tests {
         let idb = fixture(6);
         let session = Session::new(
             fixture(6),
-            SessionConfig::new()
-                .with_threads(2)
-                .with_cache_budget_rows(4096),
+            SessionConfig::new().with_cache_budget_rows(4096),
         );
         let plan = lookup_union("repeat", &[1, 2, 3]);
-        let (expected_table, expected_stats) =
-            execute_plan_on(&plan, &idb, &ExecOptions::new().with_threads(2)).unwrap();
+        let (expected_table, expected_stats) = execute_plan(&plan, &idb).unwrap();
 
         // Cold run: fills the cache; every deterministic data-access counter is
         // identical to the uncached solo run.
@@ -1267,7 +1201,7 @@ mod tests {
 
     #[test]
     fn a_disabled_cache_reports_zero_stats() {
-        let session = Session::new(fixture(2), SessionConfig::new().with_threads(1));
+        let session = Session::new(fixture(2), SessionConfig::new());
         if std::env::var_os(CACHE_ROWS_ENV).is_none() {
             assert_eq!(session.cache_stats(), CacheStats::default());
         }

@@ -51,8 +51,7 @@ pub struct AccessStats {
     /// copy-traffic side of execution, the quantity the columnar pipeline exists to
     /// minimize; value clones are O(1) (interned strings), so the counter measures
     /// traffic, not bytes. Like residency, it is an execution-strategy artifact and
-    /// excluded from [`AccessStats::same_data_access`]; across workers it merges
-    /// additively.
+    /// excluded from [`AccessStats::same_data_access`]; it merges additively.
     pub values_cloned: u64,
     /// Number of buffers the streaming executor's probe path demands per key — the
     /// steady-state allocation model of the serving loop. Nothing charges it any more:
@@ -70,13 +69,13 @@ pub struct AccessStats {
     /// schedule or the cache configuration rather than the probes: per-batch emission
     /// columns and per-operator arena, key and membership-table columns (pooled,
     /// growing by doubling), and the compact copy — with its owned key — a fill claim
-    /// publishes into the session cache. Counting them would break the thread- and
+    /// publishes into the session cache. Counting them would break the
     /// shard-invariance this counter is asserted to have, and the equality of cold
     /// cached and uncached runs. A pool hit still counts — the *demand* is what
     /// the serving loop must avoid. It is a streaming-pipeline metric: the
     /// materialized executor reports 0. Like `values_cloned` it is an
     /// execution-strategy artifact, excluded from
-    /// [`AccessStats::same_data_access`], and merges additively across workers.
+    /// [`AccessStats::same_data_access`], and merges additively.
     pub allocs_per_probe: u64,
     /// Number of probes served by the session-level cross-query fetch cache (see
     /// `bea_engine::session`): lookups that returned a previously fetched posting
@@ -87,7 +86,7 @@ pub struct AccessStats {
     /// cache-disabled run reproduces the historical counters bit-for-bit. Like the
     /// other strategy artifacts it is excluded from [`AccessStats::same_data_access`]
     /// (the cache changes *where* data came from, never *what* the query computes)
-    /// and merges additively across workers.
+    /// and merges additively.
     pub cache_hits: u64,
     /// Rows delivered out of the session fetch cache by the hits counted in
     /// [`AccessStats::cache_hits`] — the cached analogue of
@@ -147,11 +146,13 @@ impl AccessStats {
             && self.rows_fetched_by_relation == other.rows_fetched_by_relation
     }
 
-    /// Sum every additive counter of `rhs` into `self` (everything except
-    /// `peak_rows_resident`, whose combination rule depends on how the two executions
-    /// were composed in time — see [`AccessStats::merge_sequential`] and
-    /// [`AccessStats::merge_concurrent`]).
-    fn merge_counters(&mut self, rhs: AccessStats) {
+    /// Merge the stats of an execution that ran *after* `self`'s: every counter adds
+    /// up, except the residency peak — sequential executions' residency windows never
+    /// overlap, so the combined high-water mark is the larger of the two.
+    ///
+    /// `+=` ([`AddAssign`]) is an alias for this merge.
+    pub fn merge_sequential(&mut self, rhs: AccessStats) {
+        self.peak_rows_resident = self.peak_rows_resident.max(rhs.peak_rows_resident);
         self.tuples_fetched += rhs.tuples_fetched;
         self.index_lookups += rhs.index_lookups;
         self.fetch_ops += rhs.fetch_ops;
@@ -168,33 +169,11 @@ impl AccessStats {
             *self.rows_fetched_by_shard.entry(shard).or_insert(0) += tuples;
         }
     }
-
-    /// Merge the stats of an execution that ran *after* `self`'s (one at a time on the
-    /// same executor). The residency windows of sequential executions never overlap, so
-    /// the combined high-water mark is the larger of the two peaks.
-    ///
-    /// `+=` ([`AddAssign`]) is an alias for this merge.
-    pub fn merge_sequential(&mut self, rhs: AccessStats) {
-        self.peak_rows_resident = self.peak_rows_resident.max(rhs.peak_rows_resident);
-        self.merge_counters(rhs);
-    }
-
-    /// Merge the stats of an execution that (possibly) ran *concurrently* with `self`'s,
-    /// e.g. on another worker thread. The residency windows may overlap, so the true
-    /// combined high-water mark can reach the *sum* of the two peaks — taking the `max`
-    /// here (the sequential rule) would silently understate concurrent residency. The
-    /// sum is a safe upper bound; an exact concurrent peak needs a ledger shared by the
-    /// executions *while they run* (the parallel executor's shared residency ledger),
-    /// which this after-the-fact merge cannot reconstruct.
-    pub fn merge_concurrent(&mut self, rhs: AccessStats) {
-        self.peak_rows_resident += rhs.peak_rows_resident;
-        self.merge_counters(rhs);
-    }
 }
 
-/// Tuples fetched per `(plan step, shard)` while a job runs: a flat list on the
-/// thread's reused job state, so no probe allocates a map entry or a relation name.
-/// When the job lands it is recorded into the query's per-relation and per-shard maps
+/// Tuples fetched per `(plan step, shard)` while a query runs: a flat list on the
+/// thread's reused execution state, so no probe allocates a map entry or a relation
+/// name. When the query finishes it is recorded into its per-relation and per-shard maps
 /// (a probe that fetched nothing still names its relation and shard there).
 #[derive(Debug, Default)]
 pub(crate) struct FetchTally {
@@ -309,41 +288,6 @@ mod tests {
         assert!(a.to_string().contains("peak 7 rows resident"));
         assert!(a.to_string().contains("5 probe allocs"));
         assert!(a.to_string().contains("3 cache hits (12 rows served)"));
-    }
-
-    #[test]
-    fn concurrent_merge_does_not_understate_residency() {
-        // Two executions, each holding up to 6 rows. Run back to back they never hold
-        // more than 6 rows at once; overlapped on two workers they can hold 12.
-        let run = |peak: u64| AccessStats {
-            tuples_fetched: 6,
-            index_lookups: 1,
-            fetch_ops: 1,
-            tuples_scanned: 0,
-            product_rows_materialized: 0,
-            peak_rows_resident: peak,
-            values_cloned: 12,
-            allocs_per_probe: 6,
-            cache_hits: 0,
-            rows_served_from_cache: 0,
-            rows_fetched_by_relation: [("R".to_owned(), 6)].into_iter().collect(),
-            rows_fetched_by_shard: [(1, 6)].into_iter().collect(),
-        };
-
-        let mut sequential = run(6);
-        sequential.merge_sequential(run(6));
-        assert_eq!(sequential.peak_rows_resident, 6);
-
-        let mut concurrent = run(6);
-        concurrent.merge_concurrent(run(6));
-        // The old `max` rule reported 6 here — understating a worst case where both
-        // windows overlap and 12 rows are simultaneously resident.
-        assert_eq!(concurrent.peak_rows_resident, 12);
-
-        // Every additive counter merges identically either way.
-        assert!(sequential.same_data_access(&concurrent));
-        assert_eq!(sequential.tuples_fetched, 12);
-        assert_eq!(concurrent.rows_fetched_by_relation["R"], 12);
     }
 
     #[test]

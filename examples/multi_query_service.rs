@@ -1,4 +1,4 @@
-//! Multi-query service: one `Session` serves many concurrently submitted queries
+//! Multi-query service: one `Session` serves queries from many threads at once
 //! against one shared store, with fetch-bound admission control.
 //!
 //! The paper's central property — every covered query's worst-case fetch count is
@@ -7,21 +7,26 @@
 //! accepts, queues, or rejects it against an aggregate fetch budget. A rejection is
 //! exact and deterministic, not a timeout.
 //!
-//! The same API backs the `bead` daemon / `beactl` client pair (`cargo run
-//! --release -p bead --bin bead`, then `beactl query '…'` over the Unix socket).
+//! Each query runs on the thread that asks for it, as each `bead` connection's
+//! queries run on that connection's thread: the same API backs the `bead` daemon /
+//! `beactl` client pair (`cargo run --release -p bead --bin bead`, then
+//! `beactl query '…'` over the Unix socket).
 //!
 //! Run with `cargo run --example multi_query_service`.
 
 use bea::core::plan::bounded_plan;
 use bea::engine::{Rejection, Session, SessionConfig, SharedStore, SubmitError};
+
+/// Any error, from any caller's thread.
+type BoxError = Box<dyn std::error::Error + Send + Sync>;
 use bea::parser::parse_query;
 use bea::storage::IndexedDatabase;
 use bea::workload::accidents::{access_schema, generate, AccidentsConfig};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), BoxError> {
     // 1. One shared store: the synthetic accidents workload (ψ1–ψ4 indexed),
     //    loaded once and served to every query. `SharedStore` is the cheaply
-    //    clonable handle the session hands to its worker pool.
+    //    clonable handle a session owns.
     let config = AccidentsConfig::with_total_tuples(20_000, 0xBEAD);
     let db = generate(&config)?;
     let schema = access_schema(db.catalog());
@@ -47,30 +52,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Q0 prices at a worst-case fetch of {q0_bound} tuples\n");
     plans.push(q0);
 
-    // 3. An unlimited session: every query is admitted; one worker pool
-    //    interleaves their pipelines. Each submitter gets its own
-    //    handle and waits for its own table — isolation per query, shared store.
-    let session = Session::new(store.clone(), SessionConfig::new().with_threads(4));
-    std::thread::scope(|scope| -> Result<(), Box<dyn std::error::Error>> {
-        let handles: Vec<_> = plans
+    // 3. An unlimited session: every query is admitted. Each caller runs its own
+    //    query on its own thread and gets its own table — isolation per query,
+    //    shared store.
+    let session = Session::new(store.clone(), SessionConfig::new());
+    std::thread::scope(|scope| -> Result<(), BoxError> {
+        let callers: Vec<_> = plans
             .iter()
             .map(|plan| {
                 let session = &session;
-                scope.spawn(move || -> Result<_, Box<SubmitError>> {
-                    let handle = session.submit(plan)?;
-                    let bound = handle.ticket().fetch_bound;
-                    let (table, stats) = handle.wait().map_err(SubmitError::Invalid)?;
-                    Ok((
-                        plan.query_name().to_owned(),
-                        bound,
-                        table.rows().len(),
-                        stats,
-                    ))
+                scope.spawn(move || -> Result<_, BoxError> {
+                    let (ticket, result) = session.run(plan)?;
+                    let (table, stats) = result?;
+                    Ok((ticket, table.rows().len(), stats))
                 })
             })
             .collect();
-        for handle in handles {
-            let (name, bound, rows, stats) = handle.join().expect("submitter thread")?;
+        for caller in callers {
+            let (ticket, rows, stats) = caller.join().expect("caller thread")?;
+            let (name, bound) = (&ticket.query_name, ticket.fetch_bound);
             println!("{name:8} fetch_bound={bound:<8} rows={rows:<4} {stats}");
         }
         Ok(())
@@ -83,20 +83,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    lookups and statically rejects Q0 — same verdict on every run, decided
     //    from the cost ticket alone, before any data is touched.
     let budget = q0_bound - 1;
-    let session = Session::new(
-        store,
-        SessionConfig::new()
-            .with_threads(4)
-            .with_fetch_budget(budget),
-    );
+    let session = Session::new(store, SessionConfig::new().with_fetch_budget(budget));
     for plan in &plans {
-        match session.submit(plan) {
-            Ok(handle) => {
-                let bound = handle.ticket().fetch_bound;
-                let (table, _) = handle.wait()?;
+        match session.run(plan) {
+            Ok((ticket, result)) => {
+                let (table, _) = result?;
                 println!(
-                    "ADMIT  {:8} fetch_bound={bound} rows={}",
+                    "ADMIT  {:8} fetch_bound={} rows={}",
                     plan.query_name(),
+                    ticket.fetch_bound,
                     table.rows().len()
                 );
             }

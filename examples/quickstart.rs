@@ -5,7 +5,7 @@
 
 use bea::core::bounded::{analyze_cq, BoundedConfig, BoundedVerdict};
 use bea::core::plan::bounded_plan;
-use bea::engine::{eval_cq, execute_plan, execute_plan_on, ExecOptions};
+use bea::engine::{eval_cq, execute_plan};
 use bea::parser::{parse_access_schema, parse_catalog, parse_query};
 use bea::storage::{Database, IndexedDatabase};
 use bea_core::value::Value;
@@ -107,15 +107,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(bounded_answer.same_rows(&naive_answer));
     println!("bounded evaluation: {bounded_stats}");
     println!("naive evaluation:   {naive_stats}");
-
-    // 6. The streaming executor can run independent pipelines on worker threads
-    //    (ExecOptions::with_threads; the default resolves to BEA_THREADS or the
-    //    machine's parallelism). Whatever the thread count, a bounded plan touches
-    //    exactly the same data — parallelism scales the hardware, not the access bound.
-    let (parallel_answer, parallel_stats) =
-        execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(4))?;
-    assert!(parallel_answer.same_rows(&bounded_answer));
-    assert!(parallel_stats.same_data_access(&bounded_stats));
-    println!("parallel (4 threads) reads the same data: {parallel_stats}");
     Ok(())
 }

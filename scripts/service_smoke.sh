@@ -27,9 +27,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# Start the daemon: ~2000 tuples, 2 workers, a 10k-tuple aggregate fetch budget,
-# and a 4096-row cross-query fetch cache.
-"$BEAD" --socket "$SOCKET" --tuples 2000 --seed 48879 --threads 2 --fetch-budget 10000 \
+# Start the daemon: ~2000 tuples, a 10k-tuple aggregate fetch budget, and a 4096-row
+# cross-query fetch cache.
+"$BEAD" --socket "$SOCKET" --tuples 2000 --seed 48879 --fetch-budget 10000 \
     --cache-rows 4096 >"$LOG" 2>&1 &
 BEAD_PID=$!
 
@@ -102,8 +102,10 @@ echo "$STATS" | grep -q 'cache_evictions=0' || { echo "error: stats missing cach
 # ticket); the broken rule missed and left nothing behind.
 echo "$STATS" | grep -q 'plan_templates=2 plan_hits=2 plan_misses=3' \
     || { echo "error: stats missing plan_templates=2 plan_hits=2 plan_misses=3" >&2; exit 1; }
-# The anchored queries are chains of width one: the connection's own thread ran them.
-echo "$STATS" | grep -Eq ' caller_jobs=[1-9]' || { echo "error: no job ran on a connection thread" >&2; exit 1; }
+# The batch drained: nothing holds the budget, and every admitted query has ended.
+echo "$STATS" | grep -q ' inflight_bound=0 ' || { echo "error: stats missing inflight_bound=0" >&2; exit 1; }
+[ $(( $(stat_of completed) + $(stat_of failed) )) -eq "$(stat_of admitted)" ] \
+    || { echo "error: completed + failed != admitted: $STATS" >&2; exit 1; }
 
 expect_exit 0 "shutdown acknowledged" shutdown
 

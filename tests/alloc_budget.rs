@@ -67,7 +67,7 @@ fn a_cold_q0_stays_inside_its_allocation_budget() {
     let scenario = AccidentsScenario::with_total_tuples(20_000, BENCH_REPORT_SEED).unwrap();
     let physical = lower_plan(&scenario.plan).unwrap();
     let store = &scenario.indexed;
-    let options = ExecOptions::new().with_threads(1);
+    let options = ExecOptions::new();
     // Once unmeasured, so lazily initialised process state is not billed to the query.
     let (expected, _) = execute_physical_on(&physical, store, &options).unwrap();
     let ((table, stats), allocations) =
@@ -79,12 +79,13 @@ fn a_cold_q0_stays_inside_its_allocation_budget() {
     );
     // One owned row per answer, the output table, and per pipeline a handful of
     // operator boxes, batch handles and pooled columns growing by doubling — nothing
-    // per fetched tuple or per probed key (which used to cost 1 293 here). 205 today,
-    // the thread's pooled buffers kept from the unmeasured run (251 while they died
-    // with each job, 374 while every single-tuple key was copied into an arena and
-    // three more δs ran); the bound leaves 15 %.
+    // per fetched tuple or per probed key (which used to cost 1 293 here). 183 today,
+    // the thread's pooled buffers kept from the unmeasured run (205 while the query
+    // ran as jobs of a pool, 251 while the buffers died with each job, 374 while every
+    // single-tuple key was copied into an arena and three more δs ran); the bound
+    // leaves 15 %.
     assert!(
-        allocations <= 236,
+        allocations <= 210,
         "one cold Q0 ({stats}) performed {allocations} heap allocations"
     );
 }
@@ -130,17 +131,18 @@ fn dedup_of_distinct_rows(rows: i64) -> (IndexedDatabase, PhysicalPlan) {
 fn dedup_allocates_logarithmically_in_its_distinct_rows() {
     const ROWS: i64 = 16_384;
     let (store, physical) = dedup_of_distinct_rows(ROWS);
-    let options = ExecOptions::new().with_threads(1);
+    let options = ExecOptions::new();
     let ((table, stats), allocations) =
         allocations_of(|| execute_physical_on(&physical, &store, &options).unwrap());
     assert_eq!(table.rows(), [vec![Value::int(5)]]);
     assert_eq!(stats.tuples_fetched, ROWS as u64);
     // Per 1 024-row batch a selection vector and a few handles (16 batches here), per
-    // doubling a column, hash or slot reallocation (14 doublings) — 293 today, against
-    // two allocations per distinct row (32 768) when δ kept a hash bucket and an owned
-    // row for each.
+    // doubling a column, hash or slot reallocation (14 doublings) — 279 today (293
+    // while the query ran as jobs of a pool), against two allocations per distinct row
+    // (32 768) when δ kept a hash bucket and an owned row for each; the bound leaves
+    // 15 %.
     assert!(
-        allocations <= 400,
+        allocations <= 320,
         "δ over {ROWS} distinct rows performed {allocations} heap allocations"
     );
 }

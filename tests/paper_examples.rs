@@ -148,10 +148,9 @@ fn example_1_1_lowers_with_two_dedups() {
             ticket.fetch_bound,
             ticket.max_output_rows,
             ticket.fetch_ops,
-            ticket.parallel_width,
             ticket.alloc_surface,
         );
-        assert_eq!(priced, (235_460, 117_120, 4, 1, 18));
+        assert_eq!(priced, (235_460, 117_120, 4, 18));
     }
 }
 

@@ -12,10 +12,7 @@ use bea::core::envelope::{lower_envelope_cq, upper_envelope_cq, EnvelopeConfig};
 use bea::core::plan::{bounded_plan, bounded_plan_for_report};
 use bea::core::reason::{instance::eval_cq as eval_cq_small, instance::SmallInstance};
 use bea::core::specialize::{generic_template, instantiate, specialize_cq, SpecializeConfig};
-use bea::engine::{
-    eval_cq, execute_physical_on, execute_plan, execute_plan_materialized, execute_plan_on,
-    ExecOptions,
-};
+use bea::engine::{eval_cq, execute_plan, execute_plan_materialized};
 use bea::storage::{discover_constraints, shards_from_env, DiscoveryOptions, IndexedDatabase};
 use bea::workload::{accidents, ecommerce, graph, querygen};
 use bea_core::access::AccessSchema;
@@ -126,13 +123,12 @@ fn random_workload(
 }
 
 /// The core differential property shared by the three scenario families: for every
-/// covered query of a random workload over `db`, the **streaming** bounded executor
-/// (forced single-threaded), the **parallel** streaming executor (4 worker threads),
+/// covered query of a random workload over `db`, the **streaming** bounded executor,
 /// the **materialized** bounded executor, the **sharded** streaming executor (the same
 /// plan over a partitioned store, each key routed to its shard — `BEA_SHARDS` shards,
 /// at least 2) and the **naive** baseline compute exactly the same answer; the bounded
 /// strategies read exactly the same data (boundedness is a property of the plan — not
-/// of the execution strategy, the thread count, or the shard count); nothing fetches
+/// of the execution strategy or the shard count); nothing fetches
 /// more than the statically derived bound (Theorem 3.11, constructive direction); and
 /// the streaming pipeline's peak row residency never exceeds the materialized
 /// executor's.
@@ -158,19 +154,14 @@ fn assert_bounded_plans_agree_with_naive(
         exercised += 1;
         let plan = bounded_plan_for_report(query, schema, &report).unwrap();
         assert!(plan.is_bounded_under(schema));
-        let (bounded, stats) =
-            execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(1)).unwrap();
-        let (parallel, parallel_stats) =
-            execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(4)).unwrap();
+        let (bounded, stats) = execute_plan(&plan, &indexed).unwrap();
         let (materialized, materialized_stats) =
             execute_plan_materialized(&plan, &indexed).unwrap();
-        let (sharded_out, sharded_stats) =
-            execute_plan_on(&plan, &sharded, &ExecOptions::new().with_threads(1)).unwrap();
+        let (sharded_out, sharded_stats) = execute_plan(&plan, &sharded).unwrap();
         let (naive, _) = eval_cq(query, indexed.database()).unwrap();
         // `same_rows` compares sets, so a leg that emits a row twice would pass it.
         let legs = [
-            ("serial", &bounded),
-            ("parallel", &parallel),
+            ("streaming", &bounded),
             ("materialized", &materialized),
             ("sharded", &sharded_out),
         ];
@@ -178,7 +169,6 @@ fn assert_bounded_plans_agree_with_naive(
             assert!(table.is_set(), "the {leg} leg repeats a row of {query}");
         }
         assert!(bounded.same_rows(&naive), "mismatch for {query}");
-        assert!(parallel.same_rows(&naive), "parallel mismatch for {query}");
         assert!(
             materialized.same_rows(&naive),
             "materialized mismatch for {query}"
@@ -211,10 +201,6 @@ fn assert_bounded_plans_agree_with_naive(
              {stats} vs {materialized_stats}"
         );
         assert!(
-            stats.same_data_access(&parallel_stats),
-            "thread count changed the data access for {query}: {stats} vs {parallel_stats}"
-        );
-        assert!(
             stats.peak_rows_resident <= materialized_stats.peak_rows_resident,
             "streaming held more rows ({}) than the materialized executor ({}) for {query}",
             stats.peak_rows_resident,
@@ -235,16 +221,6 @@ fn assert_bounded_plans_agree_with_naive(
                 materialized_stats.values_cloned
             );
         }
-        assert_eq!(
-            stats.values_cloned, parallel_stats.values_cloned,
-            "thread count changed the copy traffic for {query}"
-        );
-        // Probe-path buffer demand is deterministic across the streaming legs too
-        // (the materialized executor is excluded: it has no probe path and reports 0).
-        assert_eq!(
-            stats.allocs_per_probe, parallel_stats.allocs_per_probe,
-            "thread count changed the probe-path buffer demand for {query}"
-        );
         let cost = plan.cost(schema, indexed.size());
         assert!(
             stats.tuples_fetched <= cost.max_fetched_tuples,
@@ -302,7 +278,7 @@ fn covered_plans_agree_with_naive_evaluation_on_graph() {
 /// The columnar pipeline's acceptance property (PR 4): on the scenarios with real
 /// fan-out — the accidents Q0 plan and the multi-pipeline batch of anchored Q0
 /// branches — the copy traffic (`values_cloned`) drops at least 2× against the
-/// row-at-a-time executor, at 1 *and* 4 worker threads, while the answers, the data
+/// row-at-a-time executor, while the answers, the data
 /// access and the residency guarantees are untouched.
 #[test]
 fn columnar_pipeline_halves_copy_traffic_on_target_scenarios() {
@@ -319,39 +295,27 @@ fn columnar_pipeline_halves_copy_traffic_on_target_scenarios() {
     for (plan, indexed, name) in cases {
         let (row_table, row_stats) = execute_plan_materialized(plan, indexed).unwrap();
         assert!(row_table.is_set(), "{name}: the row path repeats a row");
-        for threads in [1usize, 4] {
-            let (columnar_table, columnar_stats) =
-                execute_plan_on(plan, indexed, &ExecOptions::new().with_threads(threads)).unwrap();
-            assert!(
-                columnar_table.is_set(),
-                "{name}: repeated row at {threads} threads"
-            );
-            assert!(
-                columnar_table.same_rows(&row_table),
-                "{name}: executors disagree at {threads} threads"
-            );
-            assert!(
-                columnar_stats.same_data_access(&row_stats),
-                "{name}: executors read different data at {threads} threads"
-            );
-            // Residency: schedule-independent comparison only — the 4-thread peak
-            // legitimately grows with pipeline overlap (it stays exact via the shared
-            // ledger), so "no worse than the row path" is asserted where it is an
-            // invariant, at 1 thread.
-            if threads == 1 {
-                assert!(
-                    columnar_stats.peak_rows_resident <= row_stats.peak_rows_resident,
-                    "{name}: columnar residency regressed at {threads} threads"
-                );
-            }
-            assert!(
-                columnar_stats.values_cloned * 2 <= row_stats.values_cloned,
-                "{name} at {threads} threads: columnar cloned {} values, row path {} — \
-                 less than the required 2× drop",
-                columnar_stats.values_cloned,
-                row_stats.values_cloned
-            );
-        }
+        let (columnar_table, columnar_stats) = execute_plan(plan, indexed).unwrap();
+        assert!(columnar_table.is_set(), "{name}: repeated row");
+        assert!(
+            columnar_table.same_rows(&row_table),
+            "{name}: executors disagree"
+        );
+        assert!(
+            columnar_stats.same_data_access(&row_stats),
+            "{name}: executors read different data"
+        );
+        assert!(
+            columnar_stats.peak_rows_resident <= row_stats.peak_rows_resident,
+            "{name}: columnar residency regressed"
+        );
+        assert!(
+            columnar_stats.values_cloned * 2 <= row_stats.values_cloned,
+            "{name}: columnar cloned {} values, row path {} — less than the required 2× \
+             drop",
+            columnar_stats.values_cloned,
+            row_stats.values_cloned
+        );
     }
 }
 
@@ -362,7 +326,7 @@ fn columnar_pipeline_halves_copy_traffic_on_target_scenarios() {
 /// first probe and every subsequent probe must be served without demanding a single
 /// buffer. `allocs_per_probe` counts buffer-demand events deterministically, hence the
 /// assertable form: the *total* at `m = 512` equals the total at `m = 1` (zero
-/// marginal allocations per warmed probe), at threads ∈ {1, 4} × shards ∈ {1, 4} —
+/// marginal allocations per warmed probe), at shards ∈ {1, 4} —
 /// and since the fetch of R runs as a keyed lookup as well, both totals are zero; and
 /// the pooling machinery changes neither the rows nor any data-access counter.
 #[test]
@@ -425,50 +389,44 @@ fn warmed_anchored_probes_allocate_nothing() {
         db
     };
 
-    // Every (threads, shards) corner must report the same per-size totals.
+    // Every shard count must report the same per-size totals.
     let mut totals: Vec<(u64, u64)> = Vec::new(); // (allocs at m = 1, allocs at m = 512)
     for shards in [1u32, 4] {
-        for threads in [1usize, 4] {
-            let options = ExecOptions::new().with_threads(threads);
-            let mut per_size = Vec::new();
-            for m in [1i64, 512] {
-                let db = database_with_rows(m);
-                let indexed = IndexedDatabase::build(db.clone(), schema.clone()).unwrap();
-                let (table, stats) = if shards == 1 {
-                    execute_plan_on(&plan, &indexed, &options).unwrap()
-                } else {
-                    let sharded =
-                        IndexedDatabase::build_sharded(db, schema.clone(), shards).unwrap();
-                    execute_plan_on(&plan, &sharded, &options).unwrap()
-                };
-                // Pooling must be invisible to everything but the allocation counter:
-                // the answers and the data-access counters match the unpooled
-                // materialized executor exactly.
-                let (reference, reference_stats) =
-                    execute_plan_materialized(&plan, &indexed).unwrap();
-                assert!(
-                    table.is_set() && reference.is_set(),
-                    "repeated row at m = {m}"
-                );
-                assert!(
-                    table.same_rows(&reference),
-                    "pooled probe loop changed the answers at m = {m}, \
-                     {threads} threads, {shards} shards"
-                );
-                assert_eq!(table.len() as i64, m, "one output row per R-row");
-                assert!(
-                    stats.same_data_access(&reference_stats),
-                    "pooled probe loop changed the data access at m = {m}: \
-                     {stats} vs {reference_stats}"
-                );
-                assert_eq!(
-                    stats.allocs_per_probe, 0,
-                    "the fetch of R runs as a keyed lookup too: no buffer per key"
-                );
-                per_size.push(stats.allocs_per_probe);
-            }
-            totals.push((per_size[0], per_size[1]));
+        let mut per_size = Vec::new();
+        for m in [1i64, 512] {
+            let db = database_with_rows(m);
+            let indexed = IndexedDatabase::build(db.clone(), schema.clone()).unwrap();
+            let (table, stats) = if shards == 1 {
+                execute_plan(&plan, &indexed).unwrap()
+            } else {
+                let sharded = IndexedDatabase::build_sharded(db, schema.clone(), shards).unwrap();
+                execute_plan(&plan, &sharded).unwrap()
+            };
+            // Pooling must be invisible to everything but the allocation counter: the
+            // answers and the data-access counters match the unpooled materialized
+            // executor exactly.
+            let (reference, reference_stats) = execute_plan_materialized(&plan, &indexed).unwrap();
+            assert!(
+                table.is_set() && reference.is_set(),
+                "repeated row at m = {m}"
+            );
+            assert!(
+                table.same_rows(&reference),
+                "pooled probe loop changed the answers at m = {m}, {shards} shards"
+            );
+            assert_eq!(table.len() as i64, m, "one output row per R-row");
+            assert!(
+                stats.same_data_access(&reference_stats),
+                "pooled probe loop changed the data access at m = {m}: \
+                 {stats} vs {reference_stats}"
+            );
+            assert_eq!(
+                stats.allocs_per_probe, 0,
+                "the fetch of R runs as a keyed lookup too: no buffer per key"
+            );
+            per_size.push(stats.allocs_per_probe);
         }
+        totals.push((per_size[0], per_size[1]));
     }
     for (allocs_warm_start, allocs_after_512_probes) in &totals {
         assert_eq!(
@@ -478,15 +436,15 @@ fn warmed_anchored_probes_allocate_nothing() {
             allocs_after_512_probes, allocs_warm_start
         );
     }
-    // Thread and shard counts never change the totals either.
+    // Shard counts never change the totals either.
     assert!(
         totals.windows(2).all(|w| w[0] == w[1]),
-        "allocation totals varied across the thread × shard matrix: {totals:?}"
+        "allocation totals varied across shard counts: {totals:?}"
     );
 }
 
 /// Shard-count invariance: the same covered queries executed against partitioned
-/// stores with shards ∈ {1, 2, 8}, at threads ∈ {1, 4}, produce identical rows in
+/// stores with shards ∈ {1, 2, 8} produce identical rows in
 /// identical order, identical data access (`same_data_access`) and identical copy
 /// traffic (`values_cloned`) — one plan, keys routed at run time: partitioning the
 /// constraint indexes relocates the bounded work across shards (the per-shard counts
@@ -519,51 +477,39 @@ fn sharded_execution_is_invariant_across_shard_counts() {
                 }
                 exercised += 1;
                 let plan = bounded_plan(query, &schema).unwrap();
-                let (baseline, baseline_stats) =
-                    execute_plan_on(&plan, &indexed, &ExecOptions::new().with_threads(1)).unwrap();
+                let (baseline, baseline_stats) = execute_plan(&plan, &indexed).unwrap();
                 assert!(baseline.is_set(), "repeated row for {query}");
                 for sharded in &stores {
-                    for threads in [1usize, 4] {
-                        let (table, stats) = execute_plan_on(
-                            &plan,
-                            sharded,
-                            &ExecOptions::new().with_threads(threads),
-                        )
-                        .unwrap();
-                        let shards = sharded.shard_count();
-                        assert_eq!(
-                            table.rows(),
-                            baseline.rows(),
-                            "rows or their order changed at {shards} shards / {threads} \
-                             threads for {query}"
-                        );
-                        assert!(
-                            stats.same_data_access(&baseline_stats),
-                            "data access changed at {shards} shards / {threads} threads \
-                             for {query}: {stats} vs {baseline_stats}"
-                        );
-                        assert_eq!(
-                            stats.values_cloned, baseline_stats.values_cloned,
-                            "copy traffic changed at {shards} shards / {threads} threads \
-                             for {query}"
-                        );
-                        assert_eq!(
-                            stats.rows_fetched_by_shard.values().sum::<u64>(),
-                            stats.tuples_fetched,
-                            "per-shard counts drifted from the total at {shards} shards \
-                             for {query}"
-                        );
-                        assert!(stats
-                            .rows_fetched_by_shard
-                            .keys()
-                            .all(|&shard| shard < shards));
-                        if threads == 1 {
-                            assert_eq!(
-                                stats.peak_rows_resident, baseline_stats.peak_rows_resident,
-                                "residency changed at {shards} shards for {query}"
-                            );
-                        }
-                    }
+                    let (table, stats) = execute_plan(&plan, sharded).unwrap();
+                    let shards = sharded.shard_count();
+                    assert_eq!(
+                        table.rows(),
+                        baseline.rows(),
+                        "rows or their order changed at {shards} shards for {query}"
+                    );
+                    assert!(
+                        stats.same_data_access(&baseline_stats),
+                        "data access changed at {shards} shards for {query}: \
+                         {stats} vs {baseline_stats}"
+                    );
+                    assert_eq!(
+                        stats.values_cloned, baseline_stats.values_cloned,
+                        "copy traffic changed at {shards} shards for {query}"
+                    );
+                    assert_eq!(
+                        stats.rows_fetched_by_shard.values().sum::<u64>(),
+                        stats.tuples_fetched,
+                        "per-shard counts drifted from the total at {shards} shards \
+                         for {query}"
+                    );
+                    assert!(stats
+                        .rows_fetched_by_shard
+                        .keys()
+                        .all(|&shard| shard < shards));
+                    assert_eq!(
+                        stats.peak_rows_resident, baseline_stats.peak_rows_resident,
+                        "residency changed at {shards} shards for {query}"
+                    );
                 }
             }
             exercised
@@ -571,10 +517,9 @@ fn sharded_execution_is_invariant_across_shard_counts() {
     );
 }
 
-/// Admission sees neither the shard count nor the thread count: a session at 1, 2 or 4
-/// threads over the unsharded store or a 2-, 4- or 8-way sharded one prepares every
-/// covered query of the three querygen families to the physical plan and the
-/// [`bea_core::plan::CostTicket`] a 1-thread session over the unsharded store
+/// Admission does not see the shard count: a session over a 2-, 4- or 8-way sharded
+/// store prepares every covered query of the three querygen families to the physical
+/// plan and the [`bea_core::plan::CostTicket`] a session over the unsharded store
 /// prepares, field for field.
 #[test]
 fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
@@ -605,31 +550,20 @@ fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
                 exercised += plans.len();
                 let unsharded =
                     SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
-                let one = Session::new(unsharded.clone(), SessionConfig::new().with_threads(1));
+                let one = Session::new(unsharded.clone(), SessionConfig::new());
                 let expected: Vec<_> = plans
                     .iter()
                     .map(|plan| one.prepare(plan).unwrap())
                     .collect();
-                for shards in [1, 2, 4, 8] {
-                    let store = match shards {
-                        1 => unsharded.clone(),
-                        _ => SharedStore::from(
-                            IndexedDatabase::build_sharded(db.clone(), schema.clone(), shards)
-                                .unwrap(),
-                        ),
-                    };
-                    for threads in [1, 2, 4] {
-                        let session =
-                            Session::new(store.clone(), SessionConfig::new().with_threads(threads));
-                        for (plan, expected) in plans.iter().zip(&expected) {
-                            let prepared = session.prepare(plan).unwrap();
-                            let corner = format!(
-                                "{} at {shards} shards / {threads} threads",
-                                plan.query_name()
-                            );
-                            assert_eq!(prepared.physical(), expected.physical(), "{corner}");
-                            assert_eq!(prepared.ticket(), expected.ticket(), "{corner}");
-                        }
+                for shards in [2, 4, 8] {
+                    let sharded =
+                        IndexedDatabase::build_sharded(db.clone(), schema.clone(), shards).unwrap();
+                    let session = Session::new(sharded, SessionConfig::new());
+                    for (plan, expected) in plans.iter().zip(&expected) {
+                        let prepared = session.prepare(plan).unwrap();
+                        let corner = format!("{} at {shards} shards", plan.query_name());
+                        assert_eq!(prepared.physical(), expected.physical(), "{corner}");
+                        assert_eq!(prepared.ticket(), expected.ticket(), "{corner}");
                     }
                 }
             }
@@ -639,103 +573,17 @@ fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
     );
 }
 
-/// Parallel pipeline execution is deterministic: on a plan whose pipeline DAG is three
-/// wide (per day, the accidents of that day and their casualties' vehicles — a fetch
-/// with two consumers, so it heads a pipeline of its own — under one union), the same
-/// seed at threads ∈ {1, 2, 4}, solo and through a [`Session`], produces identical
-/// output tables — rows *and* row order — and identical data-access statistics, and
-/// agrees with the materialized reference. Residency may legitimately differ with the
-/// schedule (overlap), which is why it is excluded from `same_data_access`.
-///
-/// [`Session`]: bea::engine::Session
-#[test]
-fn parallel_execution_is_deterministic_across_thread_counts() {
-    use bea::core::plan::{lower_plan, PlanBuilder};
-    use bea::engine::{Session, SessionConfig, SharedStore};
-
-    run_cases(
-        "parallel_execution_is_deterministic_across_thread_counts",
-        0x9A7A,
-        |rng| {
-            let seed = rng.gen_range(0u64..1_000);
-            let (db, schema) = accidents_fixture(seed, 4);
-            let plan = {
-                let mut b = PlanBuilder::new();
-                let branches: Vec<_> = (0..3)
-                    .map(|day| {
-                        let date = b.constant(accidents::date_value(day), "date");
-                        let columns = vec!["date".into(), "aid".into()];
-                        // ψ1: Accident(date → aid), then ψ2: Casualty(aid → vid).
-                        let accidents =
-                            b.fetch(date, vec![0], "Accident", vec![2], vec![0], 0, columns);
-                        let columns = vec!["aid".into(), "vid".into()];
-                        let vehicles =
-                            b.fetch(accidents, vec![1], "Casualty", vec![1], vec![3], 1, columns);
-                        b.union(vehicles, vehicles)
-                    })
-                    .collect();
-                let out = b.union(branches[0], branches[1]);
-                let out = b.union(out, branches[2]);
-                b.finish("DayVehicles", out).unwrap()
-            };
-            let physical = lower_plan(&plan).unwrap();
-            assert_eq!(physical.pipeline_dag().parallel_width(), 3, "\n{physical}");
-            let store = SharedStore::from(IndexedDatabase::build(db, schema).unwrap());
-
-            let (reference, reference_stats) =
-                execute_plan_materialized(&plan, store.store()).unwrap();
-            assert!(
-                !reference.is_empty(),
-                "vacuous: no vehicle on any of the days"
-            );
-            let mut runs = Vec::new();
-            for threads in [1usize, 2, 4] {
-                let options = ExecOptions::new().with_threads(threads);
-                let solo = execute_physical_on(&physical, store.store(), &options).unwrap();
-                let session =
-                    Session::new(store.clone(), SessionConfig::new().with_threads(threads));
-                let (_, served) = session.run(&plan).unwrap();
-                session.shutdown();
-                runs.push((format!("{threads} threads, solo"), solo));
-                runs.push((format!("{threads} threads, session"), served.unwrap()));
-            }
-            let (_, (base_table, base_stats)) = &runs[0];
-            assert!(base_table.is_set(), "repeated row in the union's answer");
-            assert!(
-                base_table.same_rows(&reference),
-                "mismatch against the reference"
-            );
-            assert!(
-                base_stats.same_data_access(&reference_stats),
-                "{base_stats} vs the reference's {reference_stats}"
-            );
-            for (corner, (table, stats)) in &runs[1..] {
-                assert_eq!(base_table.columns(), table.columns());
-                assert_eq!(
-                    base_table.rows(),
-                    table.rows(),
-                    "{corner} changed the output (or its order)"
-                );
-                assert!(
-                    base_stats.same_data_access(stats),
-                    "{corner} changed the data access: {base_stats} vs {stats}"
-                );
-            }
-        },
-    );
-}
-
 /// The multi-query session (PR 8) is a scheduling change, not a semantic one: N
 /// covered queries submitted *concurrently* from N client threads against one shared
 /// sharded store return exactly the rows — and exactly the per-query data access,
-/// copy traffic and probe-path buffer demand — of serial [`execute_plan_on`] runs,
+/// copy traffic and probe-path buffer demand — of serial [`execute_plan`] runs,
 /// so the per-query stats stay additive across the batch. With an aggregate fetch
 /// budget set, admission is deterministic: the rejected set is exactly the queries
 /// whose static fetch bound exceeds the budget (a property of the plan, not of the
 /// load or the submission interleaving), every accepted query still matches its
 /// serial run, and the admitted bounds' high-water mark never exceeds the budget.
-/// Thread and shard counts come from the environment, so the CI matrix drives all
-/// four `BEA_THREADS` × `BEA_SHARDS` corners through this property.
+/// The shard count comes from the environment, so the CI matrix drives both
+/// `BEA_SHARDS` legs through this property.
 #[test]
 fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
     use bea::engine::{Rejection, Session, SessionConfig, SharedStore, SubmitError};
@@ -767,14 +615,14 @@ fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
                 .map(|plan| plan.cost(&schema, db_size).max_fetched_tuples)
                 .collect();
 
-            // Serial baseline: each plan alone, same store, same env-resolved options.
+            // Serial baseline: each plan alone, same store.
             let serial: Vec<_> = plans
                 .iter()
-                .map(|plan| execute_plan_on(plan, store.store(), &ExecOptions::new()).unwrap())
+                .map(|plan| execute_plan(plan, store.store()).unwrap())
                 .collect();
 
-            // Leg 1 — no budget: everything admitted, all queries in flight at once
-            // from one submitter thread each, interleaving in the shared job queue.
+            // Leg 1 — no budget: everything admitted, all queries in flight at once,
+            // each on a submitter thread of its own.
             let session = Session::new(store.clone(), SessionConfig::new());
             let concurrent: Vec<_> = std::thread::scope(|scope| {
                 let handles: Vec<_> = plans
@@ -924,19 +772,19 @@ fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
     );
 }
 
-/// Who runs a query's jobs is a scheduling decision, never a semantic one: on every
-/// querygen family, the caller-runs entry ([`Session::run`]), the asynchronous entry
-/// (`submit` then `wait`) and a solo [`execute_plan_on`] return the same rows in the
-/// same order with the same data access, copy traffic and probe-path buffer demand —
-/// at 1 and 4 pool workers, on an unsharded and a 4-way sharded store, with the
-/// session's fetch cache off and on. Each lane gets a fresh session per query, so a
-/// cached session starts cold; it may serve a key the query repeats from the cache, so
-/// there the counters are compared lane against lane and only the rows against solo.
+/// Serving a query is never a semantic change: on every querygen family, the
+/// synchronous entry ([`Session::run`]), the handle entry (`submit` then `wait`) and a
+/// solo [`execute_plan`] return the same rows in the same order with the same data
+/// access, copy traffic and probe-path buffer demand — on an unsharded and a 4-way
+/// sharded store, with the session's fetch cache off and on. Each lane gets a fresh
+/// session per query, so a cached session starts cold; it may serve a key the query
+/// repeats from the cache, so there the counters are compared lane against lane and
+/// only the rows against solo.
 #[test]
 fn session_lanes_match_solo_execution_on_every_family() {
     use bea::engine::{Session, SessionConfig, SharedStore};
 
-    /// Every covered query of `workload` through all three lanes at all eight
+    /// Every covered query of `workload` through all three lanes at all four
     /// corners; returns how many queries were exercised.
     fn assert_lanes_agree(
         schema: &AccessSchema,
@@ -955,74 +803,68 @@ fn session_lanes_match_solo_execution_on_every_family() {
             ),
         ];
         for store in &stores {
-            for threads in [1usize, 4] {
-                let options = ExecOptions::new().with_threads(threads);
-                for cache_rows in [0u64, 1 << 20] {
-                    let config = SessionConfig::new()
-                        .with_threads(threads)
-                        .with_cache_budget_rows(cache_rows);
-                    for plan in &plans {
-                        let corner = format!(
-                            "{} at {threads} threads / {} shards / cache {cache_rows}",
-                            plan.query_name(),
-                            store.store().shard_count()
-                        );
-                        let (solo_table, solo_stats) =
-                            execute_plan_on(plan, store.store(), &options).unwrap();
-                        let ran = {
-                            let session = Session::new(store.clone(), config);
-                            let (_, result) = session.run(plan).unwrap();
-                            result.unwrap()
-                        };
-                        let waited = {
-                            let session = Session::new(store.clone(), config);
-                            session.submit(plan).unwrap().wait().unwrap()
-                        };
-                        // The two lanes agree with each other on everything counted.
-                        assert!(
-                            ran.1.same_data_access(&waited.1),
-                            "the lanes disagree on the data access of {corner}: \
-                             {} vs {}",
-                            ran.1,
-                            waited.1
-                        );
-                        let traffic = |stats: &bea::engine::AccessStats| {
-                            (
-                                stats.values_cloned,
-                                stats.allocs_per_probe,
-                                stats.cache_hits,
-                                stats.rows_served_from_cache,
-                            )
-                        };
+            for cache_rows in [0u64, 1 << 20] {
+                let config = SessionConfig::new().with_cache_budget_rows(cache_rows);
+                for plan in &plans {
+                    let corner = format!(
+                        "{} at {} shards / cache {cache_rows}",
+                        plan.query_name(),
+                        store.store().shard_count()
+                    );
+                    let (solo_table, solo_stats) = execute_plan(plan, store.store()).unwrap();
+                    let ran = {
+                        let session = Session::new(store.clone(), config);
+                        let (_, result) = session.run(plan).unwrap();
+                        result.unwrap()
+                    };
+                    let waited = {
+                        let session = Session::new(store.clone(), config);
+                        session.submit(plan).unwrap().wait().unwrap()
+                    };
+                    // The two lanes agree with each other on everything counted.
+                    assert!(
+                        ran.1.same_data_access(&waited.1),
+                        "the lanes disagree on the data access of {corner}: \
+                         {} vs {}",
+                        ran.1,
+                        waited.1
+                    );
+                    let traffic = |stats: &bea::engine::AccessStats| {
+                        (
+                            stats.values_cloned,
+                            stats.allocs_per_probe,
+                            stats.cache_hits,
+                            stats.rows_served_from_cache,
+                        )
+                    };
+                    assert_eq!(
+                        traffic(&ran.1),
+                        traffic(&waited.1),
+                        "the lanes disagree on the copy or cache traffic of {corner}"
+                    );
+                    // Both agree with the solo run: always in rows and row order,
+                    // and uncached in every counter (a cached session serves a key
+                    // the query probes twice from the cache the second time).
+                    assert!(solo_table.is_set(), "repeated row solo, {corner}");
+                    for (lane, (table, stats)) in [("run", &ran), ("submit + wait", &waited)] {
+                        assert!(table.is_set(), "`{lane}` repeated a row of {corner}");
                         assert_eq!(
-                            traffic(&ran.1),
-                            traffic(&waited.1),
-                            "the lanes disagree on the copy or cache traffic of {corner}"
+                            table.rows(),
+                            solo_table.rows(),
+                            "`{lane}` changed the rows (or their order) of {corner}"
                         );
-                        // Both agree with the solo run: always in rows and row order,
-                        // and uncached in every counter (a cached session serves a key
-                        // the query probes twice from the cache the second time).
-                        assert!(solo_table.is_set(), "repeated row solo, {corner}");
-                        for (lane, (table, stats)) in [("run", &ran), ("submit + wait", &waited)] {
-                            assert!(table.is_set(), "`{lane}` repeated a row of {corner}");
-                            assert_eq!(
-                                table.rows(),
-                                solo_table.rows(),
-                                "`{lane}` changed the rows (or their order) of {corner}"
+                        if cache_rows == 0 {
+                            assert!(
+                                stats.same_data_access(&solo_stats),
+                                "`{lane}` changed the data access of {corner}: \
+                                 {stats} vs {solo_stats}"
                             );
-                            if cache_rows == 0 {
-                                assert!(
-                                    stats.same_data_access(&solo_stats),
-                                    "`{lane}` changed the data access of {corner}: \
-                                     {stats} vs {solo_stats}"
-                                );
-                                assert_eq!(
-                                    traffic(stats),
-                                    (solo_stats.values_cloned, solo_stats.allocs_per_probe, 0, 0),
-                                    "`{lane}` changed the copy traffic or buffer demand \
-                                     of {corner}"
-                                );
-                            }
+                            assert_eq!(
+                                traffic(stats),
+                                (solo_stats.values_cloned, solo_stats.allocs_per_probe, 0, 0),
+                                "`{lane}` changed the copy traffic or buffer demand \
+                                 of {corner}"
+                            );
                         }
                     }
                 }
@@ -1054,14 +896,13 @@ fn session_lanes_match_solo_execution_on_every_family() {
 /// semantic one: N repeated submissions of one anchored lookup query through a
 /// [`Session`] with a cache budget return identical rows in identical order every
 /// time; the first submission performs exactly the data access, copy traffic and
-/// probe-path buffer demand of an uncached solo [`execute_plan_on`] run (admission
+/// probe-path buffer demand of an uncached solo [`execute_plan`] run (admission
 /// keeps pricing the uncached worst case); and every later submission fetches *zero*
 /// tuples from the store and demands *zero* probe-path buffers — each posting list
 /// is served by one hash probe and a refcount bump. With the cache disabled
 /// (`BEA_CACHE_ROWS` unset and no configured budget) all N submissions reproduce
-/// today's counters byte-for-byte. Thread and shard counts come from the
-/// environment, so the CI matrix drives all four `BEA_THREADS` × `BEA_SHARDS`
-/// corners through this property.
+/// today's counters byte-for-byte. The shard count comes from the environment, so the
+/// CI matrix drives both `BEA_SHARDS` legs through this property.
 #[test]
 fn repeated_session_submissions_are_served_from_the_fetch_cache() {
     use bea::core::plan::{PlanBuilder, Predicate};
@@ -1134,10 +975,8 @@ fn repeated_session_submissions_are_served_from_the_fetch_cache() {
             let store = SharedStore::from(sharded);
 
             const REPEATS: usize = 4;
-            // Uncached solo baseline at the same env-resolved options.
-            let options = ExecOptions::new();
-            let (serial_table, serial_stats) =
-                execute_plan_on(&plan, store.store(), &options).unwrap();
+            // Uncached solo baseline.
+            let (serial_table, serial_stats) = execute_plan(&plan, store.store()).unwrap();
 
             // Enabled leg: a budget far above the working set — nothing evicts.
             let session = Session::new(
