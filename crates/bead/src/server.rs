@@ -364,14 +364,12 @@ fn body_line(row: &[Value]) -> String {
 }
 
 /// Build the daemon's default store: the generated accidents workload of Example
-/// 1.1 at roughly `tuples` tuples, indexed under ψ1–ψ4 in `BEA_SHARDS` shards (1 when
-/// unset).
+/// 1.1 at roughly `tuples` tuples, indexed under ψ1–ψ4.
 pub fn accidents_store(tuples: u64, seed: u64) -> bea_core::error::Result<SharedStore> {
     let config = bea_workload::accidents::AccidentsConfig::with_total_tuples(tuples, seed);
     let db = bea_workload::accidents::generate(&config)?;
     let schema = bea_workload::accidents::access_schema(db.catalog());
-    let shards = bea_storage::shards_from_env();
-    let store = bea_storage::IndexedDatabase::build_sharded(db, schema, shards)?;
+    let store = bea_storage::IndexedDatabase::build(db, schema)?;
     Ok(SharedStore::from(store))
 }
 

@@ -13,14 +13,27 @@ const BEACTL: &str = env!("CARGO_BIN_EXE_beactl");
 struct Daemon {
     child: Child,
     socket: PathBuf,
+    /// The `bead: listening on …` line it printed before `ready`.
+    banner: String,
 }
 
 impl Daemon {
     /// Start `bead` on a unique socket and block until it prints `ready`.
     fn start(budget: u64) -> Daemon {
+        Self::start_with(&format!("{budget}"), budget, None)
+    }
+
+    /// [`Daemon::start`] on the socket named by `tag`, with `BEA_SHARDS` set to
+    /// `shards`, or removed from its environment if `None`.
+    fn start_with(tag: &str, budget: u64, shards: Option<&str>) -> Daemon {
         let socket =
-            std::env::temp_dir().join(format!("bead-smoke-{}-{budget}.sock", std::process::id()));
-        let mut child = Command::new(BEAD)
+            std::env::temp_dir().join(format!("bead-smoke-{}-{tag}.sock", std::process::id()));
+        let mut command = Command::new(BEAD);
+        match shards {
+            Some(shards) => command.env("BEA_SHARDS", shards),
+            None => command.env_remove("BEA_SHARDS"),
+        };
+        let mut child = command
             .args([
                 "--socket",
                 socket.to_str().unwrap(),
@@ -41,16 +54,22 @@ impl Daemon {
             .expect("spawn bead");
         let stdout = child.stdout.take().expect("piped stdout");
         let mut lines = BufReader::new(stdout).lines();
+        let mut banner = String::new();
         loop {
             match lines.next() {
                 Some(Ok(line)) if line == "ready" => break,
+                Some(Ok(line)) if line.starts_with("bead: listening on ") => banner = line,
                 Some(Ok(_)) => continue,
                 other => panic!("bead exited before printing ready: {other:?}"),
             }
         }
         // Keep draining stdout so the daemon never blocks on a full pipe.
         std::thread::spawn(move || for _ in lines {});
-        Daemon { child, socket }
+        Daemon {
+            child,
+            socket,
+            banner,
+        }
     }
 
     fn ctl(&self, args: &[&str]) -> (i32, String) {
@@ -170,7 +189,11 @@ fn closed_stdout_does_not_break_serving_or_the_clean_exit() {
         .expect("spawn bead");
     // Drop the read end before the daemon has printed anything.
     drop(child.stdout.take());
-    let mut daemon = Daemon { child, socket };
+    let mut daemon = Daemon {
+        child,
+        socket,
+        banner: String::new(),
+    };
 
     // No `ready` line to wait for: poll the socket instead.
     let mut pong = None;
@@ -196,6 +219,44 @@ fn closed_stdout_does_not_break_serving_or_the_clean_exit() {
         "bead exits 0 after SHUTDOWN even though `bye` had nowhere to go"
     );
     assert!(!daemon.socket.exists(), "socket file removed on shutdown");
+}
+
+/// The end-to-end benchmark's `point_lookup_sharded` workload still starts `bead` with
+/// `BEA_SHARDS=4`. The variable is no longer read: such a daemon starts, reports the
+/// footprint one without it reports, and answers a point query and Q0 byte for byte
+/// alike.
+#[test]
+fn a_leftover_shards_variable_changes_nothing() {
+    let footprint = |banner: &str| -> String {
+        let at = banner.find("store_bytes=").expect(banner);
+        banner[at..].to_owned()
+    };
+    let plain = Daemon::start_with("plain", 0, None);
+    let sharded = Daemon::start_with("shards-4", 0, Some("4"));
+    assert!(footprint(&plain.banner).contains(" index_bytes="));
+    assert_eq!(footprint(&sharded.banner), footprint(&plain.banner));
+    // Each text goes once to each daemon, so both replies are cold.
+    let same_reply = |text: &str| -> String {
+        let (code, expected) = plain.ctl(&["query", text]);
+        assert_eq!(code, 0, "reply: {expected}");
+        assert!(
+            expected.lines().count() > 1,
+            "no rows for {text}: {expected}"
+        );
+        assert_eq!(
+            sharded.ctl(&["query", text]),
+            (0, expected.clone()),
+            "{text}"
+        );
+        expected
+    };
+    // A point query, then Q0 anchored at the district and day of its accident.
+    let reply = same_reply("Q(d, t) :- Accident(x, d, t), x = 1.");
+    let anchor = reply.lines().nth(1).unwrap().replace('\t', ", ");
+    same_reply(&format!(
+        "Q0(age) :- Accident(aid, {anchor}), Casualty(cid, aid, class, vid), \
+         Vehicle(vid, driver, age)."
+    ));
 }
 
 trait WaitTimeout {

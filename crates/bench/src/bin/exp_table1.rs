@@ -19,9 +19,9 @@
 //! values_cloned / rows_served_from_cache, and claim → value, all deterministic. The
 //! `scenarios` tests compare the committed file with a fresh build of the record byte
 //! for byte, so a change that moves a counter or a claim commits the rewritten file
-//! with it. The pipeline's own properties — streaming ≡ the literal reference,
-//! shard-invariance, solo ≡ served, the service's accept/reject split — are the scenario tests'
-//! to assert, in every test leg; this binary does not repeat them.
+//! with it. The pipeline's own properties — streaming ≡ the literal reference, solo ≡
+//! served, the service's accept/reject split — are the scenario tests' to assert; this
+//! binary does not repeat them.
 
 use bea_bench::claims::comparisons;
 use bea_bench::families;

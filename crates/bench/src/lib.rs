@@ -18,9 +18,9 @@
 //! ([`scenarios::pipeline_bench_report`]): the `scenarios` counters and the `claims`
 //! of E2–E6. A `scenarios` test checks the committed file against a fresh build of it,
 //! byte for byte; `docs/CLAIMS.md` sets each claim beside the paper's number. The
-//! pipeline's properties on those scenarios — streaming ≡ the literal reference,
-//! shard-invariance, solo ≡ served, the service's accept/reject split — are asserted by
-//! the `scenarios` tests at the record's sizes, not by the binary.
+//! pipeline's properties on those scenarios — streaming ≡ the literal reference, solo ≡
+//! served, the service's accept/reject split — are asserted by the `scenarios` tests at
+//! the record's sizes, not by the binary.
 //!
 //! The library part holds the pieces shared by the binary and the tests: the claims
 //! builder ([`claims`]), scenario builders ([`scenarios`]), chain-query families for

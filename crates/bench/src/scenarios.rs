@@ -286,60 +286,6 @@ impl HeavyChainScenario {
     }
 }
 
-/// The sharded-execution scenario: the anchored Q0 accidents query over `K`
-/// index-partition shards. One plan, keys routed at run time: the physical plan is the
-/// one the unsharded store runs, and the store sends every probe to the shard that owns
-/// its key. The unsharded `indexed` twin of the same data is kept so invariants (same
-/// rows in the same order, same access totals, same copy traffic) are assertable
-/// against shards = 1.
-pub struct ShardedScenario {
-    /// The relational schema.
-    pub catalog: Catalog,
-    /// ψ1–ψ4.
-    pub schema: AccessSchema,
-    /// The sharded store (`shards` index partitions per constraint).
-    pub sharded: IndexedDatabase,
-    /// The same data, unsharded — the shards = 1 baseline.
-    pub indexed: IndexedDatabase,
-    /// Q0 anchored at a district/day present in the data.
-    pub q0: ConjunctiveQuery,
-    /// The boundedly evaluable plan for Q0.
-    pub plan: QueryPlan,
-    /// The lowered plan — the same physical plan at every shard count.
-    pub physical: PhysicalPlan,
-    /// Number of shards.
-    pub shards: u32,
-}
-
-impl ShardedScenario {
-    /// Build the scenario with `shards` shards over roughly `total_tuples` tuples.
-    pub fn with_shards(shards: u32, total_tuples: u64, seed: u64) -> Result<Self> {
-        let catalog = accidents::catalog();
-        let schema = accidents::access_schema(&catalog);
-        let config = accidents::AccidentsConfig::with_total_tuples(total_tuples, seed);
-        let db = accidents::generate(&config)?;
-        let q0 = accidents::q0(
-            &catalog,
-            &accidents::district_value(0),
-            &accidents::date_value(1),
-        )?;
-        let plan = bounded_plan(&q0, &schema)?;
-        let physical = lower_plan(&plan)?;
-        let sharded = IndexedDatabase::build_sharded(db.clone(), schema.clone(), shards)?;
-        let indexed = IndexedDatabase::build(db, schema.clone())?;
-        Ok(Self {
-            catalog,
-            schema,
-            sharded,
-            indexed,
-            q0,
-            plan,
-            physical,
-            shards,
-        })
-    }
-}
-
 /// The multi-query service scenario: one shared accidents store plus a mixed batch of
 /// priced queries — an *admitted* set of independently anchored Q0 plans and a
 /// *rejected* set of Q0-storm unions whose static fetch bound exceeds the budget. The
@@ -486,13 +432,12 @@ pub fn pipeline_bench_report() -> Result<PipelineBenchReport> {
 /// The record's `scenarios` section, its `claims` left empty: run the streaming
 /// pipeline once per scenario and keep its deterministic counters (access, residency,
 /// copy traffic, probe-path buffer demand, cache service). Every run is alone on its
-/// thread, so the section does not depend on the machine or `BEA_SHARDS`.
+/// thread, so the section does not depend on the machine.
 pub fn scenario_record() -> Result<PipelineBenchReport> {
     let accidents = AccidentsScenario::with_total_tuples(20_000, BENCH_REPORT_SEED)?;
     let graph = GraphScenario::with_persons(500, BENCH_REPORT_SEED)?;
     let ecommerce = EcommerceScenario::with_customers(300, BENCH_REPORT_SEED)?;
     let batch = ParallelScenario::with_branches(6, 20_000, BENCH_REPORT_SEED)?;
-    let sharded = ShardedScenario::with_shards(4, 20_000, BENCH_REPORT_SEED)?;
     let chain = HeavyChainScenario::with_fan_out(16_384, BENCH_REPORT_SEED)?;
 
     let mut report = PipelineBenchReport::default();
@@ -505,11 +450,10 @@ pub fn scenario_record() -> Result<PipelineBenchReport> {
         let (_, stats) = execute_plan(plan, indexed)?;
         report.insert(name, BenchEntry::from(&stats));
     }
-    // The batch, the heavy chain and the sharded Q0, from their lowered plans.
-    let physical_cases: [(&str, &PhysicalPlan, &IndexedDatabase); 3] = [
+    // The batch and the heavy chain, from their lowered plans.
+    let physical_cases: [(&str, &PhysicalPlan, &IndexedDatabase); 2] = [
         ("parallel_q0_batch_6", &batch.physical, &batch.indexed),
         ("heavy_chain_fan_16384", &chain.physical, &chain.indexed),
-        ("sharded_q0_shards_4", &sharded.physical, &sharded.sharded),
     ];
     for (name, physical, store) in physical_cases {
         let (_, stats) = execute_physical_on(physical, store, &ExecOptions::new())?;
@@ -578,7 +522,6 @@ mod tests {
             "ecommerce_orders",
             "parallel_q0_batch_6",
             "heavy_chain_fan_16384",
-            "sharded_q0_shards_4",
             "service_mixed_traffic",
             "cached_repeat_traffic_cold",
         ] {
@@ -721,54 +664,6 @@ mod tests {
                 materialized.values_cloned
             );
         }
-    }
-
-    /// The acceptance property of sharded execution on its target scenario: the
-    /// sharded physical plan equals the unsharded one, and a 4-shard run of it returns the unsharded run's rows in the same order and fetches
-    /// *exactly* the same total rows — boundedness is preserved under partitioning,
-    /// asserted via the per-shard `AccessStats` (the shard counts sum to the total and
-    /// the work genuinely spreads over several partitions).
-    #[test]
-    fn sharded_scenario_preserves_boundedness_under_partitioning() {
-        let scenario = ShardedScenario::with_shards(4, 20_000, BENCH_REPORT_SEED).unwrap();
-        assert!(scenario.sharded.satisfies_schema());
-        assert!(scenario.plan.is_bounded_under(&scenario.schema));
-        assert_eq!(scenario.catalog.len(), 3);
-        let unsharded = ShardedScenario::with_shards(1, 20_000, BENCH_REPORT_SEED).unwrap();
-        assert_eq!(scenario.physical, unsharded.physical);
-
-        // shards = 1 baseline: the plain indexed store.
-        let run = |store| execute_physical_on(&scenario.physical, store, &ExecOptions::new());
-        let (baseline, baseline_stats) = run(&scenario.indexed).unwrap();
-        // The sharded run at the scenario's target shape: 4 shards.
-        let (sharded, sharded_stats) = run(&scenario.sharded).unwrap();
-
-        assert_eq!(sharded.rows(), baseline.rows());
-        assert_eq!(
-            sharded_stats.tuples_fetched, baseline_stats.tuples_fetched,
-            "partitioning changed the fetch volume"
-        );
-        assert!(sharded_stats.same_data_access(&baseline_stats));
-        assert_eq!(sharded_stats.values_cloned, baseline_stats.values_cloned);
-        assert_eq!(
-            sharded_stats.allocs_per_probe,
-            baseline_stats.allocs_per_probe
-        );
-        // Per-shard boundedness: the partitions serve exactly the total, and more
-        // than one partition actually serves (the anchored keys spread at this seed).
-        assert_eq!(
-            sharded_stats.rows_fetched_by_shard.values().sum::<u64>(),
-            sharded_stats.tuples_fetched
-        );
-        assert!(
-            sharded_stats.rows_fetched_by_shard.len() >= 2,
-            "all fetches landed on one shard: {:?}",
-            sharded_stats.rows_fetched_by_shard
-        );
-        assert!(sharded_stats.tuples_fetched < scenario.sharded.size());
-
-        let (naive, _) = eval_cq(&scenario.q0, scenario.sharded.database()).unwrap();
-        assert!(sharded.same_rows(&naive));
     }
 
     /// The heavy chain, at the perf record's fan-out, is one pipeline and agrees with

@@ -50,14 +50,11 @@
 //!   it is a genuine pipeline breaker: its result is consumed by more than one operator
 //!   (or it is the plan output). Everything else streams.
 //!
-//! **One plan at every shard and thread count.** Lowering never looks at the store.
-//! Where a key's postings live is the store's business: a partitioned store sends
-//! every probe to the shard that owns its key when the plan runs, so a sharded store
-//! executes exactly the plan its unsharded twin does — same steps, same pipelines,
-//! same [`super::ticket::CostTicket`]. The paper's bound is about *which*
-//! `(constraint, key)` lookups a plan makes, and partitioning changes none of them.
-//! Nor does lowering plan for threads: a bounded query touches a small slice of the
-//! data, so a plan runs on one thread, and threads run many queries at once.
+//! **One plan, whatever the store and the thread count.** Lowering never looks at the
+//! store: the paper's bound is about *which* `(constraint, key)` lookups a plan makes,
+//! and where a key's postings live is the store's business. Nor does lowering plan for
+//! threads: a bounded query touches a small slice of the data, so a plan runs on one
+//! thread, and threads run many queries at once.
 //!
 //! Each materialization point, together with the streaming region feeding it, is one
 //! pipeline; a step reads only earlier steps, so the engine runs them in step order.
@@ -471,10 +468,10 @@ impl LowerOptions {
         self
     }
 
-    /// Does nothing: lowering does not depend on the store, and a sharded store routes
-    /// every key at run time (see the module docs). Kept only because the end-to-end
-    /// benchmark harness (`benchmark/`) still calls it; the next change to the harness
-    /// drops that call, and then this method goes.
+    /// Does nothing: lowering does not depend on the store, which has one index per
+    /// constraint (see the module docs). Kept only because the end-to-end benchmark
+    /// harness (`benchmark/`) still calls it; the next change to the harness drops that
+    /// call, and then this method goes.
     pub fn with_shard_fanout(self, _shards: u32) -> Self {
         self
     }

@@ -14,8 +14,7 @@
 //! buffer-pool sizing rule, [`step_surface`] — every keyed lookup (the one physical
 //! step that fetches) demands one buffer per fetched position plus the key row and the
 //! selection vector — summed over the plan's steps. Lowering does not depend on the
-//! store, so neither does the ticket: a sharded store prices a query exactly as its
-//! unsharded twin does.
+//! store, so neither does the ticket.
 
 use super::physical::{PhysOp, PhysicalPlan};
 use super::{AccessSchema, QueryPlan};

@@ -1,11 +1,11 @@
 //! The session-level cross-query fetch cache: a striped, bounded LRU hot tier in
-//! front of the index partition.
+//! front of the store's indexes.
 //!
 //! [`crate::ops`]'s `KeyedLookupOp` already retains per-key fetch results — but its
 //! arena dies with its query, so a service replaying the same anchored probes
 //! re-fetches identical postings on every connection. [`SessionFetchCache`] hoists
 //! the idea one level up: it is owned by the [`crate::session::Session`], shared by
-//! every query the session runs, and probed *before* the index partition. A warm hit
+//! every query the session runs, and probed *before* the store's index. A warm hit
 //! is one map lookup under the hash its key already carries ([`HashedRow`]: the same
 //! hash picked the stripe) plus a refcount bump — zero value clones, zero probe
 //! allocations, and none of the fetch-side counters (`tuples_fetched`,

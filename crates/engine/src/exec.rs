@@ -47,9 +47,8 @@ impl ExecOptions {
     }
 }
 
-/// Execute an already-lowered physical plan against a store at any shard count (the
-/// options change nothing). One plan, keys routed at run time: the store sends each
-/// probe to the shard that owns its key.
+/// Execute an already-lowered physical plan against a store (the options change
+/// nothing).
 pub fn execute_physical_on(
     plan: &PhysicalPlan,
     store: Store<'_>,
@@ -58,13 +57,8 @@ pub fn execute_physical_on(
     ops::execute(plan, store)
 }
 
-/// Execute a plan against a store at any shard count.
-///
-/// One plan, keys routed at run time: lowering never looks at the store, so a store
-/// runs the same plan at every shard count, and the store sends each probe to the
-/// shard that owns its key. Rows, their order and every counter are the 1-shard
-/// run's, except the per-shard fetch distribution
-/// (`AccessStats::rows_fetched_by_shard`).
+/// Execute a plan against a store: lower it ([`lower_plan`], which never looks at the
+/// store) and run the physical plan.
 pub fn execute_plan(plan: &QueryPlan, store: Store<'_>) -> Result<(Table, AccessStats)> {
     ops::execute(&lower_plan(plan)?, store)
 }
@@ -72,7 +66,7 @@ pub fn execute_plan(plan: &QueryPlan, store: Store<'_>) -> Result<(Table, Access
 /// The reference executor — the literal step loop: every plan step produces a full
 /// [`Table`], all of which stay resident until the end (reflected in
 /// `peak_rows_resident`), and every × materializes `|left| · |right|` rows (reflected
-/// in `product_rows_materialized`). The store routes each fetch to the owning shard.
+/// in `product_rows_materialized`).
 pub fn execute_plan_materialized(
     plan: &QueryPlan,
     store: Store<'_>,
@@ -111,8 +105,8 @@ pub fn execute_plan_materialized(
                 let positions: Vec<usize> = x_attrs.iter().chain(y_attrs.iter()).copied().collect();
                 for key in keys {
                     stats.index_lookups += 1;
-                    let (fetched, shard) = store.fetch_iter(*constraint_index, &key)?;
-                    stats.record_fetched_sharded(relation, shard, fetched.len() as u64);
+                    let (fetched, _) = store.fetch_iter(*constraint_index, &key)?;
+                    stats.record_fetched(relation, fetched.len() as u64);
                     stats.values_cloned += (fetched.len() * positions.len()) as u64;
                     for tuple in fetched {
                         out.push(positions.iter().map(|&p| tuple[p].clone()).collect());

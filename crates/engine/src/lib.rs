@@ -75,8 +75,8 @@
 //!   which demands no buffer per key, cold or warm, so nothing charges the counter
 //!   and it reads 0 on every run. It stays on the wire (`bead` replies,
 //!   `BENCH_pipeline.json`) until the modelled accounting is deleted as a whole; the
-//!   real allocation counts come from counting-allocator tests. Like the shard
-//!   distribution it is excluded from [`AccessStats::same_data_access`];
+//!   real allocation counts come from counting-allocator tests. Like the other
+//!   strategy artifacts it is excluded from [`AccessStats::same_data_access`];
 //! * one row hash, [`bea_core::value::hash_row`], serves every one of those tables,
 //!   the cache stripes and the store's indexes: a fixed mixer, not SipHash — rows
 //!   are loaded data and query constants, every hit is confirmed by comparing
@@ -98,30 +98,17 @@
 //! across queries, which a [`session::Session`] admits side by side from its callers'
 //! threads.
 //!
-//! # Sharded execution: one plan, keys routed at run time
+//! # The store
 //!
-//! There is one store type, `bea_storage::IndexedDatabase`, whose indexes are
-//! partitioned into `shard_count ≥ 1` shards; the unsharded store is the 1-shard
-//! store. The shard count changes where a key's postings are read, and nothing else:
-//!
-//! * **Lowering and execution order** never look at the store: a store runs the same
-//!   plan at every shard count, pipeline for pipeline, with the same ticket.
-//! * **Routing** is the store's: every batch of probe keys goes to
-//!   `bea_storage::IndexedDatabase::resolve`, which sends each key to the shard that
-//!   owns it (`bea_storage::shard_of`, a deterministic hash) and reports the serving
-//!   shard.
-//! * **Accounting**: [`AccessStats::rows_fetched_by_shard`] splits `tuples_fetched`
-//!   by serving shard (the two always sum up), so boundedness is assertable per
-//!   shard; the distribution is a placement artifact and excluded from
-//!   [`AccessStats::same_data_access`]. Rows, row order, data-access totals and copy
-//!   traffic are identical at every shard count — partitioning relocates bounded
-//!   work, it never adds any.
+//! There is one store type, `bea_storage::IndexedDatabase`, with one index per access
+//! constraint. Lowering never looks at it, and every batch of probe keys reaches it
+//! through `bea_storage::IndexedDatabase::resolve`, the store's batched fetch.
 //!
 //! # Multi-query execution and admission control
 //!
 //! [`session::Session`] runs many queries side by side, each on the thread that
 //! asked for it: it owns the store, the admission limits and the fetch cache, and no
-//! thread. The contract, asserted by `tests/properties.rs` across shard counts:
+//! thread. The contract, asserted by `tests/properties.rs`:
 //!
 //! * **Per-query isolation.** Each query runs against its own materialization slots,
 //!   residency ledger and [`AccessStats`]; its rows, row order and every

@@ -75,20 +75,10 @@
 //! The operator does not touch the shared [`crate::stats::AccessStats`] per key:
 //! lookups, clones and cache hits accumulate in an operator-local [`ProbeTally`],
 //! flushed once per pull and on drop — an error or a short-circuiting consumer loses
-//! nothing. A miss's fetched tuples go straight to the query's flat per-(step, shard)
-//! tally ([`crate::stats::FetchTally`]), which names no relation and allocates nothing
-//! once the thread's state has grown to its plans; it is written into the query's
-//! per-relation and per-shard maps when the query finishes.
-//!
-//! # Shard routing
-//!
-//! One plan, keys routed at run time: a store runs the same plan at every shard
-//! count, and the operator does not know how many shards there are. Every key goes to
-//! [`bea_storage::IndexedDatabase::resolve`], which sends it to the shard that owns it
-//! ([`bea_storage::shard_of`]) and reports that shard beside its postings, so
-//! [`crate::stats::AccessStats::rows_fetched_by_shard`] is the only trace sharding
-//! leaves in the counters. Rows, their order and every other counter are the 1-shard
-//! run's.
+//! nothing. A miss's fetched tuples go straight to the query's flat per-step tally
+//! ([`crate::stats::FetchTally`]), which names no relation and allocates nothing once
+//! the thread's state has grown to its plans; it is written into the query's
+//! per-relation map when the query finishes.
 
 use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, HashedRow, RowTable};
 use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
@@ -135,7 +125,7 @@ struct Pass<'db> {
     arity: usize,
     keys: Vec<Value>,
     hashes: Vec<u64>,
-    resolved: Vec<(FetchIter<'db>, u32)>,
+    resolved: Vec<FetchIter<'db>>,
 }
 
 impl<'db> Pass<'db> {
@@ -295,10 +285,10 @@ impl<'a> FetchStep<'a> {
         }
     }
 
-    /// Count `tuples` this step fetched from `shard` on the query's state, at once — a
-    /// probed shard is reported even when its keys matched nothing.
-    fn fetched(self, state: &SharedState, shard: u32, tuples: u64) {
-        state.borrow_mut().fetched.add(self.step, shard, tuples);
+    /// Count `tuples` this step fetched on the query's state, at once — a probed step
+    /// is reported even when its keys matched nothing.
+    fn fetched(self, state: &SharedState, tuples: u64) {
+        state.borrow_mut().fetched.add(self.step, tuples);
     }
 
     /// The session cache's space for this step's entries, with the pre-projection
@@ -757,14 +747,14 @@ impl<'db> KeyedLookupOp<'db> {
     /// the arena's open segment, acquiring residency for the rows now held.
     fn fetch(&mut self, p: usize) -> Postings<'db> {
         self.tally.index_lookups += 1;
-        let (mut tuples, shard) = self.pass.resolved[p].clone();
+        let mut tuples = self.pass.resolved[p].clone();
         if tuples.len() <= 1 {
-            self.fetch.fetched(&self.state, shard, tuples.len() as u64);
+            self.fetch.fetched(&self.state, tuples.len() as u64);
             return Postings::Tuple(tuples.next());
         }
         let (fetched, range) = self.arena.append(tuples, self.fetch.positions);
         self.tally.values_cloned += fetched * self.fetch.positions.len() as u64;
-        self.fetch.fetched(&self.state, shard, fetched);
+        self.fetch.fetched(&self.state, fetched);
         self.state.borrow_mut().acquire(range.len as u64);
         self.cached_rows += range.len as u64;
         Postings::Arena(range)

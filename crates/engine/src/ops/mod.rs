@@ -1,11 +1,9 @@
 //! The streaming batch pipeline executing physical plans.
 //!
 //! [`crate::exec::execute_physical_on`] runs a [`PhysicalPlan`] (lowered by
-//! `bea_core::plan::physical::lower_plan`) against a [`Store`] — at any shard count,
-//! the store routing each probe key to the shard owning it — as a tree of pull-based
-//! operators, each implementing
-//! [`Operator::next_batch`]. Rows move through
-//! the pipeline in bounded **columnar** [`batch::Batch`]es — filter and project are
+//! `bea_core::plan::physical::lower_plan`) against a [`Store`] as a tree of pull-based
+//! operators, each implementing [`Operator::next_batch`]. Rows move through the
+//! pipeline in bounded **columnar** [`batch::Batch`]es — filter and project are
 //! selection-vector and column-permutation metadata, only gathers (joins, products,
 //! fetch output) write values, and every value write is an O(1) clone (interned string
 //! payloads; see the [`batch`] docs). Only genuine pipeline breakers hold rows for
@@ -199,7 +197,7 @@ pub(crate) fn pool_cap_for(plan: &PhysicalPlan) -> usize {
 pub(crate) struct ExecState {
     /// Access statistics accumulated by the query's operators.
     pub stats: AccessStats,
-    /// Tuples fetched per step and shard by the query's operators.
+    /// Tuples fetched per step by the query's operators.
     pub(crate) fetched: FetchTally,
     /// Recycled gather/selection/key buffers; see [`BufferPool`].
     pub(crate) pool: BufferPool,
@@ -928,85 +926,6 @@ pub(crate) mod tests {
             );
             assert_eq!(stats.index_lookups, *distinct_keys, "{case}");
             assert_eq!(stats.allocs_per_probe, 0, "{case}");
-        }
-    }
-
-    /// One keyed lookup over the union of `keys` — the same probes as
-    /// [`union_of_lookups`], but read off a data-dependent source: one lookup probes
-    /// keys that several shards own.
-    fn lookup_over_key_union(keys: &[i64]) -> QueryPlan {
-        let mut b = PlanBuilder::new();
-        let mut source = b.constant(Value::int(keys[0]), "k");
-        for &key in &keys[1..] {
-            let next = b.constant(Value::int(key), "k");
-            source = b.union(source, next);
-        }
-        let fetched = b.fetch(
-            source,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let prod = b.product(source, fetched);
-        let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
-        b.finish("Q", sel).unwrap()
-    }
-
-    #[test]
-    fn sharded_execution_is_invariant_and_accounts_per_shard() {
-        let idb = setup();
-        // The same three probes twice: as constants in the plan, one lookup each, and
-        // as data, one lookup probing keys of several shards. Either way the plan is
-        // the unsharded one and the store routes every key at run time.
-        let constant_keys = union_of_lookups(&[1, 2, 3]);
-        let data_keys = lookup_over_key_union(&[1, 2, 3]);
-
-        for shards in [1u32, 2, 4] {
-            let sdb = IndexedDatabase::build_sharded(
-                idb.database().clone(),
-                idb.schema().clone(),
-                shards,
-            )
-            .unwrap();
-            let mut fetched_by_shard = Vec::new();
-            for plan in [&constant_keys, &data_keys] {
-                let phys = bea_core::plan::lower_plan(plan).unwrap();
-                let (base_table, base_stats, _) = execute_inner(&phys, &idb).unwrap();
-                let (table, stats, ledger) = execute_inner(&phys, &sdb).unwrap();
-                assert_eq!(
-                    table.rows(),
-                    base_table.rows(),
-                    "rows or row order changed at {shards} shards"
-                );
-                assert!(
-                    stats.same_data_access(&base_stats),
-                    "data access changed at {shards} shards: {stats} vs {base_stats}"
-                );
-                assert_eq!(
-                    stats.values_cloned, base_stats.values_cloned,
-                    "copy traffic changed at {shards} shards"
-                );
-                // Boundedness per shard: the partitions serve exactly the total.
-                assert_eq!(
-                    stats.rows_fetched_by_shard.values().sum::<u64>(),
-                    stats.tuples_fetched
-                );
-                assert!(stats
-                    .rows_fetched_by_shard
-                    .keys()
-                    .all(|&shard| shard < shards));
-                assert_eq!(stats.peak_rows_resident, base_stats.peak_rows_resident);
-                assert_eq!(ledger.resident(), 0);
-                fetched_by_shard.push(stats.rows_fetched_by_shard);
-            }
-            // A key is served by the shard that owns it, whichever plan probes it.
-            assert!(
-                fetched_by_shard.windows(2).all(|pair| pair[0] == pair[1]),
-                "per-shard fetched counts differ at {shards} shards: {fetched_by_shard:?}"
-            );
         }
     }
 

@@ -15,12 +15,12 @@
 //!   are per query, and a panicking operator unwinds through its own caller only
 //!   ([`Session::submit`] keeps the payload for [`QueryHandle::wait`] to re-raise).
 //! * **One way in** — a submission is two halves. [`Session::prepare`] is the
-//!   value-free one: lower the logical plan (one plan at any shard count, keys routed
-//!   at run time), validate it against the store, derive its [`CostTicket`]. None of
-//!   that reads a constant's value and the store is immutable, so a [`PreparedPlan`]
-//!   made from a template — [`bea_core::value::Value::placeholder`]s where the
-//!   constants go — is good for every request of that shape: validation, pricing and
-//!   the buffer-pool cap are paid per template, not per query.
+//!   value-free one: lower the logical plan, validate it against the store, derive
+//!   its [`CostTicket`]. None of that reads a constant's value and the store is
+//!   immutable, so a [`PreparedPlan`] made from a template —
+//!   [`bea_core::value::Value::placeholder`]s where the constants go — is good for
+//!   every request of that shape: validation, pricing and the buffer-pool cap are
+//!   paid per template, not per query.
 //!   [`Session::run_prepared`] is the other half: the constant count checked,
 //!   rejection checks on the stored ticket, admission, then the shared plan run in
 //!   place — a request carries only its constants, and each operator reads its
@@ -77,7 +77,7 @@ pub const CACHE_ROWS_ENV: &str = "BEA_CACHE_ROWS";
 /// unparsable is an error naming the reason. Pure, so it is testable without mutating
 /// the process environment.
 pub fn parse_fetch_budget(value: &str) -> std::result::Result<Option<u64>, String> {
-    Ok(bea_core::env::parse_count(value)?.auto_when_zero())
+    bea_core::env::parse_count(value)
 }
 
 /// Parse a [`CACHE_ROWS_ENV`] value. `Ok(Some(n))` is a cache budget of `n` resident
@@ -86,7 +86,7 @@ pub fn parse_fetch_budget(value: &str) -> std::result::Result<Option<u64>, Strin
 /// [`parse_fetch_budget`], so it is testable without mutating the process
 /// environment.
 pub fn parse_cache_rows(value: &str) -> std::result::Result<Option<u64>, String> {
-    Ok(bea_core::env::parse_count(value)?.auto_when_zero())
+    bea_core::env::parse_count(value)
 }
 
 /// A store a [`Session`] can own: an `Arc`-shared [`IndexedDatabase`]. Cloning shares
@@ -459,12 +459,12 @@ impl Session {
 
     /// The value-free half of a submission: lower `plan` exactly as
     /// [`crate::exec::execute_plan`] does (so a session run is the same physical plan
-    /// as a solo run — and, keys being routed at run time, the same plan at every shard
-    /// count), validate the result against the store, and price it. None of the three
-    /// looks at a constant's value, and the store is immutable, so one [`PreparedPlan`]
-    /// serves every query that differs from `plan` only in its constants — prepare a
-    /// template once ([`bea_core::value::Value::placeholder`] where the constants go)
-    /// and hand each request's values to [`Session::run_prepared`].
+    /// as a solo run), validate the result against the store, and price it. None of
+    /// the three looks at a constant's value, and the store is immutable, so one
+    /// [`PreparedPlan`] serves every query that differs from `plan` only in its
+    /// constants — prepare a template once ([`bea_core::value::Value::placeholder`]
+    /// where the constants go) and hand each request's values to
+    /// [`Session::run_prepared`].
     pub fn prepare(&self, plan: &QueryPlan) -> Result<PreparedPlan> {
         let store = self.store.store();
         let physical = lower_plan(plan)?;

@@ -69,17 +69,16 @@ pub struct AccessStats {
     /// schedule or the cache configuration rather than the probes: per-batch emission
     /// columns and per-operator arena, key and membership-table columns (pooled,
     /// growing by doubling), and the compact copy — with its owned key — a fill claim
-    /// publishes into the session cache. Counting them would break the
-    /// shard-invariance this counter is asserted to have, and the equality of cold
-    /// cached and uncached runs. A pool hit still counts — the *demand* is what
-    /// the serving loop must avoid. It is a streaming-pipeline metric: the
-    /// materialized executor reports 0. Like `values_cloned` it is an
-    /// execution-strategy artifact, excluded from
+    /// publishes into the session cache. Counting them would break the equality of
+    /// cold cached and uncached runs this counter is asserted to have. A pool hit still
+    /// counts — the *demand* is what the serving loop must avoid. It is a
+    /// streaming-pipeline metric: the materialized executor reports 0. Like
+    /// `values_cloned` it is an execution-strategy artifact, excluded from
     /// [`AccessStats::same_data_access`], and merges additively.
     pub allocs_per_probe: u64,
     /// Number of probes served by the session-level cross-query fetch cache (see
     /// `bea_engine::session`): lookups that returned a previously fetched posting
-    /// batch by refcount bump instead of touching the index partition. A hit charges
+    /// batch by refcount bump instead of touching the index. A hit charges
     /// *none* of the fetch-side counters — no `tuples_fetched`, no `index_lookups`,
     /// no `allocs_per_probe` — which is what makes a warm repeat of an anchored query
     /// assertably fetch-free. Zero whenever no session cache is configured, so a
@@ -97,14 +96,6 @@ pub struct AccessStats {
     /// Tuples fetched through index lookups, per relation. Lets experiments attribute
     /// the access cost of a plan to the constraints that served it.
     pub rows_fetched_by_relation: BTreeMap<String, u64>,
-    /// Tuples fetched per index-partition shard (shard 0 holds everything on an
-    /// unsharded store). The per-shard counts always sum to
-    /// [`AccessStats::tuples_fetched`], which is what makes boundedness assertable
-    /// *per shard*: partitioning redistributes the bounded fetch volume, it never adds
-    /// to it. Like residency, the distribution is a placement artifact — the same plan
-    /// run at different shard counts spreads the identical total differently — so it
-    /// is excluded from [`AccessStats::same_data_access`].
-    pub rows_fetched_by_shard: BTreeMap<u32, u64>,
 }
 
 impl AccessStats {
@@ -113,16 +104,9 @@ impl AccessStats {
         self.tuples_fetched + self.tuples_scanned
     }
 
-    /// Record `tuples` fetched from `relation` by (unsharded) shard 0; see
-    /// [`AccessStats::record_fetched_sharded`].
+    /// Record `tuples` fetched from `relation` (updates the global and per-relation
+    /// counters together, so their sums can never drift apart).
     pub fn record_fetched(&mut self, relation: &str, tuples: u64) {
-        self.record_fetched_sharded(relation, 0, tuples);
-    }
-
-    /// Record `tuples` fetched from `relation` through the index partition `shard`
-    /// (updates the global, per-relation and per-shard counters together, so their
-    /// sums can never drift apart).
-    pub fn record_fetched_sharded(&mut self, relation: &str, shard: u32, tuples: u64) {
         self.tuples_fetched += tuples;
         if let Some(count) = self.rows_fetched_by_relation.get_mut(relation) {
             *count += tuples;
@@ -130,14 +114,11 @@ impl AccessStats {
             self.rows_fetched_by_relation
                 .insert(relation.to_owned(), tuples);
         }
-        *self.rows_fetched_by_shard.entry(shard).or_insert(0) += tuples;
     }
 
     /// True when both executions read the same amount of data the same way — the
     /// boundedness-preservation check of the streaming/materialized ablation. Residency
-    /// and product materialization are execution-strategy artifacts and excluded; so is
-    /// the per-shard fetch distribution, which depends on the store's shard count while
-    /// the totals it sums to do not.
+    /// and product materialization are execution-strategy artifacts and excluded.
     pub fn same_data_access(&self, other: &AccessStats) -> bool {
         self.tuples_fetched == other.tuples_fetched
             && self.index_lookups == other.index_lookups
@@ -165,27 +146,24 @@ impl AccessStats {
         for (relation, tuples) in rhs.rows_fetched_by_relation {
             *self.rows_fetched_by_relation.entry(relation).or_insert(0) += tuples;
         }
-        for (shard, tuples) in rhs.rows_fetched_by_shard {
-            *self.rows_fetched_by_shard.entry(shard).or_insert(0) += tuples;
-        }
     }
 }
 
-/// Tuples fetched per `(plan step, shard)` while a query runs: a flat list on the
-/// thread's reused execution state, so no probe allocates a map entry or a relation
-/// name. When the query finishes it is recorded into its per-relation and per-shard maps
-/// (a probe that fetched nothing still names its relation and shard there).
+/// Tuples fetched per plan step while a query runs: a flat list on the thread's
+/// reused execution state, so no probe allocates a map entry or a relation name. When
+/// the query finishes it is recorded into its per-relation map (a probe that fetched
+/// nothing still names its relation there).
 #[derive(Debug, Default)]
 pub(crate) struct FetchTally {
-    counts: Vec<(usize, u32, u64)>,
+    counts: Vec<(usize, u64)>,
 }
 
 impl FetchTally {
-    /// Count `tuples` fetched by `step` from `shard`.
-    pub(crate) fn add(&mut self, step: usize, shard: u32, tuples: u64) {
-        match (self.counts.iter_mut()).find(|(s, h, _)| (*s, *h) == (step, shard)) {
-            Some((_, _, count)) => *count += tuples,
-            None => self.counts.push((step, shard, tuples)),
+    /// Count `tuples` fetched by `step`.
+    pub(crate) fn add(&mut self, step: usize, tuples: u64) {
+        match self.counts.iter_mut().find(|(s, _)| *s == step) {
+            Some((_, count)) => *count += tuples,
+            None => self.counts.push((step, tuples)),
         }
     }
 
@@ -194,15 +172,15 @@ impl FetchTally {
         self.counts.clear();
     }
 
-    /// Record every count into `stats` ([`AccessStats::record_fetched_sharded`]),
+    /// Record every count into `stats` ([`AccessStats::record_fetched`]),
     /// leaving the tally empty; `relation` names the relation each step fetches from.
     pub(crate) fn drain_into<'a>(
         &mut self,
         stats: &mut AccessStats,
         relation: impl Fn(usize) -> &'a str,
     ) {
-        for (step, shard, tuples) in self.counts.drain(..) {
-            stats.record_fetched_sharded(relation(step), shard, tuples);
+        for (step, tuples) in self.counts.drain(..) {
+            stats.record_fetched(relation(step), tuples);
         }
     }
 }
@@ -252,7 +230,6 @@ mod tests {
             cache_hits: 1,
             rows_served_from_cache: 8,
             rows_fetched_by_relation: [("R".to_owned(), 10)].into_iter().collect(),
-            rows_fetched_by_shard: [(0, 10)].into_iter().collect(),
         };
         a += AccessStats {
             tuples_fetched: 5,
@@ -268,7 +245,6 @@ mod tests {
             rows_fetched_by_relation: [("R".to_owned(), 2), ("S".to_owned(), 3)]
                 .into_iter()
                 .collect(),
-            rows_fetched_by_shard: [(0, 2), (1, 3)].into_iter().collect(),
         };
         assert_eq!(a.tuples_fetched, 15);
         assert_eq!(a.index_lookups, 3);
@@ -282,8 +258,6 @@ mod tests {
         assert_eq!(a.total_tuples_read(), 115);
         assert_eq!(a.rows_fetched_by_relation["R"], 12);
         assert_eq!(a.rows_fetched_by_relation["S"], 3);
-        assert_eq!(a.rows_fetched_by_shard[&0], 12);
-        assert_eq!(a.rows_fetched_by_shard[&1], 3);
         assert!(a.to_string().contains("fetched 15 tuples"));
         assert!(a.to_string().contains("peak 7 rows resident"));
         assert!(a.to_string().contains("5 probe allocs"));
@@ -299,29 +273,6 @@ mod tests {
         assert_eq!(s.tuples_fetched, 7);
         assert_eq!(s.rows_fetched_by_relation["Accident"], 6);
         assert_eq!(s.rows_fetched_by_relation["Vehicle"], 1);
-        // The unsharded entry point attributes everything to shard 0.
-        assert_eq!(s.rows_fetched_by_shard[&0], 7);
-    }
-
-    #[test]
-    fn per_shard_counts_sum_to_the_total() {
-        let mut s = AccessStats::default();
-        s.record_fetched_sharded("Accident", 2, 4);
-        s.record_fetched_sharded("Accident", 0, 3);
-        s.record_fetched_sharded("Vehicle", 2, 1);
-        assert_eq!(s.tuples_fetched, 8);
-        assert_eq!(s.rows_fetched_by_shard[&0], 3);
-        assert_eq!(s.rows_fetched_by_shard[&2], 5);
-        assert_eq!(
-            s.rows_fetched_by_shard.values().sum::<u64>(),
-            s.tuples_fetched
-        );
-        // The distribution is a placement artifact: two runs spreading the same total
-        // over different shards still count as the same data access.
-        let mut t = AccessStats::default();
-        t.record_fetched_sharded("Accident", 1, 7);
-        t.record_fetched_sharded("Vehicle", 1, 1);
-        assert!(s.same_data_access(&t));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   group the offsets ascend, i.e. they keep the relation's insertion order, and the
 //!   groups themselves are numbered by the first occurrence of their key. Both orders
 //!   are what a fetch's callers observe (answers, caches and the access counters are
-//!   compared across thread, shard and cache configurations), so they are part of the
+//!   compared across plan, executor and cache configurations), so they are part of the
 //!   contract and independent of the hash function.
 //! * `starts` — group `g` is `postings[starts[g] .. starts[g + 1]]` (CSR offsets).
 //! * `slots` — an open-addressing table (linear probing, power-of-two size, at most
@@ -70,7 +70,7 @@ const EMPTY: u32 = u32::MAX;
 /// The tuple count of a relation as the exclusive bound of its 32-bit posting offsets.
 /// Indexes store offsets as `u32`; a relation beyond that would alias postings, so
 /// building one fails instead.
-pub(crate) fn offset_bound(relation: &str, tuples: usize) -> Result<u32> {
+fn offset_bound(relation: &str, tuples: usize) -> Result<u32> {
     u32::try_from(tuples).map_err(|_| {
         Error::invalid(format!(
             "relation `{relation}` has {tuples} tuples, but posting offsets are 32-bit \
@@ -123,10 +123,9 @@ fn regrow(slots: &mut Vec<u32>, tags: &[u32], relation: &str) -> Result<()> {
     Ok(())
 }
 
-/// The one probe walk: walk probe `k` — hashed `hashes[k]`, in `indexes[k]` (indexes
-/// over `relation` on the same key attributes) — to the first group whose first tuple
-/// `is_key(k, tuple)` accepts, or `None` at the free slot that ends its walk (a table
-/// is at most half full).
+/// The one probe walk: walk probe `k` — hashed `hashes[k]`, in `index` (over
+/// `relation`) — to the first group whose first tuple `is_key(k, tuple)` accepts, or
+/// `None` at the free slot that ends its walk (a table is at most half full).
 ///
 /// Up to `N` probes walk at once, in rounds of four stages — slot, CSR start, first
 /// posting, first tuple (its first key attribute) — each stage prefetching, for every
@@ -134,23 +133,24 @@ fn regrow(slots: &mut Vec<u32>, tags: &[u32], relation: &str) -> Result<()> {
 /// next slot for the next round.
 fn walk<const N: usize>(
     relation: &Relation,
-    indexes: &[&HashIndex; N],
+    index: &HashIndex,
     hashes: &[u64],
     is_key: impl Fn(usize, &[Value]) -> bool,
 ) -> [Option<u32>; N] {
-    let key_attr = indexes[0].key_attrs.first().copied();
+    let key_attr = index.key_attrs.first().copied();
+    let mask = index.slots.len() - 1;
     let (mut found, mut slot) = ([None; N], [0usize; N]);
     let (mut group, mut first) = ([0u32; N], [0u32; N]);
     // The probes still walking, in order.
     let (mut todo, mut live): ([usize; N], usize) = (std::array::from_fn(|k| k), hashes.len());
     for k in 0..live {
-        slot[k] = hashes[k] as usize & (indexes[k].slots.len() - 1);
-        prefetch(&indexes[k].slots, slot[k]);
+        slot[k] = hashes[k] as usize & mask;
+        prefetch(&index.slots, slot[k]);
     }
     while live > 0 {
         let mut kept = 0;
         for t in 0..live {
-            let (k, index) = (todo[t], indexes[todo[t]]);
+            let k = todo[t];
             group[k] = index.slots[slot[k]];
             if group[k] != EMPTY {
                 prefetch(&index.starts, group[k] as usize);
@@ -160,21 +160,21 @@ fn walk<const N: usize>(
         }
         live = kept;
         for &k in &todo[..live] {
-            first[k] = indexes[k].starts[group[k] as usize];
-            prefetch(&indexes[k].postings, first[k] as usize);
+            first[k] = index.starts[group[k] as usize];
+            prefetch(&index.postings, first[k] as usize);
         }
         for &k in &todo[..live] {
-            first[k] = indexes[k].postings[first[k] as usize];
+            first[k] = index.postings[first[k] as usize];
             key_attr.inspect(|&attr| prefetch(relation.tuple(first[k] as usize), attr));
         }
         kept = 0;
         for t in 0..live {
-            let (k, slots) = (todo[t], &indexes[todo[t]].slots);
+            let k = todo[t];
             if is_key(k, relation.tuple(first[k] as usize)) {
                 found[k] = Some(group[k]);
             } else {
-                slot[k] = (slot[k] + 1) & (slots.len() - 1);
-                prefetch(slots, slot[k]);
+                slot[k] = (slot[k] + 1) & mask;
+                prefetch(&index.slots, slot[k]);
                 todo[kept] = k;
                 kept += 1;
             }
@@ -203,31 +203,25 @@ impl<'p> Probes<'p> {
     }
 }
 
-/// Resolve every probe, [`GROUP`] at a time through [`walk`]: `route` names the index
-/// that serves a key (every index over `relation`, on the probes' key attributes) and
-/// a tag (its shard); `emit` receives each probe's postings, empty if its key is
-/// absent, and the tag, in probe order.
+/// Resolve every probe in `index` (over `relation`, on the probes' key attributes),
+/// [`GROUP`] at a time through [`walk`]: `emit` receives each probe's postings, empty
+/// if its key is absent, in probe order.
 pub(crate) fn resolve_each<'a>(
     relation: &Relation,
+    index: &'a HashIndex,
     probes: Probes<'_>,
-    route: impl Fn(&[Value]) -> (&'a HashIndex, u32),
-    mut emit: impl FnMut(&'a [u32], u32),
+    mut emit: impl FnMut(&'a [u32]),
 ) {
     for base in (0..probes.hashes.len()).step_by(GROUP) {
         let hashes = &probes.hashes[base..probes.hashes.len().min(base + GROUP)];
-        let mut served = [route(probes.key(base)); GROUP];
-        for (k, served) in served.iter_mut().enumerate().take(hashes.len()).skip(1) {
-            *served = route(probes.key(base + k));
-        }
         debug_assert!((0..hashes.len()).all(|k| hashes[k] == hash_row(probes.key(base + k))));
-        let index = served[0].0;
         let is_key = |k: usize, tuple: &[Value]| {
             let key = index.key_attrs.iter().map(|&attr| &tuple[attr]);
             key.eq(probes.key(base + k))
         };
-        let found = walk(relation, &served.map(|(index, _)| index), hashes, is_key);
-        for (found, (index, tag)) in found.into_iter().zip(served).take(hashes.len()) {
-            emit(found.map_or(&[], |group| index.group(group as usize)), tag);
+        let found: [_; GROUP] = walk(relation, index, hashes, is_key);
+        for found in found.into_iter().take(hashes.len()) {
+            emit(found.map_or(&[], |group| index.group(group as usize)));
         }
     }
 }
@@ -244,13 +238,6 @@ pub struct HashIndex {
 
 impl HashIndex {
     /// Build an index on `key_attrs` (sorted attribute positions) over a relation.
-    pub fn build(relation: &Relation, key_attrs: &[usize]) -> Result<Self> {
-        let bound = offset_bound(relation.name(), relation.len())?;
-        Self::over(relation, key_attrs, 0..bound)
-    }
-
-    /// Build an index over the tuples at `offsets` (ascending) only — the whole
-    /// relation for a 1-shard store, one shard's routed tuples for a sharded one.
     ///
     /// Two passes. The first numbers the keys and sizes their groups, hashing each
     /// tuple's key once. A group keeps the low 32 bits of its key's hash as a tag, so a
@@ -259,14 +246,12 @@ impl HashIndex {
     /// full doubles, and its groups are re-slotted from their tags in group order — so
     /// the slots end as if every group had gone, in group order, into a table of the
     /// final size. The second pass drops every offset into its group's next free
-    /// posting, so each group keeps `offsets`' order.
+    /// posting, so each group keeps the relation's order.
     ///
-    /// Fails past 2³¹ keys, whose table would need more slot bits than a tag keeps.
-    pub(crate) fn over(
-        relation: &Relation,
-        key_attrs: &[usize],
-        offsets: impl Iterator<Item = u32> + Clone,
-    ) -> Result<Self> {
+    /// Fails past 2³¹ keys, whose table would need more slot bits than a tag keeps, and
+    /// past [`u32::MAX`] tuples, which 32-bit postings cannot address.
+    pub fn build(relation: &Relation, key_attrs: &[usize]) -> Result<Self> {
+        let offsets = 0..offset_bound(relation.name(), relation.len())?;
         let key = |offset: u32| {
             let tuple = relation.tuple(offset as usize);
             key_attrs.iter().map(move |&attr| &tuple[attr])
@@ -274,7 +259,7 @@ impl HashIndex {
         // Every array is sized once, from the tuple count (groups ≤ tuples): first the
         // three the index keeps, then the per-group and per-tuple working arrays, which
         // thus end on top of the heap, where freeing them returns them to the system.
-        let tuples = offsets.size_hint().0;
+        let tuples = relation.len();
         let mut postings = vec![0; tuples];
         let mut slots = Vec::with_capacity((2 * tuples).next_power_of_two().max(2));
         slots.resize(2, EMPTY);
@@ -320,7 +305,6 @@ impl HashIndex {
         starts.shrink_to_fit();
         let mut cursor = firsts;
         cursor.copy_from_slice(&starts[..starts.len() - 1]);
-        postings.resize(group_of.len(), 0);
         for (offset, group) in offsets.zip(group_of) {
             let next = &mut cursor[group as usize];
             postings[*next as usize] = offset;
@@ -344,7 +328,7 @@ impl HashIndex {
     /// one-key case.
     pub fn lookup(&self, relation: &Relation, key: &[Value]) -> &[u32] {
         let is_key = |_, tuple: &[Value]| self.key_attrs.iter().map(|&a| &tuple[a]).eq(key);
-        let [found] = walk(relation, &[self], &[hash_row(key)], is_key);
+        let [found] = walk(relation, self, &[hash_row(key)], is_key);
         found.map_or(&[], |group| self.group(group as usize))
     }
 
@@ -425,17 +409,8 @@ pub(crate) mod tests {
         relation: &Relation,
         key_attrs: &[usize],
     ) -> (HashMap<Row, Vec<u32>>, Vec<Row>) {
-        reference_over(relation, key_attrs, 0..relation.len() as u32)
-    }
-
-    /// [`reference`] over the tuples at `offsets` only.
-    fn reference_over(
-        relation: &Relation,
-        key_attrs: &[usize],
-        offsets: impl IntoIterator<Item = u32>,
-    ) -> (HashMap<Row, Vec<u32>>, Vec<Row>) {
         let (mut map, mut order) = (HashMap::<Row, Vec<u32>>::new(), Vec::new());
-        for offset in offsets {
+        for offset in 0..relation.len() as u32 {
             let key = Relation::project(relation.tuple(offset as usize), key_attrs);
             if !map.contains_key(&key) {
                 order.push(key.clone());
@@ -445,24 +420,14 @@ pub(crate) mod tests {
         (map, order)
     }
 
-    /// Same key set, same postings, same order — inside every list and across keys.
+    /// Same key set, same postings, same order — inside every list and across keys —
+    /// and the same slot table too: each group's key hash inserted, in group order, by
+    /// linear probing into `max(2, (2·groups).next_power_of_two())` slots.
     fn assert_equals_reference(relation: &Relation, key_attrs: &[usize]) {
         let index = HashIndex::build(relation, key_attrs).unwrap();
-        assert_matches_reference(&index, relation, key_attrs, 0..relation.len() as u32);
-    }
-
-    /// [`assert_equals_reference`] for an index over the tuples at `offsets`, and the
-    /// same slot table too: each group's key hash inserted, in group order, by linear
-    /// probing into `max(2, (2·groups).next_power_of_two())` slots.
-    fn assert_matches_reference(
-        index: &HashIndex,
-        relation: &Relation,
-        key_attrs: &[usize],
-        offsets: impl IntoIterator<Item = u32> + Clone,
-    ) {
-        let (map, order) = reference_over(relation, key_attrs, offsets.clone());
+        let (map, order) = reference(relation, key_attrs);
         assert_eq!(index.num_keys(), map.len());
-        assert_eq!(index.num_postings(), offsets.into_iter().count());
+        assert_eq!(index.num_postings(), relation.len());
         for (key, postings) in &map {
             assert_eq!(index.lookup(relation, key), postings, "key {key:?}");
         }
@@ -509,26 +474,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn each_shard_of_a_partition_keeps_the_reference_layout() {
-        for seed in 1..=3u64 {
-            for (rows, domain) in [(40, 2), (300, 5), (2_000, 40)] {
-                let relation = random_relation(0x5A2D * seed, rows, domain);
-                for key_attrs in [&[][..], &[0], &[1], &[0, 2]] {
-                    let shards = crate::indexed::partition(&relation, key_attrs, 3).unwrap();
-                    assert_eq!(shards.len(), 3);
-                    for (shard, index) in (0..).zip(&shards) {
-                        let routed = (0..relation.len() as u32).filter(|&offset| {
-                            let tuple = relation.tuple(offset as usize);
-                            crate::shard_of(key_attrs.iter().map(|&a| &tuple[a]), 3) == shard
-                        });
-                        assert_matches_reference(index, &relation, key_attrs, routed);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn a_shared_tag_filters_but_never_proves_a_key() {
         // Two integers whose key hashes agree in their low 32 bits: the same tag, and
         // the same home slot in any table the index grows.
@@ -561,15 +506,7 @@ pub(crate) mod tests {
             keys: &flat,
             hashes: &hashes,
         };
-        resolve_each(
-            relation,
-            probes,
-            |_| (index, 7),
-            |postings, tag| {
-                assert_eq!(tag, 7, "the route's tag comes back with every probe");
-                out.push(postings);
-            },
-        );
+        resolve_each(relation, index, probes, |postings| out.push(postings));
         out
     }
 

@@ -1,30 +1,15 @@
-//! The store: a database plus one index per access constraint, each index partitioned
-//! into `shard_count ≥ 1` shards by its key.
+//! The store: a database plus one index per access constraint.
 //!
-//! [`IndexedDatabase`] partitions *each constraint's index* — not the relations — by a
-//! deterministic hash of the constraint key ([`shard_of`]). Every key, and hence every
-//! posting list, lives wholly inside exactly one shard, so:
-//!
-//! * a fetch for key `ā` probes only the shard that owns `ā` — boundedness survives
-//!   partitioning, because the set of `(constraint, key)` lookups a bounded plan
-//!   performs is unchanged and each lookup touches one shard;
-//! * the per-key result (tuples *and* their order) is the same at every shard count,
-//!   because a shard's index is built by the same procedure (the two counting passes of
-//!   `HashIndex`) over the tuples routed to it, in row order, and those include the
-//!   key's full posting list.
-//!
-//! The unsharded store is the 1-shard store: [`IndexedDatabase::build`] is
-//! [`IndexedDatabase::build_sharded`] at one shard, which indexes each relation
-//! directly and routes nothing. A physical plan never names a shard: the store routes
-//! every probe to the shard that owns its key ([`IndexedDatabase::resolve`]), so it
-//! runs the same plan at every shard count, and every fetch reports the shard that
-//! served it — what per-shard access accounting (`AccessStats::rows_fetched_by_shard`
-//! in `bea-engine`) counts.
+//! [`IndexedDatabase`] builds, for every constraint `R(X → Y, N)`, one [`HashIndex`]
+//! on `X` over `R` — the index the paper's `fetch` reads. A physical plan names only
+//! `(constraint, key)` lookups, and the store answers each from that constraint's one
+//! index: per key, its tuples in insertion order ([`IndexedDatabase::fetch_iter`]), or
+//! a batch of keys walked together ([`IndexedDatabase::resolve`]), which is how the
+//! executor reaches it.
 
 use crate::database::Database;
-use crate::index::{offset_bound, resolve_each, HashIndex, Probes};
+use crate::index::{resolve_each, HashIndex, Probes};
 use crate::relation::Relation;
-use crate::sharded::shard_of;
 use bea_core::access::AccessSchema;
 use bea_core::error::{Error, Result};
 use bea_core::value::{Row, Value};
@@ -42,8 +27,8 @@ pub struct ConstraintViolation {
     pub allowed: u64,
 }
 
-/// A database instance together with one hash index per access constraint, each
-/// partitioned into [`IndexedDatabase::shard_count`] shards; see the module docs.
+/// A database instance together with one hash index per access constraint; see the
+/// module docs.
 ///
 /// Building an `IndexedDatabase` is the physical-design step of the paper's strategy:
 /// "develop and maintain an access schema `A` for an application" and build the indices
@@ -52,40 +37,23 @@ pub struct ConstraintViolation {
 pub struct IndexedDatabase {
     database: Database,
     schema: AccessSchema,
-    shard_count: u32,
     /// Per constraint: its relation's position in `database`, resolved at build time.
     relations: Vec<usize>,
-    /// `indexes[constraint][shard]`: the part of constraint `constraint`'s index whose
-    /// keys route to `shard`.
-    indexes: Vec<Vec<HashIndex>>,
+    /// Per constraint: its index on `X` over its relation.
+    indexes: Vec<HashIndex>,
 }
 
 /// The executor-facing handle on a store: a shared borrow, `Copy` and one word.
 pub type Store<'a> = &'a IndexedDatabase;
 
 impl IndexedDatabase {
-    /// Build the indexes required by the access schema over the database, unsharded:
-    /// [`IndexedDatabase::build_sharded`] at one shard.
-    pub fn build(database: Database, schema: AccessSchema) -> Result<Self> {
-        Self::build_sharded(database, schema, 1)
-    }
-
-    /// Build the indexes required by the access schema over the database, each
-    /// partitioned into `shard_count` shards.
+    /// Build the indexes required by the access schema over the database.
     ///
-    /// Fails if `shard_count` is 0, if the schema references relations or attribute
-    /// positions the catalog does not declare, or if a constrained relation has more
-    /// tuples than 32-bit posting offsets can address. Whether the *cardinality* part
-    /// of each constraint holds is a separate question — check it with
-    /// [`IndexedDatabase::validate`].
-    pub fn build_sharded(
-        database: Database,
-        schema: AccessSchema,
-        shard_count: u32,
-    ) -> Result<Self> {
-        if shard_count == 0 {
-            return Err(Error::invalid("a store needs at least one shard"));
-        }
+    /// Fails if the schema references relations or attribute positions the catalog
+    /// does not declare, or if a constrained relation has more tuples than 32-bit
+    /// posting offsets can address. Whether the *cardinality* part of each constraint
+    /// holds is a separate question — check it with [`IndexedDatabase::validate`].
+    pub fn build(database: Database, schema: AccessSchema) -> Result<Self> {
         schema.validate(database.catalog())?;
         let constraints = schema.constraints().iter();
         let relations = constraints
@@ -94,14 +62,11 @@ impl IndexedDatabase {
             .collect::<Result<Vec<_>>>()?;
         let indexes = constraints
             .zip(&relations)
-            .map(|(constraint, &at)| {
-                partition(database.relation_at(at), constraint.x(), shard_count)
-            })
+            .map(|(constraint, &at)| HashIndex::build(database.relation_at(at), constraint.x()))
             .collect::<Result<_>>()?;
         Ok(Self {
             database,
             schema,
-            shard_count,
             relations,
             indexes,
         })
@@ -122,25 +87,25 @@ impl IndexedDatabase {
         self.database.size()
     }
 
-    /// Number of shards each constraint's index is partitioned into: 1 unsharded.
-    /// Informational — plans are the same at every shard count, and each key is
-    /// routed to its shard at run time.
+    /// Always 1: each constraint has one index. Kept only because the end-to-end
+    /// benchmark harness (`benchmark/`) still calls it.
     pub fn shard_count(&self) -> u32 {
-        self.shard_count
+        1
     }
 
     /// Exact `(tuple_bytes, index_bytes)` of the store, from lengths × `size_of`:
-    /// the flat tuple values and every shard's `u32` arrays. Only the shared payloads of
-    /// strings over [`bea_core::value::Str::INLINE`] bytes are not counted.
+    /// the flat tuple values and every index's `u32` arrays. Only the shared payloads
+    /// of strings over [`bea_core::value::Str::INLINE`] bytes are not counted.
     pub fn footprint(&self) -> (u64, u64) {
-        let index_bytes = self.indexes.iter().flatten().map(HashIndex::bytes).sum();
+        let index_bytes = self.indexes.iter().map(HashIndex::bytes).sum();
         (self.database.tuple_bytes(), index_bytes)
     }
 
     /// Iterate, through the index of constraint `constraint_index`, over the tuples of
-    /// its relation whose `X`-projection equals `key`, straight out of the owning
-    /// shard's postings; also returns that shard. Yields full tuples; callers project
-    /// onto `X ∪ Y` as needed (the executor in `bea-engine` does).
+    /// its relation whose `X`-projection equals `key`, straight out of the index's
+    /// postings. Yields full tuples; callers project onto `X ∪ Y` as needed (the
+    /// executor in `bea-engine` does). The pair's second field is always 0, kept only
+    /// because the end-to-end benchmark harness (`benchmark/`) reads `.0`.
     ///
     /// No intermediate collection is allocated, and the rows stay borrowed from the
     /// relation until the consumer decides what to project out of them. The iterator
@@ -151,17 +116,17 @@ impl IndexedDatabase {
         constraint_index: usize,
         key: &[Value],
     ) -> Result<(FetchIter<'_>, u32)> {
-        let (relation, shards) = self.indexed(constraint_index, key.len())?;
-        let shard = shard_of(key, self.shard_count);
-        let offsets = shards[shard as usize].lookup(relation, key).iter();
-        Ok((FetchIter { relation, offsets }, shard))
+        let (relation, index) = self.indexed(constraint_index, key.len())?;
+        let offsets = index.lookup(relation, key).iter();
+        Ok((FetchIter { relation, offsets }, 0))
     }
 
     /// Columnar counterpart of [`IndexedDatabase::fetch_iter`]: append, for every tuple
     /// whose `X`-projection equals `key`, the values at `positions` directly into the
     /// corresponding output columns (`out[i]` receives `tuple[positions[i]]`). Returns
     /// the number of tuples appended — the count [`IndexedDatabase::fetch_iter`] would
-    /// report, for access accounting — and the serving shard.
+    /// report, for access accounting — and, like it, a 0 kept only for the benchmark
+    /// harness.
     ///
     /// `out` must have exactly one column per requested position; positions beyond the
     /// relation's arity are the caller's responsibility (the engine validates plans
@@ -173,74 +138,63 @@ impl IndexedDatabase {
         positions: &[usize],
         out: &mut [Vec<Value>],
     ) -> Result<(u64, u32)> {
-        let (iter, shard) = self.fetch_iter(constraint_index, key)?;
-        Ok((iter.project_into(positions, out), shard))
+        let (iter, _) = self.fetch_iter(constraint_index, key)?;
+        Ok((iter.project_into(positions, out), 0))
     }
 
     /// Batched fetch: clear `out`, then push, for every probe in order, the tuples whose
-    /// `X`-projection equals its key (empty if none) and the shard that owns the key
-    /// ([`shard_of`]) and served them — per probe what [`IndexedDatabase::fetch_iter`]
-    /// returns. The keys are walked together, their cache misses overlapped (see
-    /// [`crate::index`]). The executor's keyed operators reach the index only here.
+    /// `X`-projection equals its key (empty if none) — per probe what
+    /// [`IndexedDatabase::fetch_iter`] returns. The keys are walked together, their
+    /// cache misses overlapped (see [`crate::index`]). The executor's keyed operators
+    /// reach the index only here.
     pub fn resolve<'a>(
         &'a self,
         constraint_index: usize,
         probes: Probes<'_>,
-        out: &mut Vec<(FetchIter<'a>, u32)>,
+        out: &mut Vec<FetchIter<'a>>,
     ) -> Result<()> {
         out.clear();
-        let (relation, shards) = self.indexed(constraint_index, probes.arity)?;
+        let (relation, index) = self.indexed(constraint_index, probes.arity)?;
         let count = probes.hashes.len();
         assert_eq!(probes.keys.len(), probes.arity * count, "one key per hash");
         out.reserve(count);
-        let route = |key: &[Value]| {
-            let shard = shard_of(key, self.shard_count);
-            (&shards[shard as usize], shard)
-        };
-        resolve_each(relation, probes, route, |postings, shard| {
+        resolve_each(relation, index, probes, |postings| {
             let offsets = postings.iter();
-            out.push((FetchIter { relation, offsets }, shard));
+            out.push(FetchIter { relation, offsets });
         });
         Ok(())
     }
 
-    /// Constraint `constraint_index`'s relation and its index shards, by shard number —
-    /// refusing a constraint the schema does not have and a key of `arity` values that
-    /// is not the constraint's.
-    pub(crate) fn indexed(
-        &self,
-        constraint_index: usize,
-        arity: usize,
-    ) -> Result<(&Relation, &[HashIndex])> {
-        let Some(shards) = self.indexes.get(constraint_index) else {
+    /// Constraint `constraint_index`'s relation and index — refusing a constraint the
+    /// schema does not have and a key of `arity` values that is not the constraint's.
+    fn indexed(&self, constraint_index: usize, arity: usize) -> Result<(&Relation, &HashIndex)> {
+        let Some(index) = self.indexes.get(constraint_index) else {
             return Err(Error::MissingConstraint {
                 reason: format!("no access constraint with index {constraint_index}"),
             });
         };
-        let expected = shards[0].key_attrs().len();
+        let expected = index.key_attrs().len();
         if arity != expected {
             return Err(Error::invalid(format!(
                 "fetch key has {arity} values but constraint {constraint_index} expects {expected}"
             )));
         }
         let relation = self.database.relation_at(self.relations[constraint_index]);
-        Ok((relation, shards))
+        Ok((relation, index))
     }
 
     /// Check the cardinality part of every constraint: does `D ⊨ A` hold?
     ///
     /// Returns the list of violations (empty iff the instance satisfies the schema), by
-    /// constraint, then by shard and, within one, in order of the offending keys' first
-    /// occurrence. Each key's posting list lives wholly inside one shard, so checking
-    /// shard by shard sees every key exactly once.
+    /// constraint and, within one, in order of the offending keys' first occurrence.
     pub fn validate(&self) -> Vec<ConstraintViolation> {
         let db_size = self.size();
         let mut violations = Vec::new();
         let constraints = self.schema.constraints().iter().enumerate();
-        for ((ci, constraint), shards) in constraints.zip(&self.indexes) {
+        for ((ci, constraint), index) in constraints.zip(&self.indexes) {
             let relation = self.database.relation_at(self.relations[ci]);
             let allowed = constraint.cardinality().bound(db_size);
-            for offsets in shards.iter().flat_map(HashIndex::groups) {
+            for offsets in index.groups() {
                 let mut ys: Vec<Row> = offsets
                     .iter()
                     .map(|&o| Relation::project(relation.tuple(o as usize), constraint.y()))
@@ -264,29 +218,6 @@ impl IndexedDatabase {
     pub fn satisfies_schema(&self) -> bool {
         self.validate().is_empty()
     }
-}
-
-/// Constraint `x`'s index over `relation`, in `shard_count` shards: every tuple routed
-/// once by the [`shard_of`] hash of its key projection, and each shard's index built
-/// over the tuples routed to it, in row order — so a key's full posting list lands in
-/// one shard, exactly the list one shard would hold. One shard indexes the relation
-/// directly and routes nothing.
-pub(crate) fn partition(
-    relation: &Relation,
-    x: &[usize],
-    shard_count: u32,
-) -> Result<Vec<HashIndex>> {
-    if shard_count == 1 {
-        return Ok(vec![HashIndex::build(relation, x)?]);
-    }
-    let mut routed: Vec<Vec<u32>> = vec![Vec::new(); shard_count as usize];
-    let offsets = 0..offset_bound(relation.name(), relation.len())?;
-    for (offset, row) in offsets.zip(relation.rows()) {
-        let shard = shard_of(x.iter().map(|&attr| &row[attr]), shard_count);
-        routed[shard as usize].push(offset);
-    }
-    let over = |offsets: &Vec<u32>| HashIndex::over(relation, x, offsets.iter().copied());
-    routed.iter().map(over).collect()
 }
 
 /// Borrowing iterator over the tuples an index lookup matched; see
@@ -370,9 +301,10 @@ mod tests {
             ]);
         let idb = IndexedDatabase::build(sample_db(), schema).unwrap();
         assert_eq!(idb.size(), 3);
+        // The benchmark harness's fields: one partition, and a 0 beside every fetch.
         assert_eq!(idb.shard_count(), 1);
-        let (rows, shard) = idb.fetch_iter(0, &[Value::int(1)]).unwrap();
-        assert_eq!((rows.len(), shard), (2, 0));
+        let (rows, zero) = idb.fetch_iter(0, &[Value::int(1)]).unwrap();
+        assert_eq!((rows.len(), zero), (2, 0));
         let (rows, _) = idb.fetch_iter(0, &[Value::int(9)]).unwrap();
         assert_eq!(rows.len(), 0);
         assert!(idb.satisfies_schema());
@@ -513,6 +445,118 @@ mod tests {
         assert!(missing.to_string().contains("index 7"), "{missing}");
         let arity = idb.fetch_iter(0, &[]).unwrap_err();
         assert!(arity.to_string().contains("expects 1"), "{arity}");
+        // The columnar fetch refuses the same calls with the same messages.
+        let column = &mut [Vec::new()];
+        let refused = [
+            idb.fetch_into_columns(7, &[Value::int(1)], &[0], column),
+            idb.fetch_into_columns(0, &[], &[0], column),
+        ]
+        .map(|result| result.expect_err("refused").to_string());
+        assert_eq!(refused, [missing.to_string(), arity.to_string()]);
+    }
+
+    /// Seeded differential of the batched fetch against the single-key fetch, probe by
+    /// probe, for present, absent and repeated keys, 0 to 2 500 probes per call, on
+    /// composite, single and empty keys; and the single-key fetch's errors for the
+    /// whole call.
+    #[test]
+    fn batched_resolve_matches_each_single_key_fetch() {
+        use crate::index::tests::{random_relation, reference};
+        use bea_core::value::hash_row;
+        let mut c = Catalog::new();
+        c.declare("R", ["a", "b", "c"]).unwrap();
+        let schema = AccessSchema::from_constraints([
+            AccessConstraint::new(&c, "R", &["a", "c"], &["b"], 2).unwrap(),
+            AccessConstraint::new(&c, "R", &["b"], &["a"], 3).unwrap(),
+            AccessConstraint::new(&c, "R", &[], &["a"], 3).unwrap(),
+        ]);
+        let source = random_relation(0x5EED, 900, 15);
+        let mut db = Database::new(c);
+        db.extend("R", source.rows().map(<[Value]>::to_vec))
+            .unwrap();
+        let store = IndexedDatabase::build(db, schema.clone()).unwrap();
+        let relation = store.database().relation("R").unwrap();
+        let mut out = Vec::new();
+        for (ci, constraint) in schema.constraints().iter().enumerate() {
+            let (_, present) = reference(relation, constraint.x());
+            let absent: Row = vec![Value::int(-9); constraint.x().len()];
+            for total in [0usize, 1, 17, 2_500] {
+                let keys: Vec<&Row> = (0..total)
+                    .map(|i| match i % 7 {
+                        3 => &absent,
+                        _ => &present[(i * 31) % present.len()],
+                    })
+                    .collect();
+                let flat: Vec<Value> = keys.iter().copied().flatten().cloned().collect();
+                let hashes: Vec<u64> = keys.iter().map(|key| hash_row(*key)).collect();
+                let probes = Probes {
+                    arity: constraint.x().len(),
+                    keys: &flat,
+                    hashes: &hashes,
+                };
+                store.resolve(ci, probes, &mut out).unwrap();
+                assert_eq!(out.len(), total);
+                for (key, tuples) in keys.iter().zip(out.drain(..)) {
+                    let (single, _) = store.fetch_iter(ci, key).unwrap();
+                    assert!(tuples.eq(single), "key {key:?}");
+                }
+            }
+        }
+        let one = [Value::int(1)];
+        let hash = [hash_row(&one)];
+        let probes = Probes {
+            arity: 1,
+            keys: &one,
+            hashes: &hash,
+        };
+        assert!(store.resolve(7, probes, &mut out).is_err());
+        let message = store.resolve(0, probes, &mut out).unwrap_err().to_string();
+        assert!(message.contains("expects 2"), "{message}");
+        assert!(out.is_empty(), "a refused call resolves nothing");
+    }
+
+    /// Seeded differential of validation over random relations with composite and
+    /// string keys: exactly the violations a keyed-map oracle finds, in key order.
+    #[test]
+    fn validation_finds_every_violation_in_key_order() {
+        use crate::index::tests::{random_relation, reference};
+        let mut c = Catalog::new();
+        c.declare("R", ["a", "b", "c"]).unwrap();
+        let schema = AccessSchema::from_constraints([
+            AccessConstraint::new(&c, "R", &["a", "c"], &["b"], 2).unwrap(),
+            AccessConstraint::new(&c, "R", &["b"], &["a"], 3).unwrap(),
+        ]);
+        for seed in [3u64, 17, 92] {
+            let source = random_relation(seed, 600, 12);
+            let mut db = Database::new(c.clone());
+            db.extend("R", source.rows().map(<[Value]>::to_vec))
+                .unwrap();
+            let mut expected = Vec::new();
+            for (ci, constraint) in schema.constraints().iter().enumerate() {
+                let (map, order) = reference(&source, constraint.x());
+                let allowed = constraint.cardinality().bound(600);
+                for key in order {
+                    let mut ys: Vec<Row> = map[&key]
+                        .iter()
+                        .map(|&o| Relation::project(source.tuple(o as usize), constraint.y()))
+                        .collect();
+                    ys.sort();
+                    ys.dedup();
+                    if ys.len() as u64 > allowed {
+                        expected.push(ConstraintViolation {
+                            constraint_index: ci,
+                            key,
+                            observed: ys.len() as u64,
+                            allowed,
+                        });
+                    }
+                }
+            }
+            assert!(!expected.is_empty(), "the bounds are meant to bite");
+            let store = IndexedDatabase::build(db, schema.clone()).unwrap();
+            assert_eq!(store.validate(), expected);
+            assert!(!store.satisfies_schema());
+        }
     }
 
     #[test]

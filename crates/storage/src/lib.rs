@@ -9,15 +9,9 @@
 //! * [`relation`] / [`database`] — relations, instances, catalog validation. A relation
 //!   is ONE flat row-major `Vec<Value>` (stride = arity); readers get `&[Value]` slices.
 //! * [`index`] — keyless CSR posting indexes keyed on attribute subsets.
-//! * [`indexed`] — [`IndexedDatabase`], the store: a database plus the indexes
-//!   mandated by an access schema, each partitioned into `shard_count ≥ 1` shards by a
-//!   deterministic hash of the constraint key, so a fetch probes only the shard owning
-//!   its key and boundedness survives partitioning; with constraint validation
-//!   (`D ⊨ A`). A key's full posting list lives in exactly one shard, so per-key
-//!   results are the same at every shard count, and the unsharded store is the
-//!   1-shard store. [`Store`] is the executor's name for a borrowed one.
-//! * [`sharded`] — routing: [`shard_of`], the hash that names a key's shard, and
-//!   [`SHARDS_ENV`], the shard count the daemon and the test suites build with.
+//! * [`indexed`] — [`IndexedDatabase`], the store: a database plus the one index per
+//!   constraint an access schema mandates, with constraint validation (`D ⊨ A`).
+//!   [`Store`] is the executor's name for a borrowed one.
 //! * [`discovery`] — mining access constraints from data (the paper notes that the
 //!   constraints of Example 1.1 "are discovered by simple aggregate queries on D₀").
 //! * [`io`] — minimal tab-separated import/export, for persisting generated workloads.
@@ -41,11 +35,9 @@
 //! are then slices of the relation at `offset · k`. The executor fetches batches of
 //! keys ([`IndexedDatabase::resolve`]), walked together so their cache misses overlap;
 //! see [`index`]. Posting lists keep insertion order and key groups are numbered by
-//! first occurrence, so every result is deterministic and the same at every shard
-//! count, and every `validate()` report is deterministic and, sorted, the same at every
-//! shard count. A shard is one such index over the tuples routed to it; one shard is
-//! the whole relation's. [`IndexedDatabase::footprint`] reports the exact tuple and index
-//! bytes; on the accidents workload the four indexes of ψ1–ψ4 cost ≈12 B per posting.
+//! first occurrence, so every result and every `validate()` report is deterministic.
+//! [`IndexedDatabase::footprint`] reports the exact tuple and index bytes; on the
+//! accidents workload the four indexes of ψ1–ψ4 cost ≈12 B per posting.
 //! Each constraint's relation is resolved to a position at build time; a fetch looks no
 //! name up. Tuple offsets are 32-bit: building over a relation beyond `u32::MAX` tuples
 //! is an error, not a silent wrap. Flat offset arrays are also what an mmap-backed
@@ -58,11 +50,9 @@ pub mod index;
 pub mod indexed;
 pub mod io;
 pub mod relation;
-pub mod sharded;
 
 pub use database::Database;
 pub use discovery::{discover_constraints, measure_cardinality, DiscoveryOptions};
 pub use index::Probes;
 pub use indexed::{ConstraintViolation, FetchIter, IndexedDatabase, Store};
 pub use relation::Relation;
-pub use sharded::{shard_of, shards_from_env, SHARDS_ENV};

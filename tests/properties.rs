@@ -9,11 +9,11 @@
 use bea::core::bounded::{analyze_cq, BoundedConfig, BoundedVerdict};
 use bea::core::cover;
 use bea::core::envelope::{lower_envelope_cq, upper_envelope_cq, EnvelopeConfig};
-use bea::core::plan::{bounded_plan, bounded_plan_for_report};
+use bea::core::plan::{bounded_plan, bounded_plan_for_report, lower_plan};
 use bea::core::reason::{instance::eval_cq as eval_cq_small, instance::SmallInstance};
 use bea::core::specialize::{generic_template, instantiate, specialize_cq, SpecializeConfig};
 use bea::engine::{eval_cq, execute_plan, execute_plan_materialized};
-use bea::storage::{discover_constraints, shards_from_env, DiscoveryOptions, IndexedDatabase};
+use bea::storage::{discover_constraints, DiscoveryOptions, IndexedDatabase};
 use bea::workload::{accidents, ecommerce, graph, querygen};
 use bea_core::access::AccessSchema;
 use bea_core::query::cq::ConjunctiveQuery;
@@ -124,11 +124,9 @@ fn random_workload(
 
 /// The core differential property shared by the three scenario families: for every
 /// covered query of a random workload over `db`, the **streaming** bounded executor,
-/// the **materialized** bounded executor, the **sharded** streaming executor (the same
-/// plan over a partitioned store, each key routed to its shard — `BEA_SHARDS` shards,
-/// at least 2) and the **naive** baseline compute exactly the same answer; the bounded
-/// strategies read exactly the same data (boundedness is a property of the plan — not
-/// of the execution strategy or the shard count); nothing fetches
+/// the **materialized** bounded executor and the **naive** baseline compute exactly the
+/// same answer; the bounded strategies read exactly the same data (boundedness is a
+/// property of the plan, not of the execution strategy); nothing fetches
 /// more than the statically derived bound (Theorem 3.11, constructive direction); and
 /// the streaming pipeline's peak row residency never exceeds the materialized
 /// executor's.
@@ -137,13 +135,8 @@ fn assert_bounded_plans_agree_with_naive(
     db: bea::storage::Database,
     workload: &[ConjunctiveQuery],
 ) -> usize {
-    // At least 2 shards so the sharded leg always routes keys to several shards; the CI
-    // matrix raises it through BEA_SHARDS.
-    let shards = shards_from_env().max(2);
-    let sharded = IndexedDatabase::build_sharded(db.clone(), schema.clone(), shards).unwrap();
     let indexed = IndexedDatabase::build(db, schema.clone()).unwrap();
     assert!(indexed.satisfies_schema());
-    assert!(sharded.satisfies_schema());
 
     let mut exercised = 0;
     for query in workload {
@@ -157,14 +150,9 @@ fn assert_bounded_plans_agree_with_naive(
         let (bounded, stats) = execute_plan(&plan, &indexed).unwrap();
         let (materialized, materialized_stats) =
             execute_plan_materialized(&plan, &indexed).unwrap();
-        let (sharded_out, sharded_stats) = execute_plan(&plan, &sharded).unwrap();
         let (naive, _) = eval_cq(query, indexed.database()).unwrap();
         // `same_rows` compares sets, so a leg that emits a row twice would pass it.
-        let legs = [
-            ("streaming", &bounded),
-            ("materialized", &materialized),
-            ("sharded", &sharded_out),
-        ];
+        let legs = [("streaming", &bounded), ("materialized", &materialized)];
         for (leg, table) in legs {
             assert!(table.is_set(), "the {leg} leg repeats a row of {query}");
         }
@@ -172,28 +160,6 @@ fn assert_bounded_plans_agree_with_naive(
         assert!(
             materialized.same_rows(&naive),
             "materialized mismatch for {query}"
-        );
-        assert!(
-            sharded_out.same_rows(&naive),
-            "sharded mismatch for {query} at {shards} shards"
-        );
-        assert!(
-            stats.same_data_access(&sharded_stats),
-            "shard count changed the data access for {query}: {stats} vs {sharded_stats}"
-        );
-        assert_eq!(
-            stats.values_cloned, sharded_stats.values_cloned,
-            "shard count changed the copy traffic for {query}"
-        );
-        assert_eq!(
-            stats.allocs_per_probe, sharded_stats.allocs_per_probe,
-            "shard count changed the probe-path buffer demand for {query}"
-        );
-        // Boundedness per shard: the partitions serve exactly the plan's fetch total.
-        assert_eq!(
-            sharded_stats.rows_fetched_by_shard.values().sum::<u64>(),
-            sharded_stats.tuples_fetched,
-            "per-shard fetch counts drifted from the total for {query}"
         );
         assert!(
             stats.same_data_access(&materialized_stats),
@@ -326,8 +292,8 @@ fn columnar_pipeline_halves_copy_traffic_on_target_scenarios() {
 /// first probe and every subsequent probe must be served without demanding a single
 /// buffer. `allocs_per_probe` counts buffer-demand events deterministically, hence the
 /// assertable form: the *total* at `m = 512` equals the total at `m = 1` (zero
-/// marginal allocations per warmed probe), at shards ∈ {1, 4} —
-/// and since the fetch of R runs as a keyed lookup as well, both totals are zero; and
+/// marginal allocations per warmed probe) — and since the fetch of R runs as a keyed
+/// lookup as well, both totals are zero; and
 /// the pooling machinery changes neither the rows nor any data-access counter.
 #[test]
 fn warmed_anchored_probes_allocate_nothing() {
@@ -389,138 +355,47 @@ fn warmed_anchored_probes_allocate_nothing() {
         db
     };
 
-    // Every shard count must report the same per-size totals.
-    let mut totals: Vec<(u64, u64)> = Vec::new(); // (allocs at m = 1, allocs at m = 512)
-    for shards in [1u32, 4] {
-        let mut per_size = Vec::new();
-        for m in [1i64, 512] {
-            let db = database_with_rows(m);
-            let indexed = IndexedDatabase::build(db.clone(), schema.clone()).unwrap();
-            let (table, stats) = if shards == 1 {
-                execute_plan(&plan, &indexed).unwrap()
-            } else {
-                let sharded = IndexedDatabase::build_sharded(db, schema.clone(), shards).unwrap();
-                execute_plan(&plan, &sharded).unwrap()
-            };
-            // Pooling must be invisible to everything but the allocation counter: the
-            // answers and the data-access counters match the unpooled materialized
-            // executor exactly.
-            let (reference, reference_stats) = execute_plan_materialized(&plan, &indexed).unwrap();
-            assert!(
-                table.is_set() && reference.is_set(),
-                "repeated row at m = {m}"
-            );
-            assert!(
-                table.same_rows(&reference),
-                "pooled probe loop changed the answers at m = {m}, {shards} shards"
-            );
-            assert_eq!(table.len() as i64, m, "one output row per R-row");
-            assert!(
-                stats.same_data_access(&reference_stats),
-                "pooled probe loop changed the data access at m = {m}: \
-                 {stats} vs {reference_stats}"
-            );
-            assert_eq!(
-                stats.allocs_per_probe, 0,
-                "the fetch of R runs as a keyed lookup too: no buffer per key"
-            );
-            per_size.push(stats.allocs_per_probe);
-        }
-        totals.push((per_size[0], per_size[1]));
-    }
-    for (allocs_warm_start, allocs_after_512_probes) in &totals {
-        assert_eq!(
-            allocs_warm_start, allocs_after_512_probes,
-            "warmed anchored probes demanded buffers: 512-probe total {} exceeds the \
-             warm-up-only total {} — the fast path allocated per probe",
-            allocs_after_512_probes, allocs_warm_start
+    let mut per_size = Vec::new();
+    for m in [1i64, 512] {
+        let indexed = IndexedDatabase::build(database_with_rows(m), schema.clone()).unwrap();
+        let (table, stats) = execute_plan(&plan, &indexed).unwrap();
+        // Pooling must be invisible to everything but the allocation counter: the
+        // answers and the data-access counters match the unpooled materialized
+        // executor exactly.
+        let (reference, reference_stats) = execute_plan_materialized(&plan, &indexed).unwrap();
+        assert!(
+            table.is_set() && reference.is_set(),
+            "repeated row at m = {m}"
         );
+        assert!(
+            table.same_rows(&reference),
+            "pooled probe loop changed the answers at m = {m}"
+        );
+        assert_eq!(table.len() as i64, m, "one output row per R-row");
+        assert!(
+            stats.same_data_access(&reference_stats),
+            "pooled probe loop changed the data access at m = {m}: \
+             {stats} vs {reference_stats}"
+        );
+        assert_eq!(
+            stats.allocs_per_probe, 0,
+            "the fetch of R runs as a keyed lookup too: no buffer per key"
+        );
+        per_size.push(stats.allocs_per_probe);
     }
-    // Shard counts never change the totals either.
-    assert!(
-        totals.windows(2).all(|w| w[0] == w[1]),
-        "allocation totals varied across shard counts: {totals:?}"
+    let (allocs_warm_start, allocs_after_512_probes) = (per_size[0], per_size[1]);
+    assert_eq!(
+        allocs_warm_start, allocs_after_512_probes,
+        "warmed anchored probes demanded buffers: 512-probe total {allocs_after_512_probes} \
+         exceeds the warm-up-only total {allocs_warm_start} — the fast path allocated per \
+         probe"
     );
 }
 
-/// Shard-count invariance: the same covered queries executed against partitioned
-/// stores with shards ∈ {1, 2, 8} produce identical rows in
-/// identical order, identical data access (`same_data_access`) and identical copy
-/// traffic (`values_cloned`) — one plan, keys routed at run time: partitioning the
-/// constraint indexes relocates the bounded work across shards (the per-shard counts
-/// always sum to the unchanged total) without altering what is computed, read or
-/// moved. Shards = 1 is additionally pinned to the unsharded `IndexedDatabase`
-/// baseline, closing the "shard 1 ≡ today's store" loop.
-#[test]
-fn sharded_execution_is_invariant_across_shard_counts() {
-    run_cases_counting(
-        "sharded_execution_is_invariant_across_shard_counts",
-        0x5AAD,
-        |rng| {
-            let seed = rng.gen_range(0u64..1_000);
-            let qseed = rng.gen_range(0u64..1_000);
-            let (db, schema) = accidents_fixture(seed, 2);
-            let catalog = accidents::catalog();
-            let workload = random_workload(&catalog, &schema, &db, 8, qseed);
-            let stores: Vec<IndexedDatabase> = [1u32, 2, 8]
-                .into_iter()
-                .map(|shards| {
-                    IndexedDatabase::build_sharded(db.clone(), schema.clone(), shards).unwrap()
-                })
-                .collect();
-            let indexed = IndexedDatabase::build(db, schema.clone()).unwrap();
-
-            let mut exercised = 0;
-            for query in &workload {
-                if !cover::is_covered(query, &schema) {
-                    continue;
-                }
-                exercised += 1;
-                let plan = bounded_plan(query, &schema).unwrap();
-                let (baseline, baseline_stats) = execute_plan(&plan, &indexed).unwrap();
-                assert!(baseline.is_set(), "repeated row for {query}");
-                for sharded in &stores {
-                    let (table, stats) = execute_plan(&plan, sharded).unwrap();
-                    let shards = sharded.shard_count();
-                    assert_eq!(
-                        table.rows(),
-                        baseline.rows(),
-                        "rows or their order changed at {shards} shards for {query}"
-                    );
-                    assert!(
-                        stats.same_data_access(&baseline_stats),
-                        "data access changed at {shards} shards for {query}: \
-                         {stats} vs {baseline_stats}"
-                    );
-                    assert_eq!(
-                        stats.values_cloned, baseline_stats.values_cloned,
-                        "copy traffic changed at {shards} shards for {query}"
-                    );
-                    assert_eq!(
-                        stats.rows_fetched_by_shard.values().sum::<u64>(),
-                        stats.tuples_fetched,
-                        "per-shard counts drifted from the total at {shards} shards \
-                         for {query}"
-                    );
-                    assert!(stats
-                        .rows_fetched_by_shard
-                        .keys()
-                        .all(|&shard| shard < shards));
-                    assert_eq!(
-                        stats.peak_rows_resident, baseline_stats.peak_rows_resident,
-                        "residency changed at {shards} shards for {query}"
-                    );
-                }
-            }
-            exercised
-        },
-    );
-}
-
-/// Admission does not see the shard count: a session over a 2-, 4- or 8-way sharded
-/// store prepares every covered query of the three querygen families to the physical
-/// plan and the [`bea_core::plan::CostTicket`] a session over the unsharded store
-/// prepares, field for field.
+/// Preparing does not see the session's configuration: a session with a fetch budget
+/// and a fetch cache prepares every covered query of the three querygen families to
+/// the physical plan and the [`bea_core::plan::CostTicket`] a default session
+/// prepares, field for field — and that plan is the library's [`lower_plan`] of it.
 #[test]
 fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
     use bea::engine::{Session, SessionConfig, SharedStore};
@@ -548,23 +423,21 @@ fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
                     .map(|query| bounded_plan(query, &schema).unwrap())
                     .collect();
                 exercised += plans.len();
-                let unsharded =
-                    SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
-                let one = Session::new(unsharded.clone(), SessionConfig::new());
-                let expected: Vec<_> = plans
-                    .iter()
-                    .map(|plan| one.prepare(plan).unwrap())
-                    .collect();
-                for shards in [2, 4, 8] {
-                    let sharded =
-                        IndexedDatabase::build_sharded(db.clone(), schema.clone(), shards).unwrap();
-                    let session = Session::new(sharded, SessionConfig::new());
-                    for (plan, expected) in plans.iter().zip(&expected) {
-                        let prepared = session.prepare(plan).unwrap();
-                        let corner = format!("{} at {shards} shards", plan.query_name());
-                        assert_eq!(prepared.physical(), expected.physical(), "{corner}");
-                        assert_eq!(prepared.ticket(), expected.ticket(), "{corner}");
-                    }
+                let store = SharedStore::from(IndexedDatabase::build(db, schema).unwrap());
+                let plain = Session::new(store.clone(), SessionConfig::new());
+                let configured = Session::new(
+                    store,
+                    SessionConfig::new()
+                        .with_fetch_budget(1_000)
+                        .with_cache_budget_rows(4_096),
+                );
+                for plan in &plans {
+                    let expected = plain.prepare(plan).unwrap();
+                    assert_eq!(expected.physical(), &lower_plan(plan).unwrap());
+                    let prepared = configured.prepare(plan).unwrap();
+                    let name = plan.query_name();
+                    assert_eq!(prepared.physical(), expected.physical(), "{name}");
+                    assert_eq!(prepared.ticket(), expected.ticket(), "{name}");
                 }
             }
 
@@ -575,15 +448,13 @@ fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
 
 /// The multi-query session (PR 8) is a scheduling change, not a semantic one: N
 /// covered queries submitted *concurrently* from N client threads against one shared
-/// sharded store return exactly the rows — and exactly the per-query data access,
+/// store return exactly the rows — and exactly the per-query data access,
 /// copy traffic and probe-path buffer demand — of serial [`execute_plan`] runs,
 /// so the per-query stats stay additive across the batch. With an aggregate fetch
 /// budget set, admission is deterministic: the rejected set is exactly the queries
 /// whose static fetch bound exceeds the budget (a property of the plan, not of the
 /// load or the submission interleaving), every accepted query still matches its
 /// serial run, and the admitted bounds' high-water mark never exceeds the budget.
-/// The shard count comes from the environment, so the CI matrix drives both
-/// `BEA_SHARDS` legs through this property.
 #[test]
 fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
     use bea::engine::{Rejection, Session, SessionConfig, SharedStore, SubmitError};
@@ -597,9 +468,7 @@ fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
             let (db, schema) = accidents_fixture(seed, 3);
             let catalog = accidents::catalog();
             let workload = random_workload(&catalog, &schema, &db, 10, qseed);
-            let shards = shards_from_env().max(2);
-            let sharded = IndexedDatabase::build_sharded(db, schema.clone(), shards).unwrap();
-            let store = SharedStore::from(sharded);
+            let store = SharedStore::from(IndexedDatabase::build(db, schema.clone()).unwrap());
 
             let plans: Vec<_> = workload
                 .iter()
@@ -775,8 +644,8 @@ fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
 /// Serving a query is never a semantic change: on every querygen family, the
 /// synchronous entry ([`Session::run`]), the handle entry (`submit` then `wait`) and a
 /// solo [`execute_plan`] return the same rows in the same order with the same data
-/// access, copy traffic and probe-path buffer demand — on an unsharded and a 4-way
-/// sharded store, with the session's fetch cache off and on. Each lane gets a fresh
+/// access, copy traffic and probe-path buffer demand — with the session's fetch cache
+/// off and on. Each lane gets a fresh
 /// session per query, so a cached session starts cold; it may serve a key the query
 /// repeats from the cache, so there the counters are compared lane against lane and
 /// only the rows against solo.
@@ -784,8 +653,8 @@ fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
 fn session_lanes_match_solo_execution_on_every_family() {
     use bea::engine::{Session, SessionConfig, SharedStore};
 
-    /// Every covered query of `workload` through all three lanes at all four
-    /// corners; returns how many queries were exercised.
+    /// Every covered query of `workload` through all three lanes at both corners;
+    /// returns how many queries were exercised.
     fn assert_lanes_agree(
         schema: &AccessSchema,
         db: &bea::storage::Database,
@@ -796,76 +665,65 @@ fn session_lanes_match_solo_execution_on_every_family() {
             .filter(|query| cover::is_covered(query, schema))
             .map(|query| bounded_plan(query, schema).unwrap())
             .collect();
-        let stores = [
-            SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap()),
-            SharedStore::from(
-                IndexedDatabase::build_sharded(db.clone(), schema.clone(), 4).unwrap(),
-            ),
-        ];
-        for store in &stores {
-            for cache_rows in [0u64, 1 << 20] {
-                let config = SessionConfig::new().with_cache_budget_rows(cache_rows);
-                for plan in &plans {
-                    let corner = format!(
-                        "{} at {} shards / cache {cache_rows}",
-                        plan.query_name(),
-                        store.store().shard_count()
-                    );
-                    let (solo_table, solo_stats) = execute_plan(plan, store.store()).unwrap();
-                    let ran = {
-                        let session = Session::new(store.clone(), config);
-                        let (_, result) = session.run(plan).unwrap();
-                        result.unwrap()
-                    };
-                    let waited = {
-                        let session = Session::new(store.clone(), config);
-                        session.submit(plan).unwrap().wait().unwrap()
-                    };
-                    // The two lanes agree with each other on everything counted.
-                    assert!(
-                        ran.1.same_data_access(&waited.1),
-                        "the lanes disagree on the data access of {corner}: \
-                         {} vs {}",
-                        ran.1,
-                        waited.1
-                    );
-                    let traffic = |stats: &bea::engine::AccessStats| {
-                        (
-                            stats.values_cloned,
-                            stats.allocs_per_probe,
-                            stats.cache_hits,
-                            stats.rows_served_from_cache,
-                        )
-                    };
+        let store = &SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
+        for cache_rows in [0u64, 1 << 20] {
+            let config = SessionConfig::new().with_cache_budget_rows(cache_rows);
+            for plan in &plans {
+                let corner = format!("{} at cache {cache_rows}", plan.query_name());
+                let (solo_table, solo_stats) = execute_plan(plan, store.store()).unwrap();
+                let ran = {
+                    let session = Session::new(store.clone(), config);
+                    let (_, result) = session.run(plan).unwrap();
+                    result.unwrap()
+                };
+                let waited = {
+                    let session = Session::new(store.clone(), config);
+                    session.submit(plan).unwrap().wait().unwrap()
+                };
+                // The two lanes agree with each other on everything counted.
+                assert!(
+                    ran.1.same_data_access(&waited.1),
+                    "the lanes disagree on the data access of {corner}: \
+                     {} vs {}",
+                    ran.1,
+                    waited.1
+                );
+                let traffic = |stats: &bea::engine::AccessStats| {
+                    (
+                        stats.values_cloned,
+                        stats.allocs_per_probe,
+                        stats.cache_hits,
+                        stats.rows_served_from_cache,
+                    )
+                };
+                assert_eq!(
+                    traffic(&ran.1),
+                    traffic(&waited.1),
+                    "the lanes disagree on the copy or cache traffic of {corner}"
+                );
+                // Both agree with the solo run: always in rows and row order,
+                // and uncached in every counter (a cached session serves a key
+                // the query probes twice from the cache the second time).
+                assert!(solo_table.is_set(), "repeated row solo, {corner}");
+                for (lane, (table, stats)) in [("run", &ran), ("submit + wait", &waited)] {
+                    assert!(table.is_set(), "`{lane}` repeated a row of {corner}");
                     assert_eq!(
-                        traffic(&ran.1),
-                        traffic(&waited.1),
-                        "the lanes disagree on the copy or cache traffic of {corner}"
+                        table.rows(),
+                        solo_table.rows(),
+                        "`{lane}` changed the rows (or their order) of {corner}"
                     );
-                    // Both agree with the solo run: always in rows and row order,
-                    // and uncached in every counter (a cached session serves a key
-                    // the query probes twice from the cache the second time).
-                    assert!(solo_table.is_set(), "repeated row solo, {corner}");
-                    for (lane, (table, stats)) in [("run", &ran), ("submit + wait", &waited)] {
-                        assert!(table.is_set(), "`{lane}` repeated a row of {corner}");
-                        assert_eq!(
-                            table.rows(),
-                            solo_table.rows(),
-                            "`{lane}` changed the rows (or their order) of {corner}"
+                    if cache_rows == 0 {
+                        assert!(
+                            stats.same_data_access(&solo_stats),
+                            "`{lane}` changed the data access of {corner}: \
+                             {stats} vs {solo_stats}"
                         );
-                        if cache_rows == 0 {
-                            assert!(
-                                stats.same_data_access(&solo_stats),
-                                "`{lane}` changed the data access of {corner}: \
-                                 {stats} vs {solo_stats}"
-                            );
-                            assert_eq!(
-                                traffic(stats),
-                                (solo_stats.values_cloned, solo_stats.allocs_per_probe, 0, 0),
-                                "`{lane}` changed the copy traffic or buffer demand \
-                                 of {corner}"
-                            );
-                        }
+                        assert_eq!(
+                            traffic(stats),
+                            (solo_stats.values_cloned, solo_stats.allocs_per_probe, 0, 0),
+                            "`{lane}` changed the copy traffic or buffer demand \
+                             of {corner}"
+                        );
                     }
                 }
             }
@@ -901,8 +759,7 @@ fn session_lanes_match_solo_execution_on_every_family() {
 /// tuples from the store and demands *zero* probe-path buffers — each posting list
 /// is served by one hash probe and a refcount bump. With the cache disabled
 /// (`BEA_CACHE_ROWS` unset and no configured budget) all N submissions reproduce
-/// today's counters byte-for-byte. The shard count comes from the environment, so the
-/// CI matrix drives both `BEA_SHARDS` legs through this property.
+/// today's counters byte-for-byte.
 #[test]
 fn repeated_session_submissions_are_served_from_the_fetch_cache() {
     use bea::core::plan::{PlanBuilder, Predicate};
@@ -970,9 +827,7 @@ fn repeated_session_submissions_are_served_from_the_fetch_cache() {
                 b.finish("CachedRepeat", acc).unwrap()
             };
 
-            let shards = shards_from_env().max(2);
-            let sharded = IndexedDatabase::build_sharded(db, schema, shards).unwrap();
-            let store = SharedStore::from(sharded);
+            let store = SharedStore::from(IndexedDatabase::build(db, schema).unwrap());
 
             const REPEATS: usize = 4;
             // Uncached solo baseline.
