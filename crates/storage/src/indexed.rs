@@ -445,14 +445,38 @@ mod tests {
         assert!(missing.to_string().contains("index 7"), "{missing}");
         let arity = idb.fetch_iter(0, &[]).unwrap_err();
         assert!(arity.to_string().contains("expects 1"), "{arity}");
-        // The columnar fetch refuses the same calls with the same messages.
+    }
+
+    /// The columnar fetch refuses what `fetch_iter` refuses, with the same messages;
+    /// a missing key is an empty result from both.
+    #[test]
+    fn fetch_into_columns_errors_mirror_fetch_iter() {
+        let c = catalog();
+        let schema =
+            AccessSchema::from_constraints([
+                AccessConstraint::new(&c, "R", &["a"], &["b"], 2).unwrap()
+            ]);
+        let idb = IndexedDatabase::build(sample_db(), schema).unwrap();
         let column = &mut [Vec::new()];
-        let refused = [
+        let refused_by_columns = [
             idb.fetch_into_columns(7, &[Value::int(1)], &[0], column),
             idb.fetch_into_columns(0, &[], &[0], column),
         ]
         .map(|result| result.expect_err("refused").to_string());
-        assert_eq!(refused, [missing.to_string(), arity.to_string()]);
+        let refused_by_iter = [
+            idb.fetch_iter(7, &[Value::int(1)]).err(),
+            idb.fetch_iter(0, &[]).err(),
+        ]
+        .map(|error| error.expect("refused").to_string());
+        assert_eq!(refused_by_columns, refused_by_iter);
+        let (iter, _) = idb.fetch_iter(0, &[Value::int(999)]).unwrap();
+        assert_eq!(iter.len(), 0);
+        let mut cols: Vec<Vec<Value>> = vec![Vec::new()];
+        let (appended, _) = idb
+            .fetch_into_columns(0, &[Value::int(999)], &[1], &mut cols)
+            .unwrap();
+        assert_eq!(appended, 0);
+        assert!(cols[0].is_empty());
     }
 
     /// Seeded differential of the batched fetch against the single-key fetch, probe by
