@@ -8,7 +8,7 @@
 //! executor reaches it.
 
 use crate::database::Database;
-use crate::index::{resolve_each, HashIndex, Probes};
+use crate::index::{resolve_each, HashIndex, Offsets, Probes};
 use crate::relation::Relation;
 use bea_core::access::AccessSchema;
 use bea_core::error::{Error, Result};
@@ -102,8 +102,8 @@ impl IndexedDatabase {
     }
 
     /// Iterate, through the index of constraint `constraint_index`, over the tuples of
-    /// its relation whose `X`-projection equals `key`, straight out of the index's
-    /// postings. Yields full tuples; callers project onto `X ∪ Y` as needed (the
+    /// its relation whose `X`-projection equals `key`, straight out of the index (see
+    /// [`FetchIter`]). Yields full tuples; callers project onto `X ∪ Y` as needed (the
     /// executor in `bea-engine` does). The pair's second field is always 0, kept only
     /// because the end-to-end benchmark harness (`benchmark/`) reads `.0`.
     ///
@@ -117,7 +117,7 @@ impl IndexedDatabase {
         key: &[Value],
     ) -> Result<(FetchIter<'_>, u32)> {
         let (relation, index) = self.indexed(constraint_index, key.len())?;
-        let offsets = index.lookup(relation, key).iter();
+        let offsets = index.lookup(relation, key);
         Ok((FetchIter { relation, offsets }, 0))
     }
 
@@ -158,8 +158,7 @@ impl IndexedDatabase {
         let count = probes.hashes.len();
         assert_eq!(probes.keys.len(), probes.arity * count, "one key per hash");
         out.reserve(count);
-        resolve_each(relation, index, probes, |postings| {
-            let offsets = postings.iter();
+        resolve_each(relation, index, probes, |offsets| {
             out.push(FetchIter { relation, offsets });
         });
         Ok(())
@@ -195,16 +194,16 @@ impl IndexedDatabase {
             let relation = self.database.relation_at(self.relations[ci]);
             let allowed = constraint.cardinality().bound(db_size);
             for offsets in index.groups() {
+                let first = offsets.clone().next().expect("a group is never empty");
                 let mut ys: Vec<Row> = offsets
-                    .iter()
-                    .map(|&o| Relation::project(relation.tuple(o as usize), constraint.y()))
+                    .map(|o| Relation::project(relation.tuple(o as usize), constraint.y()))
                     .collect();
                 ys.sort();
                 ys.dedup();
                 if ys.len() as u64 > allowed {
                     violations.push(ConstraintViolation {
                         constraint_index: ci,
-                        key: Relation::project(relation.tuple(offsets[0] as usize), constraint.x()),
+                        key: Relation::project(relation.tuple(first as usize), constraint.x()),
                         observed: ys.len() as u64,
                         allowed,
                     });
@@ -220,24 +219,36 @@ impl IndexedDatabase {
     }
 }
 
-/// Borrowing iterator over the tuples an index lookup matched; see
+/// Borrowing iterator over the tuples an index lookup matched, in insertion order; see
 /// [`IndexedDatabase::fetch_iter`].
+///
+/// It walks the key's [`Offsets`] as the index's layout keeps them: a run of
+/// consecutive tuples where the relation is unique or clustered on the key (no array is
+/// read at all), or a slice of the index's postings otherwise. Either way it yields the
+/// same tuples in the same order, and it is exact-sized, cheap to clone and borrows
+/// everything it reads.
 #[derive(Debug, Clone)]
 pub struct FetchIter<'a> {
     relation: &'a Relation,
-    offsets: std::slice::Iter<'a, u32>,
+    offsets: Offsets<'a>,
 }
 
 impl<'a> Iterator for FetchIter<'a> {
     type Item = &'a [Value];
 
     fn next(&mut self) -> Option<&'a [Value]> {
-        let &offset = self.offsets.next()?;
+        let offset = self.offsets.next()?;
         Some(self.relation.tuple(offset as usize))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.offsets.size_hint()
+    }
+
+    fn fold<B, F: FnMut(B, &'a [Value]) -> B>(self, init: B, mut f: F) -> B {
+        let relation = self.relation;
+        let tuple = move |acc, offset: u32| f(acc, relation.tuple(offset as usize));
+        self.offsets.fold(init, tuple)
     }
 }
 
@@ -255,14 +266,12 @@ impl FetchIter<'_> {
             out.len(),
             "one output column per projected position"
         );
-        let mut appended = 0u64;
-        for tuple in self {
+        self.fold(0, |appended, tuple| {
             for (column, &position) in out.iter_mut().zip(positions) {
                 column.push(tuple[position].clone());
             }
-            appended += 1;
-        }
-        appended
+            appended + 1
+        })
     }
 }
 
@@ -368,10 +377,17 @@ mod tests {
             AccessSchema::from_constraints([
                 AccessConstraint::new(&c, "R", &["a"], &["b"], 2).unwrap()
             ]);
-        let idb = IndexedDatabase::build(sample_db(), schema).unwrap();
-        // 3 tuples × 2 values; 3 postings + 3 starts + 4 slots (2 keys) + 1 key position.
+        let idb = IndexedDatabase::build(sample_db(), schema.clone()).unwrap();
+        // 3 tuples × 2 values. Keys 1, 1, 2 are clustered: 3 starts + 4 slots (2 keys)
+        // + 1 key position, and no postings.
         let value = std::mem::size_of::<Value>() as u64;
         let position = std::mem::size_of::<usize>() as u64;
+        assert_eq!(idb.footprint(), (6 * value, (3 + 4) * 4 + position));
+        // Keys 1, 2, 1 are not: 3 postings + 3 starts + 4 slots + 1 key position.
+        let mut unclustered = Database::new(catalog());
+        let rows = [(1, 10), (2, 20), (1, 11)].map(|(a, b)| vec![Value::int(a), Value::int(b)]);
+        unclustered.extend("R", rows).unwrap();
+        let idb = IndexedDatabase::build(unclustered, schema).unwrap();
         assert_eq!(idb.footprint(), (6 * value, (3 + 3 + 4) * 4 + position));
     }
 

@@ -8,7 +8,8 @@
 //!
 //! * [`relation`] / [`database`] — relations, instances, catalog validation. A relation
 //!   is ONE flat row-major `Vec<Value>` (stride = arity); readers get `&[Value]` slices.
-//! * [`index`] — keyless CSR posting indexes keyed on attribute subsets.
+//! * [`index`] — keyless posting indexes keyed on attribute subsets, keeping only
+//!   what tuple order does not say.
 //! * [`indexed`] — [`IndexedDatabase`], the store: a database plus the one index per
 //!   constraint an access schema mandates, with constraint validation (`D ⊨ A`).
 //!   [`Store`] is the executor's name for a borrowed one.
@@ -26,18 +27,21 @@
 //! | what | layout | bytes |
 //! |---|---|---|
 //! | a tuple of arity `k` | `k` consecutive [`bea_core::value::Value`]s in its relation's one `Vec` | `16·k` (+ shared payloads of strings over 14 B) |
-//! | a posting | one `u32` tuple offset in its index's `postings` | 4 |
-//! | a distinct key | one `u32` CSR start + 2–4 `u32` hash slots; the key values themselves are *not* stored | 12–20 |
+//! | a distinct key | 2–4 `u32` hash slots; the key values themselves are *not* stored | 8–16 |
+//! | … of a key with several tuples | + one `u32` CSR start | + 4 |
+//! | a posting, unless each key's tuples are one run | one `u32` tuple offset in its index's `postings` | 4 |
 //!
 //! A fetch hashes the key (one multiply per value), walks the slot table (linear probing,
 //! at most half full), compares the key against the first tuple of the candidate group —
-//! a tuple the fetch returns anyway — and hands out a subslice of `postings`; the tuples
-//! are then slices of the relation at `offset · k`. The executor fetches batches of
+//! a tuple the fetch returns anyway — and hands out the group's offsets: a run of
+//! consecutive tuples where the relation is unique or clustered on the key, a subslice
+//! of `postings` otherwise; the tuples are then slices of the relation at `offset · k`. The executor fetches batches of
 //! keys ([`IndexedDatabase::resolve`]), walked together so their cache misses overlap;
 //! see [`index`]. Posting lists keep insertion order and key groups are numbered by
 //! first occurrence, so every result and every `validate()` report is deterministic.
 //! [`IndexedDatabase::footprint`] reports the exact tuple and index bytes; on the
-//! accidents workload the four indexes of ψ1–ψ4 cost ≈12 B per posting.
+//! accidents workload, which arrives clustered, the four indexes of ψ1–ψ4 keep no
+//! posting array and cost ≈8 B per posting (≈14 B while every index kept one).
 //! Each constraint's relation is resolved to a position at build time; a fetch looks no
 //! name up. Tuple offsets are 32-bit: building over a relation beyond `u32::MAX` tuples
 //! is an error, not a silent wrap. Flat offset arrays are also what an mmap-backed

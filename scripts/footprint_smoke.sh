@@ -3,17 +3,18 @@
 # wait for `ready`, and fail if its peak resident set (VmHWM) is above the limit. The
 # end-to-end counterpart of the unit pins on index bytes per posting and on the 16-byte
 # value: the keyed-map layout this guards against peaked at 326 MB, the flat one with
-# 24-byte values and a heap object per string at about 142 MB, and the flat one with
-# 16-byte values, short strings inline, at about 90 MB. Also prints, without gating on
+# 24-byte values and a heap object per string at about 142 MB, the flat one with
+# 16-byte values, short strings inline, at about 90 MB, and with clustered indexes
+# (no array that restates tuple order) at about 78 MB. Also prints, without gating on
 # them, the peak bytes per tuple and the start-up time, spawn to `ready` (10 ms polls).
 #
 # Usage: scripts/footprint_smoke.sh [path-to-target-dir] [limit-mb]
-#        (defaults: target/release, 110)
+#        (defaults: target/release, 95)
 
 set -euo pipefail
 
 TARGET="${1:-target/release}"
-LIMIT_MB="${2:-110}"
+LIMIT_MB="${2:-95}"
 # What `--tuples 1000000 --seed 48879` generates.
 TUPLES=1200172
 BEAD="$TARGET/bead"

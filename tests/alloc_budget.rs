@@ -3,9 +3,9 @@
 //! `AccessStats::allocs_per_probe` is a model of what the probe path *demands*; this
 //! binary checks the real thing. It installs a counting `#[global_allocator]` — which is
 //! why it is a test binary of its own: nothing else pays for the counter — and bounds
-//! the allocations of one cold Q0 execution, of a large δ and of generating a store.
-//! The count is per thread, so the harness's own threads cannot leak into a
-//! measurement.
+//! the allocations of one cold Q0 execution, of a large δ and of generating a store,
+//! and the peak of live heap bytes while the store's indexes are built. The counts are
+//! per thread, so the harness's own threads cannot leak into a measurement.
 
 use bea::bench::scenarios::{AccidentsScenario, BENCH_REPORT_SEED};
 use bea::core::access::{AccessConstraint, AccessSchema};
@@ -14,39 +14,52 @@ use bea::core::schema::Catalog;
 use bea::core::value::Value;
 use bea::engine::{execute_physical_on, ExecOptions};
 use bea::storage::{Database, IndexedDatabase};
-use bea::workload::accidents::{generate, AccidentsConfig};
+use bea::workload::accidents::{access_schema, generate, AccidentsConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Forwards to the system allocator, counting `alloc` and `realloc` calls (a growing
-/// `Vec` is a `realloc`) on the calling thread.
+/// `Vec` is a `realloc`) on the calling thread, and the bytes it holds live and their
+/// high-water mark.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// One allocation call that changes the thread's live bytes by `delta`.
+fn count(delta: i64) {
     // `try_with`: the allocator also runs while a thread's locals are torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    track(delta);
+}
+
+fn track(delta: i64) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter touches no allocator state.
+// `GlobalAlloc` contract; the counters touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: the caller's obligations are `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through this allocator, with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -60,6 +73,17 @@ fn allocations_of<T>(run: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = run();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The most heap bytes `run` held live at once on this thread, over what it started
+/// with, and the bytes it still holds when it returns.
+fn peak_bytes_of<T>(run: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(before));
+    let out = run();
+    let peak = PEAK_BYTES.with(Cell::get) - before;
+    let kept = LIVE_BYTES.with(Cell::get) - before;
+    (out, peak as u64, kept as u64)
 }
 
 #[test]
@@ -160,5 +184,27 @@ fn generation_allocates_per_relation_not_per_string() {
         allocations <= 128,
         "generating {} tuples performed {allocations} heap allocations",
         db.size()
+    );
+}
+
+#[test]
+fn building_the_indexes_peaks_little_above_what_they_keep() {
+    let db = generate(&AccidentsConfig::with_total_tuples(20_000, 0xBEAD)).unwrap();
+    let schema = access_schema(db.catalog());
+    let (store, peak, kept) = peak_bytes_of(|| IndexedDatabase::build(db, schema).unwrap());
+    let (_, index_bytes) = store.footprint();
+    assert!(
+        kept >= index_bytes,
+        "the index arrays are heap bytes the store keeps"
+    );
+    // ψ1–ψ4 see clustered or unique keys, so no build holds a group number per tuple
+    // or a posting buffer: the peak is what the store keeps plus the largest index's
+    // per-key tags (ψ4's 16 384-entry `Vec`, 64 KiB) — 65 944 B above `footprint()`
+    // today, against 114 384 B while every build held `group_of`, `firsts` and a
+    // slot table reserved for one key per tuple. The bound leaves 16 KiB.
+    let transient = peak - index_bytes;
+    assert!(
+        transient <= 80 * 1024,
+        "building ψ1–ψ4 peaked {transient} B above their {index_bytes} B"
     );
 }
