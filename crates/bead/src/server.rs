@@ -9,6 +9,7 @@ use bea_core::Value;
 use bea_engine::session::{
     PreparedPlan, Rejection, Session, SessionConfig, SharedStore, SubmitError,
 };
+use bea_engine::CacheStats;
 use bea_parser::Skeleton;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -90,6 +91,11 @@ impl BeadServer {
     /// The session's effective aggregate fetch budget (`None` = unlimited).
     pub fn fetch_budget(&self) -> Option<u64> {
         self.session.fetch_budget()
+    }
+
+    /// The session's fetch-cache counters (all zero with the cache off).
+    pub fn cache_stats(&self) -> CacheStats {
+        self.session.cache_stats()
     }
 
     /// Exact `(tuple_bytes, index_bytes)` of the store (string payloads excluded).

@@ -224,15 +224,17 @@ fn family_texts(
 /// through the template path of one daemon and the literal path of another, with the
 /// fetch cache off or on, and require identical reply bytes
 /// (rows, row order, `fetch_bound`, `alloc_surface`, `tuples_fetched`, `values_cloned`,
-/// `allocs_per_probe`, the cache counters; or the same `ERR` / `REJECT`), the bound
-/// plan to be the literal text's plan step for step, and exactly the later texts of a
-/// stored class to be hits. Returns how many texts were answered `OK`.
+/// `allocs_per_probe`, the cache counters; or the same `ERR` / `REJECT`), identical
+/// session cache counters within the budget after every text, the bound plan to be
+/// the literal text's plan step for step, and exactly the later texts of a stored class
+/// to be hits. Returns how many texts were answered `OK`, and how many cache entries
+/// the template path evicted.
 fn assert_served_alike(
     store: &SharedStore,
     cache_rows: u64,
     fetch_budget: u64,
     classes: &[Vec<String>],
-) -> usize {
+) -> (usize, u64) {
     let templated = Daemon::new(store, cache_rows, fetch_budget);
     let literal = Daemon::new(store, cache_rows, fetch_budget);
     let session = Session::new(store.clone(), SessionConfig::new());
@@ -255,6 +257,12 @@ fn assert_served_alike(
             "the replies differ for {corner}"
         );
         answered += usize::from(reply.status() == ReplyStatus::Ok);
+        let cache = templated.server.cache_stats();
+        assert_eq!(cache, literal.server.cache_stats(), "cache after {corner}");
+        assert!(
+            cache.resident_rows <= cache.budget_rows,
+            "{corner} left the cache above its budget: {cache:?}"
+        );
         let mut rows = HashSet::new();
         assert!(
             reply.body.iter().all(|line| rows.insert(line)),
@@ -297,7 +305,7 @@ fn assert_served_alike(
     let texts = classes.iter().flatten().count() as u64;
     assert_eq!(templated.stat("plan_misses"), texts - hits);
     assert_eq!(literal.stat("plan_templates"), 0);
-    answered
+    (answered, templated.server.cache_stats().evictions)
 }
 
 /// The steps of `plan` with every value read the way a run given `values` reads it
@@ -325,17 +333,18 @@ fn bound_steps(plan: &PhysicalPlan, values: &[Value]) -> Vec<PhysStep> {
     steps
 }
 
-/// [`assert_served_alike`] with the fetch cache off and on.
+/// [`assert_served_alike`] with the fetch cache off, on, and on at a budget of 16 rows;
+/// returns the texts answered `OK` and the evictions at 16 rows.
 fn assert_served_alike_at_every_corner(
     schema: &AccessSchema,
     db: &Database,
     classes: &[Vec<String>],
-) -> usize {
+) -> (usize, u64) {
     let store = SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
-    [0, 1 << 20]
-        .into_iter()
-        .map(|cache_rows| assert_served_alike(&store, cache_rows, 0, classes))
-        .sum()
+    let (off, _) = assert_served_alike(&store, 0, 0, classes);
+    let (on, _) = assert_served_alike(&store, 1 << 20, 0, classes);
+    let (pressed, evictions) = assert_served_alike(&store, 16, 0, classes);
+    (off + on + pressed, evictions)
 }
 
 fn accidents_fixture(seed: u64) -> (Database, AccessSchema) {
@@ -354,7 +363,11 @@ fn accidents_fixture(seed: u64) -> (Database, AccessSchema) {
 
 #[test]
 fn template_replies_are_the_literal_replies_on_every_family() {
-    let mut answered = 0;
+    let (mut answered, mut evictions) = (0, 0);
+    let mut tally = |(ok, evicted): (usize, u64)| {
+        answered += ok;
+        evictions += evicted;
+    };
     run_cases(
         "template_replies_are_the_literal_replies",
         0x7E3A,
@@ -365,7 +378,7 @@ fn template_replies_are_the_literal_replies_on_every_family() {
 
             let (db, schema) = accidents_fixture(seed);
             let texts = family_texts(&accidents::catalog(), &schema, &db, qseed, rng);
-            answered += assert_served_alike_at_every_corner(&schema, &db, &texts);
+            tally(assert_served_alike_at_every_corner(&schema, &db, &texts));
 
             let catalog = ecommerce::catalog();
             let schema = ecommerce::access_schema(&catalog);
@@ -379,7 +392,7 @@ fn template_replies_are_the_literal_replies_on_every_family() {
             })
             .unwrap();
             let texts = family_texts(&catalog, &schema, &db, qseed, rng);
-            answered += assert_served_alike_at_every_corner(&schema, &db, &texts);
+            tally(assert_served_alike_at_every_corner(&schema, &db, &texts));
 
             let catalog = graph::catalog();
             let config = graph::GraphConfig {
@@ -394,10 +407,11 @@ fn template_replies_are_the_literal_replies_on_every_family() {
             let schema = graph::access_schema(&catalog, &config);
             let db = graph::generate(&config).unwrap();
             let texts = family_texts(&catalog, &schema, &db, qseed, rng);
-            answered += assert_served_alike_at_every_corner(&schema, &db, &texts);
+            tally(assert_served_alike_at_every_corner(&schema, &db, &texts));
         },
     );
     assert!(answered > 0, "no generated text was ever answered OK");
+    assert!(evictions > 0, "the 16-row corner never evicted");
 }
 
 #[test]
@@ -467,12 +481,13 @@ fn edge_case_texts_are_served_alike() {
             r#"Q0(age) :- Accident(aid, "district-002", "day-0000"), Casualty(cid, aid, class, vid), Vehicle(vid, driver, age)."#,
         ]),
     ];
-    let answered = assert_served_alike_at_every_corner(&schema, &db, &classes);
-    // At least 20 texts answered at each of the two corners.
+    let (answered, evictions) = assert_served_alike_at_every_corner(&schema, &db, &classes);
+    // At least 20 texts answered at each of the three corners.
     assert!(
-        answered >= 2 * 20,
+        answered >= 3 * 20,
         "only {answered} edge-case texts were answered OK"
     );
+    assert!(evictions > 0, "the 16-row corner never evicted");
 
     // Under a fetch budget the over-budget template is a REJECT on every request, off
     // the stored ticket; the cheap ones are still served.

@@ -307,7 +307,7 @@ fn mix(hash: u64, word: u64) -> u64 {
 }
 
 /// The one hash of a row of values — a key, a projection, a whole tuple — shared by the
-/// store's posting indexes and every membership table, memo and cache stripe of the
+/// store's posting indexes and every membership table, memo and cache map of the
 /// executor, so a row is hashed the same way wherever it is looked up.
 ///
 /// A fixed folded-multiply mixer over the values a word at a time, not SipHash: the
@@ -495,7 +495,7 @@ mod tests {
     #[test]
     fn hash_row_is_pinned() {
         // `core`, `storage` and `engine` all call this one function; the constants pin
-        // it, so an index, a dedup table and a cache stripe cannot drift apart.
+        // it, so an index, a dedup table and a cache map cannot drift apart.
         let empty: [Value; 0] = [];
         assert_eq!(hash_row(&empty), 0x2545_F491_4F6C_DD1D);
         assert_eq!(hash_row(&[Value::int(1)]), 0x4BC4_2E7B_41F3_8A49);

@@ -78,7 +78,7 @@
 //!   real allocation counts come from counting-allocator tests. Like the other
 //!   strategy artifacts it is excluded from [`AccessStats::same_data_access`];
 //! * one row hash, [`bea_core::value::hash_row`], serves every one of those tables,
-//!   the cache stripes and the store's indexes: a fixed mixer, not SipHash — rows
+//!   the session cache's maps and the store's indexes: a fixed mixer, not SipHash — rows
 //!   are loaded data and query constants, every hit is confirmed by comparing
 //!   values, so a bad distribution can only lengthen a slot walk.
 //!
@@ -131,34 +131,37 @@
 //!
 //! A session may also own a **cross-query fetch-result cache**
 //! ([`session::SessionConfig::with_cache_budget_rows`] /
-//! [`session::CACHE_ROWS_ENV`]; 0 or unset = disabled): a striped, bounded LRU
-//! hot tier keyed by `(constraint, key)` holding the `Arc`-shared posting columns
-//! an anchored lookup produced. Its contract:
+//! [`session::CACHE_ROWS_ENV`]; 0 or unset = disabled): one bounded map per entry
+//! shape under one lock, keyed by `(constraint, key)`, holding the `Arc`-shared
+//! posting columns an anchored lookup produced. Its contract:
 //!
 //! * **Ownership.** The cache belongs to the session, not to any query: entries
 //!   hold column handles (refcounts, never value copies), resident rows are
-//!   charged to the cache's *own* residency ledger — not to any query's — and the
+//!   counted on the cache's *own* total — not on any query's ledger — and the
 //!   whole tier is drained when the session drops. The store is immutable for the
 //!   session's lifetime, so there is no invalidation protocol: coherence is by
 //!   construction.
-//! * **Settled probe semantics.** A hit is one hash lookup plus a refcount bump —
-//!   no store fetch, no index probe, no probe-path buffer demand. It bumps only
+//! * **Settled probe semantics.** A hit is one hash lookup, a referenced bit set and
+//!   a refcount bump — no store fetch, no index probe, no allocation. It bumps only
 //!   [`AccessStats::cache_hits`] / [`AccessStats::rows_served_from_cache`]
 //!   (additive, excluded from [`AccessStats::same_data_access`]); `tuples_fetched`,
 //!   `index_lookups` and `allocs_per_probe` record genuine store traffic only, so
 //!   a warm repeat reports `tuples_fetched == 0` and `allocs_per_probe == 0`. A
 //!   miss runs the one arena fetch every lookup runs — byte-for-byte the counters a
-//!   cache-disabled session produces — and publishes a copy of its result exactly once
-//!   (concurrent probes of the same key block on the filling query rather than
-//!   fetching twice).
-//! * **Bounded, loudly.** Eviction is approximately least-recently-used over
-//!   resident rows against the configured row budget (recency is a relaxed clock, and
-//!   a batch's hits are taken before its fills; see `cache.rs`). A posting list longer
-//!   than the whole budget is never published: its fill claim is withdrawn, so no
-//!   resident entry is evicted for it and waiting probes re-probe as after a failed
-//!   fill. Admission control never reads the cache: a repeat query is priced
-//!   at its *uncached* worst case, because cached rows can be evicted between
-//!   pricing and execution — the bound must hold either way.
+//!   cache-disabled session produces — and then inserts a copy of its result. No
+//!   query waits on another's fetch: concurrent cold misses of one key each fetch
+//!   it from the store (each query was priced for that fetch), and the entry the
+//!   first insert left is kept.
+//! * **Bounded, loudly.** Eviction is CLOCK over resident rows against the
+//!   configured row budget: a hit sets its entry's referenced bit, and the insert
+//!   that takes the total past the budget advances a hand over the entries, clearing
+//!   set bits and evicting clear ones, until the total fits — under the lock, so
+//!   no insert returns with the cache above its budget. A batch's hits are taken
+//!   before its inserts (see `cache.rs`). A posting list longer than the whole budget
+//!   is never inserted, so no resident entry is evicted for it. Admission control
+//!   never reads the cache: a repeat query is priced at its *uncached* worst case,
+//!   because cached rows can be evicted between pricing and execution — the bound
+//!   must hold either way.
 //!
 //! The `bead` crate packages a session behind a Unix-socket line protocol
 //! (`bead` daemon / `beactl` client); see its docs for the wire format.

@@ -449,9 +449,8 @@ impl RowTable {
 }
 
 /// A key row that carries its own [`hash_row`], computed once when the key is gathered:
-/// the cache tiers pick a stripe *and* look the key up in that stripe's map with it,
-/// and the keyed lookup probes its arena with it — one pass over the values per probe,
-/// wherever the probe ends up.
+/// the session cache looks the key up in its map with it, and the keyed lookup probes
+/// its arena with it — one pass over the values per probe, wherever the probe ends up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct HashedRow {
     hash: u64,
@@ -503,13 +502,6 @@ impl HashedRow {
     /// The values back, with the buffer that held them.
     pub(crate) fn into_values(self) -> Row {
         self.values
-    }
-
-    /// Which of `stripes` lock stripes the key belongs to. Taken from the hash's upper
-    /// half: the map inside the stripe indexes its buckets with the lower bits, which
-    /// would otherwise be equal for every key the stripe holds.
-    pub(crate) fn stripe(&self, stripes: usize) -> usize {
-        (self.hash >> 32) as usize % stripes
     }
 }
 

@@ -27,23 +27,20 @@
 //! # Two passes per source batch
 //!
 //! 1. **Stage.** [`KeyedLookupOp`] gathers and hashes each row's key once and
-//!    looks it up, without claiming or waiting, in every tier that may hold it, in
-//!    protocol order: the session cache (a hit is stamped and counted like a probe's),
-//!    then the arena's memo. It keeps every hit and sends the keys nothing holds to
-//!    one `resolve`.
+//!    looks it up in every tier that may hold it, in order: the session cache, then
+//!    the arena's memo. It keeps every hit and sends the keys nothing holds to one
+//!    `resolve`.
 //! 2. **Settle.** In row order, a pass-1 hit is emitted from what it returned; any
-//!    other row runs the per-row protocol — session probe or claim, memo, miss — and a
-//!    miss serves the postings pass 1 resolved. A row whose key no tier would probe or
-//!    remember goes straight to them.
+//!    other row looks again — session cache, memo — since an earlier row of the batch
+//!    may have fetched its key, and on a miss serves the postings pass 1 resolved and
+//!    inserts a copy into the session cache. A row whose key no tier would hold goes
+//!    straight to them.
 //!
-//! Hits come first so that a key the session cache serves never costs a walk. Claims
-//! wait for pass 2 because a claim obliges its holder to fill: holding one while
-//! probing, let alone waiting on, another key could leave two queries each waiting for
-//! the other's fill, so each claim is taken and resolved within its own row. Rows,
-//! their order, the arena's layout and every counter are a per-row loop's, except under
-//! eviction pressure: a pass-1 hit serves its row even if a fill earlier in the batch
-//! evicted the entry since (see [`crate::cache`]). A missed key is hashed once, when
-//! gathered.
+//! Hits come first so that a key the session cache serves never costs a walk. Rows,
+//! their order, the arena's layout and every counter are a per-row loop's, except
+//! under eviction pressure: a pass-1 hit serves its row even if an insert earlier in
+//! the batch evicted the entry since (see [`crate::cache`]). A missed key is hashed
+//! once, when gathered.
 //!
 //! # The probe path's allocation budget
 //!
@@ -55,11 +52,11 @@
 //! [`super::BufferPool`] once per operator instance, like the flat buffer pass 1 moves
 //! missed keys into). A repeat of a fetched key is a slot walk plus emission
 //! from where its postings lie; a hit in the session cache is a refcount bump.
-//! Resolving the session cache's *fill claim* is the same miss, then an uncharged
-//! compact copy of the key's postings — taken from the arena range, or straight from
-//! the one tuple — published as the cache's entry (with an owned copy of the key —
-//! cache maintenance, like the cache's own map key); the row itself is served as the
-//! miss serves it, so a cold cache charges what a cache-off run charges.
+//! With a session cache, a miss is the same miss, then an uncharged compact copy of
+//! the key's postings — taken from the arena range, or straight from the one tuple —
+//! inserted as the cache's entry (with owned copies of the key, the entry's and the
+//! ring's: cache maintenance); the row itself is served as the miss serves it, so a
+//! cold cache charges what a cache-off run charges.
 //!
 //! Per operator instance, what remains is its box, its column lists and its staging
 //! vectors: the step's key columns, positions, relation and predicates are borrowed
@@ -82,7 +79,7 @@
 
 use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, HashedRow, RowTable};
 use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
-use crate::cache::{CacheShape, CacheSpace, SessionFetchCache, SessionProbe};
+use crate::cache::{CacheShape, CacheSpace, SessionFetchCache};
 use crate::stats::AccessStats;
 use bea_core::error::Result;
 use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
@@ -95,21 +92,7 @@ use std::sync::Arc;
 /// A handle to the session's cross-query fetch cache, resolved to the operator's
 /// [`CacheShape`] space once, off the per-probe path. `None` outside sessions (and
 /// in cache-disabled sessions), where only the arena's memo runs.
-type SessionCache = Option<(Arc<SessionFetchCache>, Arc<CacheSpace>)>;
-
-/// RAII resolution of a session-cache fill claim: `resolve` publishes the batch when
-/// one was produced and withdraws the claim otherwise — on error *or* unwind — so
-/// probes waiting elsewhere are never stranded by this one's failure.
-struct Claim<F: FnMut(Option<Arc<Batch>>)> {
-    resolve: F,
-    publish: Option<Arc<Batch>>,
-}
-
-impl<F: FnMut(Option<Arc<Batch>>)> Drop for Claim<F> {
-    fn drop(&mut self) {
-        (self.resolve)(self.publish.take());
-    }
-}
+type SessionCache = Option<(Arc<SessionFetchCache>, CacheSpace)>;
 
 /// What pass 1 found for one key (see the module docs): `Held` by a tier — the
 /// session cache's batch, or the arena's memo — or `Missed`, its postings being probe
@@ -417,7 +400,7 @@ enum Postings<'db> {
     Tuple(Option<&'db [Value]>),
     /// Fetched by this operator, two or more tuples: a range of its arena.
     Arena(ArenaRange),
-    /// Served — or just published — by the session cache, in its entry shape
+    /// Served by the session cache, in its entry shape
     /// (pre-projected when [`KeyedLookupOp::fused_emit`] is set).
     Cached(Arc<Batch>),
 }
@@ -449,9 +432,9 @@ impl Postings<'_> {
 /// is ever materialized.
 ///
 /// In a session with a cache, the session's cross-query cache sits in front of the
-/// memo, trading in `Arc<Batch>`. A hit there is emitted from the cached batch; a fill
-/// claim is resolved by the same miss ([`KeyedLookupOp::fetch`]) followed by
-/// publishing a compact copy of the key's postings.
+/// memo, trading in `Arc<Batch>`. A hit there is emitted from the cached batch; a miss
+/// ([`KeyedLookupOp::fetch`]) is followed by inserting a compact copy of the key's
+/// postings.
 pub(crate) struct KeyedLookupOp<'db> {
     input: BoxOp<'db>,
     fetch: FetchStep<'db>,
@@ -591,8 +574,9 @@ impl<'db> KeyedLookupOp<'db> {
     }
 
     /// A compact standalone copy of postings this operator fetched, projected onto
-    /// the fused emission when there is one — what a fill claim publishes. Cache
-    /// maintenance, off the cache-off path, so its clones are not `values_cloned`.
+    /// the fused emission when there is one — what a miss inserts into the session
+    /// cache. Cache maintenance, off the cache-off path, so its clones are not
+    /// `values_cloned`.
     fn copy_out(&self, postings: &Postings<'db>) -> Batch {
         let column = |k: usize| -> Vec<Value> {
             let c = self.stored_col(k);
@@ -635,7 +619,7 @@ impl<'db> KeyedLookupOp<'db> {
 
     /// Pass 1 over `batch` (see the module docs): gather and hash every row's key once,
     /// keep what a tier already holds, and resolve the rest in one batched walk.
-    /// `found` gets one entry per row, in row order. Takes no claim, never waits.
+    /// `found` gets one entry per row, in row order.
     fn stage(&mut self, batch: &Batch) -> Result<()> {
         self.found.clear();
         self.found.reserve(batch.len());
@@ -654,12 +638,11 @@ impl<'db> KeyedLookupOp<'db> {
         Ok(())
     }
 
-    /// What a tier already holds for the key in `key_scratch`, asked in protocol order
-    /// without claiming or waiting: the session cache (a hit is stamped and counted
-    /// exactly like a probe's), then the arena's memo.
+    /// What a tier already holds for the key in `key_scratch`: the session cache (a
+    /// hit is counted), then the arena's memo.
     fn held(&mut self) -> Option<Postings<'db>> {
         if let Some((cache, space)) = &self.session {
-            if let Some(batch) = cache.lookup(space, &self.key_scratch) {
+            if let Some(batch) = cache.lookup(*space, &self.key_scratch) {
                 self.tally.served(batch.len());
                 return Some(Postings::Cached(batch));
             }
@@ -682,58 +665,22 @@ impl<'db> KeyedLookupOp<'db> {
     }
 
     /// The (projected, per-key deduplicated) fetch result for the key in
-    /// `key_scratch`, which pass 1 resolved as probe `p`. The session tier is probed
-    /// before the memo: a hit charges only the cache counters; a miss claims the key
-    /// session-wide, resolves it through the memo — charging exactly the uncached
-    /// costs — and publishes a copy of the result for every later probe.
+    /// `key_scratch`, which pass 1 resolved as probe `p`: the session cache, then the
+    /// arena's memo, then the miss, which charges exactly the uncached costs and
+    /// inserts a copy of its result into the session cache for later probes.
     fn lookup(&mut self, p: usize) -> Result<Postings<'db>> {
-        let Some((cache, space)) = self.session.clone() else {
-            return self.lookup_in_query(p);
-        };
-        match cache.probe(&space, &self.key_scratch) {
-            SessionProbe::Hit(batch) => {
-                self.tally.served(batch.len());
-                Ok(Postings::Cached(batch))
-            }
-            SessionProbe::Fill => {
-                // A repeat of a key this query already fetched, whose copy the cache
-                // declined or has evicted since: withdraw the claim and read the
-                // postings where they lie rather than copy them again.
-                if let Some(repeat) = self.remembered() {
-                    cache.abort(&space, &self.key_scratch);
-                    return Ok(repeat);
-                }
-                // A miss moves the scratch's values into the memo's key columns;
-                // snapshot the key (refcount bumps, uncounted like the claim's own map
-                // key) so the claim can be resolved afterwards.
-                let key = self.key_scratch.clone();
-                let mut claim = Claim {
-                    resolve: |batch: Option<Arc<Batch>>| match batch {
-                        Some(batch) => cache.complete(&space, &key, batch),
-                        None => cache.abort(&space, &key),
-                    },
-                    publish: None,
-                };
-                let postings = self.lookup_in_query(p)?;
-                // A list the cache would not admit is not copied out: the claim is
-                // withdrawn when it drops.
-                if cache.admits(postings.len()) {
-                    claim.publish = Some(match &postings {
-                        Postings::Cached(batch) => Arc::clone(batch),
-                        fetched => Arc::new(self.copy_out(fetched)),
-                    });
-                }
-                Ok(postings)
-            }
-        }
-    }
-
-    /// The arena's memo, resolving a miss through [`KeyedLookupOp::fetch`].
-    fn lookup_in_query(&mut self, p: usize) -> Result<Postings<'db>> {
-        if let Some(repeat) = self.remembered() {
-            return Ok(repeat);
+        if let Some(postings) = self.held() {
+            return Ok(postings);
         }
         let postings = self.fetch(p);
+        if let Some((cache, space)) = &self.session {
+            // A list the cache would not admit is not copied out.
+            if cache.admits(postings.len()) {
+                let copy = Arc::new(self.copy_out(&postings));
+                cache.insert(*space, &self.key_scratch, copy);
+            }
+        }
+        // Remembering moves the scratch's values into the memo's key columns.
         if self.memo {
             self.arena
                 .remember(&mut self.key_scratch, postings.clone())?;
@@ -980,13 +927,13 @@ pub(crate) mod tests {
     }
 
     pub(crate) struct Harness {
-        pub(crate) ledger: Arc<ResidencyLedger>,
+        pub(crate) ledger: Rc<ResidencyLedger>,
         pub(crate) state: SharedState,
     }
 
     impl Harness {
         pub(crate) fn new() -> Self {
-            let ledger = Arc::new(ResidencyLedger::default());
+            let ledger = Rc::new(ResidencyLedger::default());
             let state = Rc::new(RefCell::new(ExecState::new(ledger.clone())));
             Self { ledger, state }
         }
@@ -1167,8 +1114,8 @@ pub(crate) mod tests {
     fn a_repeat_the_session_cache_declined_is_read_from_the_arena() {
         let idb = store();
         let h = Harness::new();
-        // Key 1's three rows exceed the whole budget: the published copy is declined,
-        // so every probe of the key comes back as a fill claim.
+        // Key 1's three rows exceed the whole budget: no copy is inserted, so every
+        // probe of the key misses the session cache.
         let cache = Arc::new(SessionFetchCache::new(2));
         h.state.borrow_mut().cache = Some(cache.clone());
         let mut op = h.lookup(&idb, Vec::new(), &[0, 1, 2], Vec::new(), None);
@@ -1183,10 +1130,9 @@ pub(crate) mod tests {
         op.flush_tally();
         let key = HashedRow::new(vec![Value::int(1)]);
         assert_eq!(h.stats().index_lookups, 1);
-        // The withdrawn claim strands nobody: the next probe claims the key afresh.
         let (_, space) = op.session.clone().unwrap();
-        assert!(matches!(cache.probe(&space, &key), SessionProbe::Fill));
-        cache.abort(&space, &key);
+        assert!(cache.lookup(space, &key).is_none());
+        assert_eq!(cache.stats().resident_rows, 0);
     }
 
     #[test]
@@ -1391,7 +1337,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_failed_resolve_mid_batch_leaves_no_claim_and_no_residency() {
+    fn a_failed_resolve_mid_batch_leaves_no_residency() {
         let idb = store();
         // Constraint 7 does not exist: every key nothing holds fails to resolve, after
         // pass 1 has already taken key 2's warm hits from the session cache.
@@ -1402,8 +1348,7 @@ pub(crate) mod tests {
             emit: None,
         });
         let warm = HashedRow::new(vec![Value::int(2)]);
-        assert!(matches!(cache.probe(&space, &warm), SessionProbe::Fill));
-        cache.complete(&space, &warm, Arc::new(ints(&[&[2, 20, 200]])));
+        cache.insert(space, &warm, Arc::new(ints(&[&[2, 20, 200]])));
         // With the memo kept and dropped alike.
         let runs = [false, true]
             .map(|distinct| feeds(&[&[2], &[1], &[2], &[3]]).map(|pulls| (distinct, pulls)));
@@ -1418,13 +1363,7 @@ pub(crate) mod tests {
             drop(op);
             assert_eq!(h.ledger.resident(), 0);
             assert_eq!(h.stats().tuples_fetched, 0);
-            // No key was left claimed: the next prober of each gets the claim at once.
-            for k in [1, 3] {
-                let key = HashedRow::new(vec![Value::int(k)]);
-                assert!(matches!(cache.probe(&space, &key), SessionProbe::Fill));
-                cache.abort(&space, &key);
-            }
+            assert_eq!(cache.stats().resident_rows, 1, "only the warm entry");
         }
-        assert_eq!(cache.stats().resident_rows, 1);
     }
 }

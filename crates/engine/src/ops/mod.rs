@@ -58,7 +58,6 @@ use bea_storage::Store;
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Rows per pulled batch. Large enough to amortize dispatch, small enough that batch
@@ -71,39 +70,35 @@ pub(crate) const BATCH_SIZE: usize = 1024;
 #[cfg(test)]
 pub(crate) const PANIC_RELATION: &str = "__panic__";
 
-/// A residency ledger: a resident-row counter plus its high-water mark. Each query
-/// has its own; the session's fetch cache has one its callers' threads share, which
-/// is why both counters are atomic.
+/// A residency ledger: a resident-row counter plus its high-water mark, one per
+/// query, on the thread that runs it.
 #[derive(Debug, Default)]
 pub(crate) struct ResidencyLedger {
-    resident: AtomicU64,
-    peak: AtomicU64,
+    resident: Cell<u64>,
+    peak: Cell<u64>,
 }
 
 impl ResidencyLedger {
     /// Record `rows` newly held by a durable structure and update the high-water mark.
-    ///
-    /// Relaxed ordering suffices: read-modify-write operations on a single atomic are
-    /// totally ordered by coherence, so the arithmetic is exact; no other memory is
-    /// synchronized through the ledger.
     pub(crate) fn acquire(&self, rows: u64) {
-        let now = self.resident.fetch_add(rows, Ordering::Relaxed) + rows;
-        self.peak.fetch_max(now, Ordering::Relaxed);
+        let now = self.resident.get() + rows;
+        self.resident.set(now);
+        self.peak.set(self.peak.get().max(now));
     }
 
     /// Record `rows` released by a durable structure.
     pub(crate) fn release(&self, rows: u64) {
-        self.resident.fetch_sub(rows, Ordering::Relaxed);
+        self.resident.set(self.resident.get() - rows);
     }
 
     /// The high-water mark of concurrently resident rows.
     pub(crate) fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
+        self.peak.get()
     }
 
     /// Rows currently resident (zero after a fully drained execution).
     pub(crate) fn resident(&self) -> u64 {
-        self.resident.load(Ordering::Relaxed)
+        self.resident.get()
     }
 }
 
@@ -206,7 +201,7 @@ pub(crate) struct ExecState {
     /// `None` everywhere else — solo executions and cache-disabled sessions probe the
     /// store directly.
     pub(crate) cache: Option<Arc<crate::cache::SessionFetchCache>>,
-    ledger: Arc<ResidencyLedger>,
+    ledger: Rc<ResidencyLedger>,
 }
 
 thread_local! {
@@ -216,7 +211,7 @@ thread_local! {
 
 impl ExecState {
     /// A state with the default pool cap.
-    pub(crate) fn new(ledger: Arc<ResidencyLedger>) -> Self {
+    pub(crate) fn new(ledger: Rc<ResidencyLedger>) -> Self {
         Self {
             stats: AccessStats::default(),
             fetched: FetchTally::default(),
@@ -230,15 +225,15 @@ impl ExecState {
     /// fresh one — accounting against `ledger`, pooling up to `pool_cap` buffers (the plan's
     /// [`pool_cap_for`]) and probing `cache`.
     pub(crate) fn claim(
-        ledger: &Arc<ResidencyLedger>,
+        ledger: &Rc<ResidencyLedger>,
         pool_cap: usize,
         cache: Option<&Arc<crate::cache::SessionFetchCache>>,
     ) -> SharedState {
         let state = PARKED
             .take()
-            .unwrap_or_else(|| Rc::new(RefCell::new(Self::new(Arc::clone(ledger)))));
+            .unwrap_or_else(|| Rc::new(RefCell::new(Self::new(Rc::clone(ledger)))));
         let mut exec = state.borrow_mut();
-        (exec.ledger, exec.pool.cap, exec.cache) = (Arc::clone(ledger), pool_cap, cache.cloned());
+        (exec.ledger, exec.pool.cap, exec.cache) = (Rc::clone(ledger), pool_cap, cache.cloned());
         drop(exec);
         state
     }
@@ -392,7 +387,7 @@ pub(crate) fn execute(plan: &PhysicalPlan, store: Store<'_>) -> Result<(Table, A
 pub(crate) fn execute_inner(
     plan: &PhysicalPlan,
     store: Store<'_>,
-) -> Result<(Table, AccessStats, Arc<ResidencyLedger>)> {
+) -> Result<(Table, AccessStats, Rc<ResidencyLedger>)> {
     validate_for(plan, store)?;
     sched::run(&sched::Prepared::new(Cow::Borrowed(plan)), &[], store, None)
 }
@@ -745,7 +740,7 @@ pub(crate) mod tests {
         // Regression for the "consumers always drain their inputs fully" assumption: a
         // consumer dropped mid-stream must still count as done, so the materialized
         // rows and their residency are released.
-        let ledger = Arc::new(ResidencyLedger::default());
+        let ledger = Rc::new(ResidencyLedger::default());
         let state: SharedState = Rc::new(RefCell::new(ExecState::new(ledger.clone())));
         let rows: Vec<Row> = (0..3).map(|i| vec![Value::int(i)]).collect();
         state.borrow_mut().acquire(rows.len() as u64);

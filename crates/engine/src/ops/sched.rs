@@ -29,6 +29,7 @@ use bea_core::value::{Row, Value};
 use bea_storage::Store;
 use std::borrow::Cow;
 use std::cell::OnceCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A lowered plan and what every run derives from it alone, worked out once: a
@@ -65,9 +66,9 @@ pub(crate) fn run(
     constants: &[Value],
     store: Store<'_>,
     cache: Option<&Arc<SessionFetchCache>>,
-) -> Result<(Table, AccessStats, Arc<ResidencyLedger>)> {
+) -> Result<(Table, AccessStats, Rc<ResidencyLedger>)> {
     let plan = &*prepared.plan;
-    let ledger = Arc::new(ResidencyLedger::default());
+    let ledger = Rc::new(ResidencyLedger::default());
     let state = ExecState::claim(&ledger, prepared.pool_cap, cache);
     let mats: Vec<OnceCell<SharedMat>> = (0..plan.len()).map(|_| OnceCell::new()).collect();
     let ctx = RunCtx {

@@ -45,9 +45,9 @@ pub struct AccessStats {
     /// single tuple in place, so only its emitted values are cloned — and neither is
     /// work that performs no clone: the columnar pipeline's duplicate detection is
     /// hash-then-compare in place, so only genuinely fresh rows enter a set, and a δ
-    /// the plan proves redundant is not run at all. The compact copy a fill claim
-    /// publishes into a cache tier is cache maintenance and not counted either, so a
-    /// fill charges what the same miss charges without a cache. This is the
+    /// the plan proves redundant is not run at all. The compact copy a miss inserts
+    /// into the session cache is cache maintenance and not counted either, so a miss
+    /// charges what it charges without a cache. This is the
     /// copy-traffic side of execution, the quantity the columnar pipeline exists to
     /// minimize; value clones are O(1) (interned strings), so the counter measures
     /// traffic, not bytes. Like residency, it is an execution-strategy artifact and
@@ -68,8 +68,8 @@ pub struct AccessStats {
     /// Deliberately *excluded* are buffers whose number follows the execution
     /// schedule or the cache configuration rather than the probes: per-batch emission
     /// columns and per-operator arena, key and membership-table columns (pooled,
-    /// growing by doubling), and the compact copy — with its owned key — a fill claim
-    /// publishes into the session cache. Counting them would break the equality of
+    /// growing by doubling), and the compact copy — with its owned keys — a miss
+    /// inserts into the session cache. Counting them would break the equality of
     /// cold cached and uncached runs this counter is asserted to have. A pool hit still
     /// counts — the *demand* is what the serving loop must avoid. It is a
     /// streaming-pipeline metric: the materialized executor reports 0. Like

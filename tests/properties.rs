@@ -645,20 +645,22 @@ fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
 /// synchronous entry ([`Session::run`]), the handle entry (`submit` then `wait`) and a
 /// solo [`execute_plan`] return the same rows in the same order with the same data
 /// access, copy traffic and probe-path buffer demand — with the session's fetch cache
-/// off and on. Each lane gets a fresh
+/// off, on, and on at a budget of 16 rows, which evicts. Each lane gets a fresh
 /// session per query, so a cached session starts cold; it may serve a key the query
 /// repeats from the cache, so there the counters are compared lane against lane and
-/// only the rows against solo.
+/// only the rows against solo. No query leaves its session's cache above its budget.
 #[test]
 fn session_lanes_match_solo_execution_on_every_family() {
     use bea::engine::{Session, SessionConfig, SharedStore};
 
-    /// Every covered query of `workload` through all three lanes at both corners;
-    /// returns how many queries were exercised.
+    /// Every covered query of `workload` through all three lanes at every corner,
+    /// adding the evictions it caused to `evictions`; returns how many queries were
+    /// exercised.
     fn assert_lanes_agree(
         schema: &AccessSchema,
         db: &bea::storage::Database,
         workload: &[ConjunctiveQuery],
+        evictions: &mut u64,
     ) -> usize {
         let plans: Vec<_> = workload
             .iter()
@@ -666,20 +668,30 @@ fn session_lanes_match_solo_execution_on_every_family() {
             .map(|query| bounded_plan(query, schema).unwrap())
             .collect();
         let store = &SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
-        for cache_rows in [0u64, 1 << 20] {
+        for cache_rows in [0u64, 1 << 20, 16] {
             let config = SessionConfig::new().with_cache_budget_rows(cache_rows);
             for plan in &plans {
                 let corner = format!("{} at cache {cache_rows}", plan.query_name());
                 let (solo_table, solo_stats) = execute_plan(plan, store.store()).unwrap();
-                let ran = {
+                let (ran, ran_cache) = {
                     let session = Session::new(store.clone(), config);
                     let (_, result) = session.run(plan).unwrap();
-                    result.unwrap()
+                    (result.unwrap(), session.cache_stats())
                 };
-                let waited = {
+                let (waited, waited_cache) = {
                     let session = Session::new(store.clone(), config);
-                    session.submit(plan).unwrap().wait().unwrap()
+                    let result = session.submit(plan).unwrap().wait().unwrap();
+                    (result, session.cache_stats())
                 };
+                assert_eq!(
+                    ran_cache, waited_cache,
+                    "the lanes disagree on the cache counters of {corner}"
+                );
+                assert!(
+                    ran_cache.resident_rows <= ran_cache.budget_rows,
+                    "{corner} left the cache above its budget: {ran_cache:?}"
+                );
+                *evictions += ran_cache.evictions;
                 // The two lanes agree with each other on everything counted.
                 assert!(
                     ran.1.same_data_access(&waited.1),
@@ -731,6 +743,7 @@ fn session_lanes_match_solo_execution_on_every_family() {
         plans.len()
     }
 
+    let mut evictions = 0;
     run_cases_counting(
         "session_lanes_match_solo_execution_on_every_family",
         0x1A9E,
@@ -739,15 +752,16 @@ fn session_lanes_match_solo_execution_on_every_family() {
             let qseed = rng.gen_range(0u64..1_000);
             let (db, schema) = accidents_fixture(seed, 2);
             let workload = random_workload(&accidents::catalog(), &schema, &db, 6, qseed);
-            let mut exercised = assert_lanes_agree(&schema, &db, &workload);
+            let mut exercised = assert_lanes_agree(&schema, &db, &workload, &mut evictions);
             let (db, catalog, schema) = ecommerce_fixture(seed);
             let workload = random_workload(&catalog, &schema, &db, 6, qseed);
-            exercised += assert_lanes_agree(&schema, &db, &workload);
+            exercised += assert_lanes_agree(&schema, &db, &workload, &mut evictions);
             let (db, catalog, schema) = graph_fixture(seed);
             let workload = random_workload(&catalog, &schema, &db, 6, qseed);
-            exercised + assert_lanes_agree(&schema, &db, &workload)
+            exercised + assert_lanes_agree(&schema, &db, &workload, &mut evictions)
         },
     );
+    assert!(evictions > 0, "the 16-row corner never evicted");
 }
 
 /// The session's cross-query fetch cache (PR 9) is a *traffic* optimization, never a
