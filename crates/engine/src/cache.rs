@@ -1,4 +1,4 @@
-//! The session-level cross-query fetch cache: one bounded map per entry shape under
+//! The session-level cross-query fetch cache: one slab of entries per entry shape under
 //! one lock, evicted by a CLOCK hand, in front of the store's indexes.
 //!
 //! [`crate::ops`]'s `KeyedLookupOp` already retains per-key fetch results — but its
@@ -6,17 +6,17 @@
 //! re-fetches identical postings on every connection. [`SessionFetchCache`] hoists
 //! the idea one level up: it is owned by the [`crate::session::Session`], shared by
 //! every query the session runs, and looked up *before* the store's index. A warm hit
-//! is one map lookup under the hash its key already carries ([`HashedRow`]), a
-//! referenced bit set and a refcount bump — zero value clones, zero allocations, and
-//! none of the fetch-side counters (`tuples_fetched`, `index_lookups`) are charged;
-//! the hit is visible only in the additive
-//! [`crate::stats::AccessStats::cache_hits`] / `rows_served_from_cache` counters. A
-//! miss is the ordinary uncached miss, after which the prober inserts an uncharged
-//! compact copy of the result (see `allocs_per_probe`) — so a cold run reproduces the
-//! uncached counters exactly. The maps trust the carried hash instead of SipHash-ing
-//! keys again: keys are data the operator loaded and constants of admitted queries,
-//! and a hit is confirmed by comparing values, so a poor spread costs time under the
-//! lock, never a wrong entry.
+//! is one index walk under the hash its key already carries ([`HashedRow`]), a
+//! referenced bit set and a copy of what the entry holds — an offset or a refcount
+//! bump: zero value clones, zero allocations, and none of the fetch-side counters
+//! (`tuples_fetched`, `index_lookups`) are charged; the hit is visible only in the
+//! additive [`crate::stats::AccessStats::cache_hits`] / `rows_served_from_cache`
+//! counters. A miss is the ordinary uncached miss, after which the prober inserts an
+//! uncharged entry (see `allocs_per_probe`) — so a cold run reproduces the uncached
+//! counters exactly. The index trusts the carried hash instead of hashing keys again:
+//! keys are data the operator loaded and constants of admitted queries, and a hit is
+//! confirmed by comparing values, so a poor spread costs time under the lock, never a
+//! wrong entry.
 //!
 //! Nobody waits on a fill: two queries that miss the same cold key both fetch it from
 //! the store — each was priced for that fetch — and the second
@@ -24,62 +24,138 @@
 //!
 //! # What a cache entry is
 //!
-//! Cached batches are keyed by **shape** and key: a [`CacheShape`] pins the
-//! constraint index, the fetched positions, and the fused pre-projection (if any)
-//! baked into the stored batch, so two operators share entries exactly when their
-//! fills would have produced byte-identical batches. Residual predicates and
-//! non-fused output projections are applied *downstream* of the cache and never
-//! affect entry content, so they do not participate in the shape.
+//! Entries are keyed by **shape** and key: a [`CacheShape`] pins the constraint index,
+//! the fetched positions, and the fused pre-projection (if any) baked into a stored
+//! batch, so two operators share entries exactly when their fills would have produced
+//! the same postings. Residual predicates and non-fused output projections are applied
+//! *downstream* of the cache and never affect entry content, so they do not
+//! participate in the shape.
+//!
+//! An entry holds only what the store cannot serve in place ([`Cached`]). A key that
+//! matched at most one tuple — every probe of a bound-1 constraint — is held as that
+//! tuple's offset in the constraint's relation, or as no offset when it matched
+//! nothing; the prober reads the tuple where it lies, as its uncached miss does. The
+//! store is immutable and outlives every query, and the session owns both, so an
+//! offset never dangles. A key with two or more tuples is held as its projected,
+//! deduplicated postings in a shared [`Batch`], which an anchor emits without a copy.
+//!
+//! Each shape's entries live in one slab: per slot the entry and its key's values,
+//! stored flat and held once — nothing else owns a copy of the key. An open-addressing
+//! index of slot numbers (linear probing, at most half full) finds a key's slot from
+//! its carried hash, as the store's indexes and the engine's
+//! [`crate::ops::batch::RowTable`] do; evicting an entry takes its slot out of the index
+//! (shifting later slots of its probe run back, so no tombstone is left) and frees the
+//! slot for the next insert. Once the slabs and the ring have grown, an insert that
+//! holds an offset allocates nothing.
 //!
 //! # Bounds and eviction
 //!
 //! The cache is bounded by resident rows ([`SessionFetchCache::new`]'s budget;
 //! `SessionConfig::cache_budget_rows` / `BEA_CACHE_ROWS` upstream). Every entry sits
-//! on one ring in admission order; a hit sets its entry's referenced bit. An insert
-//! that takes the total past the budget advances the hand over the ring before it
-//! unlocks: a referenced entry loses its bit and goes round again, an unreferenced one
-//! is evicted, until the total fits. Each step of the hand either evicts an entry
-//! (paid for by its insert) or clears a bit (paid for by the hit that set it), so
-//! eviction is amortised O(1) per insert. A posting list longer than the whole budget
-//! is never inserted ([`SessionFetchCache::admits`]), so it cannot evict every
-//! resident entry and then itself. The cache counts its rows on its **own** resident
-//! total: per-query ledgers still drain to zero at query end (a miss charges and
-//! releases the probing query exactly as without the cache), and the session drains
-//! the cache to zero on teardown. Admission control never looks at cache state: a
-//! query is priced at its uncached worst case, so boundedness guarantees hold even if
-//! every entry is evicted mid-flight.
+//! on one ring in admission order, as its shape and slot; a hit sets its entry's
+//! referenced bit. An insert that takes the total past the budget advances the hand
+//! over the ring before it unlocks: a referenced entry loses its bit and goes round
+//! again, an unreferenced one is evicted, until the total fits. Each step of the hand
+//! either evicts an entry (paid for by its insert) or clears a bit (paid for by the hit
+//! that set it), so eviction is amortised O(1) per insert. A posting list longer than
+//! the whole budget is never inserted ([`SessionFetchCache::admits`]), so it cannot
+//! evict every resident entry and then itself. The cache counts its rows on its
+//! **own** resident total: per-query ledgers still drain to zero at query end (a miss
+//! charges and releases the probing query exactly as without the cache), and the
+//! session drains the cache to zero on teardown. Admission control never looks at
+//! cache state: a query is priced at its uncached worst case, so boundedness
+//! guarantees hold even if every entry is evicted mid-flight.
 //!
 //! A keyed lookup reads every key of a source batch before it inserts any (see
 //! [`crate::ops`]' `fetch` module), so an entry that an insert later in the same batch
 //! evicts can still serve that batch.
 
-use crate::ops::batch::{Batch, HashedRow, HashedRowMap};
+use crate::ops::batch::{Batch, HashedRow};
+use bea_core::value::Value;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Identity of a cache entry's content, beyond its key: which constraint was
-/// fetched, which positions were projected into the stored columns, and the fused
-/// pre-projection applied before caching (`None` when entries hold the raw
-/// projection). Operators with equal shapes produce interchangeable fill results.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CacheShape {
+/// fetched (and so how many values its keys have), which positions were projected
+/// into the stored columns, and the fused pre-projection applied before caching
+/// (`None` when entries hold the raw projection). Operators with equal shapes produce
+/// interchangeable fill results. Borrowed from the operator that asks, so resolving a
+/// space allocates nothing; the cache keeps a [`Shape`] of each one it registers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CacheShape<'a> {
     pub(crate) constraint: usize,
-    pub(crate) positions: Vec<usize>,
-    pub(crate) emit: Option<Vec<usize>>,
+    pub(crate) key_arity: usize,
+    pub(crate) positions: &'a [usize],
+    /// The fused pre-projection as `(cols, shift)`: stored column `k` is fetched column
+    /// `cols[k] - shift` (the emission's columns of the combined row, less the source
+    /// columns before the fetched ones).
+    pub(crate) emit: Option<(&'a [usize], usize)>,
 }
 
-/// A registered [`CacheShape`]: which of the cache's maps holds its entries.
+impl CacheShape<'_> {
+    /// The fetched columns of the fused pre-projection, in stored order.
+    fn emitted(&self) -> Option<impl Iterator<Item = usize> + '_> {
+        let (cols, shift) = self.emit?;
+        Some(cols.iter().map(move |col| col - shift))
+    }
+}
+
+/// A registered [`CacheShape`], owned by the cache.
+#[derive(Debug, Clone)]
+struct Shape {
+    constraint: usize,
+    key_arity: usize,
+    positions: Vec<usize>,
+    emit: Option<Vec<usize>>,
+}
+
+impl Shape {
+    fn of(shape: &CacheShape<'_>) -> Self {
+        Self {
+            constraint: shape.constraint,
+            key_arity: shape.key_arity,
+            positions: shape.positions.to_vec(),
+            emit: shape.emitted().map(Iterator::collect),
+        }
+    }
+
+    /// Whether `shape` is this one: same constraint, positions and stored columns.
+    fn is(&self, shape: &CacheShape<'_>) -> bool {
+        let emit = match (&self.emit, shape.emitted()) {
+            (Some(held), Some(asked)) => held.iter().copied().eq(asked),
+            (held, asked) => held.is_none() && asked.is_none(),
+        };
+        self.constraint == shape.constraint
+            && self.key_arity == shape.key_arity
+            && self.positions == shape.positions
+            && emit
+    }
+}
+
+/// A registered [`CacheShape`]: which of the cache's slabs holds its entries.
 /// Operators resolve it once (at construction or when the fused projection is
 /// settled), so the per-probe path never compares shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CacheSpace(usize);
+pub(crate) struct CacheSpace(u32);
 
-#[derive(Debug)]
-struct Entry {
-    batch: Arc<Batch>,
-    /// Set by every hit, cleared when the hand passes: an entry the hand finds clear
-    /// has not been hit since the hand last came round.
-    referenced: bool,
+/// What a cache entry holds for its key: only what the store cannot serve in place
+/// (see the module docs).
+#[derive(Debug, Clone)]
+pub(crate) enum Cached {
+    /// The key matched at most one tuple: its offset in the constraint's relation.
+    Tuple(Option<u32>),
+    /// The key matched two or more tuples: their projected, deduplicated rows.
+    Rows(Arc<Batch>),
+}
+
+impl Cached {
+    /// Rows the entry serves, and counts on the resident total.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Cached::Tuple(offset) => usize::from(offset.is_some()),
+            Cached::Rows(batch) => batch.len(),
+        }
+    }
 }
 
 /// Session-global cache counters, surfaced through
@@ -96,17 +172,172 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Rows currently held by cache entries.
     pub resident_rows: u64,
+    /// Entries currently resident — a key that matched nothing is an entry of no rows.
+    pub entries: u64,
     /// The configured row budget the resident total is kept under.
     pub budget_rows: u64,
+}
+
+/// Marks a free slot of a [`Space`]'s index; never a slot number.
+const EMPTY: u32 = u32::MAX;
+
+/// One entry of a [`Space`]'s slab; its key's values lie at the same slot.
+#[derive(Debug)]
+struct Entry {
+    hash: u64,
+    cached: Cached,
+    /// Set by every hit, cleared when the hand passes: an entry the hand finds clear
+    /// has not been hit since the hand last came round.
+    referenced: bool,
+}
+
+/// The entries of one shape (see the module docs): a slab of slots, their keys, the
+/// slots evictions freed, and the index from carried hash to slot.
+#[derive(Debug)]
+struct Space {
+    shape: Shape,
+    /// `shape.key_arity` values per slot, flat.
+    keys: Vec<Value>,
+    slab: Vec<Entry>,
+    free: Vec<u32>,
+    /// Slot numbers or [`EMPTY`]; a power of two long, at most half full.
+    index: Vec<u32>,
+}
+
+impl Space {
+    /// The smallest index: skips the first few doublings of a growing slab.
+    const MIN_INDEX: usize = 16;
+
+    fn new(shape: Shape) -> Self {
+        Self {
+            shape,
+            keys: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            index: Vec::new(),
+        }
+    }
+
+    /// Where the values of the key at `slot` lie in `keys`.
+    fn key_range(&self, slot: u32) -> std::ops::Range<usize> {
+        let arity = self.shape.key_arity;
+        slot as usize * arity..(slot as usize + 1) * arity
+    }
+
+    /// Walk the index from `hash`'s home: the position of the first slot `is_slot`
+    /// accepts, or else the free position that ends the walk (the index is at most half
+    /// full, so there is one).
+    fn walk(&self, hash: u64, is_slot: impl Fn(u32) -> bool) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            match self.index[at] {
+                EMPTY => return Err(at),
+                slot if is_slot(slot) => return Ok(at),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot holding `key`, if resident.
+    fn find(&self, key: &HashedRow) -> Option<u32> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let at = self.walk(key.hash(), |slot| self.holds(slot, key)).ok()?;
+        Some(self.index[at])
+    }
+
+    /// Whether the entry at `slot` is `key`'s.
+    fn holds(&self, slot: u32, key: &HashedRow) -> bool {
+        self.slab[slot as usize].hash == key.hash()
+            && self.keys[self.key_range(slot)] == *key.values()
+    }
+
+    /// Hold `cached` as `key`'s entry: its slot, or `None` when the key is resident
+    /// already or the slab has no slot number left.
+    fn insert(&mut self, key: &HashedRow, cached: Cached) -> Option<u32> {
+        debug_assert_eq!(key.values().len(), self.shape.key_arity);
+        let live = self.slab.len() - self.free.len();
+        if (live + 1) * 2 > self.index.len() {
+            self.grow((live + 1) * 2);
+        }
+        let at = self.walk(key.hash(), |slot| self.holds(slot, key)).err()?;
+        let entry = Entry {
+            hash: key.hash(),
+            cached,
+            referenced: false,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = entry;
+                let range = self.key_range(slot);
+                self.keys[range].clone_from_slice(key.values());
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&slot| slot < EMPTY)?;
+                self.slab.push(entry);
+                self.keys.extend_from_slice(key.values());
+                slot
+            }
+        };
+        self.index[at] = slot;
+        Some(slot)
+    }
+
+    /// Re-slot every resident entry into an index of at least `positions` positions.
+    fn grow(&mut self, positions: usize) {
+        let size = positions.next_power_of_two().max(Self::MIN_INDEX);
+        let old = std::mem::replace(&mut self.index, vec![EMPTY; size]);
+        for slot in old.into_iter().filter(|&slot| slot != EMPTY) {
+            let hash = self.slab[slot as usize].hash;
+            let at = self.walk(hash, |_| false).expect_err("no slot is accepted");
+            self.index[at] = slot;
+        }
+    }
+
+    /// Evict the entry at `slot`: its slot leaves the index — each later slot of the
+    /// probe run that may move back fills the gap, so every walk still finds its key —
+    /// and is free for the next insert. Returns what the entry held.
+    fn remove(&mut self, slot: u32) -> Cached {
+        let mask = self.index.len() - 1;
+        let hash = self.slab[slot as usize].hash;
+        let mut hole = self
+            .walk(hash, |held| held == slot)
+            .expect("a slot is indexed");
+        let mut next = (hole + 1) & mask;
+        loop {
+            let moved = self.index[next];
+            if moved == EMPTY {
+                break;
+            }
+            let home = self.slab[moved as usize].hash as usize & mask;
+            // `moved` may fill the hole unless its home lies after the hole in the run.
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.index[hole] = moved;
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.index[hole] = EMPTY;
+        self.free.push(slot);
+        // Release what the freed key's values share, such as a long string's payload.
+        let range = self.key_range(slot);
+        self.keys[range].fill(Value::Bool(false));
+        std::mem::replace(&mut self.slab[slot as usize].cached, Cached::Tuple(None))
+    }
 }
 
 /// Everything the cache's one lock guards.
 #[derive(Debug, Default)]
 struct Resident {
-    /// One map per registered shape, indexed by [`CacheSpace`].
-    spaces: Vec<(CacheShape, HashedRowMap<Entry>)>,
-    /// Every resident entry's space and key; the hand is the front.
-    ring: VecDeque<(CacheSpace, HashedRow)>,
+    /// One slab per registered shape, indexed by [`CacheSpace`].
+    spaces: Vec<Space>,
+    /// Every resident entry's space and slot; the hand is the front.
+    ring: VecDeque<(CacheSpace, u32)>,
     /// Always the rows of every entry in `spaces`, and never above the budget once an
     /// insert unlocks.
     rows: u64,
@@ -141,26 +372,28 @@ impl SessionFetchCache {
     /// The space for `shape`, registering it on first use. A linear scan: shapes are
     /// as few as the distinct fetch steps of the session's plans, and each operator
     /// resolves its space once, off the per-probe path.
-    pub(crate) fn space(&self, shape: CacheShape) -> CacheSpace {
+    pub(crate) fn space(&self, shape: CacheShape<'_>) -> CacheSpace {
         let mut resident = self.lock();
         let spaces = &mut resident.spaces;
-        let found = spaces.iter().position(|(known, _)| *known == shape);
-        CacheSpace(found.unwrap_or_else(|| {
-            spaces.push((shape, HashedRowMap::default()));
+        let found = spaces.iter().position(|known| known.shape.is(&shape));
+        let index = found.unwrap_or_else(|| {
+            spaces.push(Space::new(Shape::of(&shape)));
             spaces.len() - 1
-        }))
+        });
+        CacheSpace(u32::try_from(index).expect("shapes are as few as fetch steps"))
     }
 
-    /// The cached batch for `key` in `space`, if resident: a hit sets the entry's
+    /// What `key`'s entry in `space` holds, if resident: a hit sets the entry's
     /// referenced bit and counts the rows it serves.
-    pub(crate) fn lookup(&self, space: CacheSpace, key: &HashedRow) -> Option<Arc<Batch>> {
+    pub(crate) fn lookup(&self, space: CacheSpace, key: &HashedRow) -> Option<Cached> {
         let resident = &mut *self.lock();
-        let entry = resident.spaces[space.0].1.get_mut(key)?;
+        let space = &mut resident.spaces[space.0 as usize];
+        let slot = space.find(key)?;
+        let entry = &mut space.slab[slot as usize];
         entry.referenced = true;
-        let batch = Arc::clone(&entry.batch);
         resident.hits += 1;
-        resident.rows_served += batch.len() as u64;
-        Some(batch)
+        resident.rows_served += entry.cached.len() as u64;
+        Some(entry.cached.clone())
     }
 
     /// Whether a posting list of `rows` rows may be inserted: one longer than the
@@ -169,40 +402,32 @@ impl SessionFetchCache {
         rows as u64 <= self.budget_rows
     }
 
-    /// Cache `batch` as `key`'s postings in `space`, unless an entry is already there
-    /// (a concurrent miss of the same key inserted it first) or the batch is not
+    /// Hold `cached` as `key`'s entry in `space`, unless an entry is already there (a
+    /// concurrent miss of the same key inserted it first) or its rows are not
     /// [admitted](SessionFetchCache::admits); then advance the hand until the resident
     /// total fits the budget again (see the module docs).
-    pub(crate) fn insert(&self, space: CacheSpace, key: &HashedRow, batch: Arc<Batch>) {
-        if !self.admits(batch.len()) {
+    pub(crate) fn insert(&self, space: CacheSpace, key: &HashedRow, cached: Cached) {
+        let rows = cached.len();
+        if !self.admits(rows) {
             return;
         }
         let resident = &mut *self.lock();
-        let map = &mut resident.spaces[space.0].1;
-        if map.contains_key(key) {
+        let Some(slot) = resident.spaces[space.0 as usize].insert(key, cached) else {
             return;
-        }
-        let rows = batch.len() as u64;
-        let entry = Entry {
-            batch,
-            referenced: false,
         };
-        map.insert(key.clone(), entry);
-        resident.ring.push_back((space, key.clone()));
-        resident.rows += rows;
+        resident.ring.push_back((space, slot));
+        resident.rows += rows as u64;
         while resident.rows > self.budget_rows {
-            let (space, key) = resident
+            let (space, slot) = resident
                 .ring
                 .pop_front()
                 .expect("resident rows belong to entries on the ring");
-            let map = &mut resident.spaces[space.0].1;
-            let entry = map.get_mut(&key).expect("a ring key is resident");
-            if std::mem::take(&mut entry.referenced) {
-                resident.ring.push_back((space, key));
+            let held = &mut resident.spaces[space.0 as usize];
+            if std::mem::take(&mut held.slab[slot as usize].referenced) {
+                resident.ring.push_back((space, slot));
             } else {
-                resident.rows -= entry.batch.len() as u64;
+                resident.rows -= held.remove(slot).len() as u64;
                 resident.evictions += 1;
-                map.remove(&key);
             }
         }
         debug_assert!(
@@ -215,12 +440,13 @@ impl SessionFetchCache {
     /// this on teardown.
     pub(crate) fn drain(&self) {
         let resident = &mut *self.lock();
-        for (_, map) in &mut resident.spaces {
-            for (_, entry) in map.drain() {
-                resident.rows -= entry.batch.len() as u64;
-            }
+        for (space, slot) in resident.ring.drain(..) {
+            let cached = &resident.spaces[space.0 as usize].slab[slot as usize].cached;
+            resident.rows -= cached.len() as u64;
         }
-        resident.ring.clear();
+        for space in &mut resident.spaces {
+            *space = Space::new(space.shape.clone());
+        }
         debug_assert_eq!(
             resident.rows, 0,
             "draining the cache returns its resident total to zero"
@@ -234,6 +460,7 @@ impl SessionFetchCache {
             rows_served: resident.rows_served,
             evictions: resident.evictions,
             resident_rows: resident.rows,
+            entries: resident.ring.len() as u64,
             budget_rows: self.budget_rows,
         }
     }
@@ -242,21 +469,21 @@ impl SessionFetchCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bea_core::value::Value;
 
-    fn shape(constraint: usize) -> CacheShape {
+    fn shape(constraint: usize) -> CacheShape<'static> {
         CacheShape {
             constraint,
-            positions: vec![0, 1],
+            key_arity: 1,
+            positions: &[0, 1],
             emit: None,
         }
     }
 
-    fn batch_of(rows: usize) -> Arc<Batch> {
-        Arc::new(Batch::from_rows(
+    fn batch_of(rows: usize) -> Cached {
+        Cached::Rows(Arc::new(Batch::from_rows(
             1,
             (0..rows).map(|i| vec![Value::int(i as i64)]).collect(),
-        ))
+        )))
     }
 
     fn key_of(k: i64) -> HashedRow {
@@ -280,10 +507,11 @@ mod tests {
         });
         let stats = cache.stats();
         assert_eq!(stats.resident_rows, 3, "one entry, its rows counted once");
+        assert_eq!(stats.entries, 1);
         assert_eq!((stats.hits, stats.evictions), (0, 0));
         assert_eq!(cache.lookup(space, &key).unwrap().len(), 3);
         cache.drain();
-        assert_eq!(cache.stats().resident_rows, 0);
+        assert_eq!((cache.stats().resident_rows, cache.stats().entries), (0, 0));
         assert!(cache.lookup(space, &key).is_none());
     }
 
@@ -293,9 +521,8 @@ mod tests {
         let a = cache.space(shape(0));
         let b = cache.space(shape(1));
         let fused = cache.space(CacheShape {
-            constraint: 0,
-            positions: vec![0, 1],
-            emit: Some(vec![1]),
+            emit: Some((&[2], 1)),
+            ..shape(0)
         });
         let key = key_of(1);
         cache.insert(a, &key, batch_of(2));
@@ -304,9 +531,15 @@ mod tests {
         assert!(cache.lookup(fused, &key).is_none());
         assert!(cache.lookup(b, &key).is_none());
         assert_eq!(cache.lookup(a, &key).unwrap().len(), 2);
-        // Re-resolving an equal shape lands on the same space.
+        // Re-resolving an equal shape lands on the same space, and so does a fused
+        // pre-projection that stores the same columns.
         let a_again = cache.space(shape(0));
         assert_eq!(cache.lookup(a_again, &key).unwrap().len(), 2);
+        let fused_again = cache.space(CacheShape {
+            emit: Some((&[3], 2)),
+            ..shape(0)
+        });
+        assert_eq!(fused_again, fused);
     }
 
     #[test]
@@ -351,7 +584,13 @@ mod tests {
             if k % 3 == 0 {
                 cache.lookup(spaces[(k as usize + 1) % 2], &key_of(k - 3));
             }
-            cache.insert(space, &key_of(k), batch_of(k as usize % 5));
+            // Offset entries of one row and of none, batches of two rows or more.
+            let cached = match k % 5 {
+                0 => Cached::Tuple(None),
+                1 => Cached::Tuple(Some(k as u32)),
+                rows => batch_of(rows as usize),
+            };
+            cache.insert(space, &key_of(k), cached);
             assert!(
                 cache.stats().resident_rows <= 10,
                 "over budget after key {k}"
@@ -359,14 +598,15 @@ mod tests {
         }
         let stats = cache.stats();
         assert!(stats.evictions > 0);
-        let held: usize = (0..200)
+        let held: Vec<Cached> = (0..200)
             .filter_map(|k| cache.lookup(spaces[k as usize % 2], &key_of(k)))
-            .map(|batch| batch.len())
-            .sum();
+            .collect();
+        let rows: usize = held.iter().map(Cached::len).sum();
         assert_eq!(
-            held as u64, stats.resident_rows,
+            rows as u64, stats.resident_rows,
             "the total is the entries'"
         );
+        assert_eq!(held.len() as u64, stats.entries);
     }
 
     #[test]
@@ -383,5 +623,64 @@ mod tests {
         assert!(cache.lookup(space, &key_of(0)).is_none());
         cache.insert(space, &key_of(0), batch_of(3));
         assert_eq!(cache.stats().resident_rows, 3);
+    }
+
+    /// The first `n` keys `0..` whose carried hash has its home at the smallest index's
+    /// last position, so that their probe run wraps round to the first.
+    fn sharing_the_last_home(n: usize) -> Vec<i64> {
+        let mask = Space::MIN_INDEX as u64 - 1;
+        let keys = (0..).filter(|&k| key_of(k).hash() & mask == mask);
+        keys.take(n).collect()
+    }
+
+    #[test]
+    fn keys_sharing_a_home_slot_are_found_inserted_and_evicted_apart() {
+        // Three one-row offset entries under a two-row budget, all three keys walking
+        // from the last position of the 16-position index and wrapping round.
+        let [a, b, c] = sharing_the_last_home(3)[..] else {
+            unreachable!("three keys are taken")
+        };
+        let cache = SessionFetchCache::new(2);
+        let space = cache.space(shape(0));
+        let offset = |k: i64| k as u32 + 100;
+        let insert = |k: i64| cache.insert(space, &key_of(k), Cached::Tuple(Some(offset(k))));
+        // Which of the keys are resident, read without setting a referenced bit.
+        let resident = |want: [bool; 3]| {
+            let guard = cache.lock();
+            let space = &guard.spaces[0];
+            for (k, want) in [a, b, c].into_iter().zip(want) {
+                let held = space
+                    .find(&key_of(k))
+                    .map(|slot| &space.slab[slot as usize]);
+                match held.map(|entry| &entry.cached) {
+                    Some(Cached::Tuple(Some(at))) => assert!(want && *at == offset(k), "{k}"),
+                    None => assert!(!want, "key {k} is not found"),
+                    Some(other) => panic!("key {k} holds {other:?}"),
+                }
+            }
+        };
+        insert(a);
+        insert(b);
+        resident([true, true, false]);
+        // `c` takes the total past the budget: `a`, the oldest, is evicted from the head
+        // of the run, and `b` and `c`, moved back into the gap, are still found.
+        insert(c);
+        resident([false, true, true]);
+        // `a` again, into the slot it freed: now `b`, at the head of the run, goes.
+        insert(a);
+        resident([true, false, true]);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.evictions, stats.entries, stats.resident_rows),
+            (2, 2, 2)
+        );
+        assert_eq!(
+            cache.lock().spaces[0].slab.len(),
+            3,
+            "an evicted slot is reused"
+        );
+        // A hit serves the offset.
+        let hit = cache.lookup(space, &key_of(c));
+        assert!(matches!(hit, Some(Cached::Tuple(Some(at))) if at == offset(c)));
     }
 }

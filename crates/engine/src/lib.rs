@@ -78,7 +78,7 @@
 //!   real allocation counts come from counting-allocator tests. Like the other
 //!   strategy artifacts it is excluded from [`AccessStats::same_data_access`];
 //! * one row hash, [`bea_core::value::hash_row`], serves every one of those tables,
-//!   the session cache's maps and the store's indexes: a fixed mixer, not SipHash — rows
+//!   the session cache's indexes and the store's: a fixed mixer, not SipHash — rows
 //!   are loaded data and query constants, every hit is confirmed by comparing
 //!   values, so a bad distribution can only lengthen a slot walk.
 //!
@@ -131,24 +131,29 @@
 //!
 //! A session may also own a **cross-query fetch-result cache**
 //! ([`session::SessionConfig::with_cache_budget_rows`] /
-//! [`session::CACHE_ROWS_ENV`]; 0 or unset = disabled): one bounded map per entry
-//! shape under one lock, keyed by `(constraint, key)`, holding the `Arc`-shared
-//! posting columns an anchored lookup produced. Its contract:
+//! [`session::CACHE_ROWS_ENV`]; 0 or unset = disabled): one bounded slab of entries
+//! per entry shape under one lock, keyed by `(constraint, key)`. An entry holds only
+//! what the store cannot serve in place: a key of at most one tuple is that tuple's
+//! offset in its relation, a longer one the `Arc`-shared posting columns its lookup
+//! produced. Its contract:
 //!
 //! * **Ownership.** The cache belongs to the session, not to any query: entries
-//!   hold column handles (refcounts, never value copies), resident rows are
-//!   counted on the cache's *own* total — not on any query's ledger — and the
-//!   whole tier is drained when the session drops. The store is immutable for the
-//!   session's lifetime, so there is no invalidation protocol: coherence is by
+//!   hold offsets and column handles (refcounts, never value copies of what they
+//!   serve), resident rows are counted on the cache's *own* total — not on any
+//!   query's ledger — and the whole tier is drained when the session drops. The
+//!   store is immutable for the session's lifetime and owned by it, so there is no
+//!   invalidation protocol and an offset never dangles: coherence is by
 //!   construction.
 //! * **Settled probe semantics.** A hit is one hash lookup, a referenced bit set and
-//!   a refcount bump — no store fetch, no index probe, no allocation. It bumps only
+//!   an offset read or a refcount bump — no store fetch, no index probe, no
+//!   allocation. A one-tuple hit is read where the tuple lies, as the miss reads it;
+//!   so a warm one-tuple anchor gathers its row, as a cache-off one does. It bumps only
 //!   [`AccessStats::cache_hits`] / [`AccessStats::rows_served_from_cache`]
 //!   (additive, excluded from [`AccessStats::same_data_access`]); `tuples_fetched`,
 //!   `index_lookups` and `allocs_per_probe` record genuine store traffic only, so
 //!   a warm repeat reports `tuples_fetched == 0` and `allocs_per_probe == 0`. A
 //!   miss runs the one arena fetch every lookup runs — byte-for-byte the counters a
-//!   cache-disabled session produces — and then inserts a copy of its result. No
+//!   cache-disabled session produces — and then inserts its result. No
 //!   query waits on another's fetch: concurrent cold misses of one key each fetch
 //!   it from the store (each query was priced for that fetch), and the entry the
 //!   first insert left is kept.

@@ -29,7 +29,6 @@
 use bea_core::error::{Error, Result};
 use bea_core::plan::Predicate;
 use bea_core::value::{hash_row, Row, Value};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// One shared column of values. Cloning the handle is a refcount bump.
@@ -449,9 +448,12 @@ impl RowTable {
 }
 
 /// A key row that carries its own [`hash_row`], computed once when the key is gathered:
-/// the session cache looks the key up in its map with it, and the keyed lookup probes
+/// the session cache looks the key up in its index with it, and the keyed lookup probes
 /// its arena with it — one pass over the values per probe, wherever the probe ends up.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Outside tests it is not `Clone`: a key moves between its holders, and the session
+/// cache copies its values once, into the entry's slot.
+#[derive(Debug, PartialEq, Eq)]
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct HashedRow {
     hash: u64,
     values: Row,
@@ -494,7 +496,11 @@ impl HashedRow {
         debug_assert_eq!(hash, hash_row(&self.values), "a carried hash is its key's");
     }
 
-    #[cfg(test)]
+    /// The key's [`hash_row`], computed when it was gathered.
+    pub(crate) fn hash(&self) -> u64 {
+        self.hash
+    }
+
     pub(crate) fn values(&self) -> &[Value] {
         &self.values
     }
@@ -504,34 +510,6 @@ impl HashedRow {
         self.values
     }
 }
-
-impl Hash for HashedRow {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// The hasher of maps keyed by [`HashedRow`]: passes the carried hash through.
-#[derive(Debug, Default)]
-pub(crate) struct CarriedHash(u64);
-
-impl Hasher for CarriedHash {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a HashedRow feeds its hash as one u64");
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A map from keys to `V` that never re-hashes a key: see [`HashedRow`].
-pub(crate) type HashedRowMap<V> =
-    std::collections::HashMap<HashedRow, V, BuildHasherDefault<CarriedHash>>;
 
 #[cfg(test)]
 mod tests {

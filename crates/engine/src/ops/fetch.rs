@@ -33,7 +33,7 @@
 //! 2. **Settle.** In row order, a pass-1 hit is emitted from what it returned; any
 //!    other row looks again — session cache, memo — since an earlier row of the batch
 //!    may have fetched its key, and on a miss serves the postings pass 1 resolved and
-//!    inserts a copy into the session cache. A row whose key no tier would hold goes
+//!    inserts them into the session cache. A row whose key no tier would hold goes
 //!    straight to them.
 //!
 //! Hits come first so that a key the session cache serves never costs a walk. Rows,
@@ -51,12 +51,13 @@
 //! multi-tuple postings to the arena's value columns (both drawn from the thread's
 //! [`super::BufferPool`] once per operator instance, like the flat buffer pass 1 moves
 //! missed keys into). A repeat of a fetched key is a slot walk plus emission
-//! from where its postings lie; a hit in the session cache is a refcount bump.
-//! With a session cache, a miss is the same miss, then an uncharged compact copy of
-//! the key's postings — taken from the arena range, or straight from the one tuple —
-//! inserted as the cache's entry (with owned copies of the key, the entry's and the
-//! ring's: cache maintenance); the row itself is served as the miss serves it, so a
-//! cold cache charges what a cache-off run charges.
+//! from where its postings lie; a hit in the session cache is an offset into the
+//! store or a refcount bump. With a session cache, a miss is the same miss, then an
+//! uncharged insert as cache maintenance. A key of at most one tuple is held as that
+//! tuple's offset ([`bea_storage::FetchIter::first_offset`]) and copies no value; a
+//! longer list is held as a compact copy of its arena range. Either way the cache
+//! copies the key's values once, into the entry's slot. The row itself is served as
+//! the miss serves it, so a cold cache charges what a cache-off run charges.
 //!
 //! Per operator instance, what remains is its box, its column lists and its staging
 //! vectors: the step's key columns, positions, relation and predicates are borrowed
@@ -79,23 +80,44 @@
 
 use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, HashedRow, RowTable};
 use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
-use crate::cache::{CacheShape, CacheSpace, SessionFetchCache};
+use crate::cache::{CacheShape, CacheSpace, Cached, SessionFetchCache};
 use crate::stats::AccessStats;
 use bea_core::error::Result;
 use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
 use bea_core::value::Value;
-use bea_storage::{FetchIter, Probes, Store};
+use bea_storage::{FetchIter, Probes, Relation, Store};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// A handle to the session's cross-query fetch cache, resolved to the operator's
-/// [`CacheShape`] space once, off the per-probe path. `None` outside sessions (and
-/// in cache-disabled sessions), where only the arena's memo runs.
-type SessionCache = Option<(Arc<SessionFetchCache>, CacheSpace)>;
+/// A handle to the session's cross-query fetch cache, resolved once, off the per-probe
+/// path: the cache, the operator's [`CacheShape`] space in it, and the relation whose
+/// tuples its offset entries name. Absent outside sessions (and in cache-disabled
+/// sessions), where only the arena's memo runs.
+struct SessionCache<'db> {
+    cache: Arc<SessionFetchCache>,
+    space: CacheSpace,
+    relation: &'db Relation,
+}
+
+impl<'db> SessionCache<'db> {
+    /// What the cache holds for `key`, as postings; a hit is counted on `tally`.
+    fn lookup(&self, key: &HashedRow, tally: &mut ProbeTally) -> Option<Postings<'db>> {
+        let cached = self.cache.lookup(self.space, key)?;
+        tally.served(cached.len());
+        Some(match cached {
+            // Read where it lies, as the uncached miss reads it.
+            Cached::Tuple(offset) => Postings::Tuple(offset.map(|offset| {
+                let tuple = self.relation.row(offset as usize);
+                tuple.expect("a cached offset names a tuple of the session's immutable store")
+            })),
+            Cached::Rows(batch) => Postings::Cached(batch),
+        })
+    }
+}
 
 /// What pass 1 found for one key (see the module docs): `Held` by a tier — the
-/// session cache's batch, or the arena's memo — or `Missed`, its postings being probe
+/// session cache, or the arena's memo — or `Missed`, its postings being probe
 /// `p` of the pass's `resolve`.
 enum Found<'db> {
     Held(Postings<'db>),
@@ -275,19 +297,28 @@ impl<'a> FetchStep<'a> {
     }
 
     /// The session cache's space for this step's entries, with the pre-projection
-    /// `emit` gives baked in; `None` when the query has no session cache.
+    /// `emit` (see [`CacheShape::emit`]) baked in, and the step's relation in `store`;
+    /// `None` when the query has no session cache (or the store no such relation,
+    /// which its resolve refuses).
     fn session(
         self,
         state: &SharedState,
-        emit: impl FnOnce() -> Option<Vec<usize>>,
-    ) -> SessionCache {
+        store: Store<'a>,
+        emit: Option<(&[usize], usize)>,
+    ) -> Option<SessionCache<'a>> {
         let cache = state.borrow().cache.clone()?;
+        let relation = store.database().relation(self.relation).ok()?;
         let space = cache.space(CacheShape {
             constraint: self.constraint_index,
-            positions: self.positions.to_vec(),
-            emit: emit(),
+            key_arity: self.key_cols.len(),
+            positions: self.positions,
+            emit,
         });
-        Some((cache, space))
+        Some(SessionCache {
+            cache,
+            space,
+            relation,
+        })
     }
 }
 
@@ -432,9 +463,9 @@ impl Postings<'_> {
 /// is ever materialized.
 ///
 /// In a session with a cache, the session's cross-query cache sits in front of the
-/// memo, trading in `Arc<Batch>`. A hit there is emitted from the cached batch; a miss
-/// ([`KeyedLookupOp::fetch`]) is followed by inserting a compact copy of the key's
-/// postings.
+/// memo. A hit there serves a one-tuple key from the store, as a miss would, and a
+/// longer list from the cached batch; a miss ([`KeyedLookupOp::fetch`]) is followed by
+/// inserting the tuple's offset or a compact copy of the list.
 pub(crate) struct KeyedLookupOp<'db> {
     input: BoxOp<'db>,
     fetch: FetchStep<'db>,
@@ -456,7 +487,7 @@ pub(crate) struct KeyedLookupOp<'db> {
     /// The session's cross-query cache, probed before the memo. Resolved together
     /// with [`KeyedLookupOp::fused_emit`] — the fused pre-projection is part of the
     /// entry shape — by [`KeyedLookupOp::ensure_fused_emit`].
-    session: SessionCache,
+    session: Option<SessionCache<'db>>,
     /// Reusable probe-key buffer: pass 1 gathers every key into it and hashes it once,
     /// moving a key nothing held on into `pass`; pass 2 moves it back when a tier needs
     /// it, and a miss *moves* its values into the memo's key columns, keeping the
@@ -573,10 +604,10 @@ impl<'db> KeyedLookupOp<'db> {
         }
     }
 
-    /// A compact standalone copy of postings this operator fetched, projected onto
-    /// the fused emission when there is one — what a miss inserts into the session
-    /// cache. Cache maintenance, off the cache-off path, so its clones are not
-    /// `values_cloned`.
+    /// A compact standalone copy of postings this operator fetched into its arena,
+    /// projected onto the fused emission when there is one — what a miss of two or more
+    /// tuples inserts into the session cache. Cache maintenance, off the cache-off path,
+    /// so its clones are not `values_cloned`.
     fn copy_out(&self, postings: &Postings<'db>) -> Batch {
         let column = |k: usize| -> Vec<Value> {
             let c = self.stored_col(k);
@@ -606,15 +637,8 @@ impl<'db> KeyedLookupOp<'db> {
         // The fused pre-projection is baked into cached batches, so it is part of
         // the session-cache entry shape — resolve the operator's space only now
         // that it is settled.
-        let emit = || {
-            let fused = self.fused_emit.is_some();
-            fused.then(|| {
-                (0..self.stored_width())
-                    .map(|k| self.stored_col(k))
-                    .collect()
-            })
-        };
-        self.session = self.fetch.session(&self.state, emit);
+        let emit = self.out_cols.zip(self.fused_emit);
+        self.session = self.fetch.session(&self.state, self.store, emit);
     }
 
     /// Pass 1 over `batch` (see the module docs): gather and hash every row's key once,
@@ -641,13 +665,9 @@ impl<'db> KeyedLookupOp<'db> {
     /// What a tier already holds for the key in `key_scratch`: the session cache (a
     /// hit is counted), then the arena's memo.
     fn held(&mut self) -> Option<Postings<'db>> {
-        if let Some((cache, space)) = &self.session {
-            if let Some(batch) = cache.lookup(*space, &self.key_scratch) {
-                self.tally.served(batch.len());
-                return Some(Postings::Cached(batch));
-            }
-        }
-        self.remembered()
+        let session = self.session.as_ref();
+        let cached = session.and_then(|session| session.lookup(&self.key_scratch, &mut self.tally));
+        cached.or_else(|| self.remembered())
     }
 
     /// Pass 2 for one row: a pass-1 hit as it was found; otherwise the row's key,
@@ -667,17 +687,26 @@ impl<'db> KeyedLookupOp<'db> {
     /// The (projected, per-key deduplicated) fetch result for the key in
     /// `key_scratch`, which pass 1 resolved as probe `p`: the session cache, then the
     /// arena's memo, then the miss, which charges exactly the uncached costs and
-    /// inserts a copy of its result into the session cache for later probes.
+    /// inserts its result into the session cache for later probes: at most one tuple as
+    /// its offset, more as a copy.
     fn lookup(&mut self, p: usize) -> Result<Postings<'db>> {
         if let Some(postings) = self.held() {
             return Ok(postings);
         }
         let postings = self.fetch(p);
-        if let Some((cache, space)) = &self.session {
-            // A list the cache would not admit is not copied out.
-            if cache.admits(postings.len()) {
-                let copy = Arc::new(self.copy_out(&postings));
-                cache.insert(*space, &self.key_scratch, copy);
+        if let Some(session) = &self.session {
+            let cached = match postings {
+                Postings::Tuple(_) => Some(Cached::Tuple(self.pass.resolved[p].first_offset())),
+                // A list the cache would not admit is not copied out.
+                _ if session.cache.admits(postings.len()) => {
+                    Some(Cached::Rows(Arc::new(self.copy_out(&postings))))
+                }
+                _ => None,
+            };
+            if let Some(cached) = cached {
+                session
+                    .cache
+                    .insert(session.space, &self.key_scratch, cached);
             }
         }
         // Remembering moves the scratch's values into the memo's key columns.
@@ -808,12 +837,13 @@ impl Operator for KeyedLookupOp<'_> {
         let mut found = std::mem::take(&mut self.found);
         // Anchor fast path: a single source row, no residual, and a fused projection
         // that keeps only fetched columns — the output *is* the key's projected
-        // postings, emitted as a batch over the storage that already holds them (an
+        // postings, emitted as a batch over the storage that already holds them (a
         // session-cache entry, or the arena segment, sealed): zero value clones and, on
         // a warm session cache, zero allocations. This is the first lookup of every
         // anchored plan, where the fan-out (and hence the row-pipeline's copy bill) is
         // largest — and the whole body of the steady-state serving loop. A tuple read
-        // in place has no such storage: it is gathered below like any row.
+        // in place, from a miss or a cached offset, has no such storage: it is gathered
+        // below like any row.
         if batch.len() == 1 && self.fused_emit.is_some() {
             if let Some(only) = found.pop() {
                 let emitted = match self.settle(only)? {
@@ -1130,7 +1160,7 @@ pub(crate) mod tests {
         op.flush_tally();
         let key = HashedRow::new(vec![Value::int(1)]);
         assert_eq!(h.stats().index_lookups, 1);
-        let (_, space) = op.session.clone().unwrap();
+        let space = op.session.as_ref().unwrap().space;
         assert!(cache.lookup(space, &key).is_none());
         assert_eq!(cache.stats().resident_rows, 0);
     }
@@ -1267,6 +1297,54 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    fn a_warm_session_serves_one_tuple_and_absent_keys_from_offsets() {
+        let idb = store();
+        // Key 2 matches one tuple, the fourth of `R`; key 3 none. The full combined row,
+        // and a fused projection onto `(v, w)`, whose one-row batches take the anchor
+        // path.
+        for out_cols in [None, Some(&[2, 3][..])] {
+            for (key, offset) in [(2, Some(3)), (3, None)] {
+                let corner = format!("key {key}, columns {out_cols:?}");
+                let pulls = || vec![Ok(ints(&[&[key]]))];
+                let (expected, off, _) = run_lookup(&idb, pulls(), out_cols, false, false);
+                let cache = Arc::new(SessionFetchCache::new(1_000));
+                let run = || {
+                    let h = Harness::new();
+                    h.state.borrow_mut().cache = Some(cache.clone());
+                    let mut op = h.lookup(&idb, pulls(), &[0, 1, 2], Vec::new(), out_cols);
+                    let out = drain(&mut op).concat();
+                    let space = op.session.as_ref().unwrap().space;
+                    drop(op);
+                    (out, h.stats(), space)
+                };
+                let (cold_out, cold, _) = run();
+                let (warm_out, warm, space) = run();
+                assert_eq!((&cold_out, &warm_out), (&expected, &expected), "{corner}");
+                assert!(cold.same_data_access(&off), "{corner}");
+                let rows = u64::from(offset.is_some());
+                assert_eq!((warm.cache_hits, warm.rows_served_from_cache), (1, rows));
+                assert_eq!(
+                    (warm.tuples_fetched, warm.index_lookups),
+                    (0, 0),
+                    "{corner}"
+                );
+                // The tuple is gathered where it lies, as the cache-off run gathers it —
+                // on the anchor path too.
+                assert_eq!(warm.values_cloned, off.values_cloned, "{corner}");
+                // The cold run left the tuple's offset, not a copy of it.
+                let key = HashedRow::new(vec![Value::int(key)]);
+                let held = cache.lookup(space, &key);
+                assert!(
+                    matches!(held, Some(Cached::Tuple(held)) if held == offset),
+                    "{corner}"
+                );
+                let stats = cache.stats();
+                assert_eq!((stats.entries, stats.resident_rows), (1, rows), "{corner}");
+            }
+        }
+    }
+
     /// The same source rows as one batch, as two, and one row per batch.
     fn feeds(rows: &[&[i64]]) -> [Vec<Result<Batch>>; 3] {
         let (front, back) = rows.split_at(rows.len() / 2);
@@ -1344,11 +1422,13 @@ pub(crate) mod tests {
         let cache = Arc::new(SessionFetchCache::new(1_000));
         let space = cache.space(CacheShape {
             constraint: 7,
-            positions: vec![0, 1, 2],
+            key_arity: 1,
+            positions: &[0, 1, 2],
             emit: None,
         });
+        // Key 2's one tuple, the fourth of `R`.
         let warm = HashedRow::new(vec![Value::int(2)]);
-        cache.insert(space, &warm, Arc::new(ints(&[&[2, 20, 200]])));
+        cache.insert(space, &warm, Cached::Tuple(Some(3)));
         // With the memo kept and dropped alike.
         let runs = [false, true]
             .map(|distinct| feeds(&[&[2], &[1], &[2], &[3]]).map(|pulls| (distinct, pulls)));

@@ -255,6 +255,12 @@ impl<'a> Iterator for FetchIter<'a> {
 impl ExactSizeIterator for FetchIter<'_> {}
 
 impl FetchIter<'_> {
+    /// The offset in its relation ([`Relation::row`]) of the next tuple the iterator
+    /// would yield, if any.
+    pub fn first_offset(&self) -> Option<u32> {
+        self.offsets.clone().next()
+    }
+
     /// Append, for every remaining tuple, the values at `positions` into the
     /// corresponding output columns (`out[i]` receives `tuple[positions[i]]`); returns
     /// how many tuples were appended. The columnar fetch kernel:
