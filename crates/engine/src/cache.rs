@@ -1,19 +1,19 @@
-//! The session-level cross-query fetch cache: one slab of entries per entry shape under
-//! one lock, evicted by a CLOCK hand, in front of the store's indexes.
+//! The session-level cross-query fetch cache: one key table and slab of entries per
+//! entry shape under one lock, evicted by a CLOCK hand, in front of the store's indexes.
 //!
 //! [`crate::ops`]'s `KeyedLookupOp` already retains per-key fetch results — but its
 //! arena dies with its query, so a service replaying the same anchored probes
 //! re-fetches identical postings on every connection. [`SessionFetchCache`] hoists
 //! the idea one level up: it is owned by the [`crate::session::Session`], shared by
 //! every query the session runs, and looked up *before* the store's index. A warm hit
-//! is one index walk under the hash its key already carries ([`HashedRow`]), a
+//! is one key-table walk under the hash its key already carries ([`HashedRow`]), a
 //! referenced bit set and a copy of what the entry holds — an offset or a refcount
 //! bump: zero value clones, zero allocations, and none of the fetch-side counters
 //! (`tuples_fetched`, `index_lookups`) are charged; the hit is visible only in the
 //! additive [`crate::stats::AccessStats::cache_hits`] / `rows_served_from_cache`
 //! counters. A miss is the ordinary uncached miss, after which the prober inserts an
 //! uncharged entry (see `allocs_per_probe`) — so a cold run reproduces the uncached
-//! counters exactly. The index trusts the carried hash instead of hashing keys again:
+//! counters exactly. The key table trusts the carried hash instead of hashing keys again:
 //! keys are data the operator loaded and constants of admitted queries, and a hit is
 //! confirmed by comparing values, so a poor spread costs time under the lock, never a
 //! wrong entry.
@@ -39,20 +39,17 @@
 //! offset never dangles. A key with two or more tuples is held as its projected,
 //! deduplicated postings in a shared [`Batch`], which an anchor emits without a copy.
 //!
-//! Each shape's entries live in one slab: per slot the entry and its key's values,
-//! stored flat and held once — nothing else owns a copy of the key. An open-addressing
-//! index of slot numbers (linear probing, at most half full) finds a key's slot from
-//! its carried hash, as the store's indexes and the engine's
-//! [`crate::ops::batch::RowTable`] do; evicting an entry takes its slot out of the index
-//! (shifting later slots of its probe run back, so no tombstone is left) and frees the
-//! slot for the next insert. Once the slabs and the ring have grown, an insert that
-//! holds an offset allocates nothing.
+//! Each shape's keys live in one [`RowTable`], held once — nothing else owns a copy of
+//! a key — and its entries in a slab beside it, at the key's position. Evicting an
+//! entry [removes](RowTable::remove) its key, whose position the next insert takes.
+//! Once the table, the slab and the ring have grown, an insert that holds an offset
+//! allocates nothing.
 //!
 //! # Bounds and eviction
 //!
 //! The cache is bounded by resident rows ([`SessionFetchCache::new`]'s budget;
 //! `SessionConfig::cache_budget_rows` / `BEA_CACHE_ROWS` upstream). Every entry sits
-//! on one ring in admission order, as its shape and slot; a hit sets its entry's
+//! on one ring in admission order, as its space and position; a hit sets its entry's
 //! referenced bit. An insert that takes the total past the budget advances the hand
 //! over the ring before it unlocks: a referenced entry loses its bit and goes round
 //! again, an unreferenced one is evicted, until the total fits. Each step of the hand
@@ -70,8 +67,7 @@
 //! [`crate::ops`]' `fetch` module), so an entry that an insert later in the same batch
 //! evicts can still serve that batch.
 
-use crate::ops::batch::{Batch, HashedRow};
-use bea_core::value::Value;
+use crate::ops::batch::{Batch, HashedRow, RowTable};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -79,60 +75,16 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// fetched (and so how many values its keys have), which positions were projected
 /// into the stored columns, and the fused pre-projection applied before caching
 /// (`None` when entries hold the raw projection). Operators with equal shapes produce
-/// interchangeable fill results. Borrowed from the operator that asks, so resolving a
-/// space allocates nothing; the cache keeps a [`Shape`] of each one it registers.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CacheShape<'a> {
+/// interchangeable fill results.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct CacheShape {
     pub(crate) constraint: usize,
     pub(crate) key_arity: usize,
-    pub(crate) positions: &'a [usize],
-    /// The fused pre-projection as `(cols, shift)`: stored column `k` is fetched column
-    /// `cols[k] - shift` (the emission's columns of the combined row, less the source
-    /// columns before the fetched ones).
-    pub(crate) emit: Option<(&'a [usize], usize)>,
+    pub(crate) positions: Vec<usize>,
+    pub(crate) emit: Option<Vec<usize>>,
 }
 
-impl CacheShape<'_> {
-    /// The fetched columns of the fused pre-projection, in stored order.
-    fn emitted(&self) -> Option<impl Iterator<Item = usize> + '_> {
-        let (cols, shift) = self.emit?;
-        Some(cols.iter().map(move |col| col - shift))
-    }
-}
-
-/// A registered [`CacheShape`], owned by the cache.
-#[derive(Debug, Clone)]
-struct Shape {
-    constraint: usize,
-    key_arity: usize,
-    positions: Vec<usize>,
-    emit: Option<Vec<usize>>,
-}
-
-impl Shape {
-    fn of(shape: &CacheShape<'_>) -> Self {
-        Self {
-            constraint: shape.constraint,
-            key_arity: shape.key_arity,
-            positions: shape.positions.to_vec(),
-            emit: shape.emitted().map(Iterator::collect),
-        }
-    }
-
-    /// Whether `shape` is this one: same constraint, positions and stored columns.
-    fn is(&self, shape: &CacheShape<'_>) -> bool {
-        let emit = match (&self.emit, shape.emitted()) {
-            (Some(held), Some(asked)) => held.iter().copied().eq(asked),
-            (held, asked) => held.is_none() && asked.is_none(),
-        };
-        self.constraint == shape.constraint
-            && self.key_arity == shape.key_arity
-            && self.positions == shape.positions
-            && emit
-    }
-}
-
-/// A registered [`CacheShape`]: which of the cache's slabs holds its entries.
+/// A registered [`CacheShape`]: which of the cache's spaces holds its entries.
 /// Operators resolve it once (at construction or when the fused projection is
 /// settled), so the per-probe path never compares shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,165 +130,66 @@ pub struct CacheStats {
     pub budget_rows: u64,
 }
 
-/// Marks a free slot of a [`Space`]'s index; never a slot number.
-const EMPTY: u32 = u32::MAX;
-
-/// One entry of a [`Space`]'s slab; its key's values lie at the same slot.
+/// One entry of a [`Space`]'s slab, at its key's position in the space's keys.
 #[derive(Debug)]
 struct Entry {
-    hash: u64,
     cached: Cached,
     /// Set by every hit, cleared when the hand passes: an entry the hand finds clear
     /// has not been hit since the hand last came round.
     referenced: bool,
 }
 
-/// The entries of one shape (see the module docs): a slab of slots, their keys, the
-/// slots evictions freed, and the index from carried hash to slot.
+/// The entries of one shape (see the module docs).
 #[derive(Debug)]
 struct Space {
-    shape: Shape,
-    /// `shape.key_arity` values per slot, flat.
-    keys: Vec<Value>,
+    shape: CacheShape,
+    keys: RowTable,
     slab: Vec<Entry>,
-    free: Vec<u32>,
-    /// Slot numbers or [`EMPTY`]; a power of two long, at most half full.
-    index: Vec<u32>,
 }
 
 impl Space {
-    /// The smallest index: skips the first few doublings of a growing slab.
-    const MIN_INDEX: usize = 16;
-
-    fn new(shape: Shape) -> Self {
+    fn new(shape: CacheShape) -> Self {
+        let keys = RowTable::new("a session cache space", vec![Vec::new(); shape.key_arity]);
         Self {
             shape,
-            keys: Vec::new(),
+            keys,
             slab: Vec::new(),
-            free: Vec::new(),
-            index: Vec::new(),
         }
     }
 
-    /// Where the values of the key at `slot` lie in `keys`.
-    fn key_range(&self, slot: u32) -> std::ops::Range<usize> {
-        let arity = self.shape.key_arity;
-        slot as usize * arity..(slot as usize + 1) * arity
-    }
-
-    /// Walk the index from `hash`'s home: the position of the first slot `is_slot`
-    /// accepts, or else the free position that ends the walk (the index is at most half
-    /// full, so there is one).
-    fn walk(&self, hash: u64, is_slot: impl Fn(u32) -> bool) -> Result<usize, usize> {
-        let mask = self.index.len() - 1;
-        let mut at = hash as usize & mask;
-        loop {
-            match self.index[at] {
-                EMPTY => return Err(at),
-                slot if is_slot(slot) => return Ok(at),
-                _ => at = (at + 1) & mask,
-            }
-        }
-    }
-
-    /// The slot holding `key`, if resident.
-    fn find(&self, key: &HashedRow) -> Option<u32> {
-        if self.index.is_empty() {
+    /// Hold `cached` as `key`'s entry: its position, or `None` when the key is resident
+    /// already or the space holds as many keys as positions can name.
+    fn insert(&mut self, key: &HashedRow, cached: Cached) -> Option<u32> {
+        let values = key.values();
+        let (position, fresh) = self.keys.insert(key.hash(), |c| &values[c]).ok()?;
+        if !fresh {
             return None;
         }
-        let at = self.walk(key.hash(), |slot| self.holds(slot, key)).ok()?;
-        Some(self.index[at])
-    }
-
-    /// Whether the entry at `slot` is `key`'s.
-    fn holds(&self, slot: u32, key: &HashedRow) -> bool {
-        self.slab[slot as usize].hash == key.hash()
-            && self.keys[self.key_range(slot)] == *key.values()
-    }
-
-    /// Hold `cached` as `key`'s entry: its slot, or `None` when the key is resident
-    /// already or the slab has no slot number left.
-    fn insert(&mut self, key: &HashedRow, cached: Cached) -> Option<u32> {
-        debug_assert_eq!(key.values().len(), self.shape.key_arity);
-        let live = self.slab.len() - self.free.len();
-        if (live + 1) * 2 > self.index.len() {
-            self.grow((live + 1) * 2);
-        }
-        let at = self.walk(key.hash(), |slot| self.holds(slot, key)).err()?;
         let entry = Entry {
-            hash: key.hash(),
             cached,
             referenced: false,
         };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = entry;
-                let range = self.key_range(slot);
-                self.keys[range].clone_from_slice(key.values());
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len())
-                    .ok()
-                    .filter(|&slot| slot < EMPTY)?;
-                self.slab.push(entry);
-                self.keys.extend_from_slice(key.values());
-                slot
-            }
-        };
-        self.index[at] = slot;
-        Some(slot)
+        match self.slab.get_mut(position as usize) {
+            Some(freed) => *freed = entry,
+            None => self.slab.push(entry),
+        }
+        Some(position)
     }
 
-    /// Re-slot every resident entry into an index of at least `positions` positions.
-    fn grow(&mut self, positions: usize) {
-        let size = positions.next_power_of_two().max(Self::MIN_INDEX);
-        let old = std::mem::replace(&mut self.index, vec![EMPTY; size]);
-        for slot in old.into_iter().filter(|&slot| slot != EMPTY) {
-            let hash = self.slab[slot as usize].hash;
-            let at = self.walk(hash, |_| false).expect_err("no slot is accepted");
-            self.index[at] = slot;
-        }
-    }
-
-    /// Evict the entry at `slot`: its slot leaves the index — each later slot of the
-    /// probe run that may move back fills the gap, so every walk still finds its key —
-    /// and is free for the next insert. Returns what the entry held.
-    fn remove(&mut self, slot: u32) -> Cached {
-        let mask = self.index.len() - 1;
-        let hash = self.slab[slot as usize].hash;
-        let mut hole = self
-            .walk(hash, |held| held == slot)
-            .expect("a slot is indexed");
-        let mut next = (hole + 1) & mask;
-        loop {
-            let moved = self.index[next];
-            if moved == EMPTY {
-                break;
-            }
-            let home = self.slab[moved as usize].hash as usize & mask;
-            // `moved` may fill the hole unless its home lies after the hole in the run.
-            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
-                self.index[hole] = moved;
-                hole = next;
-            }
-            next = (next + 1) & mask;
-        }
-        self.index[hole] = EMPTY;
-        self.free.push(slot);
-        // Release what the freed key's values share, such as a long string's payload.
-        let range = self.key_range(slot);
-        self.keys[range].fill(Value::Bool(false));
-        std::mem::replace(&mut self.slab[slot as usize].cached, Cached::Tuple(None))
+    /// Evict the entry at `position`; returns what it held.
+    fn remove(&mut self, position: u32) -> Cached {
+        self.keys.remove(position);
+        let cached = &mut self.slab[position as usize].cached;
+        std::mem::replace(cached, Cached::Tuple(None))
     }
 }
 
 /// Everything the cache's one lock guards.
 #[derive(Debug, Default)]
 struct Resident {
-    /// One slab per registered shape, indexed by [`CacheSpace`].
+    /// One space per registered shape, indexed by [`CacheSpace`].
     spaces: Vec<Space>,
-    /// Every resident entry's space and slot; the hand is the front.
+    /// Every resident entry's space and position; the hand is the front.
     ring: VecDeque<(CacheSpace, u32)>,
     /// Always the rows of every entry in `spaces`, and never above the budget once an
     /// insert unlocks.
@@ -372,12 +225,12 @@ impl SessionFetchCache {
     /// The space for `shape`, registering it on first use. A linear scan: shapes are
     /// as few as the distinct fetch steps of the session's plans, and each operator
     /// resolves its space once, off the per-probe path.
-    pub(crate) fn space(&self, shape: CacheShape<'_>) -> CacheSpace {
+    pub(crate) fn space(&self, shape: CacheShape) -> CacheSpace {
         let mut resident = self.lock();
         let spaces = &mut resident.spaces;
-        let found = spaces.iter().position(|known| known.shape.is(&shape));
+        let found = spaces.iter().position(|known| known.shape == shape);
         let index = found.unwrap_or_else(|| {
-            spaces.push(Space::new(Shape::of(&shape)));
+            spaces.push(Space::new(shape));
             spaces.len() - 1
         });
         CacheSpace(u32::try_from(index).expect("shapes are as few as fetch steps"))
@@ -388,8 +241,8 @@ impl SessionFetchCache {
     pub(crate) fn lookup(&self, space: CacheSpace, key: &HashedRow) -> Option<Cached> {
         let resident = &mut *self.lock();
         let space = &mut resident.spaces[space.0 as usize];
-        let slot = space.find(key)?;
-        let entry = &mut space.slab[slot as usize];
+        let position = space.keys.find_key(key)?;
+        let entry = &mut space.slab[position as usize];
         entry.referenced = true;
         resident.hits += 1;
         resident.rows_served += entry.cached.len() as u64;
@@ -412,21 +265,21 @@ impl SessionFetchCache {
             return;
         }
         let resident = &mut *self.lock();
-        let Some(slot) = resident.spaces[space.0 as usize].insert(key, cached) else {
+        let Some(position) = resident.spaces[space.0 as usize].insert(key, cached) else {
             return;
         };
-        resident.ring.push_back((space, slot));
+        resident.ring.push_back((space, position));
         resident.rows += rows as u64;
         while resident.rows > self.budget_rows {
-            let (space, slot) = resident
+            let (space, position) = resident
                 .ring
                 .pop_front()
                 .expect("resident rows belong to entries on the ring");
             let held = &mut resident.spaces[space.0 as usize];
-            if std::mem::take(&mut held.slab[slot as usize].referenced) {
-                resident.ring.push_back((space, slot));
+            if std::mem::take(&mut held.slab[position as usize].referenced) {
+                resident.ring.push_back((space, position));
             } else {
-                resident.rows -= held.remove(slot).len() as u64;
+                resident.rows -= held.remove(position).len() as u64;
                 resident.evictions += 1;
             }
         }
@@ -440,8 +293,8 @@ impl SessionFetchCache {
     /// this on teardown.
     pub(crate) fn drain(&self) {
         let resident = &mut *self.lock();
-        for (space, slot) in resident.ring.drain(..) {
-            let cached = &resident.spaces[space.0 as usize].slab[slot as usize].cached;
+        for (space, position) in resident.ring.drain(..) {
+            let cached = &resident.spaces[space.0 as usize].slab[position as usize].cached;
             resident.rows -= cached.len() as u64;
         }
         for space in &mut resident.spaces {
@@ -469,12 +322,13 @@ impl SessionFetchCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bea_core::value::Value;
 
-    fn shape(constraint: usize) -> CacheShape<'static> {
+    fn shape(constraint: usize) -> CacheShape {
         CacheShape {
             constraint,
             key_arity: 1,
-            positions: &[0, 1],
+            positions: vec![0, 1],
             emit: None,
         }
     }
@@ -521,7 +375,7 @@ mod tests {
         let a = cache.space(shape(0));
         let b = cache.space(shape(1));
         let fused = cache.space(CacheShape {
-            emit: Some((&[2], 1)),
+            emit: Some(vec![1]),
             ..shape(0)
         });
         let key = key_of(1);
@@ -531,15 +385,9 @@ mod tests {
         assert!(cache.lookup(fused, &key).is_none());
         assert!(cache.lookup(b, &key).is_none());
         assert_eq!(cache.lookup(a, &key).unwrap().len(), 2);
-        // Re-resolving an equal shape lands on the same space, and so does a fused
-        // pre-projection that stores the same columns.
+        // Re-resolving an equal shape lands on the same space.
         let a_again = cache.space(shape(0));
         assert_eq!(cache.lookup(a_again, &key).unwrap().len(), 2);
-        let fused_again = cache.space(CacheShape {
-            emit: Some((&[3], 2)),
-            ..shape(0)
-        });
-        assert_eq!(fused_again, fused);
     }
 
     #[test]
@@ -625,10 +473,10 @@ mod tests {
         assert_eq!(cache.stats().resident_rows, 3);
     }
 
-    /// The first `n` keys `0..` whose carried hash has its home at the smallest index's
-    /// last position, so that their probe run wraps round to the first.
+    /// The first `n` keys `0..` whose carried hash has its home at the last position of
+    /// the smallest slot table, so that their probe run wraps round to the first.
     fn sharing_the_last_home(n: usize) -> Vec<i64> {
-        let mask = Space::MIN_INDEX as u64 - 1;
+        let mask = RowTable::MIN_SLOTS as u64 - 1;
         let keys = (0..).filter(|&k| key_of(k).hash() & mask == mask);
         keys.take(n).collect()
     }
@@ -636,7 +484,7 @@ mod tests {
     #[test]
     fn keys_sharing_a_home_slot_are_found_inserted_and_evicted_apart() {
         // Three one-row offset entries under a two-row budget, all three keys walking
-        // from the last position of the 16-position index and wrapping round.
+        // from the last slot of the 16-slot table and wrapping round.
         let [a, b, c] = sharing_the_last_home(3)[..] else {
             unreachable!("three keys are taken")
         };
@@ -650,8 +498,9 @@ mod tests {
             let space = &guard.spaces[0];
             for (k, want) in [a, b, c].into_iter().zip(want) {
                 let held = space
-                    .find(&key_of(k))
-                    .map(|slot| &space.slab[slot as usize]);
+                    .keys
+                    .find_key(&key_of(k))
+                    .map(|position| &space.slab[position as usize]);
                 match held.map(|entry| &entry.cached) {
                     Some(Cached::Tuple(Some(at))) => assert!(want && *at == offset(k), "{k}"),
                     None => assert!(!want, "key {k} is not found"),
@@ -666,7 +515,7 @@ mod tests {
         // of the run, and `b` and `c`, moved back into the gap, are still found.
         insert(c);
         resident([false, true, true]);
-        // `a` again, into the slot it freed: now `b`, at the head of the run, goes.
+        // `a` again, at the position it freed: now `b`, at the head of the run, goes.
         insert(a);
         resident([true, false, true]);
         let stats = cache.stats();
@@ -677,7 +526,7 @@ mod tests {
         assert_eq!(
             cache.lock().spaces[0].slab.len(),
             3,
-            "an evicted slot is reused"
+            "an evicted position is reused"
         );
         // A hit serves the offset.
         let hit = cache.lookup(space, &key_of(c));

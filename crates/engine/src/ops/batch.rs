@@ -270,9 +270,11 @@ pub(crate) fn position_bound(owner: &str, rows: usize) -> Result<u32> {
 }
 
 /// A flat table of distinct rows: what δ has seen, what − removes, the build keys of a
-/// hash join, the keys a keyed lookup has fetched. A row's *position* is its insertion
-/// rank — stable for the table's life, so callers hang their own per-row data (posting
-/// ranges, match chains) off plain vectors indexed by it.
+/// hash join, the keys a keyed lookup has fetched, the session cache's keys. A row's
+/// *position* is its insertion rank — stable until the row is removed, so callers hang
+/// their own per-row data (posting ranges, match chains, cache entries) off plain
+/// vectors indexed by it. Only the session cache removes rows: [`RowTable::remove`]
+/// frees a position, and the next insert takes it again.
 ///
 /// Layout: the rows column-wise in `columns` (pooled buffers, handed in by the owner
 /// and handed back through [`RowTable::release`]), each row's hash in `hashes`, and an
@@ -291,15 +293,17 @@ pub(crate) struct RowTable {
     /// Names the owning operator when [`position_bound`] refuses a row.
     owner: &'static str,
     columns: Vec<Vec<Value>>,
-    /// Per position. Its length is the row count (a zero-column table has no column
-    /// to ask); re-slotting on growth reads it instead of re-hashing the rows.
+    /// Per position. Its length less `free`'s is the row count (a zero-column table has
+    /// no column to ask); re-slotting on growth reads it instead of re-hashing the rows.
     hashes: Vec<u64>,
+    /// Positions [`RowTable::remove`] freed, for the next inserts to take.
+    free: Vec<u32>,
     slots: Vec<u32>,
 }
 
 impl RowTable {
     /// The smallest slot table: skips the first few doublings of a growing table.
-    const MIN_SLOTS: usize = 16;
+    pub(crate) const MIN_SLOTS: usize = 16;
 
     /// An empty table of `columns.len()`-ary rows over the given (cleared) buffers.
     pub(crate) fn new(owner: &'static str, columns: Vec<Vec<Value>>) -> Self {
@@ -308,17 +312,18 @@ impl RowTable {
             owner,
             columns,
             hashes: Vec::new(),
+            free: Vec::new(),
             slots: Vec::new(),
         }
     }
 
     /// Number of rows held.
     pub(crate) fn len(&self) -> usize {
-        self.hashes.len()
+        self.hashes.len() - self.free.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
+        self.len() == 0
     }
 
     /// Column `c` of the row at `position`.
@@ -367,16 +372,11 @@ impl RowTable {
         row: impl Fn(usize) -> &'a Value,
     ) -> Result<(u32, bool)> {
         self.reserve(1)?;
-        let position = self.len() as u32;
         match self.walk(hash, |held| self.holds(held, &row)) {
             Ok(held) => Ok((held, false)),
             Err(slot) => {
-                self.slots[slot] = position;
-                self.hashes.push(hash);
-                for (c, column) in self.columns.iter_mut().enumerate() {
-                    column.push(row(c).clone());
-                }
-                Ok((position, true))
+                let values = (0..self.columns.len()).map(|c| row(c).clone());
+                Ok((self.place(slot, hash, values), true))
             }
         }
     }
@@ -398,16 +398,63 @@ impl RowTable {
     /// *moving* its values in. Returns its position.
     pub(crate) fn push(&mut self, hash: u64, row: impl IntoIterator<Item = Value>) -> Result<u32> {
         self.reserve(1)?;
-        let position = self.len() as u32;
         let slot = self.walk(hash, |_| false).expect_err("no row is accepted");
-        self.slots[slot] = position;
-        self.hashes.push(hash);
+        Ok(self.place(slot, hash, row))
+    }
+
+    /// Put a row at free slot `slot` (room is reserved): at a position
+    /// [`RowTable::remove`] freed, or else at the next one. Returns the position.
+    fn place(&mut self, slot: usize, hash: u64, row: impl IntoIterator<Item = Value>) -> u32 {
         let mut row = row.into_iter();
-        for column in &mut self.columns {
-            column.push(row.next().expect("a row has one value per column"));
-        }
+        let mut value = || row.next().expect("a row has one value per column");
+        let position = match self.free.pop() {
+            Some(position) => {
+                self.hashes[position as usize] = hash;
+                for column in &mut self.columns {
+                    column[position as usize] = value();
+                }
+                position
+            }
+            None => {
+                self.hashes.push(hash);
+                for column in &mut self.columns {
+                    column.push(value());
+                }
+                (self.hashes.len() - 1) as u32
+            }
+        };
         debug_assert!(row.next().is_none(), "a row has one value per column");
-        Ok(position)
+        self.slots[slot] = position;
+        position
+    }
+
+    /// Take the row at `position` out of the table. Its slot is emptied and each later
+    /// slot of the run whose row may move back fills the gap, so every walk still finds
+    /// its row and no tombstone is left. Its values are dropped, and the next insert
+    /// takes the position.
+    pub(crate) fn remove(&mut self, position: u32) {
+        let mask = self.slots.len() - 1;
+        let home = |position: u32| self.hashes[position as usize] as usize & mask;
+        let mut hole = home(position);
+        while self.slots[hole] != position {
+            hole = (hole + 1) & mask;
+        }
+        let mut next = (hole + 1) & mask;
+        while self.slots[next] != EMPTY {
+            let moved = self.slots[next];
+            // `moved` may fill the hole unless its home lies after the hole in the run.
+            if next.wrapping_sub(home(moved)) & mask >= next.wrapping_sub(hole) & mask {
+                self.slots[hole] = moved;
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.slots[hole] = EMPTY;
+        // Release what the values share, such as a long string's payload.
+        for column in &mut self.columns {
+            column[position as usize] = Value::Bool(false);
+        }
+        self.free.push(position);
     }
 
     /// Make room for `additional` more rows: slots stay at most half full, columns
@@ -418,9 +465,10 @@ impl RowTable {
         position_bound(self.owner, rows)?;
         if rows * 2 > self.slots.len() {
             let size = (rows * 2).next_power_of_two().max(Self::MIN_SLOTS);
-            self.slots.clear();
-            self.slots.resize(size, EMPTY);
-            for (position, &hash) in (0..).zip(&self.hashes) {
+            // Re-slot the positions the old slots held: every one but the freed.
+            let old = std::mem::replace(&mut self.slots, vec![EMPTY; size]);
+            for position in old.into_iter().filter(|&position| position != EMPTY) {
+                let hash = self.hashes[position as usize];
                 let slot = self.walk(hash, |_| false).expect_err("no row is accepted");
                 self.slots[slot] = position;
             }
@@ -436,6 +484,7 @@ impl RowTable {
     pub(crate) fn clear(&mut self) {
         self.columns.iter_mut().for_each(Vec::clear);
         self.hashes.clear();
+        self.free.clear();
         self.slots.fill(EMPTY);
     }
 
@@ -808,6 +857,60 @@ mod tests {
             let absent = [Value::int(-1), Value::str("x")];
             assert_eq!(table.find(HASH, |c| &absent[c]), None);
             table.clear();
+        }
+    }
+
+    #[test]
+    fn row_table_removes_rows_and_reuses_their_positions_like_a_map_oracle() {
+        use std::collections::BTreeMap;
+        // Shared hashes make long runs; one hash for every row makes one run of all.
+        type Hasher = fn(&[Value]) -> u64;
+        let hashers: [Hasher; 3] = [|row| hash_row(row), |row| hash_row(row) & 7, |_| 42];
+        for (h, hash) in hashers.into_iter().enumerate() {
+            let mut next = xorshift(0x2E40 ^ h as u64);
+            let mut table = table(2);
+            let mut oracle: BTreeMap<Row, u32> = BTreeMap::new();
+            for step in 0..6_000 {
+                let row = vec![random_value(&mut next, 300), Value::int(step % 3)];
+                let found = table.find(hash(&row), |c| &row[c]);
+                assert_eq!(found, oracle.get(&row).copied(), "step {step}");
+                match found {
+                    // Removals interleave with growth, so re-slotting meets freed
+                    // positions; past 400 rows every hit is removed.
+                    Some(position) if !next().is_multiple_of(4) || oracle.len() > 400 => {
+                        table.remove(position);
+                        oracle.remove(&row);
+                    }
+                    Some(_) => {}
+                    None => {
+                        let (position, fresh) = table.insert(hash(&row), |c| &row[c]).unwrap();
+                        assert!(fresh);
+                        assert!(
+                            !oracle.values().any(|&held| held == position),
+                            "position {position} is taken"
+                        );
+                        oracle.insert(row, position);
+                    }
+                }
+                assert_eq!(table.len(), oracle.len());
+                // Each row held has one slot, and nothing else has any.
+                let occupied = table.slots.iter().filter(|&&slot| slot != EMPTY).count();
+                assert_eq!(occupied, oracle.len(), "step {step}");
+            }
+            assert!(
+                table.hashes.len() < 2 * oracle.len().max(300),
+                "positions are reused"
+            );
+            // Inserts only grow the slots past the most rows ever held, when no position
+            // is free; a reservation grows them now, with freed positions to skip.
+            assert!(table.hashes.len() > table.len(), "some positions are free");
+            table.reserve(table.slots.len()).unwrap();
+            let occupied = table.slots.iter().filter(|&&slot| slot != EMPTY).count();
+            assert_eq!(occupied, oracle.len());
+            for (row, &position) in &oracle {
+                assert_eq!(table.find(hash(row), |c| &row[c]), Some(position));
+                assert_eq!(&held(&table, position, 2), row);
+            }
         }
     }
 

@@ -56,8 +56,8 @@
 //! uncharged insert as cache maintenance. A key of at most one tuple is held as that
 //! tuple's offset ([`bea_storage::FetchIter::first_offset`]) and copies no value; a
 //! longer list is held as a compact copy of its arena range. Either way the cache
-//! copies the key's values once, into the entry's slot. The row itself is served as
-//! the miss serves it, so a cold cache charges what a cache-off run charges.
+//! copies the key's values once, into its space's key table. The row itself is served
+//! as the miss serves it, so a cold cache charges what a cache-off run charges.
 //!
 //! Per operator instance, what remains is its box, its column lists and its staging
 //! vectors: the step's key columns, positions, relation and predicates are borrowed
@@ -297,22 +297,23 @@ impl<'a> FetchStep<'a> {
     }
 
     /// The session cache's space for this step's entries, with the pre-projection
-    /// `emit` (see [`CacheShape::emit`]) baked in, and the step's relation in `store`;
-    /// `None` when the query has no session cache (or the store no such relation,
-    /// which its resolve refuses).
+    /// `emit` gives baked in, and the relation of the step's constraint in `store` —
+    /// the one its index, and so its offsets, are over; `None` when the query has no
+    /// session cache (or the schema no such constraint, which validation refuses).
     fn session(
         self,
         state: &SharedState,
         store: Store<'a>,
-        emit: Option<(&[usize], usize)>,
+        emit: impl FnOnce() -> Option<Vec<usize>>,
     ) -> Option<SessionCache<'a>> {
         let cache = state.borrow().cache.clone()?;
-        let relation = store.database().relation(self.relation).ok()?;
+        let constraint = store.schema().constraint(self.constraint_index)?;
+        let relation = store.database().relation(constraint.relation()).ok()?;
         let space = cache.space(CacheShape {
             constraint: self.constraint_index,
             key_arity: self.key_cols.len(),
-            positions: self.positions,
-            emit,
+            positions: self.positions.to_vec(),
+            emit: emit(),
         });
         Some(SessionCache {
             cache,
@@ -637,7 +638,14 @@ impl<'db> KeyedLookupOp<'db> {
         // The fused pre-projection is baked into cached batches, so it is part of
         // the session-cache entry shape — resolve the operator's space only now
         // that it is settled.
-        let emit = self.out_cols.zip(self.fused_emit);
+        let emit = || {
+            let fused = self.fused_emit.is_some();
+            fused.then(|| {
+                (0..self.stored_width())
+                    .map(|k| self.stored_col(k))
+                    .collect()
+            })
+        };
         self.session = self.fetch.session(&self.state, self.store, emit);
     }
 
@@ -1345,6 +1353,35 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    fn offsets_are_read_in_the_relation_of_the_steps_constraint() {
+        // A step that names `R` but fetches through a constraint on `S`: its offsets
+        // are into `S`, where `R` holds other tuples. Validation refuses such a plan;
+        // an operator built from one anyway reads `S` warm as it does cold.
+        let mut catalog = bea_core::schema::Catalog::new();
+        catalog.declare("R", ["k", "v", "w"]).unwrap();
+        catalog.declare("S", ["k", "v", "w"]).unwrap();
+        let constraint = AccessConstraint::new(&catalog, "S", &["k"], &["v", "w"], BOUND);
+        let schema = AccessSchema::from_constraints([constraint.unwrap()]);
+        let mut db = Database::new(catalog);
+        let rows = |rows: Vec<[i64; 3]>| rows.into_iter().map(|row| row.map(Value::int).to_vec());
+        db.extend("R", rows(vec![[9, 90, 900], [8, 80, 800]]))
+            .unwrap();
+        db.extend("S", rows(vec![[2, 20, 200]])).unwrap();
+        let idb = IndexedDatabase::build(db, schema).unwrap();
+        let pulls = || vec![Ok(ints(&[&[2]]))];
+        let (expected, _, _) = run_lookup(&idb, pulls(), None, false, false);
+        assert_eq!(expected, [[2, 2, 20, 200]]);
+        let cache = Arc::new(SessionFetchCache::new(1_000));
+        for run in ["cold", "warm"] {
+            let h = Harness::new();
+            h.state.borrow_mut().cache = Some(cache.clone());
+            let mut op = h.lookup(&idb, pulls(), &[0, 1, 2], Vec::new(), None);
+            assert_eq!(drain(&mut op).concat(), expected, "{run}");
+        }
+        assert_eq!(cache.stats().hits, 1);
+    }
+
     /// The same source rows as one batch, as two, and one row per batch.
     fn feeds(rows: &[&[i64]]) -> [Vec<Result<Batch>>; 3] {
         let (front, back) = rows.split_at(rows.len() / 2);
@@ -1423,7 +1460,7 @@ pub(crate) mod tests {
         let space = cache.space(CacheShape {
             constraint: 7,
             key_arity: 1,
-            positions: &[0, 1, 2],
+            positions: vec![0, 1, 2],
             emit: None,
         });
         // Key 2's one tuple, the fourth of `R`.

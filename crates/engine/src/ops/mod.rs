@@ -310,8 +310,10 @@ pub(crate) type MatSlots = [OnceCell<SharedMat>];
 
 /// Validate one fetch-shaped step (`step` names it, e.g. "physical step 3", and is
 /// formatted only into an error message) against the database it is about to probe:
-/// the backing constraint must exist in the access schema, agree with the key arity,
-/// and `attrs` may only name attribute positions the relation has. Shared by the
+/// the backing constraint must exist in the access schema, be on the step's relation
+/// (the store fetches through the constraint's index, so from the constraint's
+/// relation) and agree with the key arity, and `attrs` may only name attribute
+/// positions the relation has. Shared by the
 /// streaming executor (keyed-lookup steps) and the materialized reference (logical
 /// fetch steps) so the two can never drift on what counts as a malformed plan.
 pub(crate) fn validate_fetch_shape<'a>(
@@ -332,6 +334,15 @@ pub(crate) fn validate_fetch_shape<'a>(
                      does not contain"
                 ),
             })?;
+    if constraint.relation() != relation {
+        return Err(Error::InvalidPlan {
+            reason: format!(
+                "{step} fetches from {relation} via constraint {constraint_index}, which is \
+                 on {}",
+                constraint.relation()
+            ),
+        });
+    }
     if key_cols.len() != constraint.x().len() {
         return Err(Error::InvalidPlan {
             reason: format!(

@@ -1200,6 +1200,45 @@ mod tests {
     }
 
     #[test]
+    fn a_fetch_from_another_relation_than_its_constraints_is_refused() {
+        // `R` by name, through constraint 0 on `S`: the store would fetch `S`'s tuples.
+        let mut c = Catalog::new();
+        c.declare("R", ["a", "b"]).unwrap();
+        c.declare("S", ["a", "b"]).unwrap();
+        let schema = AccessSchema::from_constraints([
+            AccessConstraint::new(&c, "S", &["a"], &["b"], 1).unwrap(),
+            AccessConstraint::new(&c, "R", &["a"], &["b"], 1).unwrap(),
+        ]);
+        let mut db = Database::new(c);
+        let row = |a, b| vec![Value::int(a), Value::int(b)];
+        db.extend("R", [row(1, 10)]).unwrap();
+        db.extend("S", [row(2, 20), row(1, 21)]).unwrap();
+        let idb = IndexedDatabase::build(db, schema).unwrap();
+        let mut b = PlanBuilder::new();
+        let k = b.constant(Value::int(1), "k");
+        let attrs = vec!["a".into(), "b".into()];
+        let fetched = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, attrs);
+        let plan = b.finish("Q", fetched).unwrap();
+        let refusal = execute_plan(&plan, &idb).unwrap_err().to_string();
+        assert!(
+            refusal.contains("from R via constraint 0, which is on S"),
+            "{refusal}"
+        );
+        // With the session cache off and on, cold and warm alike.
+        for config in [
+            SessionConfig::new(),
+            SessionConfig::new().with_cache_budget_rows(64),
+        ] {
+            let session = Session::new(idb.clone(), config);
+            for _ in 0..2 {
+                let refused = session.run(&plan).err();
+                assert!(matches!(refused, Some(SubmitError::Invalid(_))));
+            }
+            assert_eq!(session.cache_stats().entries, 0);
+        }
+    }
+
+    #[test]
     fn a_disabled_cache_reports_zero_stats() {
         let session = Session::new(fixture(2), SessionConfig::new());
         if std::env::var_os(CACHE_ROWS_ENV).is_none() {

@@ -13,17 +13,17 @@
 # 0–15) through beactl, and gates the peak after them: what the cache keeps for the
 # hot set's 22 223 entries. 77.6 MB (79 448 kB) on a 2-vCPU Linux VM with a one-tuple
 # entry held as its tuple's offset and each key held once, against 85.9–87.0 MB while
-# every entry copied its rows into a batch and its key twice; the 81 MB limit leaves
-# 3.4 MB over the first.
+# every entry copied its rows into a batch and its key twice; the 81 MB limit
+# (CACHED_LIMIT_MB) leaves 3.4 MB over the first.
 #
-# Usage: scripts/footprint_smoke.sh [path-to-target-dir] [limit-mb] [cached-limit-mb]
-#        (defaults: target/release, 95, 81)
+# Usage: scripts/footprint_smoke.sh [path-to-target-dir] [limit-mb]
+#        (defaults: target/release, 95)
 
 set -euo pipefail
 
 TARGET="${1:-target/release}"
 LIMIT_MB="${2:-95}"
-CACHED_LIMIT_MB="${3:-81}"
+CACHED_LIMIT_MB=81
 # What `--tuples 1000000 --seed 48879` generates.
 TUPLES=1200172
 BEAD="$TARGET/bead"
