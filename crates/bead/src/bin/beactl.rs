@@ -1,10 +1,13 @@
 //! `beactl` — the one-shot client for the `bead` daemon.
 //!
 //! Serializes one request, prints the reply (head line, then body rows), and
-//! exits `0` for `OK`, `3` for `REJECT`, `1` for `ERR` or a transport failure.
+//! exits `0` for `OK`, `3` for `REJECT`, `1` for `ERR` or a transport failure. A
+//! reader that closes its end early (`beactl … | head -1`) ends the printing, not the
+//! exit status.
 
 use bead::protocol::{Reply, ReplyStatus, Request};
 use bead::server::socket_from;
+use std::io::{ErrorKind, Write};
 
 const USAGE: &str = "usage: beactl [--socket PATH] <ping | query <datalog> | stats | shutdown>";
 
@@ -40,7 +43,13 @@ fn main() {
     let socket = socket_from(socket_arg.as_deref());
     match bead::client::request(&socket, &request) {
         Ok(reply) => {
-            print(&reply);
+            match print(&reply) {
+                Err(error) if error.kind() != ErrorKind::BrokenPipe => {
+                    eprintln!("beactl: stdout: {error}");
+                    std::process::exit(1);
+                }
+                _ => {}
+            }
             std::process::exit(match reply.status() {
                 ReplyStatus::Ok => 0,
                 ReplyStatus::Reject => 3,
@@ -54,9 +63,12 @@ fn main() {
     }
 }
 
-fn print(reply: &Reply) {
-    println!("{}", reply.head);
+/// Write `reply` to stdout through one lock: the head line, then the body rows.
+fn print(reply: &Reply) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{}", reply.head)?;
     for line in &reply.body {
-        println!("{line}");
+        writeln!(out, "{line}")?;
     }
+    out.flush()
 }

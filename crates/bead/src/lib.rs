@@ -64,8 +64,8 @@
 //!    the session lower, validate and price the plan
 //!    ([`bea_engine::session::Session::prepare`]). Validation and pricing are per
 //!    template because nothing they read can change between requests: the store is
-//!    immutable, and the plan's shape — fetch steps, constraint indexes, pipelines,
-//!    fetch bound, allocation surface — holds no value;
+//!    immutable, and the plan's shape — fetch steps, constraint indexes, fetch
+//!    bound, allocation surface — holds no value;
 //! 3. **admit → run** — [`bea_engine::session::Session::run_prepared`] checks the
 //!    stored ticket against the budget (a `REJECT` costs no clone) and runs the
 //!    prepared plan in place on the connection's thread: the request carries only its

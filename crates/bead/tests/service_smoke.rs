@@ -275,3 +275,27 @@ impl WaitTimeout for Child {
         None
     }
 }
+
+#[test]
+fn beactl_exits_quietly_with_its_status_when_its_reader_is_gone() {
+    let daemon = Daemon::start_with("closed-stdout", 10_000, None);
+    let query = "Q(d) :- Accident(x, d, t), x = 1.";
+    for (args, status) in [(&["ping"][..], 0), (&["query", query][..], 0)] {
+        // The read end is closed before `beactl` runs, so its first write fails.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let output = Command::new(BEACTL)
+            .args(["--socket", daemon.socket.to_str().unwrap()])
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("run beactl");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("panicked"), "beactl {args:?}: {stderr}");
+        assert_eq!(
+            output.status.code(),
+            Some(status),
+            "beactl {args:?}: {stderr}"
+        );
+    }
+}

@@ -323,10 +323,7 @@ fn bound_steps(plan: &PhysicalPlan, values: &[Value]) -> Vec<PhysStep> {
     for step in &mut steps {
         match &mut step.op {
             PhysOp::Const { value } => *value = value.bound(values).clone(),
-            PhysOp::KeyedLookup { residual, .. } | PhysOp::HashJoin { residual, .. } => {
-                bind(residual)
-            }
-            PhysOp::Filter { predicates, .. } => bind(predicates),
+            PhysOp::KeyedLookup { residual, .. } => bind(residual),
             _ => {}
         }
     }

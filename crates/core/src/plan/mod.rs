@@ -11,12 +11,11 @@
 //!   pretty-printing.
 //! * [`synthesis`] — construction of a boundedly evaluable plan from a coverage witness,
 //!   which is the constructive half of Theorem 3.11 ("covered ⇒ boundedly evaluable").
-//! * [`physical`] — rule-based lowering of logical plans into streaming
-//!   [`physical::PhysicalPlan`]s (keyed-lookup fusion, projection pushdown, dedup
-//!   elimination, explicit materialization points).
-//! * [`ticket`] — admission-control [`ticket::CostTicket`]s: the fetch bound,
-//!   pipeline shape and per-probe allocation surface of a lowered plan, priced
-//!   before execution.
+//! * [`physical`] — rule-based lowering of the plans synthesis emits into streaming
+//!   [`physical::PhysicalPlan`]s, one operator tree each (keyed-lookup fusion,
+//!   projection pushdown, dedup elimination); any other plan is refused.
+//! * [`ticket`] — admission-control [`ticket::CostTicket`]s: the fetch bound and
+//!   per-probe allocation surface of a lowered plan, priced before execution.
 //!
 //! Plans are executed against indexed data by `bea-engine`.
 

@@ -1,15 +1,31 @@
-//! Physical plans: pipeline-aware lowering of logical bounded plans.
+//! Physical plans: lowering logical bounded plans to one streaming operator tree.
 //!
 //! A [`super::QueryPlan`] says *what* to compute — a sequence of fetch/π/σ/×/∪/−/ρ
 //! steps mirroring the paper's plan algebra. This module decides *how*: [`lower_plan`]
-//! rewrites the logical step list into a [`PhysicalPlan`] of streaming operators that a
-//! batch pipeline (in `bea-engine`) can execute without materializing a table per step.
-//! Boundedness is untouched by lowering — every physical access still goes through the
-//! index of an access constraint, and the set of `(constraint, key)` lookups is exactly
-//! the one the logical plan performs — only the *residency* of intermediate results
-//! changes, which is the point: the memory footprint of a bounded plan should scale with
-//! the access schema's bounds, not with whatever the intermediate relational algebra
-//! happens to materialize.
+//! rewrites the logical step list into a [`PhysicalPlan`] of streaming operators that
+//! `bea-engine` runs as one tree of pull-based operators, without materializing a table
+//! per step. Boundedness is untouched by lowering — every physical access still goes
+//! through the index of an access constraint, and the set of `(constraint, key)` lookups
+//! is exactly the one the logical plan performs — only the *residency* of intermediate
+//! results changes, which is the point: the memory footprint of a bounded plan should
+//! scale with the access schema's bounds, not with whatever the intermediate relational
+//! algebra happens to materialize.
+//!
+//! **The fragment.** Lowering accepts what plan synthesis ([`super::synthesis`]) emits:
+//! every fetch has one consumer, a product with its source, and a selection above that
+//! ties every key (none when the key is empty). The result uses eight operators — [`PhysOp::Unit`],
+//! [`PhysOp::Const`], [`PhysOp::Empty`], [`PhysOp::KeyedLookup`], [`PhysOp::Project`],
+//! [`PhysOp::Dedup`], [`PhysOp::Union`] and [`PhysOp::Product`] — and every step is
+//! read by one operator, the output by none, so the plan is one operator tree. Any
+//! other plan is refused with [`Error::InvalidPlan`], naming its logical step (`T3`):
+//!
+//! * a step that two operators would read (a fetch shared beyond its fused selection,
+//!   or `T ∪ T`);
+//! * a selection that does not fuse into a keyed lookup;
+//! * a difference.
+//!
+//! The literal reference executor (`bea-engine`'s `execute_plan_materialized`) still
+//! runs the whole logical algebra.
 //!
 //! Lowering applies these rules:
 //!
@@ -17,16 +33,15 @@
 //!   `σ[key equalities](T × fetch(X ∈ T, R, Y))`. When the product and the fetch have no
 //!   other consumer, the triple collapses into one [`PhysOp::KeyedLookup`]: an index
 //!   nested-loop join that streams `T`, probes the constraint's index once per distinct
-//!   key, and never materializes the cross product *or* the fetched table.
+//!   key, and never materializes the cross product *or* the fetched table. A fetch
+//!   with an empty key has no key to tie: its bare `T × fetch(∅ ∈ T, R, Y)` fuses the
+//!   same way.
 //! * **One index operator** — a fetch the fusion does not absorb becomes the same
 //!   operator over its distinct keys: `π[keys](T)`, a [`PhysOp::Dedup`] unless `T`
 //!   provably never repeats a key ([`PhysicalPlan::keys_distinct`]), a
 //!   [`PhysOp::KeyedLookup`] keyed by all of them with no residual, and a
 //!   [`PhysOp::Project`] onto the fetched columns, which the engine fuses into the
 //!   lookup's emission. Every index access in a physical plan is a keyed lookup.
-//! * **Hash-join fallback** — same pattern but with a fetch that other steps also
-//!   consume: the product/selection pair becomes a [`PhysOp::HashJoin`] against the
-//!   (still shared) lowered fetch instead of a materialized product.
 //! * **Projection pushdown** — a projection that is the sole consumer of a fetch is
 //!   folded into the fetched positions of its lookup ([`PhysOp::KeyedLookup`]'s
 //!   `positions`), so dropped `Y`-attributes are never copied out of the store.
@@ -36,19 +51,16 @@
 //!   after a projection that drops key columns), never after an operator whose output is
 //!   provably duplicate-free. A projection of a set keeps it a set when every column it
 //!   drops is determined by the plan on every row: **constant** (it traces back through
-//!   products, lookup source columns, projections, filters and δs to a
-//!   [`PhysOp::Const`]) or **key-equal** to a kept column (a keyed lookup's fetched key
-//!   attribute, which the fused key equality makes equal to the source's key column).
-//!   The same fact tells the engine where a keyed lookup's source never repeats a key
-//!   ([`PhysicalPlan::keys_distinct`]). Equalities a filter predicate establishes are not
-//!   used, and neither are access constraints of bound 1 read as functional
+//!   products, lookup source columns, projections and δs to a [`PhysOp::Const`]) or
+//!   **key-equal** to a kept column (a keyed lookup's fetched key attribute, which the
+//!   fused key equality makes equal to the source's key column). The same fact tells
+//!   the engine where a keyed lookup's source never repeats a key
+//!   ([`PhysicalPlan::keys_distinct`]). Equalities a residual predicate establishes are
+//!   not used, and neither are access constraints of bound 1 read as functional
 //!   dependencies: that would make answers depend on the instance satisfying the access
 //!   schema, which nothing on the query path checks.
 //! * **Rename and empty-branch elimination** — ρ steps vanish into column labels;
-//!   `T ∪ ∅` and `T − ∅` collapse to `T`.
-//! * **Materialization points** — a step is marked [`PhysStep::materialize`] only when
-//!   it is a genuine pipeline breaker: its result is consumed by more than one operator
-//!   (or it is the plan output). Everything else streams.
+//!   `T ∪ ∅` collapses to `T`.
 //!
 //! **One plan, whatever the store and the thread count.** Lowering never looks at the
 //! store: the paper's bound is about *which* `(constraint, key)` lookups a plan makes,
@@ -56,15 +68,12 @@
 //! threads: a bounded query touches a small slice of the data, so a plan runs on one
 //! thread, and threads run many queries at once.
 //!
-//! Each materialization point, together with the streaming region feeding it, is one
-//! pipeline; a step reads only earlier steps, so the engine runs them in step order.
-//!
-//! The companion executor lives in `bea-engine` (`ops` module); it assigns one streaming
+//! The companion executor lives in `bea-engine` (`ops` module); it builds one streaming
 //! operator per physical step and reports peak rows resident alongside the usual access
 //! statistics, so the materialized-vs-streaming ablation is observable.
 
 use crate::error::{Error, Result};
-use crate::plan::{NodeId, PlanOp, Predicate, QueryPlan};
+use crate::plan::{NodeId, PlanOp, PlanStep, Predicate, QueryPlan};
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -111,29 +120,6 @@ pub enum PhysOp {
         /// Predicates (over the concatenated output) beyond the fused key equalities.
         residual: Vec<Predicate>,
     },
-    /// Hash join on column equalities: build a hash table over `right` keyed by
-    /// `right_keys`, stream `left`, and emit matching concatenations filtered by the
-    /// `residual` predicates. Used when the keyed-lookup pattern matches but the fetch
-    /// result is shared with other consumers and must stay a separate step.
-    HashJoin {
-        /// Probe side.
-        left: PhysId,
-        /// Build side.
-        right: PhysId,
-        /// Key columns of the probe side.
-        left_keys: Vec<usize>,
-        /// Key columns of the build side.
-        right_keys: Vec<usize>,
-        /// Predicates (over the concatenated output) beyond the join equalities.
-        residual: Vec<Predicate>,
-    },
-    /// Streaming selection.
-    Filter {
-        /// Input step.
-        source: PhysId,
-        /// Conjunction of predicates.
-        predicates: Vec<Predicate>,
-    },
     /// Streaming projection (no deduplication — a [`PhysOp::Dedup`] follows if needed).
     Project {
         /// Input step.
@@ -161,14 +147,6 @@ pub enum PhysOp {
         /// Second input.
         right: PhysId,
     },
-    /// Anti-semijoin on whole rows: the right side is buffered as a set, the left side
-    /// streams through it.
-    Difference {
-        /// Streaming side.
-        left: PhysId,
-        /// Buffered side.
-        right: PhysId,
-    },
 }
 
 impl PhysOp {
@@ -177,13 +155,11 @@ impl PhysOp {
         match self {
             PhysOp::Const { .. } | PhysOp::Unit | PhysOp::Empty { .. } => Vec::new(),
             PhysOp::KeyedLookup { source, .. }
-            | PhysOp::Filter { source, .. }
             | PhysOp::Project { source, .. }
             | PhysOp::Dedup { source } => vec![*source],
-            PhysOp::HashJoin { left, right, .. }
-            | PhysOp::Product { left, right }
-            | PhysOp::Union { left, right }
-            | PhysOp::Difference { left, right } => vec![*left, *right],
+            PhysOp::Product { left, right } | PhysOp::Union { left, right } => {
+                vec![*left, *right]
+            }
         }
     }
 }
@@ -198,11 +174,6 @@ pub struct PhysStep {
     /// True when the operator's output is provably duplicate-free; lowering inserts
     /// [`PhysOp::Dedup`] steps exactly where this is false but set semantics is needed.
     pub set_valued: bool,
-    /// True when this step's result must be materialized (it has several consumers, or
-    /// it is the plan output); everything else streams into its single consumer.
-    pub materialize: bool,
-    /// Number of operators consuming this step's result (the plan output counts once).
-    pub consumers: usize,
 }
 
 /// A physical plan: streaming operators plus the index of the output step.
@@ -285,23 +256,6 @@ impl PhysicalPlan {
                         && step.columns.len() == arity(*source) + positions.len()
                         && preds_in_range(residual, step.columns.len())
                 }
-                PhysOp::HashJoin {
-                    left,
-                    right,
-                    left_keys,
-                    right_keys,
-                    residual,
-                } => {
-                    left_keys.len() == right_keys.len()
-                        && left_keys.iter().all(|&c| c < arity(*left))
-                        && right_keys.iter().all(|&c| c < arity(*right))
-                        && step.columns.len() == arity(*left) + arity(*right)
-                        && preds_in_range(residual, step.columns.len())
-                }
-                PhysOp::Filter { source, predicates } => {
-                    step.columns.len() == arity(*source)
-                        && preds_in_range(predicates, arity(*source))
-                }
                 PhysOp::Project { source, cols } => {
                     cols.iter().all(|&c| c < arity(*source)) && step.columns.len() == cols.len()
                 }
@@ -309,7 +263,7 @@ impl PhysicalPlan {
                 PhysOp::Product { left, right } => {
                     step.columns.len() == arity(*left) + arity(*right)
                 }
-                PhysOp::Union { left, right } | PhysOp::Difference { left, right } => {
+                PhysOp::Union { left, right } => {
                     arity(*left) == arity(*right) && step.columns.len() == arity(*left)
                 }
             };
@@ -323,7 +277,7 @@ impl PhysicalPlan {
     }
 
     /// How many constants a run of this plan takes: one past the highest
-    /// [`Value::placeholder`] class in a [`PhysOp::Const`] or a
+    /// [`Value::placeholder`] class in a [`PhysOp::Const`] or a keyed lookup's
     /// [`Predicate::ColEqConst`], 0 when there is none. Nothing else in a plan holds a
     /// value, and lowering never looks at one, so a plan lowered once from a template
     /// is step for step the plan of the template's text except where these
@@ -333,15 +287,7 @@ impl PhysicalPlan {
         let class = |value: &Value| value.placeholder_class().map_or(0, |c| c as usize + 1);
         let step = |step: &PhysStep| match &step.op {
             PhysOp::Const { value } => class(value),
-            PhysOp::KeyedLookup {
-                residual: predicates,
-                ..
-            }
-            | PhysOp::HashJoin {
-                residual: predicates,
-                ..
-            }
-            | PhysOp::Filter { predicates, .. } => predicates
+            PhysOp::KeyedLookup { residual, .. } => residual
                 .iter()
                 .map(|predicate| match predicate {
                     Predicate::ColEqConst(_, value) => class(value),
@@ -361,24 +307,13 @@ impl PhysicalPlan {
     pub fn keys_distinct(&self, source: PhysId, key_cols: &[usize]) -> bool {
         self.steps[source].set_valued && determined_by(&self.steps, source, key_cols)
     }
-
-    /// Count how many steps are marked as materialization points (pipeline breakers).
-    pub fn materialization_points(&self) -> usize {
-        self.steps.iter().filter(|s| s.materialize).count()
-    }
 }
 
 impl fmt::Display for PhysicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "physical plan for {}:", self.query_name)?;
         for (i, step) in self.steps.iter().enumerate() {
-            let mut marks = String::new();
-            if i == self.output {
-                marks.push_str(" (output)");
-            }
-            if step.materialize {
-                marks.push_str(" [mat]");
-            }
+            let marks = if i == self.output { " (output)" } else { "" };
             let cols = step.columns.join(", ");
             match &step.op {
                 PhysOp::Const { value } => writeln!(f, "  P{i} = {{{value}}}{marks} [{cols}]")?,
@@ -397,24 +332,6 @@ impl fmt::Display for PhysicalPlan {
                     "  P{i} = P{source} ⋉× lookup({relation}→{positions:?} by {key_cols:?}, σ[{} residual]) via φ{constraint_index}{marks} [{cols}]",
                     residual.len()
                 )?,
-                PhysOp::HashJoin {
-                    left,
-                    right,
-                    left_keys,
-                    right_keys,
-                    ..
-                } => writeln!(
-                    f,
-                    "  P{i} = P{left} ⋈[{left_keys:?}={right_keys:?}] P{right}{marks} [{cols}]"
-                )?,
-                PhysOp::Filter { source, predicates } => {
-                    let preds = predicates
-                        .iter()
-                        .map(Predicate::to_string)
-                        .collect::<Vec<_>>()
-                        .join(" ∧ ");
-                    writeln!(f, "  P{i} = σ[{preds}](P{source}){marks} [{cols}]")?
-                }
                 PhysOp::Project { source, cols: c } => {
                     writeln!(f, "  P{i} = π{c:?}(P{source}){marks} [{cols}]")?
                 }
@@ -425,22 +342,10 @@ impl fmt::Display for PhysicalPlan {
                 PhysOp::Union { left, right } => {
                     writeln!(f, "  P{i} = P{left} ∪ P{right}{marks} [{cols}]")?
                 }
-                PhysOp::Difference { left, right } => {
-                    writeln!(f, "  P{i} = P{left} − P{right}{marks} [{cols}]")?
-                }
             }
         }
         Ok(())
     }
-}
-
-/// How a logical `σ(product)` pair lowers when the keyed-join pattern matches.
-enum Fusion {
-    /// Product and fetch both disappear into a [`PhysOp::KeyedLookup`].
-    Keyed { left: NodeId, fetch: NodeId },
-    /// Only the product disappears; the fetch stays shared and the selection becomes a
-    /// [`PhysOp::HashJoin`] against it.
-    Hash { left: NodeId, fetch: NodeId },
 }
 
 /// Options of [`lower_plan_with`]: none are left. Lowering depends on neither the
@@ -478,80 +383,69 @@ impl LowerOptions {
 }
 
 /// Lower a logical plan to a physical streaming plan. See the module docs for the
-/// rules.
+/// rules, and for the plans it refuses.
 pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
     plan.validate()?;
     let steps = plan.steps();
     let n = steps.len();
+    let refuse = |step: NodeId, why: String| Error::InvalidPlan {
+        reason: format!(
+            "step T{step} {why}; the streaming engine runs only what plan synthesis emits"
+        ),
+    };
 
-    // Logical consumer lists; the plan output counts as one extra (virtual) consumer.
-    let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for (i, step) in steps.iter().enumerate() {
+    // Logical consumer counts; the plan output counts one extra (virtual) consumer.
+    let mut consumers: Vec<usize> = vec![0; n];
+    for step in steps {
         match &step.op {
             PlanOp::Fetch { source, .. }
             | PlanOp::Project { source, .. }
             | PlanOp::Select { source, .. }
-            | PlanOp::Rename { source } => consumers[*source].push(i),
+            | PlanOp::Rename { source } => consumers[*source] += 1,
             PlanOp::Product { left, right }
             | PlanOp::Union { left, right }
             | PlanOp::Difference { left, right } => {
-                consumers[*left].push(i);
-                consumers[*right].push(i);
+                consumers[*left] += 1;
+                consumers[*right] += 1;
             }
             PlanOp::Const { .. } | PlanOp::Unit | PlanOp::Empty { .. } => {}
         }
     }
-    consumers[plan.output()].push(n); // virtual consumer: the caller
+    consumers[plan.output()] += 1; // virtual consumer: the caller
 
     // Keyed-join fusion: σ[all keys tied](T × fetch(X ∈ T, …)) where the product has no
-    // other consumer. The fetch is absorbed too when the selection is its only transitive
-    // consumer; otherwise it stays shared and the selection becomes a hash join.
-    let mut fusion: BTreeMap<NodeId, Fusion> = BTreeMap::new();
+    // other consumer absorbs the product and the fetch, which must have no other
+    // consumer either; so does a bare `T × fetch(∅ ∈ T, …)`, whose empty key ties
+    // nothing. In reverse, so a selection claims its product before the product is
+    // looked at on its own.
+    let mut fusion: BTreeMap<NodeId, (NodeId, NodeId)> = BTreeMap::new();
     let mut absorbed: BTreeSet<NodeId> = BTreeSet::new();
-    for (i, step) in steps.iter().enumerate() {
-        let PlanOp::Select { source, predicates } = &step.op else {
+    for (i, step) in steps.iter().enumerate().rev() {
+        let (product, predicates) = match &step.op {
+            PlanOp::Select { source, predicates } if consumers[*source] == 1 => {
+                (*source, predicates.as_slice())
+            }
+            PlanOp::Product { .. } if !absorbed.contains(&i) => (i, &[][..]),
+            _ => continue,
+        };
+        let PlanOp::Product { left, right } = &steps[product].op else {
             continue;
         };
-        let PlanOp::Product { left, right } = &steps[*source].op else {
+        let Some(key_cols) = fetch_over(steps, *left, *right) else {
             continue;
         };
-        if consumers[*source].len() != 1 {
+        if !keys_all_tied(predicates, key_cols, steps[*left].columns.len()) {
             continue;
         }
-        let PlanOp::Fetch {
-            source: fetch_source,
-            key_cols,
-            ..
-        } = &steps[*right].op
-        else {
-            continue;
-        };
-        if fetch_source != left {
-            continue;
+        if consumers[*right] != 1 {
+            let readers = consumers[*right];
+            return Err(refuse(*right, format!("is read by {readers} operators")));
         }
-        let left_arity = steps[*left].columns.len();
-        if !keys_all_tied(predicates, key_cols, left_arity) {
-            continue;
+        absorbed.insert(*right);
+        if product != i {
+            absorbed.insert(product); // the selection takes the product's place
         }
-        absorbed.insert(*source);
-        if consumers[*right].len() == 1 {
-            absorbed.insert(*right);
-            fusion.insert(
-                i,
-                Fusion::Keyed {
-                    left: *left,
-                    fetch: *right,
-                },
-            );
-        } else {
-            fusion.insert(
-                i,
-                Fusion::Hash {
-                    left: *left,
-                    fetch: *right,
-                },
-            );
-        }
+        fusion.insert(i, (*left, *right));
     }
 
     // Projection pushdown: a projection that is the sole consumer of a fetch folds into
@@ -561,7 +455,7 @@ pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
         let PlanOp::Project { source, .. } = &step.op else {
             continue;
         };
-        if absorbed.contains(source) || consumers[*source].len() != 1 {
+        if absorbed.contains(source) || consumers[*source] != 1 {
             continue;
         }
         if matches!(&steps[*source].op, PlanOp::Fetch { .. }) {
@@ -570,8 +464,9 @@ pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
         }
     }
 
-    // Emit physical steps.
+    // Emit physical steps; `from[p]` is the logical step physical step `p` lowers.
     let mut phys: Vec<PhysStep> = Vec::with_capacity(n);
+    let mut from: Vec<NodeId> = Vec::with_capacity(n);
     let mut map: Vec<Option<PhysId>> = vec![None; n];
 
     for (i, step) in steps.iter().enumerate() {
@@ -632,75 +527,25 @@ pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
                     }
                 }
             }
-            PlanOp::Select { source, predicates } => match fusion.get(&i) {
-                Some(Fusion::Keyed { left, fetch }) => {
-                    let PlanOp::Fetch {
-                        key_cols,
-                        relation,
-                        x_attrs,
-                        y_attrs,
-                        constraint_index,
-                        ..
-                    } = &steps[*fetch].op
-                    else {
-                        unreachable!("fusion targets are fetches");
-                    };
-                    let src = map[*left].expect("source lowered earlier");
-                    let residual =
-                        residual_predicates(predicates, key_cols, phys[src].columns.len());
-                    // Distinct probe rows emit distinct concatenations (the fetched
-                    // side is deduplicated per key).
-                    let sv = phys[src].set_valued;
-                    push(
-                        &mut phys,
-                        PhysOp::KeyedLookup {
-                            source: src,
-                            key_cols: key_cols.clone(),
-                            relation: relation.clone(),
-                            x_attrs: x_attrs.clone(),
-                            positions: x_attrs.iter().chain(y_attrs).copied().collect(),
-                            constraint_index: *constraint_index,
-                            residual,
-                        },
-                        step.columns.clone(),
-                        sv,
-                    )
-                }
-                Some(Fusion::Hash { left, fetch }) => {
-                    let PlanOp::Fetch { key_cols, .. } = &steps[*fetch].op else {
-                        unreachable!("fusion targets are fetches");
-                    };
-                    let l = map[*left].expect("source lowered earlier");
-                    let r = map[*fetch].expect("source lowered earlier");
-                    let residual = residual_predicates(predicates, key_cols, phys[l].columns.len());
-                    let sv = phys[l].set_valued && phys[r].set_valued;
-                    push(
-                        &mut phys,
-                        PhysOp::HashJoin {
-                            left: l,
-                            right: r,
-                            left_keys: key_cols.clone(),
-                            right_keys: (0..key_cols.len()).collect(),
-                            residual,
-                        },
-                        step.columns.clone(),
-                        sv,
-                    )
-                }
-                None => {
-                    let src = map[*source].expect("source lowered earlier");
-                    let sv = phys[src].set_valued;
-                    push(
-                        &mut phys,
-                        PhysOp::Filter {
-                            source: src,
-                            predicates: predicates.clone(),
-                        },
-                        step.columns.clone(),
-                        sv,
-                    )
-                }
-            },
+            PlanOp::Select { predicates, .. } => {
+                let Some(&(left, fetch)) = fusion.get(&i) else {
+                    let why = "is a selection that does not fuse into a keyed lookup";
+                    return Err(refuse(i, why.into()));
+                };
+                let source = map[left].expect("source lowered earlier");
+                fused_lookup(
+                    &mut phys,
+                    source,
+                    &steps[fetch].op,
+                    predicates,
+                    &step.columns,
+                )
+            }
+            PlanOp::Product { .. } if fusion.contains_key(&i) => {
+                let (left, fetch) = fusion[&i];
+                let source = map[left].expect("source lowered earlier");
+                fused_lookup(&mut phys, source, &steps[fetch].op, &[], &step.columns)
+            }
             PlanOp::Product { left, right } => {
                 let (l, r) = (
                     map[*left].expect("source lowered earlier"),
@@ -751,26 +596,11 @@ pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
                     }
                 }
             }
-            PlanOp::Difference { left, right } => {
-                let (l, r) = (
-                    map[*left].expect("source lowered earlier"),
-                    map[*right].expect("source lowered earlier"),
-                );
-                if matches!(phys[r].op, PhysOp::Empty { .. }) {
-                    l
-                } else {
-                    let sv = phys[l].set_valued;
-                    push(
-                        &mut phys,
-                        PhysOp::Difference { left: l, right: r },
-                        step.columns.clone(),
-                        sv,
-                    )
-                }
-            }
+            PlanOp::Difference { .. } => return Err(refuse(i, "is a difference".into())),
             PlanOp::Rename { source } => map[*source].expect("source lowered earlier"),
         };
         map[i] = Some(node);
+        from.resize(phys.len(), i);
     }
 
     // Restore set semantics at the output and force the logical column labels.
@@ -778,26 +608,24 @@ pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
     if !phys[output].set_valued {
         let columns = phys[output].columns.clone();
         output = push(&mut phys, PhysOp::Dedup { source: output }, columns, true);
+        from.push(plan.output());
     }
     phys[output].columns = steps[plan.output()].columns.clone();
 
-    // Prune steps no longer reachable from the output (sources of eliminated renames,
-    // ∅ branches, steps absorbed into fused operators).
-    let (mut phys, output) = prune_unreachable(phys, output);
-
-    // Consumer counts over the physical graph decide the materialization points.
-    let mut counts: Vec<usize> = vec![0; phys.len()];
-    for step in &phys {
-        for input in step.op.inputs() {
-            counts[input] += 1;
+    // Keep the steps the output reads (sources of eliminated renames, ∅ branches and
+    // steps absorbed into fused operators are gone), each of which one operator reads.
+    let kept = reachable(&phys, output);
+    let mut readers = vec![0usize; phys.len()];
+    for p in (0..phys.len()).filter(|&p| kept[p]) {
+        for input in phys[p].op.inputs() {
+            readers[input] += 1;
         }
     }
-    counts[output] += 1; // virtual consumer: the caller takes the output table
-    for (step, &count) in phys.iter_mut().zip(counts.iter()) {
-        step.consumers = count;
-        step.materialize = count >= 2;
+    if let Some(shared) = (0..phys.len()).find(|&p| readers[p] > 1) {
+        let why = format!("is read by {} operators", readers[shared]);
+        return Err(refuse(from[shared], why));
     }
-    phys[output].materialize = true;
+    let (phys, output) = keep_only(phys, &kept, output);
 
     let plan = PhysicalPlan {
         query_name: plan.query_name().to_owned(),
@@ -813,16 +641,62 @@ pub fn lower_plan_with(plan: &QueryPlan, _options: &LowerOptions) -> Result<Phys
     lower_plan(plan)
 }
 
-/// Append a step that no one consumes yet; its id.
+/// Append a step; its id.
 fn push(phys: &mut Vec<PhysStep>, op: PhysOp, columns: Vec<String>, set_valued: bool) -> PhysId {
     phys.push(PhysStep {
         op,
         columns,
         set_valued,
-        materialize: false,
-        consumers: 0,
     });
     phys.len() - 1
+}
+
+/// The keyed lookup of `σ[predicates](source × fetch)` (see the module docs), labelled
+/// `columns`: every key of `fetch` is tied to its `source` column, and the predicates
+/// beyond those ties are its residual.
+fn fused_lookup(
+    phys: &mut Vec<PhysStep>,
+    source: PhysId,
+    fetch: &PlanOp,
+    predicates: &[Predicate],
+    columns: &[String],
+) -> PhysId {
+    let PlanOp::Fetch {
+        key_cols,
+        relation,
+        x_attrs,
+        y_attrs,
+        constraint_index,
+        ..
+    } = fetch
+    else {
+        unreachable!("fusion targets are fetches");
+    };
+    let residual = residual_predicates(predicates, key_cols, phys[source].columns.len());
+    let lookup = PhysOp::KeyedLookup {
+        source,
+        key_cols: key_cols.clone(),
+        relation: relation.clone(),
+        x_attrs: x_attrs.clone(),
+        positions: x_attrs.iter().chain(y_attrs).copied().collect(),
+        constraint_index: *constraint_index,
+        residual,
+    };
+    // Distinct probe rows emit distinct concatenations (the fetched side is deduplicated
+    // per key).
+    let set_valued = phys[source].set_valued;
+    push(phys, lookup, columns.to_vec(), set_valued)
+}
+
+/// The key columns of `right` when it is a fetch keyed from `left`, the `T ×
+/// fetch(X ∈ T, …)` of keyed-lookup fusion.
+fn fetch_over(steps: &[PlanStep], left: NodeId, right: NodeId) -> Option<&[usize]> {
+    match &steps[right].op {
+        PlanOp::Fetch {
+            source, key_cols, ..
+        } if *source == left => Some(key_cols),
+        _ => None,
+    }
 }
 
 /// Lower the logical fetch `fetch`, whose keys come from physical step `source`, to a
@@ -921,9 +795,7 @@ fn origin(steps: &[PhysStep], step: PhysId, col: usize) -> Origin {
     match &steps[step].op {
         PhysOp::Const { .. } => Origin::Const,
         PhysOp::Project { source, cols } => origin(steps, *source, cols[col]),
-        PhysOp::Filter { source, .. }
-        | PhysOp::Dedup { source }
-        | PhysOp::Difference { left: source, .. } => origin(steps, *source, col),
+        PhysOp::Dedup { source } => origin(steps, *source, col),
         PhysOp::KeyedLookup {
             source,
             key_cols,
@@ -938,13 +810,11 @@ fn origin(steps: &[PhysStep], step: PhysId, col: usize) -> Origin {
                 None => fresh,
             },
         },
-        PhysOp::Product { left, right } | PhysOp::HashJoin { left, right, .. } => {
-            match col.checked_sub(steps[*left].columns.len()) {
-                None => origin(steps, *left, col),
-                Some(c) if origin(steps, *right, c) == Origin::Const => Origin::Const,
-                Some(_) => fresh,
-            }
-        }
+        PhysOp::Product { left, right } => match col.checked_sub(steps[*left].columns.len()) {
+            None => origin(steps, *left, col),
+            Some(c) if origin(steps, *right, c) == Origin::Const => Origin::Const,
+            Some(_) => fresh,
+        },
         PhysOp::Unit | PhysOp::Empty { .. } | PhysOp::Union { .. } => fresh,
     }
 }
@@ -961,52 +831,42 @@ fn determined_by(steps: &[PhysStep], step: PhysId, kept: &[usize]) -> bool {
     })
 }
 
-/// Drop steps unreachable from the output, remapping step ids (order is preserved, so
-/// topological validity is too).
-fn prune_unreachable(steps: Vec<PhysStep>, output: PhysId) -> (Vec<PhysStep>, PhysId) {
-    let mut reachable = vec![false; steps.len()];
+/// Which steps `output` reads, itself included.
+fn reachable(steps: &[PhysStep], output: PhysId) -> Vec<bool> {
+    let mut reached = vec![false; steps.len()];
     let mut stack = vec![output];
     while let Some(i) = stack.pop() {
-        if std::mem::replace(&mut reachable[i], true) {
-            continue;
+        if !std::mem::replace(&mut reached[i], true) {
+            stack.extend(steps[i].op.inputs());
         }
-        stack.extend(steps[i].op.inputs());
     }
-    if reachable.iter().all(|&r| r) {
-        return (steps, output);
-    }
-    let mut remap: Vec<Option<PhysId>> = vec![None; steps.len()];
-    let mut kept: Vec<PhysStep> = Vec::with_capacity(steps.len());
-    for (i, mut step) in steps.into_iter().enumerate() {
-        if !reachable[i] {
-            continue;
-        }
-        remap_op_inputs(&mut step.op, &remap);
-        remap[i] = Some(kept.len());
-        kept.push(step);
-    }
-    let output = remap[output].expect("output is reachable");
-    (kept, output)
+    reached
 }
 
-/// Point every input of `op` at its image under `map` (which must be total on the
-/// inputs).
-fn remap_op_inputs(op: &mut PhysOp, map: &[Option<PhysId>]) {
-    let fix = |j: &mut PhysId| *j = map[*j].expect("inputs lowered earlier");
-    match op {
-        PhysOp::Const { .. } | PhysOp::Unit | PhysOp::Empty { .. } => {}
-        PhysOp::KeyedLookup { source, .. }
-        | PhysOp::Filter { source, .. }
-        | PhysOp::Project { source, .. }
-        | PhysOp::Dedup { source } => fix(source),
-        PhysOp::HashJoin { left, right, .. }
-        | PhysOp::Product { left, right }
-        | PhysOp::Union { left, right }
-        | PhysOp::Difference { left, right } => {
-            fix(left);
-            fix(right);
-        }
+/// The `kept` steps alone (closed under inputs), renumbered in order, so topological
+/// validity is preserved; and the new id of `output`.
+fn keep_only(steps: Vec<PhysStep>, kept: &[bool], output: PhysId) -> (Vec<PhysStep>, PhysId) {
+    let mut remap: Vec<Option<PhysId>> = vec![None; steps.len()];
+    let ids = (0..steps.len()).filter(|&old| kept[old]);
+    for (new, old) in ids.enumerate() {
+        remap[old] = Some(new);
     }
+    let fix = |j: &mut PhysId| *j = remap[*j].expect("inputs are kept");
+    let steps = steps.into_iter().enumerate().filter(|&(old, _)| kept[old]);
+    let steps = steps.map(|(_, mut step)| {
+        match &mut step.op {
+            PhysOp::Const { .. } | PhysOp::Unit | PhysOp::Empty { .. } => {}
+            PhysOp::KeyedLookup { source, .. }
+            | PhysOp::Project { source, .. }
+            | PhysOp::Dedup { source } => fix(source),
+            PhysOp::Product { left, right } | PhysOp::Union { left, right } => {
+                fix(left);
+                fix(right);
+            }
+        }
+        step
+    });
+    (steps.collect(), remap[output].expect("the output is kept"))
 }
 
 /// True when `predicates` equates every fetch key column with its source column — the
@@ -1053,6 +913,11 @@ mod tests {
 
     /// The step of [`keyed_join_plan`], `[k, a, b]` over the keys `{1, 2}`.
     fn keyed_join(b: &mut PlanBuilder) -> NodeId {
+        keyed_join_with(b, Vec::new())
+    }
+
+    /// [`keyed_join`] with `residual` beside the key equality.
+    fn keyed_join_with(b: &mut PlanBuilder, residual: Vec<Predicate>) -> NodeId {
         let k1 = b.constant(Value::int(1), "k");
         let k2 = b.constant(Value::int(2), "k");
         let keys = b.union(k1, k2);
@@ -1066,7 +931,8 @@ mod tests {
             vec!["a".into(), "b".into()],
         );
         let prod = b.product(keys, fetched);
-        b.select(prod, vec![Predicate::ColEqCol(0, 1)])
+        let predicates = [vec![Predicate::ColEqCol(0, 1)], residual].concat();
+        b.select(prod, predicates)
     }
 
     #[test]
@@ -1102,7 +968,8 @@ mod tests {
 
     #[test]
     fn bind_writes_values_where_lowering_left_placeholders() {
-        // `σ[b = c1](σ[k = a]({c0} × fetch(a ∈ {c0}, R, b)))`, as a template and as text.
+        // `σ[k = a ∧ b = c1 ∧ k = true]({c0} × fetch(a ∈ {c0}, R, b))`, as a template and
+        // as text.
         let plan = |c0: Value, c1: Value| {
             let mut b = PlanBuilder::new();
             let key = b.constant(c0, "k");
@@ -1118,10 +985,13 @@ mod tests {
             let prod = b.product(key, fetched);
             let sel = b.select(
                 prod,
-                vec![Predicate::ColEqCol(0, 1), Predicate::ColEqConst(2, c1)],
+                vec![
+                    Predicate::ColEqCol(0, 1),
+                    Predicate::ColEqConst(2, c1),
+                    Predicate::ColEqConst(0, Value::Bool(true)),
+                ],
             );
-            let filtered = b.select(sel, vec![Predicate::ColEqConst(0, Value::Bool(true))]);
-            b.finish("Q", filtered).unwrap()
+            b.finish("Q", sel).unwrap()
         };
         let values = [Value::int(-4), Value::str("k")];
         let template = plan(Value::placeholder(0), Value::placeholder(1));
@@ -1144,16 +1014,8 @@ mod tests {
         for step in &mut bound.steps {
             match &mut step.op {
                 PhysOp::Const { value } => *value = value.bound(values).clone(),
-                PhysOp::KeyedLookup {
-                    residual: predicates,
-                    ..
-                }
-                | PhysOp::HashJoin {
-                    residual: predicates,
-                    ..
-                }
-                | PhysOp::Filter { predicates, .. } => {
-                    for predicate in predicates {
+                PhysOp::KeyedLookup { residual, .. } => {
+                    for predicate in residual {
                         if let Predicate::ColEqConst(_, value) = predicate {
                             *value = value.bound(values).clone();
                         }
@@ -1244,7 +1106,6 @@ mod tests {
         assert_eq!(phys.output(), 3);
         assert!(phys.steps().iter().all(|s| s.set_valued));
         assert!(phys.keys_distinct(1, &[0]));
-        assert_eq!(phys.materialization_points(), 1);
 
         // A source that repeats keys gets a δ between the key projection and the
         // lookup, so every key is probed once; the union's own δ is the other one.
@@ -1317,48 +1178,108 @@ mod tests {
         }
     }
 
+    /// The reason `lower_plan` refuses `plan` with.
+    fn refusal(plan: &QueryPlan) -> String {
+        match lower_plan(plan) {
+            Err(Error::InvalidPlan { reason }) => reason,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn shared_fetch_falls_back_to_hash_join() {
-        // Same pattern, but the fetch result is also consumed by a projection, so it
-        // must stay a step of its own and the selection becomes a hash join.
+    fn plans_outside_the_fragment_are_refused_naming_their_step() {
+        let labels = || vec!["a".into(), "b".into()];
+        // The keyed-join pattern, but the fetch T1 is also read by a projection.
         let mut b = PlanBuilder::new();
-        let k1 = b.constant(Value::int(1), "k");
-        let fetched = b.fetch(
-            k1,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let prod = b.product(k1, fetched);
+        let k = b.constant(Value::int(1), "k");
+        let fetched = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, labels());
+        let prod = b.product(k, fetched);
         let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
         let other = b.project(fetched, vec![1]);
         let out = b.product(sel, other);
-        let plan = b.finish("Q", out).unwrap();
-        let phys = lower_plan(&plan).unwrap();
-        let Some(&PhysOp::HashJoin { right, .. }) = ops(&phys)
-            .into_iter()
-            .find(|op| matches!(op, PhysOp::HashJoin { .. }))
-        else {
-            panic!("no hash join: {phys}");
-        };
-        // The join's build side is the lowered fetch, `π` over its lookup — and a
-        // pipeline breaker: it feeds both the join and the projection.
-        let [lookup] = lookups(&phys)[..] else {
-            panic!("one lookup: {phys}");
-        };
-        let fetch_step = &phys.steps()[right];
-        assert_eq!(
-            fetch_step.op,
-            PhysOp::Project {
-                source: lookup,
-                cols: vec![1, 2]
-            }
+        let shared = b.finish("Q", out).unwrap();
+        // `T ∪ T` over an unfused fetch T1: its lowering would be read twice.
+        let mut b = PlanBuilder::new();
+        let k = b.constant(Value::int(1), "k");
+        let fetched = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, labels());
+        let twice = b.union(fetched, fetched);
+        let twice = b.finish("Q", twice).unwrap();
+        // A σ over the fused lookup T3, and one over a product that ties no key.
+        let mut b = PlanBuilder::new();
+        let joined = keyed_join(&mut b);
+        let filtered = b.select(joined, vec![Predicate::ColEqConst(2, Value::int(10))]);
+        let filter = b.finish("Q", filtered).unwrap();
+        let mut b = PlanBuilder::new();
+        let (x, y) = (
+            b.constant(Value::int(1), "x"),
+            b.constant(Value::int(1), "y"),
         );
-        assert!(fetch_step.materialize);
-        assert_eq!(fetch_step.consumers, 2);
+        let p = b.product(x, y);
+        let equal = b.select(p, vec![Predicate::ColEqCol(0, 1)]);
+        let untied = b.finish("Q", equal).unwrap();
+        // `{1} − {2}`, and `{1} − ∅`, which lowering used to drop.
+        let difference = |empty: bool| {
+            let mut b = PlanBuilder::new();
+            let one = b.constant(Value::int(1), "x");
+            let other = if empty {
+                b.empty(1)
+            } else {
+                b.constant(Value::int(2), "x")
+            };
+            let d = b.difference(one, other);
+            b.finish("Q", d).unwrap()
+        };
+        for (plan, step, why) in [
+            (&shared, 1, "is read by 2 operators"),
+            (&twice, 1, "is read by 2 operators"),
+            (
+                &filter,
+                6,
+                "is a selection that does not fuse into a keyed lookup",
+            ),
+            (
+                &untied,
+                3,
+                "is a selection that does not fuse into a keyed lookup",
+            ),
+            (&difference(false), 2, "is a difference"),
+            (&difference(true), 2, "is a difference"),
+        ] {
+            let reason = refusal(plan);
+            assert!(
+                reason.starts_with(&format!("step T{step} {why};")),
+                "{reason}\n{plan}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_key_fetch_fuses_with_its_bare_product() {
+        // `T × fetch(∅ ∈ T, R, b)`, as synthesis emits it: no σ, and one lookup.
+        let mut b = PlanBuilder::new();
+        let unit = b.unit();
+        let fetched = b.fetch(
+            unit,
+            Vec::new(),
+            "R",
+            Vec::new(),
+            vec![1],
+            0,
+            vec!["b".into()],
+        );
+        let out = b.product(unit, fetched);
+        let phys = lower_plan(&b.finish("Q", out).unwrap()).unwrap();
+        let lookup = PhysOp::KeyedLookup {
+            source: 0,
+            key_cols: Vec::new(),
+            relation: "R".into(),
+            x_attrs: Vec::new(),
+            positions: vec![1],
+            constraint_index: 0,
+            residual: Vec::new(),
+        };
+        assert_eq!(ops(&phys), [&PhysOp::Unit, &lookup]);
+        assert_eq!(phys.output(), 1);
     }
 
     #[test]
@@ -1460,8 +1381,7 @@ mod tests {
         let k = b.constant(Value::int(1), "x");
         let e = b.empty(1);
         let u = b.union(k, e);
-        let d = b.difference(u, e);
-        let r = b.rename(d, vec!["y".into()]);
+        let r = b.rename(u, vec!["y".into()]);
         let plan = b.finish("Q", r).unwrap();
         let phys = lower_plan(&plan).unwrap();
         // Everything collapses to the constant: one step, already set-valued.
@@ -1508,20 +1428,13 @@ mod tests {
         assert_eq!(dedups(&lookup(vec![2, 1])), 1);
         assert_eq!(dedups(&lookup(vec![0, 1])), 2);
 
-        // Equal to a kept column only through a filter predicate: conservatively a δ.
+        // Equal to a kept column only through a residual predicate: conservatively a δ.
         let mut b = PlanBuilder::new();
-        let keys = |b: &mut PlanBuilder| {
-            let k1 = b.constant(Value::int(1), "k");
-            let k2 = b.constant(Value::int(2), "k");
-            b.union(k1, k2)
-        };
-        let (left, right) = (keys(&mut b), keys(&mut b));
-        let p = b.product(left, right);
-        let equal = b.select(p, vec![Predicate::ColEqCol(0, 1)]);
-        let dropped = b.project(equal, vec![0]);
+        let equal = keyed_join_with(&mut b, vec![Predicate::ColEqCol(0, 2)]);
+        let dropped = b.project(equal, vec![0, 1]);
         let plan = b.finish("Q", dropped).unwrap();
-        // The two unions' δs, and the projection's.
-        assert_eq!(dedups(&plan), 3);
+        // The union's δ, and the projection's.
+        assert_eq!(dedups(&plan), 2);
     }
 
     #[test]
@@ -1546,66 +1459,17 @@ mod tests {
     }
 
     #[test]
-    fn materialization_points_are_shared_nodes_and_output() {
-        let plan = keyed_join_plan();
-        let phys = lower_plan(&plan).unwrap();
-        // Only the output is a breaker here: the union of keys feeds exactly one
-        // operator (the fused lookup), so everything streams.
-        assert_eq!(phys.materialization_points(), 1);
-        assert!(phys.steps()[phys.output()].materialize);
-    }
-
-    #[test]
     fn single_pipeline_dag_for_fully_streaming_plan() {
-        // One pipeline: the output is the only materialization point, and nothing it
-        // reads is materialized.
-        let phys = lower_plan(&keyed_join_plan()).unwrap();
-        let materialized: Vec<usize> = (0..phys.len())
-            .filter(|&step| phys.steps()[step].materialize)
-            .collect();
-        assert_eq!(materialized, [phys.output()]);
-    }
-
-    #[test]
-    fn shared_fetch_plan_decomposes_into_dependent_pipelines() {
-        // The shared-fetch plan has two materialization points: the fetch and the
-        // output. The DAG must chain them with an exchange edge.
-        let mut b = PlanBuilder::new();
-        let k1 = b.constant(Value::int(1), "k");
-        let fetched = b.fetch(
-            k1,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let prod = b.product(k1, fetched);
-        let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
-        let other = b.project(fetched, vec![1]);
-        let out = b.product(sel, other);
-        let plan = b.finish("Q", out).unwrap();
-        let phys = lower_plan(&plan).unwrap();
-        // Three breakers, in step order: the shared constant, the shared fetch, and
-        // the output, each one pipeline's end.
-        let sinks: Vec<usize> = (0..phys.len())
-            .filter(|&step| phys.steps()[step].materialize)
-            .collect();
-        let [constant, fetch, output] = sinks[..] else {
-            panic!("three materialization points: {phys}");
-        };
-        assert!(matches!(phys.steps()[constant].op, PhysOp::Const { .. }));
-        // The fetch's pipeline ends in the `π` over its lookup, whose keys are the
-        // constant's.
-        let PhysOp::Project { source, .. } = phys.steps()[fetch].op else {
-            panic!("the shared fetch lowers to `π` over a lookup: {phys}");
-        };
-        let PhysOp::KeyedLookup { source: keys, .. } = phys.steps()[source].op else {
-            panic!("the shared fetch lowers to `π` over a lookup: {phys}");
-        };
-        assert_eq!(phys.steps()[keys].op.inputs(), [constant], "\n{phys}");
-        assert_eq!(output, phys.output());
+        // One operator tree: the caller reads the output, one operator every other step.
+        for plan in [keyed_join_plan(), union_of_lookups_plan()] {
+            let phys = lower_plan(&plan).unwrap();
+            let mut readers = vec![0; phys.len()];
+            readers[phys.output()] += 1;
+            for input in phys.steps().iter().flat_map(|step| step.op.inputs()) {
+                readers[input] += 1;
+            }
+            assert!(readers.iter().all(|&r| r == 1), "{phys}");
+        }
     }
 
     /// A union of two independent keyed-lookup branches.
@@ -1633,8 +1497,7 @@ mod tests {
 
     #[test]
     fn lowering_ignores_its_options() {
-        // The union and a two-hop lookup chain stream end to end: one pipeline, whatever
-        // the options say.
+        // The union and a two-hop lookup chain lower the same, whatever the options say.
         let mut b = PlanBuilder::new();
         let keys = b.constant(Value::int(1), "k");
         let labels = |x: &str, y: &str| vec![x.into(), y.into()];
@@ -1647,7 +1510,6 @@ mod tests {
         let chain = b.finish("Q", s2).unwrap();
         for plan in [union_of_lookups_plan(), chain] {
             let lowered = lower_plan(&plan).unwrap();
-            assert_eq!(lowered.materialization_points(), 1, "\n{lowered}");
             let options = LowerOptions::new()
                 .with_exchange_parallelism(true)
                 .with_shard_fanout(4);

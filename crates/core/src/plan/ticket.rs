@@ -9,8 +9,7 @@
 //! trust in the client.
 //!
 //! A ticket is derived once per submission from the logical plan (the fetch bound, via
-//! [`super::QueryPlan::cost`]) and its lowering (the number of pipelines, and the
-//! **allocation surface**). The allocation surface is the engine's
+//! [`super::QueryPlan::cost`]) and its lowering (the **allocation surface**). The allocation surface is the engine's
 //! buffer-pool sizing rule, [`step_surface`] — every keyed lookup (the one physical
 //! step that fetches) demands one buffer per fetched position plus the key row and the
 //! selection vector — summed over the plan's steps. Lowering does not depend on the
@@ -43,8 +42,8 @@ pub struct CostTicket {
     pub max_output_rows: u64,
     /// Fetch operations in the logical plan.
     pub fetch_ops: usize,
-    /// Pipelines in the lowered plan: its materialization points
-    /// ([`PhysicalPlan::materialization_points`]).
+    /// Always 1: a lowered plan is one operator tree. Kept only because the benchmark
+    /// harness (`benchmark/`) still reads it.
     pub pipelines: usize,
     /// Total per-probe buffer demand: [`step_surface`] summed over the lowered
     /// plan's steps.
@@ -53,8 +52,8 @@ pub struct CostTicket {
 
 impl CostTicket {
     /// Price `plan` (lowered to `physical`) under `schema` for a database of
-    /// `db_size` tuples. The fetch bound comes from the logical cost model; the
-    /// pipeline count and allocation surface come from the lowering.
+    /// `db_size` tuples. The fetch bound comes from the logical cost model, the
+    /// allocation surface from the lowering.
     pub fn derive(
         plan: &QueryPlan,
         schema: &AccessSchema,
@@ -67,7 +66,7 @@ impl CostTicket {
             fetch_bound: cost.max_fetched_tuples,
             max_output_rows: cost.max_output_rows,
             fetch_ops: cost.fetch_ops,
-            pipelines: physical.materialization_points(),
+            pipelines: 1,
             alloc_surface: physical.steps().iter().map(|s| step_surface(&s.op)).sum(),
         }
     }
@@ -145,9 +144,7 @@ mod tests {
         assert_eq!(ticket.max_output_rows, cost.max_output_rows);
         assert_eq!(ticket.fetch_ops, 3);
 
-        // The union streams: one pipeline, whose three keyed lookups over 2 positions
-        // each demand 4 buffers.
-        assert_eq!(ticket.pipelines, physical.materialization_points());
+        // Three keyed lookups over 2 positions each demand 4 buffers.
         assert_eq!(ticket.pipelines, 1);
         assert_eq!(ticket.alloc_surface, 12);
     }
@@ -165,7 +162,6 @@ mod tests {
         assert_eq!(ticket.fetch_bound, 0);
         assert_eq!(ticket.alloc_surface, 0);
         assert_eq!(ticket.fetch_ops, 0);
-        assert!(ticket.pipelines >= 1);
     }
 
     #[test]

@@ -50,9 +50,11 @@
 //! The cache is bounded by resident rows ([`SessionFetchCache::new`]'s budget;
 //! `SessionConfig::cache_budget_rows` / `BEA_CACHE_ROWS` upstream). Every entry sits
 //! on one ring in admission order, as its space and position; a hit sets its entry's
-//! referenced bit. An insert that takes the total past the budget advances the hand
-//! over the ring before it unlocks: a referenced entry loses its bit and goes round
-//! again, an unreferenced one is evicted, until the total fits. Each step of the hand
+//! referenced bit. An insert that takes the total — or the number of entries — past the
+//! budget advances the hand over the ring before it unlocks: a referenced entry loses
+//! its bit and goes round again, an unreferenced one is evicted, until both fit. A key
+//! that matched nothing is an entry of no rows, so the count of entries is what bounds
+//! the key table, the slab and the ring under a stream of absent keys. Each step of the hand
 //! either evicts an entry (paid for by its insert) or clears a bit (paid for by the hit
 //! that set it), so eviction is amortised O(1) per insert. A posting list longer than
 //! the whole budget is never inserted ([`SessionFetchCache::admits`]), so it cannot
@@ -126,7 +128,8 @@ pub struct CacheStats {
     pub resident_rows: u64,
     /// Entries currently resident — a key that matched nothing is an entry of no rows.
     pub entries: u64,
-    /// The configured row budget the resident total is kept under.
+    /// The configured row budget the resident total, and the number of entries, are
+    /// kept under.
     pub budget_rows: u64,
 }
 
@@ -192,7 +195,7 @@ struct Resident {
     /// Every resident entry's space and position; the hand is the front.
     ring: VecDeque<(CacheSpace, u32)>,
     /// Always the rows of every entry in `spaces`, and never above the budget once an
-    /// insert unlocks.
+    /// insert unlocks — nor is the number of entries.
     rows: u64,
     hits: u64,
     rows_served: u64,
@@ -258,7 +261,7 @@ impl SessionFetchCache {
     /// Hold `cached` as `key`'s entry in `space`, unless an entry is already there (a
     /// concurrent miss of the same key inserted it first) or its rows are not
     /// [admitted](SessionFetchCache::admits); then advance the hand until the resident
-    /// total fits the budget again (see the module docs).
+    /// total and the number of entries fit the budget again (see the module docs).
     pub(crate) fn insert(&self, space: CacheSpace, key: &HashedRow, cached: Cached) {
         let rows = cached.len();
         if !self.admits(rows) {
@@ -270,11 +273,11 @@ impl SessionFetchCache {
         };
         resident.ring.push_back((space, position));
         resident.rows += rows as u64;
-        while resident.rows > self.budget_rows {
+        while resident.rows > self.budget_rows || resident.ring.len() as u64 > self.budget_rows {
             let (space, position) = resident
                 .ring
                 .pop_front()
-                .expect("resident rows belong to entries on the ring");
+                .expect("an over-budget cache has entries on the ring");
             let held = &mut resident.spaces[space.0 as usize];
             if std::mem::take(&mut held.slab[position as usize].referenced) {
                 resident.ring.push_back((space, position));
@@ -284,7 +287,7 @@ impl SessionFetchCache {
             }
         }
         debug_assert!(
-            resident.rows <= self.budget_rows,
+            resident.rows <= self.budget_rows && resident.ring.len() as u64 <= self.budget_rows,
             "an insert leaves the cache within its budget"
         );
     }
@@ -455,6 +458,27 @@ mod tests {
             "the total is the entries'"
         );
         assert_eq!(held.len() as u64, stats.entries);
+    }
+
+    #[test]
+    fn absent_keys_are_entries_the_budget_bounds_too() {
+        // An absent key is an entry of no rows: 10 000 of them under a two-row budget
+        // keep two entries, not a key table, slab and ring of 10 000.
+        let cache = SessionFetchCache::new(2);
+        let space = cache.space(shape(0));
+        for k in 0..10_000 {
+            cache.insert(space, &key_of(k), Cached::Tuple(None));
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.resident_rows), (2, 0));
+        assert_eq!(stats.evictions, 9_998);
+        let resident = cache.lock();
+        assert_eq!(
+            resident.spaces[0].slab.len(),
+            3,
+            "evicted positions are reused"
+        );
+        assert_eq!(resident.spaces[0].keys.len(), 2);
     }
 
     #[test]

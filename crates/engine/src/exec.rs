@@ -6,14 +6,17 @@
 //!
 //! [`execute_plan`] lowers the plan to a [`bea_core::plan::PhysicalPlan`] and
 //! [`execute_physical_on`] runs it through the batch pipeline in [`crate::ops`]:
-//! intermediate results flow through operators in bounded batches, and only genuine
-//! pipeline breakers hold rows, so peak memory residency tracks the access-schema
-//! bounds. Both run the query on the calling thread, its pipelines in step order.
+//! intermediate results flow through one tree of operators in bounded batches, and
+//! only the output is materialized, so peak memory residency tracks the access-schema
+//! bounds. Both run the query on the calling thread. Lowering refuses a plan outside
+//! what synthesis emits (a shared step, a σ that does not fuse into a keyed lookup, a
+//! difference; see `bea_core::plan::physical`).
 //!
 //! [`execute_plan_materialized`] is the **reference**: the literal step loop, one
 //! [`Table`] per plan step, all of them alive until the end. Every × materializes its
 //! full product and every σ filters the table it is given; nothing is fused, and no
-//! code is shared with lowering. It takes no options and serves no query; the property
+//! code is shared with lowering, so it runs every logical plan — those lowering refuses
+//! included. It takes no options and serves no query; the property
 //! suites and `bea-bench`'s scenario tests compare the pipeline against it — both
 //! perform the same index lookups and fetch the same tuples; see
 //! [`AccessStats::same_data_access`].
@@ -345,6 +348,7 @@ mod tests {
 
     #[test]
     fn difference_and_rename_ops() {
+        // The reference runs a difference; the streaming engine refuses it, naming T3.
         let (_, _, idb) = setup();
         let mut b = bea_core::plan::PlanBuilder::new();
         let one = b.constant(Value::int(1), "x");
@@ -353,7 +357,13 @@ mod tests {
         let diff = b.difference(union, two);
         let renamed = b.rename(diff, vec!["y".into()]);
         let plan = b.finish("Q", renamed).unwrap();
-        let (result, _) = execute_plan(&plan, &idb).unwrap();
+        match execute_plan(&plan, &idb) {
+            Err(Error::InvalidPlan { reason }) => {
+                assert!(reason.starts_with("step T3 is a difference"), "{reason}")
+            }
+            other => panic!("a difference must be refused, got {other:?}"),
+        }
+        let (result, _) = execute_plan_materialized(&plan, &idb).unwrap();
         assert_eq!(
             result.row_set(),
             [vec![Value::int(1)]].into_iter().collect()
@@ -503,18 +513,34 @@ mod tests {
 
     #[test]
     fn streaming_handles_every_operator() {
-        // Exercise union, difference, rename, product, filter and dedup through the
-        // pipeline on a hand-built plan.
+        // Exercise union (with an ∅ branch), product, the keyed lookup with a residual,
+        // projection, dedup and rename through the pipeline on a hand-built plan.
         let (_, _, idb) = setup();
         let mut b = bea_core::plan::PlanBuilder::new();
         let one = b.constant(Value::int(1), "x");
         let two = b.constant(Value::int(2), "x");
         let three = b.constant(Value::int(3), "x");
+        let none = b.empty(1);
         let union = b.union(one, two);
         let union = b.union(union, three);
-        let diff = b.difference(union, two);
-        let pair = b.product(diff, one);
-        let sel = b.select(pair, vec![Predicate::ColEqConst(1, Value::int(1))]);
+        let union = b.union(union, none);
+        let tag = b.constant(Value::int(1), "t");
+        let pair = b.product(union, tag);
+        let fetched = b.fetch(
+            pair,
+            vec![0],
+            "R",
+            vec![0],
+            vec![1],
+            0,
+            vec!["a".into(), "b".into()],
+        );
+        let joined = b.product(pair, fetched);
+        let tied = vec![
+            Predicate::ColEqCol(0, 2),
+            Predicate::ColEqConst(3, Value::int(10)),
+        ];
+        let sel = b.select(joined, tied);
         let proj = b.project(sel, vec![0]);
         let renamed = b.rename(proj, vec!["y".into()]);
         let plan = b.finish("Q", renamed).unwrap();
@@ -524,7 +550,7 @@ mod tests {
         assert_eq!(streamed.row_set(), materialized.row_set());
         assert_eq!(
             streamed.row_set(),
-            [vec![Value::int(1)], vec![Value::int(3)]]
+            [vec![Value::int(1)], vec![Value::int(2)]]
                 .into_iter()
                 .collect()
         );

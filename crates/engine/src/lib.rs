@@ -29,16 +29,15 @@
 //! `Arc`-shared columns plus an optional selection vector naming the logically present
 //! rows. The layout dictates what each operator costs:
 //!
-//! * *filter* writes a selection vector, *project* permutes column handles, and
-//!   crossing a materialization point (the exchange between pipelines) clones column
-//!   handles — none of these copies a value;
-//! * *gathers* — joins, products and fetch output, the operators that genuinely
-//!   combine rows — write values into fresh columns; everything else is metadata.
+//! * *dedup* writes a selection vector and *project* permutes column handles —
+//!   neither copies a value;
+//! * *gathers* — products and fetch output, the operators that genuinely combine
+//!   rows — write values into fresh columns; everything else is metadata.
 //!
 //! Value writes are O(1) because a [`bea_core::value::Value`] is 16 bytes that never
 //! deep-copy: a string of at most 14 bytes is stored inline and copied with its value,
 //! a longer one is written once when the value is created (data load or parse time) and
-//! aliased by every clone afterwards. Join keys, fetch caches and dedup sets therefore
+//! aliased by every clone afterwards. Fetched keys, fetch caches and dedup sets therefore
 //! hold either their own 16 bytes or references to the same bytes the relations do.
 //! [`stats::AccessStats::values_cloned`] counts every value moved between executor
 //! buffers — deterministic for a plan, which is what lets the
@@ -49,7 +48,7 @@
 //! Steady-state anchored probes — one probe key hitting a warmed
 //! [`ops`] `KeyedLookupOp` cache with a fused projection — allocate nothing, and a
 //! cold keyed probe allocates nothing *per key* either: keys and postings land in
-//! flat pooled columns, set membership (δ, −, join build keys) in flat row tables.
+//! flat pooled columns, set membership (δ, fetched keys) in flat row tables.
 //! The machinery behind the guarantee, and its ownership contract:
 //!
 //! * every [`ops`] execution state owns a **buffer pool** of recycled column and
@@ -85,11 +84,10 @@
 //! # One query, one thread
 //!
 //! A query runs start to finish on the thread that asks for it — the caller of
-//! [`execute_plan`], or of [`session::Session::run`] and its siblings. Its
-//! materialization points cut the plan into pipelines, and they run in step order:
-//! a step reads only earlier steps, so every materialized result a pipeline scans is
-//! complete when it starts, and step order is the lowest-residency order the plan was
-//! lowered for. Nothing of a query crosses threads; its residency ledger makes
+//! [`execute_plan`], or of [`session::Session::run`] and its siblings. Lowering
+//! accepts only what plan synthesis emits, where every step has one reader, so a plan
+//! is one tree of streaming operators: it is drained into the output table, the one
+//! result it materializes. Nothing of a query crosses threads; its residency ledger makes
 //! `peak_rows_resident` the number of rows it held at once, and every counter is a
 //! function of the plan and the store.
 //!
@@ -110,7 +108,7 @@
 //! asked for it: it owns the store, the admission limits and the fetch cache, and no
 //! thread. The contract, asserted by `tests/properties.rs`:
 //!
-//! * **Per-query isolation.** Each query runs against its own materialization slots,
+//! * **Per-query isolation.** Each query runs against its own operator tree,
 //!   residency ledger and [`AccessStats`]; its rows, row order and every
 //!   deterministic counter are identical to a solo [`exec::execute_plan`] run of the
 //!   same plan. A failing query fails *that query only*: its error, or its panic,

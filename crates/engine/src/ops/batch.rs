@@ -5,14 +5,14 @@
 //! The layout makes the hot relational operators manipulate *metadata* instead of
 //! values:
 //!
-//! * **filter** keeps the columns untouched and writes a (possibly composed) selection
-//!   vector — zero value copies;
+//! * **dedup** keeps the columns untouched and writes a (possibly composed) selection
+//!   vector of the fresh rows — zero value copies;
 //! * **project** permutes/duplicates the column handles — zero value copies;
-//! * **exchange** (crossing a materialization point between pipelines) clones the
-//!   batch, which clones `Arc`s — a refcount bump per column, never a row copy.
+//! * **sharing** a batch (a cache hit, an arena segment emitted by an anchor) clones
+//!   `Arc`s — a refcount bump per column, never a row copy.
 //!
-//! Only *gathers* — operators that genuinely combine rows from several sources (joins,
-//! products, fetch output) — write values into fresh columns, and a value write is O(1)
+//! Only *gathers* — operators that genuinely combine rows from several sources
+//! (products, fetch output) — write values into fresh columns, and a value write is O(1)
 //! even for strings ([`bea_core::value::Value`] payloads are shared). The executor
 //! counts every such clone in [`crate::stats::AccessStats::values_cloned`], so the copy
 //! traffic of a plan is asserted, not eyeballed.
@@ -21,8 +21,7 @@
 //! rows, as produced by `PhysOp::Unit` — still have a well-defined row count.
 //!
 //! Beside the batch lives [`RowTable`], the one structure operators *remember* rows in
-//! (δ's seen set, −'s removal set, the hash join's build keys, the keyed lookup's
-//! fetched keys), and [`HashedRow`], a key carrying its hash through the cache tiers.
+//! (δ's seen set, the keyed lookup's fetched keys, the session cache's keys), and [`HashedRow`], a key carrying its hash through the cache tiers.
 //! All of them hash rows with [`bea_core::value::hash_row`] — the same function the
 //! store's indexes use — and nothing in the engine hashes a row any other way.
 
@@ -36,8 +35,8 @@ pub(crate) type Column = Arc<Vec<Value>>;
 
 /// A columnar batch of rows; see the module docs for the layout.
 ///
-/// The column list itself is a shared slice too, so `Batch::clone` — the exchange
-/// protocol between pipelines, and a keyed-lookup cache hit — is purely refcount
+/// The column list itself is a shared slice too, so `Batch::clone` — a keyed-lookup
+/// cache hit, say — is purely refcount
 /// bumps: no allocation anywhere on the clone path.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Batch {
@@ -75,6 +74,7 @@ impl Batch {
     }
 
     /// Transpose owned rows of the given arity into a dense batch (moves the values).
+    #[cfg(test)]
     pub(crate) fn from_rows(arity: usize, rows: Vec<Row>) -> Self {
         let stored = rows.len();
         let mut columns: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(stored)).collect();
@@ -140,16 +140,11 @@ impl Batch {
     }
 
     /// Hash logical row `i` across all columns — the zero-copy half of
-    /// hash-then-compare membership tests (dedup, difference): no row is cloned just
+    /// hash-then-compare membership tests (dedup): no row is cloned just
     /// to ask whether it was seen before.
     pub(crate) fn hash_row(&self, i: usize) -> u64 {
         let p = self.physical(i);
         hash_row(self.columns.iter().map(|column| &column[p]))
-    }
-
-    /// Does logical row `i` satisfy every predicate?
-    pub(crate) fn passes(&self, i: usize, predicates: &[Predicate]) -> bool {
-        passes_with(predicates, |col| self.value(i, col))
     }
 
     /// Restrict the batch to the logical rows `keep` says yes to: the columns are
@@ -255,8 +250,7 @@ pub(crate) fn rows_equal_at(cols: &[Vec<Value>], a: usize, b: usize) -> bool {
 /// Marks an unoccupied [`RowTable`] slot; never a position (see [`position_bound`]).
 const EMPTY: u32 = u32::MAX;
 
-/// `rows` as the exclusive bound of 32-bit row positions. Tables and join chains store
-/// positions as `u32` with [`EMPTY`] as the free marker; an `owner` asked to hold more
+/// `rows` as the exclusive bound of 32-bit row positions. Tables store positions as `u32` with [`EMPTY`] as the free marker; an `owner` asked to hold more
 /// rows than that fails instead of aliasing a slot.
 pub(crate) fn position_bound(owner: &str, rows: usize) -> Result<u32> {
     match u32::try_from(rows) {
@@ -269,8 +263,8 @@ pub(crate) fn position_bound(owner: &str, rows: usize) -> Result<u32> {
     }
 }
 
-/// A flat table of distinct rows: what δ has seen, what − removes, the build keys of a
-/// hash join, the keys a keyed lookup has fetched, the session cache's keys. A row's
+/// A flat table of distinct rows: what δ has seen, the keys a keyed lookup has fetched,
+/// the session cache's keys. A row's
 /// *position* is its insertion rank — stable until the row is removed, so callers hang
 /// their own per-row data (posting ranges, match chains, cache entries) off plain
 /// vectors indexed by it. Only the session cache removes rows: [`RowTable::remove`]
@@ -322,6 +316,7 @@ impl RowTable {
         self.hashes.len() - self.free.len()
     }
 
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -624,9 +619,14 @@ mod tests {
             ],
             2,
         );
-        assert!(b.passes(0, &[Predicate::ColEqCol(0, 1)]));
-        assert!(!b.passes(1, &[Predicate::ColEqCol(0, 1)]));
-        assert!(b.passes(1, &[Predicate::ColEqConst(1, Value::int(5))]));
+        let batch = &b;
+        let row = move |i: usize| move |col: usize| batch.value(i, col);
+        assert!(passes_with(&[Predicate::ColEqCol(0, 1)], row(0)));
+        assert!(!passes_with(&[Predicate::ColEqCol(0, 1)], row(1)));
+        assert!(passes_with(
+            &[Predicate::ColEqConst(1, Value::int(5))],
+            row(1)
+        ));
 
         // A concatenated row that is never built: column 0 from `left`, 1 from `right`.
         let left = Batch::singleton(vec![Value::int(7)]);
@@ -649,7 +649,7 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0], vec![Value::int(1), Value::str("a")]);
 
-        // A shared batch (exchange-style clone alive) must gather instead.
+        // A shared batch (a clone alive) must gather instead.
         let b = sample();
         let alias = b.clone();
         let (rows, clones) = b.into_rows(drop);
@@ -931,10 +931,10 @@ mod tests {
         assert_eq!(position_bound("δ", EMPTY as usize - 1).unwrap(), EMPTY - 1);
         // `EMPTY` itself is the free-slot marker, so it is no position either.
         for too_many in [EMPTY as usize, EMPTY as usize + 1] {
-            let error = position_bound("a hash join's build side", too_many)
+            let error = position_bound("a duplicate elimination", too_many)
                 .unwrap_err()
                 .to_string();
-            assert!(error.contains("a hash join's build side"), "{error}");
+            assert!(error.contains("a duplicate elimination"), "{error}");
             assert!(error.contains(&too_many.to_string()), "{error}");
         }
         // A table refuses the reservation up front and is left untouched.

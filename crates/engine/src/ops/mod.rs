@@ -1,33 +1,25 @@
 //! The streaming batch pipeline executing physical plans.
 //!
 //! [`crate::exec::execute_physical_on`] runs a [`PhysicalPlan`] (lowered by
-//! `bea_core::plan::physical::lower_plan`) against a [`Store`] as a tree of pull-based
-//! operators, each implementing [`Operator::next_batch`]. Rows move through the
-//! pipeline in bounded **columnar** [`batch::Batch`]es — filter and project are
-//! selection-vector and column-permutation metadata, only gathers (joins, products,
-//! fetch output) write values, and every value write is an O(1) clone (interned string
-//! payloads; see the [`batch`] docs). Only genuine pipeline breakers hold rows for
-//! longer than a batch:
-//!
-//! * steps marked [`bea_core::plan::PhysStep::materialize`] (shared by several
-//!   consumers, or the plan output) are materialized once and *freed as soon as
-//!   their last consumer has drained them*;
-//! * join build sides, per-key fetch caches and dedup sets are operator-internal
-//!   state, released when the operator is exhausted — or when it is dropped undrained
-//!   (every operator holding durable state implements `Drop`), so a short-circuiting
-//!   or failing consumer can never leak residency.
+//! `bea_core::plan::physical::lower_plan`) against a [`Store`] as one tree of pull-based
+//! operators, each implementing [`Operator::next_batch`]. Rows move through the tree in
+//! bounded **columnar** [`batch::Batch`]es — project is column-permutation metadata,
+//! only gathers (products, fetch output) write values, and every value write is an O(1)
+//! clone (interned string payloads; see the [`batch`] docs). Lowering reads every step
+//! with one operator, so the tree has one node per step, and only the output is
+//! materialized: [`sched::run`] drains it into the result table. Product right sides,
+//! per-key fetch arenas and dedup sets are operator-internal state, released when the
+//! operator is exhausted — or when it is dropped undrained (every operator holding
+//! durable state implements `Drop`), so a short-circuiting or failing consumer can never
+//! leak residency.
 //!
 //! # One query, one thread
 //!
-//! A query runs start to finish on the thread that asks for it. The plan's
-//! materialization points cut it into pipelines, and [`sched::run`] runs them in step
-//! order — the materialized results are what later pipelines scan, and
-//! [`Operator::next_batch`] over a completed materialization ([`source::ScanOp`]) is
-//! how they read them. Operators are single-threaded and `Rc`-based, and so are the
-//! materialized steps: nothing of a query crosses threads. A bounded query is small
-//! (Q0 fetches about 640 tuples), so splitting one would cost more coordination than
-//! it saves; threads pay across queries, which a [`crate::session::Session`] admits
-//! side by side from its callers' threads.
+//! A query runs start to finish on the thread that asks for it. Operators are
+//! single-threaded and `Rc`-based: nothing of a query crosses threads. A bounded query
+//! is small (Q0 fetches about 640 tuples), so splitting one would cost more
+//! coordination than it saves; threads pay across queries, which a
+//! [`crate::session::Session`] admits side by side from its callers' threads.
 //!
 //! Residency is accounted in the query's [`ResidencyLedger`]: every durable row
 //! acquisition and release goes through it, so
@@ -36,14 +28,12 @@
 //! a function of the plan and the store alone, so a bounded plan stays bounded
 //! whoever runs it.
 //!
-//! Operator catalogue: [`source`] (constants, unit, empty, scans of materialized
-//! steps), [`fetch`] (the keyed lookup, the one operator that reads the index),
-//! [`relational`] (filter, project, dedup, union, difference, product) and [`join`]
-//! (the generic hash join used when a fetch result stays shared).
+//! Operator catalogue: [`source`] (constants, unit, empty), [`fetch`] (the keyed lookup,
+//! the one operator that reads the index) and [`relational`] (project, dedup, union,
+//! product).
 
 pub(crate) mod batch;
 pub(crate) mod fetch;
-pub(crate) mod join;
 pub(crate) mod relational;
 pub(crate) mod sched;
 pub(crate) mod source;
@@ -56,7 +46,7 @@ use bea_core::plan::{step_surface, PhysOp, PhysicalPlan, Predicate};
 use bea_core::value::Value;
 use bea_storage::Store;
 use std::borrow::Cow;
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -255,8 +245,8 @@ impl ExecState {
         PARKED.set(Some(state));
     }
 
-    /// Record `rows` newly held by a durable structure (materialized step, build side,
-    /// cache, dedup set) against the query's ledger.
+    /// Record `rows` newly held by a durable structure (the output, a product's right
+    /// side, a lookup's arena, a dedup set) against the query's ledger.
     pub fn acquire(&mut self, rows: u64) {
         self.ledger.acquire(rows);
     }
@@ -286,27 +276,6 @@ pub(crate) trait Operator {
 
 /// Boxed operator borrowing the database for `'db`.
 pub(crate) type BoxOp<'db> = Box<dyn Operator + 'db>;
-
-/// A materialized step: its batches plus the number of consumers still to drain them.
-/// The batches are dropped — and their residency released — when the last consumer
-/// finishes (or is dropped; see [`source::ScanOp`]). Consumers receive the *same*
-/// batches by cheap clone (an `Arc` bump per column), so crossing a materialization
-/// point between pipelines copies no values.
-#[derive(Debug)]
-pub(crate) struct MatNode {
-    pub(crate) batches: Option<Vec<Batch>>,
-    /// Total logical rows across `batches`, acquired against the residency ledger by
-    /// the producing pipeline and released here when the last consumer is done.
-    pub(crate) rows: u64,
-    pub(crate) remaining: usize,
-}
-
-/// Shared handle to a materialized step, held by each pipeline that scans it.
-pub(crate) type SharedMat = Rc<RefCell<MatNode>>;
-
-/// One-shot slot for each step's materialization, written by the pipeline that produces
-/// it and read by the pipelines that scan it.
-pub(crate) type MatSlots = [OnceCell<SharedMat>];
 
 /// Validate one fetch-shaped step (`step` names it, e.g. "physical step 3", and is
 /// formatted only into an error message) against the database it is about to probe:
@@ -404,48 +373,17 @@ pub(crate) fn execute_inner(
 }
 
 /// What the operators of one query are built from, all of it outliving the operator
-/// trees: the plan, the constants of the run, the store, the query's state and its
-/// materialization slots. Operators borrow their step's fields from the plan
-/// rather than copying them, and read a placeholder's value from the constants when
-/// they are built ([`bea_core::value::Value::bound`]), so one plan serves every run
-/// of its template without being copied.
+/// tree: the plan, the constants of the run, the store and the query's state.
+/// Operators borrow their step's fields from the plan rather than copying them, and
+/// read a placeholder's value from the constants when they are built
+/// ([`bea_core::value::Value::bound`]), so one plan serves every run of its template
+/// without being copied.
 #[derive(Clone, Copy)]
 pub(crate) struct RunCtx<'a> {
     pub(crate) plan: &'a PhysicalPlan,
     pub(crate) constants: &'a [Value],
     pub(crate) store: Store<'a>,
     pub(crate) state: &'a SharedState,
-    pub(crate) mats: &'a MatSlots,
-}
-
-/// Execute one pipeline: pull the operator tree rooted at `sink` to exhaustion and
-/// publish the materialized result for the pipelines that scan it.
-pub(crate) fn run_pipeline(ctx: RunCtx<'_>, sink: usize) -> Result<()> {
-    let (batches, rows) = drain(build_op(ctx, sink)?, ctx.state)?;
-    let node = Rc::new(RefCell::new(MatNode {
-        batches: Some(batches),
-        rows,
-        remaining: ctx.plan.steps()[sink].consumers,
-    }));
-    if ctx.mats[sink].set(node).is_err() {
-        unreachable!("each pipeline is executed exactly once");
-    }
-    Ok(())
-}
-
-/// Pull `op` to exhaustion, acquiring every emitted row against the ledger; the
-/// nonempty batches and the row count. The operator tree is dropped before returning.
-fn drain(mut op: BoxOp<'_>, state: &SharedState) -> Result<(Vec<Batch>, u64)> {
-    let mut batches: Vec<Batch> = Vec::new();
-    let mut rows: u64 = 0;
-    while let Some(batch) = op.next_batch()? {
-        state.borrow_mut().acquire(batch.len() as u64);
-        rows += batch.len() as u64;
-        if !batch.is_empty() {
-            batches.push(batch);
-        }
-    }
-    Ok((batches, rows))
 }
 
 /// `predicates` as a run given `constants` reads them: borrowed from the plan, unless
@@ -465,26 +403,15 @@ fn bound_predicates<'a>(predicates: &'a [Predicate], constants: &[Value]) -> Cow
     }
 }
 
-/// Build the operator for step `node`, recursing into non-materialized inputs and
-/// scanning materialized ones.
-fn build_op<'a>(ctx: RunCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
+/// Build the operator tree of step `node`, its inputs' trees included.
+pub(crate) fn build_op<'a>(ctx: RunCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
     let RunCtx {
         plan,
         constants,
         store,
         state,
-        mats,
     } = ctx;
-    let input = |j: usize| -> Result<BoxOp<'a>> {
-        if plan.steps()[j].materialize {
-            let mat = mats[j]
-                .get()
-                .expect("a pipeline's sources come before it in step order");
-            Ok(Box::new(source::ScanOp::new(mat.clone(), state.clone())))
-        } else {
-            build_op(ctx, j)
-        }
-    };
+    let input = |j: usize| build_op(ctx, j);
     // A keyed lookup keeps a memo only where its source can repeat a key.
     let lookup = |step: usize, out_cols: Option<&'a [usize]>| -> Result<BoxOp<'a>> {
         let PhysOp::KeyedLookup {
@@ -514,31 +441,10 @@ fn build_op<'a>(ctx: RunCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
         PhysOp::Unit => Box::new(source::SingletonOp::new(Vec::new())),
         PhysOp::Empty { .. } => Box::new(source::EmptyOp),
         PhysOp::KeyedLookup { .. } => lookup(node, None)?,
-        PhysOp::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-        } => Box::new(join::HashJoinOp::new(
-            input(*left)?,
-            input(*right)?,
-            left_keys,
-            right_keys,
-            bound_predicates(residual, constants),
-            plan.steps()[*right].columns.len(),
-            state.clone(),
-        )),
-        PhysOp::Filter { source, predicates } => Box::new(relational::FilterOp::new(
-            input(*source)?,
-            bound_predicates(predicates, constants),
-        )),
         PhysOp::Project { source, cols } => {
-            // Fusion: a projection whose direct (sole, non-materialized) input is a
-            // keyed lookup becomes the lookup's emission column set, so values the
-            // projection would drop are never gathered at all. Materialized sources
-            // are materialization points and must stay full-width for their other
-            // consumers.
+            // Fusion: a projection whose input is a keyed lookup (its one reader)
+            // becomes the lookup's emission column set, so values the projection would
+            // drop are never gathered at all.
             //
             // Deliberately an operator-tree concern, not a lowering rule: which
             // columns get *physically gathered* is a property of this executor's
@@ -547,8 +453,7 @@ fn build_op<'a>(ctx: RunCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
             // so). If the fused pattern is broken by a future
             // lowering change, execution falls back to the explicit ProjectOp —
             // slower, never wrong.
-            let step = &plan.steps()[*source];
-            if !step.materialize && matches!(step.op, PhysOp::KeyedLookup { .. }) {
+            if matches!(plan.steps()[*source].op, PhysOp::KeyedLookup { .. }) {
                 return lookup(*source, Some(cols));
             }
             Box::new(relational::ProjectOp::new(input(*source)?, cols))
@@ -566,12 +471,6 @@ fn build_op<'a>(ctx: RunCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
         PhysOp::Union { left, right } => {
             Box::new(relational::UnionOp::new(input(*left)?, input(*right)?))
         }
-        PhysOp::Difference { left, right } => Box::new(relational::DifferenceOp::new(
-            input(*left)?,
-            input(*right)?,
-            plan.steps()[node].columns.len(),
-            state.clone(),
-        )),
     };
     Ok(op)
 }
@@ -582,7 +481,6 @@ pub(crate) mod tests {
     use crate::exec::{execute_plan, execute_plan_materialized};
     use bea_core::access::{AccessConstraint, AccessSchema};
     use bea_core::plan::{lower_plan, NodeId, PlanBuilder, Predicate, QueryPlan};
-    use bea_core::value::Row;
     use bea_storage::{Database, IndexedDatabase};
 
     fn setup() -> IndexedDatabase {
@@ -606,12 +504,38 @@ pub(crate) mod tests {
         IndexedDatabase::build(db, schema).unwrap()
     }
 
-    /// A union of independent keyed-lookup branches anchored at `keys`: one pipeline.
+    /// A union of independent keyed-lookup branches of `R` anchored at `keys`.
     fn union_of_lookups(keys: &[i64]) -> QueryPlan {
+        let fetches: Vec<_> = keys.iter().map(|&key| ("R", 0, key)).collect();
+        union_of_lookups_in(&fetches)
+    }
+
+    /// `f₁ ∪ … ∪ fₙ`, where `fᵢ` is the fused lookup `σ[k = a]({key} × fetch(a ∈ {key},
+    /// relation, b))` through constraint `constraint`, for each `(relation, constraint,
+    /// key)` of `fetches`.
+    pub(crate) fn union_of_lookups_in(fetches: &[(&str, usize, i64)]) -> QueryPlan {
         let mut b = PlanBuilder::new();
-        let branch = |b: &mut PlanBuilder, key: i64| {
+        let branches: Vec<NodeId> = fetches
+            .iter()
+            .map(|&(relation, constraint, key)| {
+                let k = b.constant(Value::int(key), "k");
+                let columns = vec!["a".into(), "b".into()];
+                let f = b.fetch(k, vec![0], relation, vec![0], vec![1], constraint, columns);
+                let prod = b.product(k, f);
+                b.select(prod, vec![Predicate::ColEqCol(0, 1)])
+            })
+            .collect();
+        let out = (branches[1..].iter()).fold(branches[0], |acc, &branch| b.union(acc, branch));
+        b.finish("Q", out).unwrap()
+    }
+
+    /// `π[cols](lookup(1) × lookup(99))`: the product's right side, buffered before the
+    /// left streams, is a key of `R` with no tuple.
+    fn product_with_an_empty_right_side(cols: Vec<usize>) -> QueryPlan {
+        let mut b = PlanBuilder::new();
+        let lookup = |b: &mut PlanBuilder, key: i64| {
             let k = b.constant(Value::int(key), "k");
-            let fetched = b.fetch(
+            let f = b.fetch(
                 k,
                 vec![0],
                 "R",
@@ -620,158 +544,47 @@ pub(crate) mod tests {
                 0,
                 vec!["a".into(), "b".into()],
             );
-            let prod = b.product(k, fetched);
+            let prod = b.product(k, f);
             b.select(prod, vec![Predicate::ColEqCol(0, 1)])
         };
-        let mut acc = branch(&mut b, keys[0]);
-        for &key in &keys[1..] {
-            let next = branch(&mut b, key);
-            acc = b.union(acc, next);
-        }
-        b.finish("Q", acc).unwrap()
-    }
-
-    /// `(f₁ ∪ f₁) ∪ … ∪ (fₙ ∪ fₙ)`, where `fᵢ` fetches `relation`'s tuples `(a, b)`
-    /// under `a = key` through constraint `constraint`, for each
-    /// `(relation, constraint, key)` of `fetches`. Each fetch has two consumers, so it is
-    /// materialized by a pipeline of its own, and those `fetches.len()` pipelines are
-    /// independent of each other.
-    pub(crate) fn shared_fetches(fetches: &[(&str, usize, i64)]) -> QueryPlan {
-        let mut b = PlanBuilder::new();
-        let branches: Vec<NodeId> = fetches
-            .iter()
-            .map(|&(relation, constraint, key)| {
-                let k = b.constant(Value::int(key), "k");
-                let columns = vec!["a".into(), "b".into()];
-                let f = b.fetch(k, vec![0], relation, vec![0], vec![1], constraint, columns);
-                b.union(f, f)
-            })
-            .collect();
-        let out = (branches[1..].iter()).fold(branches[0], |acc, &branch| b.union(acc, branch));
+        let (left, right) = (lookup(&mut b, 1), lookup(&mut b, 99));
+        let prod = b.product(left, right);
+        let out = b.project(prod, cols);
         b.finish("Q", out).unwrap()
     }
 
     #[test]
-    fn parallel_execution_handles_dependent_pipelines() {
-        // A shared fetch forces a chain: const pipeline → fetch pipeline → output.
-        let idb = setup();
-        let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "k");
-        let fetched = b.fetch(
-            k,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let prod = b.product(k, fetched);
-        let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
-        let other = b.project(fetched, vec![1]);
-        let out = b.product(sel, other);
-        let plan = b.finish("Q", out).unwrap();
-        let phys = lower_plan(&plan).unwrap();
-        assert!(phys.materialization_points() >= 3);
-
-        let (table, stats, ledger) = execute_inner(&phys, &idb).unwrap();
-        let (reference, reference_stats) = execute_plan_materialized(&plan, &idb).unwrap();
-        assert!(!table.is_empty() && table.same_rows(&reference));
-        assert!(stats.same_data_access(&reference_stats));
-        assert_eq!(ledger.resident(), 0);
-    }
-
-    #[test]
     fn empty_build_side_still_releases_all_residency() {
-        // Anchor the shared fetch at a key with no matching rows: the hash join's
-        // build side is empty at runtime. Residency must still drain to zero.
+        // The product's right side is empty at runtime: the left side streams through
+        // it without a row out, and residency still drains to zero.
         let idb = setup();
-        let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(99), "k");
-        let fetched = b.fetch(
-            k,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let prod = b.product(k, fetched);
-        let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
-        let other = b.project(fetched, vec![1]);
-        let out = b.product(sel, other);
-        let plan = b.finish("Q", out).unwrap();
+        let plan = product_with_an_empty_right_side(vec![0, 1, 2, 3, 4, 5]);
         let phys = lower_plan(&plan).unwrap();
         assert!(phys
             .steps()
             .iter()
-            .any(|s| matches!(s.op, PhysOp::HashJoin { .. })));
-
-        let (table, _, ledger) = execute_inner(&phys, &idb).unwrap();
+            .any(|s| matches!(s.op, PhysOp::Product { .. })));
+        let (table, stats, ledger) = execute_inner(&phys, &idb).unwrap();
         assert!(table.is_empty());
+        assert_eq!(
+            stats.tuples_fetched, 2,
+            "both of key 1's tuples stream through"
+        );
         assert_eq!(ledger.resident(), 0, "short-circuit shape leaked residency");
     }
 
     #[test]
     fn empty_build_side_keeps_batch_arity_for_downstream_projections() {
-        // Regression: a runtime-empty hash-join build side must still emit batches of
-        // the plan's combined arity — a downstream projection of a right-side column
-        // used to index out of bounds on the narrower placeholder batch.
+        // A projection of a right-side column over a product whose right side is empty
+        // at runtime: no batch narrower than the product's arity may reach it.
         let idb = setup();
-        let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(99), "k"); // no matching rows in R
-        let fetched = b.fetch(
-            k,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let prod = b.product(k, fetched);
-        let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
-        let projected = b.project(sel, vec![2]); // a fetched (right-side) column
-        let other = b.project(fetched, vec![1]);
-        let out = b.product(projected, other);
-        let plan = b.finish("Q", out).unwrap();
+        let plan = product_with_an_empty_right_side(vec![5, 0]);
         let phys = lower_plan(&plan).unwrap();
-        assert!(phys
-            .steps()
-            .iter()
-            .any(|s| matches!(s.op, PhysOp::HashJoin { .. })));
         let (table, _, ledger) = execute_inner(&phys, &idb).unwrap();
-        assert!(table.is_empty());
+        let (reference, _) = execute_plan_materialized(&plan, &idb).unwrap();
+        assert!(table.is_empty() && reference.is_empty());
+        assert_eq!(table.arity(), 2);
         assert_eq!(ledger.resident(), 0);
-    }
-
-    #[test]
-    fn dropping_a_scan_mid_stream_releases_the_materialization() {
-        // Regression for the "consumers always drain their inputs fully" assumption: a
-        // consumer dropped mid-stream must still count as done, so the materialized
-        // rows and their residency are released.
-        let ledger = Rc::new(ResidencyLedger::default());
-        let state: SharedState = Rc::new(RefCell::new(ExecState::new(ledger.clone())));
-        let rows: Vec<Row> = (0..3).map(|i| vec![Value::int(i)]).collect();
-        state.borrow_mut().acquire(rows.len() as u64);
-        let node: SharedMat = Rc::new(RefCell::new(MatNode {
-            batches: Some(vec![Batch::from_rows(1, rows)]),
-            rows: 3,
-            remaining: 2,
-        }));
-
-        let mut first = source::ScanOp::new(node.clone(), state.clone());
-        assert_eq!(first.next_batch().unwrap().unwrap().len(), 3);
-        drop(first); // dropped before observing exhaustion
-        assert_eq!(node.borrow().remaining, 1);
-        assert_eq!(ledger.resident(), 3, "rows live while a consumer remains");
-
-        let second = source::ScanOp::new(node.clone(), state.clone());
-        drop(second); // never pulled at all
-        assert_eq!(node.borrow().remaining, 0);
-        assert!(node.borrow().batches.is_none());
-        assert_eq!(ledger.resident(), 0, "last drop must free the rows");
     }
 
     #[test]
@@ -907,16 +720,12 @@ pub(crate) mod tests {
                 2,
             ),
             (
-                "a fetch shared by a hash join",
+                "an empty key under its bare product",
                 plan(&|b, rows| {
-                    let fetched = fetch_r(b, rows);
-                    let joined = b.product(rows, fetched);
-                    let tied = b.select(joined, vec![Predicate::ColEqCol(1, 3)]);
-                    let left = b.project(tied, vec![3, 4, 5]);
-                    let right = b.project(fetched, vec![0, 1, 2]);
-                    b.union(left, right)
+                    let fetched = b.fetch(rows, vec![], "E", vec![], vec![0], 2, vec!["e".into()]);
+                    b.product(rows, fetched)
                 }),
-                keys,
+                2,
             ),
         ];
         for (case, plan, distinct_keys) in &cases {
@@ -956,8 +765,8 @@ pub(crate) mod tests {
 
     #[test]
     fn a_thread_keeps_buffers_between_jobs_but_none_past_the_retention_cap() {
-        // `σ[v = 5] δ π[v] fetch(k = 1, R)` over 16 384 tuples `(1, i)`: the fetch and
-        // the δ grow buffers to many batches' worth.
+        // `δ π[] δ π[v] fetch(k = 1, R)` over 16 384 tuples `(1, i)`: the fetch and the
+        // first δ grow buffers to many batches' worth.
         const ROWS: i64 = 16_384;
         let mut c = bea_core::schema::Catalog::new();
         c.declare("R", ["k", "v"]).unwrap();
@@ -978,7 +787,7 @@ pub(crate) mod tests {
         let columns = vec!["k".into(), "v".into()];
         let fetched = b.fetch(key, vec![0], "R", vec![0], vec![1], 0, columns);
         let values = b.project(fetched, vec![1]);
-        let out = b.select(values, vec![Predicate::ColEqConst(0, Value::int(5))]);
+        let out = b.project(values, Vec::new());
         let dedup = bea_core::plan::lower_plan(&b.finish("Q", out).unwrap()).unwrap();
         assert!(dedup
             .steps()
@@ -1006,7 +815,7 @@ pub(crate) mod tests {
             (table, pooled)
         };
         let (table, _) = run(&dedup, &wide);
-        assert_eq!(table.rows(), [vec![Value::int(5)]]);
+        assert_eq!(table.rows(), [Vec::<Value>::new()]);
         let idb = setup();
         let point = bea_core::plan::lower_plan(&union_of_lookups(&[1])).unwrap();
         let (table, pooled) = run(&point, &idb);

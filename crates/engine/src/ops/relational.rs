@@ -1,39 +1,14 @@
-//! Streaming relational operators: filter, project, dedup, union, difference, product.
+//! Streaming relational operators: project, dedup, union, product.
 //!
-//! Filter and project are pure batch-metadata manipulation (selection vectors and
-//! column-handle permutation — zero value copies). Dedup and difference emit their
-//! input batches restricted by a selection; only the membership sets hold (O(1)-clone)
-//! rows. The product is the one genuine gather here: it writes combined rows into
-//! fresh output columns.
+//! Project is pure batch metadata (a column-handle permutation — zero value copies).
+//! Dedup emits its input batches restricted by a selection; only its membership set
+//! holds (O(1)-clone) rows. The product is the one genuine gather here: it writes
+//! combined rows into fresh output columns.
 
 use super::batch::{Batch, RowTable};
 use super::{BoxOp, Operator, SharedState};
 use bea_core::error::Result;
-use bea_core::plan::Predicate;
 use bea_core::value::Value;
-use std::borrow::Cow;
-
-/// Streaming selection: writes a selection vector over the input batch's shared
-/// columns. No values move.
-pub(crate) struct FilterOp<'db> {
-    input: BoxOp<'db>,
-    predicates: Cow<'db, [Predicate]>,
-}
-
-impl<'db> FilterOp<'db> {
-    pub(crate) fn new(input: BoxOp<'db>, predicates: Cow<'db, [Predicate]>) -> Self {
-        Self { input, predicates }
-    }
-}
-
-impl Operator for FilterOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        let Some(batch) = self.input.next_batch()? else {
-            return Ok(None);
-        };
-        Ok(Some(batch.retain(|i| batch.passes(i, &self.predicates))))
-    }
-}
 
 /// Streaming projection (no dedup — lowering inserts a [`DedupOp`] where needed):
 /// permutes the shared column handles. No values move.
@@ -57,8 +32,8 @@ impl Operator for ProjectOp<'_> {
     }
 }
 
-/// The membership set of [`DedupOp`] (rows seen) and [`DifferenceOp`] (rows to
-/// remove): a [`RowTable`] over columns drawn from the thread's pool.
+/// The membership set of [`DedupOp`] (rows seen): a [`RowTable`] over columns drawn
+/// from the thread's pool.
 fn row_set(owner: &'static str, arity: usize, state: &SharedState) -> RowTable {
     let mut state = state.borrow_mut();
     RowTable::new(owner, (0..arity).map(|_| state.pool.get_values()).collect())
@@ -166,69 +141,6 @@ impl Operator for UnionOp<'_> {
             self.right = None;
         }
         Ok(None)
-    }
-}
-
-/// Anti-semijoin on whole rows: the right side is buffered as a [`RowTable`] (durable
-/// state, released on exhaustion or on drop), the left side streams through it as a
-/// selection over its own shared columns — membership probes clone nothing.
-pub(crate) struct DifferenceOp<'db> {
-    left: BoxOp<'db>,
-    right: Option<BoxOp<'db>>,
-    state: SharedState,
-    remove: RowTable,
-    done: bool,
-}
-
-impl<'db> DifferenceOp<'db> {
-    /// `arity` is the arity of both inputs, from the plan.
-    pub(crate) fn new(
-        left: BoxOp<'db>,
-        right: BoxOp<'db>,
-        arity: usize,
-        state: SharedState,
-    ) -> Self {
-        Self {
-            left,
-            right: Some(right),
-            remove: row_set("a difference", arity, &state),
-            state,
-            done: false,
-        }
-    }
-}
-
-impl Operator for DifferenceOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if self.done {
-            return Ok(None);
-        }
-        if let Some(mut right) = self.right.take() {
-            while let Some(batch) = right.next_batch()? {
-                let before = self.remove.len();
-                self.remove.reserve(batch.len())?;
-                for i in 0..batch.len() {
-                    insert_row(&mut self.remove, &batch, i);
-                }
-                charge_fresh_rows(&self.state, &batch, self.remove.len() - before);
-            }
-        }
-        let Some(batch) = self.left.next_batch()? else {
-            self.done = true;
-            retire_row_set(&mut self.remove, &self.state);
-            return Ok(None);
-        };
-        let removed = |i: usize| {
-            let row = |c: usize| batch.value(i, c);
-            self.remove.find(batch.hash_row(i), row).is_some()
-        };
-        Ok(Some(batch.retain(|i| !removed(i))))
-    }
-}
-
-impl Drop for DifferenceOp<'_> {
-    fn drop(&mut self) {
-        retire_row_set(&mut self.remove, &self.state);
     }
 }
 
@@ -374,6 +286,7 @@ impl Drop for ProductOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::super::fetch::tests::{drain, ints, Harness, Script};
+    use super::super::BATCH_SIZE;
     use super::*;
     use bea_core::error::Error;
 
@@ -404,21 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn difference_removes_right_rows_and_keeps_left_order_and_duplicates() {
-        let h = Harness::new();
-        let left = script(&[&[&[1], &[2], &[3], &[2]], &[&[4], &[1], &[5]]]);
-        let right = script(&[&[&[2], &[9]], &[&[4], &[2]]]);
-        let mut op = DifferenceOp::new(left, right, 1, h.state.clone());
-        assert_eq!(
-            drain(&mut op),
-            [vec![vec![1], vec![3]], vec![vec![1], vec![5]]]
-        );
-        // The removal set held the right side's three distinct rows.
-        assert_eq!(h.stats().values_cloned, 3);
-        assert_eq!((h.ledger.peak(), h.ledger.resident()), (3, 0));
-    }
-
-    #[test]
     fn membership_sets_are_released_when_dropped_mid_stream_or_on_error() {
         let h = Harness::new();
         let mut op = DedupOp::new(script(&[&[&[1], &[2]], &[&[3]]]), 1, h.state.clone());
@@ -432,11 +330,40 @@ mod tests {
         );
 
         let h = Harness::new();
-        let left = script(&[&[&[1]]]);
-        let right = Box::new(Script(
-            [Ok(ints(&[&[1], &[2]])), Err(Error::invalid("right failed"))].into(),
+        let input = Box::new(Script(
+            [Ok(ints(&[&[1], &[2]])), Err(Error::invalid("input failed"))].into(),
         ));
-        let mut op = DifferenceOp::new(left, right, 1, h.state.clone());
+        let mut op = DedupOp::new(input, 1, h.state.clone());
+        assert_eq!(op.next_batch().unwrap().unwrap().len(), 2);
+        assert!(op.next_batch().is_err());
+        drop(op);
+        assert_eq!(h.ledger.resident(), 0);
+    }
+
+    #[test]
+    fn a_product_releases_its_right_side_when_dropped_mid_stream_or_on_error() {
+        // 400 left rows against a buffered right side of three, dropped after the first
+        // batch of pairs: the buffered rows are released and pooled.
+        let h = Harness::new();
+        let rows: Vec<[i64; 1]> = (0..400).map(|i| [i]).collect();
+        let rows: Vec<&[i64]> = rows.iter().map(|row| &row[..]).collect();
+        let left = Box::new(Script([Ok(ints(&rows))].into()));
+        let right = script(&[&[&[7], &[8]], &[&[9]]]);
+        let mut op = ProductOp::new(left, right, h.state.clone());
+        assert_eq!(op.next_batch().unwrap().unwrap().len(), BATCH_SIZE);
+        assert_eq!(h.ledger.resident(), 3, "the right side is buffered");
+        drop(op);
+        assert_eq!(h.ledger.resident(), 0);
+        assert!(
+            h.state.borrow().pool.pooled() > 0,
+            "its columns are pooled again"
+        );
+
+        let h = Harness::new();
+        let right = Box::new(Script(
+            [Ok(ints(&[&[7], &[8]])), Err(Error::invalid("right failed"))].into(),
+        ));
+        let mut op = ProductOp::new(script(&[&[&[1]]]), right, h.state.clone());
         assert!(op.next_batch().is_err());
         drop(op);
         assert_eq!(h.ledger.resident(), 0);

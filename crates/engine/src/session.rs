@@ -3,12 +3,11 @@
 //!
 //! A [`Session`] owns the store (behind an `Arc`), the admission limits and the fetch
 //! cache, and no thread: every query runs start to finish on the thread that calls
-//! [`Session::run`], [`Session::run_prepared`] or [`Session::submit`], its pipelines in
-//! step order. Concurrency is across queries — one per calling thread, a `bead`
+//! [`Session::run`], [`Session::run_prepared`] or [`Session::submit`]. Concurrency is across queries — one per calling thread, a `bead`
 //! connection say. The contract:
 //!
-//! * **Isolation** — every query executes against its own materialization slots,
-//!   residency ledger and [`AccessStats`]; what queries share is the store
+//! * **Isolation** — every query executes against its own operator tree, residency
+//!   ledger and [`AccessStats`]; what queries share is the store
 //!   (immutable), the fetch budget and the fetch cache. A query's rows, row order and
 //!   every deterministic access counter are *identical* to a solo
 //!   [`crate::exec::execute_plan`] run of the same plan — it is the same code. Errors
@@ -586,8 +585,8 @@ impl Drop for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_plan;
-    use crate::ops::tests::shared_fetches;
+    use crate::exec::{execute_plan, execute_plan_materialized};
+    use crate::ops::tests::union_of_lookups_in;
     use bea_core::access::{AccessConstraint, AccessSchema};
     use bea_core::plan::{PlanBuilder, Predicate};
     use bea_core::schema::Catalog;
@@ -625,26 +624,28 @@ mod tests {
     /// [`lookup_union`] over any constants, placeholders included.
     fn lookup_union_of(name: &str, keys: &[Value]) -> QueryPlan {
         let mut b = PlanBuilder::new();
-        let branch = |b: &mut PlanBuilder, key: &Value| {
-            let k = b.constant(key.clone(), "k");
-            let fetched = b.fetch(
-                k,
-                vec![0],
-                "R",
-                vec![0],
-                vec![1],
-                0,
-                vec!["a".into(), "b".into()],
-            );
-            let prod = b.product(k, fetched);
-            b.select(prod, vec![Predicate::ColEqCol(0, 1)])
-        };
-        let mut acc = branch(&mut b, &keys[0]);
+        let mut acc = lookup(&mut b, &keys[0]);
         for key in &keys[1..] {
-            let next = branch(&mut b, key);
+            let next = lookup(&mut b, key);
             acc = b.union(acc, next);
         }
         b.finish(name, acc).unwrap()
+    }
+
+    /// The fused lookup of `R`'s tuples under `key`: four steps.
+    fn lookup(b: &mut PlanBuilder, key: &Value) -> usize {
+        let k = b.constant(key.clone(), "k");
+        let fetched = b.fetch(
+            k,
+            vec![0],
+            "R",
+            vec![0],
+            vec![1],
+            0,
+            vec!["a".into(), "b".into()],
+        );
+        let prod = b.product(k, fetched);
+        b.select(prod, vec![Predicate::ColEqCol(0, 1)])
     }
 
     #[test]
@@ -737,9 +738,9 @@ mod tests {
     #[test]
     fn concurrent_queries_match_solo_runs() {
         let idb = fixture(6);
-        // Three pipelines ahead of the output each, every query on a thread of its own.
+        // Three lookups each, every query on a thread of its own.
         let plans: Vec<QueryPlan> = (0..5)
-            .map(|i| shared_fetches(&[("R", 0, 1 + i), ("R", 0, 2 + i), ("R", 0, 3 + i)]))
+            .map(|i| union_of_lookups_in(&[("R", 0, 1 + i), ("R", 0, 2 + i), ("R", 0, 3 + i)]))
             .collect();
         let session = Session::new(SharedStore::from(fixture(6)), SessionConfig::new());
         let served: Vec<(Table, AccessStats)> = std::thread::scope(|scope| {
@@ -858,6 +859,57 @@ mod tests {
             assert_eq!(order.into_inner().unwrap(), [0, 1, 2, 3]);
             assert_eq!(session.admission_stats().inflight_bound, 0);
         });
+    }
+
+    #[test]
+    fn plans_outside_the_fragment_are_refused_naming_their_step() {
+        let idb = fixture(4);
+        let session = Session::new(fixture(4), SessionConfig::new());
+        let labels = || vec!["a".into(), "b".into()];
+        // `f ∪ f` over the fetch T1; `σ[b = 10](f)` at T2; `lookup(1) − lookup(2)` at T8.
+        let mut b = PlanBuilder::new();
+        let k = b.constant(Value::int(1), "k");
+        let f = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, labels());
+        let twice = b.union(f, f);
+        let shared = b.finish("shared", twice).unwrap();
+        let mut b = PlanBuilder::new();
+        let k = b.constant(Value::int(1), "k");
+        let f = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, labels());
+        let ten = b.select(f, vec![Predicate::ColEqConst(1, Value::int(10))]);
+        let filter = b.finish("filter", ten).unwrap();
+        let mut b = PlanBuilder::new();
+        let (one, two) = (
+            lookup(&mut b, &Value::int(1)),
+            lookup(&mut b, &Value::int(2)),
+        );
+        let minus = b.difference(one, two);
+        let difference = b.finish("difference", minus).unwrap();
+        let cases = [
+            (&shared, "step T1 is read by 2 operators"),
+            (&filter, "step T2 is a selection that does not fuse"),
+            (&difference, "step T8 is a difference"),
+        ];
+        let good = lookup_union("good", &[1, 2]);
+        let (expected, _) = execute_plan(&good, &idb).unwrap();
+        for (plan, why) in cases {
+            let named = |error: Error| match error {
+                Error::InvalidPlan { reason } => assert!(reason.starts_with(why), "{reason}"),
+                other => panic!("{why}: refused as {other:?}"),
+            };
+            named(execute_plan(plan, &idb).unwrap_err());
+            named(session.prepare(plan).unwrap_err());
+            match session.run(plan) {
+                Err(SubmitError::Invalid(error)) => named(error),
+                other => panic!("{why}: run gave {other:?}"),
+            }
+            // The reference runs it, and the session serves on, its budget drained.
+            execute_plan_materialized(plan, &idb).unwrap();
+            let (table, _) = session.run(&good).unwrap().1.unwrap();
+            assert_eq!(table.rows(), expected.rows());
+            assert_eq!(session.admission_stats().inflight_bound, 0);
+        }
+        let admission = session.admission_stats();
+        assert_eq!((admission.submitted, admission.completed), (3, 3));
     }
 
     #[test]
@@ -1059,12 +1111,8 @@ mod tests {
                 panicking_fixture(8),
                 SessionConfig::new().with_fetch_budget(45),
             );
-            // One pipeline, or three (two shared fetches and the output).
             let healthy: Vec<QueryPlan> = (0..4)
-                .map(|i| match i % 2 {
-                    0 => lookup_union(&format!("Q{i}"), &[1 + i, 2 + i]),
-                    _ => shared_fetches(&[("R", 0, 1 + i), ("R", 0, 2 + i)]),
-                })
+                .map(|i| lookup_union(&format!("Q{i}"), &[1 + i, 2 + i]))
                 .collect();
             let over_budget = lookup_union("big", &[1, 2, 3, 4, 5]);
             let doomed = doomed_plan();

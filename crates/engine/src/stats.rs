@@ -25,14 +25,13 @@ pub struct AccessStats {
     /// naive baseline reports its scans here).
     pub tuples_scanned: u64,
     /// Number of rows produced by cross-product nodes. Stays zero when product/selection
-    /// pairs execute as (hash or index) joins; executing the same plan with the literal
+    /// pairs execute as keyed lookups; executing the same plan with the literal
     /// plan semantics reports `|left| · |right|` per product here.
     pub product_rows_materialized: u64,
     /// High-water mark of rows concurrently held by the executor: materialized
-    /// intermediate tables, join build sides, per-key fetch caches, dedup sets and the
-    /// accumulating output. The streaming executor frees intermediates as soon as their
-    /// last consumer is done, so this is the number the materialized-vs-streaming
-    /// ablation compares. A keyed lookup holds only the postings of keys that matched
+    /// intermediate tables, product right sides, per-key fetch caches, dedup sets and
+    /// the accumulating output. The streaming executor materializes no intermediate
+    /// table, so this is the number the materialized-vs-streaming ablation compares. A keyed lookup holds only the postings of keys that matched
     /// two or more tuples; a single matched tuple is read where it lies in the store
     /// and counts nothing.
     pub peak_rows_resident: u64,
