@@ -40,10 +40,9 @@ pub const MAX_TEMPLATE_KEY_BYTES: usize = 4 * 1024;
 pub struct ServerConfig {
     /// The Unix socket path to bind. A stale socket file is removed first.
     pub socket: PathBuf,
-    /// Aggregate fetch budget (0 = `BEA_FETCH_BUDGET`, else unlimited).
+    /// Aggregate fetch budget (0 = unlimited).
     pub fetch_budget: u64,
-    /// Cross-query fetch-cache budget in resident posting rows
-    /// (0 = `BEA_CACHE_ROWS`, else disabled).
+    /// Cross-query fetch-cache budget in resident posting rows (0 = disabled).
     pub cache_rows: u64,
 }
 

@@ -90,17 +90,19 @@ fn a_served_request_stays_inside_its_allocation_budget() {
     );
     drop(server);
     let _ = std::fs::remove_file(&socket);
-    // Measured 34 and 157 (36 and 159 while a query kept a materialization slot per
-    // step and a shared handle on its output; 39 and 162 while a query went through a
-    // job pool that shared its slots and ledger between threads; Q0 was 164 while its
-    // two string literals were each copied to the heap as the request was read, 169
-    // while a 2-thread session cut it into 6 pipelines; 99 and 360 while every request
-    // copied its template's plan, re-derived its pipeline DAG, rebuilt its operators'
-    // step fields, threw its job buffers away and kept its stats in per-job maps); each
-    // bound leaves 15 %.
+    // Measured 26 and 149 (34 and 157 while a product with a constant buffered the
+    // constant and emitted through a cursor, and a point request's `{()} × {id}` ran
+    // as a unit source and such a product; 36 and 159 while a query kept a
+    // materialization slot per step and a shared handle on its output; 39 and 162
+    // while a query went through a job pool that shared its slots and ledger between
+    // threads; Q0 was 164 while its two string literals were each copied to the heap
+    // as the request was read, 169 while a 2-thread session cut it into 6 pipelines;
+    // 99 and 360 while every request copied its template's plan, re-derived its
+    // pipeline DAG, rebuilt its operators' step fields, threw its job buffers away and
+    // kept its stats in per-job maps); each bound leaves 15 %.
     assert!(
-        point <= 39,
+        point <= 29,
         "a served point request performed {point} heap allocations"
     );
-    assert!(q0 <= 180, "a served Q0 performed {q0} heap allocations");
+    assert!(q0 <= 171, "a served Q0 performed {q0} heap allocations");
 }

@@ -322,7 +322,9 @@ fn bound_steps(plan: &PhysicalPlan, values: &[Value]) -> Vec<PhysStep> {
     let mut steps = plan.steps().to_vec();
     for step in &mut steps {
         match &mut step.op {
-            PhysOp::Const { value } => *value = value.bound(values).clone(),
+            PhysOp::Const { value } | PhysOp::AppendConst { value, .. } => {
+                *value = value.bound(values).clone()
+            }
             PhysOp::KeyedLookup { residual, .. } => bind(residual),
             _ => {}
         }

@@ -23,8 +23,6 @@
 //!   witnesses (constructive direction of Theorem 3.11).
 //! * [`envelope`] — upper and lower boundedly evaluable envelopes (Section 4).
 //! * [`specialize`] — bounded query specialization (Section 5, Proposition 5.4).
-//! * [`env`](mod@env) — shared loud-failure parsing for the `BEA_*` environment knobs
-//!   used by the engine, storage and service crates.
 //!
 //! Execution of plans against data lives in `bea-engine`; storage and indexes in
 //! `bea-storage`.
@@ -33,7 +31,6 @@
 pub mod access;
 pub mod bounded;
 pub mod cover;
-pub mod env;
 pub mod envelope;
 pub mod error;
 pub mod plan;

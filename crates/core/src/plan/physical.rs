@@ -13,15 +13,17 @@
 //!
 //! **The fragment.** Lowering accepts what plan synthesis ([`super::synthesis`]) emits:
 //! every fetch has one consumer, a product with its source, and a selection above that
-//! ties every key (none when the key is empty). The result uses eight operators — [`PhysOp::Unit`],
+//! ties every key (none when the key is empty); every other product is `T × {c}`, a
+//! step times a query constant. The result uses eight operators — [`PhysOp::Unit`],
 //! [`PhysOp::Const`], [`PhysOp::Empty`], [`PhysOp::KeyedLookup`], [`PhysOp::Project`],
-//! [`PhysOp::Dedup`], [`PhysOp::Union`] and [`PhysOp::Product`] — and every step is
+//! [`PhysOp::Dedup`], [`PhysOp::Union`] and [`PhysOp::AppendConst`] — and every step is
 //! read by one operator, the output by none, so the plan is one operator tree. Any
 //! other plan is refused with [`Error::InvalidPlan`], naming its logical step (`T3`):
 //!
 //! * a step that two operators would read (a fetch shared beyond its fused selection,
 //!   or `T ∪ T`);
 //! * a selection that does not fuse into a keyed lookup;
+//! * a product that is not fused and whose right side does not lower to a constant;
 //! * a difference.
 //!
 //! The literal reference executor (`bea-engine`'s `execute_plan_materialized`) still
@@ -51,7 +53,7 @@
 //!   after a projection that drops key columns), never after an operator whose output is
 //!   provably duplicate-free. A projection of a set keeps it a set when every column it
 //!   drops is determined by the plan on every row: **constant** (it traces back through
-//!   products, lookup source columns, projections and δs to a [`PhysOp::Const`]) or
+//!   appends, lookup source columns, projections and δs to a query constant) or
 //!   **key-equal** to a kept column (a keyed lookup's fetched key attribute, which the
 //!   fused key equality makes equal to the source's key column). The same fact tells
 //!   the engine where a keyed lookup's source never repeats a key
@@ -59,6 +61,8 @@
 //!   not used, and neither are access constraints of bound 1 read as functional
 //!   dependencies: that would make answers depend on the instance satisfying the access
 //!   schema, which nothing on the query path checks.
+//! * **Constant appends** — a product `T × {c}` becomes [`PhysOp::AppendConst`], which
+//!   writes `c` beside every row of `T` and holds nothing; `{()} × {c}` is `{c}` itself.
 //! * **Rename and empty-branch elimination** — ρ steps vanish into column labels;
 //!   `T ∪ ∅` collapses to `T`.
 //!
@@ -132,12 +136,13 @@ pub enum PhysOp {
         /// Input step.
         source: PhysId,
     },
-    /// Cartesian product: the right side is buffered, the left side streams.
-    Product {
-        /// Streaming side.
-        left: PhysId,
-        /// Buffered side.
-        right: PhysId,
+    /// Every row of `source` with `value` appended as one more column: the product
+    /// `source × {value}`, the one product lowering does not fuse into a keyed lookup.
+    AppendConst {
+        /// Input step.
+        source: PhysId,
+        /// The appended constant.
+        value: Value,
     },
     /// Streaming concatenation of both inputs (a [`PhysOp::Dedup`] restores set
     /// semantics downstream).
@@ -156,10 +161,9 @@ impl PhysOp {
             PhysOp::Const { .. } | PhysOp::Unit | PhysOp::Empty { .. } => Vec::new(),
             PhysOp::KeyedLookup { source, .. }
             | PhysOp::Project { source, .. }
-            | PhysOp::Dedup { source } => vec![*source],
-            PhysOp::Product { left, right } | PhysOp::Union { left, right } => {
-                vec![*left, *right]
-            }
+            | PhysOp::Dedup { source }
+            | PhysOp::AppendConst { source, .. } => vec![*source],
+            PhysOp::Union { left, right } => vec![*left, *right],
         }
     }
 }
@@ -260,9 +264,7 @@ impl PhysicalPlan {
                     cols.iter().all(|&c| c < arity(*source)) && step.columns.len() == cols.len()
                 }
                 PhysOp::Dedup { source } => step.columns.len() == arity(*source),
-                PhysOp::Product { left, right } => {
-                    step.columns.len() == arity(*left) + arity(*right)
-                }
+                PhysOp::AppendConst { source, .. } => step.columns.len() == arity(*source) + 1,
                 PhysOp::Union { left, right } => {
                     arity(*left) == arity(*right) && step.columns.len() == arity(*left)
                 }
@@ -286,7 +288,7 @@ impl PhysicalPlan {
     pub fn placeholders(&self) -> usize {
         let class = |value: &Value| value.placeholder_class().map_or(0, |c| c as usize + 1);
         let step = |step: &PhysStep| match &step.op {
-            PhysOp::Const { value } => class(value),
+            PhysOp::Const { value } | PhysOp::AppendConst { value, .. } => class(value),
             PhysOp::KeyedLookup { residual, .. } => residual
                 .iter()
                 .map(|predicate| match predicate {
@@ -336,8 +338,8 @@ impl fmt::Display for PhysicalPlan {
                     writeln!(f, "  P{i} = π{c:?}(P{source}){marks} [{cols}]")?
                 }
                 PhysOp::Dedup { source } => writeln!(f, "  P{i} = δ(P{source}){marks} [{cols}]")?,
-                PhysOp::Product { left, right } => {
-                    writeln!(f, "  P{i} = P{left} × P{right}{marks} [{cols}]")?
+                PhysOp::AppendConst { source, value } => {
+                    writeln!(f, "  P{i} = P{source} × {{{value}}}{marks} [{cols}]")?
                 }
                 PhysOp::Union { left, right } => {
                     writeln!(f, "  P{i} = P{left} ∪ P{right}{marks} [{cols}]")?
@@ -551,13 +553,18 @@ pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
                     map[*left].expect("source lowered earlier"),
                     map[*right].expect("source lowered earlier"),
                 );
-                let sv = phys[l].set_valued && phys[r].set_valued;
-                push(
-                    &mut phys,
-                    PhysOp::Product { left: l, right: r },
-                    step.columns.clone(),
-                    sv,
-                )
+                let PhysOp::Const { value } = &phys[r].op else {
+                    let why = "is a product whose right side is not a constant";
+                    return Err(refuse(i, why.into()));
+                };
+                if matches!(phys[l].op, PhysOp::Unit) {
+                    r
+                } else {
+                    let value = value.clone();
+                    let sv = phys[l].set_valued;
+                    let op = PhysOp::AppendConst { source: l, value };
+                    push(&mut phys, op, step.columns.clone(), sv)
+                }
             }
             PlanOp::Union { left, right } => {
                 let (l, r) = (
@@ -787,9 +794,8 @@ enum Origin {
 }
 
 /// The [`Origin`] of column `col` of `step`. Each output row of a step holds exactly one
-/// row of every step on its left spine (sources, left sides), so an origin passes through
-/// those; a right side's non-constant column is a fresh origin, since it may come from
-/// another row of a step the left side also reads.
+/// row of every step it reads through sources, so an origin passes through those; the
+/// column an append adds is constant, and a union's columns are fresh.
 fn origin(steps: &[PhysStep], step: PhysId, col: usize) -> Origin {
     let fresh = Origin::Col(step, col);
     match &steps[step].op {
@@ -810,11 +816,10 @@ fn origin(steps: &[PhysStep], step: PhysId, col: usize) -> Origin {
                 None => fresh,
             },
         },
-        PhysOp::Product { left, right } => match col.checked_sub(steps[*left].columns.len()) {
-            None => origin(steps, *left, col),
-            Some(c) if origin(steps, *right, c) == Origin::Const => Origin::Const,
-            Some(_) => fresh,
-        },
+        PhysOp::AppendConst { source, .. } if col < steps[*source].columns.len() => {
+            origin(steps, *source, col)
+        }
+        PhysOp::AppendConst { .. } => Origin::Const,
         PhysOp::Unit | PhysOp::Empty { .. } | PhysOp::Union { .. } => fresh,
     }
 }
@@ -858,8 +863,9 @@ fn keep_only(steps: Vec<PhysStep>, kept: &[bool], output: PhysId) -> (Vec<PhysSt
             PhysOp::Const { .. } | PhysOp::Unit | PhysOp::Empty { .. } => {}
             PhysOp::KeyedLookup { source, .. }
             | PhysOp::Project { source, .. }
-            | PhysOp::Dedup { source } => fix(source),
-            PhysOp::Product { left, right } | PhysOp::Union { left, right } => {
+            | PhysOp::Dedup { source }
+            | PhysOp::AppendConst { source, .. } => fix(source),
+            PhysOp::Union { left, right } => {
                 fix(left);
                 fix(right);
             }
@@ -940,11 +946,11 @@ mod tests {
         let plan = keyed_join_plan();
         let phys = lower_plan(&plan).unwrap();
         assert!(phys.validate().is_ok());
-        // No physical product: the whole pattern is one lookup.
+        // No product is left: the whole pattern is one lookup.
         assert!(phys
             .steps()
             .iter()
-            .all(|s| !matches!(s.op, PhysOp::Product { .. })));
+            .all(|s| !matches!(s.op, PhysOp::AppendConst { .. })));
         let lookups = phys
             .steps()
             .iter()
@@ -968,9 +974,9 @@ mod tests {
 
     #[test]
     fn bind_writes_values_where_lowering_left_placeholders() {
-        // `σ[k = a ∧ b = c1 ∧ k = true]({c0} × fetch(a ∈ {c0}, R, b))`, as a template and
-        // as text.
-        let plan = |c0: Value, c1: Value| {
+        // `σ[k = a ∧ b = c1 ∧ k = true]({c0} × fetch(a ∈ {c0}, R, b)) × {c2}`, as a
+        // template and as text.
+        let plan = |c0: Value, c1: Value, c2: Value| {
             let mut b = PlanBuilder::new();
             let key = b.constant(c0, "k");
             let fetched = b.fetch(
@@ -991,15 +997,18 @@ mod tests {
                     Predicate::ColEqConst(0, Value::Bool(true)),
                 ],
             );
-            b.finish("Q", sel).unwrap()
+            let appended = b.constant(c2, "c");
+            let out = b.product(sel, appended);
+            b.finish("Q", out).unwrap()
         };
-        let values = [Value::int(-4), Value::str("k")];
-        let template = plan(Value::placeholder(0), Value::placeholder(1));
-        let literal = plan(values[0].clone(), values[1].clone());
+        let values = [Value::int(-4), Value::str("k"), Value::int(7)];
+        let [c0, c1, c2] = [0, 1, 2].map(Value::placeholder);
+        let template = plan(c0, c1, c2);
+        let literal = plan(values[0].clone(), values[1].clone(), values[2].clone());
         let lowered = lower_plan(&template).unwrap();
         let expected = lower_plan(&literal).unwrap();
         assert_ne!(lowered, expected);
-        assert_eq!((lowered.placeholders(), expected.placeholders()), (2, 0));
+        assert_eq!((lowered.placeholders(), expected.placeholders()), (3, 0));
         assert_eq!(bind(&lowered, &values), expected);
         // A plan without placeholders reads no constant, whatever it is given.
         assert_eq!(bind(&expected, &values), expected);
@@ -1013,7 +1022,9 @@ mod tests {
         let mut bound = plan.clone();
         for step in &mut bound.steps {
             match &mut step.op {
-                PhysOp::Const { value } => *value = value.bound(values).clone(),
+                PhysOp::Const { value } | PhysOp::AppendConst { value, .. } => {
+                    *value = value.bound(values).clone()
+                }
                 PhysOp::KeyedLookup { residual, .. } => {
                     for predicate in residual {
                         if let Predicate::ColEqConst(_, value) = predicate {
@@ -1061,13 +1072,13 @@ mod tests {
         lower_plan(&b.finish("Q", out).unwrap()).unwrap()
     }
 
-    /// `{1} × ({2} ∪ {3})`, columns `[k, x]`: keyed by `k` alone, it repeats a key.
+    /// `({2} ∪ {3}) × {1}`, columns `[x, k]`: keyed by `k` alone, it repeats a key.
     fn repeating_keys(b: &mut PlanBuilder) -> NodeId {
-        let k = b.constant(Value::int(1), "k");
         let x2 = b.constant(Value::int(2), "x");
         let x3 = b.constant(Value::int(3), "x");
         let xs = b.union(x2, x3);
-        b.product(k, xs)
+        let k = b.constant(Value::int(1), "k");
+        b.product(xs, k)
     }
 
     #[test]
@@ -1109,7 +1120,7 @@ mod tests {
 
         // A source that repeats keys gets a δ between the key projection and the
         // lookup, so every key is probed once; the union's own δ is the other one.
-        let phys = lowered_fetch(repeating_keys, vec![0], vec![0], |_, f| f);
+        let phys = lowered_fetch(repeating_keys, vec![1], vec![0], |_, f| f);
         let [lookup] = lookups(&phys)[..] else {
             panic!("one lookup: {phys}");
         };
@@ -1123,7 +1134,14 @@ mod tests {
             phys.steps()[keys].op,
             PhysOp::Project {
                 source: keys - 1,
-                cols: vec![0]
+                cols: vec![1]
+            }
+        );
+        assert_eq!(
+            phys.steps()[keys - 1].op,
+            PhysOp::AppendConst {
+                source: keys - 2,
+                value: Value::int(1)
             }
         );
         assert!(!phys.steps()[keys].set_valued);
@@ -1217,6 +1235,11 @@ mod tests {
         let p = b.product(x, y);
         let equal = b.select(p, vec![Predicate::ColEqCol(0, 1)]);
         let untied = b.finish("Q", equal).unwrap();
+        // The product T12 of two fused lookups: its right side is not a constant.
+        let mut b = PlanBuilder::new();
+        let (left, right) = (keyed_join(&mut b), keyed_join(&mut b));
+        let both = b.product(left, right);
+        let lookups = b.finish("Q", both).unwrap();
         // `{1} − {2}`, and `{1} − ∅`, which lowering used to drop.
         let difference = |empty: bool| {
             let mut b = PlanBuilder::new();
@@ -1241,6 +1264,11 @@ mod tests {
                 &untied,
                 3,
                 "is a selection that does not fuse into a keyed lookup",
+            ),
+            (
+                &lookups,
+                12,
+                "is a product whose right side is not a constant",
             ),
             (&difference(false), 2, "is a difference"),
             (&difference(true), 2, "is a difference"),
@@ -1519,18 +1547,40 @@ mod tests {
 
     #[test]
     fn unit_and_empty_lower_unchanged() {
-        let mut b = PlanBuilder::new();
-        let u = b.unit();
-        let k = b.constant(Value::int(1), "x");
-        let p = b.product(u, k);
-        let plan = b.finish("Q", p).unwrap();
-        let phys = lower_plan(&plan).unwrap();
-        assert!(phys.steps().iter().any(|s| matches!(s.op, PhysOp::Unit)));
-        assert!(phys
-            .steps()
-            .iter()
-            .any(|s| matches!(s.op, PhysOp::Product { .. })));
-        assert!(!phys.is_empty());
-        assert_eq!(phys.query_name(), "Q");
+        // `{()}` and `∅` are their own steps; `{()} × {1}` is `{1}`, and `{1} × {2}`
+        // appends 2 to the row of `{1}`.
+        let lowered = |build: &dyn Fn(&mut PlanBuilder) -> NodeId| {
+            let mut b = PlanBuilder::new();
+            let out = build(&mut b);
+            lower_plan(&b.finish("Q", out).unwrap()).unwrap()
+        };
+        let one = |b: &mut PlanBuilder| b.constant(Value::int(1), "x");
+        let two = |b: &mut PlanBuilder| b.constant(Value::int(2), "y");
+        let unit = lowered(&|b| b.unit());
+        assert_eq!(ops(&unit), [&PhysOp::Unit]);
+        assert_eq!(unit.query_name(), "Q");
+        let empty = lowered(&|b| b.empty(2));
+        assert_eq!(ops(&empty), [&PhysOp::Empty { arity: 2 }]);
+        let seed = lowered(&|b| {
+            let (u, k) = (b.unit(), one(b));
+            b.product(u, k)
+        });
+        let constant = PhysOp::Const {
+            value: Value::int(1),
+        };
+        assert_eq!(ops(&seed), [&constant]);
+        assert_eq!(seed.steps()[0].columns, ["x"]);
+        let pair = lowered(&|b| {
+            let (x, y) = (one(b), two(b));
+            b.product(x, y)
+        });
+        let append = PhysOp::AppendConst {
+            source: 0,
+            value: Value::int(2),
+        };
+        assert_eq!(ops(&pair), [&constant, &append]);
+        assert_eq!(pair.steps()[1].columns, ["x", "y"]);
+        assert!(pair.steps()[1].set_valued);
+        assert!(pair.to_string().contains("P1 = P0 × {2} (output) [x, y]"));
     }
 }

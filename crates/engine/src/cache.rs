@@ -48,7 +48,7 @@
 //! # Bounds and eviction
 //!
 //! The cache is bounded by resident rows ([`SessionFetchCache::new`]'s budget;
-//! `SessionConfig::cache_budget_rows` / `BEA_CACHE_ROWS` upstream). Every entry sits
+//! `SessionConfig::cache_budget_rows` upstream). Every entry sits
 //! on one ring in admission order, as its space and position; a hit sets its entry's
 //! referenced bit. An insert that takes the total — or the number of entries — past the
 //! budget advances the hand over the ring before it unlocks: a referenced entry loses

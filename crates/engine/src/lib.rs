@@ -20,8 +20,9 @@
 //! literal step loop that keeps one table per plan step and materializes every
 //! product in full, sharing no code with lowering.
 //! [`stats::AccessStats::peak_rows_resident`] and
-//! [`stats::AccessStats::product_rows_materialized`] make the difference observable;
-//! both read exactly the same data.
+//! [`stats::AccessStats::product_rows_materialized`] (only the reference counts it: the
+//! pipeline runs every product as a keyed lookup or a constant append) make the
+//! difference observable; both read exactly the same data.
 //!
 //! # Batch layout and interning rules
 //!
@@ -31,8 +32,8 @@
 //!
 //! * *dedup* writes a selection vector and *project* permutes column handles —
 //!   neither copies a value;
-//! * *gathers* — products and fetch output, the operators that genuinely combine
-//!   rows — write values into fresh columns; everything else is metadata.
+//! * *gathers* — constant appends and fetch output, the operators that genuinely
+//!   combine rows — write values into fresh columns; everything else is metadata.
 //!
 //! Value writes are O(1) because a [`bea_core::value::Value`] is 16 bytes that never
 //! deep-copy: a string of at most 14 bytes is stored inline and copied with its value,
@@ -116,24 +117,23 @@
 //! * **Fetch-bound admission.** Every submission is priced *before* it runs by a
 //!   [`bea_core::plan::CostTicket`] — the paper's bounded-evaluability guarantee
 //!   makes worst-case fetch volume a static quantity — and checked against the
-//!   session's aggregate fetch budget ([`session::FETCH_BUDGET_ENV`], or
-//!   [`session::SessionConfig::with_fetch_budget`]). A query whose own bound
-//!   exceeds the budget is rejected deterministically (same verdict at any load); a
-//!   query that fits the budget but not the current headroom waits, its caller
-//!   blocked, in strict arrival order; at every instant the sum of admitted bounds is
-//!   at most the budget ([`session::AdmissionStats::peak_admitted_bound`] is the
-//!   observable high-water mark). A query's hold on the budget is released however it
-//!   ends — completed, failed or unwound by a panic.
+//!   session's aggregate fetch budget ([`session::SessionConfig::with_fetch_budget`]).
+//!   A query whose own bound exceeds the budget is rejected deterministically (same
+//!   verdict at any load); a query that fits the budget but not the current headroom
+//!   waits, its caller blocked, in strict arrival order; at every instant the sum of
+//!   admitted bounds is at most the budget
+//!   ([`session::AdmissionStats::peak_admitted_bound`] is the observable high-water
+//!   mark). A query's hold on the budget is released however it ends — completed,
+//!   failed or unwound by a panic.
 //!
 //! # The cross-query fetch cache — ownership and coherence
 //!
 //! A session may also own a **cross-query fetch-result cache**
-//! ([`session::SessionConfig::with_cache_budget_rows`] /
-//! [`session::CACHE_ROWS_ENV`]; 0 or unset = disabled): one bounded slab of entries
-//! per entry shape under one lock, keyed by `(constraint, key)`. An entry holds only
-//! what the store cannot serve in place: a key of at most one tuple is that tuple's
-//! offset in its relation, a longer one the `Arc`-shared posting columns its lookup
-//! produced. Its contract:
+//! ([`session::SessionConfig::with_cache_budget_rows`]; 0 = disabled): one bounded slab
+//! of entries per entry shape under one lock, keyed by `(constraint, key)`. An entry
+//! holds only what the store cannot serve in place: a key of at most one tuple is that
+//! tuple's offset in its relation, a longer one the `Arc`-shared posting columns its
+//! lookup produced. Its contract:
 //!
 //! * **Ownership.** The cache belongs to the session, not to any query: entries
 //!   hold offsets and column handles (refcounts, never value copies of what they
@@ -185,8 +185,8 @@ pub use cache::CacheStats;
 pub use exec::{execute_physical_on, execute_plan, execute_plan_materialized, ExecOptions};
 pub use naive::{eval_cq, eval_fo, eval_query, eval_ucq};
 pub use session::{
-    parse_cache_rows, parse_fetch_budget, AdmissionStats, PreparedPlan, QueryHandle, Rejection,
-    Session, SessionConfig, SharedStore, SubmitError, CACHE_ROWS_ENV, FETCH_BUDGET_ENV,
+    AdmissionStats, PreparedPlan, QueryHandle, Rejection, Session, SessionConfig, SharedStore,
+    SubmitError,
 };
 pub use stats::AccessStats;
 pub use table::Table;

@@ -12,10 +12,10 @@
 //!   `Arc`s — a refcount bump per column, never a row copy.
 //!
 //! Only *gathers* — operators that genuinely combine rows from several sources
-//! (products, fetch output) — write values into fresh columns, and a value write is O(1)
-//! even for strings ([`bea_core::value::Value`] payloads are shared). The executor
-//! counts every such clone in [`crate::stats::AccessStats::values_cloned`], so the copy
-//! traffic of a plan is asserted, not eyeballed.
+//! (constant appends, fetch output) — write values into fresh columns, and a value
+//! write is O(1) even for strings ([`bea_core::value::Value`] payloads are shared). The
+//! executor counts every such clone in [`crate::stats::AccessStats::values_cloned`], so
+//! the copy traffic of a plan is asserted, not eyeballed.
 //!
 //! The batch length is tracked explicitly (`stored`), so zero-column batches — unit
 //! rows, as produced by `PhysOp::Unit` — still have a well-defined row count.

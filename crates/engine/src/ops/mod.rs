@@ -2,16 +2,16 @@
 //!
 //! [`crate::exec::execute_physical_on`] runs a [`PhysicalPlan`] (lowered by
 //! `bea_core::plan::physical::lower_plan`) against a [`Store`] as one tree of pull-based
-//! operators, each implementing [`Operator::next_batch`]. Rows move through the tree in
-//! bounded **columnar** [`batch::Batch`]es — project is column-permutation metadata,
-//! only gathers (products, fetch output) write values, and every value write is an O(1)
-//! clone (interned string payloads; see the [`batch`] docs). Lowering reads every step
-//! with one operator, so the tree has one node per step, and only the output is
-//! materialized: [`sched::run`] drains it into the result table. Product right sides,
-//! per-key fetch arenas and dedup sets are operator-internal state, released when the
-//! operator is exhausted — or when it is dropped undrained (every operator holding
-//! durable state implements `Drop`), so a short-circuiting or failing consumer can never
-//! leak residency.
+//! operators, each implementing `Operator::next_batch`. Rows move through the tree in
+//! bounded **columnar** batches (`batch::Batch`) — project is column-permutation
+//! metadata, only gathers (constant appends, fetch output) write values, and every value
+//! write is an O(1) clone (interned string payloads; see the `batch` module). Lowering
+//! reads every step with one operator, so the tree has one node per step, and only the
+//! output is materialized: `sched::run` drains it into the result table. Per-key fetch
+//! arenas and dedup sets are operator-internal state, released when the operator is
+//! exhausted — or when it is dropped undrained (every operator holding durable state
+//! implements `Drop`), so a short-circuiting or failing consumer can never leak
+//! residency. A constant append holds nothing: it writes each batch it pulls.
 //!
 //! # One query, one thread
 //!
@@ -21,16 +21,16 @@
 //! coordination than it saves; threads pay across queries, which a
 //! [`crate::session::Session`] admits side by side from its callers' threads.
 //!
-//! Residency is accounted in the query's [`ResidencyLedger`]: every durable row
+//! Residency is accounted in the query's `ResidencyLedger`: every durable row
 //! acquisition and release goes through it, so
 //! [`crate::stats::AccessStats::peak_rows_resident`] is the number of rows the query
 //! held at once. Data access (index lookups, tuples fetched, per-relation counters) is
 //! a function of the plan and the store alone, so a bounded plan stays bounded
 //! whoever runs it.
 //!
-//! Operator catalogue: [`source`] (constants, unit, empty), [`fetch`] (the keyed lookup,
-//! the one operator that reads the index) and [`relational`] (project, dedup, union,
-//! product).
+//! Operator catalogue: `source` (constants, unit, empty), `fetch` (the keyed lookup,
+//! the one operator that reads the index) and `relational` (project, dedup, union,
+//! constant append).
 
 pub(crate) mod batch;
 pub(crate) mod fetch;
@@ -245,8 +245,8 @@ impl ExecState {
         PARKED.set(Some(state));
     }
 
-    /// Record `rows` newly held by a durable structure (the output, a product's right
-    /// side, a lookup's arena, a dedup set) against the query's ledger.
+    /// Record `rows` newly held by a durable structure (the output, a lookup's arena, a
+    /// dedup set) against the query's ledger.
     pub fn acquire(&mut self, rows: u64) {
         self.ledger.acquire(rows);
     }
@@ -463,9 +463,9 @@ pub(crate) fn build_op<'a>(ctx: RunCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
             plan.steps()[node].columns.len(),
             state.clone(),
         )),
-        PhysOp::Product { left, right } => Box::new(relational::ProductOp::new(
-            input(*left)?,
-            input(*right)?,
+        PhysOp::AppendConst { source, value } => Box::new(relational::AppendConstOp::new(
+            input(*source)?,
+            value.bound(constants).clone(),
             state.clone(),
         )),
         PhysOp::Union { left, right } => {
@@ -529,56 +529,48 @@ pub(crate) mod tests {
         b.finish("Q", out).unwrap()
     }
 
-    /// `π[cols](lookup(1) × lookup(99))`: the product's right side, buffered before the
-    /// left streams, is a key of `R` with no tuple.
-    fn product_with_an_empty_right_side(cols: Vec<usize>) -> QueryPlan {
+    /// `π[cols](lookup(key) × {5})`, where `lookup(key)` is the fused lookup of `R`'s
+    /// tuples under `key`, columns `[k, a, b]`.
+    fn lookup_with_a_constant(key: i64, cols: Vec<usize>) -> QueryPlan {
         let mut b = PlanBuilder::new();
-        let lookup = |b: &mut PlanBuilder, key: i64| {
-            let k = b.constant(Value::int(key), "k");
-            let f = b.fetch(
-                k,
-                vec![0],
-                "R",
-                vec![0],
-                vec![1],
-                0,
-                vec!["a".into(), "b".into()],
-            );
-            let prod = b.product(k, f);
-            b.select(prod, vec![Predicate::ColEqCol(0, 1)])
-        };
-        let (left, right) = (lookup(&mut b, 1), lookup(&mut b, 99));
-        let prod = b.product(left, right);
-        let out = b.project(prod, cols);
+        let k = b.constant(Value::int(key), "k");
+        let columns = vec!["a".into(), "b".into()];
+        let f = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, columns);
+        let prod = b.product(k, f);
+        let lookup = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
+        let five = b.constant(Value::int(5), "c");
+        let appended = b.product(lookup, five);
+        let out = b.project(appended, cols);
         b.finish("Q", out).unwrap()
     }
 
     #[test]
     fn empty_build_side_still_releases_all_residency() {
-        // The product's right side is empty at runtime: the left side streams through
-        // it without a row out, and residency still drains to zero.
+        // Under the append, the lookup finds no tuple for key 99, and two for key 1,
+        // which it holds in its arena while they stream: residency drains either way.
         let idb = setup();
-        let plan = product_with_an_empty_right_side(vec![0, 1, 2, 3, 4, 5]);
-        let phys = lower_plan(&plan).unwrap();
-        assert!(phys
-            .steps()
-            .iter()
-            .any(|s| matches!(s.op, PhysOp::Product { .. })));
-        let (table, stats, ledger) = execute_inner(&phys, &idb).unwrap();
-        assert!(table.is_empty());
-        assert_eq!(
-            stats.tuples_fetched, 2,
-            "both of key 1's tuples stream through"
-        );
-        assert_eq!(ledger.resident(), 0, "short-circuit shape leaked residency");
+        let five = Value::int(5);
+        let row = |b: i64| vec![Value::int(1), Value::int(1), Value::int(b), five.clone()];
+        for (key, rows) in [(99, Vec::new()), (1, vec![row(10), row(11)])] {
+            let phys = lower_plan(&lookup_with_a_constant(key, vec![0, 1, 2, 3])).unwrap();
+            assert!(phys
+                .steps()
+                .iter()
+                .any(|s| matches!(s.op, PhysOp::AppendConst { .. })));
+            let (table, stats, ledger) = execute_inner(&phys, &idb).unwrap();
+            assert_eq!(table.rows(), rows);
+            assert_eq!(stats.tuples_fetched, rows.len() as u64);
+            assert_eq!(stats.product_rows_materialized, 0, "no product runs");
+            assert_eq!(ledger.resident(), 0, "key {key} leaked residency");
+        }
     }
 
     #[test]
     fn empty_build_side_keeps_batch_arity_for_downstream_projections() {
-        // A projection of a right-side column over a product whose right side is empty
-        // at runtime: no batch narrower than the product's arity may reach it.
+        // A projection of the appended column over a lookup of a key with no tuple: no
+        // batch narrower than the append's arity may reach it.
         let idb = setup();
-        let plan = product_with_an_empty_right_side(vec![5, 0]);
+        let plan = lookup_with_a_constant(99, vec![3, 0]);
         let phys = lower_plan(&plan).unwrap();
         let (table, _, ledger) = execute_inner(&phys, &idb).unwrap();
         let (reference, _) = execute_plan_materialized(&plan, &idb).unwrap();

@@ -1,9 +1,9 @@
-//! Streaming relational operators: project, dedup, union, product.
+//! Streaming relational operators: project, dedup, union, constant append.
 //!
 //! Project is pure batch metadata (a column-handle permutation — zero value copies).
 //! Dedup emits its input batches restricted by a selection; only its membership set
-//! holds (O(1)-clone) rows. The product is the one genuine gather here: it writes
-//! combined rows into fresh output columns.
+//! holds (O(1)-clone) rows. The constant append is the one gather here: it writes each
+//! row, and the constant beside it, into fresh output columns, and holds no row.
 
 use super::batch::{Batch, RowTable};
 use super::{BoxOp, Operator, SharedState};
@@ -144,149 +144,46 @@ impl Operator for UnionOp<'_> {
     }
 }
 
-/// Cartesian product: the right side is buffered in dense columns (durable state,
-/// released on exhaustion), the left side streams. Emitted rows are accounted as
-/// `product_rows_materialized`, matching the literal semantics' accounting, even though
-/// the pipeline never holds more than a batch of them: output is chunked to
-/// [`super::BATCH_SIZE`] rows per call, however large `|batch| · |right|` gets, so the
-/// bounded-batch invariant (and the residency ledger's accuracy) survives products.
-/// The buffered right-side columns and the per-call output gather columns are drawn
-/// from the execution state's buffer pool; the buffered columns return to it when the
-/// right side retires (output columns transfer into emitted batches).
-pub(crate) struct ProductOp<'db> {
-    left: BoxOp<'db>,
-    right: Option<BoxOp<'db>>,
+/// The product `input × {value}`: each input batch's rows gathered into pooled columns
+/// with `value` appended, one O(1) clone per output value. It holds no row between
+/// batches, so it has nothing to release.
+pub(crate) struct AppendConstOp<'db> {
+    input: BoxOp<'db>,
+    value: Value,
     state: SharedState,
-    /// The buffered right side, as dense columns.
-    buffered: Vec<Vec<Value>>,
-    buffered_rows: usize,
-    right_arity: usize,
-    /// Left batch whose pairings are still being emitted, with the cursor position
-    /// `(left row index, right row index)` of the next pair.
-    pending: Option<Batch>,
-    cursor: (usize, usize),
-    done: bool,
 }
 
-impl<'db> ProductOp<'db> {
-    pub(crate) fn new(left: BoxOp<'db>, right: BoxOp<'db>, state: SharedState) -> Self {
+impl<'db> AppendConstOp<'db> {
+    pub(crate) fn new(input: BoxOp<'db>, value: Value, state: SharedState) -> Self {
         Self {
-            left,
-            right: Some(right),
+            input,
+            value,
             state,
-            buffered: Vec::new(),
-            buffered_rows: 0,
-            right_arity: 0,
-            pending: None,
-            cursor: (0, 0),
-            done: false,
         }
     }
 }
 
-impl Operator for ProductOp<'_> {
+impl Operator for AppendConstOp<'_> {
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if self.done {
+        let Some(batch) = self.input.next_batch()? else {
             return Ok(None);
-        }
-        if let Some(mut right) = self.right.take() {
-            while let Some(batch) = right.next_batch()? {
-                let mut state = self.state.borrow_mut();
-                if self.buffered.is_empty() {
-                    self.right_arity = batch.arity();
-                    self.buffered = (0..batch.arity())
-                        .map(|_| state.pool.get_values())
-                        .collect();
-                }
-                state.acquire(batch.len() as u64);
-                state.stats.values_cloned += (batch.len() * batch.arity()) as u64;
-                for i in 0..batch.len() {
-                    batch.append_row_to(i, &mut self.buffered);
-                }
-                self.buffered_rows += batch.len();
-            }
-        }
-        let mut out: Option<Vec<Vec<Value>>> = None;
-        let mut out_rows = 0usize;
-        let mut exhausted = false;
-        while out_rows < super::BATCH_SIZE {
-            let Some(pending) = &self.pending else {
-                match self.left.next_batch()? {
-                    Some(batch) => {
-                        self.pending = Some(batch);
-                        self.cursor = (0, 0);
-                        continue;
-                    }
-                    None => {
-                        exhausted = true;
-                        break;
-                    }
-                }
-            };
-            if self.cursor.0 >= pending.len() || self.buffered_rows == 0 {
-                // Nothing (left) to pair, or an empty right side: consume the pending
-                // batch without output.
-                self.pending = None;
-                self.cursor = (0, 0);
-                continue;
-            }
-            if out.is_none() {
-                let mut state = self.state.borrow_mut();
-                out = Some(
-                    (0..pending.arity() + self.right_arity)
-                        .map(|_| state.pool.get_values())
-                        .collect(),
-                );
-            }
-            let sinks = out.as_mut().expect("initialized just above");
-            let (li, ri) = self.cursor;
-            let (left_cols, right_cols) = sinks.split_at_mut(pending.arity());
-            pending.append_row_to(li, left_cols);
-            for (column, sink) in self.buffered.iter().zip(right_cols) {
-                sink.push(column[ri].clone());
-            }
-            out_rows += 1;
-            self.cursor.1 += 1;
-            if self.cursor.1 >= self.buffered_rows {
-                self.cursor = (self.cursor.0 + 1, 0);
-            }
-        }
-        let arity = out.as_ref().map_or(0, Vec::len) as u64;
+        };
+        let (rows, arity) = (batch.len(), batch.arity());
         let mut state = self.state.borrow_mut();
-        state.stats.product_rows_materialized += out_rows as u64;
-        state.stats.values_cloned += out_rows as u64 * arity;
-        if exhausted {
-            self.done = true;
-            state.release(self.buffered_rows as u64);
-            for column in self.buffered.drain(..) {
-                state.pool.put_values(column);
-            }
-            self.buffered_rows = 0;
-            if out_rows == 0 {
-                return Ok(None);
-            }
+        let mut out: Vec<Vec<Value>> = (0..=arity).map(|_| state.pool.get_values()).collect();
+        let (left, appended) = out.split_at_mut(arity);
+        for i in 0..rows {
+            batch.append_row_to(i, left);
         }
-        Ok(Some(Batch::from_dense(out.unwrap_or_default(), out_rows)))
-    }
-}
-
-impl Drop for ProductOp<'_> {
-    fn drop(&mut self) {
-        let mut state = self.state.borrow_mut();
-        if self.buffered_rows > 0 {
-            state.release(self.buffered_rows as u64);
-            self.buffered_rows = 0;
-        }
-        for column in self.buffered.drain(..) {
-            state.pool.put_values(column);
-        }
+        appended[0].resize(rows, self.value.clone());
+        state.stats.values_cloned += (rows * (arity + 1)) as u64;
+        Ok(Some(Batch::from_dense(out, rows)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::fetch::tests::{drain, ints, Harness, Script};
-    use super::super::BATCH_SIZE;
     use super::*;
     use bea_core::error::Error;
 
@@ -341,17 +238,42 @@ mod tests {
     }
 
     #[test]
-    fn a_product_releases_its_right_side_when_dropped_mid_stream_or_on_error() {
-        // 400 left rows against a buffered right side of three, dropped after the first
-        // batch of pairs: the buffered rows are released and pooled.
+    fn a_constant_append_gathers_every_row_with_the_constant() {
+        // Two batches, and an empty one of arity 2: each comes out with 7 appended, the
+        // empty one as an empty batch of arity 3.
         let h = Harness::new();
-        let rows: Vec<[i64; 1]> = (0..400).map(|i| [i]).collect();
+        let rows: Vec<[i64; 2]> = (0..400).map(|i| [i, -i]).collect();
         let rows: Vec<&[i64]> = rows.iter().map(|row| &row[..]).collect();
-        let left = Box::new(Script([Ok(ints(&rows))].into()));
-        let right = script(&[&[&[7], &[8]], &[&[9]]]);
-        let mut op = ProductOp::new(left, right, h.state.clone());
-        assert_eq!(op.next_batch().unwrap().unwrap().len(), BATCH_SIZE);
-        assert_eq!(h.ledger.resident(), 3, "the right side is buffered");
+        let (first, second) = rows.split_at(300);
+        let batches = [ints(first), ints(second), Batch::from_rows(2, Vec::new())];
+        let input = Box::new(Script(batches.into_iter().map(Ok).collect()));
+        let mut op = AppendConstOp::new(input, Value::int(7), h.state.clone());
+        let out: Vec<Batch> = std::iter::from_fn(|| op.next_batch().unwrap()).collect();
+        let lens: Vec<usize> = out.iter().map(Batch::len).collect();
+        assert_eq!(lens, [300, 100, 0]);
+        assert!(out.iter().all(|batch| batch.arity() == 3));
+        let row = [300, -300, 7].map(Value::int);
+        assert_eq!(out[1].row(0), row);
+        assert_eq!(
+            h.stats().values_cloned,
+            400 * 3,
+            "one clone per output value"
+        );
+        assert_eq!(h.ledger.peak(), 0, "no row is held");
+        assert!(
+            op.next_batch().unwrap().is_none(),
+            "exhausted stays exhausted"
+        );
+    }
+
+    #[test]
+    fn a_constant_append_releases_its_input_when_dropped_mid_stream_or_on_error() {
+        // Over a δ dropped after its first batch: the δ's set is released and pooled.
+        let h = Harness::new();
+        let dedup = DedupOp::new(script(&[&[&[1], &[2]], &[&[3]]]), 1, h.state.clone());
+        let mut op = AppendConstOp::new(Box::new(dedup), Value::int(7), h.state.clone());
+        assert_eq!(op.next_batch().unwrap().unwrap().len(), 2);
+        assert_eq!(h.ledger.resident(), 2, "the δ below holds its rows");
         drop(op);
         assert_eq!(h.ledger.resident(), 0);
         assert!(
@@ -359,11 +281,13 @@ mod tests {
             "its columns are pooled again"
         );
 
+        // An input that fails fails the append, and nothing is left resident.
         let h = Harness::new();
-        let right = Box::new(Script(
-            [Ok(ints(&[&[7], &[8]])), Err(Error::invalid("right failed"))].into(),
+        let input = Box::new(Script(
+            [Ok(ints(&[&[1], &[2]])), Err(Error::invalid("input failed"))].into(),
         ));
-        let mut op = ProductOp::new(script(&[&[&[1]]]), right, h.state.clone());
+        let mut op = AppendConstOp::new(input, Value::int(7), h.state.clone());
+        assert_eq!(op.next_batch().unwrap().unwrap().len(), 2);
         assert!(op.next_batch().is_err());
         drop(op);
         assert_eq!(h.ledger.resident(), 0);

@@ -29,15 +29,15 @@
 //! * **Admission control** — every submission is priced by a [`CostTicket`] *before*
 //!   it runs (the paper's bounded-evaluability guarantee: worst-case fetch volume is a
 //!   static quantity). Against a configured aggregate fetch budget
-//!   ([`SessionConfig::with_fetch_budget`] / the [`FETCH_BUDGET_ENV`] variable), a
-//!   query whose own `fetch_bound` exceeds the budget is **rejected**
-//!   deterministically — the same verdict at any load. A query that fits the budget
-//!   but not the *remaining* headroom is **queued**: its caller blocks until the
-//!   queries ahead of it have been admitted and enough headroom is free, in strict
-//!   arrival order (FIFO — a big query at the front is never starved by small ones
-//!   behind it). At every instant the sum of admitted queries' fetch bounds is at most
-//!   the budget (observable as [`AdmissionStats::peak_admitted_bound`]), and a query's
-//!   hold on it is released however the query ends: completed, failed or unwound.
+//!   ([`SessionConfig::with_fetch_budget`]), a query whose own `fetch_bound` exceeds
+//!   the budget is **rejected** deterministically — the same verdict at any load. A
+//!   query that fits the budget but not the *remaining* headroom is **queued**: its
+//!   caller blocks until the queries ahead of it have been admitted and enough headroom
+//!   is free, in strict arrival order (FIFO — a big query at the front is never starved
+//!   by small ones behind it). At every instant the sum of admitted queries' fetch
+//!   bounds is at most the budget (observable as
+//!   [`AdmissionStats::peak_admitted_bound`]), and a query's hold on it is released
+//!   however the query ends: completed, failed or unwound.
 
 use crate::cache::{CacheStats, SessionFetchCache};
 use crate::ops::sched::{self, Prepared};
@@ -52,41 +52,6 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-
-/// Environment variable configuring the session's aggregate fetch budget — the
-/// ceiling on the sum of admitted queries' fetch bounds — when
-/// [`SessionConfig::fetch_budget`] is 0 (automatic). `0` and the empty string mean
-/// "unlimited"; an explicit [`SessionConfig::with_fetch_budget`] beats the
-/// environment. Parsed through the shared [`bea_core::env`] loud-failure contract: a
-/// set-but-invalid value panics with the rejection reason instead of silently
-/// admitting everything.
-pub const FETCH_BUDGET_ENV: &str = "BEA_FETCH_BUDGET";
-
-/// Environment variable configuring the session's cross-query fetch-cache budget —
-/// the ceiling on cached posting rows resident across all queries — when
-/// [`SessionConfig::cache_budget_rows`] is 0 (automatic). `0` and the empty string
-/// mean "cache disabled", which reproduces the uncached executor bit-for-bit; an
-/// explicit [`SessionConfig::with_cache_budget_rows`] beats the environment. Parsed
-/// through the shared [`bea_core::env`] loud-failure contract: a set-but-invalid
-/// value panics with the rejection reason instead of silently running uncached.
-pub const CACHE_ROWS_ENV: &str = "BEA_CACHE_ROWS";
-
-/// Parse a [`FETCH_BUDGET_ENV`] value. `Ok(Some(n))` is an aggregate budget of `n`
-/// tuples; `Ok(None)` means "unlimited" (`0`, or the empty string); anything
-/// unparsable is an error naming the reason. Pure, so it is testable without mutating
-/// the process environment.
-pub fn parse_fetch_budget(value: &str) -> std::result::Result<Option<u64>, String> {
-    bea_core::env::parse_count(value)
-}
-
-/// Parse a [`CACHE_ROWS_ENV`] value. `Ok(Some(n))` is a cache budget of `n` resident
-/// posting rows; `Ok(None)` means "cache disabled" (`0`, or the empty string);
-/// anything unparsable is an error naming the reason. Pure, like
-/// [`parse_fetch_budget`], so it is testable without mutating the process
-/// environment.
-pub fn parse_cache_rows(value: &str) -> std::result::Result<Option<u64>, String> {
-    bea_core::env::parse_count(value)
-}
 
 /// A store a [`Session`] can own: an `Arc`-shared [`IndexedDatabase`]. Cloning shares
 /// the store.
@@ -112,18 +77,15 @@ impl From<IndexedDatabase> for SharedStore {
 #[non_exhaustive]
 pub struct SessionConfig {
     /// Aggregate fetch budget: the ceiling on the sum of admitted queries' fetch
-    /// bounds. `0` (the default) resolves automatically: [`FETCH_BUDGET_ENV`] if
-    /// set, otherwise unlimited.
+    /// bounds. `0` (the default) means unlimited.
     pub fetch_budget: u64,
     /// Cross-query fetch-cache budget, in resident posting rows. `0` (the default)
-    /// resolves automatically: [`CACHE_ROWS_ENV`] if set, otherwise the cache is
-    /// disabled and the session executes exactly as the uncached engine does.
+    /// disables the cache: the session executes exactly as the uncached engine does.
     pub cache_budget_rows: u64,
 }
 
 impl SessionConfig {
-    /// The default config: no admission limits and no cache (unless the environment
-    /// sets them).
+    /// The default config: no admission limits and no cache.
     pub fn new() -> Self {
         Self::default()
     }
@@ -133,38 +95,16 @@ impl SessionConfig {
         self
     }
 
-    /// Set the aggregate fetch budget (0 = resolve from [`FETCH_BUDGET_ENV`], else
-    /// unlimited).
+    /// Set the aggregate fetch budget (0 = unlimited).
     pub fn with_fetch_budget(mut self, budget: u64) -> Self {
         self.fetch_budget = budget;
         self
     }
 
-    /// Set the cross-query fetch-cache budget in resident posting rows (0 = resolve
-    /// from [`CACHE_ROWS_ENV`], else disabled).
+    /// Set the cross-query fetch-cache budget in resident posting rows (0 = disabled).
     pub fn with_cache_budget_rows(mut self, rows: u64) -> Self {
         self.cache_budget_rows = rows;
         self
-    }
-
-    /// The effective aggregate fetch budget: the explicit
-    /// [`SessionConfig::fetch_budget`] if nonzero, else [`FETCH_BUDGET_ENV`], else
-    /// unlimited (`None`).
-    pub fn resolved_fetch_budget(&self) -> Option<u64> {
-        if self.fetch_budget > 0 {
-            return Some(self.fetch_budget);
-        }
-        bea_core::env::read_env(FETCH_BUDGET_ENV, parse_fetch_budget).flatten()
-    }
-
-    /// The effective cross-query fetch-cache budget: the explicit
-    /// [`SessionConfig::cache_budget_rows`] if nonzero, else [`CACHE_ROWS_ENV`],
-    /// else disabled (`None`).
-    pub fn resolved_cache_budget_rows(&self) -> Option<u64> {
-        if self.cache_budget_rows > 0 {
-            return Some(self.cache_budget_rows);
-        }
-        bea_core::env::read_env(CACHE_ROWS_ENV, parse_cache_rows).flatten()
     }
 }
 
@@ -432,11 +372,12 @@ pub struct Session {
 impl Session {
     /// Start a session over `store` with `config`'s admission and cache settings.
     pub fn new(store: impl Into<SharedStore>, config: SessionConfig) -> Self {
-        let cache = config.resolved_cache_budget_rows();
+        let nonzero = |n: u64| (n > 0).then_some(n);
+        let cache = nonzero(config.cache_budget_rows);
         Session {
             store: store.into(),
             gate: Gate {
-                budget: config.resolved_fetch_budget(),
+                budget: nonzero(config.fetch_budget),
                 state: Mutex::default(),
                 turn: Condvar::new(),
             },
@@ -866,7 +807,8 @@ mod tests {
         let idb = fixture(4);
         let session = Session::new(fixture(4), SessionConfig::new());
         let labels = || vec!["a".into(), "b".into()];
-        // `f ∪ f` over the fetch T1; `σ[b = 10](f)` at T2; `lookup(1) − lookup(2)` at T8.
+        // `f ∪ f` over the fetch T1; `σ[b = 10](f)` at T2; `lookup(1) − lookup(2)` and
+        // `lookup(1) × lookup(2)` at T8.
         let mut b = PlanBuilder::new();
         let k = b.constant(Value::int(1), "k");
         let f = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, labels());
@@ -884,10 +826,21 @@ mod tests {
         );
         let minus = b.difference(one, two);
         let difference = b.finish("difference", minus).unwrap();
+        let mut b = PlanBuilder::new();
+        let (one, two) = (
+            lookup(&mut b, &Value::int(1)),
+            lookup(&mut b, &Value::int(2)),
+        );
+        let times = b.product(one, two);
+        let product = b.finish("product", times).unwrap();
         let cases = [
             (&shared, "step T1 is read by 2 operators"),
             (&filter, "step T2 is a selection that does not fuse"),
             (&difference, "step T8 is a difference"),
+            (
+                &product,
+                "step T8 is a product whose right side is not a constant",
+            ),
         ];
         let good = lookup_union("good", &[1, 2]);
         let (expected, _) = execute_plan(&good, &idb).unwrap();
@@ -896,6 +849,7 @@ mod tests {
                 Error::InvalidPlan { reason } => assert!(reason.starts_with(why), "{reason}"),
                 other => panic!("{why}: refused as {other:?}"),
             };
+            named(lower_plan(plan).unwrap_err());
             named(execute_plan(plan, &idb).unwrap_err());
             named(session.prepare(plan).unwrap_err());
             match session.run(plan) {
@@ -909,7 +863,7 @@ mod tests {
             assert_eq!(session.admission_stats().inflight_bound, 0);
         }
         let admission = session.admission_stats();
-        assert_eq!((admission.submitted, admission.completed), (3, 3));
+        assert_eq!((admission.submitted, admission.completed), (4, 4));
     }
 
     #[test]
@@ -1170,40 +1124,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_budget_env_values_are_validated() {
-        assert_eq!(parse_fetch_budget("10000").unwrap(), Some(10_000));
-        assert_eq!(parse_fetch_budget(" 5 ").unwrap(), Some(5));
-        assert_eq!(parse_fetch_budget("0").unwrap(), None, "0 means unlimited");
-        assert_eq!(parse_fetch_budget("").unwrap(), None, "empty means unset");
-        assert!(parse_fetch_budget("lots").unwrap_err().contains("integer"));
-        assert!(parse_fetch_budget("-3").is_err());
-        // An explicit budget beats the environment.
-        assert_eq!(
-            SessionConfig::new()
-                .with_fetch_budget(7)
-                .resolved_fetch_budget(),
-            Some(7)
-        );
-    }
-
-    #[test]
-    fn cache_rows_env_values_are_validated() {
-        assert_eq!(parse_cache_rows("4096").unwrap(), Some(4096));
-        assert_eq!(parse_cache_rows(" 12 ").unwrap(), Some(12));
-        assert_eq!(parse_cache_rows("0").unwrap(), None, "0 means disabled");
-        assert_eq!(parse_cache_rows("").unwrap(), None, "empty means unset");
-        assert!(parse_cache_rows("plenty").unwrap_err().contains("integer"));
-        assert!(parse_cache_rows("-1").is_err());
-        // An explicit budget beats the environment.
-        assert_eq!(
-            SessionConfig::new()
-                .with_cache_budget_rows(64)
-                .resolved_cache_budget_rows(),
-            Some(64)
-        );
-    }
-
-    #[test]
     fn repeated_submissions_are_served_from_the_session_cache() {
         let idb = fixture(6);
         let session = Session::new(
@@ -1289,9 +1209,8 @@ mod tests {
     #[test]
     fn a_disabled_cache_reports_zero_stats() {
         let session = Session::new(fixture(2), SessionConfig::new());
-        if std::env::var_os(CACHE_ROWS_ENV).is_none() {
-            assert_eq!(session.cache_stats(), CacheStats::default());
-        }
+        assert_eq!(session.cache_stats(), CacheStats::default());
+        assert_eq!(session.fetch_budget(), None, "a zero budget is unlimited");
         let plan = lookup_union("solo", &[1, 2]);
         session.submit(&plan).unwrap().wait().unwrap();
     }

@@ -24,12 +24,13 @@ pub struct AccessStats {
     /// Number of tuples scanned by full-relation scans (zero for bounded plans; the
     /// naive baseline reports its scans here).
     pub tuples_scanned: u64,
-    /// Number of rows produced by cross-product nodes. Stays zero when product/selection
-    /// pairs execute as keyed lookups; executing the same plan with the literal
-    /// plan semantics reports `|left| · |right|` per product here.
+    /// Number of rows produced by cross products: the literal reference executor
+    /// (`execute_plan_materialized`) reports `|left| · |right|` per product here. The
+    /// streaming executor runs every product as a keyed lookup or a constant append, no
+    /// cross product at all, and reports 0.
     pub product_rows_materialized: u64,
     /// High-water mark of rows concurrently held by the executor: materialized
-    /// intermediate tables, product right sides, per-key fetch caches, dedup sets and
+    /// intermediate tables, per-key fetch caches, dedup sets and
     /// the accumulating output. The streaming executor materializes no intermediate
     /// table, so this is the number the materialized-vs-streaming ablation compares. A keyed lookup holds only the postings of keys that matched
     /// two or more tuples; a single matched tuple is read where it lies in the store

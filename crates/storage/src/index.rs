@@ -53,7 +53,7 @@
 //!
 //! # Batched walks
 //!
-//! So a batch of probes is walked [`GROUP`] keys at a time, stage by stage: every home
+//! So a batch of probes is walked `GROUP` keys at a time, stage by stage: every home
 //! slot, then — where the layout has them — every CSR start and every first posting,
 //! then every first tuple; each stage prefetches, for every key, the line the next
 //! stage reads, so the group's misses overlap instead of queueing. A key whose

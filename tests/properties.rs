@@ -772,12 +772,12 @@ fn session_lanes_match_solo_execution_on_every_family() {
 /// keeps pricing the uncached worst case); and every later submission fetches *zero*
 /// tuples from the store and demands *zero* probe-path buffers — each posting list
 /// is served by one hash probe and a refcount bump. With the cache disabled
-/// (`BEA_CACHE_ROWS` unset and no configured budget) all N submissions reproduce
+/// (no configured budget) all N submissions reproduce
 /// today's counters byte-for-byte.
 #[test]
 fn repeated_session_submissions_are_served_from_the_fetch_cache() {
     use bea::core::plan::{PlanBuilder, Predicate};
-    use bea::engine::{Session, SessionConfig, SharedStore, CACHE_ROWS_ENV};
+    use bea::engine::{Session, SessionConfig, SharedStore};
     use bea_core::access::AccessConstraint;
     use bea_core::schema::Catalog;
 
@@ -895,25 +895,21 @@ fn repeated_session_submissions_are_served_from_the_fetch_cache() {
             assert_eq!(cache.evictions, 0);
             session.shutdown();
 
-            // Disabled leg: no configured budget. Guarded on the environment so
-            // a CI matrix leg that *sets* BEA_CACHE_ROWS doesn't turn this into
-            // a cached session behind our back.
-            if std::env::var_os(CACHE_ROWS_ENV).is_none() {
-                let session = Session::new(store.clone(), SessionConfig::new());
-                for _ in 0..REPEATS {
-                    let (table, stats) = session.submit(&plan).unwrap().wait().unwrap();
-                    assert_eq!(table.rows(), serial_table.rows());
-                    assert!(
-                        stats.same_data_access(&serial_stats),
-                        "a disabled cache must reproduce the uncached engine: \
-                         {stats} vs {serial_stats}"
-                    );
-                    assert_eq!(stats.values_cloned, serial_stats.values_cloned);
-                    assert_eq!(stats.allocs_per_probe, serial_stats.allocs_per_probe);
-                    assert_eq!((stats.cache_hits, stats.rows_served_from_cache), (0, 0));
-                }
-                session.shutdown();
+            // Disabled leg: no configured budget.
+            let session = Session::new(store.clone(), SessionConfig::new());
+            for _ in 0..REPEATS {
+                let (table, stats) = session.submit(&plan).unwrap().wait().unwrap();
+                assert_eq!(table.rows(), serial_table.rows());
+                assert!(
+                    stats.same_data_access(&serial_stats),
+                    "a disabled cache must reproduce the uncached engine: \
+                     {stats} vs {serial_stats}"
+                );
+                assert_eq!(stats.values_cloned, serial_stats.values_cloned);
+                assert_eq!(stats.allocs_per_probe, serial_stats.allocs_per_probe);
+                assert_eq!((stats.cache_hits, stats.rows_served_from_cache), (0, 0));
             }
+            session.shutdown();
         },
     );
 }
