@@ -9,13 +9,15 @@
 //!   vector of the fresh rows — zero value copies;
 //! * **project** permutes/duplicates the column handles — zero value copies;
 //! * **sharing** a batch (a cache hit, an arena segment emitted by an anchor) clones
-//!   `Arc`s — a refcount bump per column, never a row copy.
+//!   `Arc`s — a refcount bump per column, never a row copy;
+//! * **appending a constant** shares the column handles and the selection, and writes
+//!   only the new column.
 //!
-//! Only *gathers* — operators that genuinely combine rows from several sources
-//! (constant appends, fetch output) — write values into fresh columns, and a value
-//! write is O(1) even for strings ([`bea_core::value::Value`] payloads are shared). The
-//! executor counts every such clone in [`crate::stats::AccessStats::values_cloned`], so
-//! the copy traffic of a plan is asserted, not eyeballed.
+//! Only *gathers* — operators that genuinely combine rows from several sources (fetch
+//! output) — write values into fresh columns, and a value write is O(1) even for
+//! strings ([`bea_core::value::Value`] payloads are shared). The executor counts every
+//! such clone in [`crate::stats::AccessStats::values_cloned`], so the copy traffic of a
+//! plan is asserted, not eyeballed.
 //!
 //! The batch length is tracked explicitly (`stored`), so zero-column batches — unit
 //! rows, as produced by `PhysOp::Unit` — still have a well-defined row count.
@@ -130,15 +132,6 @@ impl Batch {
         out.extend(cols.iter().map(|&c| self.columns[c][p].clone()));
     }
 
-    /// Append the values of logical row `i` to the corresponding output columns
-    /// (`out[c]` receives column `c`), one O(1) clone per column.
-    pub(crate) fn append_row_to(&self, i: usize, out: &mut [Vec<Value>]) {
-        let p = self.physical(i);
-        for (column, sink) in self.columns.iter().zip(out) {
-            sink.push(column[p].clone());
-        }
-    }
-
     /// Hash logical row `i` across all columns — the zero-copy half of
     /// hash-then-compare membership tests (dedup): no row is cloned just
     /// to ask whether it was seen before.
@@ -187,6 +180,28 @@ impl Batch {
     pub(crate) fn project_map(&self, width: usize, col: impl Fn(usize) -> usize) -> Batch {
         Batch {
             columns: (0..width).map(|k| self.columns[col(k)].clone()).collect(),
+            stored: self.stored,
+            selection: self.selection.clone(),
+        }
+    }
+
+    /// The batch with `value` appended to every row as one more column, taken from
+    /// `column` (an empty buffer): the column handles and the selection are shared, and
+    /// only the new column is written — `value` cloned once per logical row, and a
+    /// placeholder at each physical row the selection skips, which no reader reaches.
+    pub(crate) fn append_const(&self, value: &Value, mut column: Vec<Value>) -> Batch {
+        match &self.selection {
+            None => column.resize(self.stored, value.clone()),
+            Some(selection) => {
+                column.resize(self.stored, Value::Bool(false));
+                for &p in selection.iter() {
+                    column[p as usize] = value.clone();
+                }
+            }
+        }
+        let columns = self.columns.iter().cloned().chain([Arc::new(column)]);
+        Batch {
+            columns: columns.collect(),
             stored: self.stored,
             selection: self.selection.clone(),
         }
@@ -661,6 +676,30 @@ mod tests {
         let (rows, clones) = sample().retain(|i| i == 1).into_rows(drop);
         assert_eq!(rows, vec![vec![Value::int(2), Value::str("b")]]);
         assert_eq!(clones, 2);
+    }
+
+    #[test]
+    fn appending_a_constant_shares_the_columns_and_keeps_the_selection() {
+        let b = sample();
+        let seven = Value::int(7);
+        let dense = b.append_const(&seven, Vec::new());
+        assert_eq!(dense.arity(), 3);
+        assert_eq!(
+            dense.row(2),
+            vec![Value::int(3), Value::str("a"), Value::int(7)]
+        );
+        assert!(
+            Arc::ptr_eq(&dense.columns[0], &b.columns[0]),
+            "shared, not copied"
+        );
+        let selected = b.retain(|i| i != 1).append_const(&seven, Vec::new());
+        assert_eq!(selected.len(), 2);
+        assert_eq!(
+            selected.row(1),
+            vec![Value::int(3), Value::str("a"), Value::int(7)]
+        );
+        let unit = Batch::singleton(Vec::new()).append_const(&seven, Vec::new());
+        assert_eq!((unit.len(), unit.row(0)), (1, vec![seven]));
     }
 
     #[test]

@@ -14,7 +14,12 @@
 //! an intermediate row per tuple; per-key duplicate elimination runs
 //! *hash-then-compare* over the freshly appended range (see
 //! [`super::batch::hash_row_at`]) and compacts duplicates away in place, so no value is
-//! cloned to decide freshness. A key that matched at most one tuple (every probe of a
+//! cloned to decide freshness. The arena holds no fetched column whose attribute is in
+//! the constraint's `X`: every such value equals the probe key, so the arena neither
+//! copies nor compares it, and a residual or an emission that reads it reads the source
+//! row's key column instead (Q0's anchor copies `aid` but not `date`). Only an `X`
+//! column a fused emission keeps is held, since an anchor shares the arena's columns as
+//! they are; a session-cache entry holds every column its shape names, `X` included. A key that matched at most one tuple (every probe of a
 //! bound-1 constraint) is neither hashed nor copied: it is read where the tuple lies in
 //! the store — residual predicates and the emission read it there, and only emitted
 //! values are cloned. Its memo, which serves a repeated key from the arena or the
@@ -73,15 +78,15 @@
 //! The operator does not touch the shared [`crate::stats::AccessStats`] per key:
 //! lookups, clones and cache hits accumulate in an operator-local [`ProbeTally`],
 //! flushed once per pull and on drop — an error or a short-circuiting consumer loses
-//! nothing. A miss's fetched tuples go straight to the query's flat per-step tally
-//! ([`crate::stats::FetchTally`]), which names no relation and allocates nothing once
-//! the thread's state has grown to its plans; it is written into the query's
-//! per-relation map when the query finishes.
+//! nothing. So do a miss's fetched tuples, which the flush adds to the query's flat
+//! per-step tally ([`crate::stats::FetchTally`]) — a step that probed is reported even
+//! if it fetched nothing. That tally names no relation and allocates nothing once the
+//! thread's state has grown to its plans; it is written into the query's per-relation
+//! map when the query finishes.
 
 use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, HashedRow, RowTable};
-use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
+use super::{BoxOp, ExecState, Operator, SharedState, BATCH_SIZE};
 use crate::cache::{CacheShape, CacheSpace, Cached, SessionFetchCache};
-use crate::stats::AccessStats;
 use bea_core::error::Result;
 use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
 use bea_core::value::Value;
@@ -194,6 +199,9 @@ struct ProbeTally {
     values_cloned: u64,
     cache_hits: u64,
     rows_served_from_cache: u64,
+    /// Tuples the step's misses fetched; `Some` once one has probed the store, even if
+    /// it matched nothing, so a probed step is reported.
+    fetched: Option<u64>,
 }
 
 impl ProbeTally {
@@ -203,8 +211,17 @@ impl ProbeTally {
         self.rows_served_from_cache += rows as u64;
     }
 
-    /// Move everything tallied into the query's counters.
-    fn flush(&mut self, stats: &mut AccessStats) {
+    /// A miss fetched `tuples` from the store.
+    fn fetched(&mut self, tuples: u64) {
+        *self.fetched.get_or_insert(0) += tuples;
+    }
+
+    /// Move everything tallied into the query's counters, fetches under `step`.
+    fn flush(&mut self, step: usize, state: &mut ExecState) {
+        if let Some(tuples) = self.fetched.take() {
+            state.fetched.add(step, tuples);
+        }
+        let stats = &mut state.stats;
         stats.index_lookups += std::mem::take(&mut self.index_lookups);
         stats.values_cloned += std::mem::take(&mut self.values_cloned);
         stats.cache_hits += std::mem::take(&mut self.cache_hits);
@@ -290,12 +307,6 @@ impl<'a> FetchStep<'a> {
         }
     }
 
-    /// Count `tuples` this step fetched on the query's state, at once — a probed step
-    /// is reported even when its keys matched nothing.
-    fn fetched(self, state: &SharedState, tuples: u64) {
-        state.borrow_mut().fetched.add(self.step, tuples);
-    }
-
     /// The session cache's space for this step's entries, with the pre-projection
     /// `emit` gives baked in, and the relation of the step's constraint in `store` —
     /// the one its index, and so its offsets, are over; `None` when the query has no
@@ -332,10 +343,62 @@ struct ArenaRange {
     len: usize,
 }
 
+/// The fetched columns a [`PostingArena`] does not hold, as bits by column: those whose
+/// attribute is in the constraint's `X`. A fetched tuple's `X` attributes equal the
+/// probe key (the fused key equality), so whoever reads such a column reads the key —
+/// the source row's key column — instead, and the arena neither copies nor hashes it.
+/// Columns past the 64th are always held.
+#[derive(Debug, Clone, Copy, Default)]
+struct Elided(u64);
+
+impl Elided {
+    /// The columns of `fetch`'s positions that are in its `X`, except those `kept`.
+    fn of(fetch: &FetchStep<'_>, kept: impl Fn(usize) -> bool) -> Self {
+        let columns = fetch.positions.iter().enumerate().take(64);
+        let in_x = columns.filter(|&(c, p)| fetch.x_attrs.contains(p) && !kept(c));
+        Elided(in_x.fold(0, |bits, (c, _)| bits | 1 << c))
+    }
+
+    fn contains(self, c: usize) -> bool {
+        c < 64 && self.0 >> c & 1 == 1
+    }
+
+    /// How many columns are elided.
+    fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Where fetched column `c` of `fetch` lies in the arena: its column there, or the
+    /// index in the key of the value it equals.
+    fn locate(self, fetch: &FetchStep<'_>, c: usize) -> Located {
+        if !self.contains(c) {
+            let below = if c < 64 {
+                self.0 & ((1 << c) - 1)
+            } else {
+                self.0
+            };
+            return Located::Arena(c - below.count_ones() as usize);
+        }
+        let position = fetch.positions[c];
+        let key = fetch.x_attrs.iter().position(|&x| x == position);
+        Located::Key(key.expect("an elided column is a key attribute"))
+    }
+}
+
+/// Where a fetched column lies for postings in a [`PostingArena`] ([`Elided::locate`]).
+#[derive(Debug, Clone, Copy)]
+enum Located {
+    /// Column `c` of the arena.
+    Arena(usize),
+    /// Value `m` of the probe key.
+    Key(usize),
+}
+
 /// The keyed lookup's per-query tier: the postings of every multi-tuple key the
 /// operator fetched, appended by the fetch kernel into one set of growing value
-/// columns, plus — where keys can repeat — the memo that serves repeats: the fetched
-/// keys in a [`RowTable`], and at each key's position where its postings lie.
+/// columns, one per fetched column but the [`Elided`] ones; plus, where keys can
+/// repeat, the memo that serves repeats: the fetched keys in a [`RowTable`], and at
+/// each key's position where its postings lie.
 ///
 /// The columns are normally one *open* segment. An anchor emission (see
 /// [`KeyedLookupOp`]) needs its postings as a shareable [`Batch`], so it *seals* the
@@ -371,16 +434,25 @@ impl<'db> PostingArena<'db> {
     }
 
     /// Append the distinct `positions`-projections of a key's `tuples` — two or more —
-    /// to the open segment, in posting order, hash-then-compare deduplicated and
-    /// compacted in place; the tuples read, and where the key's postings now lie.
-    /// Distinct keys cannot produce equal projections as long as the key attributes
-    /// survive in `positions` (lowering adds a global dedup when a pushed-down
-    /// projection dropped them), so per-key dedup suffices.
-    fn append(&mut self, tuples: FetchIter<'_>, positions: &[usize]) -> (u64, ArenaRange) {
+    /// less the `elided` columns, to the open segment, in posting order,
+    /// hash-then-compare deduplicated and compacted in place; the tuples read, and where
+    /// the key's postings now lie. Distinct keys cannot produce equal projections as
+    /// long as the key attributes survive in `positions` (lowering adds a global dedup
+    /// when a pushed-down projection dropped them), so per-key dedup suffices; and the
+    /// elided columns are equal across one key's tuples, so leaving them out of the
+    /// comparison keeps the same rows.
+    fn append(
+        &mut self,
+        tuples: FetchIter<'_>,
+        positions: &[usize],
+        elided: Elided,
+    ) -> (u64, ArenaRange) {
         let start = self.rows;
-        let fetched = tuples.project_into(positions, &mut self.cols);
+        let held = positions.iter().enumerate();
+        let held = held.filter(|&(c, _)| !elided.contains(c)).map(|(_, p)| p);
+        let fetched = tuples.project_into(held, &mut self.cols);
         if self.cols.is_empty() {
-            // Every tuple projects to the empty row: the key holds that one row.
+            // Every tuple projects to the key's row: the key holds that one row.
             self.rows += 1;
         } else {
             self.dedup.reset(fetched as usize);
@@ -401,7 +473,7 @@ impl<'db> PostingArena<'db> {
         (fetched, range)
     }
 
-    /// The value at row `j`, fetched position `c` of `range`.
+    /// The value at row `j`, arena column `c`, of `range`.
     fn value(&self, range: ArenaRange, j: usize, c: usize) -> &Value {
         match self.sealed.get(range.segment) {
             Some(batch) => batch.value(range.start + j, c),
@@ -483,6 +555,10 @@ pub(crate) struct KeyedLookupOp<'db> {
     /// Whether the arena's memo is kept: false when the plan proves the source never
     /// repeats a key ([`KeyedLookupOp::distinct_keys`]).
     memo: bool,
+    /// The fetched columns the arena leaves out: every `X` attribute but one a fused
+    /// emission reads, whose anchor shares the arena's columns as they are. Settled
+    /// with [`KeyedLookupOp::fused_emit`], before the first fetch.
+    elided: Elided,
     /// Arena rows this operator holds on the residency ledger.
     cached_rows: u64,
     /// The session's cross-query cache, probed before the memo. Resolved together
@@ -546,6 +622,7 @@ impl<'db> KeyedLookupOp<'db> {
                 dedup: RowSet::default(),
             },
             memo: true,
+            elided: Elided::default(),
             cached_rows: 0,
             session: None,
             key_scratch,
@@ -575,11 +652,21 @@ impl<'db> KeyedLookupOp<'db> {
         self.arena.find(&self.key_scratch)
     }
 
-    /// The value at row `j`, fetched position `c`, of postings this operator fetched.
-    fn local_value(&self, postings: &Postings<'db>, j: usize, c: usize) -> &Value {
+    /// The value at row `j`, fetched position `c`, of postings this operator fetched;
+    /// `key(m)` is value `m` of their probe key, which an [`Elided`] column reads.
+    fn local_value<'v>(
+        &'v self,
+        postings: &'v Postings<'db>,
+        j: usize,
+        c: usize,
+        key: impl Fn(usize) -> &'v Value,
+    ) -> &'v Value {
         match postings {
             Postings::Tuple(Some(tuple)) => &tuple[self.fetch.positions[c]],
-            Postings::Arena(range) => self.arena.value(*range, j, c),
+            Postings::Arena(range) => match self.elided.locate(&self.fetch, c) {
+                Located::Arena(column) => self.arena.value(*range, j, column),
+                Located::Key(m) => key(m),
+            },
             Postings::Tuple(None) | Postings::Cached(_) => {
                 unreachable!("no row {j} of the fetched postings here")
             }
@@ -607,13 +694,15 @@ impl<'db> KeyedLookupOp<'db> {
 
     /// A compact standalone copy of postings this operator fetched into its arena,
     /// projected onto the fused emission when there is one — what a miss of two or more
-    /// tuples inserts into the session cache. Cache maintenance, off the cache-off path,
-    /// so its clones are not `values_cloned`.
+    /// tuples inserts into the session cache, the key's columns read from the probe key
+    /// in `key_scratch`. Cache maintenance, off the cache-off path, so its clones are not
+    /// `values_cloned`.
     fn copy_out(&self, postings: &Postings<'db>) -> Batch {
+        let key = |m: usize| &self.key_scratch.values()[m];
         let column = |k: usize| -> Vec<Value> {
             let c = self.stored_col(k);
             let rows = 0..postings.len();
-            rows.map(|j| self.local_value(postings, j, c).clone())
+            rows.map(|j| self.local_value(postings, j, c, key).clone())
                 .collect()
         };
         let columns = (0..self.stored_width()).map(column).collect();
@@ -635,6 +724,18 @@ impl<'db> KeyedLookupOp<'db> {
                 }
             }
         }
+        // An anchor shares the arena's columns, so those its emission reads are held.
+        let emitted = |c| {
+            let fused = self.fused_emit.is_some();
+            fused && (0..self.stored_width()).any(|k| self.stored_col(k) == c)
+        };
+        self.elided = Elided::of(&self.fetch, emitted);
+        let held = self.fetch.positions.len() - self.elided.len();
+        let mut state = self.state.borrow_mut();
+        for column in self.arena.cols.drain(held..) {
+            state.pool.put_values(column);
+        }
+        drop(state);
         // The fused pre-projection is baked into cached batches, so it is part of
         // the session-cache entry shape — resolve the operator's space only now
         // that it is settled.
@@ -733,12 +834,12 @@ impl<'db> KeyedLookupOp<'db> {
         self.tally.index_lookups += 1;
         let mut tuples = self.pass.resolved[p].clone();
         if tuples.len() <= 1 {
-            self.fetch.fetched(&self.state, tuples.len() as u64);
+            self.tally.fetched(tuples.len() as u64);
             return Postings::Tuple(tuples.next());
         }
-        let (fetched, range) = self.arena.append(tuples, self.fetch.positions);
-        self.tally.values_cloned += fetched * self.fetch.positions.len() as u64;
-        self.fetch.fetched(&self.state, fetched);
+        let (fetched, range) = self.arena.append(tuples, self.fetch.positions, self.elided);
+        self.tally.values_cloned += fetched * self.arena.cols.len() as u64;
+        self.tally.fetched(fetched);
         self.state.borrow_mut().acquire(range.len as u64);
         self.cached_rows += range.len as u64;
         Postings::Arena(range)
@@ -746,7 +847,8 @@ impl<'db> KeyedLookupOp<'db> {
 
     /// Move the probes' tally into the shared statistics.
     fn flush_tally(&mut self) {
-        self.tally.flush(&mut self.state.borrow_mut().stats);
+        self.tally
+            .flush(self.fetch.step, &mut self.state.borrow_mut());
     }
 
     /// An anchor emission of more than [`BATCH_SIZE`] rows cut into slices of that
@@ -858,7 +960,11 @@ impl Operator for KeyedLookupOp<'_> {
                     Postings::Cached(cached) => Some((*cached).clone()),
                     Postings::Arena(range) => {
                         let sealed = self.arena.seal(range);
-                        Some(sealed.project_map(self.stored_width(), |k| self.stored_col(k)))
+                        let column = |k| match self.elided.locate(&self.fetch, self.stored_col(k)) {
+                            Located::Arena(column) => column,
+                            Located::Key(_) => unreachable!("an anchor's columns are held"),
+                        };
+                        Some(sealed.project_map(self.stored_width(), column))
                     }
                     tuple => {
                         found.push(Found::Held(tuple));
@@ -886,9 +992,12 @@ impl Operator for KeyedLookupOp<'_> {
                     self.emit(&batch, i, cached.len(), |j, c| cached.value(j, c), &mut out)
                 }
                 // What this operator fetched holds the raw fetched positions; a fused
-                // emission reads them through its projection.
+                // emission reads them through its projection, and an elided one is the
+                // source row's key.
                 fetched => {
-                    let value = |j, c: usize| self.local_value(&fetched, j, self.stored_col(c));
+                    let key = |m: usize| batch.value(i, self.fetch.key_cols[m]);
+                    let value =
+                        |j, c: usize| self.local_value(&fetched, j, self.stored_col(c), key);
                     self.emit(&batch, i, fetched.len(), value, &mut out)
                 }
             };
@@ -1050,9 +1159,9 @@ pub(crate) mod tests {
         // What a ticket prices this lookup at: the bound, once per distinct key.
         assert!(stats.tuples_fetched <= stats.index_lookups * BOUND);
         assert_eq!(stats.fetch_ops, 1);
-        // 6 probe keys + key 1's 3 tuples × 3 positions (key 2's one tuple is read in
-        // place) + 11 emitted rows × 4 columns.
-        assert_eq!(stats.values_cloned, 6 + 9 + 44);
+        // 6 probe keys + key 1's 3 tuples × 2 positions besides the key `k` (key 2's one
+        // tuple is read in place) + 11 emitted rows × 4 columns.
+        assert_eq!(stats.values_cloned, 6 + 6 + 44);
         assert_eq!(
             h.ledger.peak(),
             3,
@@ -1142,10 +1251,71 @@ pub(crate) mod tests {
         let stats = h.stats();
         assert_eq!(stats.index_lookups, 2, "the sealed key is never re-fetched");
         assert_eq!(stats.tuples_fetched, 4);
-        // 4 probe keys + key 1's 3 tuples × 2 positions + the gathered batch's 3 rows ×
-        // 1 column; the two anchor emissions clone nothing.
-        assert_eq!(stats.values_cloned, 4 + 6 + 3);
+        // 4 probe keys + key 1's 3 tuples × 1 position besides the key `k` + the
+        // gathered batch's 3 rows × 1 column; the two anchor emissions clone nothing.
+        assert_eq!(stats.values_cloned, 4 + 3 + 3);
         assert_eq!(h.ledger.resident(), 0);
+    }
+
+    #[test]
+    fn a_multi_tuple_anchor_copies_only_the_positions_besides_the_key() {
+        let idb = store();
+        // Key 1's three tuples through an anchor: a fused projection onto `(v, w)`
+        // leaves the key `k` out of the arena, one onto `(k, w)` keeps it there, since
+        // the emission shares the arena's columns.
+        for (out_cols, held) in [(&[2, 3][..], 2), (&[1, 3][..], 3)] {
+            let h = Harness::new();
+            let pulls = vec![Ok(ints(&[&[1]]))];
+            let mut op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), Some(out_cols));
+            let rows = drain(&mut op).concat();
+            let expected = [[1, 10, 100], [1, 10, 101], [1, 11, 100]]
+                .map(|tuple| out_cols.iter().map(|&c| tuple[c - 1]).collect::<Vec<_>>());
+            assert_eq!(rows, expected, "columns {out_cols:?}");
+            let stats = h.stats();
+            assert_eq!(stats.tuples_fetched, 3);
+            // One probe key + 3 fetched tuples × the positions held; the anchor
+            // emission clones nothing.
+            assert_eq!(stats.values_cloned, 1 + 3 * held, "columns {out_cols:?}");
+        }
+    }
+
+    #[test]
+    fn a_residual_and_the_emission_read_an_elided_key_from_the_source_row() {
+        let idb = store();
+        // Combined row: source (k, x), fetched (k, v, w). The residual compares the
+        // fetched `k` with a constant and `x` with the fetched `v`, and the emission
+        // keeps the fetched `k` beside `w`: the arena holds `(v, w)` only.
+        let residual = vec![
+            Predicate::ColEqConst(2, Value::int(1)),
+            Predicate::ColEqCol(1, 3),
+        ];
+        for cold in [false, true] {
+            let h = Harness::new();
+            if cold {
+                h.state.borrow_mut().cache = Some(Arc::new(SessionFetchCache::new(1_000)));
+            }
+            let pulls = vec![Ok(ints(&[&[1, 10], &[2, 20], &[1, 11]]))];
+            let mut op = h.lookup(&idb, pulls, &[0, 1, 2], residual.clone(), Some(&[2, 4]));
+            assert_eq!(
+                drain(&mut op),
+                [[[1, 100], [1, 101], [1, 100]].map(Vec::from)],
+                "cold {cold}"
+            );
+            let stats = h.stats();
+            // 3 probe keys + key 1's 3 tuples × (v, w) + 3 emitted rows × 2 columns.
+            assert_eq!(stats.values_cloned, 3 + 3 * 2 + 3 * 2, "cold {cold}");
+            if cold {
+                // The cached copy holds every fetched column, the key's included.
+                let cache = h.state.borrow().cache.clone().unwrap();
+                let space = op.session.as_ref().unwrap().space;
+                let key = HashedRow::new(vec![Value::int(1)]);
+                let Some(Cached::Rows(rows)) = cache.lookup(space, &key) else {
+                    panic!("key 1's rows are cached");
+                };
+                assert_eq!(rows.arity(), 3);
+                assert!((0..rows.len()).all(|j| rows.value(j, 0) == &Value::int(1)));
+            }
+        }
     }
 
     #[test]
@@ -1285,8 +1455,9 @@ pub(crate) mod tests {
                 // Only key 1's three rows are ever held.
                 assert_eq!((off.2, cold.2), (3, 3), "{corner}");
                 if out_cols.is_none() {
-                    // 8 probe keys + key 1's 3 tuples × 3 positions + 12 rows × 4.
-                    assert_eq!(stats.values_cloned, 8 + 9 + 48, "{corner}");
+                    // 8 probe keys + key 1's 3 tuples × 2 positions besides the key
+                    // + 12 rows × 4.
+                    assert_eq!(stats.values_cloned, 8 + 6 + 48, "{corner}");
                     assert_eq!(cold_stats.values_cloned, stats.values_cloned);
                     per_feed.push(off);
                 }

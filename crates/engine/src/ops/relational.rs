@@ -144,9 +144,9 @@ impl Operator for UnionOp<'_> {
     }
 }
 
-/// The product `input × {value}`: each input batch's rows gathered into pooled columns
-/// with `value` appended, one O(1) clone per output value. It holds no row between
-/// batches, so it has nothing to release.
+/// The product `input × {value}`: each input batch with `value` appended as one more
+/// column ([`Batch::append_const`]) — its columns and selection shared, one O(1) clone
+/// per row. It holds no row between batches, so it has nothing to release.
 pub(crate) struct AppendConstOp<'db> {
     input: BoxOp<'db>,
     value: Value,
@@ -168,16 +168,10 @@ impl Operator for AppendConstOp<'_> {
         let Some(batch) = self.input.next_batch()? else {
             return Ok(None);
         };
-        let (rows, arity) = (batch.len(), batch.arity());
         let mut state = self.state.borrow_mut();
-        let mut out: Vec<Vec<Value>> = (0..=arity).map(|_| state.pool.get_values()).collect();
-        let (left, appended) = out.split_at_mut(arity);
-        for i in 0..rows {
-            batch.append_row_to(i, left);
-        }
-        appended[0].resize(rows, self.value.clone());
-        state.stats.values_cloned += (rows * (arity + 1)) as u64;
-        Ok(Some(Batch::from_dense(out, rows)))
+        let column = state.pool.get_values();
+        state.stats.values_cloned += batch.len() as u64;
+        Ok(Some(batch.append_const(&self.value, column)))
     }
 }
 
@@ -256,8 +250,8 @@ mod tests {
         assert_eq!(out[1].row(0), row);
         assert_eq!(
             h.stats().values_cloned,
-            400 * 3,
-            "one clone per output value"
+            400,
+            "one clone per row, of the constant"
         );
         assert_eq!(h.ledger.peak(), 0, "no row is held");
         assert!(

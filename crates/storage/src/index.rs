@@ -9,12 +9,21 @@
 //! configurations), so they are part of the contract, independent of the hash function
 //! and of the layout below.
 //!
-//! Every index keeps `slots`: an open-addressing table (linear probing, power-of-two
-//! size, at most half full) from key hash to group number. What else it keeps to map a
-//! group to its tuples depends on how the tuples lie, which the build reads off their
-//! order:
+//! An index finds a key's group through its *key map*, and a group's tuples through its
+//! *layout*; the build reads both off the keys and their order. The key map:
 //!
-//! | layout | when | kept besides `slots` | group `g` is |
+//! | key map | when | kept | a probe's group is |
+//! |---|---|---|---|
+//! | dense | the key is one attribute, and group `g`'s key is the integer `base + g` | `base` | its key less `base`, if that is one integer in `0 .. groups` |
+//! | hashed | otherwise | `slots` | where its slot walk ends |
+//!
+//! `slots` is an open-addressing table (linear probing, power-of-two size, at most half
+//! full) from key hash to group number. Over keys that are the consecutive integers
+//! `base, base + 1, …` in first-occurrence order it would only restate `key − base`,
+//! so such an index keeps no table and hashes nothing; any probe that is not one
+//! integer in range is absent. The layout:
+//!
+//! | layout | when | kept besides the key map | group `g` is |
 //! |---|---|---|---|
 //! | unique | every key has one tuple | nothing | tuple `g` |
 //! | clustered | each key's tuples are one contiguous run | `starts` | tuples `starts[g] .. starts[g + 1]` |
@@ -24,8 +33,9 @@
 //! relation it would be the identity `0, 1, 2, …`, and in a unique one so would
 //! `starts`: an array that only restates tuple order is not stored. The accidents
 //! instance arrives clustered (accidents by date, casualties by accident) and keyed by
-//! ids, so none of ψ1–ψ4 keeps `postings`, and ψ3 and ψ4 keep nothing but `slots`.
-//! An unclustered relation keeps all three arrays.
+//! ids numbered in insertion order, so none of ψ1–ψ4 keeps `postings` and only ψ1,
+//! keyed by date strings, keeps `slots`: ψ2 keeps its `starts`, and ψ3 and ψ4 keep
+//! nothing at all. An unclustered relation over arbitrary keys keeps all three arrays.
 //!
 //! **Keys are not stored.** A group's key is the `X`-projection of its first tuple,
 //! which the relation already holds, so comparing a probe key reads a tuple the fetch
@@ -33,23 +43,26 @@
 //!
 //! # Cost model
 //!
-//! Per distinct key 8–16 B of `slots` (2–4 slots of 4 B); a clustered or general index
-//! adds 4 B of `starts` per key, a general one 4 B of `postings` per tuple. So a unique
-//! key costs 8–16 B per tuple, a clustered one 12–20 B per key and nothing per tuple,
-//! and a general one 4 B per tuple besides its keys — against ≈110 B per key for a
-//! `HashMap<Row, Vec<u32>>` that owns a cloned key and a posting `Vec` per entry. A
-//! probe is one hash of the key, a slot walk (expected < 1.5 slots at load ≤ ½), the
-//! reads that find each visited group's first tuple, and one key comparison per visited
-//! group; a hit returns the group's [`Offsets`]: a run of tuples, or a slice of
-//! `postings`.
+//! A hashed key map costs 8–16 B per distinct key (2–4 slots of 4 B), a dense one
+//! nothing; a clustered or general layout adds 4 B of `starts` per key, a general one 4
+//! B of `postings` per tuple. So a hashed unique key costs 8–16 B per tuple, a hashed
+//! clustered one 12–20 B per key and nothing per tuple, and a general one 4 B per tuple
+//! besides its keys; a dense unique index costs nothing per tuple and a dense clustered
+//! one 4 B per key — against ≈110 B per key for a `HashMap<Row, Vec<u32>>` that owns a
+//! cloned key and a posting `Vec` per entry. A hashed probe is one hash of the key, a
+//! slot walk (expected < 1.5 slots at load ≤ ½), the reads that find each visited
+//! group's first tuple, and one key comparison per visited group; a dense probe is a
+//! subtraction and a range check. A hit returns the group's [`Offsets`]: a run of
+//! tuples, or a slice of `postings`.
 //!
-//! Each of those reads needs the one before it. The probe chain is slot → tuple
+//! Each of those reads needs the one before it. The hashed probe chain is slot → tuple
 //! (unique), slot → start → tuple (clustered) or slot → start → posting → tuple
-//! (general). A *warm* probe, its lines cached, costs tens of nanoseconds; a *cold* one
-//! pays one cache miss per link in a row, and at 10⁶ tuples nearly every probe of a
-//! data-dependent lookup is cold (Q0's ψ3 lookup, ≈300 keys of `Accident` by `aid`,
-//! took ≈106 µs cold against ≈57 µs warm on a 2-core Xeon VM, through the general
-//! chain's four links).
+//! (general); a dense one starts at the start, or at the tuple. A *warm* probe, its
+//! lines cached, costs tens of nanoseconds; a *cold* one pays one cache miss per link
+//! in a row, and at 10⁶ tuples nearly every probe of a data-dependent lookup is cold
+//! (Q0's ψ3 lookup, ≈300 keys of `Accident` by `aid`, took ≈106 µs cold against ≈57 µs
+//! warm on a 2-core Xeon VM through the general chain's four links, and its slot walks
+//! over a 2 MB table alone ≈19.5 µs of a 42.7 µs lookup before the key map was dense).
 //!
 //! # Batched walks
 //!
@@ -60,11 +73,19 @@
 //! candidate tuple does not match moves to its next slot and goes round again with the
 //! others still walking. The same lookup went from ≈106 to ≈72 µs cold through the
 //! general chain. [`HashIndex::lookup`] is this walk's one-key case: there is one probe
-//! walk.
+//! walk. A dense index resolves a batch in the same groups, and prefetches for every
+//! probe the line its caller reads next — its start, or its one tuple.
 //!
 //! # Build
 //!
-//! The build hashes each tuple's key once, and keeps per group the hash's low 32 bits
+//! A first pass reads the keys in order and hashes nothing: while each key is one
+//! integer `base + g`, `g` being a group opened so far or the next one, it lays the
+//! groups out as the hashed build below does. If it reaches the end, the index is
+//! dense; the first key that breaks the run (ψ1's first date, a gap, a key below
+//! `base`) ends it, and the hashed build starts over. So a dense relation is never
+//! hashed, and its build allocates nothing beyond the arrays its layout keeps.
+//!
+//! The hashed build hashes each tuple's key once, and keeps per group the hash's low 32 bits
 //! as a tag. A slot whose group's tag differs is passed over without touching the
 //! relation; only a tag match reads the group's first tuple to compare keys, so a tag
 //! filters but never proves. A table past half full doubles and re-slots every group
@@ -155,8 +176,9 @@ fn regrow(slots: &mut Vec<u32>, tags: &[u32], relation: &str) -> Result<()> {
 }
 
 /// The one probe walk: walk probe `k` — hashed `hashes[k]`, in `index` (over
-/// `relation`) — to the first group whose first tuple `is_key(k, tuple)` accepts, or
-/// `None` at the free slot that ends its walk (a table is at most half full).
+/// `relation`) through its slot table `slots` — to the first group whose first tuple
+/// `is_key(k, tuple)` accepts, or `None` at the free slot that ends its walk (a table is
+/// at most half full, and never empty).
 ///
 /// Up to `N` probes walk at once, in rounds of up to four stages — slot, CSR start,
 /// first posting, first tuple (its first key attribute), skipping the middle two where
@@ -166,6 +188,7 @@ fn regrow(slots: &mut Vec<u32>, tags: &[u32], relation: &str) -> Result<()> {
 fn walk<const N: usize>(
     relation: &Relation,
     index: &HashIndex,
+    slots: &[u32],
     hashes: &[u64],
     is_key: impl Fn(usize, &[Value]) -> bool,
 ) -> [Option<u32>; N] {
@@ -176,7 +199,7 @@ fn walk<const N: usize>(
         }
     };
     let (starts, postings) = index.groups.arrays();
-    let mask = index.slots.len() - 1;
+    let mask = slots.len() - 1;
     let (mut found, mut slot) = ([None; N], [0usize; N]);
     // Per probe, its candidate group and, once the stages have read it, that group's
     // first tuple; unique groups are their own first tuple.
@@ -185,13 +208,13 @@ fn walk<const N: usize>(
     let (mut todo, mut live): ([usize; N], usize) = (std::array::from_fn(|k| k), hashes.len());
     for k in 0..live {
         slot[k] = hashes[k] as usize & mask;
-        prefetch(&index.slots, slot[k]);
+        prefetch(slots, slot[k]);
     }
     while live > 0 {
         let mut kept = 0;
         for t in 0..live {
             let k = todo[t];
-            group[k] = index.slots[slot[k]];
+            group[k] = slots[slot[k]];
             first[k] = group[k];
             if group[k] != EMPTY {
                 match starts {
@@ -225,7 +248,7 @@ fn walk<const N: usize>(
                 found[k] = Some(group[k]);
             } else {
                 slot[k] = (slot[k] + 1) & mask;
-                prefetch(&index.slots, slot[k]);
+                prefetch(slots, slot[k]);
                 todo[kept] = k;
                 kept += 1;
             }
@@ -255,23 +278,43 @@ impl<'p> Probes<'p> {
 }
 
 /// Resolve every probe in `index` (over `relation`, on the probes' key attributes),
-/// [`GROUP`] at a time through [`walk`]: `emit` receives each probe's offsets, empty
-/// if its key is absent, in probe order.
+/// [`GROUP`] at a time: `emit` receives each probe's offsets, empty if its key is
+/// absent, in probe order. A hashed index walks each group of probes through [`walk`];
+/// a dense one finds every probe's group by arithmetic and prefetches the line that
+/// turning it into offsets, or the caller, reads next — the group's CSR start, or its
+/// one tuple — so those misses overlap too.
 pub(crate) fn resolve_each<'a>(
     relation: &Relation,
     index: &'a HashIndex,
     probes: Probes<'_>,
     mut emit: impl FnMut(Offsets<'a>),
 ) {
-    for base in (0..probes.hashes.len()).step_by(GROUP) {
-        let hashes = &probes.hashes[base..probes.hashes.len().min(base + GROUP)];
-        debug_assert!((0..hashes.len()).all(|k| hashes[k] == hash_row(probes.key(base + k))));
-        let is_key = |k: usize, tuple: &[Value]| {
-            let key = index.key_attrs.iter().map(|&attr| &tuple[attr]);
-            key.eq(probes.key(base + k))
+    let count = probes.hashes.len();
+    for base in (0..count).step_by(GROUP) {
+        let len = GROUP.min(count - base);
+        let found: [Option<u32>; GROUP] = match &index.keys {
+            KeyMap::Dense { base: key_base } => std::array::from_fn(|k| {
+                if k >= len {
+                    return None;
+                }
+                let group = index.dense_group(*key_base, probes.key(base + k))?;
+                match index.groups.arrays() {
+                    (Some(starts), _) => prefetch(starts, group as usize),
+                    (None, _) => prefetch(relation.tuple(group as usize), 0),
+                }
+                Some(group)
+            }),
+            KeyMap::Hashed { slots } => {
+                let hashes = &probes.hashes[base..base + len];
+                debug_assert!((0..len).all(|k| hashes[k] == hash_row(probes.key(base + k))));
+                let is_key = |k: usize, tuple: &[Value]| {
+                    let key = index.key_attrs.iter().map(|&attr| &tuple[attr]);
+                    key.eq(probes.key(base + k))
+                };
+                walk(relation, index, slots, hashes, is_key)
+            }
         };
-        let found: [_; GROUP] = walk(relation, index, hashes, is_key);
-        for found in found.into_iter().take(hashes.len()) {
+        for found in found.into_iter().take(len) {
             emit(found.map_or_else(Offsets::default, |group| index.group(group as usize)));
         }
     }
@@ -453,71 +496,131 @@ impl Seen {
     }
 }
 
+/// How a probe key finds its group; see the module docs.
+#[derive(Debug, Clone)]
+enum KeyMap {
+    /// The key is one attribute and group `g`'s key is `Value::Int(base + g)`: a
+    /// probe's group is its key less `base`.
+    Dense { base: i64 },
+    /// An open-addressing table from key hash to group number, never empty.
+    Hashed { slots: Vec<u32> },
+}
+
 /// A hash index over one relation, keyed on a set of attribute positions. See the
 /// module docs for the layouts.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     key_attrs: Vec<usize>,
     groups: Groups,
-    slots: Vec<u32>,
+    keys: KeyMap,
+}
+
+/// The dense pre-pass of [`HashIndex::build`]: when the key is one attribute and every
+/// tuple's key is the integer `base + g`, `g` being a group opened so far or the next
+/// one, `base` and the layout those groups take; `None` at the first tuple that breaks
+/// this. Hashes nothing.
+fn dense(relation: &Relation, key_attrs: &[usize], tuples: u32) -> Option<(i64, Seen)> {
+    let &[attr] = key_attrs else {
+        return None;
+    };
+    let (mut base, mut groups, mut seen) = (0, 0u32, Seen::Unique);
+    for offset in 0..tuples {
+        let Value::Int(key) = relation.tuple(offset as usize)[attr] else {
+            return None;
+        };
+        if offset == 0 {
+            base = key;
+        }
+        let group = u32::try_from(key.checked_sub(base)?).ok()?;
+        if group == groups {
+            seen.open(group, offset);
+            groups += 1;
+        } else if group < groups {
+            seen.join(group, offset, groups, tuples);
+        } else {
+            return None;
+        }
+    }
+    Some((base, seen))
+}
+
+/// The hashed build of [`HashIndex::build`]: the slot table and the layout of the
+/// groups, numbered by first occurrence.
+fn hashed(relation: &Relation, key_attrs: &[usize], tuples: u32) -> Result<(Vec<u32>, Seen)> {
+    let key = |offset: u32| {
+        let tuple = relation.tuple(offset as usize);
+        key_attrs.iter().map(move |&attr| &tuple[attr])
+    };
+    let mut slots = vec![EMPTY; 2];
+    // Per group, the tag; the group's first tuple, the stand-in for its key, is what
+    // `seen` says it is. Freed on return, before `finish` allocates a general layout's
+    // `starts` and `postings`.
+    let mut tags: Vec<u32> = Vec::new();
+    let mut seen = Seen::Unique;
+    for offset in 0..tuples {
+        let hash = hash_row(key(offset));
+        let mut slot = hash as usize & (slots.len() - 1);
+        loop {
+            let group = slots[slot];
+            let groups = tags.len() as u32;
+            if group == EMPTY {
+                // A new key: the next group number, standing on this tuple.
+                slots[slot] = groups;
+                tags.push(hash as u32);
+                seen.open(groups, offset);
+                if tags.len() * 2 > slots.len() {
+                    regrow(&mut slots, &tags, relation.name())?;
+                }
+                break;
+            }
+            if tags[group as usize] == hash as u32 && key(seen.first(group)).eq(key(offset)) {
+                seen.join(group, offset, groups, tuples);
+                break;
+            }
+            slot = (slot + 1) & (slots.len() - 1);
+        }
+    }
+    Ok((slots, seen))
 }
 
 impl HashIndex {
     /// Build an index on `key_attrs` (sorted attribute positions) over a relation.
     ///
-    /// One pass numbers the keys, hashing each tuple's key once. A group keeps the low
-    /// 32 bits of its key's hash as a tag, so a slot whose tag differs is passed over
+    /// A first pass reads the keys in order and stops at the first that is not the next
+    /// of a run of consecutive integers (see the module docs); if none is, the index
+    /// is dense, that pass has laid out its groups, and nothing is hashed. Otherwise one
+    /// pass numbers the keys, hashing each tuple's key once. A group keeps the low 32
+    /// bits of its key's hash as a tag, so a slot whose tag differs is passed over
     /// unread: the relation is read only on a tag match, to compare the key with the
     /// group's first tuple. A table more than half full doubles, and its groups are
     /// re-slotted from their tags in group order — so the slots end as if every group
-    /// had gone, in group order, into a table of the final size. The same pass tells
-    /// the layout from the order of the keys and materializes `starts`, and the
-    /// per-tuple group numbers that fill `postings`, only at the first tuple whose
-    /// layout needs them (see the module docs).
+    /// had gone, in group order, into a table of the final size. Either pass tells the
+    /// layout from the order of the keys and materializes `starts`, and the per-tuple
+    /// group numbers that fill `postings`, only at the first tuple whose layout needs
+    /// them (see the module docs).
     ///
-    /// Fails past 2³¹ keys, whose table would need more slot bits than a tag keeps, and
-    /// past [`u32::MAX`] tuples, which 32-bit postings cannot address.
+    /// Fails past 2³¹ hashed keys, whose table would need more slot bits than a tag
+    /// keeps, and past [`u32::MAX`] tuples, which 32-bit postings cannot address.
     pub fn build(relation: &Relation, key_attrs: &[usize]) -> Result<Self> {
         let tuples = offset_bound(relation.name(), relation.len())?;
-        let key = |offset: u32| {
-            let tuple = relation.tuple(offset as usize);
-            key_attrs.iter().map(move |&attr| &tuple[attr])
-        };
-        let mut slots = vec![EMPTY; 2];
-        // Per group, the tag; the group's first tuple, the stand-in for its key, is
-        // what `seen` says it is.
-        let mut tags: Vec<u32> = Vec::new();
-        let mut seen = Seen::Unique;
-        for offset in 0..tuples {
-            let hash = hash_row(key(offset));
-            let mut slot = hash as usize & (slots.len() - 1);
-            loop {
-                let group = slots[slot];
-                let groups = tags.len() as u32;
-                if group == EMPTY {
-                    // A new key: the next group number, standing on this tuple.
-                    slots[slot] = groups;
-                    tags.push(hash as u32);
-                    seen.open(groups, offset);
-                    if tags.len() * 2 > slots.len() {
-                        regrow(&mut slots, &tags, relation.name())?;
-                    }
-                    break;
-                }
-                if tags[group as usize] == hash as u32 && key(seen.first(group)).eq(key(offset)) {
-                    seen.join(group, offset, groups, tuples);
-                    break;
-                }
-                slot = (slot + 1) & (slots.len() - 1);
+        let (keys, seen) = match dense(relation, key_attrs, tuples) {
+            Some((base, seen)) => (KeyMap::Dense { base }, seen),
+            None => {
+                let (slots, seen) = hashed(relation, key_attrs, tuples)?;
+                (KeyMap::Hashed { slots }, seen)
             }
-        }
-        // Freed before `finish` allocates a general layout's `starts` and `postings`.
-        drop(tags);
+        };
         Ok(Self {
             key_attrs: key_attrs.to_vec(),
             groups: seen.finish(tuples),
-            slots,
+            keys,
         })
+    }
+
+    /// Whether probes find their group by arithmetic: the key is one attribute whose
+    /// values, group by group in first-occurrence order, are consecutive integers.
+    pub fn is_dense(&self) -> bool {
+        matches!(self.keys, KeyMap::Dense { .. })
     }
 
     /// The attribute positions forming the key.
@@ -529,9 +632,26 @@ impl HashIndex {
     /// whose key equals `key` (empty if none), in insertion order: the batched walk's
     /// one-key case.
     pub fn lookup(&self, relation: &Relation, key: &[Value]) -> Offsets<'_> {
-        let is_key = |_, tuple: &[Value]| self.key_attrs.iter().map(|&a| &tuple[a]).eq(key);
-        let [found] = walk(relation, self, &[hash_row(key)], is_key);
+        let found = match &self.keys {
+            KeyMap::Dense { base } => self.dense_group(*base, key),
+            KeyMap::Hashed { slots } => {
+                let is_key = |_, tuple: &[Value]| self.key_attrs.iter().map(|&a| &tuple[a]).eq(key);
+                let [found] = walk(relation, self, slots, &[hash_row(key)], is_key);
+                found
+            }
+        };
         found.map_or_else(Offsets::default, |group| self.group(group as usize))
+    }
+
+    /// The group of `key` in a dense index whose first key is `base`: `key` less `base`,
+    /// if `key` is one integer and that is a group. Overflow-safe: a key whose distance
+    /// from `base` does not fit is absent.
+    fn dense_group(&self, base: i64, key: &[Value]) -> Option<u32> {
+        let &[Value::Int(key)] = key else {
+            return None;
+        };
+        let group = u32::try_from(key.checked_sub(base)?).ok()?;
+        ((group as usize) < self.num_keys()).then_some(group)
     }
 
     fn group(&self, group: usize) -> Offsets<'_> {
@@ -573,12 +693,15 @@ impl HashIndex {
         (0..self.num_keys()).map(|group| self.group(group))
     }
 
-    /// Bytes the index occupies: the `u32` arrays its layout keeps plus the key
-    /// positions.
+    /// Bytes the index occupies: the `u32` arrays its layout and its key map keep, plus
+    /// the key positions.
     pub fn bytes(&self) -> u64 {
         let (starts, postings) = self.groups.arrays();
-        let words =
-            self.slots.len() + starts.map_or(0, <[u32]>::len) + postings.map_or(0, <[u32]>::len);
+        let slots = match &self.keys {
+            KeyMap::Dense { .. } => 0,
+            KeyMap::Hashed { slots } => slots.len(),
+        };
+        let words = slots + starts.map_or(0, <[u32]>::len) + postings.map_or(0, <[u32]>::len);
         (words * 4 + std::mem::size_of_val(self.key_attrs.as_slice())) as u64
     }
 }
@@ -659,12 +782,46 @@ pub(crate) mod tests {
         }
     }
 
+    /// The slot table of a hashed index.
+    fn slots(index: &HashIndex) -> &[u32] {
+        match &index.keys {
+            KeyMap::Hashed { slots } => slots,
+            KeyMap::Dense { .. } => panic!("a dense index has no slots"),
+        }
+    }
+
+    /// The index [`HashIndex::build`] gives where the dense pre-pass is skipped: the
+    /// hashed layout of any relation, dense or not.
+    fn hashed_twin(relation: &Relation, key_attrs: &[usize]) -> HashIndex {
+        let tuples = relation.len() as u32;
+        let (slots, seen) = hashed(relation, key_attrs, tuples).unwrap();
+        HashIndex {
+            key_attrs: key_attrs.to_vec(),
+            groups: seen.finish(tuples),
+            keys: KeyMap::Hashed { slots },
+        }
+    }
+
+    /// The first key, if the keys `order` lists (first occurrence first) are one integer
+    /// each, and consecutive: the index over them must be dense. `Some(0)` for no keys.
+    fn dense_base(order: &[Row], key_attrs: &[usize]) -> Option<i64> {
+        let ints = order.iter().map(|key| match key[..] {
+            [Value::Int(k)] => Some(k),
+            _ => None,
+        });
+        let ints: Vec<i64> = ints.collect::<Option<_>>()?;
+        let consecutive = ints.windows(2).all(|w| w[0].checked_add(1) == Some(w[1]));
+        (key_attrs.len() == 1 && consecutive).then(|| ints.first().copied().unwrap_or(0))
+    }
+
     /// Same key set, same postings, same order — inside every list and across keys —
-    /// and the same slot table too: each group's key hash inserted, in group order, by
-    /// linear probing into `max(2, (2·groups).next_power_of_two())` slots. The layout is
-    /// the one the reference's lists call for, and it keeps exactly the arrays that
-    /// layout names: a general index today's CSR `postings` and `starts`, a clustered
-    /// one the `starts` of its runs. Returns the index.
+    /// and the same key map too: dense from the first key exactly when the keys are
+    /// consecutive integers in group order, and otherwise each group's key hash
+    /// inserted, in group order, by linear probing into `max(2,
+    /// (2·groups).next_power_of_two())` slots. The layout is the one the reference's
+    /// lists call for, and it keeps exactly the arrays that layout names: a general
+    /// index today's CSR `postings` and `starts`, a clustered one the `starts` of its
+    /// runs. Returns the index.
     fn assert_equals_reference(relation: &Relation, key_attrs: &[usize]) -> HashIndex {
         let index = HashIndex::build(relation, key_attrs).unwrap();
         let (map, order) = reference(relation, key_attrs);
@@ -724,16 +881,29 @@ pub(crate) mod tests {
                 assert!(postings.iter().eq(lists.iter().copied().flatten()));
             }
         }
+        if let KeyMap::Dense { base } = index.keys {
+            assert_eq!(
+                dense_base(&order, key_attrs),
+                Some(base),
+                "a dense index's base"
+            );
+            return index;
+        }
+        assert_eq!(
+            dense_base(&order, key_attrs),
+            None,
+            "consecutive keys are dense"
+        );
         let mask = (2 * order.len()).next_power_of_two().max(2) - 1;
-        let mut slots = vec![EMPTY; mask + 1];
+        let mut expected = vec![EMPTY; mask + 1];
         for (group, key) in (0..).zip(&order) {
             let mut slot = hash_row(key) as usize & mask;
-            while slots[slot] != EMPTY {
+            while expected[slot] != EMPTY {
                 slot = (slot + 1) & mask;
             }
-            slots[slot] = group;
+            expected[slot] = group;
         }
-        assert_eq!(index.slots, slots, "the slot table's layout");
+        assert_eq!(slots(&index), expected, "the slot table's layout");
         index
     }
 
@@ -762,38 +932,205 @@ pub(crate) mod tests {
     #[test]
     fn the_key_order_picks_the_layout() {
         use Layout::{Clustered, General, Unique};
-        let cases: [(&str, &[i64], &[usize], Layout); 10] = [
-            ("unique", &[4, 1, 3, 2, 9], &[0], Unique),
-            ("clustered", &[7, 7, 2, 5, 5, 5, 1], &[0], Clustered),
-            ("clustered, a run of one first", &[3, 4, 4], &[0], Clustered),
+        /// A name, the keys, the key attributes, the layout and whether it is dense.
+        type Case = (&'static str, &'static [i64], &'static [usize], Layout, bool);
+        let cases: [Case; 13] = [
+            ("unique", &[4, 1, 3, 2, 9], &[0], Unique, false),
+            ("clustered", &[7, 7, 2, 5, 5, 5, 1], &[0], Clustered, false),
+            (
+                "clustered, a run of one first",
+                &[3, 5, 5],
+                &[0],
+                Clustered,
+                false,
+            ),
             (
                 "clustered until its last tuple",
                 &[7, 7, 2, 5, 5, 7],
                 &[0],
                 General,
+                false,
             ),
-            ("unique until one repeat", &[4, 1, 3, 2, 1], &[0], General),
+            (
+                "unique until one repeat",
+                &[4, 1, 3, 2, 1],
+                &[0],
+                General,
+                false,
+            ),
             (
                 "unique until it repeats its last key",
                 &[4, 1, 3, 3],
                 &[0],
                 Clustered,
+                false,
             ),
-            ("a key recurring after another", &[6, 8, 6], &[0], General),
-            ("empty", &[], &[0], Unique),
-            ("empty key", &[6, 8, 6], &[], Clustered),
-            ("empty key, one tuple", &[6], &[], Unique),
+            (
+                "a key recurring after another",
+                &[6, 8, 6],
+                &[0],
+                General,
+                false,
+            ),
+            ("empty", &[], &[0], Unique, true),
+            ("empty key", &[6, 8, 6], &[], Clustered, false),
+            ("empty key, one tuple", &[6], &[], Unique, false),
+            ("dense unique", &[-2, -1, 0, 1, 2], &[0], Unique, true),
+            (
+                "dense clustered",
+                &[3, 4, 4, 5, 5, 5],
+                &[0],
+                Clustered,
+                true,
+            ),
+            (
+                "dense, a key recurring after another",
+                &[6, 7, 6],
+                &[0],
+                General,
+                true,
+            ),
         ];
-        for (case, keys, key_attrs, expected) in cases {
+        for (case, keys, key_attrs, expected, dense) in cases {
             let r = keyed(keys);
             let index = assert_equals_reference(&r, key_attrs);
             assert_eq!(layout(&index), expected, "{case}");
+            assert_eq!(index.is_dense(), dense, "{case}");
             let (_, present) = reference(&r, key_attrs);
             for total in [0, 1, GROUP + 3] {
                 let probes = probe_mix(total as u64 + 1, &present, key_attrs.len(), total);
                 assert_batch_equals_lookups(&index, &r, &probes);
             }
             assert_batch_equals_lookups(&index, &r, &present);
+        }
+    }
+
+    /// A relation `R(a, b)` of `rows` tuples whose `a` keys start at `base` (at most
+    /// `i64::MAX - rows`, so no key overflows), each key opening the next group or
+    /// repeating an earlier one — the last one most often — so the keys are dense, until
+    /// the seeded tuple where `deviation` breaks them: 1 skips a key, 2 goes below
+    /// `base` (wrapping past `i64::MIN` to `i64::MAX`), 3 is not an integer, and 0 never
+    /// breaks them. `b` numbers the tuples.
+    fn near_dense(seed: u64, base: i64, rows: usize, deviation: u64) -> Relation {
+        let mut next = xorshift(seed);
+        let at = next() as usize % rows.max(1);
+        let mut r = Relation::new(RelationSchema::new("R", ["a", "b"]).unwrap());
+        let mut groups = 0i64;
+        for i in 0..rows {
+            let a = match (i == at, deviation) {
+                (true, 1) => Value::int(base + groups + 1),
+                (true, 2) => Value::int(base.wrapping_sub(1)),
+                (true, 3) => Value::str(format!("{}", base + groups)),
+                _ if groups == 0 || next().is_multiple_of(3) => {
+                    groups += 1;
+                    Value::int(base + groups - 1)
+                }
+                _ if next().is_multiple_of(4) => Value::int(base + (next() % groups as u64) as i64),
+                _ => Value::int(base + groups - 1),
+            };
+            r.insert([a, Value::int(i as i64)]).unwrap();
+        }
+        r
+    }
+
+    #[test]
+    fn dense_keys_agree_with_the_keyed_map_and_the_hashed_layout() {
+        let mut dense = 0;
+        for seed in 1..=4u64 {
+            for rows in [0, 1, 2, 40, 700] {
+                let bases = [0, 1, -5, i64::MIN, i64::MAX - rows as i64];
+                for (base, deviation) in bases.into_iter().flat_map(|b| (0..4).map(move |d| (b, d)))
+                {
+                    let r = near_dense(seed * 0xD0 + deviation, base, rows, deviation);
+                    let corner =
+                        format!("seed {seed}, {rows} rows from {base}, deviation {deviation}");
+                    // Two-attribute and empty keys are never dense.
+                    for key_attrs in [&[0][..], &[], &[0, 1]] {
+                        let index = assert_equals_reference(&r, key_attrs);
+                        dense += usize::from(index.is_dense());
+                        let twin = hashed_twin(&r, key_attrs);
+                        let (_, present) = reference(&r, key_attrs);
+                        let groups = |index: &HashIndex| -> Vec<Vec<u32>> {
+                            index.groups().map(Iterator::collect).collect()
+                        };
+                        assert_eq!(groups(&index), groups(&twin), "{corner}");
+                        assert_eq!(index.num_keys(), twin.num_keys(), "{corner}");
+                        let mut probes = probe_mix(seed, &present, key_attrs.len(), 2 * GROUP + 5);
+                        if let [_] = key_attrs {
+                            let groups = present.len() as i64;
+                            probes.extend(
+                                [
+                                    Value::int(base.wrapping_sub(1)),
+                                    Value::int(base.wrapping_add(groups)),
+                                    Value::int(i64::MIN),
+                                    Value::int(i64::MAX),
+                                    Value::str(format!("{base}")),
+                                    Value::Labelled(0),
+                                    Value::Bool(true),
+                                ]
+                                .map(|value| vec![value]),
+                            );
+                        }
+                        assert_batch_equals_lookups(&index, &r, &probes);
+                        assert_eq!(
+                            resolve_all(&index, &r, &probes),
+                            resolve_all(&twin, &r, &probes),
+                            "{corner}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(dense > 100, "most undisturbed relations are dense: {dense}");
+    }
+
+    #[test]
+    fn a_dense_index_finds_no_other_value() {
+        let r = keyed(&[7, 8, 8, 9]);
+        let index = HashIndex::build(&r, &[0]).unwrap();
+        assert!(index.is_dense());
+        assert_eq!(
+            index.bytes(),
+            4 * 4 + std::mem::size_of::<usize>() as u64,
+            "starts only"
+        );
+        assert_eq!(lookup(&index, &r, &[Value::int(8)]), [1, 2]);
+        let absents = [
+            Value::int(6),
+            Value::int(10),
+            Value::int(i64::MIN),
+            Value::int(i64::MAX),
+            Value::str("8"),
+            Value::Labelled(8),
+            Value::Labelled(1),
+            Value::Bool(true),
+        ];
+        for absent in &absents {
+            assert_eq!(
+                index.lookup(&r, std::slice::from_ref(absent)).len(),
+                0,
+                "{absent:?}"
+            );
+        }
+        let probes: Vec<Row> = absents.iter().map(|v| vec![v.clone()]).collect();
+        assert!(resolve_all(&index, &r, &probes).iter().all(Vec::is_empty));
+        // The extremes of `i64` as the base: every distance to a probe is checked.
+        for keys in [[i64::MIN, i64::MIN + 1], [i64::MAX - 1, i64::MAX]] {
+            let r = keyed(&keys);
+            let index = assert_equals_reference(&r, &[0]);
+            assert!(index.is_dense());
+            for probe in [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX] {
+                let expected: &[u32] = match keys.iter().position(|&k| k == probe) {
+                    Some(0) => &[0],
+                    Some(_) => &[1],
+                    None => &[],
+                };
+                assert_eq!(
+                    lookup(&index, &r, &[Value::int(probe)]),
+                    expected,
+                    "{probe}"
+                );
+            }
         }
     }
 
@@ -896,7 +1233,7 @@ pub(crate) mod tests {
         }
         let index = HashIndex::build(&r, &[0]).unwrap();
         assert_eq!(
-            index.slots.len(),
+            slots(&index).len(),
             128,
             "the homes were computed for this table"
         );
@@ -961,12 +1298,12 @@ pub(crate) mod tests {
     fn an_absent_key_walks_past_occupied_slots_and_stops() {
         let r = random_relation(0xAB5E, 500, 60);
         let index = HashIndex::build(&r, &[1]).unwrap();
-        let mask = index.slots.len() - 1;
+        let mask = slots(&index).len() - 1;
         // Absent keys whose walk starts on an occupied slot: the compare, not the hash,
         // must turn them away, and the walk must end at the next free slot.
         let colliding: Vec<Row> = (0..)
             .map(|i| vec![Value::str(format!("absent-{i}"))])
-            .filter(|key| index.slots[hash_row(key) as usize & mask] != EMPTY)
+            .filter(|key| slots(&index)[hash_row(key) as usize & mask] != EMPTY)
             .take(50)
             .collect();
         for key in &colliding {
@@ -982,23 +1319,30 @@ pub(crate) mod tests {
         for i in 0..KEYS {
             r.insert([Value::int(i64::from(i))]).unwrap();
         }
-        let index = HashIndex::build(&r, &[0]).unwrap();
-        assert_eq!(index.num_keys(), KEYS as usize);
+        // Consecutive integers are dense: no slots at all. Their hashed layout grows.
+        let dense = HashIndex::build(&r, &[0]).unwrap();
+        assert!(dense.is_dense());
+        assert_eq!(dense.bytes(), std::mem::size_of::<usize>() as u64);
+        for index in [dense, hashed_twin(&r, &[0])] {
+            assert_eq!(index.num_keys(), KEYS as usize);
+            for i in 0..KEYS {
+                assert_eq!(lookup(&index, &r, &[Value::int(i64::from(i))]), [i]);
+            }
+            for i in KEYS..KEYS + 1_000 {
+                assert_eq!(index.lookup(&r, &[Value::int(i64::from(i))]).len(), 0);
+            }
+            assert_eq!(layout(&index), Layout::Unique);
+        }
+        let index = hashed_twin(&r, &[0]);
+        let slots = slots(&index);
         // Grown by doubling to at most half full, so a free slot always ends a walk.
-        assert!(index.slots.len().is_power_of_two());
-        assert!(index.slots.len() >= 2 * KEYS as usize && index.slots.len() < 4 * KEYS as usize);
+        assert!(slots.len().is_power_of_two());
+        assert!(slots.len() >= 2 * KEYS as usize && slots.len() < 4 * KEYS as usize);
         assert_eq!(
-            index.slots.iter().filter(|&&slot| slot != EMPTY).count(),
+            slots.iter().filter(|&&slot| slot != EMPTY).count(),
             KEYS as usize
         );
-        for i in 0..KEYS {
-            assert_eq!(lookup(&index, &r, &[Value::int(i64::from(i))]), [i]);
-        }
-        for i in KEYS..KEYS + 1_000 {
-            assert_eq!(index.lookup(&r, &[Value::int(i64::from(i))]).len(), 0);
-        }
-        // Unique keys keep nothing but 8–16 B of slots each.
-        assert_eq!(layout(&index), Layout::Unique);
+        // Hashed unique keys keep nothing but 8–16 B of slots each.
         assert!(index.bytes() <= 16 * u64::from(KEYS) + 64);
     }
 

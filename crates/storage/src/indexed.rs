@@ -93,6 +93,11 @@ impl IndexedDatabase {
         1
     }
 
+    /// The index of constraint `constraint_index`, if the schema has one.
+    pub fn index(&self, constraint_index: usize) -> Option<&HashIndex> {
+        self.indexes.get(constraint_index)
+    }
+
     /// Exact `(tuple_bytes, index_bytes)` of the store, from lengths × `size_of`:
     /// the flat tuple values and every index's `u32` arrays. Only the shared payloads
     /// of strings over [`bea_core::value::Str::INLINE`] bytes are not counted.
@@ -139,7 +144,7 @@ impl IndexedDatabase {
         out: &mut [Vec<Value>],
     ) -> Result<(u64, u32)> {
         let (iter, _) = self.fetch_iter(constraint_index, key)?;
-        Ok((iter.project_into(positions, out), 0))
+        Ok((iter.project_into(positions.iter(), out), 0))
     }
 
     /// Batched fetch: clear `out`, then push, for every probe in order, the tuples whose
@@ -262,18 +267,22 @@ impl FetchIter<'_> {
     }
 
     /// Append, for every remaining tuple, the values at `positions` into the
-    /// corresponding output columns (`out[i]` receives `tuple[positions[i]]`); returns
-    /// how many tuples were appended. The columnar fetch kernel:
+    /// corresponding output columns (`out[i]` receives the tuple's value at the `i`-th
+    /// position); returns how many tuples were appended. The columnar fetch kernel:
     /// [`IndexedDatabase::fetch_into_columns`] and the executor's resolved fetches go
     /// through it, so they cannot drift on the append semantics.
-    pub fn project_into(self, positions: &[usize], out: &mut [Vec<Value>]) -> u64 {
+    pub fn project_into<'p>(
+        self,
+        positions: impl Iterator<Item = &'p usize> + Clone,
+        out: &mut [Vec<Value>],
+    ) -> u64 {
         debug_assert_eq!(
-            positions.len(),
+            positions.clone().count(),
             out.len(),
             "one output column per projected position"
         );
         self.fold(0, |appended, tuple| {
-            for (column, &position) in out.iter_mut().zip(positions) {
+            for (column, &position) in out.iter_mut().zip(positions.clone()) {
                 column.push(tuple[position].clone());
             }
             appended + 1
@@ -383,18 +392,36 @@ mod tests {
             AccessSchema::from_constraints([
                 AccessConstraint::new(&c, "R", &["a"], &["b"], 2).unwrap()
             ]);
-        let idb = IndexedDatabase::build(sample_db(), schema.clone()).unwrap();
-        // 3 tuples × 2 values. Keys 1, 1, 2 are clustered: 3 starts + 4 slots (2 keys)
-        // + 1 key position, and no postings.
         let value = std::mem::size_of::<Value>() as u64;
         let position = std::mem::size_of::<usize>() as u64;
-        assert_eq!(idb.footprint(), (6 * value, (3 + 4) * 4 + position));
-        // Keys 1, 2, 1 are not: 3 postings + 3 starts + 4 slots + 1 key position.
-        let mut unclustered = Database::new(catalog());
-        let rows = [(1, 10), (2, 20), (1, 11)].map(|(a, b)| vec![Value::int(a), Value::int(b)]);
-        unclustered.extend("R", rows).unwrap();
-        let idb = IndexedDatabase::build(unclustered, schema).unwrap();
-        assert_eq!(idb.footprint(), (6 * value, (3 + 3 + 4) * 4 + position));
+        let store = |keys: [i64; 3]| {
+            let mut db = Database::new(catalog());
+            let rows = keys
+                .into_iter()
+                .zip([10, 11, 20])
+                .map(|(a, b)| vec![Value::int(a), Value::int(b)]);
+            db.extend("R", rows).unwrap();
+            IndexedDatabase::build(db, schema.clone()).unwrap()
+        };
+        // 3 tuples × 2 values. Keys 1, 1, 2 are clustered and consecutive: 3 starts + 1
+        // key position, and neither postings nor slots.
+        assert_eq!(sample_db().size(), 3);
+        assert_eq!(store([1, 1, 2]).footprint(), (6 * value, 3 * 4 + position));
+        // Keys 1, 1, 3 are clustered but not consecutive: 3 starts + 4 slots (2 keys).
+        assert_eq!(
+            store([1, 1, 3]).footprint(),
+            (6 * value, (3 + 4) * 4 + position)
+        );
+        // Keys 1, 2, 1 are not clustered: 3 postings + 3 starts, and no slots; keys 1,
+        // 3, 1 add 4 slots.
+        assert_eq!(
+            store([1, 2, 1]).footprint(),
+            (6 * value, (3 + 3) * 4 + position)
+        );
+        assert_eq!(
+            store([1, 3, 1]).footprint(),
+            (6 * value, (3 + 3 + 4) * 4 + position)
+        );
     }
 
     #[test]

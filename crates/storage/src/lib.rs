@@ -28,20 +28,26 @@
 //! |---|---|---|
 //! | a tuple of arity `k` | `k` consecutive [`bea_core::value::Value`]s in its relation's one `Vec` | `16·k` (+ shared payloads of strings over 14 B) |
 //! | a distinct key | 2–4 `u32` hash slots; the key values themselves are *not* stored | 8–16 |
+//! | … that is the next of consecutive integer keys (a dense index) | nothing: its group is `key − base` | 0 |
 //! | … of a key with several tuples | + one `u32` CSR start | + 4 |
 //! | a posting, unless each key's tuples are one run | one `u32` tuple offset in its index's `postings` | 4 |
 //!
-//! A fetch hashes the key (one multiply per value), walks the slot table (linear probing,
-//! at most half full), compares the key against the first tuple of the candidate group —
-//! a tuple the fetch returns anyway — and hands out the group's offsets: a run of
-//! consecutive tuples where the relation is unique or clustered on the key, a subslice
-//! of `postings` otherwise; the tuples are then slices of the relation at `offset · k`. The executor fetches batches of
+//! A fetch through a dense index — one whose single-attribute keys are the integers
+//! `base, base + 1, …` in order of first occurrence, as ids numbered on insert are —
+//! subtracts `base` and checks the range. Any other fetch hashes the key (one multiply
+//! per value), walks the slot table (linear probing, at most half full), and compares
+//! the key against the first tuple of the candidate group — a tuple the fetch returns
+//! anyway. Either hands out the group's offsets: a run of consecutive tuples where the
+//! relation is unique or clustered on the key, a subslice of `postings` otherwise; the
+//! tuples are then slices of the relation at `offset · k`. The executor fetches batches of
 //! keys ([`IndexedDatabase::resolve`]), walked together so their cache misses overlap;
 //! see [`index`]. Posting lists keep insertion order and key groups are numbered by
 //! first occurrence, so every result and every `validate()` report is deterministic.
 //! [`IndexedDatabase::footprint`] reports the exact tuple and index bytes; on the
-//! accidents workload, which arrives clustered, the four indexes of ψ1–ψ4 keep no
-//! posting array and cost ≈8 B per posting (≈14 B while every index kept one).
+//! accidents workload, which arrives clustered and keyed by ids, the four indexes of
+//! ψ1–ψ4 keep no posting array and only ψ1 keeps slots: ≈0.6 B per posting (15 384 B
+//! for 26 578 at 2·10⁴ tuples; ≈8 B while ψ2–ψ4 kept slots, ≈14 B while every index
+//! kept postings).
 //! Each constraint's relation is resolved to a position at build time; a fetch looks no
 //! name up. Tuple offsets are 32-bit: building over a relation beyond `u32::MAX` tuples
 //! is an error, not a silent wrap. Flat offset arrays are also what an mmap-backed

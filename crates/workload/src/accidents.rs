@@ -280,10 +280,11 @@ mod tests {
         );
     }
 
-    /// Footprint guard: ψ1–ψ4 over 20k tuples must stay under 10 B per posting. A
-    /// keyed map (an owned key and a posting `Vec` per entry, ≈110 B per key) cannot
-    /// pass, nor a posting array kept over data its order already groups, so neither
-    /// can creep back unnoticed.
+    /// Footprint guard: ψ1–ψ4 over 20k tuples must stay under 1 B per posting (10 B
+    /// while ψ2–ψ4 hashed their ids). A keyed map (an owned key and a posting `Vec` per
+    /// entry, ≈110 B per key) cannot pass, nor a posting array kept over data its order
+    /// already groups, nor a slot table over keys that are consecutive ids, so none can
+    /// creep back unnoticed.
     #[test]
     fn the_accidents_indexes_cost_at_most_10_bytes_per_posting() {
         let db = generate(&AccidentsConfig::with_total_tuples(20_000, 0xBEAD)).unwrap();
@@ -300,13 +301,16 @@ mod tests {
         let idb = IndexedDatabase::build(db, schema).unwrap();
         let (tuple_bytes, index_bytes) = idb.footprint();
         assert!(postings > 20_000, "Accident is indexed twice: {postings}");
-        // The store arrives clustered (ψ1, ψ2) and keyed by ids (ψ3, ψ4), so no index
-        // keeps a posting array and this store measures 7.98 B per posting (211 992 B
-        // for 26 578): slots, plus `starts` for the two clustered ones. The bound is
-        // 8 B plus 2 B of slack for where power-of-two slot tables round at other
-        // sizes; a posting array (+4 B) or a keyed map (≈110 B per key) breaks it.
+        // The store arrives clustered (ψ1, ψ2) and keyed by consecutive ids (ψ2–ψ4),
+        // so no index keeps a posting array and only ψ1 keeps slots: this store
+        // measures 0.58 B per posting (15 384 B for 26 578) — ψ1's slots and `starts`
+        // per day, and ψ2's `starts` per accident — against 7.98 B (211 992 B) while
+        // ψ2–ψ4 kept slots too. The bound leaves 0.42 B for more casualties per accident
+        // (ψ2's starts) and where ψ1's power-of-two table rounds at other sizes; slots
+        // for ψ3 or ψ4 (8–16 B per key), a posting array (+4 B) or a keyed map (≈110 B
+        // per key) break it.
         assert!(
-            index_bytes <= 10 * postings,
+            index_bytes <= postings,
             "{index_bytes} B of index for {postings} postings"
         );
         let value = std::mem::size_of::<Value>() as u64;

@@ -22,3 +22,39 @@ pub mod accidents;
 pub mod ecommerce;
 pub mod graph;
 pub mod querygen;
+
+#[cfg(test)]
+mod tests {
+    use bea_core::access::AccessSchema;
+    use bea_storage::{Database, IndexedDatabase};
+
+    /// The constraints whose index finds a key by arithmetic, by position in `schema`.
+    fn dense(db: Database, schema: AccessSchema) -> Vec<usize> {
+        let store = IndexedDatabase::build(db, schema).unwrap();
+        let constraints = 0..store.schema().constraints().len();
+        constraints
+            .filter(|&c| store.index(c).is_some_and(|index| index.is_dense()))
+            .collect()
+    }
+
+    /// Every family numbers its entities `0, 1, 2, …` in insertion order, so each
+    /// constraint keyed by one of those ids has a dense index: ψ2 (`Casualty` by `aid`,
+    /// clustered), ψ3 and ψ4; `Product(pid)`, `Orders(oid)` and `Customer(uid)`; and
+    /// `Person(pid)`. A key of strings (ψ1's dates, categories) or of ids in another
+    /// order (orders by `uid`, friendships and likes by `pid`) is hashed.
+    #[test]
+    fn the_id_keyed_constraints_of_every_family_are_dense() {
+        use crate::{accidents, ecommerce, graph};
+        let config = accidents::AccidentsConfig::with_total_tuples(20_000, 0xBEAD);
+        let db = accidents::generate(&config).unwrap();
+        let schema = accidents::access_schema(db.catalog());
+        assert_eq!(dense(db, schema), [1, 2, 3], "accidents: ψ2, ψ3, ψ4");
+        let db = ecommerce::generate(&ecommerce::EcommerceConfig::default()).unwrap();
+        let schema = ecommerce::access_schema(db.catalog());
+        assert_eq!(dense(db, schema), [0, 2, 4], "e-commerce: pid, oid, uid");
+        let config = graph::GraphConfig::default();
+        let db = graph::generate(&config).unwrap();
+        let schema = graph::access_schema(db.catalog(), &config);
+        assert_eq!(dense(db, schema), [0], "graph: Person's pid");
+    }
+}

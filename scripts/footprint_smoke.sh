@@ -4,26 +4,30 @@
 # end-to-end counterpart of the unit pins on index bytes per posting and on the 16-byte
 # value: the keyed-map layout this guards against peaked at 326 MB, the flat one with
 # 24-byte values and a heap object per string at about 142 MB, the flat one with
-# 16-byte values, short strings inline, at about 90 MB, and with clustered indexes
-# (no array that restates tuple order) at about 78 MB. Also prints, without gating on
-# them, the peak bytes per tuple and the start-up time, spawn to `ready` (10 ms polls).
+# 16-byte values, short strings inline, at about 90 MB, with clustered indexes (no
+# array that restates tuple order) at about 78 MB, and with no hash slots over keys that
+# are consecutive ids (ψ2–ψ4) at 65 MB; the 75 MB limit (LIMIT_MB) leaves 10 MB for
+# what the allocator and the kernel do differently on other hosts. Also prints, without
+# gating on them, the peak bytes per tuple and the start-up time, spawn to `ready`
+# (10 ms polls).
 #
 # A second leg starts the daemon with a 65 536-row session cache, sends it the 624 Q0s
 # of the benchmark's `q0_hot_cached` hot set (districts 1–39 × days 41·slot, slot
 # 0–15) through beactl, and gates the peak after them: what the cache keeps for the
-# hot set's 22 223 entries. 77.6 MB (79 448 kB) on a 2-vCPU Linux VM with a one-tuple
-# entry held as its tuple's offset and each key held once, against 85.9–87.0 MB while
-# every entry copied its rows into a batch and its key twice; the 81 MB limit
-# (CACHED_LIMIT_MB) leaves 3.4 MB over the first.
+# hot set's 22 223 entries. 69.4 MB (71 040 kB) on a 2-vCPU Linux VM with a one-tuple
+# entry held as its tuple's offset, each key held once and no hash slots over ids,
+# against 77.6 MB (79 448 kB) with the slots and 85.9–87.0 MB while every entry copied
+# its rows into a batch and its key twice; the 74 MB limit (CACHED_LIMIT_MB) leaves
+# 4.6 MB over the first.
 #
 # Usage: scripts/footprint_smoke.sh [path-to-target-dir] [limit-mb]
-#        (defaults: target/release, 95)
+#        (defaults: target/release, 75)
 
 set -euo pipefail
 
 TARGET="${1:-target/release}"
-LIMIT_MB="${2:-95}"
-CACHED_LIMIT_MB=81
+LIMIT_MB="${2:-75}"
+CACHED_LIMIT_MB=74
 # What `--tuples 1000000 --seed 48879` generates.
 TUPLES=1200172
 BEAD="$TARGET/bead"

@@ -108,14 +108,15 @@ fn a_cold_q0_stays_inside_its_allocation_budget() {
     );
     // One owned row per answer, the output table, and a handful of operator boxes,
     // batch handles and pooled columns growing by doubling — nothing per fetched tuple
-    // or per probed key (which used to cost 1 293 here). 171 today, the thread's pooled
-    // buffers kept from the unmeasured run (180 while each product with a constant
-    // buffered it, 182 while the query kept a materialization slot per step, 205 while
-    // it ran as jobs of a pool, 251 while the buffers died with each job, 374 while
-    // every single-tuple key was copied into an arena and three more δs ran); the
-    // bound leaves 15 %.
+    // or per probed key (which used to cost 1 293 here). 156 today, the thread's pooled
+    // buffers kept from the unmeasured run (171 while each lookup's arena copied the
+    // key columns of its tuples, 180 while each product with a constant buffered it,
+    // 182 while the query kept a materialization slot per step, 205 while it ran as
+    // jobs of a pool, 251 while the buffers died with each job, 374 while every
+    // single-tuple key was copied into an arena and three more δs ran); the bound
+    // leaves 15 %.
     assert!(
-        allocations <= 196,
+        allocations <= 179,
         "one cold Q0 ({stats}) performed {allocations} heap allocations"
     );
 }
@@ -204,13 +205,15 @@ fn building_the_indexes_peaks_little_above_what_they_keep() {
         "the index arrays are heap bytes the store keeps"
     );
     // ψ1–ψ4 see clustered or unique keys, so no build holds a group number per tuple
-    // or a posting buffer: the peak is what the store keeps plus the largest index's
-    // per-key tags (ψ4's 16 384-entry `Vec`, 64 KiB) — 65 944 B above `footprint()`
-    // today, against 114 384 B while every build held `group_of`, `firsts` and a
-    // slot table reserved for one key per tuple. The bound leaves 16 KiB.
+    // or a posting buffer, and ψ2–ψ4's keys are consecutive ids, so they are never
+    // hashed: the peak is what the store keeps plus ψ1's per-day tags — 1 616 B above
+    // `footprint()` today, against 65 944 B while ψ4 hashed its 16 384 ids into a tag
+    // `Vec` (64 KiB), and 114 384 B while every build held `group_of`, `firsts` and a
+    // slot table reserved for one key per tuple. The bound leaves 2.5 KiB, a doubling
+    // of ψ1's tags and more, but not ψ4's.
     let transient = peak - index_bytes;
     assert!(
-        transient <= 80 * 1024,
+        transient <= 4 * 1024,
         "building ψ1–ψ4 peaked {transient} B above their {index_bytes} B"
     );
 }
@@ -266,11 +269,11 @@ fn a_session_cache_entry_keeps_little_and_an_offset_entry_allocates_nothing() {
     let (_, _, kept) = peak_bytes_of(|| run_all(&on, &hot_set));
     let entries = on.cache_stats().entries;
     assert!(entries > 5_000, "the hot set left only {entries} entries");
-    // The 18 638 entries keep 148 B each today: per entry its key's values and hash and
+    // The 18 638 entries keep 146 B each today: per entry its key's values and hash and
     // slots in the space's key table, a slab entry, a ring handle, and for a key of two
     // or more tuples its batch.
     // 446 B while every entry copied its rows into a batch and its key twice. The bound
-    // leaves 52 B.
+    // leaves 54 B.
     let per_entry = kept / entries;
     assert!(
         per_entry <= 200,
@@ -286,9 +289,9 @@ fn a_session_cache_entry_keeps_little_and_an_offset_entry_allocates_nothing() {
     // Beside its inserts, a cache-on query resolves its lookup's cache space, which
     // builds the shape it asks for: two vectors, its positions and its projection.
     let resolves = 2 * points.len() as u64;
-    // The inserts cost 50 more allocations than the cache-off run today, all of them
+    // The inserts cost 51 more allocations than the cache-off run today, all of them
     // growth; 18 021 (9 per entry) while each entry was a batch with an owned copy of
-    // its key for the map and one for the ring. The bound leaves 14.
+    // its key for the map and one for the ring. The bound leaves 13.
     let inserts = on_points - off_points - resolves;
     assert!(
         inserts <= 64,

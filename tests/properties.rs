@@ -1197,3 +1197,149 @@ fn small_instance_evaluator_agrees_with_engine() {
         },
     );
 }
+
+/// Whether `physical` reads a fetched column whose attribute is in its keyed lookup's
+/// `X` — a column the lookup holds as the source row's key, not as a copy: through the
+/// lookup's residual, or through a consumer that keeps it (the output, or any step but
+/// a projection that drops it).
+fn reads_a_fetched_key_column(physical: &bea::core::plan::PhysicalPlan) -> bool {
+    use bea::core::plan::{PhysOp, Predicate};
+    let steps = physical.steps();
+    steps.iter().enumerate().any(|(id, step)| {
+        let PhysOp::KeyedLookup {
+            source,
+            x_attrs,
+            positions,
+            residual,
+            ..
+        } = &step.op
+        else {
+            return false;
+        };
+        let left = steps[*source].columns.len();
+        let key: Vec<usize> = (0..positions.len())
+            .filter(|&c| x_attrs.contains(&positions[c]))
+            .map(|c| left + c)
+            .collect();
+        let in_residual = residual.iter().any(|predicate| match predicate {
+            Predicate::ColEqCol(a, b) => key.contains(a) || key.contains(b),
+            Predicate::ColEqConst(a, _) => key.contains(a),
+        });
+        let mut consumers = steps.iter().filter(|s| s.op.inputs().contains(&id));
+        let kept = consumers.any(|consumer| match &consumer.op {
+            PhysOp::Project { cols, .. } => cols.iter().any(|c| key.contains(c)),
+            _ => true,
+        });
+        !key.is_empty() && (in_residual || kept || id == physical.output())
+    })
+}
+
+/// A keyed lookup holds no copy of a fetched column whose attribute is in its `X` (it
+/// equals the probe key) and reads the source row's key in its place. Synthesized plans
+/// read the source's copy of a key instead, so hand-built fetches over the accidents
+/// store exercise it: `X` emitted beside `Y`, `X` emitted alone, `X` compared in a
+/// residual, `X` emitted beside the source's key from a multi-row source, and a fetch
+/// of `X` alone, which leaves the arena no column at all. Each plan must read such a
+/// column, and streaming must return the reference's rows with the fetch cache off, on
+/// (cold, then warm) and at 16 rows, reading exactly the reference's data with the
+/// cache off.
+#[test]
+fn plans_reading_a_fetched_key_column_match_the_reference_at_every_cache_corner() {
+    use bea::core::plan::{PlanBuilder, Predicate, QueryPlan};
+    use bea::engine::{Session, SessionConfig, SharedStore};
+
+    fn assert_matches_reference(store: &SharedStore, plan: &QueryPlan) {
+        let name = plan.query_name();
+        assert!(
+            reads_a_fetched_key_column(&lower_plan(plan).unwrap()),
+            "{name} reads no fetched key column"
+        );
+        let (reference, reference_stats) = execute_plan_materialized(plan, store.store()).unwrap();
+        let (solo, stats) = execute_plan(plan, store.store()).unwrap();
+        assert!(
+            solo.is_set() && solo.same_rows(&reference),
+            "{name}, cache off"
+        );
+        assert!(
+            stats.same_data_access(&reference_stats),
+            "{name} read other data than the reference: {stats} vs {reference_stats}"
+        );
+        for cache_rows in [1 << 20, 16] {
+            let config = SessionConfig::new().with_cache_budget_rows(cache_rows);
+            let session = Session::new(store.clone(), config);
+            for run in ["cold", "warm"] {
+                let (_, result) = session.run(plan).unwrap();
+                let (table, _) = result.unwrap();
+                assert_eq!(
+                    table.rows(),
+                    solo.rows(),
+                    "{name}, cache {cache_rows}, {run}"
+                );
+            }
+        }
+    }
+
+    /// `σ[date = day ∧ residual](day × fetch(date ∈ day, Accident, aid))` via ψ1:
+    /// columns `(day, date, aid)`, the fetched `date` being `X`.
+    fn accidents_of(b: &mut PlanBuilder, day: u32, residual: &[Predicate]) -> usize {
+        let day = b.constant(accidents::date_value(day), "day");
+        let labels = vec!["date".into(), "aid".into()];
+        let fetched = b.fetch(day, vec![0], "Accident", vec![2], vec![0], 0, labels);
+        let joined = b.product(day, fetched);
+        let predicates = [&[Predicate::ColEqCol(0, 1)], residual].concat();
+        b.select(joined, predicates)
+    }
+
+    run_cases("plans_reading_a_fetched_key_column", 0x4E1D, |rng| {
+        let (db, schema) = accidents_fixture(rng.gen_range(0u64..1_000), 3);
+        let store = SharedStore::from(IndexedDatabase::build(db, schema).unwrap());
+        let day = rng.gen_range(0u32..4);
+        let plan = |name: &str, build: &dyn Fn(&mut PlanBuilder) -> usize| {
+            let mut b = PlanBuilder::new();
+            let out = build(&mut b);
+            b.finish(name, out).unwrap()
+        };
+        let plans = [
+            plan("XBesideY", &|b| {
+                let accidents = accidents_of(b, day, &[]);
+                b.project(accidents, vec![1, 2])
+            }),
+            plan("XAlone", &|b| {
+                let accidents = accidents_of(b, day, &[]);
+                b.project(accidents, vec![1])
+            }),
+            plan("XInAResidual", &|b| {
+                let date = Predicate::ColEqConst(1, accidents::date_value(day));
+                let accidents = accidents_of(b, day, &[date]);
+                b.project(accidents, vec![2])
+            }),
+            plan("XBesideTheSourceKey", &|b| {
+                let accidents = accidents_of(b, day, &[]);
+                let aids = b.project(accidents, vec![2]);
+                let labels = vec!["aid".into(), "vid".into()];
+                let casualties = b.fetch(aids, vec![0], "Casualty", vec![1], vec![3], 1, labels);
+                let joined = b.product(aids, casualties);
+                let keyed = b.select(joined, vec![Predicate::ColEqCol(0, 1)]);
+                b.project(keyed, vec![0, 1, 2])
+            }),
+            plan("OnlyXFetched", &|b| {
+                let day = b.constant(accidents::date_value(day), "day");
+                let fetched = b.fetch(
+                    day,
+                    vec![0],
+                    "Accident",
+                    vec![2],
+                    vec![],
+                    0,
+                    vec!["date".into()],
+                );
+                let joined = b.product(day, fetched);
+                let keyed = b.select(joined, vec![Predicate::ColEqCol(0, 1)]);
+                b.project(keyed, vec![0, 1])
+            }),
+        ];
+        for plan in &plans {
+            assert_matches_reference(&store, plan);
+        }
+    });
+}
