@@ -19,6 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
+use std::time::Duration;
 
 /// The longest request line `bead` reads, newline included. A connection that sends
 /// more without a newline is answered with an `ERR` and closed, so no client can make
@@ -34,6 +35,11 @@ pub const MAX_PLAN_TEMPLATES: usize = 1024;
 /// planned per request, like every query was before there was a table. With
 /// [`MAX_PLAN_TEMPLATES`] this caps the client text the table retains at 4 MiB.
 pub const MAX_TEMPLATE_KEY_BYTES: usize = 4 * 1024;
+
+/// How long the accept loop waits after a failed `accept` before it tries again. An
+/// accept that fails for want of a file descriptor fails again at once until a
+/// connection closes; without the pause the loop would spin a core meanwhile.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
 
 /// Daemon configuration: where to listen and how to configure the session.
 #[derive(Debug, Clone, Default)]
@@ -115,7 +121,7 @@ impl BeadServer {
                     Ok(stream) => {
                         scope.spawn(move || self.handle(stream));
                     }
-                    Err(_) => continue,
+                    Err(_) => std::thread::sleep(ACCEPT_RETRY_PAUSE),
                 }
             }
         });
@@ -123,13 +129,11 @@ impl BeadServer {
         Ok(())
     }
 
-    /// Serve one connection: one request per line, one framed reply each.
+    /// Serve one connection: one request per line, one framed reply each. Reads and
+    /// writes both go through `&stream`, so a connection holds one file descriptor.
     fn handle(&self, stream: UnixStream) {
-        let Ok(write_half) = stream.try_clone() else {
-            return;
-        };
-        let mut writer = write_half;
-        let mut reader = BufReader::new(stream);
+        let mut writer = &stream;
+        let mut reader = BufReader::new(&stream);
         // One line buffer for the connection's lifetime, not one per request.
         let mut line: Vec<u8> = Vec::new();
         loop {

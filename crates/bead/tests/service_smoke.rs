@@ -3,9 +3,11 @@
 //! clean shutdown. This is the same script CI runs, kept in-tree so it breaks
 //! at `cargo test` time rather than only in the workflow.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 const BEAD: &str = env!("CARGO_BIN_EXE_bead");
 const BEACTL: &str = env!("CARGO_BIN_EXE_beactl");
@@ -26,13 +28,28 @@ impl Daemon {
     /// [`Daemon::start`] on the socket named by `tag`, with `BEA_SHARDS` set to
     /// `shards`, or removed from its environment if `None`.
     fn start_with(tag: &str, budget: u64, shards: Option<&str>) -> Daemon {
-        let socket =
-            std::env::temp_dir().join(format!("bead-smoke-{}-{tag}.sock", std::process::id()));
         let mut command = Command::new(BEAD);
         match shards {
             Some(shards) => command.env("BEA_SHARDS", shards),
             None => command.env_remove("BEA_SHARDS"),
         };
+        Self::launch(command, tag, budget)
+    }
+
+    /// [`Daemon::start_with`] without `BEA_SHARDS`, run by a shell that first lowers
+    /// the open-file limit to `limit` descriptors.
+    fn start_with_fd_limit(tag: &str, budget: u64, limit: u32) -> Daemon {
+        let mut command = Command::new("sh");
+        let script = format!("ulimit -n {limit}; exec \"$0\" \"$@\"");
+        command.args(["-c", &script, BEAD]).env_remove("BEA_SHARDS");
+        Self::launch(command, tag, budget)
+    }
+
+    /// Run `command` with `bead`'s arguments appended, on the socket named by `tag`,
+    /// and block until it prints `ready`.
+    fn launch(mut command: Command, tag: &str, budget: u64) -> Daemon {
+        let socket =
+            std::env::temp_dir().join(format!("bead-smoke-{}-{tag}.sock", std::process::id()));
         let mut child = command
             .args([
                 "--socket",
@@ -298,4 +315,61 @@ fn beactl_exits_quietly_with_its_status_when_its_reader_is_gone() {
             "beactl {args:?}: {stderr}"
         );
     }
+}
+
+/// User plus system CPU time `pid` has used so far, from `/proc/<pid>/stat`.
+fn cpu_seconds(pid: u32) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read stat");
+    // The fields after the parenthesised command name; utime and stime are the
+    // 14th and 15th of the whole line.
+    let fields: Vec<&str> = stat
+        .rsplit_once(')')
+        .expect(&stat)
+        .1
+        .split_whitespace()
+        .collect();
+    let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+    let hz = Command::new("getconf")
+        .arg("CLK_TCK")
+        .output()
+        .expect("getconf");
+    let hz: f64 = String::from_utf8(hz.stdout)
+        .unwrap()
+        .trim()
+        .parse()
+        .unwrap();
+    ticks as f64 / hz
+}
+
+/// With its descriptors used up, the daemon waits for one to free instead of spinning
+/// on a failing `accept`, and a connection left in the listen backlog meanwhile is
+/// served once others close. At a limit of 32 the daemon can hold fewer than 30
+/// connections, so of 40 the last ones wait in the backlog.
+#[test]
+fn running_out_of_descriptors_costs_no_cpu_and_backlogged_clients_are_served() {
+    let daemon = Daemon::start_with_fd_limit("fd-limit", 10_000, 32);
+    let mut clients: Vec<UnixStream> = (0..40)
+        .map(|_| UnixStream::connect(&daemon.socket).expect("connect into the backlog"))
+        .collect();
+    // Let the daemon accept what it can and reach the limit.
+    std::thread::sleep(Duration::from_millis(200));
+    let pid = daemon.child.id();
+    let before = cpu_seconds(pid);
+    std::thread::sleep(Duration::from_secs(1));
+    let spent = cpu_seconds(pid) - before;
+    assert!(
+        spent < 0.25,
+        "the idle daemon used {spent:.2} s of CPU in 1 s with its descriptors used up"
+    );
+
+    let last = clients.pop().expect("40 clients");
+    drop(clients);
+    last.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    (&last).write_all(b"PING\n").expect("send PING");
+    let mut reply = String::new();
+    BufReader::new(&last)
+        .read_line(&mut reply)
+        .expect("a reply once other clients close");
+    assert_eq!(reply.trim(), "OK pong");
 }

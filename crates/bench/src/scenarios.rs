@@ -377,44 +377,6 @@ impl ConcurrentTrafficScenario {
             budget,
         })
     }
-
-    /// Run the full mixed batch through a fresh budgeted [`Session`], every query
-    /// submitted from its own thread. Returns how many were admitted and how many
-    /// rejected; errors from admitted queries propagate.
-    pub fn drive_session(&self) -> Result<(usize, usize)> {
-        let session = Session::new(
-            self.store.clone(),
-            SessionConfig::new().with_fetch_budget(self.budget),
-        );
-        let outcomes: Vec<bool> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .admitted
-                .iter()
-                .chain(&self.rejected)
-                .map(|plan| {
-                    let session = &session;
-                    scope.spawn(move || match session.submit(plan) {
-                        Ok(handle) => handle.wait().map(|_| true),
-                        Err(SubmitError::Rejected { .. }) => Ok(false),
-                        Err(SubmitError::Invalid(error)) => Err(error),
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("submitter thread"))
-                .collect::<Result<_>>()
-        })?;
-        let peak = session.admission_stats().peak_admitted_bound;
-        assert!(
-            peak <= self.budget,
-            "admitted bounds peaked at {peak} over the budget {}",
-            self.budget
-        );
-        session.shutdown();
-        let admitted = outcomes.iter().filter(|&&ok| ok).count();
-        Ok((admitted, outcomes.len() - admitted))
-    }
 }
 
 /// The seed every scenario of the perf record is built with. The scales are kept
@@ -506,6 +468,46 @@ pub fn scenario_record() -> Result<PipelineBenchReport> {
 mod tests {
     use super::*;
     use bea_engine::{eval_cq, eval_ucq, execute_plan_materialized};
+
+    impl ConcurrentTrafficScenario {
+        /// Run the full mixed batch through a fresh budgeted `Session`, every query
+        /// submitted from its own thread. Returns how many were admitted and how many
+        /// rejected; errors from admitted queries propagate.
+        fn drive_session(&self) -> Result<(usize, usize)> {
+            let session = Session::new(
+                self.store.clone(),
+                SessionConfig::new().with_fetch_budget(self.budget),
+            );
+            let outcomes: Vec<bool> = std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .admitted
+                    .iter()
+                    .chain(&self.rejected)
+                    .map(|plan| {
+                        let session = &session;
+                        scope.spawn(move || match session.submit(plan) {
+                            Ok(handle) => handle.wait().map(|_| true),
+                            Err(SubmitError::Rejected { .. }) => Ok(false),
+                            Err(SubmitError::Invalid(error)) => Err(error),
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("submitter thread"))
+                    .collect::<Result<_>>()
+            })?;
+            let peak = session.admission_stats().peak_admitted_bound;
+            assert!(
+                peak <= self.budget,
+                "admitted bounds peaked at {peak} over the budget {}",
+                self.budget
+            );
+            session.shutdown();
+            let admitted = outcomes.iter().filter(|&&ok| ok).count();
+            Ok((admitted, outcomes.len() - admitted))
+        }
+    }
 
     /// The perf record is complete, deterministic (same counters on a second build) and
     /// equal, byte for byte, to the committed `BENCH_pipeline.json`: a counter or a

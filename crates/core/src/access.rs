@@ -337,15 +337,6 @@ impl AccessSchema {
         })
     }
 
-    /// The largest constant cardinality appearing in the schema, if all bounds are constant.
-    pub fn max_const_cardinality(&self) -> Option<u64> {
-        self.constraints
-            .iter()
-            .map(|c| c.cardinality().as_const())
-            .collect::<Option<Vec<_>>>()
-            .map(|v| v.into_iter().max().unwrap_or(0))
-    }
-
     /// Render the whole schema with attribute names resolved through the catalog.
     pub fn display_with(&self, catalog: &Catalog) -> String {
         self.constraints
@@ -441,7 +432,11 @@ mod tests {
         assert_eq!(a.constraints_for("Accident").count(), 2);
         assert_eq!(a.constraints_for("Vehicle").count(), 1);
         assert_eq!(a.constraints_for("Nope").count(), 0);
-        assert_eq!(a.max_const_cardinality(), Some(610));
+        let largest = a
+            .constraints
+            .iter()
+            .filter_map(|c| c.cardinality().as_const());
+        assert_eq!(largest.max(), Some(610));
         assert!(a.display_with(&c).contains("Casualty(aid -> vid, 192)"));
     }
 
@@ -513,7 +508,12 @@ mod tests {
             )
             .unwrap(),
         );
-        assert_eq!(a.max_const_cardinality(), None);
+        let bounds: Option<Vec<u64>> = a
+            .constraints
+            .iter()
+            .map(|c| c.cardinality().as_const())
+            .collect();
+        assert_eq!(bounds, None, "a sublinear bound is not a constant");
     }
 
     #[test]

@@ -214,6 +214,9 @@ pub fn analyze_cq(
 /// Analyse the bounded evaluability of a union of conjunctive queries: each branch is
 /// analysed (and possibly rewritten) individually, then the rewritten union is checked
 /// for coverage (Lemma 3.6 / Corollary 3.13).
+///
+/// Kept public though only tests call it: it is Table 1's BEP / CQP row for UCQ, the
+/// paper's procedure for unions (the daemon plans through `bounded_plan_ucq`).
 pub fn analyze_ucq(
     query: &UnionQuery,
     schema: &AccessSchema,
@@ -242,6 +245,10 @@ pub fn analyze_ucq(
 /// Convenience: analyse a CQ and, when it is boundedly evaluable, synthesize a boundedly
 /// evaluable plan for it (an empty plan for `A`-unsatisfiable queries; the rewriting's
 /// plan for `A`-equivalent rewritings — it answers the original query on every `D ⊨ A`).
+///
+/// Kept public though only tests call it: it is Table 1's BEP row for CQ carried through
+/// to a plan (Theorem 3.11), and `tests/end_to_end.rs` and
+/// `crates/bench/tests/lowering_census.rs` run every plan it returns.
 pub fn bounded_plan_via_analysis(
     query: &ConjunctiveQuery,
     schema: &AccessSchema,

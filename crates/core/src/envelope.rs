@@ -361,6 +361,8 @@ fn expansion_children(
 /// Upper envelope for a union of conjunctive queries (Lemma 4.3): every branch needs a
 /// covered relaxation, or all of its `A`-instances must be answered by the relaxations of
 /// the other branches. The returned union consists of the per-branch relaxations.
+///
+/// Kept public though only tests call it: it is Table 1's UEP row for UCQ (Section 4).
 pub fn upper_envelope_ucq(
     query: &UnionQuery,
     schema: &AccessSchema,
@@ -397,6 +399,8 @@ pub fn upper_envelope_ucq(
 /// Lower envelope for a union of conjunctive queries (Lemma 4.6): the union must be
 /// bounded and some branch must have a covered, `A`-satisfiable `k`-expansion; that
 /// expansion (as a single-branch union) is a lower envelope of the whole union.
+///
+/// Kept public though only tests call it: it is Table 1's LEP row for UCQ (Section 4).
 pub fn lower_envelope_ucq(
     query: &UnionQuery,
     schema: &AccessSchema,

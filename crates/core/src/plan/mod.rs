@@ -191,16 +191,6 @@ impl QueryPlan {
         self.output
     }
 
-    /// The arity (number of columns) of a node's result.
-    pub fn arity_of(&self, node: NodeId) -> usize {
-        self.steps[node].columns.len()
-    }
-
-    /// The output arity of the plan.
-    pub fn output_arity(&self) -> usize {
-        self.arity_of(self.output)
-    }
-
     /// Number of operations in the plan (the paper's plan length `n`).
     pub fn len(&self) -> usize {
         self.steps.len()
@@ -366,6 +356,10 @@ impl QueryPlan {
     /// by a constraint `R(X → Y′, N)` of `A` with `Y ⊆ X ∪ Y′`. (The length condition is
     /// trivially met: plans are built from the query and schema without reference to any
     /// database.)
+    ///
+    /// Kept public though only tests call it: `tests/end_to_end.rs`,
+    /// `tests/paper_examples.rs` and `tests/properties.rs` check with it that every
+    /// synthesized plan meets Section 2's definition.
     pub fn is_bounded_under(&self, schema: &AccessSchema) -> bool {
         self.steps.iter().all(|step| match &step.op {
             PlanOp::Fetch {
@@ -609,17 +603,6 @@ impl PlanBuilder {
         self.push(PlanOp::Union { left, right }, labels)
     }
 
-    /// Add a difference node.
-    pub fn difference(&mut self, left: NodeId, right: NodeId) -> NodeId {
-        let labels = self.steps[left].columns.clone();
-        self.push(PlanOp::Difference { left, right }, labels)
-    }
-
-    /// Add a rename node.
-    pub fn rename(&mut self, source: NodeId, labels: Vec<String>) -> NodeId {
-        self.push(PlanOp::Rename { source }, labels)
-    }
-
     /// Finish the plan with the given output node.
     pub fn finish(self, query_name: impl Into<String>, output: NodeId) -> Result<QueryPlan> {
         QueryPlan::new(query_name, self.steps, output)
@@ -664,7 +647,7 @@ mod tests {
     fn build_and_validate() {
         let plan = simple_plan();
         assert_eq!(plan.len(), 4);
-        assert_eq!(plan.output_arity(), 1);
+        assert_eq!(plan.steps()[plan.output()].columns.len(), 1);
         assert_eq!(plan.query_name(), "Q");
         assert!(!plan.is_empty());
         assert!(plan.validate().is_ok());
@@ -747,7 +730,7 @@ mod tests {
         let mut b = PlanBuilder::new();
         let e = b.empty(2);
         let plan = b.finish("Q", e).unwrap();
-        assert_eq!(plan.output_arity(), 2);
+        assert_eq!(plan.steps()[plan.output()].columns.len(), 2);
         let (_, a) = schema();
         let cost = plan.cost(&a, 100);
         assert_eq!(cost.max_output_rows, 0);
@@ -763,8 +746,8 @@ mod tests {
         let p = b.product(x, y);
         let q = b.project(p, vec![0]);
         let u = b.union(q, x);
-        let d = b.difference(u, x);
-        let r = b.rename(d, vec!["z".into()]);
+        let d = b.push(PlanOp::Difference { left: u, right: x }, vec!["x".into()]);
+        let r = b.push(PlanOp::Rename { source: d }, vec!["z".into()]);
         let plan = b.finish("Q", r).unwrap();
         let cost = plan.cost(&a, 10);
         assert_eq!(cost.max_output_rows, 2); // 1×1 → 1; union 1+1 = 2; difference/renames keep 2

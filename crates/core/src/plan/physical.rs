@@ -1249,7 +1249,13 @@ mod tests {
             } else {
                 b.constant(Value::int(2), "x")
             };
-            let d = b.difference(one, other);
+            let d = b.push(
+                PlanOp::Difference {
+                    left: one,
+                    right: other,
+                },
+                vec!["x".into()],
+            );
             b.finish("Q", d).unwrap()
         };
         for (plan, step, why) in [
@@ -1409,7 +1415,7 @@ mod tests {
         let k = b.constant(Value::int(1), "x");
         let e = b.empty(1);
         let u = b.union(k, e);
-        let r = b.rename(u, vec!["y".into()]);
+        let r = b.push(PlanOp::Rename { source: u }, vec!["y".into()]);
         let plan = b.finish("Q", r).unwrap();
         let phys = lower_plan(&plan).unwrap();
         // Everything collapses to the constant: one step, already set-valued.

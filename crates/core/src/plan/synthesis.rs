@@ -379,7 +379,7 @@ mod tests {
         let plan = bounded_plan(&q0, &a).unwrap();
         assert!(plan.validate().is_ok());
         assert!(plan.is_bounded_under(&a));
-        assert_eq!(plan.output_arity(), 1);
+        assert_eq!(plan.steps()[plan.output()].columns.len(), 1);
         // 4 growth fetches (ψ1, ψ3, ψ2, ψ4); every atom is fully checked during growth,
         // so no verification fetches are needed.
         let cost = plan.cost(&a, 1_000_000);
@@ -430,7 +430,7 @@ mod tests {
             .build(&c)
             .unwrap();
         let plan = bounded_plan(&q, &AccessSchema::new()).unwrap();
-        assert_eq!(plan.output_arity(), 1);
+        assert_eq!(plan.steps()[plan.output()].columns.len(), 1);
         let cost = plan.cost(&AccessSchema::new(), 10);
         assert_eq!(cost.max_output_rows, 1);
         assert_eq!(cost.fetch_ops, 0);
@@ -450,7 +450,7 @@ mod tests {
             .build(&c)
             .unwrap();
         let plan = bounded_plan(&q, &a).unwrap();
-        assert_eq!(plan.output_arity(), 2);
+        assert_eq!(plan.steps()[plan.output()].columns.len(), 2);
         assert!(plan.is_bounded_under(&a));
     }
 
@@ -478,7 +478,7 @@ mod tests {
         let union = UnionQuery::from_branches("Q", vec![q1, q2]).unwrap();
         let plan = bounded_plan_ucq(&union, &a, &ReasonConfig::default()).unwrap();
         assert!(plan.is_bounded_under(&a));
-        assert_eq!(plan.output_arity(), 1);
+        assert_eq!(plan.steps()[plan.output()].columns.len(), 1);
         // Only the covered branch contributes, so there is no union node at all.
         assert!(!plan
             .steps()

@@ -182,11 +182,6 @@ impl EqClasses {
         self.constants.get(&self.root(v))
     }
 
-    /// True when the class of `v` is forced to two distinct constants.
-    pub fn is_contradictory(&self, v: Var) -> bool {
-        self.contradictory.contains(&self.root(v))
-    }
-
     /// True when any class is contradictory (the query has no classical answer).
     pub fn has_contradiction(&self) -> bool {
         !self.contradictory.is_empty()

@@ -69,11 +69,6 @@ impl Formula {
         Formula::Exists(vars.into_iter().map(Into::into).collect(), Box::new(body))
     }
 
-    /// Convenience constructor for universal quantification.
-    pub fn forall<S: Into<String>>(vars: impl IntoIterator<Item = S>, body: Formula) -> Self {
-        Formula::Forall(vars.into_iter().map(Into::into).collect(), Box::new(body))
-    }
-
     /// Free variable names of the formula.
     pub fn free_vars(&self) -> BTreeSet<String> {
         fn go(f: &Formula, bound: &mut Vec<String>, out: &mut BTreeSet<String>) {
@@ -283,6 +278,9 @@ impl FirstOrderQuery {
     ///
     /// Following Section 5, the equalities are added *inside* the quantifier prefix, so
     /// both free and bound parameters can be instantiated.
+    ///
+    /// Kept public though only tests call it: it is Section 5's definition of a
+    /// specialized query for FO, whose Table 1 row is undecidable and has no procedure.
     pub fn specialized(&self, bindings: &[(String, Value)]) -> FirstOrderQuery {
         let mut body = self.body.clone();
         for (name, value) in bindings {
@@ -377,7 +375,7 @@ mod tests {
         assert!(!neg.is_positive_existential());
         assert!(neg.to_positive().is_none());
 
-        let forall = Formula::forall(["y"], Formula::atom("R", ["x", "y"]));
+        let forall = Formula::Forall(vec!["y".into()], Box::new(Formula::atom("R", ["x", "y"])));
         assert!(!forall.is_positive_existential());
         assert!(Formula::Or(vec![forall]).to_positive().is_none());
     }
@@ -422,7 +420,7 @@ mod tests {
                 ["y"],
                 Formula::And(vec![
                     Formula::atom("R", ["x", "y"]),
-                    Formula::forall(["z"], Formula::atom("S", ["y", "z"])),
+                    Formula::Forall(vec!["z".into()], Box::new(Formula::atom("S", ["y", "z"]))),
                 ]),
             ),
         )
@@ -453,7 +451,10 @@ mod tests {
         let q = FirstOrderQuery::new(
             "Q",
             ["x"],
-            Formula::forall(["y"], Formula::not(Formula::atom("R", ["x", "y"]))),
+            Formula::Forall(
+                vec!["y".into()],
+                Box::new(Formula::not(Formula::atom("R", ["x", "y"]))),
+            ),
         );
         let s = q.to_string();
         assert!(s.contains("∀y"));

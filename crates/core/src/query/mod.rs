@@ -72,14 +72,6 @@ impl Query {
         }
     }
 
-    /// View as a union of conjunctive queries, if it is one.
-    pub fn as_ucq(&self) -> Option<&UnionQuery> {
-        match self {
-            Query::Ucq(q) => Some(q),
-            _ => None,
-        }
-    }
-
     /// Convert to a union of conjunctive queries when the query is in CQ, UCQ or ∃FO⁺
     /// (or an FO query whose body happens to be positive-existential).
     ///

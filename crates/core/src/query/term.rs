@@ -38,14 +38,6 @@ pub enum Term {
 }
 
 impl Term {
-    /// The variable, if the term is one.
-    pub fn as_var(&self) -> Option<Var> {
-        match self {
-            Term::Var(v) => Some(*v),
-            Term::Const(_) => None,
-        }
-    }
-
     /// The constant, if the term is one.
     pub fn as_const(&self) -> Option<&Value> {
         match self {
@@ -164,10 +156,8 @@ mod tests {
     #[test]
     fn term_accessors() {
         let t = Term::Var(Var(1));
-        assert_eq!(t.as_var(), Some(Var(1)));
         assert_eq!(t.as_const(), None);
         let c = Term::Const(Value::int(5));
-        assert_eq!(c.as_var(), None);
         assert_eq!(c.as_const(), Some(&Value::int(5)));
         assert_eq!(Term::from(Var(0)).to_string(), "?0");
         assert_eq!(Term::from(Value::int(2)).to_string(), "2");

@@ -67,19 +67,6 @@ impl UnionQuery {
             .flat_map(|b| b.params().iter().map(|&v| b.var_name(v).to_owned()))
             .collect()
     }
-
-    /// A copy with one branch replaced.
-    pub fn with_branch_replaced(&self, index: usize, branch: ConjunctiveQuery) -> Result<Self> {
-        if index >= self.branches.len() {
-            return Err(Error::invalid(format!(
-                "union query `{}` has no branch {index}",
-                self.name
-            )));
-        }
-        let mut branches = self.branches.clone();
-        branches[index] = branch;
-        Self::from_branches(self.name.clone(), branches)
-    }
 }
 
 impl fmt::Display for UnionQuery {
@@ -167,15 +154,5 @@ mod tests {
         assert!(params.contains("x"));
         assert!(params.contains("w"));
         assert_eq!(params.len(), 2);
-    }
-
-    #[test]
-    fn replace_branch() {
-        let c = catalog();
-        let u =
-            UnionQuery::from_branches("Q", vec![branch(&c, "Q1", 1), branch(&c, "Q2", 2)]).unwrap();
-        let u2 = u.with_branch_replaced(1, branch(&c, "Q2b", 3)).unwrap();
-        assert_eq!(u2.branches()[1].name(), "Q2b");
-        assert!(u.with_branch_replaced(5, branch(&c, "X", 0)).is_err());
     }
 }

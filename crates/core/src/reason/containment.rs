@@ -135,6 +135,9 @@ pub fn a_contained_union(
 }
 
 /// `A`-equivalence of two UCQs.
+///
+/// Kept public though only tests call it: it is Section 3.2's `A`-equivalence of
+/// unions, the relation Corollary 3.13's rewriting of a UCQ preserves.
 pub fn a_equivalent_union(
     left: &UnionQuery,
     right: &UnionQuery,

@@ -252,7 +252,7 @@ mod tests {
         let (inst, head) = canonical_instance(&q).unwrap();
         assert_eq!(inst.size(), 1);
         let row = inst.rows("R").next().unwrap().clone();
-        assert!(row[0].is_labelled());
+        assert!(matches!(row[0], Value::Labelled(_)));
         assert_eq!(row[1], Value::int(1));
         assert_eq!(head, vec![row[0].clone()]);
     }

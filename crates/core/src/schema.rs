@@ -95,15 +95,6 @@ impl Catalog {
         Self::default()
     }
 
-    /// Build a catalog from an iterator of relation schemas.
-    pub fn from_relations(relations: impl IntoIterator<Item = RelationSchema>) -> Result<Self> {
-        let mut catalog = Self::new();
-        for r in relations {
-            catalog.add_relation(r)?;
-        }
-        Ok(catalog)
-    }
-
     /// Add a relation schema; the name must not already exist.
     pub fn add_relation(&mut self, relation: RelationSchema) -> Result<()> {
         if self.relations.contains_key(relation.name()) {
@@ -195,6 +186,8 @@ mod tests {
     #[test]
     fn unknown_relation_and_attribute() {
         let c = sample();
+        assert!(c.contains("Accident"));
+        assert!(!c.contains("Nope"));
         assert!(matches!(
             c.relation("Nope"),
             Err(Error::UnknownRelation { .. })
@@ -237,17 +230,5 @@ mod tests {
         let s = c.to_string();
         assert!(s.contains("Accident(aid, district, date)"));
         assert!(c.relation("Vehicle").unwrap().to_string() == "Vehicle(vid, driver, age)");
-    }
-
-    #[test]
-    fn from_relations_builder() {
-        let c = Catalog::from_relations([
-            RelationSchema::new("R", ["a", "b"]).unwrap(),
-            RelationSchema::new("S", ["c"]).unwrap(),
-        ])
-        .unwrap();
-        assert!(c.contains("R"));
-        assert!(c.contains("S"));
-        assert!(!c.contains("T"));
     }
 }

@@ -148,6 +148,8 @@ pub struct UcqSpecialization {
 /// Decide QSP for a union of conjunctive queries (Theorem 5.3 for UCQ / ∃FO⁺):
 /// parameters are identified by name across branches, and the specialized union must be
 /// covered in the UCQ sense (Section 3.2).
+///
+/// Kept public though only tests call it: it is Table 1's QSP row for UCQ (Section 5).
 pub fn specialize_ucq(
     query: &UnionQuery,
     schema: &AccessSchema,

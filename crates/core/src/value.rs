@@ -192,11 +192,6 @@ impl Value {
         Value::Int(i)
     }
 
-    /// True when the value is a labelled null (a generic placeholder constant).
-    pub const fn is_labelled(&self) -> bool {
-        matches!(self, Value::Labelled(_))
-    }
-
     /// The placeholder for the `class`-th constant a query template leaves open: labelled
     /// nulls counted down from the top, out of the way of the small indices the
     /// reasoning procedures mint fresh nulls from. Pairwise distinct, and distinct from
@@ -221,16 +216,6 @@ impl Value {
         self.placeholder_class()
             .and_then(|class| constants.get(class as usize))
             .unwrap_or(self)
-    }
-
-    /// A short tag describing the value's type, used in error messages.
-    pub const fn type_name(&self) -> &'static str {
-        match self {
-            Value::Int(_) => "int",
-            Value::Str(_) => "string",
-            Value::Bool(_) => "bool",
-            Value::Labelled(_) => "labelled-null",
-        }
     }
 }
 
@@ -488,8 +473,6 @@ mod tests {
         assert_eq!(Value::Labelled(2), Value::Labelled(2));
         assert_ne!(Value::Labelled(2), Value::Labelled(3));
         assert_ne!(Value::Labelled(2), Value::int(2));
-        assert!(Value::Labelled(0).is_labelled());
-        assert!(!Value::int(0).is_labelled());
     }
 
     #[test]
@@ -525,13 +508,5 @@ mod tests {
             hash_row(&[Value::int(1), Value::int(2)]),
             hash_row(&[Value::int(2), Value::int(1)])
         );
-    }
-
-    #[test]
-    fn type_names() {
-        assert_eq!(Value::int(0).type_name(), "int");
-        assert_eq!(Value::str("").type_name(), "string");
-        assert_eq!(Value::Bool(false).type_name(), "bool");
-        assert_eq!(Value::Labelled(0).type_name(), "labelled-null");
     }
 }

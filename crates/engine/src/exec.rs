@@ -242,7 +242,7 @@ fn validate_fetches_for(plan: &QueryPlan, store: Store<'_>) -> Result<()> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bea_core::access::{AccessConstraint, AccessSchema};
     use bea_core::plan::bounded_plan;
@@ -251,6 +251,15 @@ mod tests {
     use bea_core::schema::Catalog;
     use bea_core::value::Value;
     use bea_storage::{Database, IndexedDatabase};
+
+    /// `plan` with one more step, `op` labelled `columns`, as its output: how a test
+    /// builds the operations synthesis never emits (a difference, a rename).
+    pub(crate) fn append_step(plan: &QueryPlan, op: PlanOp, columns: Vec<String>) -> QueryPlan {
+        let mut steps = plan.steps().to_vec();
+        steps.push(bea_core::plan::PlanStep { op, columns });
+        let output = steps.len() - 1;
+        QueryPlan::new(plan.query_name(), steps, output).unwrap()
+    }
 
     fn setup() -> (Catalog, AccessSchema, IndexedDatabase) {
         let mut c = Catalog::new();
@@ -354,9 +363,16 @@ mod tests {
         let one = b.constant(Value::int(1), "x");
         let two = b.constant(Value::int(2), "x");
         let union = b.union(one, two);
-        let diff = b.difference(union, two);
-        let renamed = b.rename(diff, vec!["y".into()]);
-        let plan = b.finish("Q", renamed).unwrap();
+        let plan = b.finish("Q", union).unwrap();
+        let diff = PlanOp::Difference {
+            left: union,
+            right: two,
+        };
+        let plan = append_step(&plan, diff, vec!["x".into()]);
+        let renamed = PlanOp::Rename {
+            source: plan.output(),
+        };
+        let plan = append_step(&plan, renamed, vec!["y".into()]);
         match execute_plan(&plan, &idb) {
             Err(Error::InvalidPlan { reason }) => {
                 assert!(reason.starts_with("step T3 is a difference"), "{reason}")
@@ -541,8 +557,8 @@ mod tests {
         ];
         let sel = b.select(joined, tied);
         let proj = b.project(sel, vec![0]);
-        let renamed = b.rename(proj, vec!["y".into()]);
-        let plan = b.finish("Q", renamed).unwrap();
+        let plan = b.finish("Q", proj).unwrap();
+        let plan = append_step(&plan, PlanOp::Rename { source: proj }, vec!["y".into()]);
 
         let (streamed, _) = execute_plan(&plan, &idb).unwrap();
         let (materialized, _) = execute_plan_materialized(&plan, &idb).unwrap();

@@ -509,12 +509,12 @@ mod tests {
             ["y"],
             Formula::And(vec![
                 Formula::exists(["x"], Formula::atom("R", ["x", "y"])),
-                Formula::forall(
-                    ["z"],
-                    Formula::Or(vec![
+                Formula::Forall(
+                    vec!["z".into()],
+                    Box::new(Formula::Or(vec![
                         Formula::not(Formula::atom("S", ["y", "z"])),
                         Formula::eq("z", Value::int(100)),
-                    ]),
+                    ])),
                 ),
             ]),
         );

@@ -204,7 +204,6 @@ pub struct AdmissionStats {
 #[derive(Debug)]
 pub struct QueryHandle {
     ticket: CostTicket,
-    queued: bool,
     /// The run's result, or the payload of the panic that ended it.
     outcome: std::thread::Result<Result<(Table, AccessStats)>>,
 }
@@ -213,12 +212,6 @@ impl QueryHandle {
     /// The priced ticket the admission controller accepted.
     pub fn ticket(&self) -> &CostTicket {
         &self.ticket
-    }
-
-    /// Whether the query had to queue for budget headroom (it still ran; this is
-    /// informational).
-    pub fn was_queued(&self) -> bool {
-        self.queued
     }
 
     /// The query's table and access statistics — exactly what
@@ -327,7 +320,6 @@ impl Gate {
         Admission {
             gate: self,
             bound,
-            queued,
             completed: false,
         }
     }
@@ -339,8 +331,6 @@ impl Gate {
 struct Admission<'s> {
     gate: &'s Gate,
     bound: u64,
-    /// Whether the query waited for headroom.
-    queued: bool,
     completed: bool,
 }
 
@@ -419,12 +409,10 @@ impl Session {
     pub fn submit(&self, plan: &QueryPlan) -> std::result::Result<QueryHandle, SubmitError> {
         let prepared = self.prepare(plan).map_err(SubmitError::Invalid)?;
         let admission = self.admit(&prepared.ticket)?;
-        let queued = admission.queued;
         let run = || self.execute(&prepared, &[], admission);
         let outcome = catch_unwind(AssertUnwindSafe(run));
         Ok(QueryHandle {
             ticket: prepared.ticket,
-            queued,
             outcome,
         })
     }
@@ -526,10 +514,11 @@ impl Drop for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::tests::append_step;
     use crate::exec::{execute_plan, execute_plan_materialized};
     use crate::ops::tests::union_of_lookups_in;
     use bea_core::access::{AccessConstraint, AccessSchema};
-    use bea_core::plan::{PlanBuilder, Predicate};
+    use bea_core::plan::{PlanBuilder, PlanOp, Predicate};
     use bea_core::schema::Catalog;
     use bea_storage::Database;
     use std::sync::mpsc::{channel, RecvTimeoutError};
@@ -824,8 +813,12 @@ mod tests {
             lookup(&mut b, &Value::int(1)),
             lookup(&mut b, &Value::int(2)),
         );
-        let minus = b.difference(one, two);
-        let difference = b.finish("difference", minus).unwrap();
+        let lookups = b.finish("difference", two).unwrap();
+        let minus = PlanOp::Difference {
+            left: one,
+            right: two,
+        };
+        let difference = append_step(&lookups, minus, lookups.steps()[one].columns.clone());
         let mut b = PlanBuilder::new();
         let (one, two) = (
             lookup(&mut b, &Value::int(1)),
@@ -1026,10 +1019,10 @@ mod tests {
                 assert_eq!(admission.inflight_bound, 0);
                 assert_eq!(admission.failed, failed);
                 let next = session.submit(&good).unwrap();
-                assert!(!next.was_queued(), "the next query waited for headroom");
+                let queued = session.admission_stats().queued;
+                assert_eq!(queued, 0, "the next query waited for headroom");
                 assert_eq!(next.wait().unwrap().0.len(), 2);
             }
-            assert_eq!(session.admission_stats().queued, 0);
         });
     }
 

@@ -78,6 +78,9 @@ impl Table {
     }
 
     /// True when no row occurs twice — what every query answer must be.
+    ///
+    /// A test oracle, public because `tests/properties.rs` asserts it on every table it
+    /// executes.
     pub fn is_set(&self) -> bool {
         self.row_set().len() == self.rows.len()
     }
@@ -85,14 +88,6 @@ impl Table {
     /// Sort rows lexicographically (for deterministic output).
     pub fn sort(&mut self) {
         self.rows.sort();
-    }
-
-    /// Single-column helper: the values of the first column.
-    pub fn first_column(&self) -> Vec<Value> {
-        self.rows
-            .iter()
-            .filter_map(|r| r.first().cloned())
-            .collect()
     }
 }
 
@@ -153,7 +148,7 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("a\tb"));
         assert!(s.contains("1\t\"x\""));
-        assert_eq!(t.first_column(), vec![Value::int(1)]);
+        assert_eq!(t.rows()[0][0], Value::int(1));
         assert_eq!(t.row_set().len(), 1);
     }
 }

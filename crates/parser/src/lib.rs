@@ -506,7 +506,9 @@ mod tests {
              Q(y) :- R(x, y), x = 2.",
         )
         .unwrap();
-        let ucq = q.as_ucq().unwrap();
+        let Query::Ucq(ucq) = &q else {
+            panic!("two rules parse to a union, got {q:?}")
+        };
         assert_eq!(ucq.len(), 2);
         assert_eq!(ucq.arity(), 1);
         assert_eq!(ucq.name(), "Q");

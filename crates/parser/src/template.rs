@@ -139,7 +139,10 @@ mod tests {
         let template = parse_template(&catalog, text).unwrap();
         let literal = parse_query(&catalog, text).unwrap();
         let constants = |query: &bea_core::query::Query| -> Vec<Value> {
-            let branches = query.as_ucq().unwrap().branches();
+            let bea_core::query::Query::Ucq(union) = query else {
+                panic!("two rules parse to a union, got {query:?}")
+            };
+            let branches = union.branches();
             let equalities = branches.iter().flat_map(|branch| branch.equalities());
             equalities
                 .filter_map(|equality| match equality {

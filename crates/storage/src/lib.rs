@@ -15,7 +15,6 @@
 //!   [`Store`] is the executor's name for a borrowed one.
 //! * [`discovery`] — mining access constraints from data (the paper notes that the
 //!   constraints of Example 1.1 "are discovered by simple aggregate queries on D₀").
-//! * [`io`] — minimal tab-separated import/export, for persisting generated workloads.
 //!
 //! # Physical layout and what it costs
 //!
@@ -58,7 +57,6 @@ pub mod database;
 pub mod discovery;
 pub mod index;
 pub mod indexed;
-pub mod io;
 pub mod relation;
 
 pub use database::Database;

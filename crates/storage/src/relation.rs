@@ -127,14 +127,6 @@ impl Relation {
     pub fn project(row: &[Value], positions: &[usize]) -> Row {
         positions.iter().map(|&p| row[p].clone()).collect()
     }
-
-    /// Number of distinct values of one attribute (used by statistics and discovery).
-    pub fn distinct_count(&self, attribute: usize) -> usize {
-        let mut values: Vec<&Value> = self.rows().map(|r| &r[attribute]).collect();
-        values.sort();
-        values.dedup();
-        values.len()
-    }
 }
 
 #[cfg(test)]
@@ -229,8 +221,9 @@ mod tests {
             Relation::project(r.row(0).unwrap(), &[1, 0]),
             vec![Value::str("x"), Value::int(1)]
         );
-        assert_eq!(r.distinct_count(0), 2);
-        assert_eq!(r.distinct_count(1), 2);
+        let distinct: std::collections::BTreeSet<Row> =
+            r.rows().map(|row| Relation::project(row, &[1])).collect();
+        assert_eq!(distinct.len(), 2);
         r.reserve(100);
         assert_eq!(r.len(), 3);
     }

@@ -177,6 +177,9 @@ fn random_cq_impl(
 }
 
 /// Generate a reproducible workload of `count` random queries.
+///
+/// A test generator, public because `tests/end_to_end.rs` and
+/// `crates/bench/tests/lowering_census.rs` draw their workloads from it.
 pub fn random_workload(
     catalog: &Catalog,
     schema_hint: Option<&AccessSchema>,
