@@ -90,7 +90,8 @@ fn a_served_request_stays_inside_its_allocation_budget() {
     );
     drop(server);
     let _ = std::fs::remove_file(&socket);
-    // Measured 26 and 137 (Q0 149 while each lookup's arena copied the key columns of
+    // Measured 26 and 138 (Q0 137 before each lookup staged a batch in one pass, with a
+    // position per row; 149 while each lookup's arena copied the key columns of
     // its tuples; 34 and 157 while a product with a constant buffered the
     // constant and emitted through a cursor, and a point request's `{()} × {id}` ran
     // as a unit source and such a product; 36 and 159 while a query kept a

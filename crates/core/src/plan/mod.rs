@@ -115,18 +115,6 @@ pub enum PlanOp {
         /// Right input.
         right: NodeId,
     },
-    /// Set difference (operands must have equal arity).
-    Difference {
-        /// Left input.
-        left: NodeId,
-        /// Right input.
-        right: NodeId,
-    },
-    /// Renaming; semantically the identity, kept for completeness of the plan algebra.
-    Rename {
-        /// Input node.
-        source: NodeId,
-    },
 }
 
 /// One plan step: an operation plus human-readable column labels for its result.
@@ -202,7 +190,7 @@ impl QueryPlan {
     }
 
     /// Structural validation: every referenced node is an earlier step, columns are in
-    /// range, and arities agree for union/difference.
+    /// range, and arities agree for a union.
     pub fn validate(&self) -> Result<()> {
         if self.steps.is_empty() {
             return Err(Error::InvalidPlan {
@@ -323,7 +311,7 @@ impl QueryPlan {
                         });
                     }
                 }
-                PlanOp::Union { left, right } | PlanOp::Difference { left, right } => {
+                PlanOp::Union { left, right } => {
                     check_source(*left, "operand")?;
                     check_source(*right, "operand")?;
                     if arity(*left) != arity(*right) {
@@ -334,14 +322,6 @@ impl QueryPlan {
                     if step.columns.len() != arity(*left) {
                         return Err(Error::InvalidPlan {
                             reason: format!("step {i} has mismatched column labels"),
-                        });
-                    }
-                }
-                PlanOp::Rename { source } => {
-                    check_source(*source, "rename source")?;
-                    if step.columns.len() != arity(*source) {
-                        return Err(Error::InvalidPlan {
-                            reason: format!("rename step {i} must keep its source arity"),
                         });
                     }
                 }
@@ -406,7 +386,7 @@ impl QueryPlan {
                     fetched = fetched.saturating_add(total);
                     total
                 }
-                PlanOp::Project { source, .. } | PlanOp::Rename { source } => row_bounds[*source],
+                PlanOp::Project { source, .. } => row_bounds[*source],
                 PlanOp::Select { source, predicates } => {
                     // Keyed-join pattern emitted by plan synthesis: σ over
                     // `T × fetch(X ∈ T, R, …)` with equality predicates on all key
@@ -447,7 +427,6 @@ impl QueryPlan {
                 PlanOp::Union { left, right } => {
                     row_bounds[*left].saturating_add(row_bounds[*right])
                 }
-                PlanOp::Difference { left, .. } => row_bounds[*left],
             };
             row_bounds.push(bound);
         }
@@ -497,12 +476,6 @@ impl fmt::Display for QueryPlan {
                 }
                 PlanOp::Union { left, right } => {
                     writeln!(f, "  T{i} = T{left} ∪ T{right}{marker} [{cols}]")?
-                }
-                PlanOp::Difference { left, right } => {
-                    writeln!(f, "  T{i} = T{left} − T{right}{marker} [{cols}]")?
-                }
-                PlanOp::Rename { source } => {
-                    writeln!(f, "  T{i} = ρ(T{source}){marker} [{cols}]")?
                 }
             }
         }
@@ -738,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn product_union_difference_rename_costs() {
+    fn product_and_union_costs() {
         let (_, a) = schema();
         let mut b = PlanBuilder::new();
         let x = b.constant(Value::int(1), "x");
@@ -746,18 +719,14 @@ mod tests {
         let p = b.product(x, y);
         let q = b.project(p, vec![0]);
         let u = b.union(q, x);
-        let d = b.push(PlanOp::Difference { left: u, right: x }, vec!["x".into()]);
-        let r = b.push(PlanOp::Rename { source: d }, vec!["z".into()]);
-        let plan = b.finish("Q", r).unwrap();
+        let plan = b.finish("Q", u).unwrap();
         let cost = plan.cost(&a, 10);
-        assert_eq!(cost.max_output_rows, 2); // 1×1 → 1; union 1+1 = 2; difference/renames keep 2
+        assert_eq!(cost.max_output_rows, 2); // 1×1 → 1; union 1+1 = 2
         assert_eq!(cost.fetch_ops, 0);
         assert!(plan.is_bounded_under(&a));
         let display = plan.to_string();
         assert!(display.contains("×"));
         assert!(display.contains("∪"));
-        assert!(display.contains("−"));
-        assert!(display.contains("ρ"));
     }
 
     #[test]

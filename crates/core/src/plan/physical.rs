@@ -23,8 +23,7 @@
 //! * a step that two operators would read (a fetch shared beyond its fused selection,
 //!   or `T ∪ T`);
 //! * a selection that does not fuse into a keyed lookup;
-//! * a product that is not fused and whose right side does not lower to a constant;
-//! * a difference.
+//! * a product that is not fused and whose right side does not lower to a constant.
 //!
 //! The literal reference executor (`bea-engine`'s `execute_plan_materialized`) still
 //! runs the whole logical algebra.
@@ -63,8 +62,7 @@
 //!   schema, which nothing on the query path checks.
 //! * **Constant appends** — a product `T × {c}` becomes [`PhysOp::AppendConst`], which
 //!   writes `c` beside every row of `T` and holds nothing; `{()} × {c}` is `{c}` itself.
-//! * **Rename and empty-branch elimination** — ρ steps vanish into column labels;
-//!   `T ∪ ∅` collapses to `T`.
+//! * **Empty-branch elimination** — `T ∪ ∅` collapses to `T`.
 //!
 //! **One plan, whatever the store and the thread count.** Lowering never looks at the
 //! store: the paper's bound is about *which* `(constraint, key)` lookups a plan makes,
@@ -402,11 +400,8 @@ pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
         match &step.op {
             PlanOp::Fetch { source, .. }
             | PlanOp::Project { source, .. }
-            | PlanOp::Select { source, .. }
-            | PlanOp::Rename { source } => consumers[*source] += 1,
-            PlanOp::Product { left, right }
-            | PlanOp::Union { left, right }
-            | PlanOp::Difference { left, right } => {
+            | PlanOp::Select { source, .. } => consumers[*source] += 1,
+            PlanOp::Product { left, right } | PlanOp::Union { left, right } => {
                 consumers[*left] += 1;
                 consumers[*right] += 1;
             }
@@ -603,8 +598,6 @@ pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
                     }
                 }
             }
-            PlanOp::Difference { .. } => return Err(refuse(i, "is a difference".into())),
-            PlanOp::Rename { source } => map[*source].expect("source lowered earlier"),
         };
         map[i] = Some(node);
         from.resize(phys.len(), i);
@@ -619,8 +612,8 @@ pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
     }
     phys[output].columns = steps[plan.output()].columns.clone();
 
-    // Keep the steps the output reads (sources of eliminated renames, ∅ branches and
-    // steps absorbed into fused operators are gone), each of which one operator reads.
+    // Keep the steps the output reads (∅ branches and steps absorbed into fused
+    // operators are gone), each of which one operator reads.
     let kept = reachable(&phys, output);
     let mut readers = vec![0usize; phys.len()];
     for p in (0..phys.len()).filter(|&p| kept[p]) {
@@ -1240,24 +1233,6 @@ mod tests {
         let (left, right) = (keyed_join(&mut b), keyed_join(&mut b));
         let both = b.product(left, right);
         let lookups = b.finish("Q", both).unwrap();
-        // `{1} − {2}`, and `{1} − ∅`, which lowering used to drop.
-        let difference = |empty: bool| {
-            let mut b = PlanBuilder::new();
-            let one = b.constant(Value::int(1), "x");
-            let other = if empty {
-                b.empty(1)
-            } else {
-                b.constant(Value::int(2), "x")
-            };
-            let d = b.push(
-                PlanOp::Difference {
-                    left: one,
-                    right: other,
-                },
-                vec!["x".into()],
-            );
-            b.finish("Q", d).unwrap()
-        };
         for (plan, step, why) in [
             (&shared, 1, "is read by 2 operators"),
             (&twice, 1, "is read by 2 operators"),
@@ -1276,8 +1251,6 @@ mod tests {
                 12,
                 "is a product whose right side is not a constant",
             ),
-            (&difference(false), 2, "is a difference"),
-            (&difference(true), 2, "is a difference"),
         ] {
             let reason = refusal(plan);
             assert!(
@@ -1410,19 +1383,17 @@ mod tests {
     }
 
     #[test]
-    fn rename_and_empty_branches_vanish() {
+    fn empty_branches_vanish() {
         let mut b = PlanBuilder::new();
         let k = b.constant(Value::int(1), "x");
         let e = b.empty(1);
         let u = b.union(k, e);
-        let r = b.push(PlanOp::Rename { source: u }, vec!["y".into()]);
-        let plan = b.finish("Q", r).unwrap();
+        let plan = b.finish("Q", u).unwrap();
         let phys = lower_plan(&plan).unwrap();
         // Everything collapses to the constant: one step, already set-valued.
         assert_eq!(phys.len(), 1);
         assert!(matches!(phys.steps()[0].op, PhysOp::Const { .. }));
-        // The output keeps the rename's label.
-        assert_eq!(phys.steps()[phys.output()].columns, vec!["y".to_owned()]);
+        assert_eq!(phys.steps()[phys.output()].columns, vec!["x".to_owned()]);
     }
 
     /// How many δ steps `plan` lowers to.

@@ -13,7 +13,9 @@
 //! additive [`crate::stats::AccessStats::cache_hits`] / `rows_served_from_cache`
 //! counters. A miss is the ordinary uncached miss, after which the prober inserts an
 //! uncharged entry (see `allocs_per_probe`) — so a cold run reproduces the uncached
-//! counters exactly. The key table trusts the carried hash instead of hashing keys again:
+//! counters exactly. A keyed lookup looks a key up here once, the first time it sees
+//! the key, and inserts it at most once, after its fetch; it serves every repeat from
+//! its own memo. The key table trusts the carried hash instead of hashing keys again:
 //! keys are data the operator loaded and constants of admitted queries, and a hit is
 //! confirmed by comparing values, so a poor spread costs time under the lock, never a
 //! wrong entry.
@@ -65,11 +67,13 @@
 //! cache state: a query is priced at its uncached worst case, so boundedness
 //! guarantees hold even if every entry is evicted mid-flight.
 //!
-//! A keyed lookup reads every key of a source batch before it inserts any (see
-//! [`crate::ops`]' `fetch` module), so an entry that an insert later in the same batch
-//! evicts can still serve that batch.
+//! A keyed lookup keeps what it found for a key (see [`crate::ops`]' `fetch` module),
+//! so an entry evicted after the lookup found it still serves that lookup's repeats of
+//! the key. Those repeats set no referenced bit: under pressure, the hand evicts by
+//! the first look of each operator, not by every row that carried the key.
 
 use crate::ops::batch::{Batch, HashedRow, RowTable};
+use bea_core::value::Value;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -160,11 +164,11 @@ impl Space {
         }
     }
 
-    /// Hold `cached` as `key`'s entry: its position, or `None` when the key is resident
-    /// already or the space holds as many keys as positions can name.
-    fn insert(&mut self, key: &HashedRow, cached: Cached) -> Option<u32> {
-        let values = key.values();
-        let (position, fresh) = self.keys.insert(key.hash(), |c| &values[c]).ok()?;
+    /// Hold `cached` as the entry of `key`, whose [`hash_row`](bea_core::value::hash_row)
+    /// is `hash`: its position, or `None` when the key is resident already or the space
+    /// holds as many keys as positions can name.
+    fn insert(&mut self, hash: u64, key: &[Value], cached: Cached) -> Option<u32> {
+        let (position, fresh) = self.keys.insert(hash, |c| &key[c]).ok()?;
         if !fresh {
             return None;
         }
@@ -200,6 +204,12 @@ struct Resident {
     hits: u64,
     rows_served: u64,
     evictions: u64,
+    /// Every key looked up, and every key offered to an insert the budget admits, in
+    /// order: what the keyed lookup's tests count.
+    #[cfg(test)]
+    looked_up: Vec<Vec<Value>>,
+    #[cfg(test)]
+    inserted: Vec<Vec<Value>>,
 }
 
 /// The session-owned hot tier itself. See the module docs for the contract.
@@ -243,6 +253,8 @@ impl SessionFetchCache {
     /// referenced bit and counts the rows it serves.
     pub(crate) fn lookup(&self, space: CacheSpace, key: &HashedRow) -> Option<Cached> {
         let resident = &mut *self.lock();
+        #[cfg(test)]
+        resident.looked_up.push(key.values().to_vec());
         let space = &mut resident.spaces[space.0 as usize];
         let position = space.keys.find_key(key)?;
         let entry = &mut space.slab[position as usize];
@@ -258,17 +270,20 @@ impl SessionFetchCache {
         rows as u64 <= self.budget_rows
     }
 
-    /// Hold `cached` as `key`'s entry in `space`, unless an entry is already there (a
+    /// Hold `cached` as the entry in `space` of `key`, as the prober's flat probe buffer
+    /// holds it, with its carried `hash` — unless an entry is already there (a
     /// concurrent miss of the same key inserted it first) or its rows are not
     /// [admitted](SessionFetchCache::admits); then advance the hand until the resident
     /// total and the number of entries fit the budget again (see the module docs).
-    pub(crate) fn insert(&self, space: CacheSpace, key: &HashedRow, cached: Cached) {
+    pub(crate) fn insert(&self, space: CacheSpace, hash: u64, key: &[Value], cached: Cached) {
         let rows = cached.len();
         if !self.admits(rows) {
             return;
         }
         let resident = &mut *self.lock();
-        let Some(position) = resident.spaces[space.0 as usize].insert(key, cached) else {
+        #[cfg(test)]
+        resident.inserted.push(key.to_vec());
+        let Some(position) = resident.spaces[space.0 as usize].insert(hash, key, cached) else {
             return;
         };
         resident.ring.push_back((space, position));
@@ -309,6 +324,13 @@ impl SessionFetchCache {
         );
     }
 
+    /// The keys looked up and offered to inserts so far (see `Resident`).
+    #[cfg(test)]
+    pub(crate) fn trips(&self) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
+        let resident = self.lock();
+        (resident.looked_up.clone(), resident.inserted.clone())
+    }
+
     pub(crate) fn stats(&self) -> CacheStats {
         let resident = self.lock();
         CacheStats {
@@ -325,7 +347,6 @@ impl SessionFetchCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bea_core::value::Value;
 
     fn shape(constraint: usize) -> CacheShape {
         CacheShape {
@@ -347,6 +368,12 @@ mod tests {
         HashedRow::new(vec![Value::int(k)])
     }
 
+    /// Insert `cached` as key `k`'s entry in `space`.
+    fn put(cache: &SessionFetchCache, space: CacheSpace, k: i64, cached: Cached) {
+        let key = key_of(k);
+        cache.insert(space, key.hash(), key.values(), cached);
+    }
+
     #[test]
     fn concurrent_misses_of_one_key_keep_one_entry() {
         let cache = SessionFetchCache::new(1_000);
@@ -358,7 +385,7 @@ mod tests {
                 scope.spawn(|| {
                     assert!(cache.lookup(space, &key).is_none());
                     all_missed.wait();
-                    cache.insert(space, &key, batch_of(3));
+                    put(&cache, space, 7, batch_of(3));
                 });
             }
         });
@@ -382,7 +409,7 @@ mod tests {
             ..shape(0)
         });
         let key = key_of(1);
-        cache.insert(a, &key, batch_of(2));
+        put(&cache, a, 1, batch_of(2));
         // Same constraint, different pre-projection — and a different constraint
         // entirely — both miss: entry content would differ.
         assert!(cache.lookup(fused, &key).is_none());
@@ -398,13 +425,13 @@ mod tests {
         let cache = SessionFetchCache::new(6);
         let space = cache.space(shape(0));
         for k in 0..3 {
-            cache.insert(space, &key_of(k), batch_of(2));
+            put(&cache, space, k, batch_of(2));
         }
         assert_eq!(cache.stats().resident_rows, 6);
         // Touch key 0 so key 1 becomes the oldest untouched entry.
         assert!(cache.lookup(space, &key_of(0)).is_some());
         // A fourth entry pushes past the budget: key 1 goes, the rest stay.
-        cache.insert(space, &key_of(3), batch_of(2));
+        put(&cache, space, 3, batch_of(2));
         let stats = cache.stats();
         assert_eq!(stats.resident_rows, 6, "evicted back down to the budget");
         assert_eq!(stats.evictions, 1);
@@ -417,7 +444,7 @@ mod tests {
         }
         // A list longer than the whole budget is not admitted: it evicts nothing, and
         // the residents stay.
-        cache.insert(space, &key_of(4), batch_of(7));
+        put(&cache, space, 4, batch_of(7));
         let stats = cache.stats();
         assert_eq!((stats.resident_rows, stats.evictions), (6, 1));
         assert!(cache.lookup(space, &key_of(4)).is_none());
@@ -441,7 +468,7 @@ mod tests {
                 1 => Cached::Tuple(Some(k as u32)),
                 rows => batch_of(rows as usize),
             };
-            cache.insert(space, &key_of(k), cached);
+            put(&cache, space, k, cached);
             assert!(
                 cache.stats().resident_rows <= 10,
                 "over budget after key {k}"
@@ -467,7 +494,7 @@ mod tests {
         let cache = SessionFetchCache::new(2);
         let space = cache.space(shape(0));
         for k in 0..10_000 {
-            cache.insert(space, &key_of(k), Cached::Tuple(None));
+            put(&cache, space, k, Cached::Tuple(None));
         }
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.resident_rows), (2, 0));
@@ -486,14 +513,14 @@ mod tests {
         let cache = SessionFetchCache::new(100);
         let space = cache.space(shape(0));
         for k in 0..4 {
-            cache.insert(space, &key_of(k), batch_of(3));
+            put(&cache, space, k, batch_of(3));
         }
         assert_eq!(cache.stats().resident_rows, 12);
         cache.drain();
         assert_eq!(cache.stats().resident_rows, 0);
         // Entries are gone: the next lookup misses, and an insert starts afresh.
         assert!(cache.lookup(space, &key_of(0)).is_none());
-        cache.insert(space, &key_of(0), batch_of(3));
+        put(&cache, space, 0, batch_of(3));
         assert_eq!(cache.stats().resident_rows, 3);
     }
 
@@ -515,7 +542,7 @@ mod tests {
         let cache = SessionFetchCache::new(2);
         let space = cache.space(shape(0));
         let offset = |k: i64| k as u32 + 100;
-        let insert = |k: i64| cache.insert(space, &key_of(k), Cached::Tuple(Some(offset(k))));
+        let insert = |k: i64| put(&cache, space, k, Cached::Tuple(Some(offset(k))));
         // Which of the keys are resident, read without setting a referenced bit.
         let resident = |want: [bool; 3]| {
             let guard = cache.lock();

@@ -10,7 +10,7 @@
 //! only the output is materialized, so peak memory residency tracks the access-schema
 //! bounds. Both run the query on the calling thread. Lowering refuses a plan outside
 //! what synthesis emits (a shared step, a σ that does not fuse into a keyed lookup, a
-//! difference; see `bea_core::plan::physical`).
+//! product whose right side is not a constant; see `bea_core::plan::physical`).
 //!
 //! [`execute_plan_materialized`] is the **reference**: the literal step loop, one
 //! [`Table`] per plan step, all of them alive until the end. Every × materializes its
@@ -168,24 +168,6 @@ pub fn execute_plan_materialized(
                 dedup_counted(&mut out, &mut stats);
                 out
             }
-            PlanOp::Difference { left, right } => {
-                let (l, r) = (&results[*left], &results[*right]);
-                let remove = r.row_set();
-                stats.values_cloned += (r.len() * r.arity()) as u64;
-                let mut out = Table::new(step.columns.clone());
-                for row in l.rows() {
-                    if !remove.contains(row) {
-                        out.push(row.clone());
-                    }
-                }
-                stats.values_cloned += (out.len() * out.arity()) as u64;
-                out
-            }
-            PlanOp::Rename { source } => {
-                let src = &results[*source];
-                stats.values_cloned += (src.len() * src.arity()) as u64;
-                Table::with_rows(step.columns.clone(), src.rows().to_vec())
-            }
         };
         // Every step's table stays alive until the end of the loop, so residency only
         // ever grows: the high-water mark is the sum of all intermediate sizes.
@@ -251,15 +233,6 @@ pub(crate) mod tests {
     use bea_core::schema::Catalog;
     use bea_core::value::Value;
     use bea_storage::{Database, IndexedDatabase};
-
-    /// `plan` with one more step, `op` labelled `columns`, as its output: how a test
-    /// builds the operations synthesis never emits (a difference, a rename).
-    pub(crate) fn append_step(plan: &QueryPlan, op: PlanOp, columns: Vec<String>) -> QueryPlan {
-        let mut steps = plan.steps().to_vec();
-        steps.push(bea_core::plan::PlanStep { op, columns });
-        let output = steps.len() - 1;
-        QueryPlan::new(plan.query_name(), steps, output).unwrap()
-    }
 
     fn setup() -> (Catalog, AccessSchema, IndexedDatabase) {
         let mut c = Catalog::new();
@@ -353,38 +326,6 @@ pub(crate) mod tests {
         assert!(result.is_empty());
         assert_eq!(result.arity(), 2);
         assert_eq!(stats.tuples_fetched, 0);
-    }
-
-    #[test]
-    fn difference_and_rename_ops() {
-        // The reference runs a difference; the streaming engine refuses it, naming T3.
-        let (_, _, idb) = setup();
-        let mut b = bea_core::plan::PlanBuilder::new();
-        let one = b.constant(Value::int(1), "x");
-        let two = b.constant(Value::int(2), "x");
-        let union = b.union(one, two);
-        let plan = b.finish("Q", union).unwrap();
-        let diff = PlanOp::Difference {
-            left: union,
-            right: two,
-        };
-        let plan = append_step(&plan, diff, vec!["x".into()]);
-        let renamed = PlanOp::Rename {
-            source: plan.output(),
-        };
-        let plan = append_step(&plan, renamed, vec!["y".into()]);
-        match execute_plan(&plan, &idb) {
-            Err(Error::InvalidPlan { reason }) => {
-                assert!(reason.starts_with("step T3 is a difference"), "{reason}")
-            }
-            other => panic!("a difference must be refused, got {other:?}"),
-        }
-        let (result, _) = execute_plan_materialized(&plan, &idb).unwrap();
-        assert_eq!(
-            result.row_set(),
-            [vec![Value::int(1)]].into_iter().collect()
-        );
-        assert_eq!(result.columns(), &["y".to_owned()]);
     }
 
     #[test]
@@ -529,7 +470,7 @@ pub(crate) mod tests {
     #[test]
     fn streaming_handles_every_operator() {
         // Exercise union (with an ∅ branch), product, the keyed lookup with a residual,
-        // projection, dedup and rename through the pipeline on a hand-built plan.
+        // projection and dedup through the pipeline on a hand-built plan.
         let (_, _, idb) = setup();
         let mut b = bea_core::plan::PlanBuilder::new();
         let one = b.constant(Value::int(1), "x");
@@ -558,7 +499,6 @@ pub(crate) mod tests {
         let sel = b.select(joined, tied);
         let proj = b.project(sel, vec![0]);
         let plan = b.finish("Q", proj).unwrap();
-        let plan = append_step(&plan, PlanOp::Rename { source: proj }, vec!["y".into()]);
 
         let (streamed, _) = execute_plan(&plan, &idb).unwrap();
         let (materialized, _) = execute_plan_materialized(&plan, &idb).unwrap();
@@ -569,7 +509,7 @@ pub(crate) mod tests {
                 .into_iter()
                 .collect()
         );
-        assert_eq!(streamed.columns(), &["y".to_owned()]);
+        assert_eq!(streamed.columns(), &["x".to_owned()]);
     }
 
     #[test]

@@ -151,7 +151,10 @@
 //!   `index_lookups` and `allocs_per_probe` record genuine store traffic only, so
 //!   a warm repeat reports `tuples_fetched == 0` and `allocs_per_probe == 0`. A
 //!   miss runs the one arena fetch every lookup runs — byte-for-byte the counters a
-//!   cache-disabled session produces — and then inserts its result. No
+//!   cache-disabled session produces — and then inserts its result. So
+//!   `tuples_fetched + rows_served_from_cache` with the cache on is `tuples_fetched`
+//!   with it off, wherever a key's fetched tuples project to distinct rows (an entry
+//!   holds the rows its miss kept after per-key deduplication). No
 //!   query waits on another's fetch: concurrent cold misses of one key each fetch
 //!   it from the store (each query was priced for that fetch), and the entry the
 //!   first insert left is kept.
@@ -159,8 +162,9 @@
 //!   configured row budget: a hit sets its entry's referenced bit, and the insert
 //!   that takes the total past the budget advances a hand over the entries, clearing
 //!   set bits and evicting clear ones, until the total fits — under the lock, so
-//!   no insert returns with the cache above its budget. A batch's hits are taken
-//!   before its inserts (see `cache.rs`). A posting list longer than the whole budget
+//!   no insert returns with the cache above its budget. A keyed lookup looks a key
+//!   up once and inserts it at most once; its memo, in front of the cache, serves
+//!   every repeat (see `cache.rs`). A posting list longer than the whole budget
 //!   is never inserted, so no resident entry is evicted for it. Admission control
 //!   never reads the cache: a repeat query is priced at its *uncached* worst case,
 //!   because cached rows can be evicted between pricing and execution — the bound

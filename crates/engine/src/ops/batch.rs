@@ -23,7 +23,8 @@
 //! rows, as produced by `PhysOp::Unit` — still have a well-defined row count.
 //!
 //! Beside the batch lives [`RowTable`], the one structure operators *remember* rows in
-//! (δ's seen set, the keyed lookup's fetched keys, the session cache's keys), and [`HashedRow`], a key carrying its hash through the cache tiers.
+//! (δ's seen set, the keys a keyed lookup has seen, the session cache's keys), and
+//! [`HashedRow`], a key carrying its hash through the lookup's tiers.
 //! All of them hash rows with [`bea_core::value::hash_row`] — the same function the
 //! store's indexes use — and nothing in the engine hashes a row any other way.
 
@@ -278,12 +279,11 @@ pub(crate) fn position_bound(owner: &str, rows: usize) -> Result<u32> {
     }
 }
 
-/// A flat table of distinct rows: what δ has seen, the keys a keyed lookup has fetched,
-/// the session cache's keys. A row's
-/// *position* is its insertion rank — stable until the row is removed, so callers hang
-/// their own per-row data (posting ranges, match chains, cache entries) off plain
-/// vectors indexed by it. Only the session cache removes rows: [`RowTable::remove`]
-/// frees a position, and the next insert takes it again.
+/// A flat table of distinct rows: what δ has seen, the keys a keyed lookup has seen,
+/// the session cache's keys. A row's *position* is its insertion rank — stable until
+/// the row is removed, so callers hang their own per-row data (a key's postings, cache
+/// entries) off plain vectors indexed by it. Only the session cache removes rows:
+/// [`RowTable::remove`] frees a position, and the next insert takes it again.
 ///
 /// Layout: the rows column-wise in `columns` (pooled buffers, handed in by the owner
 /// and handed back through [`RowTable::release`]), each row's hash in `hashes`, and an
@@ -396,22 +396,6 @@ impl RowTable {
         self.find(key.hash, |c| &key.values[c])
     }
 
-    /// [`RowTable::push`] for a key that carries its hash: the values move out of
-    /// `key`, which keeps its buffer and is empty until its next
-    /// [`HashedRow::gather`].
-    pub(crate) fn push_key(&mut self, key: &mut HashedRow) -> Result<u32> {
-        let hash = std::mem::replace(&mut key.hash, hash_row(std::iter::empty()));
-        self.push(hash, key.values.drain(..))
-    }
-
-    /// Append a row the caller knows is absent (it just asked [`RowTable::find`]),
-    /// *moving* its values in. Returns its position.
-    pub(crate) fn push(&mut self, hash: u64, row: impl IntoIterator<Item = Value>) -> Result<u32> {
-        self.reserve(1)?;
-        let slot = self.walk(hash, |_| false).expect_err("no row is accepted");
-        Ok(self.place(slot, hash, row))
-    }
-
     /// Put a row at free slot `slot` (room is reserved): at a position
     /// [`RowTable::remove`] freed, or else at the next one. Returns the position.
     fn place(&mut self, slot: usize, hash: u64, row: impl IntoIterator<Item = Value>) -> u32 {
@@ -507,10 +491,11 @@ impl RowTable {
 }
 
 /// A key row that carries its own [`hash_row`], computed once when the key is gathered:
-/// the session cache looks the key up in its index with it, and the keyed lookup probes
-/// its arena with it — one pass over the values per probe, wherever the probe ends up.
-/// Outside tests it is not `Clone`: a key moves between its holders, and the session
-/// cache copies its values once, into the entry's slot.
+/// the keyed lookup finds or inserts the key in its memo with it, the session cache
+/// looks it up with it, and the store's `resolve` walks its index with it — one pass
+/// over the values per probe, wherever the probe ends up. Outside tests it is not
+/// `Clone`: a missed key moves on into the flat probe buffer, and the session cache
+/// copies its values once, into the entry's slot.
 #[derive(Debug, PartialEq, Eq)]
 #[cfg_attr(test, derive(Clone))]
 pub(crate) struct HashedRow {
@@ -545,14 +530,6 @@ impl HashedRow {
     pub(crate) fn move_into(&mut self, flat: &mut Vec<Value>) -> u64 {
         flat.append(&mut self.values);
         std::mem::replace(&mut self.hash, hash_row(std::iter::empty()))
-    }
-
-    /// Refill with `values`, moved in, whose [`hash_row`] the caller carries as `hash`.
-    pub(crate) fn refill(&mut self, hash: u64, values: impl IntoIterator<Item = Value>) {
-        self.values.clear();
-        self.values.extend(values);
-        self.hash = hash;
-        debug_assert_eq!(hash, hash_row(&self.values), "a carried hash is its key's");
     }
 
     /// The key's [`hash_row`], computed when it was gathered.
@@ -870,7 +847,7 @@ mod tests {
     #[test]
     fn row_table_survives_every_probe_landing_on_one_slot_run() {
         // One hash for every row: the walks degenerate to a linear scan of one run,
-        // and equality alone decides — through growth, `push` and `clear`.
+        // and equality alone decides — through growth and `clear`.
         const HASH: u64 = 0xDEAD_BEEF;
         let rows: Vec<Row> = (0..300)
             .map(|i| vec![Value::int(i), Value::str("x")])
@@ -879,11 +856,7 @@ mod tests {
         for round in 0..2 {
             for (position, row) in (0..).zip(&rows) {
                 assert_eq!(table.find(HASH, |c| &row[c]), None);
-                if position % 2 == 0 {
-                    assert_eq!(table.insert(HASH, |c| &row[c]).unwrap(), (position, true));
-                } else {
-                    assert_eq!(table.push(HASH, row.clone()).unwrap(), position);
-                }
+                assert_eq!(table.insert(HASH, |c| &row[c]).unwrap(), (position, true));
             }
             for (position, row) in (0..).zip(&rows) {
                 assert_eq!(
@@ -995,22 +968,19 @@ mod tests {
         gathered.gather(&batch, 1, &[1, 0]);
         assert_eq!(gathered.values(), [Value::str("a"), Value::int(3)]);
         assert_eq!(gathered.hash, hash_row(gathered.values()));
-        // Moving the values into a table leaves the (empty) key consistent with its
-        // hash, and the table finds the key again.
+        // A table finds a key inserted under its carried hash.
         let (key, mut keys) = (gathered.clone(), table(2));
         assert_eq!(keys.find_key(&key), None);
-        assert_eq!(keys.push_key(&mut gathered).unwrap(), 0);
-        assert_eq!(gathered, HashedRow::default());
+        assert_eq!(
+            keys.insert(key.hash, |c| &key.values[c]).unwrap(),
+            (0, true)
+        );
         assert_eq!(keys.find_key(&key), Some(0));
         assert_eq!(HashedRow::default(), HashedRow::new(Vec::new()));
-        // A key moved into a flat buffer and back keeps its values and its hash.
-        let (mut moved, mut flat) = (key.clone(), vec![Value::int(9)]);
-        assert_eq!(moved.move_into(&mut flat), key.hash);
-        assert_eq!(
-            (moved.clone(), &flat[1..]),
-            (HashedRow::default(), key.values())
-        );
-        moved.refill(key.hash, flat.drain(1..));
-        assert_eq!(moved, key);
+        // A key moved into a flat buffer leaves the (empty) key consistent with its
+        // hash, and the buffer holding its values.
+        let mut flat = vec![Value::int(9)];
+        assert_eq!(gathered.move_into(&mut flat), key.hash);
+        assert_eq!((gathered, &flat[1..]), (HashedRow::default(), key.values()));
     }
 }

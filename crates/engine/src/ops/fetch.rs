@@ -22,47 +22,45 @@
 //! they are; a session-cache entry holds every column its shape names, `X` included. A key that matched at most one tuple (every probe of a
 //! bound-1 constraint) is neither hashed nor copied: it is read where the tuple lies in
 //! the store — residual predicates and the emission read it there, and only emitted
-//! values are cloned. Its memo, which serves a repeated key from the arena or the
-//! store, exists only where keys can repeat: when the plan proves that the source never
-//! repeats a key ([`PhysicalPlan::keys_distinct`]), every probe is a first probe and
-//! nothing is remembered.
+//! values are cloned. Its memo, which serves a repeated key from the arena, the store or
+//! the session-cache entry it found, exists only where keys can repeat: when the plan
+//! proves that the source never repeats a key ([`PhysicalPlan::keys_distinct`]), every
+//! probe is a first probe and nothing is remembered.
 //!
 //! [`PhysicalPlan::keys_distinct`]: bea_core::plan::PhysicalPlan::keys_distinct
 //!
-//! # Two passes per source batch
+//! # One pass per source batch
 //!
-//! 1. **Stage.** [`KeyedLookupOp`] gathers and hashes each row's key once and
-//!    looks it up in every tier that may hold it, in order: the session cache, then
-//!    the arena's memo. It keeps every hit and sends the keys nothing holds to one
-//!    `resolve`.
-//! 2. **Settle.** In row order, a pass-1 hit is emitted from what it returned; any
-//!    other row looks again — session cache, memo — since an earlier row of the batch
-//!    may have fetched its key, and on a miss serves the postings pass 1 resolved and
-//!    inserts them into the session cache. A row whose key no tier would hold goes
-//!    straight to them.
+//! [`KeyedLookupOp`] stages a source batch in one pass over its rows. It gathers and
+//! hashes each row's key once and finds or inserts it in the memo's [`RowTable`]: one
+//! probe, which gives the key's *position* (where the memo is dropped, a row's number is
+//! its position). A key new to the operator is looked up in the session cache once, if
+//! there is one; the keys nothing held go to one `resolve`, and after the fetch each is
+//! inserted into the session cache once. The rows are then emitted in order, each from
+//! its position's postings.
 //!
-//! Hits come first so that a key the session cache serves never costs a walk. Rows,
-//! their order, the arena's layout and every counter are a per-row loop's, except
-//! under eviction pressure: a pass-1 hit serves its row even if an insert earlier in
-//! the batch evicted the entry since (see [`crate::cache`]). A missed key is hashed
-//! once, when gathered.
+//! The tiers are the memo, then the session cache, then the store: the per-query tier
+//! sits in front of the cross-query one. As the paper's `fetch(X ∈ T, R, Y)` reads the
+//! index once per distinct `X`-value of `T`, the operator looks each distinct key up
+//! once, and serves every repeat from what it found the first time it looked — even if
+//! the session cache has evicted the entry since (see [`crate::cache`]).
 //!
 //! # The probe path's allocation budget
 //!
 //! The probe path demands no buffer per key, hit or miss — which is why nothing
-//! charges [`crate::stats::AccessStats::allocs_per_probe`]. Every probe gathers its
-//! key into one reusable scratch and hashes it once; a **miss** moves the scratch's
-//! values into the memo's flat key columns, where keys can repeat, and appends
-//! multi-tuple postings to the arena's value columns (both drawn from the thread's
-//! [`super::BufferPool`] once per operator instance, like the flat buffer pass 1 moves
-//! missed keys into). A repeat of a fetched key is a slot walk plus emission
-//! from where its postings lie; a hit in the session cache is an offset into the
-//! store or a refcount bump. With a session cache, a miss is the same miss, then an
-//! uncharged insert as cache maintenance. A key of at most one tuple is held as that
-//! tuple's offset ([`bea_storage::FetchIter::first_offset`]) and copies no value; a
-//! longer list is held as a compact copy of its arena range. Either way the cache
-//! copies the key's values once, into its space's key table. The row itself is served
-//! as the miss serves it, so a cold cache charges what a cache-off run charges.
+//! charges [`crate::stats::AccessStats::allocs_per_probe`]. Every row's key is gathered
+//! into one reusable scratch and hashed once; a key new to the memo is cloned into its
+//! flat key columns (O(1) per value, as δ's seen set does), a missed key is moved into
+//! the batch's flat probe buffer, and multi-tuple postings are appended to the arena's
+//! value columns, all drawn from the thread's [`super::BufferPool`] once per operator
+//! instance. A repeat is a slot walk plus emission from where its postings lie; a hit in
+//! the session cache is an offset into the store or a refcount bump. With a session
+//! cache, a miss is the same miss, then an uncharged insert as cache maintenance. A key
+//! of at most one tuple is held as that tuple's offset
+//! ([`bea_storage::FetchIter::first_offset`]) and copies no value; a longer list is held
+//! as a compact copy of its arena range. Either way the cache copies the key's values
+//! once, into its space's key table. The row itself is served as the miss serves it, so
+//! a cold cache charges what a cache-off run charges.
 //!
 //! Per operator instance, what remains is its box, its column lists and its staging
 //! vectors: the step's key columns, positions, relation and predicates are borrowed
@@ -76,17 +74,18 @@
 //! # Access accounting
 //!
 //! The operator does not touch the shared [`crate::stats::AccessStats`] per key:
-//! lookups, clones and cache hits accumulate in an operator-local [`ProbeTally`],
-//! flushed once per pull and on drop — an error or a short-circuiting consumer loses
-//! nothing. So do a miss's fetched tuples, which the flush adds to the query's flat
-//! per-step tally ([`crate::stats::FetchTally`]) — a step that probed is reported even
-//! if it fetched nothing. That tally names no relation and allocates nothing once the
+//! lookups, clones and cache hits accumulate in an operator-local tally of the same
+//! type, flushed once per pull and on drop — an error or a short-circuiting consumer
+//! loses nothing. So do a miss's fetched tuples, which the flush adds to the query's
+//! flat per-step tally ([`crate::stats::FetchTally`]) — a step that probed is reported
+//! even if it fetched nothing. That tally names no relation and allocates nothing once the
 //! thread's state has grown to its plans; it is written into the query's per-relation
 //! map when the query finishes.
 
 use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, HashedRow, RowTable};
-use super::{BoxOp, ExecState, Operator, SharedState, BATCH_SIZE};
+use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
 use crate::cache::{CacheShape, CacheSpace, Cached, SessionFetchCache};
+use crate::stats::AccessStats;
 use bea_core::error::Result;
 use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
 use bea_core::value::Value;
@@ -107,9 +106,10 @@ struct SessionCache<'db> {
 
 impl<'db> SessionCache<'db> {
     /// What the cache holds for `key`, as postings; a hit is counted on `tally`.
-    fn lookup(&self, key: &HashedRow, tally: &mut ProbeTally) -> Option<Postings<'db>> {
+    fn lookup(&self, key: &HashedRow, tally: &mut AccessStats) -> Option<Postings<'db>> {
         let cached = self.cache.lookup(self.space, key)?;
-        tally.served(cached.len());
+        tally.cache_hits += 1;
+        tally.rows_served_from_cache += cached.len() as u64;
         Some(match cached {
             // Read where it lies, as the uncached miss reads it.
             Cached::Tuple(offset) => Postings::Tuple(offset.map(|offset| {
@@ -121,56 +121,25 @@ impl<'db> SessionCache<'db> {
     }
 }
 
-/// What pass 1 found for one key (see the module docs): `Held` by a tier — the
-/// session cache, or the arena's memo — or `Missed`, its postings being probe
-/// `p` of the pass's `resolve`.
-enum Found<'db> {
-    Held(Postings<'db>),
-    Missed(usize),
-}
-
-/// The flat probe buffers of pass 1: the keys nothing held (moved in, `arity` values
-/// each), their carried hashes, and what `resolve` returned for each.
-struct Pass<'db> {
+/// The keys of the current source batch that no tier held, queued for one `resolve`:
+/// moved in flat, `arity` values each, with their carried hashes, and what `resolve`
+/// returned for each. The flat buffer is drawn from the thread's pool.
+#[derive(Default)]
+struct Misses<'db> {
     arity: usize,
     keys: Vec<Value>,
     hashes: Vec<u64>,
     resolved: Vec<FetchIter<'db>>,
 }
 
-impl<'db> Pass<'db> {
-    /// Buffers for keys of `arity` values, the flat one drawn from `state`'s pool.
-    fn new(arity: usize, state: &SharedState) -> Self {
-        let keys = state.borrow_mut().pool.get_values();
-        let (hashes, resolved) = (Vec::new(), Vec::new());
-        Self {
-            arity,
-            keys,
-            hashes,
-            resolved,
-        }
-    }
-
-    /// Start a pass of up to `keys` probes: forget the last one, and grow once instead
+impl<'db> Misses<'db> {
+    /// Start a batch of up to `keys` misses: forget the last one, and grow once instead
     /// of per key.
     fn begin(&mut self, keys: usize) {
         self.keys.clear();
         self.keys.reserve(keys * self.arity);
         self.hashes.clear();
         self.hashes.reserve(keys);
-    }
-
-    /// Queue `key` (moved out) for the resolve; its probe number.
-    fn miss(&mut self, key: &mut HashedRow) -> usize {
-        self.hashes.push(key.move_into(&mut self.keys));
-        self.hashes.len() - 1
-    }
-
-    /// Move probe `p`'s key back into `key`, for the per-row protocol of pass 2.
-    fn take_key(&mut self, p: usize, key: &mut HashedRow) {
-        let values = self.keys[p * self.arity..(p + 1) * self.arity].iter_mut();
-        let taken = values.map(|value| std::mem::replace(value, Value::Bool(false)));
-        key.refill(self.hashes[p], taken);
     }
 
     /// Resolve every queued key of `constraint` in one batched walk (nothing to do when
@@ -180,52 +149,12 @@ impl<'db> Pass<'db> {
             return Ok(());
         }
         let (arity, keys, hashes) = (self.arity, &self.keys, &self.hashes);
-        store.resolve(
-            constraint,
-            Probes {
-                arity,
-                keys,
-                hashes,
-            },
-            &mut self.resolved,
-        )
-    }
-}
-
-/// What an operator's probes have cost since its last flush; see the module docs.
-#[derive(Debug, Default)]
-struct ProbeTally {
-    index_lookups: u64,
-    values_cloned: u64,
-    cache_hits: u64,
-    rows_served_from_cache: u64,
-    /// Tuples the step's misses fetched; `Some` once one has probed the store, even if
-    /// it matched nothing, so a probed step is reported.
-    fetched: Option<u64>,
-}
-
-impl ProbeTally {
-    /// The session cache served `rows` rows for one key.
-    fn served(&mut self, rows: usize) {
-        self.cache_hits += 1;
-        self.rows_served_from_cache += rows as u64;
-    }
-
-    /// A miss fetched `tuples` from the store.
-    fn fetched(&mut self, tuples: u64) {
-        *self.fetched.get_or_insert(0) += tuples;
-    }
-
-    /// Move everything tallied into the query's counters, fetches under `step`.
-    fn flush(&mut self, step: usize, state: &mut ExecState) {
-        if let Some(tuples) = self.fetched.take() {
-            state.fetched.add(step, tuples);
-        }
-        let stats = &mut state.stats;
-        stats.index_lookups += std::mem::take(&mut self.index_lookups);
-        stats.values_cloned += std::mem::take(&mut self.values_cloned);
-        stats.cache_hits += std::mem::take(&mut self.cache_hits);
-        stats.rows_served_from_cache += std::mem::take(&mut self.rows_served_from_cache);
+        let probes = Probes {
+            arity,
+            keys,
+            hashes,
+        };
+        store.resolve(constraint, probes, &mut self.resolved)
     }
 }
 
@@ -276,6 +205,8 @@ pub(crate) struct FetchStep<'a> {
     pub(crate) relation: &'a str,
     /// Columns of the source holding the key.
     pub(crate) key_cols: &'a [usize],
+    /// How many columns the source has.
+    pub(crate) source_arity: usize,
     /// Attribute positions of the relation forming the index key.
     pub(crate) x_attrs: &'a [usize],
     /// Attribute positions of the relation fetched, in output-column order.
@@ -289,6 +220,7 @@ impl<'a> FetchStep<'a> {
     pub(crate) fn of(plan: &'a PhysicalPlan, step: usize) -> Option<Self> {
         match &plan.steps()[step].op {
             PhysOp::KeyedLookup {
+                source,
                 relation,
                 key_cols,
                 x_attrs,
@@ -299,38 +231,13 @@ impl<'a> FetchStep<'a> {
                 step,
                 relation,
                 key_cols,
+                source_arity: plan.steps()[*source].columns.len(),
                 x_attrs,
                 positions,
                 constraint_index: *constraint_index,
             }),
             _ => None,
         }
-    }
-
-    /// The session cache's space for this step's entries, with the pre-projection
-    /// `emit` gives baked in, and the relation of the step's constraint in `store` —
-    /// the one its index, and so its offsets, are over; `None` when the query has no
-    /// session cache (or the schema no such constraint, which validation refuses).
-    fn session(
-        self,
-        state: &SharedState,
-        store: Store<'a>,
-        emit: impl FnOnce() -> Option<Vec<usize>>,
-    ) -> Option<SessionCache<'a>> {
-        let cache = state.borrow().cache.clone()?;
-        let constraint = store.schema().constraint(self.constraint_index)?;
-        let relation = store.database().relation(constraint.relation()).ok()?;
-        let space = cache.space(CacheShape {
-            constraint: self.constraint_index,
-            key_arity: self.key_cols.len(),
-            positions: self.positions.to_vec(),
-            emit: emit(),
-        });
-        Some(SessionCache {
-            cache,
-            space,
-            relation,
-        })
     }
 }
 
@@ -363,11 +270,6 @@ impl Elided {
         c < 64 && self.0 >> c & 1 == 1
     }
 
-    /// How many columns are elided.
-    fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
-
     /// Where fetched column `c` of `fetch` lies in the arena: its column there, or the
     /// index in the key of the value it equals.
     fn locate(self, fetch: &FetchStep<'_>, c: usize) -> Located {
@@ -397,8 +299,8 @@ enum Located {
 /// The keyed lookup's per-query tier: the postings of every multi-tuple key the
 /// operator fetched, appended by the fetch kernel into one set of growing value
 /// columns, one per fetched column but the [`Elided`] ones; plus, where keys can
-/// repeat, the memo that serves repeats: the fetched keys in a [`RowTable`], and at
-/// each key's position where its postings lie.
+/// repeat, the memo that serves repeats: the keys the operator has seen in a
+/// [`RowTable`], and at each key's position the postings it found for it.
 ///
 /// The columns are normally one *open* segment. An anchor emission (see
 /// [`KeyedLookupOp`]) needs its postings as a shareable [`Batch`], so it *seals* the
@@ -411,28 +313,16 @@ struct PostingArena<'db> {
     cols: Vec<Vec<Value>>,
     /// Dense length of the open segment — a zero-column arena has no column to ask.
     rows: usize,
+    /// The memo's keys; unused where the memo is dropped.
     keys: RowTable,
-    /// `held[p]` is where the postings of the key at position `p` of `keys` lie: in
-    /// the store or in the arena, never in the session cache.
+    /// `held[p]` is where the postings at position `p` lie: in the store, the arena or
+    /// a session-cache entry. Where the memo is dropped, it holds the current batch's
+    /// rows.
     held: Vec<Postings<'db>>,
     dedup: RowSet,
 }
 
 impl<'db> PostingArena<'db> {
-    /// Where the postings of `key` lie, if this operator remembered fetching it.
-    fn find(&self, key: &HashedRow) -> Option<Postings<'db>> {
-        let position = self.keys.find_key(key)?;
-        Some(self.held[position as usize].clone())
-    }
-
-    /// Remember `postings` for `key`, which [`PostingArena::find`] just missed; the
-    /// key's values move into the key columns.
-    fn remember(&mut self, key: &mut HashedRow, postings: Postings<'db>) -> Result<()> {
-        self.keys.push_key(key)?;
-        self.held.push(postings);
-        Ok(())
-    }
-
     /// Append the distinct `positions`-projections of a key's `tuples` — two or more —
     /// less the `elided` columns, to the open segment, in posting order,
     /// hash-then-compare deduplicated and compacted in place; the tuples read, and where
@@ -497,16 +387,19 @@ impl<'db> PostingArena<'db> {
     }
 }
 
-/// One probe's postings, wherever they live.
+/// One key's postings, wherever they live.
 #[derive(Debug, Clone)]
 enum Postings<'db> {
-    /// Fetched by this operator, at most one tuple: read where it lies in the store.
+    /// At most one tuple, fetched by this operator or named by a session-cache offset:
+    /// read where it lies in the store.
     Tuple(Option<&'db [Value]>),
     /// Fetched by this operator, two or more tuples: a range of its arena.
     Arena(ArenaRange),
     /// Served by the session cache, in its entry shape
     /// (pre-projected when [`KeyedLookupOp::fused_emit`] is set).
     Cached(Arc<Batch>),
+    /// A miss of the batch being staged, until the batch's `resolve` fills it in.
+    Pending,
 }
 
 impl Postings<'_> {
@@ -516,6 +409,7 @@ impl Postings<'_> {
             Postings::Tuple(tuple) => usize::from(tuple.is_some()),
             Postings::Arena(range) => range.len,
             Postings::Cached(batch) => batch.len(),
+            Postings::Pending => 0,
         }
     }
 }
@@ -524,9 +418,9 @@ impl Postings<'_> {
 /// nested-loop join. Streams the source; for each row, probes the index with the row's
 /// key (once per distinct key — results are retained so the data access is identical
 /// to a fetch over the deduplicated key set), gathers the concatenation with every
-/// match into output columns, and applies the residual predicates. A source batch's
-/// keys are staged and resolved together, then settled row by row (the two passes of
-/// the module docs).
+/// match into output columns, and applies the residual predicates. A source batch is
+/// staged in one pass, its misses resolved together, then emitted row by row (see the
+/// module docs).
 ///
 /// Durable state is the [`PostingArena`], bounded by the fetch's access-schema bound
 /// times the number of distinct multi-tuple keys; its columns come from the thread's
@@ -535,10 +429,10 @@ impl Postings<'_> {
 /// store, which outlives the operator. Neither the cross product nor the fetched table
 /// is ever materialized.
 ///
-/// In a session with a cache, the session's cross-query cache sits in front of the
-/// memo. A hit there serves a one-tuple key from the store, as a miss would, and a
-/// longer list from the cached batch; a miss ([`KeyedLookupOp::fetch`]) is followed by
-/// inserting the tuple's offset or a compact copy of the list.
+/// In a session with a cache, the session's cross-query cache sits behind the memo. A
+/// hit there serves a one-tuple key from the store, as a miss would, and a longer list
+/// from the cached batch; a miss ([`KeyedLookupOp::fetch`]) is followed by inserting
+/// the tuple's offset or a compact copy of the list.
 pub(crate) struct KeyedLookupOp<'db> {
     input: BoxOp<'db>,
     fetch: FetchStep<'db>,
@@ -557,31 +451,29 @@ pub(crate) struct KeyedLookupOp<'db> {
     memo: bool,
     /// The fetched columns the arena leaves out: every `X` attribute but one a fused
     /// emission reads, whose anchor shares the arena's columns as they are. Settled
-    /// with [`KeyedLookupOp::fused_emit`], before the first fetch.
+    /// with [`KeyedLookupOp::fused_emit`].
     elided: Elided,
     /// Arena rows this operator holds on the residency ledger.
     cached_rows: u64,
-    /// The session's cross-query cache, probed before the memo. Resolved together
-    /// with [`KeyedLookupOp::fused_emit`] — the fused pre-projection is part of the
-    /// entry shape — by [`KeyedLookupOp::ensure_fused_emit`].
+    /// The session's cross-query cache, probed behind the memo. Resolved after
+    /// [`KeyedLookupOp::fused_emit`]: the fused pre-projection is part of the entry
+    /// shape.
     session: Option<SessionCache<'db>>,
-    /// Reusable probe-key buffer: pass 1 gathers every key into it and hashes it once,
-    /// moving a key nothing held on into `pass`; pass 2 moves it back when a tier needs
-    /// it, and a miss *moves* its values into the memo's key columns, keeping the
-    /// buffer.
+    /// Reusable probe-key buffer: every row's key is gathered into it and hashed once;
+    /// a missed key's values *move* on into `misses`, keeping the buffer.
     key_scratch: HashedRow,
-    /// Pass 1's verdict on each row of the current source batch, in row order.
-    found: Vec<Found<'db>>,
-    pass: Pass<'db>,
-    tally: ProbeTally,
+    /// Each row's memo position in [`PostingArena::held`], for the current source batch;
+    /// empty where the memo is dropped, and a row's number is its position.
+    rows: Vec<u32>,
+    misses: Misses<'db>,
+    /// What the probes have cost since the last flush ([`KeyedLookupOp::flush_tally`]).
+    tally: AccessStats,
     /// `Some(left_arity)` when the emission is exactly a projection of the fetched
     /// columns: no residual predicates and a fused projection keeping only fetched
     /// columns — column `k` is fetched column `out_cols[k] - left_arity`
     /// ([`KeyedLookupOp::stored_col`]). Session-cache entries are then stored
-    /// pre-projected. Decided once — input arity is fixed by the plan — by
-    /// [`KeyedLookupOp::ensure_fused_emit`].
+    /// pre-projected. Decided when the operator is built, from the plan.
     fused_emit: Option<usize>,
-    fused_checked: bool,
     /// Slices of an anchor emission past [`BATCH_SIZE`] rows not yet emitted
     /// ([`KeyedLookupOp::sliced`]).
     pending: VecDeque<Batch>,
@@ -597,16 +489,18 @@ impl<'db> KeyedLookupOp<'db> {
         store: Store<'db>,
         state: SharedState,
     ) -> Self {
-        let (cols, keys, key_scratch) = {
+        let (keys, key_scratch, misses) = {
             let mut state = state.borrow_mut();
-            let cols = (0..fetch.positions.len()).map(|_| state.pool.get_values());
-            let cols: Vec<_> = cols.collect();
             let keys = (0..fetch.key_cols.len()).map(|_| state.pool.get_values());
             let keys = RowTable::new("a keyed lookup", keys.collect());
-            (cols, keys, HashedRow::new(state.pool.get_values()))
+            let misses = Misses {
+                arity: fetch.key_cols.len(),
+                keys: state.pool.get_values(),
+                ..Misses::default()
+            };
+            (keys, HashedRow::new(state.pool.get_values()), misses)
         };
-        let pass = Pass::new(fetch.key_cols.len(), &state);
-        Self {
+        let mut op = Self {
             input,
             fetch,
             residual,
@@ -615,7 +509,7 @@ impl<'db> KeyedLookupOp<'db> {
             state,
             arena: PostingArena {
                 sealed: Vec::new(),
-                cols,
+                cols: Vec::new(),
                 rows: 0,
                 keys,
                 held: Vec::new(),
@@ -626,30 +520,23 @@ impl<'db> KeyedLookupOp<'db> {
             cached_rows: 0,
             session: None,
             key_scratch,
-            found: Vec::new(),
-            pass,
-            tally: ProbeTally::default(),
+            rows: Vec::new(),
+            misses,
+            tally: AccessStats::default(),
             fused_emit: None,
-            fused_checked: false,
             pending: VecDeque::new(),
             done: false,
-        }
+        };
+        op.settle_emission();
+        op
     }
 
     /// Drop the arena's memo when `distinct`: the plan proves the source never repeats
     /// a key (`PhysicalPlan::keys_distinct`), so every probe is a first probe and a
-    /// memo would only cost a slot walk and a key insert per miss.
+    /// memo would only cost a slot walk per row and a key clone per key.
     pub(crate) fn distinct_keys(mut self, distinct: bool) -> Self {
         self.memo = !distinct;
         self
-    }
-
-    /// Where the postings of the key in `key_scratch` lie, if the memo remembers them.
-    fn remembered(&self) -> Option<Postings<'db>> {
-        if !self.memo {
-            return None;
-        }
-        self.arena.find(&self.key_scratch)
     }
 
     /// The value at row `j`, fetched position `c`, of postings this operator fetched;
@@ -667,7 +554,7 @@ impl<'db> KeyedLookupOp<'db> {
                 Located::Arena(column) => self.arena.value(*range, j, column),
                 Located::Key(m) => key(m),
             },
-            Postings::Tuple(None) | Postings::Cached(_) => {
+            Postings::Tuple(None) | Postings::Cached(_) | Postings::Pending => {
                 unreachable!("no row {j} of the fetched postings here")
             }
         }
@@ -692,37 +579,29 @@ impl<'db> KeyedLookupOp<'db> {
         }
     }
 
-    /// A compact standalone copy of postings this operator fetched into its arena,
-    /// projected onto the fused emission when there is one — what a miss of two or more
-    /// tuples inserts into the session cache, the key's columns read from the probe key
-    /// in `key_scratch`. Cache maintenance, off the cache-off path, so its clones are not
-    /// `values_cloned`.
-    fn copy_out(&self, postings: &Postings<'db>) -> Batch {
-        let key = |m: usize| &self.key_scratch.values()[m];
+    /// A compact standalone copy of postings this operator fetched into its arena for
+    /// the probe `key`, projected onto the fused emission when there is one — what a
+    /// miss of two or more tuples inserts into the session cache. Cache maintenance,
+    /// off the cache-off path, so its clones are not `values_cloned`.
+    fn copy_out(&self, postings: &Postings<'db>, key: &[Value]) -> Batch {
         let column = |k: usize| -> Vec<Value> {
             let c = self.stored_col(k);
             let rows = 0..postings.len();
-            rows.map(|j| self.local_value(postings, j, c, key).clone())
+            rows.map(|j| self.local_value(postings, j, c, |m| &key[m]).clone())
                 .collect()
         };
         let columns = (0..self.stored_width()).map(column).collect();
         Batch::from_dense(columns, postings.len())
     }
 
-    /// Decide once whether the emission is a pure projection of the fetched columns;
-    /// see [`KeyedLookupOp::fused_emit`]. Input arity is plan-fixed, so the first
-    /// batch settles it for the operator's lifetime.
-    fn ensure_fused_emit(&mut self, left_arity: usize) {
-        if self.fused_checked {
-            return;
-        }
-        self.fused_checked = true;
-        if self.residual.is_empty() {
-            if let Some(cols) = self.out_cols {
-                if cols.iter().all(|&c| c >= left_arity) {
-                    self.fused_emit = Some(left_arity);
-                }
-            }
+    /// Decide whether the emission is a pure projection of the fetched columns (see
+    /// [`KeyedLookupOp::fused_emit`]), which columns the arena holds, and the session
+    /// cache's space.
+    fn settle_emission(&mut self) {
+        let left_arity = self.fetch.source_arity;
+        let fetched_only = |cols: &[usize]| cols.iter().all(|&c| c >= left_arity);
+        if self.residual.is_empty() && self.out_cols.is_some_and(fetched_only) {
+            self.fused_emit = Some(left_arity);
         }
         // An anchor shares the arena's columns, so those its emission reads are held.
         let emitted = |c| {
@@ -730,125 +609,142 @@ impl<'db> KeyedLookupOp<'db> {
             fused && (0..self.stored_width()).any(|k| self.stored_col(k) == c)
         };
         self.elided = Elided::of(&self.fetch, emitted);
-        let held = self.fetch.positions.len() - self.elided.len();
+        let held = (0..self.fetch.positions.len()).filter(|&c| !self.elided.contains(c));
         let mut state = self.state.borrow_mut();
-        for column in self.arena.cols.drain(held..) {
-            state.pool.put_values(column);
-        }
+        self.arena.cols = held.map(|_| state.pool.get_values()).collect();
         drop(state);
-        // The fused pre-projection is baked into cached batches, so it is part of
-        // the session-cache entry shape — resolve the operator's space only now
-        // that it is settled.
-        let emit = || {
-            let fused = self.fused_emit.is_some();
-            fused.then(|| {
-                (0..self.stored_width())
-                    .map(|k| self.stored_col(k))
-                    .collect()
-            })
+        // The fused pre-projection is baked into cached batches, so it is part of the
+        // entry shape. Offsets name tuples of the relation of the step's constraint, the
+        // one its index is over (validation refuses a step without one).
+        let Some(cache) = self.state.borrow().cache.clone() else {
+            return;
         };
-        self.session = self.fetch.session(&self.state, self.store, emit);
+        let fetch = self.fetch;
+        let constraint = self.store.schema().constraint(fetch.constraint_index);
+        let relation = constraint.and_then(|c| self.store.database().relation(c.relation()).ok());
+        let Some(relation) = relation else {
+            return;
+        };
+        let stored = (0..self.stored_width()).map(|k| self.stored_col(k));
+        let space = cache.space(CacheShape {
+            constraint: fetch.constraint_index,
+            key_arity: fetch.key_cols.len(),
+            positions: fetch.positions.to_vec(),
+            emit: self.fused_emit.map(|_| stored.collect()),
+        });
+        self.session = Some(SessionCache {
+            cache,
+            space,
+            relation,
+        });
     }
 
-    /// Pass 1 over `batch` (see the module docs): gather and hash every row's key once,
-    /// keep what a tier already holds, and resolve the rest in one batched walk.
-    /// `found` gets one entry per row, in row order.
+    /// Stage `batch` (see the module docs): give every row its key's position in
+    /// [`PostingArena::held`], look each key new to the operator up in the session
+    /// cache once, and fetch the rest in one batched walk, inserting each into the
+    /// session cache once.
     fn stage(&mut self, batch: &Batch) -> Result<()> {
-        self.found.clear();
-        self.found.reserve(batch.len());
-        self.pass.begin(batch.len());
-        for i in 0..batch.len() {
-            self.key_scratch.gather(batch, i, self.fetch.key_cols);
-            let found = match self.held() {
-                Some(postings) => Found::Held(postings),
-                None => Found::Missed(self.pass.miss(&mut self.key_scratch)),
-            };
-            self.found.push(found);
+        self.rows.clear();
+        self.misses.begin(batch.len());
+        if self.memo {
+            self.rows.reserve(batch.len());
+        } else {
+            self.arena.held.clear();
+            self.arena.held.reserve(batch.len());
         }
-        self.pass.resolve(self.store, self.fetch.constraint_index)?;
+        let first = self.arena.held.len();
+        for i in 0..batch.len() {
+            let key = &mut self.key_scratch;
+            key.gather(batch, i, self.fetch.key_cols);
+            if self.memo {
+                let (seen, new) = self.arena.keys.insert(key.hash(), |c| &key.values()[c])?;
+                self.rows.push(seen);
+                if !new {
+                    continue;
+                }
+                debug_assert_eq!(seen as usize, self.arena.held.len(), "an insertion rank");
+            }
+            let session = self.session.as_ref();
+            let cached = session.and_then(|session| session.lookup(key, &mut self.tally));
+            self.arena.held.push(cached.unwrap_or_else(|| {
+                // The key's values move on into the probe buffer.
+                let misses = &mut self.misses;
+                misses.hashes.push(key.move_into(&mut misses.keys));
+                Postings::Pending
+            }));
+        }
         // One probe-key gather per source row, hit or miss.
-        self.tally.values_cloned += (self.found.len() * self.fetch.key_cols.len()) as u64;
+        self.tally.values_cloned += (batch.len() * self.fetch.key_cols.len()) as u64;
+        self.misses
+            .resolve(self.store, self.fetch.constraint_index)?;
+        let mut p = 0;
+        for at in first..self.arena.held.len() {
+            if let Postings::Pending = self.arena.held[at] {
+                let postings = self.fetch(p);
+                self.insert(p, &postings);
+                self.arena.held[at] = postings;
+                p += 1;
+            }
+        }
         Ok(())
     }
 
-    /// What a tier already holds for the key in `key_scratch`: the session cache (a
-    /// hit is counted), then the arena's memo.
-    fn held(&mut self) -> Option<Postings<'db>> {
-        let session = self.session.as_ref();
-        let cached = session.and_then(|session| session.lookup(&self.key_scratch, &mut self.tally));
-        cached.or_else(|| self.remembered())
-    }
-
-    /// Pass 2 for one row: a pass-1 hit as it was found; otherwise the row's key,
-    /// moved back into `key_scratch`, through the per-row protocol — or, when no tier
-    /// would probe or remember the key, straight to the store's answer.
-    fn settle(&mut self, found: Found<'db>) -> Result<Postings<'db>> {
-        match found {
-            Found::Held(postings) => Ok(postings),
-            Found::Missed(p) if self.session.is_none() && !self.memo => Ok(self.fetch(p)),
-            Found::Missed(p) => {
-                self.pass.take_key(p, &mut self.key_scratch);
-                self.lookup(p)
-            }
-        }
-    }
-
-    /// The (projected, per-key deduplicated) fetch result for the key in
-    /// `key_scratch`, which pass 1 resolved as probe `p`: the session cache, then the
-    /// arena's memo, then the miss, which charges exactly the uncached costs and
-    /// inserts its result into the session cache for later probes: at most one tuple as
-    /// its offset, more as a copy.
-    fn lookup(&mut self, p: usize) -> Result<Postings<'db>> {
-        if let Some(postings) = self.held() {
-            return Ok(postings);
-        }
-        let postings = self.fetch(p);
-        if let Some(session) = &self.session {
-            let cached = match postings {
-                Postings::Tuple(_) => Some(Cached::Tuple(self.pass.resolved[p].first_offset())),
-                // A list the cache would not admit is not copied out.
-                _ if session.cache.admits(postings.len()) => {
-                    Some(Cached::Rows(Arc::new(self.copy_out(&postings))))
-                }
-                _ => None,
-            };
-            if let Some(cached) = cached {
-                session
-                    .cache
-                    .insert(session.space, &self.key_scratch, cached);
-            }
-        }
-        // Remembering moves the scratch's values into the memo's key columns.
-        if self.memo {
-            self.arena
-                .remember(&mut self.key_scratch, postings.clone())?;
-        }
-        Ok(postings)
-    }
-
-    /// The one miss path, tallying its costs — an index lookup and the fetch
-    /// accounting. At most one tuple is read where it lies: nothing to deduplicate,
-    /// nothing copied, nothing held. More are projected and per-key deduplicated onto
-    /// the arena's open segment, acquiring residency for the rows now held.
+    /// The one miss path, for miss `p` of the batch, tallying its costs — an index
+    /// lookup and the fetch accounting. At most one tuple is read where it lies:
+    /// nothing to deduplicate, nothing copied, nothing held. More are projected and
+    /// per-key deduplicated onto the arena's open segment, acquiring residency for the
+    /// rows now held.
     fn fetch(&mut self, p: usize) -> Postings<'db> {
         self.tally.index_lookups += 1;
-        let mut tuples = self.pass.resolved[p].clone();
+        let mut tuples = self.misses.resolved[p].clone();
         if tuples.len() <= 1 {
-            self.tally.fetched(tuples.len() as u64);
+            self.tally.tuples_fetched += tuples.len() as u64;
             return Postings::Tuple(tuples.next());
         }
         let (fetched, range) = self.arena.append(tuples, self.fetch.positions, self.elided);
         self.tally.values_cloned += fetched * self.arena.cols.len() as u64;
-        self.tally.fetched(fetched);
+        self.tally.tuples_fetched += fetched;
         self.state.borrow_mut().acquire(range.len as u64);
         self.cached_rows += range.len as u64;
         Postings::Arena(range)
     }
 
-    /// Move the probes' tally into the shared statistics.
+    /// Insert what miss `p` fetched into the session cache, if there is one: at most
+    /// one tuple as its offset, more as a copy — unless the cache would not admit it.
+    fn insert(&self, p: usize, postings: &Postings<'db>) {
+        let Some(session) = &self.session else {
+            return;
+        };
+        let arity = self.misses.arity;
+        let key = &self.misses.keys[p * arity..(p + 1) * arity];
+        let cached = match postings {
+            Postings::Tuple(_) => Cached::Tuple(self.misses.resolved[p].first_offset()),
+            // A list the cache would not admit is not copied out.
+            _ if session.cache.admits(postings.len()) => {
+                Cached::Rows(Arc::new(self.copy_out(postings, key)))
+            }
+            _ => return,
+        };
+        let hash = self.misses.hashes[p];
+        session.cache.insert(session.space, hash, key, cached);
+    }
+
+    /// Move the probes' tally into the query's counters, its fetched tuples under the
+    /// step: reported once the step has probed the store, even if it matched nothing.
     fn flush_tally(&mut self) {
-        self.tally
-            .flush(self.fetch.step, &mut self.state.borrow_mut());
+        let state = &mut *self.state.borrow_mut();
+        let tuples = std::mem::take(&mut self.tally.tuples_fetched);
+        if self.tally.index_lookups > 0 {
+            state.fetched.add(self.fetch.step, tuples);
+        }
+        state.stats += std::mem::take(&mut self.tally);
+    }
+
+    /// Flush the tally and release the arena rows this operator holds.
+    fn release(&mut self) {
+        self.flush_tally();
+        let rows = std::mem::take(&mut self.cached_rows);
+        self.state.borrow_mut().release(rows);
     }
 
     /// An anchor emission of more than [`BATCH_SIZE`] rows cut into slices of that
@@ -867,9 +763,8 @@ impl<'db> KeyedLookupOp<'db> {
     }
 
     /// Gather source row `i` of `batch` joined with each of the `len` posting rows
-    /// `fetched(j, c)` yields — `c` indexing the posting columns as stored, i.e. the
-    /// pre-projected ones under [`KeyedLookupOp::fused_emit`] — into `out`, applying
-    /// the residual predicates. Returns the number of rows emitted.
+    /// `fetched(j, c)` yields, `c` a fetched position, into `out`, applying the residual
+    /// predicates. Returns the number of rows emitted.
     fn emit<'a>(
         &self,
         batch: &Batch,
@@ -878,15 +773,6 @@ impl<'db> KeyedLookupOp<'db> {
         fetched: impl Fn(usize, usize) -> &'a Value,
         out: &mut [Vec<Value>],
     ) -> usize {
-        if self.fused_emit.is_some() {
-            // No residual, fetched columns only: a straight per-row append.
-            for j in 0..len {
-                for (c, sink) in out.iter_mut().enumerate() {
-                    sink.push(fetched(j, c).clone());
-                }
-            }
-            return len;
-        }
         let left_arity = batch.arity();
         let mut emitted = 0;
         for j in 0..len {
@@ -924,16 +810,14 @@ impl Operator for KeyedLookupOp<'_> {
         }
         let Some(batch) = self.input.next_batch()? else {
             self.done = true;
-            self.flush_tally();
+            self.release();
             let mut state = self.state.borrow_mut();
             state.stats.fetch_ops += 1;
-            state.release(self.cached_rows);
-            self.cached_rows = 0;
-            // The arena's open columns, its key columns, the key scratch and pass 1's
-            // key buffer go back to the pool, cleared, for the thread's next probe loop; sealed segments
-            // stay with the consumers that share them.
+            // The arena's open columns, its key columns, the key scratch and the probe
+            // buffer go back to the pool, cleared, for the thread's next probe loop;
+            // sealed segments stay with the consumers that share them.
             let scratch = std::mem::take(&mut self.key_scratch).into_values();
-            let probes = std::mem::take(&mut self.pass.keys);
+            let probes = std::mem::take(&mut self.misses.keys);
             let arena = &mut self.arena;
             let buffers = arena.cols.drain(..).chain(arena.keys.release());
             for col in buffers.chain([scratch, probes]) {
@@ -942,9 +826,8 @@ impl Operator for KeyedLookupOp<'_> {
             return Ok(None);
         };
         let left_arity = batch.arity();
-        self.ensure_fused_emit(left_arity);
+        debug_assert_eq!(left_arity, self.fetch.source_arity);
         self.stage(&batch)?;
-        let mut found = std::mem::take(&mut self.found);
         // Anchor fast path: a single source row, no residual, and a fused projection
         // that keeps only fetched columns — the output *is* the key's projected
         // postings, emitted as a batch over the storage that already holds them (a
@@ -955,27 +838,22 @@ impl Operator for KeyedLookupOp<'_> {
         // in place, from a miss or a cached offset, has no such storage: it is gathered
         // below like any row.
         if batch.len() == 1 && self.fused_emit.is_some() {
-            if let Some(only) = found.pop() {
-                let emitted = match self.settle(only)? {
-                    Postings::Cached(cached) => Some((*cached).clone()),
-                    Postings::Arena(range) => {
-                        let sealed = self.arena.seal(range);
-                        let column = |k| match self.elided.locate(&self.fetch, self.stored_col(k)) {
-                            Located::Arena(column) => column,
-                            Located::Key(_) => unreachable!("an anchor's columns are held"),
-                        };
-                        Some(sealed.project_map(self.stored_width(), column))
-                    }
-                    tuple => {
-                        found.push(Found::Held(tuple));
-                        None
-                    }
-                };
-                if let Some(emitted) = emitted {
-                    self.found = found;
-                    self.flush_tally();
-                    return Ok(Some(self.sliced(emitted)));
+            let at = self.rows.first().map_or(0, |&at| at as usize);
+            let emitted = match self.arena.held[at].clone() {
+                Postings::Cached(cached) => Some((*cached).clone()),
+                Postings::Arena(range) => {
+                    let sealed = self.arena.seal(range);
+                    let column = |k| match self.elided.locate(&self.fetch, self.stored_col(k)) {
+                        Located::Arena(column) => column,
+                        Located::Key(_) => unreachable!("an anchor's columns are held"),
+                    };
+                    Some(sealed.project_map(self.stored_width(), column))
                 }
+                _ => None,
+            };
+            if let Some(emitted) = emitted {
+                self.flush_tally();
+                return Ok(Some(self.sliced(emitted)));
             }
         }
         let out_arity = self
@@ -986,23 +864,27 @@ impl Operator for KeyedLookupOp<'_> {
             (0..out_arity).map(|_| state.pool.get_values()).collect()
         };
         let mut out_rows = 0usize;
-        for (i, row) in found.drain(..).enumerate() {
-            out_rows += match self.settle(row)? {
+        for i in 0..batch.len() {
+            let at = self.rows.get(i).map_or(i, |&at| at as usize);
+            out_rows += match &self.arena.held[at] {
+                // A cached batch under a fused emission holds the emitted columns.
+                Postings::Cached(cached) if self.fused_emit.is_some() => {
+                    for (k, sink) in out.iter_mut().enumerate() {
+                        sink.extend((0..cached.len()).map(|j| cached.value(j, k).clone()));
+                    }
+                    cached.len()
+                }
                 Postings::Cached(cached) => {
                     self.emit(&batch, i, cached.len(), |j, c| cached.value(j, c), &mut out)
                 }
-                // What this operator fetched holds the raw fetched positions; a fused
-                // emission reads them through its projection, and an elided one is the
-                // source row's key.
+                // An elided column of what this operator fetched is the source row's key.
                 fetched => {
                     let key = |m: usize| batch.value(i, self.fetch.key_cols[m]);
-                    let value =
-                        |j, c: usize| self.local_value(&fetched, j, self.stored_col(c), key);
+                    let value = |j, c| self.local_value(fetched, j, c, key);
                     self.emit(&batch, i, fetched.len(), value, &mut out)
                 }
             };
         }
-        self.found = found;
         self.tally.values_cloned += (out_rows * out_arity) as u64;
         self.flush_tally();
         Ok(Some(Batch::from_dense(out, out_rows)))
@@ -1012,10 +894,7 @@ impl Operator for KeyedLookupOp<'_> {
 impl Drop for KeyedLookupOp<'_> {
     fn drop(&mut self) {
         // What a failed pull had tallied before its error.
-        self.flush_tally();
-        self.state
-            .borrow_mut()
-            .release(std::mem::take(&mut self.cached_rows));
+        self.release();
     }
 }
 
@@ -1085,7 +964,8 @@ pub(crate) mod tests {
             Self { ledger, state }
         }
 
-        /// A lookup on `R` keyed by source column 0, fetching `positions`.
+        /// A lookup on `R` keyed by source column 0, fetching `positions`; its source has
+        /// the arity of the first batch pulled, or one column.
         fn lookup<'db>(
             &self,
             idb: &'db IndexedDatabase,
@@ -1094,10 +974,12 @@ pub(crate) mod tests {
             residual: Vec<Predicate>,
             out_cols: Option<&'db [usize]>,
         ) -> KeyedLookupOp<'db> {
+            let first = pulls.iter().find_map(|pull| pull.as_ref().ok());
             let fetch = FetchStep {
                 step: 0,
                 relation: "R",
                 key_cols: &[0],
+                source_arity: first.map_or(1, Batch::arity),
                 x_attrs: &[0],
                 positions,
                 constraint_index: 0,
@@ -1327,14 +1209,11 @@ pub(crate) mod tests {
         let cache = Arc::new(SessionFetchCache::new(2));
         h.state.borrow_mut().cache = Some(cache.clone());
         let mut op = h.lookup(&idb, Vec::new(), &[0, 1, 2], Vec::new(), None);
-        op.ensure_fused_emit(1);
-        // Nothing holds key 1 yet, so both rows miss in pass 1 and settle in pass 2.
+        // Nothing holds key 1 yet: its first row fetches it, and its repeat is served
+        // from the memo.
         op.stage(&ints(&[&[1], &[1]])).unwrap();
-        let mut found = std::mem::take(&mut op.found).into_iter();
-        let first = op.settle(found.next().unwrap()).unwrap();
-        assert!(matches!(first, Postings::Arena(range) if range.len == 3));
-        let repeat = op.settle(found.next().unwrap()).unwrap();
-        assert!(matches!(repeat, Postings::Arena(range) if range.len == 3));
+        assert_eq!(op.rows, [0, 0]);
+        assert!(matches!(op.arena.held[0], Postings::Arena(range) if range.len == 3));
         op.flush_tally();
         let key = HashedRow::new(vec![Value::int(1)]);
         assert_eq!(h.stats().index_lookups, 1);
@@ -1378,7 +1257,7 @@ pub(crate) mod tests {
             // constraint): nothing was acquired for it, and nothing leaks.
             let h = Harness::new();
             let mut op = lookup(&h, vec![Ok(ints(&[&[1], &[2]]))]);
-            (op.fetch.key_cols, op.pass.arity) = (&[0, 0], 2);
+            (op.fetch.key_cols, op.misses.arity) = (&[0, 0], 2);
             assert!(op.next_batch().is_err());
             assert_eq!(h.stats().tuples_fetched, 0);
             drop(op);
@@ -1441,8 +1320,8 @@ pub(crate) mod tests {
                 let corner = format!("feed {feed}, columns {out_cols:?}");
 
                 // Repeated keys keep the memo. A cold session serves a key's repeats
-                // from the cache, but fetches, holds and demands what the cache-off
-                // run does.
+                // from the memo, as the cache-off run does: the cache serves nothing,
+                // and the run fetches, holds and demands what the cache-off run does.
                 let off = run_lookup(&idb, pulls(repeated), out_cols, false, false);
                 let cold = run_lookup(&idb, pulls(repeated), out_cols, false, true);
                 assert_eq!(off.0, expected(repeated), "{corner}");
@@ -1451,7 +1330,7 @@ pub(crate) mod tests {
                 assert_eq!((stats.index_lookups, stats.tuples_fetched), (3, 4));
                 assert!(cold_stats.same_data_access(stats), "{corner}");
                 assert_eq!(cold_stats.allocs_per_probe, stats.allocs_per_probe);
-                assert_eq!((cold_stats.cache_hits, stats.cache_hits), (5, 0));
+                assert_eq!((cold_stats.cache_hits, stats.cache_hits), (0, 0));
                 // Only key 1's three rows are ever held.
                 assert_eq!((off.2, cold.2), (3, 3), "{corner}");
                 if out_cols.is_none() {
@@ -1600,10 +1479,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn pass_one_hits_and_pass_two_fills_share_a_batch() {
+    fn the_cache_serves_a_warm_key_once_and_the_memo_serves_every_repeat() {
         let idb = store();
-        // Key 2 is served warm; key 1 is filled by its first row and hit by its
-        // second; absent key 3 is filled with the empty batch.
+        // Key 2 is served warm; key 1 is fetched by its first row; absent key 3 is
+        // fetched as the empty list. Every repeat is the memo's.
         let rows: &[&[i64]] = &[&[2], &[1], &[3], &[2], &[1]];
         let warm = |h: &Harness| {
             let cache = Arc::new(SessionFetchCache::new(1_000));
@@ -1616,27 +1495,103 @@ pub(crate) mod tests {
         let (out, stats) = assert_batching_is_invisible(&idb, rows, warm, |op| drain(op));
         assert_eq!(out.len(), 1 + 3 + 1 + 3);
         assert_eq!(stats.index_lookups, 2, "keys 1 and 3, once each");
-        assert_eq!(
-            (stats.cache_hits, stats.rows_served_from_cache),
-            (3, 1 + 1 + 3)
+        assert_eq!((stats.cache_hits, stats.rows_served_from_cache), (1, 1));
+    }
+
+    #[test]
+    fn each_key_is_looked_up_once_per_tier() {
+        let idb = store();
+        let rows: &[&[i64]] = &[&[1], &[2], &[1], &[3], &[1]];
+        let [one_batch, two_batches, _] = feeds(rows);
+        // Per corner: the keys of each `resolve`, and the keys the session cache was
+        // asked for and offered, in order. With the memo kept, a key new to the
+        // operator is looked up once in each tier; with it dropped, each row is a new
+        // position — the plan drops the memo only where keys cannot repeat — and a
+        // key the cache holds from an earlier batch is not resolved again.
+        type Corner = (
+            bool,
+            bool,
+            bool,
+            &'static [&'static [i64]],
+            &'static [i64],
+            &'static [i64],
         );
+        let corners: [Corner; 8] = [
+            (true, false, false, &[&[1, 2, 3]], &[], &[]),
+            (true, false, true, &[&[1, 2], &[3]], &[], &[]),
+            (true, true, false, &[&[1, 2, 3]], &[1, 2, 3], &[1, 2, 3]),
+            (true, true, true, &[&[1, 2], &[3]], &[1, 2, 3], &[1, 2, 3]),
+            (false, false, false, &[&[1, 2, 1, 3, 1]], &[], &[]),
+            (false, false, true, &[&[1, 2], &[1, 3, 1]], &[], &[]),
+            (
+                false,
+                true,
+                false,
+                &[&[1, 2, 1, 3, 1]],
+                &[1, 2, 1, 3, 1],
+                &[1, 2, 1, 3, 1],
+            ),
+            (
+                false,
+                true,
+                true,
+                &[&[1, 2], &[3]],
+                &[1, 2, 1, 3, 1],
+                &[1, 2, 3],
+            ),
+        ];
+        let ints_of = |keys: &[Value]| -> Vec<i64> {
+            keys.iter()
+                .map(|key| match key {
+                    Value::Int(k) => *k,
+                    other => panic!("unexpected {other}"),
+                })
+                .collect()
+        };
+        for (memo, cached, split, sent, looked_up, inserted) in corners {
+            let corner = format!("memo {memo}, cache {cached}, two batches {split}");
+            let pulls = if split { &two_batches } else { &one_batch };
+            let pulls = pulls.iter().map(|pull| Ok(pull.as_ref().unwrap().clone()));
+            let h = Harness::new();
+            let cache = cached.then(|| Arc::new(SessionFetchCache::new(1_000)));
+            h.state.borrow_mut().cache = cache.clone();
+            let op = h.lookup(&idb, pulls.collect(), &[0, 1, 2], Vec::new(), None);
+            let mut op = op.distinct_keys(!memo);
+            // After a pull, the probe buffer holds what its batch sent to `resolve`.
+            let (mut rows, mut resolved) = (0, Vec::new());
+            while let Some(batch) = op.next_batch().unwrap() {
+                rows += batch.len();
+                resolved.push(ints_of(&op.misses.keys));
+            }
+            assert_eq!(rows, 3 + 1 + 3 + 3, "{corner}");
+            resolved.retain(|keys| !keys.is_empty());
+            assert_eq!(resolved, sent, "{corner}");
+            let probes = sent.iter().map(|keys| keys.len() as u64).sum::<u64>();
+            assert_eq!(h.stats().index_lookups, probes, "{corner}");
+            let trips = cache.map(|cache| cache.trips()).unwrap_or_default();
+            let trips = [trips.0, trips.1].map(|keys| keys.concat());
+            assert_eq!(ints_of(&trips[0]), looked_up, "{corner}");
+            assert_eq!(ints_of(&trips[1]), inserted, "{corner}");
+        }
     }
 
     #[test]
     fn a_failed_resolve_mid_batch_leaves_no_residency() {
         let idb = store();
-        // Constraint 7 does not exist: every key nothing holds fails to resolve, after
-        // pass 1 has already taken key 2's warm hits from the session cache.
+        // The operator's space is resolved for constraint 0 when it is built; then its
+        // step is pointed at constraint 7, which does not exist: every key nothing
+        // holds fails to resolve, after key 2's warm hit has been taken from the
+        // session cache.
         let cache = Arc::new(SessionFetchCache::new(1_000));
         let space = cache.space(CacheShape {
-            constraint: 7,
+            constraint: 0,
             key_arity: 1,
             positions: vec![0, 1, 2],
             emit: None,
         });
         // Key 2's one tuple, the fourth of `R`.
         let warm = HashedRow::new(vec![Value::int(2)]);
-        cache.insert(space, &warm, Cached::Tuple(Some(3)));
+        cache.insert(space, warm.hash(), warm.values(), Cached::Tuple(Some(3)));
         // With the memo kept and dropped alike.
         let runs = [false, true]
             .map(|distinct| feeds(&[&[2], &[1], &[2], &[3]]).map(|pulls| (distinct, pulls)));
@@ -1650,7 +1605,9 @@ pub(crate) mod tests {
             assert!(failure.is_some(), "key 1 cannot be resolved");
             drop(op);
             assert_eq!(h.ledger.resident(), 0);
-            assert_eq!(h.stats().tuples_fetched, 0);
+            let stats = h.stats();
+            assert_eq!(stats.tuples_fetched, 0);
+            assert!(stats.cache_hits > 0, "key 2 was served warm");
             assert_eq!(cache.stats().resident_rows, 1, "only the warm entry");
         }
     }

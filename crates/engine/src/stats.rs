@@ -57,10 +57,11 @@ pub struct AccessStats {
     /// steady-state allocation model of the serving loop. Nothing charges it any more:
     /// every fetch of a physical plan runs as a keyed lookup
     /// ([`KeyedLookupOp`](crate::ops)), which demands **no** buffer per key, hit or
-    /// miss — each probe gathers its key into one reusable scratch, a miss moves the
-    /// scratch's values into the operator's flat memo key columns (where keys can
-    /// repeat) and appends multi-tuple postings to its arena value columns, and a
-    /// repeat or a session-cache hit reads what is already there. So every
+    /// miss — each probe gathers its key into one reusable scratch, a key new to the
+    /// operator is cloned into its flat memo key columns (where keys can repeat), a
+    /// miss moves the scratch's values into the batch's flat probe buffer and appends
+    /// multi-tuple postings to its arena value columns, and a repeat or a session-cache
+    /// hit reads what is already there. So every
     /// run reports 0, cold and warm. The field stays on the wire (`bead` replies,
     /// `BENCH_pipeline.json`) until the modelled allocation accounting is deleted as a
     /// whole; `tests/alloc_budget.rs` checks the claim against the allocator itself.

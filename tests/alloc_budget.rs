@@ -108,13 +108,15 @@ fn a_cold_q0_stays_inside_its_allocation_budget() {
     );
     // One owned row per answer, the output table, and a handful of operator boxes,
     // batch handles and pooled columns growing by doubling — nothing per fetched tuple
-    // or per probed key (which used to cost 1 293 here). 156 today, the thread's pooled
-    // buffers kept from the unmeasured run (171 while each lookup's arena copied the
+    // or per probed key (which used to cost 1 293 here). 163 today, the thread's pooled
+    // buffers kept from the unmeasured run (156 before each lookup staged a batch in one
+    // pass, with a position per row: 148 against 147 by a fifth run, the rest is which
+    // pooled buffer serves which column; 171 while each lookup's arena copied the
     // key columns of its tuples, 180 while each product with a constant buffered it,
     // 182 while the query kept a materialization slot per step, 205 while it ran as
     // jobs of a pool, 251 while the buffers died with each job, 374 while every
-    // single-tuple key was copied into an arena and three more δs ran); the bound
-    // leaves 15 %.
+    // single-tuple key was copied into an arena and three more δs ran); the bound, set
+    // 15 % above 156, leaves 10 %.
     assert!(
         allocations <= 179,
         "one cold Q0 ({stats}) performed {allocations} heap allocations"
@@ -269,9 +271,10 @@ fn a_session_cache_entry_keeps_little_and_an_offset_entry_allocates_nothing() {
     let (_, _, kept) = peak_bytes_of(|| run_all(&on, &hot_set));
     let entries = on.cache_stats().entries;
     assert!(entries > 5_000, "the hot set left only {entries} entries");
-    // The 18 638 entries keep 146 B each today: per entry its key's values and hash and
+    // The 18 638 entries keep 150 B each today: per entry its key's values and hash and
     // slots in the space's key table, a slab entry, a ring handle, and for a key of two
-    // or more tuples its batch.
+    // or more tuples its batch, plus the thread's pooled buffers (146 B before lookups
+    // staged a batch in one pass and drew their pooled columns in another order).
     // 446 B while every entry copied its rows into a batch and its key twice. The bound
     // leaves 54 B.
     let per_entry = kept / entries;

@@ -713,9 +713,11 @@ fn session_lanes_match_solo_execution_on_every_family() {
                     traffic(&waited.1),
                     "the lanes disagree on the copy or cache traffic of {corner}"
                 );
-                // Both agree with the solo run: always in rows and row order,
-                // and uncached in every counter (a cached session serves a key
-                // the query probes twice from the cache the second time).
+                // Both agree with the solo run: always in rows and row order, and
+                // in the data consumed — what the cache served it did not fetch, so
+                // even when it evicts mid-query it fetches no more than solo — and
+                // uncached in every counter (a cached session serves a key one
+                // operator fetched to another of the same shape from the cache).
                 assert!(solo_table.is_set(), "repeated row solo, {corner}");
                 for (lane, (table, stats)) in [("run", &ran), ("submit + wait", &waited)] {
                     assert!(table.is_set(), "`{lane}` repeated a row of {corner}");
@@ -723,6 +725,15 @@ fn session_lanes_match_solo_execution_on_every_family() {
                         table.rows(),
                         solo_table.rows(),
                         "`{lane}` changed the rows (or their order) of {corner}"
+                    );
+                    assert_eq!(
+                        stats.tuples_fetched + stats.rows_served_from_cache,
+                        solo_stats.tuples_fetched,
+                        "`{lane}` consumed other data than solo in {corner}"
+                    );
+                    assert!(
+                        stats.tuples_fetched <= solo_stats.tuples_fetched,
+                        "`{lane}` fetched more than solo in {corner}"
                     );
                     if cache_rows == 0 {
                         assert!(
@@ -859,6 +870,12 @@ fn repeated_session_submissions_are_served_from_the_fetch_cache() {
                     table.rows(),
                     serial_table.rows(),
                     "submission {submission} changed the rows (or their order)"
+                );
+                // Cold or warm, what the cache served is what the solo run fetched.
+                assert_eq!(
+                    stats.tuples_fetched + stats.rows_served_from_cache,
+                    serial_stats.tuples_fetched,
+                    "submission {submission} consumed other data than solo"
                 );
                 if submission == 0 {
                     // Cold: the cache fills but every uncached counter is
