@@ -10,14 +10,14 @@ use std::io::{ErrorKind, Write};
 const USAGE: &str = "usage: bead [--socket PATH] [--tuples N] [--seed N] [--threads N] \
                      [--fetch-budget N] [--cache-rows N]\n\
                      (--threads is accepted and ignored: each query runs on its \
-                     connection's thread)";
+                     connection's thread; --cache-rows is accepted and ignored: \
+                     nothing is cached across queries)";
 
 fn main() {
     let mut socket_arg: Option<String> = None;
     let mut tuples: u64 = 5_000;
     let mut seed: u64 = 0xBEAD;
     let mut fetch_budget: u64 = 0;
-    let mut cache_rows: u64 = 0;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -34,7 +34,9 @@ fn main() {
             // Still validated, so a malformed value fails as it always did.
             "--threads" => _ = parse("--threads", &value("--threads")),
             "--fetch-budget" => fetch_budget = parse("--fetch-budget", &value("--fetch-budget")),
-            "--cache-rows" => cache_rows = parse("--cache-rows", &value("--cache-rows")),
+            // Validated and ignored, like `--threads`. Kept only because the benchmark
+            // harness under `benchmark/` still passes it; ROADMAP direction 17 deletes it.
+            "--cache-rows" => _ = parse("--cache-rows", &value("--cache-rows")),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -57,7 +59,6 @@ fn main() {
     let config = ServerConfig {
         socket: socket.clone(),
         fetch_budget,
-        cache_rows,
     };
     let server = match BeadServer::bind(store, &config) {
         Ok(server) => server,

@@ -34,14 +34,17 @@
 //!
 //! A `QUERY` reply's head carries both halves of the cost story: the *priced*
 //! quantities of the query's ticket (`fetch_bound`, which admission judges, and
-//! `alloc_surface`) and the *measured* execution counters (`tuples_fetched`, `values_cloned`,
-//! `allocs_per_probe`, and the cache's `cache_hits` and `rows_served_from_cache`), so
-//! a client can verify that the bound held — measured fetches never exceed the bound.
+//! `alloc_surface`) and the *measured* execution counters (`tuples_fetched`,
+//! `values_cloned`, `allocs_per_probe`), so a client can verify that the bound held —
+//! measured fetches never exceed the bound. Its last two fields, `cache_hits` and
+//! `rows_served_from_cache`, are always 0: nothing is cached across queries, and they
+//! stay only because the benchmark harness under `benchmark/` judges an `OK` without
+//! `rows_served_from_cache=` as wrong (ROADMAP direction 17 deletes them).
 //! A rejected query answers `REJECT query=… fetch_bound=… budget=…` and nothing is
 //! executed.
 //!
 //! A `STATS` reply is one `OK` head of `key=value` counters: the admission counters
-//! (`submitted` … `budget`), the cache counters, the plan table (`plan_templates=` entries held, `plan_hits=` requests served from one,
+//! (`submitted` … `budget`), the plan table (`plan_templates=` entries held, `plan_hits=` requests served from one,
 //! `plan_misses=` all other `QUERY` requests), and the store's exact footprint —
 //! `store_bytes=` (flat tuple values) and `index_bytes=` (posting indexes), string
 //! payloads excluded; the daemon's start-up banner carries the same two fields.

@@ -9,7 +9,6 @@ use bea_core::Value;
 use bea_engine::session::{
     PreparedPlan, Rejection, Session, SessionConfig, SharedStore, SubmitError,
 };
-use bea_engine::CacheStats;
 use bea_parser::Skeleton;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -48,8 +47,6 @@ pub struct ServerConfig {
     pub socket: PathBuf,
     /// Aggregate fetch budget (0 = unlimited).
     pub fetch_budget: u64,
-    /// Cross-query fetch-cache budget in resident posting rows (0 = disabled).
-    pub cache_rows: u64,
 }
 
 /// The daemon: a bound listener plus the session it fronts.
@@ -77,9 +74,7 @@ impl BeadServer {
         let listener = UnixListener::bind(&config.socket)?;
         let session = Session::new(
             store.clone(),
-            SessionConfig::new()
-                .with_fetch_budget(config.fetch_budget)
-                .with_cache_budget_rows(config.cache_rows),
+            SessionConfig::new().with_fetch_budget(config.fetch_budget),
         );
         Ok(BeadServer {
             session,
@@ -96,11 +91,6 @@ impl BeadServer {
     /// The session's effective aggregate fetch budget (`None` = unlimited).
     pub fn fetch_budget(&self) -> Option<u64> {
         self.session.fetch_budget()
-    }
-
-    /// The session's fetch-cache counters (all zero with the cache off).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.session.cache_stats()
     }
 
     /// Exact `(tuple_bytes, index_bytes)` of the store (string payloads excluded).
@@ -180,14 +170,12 @@ impl BeadServer {
             Request::Ping => Reply::ok("pong", Vec::new()),
             Request::Stats => {
                 let stats = self.session.admission_stats();
-                let cache = self.session.cache_stats();
                 let (store_bytes, index_bytes) = self.footprint();
                 let plan_templates = self.templates().len();
                 Reply::ok(
                     format!(
                         "submitted={} admitted={} queued={} rejected={} completed={} failed={} \
-                         inflight_bound={} peak_admitted_bound={} budget={} cache_hits={} \
-                         rows_served_from_cache={} cache_evictions={} \
+                         inflight_bound={} peak_admitted_bound={} budget={} \
                          plan_templates={plan_templates} plan_hits={} plan_misses={} \
                          store_bytes={store_bytes} index_bytes={index_bytes}",
                         stats.submitted,
@@ -201,9 +189,6 @@ impl BeadServer {
                         stats
                             .budget
                             .map_or_else(|| "unlimited".to_owned(), |b| b.to_string()),
-                        cache.hits,
-                        cache.rows_served,
-                        cache.evictions,
                         self.plan_hits.load(Ordering::Relaxed),
                         self.plan_misses.load(Ordering::Relaxed),
                     ),
@@ -415,7 +400,6 @@ mod tests {
         let config = ServerConfig {
             socket: socket.clone(),
             fetch_budget: 10_000,
-            cache_rows: 4_096,
         };
         let server = BeadServer::bind(store, &config).unwrap();
         assert_eq!(server.fetch_budget(), Some(10_000));
@@ -433,18 +417,14 @@ mod tests {
             assert!(reply.head.contains("allocs_per_probe="));
             assert_eq!(reply.body.len(), 1, "one district per accident id");
 
-            // The same anchored query again: identical rows, served entirely from
-            // the session's cross-query fetch cache — zero store fetches.
+            // The same anchored query again: the same reply, byte for byte — the
+            // repeat fetches what the first request fetched.
             let repeat = client::request(&socket, &cheap).unwrap();
-            assert_eq!(repeat.status(), ReplyStatus::Ok, "head: {}", repeat.head);
-            assert_eq!(repeat.body, reply.body, "cached rows match the cold run");
+            assert_eq!(repeat.wire(), reply.wire());
             assert!(
-                repeat.head.contains("tuples_fetched=0"),
-                "head: {}",
-                repeat.head
-            );
-            assert!(
-                repeat.head.contains("cache_hits=1"),
+                repeat
+                    .head
+                    .ends_with(" cache_hits=0 rows_served_from_cache=0"),
                 "head: {}",
                 repeat.head
             );
@@ -469,12 +449,7 @@ mod tests {
             assert!(stats.head.contains("rejected=1"), "head: {}", stats.head);
             assert!(stats.head.contains("completed=2"), "head: {}", stats.head);
             assert!(stats.head.contains("budget=10000"), "head: {}", stats.head);
-            assert!(stats.head.contains("cache_hits=1"), "head: {}", stats.head);
-            assert!(
-                stats.head.contains("cache_evictions=0"),
-                "head: {}",
-                stats.head
-            );
+            assert!(!stats.head.contains("cache"), "head: {}", stats.head);
             // The repeat was bound into the plan the first request prepared; the
             // rejected rule's plan is kept too, the malformed one's is not.
             assert!(

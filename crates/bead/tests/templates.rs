@@ -1,6 +1,6 @@
 //! The plan-template table: a `QUERY` served from a prepared template is byte for byte
-//! the reply the literal text gets, whatever the constants, the fetch cache or the
-//! table's state; the lexer the table's keys come from cannot be made to panic.
+//! the reply the literal text gets, whatever the constants or the table's state; the
+//! lexer the table's keys come from cannot be made to panic.
 //!
 //! Seeded and dependency-free, in the style of the workspace's `tests/properties.rs`:
 //! case `i` of a property derives everything from an `StdRng` seeded by a per-property
@@ -48,7 +48,7 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn new(store: &SharedStore, cache_rows: u64, fetch_budget: u64) -> Daemon {
+    fn new(store: &SharedStore, fetch_budget: u64) -> Daemon {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let socket = std::env::temp_dir().join(format!(
             "bead-templates-{}-{}.sock",
@@ -58,7 +58,6 @@ impl Daemon {
         let config = ServerConfig {
             socket: socket.clone(),
             fetch_budget,
-            cache_rows,
         };
         let server = BeadServer::bind(store.clone(), &config).expect("bind a test socket");
         Daemon { server, socket }
@@ -221,22 +220,15 @@ fn family_texts(
 }
 
 /// Send every text of every class — a class is one template under different constants —
-/// through the template path of one daemon and the literal path of another, with the
-/// fetch cache off or on, and require identical reply bytes
-/// (rows, row order, `fetch_bound`, `alloc_surface`, `tuples_fetched`, `values_cloned`,
-/// `allocs_per_probe`, the cache counters; or the same `ERR` / `REJECT`), identical
-/// session cache counters within the budget after every text, the bound plan to be
-/// the literal text's plan step for step, and exactly the later texts of a stored class
-/// to be hits. Returns how many texts were answered `OK`, and how many cache entries
-/// the template path evicted.
-fn assert_served_alike(
-    store: &SharedStore,
-    cache_rows: u64,
-    fetch_budget: u64,
-    classes: &[Vec<String>],
-) -> (usize, u64) {
-    let templated = Daemon::new(store, cache_rows, fetch_budget);
-    let literal = Daemon::new(store, cache_rows, fetch_budget);
+/// through the template path of one daemon and the literal path of another, and require
+/// identical reply bytes (rows, row order, `fetch_bound`, `alloc_surface`,
+/// `tuples_fetched`, `values_cloned`, `allocs_per_probe`, the always-0 cache fields;
+/// or the same `ERR` / `REJECT`), the bound plan to be the literal text's plan step for
+/// step, and exactly the later texts of a stored class to be hits. Returns how many
+/// texts were answered `OK`.
+fn assert_served_alike(store: &SharedStore, fetch_budget: u64, classes: &[Vec<String>]) -> usize {
+    let templated = Daemon::new(store, fetch_budget);
+    let literal = Daemon::new(store, fetch_budget);
     let session = Session::new(store.clone(), SessionConfig::new());
     let view = store.store();
     let (catalog, schema) = (view.database().catalog(), view.schema());
@@ -248,7 +240,7 @@ fn assert_served_alike(
     let mut stored: HashSet<String> = HashSet::new();
     let (mut hits, mut answered) = (0, 0);
     for text in classes.iter().flatten() {
-        let corner = format!("{text:?} at cache {cache_rows}");
+        let corner = format!("{text:?} at budget {fetch_budget}");
         let reply = templated.query(text);
         let expected = literal.server.query_unprepared(text);
         assert_eq!(
@@ -257,12 +249,6 @@ fn assert_served_alike(
             "the replies differ for {corner}"
         );
         answered += usize::from(reply.status() == ReplyStatus::Ok);
-        let cache = templated.server.cache_stats();
-        assert_eq!(cache, literal.server.cache_stats(), "cache after {corner}");
-        assert!(
-            cache.resident_rows <= cache.budget_rows,
-            "{corner} left the cache above its budget: {cache:?}"
-        );
         let mut rows = HashSet::new();
         assert!(
             reply.body.iter().all(|line| rows.insert(line)),
@@ -305,7 +291,7 @@ fn assert_served_alike(
     let texts = classes.iter().flatten().count() as u64;
     assert_eq!(templated.stat("plan_misses"), texts - hits);
     assert_eq!(literal.stat("plan_templates"), 0);
-    (answered, templated.server.cache_stats().evictions)
+    answered
 }
 
 /// The steps of `plan` with every value read the way a run given `values` reads it
@@ -332,18 +318,14 @@ fn bound_steps(plan: &PhysicalPlan, values: &[Value]) -> Vec<PhysStep> {
     steps
 }
 
-/// [`assert_served_alike`] with the fetch cache off, on, and on at a budget of 16 rows;
-/// returns the texts answered `OK` and the evictions at 16 rows.
-fn assert_served_alike_at_every_corner(
+/// [`assert_served_alike`] over `db` under `schema`, without a fetch budget.
+fn assert_served_alike_over(
     schema: &AccessSchema,
     db: &Database,
     classes: &[Vec<String>],
-) -> (usize, u64) {
+) -> usize {
     let store = SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
-    let (off, _) = assert_served_alike(&store, 0, 0, classes);
-    let (on, _) = assert_served_alike(&store, 1 << 20, 0, classes);
-    let (pressed, evictions) = assert_served_alike(&store, 16, 0, classes);
-    (off + on + pressed, evictions)
+    assert_served_alike(&store, 0, classes)
 }
 
 fn accidents_fixture(seed: u64) -> (Database, AccessSchema) {
@@ -362,11 +344,8 @@ fn accidents_fixture(seed: u64) -> (Database, AccessSchema) {
 
 #[test]
 fn template_replies_are_the_literal_replies_on_every_family() {
-    let (mut answered, mut evictions) = (0, 0);
-    let mut tally = |(ok, evicted): (usize, u64)| {
-        answered += ok;
-        evictions += evicted;
-    };
+    let mut answered = 0;
+    let mut tally = |ok: usize| answered += ok;
     run_cases(
         "template_replies_are_the_literal_replies",
         0x7E3A,
@@ -377,7 +356,7 @@ fn template_replies_are_the_literal_replies_on_every_family() {
 
             let (db, schema) = accidents_fixture(seed);
             let texts = family_texts(&accidents::catalog(), &schema, &db, qseed, rng);
-            tally(assert_served_alike_at_every_corner(&schema, &db, &texts));
+            tally(assert_served_alike_over(&schema, &db, &texts));
 
             let catalog = ecommerce::catalog();
             let schema = ecommerce::access_schema(&catalog);
@@ -391,7 +370,7 @@ fn template_replies_are_the_literal_replies_on_every_family() {
             })
             .unwrap();
             let texts = family_texts(&catalog, &schema, &db, qseed, rng);
-            tally(assert_served_alike_at_every_corner(&schema, &db, &texts));
+            tally(assert_served_alike_over(&schema, &db, &texts));
 
             let catalog = graph::catalog();
             let config = graph::GraphConfig {
@@ -406,11 +385,10 @@ fn template_replies_are_the_literal_replies_on_every_family() {
             let schema = graph::access_schema(&catalog, &config);
             let db = graph::generate(&config).unwrap();
             let texts = family_texts(&catalog, &schema, &db, qseed, rng);
-            tally(assert_served_alike_at_every_corner(&schema, &db, &texts));
+            tally(assert_served_alike_over(&schema, &db, &texts));
         },
     );
     assert!(answered > 0, "no generated text was ever answered OK");
-    assert!(evictions > 0, "the 16-row corner never evicted");
 }
 
 #[test]
@@ -480,19 +458,17 @@ fn edge_case_texts_are_served_alike() {
             r#"Q0(age) :- Accident(aid, "district-002", "day-0000"), Casualty(cid, aid, class, vid), Vehicle(vid, driver, age)."#,
         ]),
     ];
-    let (answered, evictions) = assert_served_alike_at_every_corner(&schema, &db, &classes);
-    // At least 20 texts answered at each of the three corners.
+    let answered = assert_served_alike_over(&schema, &db, &classes);
     assert!(
-        answered >= 3 * 20,
+        answered >= 20,
         "only {answered} edge-case texts were answered OK"
     );
-    assert!(evictions > 0, "the 16-row corner never evicted");
 
     // Under a fetch budget the over-budget template is a REJECT on every request, off
     // the stored ticket; the cheap ones are still served.
     let store = SharedStore::from(IndexedDatabase::build(db, schema).unwrap());
-    assert_served_alike(&store, 4_096, 10_000, &classes);
-    let daemon = Daemon::new(&store, 0, 10_000);
+    assert_served_alike(&store, 10_000, &classes);
+    let daemon = Daemon::new(&store, 10_000);
     for text in &classes[7] {
         assert_eq!(daemon.query(text).status(), ReplyStatus::Reject);
     }
@@ -504,9 +480,9 @@ fn edge_case_texts_are_served_alike() {
 fn the_table_stays_bounded_under_abuse_and_concurrency() {
     let (db, schema) = accidents_fixture(11);
     let store = SharedStore::from(IndexedDatabase::build(db, schema).unwrap());
-    // No cache: a reply then depends on its text alone, so it can be compared with the
-    // literal path of the same daemon whatever the other threads are doing.
-    let daemon = Daemon::new(&store, 0, 0);
+    // A reply depends on its text alone, so it can be compared with the literal path of
+    // the same daemon whatever the other threads are doing.
+    let daemon = Daemon::new(&store, 0);
     const THREADS: usize = 8;
     const ROUNDS: usize = 300;
     let unique_per_thread = ROUNDS / 2;
@@ -681,7 +657,7 @@ fn grammar_soup(rng: &mut StdRng, pieces: usize) -> String {
 fn the_lexer_and_the_request_parser_survive_arbitrary_input() {
     let (db, schema) = accidents_fixture(3);
     let store = SharedStore::from(IndexedDatabase::build(db, schema).unwrap());
-    let daemon = Daemon::new(&store, 0, 0);
+    let daemon = Daemon::new(&store, 0);
     let catalog = accidents::catalog();
     let survive = |line: &str| {
         // What a connection does with a line, and every parser entry beneath it.

@@ -16,7 +16,7 @@
 //! Run with `cargo run --release -p bea-bench --bin exp_table1`. Besides the printed
 //! report, the binary rewrites the perf record `BENCH_pipeline.json` at the workspace
 //! root, whatever its working directory: scenario → rows_fetched / peak_rows_resident /
-//! values_cloned / rows_served_from_cache, and claim → value, all deterministic. The
+//! values_cloned, and claim → value, all deterministic. The
 //! `scenarios` tests compare the committed file with a fresh build of the record byte
 //! for byte, so a change that moves a counter or a claim commits the rewritten file
 //! with it. The pipeline's own properties — streaming ≡ the literal reference, solo ≡

@@ -79,9 +79,9 @@ impl TextTable {
 }
 
 /// One scenario's entry in the pipeline perf record: how much data the plan touched,
-/// its residency high-water mark, the executor's copy traffic and the rows the
-/// session cache served. Every field is a deterministic
-/// counter of one execution, so the committed record is reproduced byte for byte.
+/// its residency high-water mark and the executor's copy traffic. Every field is a
+/// deterministic counter of one execution, so the committed record is reproduced byte
+/// for byte.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     /// Tuples fetched through index lookups (`AccessStats::tuples_fetched`).
@@ -91,9 +91,6 @@ pub struct BenchEntry {
     /// Value clones performed moving rows between executor buffers
     /// (`AccessStats::values_cloned`).
     pub values_cloned: u64,
-    /// Posting rows served out of the session's cross-query fetch cache
-    /// (`AccessStats::rows_served_from_cache`).
-    pub rows_served_from_cache: u64,
 }
 
 impl From<&AccessStats> for BenchEntry {
@@ -102,7 +99,6 @@ impl From<&AccessStats> for BenchEntry {
             rows_fetched: stats.tuples_fetched,
             peak_rows_resident: stats.peak_rows_resident,
             values_cloned: stats.values_cloned,
-            rows_served_from_cache: stats.rows_served_from_cache,
         }
     }
 }
@@ -132,8 +128,8 @@ impl PipelineBenchReport {
             .map(|(name, e)| {
                 format!(
                     "    \"{name}\": {{\"rows_fetched\": {}, \"peak_rows_resident\": {}, \
-                     \"values_cloned\": {}, \"rows_served_from_cache\": {}}}",
-                    e.rows_fetched, e.peak_rows_resident, e.values_cloned, e.rows_served_from_cache
+                     \"values_cloned\": {}}}",
+                    e.rows_fetched, e.peak_rows_resident, e.values_cloned
                 )
             })
             .collect();

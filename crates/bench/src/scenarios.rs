@@ -10,10 +10,7 @@ use bea_core::query::cq::ConjunctiveQuery;
 use bea_core::query::ucq::UnionQuery;
 use bea_core::reason::ReasonConfig;
 use bea_core::schema::Catalog;
-use bea_engine::{
-    execute_physical_on, execute_plan, AccessStats, ExecOptions, Session, SessionConfig,
-    SharedStore, SubmitError,
-};
+use bea_engine::{execute_physical_on, execute_plan, AccessStats, ExecOptions, SharedStore};
 use bea_storage::IndexedDatabase;
 use bea_workload::{accidents, ecommerce, graph};
 
@@ -393,7 +390,7 @@ pub fn pipeline_bench_report() -> Result<PipelineBenchReport> {
 
 /// The record's `scenarios` section, its `claims` left empty: run the streaming
 /// pipeline once per scenario and keep its deterministic counters (access, residency,
-/// copy traffic, probe-path buffer demand, cache service). Every run is alone on its
+/// copy traffic, probe-path buffer demand). Every run is alone on its
 /// thread, so the section does not depend on the machine.
 pub fn scenario_record() -> Result<PipelineBenchReport> {
     let accidents = AccidentsScenario::with_total_tuples(20_000, BENCH_REPORT_SEED)?;
@@ -431,43 +428,15 @@ pub fn scenario_record() -> Result<PipelineBenchReport> {
         total += execute_plan(plan, traffic.store.store())?.1;
     }
     report.insert("service_mixed_traffic", BenchEntry::from(&total));
-    // The cross-query fetch-cache scenario: the first admitted anchored Q0 submitted
-    // twice through one cache-enabled session, one after the other. The cold leg reproduces the uncached counters — filling the cache is a
-    // side effect, never a cost the query pays. The warm leg is what the hot tier
-    // exists for: zero store fetches, every posting row served out of the cache.
-    let session = Session::new(
-        traffic.store.clone(),
-        SessionConfig::new().with_cache_budget_rows(1 << 20),
-    );
-    let submit = || -> Result<AccessStats> {
-        match session.submit(&traffic.admitted[0]) {
-            Ok(handle) => handle.wait().map(|(_, stats)| stats),
-            // No fetch budget is configured on this session, so admission never
-            // rejects; an invalid plan is a real error.
-            Err(SubmitError::Rejected { .. }) => unreachable!("unbudgeted session rejected a plan"),
-            Err(SubmitError::Invalid(error)) => Err(error),
-        }
-    };
-    let cold = submit()?;
-    let warm = submit()?;
-    session.shutdown();
-    assert_eq!(
-        warm.tuples_fetched, 0,
-        "the warm repeat must be served entirely from the session cache"
-    );
-    assert_eq!(
-        warm.rows_served_from_cache, cold.tuples_fetched,
-        "the warm repeat must cover exactly the cold leg's fetch volume"
-    );
-    report.insert("cached_repeat_traffic_cold", BenchEntry::from(&cold));
-    report.insert("cached_repeat_traffic_warm", BenchEntry::from(&warm));
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bea_engine::{eval_cq, eval_ucq, execute_plan_materialized};
+    use bea_engine::{
+        eval_cq, eval_ucq, execute_plan_materialized, Session, SessionConfig, SubmitError,
+    };
 
     impl ConcurrentTrafficScenario {
         /// Run the full mixed batch through a fresh budgeted `Session`, every query
@@ -525,7 +494,6 @@ mod tests {
             "parallel_q0_batch_6",
             "heavy_chain_fan_16384",
             "service_mixed_traffic",
-            "cached_repeat_traffic_cold",
         ] {
             let entry = report
                 .scenarios
@@ -537,22 +505,7 @@ mod tests {
             // keys where they lie in the store, so it holds no row.
             let holds_rows = scenario != "graph_personalized";
             assert_eq!(entry.peak_rows_resident > 0, holds_rows, "{scenario}");
-            assert_eq!(
-                entry.rows_served_from_cache, 0,
-                "{scenario} runs cold — nothing is cached yet"
-            );
         }
-        // The warm leg inverts the cold invariants: the store is never touched, and
-        // the entire cold fetch volume is served out of the session cache instead.
-        let cold = &report.scenarios["cached_repeat_traffic_cold"];
-        let warm = &report.scenarios["cached_repeat_traffic_warm"];
-        assert_eq!(warm.rows_fetched, 0, "warm repeat must not touch the store");
-        assert_eq!(warm.rows_served_from_cache, cold.rows_fetched);
-        assert!(
-            warm.values_cloned > 0,
-            "cached rows still move into outputs"
-        );
-        assert!(warm.values_cloned < cold.values_cloned);
         let again = scenario_record().unwrap();
         assert_eq!(
             report.scenarios, again.scenarios,

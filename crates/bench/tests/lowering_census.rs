@@ -1,9 +1,10 @@
 //! Every plan that synthesis returns lowers: a census over random workloads.
 //!
 //! `lower_plan` accepts only the fragment plan synthesis emits and refuses a shared
-//! step, a σ that does not fuse into a keyed lookup, a product whose right side is not
-//! a constant and a difference (see `bea_core::plan::physical`). This census plans querygen workloads of the accidents,
-//! e-commerce and graph families at `max_atoms` 3 and 5 — each query through
+//! step, a σ that does not fuse into a keyed lookup and a product whose right side is
+//! not a constant (see `bea_core::plan::physical`). This census plans querygen
+//! workloads of the accidents, e-commerce and graph families at `max_atoms` 3 and 5 —
+//! each query through
 //! `bounded_plan` and `bounded_plan_via_analysis`, and each pair of covered queries of
 //! one arity as a union through `bounded_plan_ucq` — and E3's workload under every one
 //! of its constraint sets, and lowers each plan they return. Floors on the number of

@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// Cloning a `Value` is **O(1)**: the scalar variants and strings of at most
 /// [`Str::INLINE`] bytes are plain copies, and a longer string's payload is shared, so a
 /// clone of one is a refcount bump, never a deep copy of the character data. The
-/// executor relies on this — join keys, per-key fetch caches, dedup sets and columnar
+/// executor relies on this — join keys, lookup memos, dedup sets and columnar
 /// batch gathers all clone values freely; the bytes themselves are written once when the
 /// value is created (typically at data-load or parse time).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -292,7 +292,7 @@ fn mix(hash: u64, word: u64) -> u64 {
 }
 
 /// The one hash of a row of values — a key, a projection, a whole tuple — shared by the
-/// store's posting indexes and every membership table, memo and cache map of the
+/// store's posting indexes and every membership table and memo of the
 /// executor, so a row is hashed the same way wherever it is looked up.
 ///
 /// A fixed folded-multiply mixer over the values a word at a time, not SipHash: the
@@ -478,7 +478,7 @@ mod tests {
     #[test]
     fn hash_row_is_pinned() {
         // `core`, `storage` and `engine` all call this one function; the constants pin
-        // it, so an index, a dedup table and a cache map cannot drift apart.
+        // it, so an index, a dedup table and a lookup memo cannot drift apart.
         let empty: [Value; 0] = [];
         assert_eq!(hash_row(&empty), 0x2545_F491_4F6C_DD1D);
         assert_eq!(hash_row(&[Value::int(1)]), 0x4BC4_2E7B_41F3_8A49);

@@ -38,7 +38,7 @@
 //! Value writes are O(1) because a [`bea_core::value::Value`] is 16 bytes that never
 //! deep-copy: a string of at most 14 bytes is stored inline and copied with its value,
 //! a longer one is written once when the value is created (data load or parse time) and
-//! aliased by every clone afterwards. Fetched keys, fetch caches and dedup sets therefore
+//! aliased by every clone afterwards. Fetched keys, lookup memos and dedup sets therefore
 //! hold either their own 16 bytes or references to the same bytes the relations do.
 //! [`stats::AccessStats::values_cloned`] counts every value moved between executor
 //! buffers — deterministic for a plan, which is what lets the
@@ -46,15 +46,14 @@
 //!
 //! # Buffer pooling and the zero-allocation probe path
 //!
-//! Steady-state anchored probes — one probe key hitting a warmed
-//! [`ops`] `KeyedLookupOp` cache with a fused projection — allocate nothing, and a
-//! cold keyed probe allocates nothing *per key* either: keys and postings land in
-//! flat pooled columns, set membership (δ, fetched keys) in flat row tables.
+//! A keyed probe allocates nothing *per key*: keys and postings land in flat pooled
+//! columns, set membership (δ, fetched keys) in flat row tables, and a repeat of a key
+//! within one [`ops`] `KeyedLookupOp` is served from its memo.
 //! The machinery behind the guarantee, and its ownership contract:
 //!
 //! * every [`ops`] execution state owns a **buffer pool** of recycled column and
 //!   selection-vector buffers; operators draw probe-path buffers from it and return
-//!   them when a batch or cache entry is retired. Buffers are always **cleared before
+//!   them when a batch is retired. Buffers are always **cleared before
 //!   they are pooled** — the pool holds capacity, never rows, so the residency
 //!   ledger's teardown zero-assertion is unaffected;
 //! * the pool belongs to a thread, not a query: it never crosses threads, and the
@@ -77,8 +76,8 @@
 //!   `BENCH_pipeline.json`) until the modelled accounting is deleted as a whole; the
 //!   real allocation counts come from counting-allocator tests. Like the other
 //!   strategy artifacts it is excluded from [`AccessStats::same_data_access`];
-//! * one row hash, [`bea_core::value::hash_row`], serves every one of those tables,
-//!   the session cache's indexes and the store's: a fixed mixer, not SipHash — rows
+//! * one row hash, [`bea_core::value::hash_row`], serves every one of those tables
+//!   and the store's indexes: a fixed mixer, not SipHash — rows
 //!   are loaded data and query constants, every hit is confirmed by comparing
 //!   values, so a bad distribution can only lengthen a slot walk.
 //!
@@ -106,8 +105,8 @@
 //! # Multi-query execution and admission control
 //!
 //! [`session::Session`] runs many queries side by side, each on the thread that
-//! asked for it: it owns the store, the admission limits and the fetch cache, and no
-//! thread. The contract, asserted by `tests/properties.rs`:
+//! asked for it: it owns the store and the admission limits, and no thread. The
+//! contract, asserted by `tests/properties.rs`:
 //!
 //! * **Per-query isolation.** Each query runs against its own operator tree,
 //!   residency ledger and [`AccessStats`]; its rows, row order and every
@@ -126,49 +125,11 @@
 //!   mark). A query's hold on the budget is released however it ends — completed,
 //!   failed or unwound by a panic.
 //!
-//! # The cross-query fetch cache — ownership and coherence
-//!
-//! A session may also own a **cross-query fetch-result cache**
-//! ([`session::SessionConfig::with_cache_budget_rows`]; 0 = disabled): one bounded slab
-//! of entries per entry shape under one lock, keyed by `(constraint, key)`. An entry
-//! holds only what the store cannot serve in place: a key of at most one tuple is that
-//! tuple's offset in its relation, a longer one the `Arc`-shared posting columns its
-//! lookup produced. Its contract:
-//!
-//! * **Ownership.** The cache belongs to the session, not to any query: entries
-//!   hold offsets and column handles (refcounts, never value copies of what they
-//!   serve), resident rows are counted on the cache's *own* total — not on any
-//!   query's ledger — and the whole tier is drained when the session drops. The
-//!   store is immutable for the session's lifetime and owned by it, so there is no
-//!   invalidation protocol and an offset never dangles: coherence is by
-//!   construction.
-//! * **Settled probe semantics.** A hit is one hash lookup, a referenced bit set and
-//!   an offset read or a refcount bump — no store fetch, no index probe, no
-//!   allocation. A one-tuple hit is read where the tuple lies, as the miss reads it;
-//!   so a warm one-tuple anchor gathers its row, as a cache-off one does. It bumps only
-//!   [`AccessStats::cache_hits`] / [`AccessStats::rows_served_from_cache`]
-//!   (additive, excluded from [`AccessStats::same_data_access`]); `tuples_fetched`,
-//!   `index_lookups` and `allocs_per_probe` record genuine store traffic only, so
-//!   a warm repeat reports `tuples_fetched == 0` and `allocs_per_probe == 0`. A
-//!   miss runs the one arena fetch every lookup runs — byte-for-byte the counters a
-//!   cache-disabled session produces — and then inserts its result. So
-//!   `tuples_fetched + rows_served_from_cache` with the cache on is `tuples_fetched`
-//!   with it off, wherever a key's fetched tuples project to distinct rows (an entry
-//!   holds the rows its miss kept after per-key deduplication). No
-//!   query waits on another's fetch: concurrent cold misses of one key each fetch
-//!   it from the store (each query was priced for that fetch), and the entry the
-//!   first insert left is kept.
-//! * **Bounded, loudly.** Eviction is CLOCK over resident rows against the
-//!   configured row budget: a hit sets its entry's referenced bit, and the insert
-//!   that takes the total past the budget advances a hand over the entries, clearing
-//!   set bits and evicting clear ones, until the total fits — under the lock, so
-//!   no insert returns with the cache above its budget. A keyed lookup looks a key
-//!   up once and inserts it at most once; its memo, in front of the cache, serves
-//!   every repeat (see `cache.rs`). A posting list longer than the whole budget
-//!   is never inserted, so no resident entry is evicted for it. Admission control
-//!   never reads the cache: a repeat query is priced at its *uncached* worst case,
-//!   because cached rows can be evicted between pricing and execution — the bound
-//!   must hold either way.
+//! Nothing is cached across queries. The keyed lookup's memo serves a key repeated
+//! within one operator and lives as long as its query; a [`bea_core::plan::CostTicket`]
+//! prices the uncached worst case anyway, and on the immutable in-memory store a probe
+//! of a dense integer key is a subtraction. [`AccessStats::cache_hits`] and
+//! [`AccessStats::rows_served_from_cache`] are therefore always 0.
 //!
 //! The `bead` crate packages a session behind a Unix-socket line protocol
 //! (`bead` daemon / `beactl` client); see its docs for the wire format.
@@ -176,15 +137,12 @@
 //! [`table::Table`] is the shared result representation (set semantics).
 
 #![deny(unsafe_code)]
-pub(crate) mod cache;
 pub mod exec;
 pub mod naive;
 pub mod ops;
 pub mod session;
 pub mod stats;
 pub mod table;
-
-pub use cache::CacheStats;
 
 pub use exec::{execute_physical_on, execute_plan, execute_plan_materialized, ExecOptions};
 pub use naive::{eval_cq, eval_fo, eval_query, eval_ucq};

@@ -8,7 +8,7 @@
 //! * **dedup** keeps the columns untouched and writes a (possibly composed) selection
 //!   vector of the fresh rows — zero value copies;
 //! * **project** permutes/duplicates the column handles — zero value copies;
-//! * **sharing** a batch (a cache hit, an arena segment emitted by an anchor) clones
+//! * **sharing** a batch (an arena segment emitted by an anchor, say) clones
 //!   `Arc`s — a refcount bump per column, never a row copy;
 //! * **appending a constant** shares the column handles and the selection, and writes
 //!   only the new column.
@@ -23,7 +23,7 @@
 //! rows, as produced by `PhysOp::Unit` — still have a well-defined row count.
 //!
 //! Beside the batch lives [`RowTable`], the one structure operators *remember* rows in
-//! (δ's seen set, the keys a keyed lookup has seen, the session cache's keys), and
+//! (δ's seen set, the keys a keyed lookup has seen), and
 //! [`HashedRow`], a key carrying its hash through the lookup's tiers.
 //! All of them hash rows with [`bea_core::value::hash_row`] — the same function the
 //! store's indexes use — and nothing in the engine hashes a row any other way.
@@ -38,9 +38,9 @@ pub(crate) type Column = Arc<Vec<Value>>;
 
 /// A columnar batch of rows; see the module docs for the layout.
 ///
-/// The column list itself is a shared slice too, so `Batch::clone` — a keyed-lookup
-/// cache hit, say — is purely refcount
-/// bumps: no allocation anywhere on the clone path.
+/// The column list itself is a shared slice too, so `Batch::clone` — an anchor's slice
+/// of its arena segment, say — is purely refcount bumps: no allocation anywhere on the
+/// clone path.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Batch {
     columns: Arc<[Column]>,
@@ -279,11 +279,9 @@ pub(crate) fn position_bound(owner: &str, rows: usize) -> Result<u32> {
     }
 }
 
-/// A flat table of distinct rows: what δ has seen, the keys a keyed lookup has seen,
-/// the session cache's keys. A row's *position* is its insertion rank — stable until
-/// the row is removed, so callers hang their own per-row data (a key's postings, cache
-/// entries) off plain vectors indexed by it. Only the session cache removes rows:
-/// [`RowTable::remove`] frees a position, and the next insert takes it again.
+/// A flat table of distinct rows: what δ has seen, the keys a keyed lookup has seen. A
+/// row's *position* is its insertion rank, and rows are never removed, so callers hang
+/// their own per-row data (a key's postings) off plain vectors indexed by it.
 ///
 /// Layout: the rows column-wise in `columns` (pooled buffers, handed in by the owner
 /// and handed back through [`RowTable::release`]), each row's hash in `hashes`, and an
@@ -302,11 +300,9 @@ pub(crate) struct RowTable {
     /// Names the owning operator when [`position_bound`] refuses a row.
     owner: &'static str,
     columns: Vec<Vec<Value>>,
-    /// Per position. Its length less `free`'s is the row count (a zero-column table has
-    /// no column to ask); re-slotting on growth reads it instead of re-hashing the rows.
+    /// Per position. Its length is the row count (a zero-column table has no column to
+    /// ask); re-slotting on growth reads it instead of re-hashing the rows.
     hashes: Vec<u64>,
-    /// Positions [`RowTable::remove`] freed, for the next inserts to take.
-    free: Vec<u32>,
     slots: Vec<u32>,
 }
 
@@ -321,14 +317,13 @@ impl RowTable {
             owner,
             columns,
             hashes: Vec::new(),
-            free: Vec::new(),
             slots: Vec::new(),
         }
     }
 
     /// Number of rows held.
     pub(crate) fn len(&self) -> usize {
-        self.hashes.len() - self.free.len()
+        self.hashes.len()
     }
 
     #[cfg(test)]
@@ -367,6 +362,7 @@ impl RowTable {
 
     /// The position of the row `row(c)` describes, `hash` being its [`hash_row`].
     /// Clones nothing.
+    #[cfg(test)]
     pub(crate) fn find<'a>(&self, hash: u64, row: impl Fn(usize) -> &'a Value) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
@@ -391,64 +387,18 @@ impl RowTable {
         }
     }
 
-    /// [`RowTable::find`] for a key that carries its hash.
-    pub(crate) fn find_key(&self, key: &HashedRow) -> Option<u32> {
-        self.find(key.hash, |c| &key.values[c])
-    }
-
-    /// Put a row at free slot `slot` (room is reserved): at a position
-    /// [`RowTable::remove`] freed, or else at the next one. Returns the position.
+    /// Put a row at free slot `slot` (room is reserved), at the next position. Returns
+    /// the position.
     fn place(&mut self, slot: usize, hash: u64, row: impl IntoIterator<Item = Value>) -> u32 {
         let mut row = row.into_iter();
-        let mut value = || row.next().expect("a row has one value per column");
-        let position = match self.free.pop() {
-            Some(position) => {
-                self.hashes[position as usize] = hash;
-                for column in &mut self.columns {
-                    column[position as usize] = value();
-                }
-                position
-            }
-            None => {
-                self.hashes.push(hash);
-                for column in &mut self.columns {
-                    column.push(value());
-                }
-                (self.hashes.len() - 1) as u32
-            }
-        };
+        self.hashes.push(hash);
+        for column in &mut self.columns {
+            column.push(row.next().expect("a row has one value per column"));
+        }
         debug_assert!(row.next().is_none(), "a row has one value per column");
+        let position = (self.hashes.len() - 1) as u32;
         self.slots[slot] = position;
         position
-    }
-
-    /// Take the row at `position` out of the table. Its slot is emptied and each later
-    /// slot of the run whose row may move back fills the gap, so every walk still finds
-    /// its row and no tombstone is left. Its values are dropped, and the next insert
-    /// takes the position.
-    pub(crate) fn remove(&mut self, position: u32) {
-        let mask = self.slots.len() - 1;
-        let home = |position: u32| self.hashes[position as usize] as usize & mask;
-        let mut hole = home(position);
-        while self.slots[hole] != position {
-            hole = (hole + 1) & mask;
-        }
-        let mut next = (hole + 1) & mask;
-        while self.slots[next] != EMPTY {
-            let moved = self.slots[next];
-            // `moved` may fill the hole unless its home lies after the hole in the run.
-            if next.wrapping_sub(home(moved)) & mask >= next.wrapping_sub(hole) & mask {
-                self.slots[hole] = moved;
-                hole = next;
-            }
-            next = (next + 1) & mask;
-        }
-        self.slots[hole] = EMPTY;
-        // Release what the values share, such as a long string's payload.
-        for column in &mut self.columns {
-            column[position as usize] = Value::Bool(false);
-        }
-        self.free.push(position);
     }
 
     /// Make room for `additional` more rows: slots stay at most half full, columns
@@ -459,7 +409,7 @@ impl RowTable {
         position_bound(self.owner, rows)?;
         if rows * 2 > self.slots.len() {
             let size = (rows * 2).next_power_of_two().max(Self::MIN_SLOTS);
-            // Re-slot the positions the old slots held: every one but the freed.
+            // Re-slot the positions the old slots held.
             let old = std::mem::replace(&mut self.slots, vec![EMPTY; size]);
             for position in old.into_iter().filter(|&position| position != EMPTY) {
                 let hash = self.hashes[position as usize];
@@ -478,7 +428,6 @@ impl RowTable {
     pub(crate) fn clear(&mut self) {
         self.columns.iter_mut().for_each(Vec::clear);
         self.hashes.clear();
-        self.free.clear();
         self.slots.fill(EMPTY);
     }
 
@@ -491,11 +440,10 @@ impl RowTable {
 }
 
 /// A key row that carries its own [`hash_row`], computed once when the key is gathered:
-/// the keyed lookup finds or inserts the key in its memo with it, the session cache
-/// looks it up with it, and the store's `resolve` walks its index with it — one pass
-/// over the values per probe, wherever the probe ends up. Outside tests it is not
-/// `Clone`: a missed key moves on into the flat probe buffer, and the session cache
-/// copies its values once, into the entry's slot.
+/// the keyed lookup finds or inserts the key in its memo with it, and the store's
+/// `resolve` walks its index with it — one pass over the values per probe, wherever the
+/// probe ends up. Outside tests it is not `Clone`: a missed key moves on into the flat
+/// probe buffer.
 #[derive(Debug, PartialEq, Eq)]
 #[cfg_attr(test, derive(Clone))]
 pub(crate) struct HashedRow {
@@ -873,60 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn row_table_removes_rows_and_reuses_their_positions_like_a_map_oracle() {
-        use std::collections::BTreeMap;
-        // Shared hashes make long runs; one hash for every row makes one run of all.
-        type Hasher = fn(&[Value]) -> u64;
-        let hashers: [Hasher; 3] = [|row| hash_row(row), |row| hash_row(row) & 7, |_| 42];
-        for (h, hash) in hashers.into_iter().enumerate() {
-            let mut next = xorshift(0x2E40 ^ h as u64);
-            let mut table = table(2);
-            let mut oracle: BTreeMap<Row, u32> = BTreeMap::new();
-            for step in 0..6_000 {
-                let row = vec![random_value(&mut next, 300), Value::int(step % 3)];
-                let found = table.find(hash(&row), |c| &row[c]);
-                assert_eq!(found, oracle.get(&row).copied(), "step {step}");
-                match found {
-                    // Removals interleave with growth, so re-slotting meets freed
-                    // positions; past 400 rows every hit is removed.
-                    Some(position) if !next().is_multiple_of(4) || oracle.len() > 400 => {
-                        table.remove(position);
-                        oracle.remove(&row);
-                    }
-                    Some(_) => {}
-                    None => {
-                        let (position, fresh) = table.insert(hash(&row), |c| &row[c]).unwrap();
-                        assert!(fresh);
-                        assert!(
-                            !oracle.values().any(|&held| held == position),
-                            "position {position} is taken"
-                        );
-                        oracle.insert(row, position);
-                    }
-                }
-                assert_eq!(table.len(), oracle.len());
-                // Each row held has one slot, and nothing else has any.
-                let occupied = table.slots.iter().filter(|&&slot| slot != EMPTY).count();
-                assert_eq!(occupied, oracle.len(), "step {step}");
-            }
-            assert!(
-                table.hashes.len() < 2 * oracle.len().max(300),
-                "positions are reused"
-            );
-            // Inserts only grow the slots past the most rows ever held, when no position
-            // is free; a reservation grows them now, with freed positions to skip.
-            assert!(table.hashes.len() > table.len(), "some positions are free");
-            table.reserve(table.slots.len()).unwrap();
-            let occupied = table.slots.iter().filter(|&&slot| slot != EMPTY).count();
-            assert_eq!(occupied, oracle.len());
-            for (row, &position) in &oracle {
-                assert_eq!(table.find(hash(row), |c| &row[c]), Some(position));
-                assert_eq!(&held(&table, position, 2), row);
-            }
-        }
-    }
-
-    #[test]
     fn row_table_release_hands_back_cleared_columns() {
         let mut table = RowTable::new("a test", vec![Vec::with_capacity(8), Vec::new()]);
         insert(&mut table, &[Value::int(1), Value::int(2)]);
@@ -970,12 +864,12 @@ mod tests {
         assert_eq!(gathered.hash, hash_row(gathered.values()));
         // A table finds a key inserted under its carried hash.
         let (key, mut keys) = (gathered.clone(), table(2));
-        assert_eq!(keys.find_key(&key), None);
+        assert_eq!(keys.find(key.hash, |c| &key.values[c]), None);
         assert_eq!(
             keys.insert(key.hash, |c| &key.values[c]).unwrap(),
             (0, true)
         );
-        assert_eq!(keys.find_key(&key), Some(0));
+        assert_eq!(keys.find(key.hash, |c| &key.values[c]), Some(0));
         assert_eq!(HashedRow::default(), HashedRow::new(Vec::new()));
         // A key moved into a flat buffer leaves the (empty) key consistent with its
         // hash, and the buffer holding its values.

@@ -19,13 +19,13 @@
 //! copies nor compares it, and a residual or an emission that reads it reads the source
 //! row's key column instead (Q0's anchor copies `aid` but not `date`). Only an `X`
 //! column a fused emission keeps is held, since an anchor shares the arena's columns as
-//! they are; a session-cache entry holds every column its shape names, `X` included. A key that matched at most one tuple (every probe of a
-//! bound-1 constraint) is neither hashed nor copied: it is read where the tuple lies in
-//! the store — residual predicates and the emission read it there, and only emitted
-//! values are cloned. Its memo, which serves a repeated key from the arena, the store or
-//! the session-cache entry it found, exists only where keys can repeat: when the plan
-//! proves that the source never repeats a key ([`PhysicalPlan::keys_distinct`]), every
-//! probe is a first probe and nothing is remembered.
+//! they are. A key that matched at most one tuple (every probe of a bound-1 constraint)
+//! is neither hashed nor copied: it is read where the tuple lies in the store —
+//! residual predicates and the emission read it there, and only emitted values are
+//! cloned. Its memo, which serves a repeated key from the arena or the store, exists
+//! only where keys can repeat: when the plan proves that the source never repeats a key
+//! ([`PhysicalPlan::keys_distinct`]), every probe is a first probe and nothing is
+//! remembered.
 //!
 //! [`PhysicalPlan::keys_distinct`]: bea_core::plan::PhysicalPlan::keys_distinct
 //!
@@ -34,16 +34,15 @@
 //! [`KeyedLookupOp`] stages a source batch in one pass over its rows. It gathers and
 //! hashes each row's key once and finds or inserts it in the memo's [`RowTable`]: one
 //! probe, which gives the key's *position* (where the memo is dropped, a row's number is
-//! its position). A key new to the operator is looked up in the session cache once, if
-//! there is one; the keys nothing held go to one `resolve`, and after the fetch each is
-//! inserted into the session cache once. The rows are then emitted in order, each from
-//! its position's postings.
+//! its position). The keys new to the operator go to one `resolve`, and the rows are
+//! then emitted in order, each from its position's postings.
 //!
-//! The tiers are the memo, then the session cache, then the store: the per-query tier
-//! sits in front of the cross-query one. As the paper's `fetch(X ∈ T, R, Y)` reads the
+//! The memo is the engine's one lookup cache, and it lives as long as its query: the
+//! tiers are the memo, then the store. As the paper's `fetch(X ∈ T, R, Y)` reads the
 //! index once per distinct `X`-value of `T`, the operator looks each distinct key up
-//! once, and serves every repeat from what it found the first time it looked — even if
-//! the session cache has evicted the entry since (see [`crate::cache`]).
+//! once, and serves every repeat from what it found the first time it looked. Nothing
+//! is kept across queries: a ticket prices the uncached worst case anyway, and on the
+//! immutable in-memory store a probe of a dense integer key is a subtraction.
 //!
 //! # The probe path's allocation budget
 //!
@@ -53,28 +52,21 @@
 //! flat key columns (O(1) per value, as δ's seen set does), a missed key is moved into
 //! the batch's flat probe buffer, and multi-tuple postings are appended to the arena's
 //! value columns, all drawn from the thread's [`super::BufferPool`] once per operator
-//! instance. A repeat is a slot walk plus emission from where its postings lie; a hit in
-//! the session cache is an offset into the store or a refcount bump. With a session
-//! cache, a miss is the same miss, then an uncharged insert as cache maintenance. A key
-//! of at most one tuple is held as that tuple's offset
-//! ([`bea_storage::FetchIter::first_offset`]) and copies no value; a longer list is held
-//! as a compact copy of its arena range. Either way the cache copies the key's values
-//! once, into its space's key table. The row itself is served as the miss serves it, so
-//! a cold cache charges what a cache-off run charges.
+//! instance. A repeat is a slot walk plus emission from where its postings lie.
 //!
 //! Per operator instance, what remains is its box, its column lists and its staging
 //! vectors: the step's key columns, positions, relation and predicates are borrowed
 //! from the plan ([`FetchStep`]; only a residual that compares with a request's
 //! constant is a copy, with the constant in), the key scratch and every pooled column
-//! come from the thread's pool, which outlives the query, and the fused emission is an
-//! offset, not a column list. `tests/alloc_budget.rs` holds the model to the
+//! come from the thread's pool, which outlives the query, and the fused emission is a
+//! flag, not a column list. `tests/alloc_budget.rs` holds the model to the
 //! allocator: a cold Q0 stays under a fixed number of heap allocations, whatever it
 //! fetches; `crates/bead/tests/alloc_request.rs` bounds a whole served request.
 //!
 //! # Access accounting
 //!
 //! The operator does not touch the shared [`crate::stats::AccessStats`] per key:
-//! lookups, clones and cache hits accumulate in an operator-local tally of the same
+//! lookups and clones accumulate in an operator-local tally of the same
 //! type, flushed once per pull and on drop — an error or a short-circuiting consumer
 //! loses nothing. So do a miss's fetched tuples, which the flush adds to the query's
 //! flat per-step tally ([`crate::stats::FetchTally`]) — a step that probed is reported
@@ -84,44 +76,15 @@
 
 use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, HashedRow, RowTable};
 use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
-use crate::cache::{CacheShape, CacheSpace, Cached, SessionFetchCache};
 use crate::stats::AccessStats;
 use bea_core::error::Result;
 use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
 use bea_core::value::Value;
-use bea_storage::{FetchIter, Probes, Relation, Store};
+use bea_storage::{FetchIter, Probes, Store};
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-/// A handle to the session's cross-query fetch cache, resolved once, off the per-probe
-/// path: the cache, the operator's [`CacheShape`] space in it, and the relation whose
-/// tuples its offset entries name. Absent outside sessions (and in cache-disabled
-/// sessions), where only the arena's memo runs.
-struct SessionCache<'db> {
-    cache: Arc<SessionFetchCache>,
-    space: CacheSpace,
-    relation: &'db Relation,
-}
-
-impl<'db> SessionCache<'db> {
-    /// What the cache holds for `key`, as postings; a hit is counted on `tally`.
-    fn lookup(&self, key: &HashedRow, tally: &mut AccessStats) -> Option<Postings<'db>> {
-        let cached = self.cache.lookup(self.space, key)?;
-        tally.cache_hits += 1;
-        tally.rows_served_from_cache += cached.len() as u64;
-        Some(match cached {
-            // Read where it lies, as the uncached miss reads it.
-            Cached::Tuple(offset) => Postings::Tuple(offset.map(|offset| {
-                let tuple = self.relation.row(offset as usize);
-                tuple.expect("a cached offset names a tuple of the session's immutable store")
-            })),
-            Cached::Rows(batch) => Postings::Cached(batch),
-        })
-    }
-}
-
-/// The keys of the current source batch that no tier held, queued for one `resolve`:
+/// The keys of the current source batch new to the operator, queued for one `resolve`:
 /// moved in flat, `arity` values each, with their carried hashes, and what `resolve`
 /// returned for each. The flat buffer is drawn from the thread's pool.
 #[derive(Default)]
@@ -143,7 +106,7 @@ impl<'db> Misses<'db> {
     }
 
     /// Resolve every queued key of `constraint` in one batched walk (nothing to do when
-    /// every key was held — and then no fetch error either, as in a per-key loop).
+    /// the memo held every key — and then no fetch error either, as in a per-key loop).
     fn resolve(&mut self, store: Store<'db>, constraint: usize) -> Result<()> {
         if self.hashes.is_empty() {
             return Ok(());
@@ -315,9 +278,8 @@ struct PostingArena<'db> {
     rows: usize,
     /// The memo's keys; unused where the memo is dropped.
     keys: RowTable,
-    /// `held[p]` is where the postings at position `p` lie: in the store, the arena or
-    /// a session-cache entry. Where the memo is dropped, it holds the current batch's
-    /// rows.
+    /// `held[p]` is where the postings at position `p` lie: in the store or the arena.
+    /// Where the memo is dropped, it holds the current batch's rows.
     held: Vec<Postings<'db>>,
     dedup: RowSet,
 }
@@ -390,16 +352,10 @@ impl<'db> PostingArena<'db> {
 /// One key's postings, wherever they live.
 #[derive(Debug, Clone)]
 enum Postings<'db> {
-    /// At most one tuple, fetched by this operator or named by a session-cache offset:
-    /// read where it lies in the store.
+    /// At most one tuple: read where it lies in the store.
     Tuple(Option<&'db [Value]>),
-    /// Fetched by this operator, two or more tuples: a range of its arena.
+    /// Two or more tuples: a range of the arena.
     Arena(ArenaRange),
-    /// Served by the session cache, in its entry shape
-    /// (pre-projected when [`KeyedLookupOp::fused_emit`] is set).
-    Cached(Arc<Batch>),
-    /// A miss of the batch being staged, until the batch's `resolve` fills it in.
-    Pending,
 }
 
 impl Postings<'_> {
@@ -408,8 +364,6 @@ impl Postings<'_> {
         match self {
             Postings::Tuple(tuple) => usize::from(tuple.is_some()),
             Postings::Arena(range) => range.len,
-            Postings::Cached(batch) => batch.len(),
-            Postings::Pending => 0,
         }
     }
 }
@@ -428,11 +382,6 @@ impl Postings<'_> {
 /// consumer short-circuits). A single-tuple key holds nothing: its tuple stays in the
 /// store, which outlives the operator. Neither the cross product nor the fetched table
 /// is ever materialized.
-///
-/// In a session with a cache, the session's cross-query cache sits behind the memo. A
-/// hit there serves a one-tuple key from the store, as a miss would, and a longer list
-/// from the cached batch; a miss ([`KeyedLookupOp::fetch`]) is followed by inserting
-/// the tuple's offset or a compact copy of the list.
 pub(crate) struct KeyedLookupOp<'db> {
     input: BoxOp<'db>,
     fetch: FetchStep<'db>,
@@ -455,10 +404,6 @@ pub(crate) struct KeyedLookupOp<'db> {
     elided: Elided,
     /// Arena rows this operator holds on the residency ledger.
     cached_rows: u64,
-    /// The session's cross-query cache, probed behind the memo. Resolved after
-    /// [`KeyedLookupOp::fused_emit`]: the fused pre-projection is part of the entry
-    /// shape.
-    session: Option<SessionCache<'db>>,
     /// Reusable probe-key buffer: every row's key is gathered into it and hashed once;
     /// a missed key's values *move* on into `misses`, keeping the buffer.
     key_scratch: HashedRow,
@@ -468,12 +413,11 @@ pub(crate) struct KeyedLookupOp<'db> {
     misses: Misses<'db>,
     /// What the probes have cost since the last flush ([`KeyedLookupOp::flush_tally`]).
     tally: AccessStats,
-    /// `Some(left_arity)` when the emission is exactly a projection of the fetched
-    /// columns: no residual predicates and a fused projection keeping only fetched
-    /// columns — column `k` is fetched column `out_cols[k] - left_arity`
-    /// ([`KeyedLookupOp::stored_col`]). Session-cache entries are then stored
-    /// pre-projected. Decided when the operator is built, from the plan.
-    fused_emit: Option<usize>,
+    /// Whether the emission is exactly a projection of the fetched columns: no residual
+    /// predicates and a fused projection keeping only fetched columns — column `k` is
+    /// fetched column `out_cols[k] - source_arity`. Decided when the operator is built,
+    /// from the plan.
+    fused_emit: bool,
     /// Slices of an anchor emission past [`BATCH_SIZE`] rows not yet emitted
     /// ([`KeyedLookupOp::sliced`]).
     pending: VecDeque<Batch>,
@@ -518,12 +462,11 @@ impl<'db> KeyedLookupOp<'db> {
             memo: true,
             elided: Elided::default(),
             cached_rows: 0,
-            session: None,
             key_scratch,
             rows: Vec::new(),
             misses,
             tally: AccessStats::default(),
-            fused_emit: None,
+            fused_emit: false,
             pending: VecDeque::new(),
             done: false,
         };
@@ -539,8 +482,8 @@ impl<'db> KeyedLookupOp<'db> {
         self
     }
 
-    /// The value at row `j`, fetched position `c`, of postings this operator fetched;
-    /// `key(m)` is value `m` of their probe key, which an [`Elided`] column reads.
+    /// The value at row `j`, fetched position `c`, of `postings`; `key(m)` is value `m`
+    /// of their probe key, which an [`Elided`] column reads.
     fn local_value<'v>(
         &'v self,
         postings: &'v Postings<'db>,
@@ -554,95 +497,31 @@ impl<'db> KeyedLookupOp<'db> {
                 Located::Arena(column) => self.arena.value(*range, j, column),
                 Located::Key(m) => key(m),
             },
-            Postings::Tuple(None) | Postings::Cached(_) | Postings::Pending => {
-                unreachable!("no row {j} of the fetched postings here")
-            }
+            Postings::Tuple(None) => unreachable!("no row {j} of the fetched postings here"),
         }
-    }
-
-    /// The fetched column behind column `k` of a key's postings as the session cache
-    /// stores them: `k` itself, or under a fused emission
-    /// ([`KeyedLookupOp::fused_emit`]) the fetched column that the emission's `k`-th
-    /// column reads.
-    fn stored_col(&self, k: usize) -> usize {
-        match (self.fused_emit, self.out_cols) {
-            (Some(left_arity), Some(cols)) => cols[k] - left_arity,
-            _ => k,
-        }
-    }
-
-    /// How many columns a key's postings have as the session cache stores them.
-    fn stored_width(&self) -> usize {
-        match (self.fused_emit, self.out_cols) {
-            (Some(_), Some(cols)) => cols.len(),
-            _ => self.fetch.positions.len(),
-        }
-    }
-
-    /// A compact standalone copy of postings this operator fetched into its arena for
-    /// the probe `key`, projected onto the fused emission when there is one — what a
-    /// miss of two or more tuples inserts into the session cache. Cache maintenance,
-    /// off the cache-off path, so its clones are not `values_cloned`.
-    fn copy_out(&self, postings: &Postings<'db>, key: &[Value]) -> Batch {
-        let column = |k: usize| -> Vec<Value> {
-            let c = self.stored_col(k);
-            let rows = 0..postings.len();
-            rows.map(|j| self.local_value(postings, j, c, |m| &key[m]).clone())
-                .collect()
-        };
-        let columns = (0..self.stored_width()).map(column).collect();
-        Batch::from_dense(columns, postings.len())
     }
 
     /// Decide whether the emission is a pure projection of the fetched columns (see
-    /// [`KeyedLookupOp::fused_emit`]), which columns the arena holds, and the session
-    /// cache's space.
+    /// [`KeyedLookupOp::fused_emit`]), and which columns the arena holds.
     fn settle_emission(&mut self) {
         let left_arity = self.fetch.source_arity;
         let fetched_only = |cols: &[usize]| cols.iter().all(|&c| c >= left_arity);
-        if self.residual.is_empty() && self.out_cols.is_some_and(fetched_only) {
-            self.fused_emit = Some(left_arity);
-        }
+        self.fused_emit = self.residual.is_empty() && self.out_cols.is_some_and(fetched_only);
         // An anchor shares the arena's columns, so those its emission reads are held.
-        let emitted = |c| {
-            let fused = self.fused_emit.is_some();
-            fused && (0..self.stored_width()).any(|k| self.stored_col(k) == c)
-        };
+        let fused = self
+            .out_cols
+            .filter(|_| self.fused_emit)
+            .unwrap_or_default();
+        let emitted = |c| fused.iter().any(|&col| col == left_arity + c);
         self.elided = Elided::of(&self.fetch, emitted);
         let held = (0..self.fetch.positions.len()).filter(|&c| !self.elided.contains(c));
         let mut state = self.state.borrow_mut();
         self.arena.cols = held.map(|_| state.pool.get_values()).collect();
-        drop(state);
-        // The fused pre-projection is baked into cached batches, so it is part of the
-        // entry shape. Offsets name tuples of the relation of the step's constraint, the
-        // one its index is over (validation refuses a step without one).
-        let Some(cache) = self.state.borrow().cache.clone() else {
-            return;
-        };
-        let fetch = self.fetch;
-        let constraint = self.store.schema().constraint(fetch.constraint_index);
-        let relation = constraint.and_then(|c| self.store.database().relation(c.relation()).ok());
-        let Some(relation) = relation else {
-            return;
-        };
-        let stored = (0..self.stored_width()).map(|k| self.stored_col(k));
-        let space = cache.space(CacheShape {
-            constraint: fetch.constraint_index,
-            key_arity: fetch.key_cols.len(),
-            positions: fetch.positions.to_vec(),
-            emit: self.fused_emit.map(|_| stored.collect()),
-        });
-        self.session = Some(SessionCache {
-            cache,
-            space,
-            relation,
-        });
     }
 
     /// Stage `batch` (see the module docs): give every row its key's position in
-    /// [`PostingArena::held`], look each key new to the operator up in the session
-    /// cache once, and fetch the rest in one batched walk, inserting each into the
-    /// session cache once.
+    /// [`PostingArena::held`], and fetch the keys new to the operator in one batched
+    /// walk.
     fn stage(&mut self, batch: &Batch) -> Result<()> {
         self.rows.clear();
         self.misses.begin(batch.len());
@@ -662,29 +541,20 @@ impl<'db> KeyedLookupOp<'db> {
                 if !new {
                     continue;
                 }
-                debug_assert_eq!(seen as usize, self.arena.held.len(), "an insertion rank");
+                let rank = first + self.misses.hashes.len();
+                debug_assert_eq!(seen as usize, rank, "an insertion rank");
             }
-            let session = self.session.as_ref();
-            let cached = session.and_then(|session| session.lookup(key, &mut self.tally));
-            self.arena.held.push(cached.unwrap_or_else(|| {
-                // The key's values move on into the probe buffer.
-                let misses = &mut self.misses;
-                misses.hashes.push(key.move_into(&mut misses.keys));
-                Postings::Pending
-            }));
+            // The key's values move on into the probe buffer.
+            let misses = &mut self.misses;
+            misses.hashes.push(key.move_into(&mut misses.keys));
         }
         // One probe-key gather per source row, hit or miss.
         self.tally.values_cloned += (batch.len() * self.fetch.key_cols.len()) as u64;
         self.misses
             .resolve(self.store, self.fetch.constraint_index)?;
-        let mut p = 0;
-        for at in first..self.arena.held.len() {
-            if let Postings::Pending = self.arena.held[at] {
-                let postings = self.fetch(p);
-                self.insert(p, &postings);
-                self.arena.held[at] = postings;
-                p += 1;
-            }
+        for p in 0..self.misses.hashes.len() {
+            let postings = self.fetch(p);
+            self.arena.held.push(postings);
         }
         Ok(())
     }
@@ -707,26 +577,6 @@ impl<'db> KeyedLookupOp<'db> {
         self.state.borrow_mut().acquire(range.len as u64);
         self.cached_rows += range.len as u64;
         Postings::Arena(range)
-    }
-
-    /// Insert what miss `p` fetched into the session cache, if there is one: at most
-    /// one tuple as its offset, more as a copy — unless the cache would not admit it.
-    fn insert(&self, p: usize, postings: &Postings<'db>) {
-        let Some(session) = &self.session else {
-            return;
-        };
-        let arity = self.misses.arity;
-        let key = &self.misses.keys[p * arity..(p + 1) * arity];
-        let cached = match postings {
-            Postings::Tuple(_) => Cached::Tuple(self.misses.resolved[p].first_offset()),
-            // A list the cache would not admit is not copied out.
-            _ if session.cache.admits(postings.len()) => {
-                Cached::Rows(Arc::new(self.copy_out(postings, key)))
-            }
-            _ => return,
-        };
-        let hash = self.misses.hashes[p];
-        session.cache.insert(session.space, hash, key, cached);
     }
 
     /// Move the probes' tally into the query's counters, its fetched tuples under the
@@ -830,28 +680,22 @@ impl Operator for KeyedLookupOp<'_> {
         self.stage(&batch)?;
         // Anchor fast path: a single source row, no residual, and a fused projection
         // that keeps only fetched columns — the output *is* the key's projected
-        // postings, emitted as a batch over the storage that already holds them (a
-        // session-cache entry, or the arena segment, sealed): zero value clones and, on
-        // a warm session cache, zero allocations. This is the first lookup of every
-        // anchored plan, where the fan-out (and hence the row-pipeline's copy bill) is
-        // largest — and the whole body of the steady-state serving loop. A tuple read
-        // in place, from a miss or a cached offset, has no such storage: it is gathered
-        // below like any row.
-        if batch.len() == 1 && self.fused_emit.is_some() {
+        // postings, emitted as a batch over the arena segment that already holds them,
+        // sealed: zero value clones. This is the first lookup of every anchored plan,
+        // where the fan-out (and hence the row-pipeline's copy bill) is largest — and the
+        // whole body of the steady-state serving loop. A tuple read in place has no such
+        // storage: it is gathered below like any row.
+        if batch.len() == 1 && self.fused_emit {
             let at = self.rows.first().map_or(0, |&at| at as usize);
-            let emitted = match self.arena.held[at].clone() {
-                Postings::Cached(cached) => Some((*cached).clone()),
-                Postings::Arena(range) => {
-                    let sealed = self.arena.seal(range);
-                    let column = |k| match self.elided.locate(&self.fetch, self.stored_col(k)) {
-                        Located::Arena(column) => column,
-                        Located::Key(_) => unreachable!("an anchor's columns are held"),
-                    };
-                    Some(sealed.project_map(self.stored_width(), column))
-                }
-                _ => None,
-            };
-            if let Some(emitted) = emitted {
+            if let Postings::Arena(range) = self.arena.held[at] {
+                let sealed = self.arena.seal(range);
+                let cols = self.out_cols.unwrap_or_default();
+                let column = |k: usize| match self.elided.locate(&self.fetch, cols[k] - left_arity)
+                {
+                    Located::Arena(column) => column,
+                    Located::Key(_) => unreachable!("an anchor's columns are held"),
+                };
+                let emitted = sealed.project_map(cols.len(), column);
                 self.flush_tally();
                 return Ok(Some(self.sliced(emitted)));
             }
@@ -866,24 +710,11 @@ impl Operator for KeyedLookupOp<'_> {
         let mut out_rows = 0usize;
         for i in 0..batch.len() {
             let at = self.rows.get(i).map_or(i, |&at| at as usize);
-            out_rows += match &self.arena.held[at] {
-                // A cached batch under a fused emission holds the emitted columns.
-                Postings::Cached(cached) if self.fused_emit.is_some() => {
-                    for (k, sink) in out.iter_mut().enumerate() {
-                        sink.extend((0..cached.len()).map(|j| cached.value(j, k).clone()));
-                    }
-                    cached.len()
-                }
-                Postings::Cached(cached) => {
-                    self.emit(&batch, i, cached.len(), |j, c| cached.value(j, c), &mut out)
-                }
-                // An elided column of what this operator fetched is the source row's key.
-                fetched => {
-                    let key = |m: usize| batch.value(i, self.fetch.key_cols[m]);
-                    let value = |j, c| self.local_value(fetched, j, c, key);
-                    self.emit(&batch, i, fetched.len(), value, &mut out)
-                }
-            };
+            let fetched = &self.arena.held[at];
+            // An elided column of the fetched postings is the source row's key.
+            let key = |m: usize| batch.value(i, self.fetch.key_cols[m]);
+            let value = |j, c| self.local_value(fetched, j, c, key);
+            out_rows += self.emit(&batch, i, fetched.len(), value, &mut out);
         }
         self.tally.values_cloned += (out_rows * out_arity) as u64;
         self.flush_tally();
@@ -1171,55 +1002,15 @@ pub(crate) mod tests {
             Predicate::ColEqConst(2, Value::int(1)),
             Predicate::ColEqCol(1, 3),
         ];
-        for cold in [false, true] {
-            let h = Harness::new();
-            if cold {
-                h.state.borrow_mut().cache = Some(Arc::new(SessionFetchCache::new(1_000)));
-            }
-            let pulls = vec![Ok(ints(&[&[1, 10], &[2, 20], &[1, 11]]))];
-            let mut op = h.lookup(&idb, pulls, &[0, 1, 2], residual.clone(), Some(&[2, 4]));
-            assert_eq!(
-                drain(&mut op),
-                [[[1, 100], [1, 101], [1, 100]].map(Vec::from)],
-                "cold {cold}"
-            );
-            let stats = h.stats();
-            // 3 probe keys + key 1's 3 tuples × (v, w) + 3 emitted rows × 2 columns.
-            assert_eq!(stats.values_cloned, 3 + 3 * 2 + 3 * 2, "cold {cold}");
-            if cold {
-                // The cached copy holds every fetched column, the key's included.
-                let cache = h.state.borrow().cache.clone().unwrap();
-                let space = op.session.as_ref().unwrap().space;
-                let key = HashedRow::new(vec![Value::int(1)]);
-                let Some(Cached::Rows(rows)) = cache.lookup(space, &key) else {
-                    panic!("key 1's rows are cached");
-                };
-                assert_eq!(rows.arity(), 3);
-                assert!((0..rows.len()).all(|j| rows.value(j, 0) == &Value::int(1)));
-            }
-        }
-    }
-
-    #[test]
-    fn a_repeat_the_session_cache_declined_is_read_from_the_arena() {
-        let idb = store();
         let h = Harness::new();
-        // Key 1's three rows exceed the whole budget: no copy is inserted, so every
-        // probe of the key misses the session cache.
-        let cache = Arc::new(SessionFetchCache::new(2));
-        h.state.borrow_mut().cache = Some(cache.clone());
-        let mut op = h.lookup(&idb, Vec::new(), &[0, 1, 2], Vec::new(), None);
-        // Nothing holds key 1 yet: its first row fetches it, and its repeat is served
-        // from the memo.
-        op.stage(&ints(&[&[1], &[1]])).unwrap();
-        assert_eq!(op.rows, [0, 0]);
-        assert!(matches!(op.arena.held[0], Postings::Arena(range) if range.len == 3));
-        op.flush_tally();
-        let key = HashedRow::new(vec![Value::int(1)]);
-        assert_eq!(h.stats().index_lookups, 1);
-        let space = op.session.as_ref().unwrap().space;
-        assert!(cache.lookup(space, &key).is_none());
-        assert_eq!(cache.stats().resident_rows, 0);
+        let pulls = vec![Ok(ints(&[&[1, 10], &[2, 20], &[1, 11]]))];
+        let mut op = h.lookup(&idb, pulls, &[0, 1, 2], residual, Some(&[2, 4]));
+        assert_eq!(
+            drain(&mut op),
+            [[[1, 100], [1, 101], [1, 100]].map(Vec::from)]
+        );
+        // 3 probe keys + key 1's 3 tuples × (v, w) + 3 emitted rows × 2 columns.
+        assert_eq!(h.stats().values_cloned, 3 + 3 * 2 + 3 * 2);
     }
 
     #[test]
@@ -1266,20 +1057,15 @@ pub(crate) mod tests {
     }
 
     /// One lookup fetching every position of `R` over `pulls` and emitting `out_cols`,
-    /// its memo dropped when `distinct`, its session cache off or `cold`: what it
-    /// emitted (flattened, in order), its counters and its peak residency. The ledger
-    /// is back at zero afterwards.
+    /// its memo dropped when `distinct`: what it emitted (flattened, in order), its
+    /// counters and its peak residency. The ledger is back at zero afterwards.
     fn run_lookup(
         idb: &IndexedDatabase,
         pulls: Vec<Result<Batch>>,
         out_cols: Option<&[usize]>,
         distinct: bool,
-        cold: bool,
     ) -> (Vec<Vec<i64>>, crate::stats::AccessStats, u64) {
         let h = Harness::new();
-        if cold {
-            h.state.borrow_mut().cache = Some(Arc::new(SessionFetchCache::new(1_000)));
-        }
         let mut op = h
             .lookup(idb, pulls, &[0, 1, 2], Vec::new(), out_cols)
             .distinct_keys(distinct);
@@ -1319,117 +1105,29 @@ pub(crate) mod tests {
                 let pulls = |rows| feeds(rows).into_iter().nth(feed).unwrap();
                 let corner = format!("feed {feed}, columns {out_cols:?}");
 
-                // Repeated keys keep the memo. A cold session serves a key's repeats
-                // from the memo, as the cache-off run does: the cache serves nothing,
-                // and the run fetches, holds and demands what the cache-off run does.
-                let off = run_lookup(&idb, pulls(repeated), out_cols, false, false);
-                let cold = run_lookup(&idb, pulls(repeated), out_cols, false, true);
+                // Repeated keys keep the memo, which serves every repeat.
+                let off = run_lookup(&idb, pulls(repeated), out_cols, false);
                 assert_eq!(off.0, expected(repeated), "{corner}");
-                assert_eq!(cold.0, off.0, "{corner}");
-                let (stats, cold_stats) = (&off.1, &cold.1);
+                let stats = &off.1;
                 assert_eq!((stats.index_lookups, stats.tuples_fetched), (3, 4));
-                assert!(cold_stats.same_data_access(stats), "{corner}");
-                assert_eq!(cold_stats.allocs_per_probe, stats.allocs_per_probe);
-                assert_eq!((cold_stats.cache_hits, stats.cache_hits), (0, 0));
                 // Only key 1's three rows are ever held.
-                assert_eq!((off.2, cold.2), (3, 3), "{corner}");
+                assert_eq!(off.2, 3, "{corner}");
                 if out_cols.is_none() {
                     // 8 probe keys + key 1's 3 tuples × 2 positions besides the key
                     // + 12 rows × 4.
                     assert_eq!(stats.values_cloned, 8 + 6 + 48, "{corner}");
-                    assert_eq!(cold_stats.values_cloned, stats.values_cloned);
                     per_feed.push(off);
                 }
 
-                // Distinct keys: dropping the memo, or a cold session, changes nothing
-                // at all.
-                let kept = run_lookup(&idb, pulls(distinct), out_cols, false, false);
-                let dropped = run_lookup(&idb, pulls(distinct), out_cols, true, false);
-                let cold = run_lookup(&idb, pulls(distinct), out_cols, true, true);
+                // Distinct keys: dropping the memo changes nothing at all.
+                let kept = run_lookup(&idb, pulls(distinct), out_cols, false);
+                let dropped = run_lookup(&idb, pulls(distinct), out_cols, true);
                 assert_eq!(kept.0, expected(distinct), "{corner}");
                 assert_eq!(dropped, kept, "{corner}");
-                assert_eq!(cold, kept, "{corner}");
             }
             // Batching is invisible where no one-row batch takes the anchor path.
             assert!(per_feed.windows(2).all(|pair| pair[0] == pair[1]));
         }
-    }
-
-    #[test]
-    fn a_warm_session_serves_one_tuple_and_absent_keys_from_offsets() {
-        let idb = store();
-        // Key 2 matches one tuple, the fourth of `R`; key 3 none. The full combined row,
-        // and a fused projection onto `(v, w)`, whose one-row batches take the anchor
-        // path.
-        for out_cols in [None, Some(&[2, 3][..])] {
-            for (key, offset) in [(2, Some(3)), (3, None)] {
-                let corner = format!("key {key}, columns {out_cols:?}");
-                let pulls = || vec![Ok(ints(&[&[key]]))];
-                let (expected, off, _) = run_lookup(&idb, pulls(), out_cols, false, false);
-                let cache = Arc::new(SessionFetchCache::new(1_000));
-                let run = || {
-                    let h = Harness::new();
-                    h.state.borrow_mut().cache = Some(cache.clone());
-                    let mut op = h.lookup(&idb, pulls(), &[0, 1, 2], Vec::new(), out_cols);
-                    let out = drain(&mut op).concat();
-                    let space = op.session.as_ref().unwrap().space;
-                    drop(op);
-                    (out, h.stats(), space)
-                };
-                let (cold_out, cold, _) = run();
-                let (warm_out, warm, space) = run();
-                assert_eq!((&cold_out, &warm_out), (&expected, &expected), "{corner}");
-                assert!(cold.same_data_access(&off), "{corner}");
-                let rows = u64::from(offset.is_some());
-                assert_eq!((warm.cache_hits, warm.rows_served_from_cache), (1, rows));
-                assert_eq!(
-                    (warm.tuples_fetched, warm.index_lookups),
-                    (0, 0),
-                    "{corner}"
-                );
-                // The tuple is gathered where it lies, as the cache-off run gathers it —
-                // on the anchor path too.
-                assert_eq!(warm.values_cloned, off.values_cloned, "{corner}");
-                // The cold run left the tuple's offset, not a copy of it.
-                let key = HashedRow::new(vec![Value::int(key)]);
-                let held = cache.lookup(space, &key);
-                assert!(
-                    matches!(held, Some(Cached::Tuple(held)) if held == offset),
-                    "{corner}"
-                );
-                let stats = cache.stats();
-                assert_eq!((stats.entries, stats.resident_rows), (1, rows), "{corner}");
-            }
-        }
-    }
-
-    #[test]
-    fn offsets_are_read_in_the_relation_of_the_steps_constraint() {
-        // A step that names `R` but fetches through a constraint on `S`: its offsets
-        // are into `S`, where `R` holds other tuples. Validation refuses such a plan;
-        // an operator built from one anyway reads `S` warm as it does cold.
-        let mut catalog = bea_core::schema::Catalog::new();
-        catalog.declare("R", ["k", "v", "w"]).unwrap();
-        catalog.declare("S", ["k", "v", "w"]).unwrap();
-        let constraint = AccessConstraint::new(&catalog, "S", &["k"], &["v", "w"], BOUND);
-        let schema = AccessSchema::from_constraints([constraint.unwrap()]);
-        let mut db = Database::new(catalog);
-        let rows = |rows: Vec<[i64; 3]>| rows.into_iter().map(|row| row.map(Value::int).to_vec());
-        db.extend("R", rows(vec![[9, 90, 900], [8, 80, 800]]))
-            .unwrap();
-        db.extend("S", rows(vec![[2, 20, 200]])).unwrap();
-        let idb = IndexedDatabase::build(db, schema).unwrap();
-        let pulls = || vec![Ok(ints(&[&[2]]))];
-        let (expected, _, _) = run_lookup(&idb, pulls(), None, false, false);
-        assert_eq!(expected, [[2, 2, 20, 200]]);
-        let cache = Arc::new(SessionFetchCache::new(1_000));
-        for run in ["cold", "warm"] {
-            let h = Harness::new();
-            h.state.borrow_mut().cache = Some(cache.clone());
-            let mut op = h.lookup(&idb, pulls(), &[0, 1, 2], Vec::new(), None);
-            assert_eq!(drain(&mut op).concat(), expected, "{run}");
-        }
-        assert_eq!(cache.stats().hits, 1);
     }
 
     /// The same source rows as one batch, as two, and one row per batch.
@@ -1442,20 +1140,17 @@ pub(crate) mod tests {
         ]
     }
 
-    /// A lookup fetching every position of `R` for each feed of `rows`, set up by
-    /// `prepare`; what it emitted (flattened, in order), its counters and its peak
-    /// residency must not depend on how the rows were batched. Returns them.
+    /// A lookup fetching every position of `R` for each feed of `rows`; what it emitted
+    /// (flattened, in order), its counters and its peak residency must not depend on
+    /// how the rows were batched. Returns them.
     fn assert_batching_is_invisible(
         idb: &IndexedDatabase,
         rows: &[&[i64]],
-        prepare: impl Fn(&Harness),
-        run: impl Fn(&mut KeyedLookupOp<'_>) -> Vec<Vec<Vec<i64>>>,
     ) -> (Vec<Vec<i64>>, crate::stats::AccessStats) {
         let runs = feeds(rows).map(|pulls| {
             let h = Harness::new();
-            prepare(&h);
             let mut op = h.lookup(idb, pulls, &[0, 1, 2], Vec::new(), None);
-            let out = run(&mut op).concat();
+            let out = drain(&mut op).concat();
             drop(op);
             (out, h.stats(), h.ledger.peak())
         });
@@ -1469,7 +1164,7 @@ pub(crate) mod tests {
     fn keys_repeated_within_and_across_batches_settle_as_a_row_loop_would() {
         let idb = store();
         let rows: &[&[i64]] = &[&[1], &[2], &[1], &[3], &[2], &[1], &[1]];
-        let (out, stats) = assert_batching_is_invisible(&idb, rows, |_| {}, |op| drain(op));
+        let (out, stats) = assert_batching_is_invisible(&idb, rows);
         assert_eq!(out.len(), 4 * 3 + 2);
         assert_eq!(
             stats.index_lookups, 3,
@@ -1479,66 +1174,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn the_cache_serves_a_warm_key_once_and_the_memo_serves_every_repeat() {
-        let idb = store();
-        // Key 2 is served warm; key 1 is fetched by its first row; absent key 3 is
-        // fetched as the empty list. Every repeat is the memo's.
-        let rows: &[&[i64]] = &[&[2], &[1], &[3], &[2], &[1]];
-        let warm = |h: &Harness| {
-            let cache = Arc::new(SessionFetchCache::new(1_000));
-            let warmer = Harness::new();
-            warmer.state.borrow_mut().cache = Some(cache.clone());
-            let pulls = vec![Ok(ints(&[&[2]]))];
-            drain(&mut warmer.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None));
-            h.state.borrow_mut().cache = Some(cache);
-        };
-        let (out, stats) = assert_batching_is_invisible(&idb, rows, warm, |op| drain(op));
-        assert_eq!(out.len(), 1 + 3 + 1 + 3);
-        assert_eq!(stats.index_lookups, 2, "keys 1 and 3, once each");
-        assert_eq!((stats.cache_hits, stats.rows_served_from_cache), (1, 1));
-    }
-
-    #[test]
     fn each_key_is_looked_up_once_per_tier() {
         let idb = store();
         let rows: &[&[i64]] = &[&[1], &[2], &[1], &[3], &[1]];
         let [one_batch, two_batches, _] = feeds(rows);
-        // Per corner: the keys of each `resolve`, and the keys the session cache was
-        // asked for and offered, in order. With the memo kept, a key new to the
-        // operator is looked up once in each tier; with it dropped, each row is a new
-        // position — the plan drops the memo only where keys cannot repeat — and a
-        // key the cache holds from an earlier batch is not resolved again.
-        type Corner = (
-            bool,
-            bool,
-            bool,
-            &'static [&'static [i64]],
-            &'static [i64],
-            &'static [i64],
-        );
-        let corners: [Corner; 8] = [
-            (true, false, false, &[&[1, 2, 3]], &[], &[]),
-            (true, false, true, &[&[1, 2], &[3]], &[], &[]),
-            (true, true, false, &[&[1, 2, 3]], &[1, 2, 3], &[1, 2, 3]),
-            (true, true, true, &[&[1, 2], &[3]], &[1, 2, 3], &[1, 2, 3]),
-            (false, false, false, &[&[1, 2, 1, 3, 1]], &[], &[]),
-            (false, false, true, &[&[1, 2], &[1, 3, 1]], &[], &[]),
-            (
-                false,
-                true,
-                false,
-                &[&[1, 2, 1, 3, 1]],
-                &[1, 2, 1, 3, 1],
-                &[1, 2, 1, 3, 1],
-            ),
-            (
-                false,
-                true,
-                true,
-                &[&[1, 2], &[3]],
-                &[1, 2, 1, 3, 1],
-                &[1, 2, 3],
-            ),
+        // Per corner: the keys of each `resolve`, in order. With the memo kept, a key
+        // new to the operator is resolved once, and the memo serves every repeat; with
+        // it dropped, each row is a new position — the plan drops the memo only where
+        // keys cannot repeat.
+        type Corner = (bool, bool, &'static [&'static [i64]]);
+        let corners: [Corner; 4] = [
+            (true, false, &[&[1, 2, 3]]),
+            (true, true, &[&[1, 2], &[3]]),
+            (false, false, &[&[1, 2, 1, 3, 1]]),
+            (false, true, &[&[1, 2], &[1, 3, 1]]),
         ];
         let ints_of = |keys: &[Value]| -> Vec<i64> {
             keys.iter()
@@ -1548,13 +1197,11 @@ pub(crate) mod tests {
                 })
                 .collect()
         };
-        for (memo, cached, split, sent, looked_up, inserted) in corners {
-            let corner = format!("memo {memo}, cache {cached}, two batches {split}");
+        for (memo, split, sent) in corners {
+            let corner = format!("memo {memo}, two batches {split}");
             let pulls = if split { &two_batches } else { &one_batch };
             let pulls = pulls.iter().map(|pull| Ok(pull.as_ref().unwrap().clone()));
             let h = Harness::new();
-            let cache = cached.then(|| Arc::new(SessionFetchCache::new(1_000)));
-            h.state.borrow_mut().cache = cache.clone();
             let op = h.lookup(&idb, pulls.collect(), &[0, 1, 2], Vec::new(), None);
             let mut op = op.distinct_keys(!memo);
             // After a pull, the probe buffer holds what its batch sent to `resolve`.
@@ -1568,47 +1215,27 @@ pub(crate) mod tests {
             assert_eq!(resolved, sent, "{corner}");
             let probes = sent.iter().map(|keys| keys.len() as u64).sum::<u64>();
             assert_eq!(h.stats().index_lookups, probes, "{corner}");
-            let trips = cache.map(|cache| cache.trips()).unwrap_or_default();
-            let trips = [trips.0, trips.1].map(|keys| keys.concat());
-            assert_eq!(ints_of(&trips[0]), looked_up, "{corner}");
-            assert_eq!(ints_of(&trips[1]), inserted, "{corner}");
         }
     }
 
     #[test]
     fn a_failed_resolve_mid_batch_leaves_no_residency() {
         let idb = store();
-        // The operator's space is resolved for constraint 0 when it is built; then its
-        // step is pointed at constraint 7, which does not exist: every key nothing
-        // holds fails to resolve, after key 2's warm hit has been taken from the
-        // session cache.
-        let cache = Arc::new(SessionFetchCache::new(1_000));
-        let space = cache.space(CacheShape {
-            constraint: 0,
-            key_arity: 1,
-            positions: vec![0, 1, 2],
-            emit: None,
-        });
-        // Key 2's one tuple, the fourth of `R`.
-        let warm = HashedRow::new(vec![Value::int(2)]);
-        cache.insert(space, warm.hash(), warm.values(), Cached::Tuple(Some(3)));
-        // With the memo kept and dropped alike.
-        let runs = [false, true]
-            .map(|distinct| feeds(&[&[2], &[1], &[2], &[3]]).map(|pulls| (distinct, pulls)));
-        for (distinct, pulls) in runs.into_iter().flatten() {
+        // The first batch fetches key 1's three tuples into the arena; then the step is
+        // pointed at constraint 7, which does not exist, and the second batch fails to
+        // resolve key 3 (its key 1 the memo holds, where there is one).
+        for distinct in [false, true] {
             let h = Harness::new();
-            h.state.borrow_mut().cache = Some(cache.clone());
+            let pulls = vec![Ok(ints(&[&[1], &[2]])), Ok(ints(&[&[1], &[3]]))];
             let op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
             let mut op = op.distinct_keys(distinct);
+            assert_eq!(op.next_batch().unwrap().unwrap().len(), 4);
+            assert_eq!(h.ledger.resident(), 3);
             op.fetch.constraint_index = 7;
-            let failure = std::iter::from_fn(|| op.next_batch().transpose()).find(Result::is_err);
-            assert!(failure.is_some(), "key 1 cannot be resolved");
+            assert!(op.next_batch().is_err(), "key 3 cannot be resolved");
             drop(op);
             assert_eq!(h.ledger.resident(), 0);
-            let stats = h.stats();
-            assert_eq!(stats.tuples_fetched, 0);
-            assert!(stats.cache_hits > 0, "key 2 was served warm");
-            assert_eq!(cache.stats().resident_rows, 1, "only the warm entry");
+            assert_eq!(h.stats().tuples_fetched, 4, "only the first batch fetched");
         }
     }
 }

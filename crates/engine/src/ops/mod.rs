@@ -48,7 +48,6 @@ use bea_storage::Store;
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Rows per pulled batch. Large enough to amortize dispatch, small enough that batch
 /// buffers stay negligible next to any real intermediate result.
@@ -186,11 +185,6 @@ pub(crate) struct ExecState {
     pub(crate) fetched: FetchTally,
     /// Recycled gather/selection/key buffers; see [`BufferPool`].
     pub(crate) pool: BufferPool,
-    /// The session's cross-query fetch cache, when this thread runs a session's
-    /// query and the session has one configured ([`crate::cache::SessionFetchCache`]).
-    /// `None` everywhere else — solo executions and cache-disabled sessions probe the
-    /// store directly.
-    pub(crate) cache: Option<Arc<crate::cache::SessionFetchCache>>,
     ledger: Rc<ResidencyLedger>,
 }
 
@@ -206,37 +200,32 @@ impl ExecState {
             stats: AccessStats::default(),
             fetched: FetchTally::default(),
             pool: BufferPool::with_cap(BufferPool::DEFAULT_CAP),
-            cache: None,
             ledger,
         }
     }
 
     /// The state for a query on this thread — the one its last query parked, else a
-    /// fresh one — accounting against `ledger`, pooling up to `pool_cap` buffers (the plan's
-    /// [`pool_cap_for`]) and probing `cache`.
-    pub(crate) fn claim(
-        ledger: &Rc<ResidencyLedger>,
-        pool_cap: usize,
-        cache: Option<&Arc<crate::cache::SessionFetchCache>>,
-    ) -> SharedState {
+    /// fresh one — accounting against `ledger` and pooling up to `pool_cap` buffers (the
+    /// plan's [`pool_cap_for`]).
+    pub(crate) fn claim(ledger: &Rc<ResidencyLedger>, pool_cap: usize) -> SharedState {
         let state = PARKED
             .take()
             .unwrap_or_else(|| Rc::new(RefCell::new(Self::new(Rc::clone(ledger)))));
         let mut exec = state.borrow_mut();
-        (exec.ledger, exec.pool.cap, exec.cache) = (Rc::clone(ledger), pool_cap, cache.cloned());
+        (exec.ledger, exec.pool.cap) = (Rc::clone(ledger), pool_cap);
         drop(exec);
         state
     }
 
     /// Keep `state` for this thread's next query once the query's operators are gone:
-    /// its leftover counters (a failed query's) and cache handle are dropped, and its
+    /// its leftover counters (a failed query's) are dropped, and its
     /// pool keeps what a thread may hold between queries.
     pub(crate) fn park(state: SharedState) {
         if Rc::strong_count(&state) > 1 {
             return;
         }
         let mut exec = state.borrow_mut();
-        (exec.stats, exec.cache) = (AccessStats::default(), None);
+        exec.stats = AccessStats::default();
         exec.fetched.clear();
         let pool = &mut exec.pool.values;
         pool.retain(|buffer| buffer.capacity() <= BufferPool::RETAINED_VALUES);
@@ -369,7 +358,7 @@ pub(crate) fn execute_inner(
     store: Store<'_>,
 ) -> Result<(Table, AccessStats, Rc<ResidencyLedger>)> {
     validate_for(plan, store)?;
-    sched::run(&sched::Prepared::new(Cow::Borrowed(plan)), &[], store, None)
+    sched::run(&sched::Prepared::new(Cow::Borrowed(plan)), &[], store)
 }
 
 /// What the operators of one query are built from, all of it outliving the operator

@@ -17,7 +17,6 @@
 use super::batch::Batch;
 use super::fetch::FetchStep;
 use super::{build_op, pool_cap_for, BoxOp, ExecState, ResidencyLedger, RunCtx, SharedState};
-use crate::cache::SessionFetchCache;
 use crate::stats::AccessStats;
 use crate::table::Table;
 use bea_core::error::Result;
@@ -53,18 +52,17 @@ impl<'p> Prepared<'p> {
 }
 
 /// Run `prepared` with `constants` (the values of its placeholders, by class) against
-/// `store` on the calling thread, probing `cache` when there is one: the output's
-/// operator tree drained, then the output handed over. Returns the table, the run's
-/// counters and its residency ledger (drained to zero by a completed run).
+/// `store` on the calling thread: the output's operator tree drained, then the output
+/// handed over. Returns the table, the run's counters and its residency ledger (drained
+/// to zero by a completed run).
 pub(crate) fn run(
     prepared: &Prepared<'_>,
     constants: &[Value],
     store: Store<'_>,
-    cache: Option<&Arc<SessionFetchCache>>,
 ) -> Result<(Table, AccessStats, Rc<ResidencyLedger>)> {
     let plan = &*prepared.plan;
     let ledger = Rc::new(ResidencyLedger::default());
-    let state = ExecState::claim(&ledger, prepared.pool_cap, cache);
+    let state = ExecState::claim(&ledger, prepared.pool_cap);
     let ctx = RunCtx {
         plan,
         constants,

@@ -1,14 +1,14 @@
 //! Multi-query execution sessions: many callers, one store, fetch-bound admission
 //! control.
 //!
-//! A [`Session`] owns the store (behind an `Arc`), the admission limits and the fetch
-//! cache, and no thread: every query runs start to finish on the thread that calls
-//! [`Session::run`], [`Session::run_prepared`] or [`Session::submit`]. Concurrency is across queries — one per calling thread, a `bead`
-//! connection say. The contract:
+//! A [`Session`] owns the store (behind an `Arc`) and the admission limits, and no
+//! thread: every query runs start to finish on the thread that calls [`Session::run`],
+//! [`Session::run_prepared`] or [`Session::submit`]. Concurrency is across queries —
+//! one per calling thread, a `bead` connection say. The contract:
 //!
 //! * **Isolation** — every query executes against its own operator tree, residency
 //!   ledger and [`AccessStats`]; what queries share is the store
-//!   (immutable), the fetch budget and the fetch cache. A query's rows, row order and
+//!   (immutable) and the fetch budget. A query's rows, row order and
 //!   every deterministic access counter are *identical* to a solo
 //!   [`crate::exec::execute_plan`] run of the same plan — it is the same code. Errors
 //!   are per query, and a panicking operator unwinds through its own caller only
@@ -39,7 +39,6 @@
 //!   [`AdmissionStats::peak_admitted_bound`]), and a query's hold on it is released
 //!   however the query ends: completed, failed or unwound.
 
-use crate::cache::{CacheStats, SessionFetchCache};
 use crate::ops::sched::{self, Prepared};
 use crate::ops::validate_for;
 use crate::stats::AccessStats;
@@ -71,21 +70,18 @@ impl From<IndexedDatabase> for SharedStore {
     }
 }
 
-/// Options controlling a [`Session`]: the admission controller's limits and the fetch
-/// cache. `#[non_exhaustive]`, same pattern as [`crate::exec::ExecOptions`].
+/// Options controlling a [`Session`]: the admission controller's limits.
+/// `#[non_exhaustive]`, same pattern as [`crate::exec::ExecOptions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct SessionConfig {
     /// Aggregate fetch budget: the ceiling on the sum of admitted queries' fetch
     /// bounds. `0` (the default) means unlimited.
     pub fetch_budget: u64,
-    /// Cross-query fetch-cache budget, in resident posting rows. `0` (the default)
-    /// disables the cache: the session executes exactly as the uncached engine does.
-    pub cache_budget_rows: u64,
 }
 
 impl SessionConfig {
-    /// The default config: no admission limits and no cache.
+    /// The default config: no admission limits.
     pub fn new() -> Self {
         Self::default()
     }
@@ -101,9 +97,10 @@ impl SessionConfig {
         self
     }
 
-    /// Set the cross-query fetch-cache budget in resident posting rows (0 = disabled).
-    pub fn with_cache_budget_rows(mut self, rows: u64) -> Self {
-        self.cache_budget_rows = rows;
+    /// Does nothing: a session keeps no cache across queries. Kept only because the
+    /// benchmark harness under `benchmark/` still passes its workloads' cache budget;
+    /// ROADMAP direction 17 deletes it.
+    pub fn with_cache_budget_rows(self, _rows: u64) -> Self {
         self
     }
 }
@@ -355,36 +352,24 @@ impl Drop for Admission<'_> {
 pub struct Session {
     store: SharedStore,
     gate: Gate,
-    /// The cross-query fetch cache every query's operators probe, when there is one.
-    cache: Option<Arc<SessionFetchCache>>,
 }
 
 impl Session {
-    /// Start a session over `store` with `config`'s admission and cache settings.
+    /// Start a session over `store` with `config`'s admission settings.
     pub fn new(store: impl Into<SharedStore>, config: SessionConfig) -> Self {
-        let nonzero = |n: u64| (n > 0).then_some(n);
-        let cache = nonzero(config.cache_budget_rows);
         Session {
             store: store.into(),
             gate: Gate {
-                budget: nonzero(config.fetch_budget),
+                budget: (config.fetch_budget > 0).then_some(config.fetch_budget),
                 state: Mutex::default(),
                 turn: Condvar::new(),
             },
-            cache: cache.map(|rows| Arc::new(SessionFetchCache::new(rows))),
         }
     }
 
     /// The session's effective aggregate fetch budget (`None` = unlimited).
     pub fn fetch_budget(&self) -> Option<u64> {
         self.gate.budget
-    }
-
-    /// A snapshot of the cross-query fetch cache's counters. All-zero (including
-    /// `budget_rows`) when the cache is disabled.
-    pub fn cache_stats(&self) -> CacheStats {
-        let cache = self.cache.as_ref();
-        cache.map(|cache| cache.stats()).unwrap_or_default()
     }
 
     /// The value-free half of a submission: lower `plan` exactly as
@@ -482,8 +467,7 @@ impl Session {
         constants: &[Value],
         mut admission: Admission<'_>,
     ) -> Result<(Table, AccessStats)> {
-        let (store, cache) = (self.store.store(), self.cache.as_ref());
-        let ran = sched::run(&prepared.prepared, constants, store, cache);
+        let ran = sched::run(&prepared.prepared, constants, self.store.store());
         admission.completed = ran.is_ok();
         ran.map(|(table, stats, _)| (table, stats))
     }
@@ -498,17 +482,6 @@ impl Session {
 
     /// Drop the session. Equivalent to dropping it, but explicit at call sites.
     pub fn shutdown(self) {}
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        // No query runs past its caller's borrow of the session, so nothing probes
-        // the cache now; release its resident rows so its ledger's teardown
-        // zero-assertion holds.
-        if let Some(cache) = &self.cache {
-            cache.drain();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1104,47 +1077,27 @@ mod tests {
     }
 
     #[test]
-    fn repeated_submissions_are_served_from_the_session_cache() {
+    fn repeated_submissions_fetch_what_a_solo_run_fetches() {
         let idb = fixture(6);
-        let session = Session::new(
-            fixture(6),
-            SessionConfig::new().with_cache_budget_rows(4096),
-        );
         let plan = lookup_union("repeat", &[1, 2, 3]);
-        let (expected_table, expected_stats) = execute_plan(&plan, &idb).unwrap();
-
-        // Cold run: fills the cache; every deterministic data-access counter is
-        // identical to the uncached solo run.
-        let (cold_table, cold_stats) = session.submit(&plan).unwrap().wait().unwrap();
-        assert_eq!(cold_table.rows(), expected_table.rows());
-        assert!(cold_stats.same_data_access(&expected_stats));
-        assert_eq!(cold_stats.values_cloned, expected_stats.values_cloned);
-        assert_eq!(cold_stats.allocs_per_probe, expected_stats.allocs_per_probe);
-
-        // Warm runs: same rows and order, zero store fetches, zero probe-path
-        // buffer demand — every posting comes off the session cache.
-        for _ in 0..3 {
-            let (warm_table, warm_stats) = session.submit(&plan).unwrap().wait().unwrap();
-            assert_eq!(warm_table.rows(), expected_table.rows(), "rows and order");
-            assert_eq!(warm_stats.tuples_fetched, 0, "no store fetches when warm");
-            assert_eq!(warm_stats.index_lookups, 0);
-            assert_eq!(
-                warm_stats.allocs_per_probe, 0,
-                "warm probes allocate nothing"
-            );
-            assert!(warm_stats.cache_hits > 0);
-            assert_eq!(
-                warm_stats.rows_served_from_cache, expected_stats.tuples_fetched,
-                "every fetched posting row is served from the cache when warm"
-            );
+        let (expected_table, expected) = execute_plan(&plan, &idb).unwrap();
+        // A cache budget is accepted and changes nothing: no query is served from an
+        // earlier one's fetches.
+        for config in [
+            SessionConfig::new(),
+            SessionConfig::new().with_cache_budget_rows(4096),
+        ] {
+            let session = Session::new(fixture(6), config);
+            assert_eq!(session.fetch_budget(), None, "a zero budget is unlimited");
+            for _ in 0..4 {
+                let (table, stats) = session.submit(&plan).unwrap().wait().unwrap();
+                assert_eq!(table.rows(), expected_table.rows(), "rows and order");
+                assert!(stats.same_data_access(&expected), "{stats} vs {expected}");
+                assert_eq!(stats.values_cloned, expected.values_cloned);
+                assert_eq!(stats.allocs_per_probe, expected.allocs_per_probe);
+                assert_eq!((stats.cache_hits, stats.rows_served_from_cache), (0, 0));
+            }
         }
-
-        let cache = session.cache_stats();
-        assert_eq!(cache.budget_rows, 4096);
-        assert!(cache.hits >= 9, "3 warm runs x 3 keys, got {}", cache.hits);
-        assert_eq!(cache.resident_rows, expected_stats.tuples_fetched);
-        assert_eq!(cache.evictions, 0);
-        session.shutdown();
     }
 
     #[test]
@@ -1172,26 +1125,10 @@ mod tests {
             refusal.contains("from R via constraint 0, which is on S"),
             "{refusal}"
         );
-        // With the session cache off and on, cold and warm alike.
-        for config in [
-            SessionConfig::new(),
-            SessionConfig::new().with_cache_budget_rows(64),
-        ] {
-            let session = Session::new(idb.clone(), config);
-            for _ in 0..2 {
-                let refused = session.run(&plan).err();
-                assert!(matches!(refused, Some(SubmitError::Invalid(_))));
-            }
-            assert_eq!(session.cache_stats().entries, 0);
+        let session = Session::new(idb, SessionConfig::new());
+        for _ in 0..2 {
+            let refused = session.run(&plan).err();
+            assert!(matches!(refused, Some(SubmitError::Invalid(_))));
         }
-    }
-
-    #[test]
-    fn a_disabled_cache_reports_zero_stats() {
-        let session = Session::new(fixture(2), SessionConfig::new());
-        assert_eq!(session.cache_stats(), CacheStats::default());
-        assert_eq!(session.fetch_budget(), None, "a zero budget is unlimited");
-        let plan = lookup_union("solo", &[1, 2]);
-        session.submit(&plan).unwrap().wait().unwrap();
     }
 }

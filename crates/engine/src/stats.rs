@@ -30,7 +30,7 @@ pub struct AccessStats {
     /// cross product at all, and reports 0.
     pub product_rows_materialized: u64,
     /// High-water mark of rows concurrently held by the executor: materialized
-    /// intermediate tables, per-key fetch caches, dedup sets and
+    /// intermediate tables, keyed-lookup arenas, dedup sets and
     /// the accumulating output. The streaming executor materializes no intermediate
     /// table, so this is the number the materialized-vs-streaming ablation compares. A keyed lookup holds only the postings of keys that matched
     /// two or more tuples; a single matched tuple is read where it lies in the store
@@ -39,15 +39,13 @@ pub struct AccessStats {
     /// Number of individual [`bea_core::value::Value`] clones the executor physically
     /// performs: gathers into output columns, row copies between step tables, key
     /// projections (probe keys included — they are cloned into the operator's key
-    /// scratch whether or not they hit), and membership/cache insertions. Index
+    /// scratch whether or not they repeat), and membership insertions. Index
     /// lookups that only *read* tuples are not counted — a keyed lookup copies a key's
     /// postings into its arena only when they hold two or more tuples, and reads a
     /// single tuple in place, so only its emitted values are cloned — and neither is
     /// work that performs no clone: the columnar pipeline's duplicate detection is
     /// hash-then-compare in place, so only genuinely fresh rows enter a set, and a δ
-    /// the plan proves redundant is not run at all. The compact copy a miss inserts
-    /// into the session cache is cache maintenance and not counted either, so a miss
-    /// charges what it charges without a cache. This is the
+    /// the plan proves redundant is not run at all. This is the
     /// copy-traffic side of execution, the quantity the columnar pipeline exists to
     /// minimize; value clones are O(1) (interned strings), so the counter measures
     /// traffic, not bytes. Like residency, it is an execution-strategy artifact and
@@ -60,39 +58,28 @@ pub struct AccessStats {
     /// miss — each probe gathers its key into one reusable scratch, a key new to the
     /// operator is cloned into its flat memo key columns (where keys can repeat), a
     /// miss moves the scratch's values into the batch's flat probe buffer and appends
-    /// multi-tuple postings to its arena value columns, and a repeat or a session-cache
-    /// hit reads what is already there. So every
-    /// run reports 0, cold and warm. The field stays on the wire (`bead` replies,
+    /// multi-tuple postings to its arena value columns, and a repeat reads what is
+    /// already there. So every run reports 0. The field stays on the wire (`bead` replies,
     /// `BENCH_pipeline.json`) until the modelled allocation accounting is deleted as a
     /// whole; `tests/alloc_budget.rs` checks the claim against the allocator itself.
     ///
     /// Deliberately *excluded* are buffers whose number follows the execution
-    /// schedule or the cache configuration rather than the probes: per-batch emission
-    /// columns and per-operator arena, key and membership-table columns (pooled,
-    /// growing by doubling), and the compact copy — with its owned keys — a miss
-    /// inserts into the session cache. Counting them would break the equality of
-    /// cold cached and uncached runs this counter is asserted to have. A pool hit still
-    /// counts — the *demand* is what the serving loop must avoid. It is a
+    /// schedule rather than the probes: per-batch emission columns and per-operator
+    /// arena, key and membership-table columns (pooled, growing by doubling). A pool
+    /// hit still counts — the *demand* is what the serving loop must avoid. It is a
     /// streaming-pipeline metric: the materialized executor reports 0. Like
     /// `values_cloned` it is an execution-strategy artifact, excluded from
     /// [`AccessStats::same_data_access`], and merges additively.
     pub allocs_per_probe: u64,
-    /// Number of probes served by the session-level cross-query fetch cache (see
-    /// `bea_engine::session`): lookups that returned a previously fetched posting
-    /// batch by refcount bump instead of touching the index. A hit charges
-    /// *none* of the fetch-side counters — no `tuples_fetched`, no `index_lookups`,
-    /// no `allocs_per_probe` — which is what makes a warm repeat of an anchored query
-    /// assertably fetch-free. Zero whenever no session cache is configured, so a
-    /// cache-disabled run reproduces the historical counters bit-for-bit. Like the
-    /// other strategy artifacts it is excluded from [`AccessStats::same_data_access`]
-    /// (the cache changes *where* data came from, never *what* the query computes)
-    /// and merges additively.
+    /// Always 0: nothing is cached across queries. Kept only because the benchmark
+    /// harness under `benchmark/` reads it (and `bead`'s OK head still prints it);
+    /// ROADMAP direction 17 deletes it. Excluded from
+    /// [`AccessStats::same_data_access`]; merges additively.
     pub cache_hits: u64,
-    /// Rows delivered out of the session fetch cache by the hits counted in
-    /// [`AccessStats::cache_hits`] — the cached analogue of
-    /// [`AccessStats::tuples_fetched`]. `tuples_fetched + rows_served_from_cache` is
-    /// the data volume a run *consumed*; the split between the two is pure cache
-    /// state. Excluded from [`AccessStats::same_data_access`]; merges additively.
+    /// Always 0, like [`AccessStats::cache_hits`]: the harness under `benchmark/`
+    /// judges an OK reply without it as wrong, so `bead`'s OK head still prints it;
+    /// ROADMAP direction 17 deletes it. Excluded from
+    /// [`AccessStats::same_data_access`]; merges additively.
     pub rows_served_from_cache: u64,
     /// Tuples fetched through index lookups, per relation. Lets experiments attribute
     /// the access cost of a plan to the constraints that served it.
@@ -196,16 +183,14 @@ impl fmt::Display for AccessStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "fetched {} tuples via {} lookups ({} fetch ops), scanned {} tuples, peak {} rows resident, {} values cloned, {} probe allocs, {} cache hits ({} rows served)",
+            "fetched {} tuples via {} lookups ({} fetch ops), scanned {} tuples, peak {} rows resident, {} values cloned, {} probe allocs",
             self.tuples_fetched,
             self.index_lookups,
             self.fetch_ops,
             self.tuples_scanned,
             self.peak_rows_resident,
             self.values_cloned,
-            self.allocs_per_probe,
-            self.cache_hits,
-            self.rows_served_from_cache
+            self.allocs_per_probe
         )
     }
 }
@@ -260,7 +245,6 @@ mod tests {
         assert!(a.to_string().contains("fetched 15 tuples"));
         assert!(a.to_string().contains("peak 7 rows resident"));
         assert!(a.to_string().contains("5 probe allocs"));
-        assert!(a.to_string().contains("3 cache hits (12 rows served)"));
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! `X`-value `ā`, retrieves `D_Y(X = ā)`". [`HashIndex`] is that index over one flat
 //! [`Relation`]. It numbers the distinct keys — its *groups* — by their first
 //! occurrence, and maps a key to its group's tuple offsets, which ascend, i.e. keep the
-//! relation's insertion order. Both orders are what a fetch's callers observe (answers,
-//! caches and the access counters are compared across plan, executor and cache
-//! configurations), so they are part of the contract, independent of the hash function
-//! and of the layout below.
+//! relation's insertion order. Both orders are what a fetch's callers observe (answers
+//! and the access counters are compared across plans and executors), so they are part
+//! of the contract, independent of the hash function and of the layout below.
 //!
 //! An index finds a key's group through its *key map*, and a group's tuples through its
 //! *layout*; the build reads both off the keys and their order. The key map:

@@ -11,15 +11,6 @@
 # gating on them, the peak bytes per tuple and the start-up time, spawn to `ready`
 # (10 ms polls).
 #
-# A second leg starts the daemon with a 65 536-row session cache, sends it the 624 Q0s
-# of the benchmark's `q0_hot_cached` hot set (districts 1–39 × days 41·slot, slot
-# 0–15) through beactl, and gates the peak after them: what the cache keeps for the
-# hot set's 22 223 entries. 69.4 MB (71 040 kB) on a 2-vCPU Linux VM with a one-tuple
-# entry held as its tuple's offset, each key held once and no hash slots over ids,
-# against 77.6 MB (79 448 kB) with the slots and 85.9–87.0 MB while every entry copied
-# its rows into a batch and its key twice; the 74 MB limit (CACHED_LIMIT_MB) leaves
-# 4.6 MB over the first.
-#
 # Usage: scripts/footprint_smoke.sh [path-to-target-dir] [limit-mb]
 #        (defaults: target/release, 75)
 
@@ -27,7 +18,6 @@ set -euo pipefail
 
 TARGET="${1:-target/release}"
 LIMIT_MB="${2:-75}"
-CACHED_LIMIT_MB=74
 # What `--tuples 1000000 --seed 48879` generates.
 TUPLES=1200172
 BEAD="$TARGET/bead"
@@ -48,10 +38,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
-start_bead() { # start_bead <bead args...>: start the daemon on $SOCKET, wait until ready
+start_bead() { # start_bead: start the daemon on $SOCKET, wait until ready
     : >"$LOG"
     SPAWNED_NS="$(date +%s%N)"
-    "$BEAD" --socket "$SOCKET" --tuples 1000000 --seed 48879 "$@" >"$LOG" 2>&1 &
+    "$BEAD" --socket "$SOCKET" --tuples 1000000 --seed 48879 >"$LOG" 2>&1 &
     BEAD_PID=$!
     for _ in $(seq 1 6000); do
         grep -q '^ready$' "$LOG" 2>/dev/null && break
@@ -88,24 +78,4 @@ if [ "$HWM_KB" -gt "$((LIMIT_MB * 1024))" ]; then
     exit 1
 fi
 
-start_bead --cache-rows 65536
-for slot in $(seq 0 15); do
-    for district in $(seq 1 39); do
-        printf -v Q0 'Q0(age) :- Accident(aid, "district-%03d", "day-%04d"), Casualty(cid, aid, class, vid), Vehicle(vid, driver, age).' \
-            "$district" "$((slot * 41))"
-        "$BEACTL" --socket "$SOCKET" query "$Q0" >/dev/null \
-            || { echo "error: hot-set Q0 not answered: $Q0" >&2; exit 1; }
-    done
-done
-STATS="$("$BEACTL" --socket "$SOCKET" stats)"
-echo "$STATS" | grep -q ' completed=624 .* cache_evictions=0 ' \
-    || { echo "error: the hot set did not complete without evictions: $STATS" >&2; exit 1; }
-CACHED_HWM_KB="$(hwm_kb)"
-echo "peak resident set after the cached hot set: $((CACHED_HWM_KB / 1024)) MB, $CACHED_HWM_KB kB (limit $CACHED_LIMIT_MB MB)"
-stop_bead
-
-if [ "$CACHED_HWM_KB" -gt "$((CACHED_LIMIT_MB * 1024))" ]; then
-    echo "error: bead peaked at $((CACHED_HWM_KB / 1024)) MB holding the hot set's cache entries, above the $CACHED_LIMIT_MB MB limit" >&2
-    exit 1
-fi
 echo "footprint smoke OK"

@@ -4,22 +4,17 @@
 //! binary checks the real thing. It installs a counting `#[global_allocator]` — which is
 //! why it is a test binary of its own: nothing else pays for the counter — and bounds
 //! the allocations of one cold Q0 execution, of a large δ and of generating a store,
-//! the peak of live heap bytes while the store's indexes are built, and what a session
-//! cache's entries keep and cost to insert. The counts are per thread, so the harness's
-//! own threads cannot leak into a measurement.
+//! and the peak of live heap bytes while the store's indexes are built. The counts are
+//! per thread, so the harness's own threads cannot leak into a measurement.
 
 use bea::bench::scenarios::{AccidentsScenario, BENCH_REPORT_SEED};
 use bea::core::access::{AccessConstraint, AccessSchema};
-use bea::core::plan::{bounded_plan, lower_plan, PhysOp, PhysicalPlan, PlanBuilder, QueryPlan};
-use bea::core::query::cq::ConjunctiveQuery;
-use bea::core::query::term::Arg;
+use bea::core::plan::{lower_plan, PhysOp, PhysicalPlan, PlanBuilder};
 use bea::core::schema::Catalog;
 use bea::core::value::Value;
-use bea::engine::{execute_physical_on, ExecOptions, Session, SessionConfig, SharedStore};
+use bea::engine::{execute_physical_on, ExecOptions};
 use bea::storage::{Database, IndexedDatabase};
-use bea::workload::accidents::{
-    access_schema, date_value, district_value, generate, q0, AccidentsConfig,
-};
+use bea::workload::accidents::{access_schema, generate, AccidentsConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -217,87 +212,5 @@ fn building_the_indexes_peaks_little_above_what_they_keep() {
     assert!(
         transient <= 4 * 1024,
         "building ψ1–ψ4 peaked {transient} B above their {index_bytes} B"
-    );
-}
-
-/// Run every plan of `plans` through `session`, in order.
-fn run_all(session: &Session, plans: &[QueryPlan]) {
-    for plan in plans {
-        let (_, result) = session.run(plan).unwrap();
-        result.unwrap();
-    }
-}
-
-#[test]
-fn a_session_cache_entry_keeps_little_and_an_offset_entry_allocates_nothing() {
-    let scenario = AccidentsScenario::with_total_tuples(20_000, BENCH_REPORT_SEED).unwrap();
-    let days = AccidentsConfig::with_total_tuples(20_000, BENCH_REPORT_SEED).num_days;
-    let catalog = &scenario.catalog;
-    let plan = |query: ConjunctiveQuery| bounded_plan(&query, &scenario.schema).unwrap();
-    // The hot set: Q0 over districts 1–39 on every day of the store.
-    let hot_set: Vec<QueryPlan> = (0..days)
-        .flat_map(|day| (1..=39).map(move |district| (district, day)))
-        .map(|(district, day)| {
-            plan(q0(catalog, &district_value(district), &date_value(day)).unwrap())
-        })
-        .collect();
-    // Accidents by id: each fetch through ψ3 matches one tuple.
-    let points: Vec<QueryPlan> = (1..=2_000)
-        .map(|aid| {
-            let atom = [Arg::Const(Value::int(aid)), Arg::var("d"), Arg::var("t")];
-            let query = ConjunctiveQuery::builder("Q")
-                .head(["d", "t"])
-                .atom("Accident", atom);
-            plan(query.build(catalog).unwrap())
-        })
-        .collect();
-    let store = SharedStore::from(scenario.indexed);
-    let cached = || {
-        Session::new(
-            store.clone(),
-            SessionConfig::new().with_cache_budget_rows(65_536),
-        )
-    };
-
-    // Each workload once unmeasured without a cache, so the thread's pool has grown to
-    // its plans; then measured without a cache and, cold, with one.
-    let off = Session::new(store.clone(), SessionConfig::new());
-    run_all(&off, &hot_set);
-    run_all(&off, &points);
-    let (_, off_points) = allocations_of(|| run_all(&off, &points));
-
-    // What the hot set's entries keep on the heap, per entry.
-    let on = cached();
-    let (_, _, kept) = peak_bytes_of(|| run_all(&on, &hot_set));
-    let entries = on.cache_stats().entries;
-    assert!(entries > 5_000, "the hot set left only {entries} entries");
-    // The 18 638 entries keep 150 B each today: per entry its key's values and hash and
-    // slots in the space's key table, a slab entry, a ring handle, and for a key of two
-    // or more tuples its batch, plus the thread's pooled buffers (146 B before lookups
-    // staged a batch in one pass and drew their pooled columns in another order).
-    // 446 B while every entry copied its rows into a batch and its key twice. The bound
-    // leaves 54 B.
-    let per_entry = kept / entries;
-    assert!(
-        per_entry <= 200,
-        "{entries} cache entries keep {kept} B: {per_entry} B each"
-    );
-
-    // A one-tuple entry is its tuple's offset: inserting it copies no value, and the
-    // key table, slab and ring it joins grow by doubling.
-    let on = cached();
-    let (_, on_points) = allocations_of(|| run_all(&on, &points));
-    let cache = on.cache_stats();
-    assert_eq!((cache.entries, cache.resident_rows), (2_000, 2_000));
-    // Beside its inserts, a cache-on query resolves its lookup's cache space, which
-    // builds the shape it asks for: two vectors, its positions and its projection.
-    let resolves = 2 * points.len() as u64;
-    // The inserts cost 51 more allocations than the cache-off run today, all of them
-    // growth; 18 021 (9 per entry) while each entry was a batch with an owned copy of
-    // its key for the map and one for the ring. The bound leaves 13.
-    let inserts = on_points - off_points - resolves;
-    assert!(
-        inserts <= 64,
-        "2 000 one-tuple entries cost {inserts} heap allocations"
     );
 }

@@ -174,7 +174,7 @@ fn assert_bounded_plans_agree_with_naive(
         );
         // Copy traffic: whenever the plan moves a nontrivial amount of data, the
         // columnar pipeline moves no more values than the row-at-a-time executor (on
-        // near-empty results the columnar path's fixed costs — key gathers, cache
+        // near-empty results the columnar path's fixed costs — key gathers, memo
         // bookkeeping — can exceed the row path's handful of clones by single digits,
         // which is noise, not traffic; the ≥2× drop on real fan-out is asserted by
         // `columnar_pipeline_halves_copy_traffic_on_target_scenarios`). The traffic is
@@ -393,7 +393,7 @@ fn warmed_anchored_probes_allocate_nothing() {
 }
 
 /// Preparing does not see the session's configuration: a session with a fetch budget
-/// and a fetch cache prepares every covered query of the three querygen families to
+/// prepares every covered query of the three querygen families to
 /// the physical plan and the [`bea_core::plan::CostTicket`] a default session
 /// prepares, field for field — and that plan is the library's [`lower_plan`] of it.
 #[test]
@@ -425,12 +425,7 @@ fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
                 exercised += plans.len();
                 let store = SharedStore::from(IndexedDatabase::build(db, schema).unwrap());
                 let plain = Session::new(store.clone(), SessionConfig::new());
-                let configured = Session::new(
-                    store,
-                    SessionConfig::new()
-                        .with_fetch_budget(1_000)
-                        .with_cache_budget_rows(4_096),
-                );
+                let configured = Session::new(store, SessionConfig::new().with_fetch_budget(1_000));
                 for plan in &plans {
                     let expected = plain.prepare(plan).unwrap();
                     assert_eq!(expected.physical(), &lower_plan(plan).unwrap());
@@ -644,23 +639,18 @@ fn concurrent_sessions_match_serial_execution_and_reject_deterministically() {
 /// Serving a query is never a semantic change: on every querygen family, the
 /// synchronous entry ([`Session::run`]), the handle entry (`submit` then `wait`) and a
 /// solo [`execute_plan`] return the same rows in the same order with the same data
-/// access, copy traffic and probe-path buffer demand — with the session's fetch cache
-/// off, on, and on at a budget of 16 rows, which evicts. Each lane gets a fresh
-/// session per query, so a cached session starts cold; it may serve a key the query
-/// repeats from the cache, so there the counters are compared lane against lane and
-/// only the rows against solo. No query leaves its session's cache above its budget.
+/// access, copy traffic and probe-path buffer demand. One session serves every query
+/// of a family, so a query runs after others on the same session.
 #[test]
 fn session_lanes_match_solo_execution_on_every_family() {
     use bea::engine::{Session, SessionConfig, SharedStore};
 
-    /// Every covered query of `workload` through all three lanes at every corner,
-    /// adding the evictions it caused to `evictions`; returns how many queries were
-    /// exercised.
+    /// Every covered query of `workload` through all three lanes; returns how many
+    /// queries were exercised.
     fn assert_lanes_agree(
         schema: &AccessSchema,
         db: &bea::storage::Database,
         workload: &[ConjunctiveQuery],
-        evictions: &mut u64,
     ) -> usize {
         let plans: Vec<_> = workload
             .iter()
@@ -668,93 +658,43 @@ fn session_lanes_match_solo_execution_on_every_family() {
             .map(|query| bounded_plan(query, schema).unwrap())
             .collect();
         let store = &SharedStore::from(IndexedDatabase::build(db.clone(), schema.clone()).unwrap());
-        for cache_rows in [0u64, 1 << 20, 16] {
-            let config = SessionConfig::new().with_cache_budget_rows(cache_rows);
-            for plan in &plans {
-                let corner = format!("{} at cache {cache_rows}", plan.query_name());
-                let (solo_table, solo_stats) = execute_plan(plan, store.store()).unwrap();
-                let (ran, ran_cache) = {
-                    let session = Session::new(store.clone(), config);
-                    let (_, result) = session.run(plan).unwrap();
-                    (result.unwrap(), session.cache_stats())
-                };
-                let (waited, waited_cache) = {
-                    let session = Session::new(store.clone(), config);
-                    let result = session.submit(plan).unwrap().wait().unwrap();
-                    (result, session.cache_stats())
-                };
+        let session = Session::new(store.clone(), SessionConfig::new());
+        for plan in &plans {
+            let name = plan.query_name();
+            let (solo_table, solo_stats) = execute_plan(plan, store.store()).unwrap();
+            let ran = session.run(plan).unwrap().1.unwrap();
+            let waited = session.submit(plan).unwrap().wait().unwrap();
+            let traffic = |stats: &bea::engine::AccessStats| {
+                (
+                    stats.values_cloned,
+                    stats.allocs_per_probe,
+                    stats.cache_hits,
+                    stats.rows_served_from_cache,
+                )
+            };
+            let solo_traffic = (solo_stats.values_cloned, solo_stats.allocs_per_probe, 0, 0);
+            assert!(solo_table.is_set(), "repeated row solo, {name}");
+            for (lane, (table, stats)) in [("run", &ran), ("submit + wait", &waited)] {
+                assert!(table.is_set(), "`{lane}` repeated a row of {name}");
                 assert_eq!(
-                    ran_cache, waited_cache,
-                    "the lanes disagree on the cache counters of {corner}"
+                    table.rows(),
+                    solo_table.rows(),
+                    "`{lane}` changed the rows (or their order) of {name}"
                 );
                 assert!(
-                    ran_cache.resident_rows <= ran_cache.budget_rows,
-                    "{corner} left the cache above its budget: {ran_cache:?}"
+                    stats.same_data_access(&solo_stats),
+                    "`{lane}` changed the data access of {name}: {stats} vs {solo_stats}"
                 );
-                *evictions += ran_cache.evictions;
-                // The two lanes agree with each other on everything counted.
-                assert!(
-                    ran.1.same_data_access(&waited.1),
-                    "the lanes disagree on the data access of {corner}: \
-                     {} vs {}",
-                    ran.1,
-                    waited.1
-                );
-                let traffic = |stats: &bea::engine::AccessStats| {
-                    (
-                        stats.values_cloned,
-                        stats.allocs_per_probe,
-                        stats.cache_hits,
-                        stats.rows_served_from_cache,
-                    )
-                };
                 assert_eq!(
-                    traffic(&ran.1),
-                    traffic(&waited.1),
-                    "the lanes disagree on the copy or cache traffic of {corner}"
+                    traffic(stats),
+                    solo_traffic,
+                    "`{lane}` changed the copy traffic or buffer demand of {name}"
                 );
-                // Both agree with the solo run: always in rows and row order, and
-                // in the data consumed — what the cache served it did not fetch, so
-                // even when it evicts mid-query it fetches no more than solo — and
-                // uncached in every counter (a cached session serves a key one
-                // operator fetched to another of the same shape from the cache).
-                assert!(solo_table.is_set(), "repeated row solo, {corner}");
-                for (lane, (table, stats)) in [("run", &ran), ("submit + wait", &waited)] {
-                    assert!(table.is_set(), "`{lane}` repeated a row of {corner}");
-                    assert_eq!(
-                        table.rows(),
-                        solo_table.rows(),
-                        "`{lane}` changed the rows (or their order) of {corner}"
-                    );
-                    assert_eq!(
-                        stats.tuples_fetched + stats.rows_served_from_cache,
-                        solo_stats.tuples_fetched,
-                        "`{lane}` consumed other data than solo in {corner}"
-                    );
-                    assert!(
-                        stats.tuples_fetched <= solo_stats.tuples_fetched,
-                        "`{lane}` fetched more than solo in {corner}"
-                    );
-                    if cache_rows == 0 {
-                        assert!(
-                            stats.same_data_access(&solo_stats),
-                            "`{lane}` changed the data access of {corner}: \
-                             {stats} vs {solo_stats}"
-                        );
-                        assert_eq!(
-                            traffic(stats),
-                            (solo_stats.values_cloned, solo_stats.allocs_per_probe, 0, 0),
-                            "`{lane}` changed the copy traffic or buffer demand \
-                             of {corner}"
-                        );
-                    }
-                }
             }
         }
         plans.len()
     }
 
-    let mut evictions = 0;
     run_cases_counting(
         "session_lanes_match_solo_execution_on_every_family",
         0x1A9E,
@@ -763,37 +703,30 @@ fn session_lanes_match_solo_execution_on_every_family() {
             let qseed = rng.gen_range(0u64..1_000);
             let (db, schema) = accidents_fixture(seed, 2);
             let workload = random_workload(&accidents::catalog(), &schema, &db, 6, qseed);
-            let mut exercised = assert_lanes_agree(&schema, &db, &workload, &mut evictions);
+            let mut exercised = assert_lanes_agree(&schema, &db, &workload);
             let (db, catalog, schema) = ecommerce_fixture(seed);
             let workload = random_workload(&catalog, &schema, &db, 6, qseed);
-            exercised += assert_lanes_agree(&schema, &db, &workload, &mut evictions);
+            exercised += assert_lanes_agree(&schema, &db, &workload);
             let (db, catalog, schema) = graph_fixture(seed);
             let workload = random_workload(&catalog, &schema, &db, 6, qseed);
-            exercised + assert_lanes_agree(&schema, &db, &workload, &mut evictions)
+            exercised + assert_lanes_agree(&schema, &db, &workload)
         },
     );
-    assert!(evictions > 0, "the 16-row corner never evicted");
 }
 
-/// The session's cross-query fetch cache (PR 9) is a *traffic* optimization, never a
-/// semantic one: N repeated submissions of one anchored lookup query through a
-/// [`Session`] with a cache budget return identical rows in identical order every
-/// time; the first submission performs exactly the data access, copy traffic and
-/// probe-path buffer demand of an uncached solo [`execute_plan`] run (admission
-/// keeps pricing the uncached worst case); and every later submission fetches *zero*
-/// tuples from the store and demands *zero* probe-path buffers — each posting list
-/// is served by one hash probe and a refcount bump. With the cache disabled
-/// (no configured budget) all N submissions reproduce
-/// today's counters byte-for-byte.
+/// A session keeps nothing of a query for the next: N repeated submissions of one
+/// anchored lookup query through one [`Session`] return identical rows in identical
+/// order every time, and each performs exactly the data access, copy traffic and
+/// probe-path buffer demand of a solo [`execute_plan`] run.
 #[test]
-fn repeated_session_submissions_are_served_from_the_fetch_cache() {
+fn repeated_session_submissions_match_solo_execution() {
     use bea::core::plan::{PlanBuilder, Predicate};
     use bea::engine::{Session, SessionConfig, SharedStore};
     use bea_core::access::AccessConstraint;
     use bea_core::schema::Catalog;
 
     run_cases(
-        "repeated_session_submissions_are_served_from_the_fetch_cache",
+        "repeated_session_submissions_match_solo_execution",
         0xCAC4E,
         |rng| {
             // R(a → b), keys 1..=key_space with a random per-key fanout.
@@ -849,20 +782,14 @@ fn repeated_session_submissions_are_served_from_the_fetch_cache() {
                     let next = branch(&mut b, key);
                     acc = b.union(acc, next);
                 }
-                b.finish("CachedRepeat", acc).unwrap()
+                b.finish("Repeat", acc).unwrap()
             };
 
             let store = SharedStore::from(IndexedDatabase::build(db, schema).unwrap());
 
             const REPEATS: usize = 4;
-            // Uncached solo baseline.
             let (serial_table, serial_stats) = execute_plan(&plan, store.store()).unwrap();
-
-            // Enabled leg: a budget far above the working set — nothing evicts.
-            let session = Session::new(
-                store.clone(),
-                SessionConfig::new().with_cache_budget_rows(1 << 20),
-            );
+            let session = Session::new(store.clone(), SessionConfig::new());
             for submission in 0..REPEATS {
                 let (table, stats) = session.submit(&plan).unwrap().wait().unwrap();
                 assert!(table.is_set(), "submission {submission} repeated a row");
@@ -871,55 +798,9 @@ fn repeated_session_submissions_are_served_from_the_fetch_cache() {
                     serial_table.rows(),
                     "submission {submission} changed the rows (or their order)"
                 );
-                // Cold or warm, what the cache served is what the solo run fetched.
-                assert_eq!(
-                    stats.tuples_fetched + stats.rows_served_from_cache,
-                    serial_stats.tuples_fetched,
-                    "submission {submission} consumed other data than solo"
-                );
-                if submission == 0 {
-                    // Cold: the cache fills but every uncached counter is
-                    // byte-for-byte the solo run's — admission and accounting
-                    // keep pricing the uncached worst case.
-                    assert!(
-                        stats.same_data_access(&serial_stats),
-                        "the cold submission changed the data access: \
-                         {stats} vs {serial_stats}"
-                    );
-                    assert_eq!(stats.values_cloned, serial_stats.values_cloned);
-                    assert_eq!(stats.allocs_per_probe, serial_stats.allocs_per_probe);
-                } else {
-                    // Warm: zero store traffic, zero probe-path buffer demand.
-                    assert_eq!(
-                        stats.tuples_fetched, 0,
-                        "warm submission {submission} fetched from the store"
-                    );
-                    assert_eq!(stats.index_lookups, 0);
-                    assert_eq!(
-                        stats.allocs_per_probe, 0,
-                        "warm submission {submission} demanded probe buffers"
-                    );
-                    assert_eq!(stats.cache_hits, keys.len() as u64);
-                    assert_eq!(
-                        stats.rows_served_from_cache, serial_stats.tuples_fetched,
-                        "every posting the solo run fetched is served from the \
-                         cache when warm"
-                    );
-                }
-            }
-            let cache = session.cache_stats();
-            assert_eq!(cache.resident_rows, serial_stats.tuples_fetched);
-            assert_eq!(cache.evictions, 0);
-            session.shutdown();
-
-            // Disabled leg: no configured budget.
-            let session = Session::new(store.clone(), SessionConfig::new());
-            for _ in 0..REPEATS {
-                let (table, stats) = session.submit(&plan).unwrap().wait().unwrap();
-                assert_eq!(table.rows(), serial_table.rows());
                 assert!(
                     stats.same_data_access(&serial_stats),
-                    "a disabled cache must reproduce the uncached engine: \
+                    "submission {submission} changed the data access: \
                      {stats} vs {serial_stats}"
                 );
                 assert_eq!(stats.values_cloned, serial_stats.values_cloned);
@@ -1257,11 +1138,10 @@ fn reads_a_fetched_key_column(physical: &bea::core::plan::PhysicalPlan) -> bool 
 /// store exercise it: `X` emitted beside `Y`, `X` emitted alone, `X` compared in a
 /// residual, `X` emitted beside the source's key from a multi-row source, and a fetch
 /// of `X` alone, which leaves the arena no column at all. Each plan must read such a
-/// column, and streaming must return the reference's rows with the fetch cache off, on
-/// (cold, then warm) and at 16 rows, reading exactly the reference's data with the
-/// cache off.
+/// column, and streaming must return the reference's rows and read exactly the
+/// reference's data, solo and served (twice from one session).
 #[test]
-fn plans_reading_a_fetched_key_column_match_the_reference_at_every_cache_corner() {
+fn plans_reading_a_fetched_key_column_match_the_reference() {
     use bea::core::plan::{PlanBuilder, Predicate, QueryPlan};
     use bea::engine::{Session, SessionConfig, SharedStore};
 
@@ -1273,26 +1153,20 @@ fn plans_reading_a_fetched_key_column_match_the_reference_at_every_cache_corner(
         );
         let (reference, reference_stats) = execute_plan_materialized(plan, store.store()).unwrap();
         let (solo, stats) = execute_plan(plan, store.store()).unwrap();
-        assert!(
-            solo.is_set() && solo.same_rows(&reference),
-            "{name}, cache off"
-        );
+        assert!(solo.is_set() && solo.same_rows(&reference), "{name}, solo");
         assert!(
             stats.same_data_access(&reference_stats),
             "{name} read other data than the reference: {stats} vs {reference_stats}"
         );
-        for cache_rows in [1 << 20, 16] {
-            let config = SessionConfig::new().with_cache_budget_rows(cache_rows);
-            let session = Session::new(store.clone(), config);
-            for run in ["cold", "warm"] {
-                let (_, result) = session.run(plan).unwrap();
-                let (table, _) = result.unwrap();
-                assert_eq!(
-                    table.rows(),
-                    solo.rows(),
-                    "{name}, cache {cache_rows}, {run}"
-                );
-            }
+        let session = Session::new(store.clone(), SessionConfig::new());
+        for run in ["first", "repeat"] {
+            let (_, result) = session.run(plan).unwrap();
+            let (table, served) = result.unwrap();
+            assert_eq!(table.rows(), solo.rows(), "{name}, served, {run}");
+            assert!(
+                served.same_data_access(&stats),
+                "{name}, served, {run}: {served} vs {stats}"
+            );
         }
     }
 
