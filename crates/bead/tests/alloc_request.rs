@@ -90,9 +90,10 @@ fn a_served_request_stays_inside_its_allocation_budget() {
     );
     drop(server);
     let _ = std::fs::remove_file(&socket);
-    // Measured 26 and 138 (Q0 137 before each lookup staged a batch in one pass, with a
-    // position per row; 149 while each lookup's arena copied the key columns of
-    // its tuples; 34 and 157 while a product with a constant buffered the
+    // Measured 25 and 134 (26 and 138 while a query's pool cap followed its plan's
+    // allocation surface, clamped to 8–256; Q0 137 before each lookup staged a batch
+    // in one pass, with a position per row; 149 while each lookup's arena copied the
+    // key columns of its tuples; 34 and 157 while a product with a constant buffered the
     // constant and emitted through a cursor, and a point request's `{()} × {id}` ran
     // as a unit source and such a product; 36 and 159 while a query kept a
     // materialization slot per step and a shared handle on its output; 39 and 162
@@ -101,7 +102,7 @@ fn a_served_request_stays_inside_its_allocation_budget() {
     // as the request was read, 169 while a 2-thread session cut it into 6 pipelines;
     // 99 and 360 while every request copied its template's plan, re-derived its
     // pipeline DAG, rebuilt its operators' step fields, threw its job buffers away and
-    // kept its stats in per-job maps); each bound leaves 15 %.
+    // kept its stats in per-job maps); each bound leaves 16–17 % (15 % when set).
     assert!(
         point <= 29,
         "a served point request performed {point} heap allocations"

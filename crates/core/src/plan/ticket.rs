@@ -9,9 +9,9 @@
 //! trust in the client.
 //!
 //! A ticket is derived once per submission from the logical plan (the fetch bound, via
-//! [`super::QueryPlan::cost`]) and its lowering (the **allocation surface**). The allocation surface is the engine's
-//! buffer-pool sizing rule, [`step_surface`] — every keyed lookup (the one physical
-//! step that fetches) demands one buffer per fetched position plus the key row and the
+//! [`super::QueryPlan::cost`]) and its lowering (the **allocation surface**). The
+//! allocation surface is [`step_surface`] — every keyed lookup (the one physical step
+//! that fetches) demands one buffer per fetched position plus the key row and the
 //! selection vector — summed over the plan's steps. Lowering does not depend on the
 //! store, so neither does the ticket.
 
@@ -19,9 +19,7 @@ use super::physical::{PhysOp, PhysicalPlan};
 use super::{AccessSchema, QueryPlan};
 
 /// Per-fetch-step buffer demand: one buffer per fetched position, plus the key row
-/// and the selection vector; zero for every other step. The one copy of the formula:
-/// the engine sizes its per-worker buffer pools with it too, so the ticket's surface
-/// and the runtime's demand agree.
+/// and the selection vector; zero for every other step.
 pub fn step_surface(op: &PhysOp) -> u64 {
     match op {
         PhysOp::KeyedLookup { positions, .. } => positions.len() as u64 + 2,

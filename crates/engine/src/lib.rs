@@ -59,14 +59,11 @@
 //! * the pool belongs to a thread, not a query: it never crosses threads, and the
 //!   execution state that holds it is parked on the thread between queries — a
 //!   connection thread's, say — so the next query starts warm. Recycled capacity is an
-//!   optimization, not state. While a query runs the freelist cap is sized from the
-//!   plan's own fetch surface (the sum of fetched positions across lookup steps,
-//!   clamped to a small floor and ceiling), so tiny plans pin a handful of buffers and
-//!   wide plans cannot hoard capacity; between queries the thread keeps at most 64
-//!   buffers of at most a batch's worth of values each, so one large query cannot pin
-//!   memory on a thread;
-//! * a run of a prepared plan shares it: the plan and its pool cap are worked out
-//!   once per template, and operators borrow their step's fields from
+//!   optimization, not state. The pool keeps at most 64 buffers, and between queries
+//!   none of more than a batch's worth of values, so one large query cannot pin memory
+//!   on a thread;
+//! * a run of a prepared plan shares it: the plan is worked out once per template,
+//!   and operators borrow their step's fields from
 //!   the plan — only a predicate that compares with a request's constant is copied,
 //!   with the constant in;
 //! * [`stats::AccessStats::allocs_per_probe`] counts probe-path *buffer-demand*

@@ -23,10 +23,9 @@
 //! rows, as produced by `PhysOp::Unit` — still have a well-defined row count.
 //!
 //! Beside the batch lives [`RowTable`], the one structure operators *remember* rows in
-//! (δ's seen set, the keys a keyed lookup has seen), and
-//! [`HashedRow`], a key carrying its hash through the lookup's tiers.
-//! All of them hash rows with [`bea_core::value::hash_row`] — the same function the
-//! store's indexes use — and nothing in the engine hashes a row any other way.
+//! (δ's seen set, the keys a keyed lookup has seen). Both hash rows with
+//! [`bea_core::value::hash_row`] — the same function the store's indexes use — and
+//! nothing in the engine hashes a row any other way.
 
 use bea_core::error::{Error, Result};
 use bea_core::plan::Predicate;
@@ -124,12 +123,10 @@ impl Batch {
         self.columns.iter().map(|c| c[p].clone()).collect()
     }
 
-    /// Gather the values of logical row `i` at `cols` into `out`, clearing it first:
-    /// `cols.len()` O(1) clones, and no fresh allocation once the scratch has grown to
-    /// capacity.
+    /// Append the values of logical row `i` at `cols` onto `out`: `cols.len()` O(1)
+    /// clones, and no fresh allocation once `out` has grown to capacity.
     pub(crate) fn gather_into(&self, i: usize, cols: &[usize], out: &mut Row) {
         let p = self.physical(i);
-        out.clear();
         out.extend(cols.iter().map(|&c| self.columns[c][p].clone()));
     }
 
@@ -439,62 +436,6 @@ impl RowTable {
     }
 }
 
-/// A key row that carries its own [`hash_row`], computed once when the key is gathered:
-/// the keyed lookup finds or inserts the key in its memo with it, and the store's
-/// `resolve` walks its index with it — one pass over the values per probe, wherever the
-/// probe ends up. Outside tests it is not `Clone`: a missed key moves on into the flat
-/// probe buffer.
-#[derive(Debug, PartialEq, Eq)]
-#[cfg_attr(test, derive(Clone))]
-pub(crate) struct HashedRow {
-    hash: u64,
-    values: Row,
-}
-
-impl Default for HashedRow {
-    /// The empty key (allocates nothing).
-    fn default() -> Self {
-        Self::new(Row::new())
-    }
-}
-
-impl HashedRow {
-    pub(crate) fn new(values: Row) -> Self {
-        Self {
-            hash: hash_row(&values),
-            values,
-        }
-    }
-
-    /// Refill with `batch`'s logical row `i` at `cols` (`cols.len()` O(1) clones into
-    /// the buffer already held) and re-hash.
-    pub(crate) fn gather(&mut self, batch: &Batch, i: usize, cols: &[usize]) {
-        batch.gather_into(i, cols, &mut self.values);
-        self.hash = hash_row(&self.values);
-    }
-
-    /// Move the values onto the end of `flat` — the key is left empty, its buffer kept
-    /// — and return their hash.
-    pub(crate) fn move_into(&mut self, flat: &mut Vec<Value>) -> u64 {
-        flat.append(&mut self.values);
-        std::mem::replace(&mut self.hash, hash_row(std::iter::empty()))
-    }
-
-    /// The key's [`hash_row`], computed when it was gathered.
-    pub(crate) fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    pub(crate) fn values(&self) -> &[Value] {
-        &self.values
-    }
-
-    /// The values back, with the buffer that held them.
-    pub(crate) fn into_values(self) -> Row {
-        self.values
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,7 +460,7 @@ mod tests {
         assert_eq!(b.row(2), vec![Value::int(3), Value::str("a")]);
         let mut gathered = vec![Value::int(9)];
         b.gather_into(0, &[1], &mut gathered);
-        assert_eq!(gathered, vec![Value::str("a")]);
+        assert_eq!(gathered, vec![Value::int(9), Value::str("a")]);
     }
 
     #[test]
@@ -857,24 +798,13 @@ mod tests {
         let row = batch.row(1);
         assert_eq!(row, vec![Value::int(3), Value::str("a")]);
         assert_eq!(batch.hash_row(1), hash_row(&row));
-        assert_eq!(HashedRow::new(row.clone()).hash, hash_row(&row));
-        let mut gathered = HashedRow::default();
-        gathered.gather(&batch, 1, &[1, 0]);
-        assert_eq!(gathered.values(), [Value::str("a"), Value::int(3)]);
-        assert_eq!(gathered.hash, hash_row(gathered.values()));
-        // A table finds a key inserted under its carried hash.
-        let (key, mut keys) = (gathered.clone(), table(2));
-        assert_eq!(keys.find(key.hash, |c| &key.values[c]), None);
-        assert_eq!(
-            keys.insert(key.hash, |c| &key.values[c]).unwrap(),
-            (0, true)
-        );
-        assert_eq!(keys.find(key.hash, |c| &key.values[c]), Some(0));
-        assert_eq!(HashedRow::default(), HashedRow::new(Vec::new()));
-        // A key moved into a flat buffer leaves the (empty) key consistent with its
-        // hash, and the buffer holding its values.
-        let mut flat = vec![Value::int(9)];
-        assert_eq!(gathered.move_into(&mut flat), key.hash);
-        assert_eq!((gathered, &flat[1..]), (HashedRow::default(), key.values()));
+        let mut key = Vec::new();
+        batch.gather_into(1, &[1, 0], &mut key);
+        assert_eq!(key, [Value::str("a"), Value::int(3)]);
+        // A table finds a gathered key inserted under its `hash_row`.
+        let (hash, mut keys) = (hash_row(&key), table(2));
+        assert_eq!(keys.find(hash, |c| &key[c]), None);
+        assert_eq!(keys.insert(hash, |c| &key[c]).unwrap(), (0, true));
+        assert_eq!(keys.find(hash, |c| &key[c]), Some(0));
     }
 }

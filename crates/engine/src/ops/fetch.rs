@@ -6,8 +6,8 @@
 //! other fetch becomes a keyed lookup over its distinct keys `δπ[keys](T)` whose
 //! emission keeps only the fetched columns (see `bea_core::plan::physical`). The
 //! operator reaches the index through one call, the store's batched
-//! [`bea_storage::IndexedDatabase::resolve`], which walks many keys at once with
-//! their cache misses overlapped.
+//! [`bea_storage::IndexedDatabase::resolve`]: it hands over the keys' values, and the
+//! store finds them.
 //!
 //! A keyed lookup copies only what needs a copy. Its arena holds the keys that matched
 //! two or more tuples, projected straight from the relation into its columns without
@@ -31,11 +31,12 @@
 //!
 //! # One pass per source batch
 //!
-//! [`KeyedLookupOp`] stages a source batch in one pass over its rows. It gathers and
-//! hashes each row's key once and finds or inserts it in the memo's [`RowTable`]: one
-//! probe, which gives the key's *position* (where the memo is dropped, a row's number is
-//! its position). The keys new to the operator go to one `resolve`, and the rows are
-//! then emitted in order, each from its position's postings.
+//! [`KeyedLookupOp`] stages a source batch in one pass over its rows. Where the memo is
+//! kept, it gathers and hashes each row's key once and finds or inserts it in the memo's
+//! [`RowTable`]: one probe, which gives the key's *position*. Where the memo is dropped,
+//! it gathers each row's key straight into the probe buffer and hashes nothing: a row's
+//! number is its position. The keys new to the operator go to one `resolve`, and the
+//! rows are then emitted in order, each from its position's postings.
 //!
 //! The memo is the engine's one lookup cache, and it lives as long as its query: the
 //! tiers are the memo, then the store. As the paper's `fetch(X ∈ T, R, Y)` reads the
@@ -48,10 +49,11 @@
 //!
 //! The probe path demands no buffer per key, hit or miss — which is why nothing
 //! charges [`crate::stats::AccessStats::allocs_per_probe`]. Every row's key is gathered
-//! into one reusable scratch and hashed once; a key new to the memo is cloned into its
-//! flat key columns (O(1) per value, as δ's seen set does), a missed key is moved into
-//! the batch's flat probe buffer, and multi-tuple postings are appended to the arena's
-//! value columns, all drawn from the thread's [`super::BufferPool`] once per operator
+//! once: where the memo is kept, into one reusable scratch, hashed there, cloned into
+//! the memo's flat key columns if it is new (O(1) per value, as δ's seen set does) and
+//! then moved on into the batch's flat probe buffer; where it is dropped, into the probe
+//! buffer directly. Multi-tuple postings are appended to the arena's value columns; all
+//! of these are drawn from the thread's [`super::BufferPool`] once per operator
 //! instance. A repeat is a slot walk plus emission from where its postings lie.
 //!
 //! Per operator instance, what remains is its box, its column lists and its staging
@@ -74,48 +76,45 @@
 //! thread's state has grown to its plans; it is written into the query's per-relation
 //! map when the query finishes.
 
-use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, HashedRow, RowTable};
+use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, RowTable};
 use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
 use crate::stats::AccessStats;
 use bea_core::error::Result;
 use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
-use bea_core::value::Value;
+use bea_core::value::{hash_row, Row, Value};
 use bea_storage::{FetchIter, Probes, Store};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// The keys of the current source batch new to the operator, queued for one `resolve`:
-/// moved in flat, `arity` values each, with their carried hashes, and what `resolve`
-/// returned for each. The flat buffer is drawn from the thread's pool.
+/// their values flat, one after another, how many there are — an empty key has no
+/// values to count — and what `resolve` returned for each. The flat buffer is drawn
+/// from the thread's pool.
 #[derive(Default)]
 struct Misses<'db> {
-    arity: usize,
     keys: Vec<Value>,
-    hashes: Vec<u64>,
+    count: usize,
     resolved: Vec<FetchIter<'db>>,
 }
 
 impl<'db> Misses<'db> {
-    /// Start a batch of up to `keys` misses: forget the last one, and grow once instead
-    /// of per key.
-    fn begin(&mut self, keys: usize) {
+    /// Start a batch of up to `keys` misses of `arity` values each: forget the last one,
+    /// and grow once instead of per key.
+    fn begin(&mut self, keys: usize, arity: usize) {
         self.keys.clear();
-        self.keys.reserve(keys * self.arity);
-        self.hashes.clear();
-        self.hashes.reserve(keys);
+        self.keys.reserve(keys * arity);
+        self.count = 0;
     }
 
-    /// Resolve every queued key of `constraint` in one batched walk (nothing to do when
-    /// the memo held every key — and then no fetch error either, as in a per-key loop).
+    /// Resolve every queued key of `constraint` in one call (nothing to do when the memo
+    /// held every key — and then no fetch error either, as in a per-key loop).
     fn resolve(&mut self, store: Store<'db>, constraint: usize) -> Result<()> {
-        if self.hashes.is_empty() {
+        if self.count == 0 {
             return Ok(());
         }
-        let (arity, keys, hashes) = (self.arity, &self.keys, &self.hashes);
         let probes = Probes {
-            arity,
-            keys,
-            hashes,
+            count: self.count,
+            keys: &self.keys,
         };
         store.resolve(constraint, probes, &mut self.resolved)
     }
@@ -404,9 +403,10 @@ pub(crate) struct KeyedLookupOp<'db> {
     elided: Elided,
     /// Arena rows this operator holds on the residency ledger.
     cached_rows: u64,
-    /// Reusable probe-key buffer: every row's key is gathered into it and hashed once;
-    /// a missed key's values *move* on into `misses`, keeping the buffer.
-    key_scratch: HashedRow,
+    /// Reusable key buffer where the memo is kept: every row's key is gathered into it
+    /// and hashed once to find or insert it in the memo; a key new to the memo *moves*
+    /// on into `misses`, keeping the buffer. Unused where the memo is dropped.
+    key_scratch: Row,
     /// Each row's memo position in [`PostingArena::held`], for the current source batch;
     /// empty where the memo is dropped, and a row's number is its position.
     rows: Vec<u32>,
@@ -438,11 +438,10 @@ impl<'db> KeyedLookupOp<'db> {
             let keys = (0..fetch.key_cols.len()).map(|_| state.pool.get_values());
             let keys = RowTable::new("a keyed lookup", keys.collect());
             let misses = Misses {
-                arity: fetch.key_cols.len(),
                 keys: state.pool.get_values(),
                 ..Misses::default()
             };
-            (keys, HashedRow::new(state.pool.get_values()), misses)
+            (keys, state.pool.get_values(), misses)
         };
         let mut op = Self {
             input,
@@ -520,11 +519,11 @@ impl<'db> KeyedLookupOp<'db> {
     }
 
     /// Stage `batch` (see the module docs): give every row its key's position in
-    /// [`PostingArena::held`], and fetch the keys new to the operator in one batched
-    /// walk.
+    /// [`PostingArena::held`], and fetch the keys new to the operator in one `resolve`.
     fn stage(&mut self, batch: &Batch) -> Result<()> {
+        let key_cols = self.fetch.key_cols;
         self.rows.clear();
-        self.misses.begin(batch.len());
+        self.misses.begin(batch.len(), key_cols.len());
         if self.memo {
             self.rows.reserve(batch.len());
         } else {
@@ -533,26 +532,29 @@ impl<'db> KeyedLookupOp<'db> {
         }
         let first = self.arena.held.len();
         for i in 0..batch.len() {
-            let key = &mut self.key_scratch;
-            key.gather(batch, i, self.fetch.key_cols);
+            let misses = &mut self.misses;
             if self.memo {
-                let (seen, new) = self.arena.keys.insert(key.hash(), |c| &key.values()[c])?;
+                let key = &mut self.key_scratch;
+                key.clear();
+                batch.gather_into(i, key_cols, key);
+                let (seen, new) = self.arena.keys.insert(hash_row(&*key), |c| &key[c])?;
                 self.rows.push(seen);
                 if !new {
                     continue;
                 }
-                let rank = first + self.misses.hashes.len();
-                debug_assert_eq!(seen as usize, rank, "an insertion rank");
+                debug_assert_eq!(seen as usize, first + misses.count, "an insertion rank");
+                // The key's values move on into the probe buffer.
+                misses.keys.append(key);
+            } else {
+                batch.gather_into(i, key_cols, &mut misses.keys);
             }
-            // The key's values move on into the probe buffer.
-            let misses = &mut self.misses;
-            misses.hashes.push(key.move_into(&mut misses.keys));
+            misses.count += 1;
         }
         // One probe-key gather per source row, hit or miss.
-        self.tally.values_cloned += (batch.len() * self.fetch.key_cols.len()) as u64;
+        self.tally.values_cloned += (batch.len() * key_cols.len()) as u64;
         self.misses
             .resolve(self.store, self.fetch.constraint_index)?;
-        for p in 0..self.misses.hashes.len() {
+        for p in 0..self.misses.count {
             let postings = self.fetch(p);
             self.arena.held.push(postings);
         }
@@ -666,7 +668,7 @@ impl Operator for KeyedLookupOp<'_> {
             // The arena's open columns, its key columns, the key scratch and the probe
             // buffer go back to the pool, cleared, for the thread's next probe loop;
             // sealed segments stay with the consumers that share them.
-            let scratch = std::mem::take(&mut self.key_scratch).into_values();
+            let scratch = std::mem::take(&mut self.key_scratch);
             let probes = std::mem::take(&mut self.misses.keys);
             let arena = &mut self.arena;
             let buffers = arena.cols.drain(..).chain(arena.keys.release());
@@ -743,8 +745,28 @@ pub(crate) mod tests {
     const BOUND: u64 = 4;
 
     /// `R(k, v, w)` under `k → (v, w)`: key 1 matches three tuples, two of which agree
-    /// on `v`; key 2 matches one; key 3 matches none.
+    /// on `v`; key 2 matches one; key 3 matches none. Its index is dense.
     fn store() -> IndexedDatabase {
+        store_at(1)
+    }
+
+    /// [`store`] with every key times `scale`; and its twin at scale 10, whose index is
+    /// hashed: key 10 matches three tuples, key 20 one, key 30 none.
+    fn stores() -> [(i64, IndexedDatabase); 2] {
+        [1, 10].map(|scale| {
+            let idb = store_at(scale);
+            let dense = idb.index(0).unwrap().is_dense();
+            assert_eq!(dense, scale == 1, "scale {scale}: the key map under test");
+            (scale, idb)
+        })
+    }
+
+    /// `rows` of one key each, the key times `scale`.
+    fn scaled(rows: &[i64], scale: i64) -> Vec<[i64; 1]> {
+        rows.iter().map(|&key| [key * scale]).collect()
+    }
+
+    fn store_at(scale: i64) -> IndexedDatabase {
         let mut catalog = bea_core::schema::Catalog::new();
         catalog.declare("R", ["k", "v", "w"]).unwrap();
         let schema = AccessSchema::from_constraints([AccessConstraint::new(
@@ -759,7 +781,7 @@ pub(crate) mod tests {
         db.extend(
             "R",
             [[1, 10, 100], [1, 10, 101], [1, 11, 100], [2, 20, 200]]
-                .map(|row| row.map(Value::int).to_vec()),
+                .map(|[k, v, w]| [k * scale, v, w].map(Value::int).to_vec()),
         )
         .unwrap();
         IndexedDatabase::build(db, schema).unwrap()
@@ -1048,7 +1070,7 @@ pub(crate) mod tests {
             // constraint): nothing was acquired for it, and nothing leaks.
             let h = Harness::new();
             let mut op = lookup(&h, vec![Ok(ints(&[&[1], &[2]]))]);
-            (op.fetch.key_cols, op.misses.arity) = (&[0, 0], 2);
+            op.fetch.key_cols = &[0, 0];
             assert!(op.next_batch().is_err());
             assert_eq!(h.stats().tuples_fetched, 0);
             drop(op);
@@ -1162,21 +1184,33 @@ pub(crate) mod tests {
 
     #[test]
     fn keys_repeated_within_and_across_batches_settle_as_a_row_loop_would() {
-        let idb = store();
-        let rows: &[&[i64]] = &[&[1], &[2], &[1], &[3], &[2], &[1], &[1]];
-        let (out, stats) = assert_batching_is_invisible(&idb, rows);
-        assert_eq!(out.len(), 4 * 3 + 2);
-        assert_eq!(
-            stats.index_lookups, 3,
-            "one per distinct key, absent included"
-        );
-        assert_eq!(stats.tuples_fetched, 4);
+        for (scale, idb) in stores() {
+            let rows = scaled(&[1, 2, 1, 3, 2, 1, 1], scale);
+            let rows: Vec<&[i64]> = rows.iter().map(|row| &row[..]).collect();
+            let (out, stats) = assert_batching_is_invisible(&idb, &rows);
+            assert_eq!(out.len(), 4 * 3 + 2, "scale {scale}");
+            assert_eq!(
+                stats.index_lookups, 3,
+                "one per distinct key, absent included"
+            );
+            assert_eq!(stats.tuples_fetched, 4, "scale {scale}");
+        }
     }
 
     #[test]
     fn each_key_is_looked_up_once_per_tier() {
-        let idb = store();
-        let rows: &[&[i64]] = &[&[1], &[2], &[1], &[3], &[1]];
+        for (scale, idb) in stores() {
+            let rows = scaled(&[1, 2, 1, 3, 1], scale);
+            let rows: Vec<&[i64]> = rows.iter().map(|row| &row[..]).collect();
+            assert_each_key_is_looked_up_once_per_tier(&idb, &rows, scale);
+        }
+    }
+
+    fn assert_each_key_is_looked_up_once_per_tier(
+        idb: &IndexedDatabase,
+        rows: &[&[i64]],
+        scale: i64,
+    ) {
         let [one_batch, two_batches, _] = feeds(rows);
         // Per corner: the keys of each `resolve`, in order. With the memo kept, a key
         // new to the operator is resolved once, and the memo serves every repeat; with
@@ -1192,17 +1226,17 @@ pub(crate) mod tests {
         let ints_of = |keys: &[Value]| -> Vec<i64> {
             keys.iter()
                 .map(|key| match key {
-                    Value::Int(k) => *k,
+                    Value::Int(k) => *k / scale,
                     other => panic!("unexpected {other}"),
                 })
                 .collect()
         };
         for (memo, split, sent) in corners {
-            let corner = format!("memo {memo}, two batches {split}");
+            let corner = format!("memo {memo}, two batches {split}, scale {scale}");
             let pulls = if split { &two_batches } else { &one_batch };
             let pulls = pulls.iter().map(|pull| Ok(pull.as_ref().unwrap().clone()));
             let h = Harness::new();
-            let op = h.lookup(&idb, pulls.collect(), &[0, 1, 2], Vec::new(), None);
+            let op = h.lookup(idb, pulls.collect(), &[0, 1, 2], Vec::new(), None);
             let mut op = op.distinct_keys(!memo);
             // After a pull, the probe buffer holds what its batch sent to `resolve`.
             let (mut rows, mut resolved) = (0, Vec::new());
@@ -1220,22 +1254,24 @@ pub(crate) mod tests {
 
     #[test]
     fn a_failed_resolve_mid_batch_leaves_no_residency() {
-        let idb = store();
         // The first batch fetches key 1's three tuples into the arena; then the step is
         // pointed at constraint 7, which does not exist, and the second batch fails to
         // resolve key 3 (its key 1 the memo holds, where there is one).
-        for distinct in [false, true] {
-            let h = Harness::new();
-            let pulls = vec![Ok(ints(&[&[1], &[2]])), Ok(ints(&[&[1], &[3]]))];
-            let op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
-            let mut op = op.distinct_keys(distinct);
-            assert_eq!(op.next_batch().unwrap().unwrap().len(), 4);
-            assert_eq!(h.ledger.resident(), 3);
-            op.fetch.constraint_index = 7;
-            assert!(op.next_batch().is_err(), "key 3 cannot be resolved");
-            drop(op);
-            assert_eq!(h.ledger.resident(), 0);
-            assert_eq!(h.stats().tuples_fetched, 4, "only the first batch fetched");
+        for (scale, idb) in stores() {
+            let [one, two, three] = [1, 2, 3].map(|key| [key * scale]);
+            for distinct in [false, true] {
+                let h = Harness::new();
+                let pulls = vec![Ok(ints(&[&one, &two])), Ok(ints(&[&one, &three]))];
+                let op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
+                let mut op = op.distinct_keys(distinct);
+                assert_eq!(op.next_batch().unwrap().unwrap().len(), 4);
+                assert_eq!(h.ledger.resident(), 3);
+                op.fetch.constraint_index = 7;
+                assert!(op.next_batch().is_err(), "key 3 cannot be resolved");
+                drop(op);
+                assert_eq!(h.ledger.resident(), 0);
+                assert_eq!(h.stats().tuples_fetched, 4, "only the first batch fetched");
+            }
         }
     }
 }

@@ -42,7 +42,7 @@ use crate::stats::{AccessStats, FetchTally};
 use crate::table::Table;
 use batch::Batch;
 use bea_core::error::{Error, Result};
-use bea_core::plan::{step_surface, PhysOp, PhysicalPlan, Predicate};
+use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
 use bea_core::value::Value;
 use bea_storage::Store;
 use std::borrow::Cow;
@@ -102,43 +102,21 @@ impl ResidencyLedger {
 /// uniquely-owned buffers back on teardown (exhausted arenas and scratch, and the
 /// output columns a finished query was transposed out of); buffers shared downstream
 /// simply stay with their owners. The pool lives on [`ExecState`], which a thread
-/// keeps between its queries ([`ExecState::park`]): between queries it holds at most
-/// [`BufferPool::RETAINED`] buffers of at most [`BufferPool::RETAINED_VALUES`] values,
-/// so one large query cannot pin memory on a connection thread.
-#[derive(Debug)]
+/// keeps between its queries ([`ExecState::park`]). It holds at most
+/// [`BufferPool::RETAINED`] buffers, while a query runs and between queries, and between
+/// queries none of more than [`BufferPool::RETAINED_VALUES`] values, so one large query
+/// cannot pin memory on a connection thread.
+#[derive(Debug, Default)]
 pub(crate) struct BufferPool {
     values: Vec<Vec<Value>>,
-    cap: usize,
 }
 
 impl BufferPool {
-    /// Freelist cap when no plan is in sight (bare `ExecState`s in tests);
-    /// executions size the cap from the plan via [`pool_cap_for`].
-    pub(crate) const DEFAULT_CAP: usize = 64;
-    /// Floor for the plan-derived cap: even a single-fetch plan keeps a few buffers
-    /// warm across operator teardowns.
-    pub(crate) const MIN_CAP: usize = 8;
-    /// Ceiling for the plan-derived cap, so one very wide plan cannot pin unbounded
-    /// capacity.
-    pub(crate) const MAX_CAP: usize = 256;
-    /// Buffers a thread keeps between queries.
-    pub(crate) const RETAINED: usize = Self::DEFAULT_CAP;
+    /// The freelist cap: the buffers a thread keeps, while a query runs and between
+    /// queries.
+    pub(crate) const RETAINED: usize = 64;
     /// The largest buffer, in values, a thread keeps between queries: a batch's worth.
     pub(crate) const RETAINED_VALUES: usize = BATCH_SIZE;
-
-    /// An empty pool that retains at most `cap` buffers.
-    pub(crate) fn with_cap(cap: usize) -> Self {
-        Self {
-            values: Vec::new(),
-            cap,
-        }
-    }
-
-    /// The freelist cap.
-    #[cfg(test)]
-    pub(crate) fn cap(&self) -> usize {
-        self.cap
-    }
 
     /// Buffers currently pooled, for sizing tests.
     #[cfg(test)]
@@ -155,21 +133,10 @@ impl BufferPool {
     /// or the buffer never grew any capacity worth keeping).
     pub(crate) fn put_values(&mut self, mut buffer: Vec<Value>) {
         buffer.clear();
-        if buffer.capacity() > 0 && self.values.len() < self.cap {
+        if buffer.capacity() > 0 && self.values.len() < Self::RETAINED {
             self.values.push(buffer);
         }
     }
-}
-
-/// The buffer-pool freelist cap for executions of `plan`: the probe path's worst-case
-/// simultaneous buffer demand — the sum of every step's [`step_surface`], the formula
-/// a cost ticket prices allocation surfaces with — clamped to
-/// [`BufferPool::MIN_CAP`]`..=`[`BufferPool::MAX_CAP`]. Tiny plans pool a handful of
-/// buffers instead of pinning 64; wide plans get enough headroom that operator
-/// teardowns don't thrash the freelist.
-pub(crate) fn pool_cap_for(plan: &PhysicalPlan) -> usize {
-    let demand: u64 = plan.steps().iter().map(|step| step_surface(&step.op)).sum();
-    (demand as usize).clamp(BufferPool::MIN_CAP, BufferPool::MAX_CAP)
 }
 
 /// Mutable state of the query a thread is running: its access statistics and fetch
@@ -194,26 +161,23 @@ thread_local! {
 }
 
 impl ExecState {
-    /// A state with the default pool cap.
+    /// A state with an empty pool.
     pub(crate) fn new(ledger: Rc<ResidencyLedger>) -> Self {
         Self {
             stats: AccessStats::default(),
             fetched: FetchTally::default(),
-            pool: BufferPool::with_cap(BufferPool::DEFAULT_CAP),
+            pool: BufferPool::default(),
             ledger,
         }
     }
 
     /// The state for a query on this thread — the one its last query parked, else a
-    /// fresh one — accounting against `ledger` and pooling up to `pool_cap` buffers (the
-    /// plan's [`pool_cap_for`]).
-    pub(crate) fn claim(ledger: &Rc<ResidencyLedger>, pool_cap: usize) -> SharedState {
+    /// fresh one — accounting against `ledger`.
+    pub(crate) fn claim(ledger: &Rc<ResidencyLedger>) -> SharedState {
         let state = PARKED
             .take()
             .unwrap_or_else(|| Rc::new(RefCell::new(Self::new(Rc::clone(ledger)))));
-        let mut exec = state.borrow_mut();
-        (exec.ledger, exec.pool.cap) = (Rc::clone(ledger), pool_cap);
-        drop(exec);
+        state.borrow_mut().ledger = Rc::clone(ledger);
         state
     }
 
@@ -229,7 +193,6 @@ impl ExecState {
         exec.fetched.clear();
         let pool = &mut exec.pool.values;
         pool.retain(|buffer| buffer.capacity() <= BufferPool::RETAINED_VALUES);
-        pool.truncate(BufferPool::RETAINED);
         drop(exec);
         PARKED.set(Some(state));
     }
@@ -726,25 +689,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn pool_cap_follows_the_plan_fetch_bound() {
-        // Tiny plan: one branch, one fetched position — demand 3, clamped up to the
-        // floor so a single-fetch plan still keeps a few buffers warm.
-        let tiny = bea_core::plan::lower_plan(&union_of_lookups(&[1])).unwrap();
-        assert_eq!(pool_cap_for(&tiny), BufferPool::MIN_CAP);
-
-        // Huge plan: 100 branches — demand 300, clamped down to the ceiling so one
-        // wide plan cannot pin unbounded capacity.
-        let keys: Vec<i64> = (1..=100).collect();
-        let huge = bea_core::plan::lower_plan(&union_of_lookups(&keys)).unwrap();
-        assert_eq!(pool_cap_for(&huge), BufferPool::MAX_CAP);
-
-        // In between, the cap is the demand itself: 3 branches × (2 positions + 2) —
-        // each branch lowers to one keyed lookup carrying both fetched columns.
-        let mid = bea_core::plan::lower_plan(&union_of_lookups(&[1, 2, 3])).unwrap();
-        assert_eq!(pool_cap_for(&mid), 12);
-    }
-
-    #[test]
     fn a_thread_keeps_buffers_between_jobs_but_none_past_the_retention_cap() {
         // `δ π[] δ π[v] fetch(k = 1, R)` over 16 384 tuples `(1, i)`: the fetch and the
         // first δ grow buffers to many batches' worth.
@@ -809,13 +753,12 @@ pub(crate) mod tests {
 
     #[test]
     fn buffer_pool_respects_its_cap() {
-        let mut pool = BufferPool::with_cap(2);
-        assert_eq!(pool.cap(), 2);
-        for _ in 0..5 {
+        let mut pool = BufferPool::default();
+        for _ in 0..BufferPool::RETAINED + 5 {
             pool.put_values(Vec::with_capacity(4));
         }
-        // At most `cap` buffers are retained; the rest are dropped.
-        assert_eq!(pool.pooled(), 2);
+        // At most `RETAINED` buffers are retained; the rest are dropped.
+        assert_eq!(pool.pooled(), BufferPool::RETAINED);
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! across threads, and concurrency is across queries — the callers of a
 //! [`crate::session::Session`], each on its own thread.
 //!
-//! A query runs a [`Prepared`] plan in place: the plan and its pool cap are shared by
-//! every run of a template, the run's own constants beside them. An error ends the
+//! A query runs a [`Prepared`] plan in place: the plan and its output labels are shared
+//! by every run of a template, the run's own constants beside them. An error ends the
 //! run; a panic unwinds through it, and every operator holding residency releases it
 //! as it drops.
 
 use super::batch::Batch;
 use super::fetch::FetchStep;
-use super::{build_op, pool_cap_for, BoxOp, ExecState, ResidencyLedger, RunCtx, SharedState};
+use super::{build_op, BoxOp, ExecState, ResidencyLedger, RunCtx, SharedState};
 use crate::stats::AccessStats;
 use crate::table::Table;
 use bea_core::error::Result;
@@ -32,7 +32,6 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub(crate) struct Prepared<'p> {
     pub(crate) plan: Cow<'p, PhysicalPlan>,
-    pool_cap: usize,
     /// [`PhysicalPlan::placeholders`].
     pub(crate) placeholders: usize,
     /// The output step's column labels, shared by every result table.
@@ -43,7 +42,6 @@ impl<'p> Prepared<'p> {
     /// `plan` (validated by the caller) with what its runs share.
     pub(crate) fn new(plan: Cow<'p, PhysicalPlan>) -> Self {
         Prepared {
-            pool_cap: pool_cap_for(&plan),
             placeholders: plan.placeholders(),
             labels: plan.steps()[plan.output()].columns.as_slice().into(),
             plan,
@@ -62,7 +60,7 @@ pub(crate) fn run(
 ) -> Result<(Table, AccessStats, Rc<ResidencyLedger>)> {
     let plan = &*prepared.plan;
     let ledger = Rc::new(ResidencyLedger::default());
-    let state = ExecState::claim(&ledger, prepared.pool_cap);
+    let state = ExecState::claim(&ledger);
     let ctx = RunCtx {
         plan,
         constants,

@@ -18,8 +18,8 @@
 //!   its [`CostTicket`]. None of that reads a constant's value and the store is
 //!   immutable, so a [`PreparedPlan`] made from a template —
 //!   [`bea_core::value::Value::placeholder`]s where the constants go — is good for
-//!   every request of that shape: validation, pricing and the buffer-pool cap are
-//!   paid per template, not per query.
+//!   every request of that shape: validation and pricing are paid per template, not
+//!   per query.
 //!   [`Session::run_prepared`] is the other half: the constant count checked,
 //!   rejection checks on the stored ticket, admission, then the shared plan run in
 //!   place — a request carries only its constants, and each operator reads its
@@ -222,7 +222,7 @@ impl QueryHandle {
 
 /// A logical plan lowered, validated and priced for one [`Session`] — everything a
 /// submission computes before it looks at the load, and what every run of it shares:
-/// the lowered plan and its buffer-pool cap. See [`Session::prepare`].
+/// the lowered plan and its output labels. See [`Session::prepare`].
 #[derive(Debug)]
 pub struct PreparedPlan {
     prepared: Prepared<'static>,

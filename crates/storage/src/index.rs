@@ -58,22 +58,18 @@
 //! (unique), slot → start → tuple (clustered) or slot → start → posting → tuple
 //! (general); a dense one starts at the start, or at the tuple. A *warm* probe, its
 //! lines cached, costs tens of nanoseconds; a *cold* one pays one cache miss per link
-//! in a row, and at 10⁶ tuples nearly every probe of a data-dependent lookup is cold
-//! (Q0's ψ3 lookup, ≈300 keys of `Accident` by `aid`, took ≈106 µs cold against ≈57 µs
-//! warm on a 2-core Xeon VM through the general chain's four links, and its slot walks
-//! over a 2 MB table alone ≈19.5 µs of a 42.7 µs lookup before the key map was dense).
+//! in a row, and at 10⁶ tuples nearly every probe of a data-dependent lookup is cold.
 //!
-//! # Batched walks
+//! # Batches of probes
 //!
-//! So a batch of probes is walked `GROUP` keys at a time, stage by stage: every home
-//! slot, then — where the layout has them — every CSR start and every first posting,
-//! then every first tuple; each stage prefetches, for every key, the line the next
-//! stage reads, so the group's misses overlap instead of queueing. A key whose
-//! candidate tuple does not match moves to its next slot and goes round again with the
-//! others still walking. The same lookup went from ≈106 to ≈72 µs cold through the
-//! general chain. [`HashIndex::lookup`] is this walk's one-key case: there is one probe
-//! walk. A dense index resolves a batch in the same groups, and prefetches for every
-//! probe the line its caller reads next — its start, or its one tuple.
+//! A batch of probes is resolved `GROUP` keys at a time: every probe of a group finds its
+//! group, and only then are the groups turned into offsets. A dense probe reads nothing
+//! on its way to its group, so it prefetches the line that turning the group into
+//! offsets, or the caller, reads next — the group's CSR start, or its one tuple — and a
+//! group's misses overlap instead of queueing (Q0's ≈330 cold ψ3 probes per query are
+//! such a batch). A hashed probe hashes its key and walks its slots on its own, by the
+//! one walk [`HashIndex::lookup`] takes too: of the accidents indexes only ψ1, keyed by
+//! date, is hashed, and it is probed one date at a time.
 //!
 //! # Build
 //!
@@ -130,9 +126,9 @@ fn offset_bound(relation: &str, tuples: usize) -> Result<u32> {
     })
 }
 
-/// Probes one batched walk keeps in flight: about the line-fill buffers of one core
-/// (10–16 on current x86), so every stage's prefetches overlap, and few enough that
-/// each prefetched line is still in L1 when its stage reads it. 32 measured the same.
+/// Dense probes whose prefetches one batch keeps in flight: about the line-fill buffers
+/// of one core (10–16 on current x86), so their misses overlap, and few enough that each
+/// prefetched line is still in L1 when it is read. 32 measured the same.
 pub(crate) const GROUP: usize = 16;
 
 /// Hint the CPU to pull `items[at]` into cache (nothing if `at` is out of range).
@@ -174,146 +170,42 @@ fn regrow(slots: &mut Vec<u32>, tags: &[u32], relation: &str) -> Result<()> {
     Ok(())
 }
 
-/// The one probe walk: walk probe `k` — hashed `hashes[k]`, in `index` (over
-/// `relation`) through its slot table `slots` — to the first group whose first tuple
-/// `is_key(k, tuple)` accepts, or `None` at the free slot that ends its walk (a table is
-/// at most half full, and never empty).
-///
-/// Up to `N` probes walk at once, in rounds of up to four stages — slot, CSR start,
-/// first posting, first tuple (its first key attribute), skipping the middle two where
-/// the layout lacks their array — each stage prefetching, for every probe, the line the
-/// next one reads. A rejected candidate moves its probe on to the next slot for the next
-/// round.
-fn walk<const N: usize>(
-    relation: &Relation,
-    index: &HashIndex,
-    slots: &[u32],
-    hashes: &[u64],
-    is_key: impl Fn(usize, &[Value]) -> bool,
-) -> [Option<u32>; N] {
-    let key_attr = index.key_attrs.first().copied();
-    let prefetch_tuple = |tuple: u32| {
-        if let Some(attr) = key_attr {
-            prefetch(relation.tuple(tuple as usize), attr);
-        }
-    };
-    let (starts, postings) = index.groups.arrays();
-    let mask = slots.len() - 1;
-    let (mut found, mut slot) = ([None; N], [0usize; N]);
-    // Per probe, its candidate group and, once the stages have read it, that group's
-    // first tuple; unique groups are their own first tuple.
-    let (mut group, mut first) = ([0u32; N], [0u32; N]);
-    // The probes still walking, in order.
-    let (mut todo, mut live): ([usize; N], usize) = (std::array::from_fn(|k| k), hashes.len());
-    for k in 0..live {
-        slot[k] = hashes[k] as usize & mask;
-        prefetch(slots, slot[k]);
-    }
-    while live > 0 {
-        let mut kept = 0;
-        for t in 0..live {
-            let k = todo[t];
-            group[k] = slots[slot[k]];
-            first[k] = group[k];
-            if group[k] != EMPTY {
-                match starts {
-                    Some(starts) => prefetch(starts, group[k] as usize),
-                    None => prefetch_tuple(first[k]),
-                };
-                todo[kept] = k;
-                kept += 1;
-            }
-        }
-        live = kept;
-        if let Some(starts) = starts {
-            for &k in &todo[..live] {
-                first[k] = starts[first[k] as usize];
-                match postings {
-                    Some(postings) => prefetch(postings, first[k] as usize),
-                    None => prefetch_tuple(first[k]),
-                };
-            }
-        }
-        if let Some(postings) = postings {
-            for &k in &todo[..live] {
-                first[k] = postings[first[k] as usize];
-                prefetch_tuple(first[k]);
-            }
-        }
-        kept = 0;
-        for t in 0..live {
-            let k = todo[t];
-            if is_key(k, relation.tuple(first[k] as usize)) {
-                found[k] = Some(group[k]);
-            } else {
-                slot[k] = (slot[k] + 1) & mask;
-                prefetch(slots, slot[k]);
-                todo[kept] = k;
-                kept += 1;
-            }
-        }
-        live = kept;
-    }
-    found
-}
-
-/// Keys to resolve in one batched walk, laid out flat: probe `i`'s key is
-/// `keys[i·arity .. (i+1)·arity]` and `hashes[i]` its [`hash_row`], computed when the
-/// caller gathered the key, so no walk hashes it again.
+/// Keys to resolve in one batch, laid out flat: probe `i`'s key is the `i`-th run of the
+/// constraint's key arity in `keys`. The count is carried, not derived from `keys`: the
+/// probes of an empty key hold no values at all.
 #[derive(Debug, Clone, Copy)]
 pub struct Probes<'p> {
-    /// Values per key.
-    pub arity: usize,
+    /// How many keys.
+    pub count: usize,
     /// The keys, one after another.
     pub keys: &'p [Value],
-    /// Each key's [`hash_row`].
-    pub hashes: &'p [u64],
 }
 
-impl<'p> Probes<'p> {
-    fn key(&self, i: usize) -> &'p [Value] {
-        &self.keys[i * self.arity..(i + 1) * self.arity]
-    }
-}
-
-/// Resolve every probe in `index` (over `relation`, on the probes' key attributes),
-/// [`GROUP`] at a time: `emit` receives each probe's offsets, empty if its key is
-/// absent, in probe order. A hashed index walks each group of probes through [`walk`];
-/// a dense one finds every probe's group by arithmetic and prefetches the line that
-/// turning it into offsets, or the caller, reads next — the group's CSR start, or its
-/// one tuple — so those misses overlap too.
+/// Resolve every probe in `index` (over `relation`, on the probes' key attributes —
+/// `probes.keys` holds `probes.count` of them), `GROUP` at a time: `emit` receives each
+/// probe's offsets, empty if its key is absent, in probe order. Every probe of a group
+/// finds its group first, and the line that turning it into offsets, or the caller,
+/// reads next — the group's CSR start, or its one tuple — is prefetched, so a group of
+/// dense probes overlaps those misses; a hashed probe has read both in its walk.
 pub(crate) fn resolve_each<'a>(
     relation: &Relation,
     index: &'a HashIndex,
     probes: Probes<'_>,
     mut emit: impl FnMut(Offsets<'a>),
 ) {
-    let count = probes.hashes.len();
-    for base in (0..count).step_by(GROUP) {
-        let len = GROUP.min(count - base);
-        let found: [Option<u32>; GROUP] = match &index.keys {
-            KeyMap::Dense { base: key_base } => std::array::from_fn(|k| {
-                if k >= len {
-                    return None;
-                }
-                let group = index.dense_group(*key_base, probes.key(base + k))?;
-                match index.groups.arrays() {
-                    (Some(starts), _) => prefetch(starts, group as usize),
-                    (None, _) => prefetch(relation.tuple(group as usize), 0),
-                }
-                Some(group)
-            }),
-            KeyMap::Hashed { slots } => {
-                let hashes = &probes.hashes[base..base + len];
-                debug_assert!((0..len).all(|k| hashes[k] == hash_row(probes.key(base + k))));
-                let is_key = |k: usize, tuple: &[Value]| {
-                    let key = index.key_attrs.iter().map(|&attr| &tuple[attr]);
-                    key.eq(probes.key(base + k))
-                };
-                walk(relation, index, slots, hashes, is_key)
+    let arity = index.key_attrs.len();
+    let mut found = [None; GROUP];
+    for base in (0..probes.count).step_by(GROUP) {
+        let found = &mut found[..GROUP.min(probes.count - base)];
+        for (i, found) in (base..).zip(found.iter_mut()) {
+            *found = index.find(relation, &probes.keys[i * arity..(i + 1) * arity]);
+            match (*found, index.groups.arrays()) {
+                (None, _) => {}
+                (Some(group), (Some(starts), _)) => prefetch(starts, group as usize),
+                (Some(group), (None, _)) => prefetch(relation.tuple(group as usize), 0),
             }
-        };
-        for found in found.into_iter().take(len) {
+        }
+        for found in found.iter() {
             emit(found.map_or_else(Offsets::default, |group| index.group(group as usize)));
         }
     }
@@ -380,6 +272,15 @@ enum Groups {
 }
 
 impl Groups {
+    /// Group `group`'s first tuple, whose key is the group's key.
+    fn first(&self, group: usize) -> usize {
+        match self {
+            Groups::Unique { .. } => group,
+            Groups::Clustered { starts } => starts[group] as usize,
+            Groups::General { postings, starts } => postings[starts[group] as usize] as usize,
+        }
+    }
+
     /// `(starts, postings)`, each where the layout keeps it.
     fn arrays(&self) -> (Option<&[u32]>, Option<&[u32]>) {
         match self {
@@ -631,29 +532,42 @@ impl HashIndex {
     }
 
     /// Offsets of the tuples of `relation` — the relation this index was built over —
-    /// whose key equals `key` (empty if none), in insertion order: the batched walk's
-    /// one-key case.
+    /// whose key equals `key` (empty if none), in insertion order.
     pub fn lookup(&self, relation: &Relation, key: &[Value]) -> Offsets<'_> {
-        let found = match &self.keys {
-            KeyMap::Dense { base } => self.dense_group(*base, key),
-            KeyMap::Hashed { slots } => {
-                let is_key = |_, tuple: &[Value]| self.key_attrs.iter().map(|&a| &tuple[a]).eq(key);
-                let [found] = walk(relation, self, slots, &[hash_row(key)], is_key);
-                found
-            }
-        };
+        let found = self.find(relation, key);
         found.map_or_else(Offsets::default, |group| self.group(group as usize))
     }
 
-    /// The group of `key` in a dense index whose first key is `base`: `key` less `base`,
-    /// if `key` is one integer and that is a group. Overflow-safe: a key whose distance
-    /// from `base` does not fit is absent.
-    fn dense_group(&self, base: i64, key: &[Value]) -> Option<u32> {
-        let &[Value::Int(key)] = key else {
-            return None;
+    /// The group of `key` in this index over `relation`, if it has one. A dense index
+    /// subtracts its first key, overflow-safe: a key that is not one integer, or whose
+    /// distance from `base` is not a group, is absent. A hashed one walks its slot table
+    /// from the key's hash to the first group whose first tuple holds the key, or to the
+    /// free slot that ends the walk (a table is at most half full, and never empty): the
+    /// one probe walk.
+    fn find(&self, relation: &Relation, key: &[Value]) -> Option<u32> {
+        let slots = match &self.keys {
+            KeyMap::Dense { base } => {
+                let &[Value::Int(key)] = key else {
+                    return None;
+                };
+                let group = u32::try_from(key.checked_sub(*base)?).ok()?;
+                return ((group as usize) < self.num_keys()).then_some(group);
+            }
+            KeyMap::Hashed { slots } => slots,
         };
-        let group = u32::try_from(key.checked_sub(base)?).ok()?;
-        ((group as usize) < self.num_keys()).then_some(group)
+        let mask = slots.len() - 1;
+        let mut slot = hash_row(key) as usize & mask;
+        loop {
+            let group = slots[slot];
+            if group == EMPTY {
+                return None;
+            }
+            let tuple = relation.tuple(self.groups.first(group as usize));
+            if self.key_attrs.iter().map(|&attr| &tuple[attr]).eq(key) {
+                return Some(group);
+            }
+            slot = (slot + 1) & mask;
+        }
     }
 
     fn group(&self, group: usize) -> Offsets<'_> {
@@ -750,7 +664,7 @@ pub(crate) mod tests {
         (map, order)
     }
 
-    /// `key`'s offsets through the one-key walk.
+    /// `key`'s offsets through the one-key lookup.
     fn lookup(index: &HashIndex, relation: &Relation, key: &[Value]) -> Vec<u32> {
         index.lookup(relation, key).collect()
     }
@@ -1156,14 +1070,11 @@ pub(crate) mod tests {
 
     /// Resolve `keys` in one batched call over one index: each key's offsets.
     fn resolve_all(index: &HashIndex, relation: &Relation, keys: &[Row]) -> Vec<Vec<u32>> {
-        let arity = index.key_attrs().len();
         let flat: Vec<Value> = keys.iter().flatten().cloned().collect();
-        let hashes: Vec<u64> = keys.iter().map(hash_row).collect();
         let mut out = Vec::new();
         let probes = Probes {
-            arity,
+            count: keys.len(),
             keys: &flat,
-            hashes: &hashes,
         };
         resolve_each(relation, index, probes, |offsets| {
             out.push(offsets.collect())
@@ -1171,7 +1082,7 @@ pub(crate) mod tests {
         out
     }
 
-    /// The batched walk against the one-key walk, probe by probe and in order.
+    /// The batched resolve against the one-key lookup, probe by probe and in order.
     fn assert_batch_equals_lookups(index: &HashIndex, relation: &Relation, keys: &[Row]) {
         let batched = resolve_all(index, relation, keys);
         assert_eq!(batched.len(), keys.len());
@@ -1219,8 +1130,8 @@ pub(crate) mod tests {
     #[test]
     fn keys_sharing_one_home_slot_walk_on_past_rejected_candidates() {
         // 64 keys, all homed on one slot of the 128-slot table they grow: every walk
-        // but the first key's rejects candidates and goes round again, and an absent
-        // key homed there walks the whole run to the free slot that ends it.
+        // but the first key's passes rejected candidates, and an absent key homed there
+        // walks the whole run to the free slot that ends it.
         let home = |i: i64| hash_row(&[Value::int(i)]) & 127;
         let mut same_home = (0..).filter(|&i| home(i) == 5);
         let mut r = Relation::new(RelationSchema::new("R", ["a", "b"]).unwrap());
@@ -1282,7 +1193,7 @@ pub(crate) mod tests {
         for absent in &absents {
             assert_eq!(index.lookup(&r, std::slice::from_ref(absent)).len(), 0);
         }
-        // The batched walk too, on present and absent keys of either string form.
+        // The batched resolve too, on present and absent keys of either string form.
         let probes: Vec<Row> = alikes
             .iter()
             .chain(&absents)

@@ -4,8 +4,8 @@
 //! on `X` over `R` — the index the paper's `fetch` reads. A physical plan names only
 //! `(constraint, key)` lookups, and the store answers each from that constraint's one
 //! index: per key, its tuples in insertion order ([`IndexedDatabase::fetch_iter`]), or
-//! a batch of keys walked together ([`IndexedDatabase::resolve`]), which is how the
-//! executor reaches it.
+//! per key of a batch ([`IndexedDatabase::resolve`]), which is how the executor reaches
+//! it. The store finds a key itself: a caller hands over values, never a hash.
 
 use crate::database::Database;
 use crate::index::{resolve_each, HashIndex, Offsets, Probes};
@@ -121,7 +121,7 @@ impl IndexedDatabase {
         constraint_index: usize,
         key: &[Value],
     ) -> Result<(FetchIter<'_>, u32)> {
-        let (relation, index) = self.indexed(constraint_index, key.len())?;
+        let (relation, index) = self.indexed(constraint_index, key.len(), 1)?;
         let offsets = index.lookup(relation, key);
         Ok((FetchIter { relation, offsets }, 0))
     }
@@ -149,9 +149,10 @@ impl IndexedDatabase {
 
     /// Batched fetch: clear `out`, then push, for every probe in order, the tuples whose
     /// `X`-projection equals its key (empty if none) — per probe what
-    /// [`IndexedDatabase::fetch_iter`] returns. The keys are walked together, their
-    /// cache misses overlapped (see [`crate::index`]). The executor's keyed operators
-    /// reach the index only here.
+    /// [`IndexedDatabase::fetch_iter`] returns. Dense keys are resolved in groups, their
+    /// cache misses overlapped (see [`crate::index`]). Refuses, as `fetch_iter` does, a
+    /// constraint the schema lacks and a probe buffer that is not `probes.count` keys of
+    /// the constraint's arity. The executor's keyed operators reach the index only here.
     pub fn resolve<'a>(
         &'a self,
         constraint_index: usize,
@@ -159,10 +160,8 @@ impl IndexedDatabase {
         out: &mut Vec<FetchIter<'a>>,
     ) -> Result<()> {
         out.clear();
-        let (relation, index) = self.indexed(constraint_index, probes.arity)?;
-        let count = probes.hashes.len();
-        assert_eq!(probes.keys.len(), probes.arity * count, "one key per hash");
-        out.reserve(count);
+        let (relation, index) = self.indexed(constraint_index, probes.keys.len(), probes.count)?;
+        out.reserve(probes.count);
         resolve_each(relation, index, probes, |offsets| {
             out.push(FetchIter { relation, offsets });
         });
@@ -170,17 +169,24 @@ impl IndexedDatabase {
     }
 
     /// Constraint `constraint_index`'s relation and index — refusing a constraint the
-    /// schema does not have and a key of `arity` values that is not the constraint's.
-    fn indexed(&self, constraint_index: usize, arity: usize) -> Result<(&Relation, &HashIndex)> {
+    /// schema does not have, and `values` key values that are not `keys` keys of the
+    /// constraint's arity.
+    fn indexed(
+        &self,
+        constraint_index: usize,
+        values: usize,
+        keys: usize,
+    ) -> Result<(&Relation, &HashIndex)> {
         let Some(index) = self.indexes.get(constraint_index) else {
             return Err(Error::MissingConstraint {
                 reason: format!("no access constraint with index {constraint_index}"),
             });
         };
         let expected = index.key_attrs().len();
-        if arity != expected {
+        if expected.checked_mul(keys) != Some(values) {
             return Err(Error::invalid(format!(
-                "fetch key has {arity} values but constraint {constraint_index} expects {expected}"
+                "{keys} fetch key(s) have {values} values in all, but constraint \
+                 {constraint_index} expects {expected} per key"
             )));
         }
         let relation = self.database.relation_at(self.relations[constraint_index]);
@@ -524,12 +530,11 @@ mod tests {
 
     /// Seeded differential of the batched fetch against the single-key fetch, probe by
     /// probe, for present, absent and repeated keys, 0 to 2 500 probes per call, on
-    /// composite, single and empty keys; and the single-key fetch's errors for the
-    /// whole call.
+    /// composite, single and empty keys; the single-key fetch's errors for the whole
+    /// call; and a probe buffer that is not its count of keys, refused.
     #[test]
     fn batched_resolve_matches_each_single_key_fetch() {
         use crate::index::tests::{random_relation, reference};
-        use bea_core::value::hash_row;
         let mut c = Catalog::new();
         c.declare("R", ["a", "b", "c"]).unwrap();
         let schema = AccessSchema::from_constraints([
@@ -555,11 +560,9 @@ mod tests {
                     })
                     .collect();
                 let flat: Vec<Value> = keys.iter().copied().flatten().cloned().collect();
-                let hashes: Vec<u64> = keys.iter().map(|key| hash_row(*key)).collect();
                 let probes = Probes {
-                    arity: constraint.x().len(),
+                    count: total,
                     keys: &flat,
-                    hashes: &hashes,
                 };
                 store.resolve(ci, probes, &mut out).unwrap();
                 assert_eq!(out.len(), total);
@@ -570,16 +573,39 @@ mod tests {
             }
         }
         let one = [Value::int(1)];
-        let hash = [hash_row(&one)];
         let probes = Probes {
-            arity: 1,
+            count: 1,
             keys: &one,
-            hashes: &hash,
         };
         assert!(store.resolve(7, probes, &mut out).is_err());
         let message = store.resolve(0, probes, &mut out).unwrap_err().to_string();
         assert!(message.contains("expects 2"), "{message}");
         assert!(out.is_empty(), "a refused call resolves nothing");
+        // Buffers that are not their count of keys: a key short, a value over, and values
+        // for an empty key. Refused, whole.
+        let three = [Value::int(1), Value::int(2), Value::int(3)];
+        for (ci, count, keys) in [(0, 2, &three[..]), (1, 2, &three), (2, 1, &one)] {
+            store
+                .resolve(
+                    1,
+                    Probes {
+                        count: 1,
+                        keys: &one,
+                    },
+                    &mut out,
+                )
+                .unwrap();
+            let message = store
+                .resolve(ci, Probes { count, keys }, &mut out)
+                .unwrap_err();
+            assert!(
+                message
+                    .to_string()
+                    .contains(&format!("{count} fetch key(s)")),
+                "{message}"
+            );
+            assert!(out.is_empty(), "a refused buffer resolves nothing");
+        }
     }
 
     /// Seeded differential of validation over random relations with composite and

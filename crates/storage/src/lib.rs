@@ -39,8 +39,9 @@
 //! anyway. Either hands out the group's offsets: a run of consecutive tuples where the
 //! relation is unique or clustered on the key, a subslice of `postings` otherwise; the
 //! tuples are then slices of the relation at `offset · k`. The executor fetches batches of
-//! keys ([`IndexedDatabase::resolve`]), walked together so their cache misses overlap;
-//! see [`index`]. Posting lists keep insertion order and key groups are numbered by
+//! keys ([`IndexedDatabase::resolve`]) as values, and the store hashes what it must; a
+//! batch's dense probes prefetch what they read next, so their cache misses overlap
+//! (see [`index`]). Posting lists keep insertion order and key groups are numbered by
 //! first occurrence, so every result and every `validate()` report is deterministic.
 //! [`IndexedDatabase::footprint`] reports the exact tuple and index bytes; on the
 //! accidents workload, which arrives clustered and keyed by ids, the four indexes of

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Lines of Rust per crate: every `.rs` file under the crate, and the non-test part of
 # its `src/` — the lines before a file's last top-level `#[cfg(test)]` (a file without
-# one counts whole). ROADMAP aim 2 tracks these numbers; CI prints them, ungated. The
+# one counts whole). ROADMAP aim 2 tracks these numbers; CI prints them and fails when
+# the workspace's non-test total exceeds the ceiling in .github/workflows/ci.yml. The
 # vendored stand-ins under vendor/ get a row of their own, outside the workspace sum.
 #
 # Usage: scripts/loc.sh [file.rs ...]   with files: one line per file, no crate table
