@@ -24,10 +24,11 @@
 //!
 //! Every reply is a head line — `OK …`, `REJECT …` or `ERR …` — followed by zero or
 //! more body lines (tab-separated result rows for `QUERY`), terminated by a line
-//! holding exactly `END`:
+//! holding exactly `END`. The `QUERY` above, against the store `bead --tuples 20000`
+//! serves:
 //!
 //! ```text
-//! OK rows=1 fetch_bound=1 alloc_surface=5 tuples_fetched=1 values_cloned=7 allocs_per_probe=0 cache_hits=0 rows_served_from_cache=0
+//! OK rows=1 fetch_bound=1 alloc_surface=5 tuples_fetched=1 values_cloned=2 allocs_per_probe=0 cache_hits=0 rows_served_from_cache=0
 //! "district-010"
 //! END
 //! ```

@@ -479,6 +479,29 @@ mod tests {
         );
     }
 
+    /// The reply the crate docs show, for the store `bead --tuples 20000` serves.
+    #[test]
+    fn the_documented_reply_is_what_the_daemon_answers() {
+        let socket =
+            std::env::temp_dir().join(format!("bead-test-doc-{}.sock", std::process::id()));
+        let config = ServerConfig {
+            socket: socket.clone(),
+            ..ServerConfig::default()
+        };
+        let server = BeadServer::bind(accidents_store(20_000, 0xBEAD).unwrap(), &config).unwrap();
+        let query = Request::Query("Q(d) :- Accident(x, d, t), x = 1.".to_owned());
+        let wire = server.dispatch(query).wire();
+        drop(server);
+        let _ = std::fs::remove_file(&socket);
+        let documented = include_str!("lib.rs")
+            .lines()
+            .map(|line| line.strip_prefix("//! ").unwrap_or_default())
+            .skip_while(|line| !line.starts_with("OK rows="))
+            .take_while(|&line| line != END);
+        let documented: String = documented.map(|line| format!("{line}\n")).collect();
+        assert_eq!(wire, format!("{documented}{END}\n"));
+    }
+
     /// A request line that is not UTF-8 is answered with an `ERR`, and the connection
     /// goes on serving the requests behind it.
     #[test]

@@ -90,7 +90,9 @@ fn a_served_request_stays_inside_its_allocation_budget() {
     );
     drop(server);
     let _ = std::fs::remove_file(&socket);
-    // Measured 25 and 134 (26 and 138 while a query's pool cap followed its plan's
+    // Measured 25 and 114 (Q0 134 while each lookup's emission cloned its rows into
+    // value columns and its arena held values instead of tuple offsets; 26 and 138
+    // while a query's pool cap followed its plan's
     // allocation surface, clamped to 8–256; Q0 137 before each lookup staged a batch
     // in one pass, with a position per row; 149 while each lookup's arena copied the
     // key columns of its tuples; 34 and 157 while a product with a constant buffered the
@@ -102,10 +104,10 @@ fn a_served_request_stays_inside_its_allocation_budget() {
     // as the request was read, 169 while a 2-thread session cut it into 6 pipelines;
     // 99 and 360 while every request copied its template's plan, re-derived its
     // pipeline DAG, rebuilt its operators' step fields, threw its job buffers away and
-    // kept its stats in per-job maps); each bound leaves 16–17 % (15 % when set).
+    // kept its stats in per-job maps); each bound leaves 15–16 % (15 % when set).
     assert!(
         point <= 29,
         "a served point request performed {point} heap allocations"
     );
-    assert!(q0 <= 157, "a served Q0 performed {q0} heap allocations");
+    assert!(q0 <= 131, "a served Q0 performed {q0} heap allocations");
 }

@@ -68,6 +68,9 @@ pub fn a_contained(
 }
 
 /// `A`-equivalence `Q₁ ≡_A Q₂`.
+///
+/// A test oracle, public because `tests/paper_examples.rs` checks with it the
+/// equivalences the paper states.
 pub fn a_equivalent(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,

@@ -183,6 +183,9 @@ pub fn visit_a_instances(
 }
 
 /// Collect all `A`-instances of a query (up to isomorphism).
+///
+/// Public as the collecting form of [`visit_a_instances`], which every caller in the
+/// library uses to stop early; only this module's tests collect.
 pub fn a_instances(
     query: &ConjunctiveQuery,
     schema: &AccessSchema,

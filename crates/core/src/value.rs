@@ -19,9 +19,10 @@ use std::sync::Arc;
 /// Cloning a `Value` is **O(1)**: the scalar variants and strings of at most
 /// [`Str::INLINE`] bytes are plain copies, and a longer string's payload is shared, so a
 /// clone of one is a refcount bump, never a deep copy of the character data. The
-/// executor relies on this — join keys, lookup memos, dedup sets and columnar
-/// batch gathers all clone values freely; the bytes themselves are written once when the
-/// value is created (typically at data-load or parse time).
+/// executor clones one only into state that must own it — lookup memos, dedup sets, a
+/// constant column, the answer's rows — and otherwise points at the value where the
+/// store keeps it; the bytes themselves are written once when the value is created
+/// (typically at data-load or parse time).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Value {
     /// A 64-bit signed integer.

@@ -70,6 +70,10 @@ pub fn execute_plan(plan: &QueryPlan, store: Store<'_>) -> Result<(Table, Access
 /// [`Table`], all of which stay resident until the end (reflected in
 /// `peak_rows_resident`), and every × materializes `|left| · |right|` rows (reflected
 /// in `product_rows_materialized`).
+///
+/// A test oracle, public because `tests/properties.rs` holds the streaming executor's
+/// answers and data access to it; it is also the only executor of a plan lowering
+/// refuses.
 pub fn execute_plan_materialized(
     plan: &QueryPlan,
     store: Store<'_>,

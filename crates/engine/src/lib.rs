@@ -28,27 +28,34 @@
 //!
 //! The streaming pipeline moves rows in **columnar batches**: a batch is a list of
 //! `Arc`-shared columns plus an optional selection vector naming the logically present
-//! rows. The layout dictates what each operator costs:
+//! rows. A column holds values, or points into the store: an attribute of the tuples at
+//! a list of tuple offsets, so a fetched value stays where the relation keeps it until
+//! the answer is built. The layout dictates what each operator costs:
 //!
 //! * *dedup* writes a selection vector and *project* permutes column handles —
 //!   neither copies a value;
-//! * *gathers* — constant appends and fetch output, the operators that genuinely
-//!   combine rows — write values into fresh columns; everything else is metadata.
+//! * a *keyed lookup* emits its fetched columns, and its source's stored columns, as
+//!   tuple offsets — no value copied; only a source column of values is cloned;
+//! * a *constant append* writes its constant once per row; everything else is
+//!   metadata.
 //!
-//! Value writes are O(1) because a [`bea_core::value::Value`] is 16 bytes that never
+//! What clones a value is state that must own it — a lookup's memo keys and δ's seen
+//! set — a value column a lookup takes, a constant append, and the output table. Value
+//! writes are O(1) because a [`bea_core::value::Value`] is 16 bytes that never
 //! deep-copy: a string of at most 14 bytes is stored inline and copied with its value,
 //! a longer one is written once when the value is created (data load or parse time) and
-//! aliased by every clone afterwards. Fetched keys, lookup memos and dedup sets therefore
-//! hold either their own 16 bytes or references to the same bytes the relations do.
+//! aliased by every clone afterwards. Lookup memos and dedup sets therefore hold either
+//! their own 16 bytes or references to the same bytes the relations do.
 //! [`stats::AccessStats::values_cloned`] counts every value moved between executor
 //! buffers — deterministic for a plan, which is what lets the
 //! committed `BENCH_pipeline.json` record the pipeline's copy traffic exactly.
 //!
 //! # Buffer pooling and the zero-allocation probe path
 //!
-//! A keyed probe allocates nothing *per key*: keys and postings land in flat pooled
-//! columns, set membership (δ, fetched keys) in flat row tables, and a repeat of a key
-//! within one [`ops`] `KeyedLookupOp` is served from its memo.
+//! A keyed probe allocates nothing *per key*: keys are read where they lie, postings are
+//! tuple offsets in one growing list, set membership (δ, fetched keys) lands in flat
+//! row tables over pooled columns, and a repeat of a key within one [`ops`]
+//! `KeyedLookupOp` is served from its memo.
 //! The machinery behind the guarantee, and its ownership contract:
 //!
 //! * every [`ops`] execution state owns a **buffer pool** of recycled column and

@@ -1,23 +1,27 @@
 //! The columnar batch: how rows move between streaming operators.
 //!
-//! A [`Batch`] stores its values column-wise, each column behind an [`Arc`], plus an
-//! optional *selection vector* naming the physical rows that are logically present.
-//! The layout makes the hot relational operators manipulate *metadata* instead of
-//! values:
+//! A [`Batch`] stores its values column-wise, each column a shared [`Column`], plus an
+//! optional *selection vector* naming the physical rows that are logically present. A
+//! column either holds its values ([`Column::Values`]) or points into the store
+//! ([`Column::Stored`]): one attribute of the tuples at a shared list of tuple offsets,
+//! read where the relation keeps them. The layout makes the hot relational operators
+//! manipulate *metadata* instead of values:
 //!
 //! * **dedup** keeps the columns untouched and writes a (possibly composed) selection
 //!   vector of the fresh rows — zero value copies;
 //! * **project** permutes/duplicates the column handles — zero value copies;
-//! * **sharing** a batch (an arena segment emitted by an anchor, say) clones
-//!   `Arc`s — a refcount bump per column, never a row copy;
+//! * **sharing** a batch clones `Arc`s — a refcount bump per column, never a row copy;
 //! * **appending a constant** shares the column handles and the selection, and writes
-//!   only the new column.
+//!   only the new column;
+//! * **taking rows** of a stored column ([`Batch::take`], a keyed lookup's emission)
+//!   writes tuple offsets, not values.
 //!
-//! Only *gathers* — operators that genuinely combine rows from several sources (fetch
-//! output) — write values into fresh columns, and a value write is O(1) even for
-//! strings ([`bea_core::value::Value`] payloads are shared). The executor counts every
-//! such clone in [`crate::stats::AccessStats::values_cloned`], so the copy traffic of a
-//! plan is asserted, not eyeballed.
+//! What still clones a value: a state that must own it (δ's seen set and a keyed
+//! lookup's memo, both [`RowTable`]s), a value column's [`Batch::take`], a constant
+//! append, and the output table ([`Batch::into_rows`]), which owns its rows. A value
+//! write is O(1) even for strings ([`bea_core::value::Value`] payloads are shared). The
+//! executor counts every such clone in [`crate::stats::AccessStats::values_cloned`], so
+//! the copy traffic of a plan is asserted, not eyeballed.
 //!
 //! The batch length is tracked explicitly (`stored`), so zero-column batches — unit
 //! rows, as produced by `PhysOp::Unit` — still have a well-defined row count.
@@ -32,41 +36,94 @@ use bea_core::plan::Predicate;
 use bea_core::value::{hash_row, Row, Value};
 use std::sync::Arc;
 
-/// One shared column of values. Cloning the handle is a refcount bump.
-pub(crate) type Column = Arc<Vec<Value>>;
+/// A relation's tuples where the store keeps them: its values flat, `arity` per tuple.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tuples<'db> {
+    pub(crate) values: &'db [Value],
+    pub(crate) arity: usize,
+}
+
+impl<'db> Tuples<'db> {
+    /// Where attribute `attr` of the tuple at `offset` lies in `values`.
+    fn at(self, offset: u32, attr: usize) -> usize {
+        offset as usize * self.arity + attr
+    }
+
+    /// Attribute `attr` of the tuple at `offset`.
+    pub(crate) fn value(self, offset: u32, attr: usize) -> &'db Value {
+        &self.values[self.at(offset, attr)]
+    }
+}
+
+/// One shared column of a [`Batch`]; cloning it is a refcount bump.
+#[derive(Debug, Clone)]
+pub(crate) enum Column<'db> {
+    /// Values the column holds.
+    Values(Arc<Vec<Value>>),
+    /// Attribute `attr` of `tuples` at `offsets`: row `p` is the tuple at `offsets[p]`.
+    Stored {
+        tuples: Tuples<'db>,
+        attr: usize,
+        offsets: Arc<Vec<u32>>,
+    },
+}
+
+impl Column<'_> {
+    /// The value at physical row `p`.
+    #[inline]
+    fn get(&self, p: usize) -> &Value {
+        match self {
+            Column::Values(values) => &values[p],
+            Column::Stored {
+                tuples,
+                attr,
+                offsets,
+            } => tuples.value(offsets[p], *attr),
+        }
+    }
+}
 
 /// A columnar batch of rows; see the module docs for the layout.
 ///
-/// The column list itself is a shared slice too, so `Batch::clone` — an anchor's slice
-/// of its arena segment, say — is purely refcount bumps: no allocation anywhere on the
-/// clone path.
+/// The column list itself is a shared slice too, so `Batch::clone` — an emission's
+/// slice, say — is purely refcount bumps: no allocation anywhere on the clone path.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Batch {
-    columns: Arc<[Column]>,
+pub(crate) struct Batch<'db> {
+    columns: Arc<[Column<'db>]>,
     /// Physical rows stored in every column (the columns all have this length).
     stored: usize,
     /// Logical row `i` lives at physical position `selection[i]`; `None` = identity.
     selection: Option<Arc<Vec<u32>>>,
 }
 
-impl Batch {
-    /// A batch over freshly built dense columns. `stored` is passed explicitly so
-    /// zero-column (unit-row) batches keep their row count.
-    pub(crate) fn from_dense(columns: Vec<Vec<Value>>, stored: usize) -> Self {
-        debug_assert!(columns.iter().all(|c| c.len() == stored));
+impl<'db> Batch<'db> {
+    /// A batch over `columns` of `stored` physical rows each. `stored` is passed
+    /// explicitly so zero-column (unit-row) batches keep their row count.
+    pub(crate) fn new(columns: impl IntoIterator<Item = Column<'db>>, stored: usize) -> Self {
         Self {
-            columns: columns.into_iter().map(Arc::new).collect(),
+            columns: columns.into_iter().collect(),
             stored,
             selection: None,
         }
+    }
+
+    /// A batch over freshly built value columns.
+    #[cfg(test)]
+    pub(crate) fn from_dense(columns: Vec<Vec<Value>>, stored: usize) -> Self {
+        debug_assert!(columns.iter().all(|c| c.len() == stored));
+        let columns = columns.into_iter().map(|c| Column::Values(Arc::new(c)));
+        Self::new(columns, stored)
     }
 
     /// A batch holding exactly one row, taking ownership of its values (no clones). A
     /// one-value row becomes the batch's one column as it is.
     pub(crate) fn singleton(row: Row) -> Self {
         let columns = match row.len() {
-            1 => Arc::from([Arc::new(row)]),
-            _ => row.into_iter().map(|v| Arc::new(vec![v])).collect(),
+            1 => Arc::from([Column::Values(Arc::new(row))]),
+            _ => row
+                .into_iter()
+                .map(|v| Column::Values(Arc::new(vec![v])))
+                .collect(),
         };
         Self {
             columns,
@@ -114,33 +171,77 @@ impl Batch {
 
     /// The value at logical row `i`, column `col`.
     pub(crate) fn value(&self, i: usize, col: usize) -> &Value {
-        &self.columns[col][self.physical(i)]
+        self.columns[col].get(self.physical(i))
+    }
+
+    /// Hint the CPU to pull the value at logical row `i`, column `col`, into cache, if
+    /// the row exists and the column points into the store (a value column is written
+    /// by the executor, and warm).
+    pub(crate) fn hint(&self, i: usize, col: usize) {
+        if i >= self.len() {
+            return;
+        }
+        if let Column::Stored {
+            tuples,
+            attr,
+            offsets,
+        } = &self.columns[col]
+        {
+            let at = tuples.at(offsets[self.physical(i)], *attr);
+            bea_storage::prefetch(tuples.values, at);
+        }
     }
 
     /// Gather logical row `i` as an owned row (`arity` O(1) value clones).
+    #[cfg(test)]
     pub(crate) fn row(&self, i: usize) -> Row {
-        let p = self.physical(i);
-        self.columns.iter().map(|c| c[p].clone()).collect()
-    }
-
-    /// Append the values of logical row `i` at `cols` onto `out`: `cols.len()` O(1)
-    /// clones, and no fresh allocation once `out` has grown to capacity.
-    pub(crate) fn gather_into(&self, i: usize, cols: &[usize], out: &mut Row) {
-        let p = self.physical(i);
-        out.extend(cols.iter().map(|&c| self.columns[c][p].clone()));
+        (0..self.arity())
+            .map(|c| self.value(i, c).clone())
+            .collect()
     }
 
     /// Hash logical row `i` across all columns — the zero-copy half of
     /// hash-then-compare membership tests (dedup): no row is cloned just
     /// to ask whether it was seen before.
     pub(crate) fn hash_row(&self, i: usize) -> u64 {
-        let p = self.physical(i);
-        hash_row(self.columns.iter().map(|column| &column[p]))
+        hash_row((0..self.arity()).map(|c| self.value(i, c)))
+    }
+
+    /// Column `col` at the logical rows `rows`, in order: a stored column as the
+    /// tuple offsets of those rows — zero value copies —, a value column as the values,
+    /// cloned into the empty buffer `gather` gives. Returns the column and the values
+    /// cloned.
+    pub(crate) fn take(
+        &self,
+        col: usize,
+        rows: &[u32],
+        gather: impl FnOnce() -> Vec<Value>,
+    ) -> (Column<'db>, u64) {
+        let physical = rows.iter().map(|&i| self.physical(i as usize));
+        match &self.columns[col] {
+            Column::Stored {
+                tuples,
+                attr,
+                offsets,
+            } => {
+                let column = Column::Stored {
+                    tuples: *tuples,
+                    attr: *attr,
+                    offsets: Arc::new(physical.map(|p| offsets[p]).collect()),
+                };
+                (column, 0)
+            }
+            Column::Values(values) => {
+                let mut gather = gather();
+                gather.extend(physical.map(|p| values[p].clone()));
+                (Column::Values(Arc::new(gather)), rows.len() as u64)
+            }
+        }
     }
 
     /// Restrict the batch to the logical rows `keep` says yes to: the columns are
     /// shared untouched, only a selection vector is written. Zero value copies.
-    pub(crate) fn retain(&self, mut keep: impl FnMut(usize) -> bool) -> Batch {
+    pub(crate) fn retain(&self, mut keep: impl FnMut(usize) -> bool) -> Self {
         let selection: Vec<u32> = (0..self.len())
             .filter(|&i| keep(i))
             .map(|i| self.physical(i) as u32)
@@ -154,7 +255,7 @@ impl Batch {
 
     /// The logical rows `rows`, in order: [`Batch::retain`] for a contiguous range,
     /// without a pass over the rows outside it. Zero value copies.
-    pub(crate) fn slice(&self, rows: std::ops::Range<usize>) -> Batch {
+    pub(crate) fn slice(&self, rows: std::ops::Range<usize>) -> Self {
         let selection = rows.map(|i| self.physical(i) as u32).collect();
         Batch {
             columns: Arc::clone(&self.columns),
@@ -166,18 +267,12 @@ impl Batch {
     /// Project onto `cols` (in order, duplicates allowed): permutes the shared column
     /// handles. Zero value copies.
     /// Projecting onto every column in order is the batch itself.
-    pub(crate) fn project(&self, cols: &[usize]) -> Batch {
+    pub(crate) fn project(&self, cols: &[usize]) -> Self {
         if cols.len() == self.arity() && cols.iter().enumerate().all(|(k, &c)| k == c) {
             return self.clone();
         }
-        self.project_map(cols.len(), |k| cols[k])
-    }
-
-    /// Project onto the `width` columns `col(0)`, `col(1)`, …: [`Batch::project`] for a
-    /// column list computed on the fly.
-    pub(crate) fn project_map(&self, width: usize, col: impl Fn(usize) -> usize) -> Batch {
         Batch {
-            columns: (0..width).map(|k| self.columns[col(k)].clone()).collect(),
+            columns: cols.iter().map(|&c| self.columns[c].clone()).collect(),
             stored: self.stored,
             selection: self.selection.clone(),
         }
@@ -187,7 +282,7 @@ impl Batch {
     /// `column` (an empty buffer): the column handles and the selection are shared, and
     /// only the new column is written — `value` cloned once per logical row, and a
     /// placeholder at each physical row the selection skips, which no reader reaches.
-    pub(crate) fn append_const(&self, value: &Value, mut column: Vec<Value>) -> Batch {
+    pub(crate) fn append_const(&self, value: &Value, mut column: Vec<Value>) -> Self {
         match &self.selection {
             None => column.resize(self.stored, value.clone()),
             Some(selection) => {
@@ -197,7 +292,8 @@ impl Batch {
                 }
             }
         }
-        let columns = self.columns.iter().cloned().chain([Arc::new(column)]);
+        let appended = Column::Values(Arc::new(column));
+        let columns = self.columns.iter().cloned().chain([appended]);
         Batch {
             columns: columns.collect(),
             stored: self.stored,
@@ -206,39 +302,39 @@ impl Batch {
     }
 
     /// Turn the batch into owned rows, returning the number of value clones this
-    /// performed. Dense batches whose columns are not shared are transposed by *move*
-    /// (zero clones), and their emptied column buffers are handed to `spare`; shared
-    /// or selected batches gather.
+    /// performed. A value column no one else shares, of a batch without a selection,
+    /// is transposed by *move* (zero clones) and its emptied buffer handed to `spare`;
+    /// every other column — shared, selected, or pointing into the store — is cloned
+    /// out.
     pub(crate) fn into_rows(mut self, mut spare: impl FnMut(Vec<Value>)) -> (Vec<Row>, u64) {
-        let len = self.len();
-        let arity = self.arity();
-        let owned = match Arc::get_mut(&mut self.columns) {
-            Some(columns) if self.selection.is_none() => {
-                let unique = columns.iter_mut().all(|c| Arc::get_mut(c).is_some());
-                unique.then_some(columns)
-            }
-            _ => None,
-        };
-        if let Some(columns) = owned {
-            let mut rows: Vec<Row> = (0..len).map(|_| Vec::with_capacity(arity)).collect();
-            for column in columns.iter_mut() {
-                let column = Arc::get_mut(column).expect("uniqueness checked above");
-                for (row, value) in rows.iter_mut().zip(column.drain(..)) {
-                    row.push(value);
+        let (len, arity) = (self.len(), self.arity());
+        let mut rows: Vec<Row> = (0..len).map(|_| Vec::with_capacity(arity)).collect();
+        let mut clones = 0;
+        for c in 0..arity {
+            if self.selection.is_none() {
+                let column = Arc::get_mut(&mut self.columns).map(|columns| &mut columns[c]);
+                if let Some(Column::Values(values)) = column {
+                    if let Some(values) = Arc::get_mut(values) {
+                        for (row, value) in rows.iter_mut().zip(values.drain(..)) {
+                            row.push(value);
+                        }
+                        spare(std::mem::take(values));
+                        continue;
+                    }
                 }
-                spare(std::mem::take(column));
             }
-            return (rows, 0);
+            for (i, row) in rows.iter_mut().enumerate() {
+                row.push(self.value(i, c).clone());
+            }
+            clones += len as u64;
         }
-        let clones = (len * self.arity()) as u64;
-        let rows = (0..len).map(|i| self.row(i)).collect();
         (rows, clones)
     }
 }
 
 /// Evaluate `predicates` over a row given by column accessor — `value(col)` — without
 /// materializing it: the row may be one batch row, or the concatenation of a source
-/// row and a fetched posting the keyed lookup never builds.
+/// row and a fetched tuple the keyed lookup never builds.
 pub(crate) fn passes_with<'a>(
     predicates: &[Predicate],
     value: impl Fn(usize) -> &'a Value,
@@ -247,17 +343,6 @@ pub(crate) fn passes_with<'a>(
         Predicate::ColEqCol(a, b) => value(*a) == value(*b),
         Predicate::ColEqConst(a, c) => value(*a) == c,
     })
-}
-
-/// Hash the values of physical row `idx` across `cols` — the zero-copy half of
-/// hash-then-compare deduplication over freshly appended columns.
-pub(crate) fn hash_row_at(cols: &[Vec<Value>], idx: usize) -> u64 {
-    hash_row(cols.iter().map(|column| &column[idx]))
-}
-
-/// Are physical rows `a` and `b` of `cols` equal in every column?
-pub(crate) fn rows_equal_at(cols: &[Vec<Value>], a: usize, b: usize) -> bool {
-    cols.iter().all(|column| column[a] == column[b])
 }
 
 /// Marks an unoccupied [`RowTable`] slot; never a position (see [`position_bound`]).
@@ -329,7 +414,6 @@ impl RowTable {
     }
 
     /// Column `c` of the row at `position`.
-    #[cfg(test)]
     pub(crate) fn value(&self, position: u32, c: usize) -> &Value {
         &self.columns[c][position as usize]
     }
@@ -440,7 +524,7 @@ impl RowTable {
 mod tests {
     use super::*;
 
-    fn sample() -> Batch {
+    fn sample() -> Batch<'static> {
         Batch::from_dense(
             vec![
                 vec![Value::int(1), Value::int(2), Value::int(3)],
@@ -458,9 +542,12 @@ mod tests {
         assert!(!b.is_empty());
         assert_eq!(b.value(1, 0), &Value::int(2));
         assert_eq!(b.row(2), vec![Value::int(3), Value::str("a")]);
-        let mut gathered = vec![Value::int(9)];
-        b.gather_into(0, &[1], &mut gathered);
-        assert_eq!(gathered, vec![Value::int(9), Value::str("a")]);
+        // Taking rows of a value column clones them, in the order asked.
+        let (taken, clones) = b.retain(|i| i != 0).take(1, &[1, 0, 1], Vec::new);
+        assert_eq!(clones, 3);
+        let taken = Batch::new([taken], 3);
+        assert_eq!(taken.row(0), [Value::str("a")]);
+        assert_eq!(taken.row(1), [Value::str("b")]);
     }
 
     #[test]
@@ -555,7 +642,7 @@ mod tests {
             vec![Value::int(3), Value::str("a"), Value::int(7)]
         );
         assert!(
-            Arc::ptr_eq(&dense.columns[0], &b.columns[0]),
+            matches!((&dense.columns[0], &b.columns[0]), (Column::Values(x), Column::Values(y)) if Arc::ptr_eq(x, y)),
             "shared, not copied"
         );
         let selected = b.retain(|i| i != 1).append_const(&seven, Vec::new());
@@ -580,22 +667,6 @@ mod tests {
         let empty = Batch::from_rows(2, Vec::new());
         assert!(empty.is_empty());
         assert_eq!(empty.arity(), 2);
-    }
-
-    #[test]
-    fn hash_then_compare_helpers() {
-        let cols = vec![
-            vec![Value::int(1), Value::int(1), Value::int(2)],
-            vec![Value::str("x"), Value::str("x"), Value::str("x")],
-        ];
-        assert_eq!(hash_row_at(&cols, 0), hash_row_at(&cols, 1));
-        assert!(rows_equal_at(&cols, 0, 1));
-        assert!(!rows_equal_at(&cols, 0, 2));
-        // Zero-column rows are all equal — the degenerate case the fetch dedup hits
-        // when a projection drops every output position.
-        let none: Vec<Vec<Value>> = Vec::new();
-        assert!(rows_equal_at(&none, 0, 5));
-        assert_eq!(hash_row_at(&none, 0), hash_row_at(&none, 5));
     }
 
     /// A seeded xorshift64 stream (the engine's unit tests have no `rand`).
@@ -798,8 +869,7 @@ mod tests {
         let row = batch.row(1);
         assert_eq!(row, vec![Value::int(3), Value::str("a")]);
         assert_eq!(batch.hash_row(1), hash_row(&row));
-        let mut key = Vec::new();
-        batch.gather_into(1, &[1, 0], &mut key);
+        let key = [batch.value(1, 1).clone(), batch.value(1, 0).clone()];
         assert_eq!(key, [Value::str("a"), Value::int(3)]);
         // A table finds a gathered key inserted under its `hash_row`.
         let (hash, mut keys) = (hash_row(&key), table(2));

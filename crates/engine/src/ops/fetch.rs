@@ -6,24 +6,33 @@
 //! other fetch becomes a keyed lookup over its distinct keys `δπ[keys](T)` whose
 //! emission keeps only the fetched columns (see `bea_core::plan::physical`). The
 //! operator reaches the index through one call, the store's batched
-//! [`bea_storage::IndexedDatabase::resolve`]: it hands over the keys' values, and the
-//! store finds them.
+//! [`bea_storage::IndexedDatabase::resolve`]: it names the keys' values where it holds
+//! them, and the store finds them and hands back tuple offsets.
 //!
-//! A keyed lookup copies only what needs a copy. Its arena holds the keys that matched
-//! two or more tuples, projected straight from the relation into its columns without
-//! an intermediate row per tuple; per-key duplicate elimination runs
-//! *hash-then-compare* over the freshly appended range (see
-//! [`super::batch::hash_row_at`]) and compacts duplicates away in place, so no value is
-//! cloned to decide freshness. The arena holds no fetched column whose attribute is in
-//! the constraint's `X`: every such value equals the probe key, so the arena neither
-//! copies nor compares it, and a residual or an emission that reads it reads the source
-//! row's key column instead (Q0's anchor copies `aid` but not `date`). Only an `X`
-//! column a fused emission keeps is held, since an anchor shares the arena's columns as
-//! they are. A key that matched at most one tuple (every probe of a bound-1 constraint)
-//! is neither hashed nor copied: it is read where the tuple lies in the store —
-//! residual predicates and the emission read it there, and only emitted values are
-//! cloned. Its memo, which serves a repeated key from the arena or the store, exists
-//! only where keys can repeat: when the plan proves that the source never repeats a key
+//! # Late materialization
+//!
+//! A keyed lookup copies no fetched value. A key's postings are tuple offsets: as the
+//! store hands them out where they need no deduplication — at most one tuple, or tuples
+//! the store's own layout proves distinct on the fetched positions and `X` (a unique
+//! index on the same relation whose key they cover, as ψ3 proves for Q0's ψ1 anchor) —
+//! and otherwise deduplicated per key onto the operator's *arena*, a list of offsets,
+//! *hash-then-compare* on the tuples where they lie. A key whose fetched positions are
+//! all in `X` keeps its first tuple: every tuple projects to the key's row. Distinct
+//! keys cannot produce equal projections as long as the key attributes survive in the
+//! positions (lowering adds a global dedup when a pushed-down projection dropped them),
+//! so per-key dedup suffices.
+//!
+//! The emission is two position lists — the source rows and the fetched tuples that
+//! passed the residual — from which every output column is built: a fetched column
+//! points into the store at the fetched tuples ([`Column::Stored`]), a stored source
+//! column at its own tuples taken at the source rows, and only a value source column
+//! (a constant, a δ's input of constants) is cloned. Residual predicates read source
+//! rows and fetched tuples in place. So what a lookup still clones is its memo's keys,
+//! and a value column its emission takes; δ's seen set, a constant append and the
+//! output table clone what they own downstream.
+//!
+//! The memo, which serves a repeated key from its postings, exists only where keys can
+//! repeat: when the plan proves that the source never repeats a key
 //! ([`PhysicalPlan::keys_distinct`]), every probe is a first probe and nothing is
 //! remembered.
 //!
@@ -32,11 +41,13 @@
 //! # One pass per source batch
 //!
 //! [`KeyedLookupOp`] stages a source batch in one pass over its rows. Where the memo is
-//! kept, it gathers and hashes each row's key once and finds or inserts it in the memo's
-//! [`RowTable`]: one probe, which gives the key's *position*. Where the memo is dropped,
-//! it gathers each row's key straight into the probe buffer and hashes nothing: a row's
-//! number is its position. The keys new to the operator go to one `resolve`, and the
-//! rows are then emitted in order, each from its position's postings.
+//! kept, it hashes each row's key where the row holds it and finds or inserts it in the
+//! memo's [`RowTable`]: one probe, which gives the key's *position*, and a new key's
+//! values are cloned in; the store then reads the new keys from the memo. Where the
+//! memo is dropped, a row's number is its position, and the store reads each key from
+//! the source row itself, the key one `resolve` group ahead hinted into cache. The keys
+//! new to the operator go to one `resolve`, and the rows are then emitted in order,
+//! each from its position's postings.
 //!
 //! The memo is the engine's one lookup cache, and it lives as long as its query: the
 //! tiers are the memo, then the store. As the paper's `fetch(X ∈ T, R, Y)` reads the
@@ -48,22 +59,19 @@
 //! # The probe path's allocation budget
 //!
 //! The probe path demands no buffer per key, hit or miss — which is why nothing
-//! charges [`crate::stats::AccessStats::allocs_per_probe`]. Every row's key is gathered
-//! once: where the memo is kept, into one reusable scratch, hashed there, cloned into
-//! the memo's flat key columns if it is new (O(1) per value, as δ's seen set does) and
-//! then moved on into the batch's flat probe buffer; where it is dropped, into the probe
-//! buffer directly. Multi-tuple postings are appended to the arena's value columns; all
-//! of these are drawn from the thread's [`super::BufferPool`] once per operator
-//! instance. A repeat is a slot walk plus emission from where its postings lie.
+//! charges [`crate::stats::AccessStats::allocs_per_probe`]. No key is gathered: the
+//! memo hashes and compares a row's key in place and clones only a new one into its
+//! flat key columns, drawn from the thread's [`super::BufferPool`] once per operator
+//! instance. The arena's offsets and the staging vectors grow with the operator's
+//! largest batch (they are not pooled across queries); each emission allocates its
+//! fetched-tuple list, shared by every fetched column, and a list per stored column.
 //!
-//! Per operator instance, what remains is its box, its column lists and its staging
-//! vectors: the step's key columns, positions, relation and predicates are borrowed
-//! from the plan ([`FetchStep`]; only a residual that compares with a request's
-//! constant is a copy, with the constant in), the key scratch and every pooled column
-//! come from the thread's pool, which outlives the query, and the fused emission is a
-//! flag, not a column list. `tests/alloc_budget.rs` holds the model to the
-//! allocator: a cold Q0 stays under a fixed number of heap allocations, whatever it
-//! fetches; `crates/bead/tests/alloc_request.rs` bounds a whole served request.
+//! Per operator instance, what remains is its box and its staging vectors: the step's
+//! key columns, positions, relation and predicates are borrowed from the plan
+//! ([`FetchStep`]; only a residual that compares with a request's constant is a copy,
+//! with the constant in). `tests/alloc_budget.rs` holds the model to the allocator: a
+//! cold Q0 stays under a fixed number of heap allocations, whatever it fetches;
+//! `crates/bead/tests/alloc_request.rs` bounds a whole served request.
 //!
 //! # Access accounting
 //!
@@ -74,56 +82,25 @@
 //! flat per-step tally ([`crate::stats::FetchTally`]) — a step that probed is reported
 //! even if it fetched nothing. That tally names no relation and allocates nothing once the
 //! thread's state has grown to its plans; it is written into the query's per-relation
-//! map when the query finishes.
+//! map when the query finishes. Residency counts the rows a key of two or more tuples
+//! holds — its deduplicated tuples, whether the arena lists them or the store does —
+//! from its fetch until the operator is exhausted or dropped.
 
-use super::batch::{hash_row_at, passes_with, rows_equal_at, Batch, RowTable};
+use super::batch::{passes_with, Batch, Column, RowTable, Tuples};
 use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
 use crate::stats::AccessStats;
 use bea_core::error::Result;
 use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
-use bea_core::value::{hash_row, Row, Value};
-use bea_storage::{FetchIter, Probes, Store};
+use bea_core::value::hash_row;
+use bea_storage::index::{Offsets, GROUP};
+use bea_storage::Store;
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-/// The keys of the current source batch new to the operator, queued for one `resolve`:
-/// their values flat, one after another, how many there are — an empty key has no
-/// values to count — and what `resolve` returned for each. The flat buffer is drawn
-/// from the thread's pool.
-#[derive(Default)]
-struct Misses<'db> {
-    keys: Vec<Value>,
-    count: usize,
-    resolved: Vec<FetchIter<'db>>,
-}
-
-impl<'db> Misses<'db> {
-    /// Start a batch of up to `keys` misses of `arity` values each: forget the last one,
-    /// and grow once instead of per key.
-    fn begin(&mut self, keys: usize, arity: usize) {
-        self.keys.clear();
-        self.keys.reserve(keys * arity);
-        self.count = 0;
-    }
-
-    /// Resolve every queued key of `constraint` in one call (nothing to do when the memo
-    /// held every key — and then no fetch error either, as in a per-key loop).
-    fn resolve(&mut self, store: Store<'db>, constraint: usize) -> Result<()> {
-        if self.count == 0 {
-            return Ok(());
-        }
-        let probes = Probes {
-            count: self.count,
-            keys: &self.keys,
-        };
-        store.resolve(constraint, probes, &mut self.resolved)
-    }
-}
-
-/// Reusable open-addressing set of physical row positions — the per-key dedup table
-/// of [`PostingArena::append`]. One slot vector, re-sized and blanked per key, so
-/// deciding freshness never allocates once the table has grown to the largest posting
-/// list.
+/// Reusable open-addressing set of arena rows — the per-key dedup table of
+/// [`Arena::append`]. One slot vector, re-sized and blanked per key, so deciding
+/// freshness never allocates once the table has grown to the largest posting list.
 #[derive(Debug, Default)]
 struct RowSet {
     slots: Vec<u32>,
@@ -139,18 +116,27 @@ impl RowSet {
             .resize((rows * 2).next_power_of_two(), Self::EMPTY);
     }
 
-    /// Is row `idx` of `cols` new to the set? A fresh row is recorded at position
-    /// `at` — where the caller is about to compact it to.
-    fn insert(&mut self, cols: &[Vec<Value>], idx: usize, at: usize) -> bool {
+    /// Is the tuple at `offsets[idx]` new to the set, compared on `attrs` where it lies
+    /// in `tuples`? A fresh one is recorded at position `at` — where the caller is
+    /// about to compact it to.
+    fn insert(
+        &mut self,
+        tuples: Tuples<'_>,
+        offsets: &[u32],
+        attrs: &[usize],
+        idx: usize,
+        at: usize,
+    ) -> bool {
+        let row = |i: usize| attrs.iter().map(move |&a| tuples.value(offsets[i], a));
         let mask = self.slots.len() - 1;
-        let mut slot = hash_row_at(cols, idx) as usize & mask;
+        let mut slot = hash_row(row(idx)) as usize & mask;
         loop {
             match self.slots[slot] {
                 Self::EMPTY => {
                     self.slots[slot] = at as u32;
                     return true;
                 }
-                kept if rows_equal_at(cols, kept as usize, idx) => return false,
+                kept if row(kept as usize).eq(row(idx)) => return false,
                 _ => slot = (slot + 1) & mask,
             }
         }
@@ -203,166 +189,77 @@ impl<'a> FetchStep<'a> {
     }
 }
 
-/// Rows `start..start + len` of one segment of a [`PostingArena`]: where a key's
-/// projected, deduplicated postings live.
-#[derive(Debug, Clone, Copy)]
-struct ArenaRange {
-    segment: usize,
-    start: usize,
-    len: usize,
+/// How a key's tuples become its rows, decided once per operator.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PerKey {
+    /// No two project equal on the fetched positions: the store proves it
+    /// ([`bea_storage::IndexedDatabase::distinct_within`]). Kept as the store lists them.
+    Distinct,
+    /// Every fetched position is in `X`, so every tuple projects to the key's row: the
+    /// first tuple stands for it.
+    First,
+    /// Deduplicated hash-then-compare onto the [`Arena`].
+    Dedup,
 }
 
-/// The fetched columns a [`PostingArena`] does not hold, as bits by column: those whose
-/// attribute is in the constraint's `X`. A fetched tuple's `X` attributes equal the
-/// probe key (the fused key equality), so whoever reads such a column reads the key —
-/// the source row's key column — instead, and the arena neither copies nor hashes it.
-/// Columns past the 64th are always held.
-#[derive(Debug, Clone, Copy, Default)]
-struct Elided(u64);
-
-impl Elided {
-    /// The columns of `fetch`'s positions that are in its `X`, except those `kept`.
-    fn of(fetch: &FetchStep<'_>, kept: impl Fn(usize) -> bool) -> Self {
-        let columns = fetch.positions.iter().enumerate().take(64);
-        let in_x = columns.filter(|&(c, p)| fetch.x_attrs.contains(p) && !kept(c));
-        Elided(in_x.fold(0, |bits, (c, _)| bits | 1 << c))
-    }
-
-    fn contains(self, c: usize) -> bool {
-        c < 64 && self.0 >> c & 1 == 1
-    }
-
-    /// Where fetched column `c` of `fetch` lies in the arena: its column there, or the
-    /// index in the key of the value it equals.
-    fn locate(self, fetch: &FetchStep<'_>, c: usize) -> Located {
-        if !self.contains(c) {
-            let below = if c < 64 {
-                self.0 & ((1 << c) - 1)
-            } else {
-                self.0
-            };
-            return Located::Arena(c - below.count_ones() as usize);
-        }
-        let position = fetch.positions[c];
-        let key = fetch.x_attrs.iter().position(|&x| x == position);
-        Located::Key(key.expect("an elided column is a key attribute"))
-    }
+/// One key's postings: tuple offsets, as the store hands them out or as the arena
+/// keeps them once deduplicated.
+#[derive(Debug, Clone)]
+enum Postings<'db> {
+    /// Straight from the store's index.
+    Store(Offsets<'db>),
+    /// Rows `start .. end` of [`Arena::offsets`].
+    Arena(std::ops::Range<usize>),
 }
 
-/// Where a fetched column lies for postings in a [`PostingArena`] ([`Elided::locate`]).
-#[derive(Debug, Clone, Copy)]
-enum Located {
-    /// Column `c` of the arena.
-    Arena(usize),
-    /// Value `m` of the probe key.
-    Key(usize),
-}
-
-/// The keyed lookup's per-query tier: the postings of every multi-tuple key the
-/// operator fetched, appended by the fetch kernel into one set of growing value
-/// columns, one per fetched column but the [`Elided`] ones; plus, where keys can
-/// repeat, the memo that serves repeats: the keys the operator has seen in a
-/// [`RowTable`], and at each key's position the postings it found for it.
-///
-/// The columns are normally one *open* segment. An anchor emission (see
-/// [`KeyedLookupOp`]) needs its postings as a shareable [`Batch`], so it *seals* the
-/// open segment — moves the columns into a batch, zero value copies — and later
-/// misses start a fresh one. Segment `k` is sealed iff `k < sealed.len()`; the open
-/// segment is the next index, so sealing never rewrites a range.
+/// The keyed lookup's per-query tier: the deduplicated offsets of every key that needed
+/// per-key dedup, and, where keys can repeat, the memo that serves repeats — the keys
+/// the operator has seen in a [`RowTable`] — with, at each key's position, its
+/// [`Postings`].
 #[derive(Debug)]
-struct PostingArena<'db> {
-    sealed: Vec<Batch>,
-    cols: Vec<Vec<Value>>,
-    /// Dense length of the open segment — a zero-column arena has no column to ask.
-    rows: usize,
+struct Arena<'db> {
+    offsets: Vec<u32>,
     /// The memo's keys; unused where the memo is dropped.
     keys: RowTable,
-    /// `held[p]` is where the postings at position `p` lie: in the store or the arena.
-    /// Where the memo is dropped, it holds the current batch's rows.
+    /// `held[p]` is where the postings at position `p` lie. Where the memo is dropped,
+    /// it holds the current batch's rows.
     held: Vec<Postings<'db>>,
     dedup: RowSet,
 }
 
-impl<'db> PostingArena<'db> {
-    /// Append the distinct `positions`-projections of a key's `tuples` — two or more —
-    /// less the `elided` columns, to the open segment, in posting order,
-    /// hash-then-compare deduplicated and compacted in place; the tuples read, and where
-    /// the key's postings now lie. Distinct keys cannot produce equal projections as
-    /// long as the key attributes survive in `positions` (lowering adds a global dedup
-    /// when a pushed-down projection dropped them), so per-key dedup suffices; and the
-    /// elided columns are equal across one key's tuples, so leaving them out of the
-    /// comparison keeps the same rows.
+impl Arena<'_> {
+    /// Append the offsets of a key's tuples — two or more — distinct on `positions`
+    /// where they lie in `tuples`, in posting order: hash-then-compare deduplicated and
+    /// compacted in place, so no value is read twice or cloned. The rows they occupy.
     fn append(
         &mut self,
-        tuples: FetchIter<'_>,
+        fetched: Offsets<'_>,
+        tuples: Tuples<'_>,
         positions: &[usize],
-        elided: Elided,
-    ) -> (u64, ArenaRange) {
-        let start = self.rows;
-        let held = positions.iter().enumerate();
-        let held = held.filter(|&(c, _)| !elided.contains(c)).map(|(_, p)| p);
-        let fetched = tuples.project_into(held, &mut self.cols);
-        if self.cols.is_empty() {
-            // Every tuple projects to the key's row: the key holds that one row.
-            self.rows += 1;
-        } else {
-            self.dedup.reset(fetched as usize);
-            for idx in start..start + fetched as usize {
-                if self.dedup.insert(&self.cols, idx, self.rows) {
-                    let at = self.rows;
-                    self.cols.iter_mut().for_each(|col| col.swap(at, idx));
-                    self.rows += 1;
-                }
+    ) -> std::ops::Range<usize> {
+        let start = self.offsets.len();
+        self.offsets.extend(fetched);
+        let end = self.offsets.len();
+        self.dedup.reset(end - start);
+        let mut kept = start;
+        for idx in start..end {
+            if self
+                .dedup
+                .insert(tuples, &self.offsets, positions, idx, kept)
+            {
+                self.offsets[kept] = self.offsets[idx];
+                kept += 1;
             }
-            self.cols.iter_mut().for_each(|col| col.truncate(self.rows));
         }
-        let range = ArenaRange {
-            segment: self.sealed.len(),
-            start,
-            len: self.rows - start,
-        };
-        (fetched, range)
+        self.offsets.truncate(kept);
+        start..kept
     }
 
-    /// The value at row `j`, arena column `c`, of `range`.
-    fn value(&self, range: ArenaRange, j: usize, c: usize) -> &Value {
-        match self.sealed.get(range.segment) {
-            Some(batch) => batch.value(range.start + j, c),
-            None => &self.cols[c][range.start + j],
-        }
-    }
-
-    /// `range` as a shareable batch over the arena's own storage, zero value copies:
-    /// seals the open segment if the range lives there, then restricts it to `range`.
-    fn seal(&mut self, range: ArenaRange) -> Batch {
-        if range.segment == self.sealed.len() {
-            let cols = self.cols.iter_mut().map(std::mem::take).collect();
-            self.sealed.push(Batch::from_dense(cols, self.rows));
-            self.rows = 0;
-        }
-        let segment = &self.sealed[range.segment];
-        if range.len == segment.len() {
-            return segment.clone();
-        }
-        segment.slice(range.start..range.start + range.len)
-    }
-}
-
-/// One key's postings, wherever they live.
-#[derive(Debug, Clone)]
-enum Postings<'db> {
-    /// At most one tuple: read where it lies in the store.
-    Tuple(Option<&'db [Value]>),
-    /// Two or more tuples: a range of the arena.
-    Arena(ArenaRange),
-}
-
-impl Postings<'_> {
-    /// Rows held.
-    fn len(&self) -> usize {
-        match self {
-            Postings::Tuple(tuple) => usize::from(tuple.is_some()),
-            Postings::Arena(range) => range.len,
+    /// The offsets `postings` name.
+    fn offsets<'a>(&'a self, postings: &Postings<'a>) -> Offsets<'a> {
+        match postings {
+            Postings::Store(offsets) => offsets.clone(),
+            Postings::Arena(rows) => Offsets::Listed(self.offsets[rows.clone()].iter()),
         }
     }
 }
@@ -370,61 +267,53 @@ impl Postings<'_> {
 /// The fused `σ[key equalities](source × fetch(X ∈ source, R, …))`: an index
 /// nested-loop join. Streams the source; for each row, probes the index with the row's
 /// key (once per distinct key — results are retained so the data access is identical
-/// to a fetch over the deduplicated key set), gathers the concatenation with every
-/// match into output columns, and applies the residual predicates. A source batch is
-/// staged in one pass, its misses resolved together, then emitted row by row (see the
-/// module docs).
+/// to a fetch over the deduplicated key set), joins it with every match as a pair of
+/// positions, and applies the residual predicates. A source batch is staged in one
+/// pass, its misses resolved together, then emitted as columns over those positions
+/// (see the module docs).
 ///
-/// Durable state is the [`PostingArena`], bounded by the fetch's access-schema bound
-/// times the number of distinct multi-tuple keys; its columns come from the thread's
-/// pool and go back on exhaustion, its rows are released then (or on drop if a
-/// consumer short-circuits). A single-tuple key holds nothing: its tuple stays in the
-/// store, which outlives the operator. Neither the cross product nor the fetched table
-/// is ever materialized.
+/// Durable state is the [`Arena`], bounded by the fetch's access-schema bound times the
+/// number of distinct multi-tuple keys: offsets, not values, released on exhaustion (or
+/// on drop if a consumer short-circuits). The tuples stay in the store, which outlives
+/// the operator. Neither the cross product nor the fetched table is ever materialized.
 pub(crate) struct KeyedLookupOp<'db> {
     input: BoxOp<'db>,
     fetch: FetchStep<'db>,
+    /// The relation fetched from.
+    tuples: Tuples<'db>,
     /// The step's residual predicates, with the run's constants read in.
     residual: Cow<'db, [Predicate]>,
     /// Which columns of the *combined* row (source columns, then fetched positions) to
     /// emit. `None` emits all of them; `Some` is a projection the operator-tree builder
-    /// fused in from a directly consuming `Project` step, so values the projection
-    /// would discard are never gathered in the first place.
+    /// fused in from a directly consuming `Project` step, so columns the projection
+    /// would discard are never built in the first place.
     out_cols: Option<&'db [usize]>,
     store: Store<'db>,
     state: SharedState,
-    arena: PostingArena<'db>,
+    arena: Arena<'db>,
+    per_key: PerKey,
     /// Whether the arena's memo is kept: false when the plan proves the source never
     /// repeats a key ([`KeyedLookupOp::distinct_keys`]).
     memo: bool,
-    /// The fetched columns the arena leaves out: every `X` attribute but one a fused
-    /// emission reads, whose anchor shares the arena's columns as they are. Settled
-    /// with [`KeyedLookupOp::fused_emit`].
-    elided: Elided,
-    /// Arena rows this operator holds on the residency ledger.
+    /// Rows this operator holds on the residency ledger.
     cached_rows: u64,
-    /// Reusable key buffer where the memo is kept: every row's key is gathered into it
-    /// and hashed once to find or insert it in the memo; a key new to the memo *moves*
-    /// on into `misses`, keeping the buffer. Unused where the memo is dropped.
-    key_scratch: Row,
-    /// Each row's memo position in [`PostingArena::held`], for the current source batch;
+    /// Each row's memo position in [`Arena::held`], for the current source batch;
     /// empty where the memo is dropped, and a row's number is its position.
     rows: Vec<u32>,
-    misses: Misses<'db>,
+    /// What `resolve` returned for each key of the current batch new to the operator.
+    resolved: Vec<Offsets<'db>>,
+    /// The source row of each emitted row of the current batch.
+    sources: Vec<u32>,
     /// What the probes have cost since the last flush ([`KeyedLookupOp::flush_tally`]).
     tally: AccessStats,
-    /// Whether the emission is exactly a projection of the fetched columns: no residual
-    /// predicates and a fused projection keeping only fetched columns — column `k` is
-    /// fetched column `out_cols[k] - source_arity`. Decided when the operator is built,
-    /// from the plan.
-    fused_emit: bool,
-    /// Slices of an anchor emission past [`BATCH_SIZE`] rows not yet emitted
+    /// Slices of an emission past [`BATCH_SIZE`] rows not yet emitted
     /// ([`KeyedLookupOp::sliced`]).
-    pending: VecDeque<Batch>,
+    pending: VecDeque<Batch<'db>>,
     done: bool,
 }
 
 impl<'db> KeyedLookupOp<'db> {
+    /// Fails if the store has no relation `fetch.relation`.
     pub(crate) fn new(
         input: BoxOp<'db>,
         fetch: FetchStep<'db>,
@@ -432,45 +321,51 @@ impl<'db> KeyedLookupOp<'db> {
         out_cols: Option<&'db [usize]>,
         store: Store<'db>,
         state: SharedState,
-    ) -> Self {
-        let (keys, key_scratch, misses) = {
+    ) -> Result<Self> {
+        let relation = store.database().relation(fetch.relation)?;
+        let tuples = Tuples {
+            values: relation.values(),
+            arity: relation.schema().arity(),
+        };
+        let in_x = |attr| fetch.x_attrs.contains(&attr);
+        let per_key = if fetch.positions.iter().all(|&p| in_x(p)) {
+            PerKey::First
+        } else if store.distinct_within(fetch.constraint_index, |a| {
+            in_x(a) || fetch.positions.contains(&a)
+        }) {
+            PerKey::Distinct
+        } else {
+            PerKey::Dedup
+        };
+        let keys = {
             let mut state = state.borrow_mut();
             let keys = (0..fetch.key_cols.len()).map(|_| state.pool.get_values());
-            let keys = RowTable::new("a keyed lookup", keys.collect());
-            let misses = Misses {
-                keys: state.pool.get_values(),
-                ..Misses::default()
-            };
-            (keys, state.pool.get_values(), misses)
+            RowTable::new("a keyed lookup", keys.collect())
         };
-        let mut op = Self {
+        Ok(Self {
             input,
             fetch,
+            tuples,
             residual,
             out_cols,
             store,
             state,
-            arena: PostingArena {
-                sealed: Vec::new(),
-                cols: Vec::new(),
-                rows: 0,
+            arena: Arena {
+                offsets: Vec::new(),
                 keys,
                 held: Vec::new(),
                 dedup: RowSet::default(),
             },
+            per_key,
             memo: true,
-            elided: Elided::default(),
             cached_rows: 0,
-            key_scratch,
             rows: Vec::new(),
-            misses,
+            resolved: Vec::new(),
+            sources: Vec::new(),
             tally: AccessStats::default(),
-            fused_emit: false,
             pending: VecDeque::new(),
             done: false,
-        };
-        op.settle_emission();
-        op
+        })
     }
 
     /// Drop the arena's memo when `distinct`: the plan proves the source never repeats
@@ -481,80 +376,57 @@ impl<'db> KeyedLookupOp<'db> {
         self
     }
 
-    /// The value at row `j`, fetched position `c`, of `postings`; `key(m)` is value `m`
-    /// of their probe key, which an [`Elided`] column reads.
-    fn local_value<'v>(
-        &'v self,
-        postings: &'v Postings<'db>,
-        j: usize,
-        c: usize,
-        key: impl Fn(usize) -> &'v Value,
-    ) -> &'v Value {
-        match postings {
-            Postings::Tuple(Some(tuple)) => &tuple[self.fetch.positions[c]],
-            Postings::Arena(range) => match self.elided.locate(&self.fetch, c) {
-                Located::Arena(column) => self.arena.value(*range, j, column),
-                Located::Key(m) => key(m),
-            },
-            Postings::Tuple(None) => unreachable!("no row {j} of the fetched postings here"),
-        }
-    }
-
-    /// Decide whether the emission is a pure projection of the fetched columns (see
-    /// [`KeyedLookupOp::fused_emit`]), and which columns the arena holds.
-    fn settle_emission(&mut self) {
-        let left_arity = self.fetch.source_arity;
-        let fetched_only = |cols: &[usize]| cols.iter().all(|&c| c >= left_arity);
-        self.fused_emit = self.residual.is_empty() && self.out_cols.is_some_and(fetched_only);
-        // An anchor shares the arena's columns, so those its emission reads are held.
-        let fused = self
-            .out_cols
-            .filter(|_| self.fused_emit)
-            .unwrap_or_default();
-        let emitted = |c| fused.iter().any(|&col| col == left_arity + c);
-        self.elided = Elided::of(&self.fetch, emitted);
-        let held = (0..self.fetch.positions.len()).filter(|&c| !self.elided.contains(c));
-        let mut state = self.state.borrow_mut();
-        self.arena.cols = held.map(|_| state.pool.get_values()).collect();
-    }
-
     /// Stage `batch` (see the module docs): give every row its key's position in
-    /// [`PostingArena::held`], and fetch the keys new to the operator in one `resolve`.
-    fn stage(&mut self, batch: &Batch) -> Result<()> {
+    /// [`Arena::held`], and fetch the keys new to the operator in one `resolve`.
+    fn stage(&mut self, batch: &Batch<'db>) -> Result<()> {
         let key_cols = self.fetch.key_cols;
+        let arity = key_cols.len();
         self.rows.clear();
-        self.misses.begin(batch.len(), key_cols.len());
-        if self.memo {
+        self.resolved.clear();
+        let (first, count) = if self.memo {
+            let keys = &mut self.arena.keys;
+            let first = keys.len();
             self.rows.reserve(batch.len());
+            for i in 0..batch.len() {
+                let key = |m: usize| batch.value(i, key_cols[m]);
+                let (seen, _) = keys.insert(hash_row((0..arity).map(key)), key)?;
+                self.rows.push(seen);
+            }
+            debug_assert_eq!(
+                first,
+                self.arena.held.len(),
+                "positions are insertion ranks"
+            );
+            (first, keys.len() - first)
         } else {
             self.arena.held.clear();
-            self.arena.held.reserve(batch.len());
+            (0, batch.len())
+        };
+        // A new key's values are cloned into the memo; the store reads keys in place.
+        if self.memo {
+            self.tally.values_cloned += (count * arity) as u64;
         }
-        let first = self.arena.held.len();
-        for i in 0..batch.len() {
-            let misses = &mut self.misses;
-            if self.memo {
-                let key = &mut self.key_scratch;
-                key.clear();
-                batch.gather_into(i, key_cols, key);
-                let (seen, new) = self.arena.keys.insert(hash_row(&*key), |c| &key[c])?;
-                self.rows.push(seen);
-                if !new {
-                    continue;
+        if count == 0 {
+            // The memo held every key: nothing to resolve, and no fetch error either,
+            // as in a per-key loop.
+            return Ok(());
+        }
+        let (store, constraint) = (self.store, self.fetch.constraint_index);
+        if self.memo {
+            let keys = &self.arena.keys;
+            let key = |i: usize, m: usize| keys.value((first + i) as u32, m);
+            store.resolve(constraint, count, arity, key, &mut self.resolved)?;
+        } else {
+            let key = |i: usize, m: usize| {
+                if m == 0 {
+                    batch.hint(i + GROUP, key_cols[0]);
                 }
-                debug_assert_eq!(seen as usize, first + misses.count, "an insertion rank");
-                // The key's values move on into the probe buffer.
-                misses.keys.append(key);
-            } else {
-                batch.gather_into(i, key_cols, &mut misses.keys);
-            }
-            misses.count += 1;
+                batch.value(i, key_cols[m])
+            };
+            store.resolve(constraint, count, arity, key, &mut self.resolved)?;
         }
-        // One probe-key gather per source row, hit or miss.
-        self.tally.values_cloned += (batch.len() * key_cols.len()) as u64;
-        self.misses
-            .resolve(self.store, self.fetch.constraint_index)?;
-        for p in 0..self.misses.count {
+        self.arena.held.reserve(count);
+        for p in 0..count {
             let postings = self.fetch(p);
             self.arena.held.push(postings);
         }
@@ -562,23 +434,32 @@ impl<'db> KeyedLookupOp<'db> {
     }
 
     /// The one miss path, for miss `p` of the batch, tallying its costs — an index
-    /// lookup and the fetch accounting. At most one tuple is read where it lies:
-    /// nothing to deduplicate, nothing copied, nothing held. More are projected and
-    /// per-key deduplicated onto the arena's open segment, acquiring residency for the
-    /// rows now held.
+    /// lookup and the fetch accounting. A key of two or more tuples acquires residency
+    /// for the rows it holds, deduplicated as [`PerKey`] says.
     fn fetch(&mut self, p: usize) -> Postings<'db> {
         self.tally.index_lookups += 1;
-        let mut tuples = self.misses.resolved[p].clone();
-        if tuples.len() <= 1 {
-            self.tally.tuples_fetched += tuples.len() as u64;
-            return Postings::Tuple(tuples.next());
+        let offsets = self.resolved[p].clone();
+        let fetched = offsets.len();
+        self.tally.tuples_fetched += fetched as u64;
+        if fetched <= 1 {
+            return Postings::Store(offsets);
         }
-        let (fetched, range) = self.arena.append(tuples, self.fetch.positions, self.elided);
-        self.tally.values_cloned += fetched * self.arena.cols.len() as u64;
-        self.tally.tuples_fetched += fetched;
-        self.state.borrow_mut().acquire(range.len as u64);
-        self.cached_rows += range.len as u64;
-        Postings::Arena(range)
+        let (postings, rows) = match self.per_key {
+            PerKey::Distinct => (Postings::Store(offsets), fetched),
+            PerKey::First => {
+                let first = offsets.clone().next().expect("two or more tuples");
+                (Postings::Store(Offsets::Run(first..first + 1)), 1)
+            }
+            PerKey::Dedup => {
+                let rows = self
+                    .arena
+                    .append(offsets, self.tuples, self.fetch.positions);
+                (Postings::Arena(rows.clone()), rows.len())
+            }
+        };
+        self.state.borrow_mut().acquire(rows as u64);
+        self.cached_rows += rows as u64;
+        postings
     }
 
     /// Move the probes' tally into the query's counters, its fetched tuples under the
@@ -592,18 +473,18 @@ impl<'db> KeyedLookupOp<'db> {
         state.stats += std::mem::take(&mut self.tally);
     }
 
-    /// Flush the tally and release the arena rows this operator holds.
+    /// Flush the tally and release the rows this operator holds.
     fn release(&mut self) {
         self.flush_tally();
         let rows = std::mem::take(&mut self.cached_rows);
         self.state.borrow_mut().release(rows);
     }
 
-    /// An anchor emission of more than [`BATCH_SIZE`] rows cut into slices of that
-    /// size, zero value copies: the first is returned, the rest queued. A key that fans
-    /// out past a batch's worth (a fetch's anchor above all) thus reaches the operators
-    /// downstream batch by batch, in the batch size every operator is built for.
-    fn sliced(&mut self, batch: Batch) -> Batch {
+    /// An emission of more than [`BATCH_SIZE`] rows cut into slices of that size, zero
+    /// value copies: the first is returned, the rest queued. A key that fans out past a
+    /// batch's worth (a fetch's anchor above all) thus reaches the operators downstream
+    /// batch by batch, in the batch size every operator is built for.
+    fn sliced(&mut self, batch: Batch<'db>) -> Batch<'db> {
         let len = batch.len();
         if len <= BATCH_SIZE {
             return batch;
@@ -614,42 +495,56 @@ impl<'db> KeyedLookupOp<'db> {
         slice(0)
     }
 
-    /// Gather source row `i` of `batch` joined with each of the `len` posting rows
-    /// `fetched(j, c)` yields, `c` a fetched position, into `out`, applying the residual
-    /// predicates. Returns the number of rows emitted.
-    fn emit<'a>(
-        &self,
-        batch: &Batch,
-        i: usize,
-        len: usize,
-        fetched: impl Fn(usize, usize) -> &'a Value,
-        out: &mut [Vec<Value>],
-    ) -> usize {
-        let left_arity = batch.arity();
-        let mut emitted = 0;
-        for j in 0..len {
-            let combined = |c: usize| {
-                if c < left_arity {
-                    batch.value(i, c)
-                } else {
-                    fetched(j, c - left_arity)
+    /// The rows of `batch` joined with their keys' postings, as columns: pair each
+    /// source row with every fetched tuple that passes the residual predicates, then
+    /// build each output column over those pairs (see the module docs).
+    fn emission(&mut self, batch: &Batch<'db>) -> Batch<'db> {
+        let (left_arity, positions, tuples) = (batch.arity(), self.fetch.positions, self.tuples);
+        let at = |i: usize| self.rows.get(i).map_or(i, |&at| at as usize);
+        let held = |i: usize| self.arena.offsets(&self.arena.held[at(i)]);
+        let pairs: usize = (0..batch.len()).map(|i| held(i).len()).sum();
+        let mut fetched = Vec::with_capacity(pairs);
+        self.sources.clear();
+        self.sources.reserve(pairs);
+        for i in 0..batch.len() {
+            for t in held(i) {
+                let combined = |c: usize| match c.checked_sub(left_arity) {
+                    None => batch.value(i, c),
+                    Some(c) => tuples.value(t, positions[c]),
+                };
+                if passes_with(&self.residual, combined) {
+                    self.sources.push(i as u32);
+                    fetched.push(t);
                 }
-            };
-            if !passes_with(&self.residual, combined) {
-                continue;
             }
-            for (k, sink) in out.iter_mut().enumerate() {
-                let c = self.out_cols.map_or(k, |cols| cols[k]);
-                sink.push(combined(c).clone());
-            }
-            emitted += 1;
         }
-        emitted
+        let rows = fetched.len();
+        let fetched = Arc::new(fetched);
+        let out_arity = self
+            .out_cols
+            .map_or(left_arity + positions.len(), <[usize]>::len);
+        let mut state = self.state.borrow_mut();
+        let columns = (0..out_arity).map(|k| {
+            let c = self.out_cols.map_or(k, |cols| cols[k]);
+            match c.checked_sub(left_arity) {
+                Some(c) => Column::Stored {
+                    tuples,
+                    attr: positions[c],
+                    offsets: Arc::clone(&fetched),
+                },
+                None => {
+                    let (column, cloned) = batch.take(c, &self.sources, || state.pool.get_values());
+                    self.tally.values_cloned += cloned;
+                    column
+                }
+            }
+        });
+        Batch::new(columns, rows)
     }
 }
 
-impl Operator for KeyedLookupOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+impl<'db> Operator<'db> for KeyedLookupOp<'db> {
+    fn next_batch(&mut self) -> Result<Option<Batch<'db>>> {
         #[cfg(test)]
         if self.fetch.relation == super::PANIC_RELATION {
             panic!("injected operator panic");
@@ -665,62 +560,18 @@ impl Operator for KeyedLookupOp<'_> {
             self.release();
             let mut state = self.state.borrow_mut();
             state.stats.fetch_ops += 1;
-            // The arena's open columns, its key columns, the key scratch and the probe
-            // buffer go back to the pool, cleared, for the thread's next probe loop;
-            // sealed segments stay with the consumers that share them.
-            let scratch = std::mem::take(&mut self.key_scratch);
-            let probes = std::mem::take(&mut self.misses.keys);
-            let arena = &mut self.arena;
-            let buffers = arena.cols.drain(..).chain(arena.keys.release());
-            for col in buffers.chain([scratch, probes]) {
+            // The memo's key columns go back to the pool, cleared, for the thread's
+            // next probe loop.
+            for col in self.arena.keys.release() {
                 state.pool.put_values(col);
             }
             return Ok(None);
         };
-        let left_arity = batch.arity();
-        debug_assert_eq!(left_arity, self.fetch.source_arity);
+        debug_assert_eq!(batch.arity(), self.fetch.source_arity);
         self.stage(&batch)?;
-        // Anchor fast path: a single source row, no residual, and a fused projection
-        // that keeps only fetched columns — the output *is* the key's projected
-        // postings, emitted as a batch over the arena segment that already holds them,
-        // sealed: zero value clones. This is the first lookup of every anchored plan,
-        // where the fan-out (and hence the row-pipeline's copy bill) is largest — and the
-        // whole body of the steady-state serving loop. A tuple read in place has no such
-        // storage: it is gathered below like any row.
-        if batch.len() == 1 && self.fused_emit {
-            let at = self.rows.first().map_or(0, |&at| at as usize);
-            if let Postings::Arena(range) = self.arena.held[at] {
-                let sealed = self.arena.seal(range);
-                let cols = self.out_cols.unwrap_or_default();
-                let column = |k: usize| match self.elided.locate(&self.fetch, cols[k] - left_arity)
-                {
-                    Located::Arena(column) => column,
-                    Located::Key(_) => unreachable!("an anchor's columns are held"),
-                };
-                let emitted = sealed.project_map(cols.len(), column);
-                self.flush_tally();
-                return Ok(Some(self.sliced(emitted)));
-            }
-        }
-        let out_arity = self
-            .out_cols
-            .map_or(left_arity + self.fetch.positions.len(), <[usize]>::len);
-        let mut out: Vec<Vec<Value>> = {
-            let mut state = self.state.borrow_mut();
-            (0..out_arity).map(|_| state.pool.get_values()).collect()
-        };
-        let mut out_rows = 0usize;
-        for i in 0..batch.len() {
-            let at = self.rows.get(i).map_or(i, |&at| at as usize);
-            let fetched = &self.arena.held[at];
-            // An elided column of the fetched postings is the source row's key.
-            let key = |m: usize| batch.value(i, self.fetch.key_cols[m]);
-            let value = |j, c| self.local_value(fetched, j, c, key);
-            out_rows += self.emit(&batch, i, fetched.len(), value, &mut out);
-        }
-        self.tally.values_cloned += (out_rows * out_arity) as u64;
+        let emitted = self.emission(&batch);
         self.flush_tally();
-        Ok(Some(Batch::from_dense(out, out_rows)))
+        Ok(Some(self.sliced(emitted)))
     }
 }
 
@@ -737,6 +588,7 @@ pub(crate) mod tests {
     use super::*;
     use bea_core::access::{AccessConstraint, AccessSchema};
     use bea_core::error::Error;
+    use bea_core::value::Value;
     use bea_storage::{Database, IndexedDatabase};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -788,15 +640,15 @@ pub(crate) mod tests {
     }
 
     /// A source replaying scripted pulls — batches, or an error.
-    pub(crate) struct Script(pub(crate) VecDeque<Result<Batch>>);
+    pub(crate) struct Script<'db>(pub(crate) VecDeque<Result<Batch<'db>>>);
 
-    impl Operator for Script {
-        fn next_batch(&mut self) -> Result<Option<Batch>> {
+    impl<'db> Operator<'db> for Script<'db> {
+        fn next_batch(&mut self) -> Result<Option<Batch<'db>>> {
             self.0.pop_front().transpose()
         }
     }
 
-    pub(crate) fn ints(rows: &[&[i64]]) -> Batch {
+    pub(crate) fn ints(rows: &[&[i64]]) -> Batch<'static> {
         let arity = rows.first().map_or(0, |row| row.len());
         let rows = rows
             .iter()
@@ -822,7 +674,7 @@ pub(crate) mod tests {
         fn lookup<'db>(
             &self,
             idb: &'db IndexedDatabase,
-            pulls: Vec<Result<Batch>>,
+            pulls: Vec<Result<Batch<'db>>>,
             positions: &'db [usize],
             residual: Vec<Predicate>,
             out_cols: Option<&'db [usize]>,
@@ -845,6 +697,7 @@ pub(crate) mod tests {
                 idb,
                 self.state.clone(),
             )
+            .unwrap()
         }
 
         /// The counters so far, fetches attributed to `R`.
@@ -856,7 +709,7 @@ pub(crate) mod tests {
     }
 
     /// Pull `op` dry; the emitted rows as plain integers, batch by batch.
-    pub(crate) fn drain(op: &mut dyn Operator) -> Vec<Vec<Vec<i64>>> {
+    pub(crate) fn drain(op: &mut dyn Operator<'_>) -> Vec<Vec<Vec<i64>>> {
         let mut batches = Vec::new();
         while let Some(batch) = op.next_batch().unwrap() {
             let rows = (0..batch.len()).map(|i| {
@@ -894,9 +747,9 @@ pub(crate) mod tests {
         // What a ticket prices this lookup at: the bound, once per distinct key.
         assert!(stats.tuples_fetched <= stats.index_lookups * BOUND);
         assert_eq!(stats.fetch_ops, 1);
-        // 6 probe keys + key 1's 3 tuples × 2 positions besides the key `k` (key 2's one
-        // tuple is read in place) + 11 emitted rows × 4 columns.
-        assert_eq!(stats.values_cloned, 6 + 6 + 44);
+        // The 3 distinct keys cloned into the memo + the source's value column `k` taken
+        // for the 11 emitted rows; the fetched columns point into the store.
+        assert_eq!(stats.values_cloned, 3 + 11);
         assert_eq!(
             h.ledger.peak(),
             3,
@@ -967,8 +820,8 @@ pub(crate) mod tests {
     fn anchor_emissions_share_the_arena_and_later_probes_still_find_them() {
         let idb = store();
         let h = Harness::new();
-        // Fused projection onto `w`: single-row batches take the anchor path, which
-        // seals the arena segment into the emitted batch instead of copying it.
+        // Fused projection onto `w`: each emission is a column over the tuples the
+        // arena lists, read where they lie in the store.
         let pulls = vec![
             Ok(ints(&[&[1]])),
             Ok(ints(&[&[1]])),
@@ -984,21 +837,19 @@ pub(crate) mod tests {
             ]
         );
         let stats = h.stats();
-        assert_eq!(stats.index_lookups, 2, "the sealed key is never re-fetched");
+        assert_eq!(stats.index_lookups, 2, "the memo serves key 1 again");
         assert_eq!(stats.tuples_fetched, 4);
-        // 4 probe keys + key 1's 3 tuples × 1 position besides the key `k` + the
-        // gathered batch's 3 rows × 1 column; the two anchor emissions clone nothing.
-        assert_eq!(stats.values_cloned, 4 + 3 + 3);
+        // The 2 distinct keys cloned into the memo; every emission points into the store.
+        assert_eq!(stats.values_cloned, 2);
         assert_eq!(h.ledger.resident(), 0);
     }
 
     #[test]
-    fn a_multi_tuple_anchor_copies_only_the_positions_besides_the_key() {
+    fn a_multi_tuple_anchor_copies_no_fetched_value() {
         let idb = store();
-        // Key 1's three tuples through an anchor: a fused projection onto `(v, w)`
-        // leaves the key `k` out of the arena, one onto `(k, w)` keeps it there, since
-        // the emission shares the arena's columns.
-        for (out_cols, held) in [(&[2, 3][..], 2), (&[1, 3][..], 3)] {
+        // Key 1's three tuples through an anchor, fused projections onto `(v, w)` and
+        // onto `(k, w)`: the emission points into the store either way.
+        for out_cols in [&[2, 3][..], &[1, 3][..]] {
             let h = Harness::new();
             let pulls = vec![Ok(ints(&[&[1]]))];
             let mut op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), Some(out_cols));
@@ -1008,18 +859,18 @@ pub(crate) mod tests {
             assert_eq!(rows, expected, "columns {out_cols:?}");
             let stats = h.stats();
             assert_eq!(stats.tuples_fetched, 3);
-            // One probe key + 3 fetched tuples × the positions held; the anchor
-            // emission clones nothing.
-            assert_eq!(stats.values_cloned, 1 + 3 * held, "columns {out_cols:?}");
+            // The one key cloned into the memo, and nothing else.
+            assert_eq!(stats.values_cloned, 1, "columns {out_cols:?}");
+            assert_eq!(h.ledger.peak(), 3, "key 1's three rows are held as offsets");
         }
     }
 
     #[test]
-    fn a_residual_and_the_emission_read_an_elided_key_from_the_source_row() {
+    fn a_residual_and_the_emission_read_fetched_columns_where_they_lie() {
         let idb = store();
         // Combined row: source (k, x), fetched (k, v, w). The residual compares the
         // fetched `k` with a constant and `x` with the fetched `v`, and the emission
-        // keeps the fetched `k` beside `w`: the arena holds `(v, w)` only.
+        // keeps the fetched `k` beside `w`: both read the store's tuples in place.
         let residual = vec![
             Predicate::ColEqConst(2, Value::int(1)),
             Predicate::ColEqCol(1, 3),
@@ -1031,8 +882,8 @@ pub(crate) mod tests {
             drain(&mut op),
             [[[1, 100], [1, 101], [1, 100]].map(Vec::from)]
         );
-        // 3 probe keys + key 1's 3 tuples × (v, w) + 3 emitted rows × 2 columns.
-        assert_eq!(h.stats().values_cloned, 3 + 3 * 2 + 3 * 2);
+        // The 2 distinct keys cloned into the memo; the emission is fetched columns only.
+        assert_eq!(h.stats().values_cloned, 2);
     }
 
     #[test]
@@ -1083,7 +934,7 @@ pub(crate) mod tests {
     /// counters and its peak residency. The ledger is back at zero afterwards.
     fn run_lookup(
         idb: &IndexedDatabase,
-        pulls: Vec<Result<Batch>>,
+        pulls: Vec<Result<Batch<'static>>>,
         out_cols: Option<&[usize]>,
         distinct: bool,
     ) -> (Vec<Vec<i64>>, crate::stats::AccessStats, u64) {
@@ -1108,8 +959,7 @@ pub(crate) mod tests {
         };
         let repeated: &[&[i64]] = &[&[1], &[2], &[3], &[2], &[1], &[3], &[2], &[1]];
         let distinct: &[&[i64]] = &[&[2], &[1], &[3]];
-        // The full combined row, and a fused projection onto `(v, w)`, whose one-row
-        // batches take the anchor path.
+        // The full combined row, and a fused projection onto the fetched `(v, w)`.
         for out_cols in [None, Some(&[2, 3][..])] {
             let expected = |rows: &[&[i64]]| -> Vec<Vec<i64>> {
                 let joined = rows.iter().flat_map(|row| {
@@ -1134,26 +984,29 @@ pub(crate) mod tests {
                 assert_eq!((stats.index_lookups, stats.tuples_fetched), (3, 4));
                 // Only key 1's three rows are ever held.
                 assert_eq!(off.2, 3, "{corner}");
-                if out_cols.is_none() {
-                    // 8 probe keys + key 1's 3 tuples × 2 positions besides the key
-                    // + 12 rows × 4.
-                    assert_eq!(stats.values_cloned, 8 + 6 + 48, "{corner}");
-                    per_feed.push(off);
-                }
+                // The 3 distinct keys cloned into the memo, and the source's value
+                // column `k` for each of the 12 rows where the emission keeps it.
+                let taken = if out_cols.is_none() { 12 } else { 0 };
+                assert_eq!(stats.values_cloned, 3 + taken, "{corner}");
+                per_feed.push(off);
 
-                // Distinct keys: dropping the memo changes nothing at all.
+                // Distinct keys: dropping the memo changes nothing but the memo's
+                // clones, one per key.
                 let kept = run_lookup(&idb, pulls(distinct), out_cols, false);
                 let dropped = run_lookup(&idb, pulls(distinct), out_cols, true);
                 assert_eq!(kept.0, expected(distinct), "{corner}");
-                assert_eq!(dropped, kept, "{corner}");
+                assert_eq!((&dropped.0, dropped.2), (&kept.0, kept.2), "{corner}");
+                assert!(dropped.1.same_data_access(&kept.1), "{corner}");
+                let clones = dropped.1.values_cloned + distinct.len() as u64;
+                assert_eq!(clones, kept.1.values_cloned, "{corner}");
             }
-            // Batching is invisible where no one-row batch takes the anchor path.
+            // Batching is invisible.
             assert!(per_feed.windows(2).all(|pair| pair[0] == pair[1]));
         }
     }
 
     /// The same source rows as one batch, as two, and one row per batch.
-    fn feeds(rows: &[&[i64]]) -> [Vec<Result<Batch>>; 3] {
+    fn feeds(rows: &[&[i64]]) -> [Vec<Result<Batch<'static>>>; 3] {
         let (front, back) = rows.split_at(rows.len() / 2);
         [
             vec![Ok(ints(rows))],
@@ -1223,13 +1076,15 @@ pub(crate) mod tests {
             (false, false, &[&[1, 2, 1, 3, 1]]),
             (false, true, &[&[1, 2], &[1, 3, 1]]),
         ];
-        let ints_of = |keys: &[Value]| -> Vec<i64> {
-            keys.iter()
-                .map(|key| match key {
+        // A resolved key, read back from the first tuple it found: key 3 has none.
+        let key_of = |op: &KeyedLookupOp<'_>, offsets: &Offsets<'_>| -> i64 {
+            offsets
+                .clone()
+                .next()
+                .map_or(3, |t| match op.tuples.value(t, 0) {
                     Value::Int(k) => *k / scale,
                     other => panic!("unexpected {other}"),
                 })
-                .collect()
         };
         for (memo, split, sent) in corners {
             let corner = format!("memo {memo}, two batches {split}, scale {scale}");
@@ -1238,11 +1093,12 @@ pub(crate) mod tests {
             let h = Harness::new();
             let op = h.lookup(idb, pulls.collect(), &[0, 1, 2], Vec::new(), None);
             let mut op = op.distinct_keys(!memo);
-            // After a pull, the probe buffer holds what its batch sent to `resolve`.
+            // After a pull, `resolved` holds what its batch's keys found.
             let (mut rows, mut resolved) = (0, Vec::new());
             while let Some(batch) = op.next_batch().unwrap() {
                 rows += batch.len();
-                resolved.push(ints_of(&op.misses.keys));
+                let keys = op.resolved.iter().map(|offsets| key_of(&op, offsets));
+                resolved.push(keys.collect::<Vec<_>>());
             }
             assert_eq!(rows, 3 + 1 + 3 + 3, "{corner}");
             resolved.retain(|keys| !keys.is_empty());
@@ -1272,6 +1128,149 @@ pub(crate) mod tests {
                 assert_eq!(h.ledger.resident(), 0);
                 assert_eq!(h.stats().tuples_fetched, 4, "only the first batch fetched");
             }
+        }
+    }
+
+    /// `R(k, v, w)` under `k → (v, w)`, `w` unique: key 1 matches three tuples, two of
+    /// which agree on `v`, key 2 one. With `w_index`, the constraint `w → (k, v)` too,
+    /// whose index has one tuple per key: a unique index on `R`.
+    fn unique_store(w_index: bool) -> IndexedDatabase {
+        let mut catalog = bea_core::schema::Catalog::new();
+        catalog.declare("R", ["k", "v", "w"]).unwrap();
+        let by_k = AccessConstraint::new(&catalog, "R", &["k"], &["v", "w"], BOUND).unwrap();
+        let by_w = AccessConstraint::new(&catalog, "R", &["w"], &["k", "v"], 1).unwrap();
+        let constraints = if w_index {
+            vec![by_k, by_w]
+        } else {
+            vec![by_k]
+        };
+        let mut db = Database::new(catalog);
+        let tuples = [[1, 10, 100], [1, 10, 101], [1, 11, 102], [2, 20, 200]];
+        db.extend("R", tuples.map(|tuple| tuple.map(Value::int).to_vec()))
+            .unwrap();
+        IndexedDatabase::build(db, AccessSchema::from_constraints(constraints)).unwrap()
+    }
+
+    /// A lookup of keys 1, 2, 1 through `k → (v, w)` fetching `positions`: how it
+    /// settled each key's tuples, what it emitted, its counters, its peak residency and
+    /// whether its arena listed any offset.
+    fn unique_run(
+        idb: &IndexedDatabase,
+        positions: &[usize],
+    ) -> (PerKey, Vec<Vec<i64>>, crate::stats::AccessStats, u64, bool) {
+        let h = Harness::new();
+        let pulls = vec![Ok(ints(&[&[1], &[2], &[1]]))];
+        let mut op = h.lookup(idb, pulls, positions, Vec::new(), None);
+        let out = drain(&mut op).concat();
+        let (per_key, arena) = (op.per_key, !op.arena.offsets.is_empty());
+        drop(op);
+        assert_eq!(h.ledger.resident(), 0);
+        (per_key, out, h.stats(), h.ledger.peak(), arena)
+    }
+
+    #[test]
+    fn a_fetch_that_keeps_a_unique_key_skips_dedup_with_the_same_rows() {
+        let (proved, unproved) = (unique_store(true), unique_store(false));
+        // Every position, and `w` alone: with `X`, both cover `w`, the key of the
+        // unique index on `R` — when the store has that index.
+        for positions in [&[0, 1, 2][..], &[2]] {
+            let skipped = unique_run(&proved, positions);
+            let deduped = unique_run(&unproved, positions);
+            assert_eq!(skipped.0, PerKey::Distinct, "{positions:?}");
+            assert_eq!(deduped.0, PerKey::Dedup, "{positions:?}");
+            assert!(
+                !skipped.4,
+                "the tuples are listed where the store lists them"
+            );
+            assert!(deduped.4, "the dedup path lists them in the arena");
+            assert_eq!(skipped.1, deduped.1, "{positions:?}");
+            assert_eq!(skipped.2, deduped.2, "{positions:?}");
+            assert_eq!(skipped.3, deduped.3, "{positions:?}");
+            assert_eq!(skipped.1.len(), 2 * 3 + 1, "{positions:?}");
+            assert_eq!(skipped.3, 3, "key 1's three rows are held");
+        }
+    }
+
+    #[test]
+    fn a_projection_that_drops_the_unique_key_still_dedups() {
+        // `(k, v)` does not cover `w`: key 1's first two tuples project equal, and must
+        // be deduplicated although the store has a unique index on `R`.
+        let (per_key, out, stats, peak, arena) = unique_run(&unique_store(true), &[0, 1]);
+        let key1 = [[1, 1, 10], [1, 1, 11]].map(Vec::from);
+        let expected = [&key1[..], &[vec![2, 2, 20]], &key1].concat();
+        assert_eq!(out, expected);
+        assert_eq!((stats.tuples_fetched, peak), (4, 2));
+        assert_eq!(per_key, PerKey::Dedup);
+        assert!(arena);
+        // Fetched positions all in `X` keep one row per key, unique index or not.
+        let (per_key, out, ..) = unique_run(&unique_store(true), &[0]);
+        assert_eq!(per_key, PerKey::First);
+        assert_eq!(out, [[1, 1], [2, 2], [1, 1]].map(Vec::from));
+    }
+
+    /// A batch of one stored column: `R`'s attribute `attr` at `tuples`.
+    fn stored<'db>(idb: &'db IndexedDatabase, attr: usize, tuples: &[u32]) -> Batch<'db> {
+        let relation = idb.database().relation("R").unwrap();
+        let column = Column::Stored {
+            tuples: Tuples {
+                values: relation.values(),
+                arity: 3,
+            },
+            attr,
+            offsets: Arc::new(tuples.to_vec()),
+        };
+        Batch::new([column], tuples.len())
+    }
+
+    #[test]
+    fn stored_keys_probe_like_value_keys_and_leave_no_residency_on_a_drop_or_an_error() {
+        let idb = store();
+        // Tuples 0, 3, 1: keys 1, 2, 1 where `R` stores them.
+        let (keys, values) = (stored(&idb, 0, &[0, 3, 1]), ints(&[&[1], &[2], &[1]]));
+        for distinct in [false, true] {
+            let run = |pulls: Vec<Result<Batch<'_>>>| {
+                let h = Harness::new();
+                let op = h.lookup(&idb, pulls, &[0, 1, 2], Vec::new(), None);
+                let mut op = op.distinct_keys(distinct);
+                let out = drain(&mut op);
+                drop(op);
+                (out, h.stats(), h.ledger.peak())
+            };
+            let (out, stats, peak) = run(vec![Ok(keys.clone())]);
+            let (from_values, value_stats, value_peak) = run(vec![Ok(values.clone())]);
+            assert_eq!(out, from_values);
+            assert!(stats.same_data_access(&value_stats));
+            assert_eq!(peak, value_peak);
+            // A stored source column is taken as offsets: only the memo clones.
+            let memo = if distinct { 0 } else { 2 };
+            assert_eq!(stats.values_cloned, memo, "memo kept: {}", !distinct);
+            assert_eq!(value_stats.values_cloned, memo + 7);
+
+            // Keys 1 and 2, dropped after one batch, and failed on the second: nothing
+            // stays resident.
+            let distinct_keys = stored(&idb, 0, &[0, 3]);
+            let pulls = || {
+                vec![
+                    Ok(distinct_keys.clone()),
+                    Err(Error::invalid("source failed")),
+                ]
+            };
+            let lookup = |h: &Harness| {
+                let op = h.lookup(&idb, pulls(), &[0, 1, 2], Vec::new(), None);
+                op.distinct_keys(distinct)
+            };
+            let h = Harness::new();
+            let mut op = lookup(&h);
+            assert_eq!(op.next_batch().unwrap().unwrap().len(), 4);
+            assert_eq!(h.ledger.resident(), 3);
+            drop(op);
+            assert_eq!(h.ledger.resident(), 0);
+            let h = Harness::new();
+            let mut op = lookup(&h);
+            assert!(op.next_batch().unwrap().is_some());
+            assert!(op.next_batch().is_err());
+            drop(op);
+            assert_eq!(h.ledger.resident(), 0);
         }
     }
 }

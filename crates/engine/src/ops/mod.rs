@@ -3,12 +3,15 @@
 //! [`crate::exec::execute_physical_on`] runs a [`PhysicalPlan`] (lowered by
 //! `bea_core::plan::physical::lower_plan`) against a [`Store`] as one tree of pull-based
 //! operators, each implementing `Operator::next_batch`. Rows move through the tree in
-//! bounded **columnar** batches (`batch::Batch`) — project is column-permutation
-//! metadata, only gathers (constant appends, fetch output) write values, and every value
-//! write is an O(1) clone (interned string payloads; see the `batch` module). Lowering
+//! bounded **columnar** batches (`batch::Batch`), whose columns hold values or point
+//! into the store (tuple offsets): project is column-permutation metadata, a keyed
+//! lookup emits what it fetched as offsets, and a value is cloned only into state that
+//! must own it — a lookup's memo keys, δ's seen set, a value column a lookup takes, a
+//! constant append and the output table; every such write is an O(1) clone (interned
+//! string payloads; see the `batch` module). Lowering
 //! reads every step with one operator, so the tree has one node per step, and only the
 //! output is materialized: `sched::run` drains it into the result table. Per-key fetch
-//! arenas and dedup sets are operator-internal state, released when the operator is
+//! arenas (tuple offsets) and dedup sets are operator-internal state, released when the operator is
 //! exhausted — or when it is dropped undrained (every operator holding durable state
 //! implements `Drop`), so a short-circuiting or failing consumer can never leak
 //! residency. A constant append holds nothing: it writes each batch it pulls.
@@ -98,10 +101,10 @@ impl ResidencyLedger {
 /// The contract: a buffer in the pool is always *empty* (cleared before
 /// `put_values`), so the pool holds capacity, never rows — the [`ResidencyLedger`]'s
 /// drained-to-zero assertion is unaffected by pooling. Operators draw per-batch
-/// gather columns and the keyed lookup's arena columns from here and hand
-/// uniquely-owned buffers back on teardown (exhausted arenas and scratch, and the
-/// output columns a finished query was transposed out of); buffers shared downstream
-/// simply stay with their owners. The pool lives on [`ExecState`], which a thread
+/// value columns (a lookup's taken source column, a constant) and their row tables'
+/// columns from here and hand uniquely-owned buffers back on teardown (exhausted memos
+/// and δ sets, and the output columns a finished query was transposed out of); buffers
+/// shared downstream simply stay with their owners. The pool lives on [`ExecState`], which a thread
 /// keeps between its queries ([`ExecState::park`]). It holds at most
 /// [`BufferPool::RETAINED`] buffers, while a query runs and between queries, and between
 /// queries none of more than [`BufferPool::RETAINED_VALUES`] values, so one large query
@@ -150,7 +153,7 @@ pub(crate) struct ExecState {
     pub stats: AccessStats,
     /// Tuples fetched per step by the query's operators.
     pub(crate) fetched: FetchTally,
-    /// Recycled gather/selection/key buffers; see [`BufferPool`].
+    /// Recycled value buffers; see [`BufferPool`].
     pub(crate) pool: BufferPool,
     ledger: Rc<ResidencyLedger>,
 }
@@ -221,13 +224,16 @@ pub(crate) type SharedState = Rc<RefCell<ExecState>>;
 /// inputs: an operator may be dropped mid-stream (short-circuits, errors), so every
 /// operator holding durable state also releases it on `Drop` — residency accounting
 /// must return to zero however an execution ends.
-pub(crate) trait Operator {
+///
+/// A batch borrows the store for `'db`: its columns may point into the store's
+/// relations rather than hold values (see the `batch` module).
+pub(crate) trait Operator<'db> {
     /// Pull the next batch of rows.
-    fn next_batch(&mut self) -> Result<Option<Batch>>;
+    fn next_batch(&mut self) -> Result<Option<Batch<'db>>>;
 }
 
 /// Boxed operator borrowing the database for `'db`.
-pub(crate) type BoxOp<'db> = Box<dyn Operator + 'db>;
+pub(crate) type BoxOp<'db> = Box<dyn Operator<'db> + 'db>;
 
 /// Validate one fetch-shaped step (`step` names it, e.g. "physical step 3", and is
 /// formatted only into an error message) against the database it is about to probe:
@@ -382,7 +388,7 @@ pub(crate) fn build_op<'a>(ctx: RunCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
             out_cols,
             store,
             state.clone(),
-        )
+        )?
         .distinct_keys(plan.keys_distinct(*source, key_cols));
         Ok(Box::new(op))
     };
@@ -395,11 +401,11 @@ pub(crate) fn build_op<'a>(ctx: RunCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
         PhysOp::KeyedLookup { .. } => lookup(node, None)?,
         PhysOp::Project { source, cols } => {
             // Fusion: a projection whose input is a keyed lookup (its one reader)
-            // becomes the lookup's emission column set, so values the projection would
-            // drop are never gathered at all.
+            // becomes the lookup's emission column set, so columns the projection would
+            // drop are never built at all.
             //
             // Deliberately an operator-tree concern, not a lowering rule: which
-            // columns get *physically gathered* is a property of this executor's
+            // columns get *physically built* is a property of this executor's
             // columnar batches (the materialized reference, plan validation and
             // costing all reason about the unfused steps, and must keep doing
             // so). If the fused pattern is broken by a future

@@ -2,8 +2,9 @@
 //!
 //! Project is pure batch metadata (a column-handle permutation — zero value copies).
 //! Dedup emits its input batches restricted by a selection; only its membership set
-//! holds (O(1)-clone) rows. The constant append is the one gather here: it writes each
-//! row, and the constant beside it, into fresh output columns, and holds no row.
+//! holds (O(1)-clone) rows, whether its input's columns hold values or point into the
+//! store. The constant append shares its input's columns and writes one fresh column of
+//! the constant, and holds no row.
 
 use super::batch::{Batch, RowTable};
 use super::{BoxOp, Operator, SharedState};
@@ -23,8 +24,8 @@ impl<'db> ProjectOp<'db> {
     }
 }
 
-impl Operator for ProjectOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+impl<'db> Operator<'db> for ProjectOp<'db> {
+    fn next_batch(&mut self) -> Result<Option<Batch<'db>>> {
         let Some(batch) = self.input.next_batch()? else {
             return Ok(None);
         };
@@ -42,13 +43,13 @@ fn row_set(owner: &'static str, arity: usize, state: &SharedState) -> RowTable {
 /// Insert `batch`'s logical row `i` into `set` if absent; returns whether it was fresh
 /// (the only case that clones the row — `arity` O(1) value clones). The caller has
 /// reserved room for the whole batch, which is where an overflowing set is refused.
-fn insert_row(set: &mut RowTable, batch: &Batch, i: usize) -> bool {
+fn insert_row(set: &mut RowTable, batch: &Batch<'_>, i: usize) -> bool {
     let inserted = set.insert(batch.hash_row(i), |c| batch.value(i, c));
     inserted.expect("room for the whole batch is reserved").1
 }
 
 /// Charge the `fresh` rows of `batch` just inserted into a set: clones and residency.
-fn charge_fresh_rows(state: &SharedState, batch: &Batch, fresh: usize) {
+fn charge_fresh_rows(state: &SharedState, batch: &Batch<'_>, fresh: usize) {
     let mut state = state.borrow_mut();
     state.stats.values_cloned += (fresh * batch.arity()) as u64;
     state.acquire(fresh as u64);
@@ -87,8 +88,8 @@ impl<'db> DedupOp<'db> {
     }
 }
 
-impl Operator for DedupOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+impl<'db> Operator<'db> for DedupOp<'db> {
+    fn next_batch(&mut self) -> Result<Option<Batch<'db>>> {
         if self.done {
             return Ok(None);
         }
@@ -126,8 +127,8 @@ impl<'db> UnionOp<'db> {
     }
 }
 
-impl Operator for UnionOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+impl<'db> Operator<'db> for UnionOp<'db> {
+    fn next_batch(&mut self) -> Result<Option<Batch<'db>>> {
         if let Some(left) = self.left.as_mut() {
             if let Some(batch) = left.next_batch()? {
                 return Ok(Some(batch));
@@ -163,8 +164,8 @@ impl<'db> AppendConstOp<'db> {
     }
 }
 
-impl Operator for AppendConstOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+impl<'db> Operator<'db> for AppendConstOp<'db> {
+    fn next_batch(&mut self) -> Result<Option<Batch<'db>>> {
         let Some(batch) = self.input.next_batch()? else {
             return Ok(None);
         };
@@ -177,9 +178,12 @@ impl Operator for AppendConstOp<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::batch::{Column, Tuples};
     use super::super::fetch::tests::{drain, ints, Harness, Script};
     use super::*;
     use bea_core::error::Error;
+    use bea_core::value::Row;
+    use std::sync::Arc;
 
     fn script(batches: &[&[&[i64]]]) -> BoxOp<'static> {
         Box::new(Script(batches.iter().map(|rows| Ok(ints(rows))).collect()))
@@ -282,6 +286,87 @@ mod tests {
         ));
         let mut op = AppendConstOp::new(input, Value::int(7), h.state.clone());
         assert_eq!(op.next_batch().unwrap().unwrap().len(), 2);
+        assert!(op.next_batch().is_err());
+        drop(op);
+        assert_eq!(h.ledger.resident(), 0);
+    }
+
+    /// `(t mod 3, t)` for each tuple number `t` of six, stored flat as a relation is.
+    fn tuples() -> Vec<Value> {
+        (0..6)
+            .flat_map(|t| [Value::int(t % 3), Value::int(t)])
+            .collect()
+    }
+
+    /// The tuples `at` of `values` as a batch of two stored columns, and as a batch of
+    /// the same rows in value columns.
+    fn twins<'db>(values: &'db [Value], at: &[u32]) -> [Batch<'db>; 2] {
+        let tuples = Tuples { values, arity: 2 };
+        let column = |attr| Column::Stored {
+            tuples,
+            attr,
+            offsets: Arc::new(at.to_vec()),
+        };
+        let rows: Vec<Row> = at
+            .iter()
+            .map(|&t| values[2 * t as usize..][..2].to_vec())
+            .collect();
+        [
+            Batch::new([column(0), column(1)], at.len()),
+            Batch::from_rows(2, rows),
+        ]
+    }
+
+    #[test]
+    fn stored_columns_flow_through_every_operator_as_value_columns_do() {
+        let values = tuples();
+        let [left, left_values] = twins(&values, &[5, 0, 3, 1]);
+        let [right, right_values] = twins(&values, &[4, 2, 5]);
+        // `δ π[1, 0, 0]` of the union of the two sides, each side selected, with a
+        // constant appended; its output transposed into rows.
+        fn side(batch: Batch<'_>) -> BoxOp<'_> {
+            Box::new(Script([Ok(batch.retain(|i| i != 1))].into()))
+        }
+        fn run(left: Batch<'_>, right: Batch<'_>) -> (Vec<Row>, u64) {
+            let h = Harness::new();
+            let union = UnionOp::new(side(left), side(right));
+            let project = ProjectOp::new(Box::new(union), &[1, 0, 0]);
+            let dedup = DedupOp::new(Box::new(project), 3, h.state.clone());
+            let mut op = AppendConstOp::new(Box::new(dedup), Value::int(7), h.state.clone());
+            let mut rows = Vec::new();
+            while let Some(batch) = op.next_batch().unwrap() {
+                rows.extend(batch.into_rows(drop).0);
+            }
+            drop(op);
+            assert_eq!(h.ledger.resident(), 0);
+            (rows, h.stats().values_cloned)
+        }
+        let (rows, cloned) = run(left, right);
+        assert_eq!((rows.clone(), cloned), run(left_values, right_values));
+        let expected = [[5, 2], [3, 0], [1, 1], [4, 1], [5, 2]];
+        let expected = expected.map(|[t, k]| [t, k, k, 7].map(Value::int).to_vec());
+        assert_eq!(rows, expected[..4]);
+        // δ's seen set clones its 4 fresh rows of 3 values, the append one 7 per row.
+        assert_eq!(cloned, 4 * 3 + 4);
+    }
+
+    #[test]
+    fn stored_columns_leave_no_residency_on_a_drop_or_an_error() {
+        let values = tuples();
+        let [batch, _] = twins(&values, &[0, 1, 2, 3]);
+        let h = Harness::new();
+        let pulls = [Ok(batch.clone()), Ok(batch.clone())].into();
+        let mut op = DedupOp::new(Box::new(Script(pulls)), 2, h.state.clone());
+        assert_eq!(op.next_batch().unwrap().unwrap().len(), 4);
+        assert_eq!(h.ledger.resident(), 4);
+        drop(op);
+        assert_eq!(h.ledger.resident(), 0);
+
+        let h = Harness::new();
+        let pulls = [Ok(batch), Err(Error::invalid("input failed"))].into();
+        let dedup = DedupOp::new(Box::new(Script(pulls)), 2, h.state.clone());
+        let mut op = AppendConstOp::new(Box::new(dedup), Value::int(7), h.state.clone());
+        assert_eq!(op.next_batch().unwrap().unwrap().len(), 4);
         assert!(op.next_batch().is_err());
         drop(op);
         assert_eq!(h.ledger.resident(), 0);

@@ -76,8 +76,8 @@ pub(crate) fn run(
 
 /// Pull `op` to exhaustion, acquiring every emitted row against the ledger; the
 /// nonempty batches and the row count. The operator tree is dropped before returning.
-fn drain(mut op: BoxOp<'_>, state: &SharedState) -> Result<(Vec<Batch>, u64)> {
-    let mut batches: Vec<Batch> = Vec::new();
+fn drain<'db>(mut op: BoxOp<'db>, state: &SharedState) -> Result<(Vec<Batch<'db>>, u64)> {
+    let mut batches: Vec<Batch<'db>> = Vec::new();
     let mut rows: u64 = 0;
     while let Some(batch) = op.next_batch()? {
         state.borrow_mut().acquire(batch.len() as u64);
@@ -94,7 +94,7 @@ fn drain(mut op: BoxOp<'_>, state: &SharedState) -> Result<(Vec<Batch>, u64)> {
 /// transpose's clones. The emptied column buffers go to `exec`'s pool.
 fn finish(
     prepared: &Prepared<'_>,
-    (batches, output_rows): (Vec<Batch>, u64),
+    (batches, output_rows): (Vec<Batch<'_>>, u64),
     ledger: &ResidencyLedger,
     exec: &mut ExecState,
 ) -> (Table, AccessStats) {

@@ -16,8 +16,8 @@ impl SingletonOp {
     }
 }
 
-impl Operator for SingletonOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+impl<'db> Operator<'db> for SingletonOp {
+    fn next_batch(&mut self) -> Result<Option<Batch<'db>>> {
         Ok(self.row.take().map(Batch::singleton))
     }
 }
@@ -25,8 +25,8 @@ impl Operator for SingletonOp {
 /// Emits nothing.
 pub(crate) struct EmptyOp;
 
-impl Operator for EmptyOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
+impl<'db> Operator<'db> for EmptyOp {
+    fn next_batch(&mut self) -> Result<Option<Batch<'db>>> {
         Ok(None)
     }
 }

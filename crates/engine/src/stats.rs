@@ -37,15 +37,17 @@ pub struct AccessStats {
     /// and counts nothing.
     pub peak_rows_resident: u64,
     /// Number of individual [`bea_core::value::Value`] clones the executor physically
-    /// performs: gathers into output columns, row copies between step tables, key
-    /// projections (probe keys included — they are cloned into the operator's key
-    /// scratch whether or not they repeat), and membership insertions. Index
-    /// lookups that only *read* tuples are not counted — a keyed lookup copies a key's
-    /// postings into its arena only when they hold two or more tuples, and reads a
-    /// single tuple in place, so only its emitted values are cloned — and neither is
-    /// work that performs no clone: the columnar pipeline's duplicate detection is
-    /// hash-then-compare in place, so only genuinely fresh rows enter a set, and a δ
-    /// the plan proves redundant is not run at all. This is the
+    /// performs: in the streaming pipeline, keys new to a lookup's memo, fresh rows of
+    /// δ's seen set, a value column a lookup's emission takes, a constant append's
+    /// column and the output table's rows where its columns cannot be moved; in the
+    /// reference, row copies between step tables and key projections too. Reads are not
+    /// counted: a keyed lookup hands its keys to the store where they lie, keeps tuple
+    /// offsets rather than values, and emits the fetched columns — and a source column
+    /// that points into the store — as offsets, so its fetched values are cloned once,
+    /// into the answer, if they reach it. Nor is work that performs no clone: the
+    /// columnar pipeline's duplicate detection is hash-then-compare in place, so only
+    /// genuinely fresh rows enter a set, and a δ the plan proves redundant is not run
+    /// at all. This is the
     /// copy-traffic side of execution, the quantity the columnar pipeline exists to
     /// minimize; value clones are O(1) (interned strings), so the counter measures
     /// traffic, not bytes. Like residency, it is an execution-strategy artifact and
@@ -55,17 +57,17 @@ pub struct AccessStats {
     /// steady-state allocation model of the serving loop. Nothing charges it any more:
     /// every fetch of a physical plan runs as a keyed lookup
     /// ([`KeyedLookupOp`](crate::ops)), which demands **no** buffer per key, hit or
-    /// miss — each probe gathers its key into one reusable scratch, a key new to the
-    /// operator is cloned into its flat memo key columns (where keys can repeat), a
-    /// miss moves the scratch's values into the batch's flat probe buffer and appends
-    /// multi-tuple postings to its arena value columns, and a repeat reads what is
-    /// already there. So every run reports 0. The field stays on the wire (`bead` replies,
+    /// miss — each probe reads its key where the source row holds it, a key new to the
+    /// operator is cloned into its flat memo key columns (where keys can repeat), the
+    /// store reads the batch's new keys where they lie, deduplicated postings are
+    /// appended to the arena's offset list, and a repeat reads what is already there.
+    /// So every run reports 0. The field stays on the wire (`bead` replies,
     /// `BENCH_pipeline.json`) until the modelled allocation accounting is deleted as a
     /// whole; `tests/alloc_budget.rs` checks the claim against the allocator itself.
     ///
     /// Deliberately *excluded* are buffers whose number follows the execution
-    /// schedule rather than the probes: per-batch emission columns and per-operator
-    /// arena, key and membership-table columns (pooled, growing by doubling). A pool
+    /// schedule rather than the probes: per-batch emission columns and offset lists,
+    /// and per-operator arena, key and membership-table buffers (growing by doubling). A pool
     /// hit still counts — the *demand* is what the serving loop must avoid. It is a
     /// streaming-pipeline metric: the materialized executor reports 0. Like
     /// `values_cloned` it is an execution-strategy artifact, excluded from

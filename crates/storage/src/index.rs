@@ -62,14 +62,21 @@
 //!
 //! # Batches of probes
 //!
-//! A batch of probes is resolved `GROUP` keys at a time: every probe of a group finds its
-//! group, and only then are the groups turned into offsets. A dense probe reads nothing
-//! on its way to its group, so it prefetches the line that turning the group into
-//! offsets, or the caller, reads next — the group's CSR start, or its one tuple — and a
-//! group's misses overlap instead of queueing (Q0's ≈330 cold ψ3 probes per query are
-//! such a batch). A hashed probe hashes its key and walks its slots on its own, by the
-//! one walk [`HashIndex::lookup`] takes too: of the accidents indexes only ψ1, keyed by
-//! date, is hashed, and it is probed one date at a time.
+//! A batch of probes is resolved `GROUP` keys at a time. The caller hands over no key
+//! buffer: it names each key value by accessor — probe `i`'s value `m` — so a key is
+//! read where the caller holds it (a source row, a memo, another relation's tuple) and
+//! nothing is copied to ask for it. Every probe of a group finds its group, and only
+//! then are the groups turned into offsets. A dense probe reads nothing on its way to
+//! its group, so it hints the lines that turning the group into offsets, or the caller,
+//! reads next — the group's CSR start, or both lines its one tuple may straddle (a
+//! 48-B tuple crosses a 64-B line half the time) — and a group's misses overlap instead
+//! of queueing (Q0's ≈330 cold ψ3 probes per query are such a batch). Turning a
+//! clustered group into its run hints the run's first tuple the same way. A hashed
+//! probe hashes its key and walks its slots on its own, by the one walk
+//! [`HashIndex::lookup`] takes too: of the accidents indexes only ψ1, keyed by date, is
+//! hashed, and it is probed one date at a time. [`prefetch`] is the hint, and the one
+//! `unsafe` item of the workspace; the executor calls it too, on the stored key it
+//! will hand over one group later.
 //!
 //! # Build
 //!
@@ -129,14 +136,14 @@ fn offset_bound(relation: &str, tuples: usize) -> Result<u32> {
 /// Dense probes whose prefetches one batch keeps in flight: about the line-fill buffers
 /// of one core (10–16 on current x86), so their misses overlap, and few enough that each
 /// prefetched line is still in L1 when it is read. 32 measured the same.
-pub(crate) const GROUP: usize = 16;
+pub const GROUP: usize = 16;
 
-/// Hint the CPU to pull `items[at]` into cache (nothing if `at` is out of range).
-/// The crate's one `unsafe` block: `_mm_prefetch` takes a raw pointer. Compiles to
-/// nothing off x86_64.
+/// Hint the CPU to pull `items[at]` into cache (nothing if `at` is out of range): a
+/// hint only, it cannot fault and changes no result. The workspace's one `unsafe`
+/// block: `_mm_prefetch` takes a raw pointer. Compiles to nothing off x86_64.
 #[allow(unsafe_code)]
 #[inline(always)]
-fn prefetch<T>(items: &[T], at: usize) {
+pub fn prefetch<T>(items: &[T], at: usize) {
     #[cfg(target_arch = "x86_64")]
     if let Some(item) = items.get(at) {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
@@ -170,43 +177,48 @@ fn regrow(slots: &mut Vec<u32>, tags: &[u32], relation: &str) -> Result<()> {
     Ok(())
 }
 
-/// Keys to resolve in one batch, laid out flat: probe `i`'s key is the `i`-th run of the
-/// constraint's key arity in `keys`. The count is carried, not derived from `keys`: the
-/// probes of an empty key hold no values at all.
-#[derive(Debug, Clone, Copy)]
-pub struct Probes<'p> {
-    /// How many keys.
-    pub count: usize,
-    /// The keys, one after another.
-    pub keys: &'p [Value],
+/// Hint both ends of `tuple`: the lines it may straddle.
+#[inline(always)]
+fn prefetch_tuple(tuple: &[Value]) {
+    prefetch(tuple, 0);
+    prefetch(tuple, tuple.len().saturating_sub(1));
 }
 
-/// Resolve every probe in `index` (over `relation`, on the probes' key attributes —
-/// `probes.keys` holds `probes.count` of them), `GROUP` at a time: `emit` receives each
-/// probe's offsets, empty if its key is absent, in probe order. Every probe of a group
-/// finds its group first, and the line that turning it into offsets, or the caller,
-/// reads next — the group's CSR start, or its one tuple — is prefetched, so a group of
-/// dense probes overlaps those misses; a hashed probe has read both in its walk.
-pub(crate) fn resolve_each<'a>(
+/// Resolve `count` probes in `index` (over `relation`, on the probes' key attributes),
+/// `GROUP` at a time: `key(i, m)` is value `m` of probe `i`'s key, and `emit` receives
+/// each probe's offsets, empty if its key is absent, in probe order. Every probe of a
+/// group finds its group first, and the lines that turning it into offsets, or the
+/// caller, reads next — the group's CSR start, or its one tuple — are hinted, so a
+/// group of dense probes overlaps those misses; a hashed probe has read both in its
+/// walk. A clustered run's first tuple is hinted as the run is emitted.
+pub(crate) fn resolve_each<'a, 'k>(
     relation: &Relation,
     index: &'a HashIndex,
-    probes: Probes<'_>,
+    count: usize,
+    key: impl Fn(usize, usize) -> &'k Value,
     mut emit: impl FnMut(Offsets<'a>),
 ) {
-    let arity = index.key_attrs.len();
     let mut found = [None; GROUP];
-    for base in (0..probes.count).step_by(GROUP) {
-        let found = &mut found[..GROUP.min(probes.count - base)];
+    for base in (0..count).step_by(GROUP) {
+        let found = &mut found[..GROUP.min(count - base)];
         for (i, found) in (base..).zip(found.iter_mut()) {
-            *found = index.find(relation, &probes.keys[i * arity..(i + 1) * arity]);
+            *found = index.find(relation, |m| key(i, m));
             match (*found, index.groups.arrays()) {
                 (None, _) => {}
                 (Some(group), (Some(starts), _)) => prefetch(starts, group as usize),
-                (Some(group), (None, _)) => prefetch(relation.tuple(group as usize), 0),
+                (Some(group), (None, _)) => prefetch_tuple(relation.tuple(group as usize)),
             }
         }
-        for found in found.iter() {
-            emit(found.map_or_else(Offsets::default, |group| index.group(group as usize)));
+        for &found in found.iter() {
+            let Some(group) = found else {
+                emit(Offsets::default());
+                continue;
+            };
+            let offsets = index.group(group as usize);
+            if let (Offsets::Run(run), Groups::Clustered { .. }) = (&offsets, &index.groups) {
+                prefetch_tuple(relation.tuple(run.start as usize));
+            }
+            emit(offsets);
         }
     }
 }
@@ -531,23 +543,33 @@ impl HashIndex {
         &self.key_attrs
     }
 
+    /// Whether every key has one tuple: no two tuples of the relation agree on the key
+    /// attributes, so none agree on any superset of them either.
+    pub(crate) fn is_unique(&self) -> bool {
+        matches!(self.groups, Groups::Unique { .. })
+    }
+
     /// Offsets of the tuples of `relation` — the relation this index was built over —
-    /// whose key equals `key` (empty if none), in insertion order.
+    /// whose key equals `key` (empty if none, or if `key` is not of the key's arity),
+    /// in insertion order.
     pub fn lookup(&self, relation: &Relation, key: &[Value]) -> Offsets<'_> {
-        let found = self.find(relation, key);
+        if key.len() != self.key_attrs.len() {
+            return Offsets::default();
+        }
+        let found = self.find(relation, |m| &key[m]);
         found.map_or_else(Offsets::default, |group| self.group(group as usize))
     }
 
-    /// The group of `key` in this index over `relation`, if it has one. A dense index
-    /// subtracts its first key, overflow-safe: a key that is not one integer, or whose
-    /// distance from `base` is not a group, is absent. A hashed one walks its slot table
-    /// from the key's hash to the first group whose first tuple holds the key, or to the
-    /// free slot that ends the walk (a table is at most half full, and never empty): the
-    /// one probe walk.
-    fn find(&self, relation: &Relation, key: &[Value]) -> Option<u32> {
+    /// The group of the key whose value `m` is `key(m)`, one value per key attribute,
+    /// in this index over `relation`, if it has one. A dense index subtracts its first
+    /// key, overflow-safe: a key that is not one integer, or whose distance from `base`
+    /// is not a group, is absent. A hashed one walks its slot table from the key's hash
+    /// to the first group whose first tuple holds the key, or to the free slot that ends
+    /// the walk (a table is at most half full, and never empty): the one probe walk.
+    fn find<'k>(&self, relation: &Relation, key: impl Fn(usize) -> &'k Value) -> Option<u32> {
         let slots = match &self.keys {
             KeyMap::Dense { base } => {
-                let &[Value::Int(key)] = key else {
+                let Value::Int(key) = key(0) else {
                     return None;
                 };
                 let group = u32::try_from(key.checked_sub(*base)?).ok()?;
@@ -556,14 +578,15 @@ impl HashIndex {
             KeyMap::Hashed { slots } => slots,
         };
         let mask = slots.len() - 1;
-        let mut slot = hash_row(key) as usize & mask;
+        let mut slot = hash_row((0..self.key_attrs.len()).map(&key)) as usize & mask;
         loop {
             let group = slots[slot];
             if group == EMPTY {
                 return None;
             }
             let tuple = relation.tuple(self.groups.first(group as usize));
-            if self.key_attrs.iter().map(|&attr| &tuple[attr]).eq(key) {
+            let mut attrs = self.key_attrs.iter().enumerate();
+            if attrs.all(|(m, &attr)| tuple[attr] == *key(m)) {
                 return Some(group);
             }
             slot = (slot + 1) & mask;
@@ -1070,13 +1093,9 @@ pub(crate) mod tests {
 
     /// Resolve `keys` in one batched call over one index: each key's offsets.
     fn resolve_all(index: &HashIndex, relation: &Relation, keys: &[Row]) -> Vec<Vec<u32>> {
-        let flat: Vec<Value> = keys.iter().flatten().cloned().collect();
         let mut out = Vec::new();
-        let probes = Probes {
-            count: keys.len(),
-            keys: &flat,
-        };
-        resolve_each(relation, index, probes, |offsets| {
+        let key = |i: usize, m: usize| &keys[i][m];
+        resolve_each(relation, index, keys.len(), key, |offsets| {
             out.push(offsets.collect())
         });
         out

@@ -5,10 +5,12 @@
 //! `(constraint, key)` lookups, and the store answers each from that constraint's one
 //! index: per key, its tuples in insertion order ([`IndexedDatabase::fetch_iter`]), or
 //! per key of a batch ([`IndexedDatabase::resolve`]), which is how the executor reaches
-//! it. The store finds a key itself: a caller hands over values, never a hash.
+//! it. The store finds a key itself: a caller names the key's values by accessor, never
+//! a hash, and gets tuple offsets back, which it may keep in place of the tuples' values
+//! ([`Relation::values`]).
 
 use crate::database::Database;
-use crate::index::{resolve_each, HashIndex, Offsets, Probes};
+use crate::index::{resolve_each, HashIndex, Offsets};
 use crate::relation::Relation;
 use bea_core::access::AccessSchema;
 use bea_core::error::{Error, Result};
@@ -121,7 +123,7 @@ impl IndexedDatabase {
         constraint_index: usize,
         key: &[Value],
     ) -> Result<(FetchIter<'_>, u32)> {
-        let (relation, index) = self.indexed(constraint_index, key.len(), 1)?;
+        let (relation, index) = self.indexed(constraint_index, key.len())?;
         let offsets = index.lookup(relation, key);
         Ok((FetchIter { relation, offsets }, 0))
     }
@@ -147,46 +149,58 @@ impl IndexedDatabase {
         Ok((iter.project_into(positions.iter(), out), 0))
     }
 
-    /// Batched fetch: clear `out`, then push, for every probe in order, the tuples whose
-    /// `X`-projection equals its key (empty if none) — per probe what
-    /// [`IndexedDatabase::fetch_iter`] returns. Dense keys are resolved in groups, their
-    /// cache misses overlapped (see [`crate::index`]). Refuses, as `fetch_iter` does, a
-    /// constraint the schema lacks and a probe buffer that is not `probes.count` keys of
-    /// the constraint's arity. The executor's keyed operators reach the index only here.
-    pub fn resolve<'a>(
+    /// Batched fetch: clear `out`, then push, for each of `count` probes in order, the
+    /// offsets in its relation of the tuples whose `X`-projection equals its key (empty
+    /// if none) — per probe the tuples [`IndexedDatabase::fetch_iter`] returns. Probe
+    /// `i`'s key is `arity` values, value `m` being `key(i, m)`: the caller names them
+    /// where it holds them, and nothing is copied. Dense keys are resolved in groups,
+    /// their cache misses overlapped (see [`crate::index`]). Refuses, as `fetch_iter`
+    /// does, a constraint the schema lacks and keys not of the constraint's arity. The
+    /// executor's keyed operators reach the index only here.
+    pub fn resolve<'a, 'k>(
         &'a self,
         constraint_index: usize,
-        probes: Probes<'_>,
-        out: &mut Vec<FetchIter<'a>>,
+        count: usize,
+        arity: usize,
+        key: impl Fn(usize, usize) -> &'k Value,
+        out: &mut Vec<Offsets<'a>>,
     ) -> Result<()> {
         out.clear();
-        let (relation, index) = self.indexed(constraint_index, probes.keys.len(), probes.count)?;
-        out.reserve(probes.count);
-        resolve_each(relation, index, probes, |offsets| {
-            out.push(FetchIter { relation, offsets });
-        });
+        let (relation, index) = self.indexed(constraint_index, arity)?;
+        out.reserve(count);
+        resolve_each(relation, index, count, key, |offsets| out.push(offsets));
         Ok(())
     }
 
+    /// Whether the tuples of constraint `constraint_index`'s relation are pairwise
+    /// distinct on the attribute positions `within` accepts, as the store's own layout
+    /// proves it: some index over that relation keeps one tuple per key (a unique
+    /// layout) and its key attributes are all accepted. False when no index proves it,
+    /// and for a constraint the schema lacks.
+    pub fn distinct_within(&self, constraint_index: usize, within: impl Fn(usize) -> bool) -> bool {
+        let Some(&relation) = self.relations.get(constraint_index) else {
+            return false;
+        };
+        let mut indexes = self.relations.iter().zip(&self.indexes);
+        indexes.any(|(&on, index)| {
+            on == relation && index.is_unique() && index.key_attrs().iter().all(|&a| within(a))
+        })
+    }
+
     /// Constraint `constraint_index`'s relation and index — refusing a constraint the
-    /// schema does not have, and `values` key values that are not `keys` keys of the
+    /// schema does not have, and a key of `arity` values that is not of the
     /// constraint's arity.
-    fn indexed(
-        &self,
-        constraint_index: usize,
-        values: usize,
-        keys: usize,
-    ) -> Result<(&Relation, &HashIndex)> {
+    fn indexed(&self, constraint_index: usize, arity: usize) -> Result<(&Relation, &HashIndex)> {
         let Some(index) = self.indexes.get(constraint_index) else {
             return Err(Error::MissingConstraint {
                 reason: format!("no access constraint with index {constraint_index}"),
             });
         };
         let expected = index.key_attrs().len();
-        if expected.checked_mul(keys) != Some(values) {
+        if arity != expected {
             return Err(Error::invalid(format!(
-                "{keys} fetch key(s) have {values} values in all, but constraint \
-                 {constraint_index} expects {expected} per key"
+                "a fetch key has {arity} values, but constraint {constraint_index} \
+                 expects {expected}"
             )));
         }
         let relation = self.database.relation_at(self.relations[constraint_index]);
@@ -531,7 +545,7 @@ mod tests {
     /// Seeded differential of the batched fetch against the single-key fetch, probe by
     /// probe, for present, absent and repeated keys, 0 to 2 500 probes per call, on
     /// composite, single and empty keys; the single-key fetch's errors for the whole
-    /// call; and a probe buffer that is not its count of keys, refused.
+    /// call; and keys not of the constraint's arity, refused.
     #[test]
     fn batched_resolve_matches_each_single_key_fetch() {
         use crate::index::tests::{random_relation, reference};
@@ -559,52 +573,36 @@ mod tests {
                         _ => &present[(i * 31) % present.len()],
                     })
                     .collect();
-                let flat: Vec<Value> = keys.iter().copied().flatten().cloned().collect();
-                let probes = Probes {
-                    count: total,
-                    keys: &flat,
-                };
-                store.resolve(ci, probes, &mut out).unwrap();
+                let arity = constraint.x().len();
+                let key = |i: usize, m: usize| &keys[i][m];
+                store.resolve(ci, total, arity, key, &mut out).unwrap();
                 assert_eq!(out.len(), total);
-                for (key, tuples) in keys.iter().zip(out.drain(..)) {
+                for (key, offsets) in keys.iter().zip(out.drain(..)) {
                     let (single, _) = store.fetch_iter(ci, key).unwrap();
+                    let tuples = offsets.map(|o| relation.row(o as usize).unwrap());
                     assert!(tuples.eq(single), "key {key:?}");
                 }
             }
         }
         let one = [Value::int(1)];
-        let probes = Probes {
-            count: 1,
-            keys: &one,
-        };
-        assert!(store.resolve(7, probes, &mut out).is_err());
-        let message = store.resolve(0, probes, &mut out).unwrap_err().to_string();
-        assert!(message.contains("expects 2"), "{message}");
+        let key = |_: usize, m: usize| &one[m];
+        assert!(store.resolve(7, 1, 1, key, &mut out).is_err());
+        let message = store.resolve(0, 1, 1, key, &mut out).unwrap_err();
+        assert!(message.to_string().contains("expects 2"), "{message}");
         assert!(out.is_empty(), "a refused call resolves nothing");
-        // Buffers that are not their count of keys: a key short, a value over, and values
-        // for an empty key. Refused, whole.
-        let three = [Value::int(1), Value::int(2), Value::int(3)];
-        for (ci, count, keys) in [(0, 2, &three[..]), (1, 2, &three), (2, 1, &one)] {
-            store
-                .resolve(
-                    1,
-                    Probes {
-                        count: 1,
-                        keys: &one,
-                    },
-                    &mut out,
-                )
-                .unwrap();
+        // Keys of the wrong arity, even none of them: refused, whole, and no key is read.
+        let unread = |_: usize, _: usize| -> &Value { unreachable!("a refused key is read") };
+        for (ci, count, arity) in [(0, 2, 1), (1, 2, 3), (2, 1, 1), (1, 0, 2)] {
+            store.resolve(1, 1, 1, key, &mut out).unwrap();
             let message = store
-                .resolve(ci, Probes { count, keys }, &mut out)
+                .resolve(ci, count, arity, unread, &mut out)
                 .unwrap_err();
+            let message = message.to_string();
             assert!(
-                message
-                    .to_string()
-                    .contains(&format!("{count} fetch key(s)")),
+                message.contains(&format!("has {arity} values")),
                 "{message}"
             );
-            assert!(out.is_empty(), "a refused buffer resolves nothing");
+            assert!(out.is_empty(), "a refused call resolves nothing");
         }
     }
 

@@ -39,7 +39,9 @@
 //! anyway. Either hands out the group's offsets: a run of consecutive tuples where the
 //! relation is unique or clustered on the key, a subslice of `postings` otherwise; the
 //! tuples are then slices of the relation at `offset · k`. The executor fetches batches of
-//! keys ([`IndexedDatabase::resolve`]) as values, and the store hashes what it must; a
+//! keys ([`IndexedDatabase::resolve`]), naming each key's values by accessor where it
+//! holds them, and the store hashes what it must; it gets offsets back, and its columns
+//! point at `offset · k + a` ([`Relation::values`]) instead of copying a value out. A
 //! batch's dense probes prefetch what they read next, so their cache misses overlap
 //! (see [`index`]). Posting lists keep insertion order and key groups are numbered by
 //! first occurrence, so every result and every `validate()` report is deterministic.
@@ -62,6 +64,6 @@ pub mod relation;
 
 pub use database::Database;
 pub use discovery::{discover_constraints, measure_cardinality, DiscoveryOptions};
-pub use index::Probes;
+pub use index::{prefetch, Offsets};
 pub use indexed::{ConstraintViolation, FetchIter, IndexedDatabase, Store};
 pub use relation::Relation;

@@ -68,6 +68,13 @@ impl Relation {
         (index < self.len).then(|| self.tuple(index))
     }
 
+    /// Every tuple's values, row-major: tuple `i`'s value at attribute `a` is at `i ·
+    /// arity + a`. What an executor column over tuple offsets reads, so it can point
+    /// into the store instead of copying a value out.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
     /// The tuple at an offset an index handed out; panics when out of range.
     pub(crate) fn tuple(&self, index: usize) -> &[Value] {
         let arity = self.schema.arity();
