@@ -198,9 +198,8 @@ impl ParallelScenario {
 }
 
 /// The heavy-chain scenario: one *heavy* query instead of many small ones. A single
-/// anchor key fans out to `fan_out` rows with distinct join keys, which a second hop
-/// joins through the fused keyed-lookup pattern, so one pipeline probes `fan_out`
-/// keys over `fan_out / 1024` batches.
+/// anchor key fans out to `fan_out` rows with distinct join keys, which a second keyed
+/// join probes, so one pipeline probes `fan_out` keys over `fan_out / 1024` batches.
 pub struct HeavyChainScenario {
     /// The relational schema (R(a, b) fan-out, S(k, v) lookups).
     pub catalog: Catalog,
@@ -220,7 +219,7 @@ impl HeavyChainScenario {
     /// Build the scenario with the given fan-out.
     pub fn with_fan_out(fan_out: u32, seed: u64) -> Result<Self> {
         use bea_core::access::AccessConstraint;
-        use bea_core::plan::{PlanBuilder, Predicate};
+        use bea_core::plan::PlanBuilder;
         use bea_core::value::Value;
 
         let catalog = {
@@ -247,28 +246,14 @@ impl HeavyChainScenario {
 
         let plan = {
             let mut b = PlanBuilder::new();
+            let labels = |x: &str, y: &str| vec![x.into(), y.into()];
             let anchor = b.constant(Value::int(1), "x");
-            let r = b.fetch(
-                anchor,
-                vec![0],
-                "R",
-                vec![0],
-                vec![1],
-                0,
-                vec!["a".into(), "b".into()],
-            );
-            let s = b.fetch(
-                r,
-                vec![1],
-                "S",
-                vec![0],
-                vec![1],
-                1,
-                vec!["k".into(), "v".into()],
-            );
-            let joined = b.product(r, s);
-            let selected = b.select(joined, vec![Predicate::ColEqCol(1, 2)]);
-            let out = b.project(selected, vec![1, 3]);
+            let ab = labels("a", "b");
+            let r = b.keyed_join(anchor, vec![0], "R", vec![0], vec![1], 0, ab, vec![]);
+            let r = b.project(r, vec![1, 2]);
+            let kv = labels("k", "v");
+            let joined = b.keyed_join(r, vec![1], "S", vec![0], vec![1], 1, kv, vec![]);
+            let out = b.project(joined, vec![1, 3]);
             b.finish("HeavyChain", out)?
         };
         let physical = lower_plan(&plan)?;

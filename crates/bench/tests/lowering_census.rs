@@ -1,19 +1,23 @@
-//! Every plan that synthesis returns lowers: a census over random workloads.
+//! Every plan that synthesis returns is bounded and lowers to one operator tree with one
+//! keyed lookup per fetch: a census over random workloads.
 //!
-//! `lower_plan` accepts only the fragment plan synthesis emits and refuses a shared
-//! step, a σ that does not fuse into a keyed lookup and a product whose right side is
-//! not a constant (see `bea_core::plan::physical`). This census plans querygen
-//! workloads of the accidents, e-commerce and graph families at `max_atoms` 3 and 5 —
-//! each query through
+//! Synthesis emits every fetch as a keyed join and every other product as `T × {c}`, and
+//! `lower_plan` maps each logical step onto one physical operator (see
+//! `bea_core::plan::physical`). This census plans querygen workloads of the accidents,
+//! e-commerce and graph families at `max_atoms` 3 and 5 — each query through
 //! `bounded_plan` and `bounded_plan_via_analysis`, and each pair of covered queries of
 //! one arity as a union through `bounded_plan_ucq` — and E3's workload under every one
-//! of its constraint sets, and lowers each plan they return. Floors on the number of
-//! plans checked keep it from passing with nothing to check.
+//! of its constraint sets. For each plan they return it checks that the plan is
+//! boundedly evaluable under its schema (`is_bounded_under`), that it lowers, that the
+//! lowered plan has exactly as many keyed lookups as the cost model counts fetches (no
+//! fetch is split or dropped), and that the lowered plan is one tree: every step is read
+//! by one operator and the output by none. Floors on the number of plans checked keep
+//! it from passing with nothing to check.
 
 use bea_bench::claims::coverage_setup;
 use bea_core::access::AccessSchema;
 use bea_core::bounded::{bounded_plan_via_analysis, BoundedConfig};
-use bea_core::plan::{bounded_plan, bounded_plan_ucq, lower_plan, QueryPlan};
+use bea_core::plan::{bounded_plan, bounded_plan_ucq, lower_plan, PhysOp, QueryPlan};
 use bea_core::query::cq::ConjunctiveQuery;
 use bea_core::query::ucq::UnionQuery;
 use bea_core::reason::ReasonConfig;
@@ -29,20 +33,20 @@ struct Census {
 }
 
 impl Census {
-    /// Plan every query of `workload` under `schema`; lower what comes back. The first
+    /// Plan every query of `workload` under `schema`; check what comes back. The first
     /// `analyzed` queries also go through the bounded-evaluability analysis, and
     /// consecutive covered queries of one arity are planned as unions.
     fn plan(&mut self, workload: &[ConjunctiveQuery], schema: &AccessSchema, analyzed: usize) {
         let mut covered: Vec<&ConjunctiveQuery> = Vec::new();
         for (i, query) in workload.iter().enumerate() {
             if let Ok(plan) = bounded_plan(query, schema) {
-                self.cq += lowers(&plan);
+                self.cq += checks(&plan, schema);
                 covered.push(query);
             }
             if i < analyzed {
                 let config = BoundedConfig::default();
                 if let Ok(Some(plan)) = bounded_plan_via_analysis(query, schema, &config) {
-                    self.analysis += lowers(&plan);
+                    self.analysis += checks(&plan, schema);
                 }
             }
         }
@@ -52,17 +56,35 @@ impl Census {
                 continue;
             };
             if let Ok(plan) = bounded_plan_ucq(&union, schema, &ReasonConfig::default()) {
-                self.ucq += lowers(&plan);
+                self.ucq += checks(&plan, schema);
             }
         }
     }
 }
 
-/// Lower `plan`, failing with the refusal and the plan: 1 plan checked.
-fn lowers(plan: &QueryPlan) -> usize {
-    if let Err(refusal) = lower_plan(plan) {
-        panic!("a synthesized plan is refused: {refusal}\n{plan}");
+/// Check `plan`, synthesized under `schema` (see the module docs), failing with the plan
+/// and what went wrong: 1 plan checked.
+fn checks(plan: &QueryPlan, schema: &AccessSchema) -> usize {
+    assert!(plan.is_bounded_under(schema), "an unbounded plan:\n{plan}");
+    let physical = match lower_plan(plan) {
+        Ok(physical) => physical,
+        Err(refusal) => panic!("a synthesized plan is refused: {refusal}\n{plan}"),
+    };
+    let steps = physical.steps();
+    let lookups = (steps.iter())
+        .filter(|step| matches!(step.op, PhysOp::KeyedLookup { .. }))
+        .count();
+    let fetches = plan.cost(schema, 1_000_000).fetch_ops;
+    assert_eq!(lookups, fetches, "{plan}\n{physical}");
+    let mut readers = vec![0; steps.len()];
+    readers[physical.output()] += 1;
+    for input in steps.iter().flat_map(|step| step.op.inputs()) {
+        readers[input] += 1;
     }
+    assert!(
+        readers.iter().all(|&r| r == 1),
+        "not one tree:\n{plan}\n{physical}"
+    );
     1
 }
 

@@ -1,19 +1,22 @@
 //! Boundedly evaluable query plans (Section 2 of the paper).
 //!
-//! A query plan is a sequence `T₁ = δ₁, …, Tₙ = δₙ` where each `δᵢ` is a constant
-//! singleton `{a}`, a `fetch(X ∈ Tⱼ, R, Y)` that retrieves tuples through an index, or a
-//! relational operation (π, σ, ×, ∪, −, ρ) over earlier results. A plan is *boundedly
-//! evaluable under `A`* when every fetch is backed by an access constraint of `A` (so the
-//! amount of data it retrieves is bounded by the constraint's cardinality) and the plan
-//! length depends only on the query, the schema and `A` — never on the database.
+//! A query plan is a sequence `T₁ = δ₁, …, Tₙ = δₙ` over the paper's algebra: constant
+//! singletons `{a}`, `fetch(X ∈ Tⱼ, R, Y)` through an index, and π, σ, × and ∪ over
+//! earlier results. Every fetch plan synthesis makes is joined back to the step its keys
+//! come from, `σ[key equalities](T × fetch(X ∈ T, R, Y))`, and every other product adds a
+//! query constant, `T × {c}`; so the plan IR has seven operations, [`PlanOp`]: `{a}`, the
+//! unit table `{()}`, `∅`, that keyed join, π, `T × {c}` and ∪. Each step is read by at
+//! most one other, so a plan is one tree. A plan is *boundedly evaluable under `A`* when
+//! every fetch is backed by an access constraint of `A` (so the amount of data it
+//! retrieves is bounded by the constraint's cardinality) and the plan length depends
+//! only on the query, the schema and `A` — never on the database.
 //!
 //! * [`QueryPlan`] / [`PlanOp`] — the logical plan IR, validation, cost bounds and
-//!   pretty-printing.
+//!   pretty-printing in the paper's notation.
 //! * [`synthesis`] — construction of a boundedly evaluable plan from a coverage witness,
 //!   which is the constructive half of Theorem 3.11 ("covered ⇒ boundedly evaluable").
-//! * [`physical`] — rule-based lowering of the plans synthesis emits into streaming
-//!   [`physical::PhysicalPlan`]s, one operator tree each (keyed-lookup fusion,
-//!   projection pushdown, dedup elimination); any other plan is refused.
+//! * [`physical`] — lowering into streaming [`physical::PhysicalPlan`]s, one operator
+//!   per step plus the δs set semantics needs.
 //! * [`ticket`] — admission-control [`ticket::CostTicket`]s: the fetch bound and
 //!   per-probe allocation surface of a lowered plan, priced before execution.
 //!
@@ -45,6 +48,16 @@ pub enum Predicate {
     ColEqConst(usize, Value),
 }
 
+impl Predicate {
+    /// True when every column the predicate reads is below `arity`.
+    pub(crate) fn in_range(&self, arity: usize) -> bool {
+        match self {
+            Predicate::ColEqCol(a, b) => *a < arity && *b < arity,
+            Predicate::ColEqConst(a, _) => *a < arity,
+        }
+    }
+}
+
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -69,10 +82,13 @@ pub enum PlanOp {
         /// Number of columns.
         arity: usize,
     },
-    /// `fetch(X ∈ Tⱼ, R, X ∪ Y)`: for every row of `source`, read the values of
-    /// `key_cols` as an `X`-value and retrieve the matching `X ∪ Y` projections of `R`
-    /// through the index of the backing access constraint.
-    Fetch {
+    /// `σ[key ties ∧ residual](T × fetch(X ∈ T, R, X ∪ Y))`, `T` being `source`: for
+    /// every row of `T`, read the values of `key_cols` as an `X`-value, retrieve the
+    /// matching `X ∪ Y` projections of `R` through the index of the backing access
+    /// constraint, and keep each row of `T` beside each of its matches that meets
+    /// `residual`. The key ties equate each key column with its fetched `X` column. The
+    /// columns are the source's followed by `x_attrs ++ y_attrs`.
+    KeyedJoin {
         /// The node supplying the key values.
         source: NodeId,
         /// Columns of `source` holding the key, aligned with `x_attrs`.
@@ -82,10 +98,12 @@ pub enum PlanOp {
         /// Attribute positions of `R` forming the index key `X` (sorted).
         x_attrs: Vec<usize>,
         /// Attribute positions of `R` retrieved through the index (sorted, disjoint from
-        /// `x_attrs`). The output columns of the fetch are `x_attrs ++ y_attrs`.
+        /// `x_attrs`).
         y_attrs: Vec<usize>,
         /// Index of the access constraint backing this fetch in the access schema.
         constraint_index: usize,
+        /// Predicates over the joined columns beyond the key ties.
+        residual: Vec<Predicate>,
     },
     /// Projection onto the given columns (in the given order; may repeat columns).
     Project {
@@ -94,19 +112,12 @@ pub enum PlanOp {
         /// Columns to keep.
         cols: Vec<usize>,
     },
-    /// Selection by a conjunction of predicates.
-    Select {
+    /// `T × {c}`: every row of `source` with `value` appended as one more column.
+    AppendConst {
         /// Input node.
         source: NodeId,
-        /// Conjunction of predicates.
-        predicates: Vec<Predicate>,
-    },
-    /// Cartesian product; the right operand's columns are appended to the left's.
-    Product {
-        /// Left input.
-        left: NodeId,
-        /// Right input.
-        right: NodeId,
+        /// The appended constant.
+        value: Value,
     },
     /// Set union (operands must have equal arity).
     Union {
@@ -115,6 +126,19 @@ pub enum PlanOp {
         /// Right input.
         right: NodeId,
     },
+}
+
+impl PlanOp {
+    /// The steps this operation reads.
+    fn inputs(&self) -> Vec<NodeId> {
+        match self {
+            PlanOp::Const { .. } | PlanOp::Unit | PlanOp::Empty { .. } => Vec::new(),
+            PlanOp::KeyedJoin { source, .. }
+            | PlanOp::Project { source, .. }
+            | PlanOp::AppendConst { source, .. } => vec![*source],
+            PlanOp::Union { left, right } => vec![*left, *right],
+        }
+    }
 }
 
 /// One plan step: an operation plus human-readable column labels for its result.
@@ -189,142 +213,60 @@ impl QueryPlan {
         self.steps.is_empty()
     }
 
-    /// Structural validation: every referenced node is an earlier step, columns are in
-    /// range, and arities agree for a union.
+    /// Structural validation: every step reads earlier steps only, and no step is read
+    /// twice, so the plan is one tree; columns are in range, and each step has as many
+    /// labels as its operation has columns. A refusal names its step (`T3`).
     pub fn validate(&self) -> Result<()> {
+        let invalid = |reason: String| Err(Error::InvalidPlan { reason });
         if self.steps.is_empty() {
-            return Err(Error::InvalidPlan {
-                reason: "plan has no steps".into(),
-            });
+            return invalid("plan has no steps".into());
         }
         if self.output >= self.steps.len() {
-            return Err(Error::InvalidPlan {
-                reason: format!("output node {} is out of range", self.output),
-            });
+            return invalid(format!("output step T{} is out of range", self.output));
         }
+        let mut read = vec![false; self.steps.len()];
         for (i, step) in self.steps.iter().enumerate() {
-            let check_source = |j: NodeId, what: &str| -> Result<()> {
+            for j in step.op.inputs() {
                 if j >= i {
-                    return Err(Error::InvalidPlan {
-                        reason: format!(
-                            "step {i} references {what} {j}, which is not an earlier step"
-                        ),
-                    });
+                    return invalid(format!(
+                        "step T{i} reads T{j}, which is not an earlier step"
+                    ));
                 }
-                Ok(())
-            };
+                if std::mem::replace(&mut read[j], true) {
+                    return invalid(format!("step T{j} is read by two steps"));
+                }
+            }
             let arity = |j: NodeId| self.steps[j].columns.len();
-            match &step.op {
-                PlanOp::Const { .. } => {
-                    if step.columns.len() != 1 {
-                        return Err(Error::InvalidPlan {
-                            reason: format!("constant step {i} must have exactly one column"),
-                        });
-                    }
-                }
-                PlanOp::Unit => {
-                    if !step.columns.is_empty() {
-                        return Err(Error::InvalidPlan {
-                            reason: format!("unit step {i} must have no columns"),
-                        });
-                    }
-                }
-                PlanOp::Empty { arity: a } => {
-                    if step.columns.len() != *a {
-                        return Err(Error::InvalidPlan {
-                            reason: format!(
-                                "empty step {i} declares arity {a} but has {} labels",
-                                step.columns.len()
-                            ),
-                        });
-                    }
-                }
-                PlanOp::Fetch {
+            let width = step.columns.len();
+            let ok = match &step.op {
+                PlanOp::Const { .. } => width == 1,
+                PlanOp::Unit => width == 0,
+                PlanOp::Empty { arity: a } => width == *a,
+                PlanOp::KeyedJoin {
                     source,
                     key_cols,
                     x_attrs,
                     y_attrs,
+                    residual,
                     ..
                 } => {
-                    check_source(*source, "fetch source")?;
-                    if key_cols.len() != x_attrs.len() {
-                        return Err(Error::InvalidPlan {
-                            reason: format!(
-                                "fetch step {i} has {} key columns for {} key attributes",
-                                key_cols.len(),
-                                x_attrs.len()
-                            ),
-                        });
-                    }
-                    if key_cols.iter().any(|&c| c >= arity(*source)) {
-                        return Err(Error::InvalidPlan {
-                            reason: format!("fetch step {i} references a key column out of range"),
-                        });
-                    }
-                    if step.columns.len() != x_attrs.len() + y_attrs.len() {
-                        return Err(Error::InvalidPlan {
-                            reason: format!("fetch step {i} must output |X| + |Y| columns"),
-                        });
-                    }
+                    key_cols.len() == x_attrs.len()
+                        && key_cols.iter().all(|&c| c < arity(*source))
+                        && width == arity(*source) + x_attrs.len() + y_attrs.len()
+                        && residual.iter().all(|p| p.in_range(width))
                 }
                 PlanOp::Project { source, cols } => {
-                    check_source(*source, "projection source")?;
-                    if cols.iter().any(|&c| c >= arity(*source)) {
-                        return Err(Error::InvalidPlan {
-                            reason: format!("projection step {i} references a column out of range"),
-                        });
-                    }
-                    if step.columns.len() != cols.len() {
-                        return Err(Error::InvalidPlan {
-                            reason: format!("projection step {i} has mismatched column labels"),
-                        });
-                    }
+                    cols.iter().all(|&c| c < arity(*source)) && width == cols.len()
                 }
-                PlanOp::Select { source, predicates } => {
-                    check_source(*source, "selection source")?;
-                    let a = arity(*source);
-                    for p in predicates {
-                        let ok = match p {
-                            Predicate::ColEqCol(x, y) => *x < a && *y < a,
-                            Predicate::ColEqConst(x, _) => *x < a,
-                        };
-                        if !ok {
-                            return Err(Error::InvalidPlan {
-                                reason: format!(
-                                    "selection step {i} references a column out of range"
-                                ),
-                            });
-                        }
-                    }
-                    if step.columns.len() != a {
-                        return Err(Error::InvalidPlan {
-                            reason: format!("selection step {i} must keep its source arity"),
-                        });
-                    }
-                }
-                PlanOp::Product { left, right } => {
-                    check_source(*left, "product operand")?;
-                    check_source(*right, "product operand")?;
-                    if step.columns.len() != arity(*left) + arity(*right) {
-                        return Err(Error::InvalidPlan {
-                            reason: format!("product step {i} has mismatched column labels"),
-                        });
-                    }
-                }
+                PlanOp::AppendConst { source, .. } => width == arity(*source) + 1,
                 PlanOp::Union { left, right } => {
-                    check_source(*left, "operand")?;
-                    check_source(*right, "operand")?;
-                    if arity(*left) != arity(*right) {
-                        return Err(Error::InvalidPlan {
-                            reason: format!("step {i} combines operands of different arity"),
-                        });
-                    }
-                    if step.columns.len() != arity(*left) {
-                        return Err(Error::InvalidPlan {
-                            reason: format!("step {i} has mismatched column labels"),
-                        });
-                    }
+                    arity(*left) == arity(*right) && width == arity(*left)
                 }
+            };
+            if !ok {
+                return invalid(format!(
+                    "step T{i} reads a column out of range or has mismatched column labels"
+                ));
             }
         }
         Ok(())
@@ -338,11 +280,11 @@ impl QueryPlan {
     /// database.)
     ///
     /// Kept public though only tests call it: `tests/end_to_end.rs`,
-    /// `tests/paper_examples.rs` and `tests/properties.rs` check with it that every
-    /// synthesized plan meets Section 2's definition.
+    /// `tests/paper_examples.rs`, `tests/properties.rs` and the lowering census check
+    /// with it that every synthesized plan meets Section 2's definition.
     pub fn is_bounded_under(&self, schema: &AccessSchema) -> bool {
         self.steps.iter().all(|step| match &step.op {
-            PlanOp::Fetch {
+            PlanOp::KeyedJoin {
                 relation,
                 x_attrs,
                 y_attrs,
@@ -371,9 +313,15 @@ impl QueryPlan {
             let bound = match &step.op {
                 PlanOp::Const { .. } | PlanOp::Unit => 1,
                 PlanOp::Empty { .. } => 0,
-                PlanOp::Fetch {
+                // Each row of `T` fetches, and joins, at most `N` tuples: those of its key.
+                // A join with no predicate at all (an empty key, no residual) is the bare
+                // product `T × fetch`, priced as one: |T| · |T| · N rows, which later
+                // fetches are keyed by.
+                PlanOp::KeyedJoin {
                     source,
+                    key_cols,
                     constraint_index,
+                    residual,
                     ..
                 } => {
                     fetch_ops += 1;
@@ -381,48 +329,15 @@ impl QueryPlan {
                         .constraint(*constraint_index)
                         .map(|c| c.cardinality().bound(db_size))
                         .unwrap_or(u64::MAX);
-                    let keys = row_bounds[*source];
-                    let total = keys.saturating_mul(per_key);
+                    let total = row_bounds[*source].saturating_mul(per_key);
                     fetched = fetched.saturating_add(total);
-                    total
+                    match key_cols.is_empty() && residual.is_empty() {
+                        true => row_bounds[*source].saturating_mul(total),
+                        false => total,
+                    }
                 }
-                PlanOp::Project { source, .. } => row_bounds[*source],
-                PlanOp::Select { source, predicates } => {
-                    // Keyed-join pattern emitted by plan synthesis: σ over
-                    // `T × fetch(X ∈ T, R, …)` with equality predicates on all key
-                    // columns. Each row of `T` matches at most `N` fetched rows (those
-                    // sharing its key), so the bound is |T| · N rather than the generic
-                    // |T| · |fetch| product bound.
-                    let keyed_join = match &self.steps[*source].op {
-                        PlanOp::Product { left, right } => match &self.steps[*right].op {
-                            PlanOp::Fetch {
-                                source: fetch_source,
-                                key_cols,
-                                constraint_index,
-                                ..
-                            } if fetch_source == left => {
-                                let left_arity = self.steps[*left].columns.len();
-                                let all_keys_tied = key_cols.iter().enumerate().all(|(i, &kc)| {
-                                    predicates.contains(&Predicate::ColEqCol(kc, left_arity + i))
-                                });
-                                if all_keys_tied {
-                                    let per_key = schema
-                                        .constraint(*constraint_index)
-                                        .map(|c| c.cardinality().bound(db_size))
-                                        .unwrap_or(u64::MAX);
-                                    Some(row_bounds[*left].saturating_mul(per_key))
-                                } else {
-                                    None
-                                }
-                            }
-                            _ => None,
-                        },
-                        _ => None,
-                    };
-                    keyed_join.unwrap_or(row_bounds[*source])
-                }
-                PlanOp::Product { left, right } => {
-                    row_bounds[*left].saturating_mul(row_bounds[*right])
+                PlanOp::Project { source, .. } | PlanOp::AppendConst { source, .. } => {
+                    row_bounds[*source]
                 }
                 PlanOp::Union { left, right } => {
                     row_bounds[*left].saturating_add(row_bounds[*right])
@@ -449,30 +364,39 @@ impl fmt::Display for QueryPlan {
                 PlanOp::Const { value } => writeln!(f, "  T{i} = {{{value}}}{marker} [{cols}]")?,
                 PlanOp::Unit => writeln!(f, "  T{i} = {{()}}{marker}")?,
                 PlanOp::Empty { arity } => writeln!(f, "  T{i} = ∅/{arity}{marker}")?,
-                PlanOp::Fetch {
+                PlanOp::KeyedJoin {
                     source,
                     key_cols,
                     relation,
                     x_attrs,
                     y_attrs,
                     constraint_index,
-                } => writeln!(
-                    f,
-                    "  T{i} = fetch(X ∈ π{key_cols:?}(T{source}), {relation}, X{x_attrs:?} ∪ Y{y_attrs:?}) via φ{constraint_index}{marker} [{cols}]"
-                )?,
+                    residual,
+                } => {
+                    let arity = self.steps[*source].columns.len();
+                    let ties = (key_cols.iter().enumerate())
+                        .map(|(k, &c)| Predicate::ColEqCol(c, arity + k));
+                    let predicates: Vec<String> = ties
+                        .chain(residual.iter().cloned())
+                        .map(|p| p.to_string())
+                        .collect();
+                    let joined = format!(
+                        "T{source} × fetch(X ∈ π{key_cols:?}(T{source}), {relation}, X{x_attrs:?} ∪ Y{y_attrs:?})"
+                    );
+                    let joined = match predicates.is_empty() {
+                        true => joined,
+                        false => format!("σ[{}]({joined})", predicates.join(" ∧ ")),
+                    };
+                    writeln!(
+                        f,
+                        "  T{i} = {joined} via φ{constraint_index}{marker} [{cols}]"
+                    )?
+                }
                 PlanOp::Project { source, cols: c } => {
                     writeln!(f, "  T{i} = π{c:?}(T{source}){marker} [{cols}]")?
                 }
-                PlanOp::Select { source, predicates } => {
-                    let preds = predicates
-                        .iter()
-                        .map(Predicate::to_string)
-                        .collect::<Vec<_>>()
-                        .join(" ∧ ");
-                    writeln!(f, "  T{i} = σ[{preds}](T{source}){marker} [{cols}]")?
-                }
-                PlanOp::Product { left, right } => {
-                    writeln!(f, "  T{i} = T{left} × T{right}{marker} [{cols}]")?
+                PlanOp::AppendConst { source, value } => {
+                    writeln!(f, "  T{i} = T{source} × {{{value}}}{marker} [{cols}]")?
                 }
                 PlanOp::Union { left, right } => {
                     writeln!(f, "  T{i} = T{left} ∪ T{right}{marker} [{cols}]")?
@@ -520,9 +444,10 @@ impl PlanBuilder {
         self.push(PlanOp::Empty { arity }, vec!["∅".to_owned(); arity])
     }
 
-    /// Add a fetch node; `labels` must cover the `|X| + |Y|` output columns.
+    /// Add a keyed join ([`PlanOp::KeyedJoin`]); `labels` name the `|X| + |Y|` fetched
+    /// columns, which follow the source's.
     #[allow(clippy::too_many_arguments)]
-    pub fn fetch(
+    pub fn keyed_join(
         &mut self,
         source: NodeId,
         key_cols: Vec<usize>,
@@ -531,18 +456,19 @@ impl PlanBuilder {
         y_attrs: Vec<usize>,
         constraint_index: usize,
         labels: Vec<String>,
+        residual: Vec<Predicate>,
     ) -> NodeId {
-        self.push(
-            PlanOp::Fetch {
-                source,
-                key_cols,
-                relation: relation.into(),
-                x_attrs,
-                y_attrs,
-                constraint_index,
-            },
-            labels,
-        )
+        let columns = [self.steps[source].columns.clone(), labels].concat();
+        let op = PlanOp::KeyedJoin {
+            source,
+            key_cols,
+            relation: relation.into(),
+            x_attrs,
+            y_attrs,
+            constraint_index,
+            residual,
+        };
+        self.push(op, columns)
     }
 
     /// Add a projection node.
@@ -554,20 +480,16 @@ impl PlanBuilder {
         self.push(PlanOp::Project { source, cols }, labels)
     }
 
-    /// Add a selection node (no-op when `predicates` is empty).
-    pub fn select(&mut self, source: NodeId, predicates: Vec<Predicate>) -> NodeId {
-        if predicates.is_empty() {
-            return source;
-        }
-        let labels = self.steps[source].columns.clone();
-        self.push(PlanOp::Select { source, predicates }, labels)
-    }
-
-    /// Add a product node.
-    pub fn product(&mut self, left: NodeId, right: NodeId) -> NodeId {
-        let mut labels = self.steps[left].columns.clone();
-        labels.extend(self.steps[right].columns.iter().cloned());
-        self.push(PlanOp::Product { left, right }, labels)
+    /// Add `source × {value}`, the new column labelled `label`.
+    pub fn append_const(
+        &mut self,
+        source: NodeId,
+        value: Value,
+        label: impl Into<String>,
+    ) -> NodeId {
+        let mut labels = self.steps[source].columns.clone();
+        labels.push(label.into());
+        self.push(PlanOp::AppendConst { source, value }, labels)
     }
 
     /// Add a union node.
@@ -599,27 +521,21 @@ mod tests {
     }
 
     fn simple_plan() -> QueryPlan {
-        // {1} ; fetch(a ∈ T0, R, {a,b}) ; σ ; π
+        // {1} ; σ[#0 = #1 ∧ #1 = 1](T0 × fetch(a ∈ T0, R, {a,b})) ; π
         let mut b = PlanBuilder::new();
         let k = b.constant(Value::int(1), "x");
-        let f = b.fetch(
-            k,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let s = b.select(f, vec![Predicate::ColEqConst(0, Value::int(1))]);
-        let p = b.project(s, vec![1]);
+        let labels = vec!["a".into(), "b".into()];
+        let residual = vec![Predicate::ColEqConst(1, Value::int(1))];
+        let j = b.keyed_join(k, vec![0], "R", vec![0], vec![1], 0, labels, residual);
+        let p = b.project(j, vec![2]);
         b.finish("Q", p).unwrap()
     }
 
     #[test]
     fn build_and_validate() {
         let plan = simple_plan();
-        assert_eq!(plan.len(), 4);
+        assert_eq!(plan.len(), 3);
+        assert_eq!(plan.steps()[1].columns, ["x", "a", "b"]);
         assert_eq!(plan.steps()[plan.output()].columns.len(), 1);
         assert_eq!(plan.query_name(), "Q");
         assert!(!plan.is_empty());
@@ -653,7 +569,61 @@ mod tests {
         assert_eq!(cost_small.fetch_ops, 1);
         assert_eq!(cost_small.max_fetched_tuples, 10);
         assert_eq!(cost_small.max_output_rows, 10);
-        assert_eq!(cost_small.total_ops, 4);
+        assert_eq!(cost_small.total_ops, 3);
+    }
+
+    #[test]
+    fn a_keyed_join_bounds_fetched_tuples_and_rows_at_t_times_n() {
+        // `T = {1} ∪ {2}` (at most 2 rows) joined through `R(a → b, 10)`: each row of `T`
+        // fetches and joins at most `N` tuples, so both bounds are |T| · N. Through
+        // `R(∅ → a, b, 4)`, whose empty key ties nothing, |T| · N tuples are fetched; with
+        // no residual the join is the bare product, priced at |T| · |T| · N rows, and
+        // with one it is |T| · N again.
+        let mut c = Catalog::new();
+        c.declare("R", ["a", "b"]).unwrap();
+        let schema = AccessSchema::from_constraints([
+            AccessConstraint::new(&c, "R", &["a"], &["b"], 10).unwrap(),
+            AccessConstraint::new(&c, "R", &[], &["a", "b"], 4).unwrap(),
+        ]);
+        let plan = |empty_key: bool, residual: Vec<Predicate>| {
+            let mut b = PlanBuilder::new();
+            let (one, two) = (
+                b.constant(Value::int(1), "k"),
+                b.constant(Value::int(2), "k"),
+            );
+            let keys = b.union(one, two);
+            let labels = vec!["a".into(), "b".into()];
+            let out = match empty_key {
+                false => b.keyed_join(keys, vec![0], "R", vec![0], vec![1], 0, labels, residual),
+                true => b.keyed_join(keys, vec![], "R", vec![], vec![0, 1], 1, labels, residual),
+            };
+            b.finish("Q", out).unwrap()
+        };
+        let b_is_5 = || vec![Predicate::ColEqConst(2, Value::int(5))];
+        for (empty_key, residual, n, rows) in [
+            (false, vec![], 10, 20),
+            (false, b_is_5(), 10, 20),
+            (true, vec![], 4, 16),
+            (true, b_is_5(), 4, 8),
+        ] {
+            let plan = plan(empty_key, residual);
+            assert!(plan.is_bounded_under(&schema));
+            let cost = plan.cost(&schema, 1_000);
+            assert_eq!(cost.max_fetched_tuples, 2 * n, "{plan}");
+            assert_eq!(cost.max_output_rows, rows, "{plan}");
+            assert_eq!((cost.fetch_ops, cost.total_ops), (1, 4));
+        }
+        // The paper's rendering: σ over the product, with no σ where nothing is tied.
+        let tied = plan(false, vec![]).to_string();
+        assert!(
+            tied.contains("T3 = σ[#0 = #1](T2 × fetch(X ∈ π[0](T2), R, X[0] ∪ Y[1])) via φ0"),
+            "{tied}"
+        );
+        let untied = plan(true, vec![]).to_string();
+        assert!(
+            untied.contains("T3 = T2 × fetch(X ∈ π[](T2), R, X[] ∪ Y[0, 1]) via φ1"),
+            "{untied}"
+        );
     }
 
     #[test]
@@ -675,9 +645,6 @@ mod tests {
         assert!(plan.is_err());
 
         // Union of mismatched arities.
-        let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "x");
-        let u = b.unit();
         let steps = vec![
             PlanStep {
                 op: PlanOp::Const {
@@ -695,7 +662,55 @@ mod tests {
             },
         ];
         assert!(QueryPlan::new("Q", steps, 2).is_err());
-        let _ = (k, u);
+    }
+
+    #[test]
+    fn a_step_read_twice_is_refused_naming_it() {
+        // `T1 = T0 ∪ T0`, and a keyed join and a projection over one `T0`: neither plan
+        // is a tree.
+        let constant = || PlanStep {
+            op: PlanOp::Const {
+                value: Value::int(1),
+            },
+            columns: vec!["k".into()],
+        };
+        let twice = vec![
+            constant(),
+            PlanStep {
+                op: PlanOp::Union { left: 0, right: 0 },
+                columns: vec!["k".into()],
+            },
+        ];
+        let mut b = PlanBuilder::new();
+        let one = b.constant(Value::int(1), "k");
+        let labels = vec!["a".into(), "b".into()];
+        let joined = b.keyed_join(one, vec![0], "R", vec![0], vec![1], 0, labels, vec![]);
+        let shared = [
+            PlanStep {
+                op: PlanOp::Project {
+                    source: one,
+                    cols: vec![0],
+                },
+                columns: vec!["k".into()],
+            },
+            PlanStep {
+                op: PlanOp::AppendConst {
+                    source: joined,
+                    value: Value::int(2),
+                },
+                columns: ["k", "a", "b", "c"].map(String::from).to_vec(),
+            },
+        ];
+        let mut steps = b.steps;
+        steps.extend(shared);
+        for (steps, output, step) in [(twice, 1, 0), (steps, 3, 0)] {
+            match QueryPlan::new("Q", steps, output) {
+                Err(Error::InvalidPlan { reason }) => {
+                    assert_eq!(reason, format!("step T{step} is read by two steps"))
+                }
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -715,9 +730,9 @@ mod tests {
         let (_, a) = schema();
         let mut b = PlanBuilder::new();
         let x = b.constant(Value::int(1), "x");
-        let y = b.constant(Value::int(2), "y");
-        let p = b.product(x, y);
+        let p = b.append_const(x, Value::int(2), "y");
         let q = b.project(p, vec![0]);
+        let x = b.constant(Value::int(1), "x");
         let u = b.union(q, x);
         let plan = b.finish("Q", u).unwrap();
         let cost = plan.cost(&a, 10);
@@ -725,7 +740,7 @@ mod tests {
         assert_eq!(cost.fetch_ops, 0);
         assert!(plan.is_bounded_under(&a));
         let display = plan.to_string();
-        assert!(display.contains("×"));
+        assert!(display.contains("T1 = T0 × {2} [x, y]"), "{display}");
         assert!(display.contains("∪"));
     }
 
@@ -733,17 +748,12 @@ mod tests {
     fn display_contains_fetch_and_output_marker() {
         let plan = simple_plan();
         let s = plan.to_string();
-        assert!(s.contains("fetch"));
+        assert!(
+            s.contains("σ[#0 = #1 ∧ #1 = 1](T0 × fetch(X ∈ π[0](T0), R"),
+            "{s}"
+        );
         assert!(s.contains("(output)"));
         assert!(s.contains("plan for Q"));
         assert!(Predicate::ColEqCol(0, 1).to_string().contains("#0 = #1"));
-    }
-
-    #[test]
-    fn select_with_no_predicates_is_a_no_op() {
-        let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "x");
-        let s = b.select(k, vec![]);
-        assert_eq!(s, k);
     }
 }

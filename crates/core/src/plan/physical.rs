@@ -1,51 +1,26 @@
 //! Physical plans: lowering logical bounded plans to one streaming operator tree.
 //!
-//! A [`super::QueryPlan`] says *what* to compute — a sequence of fetch/π/σ/×/∪/−/ρ
-//! steps mirroring the paper's plan algebra. This module decides *how*: [`lower_plan`]
-//! rewrites the logical step list into a [`PhysicalPlan`] of streaming operators that
-//! `bea-engine` runs as one tree of pull-based operators, without materializing a table
-//! per step. Boundedness is untouched by lowering — every physical access still goes
-//! through the index of an access constraint, and the set of `(constraint, key)` lookups
-//! is exactly the one the logical plan performs — only the *residency* of intermediate
-//! results changes, which is the point: the memory footprint of a bounded plan should
-//! scale with the access schema's bounds, not with whatever the intermediate relational
-//! algebra happens to materialize.
+//! A [`super::QueryPlan`] says *what* to compute — a tree of seven steps over the paper's
+//! algebra: `{a}`, `{()}`, `∅`, the keyed join `σ[key ties ∧ residual](T × fetch(X ∈ T,
+//! R, Y))`, π, `T × {c}` and ∪. This module decides *how*: [`lower_plan`] maps each step
+//! onto one streaming operator of a [`PhysicalPlan`] that `bea-engine` runs as one tree of
+//! pull-based operators, without materializing a table per step. Boundedness is untouched
+//! by lowering — every physical access still goes through the index of an access
+//! constraint, and the set of `(constraint, key)` lookups is exactly the one the logical
+//! plan performs — only the *residency* of intermediate results changes, which is the
+//! point: the memory footprint of a bounded plan should scale with the access schema's
+//! bounds, not with whatever the intermediate relational algebra happens to materialize.
 //!
-//! **The fragment.** Lowering accepts what plan synthesis ([`super::synthesis`]) emits:
-//! every fetch has one consumer, a product with its source, and a selection above that
-//! ties every key (none when the key is empty); every other product is `T × {c}`, a
-//! step times a query constant. The result uses eight operators — [`PhysOp::Unit`],
-//! [`PhysOp::Const`], [`PhysOp::Empty`], [`PhysOp::KeyedLookup`], [`PhysOp::Project`],
-//! [`PhysOp::Dedup`], [`PhysOp::Union`] and [`PhysOp::AppendConst`] — and every step is
-//! read by one operator, the output by none, so the plan is one operator tree. Any
-//! other plan is refused with [`Error::InvalidPlan`], naming its logical step (`T3`):
+//! A plan that [`super::QueryPlan::validate`] accepts always lowers; that is the only
+//! refusal. The result uses eight operators — [`PhysOp::Unit`], [`PhysOp::Const`],
+//! [`PhysOp::Empty`], [`PhysOp::KeyedLookup`], [`PhysOp::Project`], [`PhysOp::Dedup`],
+//! [`PhysOp::Union`] and [`PhysOp::AppendConst`] — and, the logical plan being a tree,
+//! every step is read by one operator and the output by none. Lowering applies these
+//! rules:
 //!
-//! * a step that two operators would read (a fetch shared beyond its fused selection,
-//!   or `T ∪ T`);
-//! * a selection that does not fuse into a keyed lookup;
-//! * a product that is not fused and whose right side does not lower to a constant.
-//!
-//! The literal reference executor (`bea-engine`'s `execute_plan_materialized`) still
-//! runs the whole logical algebra.
-//!
-//! Lowering applies these rules:
-//!
-//! * **Keyed-lookup fusion** — the synthesis emits every fetch as
-//!   `σ[key equalities](T × fetch(X ∈ T, R, Y))`. When the product and the fetch have no
-//!   other consumer, the triple collapses into one [`PhysOp::KeyedLookup`]: an index
+//! * **Keyed lookups** — a keyed join becomes a [`PhysOp::KeyedLookup`]: an index
 //!   nested-loop join that streams `T`, probes the constraint's index once per distinct
-//!   key, and never materializes the cross product *or* the fetched table. A fetch
-//!   with an empty key has no key to tie: its bare `T × fetch(∅ ∈ T, R, Y)` fuses the
-//!   same way.
-//! * **One index operator** — a fetch the fusion does not absorb becomes the same
-//!   operator over its distinct keys: `π[keys](T)`, a [`PhysOp::Dedup`] unless `T`
-//!   provably never repeats a key ([`PhysicalPlan::keys_distinct`]), a
-//!   [`PhysOp::KeyedLookup`] keyed by all of them with no residual, and a
-//!   [`PhysOp::Project`] onto the fetched columns, which the engine fuses into the
-//!   lookup's emission. Every index access in a physical plan is a keyed lookup.
-//! * **Projection pushdown** — a projection that is the sole consumer of a fetch is
-//!   folded into the fetched positions of its lookup ([`PhysOp::KeyedLookup`]'s
-//!   `positions`), so dropped `Y`-attributes are never copied out of the store.
+//!   key, and never materializes the cross product *or* the fetched table.
 //! * **Dedup elimination** — each physical step tracks whether its output is already a
 //!   set ([`PhysStep::set_valued`]); explicit [`PhysOp::Dedup`] steps are inserted only
 //!   where the logical plan's set semantics actually needs them (e.g. after a union, or
@@ -54,14 +29,14 @@
 //!   drops is determined by the plan on every row: **constant** (it traces back through
 //!   appends, lookup source columns, projections and δs to a query constant) or
 //!   **key-equal** to a kept column (a keyed lookup's fetched key attribute, which the
-//!   fused key equality makes equal to the source's key column). The same fact tells
-//!   the engine where a keyed lookup's source never repeats a key
-//!   ([`PhysicalPlan::keys_distinct`]). Equalities a residual predicate establishes are
-//!   not used, and neither are access constraints of bound 1 read as functional
-//!   dependencies: that would make answers depend on the instance satisfying the access
-//!   schema, which nothing on the query path checks.
-//! * **Constant appends** — a product `T × {c}` becomes [`PhysOp::AppendConst`], which
-//!   writes `c` beside every row of `T` and holds nothing; `{()} × {c}` is `{c}` itself.
+//!   key tie makes equal to the source's key column). The same fact tells the engine
+//!   where a keyed lookup's source never repeats a key ([`PhysicalPlan::keys_distinct`]).
+//!   Equalities a residual predicate establishes are not used, and neither are access
+//!   constraints of bound 1 read as functional dependencies: that would make answers
+//!   depend on the instance satisfying the access schema, which nothing on the query
+//!   path checks.
+//! * **Constant appends** — `T × {c}` becomes [`PhysOp::AppendConst`], which writes `c`
+//!   beside every row of `T` and holds nothing; `{()} × {c}` is `{c}` itself.
 //! * **Empty-branch elimination** — `T ∪ ∅` collapses to `T`.
 //!
 //! **One plan, whatever the store and the thread count.** Lowering never looks at the
@@ -75,9 +50,8 @@
 //! statistics, so the materialized-vs-streaming ablation is observable.
 
 use crate::error::{Error, Result};
-use crate::plan::{NodeId, PlanOp, PlanStep, Predicate, QueryPlan};
+use crate::plan::{PlanOp, Predicate, QueryPlan};
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Identifier of a physical step within a [`PhysicalPlan`].
@@ -101,9 +75,8 @@ pub enum PhysOp {
     /// Index nested-loop join: for each row of `source`, probe the constraint's index
     /// with the row's `key_cols` projection (once per distinct key) and emit the row
     /// concatenated with each matching tuple's `positions`-projection (deduplicated per
-    /// key), filtered by the `residual` predicates. This is the fused form of
-    /// `σ[key equalities](T × fetch(X ∈ T, R, Y))`, and the operator every other fetch
-    /// lowers to as well (see the module docs).
+    /// key), filtered by the `residual` predicates: the logical keyed join
+    /// `σ[key ties ∧ residual](T × fetch(X ∈ T, R, Y))`.
     KeyedLookup {
         /// The step supplying the probe rows.
         source: PhysId,
@@ -114,12 +87,11 @@ pub enum PhysOp {
         /// Attribute positions of the relation forming the index key `X`.
         x_attrs: Vec<usize>,
         /// Attribute positions of the relation to emit for the fetch side, in
-        /// output-column order: `x_attrs ++ y_attrs`, unless projection pushdown
-        /// narrowed or reordered them.
+        /// output-column order: `x_attrs ++ y_attrs`.
         positions: Vec<usize>,
         /// Index of the backing access constraint in the access schema.
         constraint_index: usize,
-        /// Predicates (over the concatenated output) beyond the fused key equalities.
+        /// Predicates (over the concatenated output) beyond the key ties.
         residual: Vec<Predicate>,
     },
     /// Streaming projection (no deduplication — a [`PhysOp::Dedup`] follows if needed).
@@ -135,7 +107,7 @@ pub enum PhysOp {
         source: PhysId,
     },
     /// Every row of `source` with `value` appended as one more column: the product
-    /// `source × {value}`, the one product lowering does not fuse into a keyed lookup.
+    /// `source × {value}`.
     AppendConst {
         /// Input step.
         source: PhysId,
@@ -235,12 +207,6 @@ impl PhysicalPlan {
                 }
             }
             let arity = |j: PhysId| self.steps[j].columns.len();
-            let preds_in_range = |predicates: &[Predicate], arity: usize| {
-                predicates.iter().all(|p| match p {
-                    Predicate::ColEqCol(a, b) => *a < arity && *b < arity,
-                    Predicate::ColEqConst(a, _) => *a < arity,
-                })
-            };
             let ok = match &step.op {
                 PhysOp::Const { .. } => step.columns.len() == 1,
                 PhysOp::Unit => step.columns.is_empty(),
@@ -256,7 +222,7 @@ impl PhysicalPlan {
                     key_cols.len() == x_attrs.len()
                         && key_cols.iter().all(|&c| c < arity(*source))
                         && step.columns.len() == arity(*source) + positions.len()
-                        && preds_in_range(residual, step.columns.len())
+                        && residual.iter().all(|p| p.in_range(step.columns.len()))
                 }
                 PhysOp::Project { source, cols } => {
                     cols.iter().all(|&c| c < arity(*source)) && step.columns.len() == cols.len()
@@ -382,190 +348,81 @@ impl LowerOptions {
     }
 }
 
-/// Lower a logical plan to a physical streaming plan. See the module docs for the
-/// rules, and for the plans it refuses.
+/// Lower a logical plan to a physical streaming plan: one operator per step, plus the
+/// δs set semantics needs (see the module docs). It fails only where
+/// [`QueryPlan::validate`] does.
 pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
     plan.validate()?;
     let steps = plan.steps();
-    let n = steps.len();
-    let refuse = |step: NodeId, why: String| Error::InvalidPlan {
-        reason: format!(
-            "step T{step} {why}; the streaming engine runs only what plan synthesis emits"
-        ),
-    };
-
-    // Logical consumer counts; the plan output counts one extra (virtual) consumer.
-    let mut consumers: Vec<usize> = vec![0; n];
+    let mut phys: Vec<PhysStep> = Vec::with_capacity(steps.len());
+    // `map[i]` is the physical step logical step `i` lowers to.
+    let mut map: Vec<PhysId> = Vec::with_capacity(steps.len());
     for step in steps {
-        match &step.op {
-            PlanOp::Fetch { source, .. }
-            | PlanOp::Project { source, .. }
-            | PlanOp::Select { source, .. } => consumers[*source] += 1,
-            PlanOp::Product { left, right } | PlanOp::Union { left, right } => {
-                consumers[*left] += 1;
-                consumers[*right] += 1;
-            }
-            PlanOp::Const { .. } | PlanOp::Unit | PlanOp::Empty { .. } => {}
-        }
-    }
-    consumers[plan.output()] += 1; // virtual consumer: the caller
-
-    // Keyed-join fusion: σ[all keys tied](T × fetch(X ∈ T, …)) where the product has no
-    // other consumer absorbs the product and the fetch, which must have no other
-    // consumer either; so does a bare `T × fetch(∅ ∈ T, …)`, whose empty key ties
-    // nothing. In reverse, so a selection claims its product before the product is
-    // looked at on its own.
-    let mut fusion: BTreeMap<NodeId, (NodeId, NodeId)> = BTreeMap::new();
-    let mut absorbed: BTreeSet<NodeId> = BTreeSet::new();
-    for (i, step) in steps.iter().enumerate().rev() {
-        let (product, predicates) = match &step.op {
-            PlanOp::Select { source, predicates } if consumers[*source] == 1 => {
-                (*source, predicates.as_slice())
-            }
-            PlanOp::Product { .. } if !absorbed.contains(&i) => (i, &[][..]),
-            _ => continue,
-        };
-        let PlanOp::Product { left, right } = &steps[product].op else {
-            continue;
-        };
-        let Some(key_cols) = fetch_over(steps, *left, *right) else {
-            continue;
-        };
-        if !keys_all_tied(predicates, key_cols, steps[*left].columns.len()) {
-            continue;
-        }
-        if consumers[*right] != 1 {
-            let readers = consumers[*right];
-            return Err(refuse(*right, format!("is read by {readers} operators")));
-        }
-        absorbed.insert(*right);
-        if product != i {
-            absorbed.insert(product); // the selection takes the product's place
-        }
-        fusion.insert(i, (*left, *right));
-    }
-
-    // Projection pushdown: a projection that is the sole consumer of a fetch folds into
-    // the fetch's output positions.
-    let mut pushdown: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-    for (i, step) in steps.iter().enumerate() {
-        let PlanOp::Project { source, .. } = &step.op else {
-            continue;
-        };
-        if absorbed.contains(source) || consumers[*source] != 1 {
-            continue;
-        }
-        if matches!(&steps[*source].op, PlanOp::Fetch { .. }) {
-            pushdown.insert(i, *source);
-            absorbed.insert(*source);
-        }
-    }
-
-    // Emit physical steps; `from[p]` is the logical step physical step `p` lowers.
-    let mut phys: Vec<PhysStep> = Vec::with_capacity(n);
-    let mut from: Vec<NodeId> = Vec::with_capacity(n);
-    let mut map: Vec<Option<PhysId>> = vec![None; n];
-
-    for (i, step) in steps.iter().enumerate() {
-        if absorbed.contains(&i) {
-            continue;
-        }
+        let columns = step.columns.clone();
         let node = match &step.op {
-            PlanOp::Const { value } => push(
-                &mut phys,
-                PhysOp::Const {
-                    value: value.clone(),
-                },
-                step.columns.clone(),
-                true,
-            ),
-            PlanOp::Unit => push(&mut phys, PhysOp::Unit, step.columns.clone(), true),
-            PlanOp::Empty { arity } => push(
-                &mut phys,
-                PhysOp::Empty { arity: *arity },
-                step.columns.clone(),
-                true,
-            ),
-            PlanOp::Fetch { source, .. } => {
-                let source = map[*source].expect("source lowered earlier");
-                lower_fetch(&mut phys, source, &step.op, None, &step.columns)
+            PlanOp::Const { value } => {
+                let value = value.clone();
+                push(&mut phys, PhysOp::Const { value }, columns, true)
+            }
+            PlanOp::Unit => push(&mut phys, PhysOp::Unit, columns, true),
+            PlanOp::Empty { arity } => {
+                push(&mut phys, PhysOp::Empty { arity: *arity }, columns, true)
+            }
+            PlanOp::KeyedJoin {
+                source,
+                key_cols,
+                relation,
+                x_attrs,
+                y_attrs,
+                constraint_index,
+                residual,
+            } => {
+                let source = map[*source];
+                let lookup = PhysOp::KeyedLookup {
+                    source,
+                    key_cols: key_cols.clone(),
+                    relation: relation.clone(),
+                    x_attrs: x_attrs.clone(),
+                    positions: x_attrs.iter().chain(y_attrs).copied().collect(),
+                    constraint_index: *constraint_index,
+                    residual: residual.clone(),
+                };
+                // Distinct probe rows emit distinct concatenations (the fetched side is
+                // deduplicated per key).
+                let set_valued = phys[source].set_valued;
+                push(&mut phys, lookup, columns, set_valued)
             }
             PlanOp::Project { source, cols } => {
-                if let Some(&fetch_node) = pushdown.get(&i) {
-                    let fetch = &steps[fetch_node].op;
-                    let PlanOp::Fetch { source, .. } = fetch else {
-                        unreachable!("pushdown targets are fetches");
-                    };
-                    let source = map[*source].expect("source lowered earlier");
-                    lower_fetch(&mut phys, source, fetch, Some(cols), &step.columns)
+                let source = map[*source];
+                // Injective on rows when every dropped column is constant or equal to a
+                // kept one (see the module docs).
+                let set_valued = phys[source].set_valued && determined_by(&phys, source, cols);
+                let cols = cols.clone();
+                let id = push(
+                    &mut phys,
+                    PhysOp::Project { source, cols },
+                    columns.clone(),
+                    set_valued,
+                );
+                if set_valued {
+                    id
                 } else {
-                    let src = map[*source].expect("source lowered earlier");
-                    // Injective on rows when every dropped column is constant or equal
-                    // to a kept one (see the module docs).
-                    let sv = phys[src].set_valued && determined_by(&phys, src, cols);
-                    let id = push(
-                        &mut phys,
-                        PhysOp::Project {
-                            source: src,
-                            cols: cols.clone(),
-                        },
-                        step.columns.clone(),
-                        sv,
-                    );
-                    if sv {
-                        id
-                    } else {
-                        push(
-                            &mut phys,
-                            PhysOp::Dedup { source: id },
-                            step.columns.clone(),
-                            true,
-                        )
-                    }
+                    push(&mut phys, PhysOp::Dedup { source: id }, columns, true)
                 }
             }
-            PlanOp::Select { predicates, .. } => {
-                let Some(&(left, fetch)) = fusion.get(&i) else {
-                    let why = "is a selection that does not fuse into a keyed lookup";
-                    return Err(refuse(i, why.into()));
-                };
-                let source = map[left].expect("source lowered earlier");
-                fused_lookup(
-                    &mut phys,
-                    source,
-                    &steps[fetch].op,
-                    predicates,
-                    &step.columns,
-                )
-            }
-            PlanOp::Product { .. } if fusion.contains_key(&i) => {
-                let (left, fetch) = fusion[&i];
-                let source = map[left].expect("source lowered earlier");
-                fused_lookup(&mut phys, source, &steps[fetch].op, &[], &step.columns)
-            }
-            PlanOp::Product { left, right } => {
-                let (l, r) = (
-                    map[*left].expect("source lowered earlier"),
-                    map[*right].expect("source lowered earlier"),
-                );
-                let PhysOp::Const { value } = &phys[r].op else {
-                    let why = "is a product whose right side is not a constant";
-                    return Err(refuse(i, why.into()));
-                };
-                if matches!(phys[l].op, PhysOp::Unit) {
-                    r
+            PlanOp::AppendConst { source, value } => {
+                let source = map[*source];
+                let value = value.clone();
+                if matches!(phys[source].op, PhysOp::Unit) {
+                    push(&mut phys, PhysOp::Const { value }, columns, true)
                 } else {
-                    let value = value.clone();
-                    let sv = phys[l].set_valued;
-                    let op = PhysOp::AppendConst { source: l, value };
-                    push(&mut phys, op, step.columns.clone(), sv)
+                    let set_valued = phys[source].set_valued;
+                    let op = PhysOp::AppendConst { source, value };
+                    push(&mut phys, op, columns, set_valued)
                 }
             }
             PlanOp::Union { left, right } => {
-                let (l, r) = (
-                    map[*left].expect("source lowered earlier"),
-                    map[*right].expect("source lowered earlier"),
-                );
+                let (l, r) = (map[*left], map[*right]);
                 // ∅ branches vanish (the logical union still dedups, so guard that).
                 let alias = if matches!(phys[l].op, PhysOp::Empty { .. }) {
                     Some(r)
@@ -576,63 +433,36 @@ pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
                 };
                 match alias {
                     Some(a) if phys[a].set_valued => a,
-                    Some(a) => push(
-                        &mut phys,
-                        PhysOp::Dedup { source: a },
-                        step.columns.clone(),
-                        true,
-                    ),
+                    Some(a) => push(&mut phys, PhysOp::Dedup { source: a }, columns, true),
                     None => {
-                        let u = push(
-                            &mut phys,
-                            PhysOp::Union { left: l, right: r },
-                            step.columns.clone(),
-                            false,
-                        );
-                        push(
-                            &mut phys,
-                            PhysOp::Dedup { source: u },
-                            step.columns.clone(),
-                            true,
-                        )
+                        let op = PhysOp::Union { left: l, right: r };
+                        let u = push(&mut phys, op, columns.clone(), false);
+                        push(&mut phys, PhysOp::Dedup { source: u }, columns, true)
                     }
                 }
             }
         };
-        map[i] = Some(node);
-        from.resize(phys.len(), i);
+        map.push(node);
     }
 
     // Restore set semantics at the output and force the logical column labels.
-    let mut output = map[plan.output()].expect("output lowered");
+    let mut output = map[plan.output()];
     if !phys[output].set_valued {
         let columns = phys[output].columns.clone();
         output = push(&mut phys, PhysOp::Dedup { source: output }, columns, true);
-        from.push(plan.output());
     }
     phys[output].columns = steps[plan.output()].columns.clone();
 
-    // Keep the steps the output reads (∅ branches and steps absorbed into fused
-    // operators are gone), each of which one operator reads.
+    // Keep the steps the output reads (∅ branches and the unit under `{()} × {c}` are
+    // gone).
     let kept = reachable(&phys, output);
-    let mut readers = vec![0usize; phys.len()];
-    for p in (0..phys.len()).filter(|&p| kept[p]) {
-        for input in phys[p].op.inputs() {
-            readers[input] += 1;
-        }
-    }
-    if let Some(shared) = (0..phys.len()).find(|&p| readers[p] > 1) {
-        let why = format!("is read by {} operators", readers[shared]);
-        return Err(refuse(from[shared], why));
-    }
     let (phys, output) = keep_only(phys, &kept, output);
-
     let plan = PhysicalPlan {
         query_name: plan.query_name().to_owned(),
         steps: phys,
         output,
     };
-    plan.validate()?;
+    debug_assert!(plan.validate().is_ok(), "{plan}");
     Ok(plan)
 }
 
@@ -649,131 +479,6 @@ fn push(phys: &mut Vec<PhysStep>, op: PhysOp, columns: Vec<String>, set_valued: 
         set_valued,
     });
     phys.len() - 1
-}
-
-/// The keyed lookup of `σ[predicates](source × fetch)` (see the module docs), labelled
-/// `columns`: every key of `fetch` is tied to its `source` column, and the predicates
-/// beyond those ties are its residual.
-fn fused_lookup(
-    phys: &mut Vec<PhysStep>,
-    source: PhysId,
-    fetch: &PlanOp,
-    predicates: &[Predicate],
-    columns: &[String],
-) -> PhysId {
-    let PlanOp::Fetch {
-        key_cols,
-        relation,
-        x_attrs,
-        y_attrs,
-        constraint_index,
-        ..
-    } = fetch
-    else {
-        unreachable!("fusion targets are fetches");
-    };
-    let residual = residual_predicates(predicates, key_cols, phys[source].columns.len());
-    let lookup = PhysOp::KeyedLookup {
-        source,
-        key_cols: key_cols.clone(),
-        relation: relation.clone(),
-        x_attrs: x_attrs.clone(),
-        positions: x_attrs.iter().chain(y_attrs).copied().collect(),
-        constraint_index: *constraint_index,
-        residual,
-    };
-    // Distinct probe rows emit distinct concatenations (the fetched side is deduplicated
-    // per key).
-    let set_valued = phys[source].set_valued;
-    push(phys, lookup, columns.to_vec(), set_valued)
-}
-
-/// The key columns of `right` when it is a fetch keyed from `left`, the `T ×
-/// fetch(X ∈ T, …)` of keyed-lookup fusion.
-fn fetch_over(steps: &[PlanStep], left: NodeId, right: NodeId) -> Option<&[usize]> {
-    match &steps[right].op {
-        PlanOp::Fetch {
-            source, key_cols, ..
-        } if *source == left => Some(key_cols),
-        _ => None,
-    }
-}
-
-/// Lower the logical fetch `fetch`, whose keys come from physical step `source`, to a
-/// keyed lookup over its distinct keys: `π[key_cols](source)`, a δ unless the source
-/// never repeats a key, the lookup, and `π` onto the fetched columns — `x_attrs ++
-/// y_attrs`, or their `cols` when a projection is pushed down — labelled `columns`.
-/// The lookup deduplicates within each key, so the result is a set as long as every
-/// key attribute is fetched; otherwise rows of different keys can collide and a δ
-/// follows.
-fn lower_fetch(
-    phys: &mut Vec<PhysStep>,
-    source: PhysId,
-    fetch: &PlanOp,
-    cols: Option<&[usize]>,
-    columns: &[String],
-) -> PhysId {
-    let PlanOp::Fetch {
-        key_cols,
-        relation,
-        x_attrs,
-        y_attrs,
-        constraint_index,
-        ..
-    } = fetch
-    else {
-        unreachable!("only fetches are lowered to lookups");
-    };
-    let base: Vec<usize> = x_attrs.iter().chain(y_attrs).copied().collect();
-    let positions = match cols {
-        Some(cols) => cols.iter().map(|&c| base[c]).collect(),
-        None => base,
-    };
-    let key_labels: Vec<String> = key_cols
-        .iter()
-        .map(|&c| phys[source].columns[c].clone())
-        .collect();
-    let distinct = phys[source].set_valued && determined_by(phys, source, key_cols);
-    let project = PhysOp::Project {
-        source,
-        cols: key_cols.clone(),
-    };
-    let mut keys = push(phys, project, key_labels.clone(), distinct);
-    if !distinct {
-        keys = push(
-            phys,
-            PhysOp::Dedup { source: keys },
-            key_labels.clone(),
-            true,
-        );
-    }
-    let (k, fetched) = (key_cols.len(), positions.len());
-    let set_valued = x_attrs.iter().all(|a| positions.contains(a));
-    let lookup = PhysOp::KeyedLookup {
-        source: keys,
-        key_cols: (0..k).collect(),
-        relation: relation.clone(),
-        x_attrs: x_attrs.clone(),
-        positions,
-        constraint_index: *constraint_index,
-        residual: Vec::new(),
-    };
-    let labels = key_labels
-        .into_iter()
-        .chain(columns.iter().cloned())
-        .collect();
-    let lookup = push(phys, lookup, labels, true);
-    let cols = (k..k + fetched).collect();
-    let out = PhysOp::Project {
-        source: lookup,
-        cols,
-    };
-    let out = push(phys, out, columns.to_vec(), set_valued);
-    if set_valued {
-        out
-    } else {
-        push(phys, PhysOp::Dedup { source: out }, columns.to_vec(), true)
-    }
 }
 
 /// Where the values of one column of a step come from, as far as the plan alone tells.
@@ -803,7 +508,7 @@ fn origin(steps: &[PhysStep], step: PhysId, col: usize) -> Origin {
             ..
         } => match col.checked_sub(steps[*source].columns.len()) {
             None => origin(steps, *source, col),
-            // A fetched key attribute equals its key column: the fused key equality.
+            // A fetched key attribute equals its key column: the key tie.
             Some(c) => match x_attrs.iter().position(|&a| a == positions[c]) {
                 Some(k) => origin(steps, *source, key_cols[k]),
                 None => fresh,
@@ -868,46 +573,16 @@ fn keep_only(steps: Vec<PhysStep>, kept: &[bool], output: PhysId) -> (Vec<PhysSt
     (steps.collect(), remap[output].expect("the output is kept"))
 }
 
-/// True when `predicates` equates every fetch key column with its source column — the
-/// `σ[key equalities](T × fetch(X ∈ T, …))` shape plan synthesis emits for every fetch,
-/// which keyed-lookup fusion collapses.
-fn keys_all_tied(predicates: &[Predicate], key_cols: &[usize], left_arity: usize) -> bool {
-    key_cols
-        .iter()
-        .enumerate()
-        .all(|(k, &kc)| predicates.contains(&Predicate::ColEqCol(kc, left_arity + k)))
-}
-
-/// The predicates of a fused selection that go beyond the key equalities (the part a
-/// keyed join still has to check per emitted row). Counterpart of [`keys_all_tied`].
-fn residual_predicates(
-    predicates: &[Predicate],
-    key_cols: &[usize],
-    left_arity: usize,
-) -> Vec<Predicate> {
-    predicates
-        .iter()
-        .filter(|p| match p {
-            Predicate::ColEqCol(a, b) => !key_cols
-                .iter()
-                .enumerate()
-                .any(|(k, &kc)| *a == kc && *b == left_arity + k),
-            Predicate::ColEqConst(_, _) => true,
-        })
-        .cloned()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanBuilder;
+    use crate::plan::{NodeId, PlanBuilder};
 
-    /// `σ[k = a](keys × fetch(a ∈ keys, R, b))` — the exact shape plan synthesis emits.
+    /// `σ[k = a](keys × fetch(a ∈ keys, R, b))` over the keys `{1, 2}`.
     fn keyed_join_plan() -> QueryPlan {
         let mut b = PlanBuilder::new();
-        let sel = keyed_join(&mut b);
-        b.finish("Q", sel).unwrap()
+        let joined = keyed_join(&mut b);
+        b.finish("Q", joined).unwrap()
     }
 
     /// The step of [`keyed_join_plan`], `[k, a, b]` over the keys `{1, 2}`.
@@ -915,23 +590,13 @@ mod tests {
         keyed_join_with(b, Vec::new())
     }
 
-    /// [`keyed_join`] with `residual` beside the key equality.
+    /// [`keyed_join`] with `residual` beside the key tie.
     fn keyed_join_with(b: &mut PlanBuilder, residual: Vec<Predicate>) -> NodeId {
         let k1 = b.constant(Value::int(1), "k");
         let k2 = b.constant(Value::int(2), "k");
         let keys = b.union(k1, k2);
-        let fetched = b.fetch(
-            keys,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let prod = b.product(keys, fetched);
-        let predicates = [vec![Predicate::ColEqCol(0, 1)], residual].concat();
-        b.select(prod, predicates)
+        let labels = vec!["a".into(), "b".into()];
+        b.keyed_join(keys, vec![0], "R", vec![0], vec![1], 0, labels, residual)
     }
 
     #[test]
@@ -939,27 +604,25 @@ mod tests {
         let plan = keyed_join_plan();
         let phys = lower_plan(&plan).unwrap();
         assert!(phys.validate().is_ok());
-        // No product is left: the whole pattern is one lookup.
+        // No product is left: the whole join is one lookup.
         assert!(phys
             .steps()
             .iter()
             .all(|s| !matches!(s.op, PhysOp::AppendConst { .. })));
-        let lookups = phys
-            .steps()
-            .iter()
-            .filter(|s| matches!(s.op, PhysOp::KeyedLookup { .. }))
-            .count();
-        assert_eq!(lookups, 1);
-        // The fused key equality leaves no residual predicate.
-        let Some(PhysOp::KeyedLookup { residual, .. }) = phys
-            .steps()
-            .iter()
-            .map(|s| &s.op)
-            .find(|op| matches!(op, PhysOp::KeyedLookup { .. }))
-        else {
-            panic!("no keyed lookup");
+        let [lookup] = lookups(&phys)[..] else {
+            panic!("one lookup: {phys}");
         };
+        let PhysOp::KeyedLookup {
+            positions,
+            residual,
+            ..
+        } = &phys.steps()[lookup].op
+        else {
+            unreachable!();
+        };
+        // The key tie is the lookup itself, so no residual predicate is left.
         assert!(residual.is_empty());
+        assert_eq!(positions, &[0, 1]);
         let display = phys.to_string();
         assert!(display.contains("lookup"));
         assert!(display.contains("(output)"));
@@ -972,26 +635,13 @@ mod tests {
         let plan = |c0: Value, c1: Value, c2: Value| {
             let mut b = PlanBuilder::new();
             let key = b.constant(c0, "k");
-            let fetched = b.fetch(
-                key,
-                vec![0],
-                "R",
-                vec![0],
-                vec![1],
-                0,
-                vec!["a".into(), "b".into()],
-            );
-            let prod = b.product(key, fetched);
-            let sel = b.select(
-                prod,
-                vec![
-                    Predicate::ColEqCol(0, 1),
-                    Predicate::ColEqConst(2, c1),
-                    Predicate::ColEqConst(0, Value::Bool(true)),
-                ],
-            );
-            let appended = b.constant(c2, "c");
-            let out = b.product(sel, appended);
+            let residual = vec![
+                Predicate::ColEqConst(2, c1),
+                Predicate::ColEqConst(0, Value::Bool(true)),
+            ];
+            let labels = vec!["a".into(), "b".into()];
+            let joined = b.keyed_join(key, vec![0], "R", vec![0], vec![1], 0, labels, residual);
+            let out = b.append_const(joined, c2, "c");
             b.finish("Q", out).unwrap()
         };
         let values = [Value::int(-4), Value::str("k"), Value::int(7)];
@@ -1043,238 +693,23 @@ mod tests {
         lookups.map(|(i, _)| i).collect()
     }
 
-    /// `fetch(X ∈ keys, R, Y)` over `R(a, b, c)`, unfused: `X` is `x_attrs`, read from
-    /// `key_cols` of the step `keys` builds, `Y` the other attributes. `tail` builds the
-    /// plan output on top of the fetch (return the fetch itself to leave it alone).
-    fn lowered_fetch(
-        keys: impl FnOnce(&mut PlanBuilder) -> NodeId,
-        key_cols: Vec<usize>,
-        x_attrs: Vec<usize>,
-        tail: impl FnOnce(&mut PlanBuilder, NodeId) -> NodeId,
-    ) -> PhysicalPlan {
-        let mut b = PlanBuilder::new();
-        let keys = keys(&mut b);
-        let y_attrs: Vec<usize> = (0..3).filter(|a| !x_attrs.contains(a)).collect();
-        let labels = x_attrs
-            .iter()
-            .chain(&y_attrs)
-            .map(|&a| ["a", "b", "c"][a].into());
-        let labels = labels.collect();
-        let fetched = b.fetch(keys, key_cols, "R", x_attrs, y_attrs, 0, labels);
-        let out = tail(&mut b, fetched);
-        lower_plan(&b.finish("Q", out).unwrap()).unwrap()
-    }
-
-    /// `({2} ∪ {3}) × {1}`, columns `[x, k]`: keyed by `k` alone, it repeats a key.
-    fn repeating_keys(b: &mut PlanBuilder) -> NodeId {
-        let x2 = b.constant(Value::int(2), "x");
-        let x3 = b.constant(Value::int(3), "x");
-        let xs = b.union(x2, x3);
-        let k = b.constant(Value::int(1), "k");
-        b.product(xs, k)
-    }
-
-    #[test]
-    fn an_unfused_fetch_lowers_to_a_lookup_over_its_distinct_keys() {
-        // Over a constant: `π[k]` of it, no δ (a constant never repeats a key), the
-        // lookup by every key column with no residual, and `π` onto the fetched
-        // columns — which is the output, already a set.
-        let constant = |b: &mut PlanBuilder| b.constant(Value::int(1), "k");
-        let phys = lowered_fetch(constant, vec![0], vec![0], |_, f| f);
-        let lookup = PhysOp::KeyedLookup {
-            source: 1,
-            key_cols: vec![0],
-            relation: "R".into(),
-            x_attrs: vec![0],
-            positions: vec![0, 1, 2],
-            constraint_index: 0,
-            residual: Vec::new(),
-        };
-        let expected = [
-            PhysOp::Const {
-                value: Value::int(1),
-            },
-            PhysOp::Project {
-                source: 0,
-                cols: vec![0],
-            },
-            lookup,
-            PhysOp::Project {
-                source: 2,
-                cols: vec![1, 2, 3],
-            },
-        ];
-        assert_eq!(ops(&phys), expected.iter().collect::<Vec<_>>());
-        assert_eq!(phys.steps()[2].columns, ["k", "a", "b", "c"]);
-        assert_eq!(phys.steps()[3].columns, ["a", "b", "c"]);
-        assert_eq!(phys.output(), 3);
-        assert!(phys.steps().iter().all(|s| s.set_valued));
-        assert!(phys.keys_distinct(1, &[0]));
-
-        // A source that repeats keys gets a δ between the key projection and the
-        // lookup, so every key is probed once; the union's own δ is the other one.
-        let phys = lowered_fetch(repeating_keys, vec![1], vec![0], |_, f| f);
-        let [lookup] = lookups(&phys)[..] else {
-            panic!("one lookup: {phys}");
-        };
-        let PhysOp::KeyedLookup { source, .. } = phys.steps()[lookup].op else {
-            unreachable!();
-        };
-        let PhysOp::Dedup { source: keys } = phys.steps()[source].op else {
-            panic!("no δ over the keys: {phys}");
-        };
-        assert_eq!(
-            phys.steps()[keys].op,
-            PhysOp::Project {
-                source: keys - 1,
-                cols: vec![1]
-            }
-        );
-        assert_eq!(
-            phys.steps()[keys - 1].op,
-            PhysOp::AppendConst {
-                source: keys - 2,
-                value: Value::int(1)
-            }
-        );
-        assert!(!phys.steps()[keys].set_valued);
-        let dedups = ops(&phys).into_iter();
-        assert_eq!(
-            dedups
-                .filter(|op| matches!(op, PhysOp::Dedup { .. }))
-                .count(),
-            2
-        );
-        assert_eq!(phys.output(), lookup + 1);
-    }
-
-    #[test]
-    fn an_unfused_fetch_with_an_empty_key_probes_the_empty_key_once() {
-        // `X = ∅`: the key projection has no column. Over the unit table it is the one
-        // empty row; over a source with several rows a δ collapses them to it.
-        for (repeats, dedups) in [(false, 0), (true, 2)] {
-            let keys = |b: &mut PlanBuilder| {
-                if repeats {
-                    repeating_keys(b)
-                } else {
-                    b.unit()
-                }
-            };
-            let phys = lowered_fetch(keys, Vec::new(), Vec::new(), |_, f| f);
-            let [lookup] = lookups(&phys)[..] else {
-                panic!("one lookup: {phys}");
-            };
-            let PhysOp::KeyedLookup {
-                source,
-                key_cols,
-                positions,
-                ..
-            } = &phys.steps()[lookup].op
-            else {
-                unreachable!();
-            };
-            assert!(key_cols.is_empty());
-            assert_eq!(positions, &[0, 1, 2]);
-            assert!(phys.steps()[*source].columns.is_empty());
-            assert_eq!(
-                phys.steps()[phys.output()].op,
-                PhysOp::Project {
-                    source: lookup,
-                    cols: vec![0, 1, 2]
-                }
-            );
-            let ops = ops(&phys).into_iter();
-            let found = ops.filter(|op| matches!(op, PhysOp::Dedup { .. })).count();
-            assert_eq!(found, dedups, "source repeats: {repeats}");
-        }
-    }
-
-    /// The reason `lower_plan` refuses `plan` with.
-    fn refusal(plan: &QueryPlan) -> String {
-        match lower_plan(plan) {
-            Err(Error::InvalidPlan { reason }) => reason,
-            other => panic!("expected a refusal, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn plans_outside_the_fragment_are_refused_naming_their_step() {
-        let labels = || vec!["a".into(), "b".into()];
-        // The keyed-join pattern, but the fetch T1 is also read by a projection.
-        let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "k");
-        let fetched = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, labels());
-        let prod = b.product(k, fetched);
-        let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
-        let other = b.project(fetched, vec![1]);
-        let out = b.product(sel, other);
-        let shared = b.finish("Q", out).unwrap();
-        // `T ∪ T` over an unfused fetch T1: its lowering would be read twice.
-        let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "k");
-        let fetched = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, labels());
-        let twice = b.union(fetched, fetched);
-        let twice = b.finish("Q", twice).unwrap();
-        // A σ over the fused lookup T3, and one over a product that ties no key.
-        let mut b = PlanBuilder::new();
-        let joined = keyed_join(&mut b);
-        let filtered = b.select(joined, vec![Predicate::ColEqConst(2, Value::int(10))]);
-        let filter = b.finish("Q", filtered).unwrap();
-        let mut b = PlanBuilder::new();
-        let (x, y) = (
-            b.constant(Value::int(1), "x"),
-            b.constant(Value::int(1), "y"),
-        );
-        let p = b.product(x, y);
-        let equal = b.select(p, vec![Predicate::ColEqCol(0, 1)]);
-        let untied = b.finish("Q", equal).unwrap();
-        // The product T12 of two fused lookups: its right side is not a constant.
-        let mut b = PlanBuilder::new();
-        let (left, right) = (keyed_join(&mut b), keyed_join(&mut b));
-        let both = b.product(left, right);
-        let lookups = b.finish("Q", both).unwrap();
-        for (plan, step, why) in [
-            (&shared, 1, "is read by 2 operators"),
-            (&twice, 1, "is read by 2 operators"),
-            (
-                &filter,
-                6,
-                "is a selection that does not fuse into a keyed lookup",
-            ),
-            (
-                &untied,
-                3,
-                "is a selection that does not fuse into a keyed lookup",
-            ),
-            (
-                &lookups,
-                12,
-                "is a product whose right side is not a constant",
-            ),
-        ] {
-            let reason = refusal(plan);
-            assert!(
-                reason.starts_with(&format!("step T{step} {why};")),
-                "{reason}\n{plan}"
-            );
-        }
-    }
-
     #[test]
     fn an_empty_key_fetch_fuses_with_its_bare_product() {
-        // `T × fetch(∅ ∈ T, R, b)`, as synthesis emits it: no σ, and one lookup.
+        // `{()} × fetch(∅ ∈ {()}, R, b)`, as synthesis emits it: no key tie, and one
+        // lookup.
         let mut b = PlanBuilder::new();
         let unit = b.unit();
-        let fetched = b.fetch(
+        let labels = vec!["b".into()];
+        let out = b.keyed_join(
             unit,
             Vec::new(),
             "R",
             Vec::new(),
             vec![1],
             0,
-            vec!["b".into()],
+            labels,
+            vec![],
         );
-        let out = b.product(unit, fetched);
         let phys = lower_plan(&b.finish("Q", out).unwrap()).unwrap();
         let lookup = PhysOp::KeyedLookup {
             source: 0,
@@ -1290,72 +725,34 @@ mod tests {
     }
 
     #[test]
-    fn projection_pushes_into_fetch_positions() {
-        let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "k");
-        let fetched = b.fetch(
-            k,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1, 2],
-            0,
-            vec!["a".into(), "b".into(), "c".into()],
-        );
-        // Keep only (a, c): the y-attribute b is never copied out of the store.
-        let projected = b.project(fetched, vec![0, 2]);
-        let plan = b.finish("Q", projected).unwrap();
-        let phys = lower_plan(&plan).unwrap();
-        let [lookup] = lookups(&phys)[..] else {
-            panic!("one lookup: {phys}");
-        };
-        let PhysOp::KeyedLookup { positions, .. } = &phys.steps()[lookup].op else {
-            unreachable!();
-        };
-        assert_eq!(positions, &[0, 2]);
-        // The projection is the lookup's own final `π`, not a step of its own.
-        assert_eq!(
-            phys.steps()[phys.output()].op,
-            PhysOp::Project {
-                source: lookup,
-                cols: vec![1, 2]
-            }
-        );
-        assert_eq!(phys.len(), 4);
-        // The key attribute survives the projection, so no dedup step is needed.
-        assert!(phys
-            .steps()
-            .iter()
-            .all(|s| !matches!(s.op, PhysOp::Dedup { .. })));
-    }
-
-    #[test]
     fn projection_dropping_keys_requires_dedup() {
-        // Keep only `b`: rows fetched under different keys can now collide, so a δ
-        // follows the lookup's final `π` — whatever the keys are.
-        let keys = |b: &mut PlanBuilder| {
+        // `π[b]` of a keyed join through `R(a → b, c)`: rows fetched under different keys,
+        // or differing only in the dropped `c`, can collide, so a δ follows the
+        // projection — whatever the keys are.
+        let joined = |b: &mut PlanBuilder, keys: NodeId| {
+            let labels = ["a", "b", "c"].map(String::from).to_vec();
+            b.keyed_join(keys, vec![0], "R", vec![0], vec![1, 2], 0, labels, vec![])
+        };
+        let union = |b: &mut PlanBuilder| {
             let k1 = b.constant(Value::int(1), "k");
             let k2 = b.constant(Value::int(2), "k");
             b.union(k1, k2)
         };
         let constant = |b: &mut PlanBuilder| b.constant(Value::int(1), "k");
+        let lowered = |keys: &dyn Fn(&mut PlanBuilder) -> NodeId, cols: Vec<usize>| {
+            let mut b = PlanBuilder::new();
+            let keys = keys(&mut b);
+            let joined = joined(&mut b, keys);
+            let out = b.project(joined, cols);
+            lower_plan(&b.finish("Q", out).unwrap()).unwrap()
+        };
         for (phys, dedups) in [
-            (
-                lowered_fetch(keys, vec![0], vec![0], |b, f| b.project(f, vec![1])),
-                2,
-            ),
-            (
-                lowered_fetch(constant, vec![0], vec![0], |b, f| b.project(f, vec![1])),
-                1,
-            ),
+            (lowered(&union, vec![2]), 2),
+            (lowered(&constant, vec![2]), 1),
         ] {
             let [lookup] = lookups(&phys)[..] else {
                 panic!("one lookup: {phys}");
             };
-            let PhysOp::KeyedLookup { positions, .. } = &phys.steps()[lookup].op else {
-                unreachable!();
-            };
-            assert_eq!(positions, &[1]);
             assert_eq!(
                 phys.steps()[phys.output()].op,
                 PhysOp::Dedup { source: lookup + 1 }
@@ -1365,16 +762,9 @@ mod tests {
             let found = ops.filter(|op| matches!(op, PhysOp::Dedup { .. })).count();
             assert_eq!(found, dedups, "{phys}");
         }
-        // A zero-column projection keeps one empty row per matching key; the δ makes
+        // A zero-column projection keeps one empty row per matching tuple; the δ makes
         // that one row.
-        let phys = lowered_fetch(keys, vec![0], vec![0], |b, f| b.project(f, Vec::new()));
-        let [lookup] = lookups(&phys)[..] else {
-            panic!("one lookup: {phys}");
-        };
-        let PhysOp::KeyedLookup { positions, .. } = &phys.steps()[lookup].op else {
-            unreachable!();
-        };
-        assert!(positions.is_empty());
+        let phys = lowered(&union, Vec::new());
         assert!(phys.steps()[phys.output()].columns.is_empty());
         assert!(matches!(
             phys.steps()[phys.output()].op,
@@ -1410,8 +800,7 @@ mod tests {
         let constants = |cols: Vec<usize>| {
             let mut b = PlanBuilder::new();
             let x = b.constant(Value::int(1), "x");
-            let y = b.constant(Value::int(2), "y");
-            let p = b.product(x, y);
+            let p = b.append_const(x, Value::int(2), "y");
             let projected = b.project(p, cols);
             b.finish("Q", projected).unwrap()
         };
@@ -1421,8 +810,8 @@ mod tests {
         assert_eq!(dedups(&constants(vec![0])), 0);
 
         // Over `[k, a, b]` with data-dependent keys: dropping the fetched key attribute
-        // `a` (equal to `k` by the fused key equality) keeps a set; dropping the fetched
-        // non-key `b` does not. (The union of the keys brings one δ of its own.)
+        // `a` (equal to `k` by the key tie) keeps a set; dropping the fetched non-key `b`
+        // does not. (The union of the keys brings one δ of its own.)
         let lookup = |cols: Vec<usize>| {
             let mut b = PlanBuilder::new();
             let joined = keyed_join(&mut b);
@@ -1482,17 +871,8 @@ mod tests {
         let mut b = PlanBuilder::new();
         let branch = |b: &mut PlanBuilder, key: i64| {
             let k = b.constant(Value::int(key), "k");
-            let fetched = b.fetch(
-                k,
-                vec![0],
-                "R",
-                vec![0],
-                vec![1],
-                0,
-                vec!["a".into(), "b".into()],
-            );
-            let prod = b.product(k, fetched);
-            b.select(prod, vec![Predicate::ColEqCol(0, 1)])
+            let labels = vec!["a".into(), "b".into()];
+            b.keyed_join(k, vec![0], "R", vec![0], vec![1], 0, labels, vec![])
         };
         let left = branch(&mut b, 1);
         let right = branch(&mut b, 2);
@@ -1506,12 +886,10 @@ mod tests {
         let mut b = PlanBuilder::new();
         let keys = b.constant(Value::int(1), "k");
         let labels = |x: &str, y: &str| vec![x.into(), y.into()];
-        let f1 = b.fetch(keys, vec![0], "R", vec![0], vec![1], 0, labels("a", "b"));
-        let p1 = b.product(keys, f1);
-        let s1 = b.select(p1, vec![Predicate::ColEqCol(0, 1)]);
-        let f2 = b.fetch(s1, vec![2], "S", vec![0], vec![1], 1, labels("b", "c"));
-        let p2 = b.product(s1, f2);
-        let s2 = b.select(p2, vec![Predicate::ColEqCol(2, 3)]);
+        let ab = labels("a", "b");
+        let s1 = b.keyed_join(keys, vec![0], "R", vec![0], vec![1], 0, ab, vec![]);
+        let bc = labels("b", "c");
+        let s2 = b.keyed_join(s1, vec![2], "S", vec![0], vec![1], 1, bc, vec![]);
         let chain = b.finish("Q", s2).unwrap();
         for plan in [union_of_lookups_plan(), chain] {
             let lowered = lower_plan(&plan).unwrap();
@@ -1531,16 +909,14 @@ mod tests {
             let out = build(&mut b);
             lower_plan(&b.finish("Q", out).unwrap()).unwrap()
         };
-        let one = |b: &mut PlanBuilder| b.constant(Value::int(1), "x");
-        let two = |b: &mut PlanBuilder| b.constant(Value::int(2), "y");
         let unit = lowered(&|b| b.unit());
         assert_eq!(ops(&unit), [&PhysOp::Unit]);
         assert_eq!(unit.query_name(), "Q");
         let empty = lowered(&|b| b.empty(2));
         assert_eq!(ops(&empty), [&PhysOp::Empty { arity: 2 }]);
         let seed = lowered(&|b| {
-            let (u, k) = (b.unit(), one(b));
-            b.product(u, k)
+            let u = b.unit();
+            b.append_const(u, Value::int(1), "x")
         });
         let constant = PhysOp::Const {
             value: Value::int(1),
@@ -1548,8 +924,8 @@ mod tests {
         assert_eq!(ops(&seed), [&constant]);
         assert_eq!(seed.steps()[0].columns, ["x"]);
         let pair = lowered(&|b| {
-            let (x, y) = (one(b), two(b));
-            b.product(x, y)
+            let x = b.constant(Value::int(1), "x");
+            b.append_const(x, Value::int(2), "y")
         });
         let append = PhysOp::AppendConst {
             source: 0,

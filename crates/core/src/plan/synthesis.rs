@@ -9,11 +9,14 @@
 //!    query — this enumerates every candidate binding of the covered variables;
 //! 2. each relation atom is then *verified* against its indexing constraint with one more
 //!    `fetch` (a semijoin keeping only the environment rows that have a witness tuple);
-//! 3. the head variables are projected out (constant head variables are supplied by `{a}`
-//!    singletons).
+//! 3. the head variables are projected out (constant head variables are supplied by
+//!    `T × {a}` appends).
 //!
-//! Every fetch is keyed by an access constraint, so the amount of data read is bounded by
-//! the product of the constraints' cardinalities — independent of `|D|`.
+//! Every fetch is emitted joined back to the table its keys come from, as one
+//! [`super::PlanOp::KeyedJoin`] `σ[key ties ∧ residual](T × fetch(X ∈ T, R, Y))`, and
+//! every constant a key or the head needs is a [`super::PlanOp::AppendConst`]. Every
+//! fetch is keyed by an access constraint, so the amount of data read is bounded by the
+//! product of the constraints' cardinalities — independent of `|D|`.
 
 use crate::access::AccessSchema;
 use crate::cover::{coverage, ucq_coverage, CoverageReport};
@@ -122,7 +125,7 @@ fn build_cq(
     let mut env: NodeId = builder.unit();
     let mut env_roots: Vec<usize> = Vec::new();
 
-    // Extend a node with `{c}` singletons for the given constant roots and return the
+    // Extend a node with `× {c}` columns for the given constant roots and return the
     // node plus the roots of its columns.
     let add_const_columns = |builder: &mut PlanBuilder,
                              node: NodeId,
@@ -141,14 +144,13 @@ fn build_cq(
                     label_of(r)
                 ))
             })?;
-            let k = builder.constant(c, label_of(r));
-            node = builder.product(node, k);
+            node = builder.append_const(node, c, label_of(r));
             roots.push(r);
         }
         Ok((node, roots))
     };
 
-    // One fetch + join against the environment, shared by the growth and verification
+    // One keyed join against the environment, shared by the growth and verification
     // phases. `keep_new` controls whether newly fetched (covered, non-constant) roots are
     // appended to the environment (growth) or projected away (verification semijoin).
     #[allow(clippy::too_many_arguments)]
@@ -192,32 +194,16 @@ fn build_cq(
             })
             .collect();
 
-        // The fetch itself.
+        // The keyed join `σ[key ties ∧ residual](src × fetch(X ∈ src, R, X ∪ Y))`. Its
+        // residual ties the positions retrieved by the fetch to constants, to environment
+        // columns, or to earlier fetched columns carrying the same variable class.
         let labels: Vec<String> = x_attrs
             .iter()
             .chain(y_attrs.iter())
             .map(|&p| query.var_name(atom.args[p]).to_owned())
             .collect();
-        let fetched = builder.fetch(
-            src,
-            key_cols.clone(),
-            atom.relation.clone(),
-            x_attrs.clone(),
-            y_attrs.clone(),
-            constraint_index,
-            labels,
-        );
-
-        // Join the fetched tuples back against the source.
-        let joined = builder.product(src, fetched);
         let offset = src_roots.len();
-        let mut predicates: Vec<Predicate> = Vec::new();
-        // Key equalities.
-        for (i, &kc) in key_cols.iter().enumerate() {
-            predicates.push(Predicate::ColEqCol(kc, offset + i));
-        }
-        // Positions retrieved by the fetch: tie them to constants, to environment
-        // columns, or to earlier fetched columns carrying the same variable class.
+        let mut residual: Vec<Predicate> = Vec::new();
         let mut seen: HashMap<usize, usize> =
             src_roots.iter().enumerate().map(|(i, &r)| (r, i)).collect();
         for (i, &p) in x_attrs.iter().chain(y_attrs.iter()).enumerate() {
@@ -226,16 +212,25 @@ fn build_cq(
             if let Some(&prev) = seen.get(&r) {
                 if i >= x_attrs.len() {
                     // X columns are already tied through the key equalities.
-                    predicates.push(Predicate::ColEqCol(prev, col));
+                    residual.push(Predicate::ColEqCol(prev, col));
                 }
                 continue;
             }
             if let Some(c) = const_of(r) {
-                predicates.push(Predicate::ColEqConst(col, c));
+                residual.push(Predicate::ColEqConst(col, c));
             }
             seen.insert(r, col);
         }
-        let selected = builder.select(joined, predicates);
+        let joined = builder.keyed_join(
+            src,
+            key_cols,
+            atom.relation.clone(),
+            x_attrs.clone(),
+            y_attrs.clone(),
+            constraint_index,
+            labels,
+            residual,
+        );
 
         // Project: keep the environment columns, plus (in the growth phase) the newly
         // covered non-constant roots.
@@ -251,7 +246,7 @@ fn build_cq(
                 }
             }
         }
-        Ok(builder.project(selected, cols))
+        Ok(builder.project(joined, cols))
     }
 
     // Phase 1: grow the environment following the coverage trace.

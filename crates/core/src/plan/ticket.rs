@@ -9,7 +9,7 @@
 //! trust in the client.
 //!
 //! A ticket is derived once per submission from the logical plan (the fetch bound, via
-//! [`super::QueryPlan::cost`]) and its lowering (the **allocation surface**). The
+//! [`super::QueryPlan::cost`], which prices each keyed join at |T| · N) and its lowering (the **allocation surface**). The
 //! allocation surface is [`step_surface`] — every keyed lookup (the one physical step
 //! that fetches) demands one buffer per fetched position plus the key row and the
 //! selection vector — summed over the plan's steps. Lowering does not depend on the
@@ -89,7 +89,7 @@ impl std::fmt::Display for CostTicket {
 mod tests {
     use super::*;
     use crate::access::AccessConstraint;
-    use crate::plan::{lower_plan, PlanBuilder, Predicate};
+    use crate::plan::{lower_plan, PlanBuilder};
     use crate::schema::Catalog;
     use crate::value::Value;
 
@@ -108,17 +108,8 @@ mod tests {
         let mut b = PlanBuilder::new();
         let branch = |b: &mut PlanBuilder, key: i64| {
             let k = b.constant(Value::int(key), "k");
-            let fetched = b.fetch(
-                k,
-                vec![0],
-                "R",
-                vec![0],
-                vec![1],
-                0,
-                vec!["a".into(), "b".into()],
-            );
-            let prod = b.product(k, fetched);
-            b.select(prod, vec![Predicate::ColEqCol(0, 1)])
+            let labels = vec!["a".into(), "b".into()];
+            b.keyed_join(k, vec![0], "R", vec![0], vec![1], 0, labels, vec![])
         };
         let mut acc = branch(&mut b, keys[0]);
         for &key in &keys[1..] {

@@ -8,15 +8,16 @@
 //! [`execute_physical_on`] runs it through the batch pipeline in [`crate::ops`]:
 //! intermediate results flow through one tree of operators in bounded batches, and
 //! only the output is materialized, so peak memory residency tracks the access-schema
-//! bounds. Both run the query on the calling thread. Lowering refuses a plan outside
-//! what synthesis emits (a shared step, a σ that does not fuse into a keyed lookup, a
-//! product whose right side is not a constant; see `bea_core::plan::physical`).
+//! bounds. Both run the query on the calling thread. Lowering refuses only a plan
+//! [`QueryPlan::validate`] refuses (a step read twice, a column out of range); a fetch
+//! the store cannot serve (an unknown constraint, another relation than its
+//! constraint's) is refused before the run.
 //!
 //! [`execute_plan_materialized`] is the **reference**: the literal step loop, one
-//! [`Table`] per plan step, all of them alive until the end. Every × materializes its
-//! full product and every σ filters the table it is given; nothing is fused, and no
-//! code is shared with lowering, so it runs every logical plan — those lowering refuses
-//! included. It takes no options and serves no query; the property
+//! [`Table`] per plan step, all of them alive until the end. A keyed join runs as the
+//! paper writes it — the fetch of the source's distinct keys, the full product of the
+//! source and the fetched table, then σ — and `T × {c}` as a product too; no code is
+//! shared with lowering. It takes no options and serves no query; the property
 //! suites and `bea-bench`'s scenario tests compare the pipeline against it — both
 //! perform the same index lookups and fetch the same tuples; see
 //! [`AccessStats::same_data_access`].
@@ -72,8 +73,7 @@ pub fn execute_plan(plan: &QueryPlan, store: Store<'_>) -> Result<(Table, Access
 /// in `product_rows_materialized`).
 ///
 /// A test oracle, public because `tests/properties.rs` holds the streaming executor's
-/// answers and data access to it; it is also the only executor of a plan lowering
-/// refuses.
+/// answers and data access to it.
 pub fn execute_plan_materialized(
     plan: &QueryPlan,
     store: Store<'_>,
@@ -91,16 +91,18 @@ pub fn execute_plan_materialized(
             }
             PlanOp::Unit => Table::with_rows(step.columns.clone(), vec![Vec::new()]),
             PlanOp::Empty { .. } => Table::new(step.columns.clone()),
-            PlanOp::Fetch {
+            PlanOp::KeyedJoin {
                 source,
                 key_cols,
                 relation,
                 x_attrs,
                 y_attrs,
                 constraint_index,
+                residual,
             } => {
                 let src = &results[*source];
-                // Distinct keys only: fetching the same key twice reads the same data.
+                // fetch(X ∈ T, R, X ∪ Y), over distinct keys only: fetching the same key
+                // twice reads the same data.
                 let keys: BTreeSet<Row> = src
                     .rows()
                     .iter()
@@ -108,19 +110,47 @@ pub fn execute_plan_materialized(
                     .collect();
                 // Every candidate key projection is cloned before the set dedups.
                 stats.values_cloned += (src.len() * key_cols.len()) as u64;
-                let mut out = Table::new(step.columns.clone());
+                let mut fetched = Table::new(step.columns[src.arity()..].to_vec());
                 let positions: Vec<usize> = x_attrs.iter().chain(y_attrs.iter()).copied().collect();
                 for key in keys {
                     stats.index_lookups += 1;
-                    let (fetched, _) = store.fetch_iter(*constraint_index, &key)?;
-                    stats.record_fetched(relation, fetched.len() as u64);
-                    stats.values_cloned += (fetched.len() * positions.len()) as u64;
-                    for tuple in fetched {
-                        out.push(positions.iter().map(|&p| tuple[p].clone()).collect());
+                    let (tuples, _) = store.fetch_iter(*constraint_index, &key)?;
+                    stats.record_fetched(relation, tuples.len() as u64);
+                    stats.values_cloned += (tuples.len() * positions.len()) as u64;
+                    for tuple in tuples {
+                        fetched.push(positions.iter().map(|&p| tuple[p].clone()).collect());
                     }
                 }
                 stats.fetch_ops += 1;
-                dedup_counted(&mut out, &mut stats);
+                dedup_counted(&mut fetched, &mut stats);
+                // T × fetch, in full.
+                let mut product = Table::new(step.columns.clone());
+                for lrow in src.rows() {
+                    for rrow in fetched.rows() {
+                        let mut row = lrow.clone();
+                        row.extend(rrow.iter().cloned());
+                        product.push(row);
+                    }
+                }
+                stats.product_rows_materialized += (src.len() * fetched.len()) as u64;
+                stats.values_cloned += (product.len() * product.arity()) as u64;
+                // σ[key ties ∧ residual].
+                let ties = (key_cols.iter().enumerate())
+                    .map(|(k, &c)| Predicate::ColEqCol(c, src.arity() + k));
+                let predicates: Vec<Predicate> = ties.chain(residual.iter().cloned()).collect();
+                let mut out = Table::new(step.columns.clone());
+                for row in product.rows() {
+                    let keep = predicates.iter().all(|p| match p {
+                        Predicate::ColEqCol(a, b) => row[*a] == row[*b],
+                        Predicate::ColEqConst(a, c) => &row[*a] == c,
+                    });
+                    if keep {
+                        out.push(row.clone());
+                    }
+                }
+                stats.values_cloned += (out.len() * out.arity()) as u64;
+                // The fetched table and the product are steps of the literal plan too.
+                resident += (fetched.len() + product.len()) as u64;
                 out
             }
             PlanOp::Project { source, cols } => {
@@ -133,33 +163,16 @@ pub fn execute_plan_materialized(
                 dedup_counted(&mut out, &mut stats);
                 out
             }
-            PlanOp::Select { source, predicates } => {
+            PlanOp::AppendConst { source, value } => {
                 let src = &results[*source];
                 let mut out = Table::new(step.columns.clone());
                 for row in src.rows() {
-                    let keep = predicates.iter().all(|p| match p {
-                        Predicate::ColEqCol(a, b) => row[*a] == row[*b],
-                        Predicate::ColEqConst(a, c) => &row[*a] == c,
-                    });
-                    if keep {
-                        out.push(row.clone());
-                    }
+                    let mut row = row.clone();
+                    row.push(value.clone());
+                    out.push(row);
                 }
+                stats.product_rows_materialized += src.len() as u64;
                 stats.values_cloned += (out.len() * out.arity()) as u64;
-                out
-            }
-            PlanOp::Product { left, right } => {
-                let (l, r) = (&results[*left], &results[*right]);
-                let mut out = Table::new(step.columns.clone());
-                for lrow in l.rows() {
-                    for rrow in r.rows() {
-                        let mut row = lrow.clone();
-                        row.extend(rrow.iter().cloned());
-                        out.push(row);
-                    }
-                }
-                stats.product_rows_materialized += (l.len() * r.len()) as u64;
-                stats.values_cloned += (l.len() * r.len() * (l.arity() + r.arity())) as u64;
                 out
             }
             PlanOp::Union { left, right } => {
@@ -204,7 +217,7 @@ fn dedup_counted(table: &mut Table, stats: &mut AccessStats) {
 /// panicking mid-loop on an out-of-range index.
 fn validate_fetches_for(plan: &QueryPlan, store: Store<'_>) -> Result<()> {
     for (i, step) in plan.steps().iter().enumerate() {
-        let PlanOp::Fetch {
+        let PlanOp::KeyedJoin {
             relation,
             key_cols,
             x_attrs,
@@ -337,40 +350,21 @@ pub(crate) mod tests {
         let (_, _, idb) = setup();
         let mut b = bea_core::plan::PlanBuilder::new();
         let k = b.constant(Value::int(1), "x");
-        let f = b.fetch(
-            k,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            99,
-            vec!["a".into(), "b".into()],
-        );
+        let labels = vec!["a".into(), "b".into()];
+        let f = b.keyed_join(k, vec![0], "R", vec![0], vec![1], 99, labels, vec![]);
         let plan = b.finish("Q", f).unwrap();
         assert!(execute_plan(&plan, &idb).is_err());
     }
 
-    /// Hand-build the shape plan synthesis emits for every fetch, `σ[k = a](keys ×
-    /// fetch)`, where the fetch reads `R(a → b)` keyed by the `keys` column.
+    /// The keyed join `σ[k = a](keys × fetch(a ∈ keys, R, b))` over the keys `{1, 2}`.
     fn keyed_join_plan() -> bea_core::plan::QueryPlan {
         let mut b = bea_core::plan::PlanBuilder::new();
         let k1 = b.constant(Value::int(1), "k");
         let k2 = b.constant(Value::int(2), "k");
         let keys = b.union(k1, k2);
-        let fetched = b.fetch(
-            keys,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let prod = b.product(keys, fetched);
-        // Tie the fetch's key column (position 1 = left arity 1 + first X attr) back to
-        // the source key.
-        let sel = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
-        b.finish("Q", sel).unwrap()
+        let labels = vec!["a".into(), "b".into()];
+        let joined = b.keyed_join(keys, vec![0], "R", vec![0], vec![1], 0, labels, vec![]);
+        b.finish("Q", joined).unwrap()
     }
 
     #[test]
@@ -382,7 +376,7 @@ pub(crate) mod tests {
         let (streamed, streamed_stats) = execute_plan(&plan, &idb).unwrap();
 
         // The reference computes the literal `σ[k = a](keys × fetch)`, and the pipeline's
-        // fused keyed lookup yields the same rows…
+        // keyed lookup yields the same rows…
         assert_eq!(reference.columns(), streamed.columns());
         assert_eq!(reference.row_set(), streamed.row_set());
         assert_eq!(
@@ -395,7 +389,7 @@ pub(crate) mod tests {
             .into_iter()
             .collect()
         );
-        // …with identical data access: fusion changes join strategy, not fetches.
+        // …with identical data access: the lookup changes join strategy, not fetches.
         assert_eq!(reference_stats.tuples_fetched, 3);
         assert!(reference_stats.same_data_access(&streamed_stats));
 
@@ -432,12 +426,12 @@ pub(crate) mod tests {
         assert!(reference_stats.same_data_access(&streamed_stats));
         // The reference materializes every product of the plan literally, the
         // data-dependent `source × fetch` ones included, so it holds more product rows
-        // than the plan has product nodes. The pipeline materializes none: lowering
-        // fuses `source × fetch` into keyed lookups and runs `T × {c}` as an append.
+        // than the plan has products. The pipeline materializes none: a keyed join runs
+        // as a keyed lookup and `T × {c}` as an append.
         let products = plan
             .steps()
             .iter()
-            .filter(|s| matches!(s.op, PlanOp::Product { .. }))
+            .filter(|s| matches!(s.op, PlanOp::KeyedJoin { .. } | PlanOp::AppendConst { .. }))
             .count() as u64;
         assert!(reference_stats.product_rows_materialized > products);
         assert_eq!(streamed_stats.product_rows_materialized, 0);
@@ -484,23 +478,10 @@ pub(crate) mod tests {
         let union = b.union(one, two);
         let union = b.union(union, three);
         let union = b.union(union, none);
-        let tag = b.constant(Value::int(1), "t");
-        let pair = b.product(union, tag);
-        let fetched = b.fetch(
-            pair,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let joined = b.product(pair, fetched);
-        let tied = vec![
-            Predicate::ColEqCol(0, 2),
-            Predicate::ColEqConst(3, Value::int(10)),
-        ];
-        let sel = b.select(joined, tied);
+        let pair = b.append_const(union, Value::int(1), "t");
+        let labels = vec!["a".into(), "b".into()];
+        let residual = vec![Predicate::ColEqConst(3, Value::int(10))];
+        let sel = b.keyed_join(pair, vec![0], "R", vec![0], vec![1], 0, labels, residual);
         let proj = b.project(sel, vec![0]);
         let plan = b.finish("Q", proj).unwrap();
 

@@ -88,9 +88,10 @@
 //! # One query, one thread
 //!
 //! A query runs start to finish on the thread that asks for it — the caller of
-//! [`execute_plan`], or of [`session::Session::run`] and its siblings. Lowering
-//! accepts only what plan synthesis emits, where every step has one reader, so a plan
-//! is one tree of streaming operators: it is drained into the output table, the one
+//! [`execute_plan`], or of [`session::Session::run`] and its siblings. Every step of a
+//! logical plan has one reader (`QueryPlan::validate` refuses any other plan), and
+//! lowering maps each onto one operator, so a plan is one tree of streaming operators:
+//! it is drained into the output table, the one
 //! result it materializes. Nothing of a query crosses threads; its residency ledger makes
 //! `peak_rows_resident` the number of rows it held at once, and every counter is a
 //! function of the plan and the store.

@@ -264,7 +264,7 @@ impl Arena<'_> {
     }
 }
 
-/// The fused `σ[key equalities](source × fetch(X ∈ source, R, …))`: an index
+/// The keyed join `σ[key ties ∧ residual](source × fetch(X ∈ source, R, …))`: an index
 /// nested-loop join. Streams the source; for each row, probes the index with the row's
 /// key (once per distinct key — results are retained so the data access is identical
 /// to a fetch over the deduplicated key set), joins it with every match as a pair of

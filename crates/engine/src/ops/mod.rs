@@ -438,7 +438,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::exec::{execute_plan, execute_plan_materialized};
     use bea_core::access::{AccessConstraint, AccessSchema};
-    use bea_core::plan::{lower_plan, NodeId, PlanBuilder, Predicate, QueryPlan};
+    use bea_core::plan::{lower_plan, NodeId, PlanBuilder, QueryPlan};
     use bea_storage::{Database, IndexedDatabase};
 
     fn setup() -> IndexedDatabase {
@@ -468,7 +468,7 @@ pub(crate) mod tests {
         union_of_lookups_in(&fetches)
     }
 
-    /// `f₁ ∪ … ∪ fₙ`, where `fᵢ` is the fused lookup `σ[k = a]({key} × fetch(a ∈ {key},
+    /// `f₁ ∪ … ∪ fₙ`, where `fᵢ` is the keyed join `σ[k = a]({key} × fetch(a ∈ {key},
     /// relation, b))` through constraint `constraint`, for each `(relation, constraint,
     /// key)` of `fetches`.
     pub(crate) fn union_of_lookups_in(fetches: &[(&str, usize, i64)]) -> QueryPlan {
@@ -478,26 +478,30 @@ pub(crate) mod tests {
             .map(|&(relation, constraint, key)| {
                 let k = b.constant(Value::int(key), "k");
                 let columns = vec!["a".into(), "b".into()];
-                let f = b.fetch(k, vec![0], relation, vec![0], vec![1], constraint, columns);
-                let prod = b.product(k, f);
-                b.select(prod, vec![Predicate::ColEqCol(0, 1)])
+                b.keyed_join(
+                    k,
+                    vec![0],
+                    relation,
+                    vec![0],
+                    vec![1],
+                    constraint,
+                    columns,
+                    vec![],
+                )
             })
             .collect();
         let out = (branches[1..].iter()).fold(branches[0], |acc, &branch| b.union(acc, branch));
         b.finish("Q", out).unwrap()
     }
 
-    /// `π[cols](lookup(key) × {5})`, where `lookup(key)` is the fused lookup of `R`'s
+    /// `π[cols](lookup(key) × {5})`, where `lookup(key)` is the keyed join of `R`'s
     /// tuples under `key`, columns `[k, a, b]`.
     fn lookup_with_a_constant(key: i64, cols: Vec<usize>) -> QueryPlan {
         let mut b = PlanBuilder::new();
         let k = b.constant(Value::int(key), "k");
         let columns = vec!["a".into(), "b".into()];
-        let f = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, columns);
-        let prod = b.product(k, f);
-        let lookup = b.select(prod, vec![Predicate::ColEqCol(0, 1)]);
-        let five = b.constant(Value::int(5), "c");
-        let appended = b.product(lookup, five);
+        let lookup = b.keyed_join(k, vec![0], "R", vec![0], vec![1], 0, columns, vec![]);
+        let appended = b.append_const(lookup, Value::int(5), "c");
         let out = b.project(appended, cols);
         b.finish("Q", out).unwrap()
     }
@@ -544,15 +548,8 @@ pub(crate) mod tests {
         let idb = setup();
         let mut b = PlanBuilder::new();
         let k = b.constant(Value::int(1), "k");
-        let f = b.fetch(
-            k,
-            vec![0],
-            "R",
-            vec![0],
-            vec![5],
-            0,
-            vec!["a".into(), "oob".into()],
-        );
+        let labels = vec!["a".into(), "oob".into()];
+        let f = b.keyed_join(k, vec![0], "R", vec![0], vec![5], 0, labels, vec![]);
         let plan = b.finish("Q", f).unwrap();
         assert!(execute_plan(&plan, &idb).is_err());
         assert!(execute_plan_materialized(&plan, &idb).is_err());
@@ -564,15 +561,8 @@ pub(crate) mod tests {
         // Constraint index 7 does not exist.
         let mut b = PlanBuilder::new();
         let k = b.constant(Value::int(1), "k");
-        let f = b.fetch(
-            k,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            7,
-            vec!["a".into(), "b".into()],
-        );
+        let labels = vec!["a".into(), "b".into()];
+        let f = b.keyed_join(k, vec![0], "R", vec![0], vec![1], 7, labels, vec![]);
         let plan = b.finish("Q", f).unwrap();
         assert!(execute_plan(&plan, &idb).is_err());
         assert!(execute_plan_materialized(&plan, &idb).is_err());
@@ -580,17 +570,9 @@ pub(crate) mod tests {
         // Two key columns probe a one-column constraint key.
         let mut b = PlanBuilder::new();
         let x = b.constant(Value::int(1), "x");
-        let y = b.constant(Value::int(2), "y");
-        let p = b.product(x, y);
-        let f = b.fetch(
-            p,
-            vec![0, 1],
-            "R",
-            vec![0, 1],
-            vec![],
-            0,
-            vec!["a".into(), "b".into()],
-        );
+        let p = b.append_const(x, Value::int(2), "y");
+        let labels = vec!["a".into(), "b".into()];
+        let f = b.keyed_join(p, vec![0, 1], "R", vec![0, 1], vec![], 0, labels, vec![]);
         let plan = b.finish("Q", f).unwrap();
         assert!(execute_plan(&plan, &idb).is_err());
         assert!(execute_plan_materialized(&plan, &idb).is_err());
@@ -603,7 +585,7 @@ pub(crate) mod tests {
     const JOIN_KEYS: i64 = 50;
 
     /// `A(a → b, c)`, `R(k → v, w)` and `E(∅ → e)` (an empty key): see [`FAN_OUT`].
-    fn unfused_fetch_setup() -> IndexedDatabase {
+    fn repeating_keys_setup() -> IndexedDatabase {
         let mut c = bea_core::schema::Catalog::new();
         c.declare("A", ["a", "b", "c"]).unwrap();
         c.declare("R", ["k", "v", "w"]).unwrap();
@@ -625,55 +607,65 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn unfused_fetches_match_the_materialized_reference() {
-        let idb = unfused_fetch_setup();
-        // Each plan starts from the anchor's A-rows `[a, b, c]` (one lookup), fetched
-        // unfused; `add` builds the rest and names how many distinct keys it probes.
+    fn keyed_joins_over_repeating_keys_match_the_materialized_reference() {
+        let idb = repeating_keys_setup();
+        // Each plan starts from the anchor's A-rows `[a, b, c]` (one lookup, projected
+        // onto the fetched columns); `add` builds the rest and names how many distinct
+        // keys it probes.
         let plan = |add: &dyn Fn(&mut PlanBuilder, NodeId) -> NodeId| {
             let mut b = PlanBuilder::new();
             let anchor = b.constant(Value::int(1), "x");
             let labels = vec!["a".into(), "b".into(), "c".into()];
-            let rows = b.fetch(anchor, vec![0], "A", vec![0], vec![1, 2], 0, labels);
+            let joined = b.keyed_join(anchor, vec![0], "A", vec![0], vec![1, 2], 0, labels, vec![]);
+            let rows = b.project(joined, vec![1, 2, 3]);
             let out = add(&mut b, rows);
             b.finish("Q", out).unwrap()
         };
-        let fetch_r = |b: &mut PlanBuilder, rows: NodeId| {
+        let join_r = |b: &mut PlanBuilder, rows: NodeId| {
             let labels = vec!["k".into(), "v".into(), "w".into()];
-            b.fetch(rows, vec![1], "R", vec![0], vec![1, 2], 1, labels)
+            b.keyed_join(rows, vec![1], "R", vec![0], vec![1, 2], 1, labels, vec![])
+        };
+        let join_e = |b: &mut PlanBuilder, rows: NodeId| {
+            b.keyed_join(
+                rows,
+                vec![],
+                "E",
+                vec![],
+                vec![0],
+                2,
+                vec!["e".into()],
+                vec![],
+            )
         };
         let keys = 1 + JOIN_KEYS as u64;
         let cases: [(&str, QueryPlan, u64); 5] = [
             (
                 "keys repeated within and across batches",
-                plan(&fetch_r),
+                plan(&join_r),
                 keys,
             ),
             (
-                "a pushed-down projection that drops the key",
+                "a projection that drops the key",
                 plan(&|b, rows| {
-                    let fetched = fetch_r(b, rows);
-                    b.project(fetched, vec![1])
+                    let joined = join_r(b, rows);
+                    b.project(joined, vec![4])
                 }),
                 keys,
             ),
             (
                 "a zero-column projection",
                 plan(&|b, rows| {
-                    let fetched = fetch_r(b, rows);
-                    b.project(fetched, Vec::new())
+                    let joined = join_r(b, rows);
+                    b.project(joined, Vec::new())
                 }),
                 keys,
             ),
+            ("an empty key", plan(&join_e), 2),
             (
-                "an empty key",
-                plan(&|b, rows| b.fetch(rows, vec![], "E", vec![], vec![0], 2, vec!["e".into()])),
-                2,
-            ),
-            (
-                "an empty key under its bare product",
+                "an empty key, projected onto its fetched column",
                 plan(&|b, rows| {
-                    let fetched = b.fetch(rows, vec![], "E", vec![], vec![0], 2, vec!["e".into()]);
-                    b.product(rows, fetched)
+                    let joined = join_e(b, rows);
+                    b.project(joined, vec![3])
                 }),
                 2,
             ),
@@ -696,8 +688,8 @@ pub(crate) mod tests {
 
     #[test]
     fn a_thread_keeps_buffers_between_jobs_but_none_past_the_retention_cap() {
-        // `δ π[] δ π[v] fetch(k = 1, R)` over 16 384 tuples `(1, i)`: the fetch and the
-        // first δ grow buffers to many batches' worth.
+        // `δ π[] δ π[v] σ[k = k'](({1} ∪ {2}) × fetch(k' ∈ …, R, v))` over 16 384 tuples
+        // `(1, i)`: the lookup and the δ over `v` grow buffers to many batches' worth.
         const ROWS: i64 = 16_384;
         let mut c = bea_core::schema::Catalog::new();
         c.declare("R", ["k", "v"]).unwrap();
@@ -714,10 +706,14 @@ pub(crate) mod tests {
             .unwrap();
         let wide = IndexedDatabase::build(db, schema).unwrap();
         let mut b = PlanBuilder::new();
-        let key = b.constant(Value::int(1), "k");
-        let columns = vec!["k".into(), "v".into()];
-        let fetched = b.fetch(key, vec![0], "R", vec![0], vec![1], 0, columns);
-        let values = b.project(fetched, vec![1]);
+        let (one, two) = (
+            b.constant(Value::int(1), "k"),
+            b.constant(Value::int(2), "k"),
+        );
+        let keys = b.union(one, two);
+        let columns = vec!["k'".into(), "v".into()];
+        let fetched = b.keyed_join(keys, vec![0], "R", vec![0], vec![1], 0, columns, vec![]);
+        let values = b.project(fetched, vec![2]);
         let out = b.project(values, Vec::new());
         let dedup = bea_core::plan::lower_plan(&b.finish("Q", out).unwrap()).unwrap();
         assert!(dedup

@@ -153,8 +153,8 @@ pub enum SubmitError {
         /// The specific limit it broke.
         rejection: Rejection,
     },
-    /// The plan failed lowering or validation, or a run was given the wrong number of
-    /// constants.
+    /// The plan failed validation (a step read twice, a column out of range, a fetch the
+    /// store cannot serve), or a run was given the wrong number of constants.
     Invalid(Error),
 }
 
@@ -374,7 +374,9 @@ impl Session {
 
     /// The value-free half of a submission: lower `plan` exactly as
     /// [`crate::exec::execute_plan`] does (so a session run is the same physical plan
-    /// as a solo run), validate the result against the store, and price it. None of
+    /// as a solo run; lowering fails only where [`QueryPlan::validate`] does), validate
+    /// the result against the store (an unknown constraint, a relation other than its
+    /// constraint's, a position out of range), and price it. None of
     /// the three looks at a constant's value, and the store is immutable, so one
     /// [`PreparedPlan`] serves every query that differs from `plan` only in its
     /// constants — prepare a template once ([`bea_core::value::Value::placeholder`]
@@ -490,7 +492,7 @@ mod tests {
     use crate::exec::{execute_plan, execute_plan_materialized};
     use crate::ops::tests::union_of_lookups_in;
     use bea_core::access::{AccessConstraint, AccessSchema};
-    use bea_core::plan::{PlanBuilder, Predicate};
+    use bea_core::plan::PlanBuilder;
     use bea_core::schema::Catalog;
     use bea_storage::Database;
     use std::sync::mpsc::{channel, RecvTimeoutError};
@@ -534,20 +536,25 @@ mod tests {
         b.finish(name, acc).unwrap()
     }
 
-    /// The fused lookup of `R`'s tuples under `key`: four steps.
+    /// The keyed join of `R`'s tuples under `key`: two steps.
     fn lookup(b: &mut PlanBuilder, key: &Value) -> usize {
+        lookup_via(b, key, "R", 0)
+    }
+
+    /// The keyed join of `relation`'s tuples under `key` through constraint `constraint`.
+    fn lookup_via(b: &mut PlanBuilder, key: &Value, relation: &str, constraint: usize) -> usize {
         let k = b.constant(key.clone(), "k");
-        let fetched = b.fetch(
+        let labels = vec!["a".into(), "b".into()];
+        b.keyed_join(
             k,
             vec![0],
-            "R",
+            relation,
             vec![0],
             vec![1],
-            0,
-            vec!["a".into(), "b".into()],
-        );
-        let prod = b.product(k, fetched);
-        b.select(prod, vec![Predicate::ColEqCol(0, 1)])
+            constraint,
+            labels,
+            vec![],
+        )
     }
 
     #[test]
@@ -764,59 +771,46 @@ mod tests {
     }
 
     #[test]
-    fn plans_outside_the_fragment_are_refused_naming_their_step() {
+    fn invalid_fetches_are_refused_and_the_session_serves_on() {
         let idb = fixture(4);
         let session = Session::new(fixture(4), SessionConfig::new());
-        let labels = || vec!["a".into(), "b".into()];
-        // `f ∪ f` over the fetch T1; `σ[b = 10](f)` at T2; `lookup(1) × lookup(2)` at
-        // T8.
-        let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "k");
-        let f = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, labels());
-        let twice = b.union(f, f);
-        let shared = b.finish("shared", twice).unwrap();
-        let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "k");
-        let f = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, labels());
-        let ten = b.select(f, vec![Predicate::ColEqConst(1, Value::int(10))]);
-        let filter = b.finish("filter", ten).unwrap();
-        let mut b = PlanBuilder::new();
-        let (one, two) = (
-            lookup(&mut b, &Value::int(1)),
-            lookup(&mut b, &Value::int(2)),
-        );
-        let times = b.product(one, two);
-        let product = b.finish("product", times).unwrap();
+        // Through a constraint the schema lacks, and from `S` through constraint 0 on `R`.
+        let invalid = |relation: &str, constraint: usize| {
+            let mut b = PlanBuilder::new();
+            let joined = lookup_via(&mut b, &Value::int(1), relation, constraint);
+            b.finish("invalid", joined).unwrap()
+        };
         let cases = [
-            (&shared, "step T1 is read by 2 operators"),
-            (&filter, "step T2 is a selection that does not fuse"),
             (
-                &product,
-                "step T8 is a product whose right side is not a constant",
+                invalid("R", 99),
+                "via constraint 99, which the access schema does not contain",
+            ),
+            (
+                invalid("S", 0),
+                "fetches from S via constraint 0, which is on R",
             ),
         ];
         let good = lookup_union("good", &[1, 2]);
         let (expected, _) = execute_plan(&good, &idb).unwrap();
-        for (plan, why) in cases {
-            let named = |error: Error| match error {
-                Error::InvalidPlan { reason } => assert!(reason.starts_with(why), "{reason}"),
-                other => panic!("{why}: refused as {other:?}"),
+        for (plan, why) in &cases {
+            let named = |error: Error| {
+                let reason = error.to_string();
+                assert!(reason.contains(why), "{reason}");
             };
-            named(lower_plan(plan).unwrap_err());
             named(execute_plan(plan, &idb).unwrap_err());
+            named(execute_plan_materialized(plan, &idb).unwrap_err());
             named(session.prepare(plan).unwrap_err());
             match session.run(plan) {
                 Err(SubmitError::Invalid(error)) => named(error),
                 other => panic!("{why}: run gave {other:?}"),
             }
-            // The reference runs it, and the session serves on, its budget drained.
-            execute_plan_materialized(plan, &idb).unwrap();
+            // The session serves on, its budget drained.
             let (table, _) = session.run(&good).unwrap().1.unwrap();
             assert_eq!(table.rows(), expected.rows());
             assert_eq!(session.admission_stats().inflight_bound, 0);
         }
         let admission = session.admission_stats();
-        assert_eq!((admission.submitted, admission.completed), (3, 3));
+        assert_eq!((admission.submitted, admission.completed), (2, 2));
     }
 
     #[test]
@@ -825,16 +819,7 @@ mod tests {
         let session = Session::new(fixture(4), SessionConfig::new());
         // An invalid plan fails at submit (validation), not at wait.
         let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "x");
-        let f = b.fetch(
-            k,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1],
-            99,
-            vec!["a".into(), "b".into()],
-        );
+        let f = lookup_via(&mut b, &Value::int(1), "R", 99);
         let bad = b.finish("bad", f).unwrap();
         assert!(matches!(session.submit(&bad), Err(SubmitError::Invalid(_))));
         // A healthy neighbor still runs to completion.
@@ -874,16 +859,7 @@ mod tests {
     /// One keyed fetch over `PANIC_RELATION` (fetch bound 10), which panics.
     fn doomed_plan() -> QueryPlan {
         let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "k");
-        let f = b.fetch(
-            k,
-            vec![0],
-            crate::ops::PANIC_RELATION,
-            vec![0],
-            vec![1],
-            1,
-            vec!["a".into(), "b".into()],
-        );
+        let f = lookup_via(&mut b, &Value::int(1), crate::ops::PANIC_RELATION, 1);
         b.finish("doomed", f).unwrap()
     }
 
@@ -1116,9 +1092,7 @@ mod tests {
         db.extend("S", [row(2, 20), row(1, 21)]).unwrap();
         let idb = IndexedDatabase::build(db, schema).unwrap();
         let mut b = PlanBuilder::new();
-        let k = b.constant(Value::int(1), "k");
-        let attrs = vec!["a".into(), "b".into()];
-        let fetched = b.fetch(k, vec![0], "R", vec![0], vec![1], 0, attrs);
+        let fetched = lookup_via(&mut b, &Value::int(1), "R", 0);
         let plan = b.finish("Q", fetched).unwrap();
         let refusal = execute_plan(&plan, &idb).unwrap_err().to_string();
         assert!(

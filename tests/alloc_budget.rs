@@ -121,9 +121,9 @@ fn a_cold_q0_stays_inside_its_allocation_budget() {
     );
 }
 
-/// `δ π[] δ π[v] fetch(k = 1, R)` over `R(k, v)` holding `rows` tuples `(1, i)`: the
-/// first δ sees `rows` distinct rows, and only the empty row leaves the plan — so the
-/// owned rows of the output table do not drown the count.
+/// `δ π[] δ π[v] σ[k = k'](({1} ∪ {2}) × fetch(k' ∈ …, R, v))` over `R(k, v)` holding
+/// `rows` tuples `(1, i)`: the δ over `v` sees `rows` distinct rows, and only the empty
+/// row leaves the plan — so the owned rows of the output table do not drown the count.
 fn dedup_of_distinct_rows(rows: i64) -> (IndexedDatabase, PhysicalPlan) {
     let mut catalog = Catalog::new();
     catalog.declare("R", ["k", "v"]).unwrap();
@@ -134,18 +134,15 @@ fn dedup_of_distinct_rows(rows: i64) -> (IndexedDatabase, PhysicalPlan) {
     let store = IndexedDatabase::build(db, AccessSchema::from_constraints([constraint])).unwrap();
 
     let mut b = PlanBuilder::new();
-    let key = b.constant(Value::int(1), "k");
-    let fetched = b.fetch(
-        key,
-        vec![0],
-        "R",
-        vec![0],
-        vec![1],
-        0,
-        vec!["k".into(), "v".into()],
+    let (one, two) = (
+        b.constant(Value::int(1), "k"),
+        b.constant(Value::int(2), "k"),
     );
-    // Dropping the key attribute is what makes lowering ask for a δ.
-    let values = b.project(fetched, vec![1]);
+    let keys = b.union(one, two);
+    let labels = vec!["k'".into(), "v".into()];
+    let fetched = b.keyed_join(keys, vec![0], "R", vec![0], vec![1], 0, labels, vec![]);
+    // Dropping a key that is not a constant is what makes lowering ask for a δ.
+    let values = b.project(fetched, vec![2]);
     let out = b.project(values, Vec::new());
     let physical = lower_plan(&b.finish("Q", out).unwrap()).unwrap();
     assert!(
@@ -168,12 +165,14 @@ fn dedup_allocates_logarithmically_in_its_distinct_rows() {
     assert_eq!(table.rows(), [Vec::<Value>::new()]);
     assert_eq!(stats.tuples_fetched, ROWS as u64);
     // Per 1 024-row batch a selection vector and a few handles (16 batches here), per
-    // doubling a column, hash or slot reallocation (14 doublings) — 280 today, the
-    // second δ's selection vectors included (294 while the lookup's emission gathered
-    // its values into growing columns, 278 while the plan ended in a σ instead, 293
-    // while the query ran as jobs of a pool), against two allocations per distinct row
-    // (32 768) when δ kept a hash bucket and an owned row for each. The bound leaves
-    // 12.5 %.
+    // doubling a column, hash or slot reallocation (14 doublings) — 298 today, the
+    // second δ's selection vectors and the two-key union with its δ included (279–280
+    // while the plan was a bare fetch of one constant key, whose lowering emitted the
+    // key's identity π and needed no union for the δ to be asked for; 294 while the
+    // lookup's emission gathered its values into growing columns, 278 while the plan
+    // ended in a σ instead, 293 while the query ran as jobs of a pool), against two
+    // allocations per distinct row (32 768) when δ kept a hash bucket and an owned row
+    // for each. The bound leaves 5.7 %.
     assert!(
         allocations <= 315,
         "δ over {ROWS} distinct rows performed {allocations} heap allocations"

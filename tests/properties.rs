@@ -297,7 +297,7 @@ fn columnar_pipeline_halves_copy_traffic_on_target_scenarios() {
 /// the pooling machinery changes neither the rows nor any data-access counter.
 #[test]
 fn warmed_anchored_probes_allocate_nothing() {
-    use bea::core::plan::{PlanBuilder, Predicate};
+    use bea::core::plan::PlanBuilder;
     use bea_core::access::AccessConstraint;
     use bea_core::schema::Catalog;
 
@@ -313,31 +313,16 @@ fn warmed_anchored_probes_allocate_nothing() {
         AccessConstraint::new(&catalog, "S", &["k"], &["v"], 10).unwrap(),
     ]);
 
-    // fetch the anchor's R-rows, then the fused product → select → project becomes
-    // one KeyedLookup on S (key = R.b) with a fused projection — the anchored probe.
+    // Join the anchor's R-rows, then join S by key R.b and project: one KeyedLookup on
+    // S with a fused projection — the anchored probe.
     let plan = {
         let mut b = PlanBuilder::new();
         let anchor = b.constant(Value::int(1), "x");
-        let r = b.fetch(
-            anchor,
-            vec![0],
-            "R",
-            vec![0],
-            vec![1, 2],
-            0,
-            vec!["a".into(), "b".into(), "c".into()],
-        );
-        let s = b.fetch(
-            r,
-            vec![1],
-            "S",
-            vec![0],
-            vec![1],
-            1,
-            vec!["k".into(), "v".into()],
-        );
-        let joined = b.product(r, s);
-        let selected = b.select(joined, vec![Predicate::ColEqCol(1, 3)]);
+        let labels = vec!["a".into(), "b".into(), "c".into()];
+        let r = b.keyed_join(anchor, vec![0], "R", vec![0], vec![1, 2], 0, labels, vec![]);
+        let r = b.project(r, vec![1, 2, 3]);
+        let labels = vec!["k".into(), "v".into()];
+        let selected = b.keyed_join(r, vec![1], "S", vec![0], vec![1], 1, labels, vec![]);
         // Keep the distinct c column: the m output rows must survive set semantics.
         let out = b.project(selected, vec![2, 4]);
         b.finish("AnchoredProbeLoop", out).unwrap()
@@ -720,7 +705,7 @@ fn session_lanes_match_solo_execution_on_every_family() {
 /// probe-path buffer demand of a solo [`execute_plan`] run.
 #[test]
 fn repeated_session_submissions_match_solo_execution() {
-    use bea::core::plan::{PlanBuilder, Predicate};
+    use bea::core::plan::PlanBuilder;
     use bea::engine::{Session, SessionConfig, SharedStore};
     use bea_core::access::AccessConstraint;
     use bea_core::schema::Catalog;
@@ -755,7 +740,7 @@ fn repeated_session_submissions_match_solo_execution() {
             .unwrap();
 
             // A union of anchored lookups over a random distinct key set; each
-            // branch's fetch → product → select fuses into one KeyedLookup.
+            // branch's keyed join lowers to one KeyedLookup.
             let mut keys: Vec<i64> = (1..=key_space).collect();
             for i in (1..keys.len()).rev() {
                 keys.swap(i, rng.gen_range(0..=i));
@@ -765,17 +750,8 @@ fn repeated_session_submissions_match_solo_execution() {
                 let mut b = PlanBuilder::new();
                 let branch = |b: &mut PlanBuilder, key: i64| {
                     let k = b.constant(Value::int(key), "k");
-                    let fetched = b.fetch(
-                        k,
-                        vec![0],
-                        "R",
-                        vec![0],
-                        vec![1],
-                        0,
-                        vec!["a".into(), "b".into()],
-                    );
-                    let prod = b.product(k, fetched);
-                    b.select(prod, vec![Predicate::ColEqCol(0, 1)])
+                    let labels = vec!["a".into(), "b".into()];
+                    b.keyed_join(k, vec![0], "R", vec![0], vec![1], 0, labels, vec![])
                 };
                 let mut acc = branch(&mut b, keys[0]);
                 for &key in &keys[1..] {
@@ -1175,10 +1151,17 @@ fn plans_reading_a_fetched_key_column_match_the_reference() {
     fn accidents_of(b: &mut PlanBuilder, day: u32, residual: &[Predicate]) -> usize {
         let day = b.constant(accidents::date_value(day), "day");
         let labels = vec!["date".into(), "aid".into()];
-        let fetched = b.fetch(day, vec![0], "Accident", vec![2], vec![0], 0, labels);
-        let joined = b.product(day, fetched);
-        let predicates = [&[Predicate::ColEqCol(0, 1)], residual].concat();
-        b.select(joined, predicates)
+        let residual = residual.to_vec();
+        b.keyed_join(
+            day,
+            vec![0],
+            "Accident",
+            vec![2],
+            vec![0],
+            0,
+            labels,
+            residual,
+        )
     }
 
     run_cases("plans_reading_a_fetched_key_column", 0x4E1D, |rng| {
@@ -1208,24 +1191,23 @@ fn plans_reading_a_fetched_key_column_match_the_reference() {
                 let accidents = accidents_of(b, day, &[]);
                 let aids = b.project(accidents, vec![2]);
                 let labels = vec!["aid".into(), "vid".into()];
-                let casualties = b.fetch(aids, vec![0], "Casualty", vec![1], vec![3], 1, labels);
-                let joined = b.product(aids, casualties);
-                let keyed = b.select(joined, vec![Predicate::ColEqCol(0, 1)]);
+                let keyed = b.keyed_join(
+                    aids,
+                    vec![0],
+                    "Casualty",
+                    vec![1],
+                    vec![3],
+                    1,
+                    labels,
+                    vec![],
+                );
                 b.project(keyed, vec![0, 1, 2])
             }),
             plan("OnlyXFetched", &|b| {
                 let day = b.constant(accidents::date_value(day), "day");
-                let fetched = b.fetch(
-                    day,
-                    vec![0],
-                    "Accident",
-                    vec![2],
-                    vec![],
-                    0,
-                    vec!["date".into()],
-                );
-                let joined = b.product(day, fetched);
-                let keyed = b.select(joined, vec![Predicate::ColEqCol(0, 1)]);
+                let labels = vec!["date".into()];
+                let keyed =
+                    b.keyed_join(day, vec![0], "Accident", vec![2], vec![], 0, labels, vec![]);
                 b.project(keyed, vec![0, 1])
             }),
         ];
