@@ -90,7 +90,10 @@ fn a_served_request_stays_inside_its_allocation_budget() {
     );
     drop(server);
     let _ = std::fs::remove_file(&socket);
-    // Measured 25 and 114 (Q0 134 while each lookup's emission cloned its rows into
+    // Measured 21 and 92 (24 and 110 while each keyed lookup started its staging
+    // vectors empty on every query, and Q0's ψ3 step resolved the accidents ψ1 had just
+    // fetched; 25 and 114 just after late materialization; Q0 134 while each lookup's
+    // emission cloned its rows into
     // value columns and its arena held values instead of tuple offsets; 26 and 138
     // while a query's pool cap followed its plan's
     // allocation surface, clamped to 8–256; Q0 137 before each lookup staged a batch
@@ -106,8 +109,8 @@ fn a_served_request_stays_inside_its_allocation_budget() {
     // pipeline DAG, rebuilt its operators' step fields, threw its job buffers away and
     // kept its stats in per-job maps); each bound leaves 15–16 % (15 % when set).
     assert!(
-        point <= 29,
+        point <= 24,
         "a served point request performed {point} heap allocations"
     );
-    assert!(q0 <= 131, "a served Q0 performed {q0} heap allocations");
+    assert!(q0 <= 106, "a served Q0 performed {q0} heap allocations");
 }

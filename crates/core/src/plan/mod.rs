@@ -313,15 +313,11 @@ impl QueryPlan {
             let bound = match &step.op {
                 PlanOp::Const { .. } | PlanOp::Unit => 1,
                 PlanOp::Empty { .. } => 0,
-                // Each row of `T` fetches, and joins, at most `N` tuples: those of its key.
-                // A join with no predicate at all (an empty key, no residual) is the bare
-                // product `T × fetch`, priced as one: |T| · |T| · N rows, which later
-                // fetches are keyed by.
+                // Each row of `T` fetches, and joins, at most `N` tuples: those of its key
+                // (with an empty key, the `N` tuples of the one empty key).
                 PlanOp::KeyedJoin {
                     source,
-                    key_cols,
                     constraint_index,
-                    residual,
                     ..
                 } => {
                     fetch_ops += 1;
@@ -331,10 +327,7 @@ impl QueryPlan {
                         .unwrap_or(u64::MAX);
                     let total = row_bounds[*source].saturating_mul(per_key);
                     fetched = fetched.saturating_add(total);
-                    match key_cols.is_empty() && residual.is_empty() {
-                        true => row_bounds[*source].saturating_mul(total),
-                        false => total,
-                    }
+                    total
                 }
                 PlanOp::Project { source, .. } | PlanOp::AppendConst { source, .. } => {
                     row_bounds[*source]
@@ -576,9 +569,8 @@ mod tests {
     fn a_keyed_join_bounds_fetched_tuples_and_rows_at_t_times_n() {
         // `T = {1} ∪ {2}` (at most 2 rows) joined through `R(a → b, 10)`: each row of `T`
         // fetches and joins at most `N` tuples, so both bounds are |T| · N. Through
-        // `R(∅ → a, b, 4)`, whose empty key ties nothing, |T| · N tuples are fetched; with
-        // no residual the join is the bare product, priced at |T| · |T| · N rows, and
-        // with one it is |T| · N again.
+        // `R(∅ → a, b, 4)`, whose empty key ties nothing, each row of `T` still meets at
+        // most the `N` tuples of the one empty key: |T| · N rows, residual or not.
         let mut c = Catalog::new();
         c.declare("R", ["a", "b"]).unwrap();
         let schema = AccessSchema::from_constraints([
@@ -603,7 +595,7 @@ mod tests {
         for (empty_key, residual, n, rows) in [
             (false, vec![], 10, 20),
             (false, b_is_5(), 10, 20),
-            (true, vec![], 4, 16),
+            (true, vec![], 4, 8),
             (true, b_is_5(), 4, 8),
         ] {
             let plan = plan(empty_key, residual);

@@ -207,6 +207,29 @@ impl<'db> Batch<'db> {
         hash_row((0..self.arity()).map(|c| self.value(i, c)))
     }
 
+    /// Append to `out` the tuple offsets of column `col` at every logical row, if the
+    /// column points into the store at attribute `attr` of `tuples`: true then, and
+    /// false, `out` untouched, for any other column.
+    pub(crate) fn offsets_of(
+        &self,
+        col: usize,
+        tuples: Tuples<'_>,
+        attr: usize,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        match &self.columns[col] {
+            Column::Stored {
+                tuples: held,
+                attr: at,
+                offsets,
+            } if *at == attr && std::ptr::eq(held.values, tuples.values) => {
+                out.extend((0..self.len()).map(|i| offsets[self.physical(i)]));
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Column `col` at the logical rows `rows`, in order: a stored column as the
     /// tuple offsets of those rows — zero value copies —, a value column as the values,
     /// cloned into the empty buffer `gather` gives. Returns the column and the values
@@ -332,17 +355,38 @@ impl<'db> Batch<'db> {
     }
 }
 
-/// Evaluate `predicates` over a row given by column accessor — `value(col)` — without
-/// materializing it: the row may be one batch row, or the concatenation of a source
-/// row and a fetched tuple the keyed lookup never builds.
-pub(crate) fn passes_with<'a>(
-    predicates: &[Predicate],
-    value: impl Fn(usize) -> &'a Value,
-) -> bool {
-    predicates.iter().all(|p| match p {
-        Predicate::ColEqCol(a, b) => value(*a) == value(*b),
-        Predicate::ColEqConst(a, c) => value(*a) == c,
-    })
+/// Keep the pairs `(sources[k], fetched[k])` — a row of `batch` and a tuple of
+/// `tuples`, whose column `c` is `batch`'s below `batch.arity()` and then the tuple's
+/// attribute `positions[c − batch.arity()]` — on which every predicate of `residual`
+/// holds: one pass per predicate, compacting both lists in place.
+pub(crate) fn retain_pairs(
+    residual: &[Predicate],
+    batch: &Batch<'_>,
+    tuples: Tuples<'_>,
+    positions: &[usize],
+    sources: &mut Vec<u32>,
+    fetched: &mut Vec<u32>,
+) {
+    let read = |c: usize, i: u32, t: u32| match c.checked_sub(batch.arity()) {
+        None => batch.value(i as usize, c),
+        Some(c) => tuples.value(t, positions[c]),
+    };
+    for predicate in residual {
+        let mut kept = 0;
+        for k in 0..fetched.len() {
+            let (i, t) = (sources[k], fetched[k]);
+            let keep = match predicate {
+                Predicate::ColEqCol(a, b) => read(*a, i, t) == read(*b, i, t),
+                Predicate::ColEqConst(a, value) => read(*a, i, t) == value,
+            };
+            if keep {
+                (sources[kept], fetched[kept]) = (i, t);
+                kept += 1;
+            }
+        }
+        sources.truncate(kept);
+        fetched.truncate(kept);
+    }
 }
 
 /// Marks an unoccupied [`RowTable`] slot; never a position (see [`position_bound`]).
@@ -580,6 +624,8 @@ mod tests {
 
     #[test]
     fn predicates_on_batches_and_pairs() {
+        // Source rows (x, y) = (1, 1), (2, 5), and tuples (a, b) = (3, 1), (5, 2) flat in
+        // `values`.
         let b = Batch::from_dense(
             vec![
                 vec![Value::int(1), Value::int(2)],
@@ -587,27 +633,36 @@ mod tests {
             ],
             2,
         );
-        let batch = &b;
-        let row = move |i: usize| move |col: usize| batch.value(i, col);
-        assert!(passes_with(&[Predicate::ColEqCol(0, 1)], row(0)));
-        assert!(!passes_with(&[Predicate::ColEqCol(0, 1)], row(1)));
-        assert!(passes_with(
-            &[Predicate::ColEqConst(1, Value::int(5))],
-            row(1)
-        ));
-
-        // A concatenated row that is never built: column 0 from `left`, 1 from `right`.
-        let left = Batch::singleton(vec![Value::int(7)]);
-        let right = Batch::from_dense(vec![vec![Value::int(7), Value::int(8)]], 2);
-        let joined = |j: usize| {
-            let (left, right) = (&left, &right);
-            move |col: usize| match col {
-                0 => left.value(0, 0),
-                _ => right.value(j, col - 1),
-            }
+        let values = [3, 1, 5, 2].map(Value::int);
+        let tuples = Tuples {
+            values: &values,
+            arity: 2,
         };
-        assert!(passes_with(&[Predicate::ColEqCol(0, 1)], joined(0)));
-        assert!(!passes_with(&[Predicate::ColEqCol(0, 1)], joined(1)));
+        // Every source row paired with both tuples: pair rows (x, y, b) — the fetched
+        // column reads attribute 1 — none of them built.
+        let pairs = || (vec![0, 0, 1, 1], vec![0, 1, 0, 1]);
+        let kept = |predicate: Predicate| {
+            let (mut sources, mut fetched) = pairs();
+            retain_pairs(&[predicate], &b, tuples, &[1], &mut sources, &mut fetched);
+            sources.into_iter().zip(fetched).collect::<Vec<_>>()
+        };
+        assert_eq!(kept(Predicate::ColEqCol(0, 1)), [(0, 0), (0, 1)], "x = y");
+        assert_eq!(kept(Predicate::ColEqCol(1, 2)), [(0, 0)], "y = b");
+        assert_eq!(kept(Predicate::ColEqCol(0, 2)), [(0, 0), (1, 1)], "x = b");
+        assert_eq!(
+            kept(Predicate::ColEqConst(2, Value::int(2))),
+            [(0, 1), (1, 1)],
+            "b = 2"
+        );
+        assert_eq!(kept(Predicate::ColEqConst(0, Value::int(9))), [], "x = 9");
+        // Passes compose: one predicate after the other keeps what both keep.
+        let (mut sources, mut fetched) = pairs();
+        let both = [
+            Predicate::ColEqCol(0, 1),
+            Predicate::ColEqConst(2, Value::int(2)),
+        ];
+        retain_pairs(&both, &b, tuples, &[1], &mut sources, &mut fetched);
+        assert_eq!((sources, fetched), (vec![0], vec![1]));
     }
 
     #[test]

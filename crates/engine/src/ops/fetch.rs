@@ -7,32 +7,39 @@
 //! emission keeps only the fetched columns (see `bea_core::plan::physical`). The
 //! operator reaches the index through one call, the store's batched
 //! [`bea_storage::IndexedDatabase::resolve`]: it names the keys' values where it holds
-//! them, and the store finds them and hands back tuple offsets.
+//! them, and the store finds them and appends their tuple offsets to one flat list.
 //!
 //! # Late materialization
 //!
-//! A keyed lookup copies no fetched value. A key's postings are tuple offsets: as the
-//! store hands them out where they need no deduplication — at most one tuple, or tuples
-//! the store's own layout proves distinct on the fetched positions and `X` (a unique
-//! index on the same relation whose key they cover, as ψ3 proves for Q0's ψ1 anchor) —
-//! and otherwise deduplicated per key onto the operator's *arena*, a list of offsets,
-//! *hash-then-compare* on the tuples where they lie. A key whose fetched positions are
-//! all in `X` keeps its first tuple: every tuple projects to the key's row. Distinct
-//! keys cannot produce equal projections as long as the key attributes survive in the
-//! positions (lowering adds a global dedup when a pushed-down projection dropped them),
-//! so per-key dedup suffices.
+//! A keyed lookup copies no fetched value. Its *arena* is the flat list of tuple offsets
+//! `resolve` appends to, each key's settled offsets a range of it: as the store lists
+//! them where they need no deduplication — at most one tuple, or tuples the store's own
+//! layout proves distinct on the fetched positions and `X` (a unique index on the same
+//! relation whose key they cover, as ψ3 proves for Q0's ψ1 anchor) — and otherwise
+//! deduplicated per key, *hash-then-compare* on the tuples where they lie, and
+//! compacted in place. A key whose fetched positions are all in `X` keeps its first
+//! tuple: every tuple projects to the key's row. Distinct keys cannot produce equal
+//! projections as long as the key attributes survive in the positions (lowering adds a
+//! global dedup when a pushed-down projection dropped them), so per-key dedup suffices.
 //!
-//! The emission is two position lists — the source rows and the fetched tuples that
-//! passed the residual — from which every output column is built: a fetched column
-//! points into the store at the fetched tuples ([`Column::Stored`]), a stored source
-//! column at its own tuples taken at the source rows, and only a value source column
-//! (a constant, a δ's input of constants) is cloned. Residual predicates read source
-//! rows and fetched tuples in place. So what a lookup still clones is its memo's keys,
-//! and a value column its emission takes; δ's seen set, a constant append and the
-//! output table clone what they own downstream.
+//! A key read at `X` of one of the relation's own tuples names that tuple alone where
+//! the store proves the tuples distinct on `X` (a unique index whose key `X` covers;
+//! Q0's ψ3 looks up the accidents ψ1 fetched): a memo-free lookup keyed by such a stored
+//! column takes its offsets as the fetched tuples, resolves nothing, and tallies a
+//! lookup and a tuple per key, as `resolve` would.
 //!
-//! The memo, which serves a repeated key from its postings, exists only where keys can
-//! repeat: when the plan proves that the source never repeats a key
+//! The emission pairs source rows with fetched tuples in two position lists, then keeps
+//! the pairs the residual passes, one pass per predicate (MonetDB/X100's selection
+//! vectors; Boncz, Zukowski, Nes, CIDR 2005). Every output column is built over what is
+//! left: a fetched column points into the store at the fetched tuples
+//! ([`Column::Stored`]), a stored source column at its own tuples taken at the source
+//! rows, and only a value source column (a constant, a δ's input of constants) is
+//! cloned. So what a lookup still clones is its memo's keys, and a value column its
+//! emission takes; δ's seen set, a constant append and the output table clone what
+//! they own downstream.
+//!
+//! The memo, which serves a repeated key from its settled offsets, exists only where
+//! keys can repeat: when the plan proves that the source never repeats a key
 //! ([`PhysicalPlan::keys_distinct`]), every probe is a first probe and nothing is
 //! remembered.
 //!
@@ -46,8 +53,8 @@
 //! values are cloned in; the store then reads the new keys from the memo. Where the
 //! memo is dropped, a row's number is its position, and the store reads each key from
 //! the source row itself, the key one `resolve` group ahead hinted into cache. The keys
-//! new to the operator go to one `resolve`, and the rows are then emitted in order,
-//! each from its position's postings.
+//! new to the operator go to one `resolve`, and one walk over the ends it pushed to
+//! `held` settles them; the rows are then paired in order, each with its position's.
 //!
 //! The memo is the engine's one lookup cache, and it lives as long as its query: the
 //! tiers are the memo, then the store. As the paper's `fetch(X ∈ T, R, Y)` reads the
@@ -61,16 +68,17 @@
 //! The probe path demands no buffer per key, hit or miss — which is why nothing
 //! charges [`crate::stats::AccessStats::allocs_per_probe`]. No key is gathered: the
 //! memo hashes and compares a row's key in place and clones only a new one into its
-//! flat key columns, drawn from the thread's [`super::BufferPool`] once per operator
-//! instance. The arena's offsets and the staging vectors grow with the operator's
-//! largest batch (they are not pooled across queries); each emission allocates its
-//! fetched-tuple list, shared by every fetched column, and a list per stored column.
+//! flat key columns. These and every staging buffer (`Vec<u32>`s) are drawn from the
+//! thread's [`super::BufferPool`] when the operator is built and handed back when it
+//! is exhausted or dropped, so a query reuses what the thread's last one grew. Each
+//! emission allocates its fetched-tuple list, shared by every fetched column, and a
+//! list per stored source column.
 //!
-//! Per operator instance, what remains is its box and its staging vectors: the step's
-//! key columns, positions, relation and predicates are borrowed from the plan
-//! ([`FetchStep`]; only a residual that compares with a request's constant is a copy,
-//! with the constant in). `tests/alloc_budget.rs` holds the model to the allocator: a
-//! cold Q0 stays under a fixed number of heap allocations, whatever it fetches;
+//! Per operator instance, what remains is its box: the step's key columns, positions,
+//! relation and predicates are borrowed from the plan ([`FetchStep`]; only a residual
+//! that compares with a request's constant is a copy, with the constant in).
+//! `tests/alloc_budget.rs` holds the model to the allocator: a cold Q0 stays under a
+//! fixed number of heap allocations, whatever it fetches;
 //! `crates/bead/tests/alloc_request.rs` bounds a whole served request.
 //!
 //! # Access accounting
@@ -82,24 +90,23 @@
 //! flat per-step tally ([`crate::stats::FetchTally`]) — a step that probed is reported
 //! even if it fetched nothing. That tally names no relation and allocates nothing once the
 //! thread's state has grown to its plans; it is written into the query's per-relation
-//! map when the query finishes. Residency counts the rows a key of two or more tuples
-//! holds — its deduplicated tuples, whether the arena lists them or the store does —
-//! from its fetch until the operator is exhausted or dropped.
+//! map when the query finishes. Residency counts the settled tuples of a key of two or
+//! more, from its fetch until the operator is exhausted or dropped.
 
-use super::batch::{passes_with, Batch, Column, RowTable, Tuples};
+use super::batch::{retain_pairs, Batch, Column, RowTable, Tuples};
 use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
 use crate::stats::AccessStats;
 use bea_core::error::Result;
 use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
 use bea_core::value::hash_row;
-use bea_storage::index::{Offsets, GROUP};
+use bea_storage::index::GROUP;
 use bea_storage::Store;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Reusable open-addressing set of arena rows — the per-key dedup table of
-/// [`Arena::append`]. One slot vector, re-sized and blanked per key, so deciding
+/// [`Arena::dedup`]. One slot vector, re-sized and blanked per key, so deciding
 /// freshness never allocates once the table has grown to the largest posting list.
 #[derive(Debug, Default)]
 struct RowSet {
@@ -198,51 +205,47 @@ enum PerKey {
     /// Every fetched position is in `X`, so every tuple projects to the key's row: the
     /// first tuple stands for it.
     First,
-    /// Deduplicated hash-then-compare onto the [`Arena`].
+    /// Deduplicated hash-then-compare, in place.
     Dedup,
 }
 
-/// One key's postings: tuple offsets, as the store hands them out or as the arena
-/// keeps them once deduplicated.
-#[derive(Debug, Clone)]
-enum Postings<'db> {
-    /// Straight from the store's index.
-    Store(Offsets<'db>),
-    /// Rows `start .. end` of [`Arena::offsets`].
-    Arena(std::ops::Range<usize>),
-}
-
-/// The keyed lookup's per-query tier: the deduplicated offsets of every key that needed
-/// per-key dedup, and, where keys can repeat, the memo that serves repeats — the keys
-/// the operator has seen in a [`RowTable`] — with, at each key's position, its
-/// [`Postings`].
+/// The keyed lookup's per-query tier: every settled key's tuple offsets, key after key,
+/// and, where keys can repeat, the memo that serves repeats — the keys the operator has
+/// seen in a [`RowTable`], a key's *position* being its rank there.
 #[derive(Debug)]
-struct Arena<'db> {
+struct Arena {
+    /// The settled offsets of every position, in position order.
     offsets: Vec<u32>,
+    /// `held[p]` is where position `p`'s offsets end in `offsets`; they start where
+    /// position `p − 1`'s end, or at 0. Where the memo is dropped, the positions are
+    /// the current batch's rows.
+    held: Vec<u32>,
     /// The memo's keys; unused where the memo is dropped.
     keys: RowTable,
-    /// `held[p]` is where the postings at position `p` lie. Where the memo is dropped,
-    /// it holds the current batch's rows.
-    held: Vec<Postings<'db>>,
     dedup: RowSet,
 }
 
-impl Arena<'_> {
-    /// Append the offsets of a key's tuples — two or more — distinct on `positions`
-    /// where they lie in `tuples`, in posting order: hash-then-compare deduplicated and
-    /// compacted in place, so no value is read twice or cloned. The rows they occupy.
-    fn append(
+impl Arena {
+    /// Position `p`'s offsets.
+    fn at(&self, p: usize) -> &[u32] {
+        let start = p.checked_sub(1).map_or(0, |q| self.held[q]);
+        &self.offsets[start as usize..self.held[p] as usize]
+    }
+
+    /// Deduplicate the key's tuples at `offsets[range]` — two or more — on `positions`
+    /// where they lie in `tuples`, hash-then-compare, and compact the fresh ones, in
+    /// posting order, down to `offsets[to..]`: no value is read twice or cloned. How
+    /// many are kept.
+    fn dedup(
         &mut self,
-        fetched: Offsets<'_>,
+        range: std::ops::Range<usize>,
+        to: usize,
         tuples: Tuples<'_>,
         positions: &[usize],
-    ) -> std::ops::Range<usize> {
-        let start = self.offsets.len();
-        self.offsets.extend(fetched);
-        let end = self.offsets.len();
-        self.dedup.reset(end - start);
-        let mut kept = start;
-        for idx in start..end {
+    ) -> usize {
+        self.dedup.reset(range.len());
+        let mut kept = to;
+        for idx in range {
             if self
                 .dedup
                 .insert(tuples, &self.offsets, positions, idx, kept)
@@ -251,16 +254,7 @@ impl Arena<'_> {
                 kept += 1;
             }
         }
-        self.offsets.truncate(kept);
-        start..kept
-    }
-
-    /// The offsets `postings` name.
-    fn offsets<'a>(&'a self, postings: &Postings<'a>) -> Offsets<'a> {
-        match postings {
-            Postings::Store(offsets) => offsets.clone(),
-            Postings::Arena(rows) => Offsets::Listed(self.offsets[rows.clone()].iter()),
-        }
+        kept - to
     }
 }
 
@@ -273,9 +267,9 @@ impl Arena<'_> {
 /// (see the module docs).
 ///
 /// Durable state is the [`Arena`], bounded by the fetch's access-schema bound times the
-/// number of distinct multi-tuple keys: offsets, not values, released on exhaustion (or
-/// on drop if a consumer short-circuits). The tuples stay in the store, which outlives
-/// the operator. Neither the cross product nor the fetched table is ever materialized.
+/// number of distinct keys: offsets, not values, released on exhaustion (or on drop if
+/// a consumer short-circuits). The tuples stay in the store, which outlives the
+/// operator. Neither the cross product nor the fetched table is ever materialized.
 pub(crate) struct KeyedLookupOp<'db> {
     input: BoxOp<'db>,
     fetch: FetchStep<'db>,
@@ -290,19 +284,17 @@ pub(crate) struct KeyedLookupOp<'db> {
     out_cols: Option<&'db [usize]>,
     store: Store<'db>,
     state: SharedState,
-    arena: Arena<'db>,
+    arena: Arena,
     per_key: PerKey,
     /// Whether the arena's memo is kept: false when the plan proves the source never
     /// repeats a key ([`KeyedLookupOp::distinct_keys`]).
     memo: bool,
     /// Rows this operator holds on the residency ledger.
     cached_rows: u64,
-    /// Each row's memo position in [`Arena::held`], for the current source batch;
-    /// empty where the memo is dropped, and a row's number is its position.
+    /// Each row's memo position in the arena, for the current source batch; empty
+    /// where the memo is dropped, and a row's number is its position.
     rows: Vec<u32>,
-    /// What `resolve` returned for each key of the current batch new to the operator.
-    resolved: Vec<Offsets<'db>>,
-    /// The source row of each emitted row of the current batch.
+    /// The source row of each pair of the current emission.
     sources: Vec<u32>,
     /// What the probes have cost since the last flush ([`KeyedLookupOp::flush_tally`]).
     tally: AccessStats,
@@ -337,11 +329,11 @@ impl<'db> KeyedLookupOp<'db> {
         } else {
             PerKey::Dedup
         };
-        let keys = {
-            let mut state = state.borrow_mut();
-            let keys = (0..fetch.key_cols.len()).map(|_| state.pool.get_values());
-            RowTable::new("a keyed lookup", keys.collect())
-        };
+        let mut exec = state.borrow_mut();
+        let keys = (0..fetch.key_cols.len()).map(|_| exec.pool.values.get());
+        let keys = RowTable::new("a keyed lookup", keys.collect());
+        let [offsets, held, slots, rows, sources] = [(); 5].map(|_| exec.pool.offsets.get());
+        drop(exec);
         Ok(Self {
             input,
             fetch,
@@ -351,17 +343,16 @@ impl<'db> KeyedLookupOp<'db> {
             store,
             state,
             arena: Arena {
-                offsets: Vec::new(),
+                offsets,
+                held,
                 keys,
-                held: Vec::new(),
-                dedup: RowSet::default(),
+                dedup: RowSet { slots },
             },
             per_key,
             memo: true,
             cached_rows: 0,
-            rows: Vec::new(),
-            resolved: Vec::new(),
-            sources: Vec::new(),
+            rows,
+            sources,
             tally: AccessStats::default(),
             pending: VecDeque::new(),
             done: false,
@@ -376,13 +367,12 @@ impl<'db> KeyedLookupOp<'db> {
         self
     }
 
-    /// Stage `batch` (see the module docs): give every row its key's position in
-    /// [`Arena::held`], and fetch the keys new to the operator in one `resolve`.
+    /// Stage `batch` (see the module docs): give every row its key's position in the
+    /// arena, and fetch the keys new to the operator in one `resolve`.
     fn stage(&mut self, batch: &Batch<'db>) -> Result<()> {
         let key_cols = self.fetch.key_cols;
         let arity = key_cols.len();
         self.rows.clear();
-        self.resolved.clear();
         let (first, count) = if self.memo {
             let keys = &mut self.arena.keys;
             let first = keys.len();
@@ -397,25 +387,26 @@ impl<'db> KeyedLookupOp<'db> {
                 self.arena.held.len(),
                 "positions are insertion ranks"
             );
+            // A new key's values are cloned into the memo; the store reads keys in place.
+            self.tally.values_cloned += ((keys.len() - first) * arity) as u64;
             (first, keys.len() - first)
         } else {
+            self.arena.offsets.clear();
             self.arena.held.clear();
             (0, batch.len())
         };
-        // A new key's values are cloned into the memo; the store reads keys in place.
-        if self.memo {
-            self.tally.values_cloned += (count * arity) as u64;
-        }
         if count == 0 {
             // The memo held every key: nothing to resolve, and no fetch error either,
             // as in a per-key loop.
             return Ok(());
         }
         let (store, constraint) = (self.store, self.fetch.constraint_index);
+        let (offsets, held) = (&mut self.arena.offsets, &mut self.arena.held);
+        offsets.reserve(count);
         if self.memo {
             let keys = &self.arena.keys;
             let key = |i: usize, m: usize| keys.value((first + i) as u32, m);
-            store.resolve(constraint, count, arity, key, &mut self.resolved)?;
+            store.resolve(constraint, count, arity, key, offsets, held)?;
         } else {
             let key = |i: usize, m: usize| {
                 if m == 0 {
@@ -423,43 +414,44 @@ impl<'db> KeyedLookupOp<'db> {
                 }
                 batch.value(i, key_cols[m])
             };
-            store.resolve(constraint, count, arity, key, &mut self.resolved)?;
+            store.resolve(constraint, count, arity, key, offsets, held)?;
         }
-        self.arena.held.reserve(count);
-        for p in 0..count {
-            let postings = self.fetch(p);
-            self.arena.held.push(postings);
-        }
+        self.settle(first);
         Ok(())
     }
 
-    /// The one miss path, for miss `p` of the batch, tallying its costs — an index
-    /// lookup and the fetch accounting. A key of two or more tuples acquires residency
-    /// for the rows it holds, deduplicated as [`PerKey`] says.
-    fn fetch(&mut self, p: usize) -> Postings<'db> {
-        self.tally.index_lookups += 1;
-        let offsets = self.resolved[p].clone();
-        let fetched = offsets.len();
-        self.tally.tuples_fetched += fetched as u64;
-        if fetched <= 1 {
-            return Postings::Store(offsets);
+    /// Settle positions `first..`, the keys `resolve` just appended, tallying a lookup
+    /// each and their tuples: keep each key's tuples as [`PerKey`] says, compacted onto
+    /// the end of the position before it, and record in `held` where they end now. A
+    /// key of two or more tuples acquires residency for the rows it keeps.
+    fn settle(&mut self, first: usize) {
+        let arena = &mut self.arena;
+        let mut start = first.checked_sub(1).map_or(0, |p| arena.held[p] as usize);
+        self.tally.index_lookups += (arena.held.len() - first) as u64;
+        self.tally.tuples_fetched += (arena.offsets.len() - start) as u64;
+        let (mut to, mut acquired) = (start, 0);
+        for p in first..arena.held.len() {
+            let range = start..arena.held[p] as usize;
+            start = range.end;
+            let kept = match self.per_key {
+                _ if range.len() <= 1 => range.len(),
+                PerKey::Distinct => range.len(),
+                PerKey::First => 1,
+                PerKey::Dedup => arena.dedup(range.clone(), to, self.tuples, self.fetch.positions),
+            };
+            acquired += if range.len() > 1 { kept as u64 } else { 0 };
+            let from = range.start;
+            if to < from && (self.per_key != PerKey::Dedup || range.len() <= 1) {
+                arena.offsets.copy_within(from..from + kept, to);
+            }
+            to += kept;
+            arena.held[p] = to as u32;
         }
-        let (postings, rows) = match self.per_key {
-            PerKey::Distinct => (Postings::Store(offsets), fetched),
-            PerKey::First => {
-                let first = offsets.clone().next().expect("two or more tuples");
-                (Postings::Store(Offsets::Run(first..first + 1)), 1)
-            }
-            PerKey::Dedup => {
-                let rows = self
-                    .arena
-                    .append(offsets, self.tuples, self.fetch.positions);
-                (Postings::Arena(rows.clone()), rows.len())
-            }
-        };
-        self.state.borrow_mut().acquire(rows as u64);
-        self.cached_rows += rows as u64;
-        postings
+        arena.offsets.truncate(to);
+        if acquired > 0 {
+            self.state.borrow_mut().acquire(acquired);
+            self.cached_rows += acquired;
+        }
     }
 
     /// Move the probes' tally into the query's counters, its fetched tuples under the
@@ -473,11 +465,25 @@ impl<'db> KeyedLookupOp<'db> {
         state.stats += std::mem::take(&mut self.tally);
     }
 
-    /// Flush the tally and release the rows this operator holds.
+    /// Flush the tally, release the rows this operator holds, and hand its buffers —
+    /// the memo's key columns and the staging offsets, cleared — back to the thread's
+    /// pool for its next lookup.
     fn release(&mut self) {
         self.flush_tally();
         let rows = std::mem::take(&mut self.cached_rows);
-        self.state.borrow_mut().release(rows);
+        let state = &mut *self.state.borrow_mut();
+        state.release(rows);
+        for col in self.arena.keys.release() {
+            state.pool.values.put(col);
+        }
+        let arena = &mut self.arena;
+        let buffers = [&mut arena.offsets, &mut arena.held, &mut arena.dedup.slots];
+        for buffer in buffers
+            .into_iter()
+            .chain([&mut self.rows, &mut self.sources])
+        {
+            state.pool.offsets.put(std::mem::take(buffer));
+        }
     }
 
     /// An emission of more than [`BATCH_SIZE`] rows cut into slices of that size, zero
@@ -495,29 +501,55 @@ impl<'db> KeyedLookupOp<'db> {
         slice(0)
     }
 
-    /// The rows of `batch` joined with their keys' postings, as columns: pair each
-    /// source row with every fetched tuple that passes the residual predicates, then
-    /// build each output column over those pairs (see the module docs).
-    fn emission(&mut self, batch: &Batch<'db>) -> Batch<'db> {
-        let (left_arity, positions, tuples) = (batch.arity(), self.fetch.positions, self.tuples);
-        let at = |i: usize| self.rows.get(i).map_or(i, |&at| at as usize);
-        let held = |i: usize| self.arena.offsets(&self.arena.held[at(i)]);
-        let pairs: usize = (0..batch.len()).map(|i| held(i).len()).sum();
-        let mut fetched = Vec::with_capacity(pairs);
+    /// The pairs of `batch`'s rows and the fetched tuples they join: each pair's source
+    /// row in [`KeyedLookupOp::sources`], its tuple in the list returned. A key column of
+    /// the relation's own tuples pairs each row with its own tuple (see the module
+    /// docs); any other batch is staged, and pairs each row with its position's tuples.
+    fn pairs(&mut self, batch: &Batch<'db>) -> Result<Vec<u32>> {
         self.sources.clear();
+        let mut fetched = Vec::new();
+        let (store, step) = (self.store, self.fetch);
+        let (key_cols, x) = (step.key_cols, step.x_attrs);
+        if !self.memo
+            && key_cols.len() == 1
+            && store.distinct_within(step.constraint_index, |a| a == x[0])
+            && batch.offsets_of(key_cols[0], self.tuples, x[0], &mut fetched)
+        {
+            let keys = fetched.len() as u64;
+            self.tally.index_lookups += keys;
+            self.tally.tuples_fetched += keys;
+            self.sources.extend(0..keys as u32);
+            return Ok(fetched);
+        }
+        self.stage(batch)?;
+        let at = |i: usize| self.rows.get(i).map_or(i, |&at| at as usize);
+        let pairs = (0..batch.len()).map(|i| self.arena.at(at(i)).len()).sum();
+        fetched.reserve(pairs);
         self.sources.reserve(pairs);
         for i in 0..batch.len() {
-            for t in held(i) {
-                let combined = |c: usize| match c.checked_sub(left_arity) {
-                    None => batch.value(i, c),
-                    Some(c) => tuples.value(t, positions[c]),
-                };
-                if passes_with(&self.residual, combined) {
-                    self.sources.push(i as u32);
-                    fetched.push(t);
-                }
+            for &t in self.arena.at(at(i)) {
+                fetched.push(t);
+                self.sources.push(i as u32);
             }
         }
+        Ok(fetched)
+    }
+
+    /// The rows of `batch` joined with their keys' tuples, as columns: pair each source
+    /// row with every fetched tuple, keep the pairs the residual passes, then build each
+    /// output column over those pairs (see the module docs).
+    fn emission(&mut self, batch: &Batch<'db>) -> Result<Batch<'db>> {
+        let (left_arity, positions, tuples) = (batch.arity(), self.fetch.positions, self.tuples);
+        let mut fetched = self.pairs(batch)?;
+        let sources = &mut self.sources;
+        retain_pairs(
+            &self.residual,
+            batch,
+            tuples,
+            positions,
+            sources,
+            &mut fetched,
+        );
         let rows = fetched.len();
         let fetched = Arc::new(fetched);
         let out_arity = self
@@ -533,13 +565,13 @@ impl<'db> KeyedLookupOp<'db> {
                     offsets: Arc::clone(&fetched),
                 },
                 None => {
-                    let (column, cloned) = batch.take(c, &self.sources, || state.pool.get_values());
+                    let (column, cloned) = batch.take(c, &self.sources, || state.pool.values.get());
                     self.tally.values_cloned += cloned;
                     column
                 }
             }
         });
-        Batch::new(columns, rows)
+        Ok(Batch::new(columns, rows))
     }
 }
 
@@ -558,18 +590,11 @@ impl<'db> Operator<'db> for KeyedLookupOp<'db> {
         let Some(batch) = self.input.next_batch()? else {
             self.done = true;
             self.release();
-            let mut state = self.state.borrow_mut();
-            state.stats.fetch_ops += 1;
-            // The memo's key columns go back to the pool, cleared, for the thread's
-            // next probe loop.
-            for col in self.arena.keys.release() {
-                state.pool.put_values(col);
-            }
+            self.state.borrow_mut().stats.fetch_ops += 1;
             return Ok(None);
         };
         debug_assert_eq!(batch.arity(), self.fetch.source_arity);
-        self.stage(&batch)?;
-        let emitted = self.emission(&batch);
+        let emitted = self.emission(&batch)?;
         self.flush_tally();
         Ok(Some(self.sliced(emitted)))
     }
@@ -669,11 +694,25 @@ pub(crate) mod tests {
             Self { ledger, state }
         }
 
-        /// A lookup on `R` keyed by source column 0, fetching `positions`; its source has
-        /// the arity of the first batch pulled, or one column.
+        /// A lookup on `R` keyed by source column 0 through constraint 0 on `R`'s `k`,
+        /// fetching `positions`; its source has the arity of the first batch pulled, or
+        /// one column.
         fn lookup<'db>(
             &self,
             idb: &'db IndexedDatabase,
+            pulls: Vec<Result<Batch<'db>>>,
+            positions: &'db [usize],
+            residual: Vec<Predicate>,
+            out_cols: Option<&'db [usize]>,
+        ) -> KeyedLookupOp<'db> {
+            self.lookup_via(idb, (0, &[0]), pulls, positions, residual, out_cols)
+        }
+
+        /// [`Harness::lookup`] through constraint `via.0`, on `R`'s attributes `via.1`.
+        fn lookup_via<'db>(
+            &self,
+            idb: &'db IndexedDatabase,
+            via: (usize, &'db [usize]),
             pulls: Vec<Result<Batch<'db>>>,
             positions: &'db [usize],
             residual: Vec<Predicate>,
@@ -685,9 +724,9 @@ pub(crate) mod tests {
                 relation: "R",
                 key_cols: &[0],
                 source_arity: first.map_or(1, Batch::arity),
-                x_attrs: &[0],
+                x_attrs: via.1,
                 positions,
-                constraint_index: 0,
+                constraint_index: via.0,
             };
             KeyedLookupOp::new(
                 Box::new(Script(pulls.into())),
@@ -712,17 +751,22 @@ pub(crate) mod tests {
     pub(crate) fn drain(op: &mut dyn Operator<'_>) -> Vec<Vec<Vec<i64>>> {
         let mut batches = Vec::new();
         while let Some(batch) = op.next_batch().unwrap() {
-            let rows = (0..batch.len()).map(|i| {
-                let row = batch.row(i).into_iter();
-                row.map(|v| match v {
-                    Value::Int(i) => i,
-                    other => panic!("unexpected {other}"),
-                })
-                .collect()
-            });
-            batches.push(rows.collect());
+            batches.push(int_rows(&batch));
         }
         batches
+    }
+
+    /// The rows of `batch` as plain integers.
+    fn int_rows(batch: &Batch<'_>) -> Vec<Vec<i64>> {
+        let rows = (0..batch.len()).map(|i| {
+            let row = batch.row(i).into_iter();
+            row.map(|v| match v {
+                Value::Int(i) => i,
+                other => panic!("unexpected {other}"),
+            })
+            .collect()
+        });
+        rows.collect()
     }
 
     #[test]
@@ -1076,15 +1120,14 @@ pub(crate) mod tests {
             (false, false, &[&[1, 2, 1, 3, 1]]),
             (false, true, &[&[1, 2], &[1, 3, 1]]),
         ];
-        // A resolved key, read back from the first tuple it found: key 3 has none.
-        let key_of = |op: &KeyedLookupOp<'_>, offsets: &Offsets<'_>| -> i64 {
-            offsets
-                .clone()
-                .next()
-                .map_or(3, |t| match op.tuples.value(t, 0) {
-                    Value::Int(k) => *k / scale,
-                    other => panic!("unexpected {other}"),
-                })
+        // The key at arena position `p`, read back from the first tuple it settled:
+        // key 3 has none.
+        let key_of = |op: &KeyedLookupOp<'_>, p: usize| -> i64 {
+            let first = op.arena.at(p).first();
+            first.map_or(3, |&t| match op.tuples.value(t, 0) {
+                Value::Int(k) => *k / scale,
+                other => panic!("unexpected {other}"),
+            })
         };
         for (memo, split, sent) in corners {
             let corner = format!("memo {memo}, two batches {split}, scale {scale}");
@@ -1093,12 +1136,15 @@ pub(crate) mod tests {
             let h = Harness::new();
             let op = h.lookup(idb, pulls.collect(), &[0, 1, 2], Vec::new(), None);
             let mut op = op.distinct_keys(!memo);
-            // After a pull, `resolved` holds what its batch's keys found.
-            let (mut rows, mut resolved) = (0, Vec::new());
+            // After a pull, the arena's `held` ends each position's flat offsets: the
+            // keys its batch resolved are the positions it added — every one where the
+            // memo is dropped, as each batch starts the arena afresh.
+            let (mut rows, mut resolved, mut held) = (0, Vec::new(), 0);
             while let Some(batch) = op.next_batch().unwrap() {
                 rows += batch.len();
-                let keys = op.resolved.iter().map(|offsets| key_of(&op, offsets));
-                resolved.push(keys.collect::<Vec<_>>());
+                let from = if memo { held } else { 0 };
+                held = op.arena.held.len();
+                resolved.push((from..held).map(|p| key_of(&op, p)).collect::<Vec<_>>());
             }
             assert_eq!(rows, 3 + 1 + 3 + 3, "{corner}");
             resolved.retain(|keys| !keys.is_empty());
@@ -1153,7 +1199,7 @@ pub(crate) mod tests {
 
     /// A lookup of keys 1, 2, 1 through `k → (v, w)` fetching `positions`: how it
     /// settled each key's tuples, what it emitted, its counters, its peak residency and
-    /// whether its arena listed any offset.
+    /// whether it used its dedup table.
     fn unique_run(
         idb: &IndexedDatabase,
         positions: &[usize],
@@ -1161,11 +1207,14 @@ pub(crate) mod tests {
         let h = Harness::new();
         let pulls = vec![Ok(ints(&[&[1], &[2], &[1]]))];
         let mut op = h.lookup(idb, pulls, positions, Vec::new(), None);
-        let out = drain(&mut op).concat();
-        let (per_key, arena) = (op.per_key, !op.arena.offsets.is_empty());
+        // The one source batch settles every key: a key that went through the dedup
+        // table left it sized, until exhaustion hands it back to the pool.
+        let mut out = int_rows(&op.next_batch().unwrap().unwrap());
+        let (per_key, deduped) = (op.per_key, !op.arena.dedup.slots.is_empty());
+        out.extend(drain(&mut op).concat());
         drop(op);
         assert_eq!(h.ledger.resident(), 0);
-        (per_key, out, h.stats(), h.ledger.peak(), arena)
+        (per_key, out, h.stats(), h.ledger.peak(), deduped)
     }
 
     #[test]
@@ -1178,11 +1227,8 @@ pub(crate) mod tests {
             let deduped = unique_run(&unproved, positions);
             assert_eq!(skipped.0, PerKey::Distinct, "{positions:?}");
             assert_eq!(deduped.0, PerKey::Dedup, "{positions:?}");
-            assert!(
-                !skipped.4,
-                "the tuples are listed where the store lists them"
-            );
-            assert!(deduped.4, "the dedup path lists them in the arena");
+            assert!(!skipped.4, "the dedup table is never used");
+            assert!(deduped.4, "the dedup path uses its table");
             assert_eq!(skipped.1, deduped.1, "{positions:?}");
             assert_eq!(skipped.2, deduped.2, "{positions:?}");
             assert_eq!(skipped.3, deduped.3, "{positions:?}");
@@ -1195,13 +1241,13 @@ pub(crate) mod tests {
     fn a_projection_that_drops_the_unique_key_still_dedups() {
         // `(k, v)` does not cover `w`: key 1's first two tuples project equal, and must
         // be deduplicated although the store has a unique index on `R`.
-        let (per_key, out, stats, peak, arena) = unique_run(&unique_store(true), &[0, 1]);
+        let (per_key, out, stats, peak, deduped) = unique_run(&unique_store(true), &[0, 1]);
         let key1 = [[1, 1, 10], [1, 1, 11]].map(Vec::from);
         let expected = [&key1[..], &[vec![2, 2, 20]], &key1].concat();
         assert_eq!(out, expected);
         assert_eq!((stats.tuples_fetched, peak), (4, 2));
         assert_eq!(per_key, PerKey::Dedup);
-        assert!(arena);
+        assert!(deduped);
         // Fetched positions all in `X` keep one row per key, unique index or not.
         let (per_key, out, ..) = unique_run(&unique_store(true), &[0]);
         assert_eq!(per_key, PerKey::First);
@@ -1210,11 +1256,21 @@ pub(crate) mod tests {
 
     /// A batch of one stored column: `R`'s attribute `attr` at `tuples`.
     fn stored<'db>(idb: &'db IndexedDatabase, attr: usize, tuples: &[u32]) -> Batch<'db> {
-        let relation = idb.database().relation("R").unwrap();
+        stored_in(idb, "R", attr, tuples)
+    }
+
+    /// A batch of one stored column: `relation`'s attribute `attr` at `tuples`.
+    fn stored_in<'db>(
+        idb: &'db IndexedDatabase,
+        relation: &str,
+        attr: usize,
+        tuples: &[u32],
+    ) -> Batch<'db> {
+        let relation = idb.database().relation(relation).unwrap();
         let column = Column::Stored {
             tuples: Tuples {
                 values: relation.values(),
-                arity: 3,
+                arity: relation.schema().arity(),
             },
             attr,
             offsets: Arc::new(tuples.to_vec()),
@@ -1272,5 +1328,148 @@ pub(crate) mod tests {
             drop(op);
             assert_eq!(h.ledger.resident(), 0);
         }
+    }
+
+    /// `R(a, b, g)` with `a` and `b` each unique — their indexes `a → (b, g)` (constraint
+    /// 0) and `b → a` (1) keep one tuple per key — and `g → a` (2) two tuples for key 1;
+    /// and `S(c)`, holding `R`'s `a`-values in another order. `b` takes the `a`-values
+    /// too, rotated, so a key read from `S` or from `b` names another tuple of `R` than
+    /// the one it was read from.
+    fn own_tuples_store() -> IndexedDatabase {
+        let mut catalog = bea_core::schema::Catalog::new();
+        catalog.declare("R", ["a", "b", "g"]).unwrap();
+        catalog.declare("S", ["c"]).unwrap();
+        let constraints = [
+            AccessConstraint::new(&catalog, "R", &["a"], &["b", "g"], 1).unwrap(),
+            AccessConstraint::new(&catalog, "R", &["b"], &["a"], 1).unwrap(),
+            AccessConstraint::new(&catalog, "R", &["g"], &["a"], 2).unwrap(),
+        ];
+        let mut db = Database::new(catalog);
+        let r = [[10, 30, 1], [20, 10, 1], [30, 20, 2]];
+        db.extend("R", r.map(|tuple| tuple.map(Value::int).to_vec()))
+            .unwrap();
+        db.extend(
+            "S",
+            [[30], [10], [20]].map(|row| row.map(Value::int).to_vec()),
+        )
+        .unwrap();
+        IndexedDatabase::build(db, AccessSchema::from_constraints(constraints)).unwrap()
+    }
+
+    /// A memo-free lookup of `R` through constraint `via.0` on `R`'s attributes `via.1`
+    /// over the one batch `keys`, emitting the fetched `(a, b, g)`: its rows, its
+    /// counters, and whether it resolved any key through the store.
+    fn own_tuples_run<'db>(
+        idb: &'db IndexedDatabase,
+        via: (usize, &'db [usize]),
+        keys: Batch<'db>,
+    ) -> (Vec<Vec<i64>>, crate::stats::AccessStats, bool) {
+        let h = Harness::new();
+        let pulls = vec![Ok(keys)];
+        let op = h.lookup_via(idb, via, pulls, &[0, 1, 2], Vec::new(), Some(&[1, 2, 3]));
+        let mut op = op.distinct_keys(true);
+        let out = int_rows(&op.next_batch().unwrap().unwrap());
+        let resolved = !op.arena.held.is_empty();
+        assert!(op.next_batch().unwrap().is_none());
+        drop(op);
+        (out, h.stats(), resolved)
+    }
+
+    #[test]
+    fn a_key_read_from_its_own_tuple_under_a_unique_index_is_that_tuple() {
+        let idb = own_tuples_store();
+        // Tuples 2, 0, 1 of `R` read at the key `a` of `a → (b, g)`: each names itself,
+        // so nothing is resolved — and the rows and the tally are those of the same
+        // keys as values, which are resolved.
+        let (own, own_stats, resolved) =
+            own_tuples_run(&idb, (0, &[0]), stored(&idb, 0, &[2, 0, 1]));
+        let values = own_tuples_run(&idb, (0, &[0]), ints(&[&[30], &[10], &[20]]));
+        assert!(!resolved, "the tuples are their own keys' tuples");
+        assert!(values.2, "value keys are resolved");
+        assert_eq!(own, [[30, 20, 2], [10, 30, 1], [20, 10, 1]].map(Vec::from));
+        assert_eq!(own, values.0);
+        assert_eq!(own_stats, values.1);
+        assert_eq!((own_stats.index_lookups, own_stats.tuples_fetched), (3, 3));
+
+        // A selection picks logical rows out of the stored ones: tuples 1 and 2.
+        let selected = stored(&idb, 0, &[2, 0, 1]).retain(|i| i != 0);
+        let (own, own_stats, resolved) = own_tuples_run(&idb, (0, &[0]), selected);
+        let values = own_tuples_run(&idb, (0, &[0]), ints(&[&[10], &[20]]));
+        assert!(!resolved);
+        assert_eq!(own, [[10, 30, 1], [20, 10, 1]].map(Vec::from));
+        assert_eq!((own, own_stats), (values.0, values.1));
+    }
+
+    #[test]
+    fn a_key_read_anywhere_else_is_resolved() {
+        let idb = own_tuples_store();
+        // The same three values — 30, 10, 20 — read where they name other tuples of `R`
+        // than the ones they lie in, or several: taken as their own tuples, each would
+        // emit the wrong rows.
+        // Each case: the constraint and its key attributes, and the keys stored and as
+        // values.
+        type Via = (usize, &'static [usize]);
+        let cases: [(&str, Via, Batch<'_>, Batch<'_>); 4] = [
+            (
+                "another relation",
+                (0, &[0]),
+                stored_in(&idb, "S", 0, &[0, 1, 2]),
+                ints(&[&[30], &[10], &[20]]),
+            ),
+            (
+                "another attribute",
+                (0, &[0]),
+                stored(&idb, 1, &[0, 1, 2]),
+                ints(&[&[30], &[10], &[20]]),
+            ),
+            (
+                "another unique index",
+                (1, &[1]),
+                stored(&idb, 0, &[0, 1, 2]),
+                ints(&[&[10], &[20], &[30]]),
+            ),
+            (
+                "an index that is not unique",
+                (2, &[2]),
+                stored(&idb, 2, &[2, 0]),
+                ints(&[&[2], &[1]]),
+            ),
+        ];
+        for (case, via, stored_keys, value_keys) in cases {
+            let (out, stats, resolved) = own_tuples_run(&idb, via, stored_keys);
+            let values = own_tuples_run(&idb, via, value_keys);
+            assert!(resolved, "{case}: the keys go to the store");
+            assert_eq!(out, values.0, "{case}");
+            assert_eq!(stats, values.1, "{case}");
+        }
+        // Spelled out for the first: `S`'s tuples 0, 1, 2 hold the keys of `R`'s 2, 0, 1.
+        let (out, ..) = own_tuples_run(&idb, (0, &[0]), stored_in(&idb, "S", 0, &[0, 1, 2]));
+        assert_eq!(out, [[30, 20, 2], [10, 30, 1], [20, 10, 1]].map(Vec::from));
+        // And for the last: key 2 names tuple 2, key 1 tuples 0 and 1.
+        let (out, stats, _) = own_tuples_run(&idb, (2, &[2]), stored(&idb, 2, &[2, 0]));
+        assert_eq!(out, [[30, 20, 2], [10, 30, 1], [20, 10, 1]].map(Vec::from));
+        assert_eq!((stats.index_lookups, stats.tuples_fetched), (2, 3));
+    }
+
+    #[test]
+    fn a_lookup_that_keeps_its_memo_resolves_its_own_tuples_keys() {
+        let idb = own_tuples_store();
+        // Tuples 2, 0, 2 at the key `a` of `a → (b, g)`, where keys may repeat: the memo
+        // serves tuple 2's second row, and it clones each new key, whatever the column.
+        let keys = stored(&idb, 0, &[2, 0, 2]);
+        let h = Harness::new();
+        let op = h.lookup_via(
+            &idb,
+            (0, &[0]),
+            vec![Ok(keys)],
+            &[0],
+            Vec::new(),
+            Some(&[1]),
+        );
+        let mut op = op.distinct_keys(false);
+        assert_eq!(drain(&mut op).concat(), [[30], [10], [30]].map(Vec::from));
+        drop(op);
+        let stats = h.stats();
+        assert_eq!((stats.index_lookups, stats.values_cloned), (2, 2));
     }
 }

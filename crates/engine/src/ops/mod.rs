@@ -98,46 +98,53 @@ impl ResidencyLedger {
 /// queries one thread runs — so the steady-state anchored serving loop stops asking the
 /// allocator for anything.
 ///
-/// The contract: a buffer in the pool is always *empty* (cleared before
-/// `put_values`), so the pool holds capacity, never rows — the [`ResidencyLedger`]'s
-/// drained-to-zero assertion is unaffected by pooling. Operators draw per-batch
-/// value columns (a lookup's taken source column, a constant) and their row tables'
-/// columns from here and hand uniquely-owned buffers back on teardown (exhausted memos
-/// and δ sets, and the output columns a finished query was transposed out of); buffers
-/// shared downstream simply stay with their owners. The pool lives on [`ExecState`], which a thread
-/// keeps between its queries ([`ExecState::park`]). It holds at most
-/// [`BufferPool::RETAINED`] buffers, while a query runs and between queries, and between
-/// queries none of more than [`BufferPool::RETAINED_VALUES`] values, so one large query
-/// cannot pin memory on a connection thread.
+/// The contract: a pooled buffer is always *empty* (cleared as it is put back), so the
+/// pool holds capacity, never rows — the [`ResidencyLedger`]'s drained-to-zero assertion
+/// is unaffected by pooling. Operators draw per-batch value columns (a lookup's taken
+/// source column, a constant), their row tables' columns and a keyed lookup's staging
+/// offsets from here, and hand uniquely-owned buffers back on teardown (exhausted or
+/// dropped lookups, exhausted δ sets, and the output columns a finished query was
+/// transposed out of); buffers shared downstream simply stay with their owners. The
+/// pool lives on [`ExecState`], which a thread keeps between its queries
+/// ([`ExecState::park`]). Each freelist holds at most [`BufferPool::RETAINED`] buffers,
+/// while a query runs and between queries, and between queries none longer than
+/// [`BufferPool::RETAINED_LEN`], so one large query cannot pin memory on a connection
+/// thread.
 #[derive(Debug, Default)]
 pub(crate) struct BufferPool {
-    values: Vec<Vec<Value>>,
+    pub(crate) values: Freelist<Value>,
+    pub(crate) offsets: Freelist<u32>,
 }
 
 impl BufferPool {
-    /// The freelist cap: the buffers a thread keeps, while a query runs and between
-    /// queries.
+    /// The cap of each freelist, while a query runs and between queries.
     pub(crate) const RETAINED: usize = 64;
-    /// The largest buffer, in values, a thread keeps between queries: a batch's worth.
-    pub(crate) const RETAINED_VALUES: usize = BATCH_SIZE;
+    /// The longest buffer a thread keeps between queries: a batch's worth.
+    pub(crate) const RETAINED_LEN: usize = BATCH_SIZE;
+}
 
-    /// Buffers currently pooled, for sizing tests.
-    #[cfg(test)]
-    pub(crate) fn pooled(&self) -> usize {
-        self.values.len()
+/// One of [`BufferPool`]'s freelists.
+#[derive(Debug)]
+pub(crate) struct Freelist<T>(Vec<Vec<T>>);
+
+impl<T> Default for Freelist<T> {
+    fn default() -> Self {
+        Self(Vec::new())
+    }
+}
+
+impl<T> Freelist<T> {
+    /// A cleared buffer — recycled capacity when available, fresh otherwise.
+    pub(crate) fn get(&mut self) -> Vec<T> {
+        self.0.pop().unwrap_or_default()
     }
 
-    /// A cleared value buffer — recycled capacity when available, fresh otherwise.
-    pub(crate) fn get_values(&mut self) -> Vec<Value> {
-        self.values.pop().unwrap_or_default()
-    }
-
-    /// Return a value buffer to the freelist (cleared; dropped if the list is full
-    /// or the buffer never grew any capacity worth keeping).
-    pub(crate) fn put_values(&mut self, mut buffer: Vec<Value>) {
+    /// Return a buffer (cleared; dropped if the list is full or the buffer never grew
+    /// any capacity worth keeping).
+    pub(crate) fn put(&mut self, mut buffer: Vec<T>) {
         buffer.clear();
-        if buffer.capacity() > 0 && self.values.len() < Self::RETAINED {
-            self.values.push(buffer);
+        if buffer.capacity() > 0 && self.0.len() < BufferPool::RETAINED {
+            self.0.push(buffer);
         }
     }
 }
@@ -153,7 +160,7 @@ pub(crate) struct ExecState {
     pub stats: AccessStats,
     /// Tuples fetched per step by the query's operators.
     pub(crate) fetched: FetchTally,
-    /// Recycled value buffers; see [`BufferPool`].
+    /// Recycled buffers; see [`BufferPool`].
     pub(crate) pool: BufferPool,
     ledger: Rc<ResidencyLedger>,
 }
@@ -194,8 +201,9 @@ impl ExecState {
         let mut exec = state.borrow_mut();
         exec.stats = AccessStats::default();
         exec.fetched.clear();
-        let pool = &mut exec.pool.values;
-        pool.retain(|buffer| buffer.capacity() <= BufferPool::RETAINED_VALUES);
+        let (pool, fits) = (&mut exec.pool, |len| len <= BufferPool::RETAINED_LEN);
+        pool.values.0.retain(|buffer| fits(buffer.capacity()));
+        pool.offsets.0.retain(|buffer| fits(buffer.capacity()));
         drop(exec);
         PARKED.set(Some(state));
     }
@@ -729,14 +737,14 @@ pub(crate) mod tests {
                 .take()
                 .expect("the query's state stays with its thread");
             let (pooled, largest) = {
-                let buffers = &state.borrow().pool.values;
+                let buffers = &state.borrow().pool.values.0;
                 (buffers.len(), buffers.iter().map(Vec::capacity).max())
             };
             PARKED.set(Some(state));
             let largest = largest.unwrap_or(0);
             assert!(pooled <= BufferPool::RETAINED);
             assert!(
-                largest <= BufferPool::RETAINED_VALUES,
+                largest <= BufferPool::RETAINED_LEN,
                 "a buffer of {largest} values outlived its query"
             );
             (table, pooled)
@@ -757,10 +765,61 @@ pub(crate) mod tests {
     fn buffer_pool_respects_its_cap() {
         let mut pool = BufferPool::default();
         for _ in 0..BufferPool::RETAINED + 5 {
-            pool.put_values(Vec::with_capacity(4));
+            pool.values.put(Vec::with_capacity(4));
+            pool.offsets.put(Vec::with_capacity(4));
         }
-        // At most `RETAINED` buffers are retained; the rest are dropped.
-        assert_eq!(pool.pooled(), BufferPool::RETAINED);
+        // At most `RETAINED` buffers of each kind are retained; the rest are dropped.
+        assert_eq!(pool.values.0.len(), BufferPool::RETAINED);
+        assert_eq!(pool.offsets.0.len(), BufferPool::RETAINED);
+    }
+
+    #[test]
+    fn lookups_hand_their_offset_buffers_back_but_a_thread_keeps_none_past_the_caps() {
+        // `R(k, v)`: key 1 fans out to 16 384 tuples, as the heavy chain's anchor does,
+        // and keys 2 ..= 24 hold one tuple each. One query unions a lookup of each key,
+        // key 1's first: 24 lookups hand back more grown offset buffers than the pool
+        // keeps, key 1's longer than a thread keeps between queries.
+        const FAN: i64 = 16_384;
+        let mut c = bea_core::schema::Catalog::new();
+        c.declare("R", ["k", "v"]).unwrap();
+        let schema = AccessSchema::from_constraints([AccessConstraint::new(
+            &c,
+            "R",
+            &["k"],
+            &["v"],
+            FAN as u64,
+        )
+        .unwrap()]);
+        let mut db = Database::new(c);
+        let fan = (0..FAN).map(|i| [1, i]);
+        let singles = (2..=24).map(|k| [k, 0]);
+        db.extend(
+            "R",
+            fan.chain(singles).map(|row| row.map(Value::int).to_vec()),
+        )
+        .unwrap();
+        let store = IndexedDatabase::build(db, schema).unwrap();
+        let fetches: Vec<_> = (1..=24).map(|key| ("R", 0, key)).collect();
+        let plan = bea_core::plan::lower_plan(&union_of_lookups_in(&fetches)).unwrap();
+        let (table, stats, ledger) = execute_inner(&plan, &store).unwrap();
+        assert_eq!(table.len() as i64, FAN + 23);
+        assert_eq!(stats.tuples_fetched as i64, FAN + 23);
+        assert_eq!(ledger.resident(), 0);
+        let state = PARKED
+            .take()
+            .expect("the query's state stays with its thread");
+        let buffers = &state.borrow().pool.offsets.0;
+        let largest = buffers.iter().map(Vec::capacity).max().unwrap_or(0);
+        assert!(!buffers.is_empty(), "the lookups' buffers are kept");
+        assert!(
+            buffers.len() <= BufferPool::RETAINED,
+            "{} kept",
+            buffers.len()
+        );
+        assert!(
+            largest <= BufferPool::RETAINED_LEN,
+            "a buffer of {largest} offsets outlived its query"
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl<'db> Operator<'db> for ProjectOp<'db> {
 /// from the thread's pool.
 fn row_set(owner: &'static str, arity: usize, state: &SharedState) -> RowTable {
     let mut state = state.borrow_mut();
-    RowTable::new(owner, (0..arity).map(|_| state.pool.get_values()).collect())
+    RowTable::new(owner, (0..arity).map(|_| state.pool.values.get()).collect())
 }
 
 /// Insert `batch`'s logical row `i` into `set` if absent; returns whether it was fresh
@@ -60,7 +60,7 @@ fn retire_row_set(set: &mut RowTable, state: &SharedState) {
     let mut state = state.borrow_mut();
     state.release(set.len() as u64);
     for column in set.release() {
-        state.pool.put_values(column);
+        state.pool.values.put(column);
     }
 }
 
@@ -170,7 +170,7 @@ impl<'db> Operator<'db> for AppendConstOp<'db> {
             return Ok(None);
         };
         let mut state = self.state.borrow_mut();
-        let column = state.pool.get_values();
+        let column = state.pool.values.get();
         state.stats.values_cloned += batch.len() as u64;
         Ok(Some(batch.append_const(&self.value, column)))
     }
@@ -220,7 +220,7 @@ mod tests {
         drop(op);
         assert_eq!(h.ledger.resident(), 0);
         assert!(
-            h.state.borrow().pool.pooled() > 0,
+            !h.state.borrow().pool.values.0.is_empty(),
             "the set's column is pooled again"
         );
 
@@ -275,7 +275,7 @@ mod tests {
         drop(op);
         assert_eq!(h.ledger.resident(), 0);
         assert!(
-            h.state.borrow().pool.pooled() > 0,
+            !h.state.borrow().pool.values.0.is_empty(),
             "its columns are pooled again"
         );
 

@@ -115,7 +115,7 @@ fn finish(
     // columns, so the transpose moves the values; any clones it does perform count.
     let mut rows: Vec<Row> = Vec::new();
     for batch in batches {
-        let (batch_rows, clones) = batch.into_rows(|buffer| exec.pool.put_values(buffer));
+        let (batch_rows, clones) = batch.into_rows(|buffer| exec.pool.values.put(buffer));
         stats.values_cloned += clones;
         if rows.is_empty() {
             rows = batch_rows;

@@ -70,8 +70,10 @@
 //! its group, so it hints the lines that turning the group into offsets, or the caller,
 //! reads next — the group's CSR start, or both lines its one tuple may straddle (a
 //! 48-B tuple crosses a 64-B line half the time) — and a group's misses overlap instead
-//! of queueing (Q0's ≈330 cold ψ3 probes per query are such a batch). Turning a
-//! clustered group into its run hints the run's first tuple the same way. A hashed
+//! of queueing (Q0's ≈8 ψ2 and ≈20 ψ4 probes per query are such batches; its ψ3 step,
+//! once ≈330 cold probes per query, resolves nothing, as each of its keys is read from
+//! the very tuple it names). Turning a clustered group into its run hints the run's
+//! first tuple the same way. A hashed
 //! probe hashes its key and walks its slots on its own, by the one walk
 //! [`HashIndex::lookup`] takes too: of the accidents indexes only ψ1, keyed by date, is
 //! hashed, and it is probed one date at a time. [`prefetch`] is the hint, and the one

@@ -149,26 +149,31 @@ impl IndexedDatabase {
         Ok((iter.project_into(positions.iter(), out), 0))
     }
 
-    /// Batched fetch: clear `out`, then push, for each of `count` probes in order, the
-    /// offsets in its relation of the tuples whose `X`-projection equals its key (empty
-    /// if none) — per probe the tuples [`IndexedDatabase::fetch_iter`] returns. Probe
-    /// `i`'s key is `arity` values, value `m` being `key(i, m)`: the caller names them
-    /// where it holds them, and nothing is copied. Dense keys are resolved in groups,
-    /// their cache misses overlapped (see [`crate::index`]). Refuses, as `fetch_iter`
-    /// does, a constraint the schema lacks and keys not of the constraint's arity. The
-    /// executor's keyed operators reach the index only here.
-    pub fn resolve<'a, 'k>(
-        &'a self,
+    /// Batched fetch: for each of `count` probes in order, append to `offsets` the
+    /// offsets of the tuples whose `X`-projection equals its key — the tuples
+    /// [`IndexedDatabase::fetch_iter`] returns — and push to `ends` where they end.
+    /// Probe `i`'s key is `arity` values, value `m` being `key(i, m)`: the caller names
+    /// them where it holds them, and nothing is copied. Dense keys are resolved in
+    /// groups, their cache misses overlapped (see [`crate::index`]). Refuses, appending
+    /// nothing, a constraint the schema lacks and keys not of the constraint's arity, as
+    /// `fetch_iter` does. Ends are `u32`: `offsets` must stay under 2³² entries, as it
+    /// does where each tuple is listed once. The executor's keyed operators reach the
+    /// index only here.
+    pub fn resolve<'k>(
+        &self,
         constraint_index: usize,
         count: usize,
         arity: usize,
         key: impl Fn(usize, usize) -> &'k Value,
-        out: &mut Vec<Offsets<'a>>,
+        offsets: &mut Vec<u32>,
+        ends: &mut Vec<u32>,
     ) -> Result<()> {
-        out.clear();
         let (relation, index) = self.indexed(constraint_index, arity)?;
-        out.reserve(count);
-        resolve_each(relation, index, count, key, |offsets| out.push(offsets));
+        ends.reserve(count);
+        resolve_each(relation, index, count, key, |found| {
+            offsets.extend(found);
+            ends.push(u32::try_from(offsets.len()).expect("under 2^32 offsets"));
+        });
         Ok(())
     }
 
@@ -562,7 +567,7 @@ mod tests {
             .unwrap();
         let store = IndexedDatabase::build(db, schema.clone()).unwrap();
         let relation = store.database().relation("R").unwrap();
-        let mut out = Vec::new();
+        let (mut offsets, mut ends) = (Vec::new(), Vec::new());
         for (ci, constraint) in schema.constraints().iter().enumerate() {
             let (_, present) = reference(relation, constraint.x());
             let absent: Row = vec![Value::int(-9); constraint.x().len()];
@@ -575,34 +580,58 @@ mod tests {
                     .collect();
                 let arity = constraint.x().len();
                 let key = |i: usize, m: usize| &keys[i][m];
-                store.resolve(ci, total, arity, key, &mut out).unwrap();
-                assert_eq!(out.len(), total);
-                for (key, offsets) in keys.iter().zip(out.drain(..)) {
+                // Appended after what the vectors already hold.
+                let (base, before) = (offsets.len(), ends.len());
+                store
+                    .resolve(ci, total, arity, key, &mut offsets, &mut ends)
+                    .unwrap();
+                assert_eq!(ends.len(), before + total);
+                let mut start = base;
+                for (key, &end) in keys.iter().zip(&ends[before..]) {
                     let (single, _) = store.fetch_iter(ci, key).unwrap();
-                    let tuples = offsets.map(|o| relation.row(o as usize).unwrap());
+                    let found = &offsets[start..end as usize];
+                    let tuples = found.iter().map(|&o| relation.row(o as usize).unwrap());
                     assert!(tuples.eq(single), "key {key:?}");
+                    start = end as usize;
                 }
+                assert_eq!(start, offsets.len());
             }
         }
         let one = [Value::int(1)];
         let key = |_: usize, m: usize| &one[m];
-        assert!(store.resolve(7, 1, 1, key, &mut out).is_err());
-        let message = store.resolve(0, 1, 1, key, &mut out).unwrap_err();
+        let held = (offsets.clone(), ends.clone());
+        assert!(store
+            .resolve(7, 1, 1, key, &mut offsets, &mut ends)
+            .is_err());
+        let message = store
+            .resolve(0, 1, 1, key, &mut offsets, &mut ends)
+            .unwrap_err();
         assert!(message.to_string().contains("expects 2"), "{message}");
-        assert!(out.is_empty(), "a refused call resolves nothing");
+        assert_eq!(
+            (&offsets, &ends),
+            (&held.0, &held.1),
+            "a refused call appends nothing"
+        );
         // Keys of the wrong arity, even none of them: refused, whole, and no key is read.
         let unread = |_: usize, _: usize| -> &Value { unreachable!("a refused key is read") };
         for (ci, count, arity) in [(0, 2, 1), (1, 2, 3), (2, 1, 1), (1, 0, 2)] {
-            store.resolve(1, 1, 1, key, &mut out).unwrap();
+            store
+                .resolve(1, 1, 1, key, &mut offsets, &mut ends)
+                .unwrap();
+            let held = (offsets.clone(), ends.clone());
             let message = store
-                .resolve(ci, count, arity, unread, &mut out)
+                .resolve(ci, count, arity, unread, &mut offsets, &mut ends)
                 .unwrap_err();
             let message = message.to_string();
             assert!(
                 message.contains(&format!("has {arity} values")),
                 "{message}"
             );
-            assert!(out.is_empty(), "a refused call resolves nothing");
+            assert_eq!(
+                (&offsets, &ends),
+                (&held.0, &held.1),
+                "a refused call appends nothing"
+            );
         }
     }
 

@@ -64,6 +64,6 @@ pub mod relation;
 
 pub use database::Database;
 pub use discovery::{discover_constraints, measure_cardinality, DiscoveryOptions};
-pub use index::{prefetch, Offsets};
+pub use index::prefetch;
 pub use indexed::{ConstraintViolation, FetchIter, IndexedDatabase, Store};
 pub use relation::Relation;

@@ -1112,9 +1112,10 @@ fn reads_a_fetched_key_column(physical: &bea::core::plan::PhysicalPlan) -> bool 
 /// equals the probe key) and reads the source row's key in its place. Synthesized plans
 /// read the source's copy of a key instead, so hand-built fetches over the accidents
 /// store exercise it: `X` emitted beside `Y`, `X` emitted alone, `X` compared in a
-/// residual, `X` emitted beside the source's key from a multi-row source, and a fetch
-/// of `X` alone, which leaves the arena no column at all. Each plan must read such a
-/// column, and streaming must return the reference's rows and read exactly the
+/// residual, `X` emitted beside the source's key from a multi-row source, a fetch of
+/// `X` alone, which leaves the arena no column at all, and a lookup through a unique
+/// index keyed by the same relation's tuples, which resolves none. Each plan must read
+/// such a column, and streaming must return the reference's rows and read exactly the
 /// reference's data, solo and served (twice from one session).
 #[test]
 fn plans_reading_a_fetched_key_column_match_the_reference() {
@@ -1209,6 +1210,24 @@ fn plans_reading_a_fetched_key_column_match_the_reference() {
                 let keyed =
                     b.keyed_join(day, vec![0], "Accident", vec![2], vec![], 0, labels, vec![]);
                 b.project(keyed, vec![0, 1])
+            }),
+            plan("OwnTuplesThroughTheirUniqueIndex", &|b| {
+                // The day's aids, read where ψ1 fetched them, through ψ3 (`aid` unique)
+                // on the same relation: each names the tuple it was read from.
+                let accidents = accidents_of(b, day, &[]);
+                let aids = b.project(accidents, vec![2]);
+                let labels = vec!["aid".into(), "district".into(), "date".into()];
+                let keyed = b.keyed_join(
+                    aids,
+                    vec![0],
+                    "Accident",
+                    vec![0],
+                    vec![1, 2],
+                    2,
+                    labels,
+                    vec![],
+                );
+                b.project(keyed, vec![1, 2])
             }),
         ];
         for plan in &plans {
