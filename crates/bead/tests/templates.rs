@@ -7,7 +7,7 @@
 //! constant mixed with `i`, so a failure names the case that reproduces it.
 
 use bea_core::access::AccessSchema;
-use bea_core::plan::{bounded_plan, bounded_plan_ucq, PhysOp, PhysStep, PhysicalPlan, Predicate};
+use bea_core::plan::{bounded_plan, bounded_plan_ucq, PlanOp, PlanStep, Predicate, QueryPlan};
 use bea_core::query::cq::{ConjunctiveQuery, Equality};
 use bea_core::query::Query;
 use bea_core::reason::ReasonConfig;
@@ -275,7 +275,7 @@ fn assert_served_alike(store: &SharedStore, fetch_budget: u64, classes: &[Vec<St
                 session.prepare(&template).unwrap(),
                 session.prepare(&written).unwrap(),
             );
-            let (template_plan, written_plan) = (template.physical(), written.physical());
+            let (template_plan, written_plan) = (template.plan(), written.plan());
             assert_eq!(
                 bound_steps(template_plan, &skeleton.literals),
                 written_plan.steps(),
@@ -297,7 +297,7 @@ fn assert_served_alike(store: &SharedStore, fetch_budget: u64, classes: &[Vec<St
 /// The steps of `plan` with every value read the way a run given `values` reads it
 /// ([`Value::bound`]): the plan a request served from the template runs, written out.
 /// A reference for the property above only — no serving path copies a plan.
-fn bound_steps(plan: &PhysicalPlan, values: &[Value]) -> Vec<PhysStep> {
+fn bound_steps(plan: &QueryPlan, values: &[Value]) -> Vec<PlanStep> {
     let bind = |predicates: &mut Vec<Predicate>| {
         for predicate in predicates {
             if let Predicate::ColEqConst(_, value) = predicate {
@@ -308,10 +308,10 @@ fn bound_steps(plan: &PhysicalPlan, values: &[Value]) -> Vec<PhysStep> {
     let mut steps = plan.steps().to_vec();
     for step in &mut steps {
         match &mut step.op {
-            PhysOp::Const { value } | PhysOp::AppendConst { value, .. } => {
+            PlanOp::Const { value } | PlanOp::AppendConst { value, .. } => {
                 *value = value.bound(values).clone()
             }
-            PhysOp::KeyedLookup { residual, .. } => bind(residual),
+            PlanOp::KeyedJoin { residual, .. } => bind(residual),
             _ => {}
         }
     }

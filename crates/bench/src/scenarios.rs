@@ -5,7 +5,7 @@
 use crate::report::{BenchEntry, PipelineBenchReport};
 use bea_core::access::AccessSchema;
 use bea_core::error::Result;
-use bea_core::plan::{bounded_plan, bounded_plan_ucq, lower_plan, PhysicalPlan, QueryPlan};
+use bea_core::plan::{bounded_plan, bounded_plan_ucq, lower_plan, QueryPlan};
 use bea_core::query::cq::ConjunctiveQuery;
 use bea_core::query::ucq::UnionQuery;
 use bea_core::reason::ReasonConfig;
@@ -162,7 +162,7 @@ pub struct ParallelScenario {
     /// Its boundedly evaluable (union) plan.
     pub plan: QueryPlan,
     /// The lowered plan: one pipeline.
-    pub physical: PhysicalPlan,
+    pub lowered: QueryPlan,
 }
 
 impl ParallelScenario {
@@ -184,7 +184,7 @@ impl ParallelScenario {
             .collect::<Result<_>>()?;
         let query = UnionQuery::from_branches("Q0batch", queries)?;
         let plan = bounded_plan_ucq(&query, &schema, &ReasonConfig::default())?;
-        let physical = lower_plan(&plan)?;
+        let lowered = lower_plan(&plan)?;
         let indexed = IndexedDatabase::build(db, schema.clone())?;
         Ok(Self {
             catalog,
@@ -192,7 +192,7 @@ impl ParallelScenario {
             indexed,
             query,
             plan,
-            physical,
+            lowered,
         })
     }
 }
@@ -210,7 +210,7 @@ pub struct HeavyChainScenario {
     /// The two-hop anchored lookup chain.
     pub plan: QueryPlan,
     /// The lowered plan: one pipeline.
-    pub physical: PhysicalPlan,
+    pub lowered: QueryPlan,
     /// Rows the anchor fans out to (= distinct keys the second hop fills).
     pub fan_out: u32,
 }
@@ -256,13 +256,13 @@ impl HeavyChainScenario {
             let out = b.project(joined, vec![1, 3]);
             b.finish("HeavyChain", out)?
         };
-        let physical = lower_plan(&plan)?;
+        let lowered = lower_plan(&plan)?;
         Ok(Self {
             catalog,
             schema,
             indexed,
             plan,
-            physical,
+            lowered,
             fan_out,
         })
     }
@@ -395,12 +395,12 @@ pub fn scenario_record() -> Result<PipelineBenchReport> {
         report.insert(name, BenchEntry::from(&stats));
     }
     // The batch and the heavy chain, from their lowered plans.
-    let physical_cases: [(&str, &PhysicalPlan, &IndexedDatabase); 2] = [
-        ("parallel_q0_batch_6", &batch.physical, &batch.indexed),
-        ("heavy_chain_fan_16384", &chain.physical, &chain.indexed),
+    let lowered_cases: [(&str, &QueryPlan, &IndexedDatabase); 2] = [
+        ("parallel_q0_batch_6", &batch.lowered, &batch.indexed),
+        ("heavy_chain_fan_16384", &chain.lowered, &chain.indexed),
     ];
-    for (name, physical, store) in physical_cases {
-        let (_, stats) = execute_physical_on(physical, store, &ExecOptions::new())?;
+    for (name, lowered, store) in lowered_cases {
+        let (_, stats) = execute_physical_on(lowered, store, &ExecOptions::new())?;
         report.insert(name, BenchEntry::from(&stats));
     }
     // The multi-query service scenario, recorded from serial runs of the *admitted*
@@ -619,8 +619,7 @@ mod tests {
         assert_eq!(scenario.catalog.len(), 2);
 
         let (table, _) =
-            execute_physical_on(&scenario.physical, &scenario.indexed, &ExecOptions::new())
-                .unwrap();
+            execute_physical_on(&scenario.lowered, &scenario.indexed, &ExecOptions::new()).unwrap();
         assert_eq!(table.len(), scenario.fan_out as usize);
         let (naive, _) =
             eval_cq(&chain_query(&scenario.catalog), scenario.indexed.database()).unwrap();

@@ -1,23 +1,27 @@
 //! Every plan that synthesis returns is bounded and lowers to one operator tree with one
-//! keyed lookup per fetch: a census over random workloads.
+//! keyed join per fetch, priced as the plan it came from: a census over random
+//! workloads.
 //!
 //! Synthesis emits every fetch as a keyed join and every other product as `T × {c}`, and
-//! `lower_plan` maps each logical step onto one physical operator (see
+//! `lower_plan` keeps each step, adding the δs set semantics needs (see
 //! `bea_core::plan::physical`). This census plans querygen workloads of the accidents,
 //! e-commerce and graph families at `max_atoms` 3 and 5 — each query through
 //! `bounded_plan` and `bounded_plan_via_analysis`, and each pair of covered queries of
 //! one arity as a union through `bounded_plan_ucq` — and E3's workload under every one
 //! of its constraint sets. For each plan they return it checks that the plan is
-//! boundedly evaluable under its schema (`is_bounded_under`), that it lowers, that the
-//! lowered plan has exactly as many keyed lookups as the cost model counts fetches (no
-//! fetch is split or dropped), and that the lowered plan is one tree: every step is read
-//! by one operator and the output by none. Floors on the number of plans checked keep
-//! it from passing with nothing to check.
+//! boundedly evaluable under its schema (`is_bounded_under`), that it lowers, that
+//! lowering the lowered plan returns it unchanged (a δ over a set is elided, and nothing
+//! is left to prune), that the lowered plan costs what the plan costs at 10³ and 10⁶
+//! tuples (a δ passes its source's bound), that it has exactly as many keyed joins as
+//! the cost model counts fetches (no fetch is split or dropped), that its output never
+//! repeats a row, and that it is one tree: every step is read by one other and the
+//! output by none. Floors on the number of plans checked keep it from passing with
+//! nothing to check.
 
 use bea_bench::claims::coverage_setup;
 use bea_core::access::AccessSchema;
 use bea_core::bounded::{bounded_plan_via_analysis, BoundedConfig};
-use bea_core::plan::{bounded_plan, bounded_plan_ucq, lower_plan, PhysOp, QueryPlan};
+use bea_core::plan::{bounded_plan, bounded_plan_ucq, lower_plan, PlanOp, QueryPlan};
 use bea_core::query::cq::ConjunctiveQuery;
 use bea_core::query::ucq::UnionQuery;
 use bea_core::reason::ReasonConfig;
@@ -66,24 +70,51 @@ impl Census {
 /// and what went wrong: 1 plan checked.
 fn checks(plan: &QueryPlan, schema: &AccessSchema) -> usize {
     assert!(plan.is_bounded_under(schema), "an unbounded plan:\n{plan}");
-    let physical = match lower_plan(plan) {
-        Ok(physical) => physical,
+    let lowered = match lower_plan(plan) {
+        Ok(lowered) => lowered,
         Err(refusal) => panic!("a synthesized plan is refused: {refusal}\n{plan}"),
     };
-    let steps = physical.steps();
-    let lookups = (steps.iter())
-        .filter(|step| matches!(step.op, PhysOp::KeyedLookup { .. }))
+    assert_eq!(
+        lower_plan(&lowered).as_ref(),
+        Ok(&lowered),
+        "lowering is not idempotent on\n{plan}\n{lowered}"
+    );
+    for tuples in [1_000, 1_000_000] {
+        let (cost, priced) = (plan.cost(schema, tuples), lowered.cost(schema, tuples));
+        assert_eq!(
+            (
+                cost.max_fetched_tuples,
+                cost.max_output_rows,
+                cost.fetch_ops
+            ),
+            (
+                priced.max_fetched_tuples,
+                priced.max_output_rows,
+                priced.fetch_ops
+            ),
+            "the lowering is priced otherwise at {tuples} tuples:\n{plan}\n{lowered}"
+        );
+    }
+    let steps = lowered.steps();
+    let joins = (steps.iter())
+        .filter(|step| matches!(step.op, PlanOp::KeyedJoin { .. }))
         .count();
     let fetches = plan.cost(schema, 1_000_000).fetch_ops;
-    assert_eq!(lookups, fetches, "{plan}\n{physical}");
+    assert_eq!(joins, fetches, "{plan}\n{lowered}");
+    let output = lowered.output();
+    let columns: Vec<usize> = (0..steps[output].columns.len()).collect();
+    assert!(
+        lowered.keys_distinct(output, &columns),
+        "the output can repeat a row:\n{plan}\n{lowered}"
+    );
     let mut readers = vec![0; steps.len()];
-    readers[physical.output()] += 1;
+    readers[output] += 1;
     for input in steps.iter().flat_map(|step| step.op.inputs()) {
         readers[input] += 1;
     }
     assert!(
         readers.iter().all(|&r| r == 1),
-        "not one tree:\n{plan}\n{physical}"
+        "not one tree:\n{plan}\n{lowered}"
     );
     1
 }

@@ -4,19 +4,27 @@
 //! singletons `{a}`, `fetch(X ∈ Tⱼ, R, Y)` through an index, and π, σ, × and ∪ over
 //! earlier results. Every fetch plan synthesis makes is joined back to the step its keys
 //! come from, `σ[key equalities](T × fetch(X ∈ T, R, Y))`, and every other product adds a
-//! query constant, `T × {c}`; so the plan IR has seven operations, [`PlanOp`]: `{a}`, the
-//! unit table `{()}`, `∅`, that keyed join, π, `T × {c}` and ∪. Each step is read by at
-//! most one other, so a plan is one tree. A plan is *boundedly evaluable under `A`* when
-//! every fetch is backed by an access constraint of `A` (so the amount of data it
-//! retrieves is bounded by the constraint's cardinality) and the plan length depends
-//! only on the query, the schema and `A` — never on the database.
+//! query constant, `T × {c}`; so the plan IR has eight operations, [`PlanOp`]: `{a}`, the
+//! unit table `{()}`, `∅`, that keyed join, π, `T × {c}`, ∪ and the duplicate
+//! elimination `δ(T)` that lowering adds. Each step is read by at most one other, so a
+//! plan is one tree. A plan is *boundedly evaluable under `A`* when every fetch is backed
+//! by an access constraint of `A` (so the amount of data it retrieves is bounded by the
+//! constraint's cardinality) and the plan length depends only on the query, the schema
+//! and `A` — never on the database.
 //!
-//! * [`QueryPlan`] / [`PlanOp`] — the logical plan IR, validation, cost bounds and
+//! There is one plan type, [`QueryPlan`], for both forms a plan takes. Synthesis emits
+//! the paper's plan, whose π and ∪ are set operations; [`lower_plan`] returns the plan
+//! `bea-engine` streams, whose π and ∪ keep duplicates and whose δs restore set
+//! semantics where it is needed. Both are checked by one [`QueryPlan::validate`], priced
+//! by one [`QueryPlan::cost`] (a δ passes its source's bound, so a plan and its lowering
+//! cost the same) and printed by one `Display`.
+//!
+//! * [`QueryPlan`] / [`PlanOp`] — the plan IR, validation, cost bounds and
 //!   pretty-printing in the paper's notation.
 //! * [`synthesis`] — construction of a boundedly evaluable plan from a coverage witness,
 //!   which is the constructive half of Theorem 3.11 ("covered ⇒ boundedly evaluable").
-//! * [`physical`] — lowering into streaming [`physical::PhysicalPlan`]s, one operator
-//!   per step plus the δs set semantics needs.
+//! * [`physical`] — lowering to the plan the engine streams: the δs set semantics
+//!   needs, and the steps the output does not read pruned.
 //! * [`ticket`] — admission-control [`ticket::CostTicket`]s: the fetch bound and
 //!   per-probe allocation surface of a lowered plan, priced before execution.
 //!
@@ -26,9 +34,9 @@ pub mod physical;
 pub mod synthesis;
 pub mod ticket;
 
-pub use physical::{lower_plan, lower_plan_with, LowerOptions, PhysOp, PhysStep, PhysicalPlan};
+pub use physical::{lower_plan, lower_plan_with, LowerOptions};
 pub use synthesis::{bounded_plan, bounded_plan_for_report, bounded_plan_ucq};
-pub use ticket::{step_surface, CostTicket};
+pub use ticket::CostTicket;
 
 use crate::access::AccessSchema;
 use crate::error::{Error, Result};
@@ -87,19 +95,18 @@ pub enum PlanOp {
     /// matching `X ∪ Y` projections of `R` through the index of the backing access
     /// constraint, and keep each row of `T` beside each of its matches that meets
     /// `residual`. The key ties equate each key column with its fetched `X` column. The
-    /// columns are the source's followed by `x_attrs ++ y_attrs`.
+    /// columns are the source's followed by `positions`.
     KeyedJoin {
         /// The node supplying the key values.
         source: NodeId,
-        /// Columns of `source` holding the key, aligned with `x_attrs`.
+        /// Columns of `source` holding the key, aligned with `X`.
         key_cols: Vec<usize>,
         /// The relation fetched from.
         relation: String,
-        /// Attribute positions of `R` forming the index key `X` (sorted).
-        x_attrs: Vec<usize>,
-        /// Attribute positions of `R` retrieved through the index (sorted, disjoint from
-        /// `x_attrs`).
-        y_attrs: Vec<usize>,
+        /// Attribute positions of `R` fetched, in column order: the index key `X`
+        /// (sorted; the first `key_cols.len()`), then the attributes `Y` retrieved
+        /// through the index (sorted, disjoint from `X`).
+        positions: Vec<usize>,
         /// Index of the access constraint backing this fetch in the access schema.
         constraint_index: usize,
         /// Predicates over the joined columns beyond the key ties.
@@ -119,24 +126,47 @@ pub enum PlanOp {
         /// The appended constant.
         value: Value,
     },
-    /// Set union (operands must have equal arity).
+    /// Union (operands must have equal arity).
     Union {
         /// Left input.
         left: NodeId,
         /// Right input.
         right: NodeId,
     },
+    /// `δ(T)`: the rows of `source`, each once. Synthesis emits none; lowering adds one
+    /// after a ∪ or a π that can repeat a row (see [`physical`]).
+    Dedup {
+        /// Input node.
+        source: NodeId,
+    },
 }
 
 impl PlanOp {
     /// The steps this operation reads.
-    fn inputs(&self) -> Vec<NodeId> {
-        match self {
-            PlanOp::Const { .. } | PlanOp::Unit | PlanOp::Empty { .. } => Vec::new(),
+    pub fn inputs(&self) -> impl Iterator<Item = NodeId> {
+        let (first, second) = match *self {
+            PlanOp::Const { .. } | PlanOp::Unit | PlanOp::Empty { .. } => (None, None),
             PlanOp::KeyedJoin { source, .. }
             | PlanOp::Project { source, .. }
-            | PlanOp::AppendConst { source, .. } => vec![*source],
-            PlanOp::Union { left, right } => vec![*left, *right],
+            | PlanOp::AppendConst { source, .. }
+            | PlanOp::Dedup { source } => (Some(source), None),
+            PlanOp::Union { left, right } => (Some(left), Some(right)),
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Point every input at `new(input)`.
+    fn renumber(&mut self, new: impl Fn(NodeId) -> NodeId) {
+        match self {
+            PlanOp::Const { .. } | PlanOp::Unit | PlanOp::Empty { .. } => {}
+            PlanOp::KeyedJoin { source, .. }
+            | PlanOp::Project { source, .. }
+            | PlanOp::AppendConst { source, .. }
+            | PlanOp::Dedup { source } => *source = new(*source),
+            PlanOp::Union { left, right } => {
+                *left = new(*left);
+                *right = new(*right);
+            }
         }
     }
 }
@@ -245,14 +275,13 @@ impl QueryPlan {
                 PlanOp::KeyedJoin {
                     source,
                     key_cols,
-                    x_attrs,
-                    y_attrs,
+                    positions,
                     residual,
                     ..
                 } => {
-                    key_cols.len() == x_attrs.len()
+                    key_cols.len() <= positions.len()
                         && key_cols.iter().all(|&c| c < arity(*source))
-                        && width == arity(*source) + x_attrs.len() + y_attrs.len()
+                        && width == arity(*source) + positions.len()
                         && residual.iter().all(|p| p.in_range(width))
                 }
                 PlanOp::Project { source, cols } => {
@@ -262,6 +291,7 @@ impl QueryPlan {
                 PlanOp::Union { left, right } => {
                     arity(*left) == arity(*right) && width == arity(*left)
                 }
+                PlanOp::Dedup { source } => width == arity(*source),
             };
             if !ok {
                 return invalid(format!(
@@ -286,16 +316,15 @@ impl QueryPlan {
         self.steps.iter().all(|step| match &step.op {
             PlanOp::KeyedJoin {
                 relation,
-                x_attrs,
-                y_attrs,
+                key_cols,
+                positions,
                 constraint_index,
                 ..
             } => match schema.constraint(*constraint_index) {
                 Some(c) => {
+                    let (x, y) = positions.split_at(key_cols.len());
                     let xy = c.xy();
-                    c.relation() == relation
-                        && x_attrs == c.x()
-                        && y_attrs.iter().all(|p| xy.contains(p))
+                    c.relation() == relation && x == c.x() && y.iter().all(|p| xy.contains(p))
                 }
                 None => false,
             },
@@ -329,9 +358,9 @@ impl QueryPlan {
                     fetched = fetched.saturating_add(total);
                     total
                 }
-                PlanOp::Project { source, .. } | PlanOp::AppendConst { source, .. } => {
-                    row_bounds[*source]
-                }
+                PlanOp::Project { source, .. }
+                | PlanOp::AppendConst { source, .. }
+                | PlanOp::Dedup { source } => row_bounds[*source],
                 PlanOp::Union { left, right } => {
                     row_bounds[*left].saturating_add(row_bounds[*right])
                 }
@@ -344,6 +373,30 @@ impl QueryPlan {
             fetch_ops,
             total_ops: self.steps.len(),
         }
+    }
+
+    /// How many constants a run of this plan takes: one past the highest
+    /// [`Value::placeholder`] class in a [`PlanOp::Const`], a [`PlanOp::AppendConst`] or a
+    /// keyed join's [`Predicate::ColEqConst`], 0 when there is none. Nothing else in a
+    /// plan holds a value, and lowering never looks at one, so a plan lowered once from a
+    /// template is step for step the plan of the template's text except where these
+    /// placeholders stand; a run reads its constants in when it builds its operators
+    /// ([`Value::bound`]), and the plan itself is never copied.
+    pub fn placeholders(&self) -> usize {
+        let class = |value: &Value| value.placeholder_class().map_or(0, |c| c as usize + 1);
+        let step = |step: &PlanStep| match &step.op {
+            PlanOp::Const { value } | PlanOp::AppendConst { value, .. } => class(value),
+            PlanOp::KeyedJoin { residual, .. } => residual
+                .iter()
+                .map(|predicate| match predicate {
+                    Predicate::ColEqConst(_, value) => class(value),
+                    Predicate::ColEqCol(..) => 0,
+                })
+                .max()
+                .unwrap_or(0),
+            _ => 0,
+        };
+        self.steps.iter().map(step).max().unwrap_or(0)
     }
 }
 
@@ -361,11 +414,11 @@ impl fmt::Display for QueryPlan {
                     source,
                     key_cols,
                     relation,
-                    x_attrs,
-                    y_attrs,
+                    positions,
                     constraint_index,
                     residual,
                 } => {
+                    let (x_attrs, y_attrs) = positions.split_at(key_cols.len());
                     let arity = self.steps[*source].columns.len();
                     let ties = (key_cols.iter().enumerate())
                         .map(|(k, &c)| Predicate::ColEqCol(c, arity + k));
@@ -394,6 +447,7 @@ impl fmt::Display for QueryPlan {
                 PlanOp::Union { left, right } => {
                     writeln!(f, "  T{i} = T{left} ∪ T{right}{marker} [{cols}]")?
                 }
+                PlanOp::Dedup { source } => writeln!(f, "  T{i} = δ(T{source}){marker} [{cols}]")?,
             }
         }
         Ok(())
@@ -456,8 +510,7 @@ impl PlanBuilder {
             source,
             key_cols,
             relation: relation.into(),
-            x_attrs,
-            y_attrs,
+            positions: [x_attrs, y_attrs].concat(),
             constraint_index,
             residual,
         };

@@ -1,318 +1,48 @@
-//! Physical plans: lowering logical bounded plans to one streaming operator tree.
+//! Physical plans: lowering a plan as synthesis writes it to the plan `bea-engine` streams.
 //!
-//! A [`super::QueryPlan`] says *what* to compute — a tree of seven steps over the paper's
-//! algebra: `{a}`, `{()}`, `∅`, the keyed join `σ[key ties ∧ residual](T × fetch(X ∈ T,
-//! R, Y))`, π, `T × {c}` and ∪. This module decides *how*: [`lower_plan`] maps each step
-//! onto one streaming operator of a [`PhysicalPlan`] that `bea-engine` runs as one tree of
-//! pull-based operators, without materializing a table per step. Boundedness is untouched
-//! by lowering — every physical access still goes through the index of an access
-//! constraint, and the set of `(constraint, key)` lookups is exactly the one the logical
-//! plan performs — only the *residency* of intermediate results changes, which is the
-//! point: the memory footprint of a bounded plan should scale with the access schema's
-//! bounds, not with whatever the intermediate relational algebra happens to materialize.
+//! Synthesis writes the paper's plan, a tree of seven steps over the paper's algebra:
+//! `{a}`, `{()}`, `∅`, the keyed join `σ[key ties ∧ residual](T × fetch(X ∈ T, R, Y))`,
+//! π, `T × {c}` and ∪, every one of them a set. `bea-engine` runs a plan as one tree of
+//! pull-based operators, one per step, without materializing a table per step; its π
+//! and ∪ stream, and keep the duplicates they make. [`lower_plan`] returns the plan it
+//! runs, a [`QueryPlan`] too: the same steps, plus a [`PlanOp::Dedup`] wherever set
+//! semantics needs one. Boundedness is untouched — every access still goes through the
+//! index of an access constraint, and the set of `(constraint, key)` lookups is exactly
+//! the one the paper's plan performs — only the *residency* of intermediate results
+//! changes, which is the point: the memory footprint of a bounded plan should scale with
+//! the access schema's bounds, not with whatever the intermediate relational algebra
+//! happens to materialize.
 //!
-//! A plan that [`super::QueryPlan::validate`] accepts always lowers; that is the only
-//! refusal. The result uses eight operators — [`PhysOp::Unit`], [`PhysOp::Const`],
-//! [`PhysOp::Empty`], [`PhysOp::KeyedLookup`], [`PhysOp::Project`], [`PhysOp::Dedup`],
-//! [`PhysOp::Union`] and [`PhysOp::AppendConst`] — and, the logical plan being a tree,
-//! every step is read by one operator and the output by none. Lowering applies these
-//! rules:
+//! A plan that [`QueryPlan::validate`] accepts always lowers; that is the only refusal.
+//! Lowering applies these rules:
 //!
-//! * **Keyed lookups** — a keyed join becomes a [`PhysOp::KeyedLookup`]: an index
-//!   nested-loop join that streams `T`, probes the constraint's index once per distinct
-//!   key, and never materializes the cross product *or* the fetched table.
-//! * **Dedup elimination** — each physical step tracks whether its output is already a
-//!   set ([`PhysStep::set_valued`]); explicit [`PhysOp::Dedup`] steps are inserted only
-//!   where the logical plan's set semantics actually needs them (e.g. after a union, or
-//!   after a projection that drops key columns), never after an operator whose output is
-//!   provably duplicate-free. A projection of a set keeps it a set when every column it
-//!   drops is determined by the plan on every row: **constant** (it traces back through
-//!   appends, lookup source columns, projections and δs to a query constant) or
-//!   **key-equal** to a kept column (a keyed lookup's fetched key attribute, which the
-//!   key tie makes equal to the source's key column). The same fact tells the engine
-//!   where a keyed lookup's source never repeats a key ([`PhysicalPlan::keys_distinct`]).
-//!   Equalities a residual predicate establishes are not used, and neither are access
-//!   constraints of bound 1 read as functional dependencies: that would make answers
-//!   depend on the instance satisfying the access schema, which nothing on the query
-//!   path checks.
-//! * **Constant appends** — `T × {c}` becomes [`PhysOp::AppendConst`], which writes `c`
-//!   beside every row of `T` and holds nothing; `{()} × {c}` is `{c}` itself.
-//! * **Empty-branch elimination** — `T ∪ ∅` collapses to `T`.
+//! * **δ where a row can repeat** — a step is *set-valued* when the streaming executor
+//!   cannot emit one row twice from it (`set_valued`); a δ follows each step that is
+//!   not, so every step a logical step lowers to is a set. A ∪ always gets one, a π when
+//!   it drops a column that is not determined by the plan on every row: **constant**
+//!   (it traces back through appends, keyed-join source columns, projections and δs to a
+//!   query constant) or **key-equal** to a kept column (a keyed join's fetched key
+//!   attribute, which the key tie makes equal to the source's key column). The same fact
+//!   tells the engine where a keyed join's source never repeats a key
+//!   ([`QueryPlan::keys_distinct`]). Equalities a residual predicate establishes are not
+//!   used, and neither are access constraints of bound 1 read as functional
+//!   dependencies: that would make answers depend on the instance satisfying the access
+//!   schema, which nothing on the query path checks. A δ over a set is elided, so
+//!   lowering a lowered plan returns it unchanged.
+//! * **Constant appends** — `{()} × {c}` is `{c}` itself.
+//! * **Empty-branch elimination** — `T ∪ ∅` is `T`, a set already.
+//! * **Pruning** — the steps the output no longer reads (∅ branches, the unit under
+//!   `{()} × {c}`) are dropped, so every step is read by one other and the output by
+//!   none.
 //!
 //! **One plan, whatever the store and the thread count.** Lowering never looks at the
 //! store: the paper's bound is about *which* `(constraint, key)` lookups a plan makes,
 //! and where a key's postings live is the store's business. Nor does lowering plan for
 //! threads: a bounded query touches a small slice of the data, so a plan runs on one
 //! thread, and threads run many queries at once.
-//!
-//! The companion executor lives in `bea-engine` (`ops` module); it builds one streaming
-//! operator per physical step and reports peak rows resident alongside the usual access
-//! statistics, so the materialized-vs-streaming ablation is observable.
 
-use crate::error::{Error, Result};
-use crate::plan::{PlanOp, Predicate, QueryPlan};
-use crate::value::Value;
-use std::fmt;
-
-/// Identifier of a physical step within a [`PhysicalPlan`].
-pub type PhysId = usize;
-
-/// One physical operator.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PhysOp {
-    /// A single-row, single-column constant table.
-    Const {
-        /// The constant.
-        value: Value,
-    },
-    /// A single row of arity 0.
-    Unit,
-    /// The empty relation of the given arity.
-    Empty {
-        /// Number of columns.
-        arity: usize,
-    },
-    /// Index nested-loop join: for each row of `source`, probe the constraint's index
-    /// with the row's `key_cols` projection (once per distinct key) and emit the row
-    /// concatenated with each matching tuple's `positions`-projection (deduplicated per
-    /// key), filtered by the `residual` predicates: the logical keyed join
-    /// `σ[key ties ∧ residual](T × fetch(X ∈ T, R, Y))`.
-    KeyedLookup {
-        /// The step supplying the probe rows.
-        source: PhysId,
-        /// Columns of `source` holding the key, aligned with `x_attrs`.
-        key_cols: Vec<usize>,
-        /// The relation fetched from.
-        relation: String,
-        /// Attribute positions of the relation forming the index key `X`.
-        x_attrs: Vec<usize>,
-        /// Attribute positions of the relation to emit for the fetch side, in
-        /// output-column order: `x_attrs ++ y_attrs`.
-        positions: Vec<usize>,
-        /// Index of the backing access constraint in the access schema.
-        constraint_index: usize,
-        /// Predicates (over the concatenated output) beyond the key ties.
-        residual: Vec<Predicate>,
-    },
-    /// Streaming projection (no deduplication — a [`PhysOp::Dedup`] follows if needed).
-    Project {
-        /// Input step.
-        source: PhysId,
-        /// Columns to keep.
-        cols: Vec<usize>,
-    },
-    /// Streaming duplicate elimination (keeps a set of rows seen so far).
-    Dedup {
-        /// Input step.
-        source: PhysId,
-    },
-    /// Every row of `source` with `value` appended as one more column: the product
-    /// `source × {value}`.
-    AppendConst {
-        /// Input step.
-        source: PhysId,
-        /// The appended constant.
-        value: Value,
-    },
-    /// Streaming concatenation of both inputs (a [`PhysOp::Dedup`] restores set
-    /// semantics downstream).
-    Union {
-        /// First input.
-        left: PhysId,
-        /// Second input.
-        right: PhysId,
-    },
-}
-
-impl PhysOp {
-    /// The steps this operator reads from.
-    pub fn inputs(&self) -> Vec<PhysId> {
-        match self {
-            PhysOp::Const { .. } | PhysOp::Unit | PhysOp::Empty { .. } => Vec::new(),
-            PhysOp::KeyedLookup { source, .. }
-            | PhysOp::Project { source, .. }
-            | PhysOp::Dedup { source }
-            | PhysOp::AppendConst { source, .. } => vec![*source],
-            PhysOp::Union { left, right } => vec![*left, *right],
-        }
-    }
-}
-
-/// One physical step: an operator plus its output description.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhysStep {
-    /// The operator producing this step's result.
-    pub op: PhysOp,
-    /// Labels of the result columns.
-    pub columns: Vec<String>,
-    /// True when the operator's output is provably duplicate-free; lowering inserts
-    /// [`PhysOp::Dedup`] steps exactly where this is false but set semantics is needed.
-    pub set_valued: bool,
-}
-
-/// A physical plan: streaming operators plus the index of the output step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhysicalPlan {
-    query_name: String,
-    steps: Vec<PhysStep>,
-    output: PhysId,
-}
-
-impl PhysicalPlan {
-    /// The name of the query this plan answers.
-    pub fn query_name(&self) -> &str {
-        &self.query_name
-    }
-
-    /// The physical steps in evaluation order.
-    pub fn steps(&self) -> &[PhysStep] {
-        &self.steps
-    }
-
-    /// The output step.
-    pub fn output(&self) -> PhysId {
-        self.output
-    }
-
-    /// Number of physical steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// True when the plan has no steps (never the case for lowered plans).
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Structural validation: inputs precede their consumers and arities line up.
-    pub fn validate(&self) -> Result<()> {
-        if self.steps.is_empty() {
-            return Err(Error::InvalidPlan {
-                reason: "physical plan has no steps".into(),
-            });
-        }
-        if self.output >= self.steps.len() {
-            return Err(Error::InvalidPlan {
-                reason: format!("physical output step {} is out of range", self.output),
-            });
-        }
-        for (i, step) in self.steps.iter().enumerate() {
-            for input in step.op.inputs() {
-                if input >= i {
-                    return Err(Error::InvalidPlan {
-                        reason: format!(
-                            "physical step {i} reads step {input}, which is not earlier"
-                        ),
-                    });
-                }
-            }
-            let arity = |j: PhysId| self.steps[j].columns.len();
-            let ok = match &step.op {
-                PhysOp::Const { .. } => step.columns.len() == 1,
-                PhysOp::Unit => step.columns.is_empty(),
-                PhysOp::Empty { arity: a } => step.columns.len() == *a,
-                PhysOp::KeyedLookup {
-                    key_cols,
-                    x_attrs,
-                    positions,
-                    source,
-                    residual,
-                    ..
-                } => {
-                    key_cols.len() == x_attrs.len()
-                        && key_cols.iter().all(|&c| c < arity(*source))
-                        && step.columns.len() == arity(*source) + positions.len()
-                        && residual.iter().all(|p| p.in_range(step.columns.len()))
-                }
-                PhysOp::Project { source, cols } => {
-                    cols.iter().all(|&c| c < arity(*source)) && step.columns.len() == cols.len()
-                }
-                PhysOp::Dedup { source } => step.columns.len() == arity(*source),
-                PhysOp::AppendConst { source, .. } => step.columns.len() == arity(*source) + 1,
-                PhysOp::Union { left, right } => {
-                    arity(*left) == arity(*right) && step.columns.len() == arity(*left)
-                }
-            };
-            if !ok {
-                return Err(Error::InvalidPlan {
-                    reason: format!("physical step {i} has inconsistent arity"),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// How many constants a run of this plan takes: one past the highest
-    /// [`Value::placeholder`] class in a [`PhysOp::Const`] or a keyed lookup's
-    /// [`Predicate::ColEqConst`], 0 when there is none. Nothing else in a plan holds a
-    /// value, and lowering never looks at one, so a plan lowered once from a template
-    /// is step for step the plan of the template's text except where these
-    /// placeholders stand; a run reads its constants in when it builds its operators
-    /// ([`Value::bound`]), and the plan itself is never copied.
-    pub fn placeholders(&self) -> usize {
-        let class = |value: &Value| value.placeholder_class().map_or(0, |c| c as usize + 1);
-        let step = |step: &PhysStep| match &step.op {
-            PhysOp::Const { value } | PhysOp::AppendConst { value, .. } => class(value),
-            PhysOp::KeyedLookup { residual, .. } => residual
-                .iter()
-                .map(|predicate| match predicate {
-                    Predicate::ColEqConst(_, value) => class(value),
-                    Predicate::ColEqCol(..) => 0,
-                })
-                .max()
-                .unwrap_or(0),
-            _ => 0,
-        };
-        self.steps.iter().map(step).max().unwrap_or(0)
-    }
-
-    /// True when no two rows of step `source` agree on its `key_cols`: the step is a set
-    /// and each of its other columns is constant or equal to a key column on every row
-    /// (see the module docs). A keyed lookup over such a source never sees a key twice,
-    /// so it has nothing to memoize.
-    pub fn keys_distinct(&self, source: PhysId, key_cols: &[usize]) -> bool {
-        self.steps[source].set_valued && determined_by(&self.steps, source, key_cols)
-    }
-}
-
-impl fmt::Display for PhysicalPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "physical plan for {}:", self.query_name)?;
-        for (i, step) in self.steps.iter().enumerate() {
-            let marks = if i == self.output { " (output)" } else { "" };
-            let cols = step.columns.join(", ");
-            match &step.op {
-                PhysOp::Const { value } => writeln!(f, "  P{i} = {{{value}}}{marks} [{cols}]")?,
-                PhysOp::Unit => writeln!(f, "  P{i} = {{()}}{marks}")?,
-                PhysOp::Empty { arity } => writeln!(f, "  P{i} = ∅/{arity}{marks}")?,
-                PhysOp::KeyedLookup {
-                    source,
-                    key_cols,
-                    relation,
-                    positions,
-                    constraint_index,
-                    residual,
-                    ..
-                } => writeln!(
-                    f,
-                    "  P{i} = P{source} ⋉× lookup({relation}→{positions:?} by {key_cols:?}, σ[{} residual]) via φ{constraint_index}{marks} [{cols}]",
-                    residual.len()
-                )?,
-                PhysOp::Project { source, cols: c } => {
-                    writeln!(f, "  P{i} = π{c:?}(P{source}){marks} [{cols}]")?
-                }
-                PhysOp::Dedup { source } => writeln!(f, "  P{i} = δ(P{source}){marks} [{cols}]")?,
-                PhysOp::AppendConst { source, value } => {
-                    writeln!(f, "  P{i} = P{source} × {{{value}}}{marks} [{cols}]")?
-                }
-                PhysOp::Union { left, right } => {
-                    writeln!(f, "  P{i} = P{left} ∪ P{right}{marks} [{cols}]")?
-                }
-            }
-        }
-        Ok(())
-    }
-}
+use crate::error::Result;
+use crate::plan::{NodeId, PlanOp, PlanStep, QueryPlan};
 
 /// Options of [`lower_plan_with`]: none are left. Lowering depends on neither the
 /// store nor the thread count (see the module docs), so every `LowerOptions` lowers a
@@ -348,137 +78,88 @@ impl LowerOptions {
     }
 }
 
-/// Lower a logical plan to a physical streaming plan: one operator per step, plus the
-/// δs set semantics needs (see the module docs). It fails only where
-/// [`QueryPlan::validate`] does.
-pub fn lower_plan(plan: &QueryPlan) -> Result<PhysicalPlan> {
+/// Lower a plan to the plan the streaming executor runs: its steps, plus the δs set
+/// semantics needs (see the module docs). It fails only where [`QueryPlan::validate`]
+/// does.
+pub fn lower_plan(plan: &QueryPlan) -> Result<QueryPlan> {
     plan.validate()?;
-    let steps = plan.steps();
-    let mut phys: Vec<PhysStep> = Vec::with_capacity(steps.len());
-    // `map[i]` is the physical step logical step `i` lowers to.
-    let mut map: Vec<PhysId> = Vec::with_capacity(steps.len());
-    for step in steps {
-        let columns = step.columns.clone();
-        let node = match &step.op {
-            PlanOp::Const { value } => {
-                let value = value.clone();
-                push(&mut phys, PhysOp::Const { value }, columns, true)
+    let mut steps: Vec<PlanStep> = Vec::with_capacity(plan.len());
+    // `map[i]` is the step plan step `i` lowers to: a set.
+    let mut map: Vec<NodeId> = Vec::with_capacity(plan.len());
+    for step in plan.steps() {
+        let mut op = step.op.clone();
+        op.renumber(|j| map[j]);
+        let columns = || step.columns.clone();
+        let empty = |j: NodeId| matches!(steps[j].op, PlanOp::Empty { .. });
+        let node = match op {
+            PlanOp::AppendConst { source, value } if matches!(steps[source].op, PlanOp::Unit) => {
+                push(&mut steps, PlanOp::Const { value }, columns())
             }
-            PlanOp::Unit => push(&mut phys, PhysOp::Unit, columns, true),
-            PlanOp::Empty { arity } => {
-                push(&mut phys, PhysOp::Empty { arity: *arity }, columns, true)
-            }
-            PlanOp::KeyedJoin {
-                source,
-                key_cols,
-                relation,
-                x_attrs,
-                y_attrs,
-                constraint_index,
-                residual,
-            } => {
-                let source = map[*source];
-                let lookup = PhysOp::KeyedLookup {
-                    source,
-                    key_cols: key_cols.clone(),
-                    relation: relation.clone(),
-                    x_attrs: x_attrs.clone(),
-                    positions: x_attrs.iter().chain(y_attrs).copied().collect(),
-                    constraint_index: *constraint_index,
-                    residual: residual.clone(),
-                };
-                // Distinct probe rows emit distinct concatenations (the fetched side is
-                // deduplicated per key).
-                let set_valued = phys[source].set_valued;
-                push(&mut phys, lookup, columns, set_valued)
-            }
-            PlanOp::Project { source, cols } => {
-                let source = map[*source];
-                // Injective on rows when every dropped column is constant or equal to a
-                // kept one (see the module docs).
-                let set_valued = phys[source].set_valued && determined_by(&phys, source, cols);
-                let cols = cols.clone();
-                let id = push(
-                    &mut phys,
-                    PhysOp::Project { source, cols },
-                    columns.clone(),
-                    set_valued,
-                );
-                if set_valued {
-                    id
-                } else {
-                    push(&mut phys, PhysOp::Dedup { source: id }, columns, true)
-                }
-            }
-            PlanOp::AppendConst { source, value } => {
-                let source = map[*source];
-                let value = value.clone();
-                if matches!(phys[source].op, PhysOp::Unit) {
-                    push(&mut phys, PhysOp::Const { value }, columns, true)
-                } else {
-                    let set_valued = phys[source].set_valued;
-                    let op = PhysOp::AppendConst { source, value };
-                    push(&mut phys, op, columns, set_valued)
-                }
-            }
-            PlanOp::Union { left, right } => {
-                let (l, r) = (map[*left], map[*right]);
-                // ∅ branches vanish (the logical union still dedups, so guard that).
-                let alias = if matches!(phys[l].op, PhysOp::Empty { .. }) {
-                    Some(r)
-                } else if matches!(phys[r].op, PhysOp::Empty { .. }) {
-                    Some(l)
-                } else {
-                    None
-                };
-                match alias {
-                    Some(a) if phys[a].set_valued => a,
-                    Some(a) => push(&mut phys, PhysOp::Dedup { source: a }, columns, true),
-                    None => {
-                        let op = PhysOp::Union { left: l, right: r };
-                        let u = push(&mut phys, op, columns.clone(), false);
-                        push(&mut phys, PhysOp::Dedup { source: u }, columns, true)
-                    }
-                }
+            PlanOp::Union { left, right } if empty(left) => right,
+            PlanOp::Union { left, right } if empty(right) => left,
+            PlanOp::Dedup { source } => dedup(&mut steps, source),
+            op => {
+                let id = push(&mut steps, op, columns());
+                dedup(&mut steps, id)
             }
         };
+        debug_assert!(set_valued(&steps, node), "T{node} is not a set");
         map.push(node);
     }
-
-    // Restore set semantics at the output and force the logical column labels.
-    let mut output = map[plan.output()];
-    if !phys[output].set_valued {
-        let columns = phys[output].columns.clone();
-        output = push(&mut phys, PhysOp::Dedup { source: output }, columns, true);
-    }
-    phys[output].columns = steps[plan.output()].columns.clone();
-
-    // Keep the steps the output reads (∅ branches and the unit under `{()} × {c}` are
-    // gone).
-    let kept = reachable(&phys, output);
-    let (phys, output) = keep_only(phys, &kept, output);
-    let plan = PhysicalPlan {
-        query_name: plan.query_name().to_owned(),
-        steps: phys,
-        output,
-    };
-    debug_assert!(plan.validate().is_ok(), "{plan}");
-    Ok(plan)
+    let output = map[plan.output()];
+    steps[output].columns = plan.steps()[plan.output()].columns.clone();
+    let lowered = prune(plan.query_name(), steps, output);
+    debug_assert!(lowered.validate().is_ok(), "{lowered}");
+    Ok(lowered)
 }
 
 /// [`lower_plan`]; `options` change nothing (see [`LowerOptions`]).
-pub fn lower_plan_with(plan: &QueryPlan, _options: &LowerOptions) -> Result<PhysicalPlan> {
+pub fn lower_plan_with(plan: &QueryPlan, _options: &LowerOptions) -> Result<QueryPlan> {
     lower_plan(plan)
 }
 
+impl QueryPlan {
+    /// True when no two rows of step `source` agree on its `key_cols`: the step is
+    /// set-valued and each of its other columns is constant or equal to a key column on
+    /// every row (see the [`physical`](self) module docs). A keyed join over such a source
+    /// never sees a key twice, so it has nothing to memoize.
+    pub fn keys_distinct(&self, source: NodeId, key_cols: &[usize]) -> bool {
+        set_valued(&self.steps, source) && determined_by(&self.steps, source, key_cols)
+    }
+}
+
 /// Append a step; its id.
-fn push(phys: &mut Vec<PhysStep>, op: PhysOp, columns: Vec<String>, set_valued: bool) -> PhysId {
-    phys.push(PhysStep {
-        op,
-        columns,
-        set_valued,
-    });
-    phys.len() - 1
+fn push(steps: &mut Vec<PlanStep>, op: PlanOp, columns: Vec<String>) -> NodeId {
+    steps.push(PlanStep { op, columns });
+    steps.len() - 1
+}
+
+/// `step`, or a δ over it where it is not set-valued: the step of the two that is a set.
+fn dedup(steps: &mut Vec<PlanStep>, step: NodeId) -> NodeId {
+    match set_valued(steps, step) {
+        true => step,
+        false => {
+            let columns = steps[step].columns.clone();
+            push(steps, PlanOp::Dedup { source: step }, columns)
+        }
+    }
+}
+
+/// True when the streaming executor never emits one row of `step` twice. A keyed join
+/// of distinct rows emits distinct concatenations (the fetched side is deduplicated per
+/// key), a π keeps a set where it is injective on its rows — every dropped column is
+/// constant or equal to a kept one (see the module docs) — and a ∪ streams both inputs.
+fn set_valued(steps: &[PlanStep], step: NodeId) -> bool {
+    match &steps[step].op {
+        PlanOp::Const { .. } | PlanOp::Unit | PlanOp::Empty { .. } | PlanOp::Dedup { .. } => true,
+        PlanOp::KeyedJoin { source, .. } | PlanOp::AppendConst { source, .. } => {
+            set_valued(steps, *source)
+        }
+        PlanOp::Project { source, cols } => {
+            set_valued(steps, *source) && determined_by(steps, *source, cols)
+        }
+        PlanOp::Union { .. } => false,
+    }
 }
 
 /// Where the values of one column of a step come from, as far as the plan alone tells.
@@ -488,43 +169,45 @@ enum Origin {
     Const,
     /// Column `.1` of step `.0`: columns of one step with the same origin are equal on
     /// every row.
-    Col(PhysId, usize),
+    Col(NodeId, usize),
 }
 
 /// The [`Origin`] of column `col` of `step`. Each output row of a step holds exactly one
 /// row of every step it reads through sources, so an origin passes through those; the
 /// column an append adds is constant, and a union's columns are fresh.
-fn origin(steps: &[PhysStep], step: PhysId, col: usize) -> Origin {
+fn origin(steps: &[PlanStep], step: NodeId, col: usize) -> Origin {
     let fresh = Origin::Col(step, col);
     match &steps[step].op {
-        PhysOp::Const { .. } => Origin::Const,
-        PhysOp::Project { source, cols } => origin(steps, *source, cols[col]),
-        PhysOp::Dedup { source } => origin(steps, *source, col),
-        PhysOp::KeyedLookup {
+        PlanOp::Const { .. } => Origin::Const,
+        PlanOp::Project { source, cols } => origin(steps, *source, cols[col]),
+        PlanOp::Dedup { source } => origin(steps, *source, col),
+        PlanOp::KeyedJoin {
             source,
             key_cols,
-            x_attrs,
             positions,
             ..
         } => match col.checked_sub(steps[*source].columns.len()) {
             None => origin(steps, *source, col),
             // A fetched key attribute equals its key column: the key tie.
-            Some(c) => match x_attrs.iter().position(|&a| a == positions[c]) {
+            Some(c) => match positions[..key_cols.len()]
+                .iter()
+                .position(|&a| a == positions[c])
+            {
                 Some(k) => origin(steps, *source, key_cols[k]),
                 None => fresh,
             },
         },
-        PhysOp::AppendConst { source, .. } if col < steps[*source].columns.len() => {
+        PlanOp::AppendConst { source, .. } if col < steps[*source].columns.len() => {
             origin(steps, *source, col)
         }
-        PhysOp::AppendConst { .. } => Origin::Const,
-        PhysOp::Unit | PhysOp::Empty { .. } | PhysOp::Union { .. } => fresh,
+        PlanOp::AppendConst { .. } => Origin::Const,
+        PlanOp::Unit | PlanOp::Empty { .. } | PlanOp::Union { .. } => fresh,
     }
 }
 
 /// True when every column of `step` is one of `kept`, constant, or has the origin of a
 /// kept column — so rows of `step` that agree on `kept` agree everywhere.
-fn determined_by(steps: &[PhysStep], step: PhysId, kept: &[usize]) -> bool {
+fn determined_by(steps: &[PlanStep], step: NodeId, kept: &[usize]) -> bool {
     (0..steps[step].columns.len()).all(|c| {
         kept.contains(&c)
             || match origin(steps, step, c) {
@@ -534,49 +217,38 @@ fn determined_by(steps: &[PhysStep], step: PhysId, kept: &[usize]) -> bool {
     })
 }
 
-/// Which steps `output` reads, itself included.
-fn reachable(steps: &[PhysStep], output: PhysId) -> Vec<bool> {
-    let mut reached = vec![false; steps.len()];
+/// The plan of the steps `output` reads, itself included, renumbered in order (so every
+/// step still reads earlier ones only).
+fn prune(query_name: &str, steps: Vec<PlanStep>, output: NodeId) -> QueryPlan {
+    let mut kept = vec![false; steps.len()];
     let mut stack = vec![output];
     while let Some(i) = stack.pop() {
-        if !std::mem::replace(&mut reached[i], true) {
+        if !std::mem::replace(&mut kept[i], true) {
             stack.extend(steps[i].op.inputs());
         }
     }
-    reached
-}
-
-/// The `kept` steps alone (closed under inputs), renumbered in order, so topological
-/// validity is preserved; and the new id of `output`.
-fn keep_only(steps: Vec<PhysStep>, kept: &[bool], output: PhysId) -> (Vec<PhysStep>, PhysId) {
-    let mut remap: Vec<Option<PhysId>> = vec![None; steps.len()];
+    let mut new: Vec<NodeId> = vec![0; steps.len()];
     let ids = (0..steps.len()).filter(|&old| kept[old]);
-    for (new, old) in ids.enumerate() {
-        remap[old] = Some(new);
+    for (id, old) in ids.enumerate() {
+        new[old] = id;
     }
-    let fix = |j: &mut PhysId| *j = remap[*j].expect("inputs are kept");
-    let steps = steps.into_iter().enumerate().filter(|&(old, _)| kept[old]);
-    let steps = steps.map(|(_, mut step)| {
-        match &mut step.op {
-            PhysOp::Const { .. } | PhysOp::Unit | PhysOp::Empty { .. } => {}
-            PhysOp::KeyedLookup { source, .. }
-            | PhysOp::Project { source, .. }
-            | PhysOp::Dedup { source }
-            | PhysOp::AppendConst { source, .. } => fix(source),
-            PhysOp::Union { left, right } => {
-                fix(left);
-                fix(right);
-            }
-        }
+    let steps = steps.into_iter().zip(kept).filter(|(_, kept)| *kept);
+    let steps = steps.map(|(mut step, _)| {
+        step.op.renumber(|j| new[j]);
         step
     });
-    (steps.collect(), remap[output].expect("the output is kept"))
+    QueryPlan {
+        query_name: query_name.to_owned(),
+        steps: steps.collect(),
+        output: new[output],
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{NodeId, PlanBuilder};
+    use crate::plan::{PlanBuilder, Predicate};
+    use crate::value::Value;
 
     /// `σ[k = a](keys × fetch(a ∈ keys, R, b))` over the keys `{1, 2}`.
     fn keyed_join_plan() -> QueryPlan {
@@ -604,15 +276,15 @@ mod tests {
         let plan = keyed_join_plan();
         let phys = lower_plan(&plan).unwrap();
         assert!(phys.validate().is_ok());
-        // No product is left: the whole join is one lookup.
+        // No product is left: the whole join is one step.
         assert!(phys
             .steps()
             .iter()
-            .all(|s| !matches!(s.op, PhysOp::AppendConst { .. })));
+            .all(|s| !matches!(s.op, PlanOp::AppendConst { .. })));
         let [lookup] = lookups(&phys)[..] else {
             panic!("one lookup: {phys}");
         };
-        let PhysOp::KeyedLookup {
+        let PlanOp::KeyedJoin {
             positions,
             residual,
             ..
@@ -620,11 +292,17 @@ mod tests {
         else {
             unreachable!();
         };
-        // The key tie is the lookup itself, so no residual predicate is left.
+        // The key tie is the join itself, so no residual predicate is added.
         assert!(residual.is_empty());
         assert_eq!(positions, &[0, 1]);
         let display = phys.to_string();
-        assert!(display.contains("lookup"));
+        assert!(display.contains("T3 = δ(T2) [k]"), "{display}");
+        assert!(
+            display.contains("fetch(X ∈ π[0](T3), R, X[0] ∪ Y[1])"),
+            "{display}"
+        );
+        // A δ over a set is elided: lowering returns a lowered plan unchanged.
+        assert_eq!(lower_plan(&phys).unwrap(), phys);
         assert!(display.contains("(output)"));
     }
 
@@ -661,14 +339,14 @@ mod tests {
 
     /// `plan` with every value read the way a run given `values` reads it
     /// ([`Value::bound`]) — what the executor sees, written out as a plan.
-    fn bind(plan: &PhysicalPlan, values: &[Value]) -> PhysicalPlan {
+    fn bind(plan: &QueryPlan, values: &[Value]) -> QueryPlan {
         let mut bound = plan.clone();
         for step in &mut bound.steps {
             match &mut step.op {
-                PhysOp::Const { value } | PhysOp::AppendConst { value, .. } => {
+                PlanOp::Const { value } | PlanOp::AppendConst { value, .. } => {
                     *value = value.bound(values).clone()
                 }
-                PhysOp::KeyedLookup { residual, .. } => {
+                PlanOp::KeyedJoin { residual, .. } => {
                     for predicate in residual {
                         if let Predicate::ColEqConst(_, value) = predicate {
                             *value = value.bound(values).clone();
@@ -682,14 +360,14 @@ mod tests {
     }
 
     /// The operators of `plan`, in step order.
-    fn ops(plan: &PhysicalPlan) -> Vec<&PhysOp> {
+    fn ops(plan: &QueryPlan) -> Vec<&PlanOp> {
         plan.steps().iter().map(|s| &s.op).collect()
     }
 
-    /// The ids of `plan`'s keyed lookups.
-    fn lookups(plan: &PhysicalPlan) -> Vec<PhysId> {
+    /// The ids of `plan`'s keyed joins.
+    fn lookups(plan: &QueryPlan) -> Vec<NodeId> {
         let steps = plan.steps().iter().enumerate();
-        let lookups = steps.filter(|(_, s)| matches!(s.op, PhysOp::KeyedLookup { .. }));
+        let lookups = steps.filter(|(_, s)| matches!(s.op, PlanOp::KeyedJoin { .. }));
         lookups.map(|(i, _)| i).collect()
     }
 
@@ -711,16 +389,15 @@ mod tests {
             vec![],
         );
         let phys = lower_plan(&b.finish("Q", out).unwrap()).unwrap();
-        let lookup = PhysOp::KeyedLookup {
+        let lookup = PlanOp::KeyedJoin {
             source: 0,
             key_cols: Vec::new(),
             relation: "R".into(),
-            x_attrs: Vec::new(),
             positions: vec![1],
             constraint_index: 0,
             residual: Vec::new(),
         };
-        assert_eq!(ops(&phys), [&PhysOp::Unit, &lookup]);
+        assert_eq!(ops(&phys), [&PlanOp::Unit, &lookup]);
         assert_eq!(phys.output(), 1);
     }
 
@@ -755,11 +432,11 @@ mod tests {
             };
             assert_eq!(
                 phys.steps()[phys.output()].op,
-                PhysOp::Dedup { source: lookup + 1 }
+                PlanOp::Dedup { source: lookup + 1 }
             );
-            assert!(!phys.steps()[lookup + 1].set_valued);
+            assert!(!set_valued(phys.steps(), lookup + 1));
             let ops = ops(&phys).into_iter();
-            let found = ops.filter(|op| matches!(op, PhysOp::Dedup { .. })).count();
+            let found = ops.filter(|op| matches!(op, PlanOp::Dedup { .. })).count();
             assert_eq!(found, dedups, "{phys}");
         }
         // A zero-column projection keeps one empty row per matching tuple; the δ makes
@@ -768,7 +445,7 @@ mod tests {
         assert!(phys.steps()[phys.output()].columns.is_empty());
         assert!(matches!(
             phys.steps()[phys.output()].op,
-            PhysOp::Dedup { .. }
+            PlanOp::Dedup { .. }
         ));
     }
 
@@ -782,7 +459,7 @@ mod tests {
         let phys = lower_plan(&plan).unwrap();
         // Everything collapses to the constant: one step, already set-valued.
         assert_eq!(phys.len(), 1);
-        assert!(matches!(phys.steps()[0].op, PhysOp::Const { .. }));
+        assert!(matches!(phys.steps()[0].op, PlanOp::Const { .. }));
         assert_eq!(phys.steps()[phys.output()].columns, vec!["x".to_owned()]);
     }
 
@@ -791,7 +468,7 @@ mod tests {
         let phys = lower_plan(plan).unwrap();
         let steps = phys.steps().iter();
         steps
-            .filter(|s| matches!(s.op, PhysOp::Dedup { .. }))
+            .filter(|s| matches!(s.op, PlanOp::Dedup { .. }))
             .count()
     }
 
@@ -847,7 +524,9 @@ mod tests {
         let y = b.constant(Value::int(1), "x");
         let u = b.union(x, y);
         let phys = lower_plan(&b.finish("Q", u).unwrap()).unwrap();
-        let union = phys.steps().iter().position(|s| !s.set_valued).unwrap();
+        let union = (0..phys.len())
+            .find(|&s| !set_valued(phys.steps(), s))
+            .unwrap();
         assert!(!phys.keys_distinct(union, &[0]));
         assert!(phys.keys_distinct(phys.output(), &[0]));
     }
@@ -910,15 +589,15 @@ mod tests {
             lower_plan(&b.finish("Q", out).unwrap()).unwrap()
         };
         let unit = lowered(&|b| b.unit());
-        assert_eq!(ops(&unit), [&PhysOp::Unit]);
+        assert_eq!(ops(&unit), [&PlanOp::Unit]);
         assert_eq!(unit.query_name(), "Q");
         let empty = lowered(&|b| b.empty(2));
-        assert_eq!(ops(&empty), [&PhysOp::Empty { arity: 2 }]);
+        assert_eq!(ops(&empty), [&PlanOp::Empty { arity: 2 }]);
         let seed = lowered(&|b| {
             let u = b.unit();
             b.append_const(u, Value::int(1), "x")
         });
-        let constant = PhysOp::Const {
+        let constant = PlanOp::Const {
             value: Value::int(1),
         };
         assert_eq!(ops(&seed), [&constant]);
@@ -927,13 +606,13 @@ mod tests {
             let x = b.constant(Value::int(1), "x");
             b.append_const(x, Value::int(2), "y")
         });
-        let append = PhysOp::AppendConst {
+        let append = PlanOp::AppendConst {
             source: 0,
             value: Value::int(2),
         };
         assert_eq!(ops(&pair), [&constant, &append]);
         assert_eq!(pair.steps()[1].columns, ["x", "y"]);
-        assert!(pair.steps()[1].set_valued);
-        assert!(pair.to_string().contains("P1 = P0 × {2} (output) [x, y]"));
+        assert!(set_valued(pair.steps(), 1));
+        assert!(pair.to_string().contains("T1 = T0 × {2} (output) [x, y]"));
     }
 }

@@ -8,21 +8,21 @@
 //! between them") by simple arithmetic on tickets, with no runtime measurement and no
 //! trust in the client.
 //!
-//! A ticket is derived once per submission from the logical plan (the fetch bound, via
-//! [`super::QueryPlan::cost`], which prices each keyed join at |T| · N) and its lowering (the **allocation surface**). The
-//! allocation surface is [`step_surface`] — every keyed lookup (the one physical step
-//! that fetches) demands one buffer per fetched position plus the key row and the
-//! selection vector — summed over the plan's steps. Lowering does not depend on the
-//! store, so neither does the ticket.
+//! A ticket is derived once per submission from the plan (the fetch bound, via
+//! [`super::QueryPlan::cost`], which prices each keyed join at |T| · N, and a δ at its
+//! source's bound, so the plan and its lowering price alike) and its lowering (the
+//! **allocation surface**). The allocation surface is `step_surface` — every keyed join (the one step that fetches)
+//! demands one buffer per fetched position plus the key row and the selection vector —
+//! summed over the lowered plan's steps. Lowering does not depend on the store, so
+//! neither does the ticket.
 
-use super::physical::{PhysOp, PhysicalPlan};
-use super::{AccessSchema, QueryPlan};
+use super::{AccessSchema, PlanOp, QueryPlan};
 
-/// Per-fetch-step buffer demand: one buffer per fetched position, plus the key row
-/// and the selection vector; zero for every other step.
-pub fn step_surface(op: &PhysOp) -> u64 {
+/// Per-fetch-step buffer demand: one buffer per fetched position (`|X| + |Y|`), plus
+/// the key row and the selection vector; zero for every other step.
+fn step_surface(op: &PlanOp) -> u64 {
     match op {
-        PhysOp::KeyedLookup { positions, .. } => positions.len() as u64 + 2,
+        PlanOp::KeyedJoin { positions, .. } => positions.len() as u64 + 2,
         _ => 0,
     }
 }
@@ -38,25 +38,25 @@ pub struct CostTicket {
     pub fetch_bound: u64,
     /// Worst-case rows in the query's answer.
     pub max_output_rows: u64,
-    /// Fetch operations in the logical plan.
+    /// Fetch operations in the plan.
     pub fetch_ops: usize,
     /// Always 1: a lowered plan is one operator tree. Kept only because the benchmark
     /// harness (`benchmark/`) still reads it.
     pub pipelines: usize,
-    /// Total per-probe buffer demand: [`step_surface`] summed over the lowered
-    /// plan's steps.
+    /// Total per-probe buffer demand: `step_surface` summed over the lowered plan's
+    /// steps.
     pub alloc_surface: u64,
 }
 
 impl CostTicket {
-    /// Price `plan` (lowered to `physical`) under `schema` for a database of
-    /// `db_size` tuples. The fetch bound comes from the logical cost model, the
-    /// allocation surface from the lowering.
+    /// Price `plan` (lowered to `lowered`) under `schema` for a database of `db_size`
+    /// tuples. The fetch bound comes from the cost model, the allocation surface from
+    /// the lowering.
     pub fn derive(
         plan: &QueryPlan,
         schema: &AccessSchema,
         db_size: u64,
-        physical: &PhysicalPlan,
+        lowered: &QueryPlan,
     ) -> Self {
         let cost = plan.cost(schema, db_size);
         CostTicket {
@@ -65,7 +65,7 @@ impl CostTicket {
             max_output_rows: cost.max_output_rows,
             fetch_ops: cost.fetch_ops,
             pipelines: 1,
-            alloc_surface: physical.steps().iter().map(|s| step_surface(&s.op)).sum(),
+            alloc_surface: lowered.steps().iter().map(|s| step_surface(&s.op)).sum(),
         }
     }
 }
@@ -123,8 +123,8 @@ mod tests {
     fn ticket_matches_the_cost_model_and_the_dag() {
         let (_, schema) = setup();
         let plan = union_of_lookups(&[1, 2, 3]);
-        let physical = lower_plan(&plan).unwrap();
-        let ticket = CostTicket::derive(&plan, &schema, 1_000, &physical);
+        let lowered = lower_plan(&plan).unwrap();
+        let ticket = CostTicket::derive(&plan, &schema, 1_000, &lowered);
 
         let cost = plan.cost(&schema, 1_000);
         assert_eq!(ticket.query_name, "Q");
@@ -133,7 +133,7 @@ mod tests {
         assert_eq!(ticket.max_output_rows, cost.max_output_rows);
         assert_eq!(ticket.fetch_ops, 3);
 
-        // Three keyed lookups over 2 positions each demand 4 buffers.
+        // Three keyed joins over 2 positions each demand 4 buffers.
         assert_eq!(ticket.pipelines, 1);
         assert_eq!(ticket.alloc_surface, 12);
     }
@@ -146,8 +146,8 @@ mod tests {
         let two = b.constant(Value::int(2), "x");
         let u = b.union(one, two);
         let plan = b.finish("C", u).unwrap();
-        let physical = lower_plan(&plan).unwrap();
-        let ticket = CostTicket::derive(&plan, &schema, 10, &physical);
+        let lowered = lower_plan(&plan).unwrap();
+        let ticket = CostTicket::derive(&plan, &schema, 10, &lowered);
         assert_eq!(ticket.fetch_bound, 0);
         assert_eq!(ticket.alloc_surface, 0);
         assert_eq!(ticket.fetch_ops, 0);
@@ -157,8 +157,8 @@ mod tests {
     fn ticket_display_names_the_budgeted_quantities() {
         let (_, schema) = setup();
         let plan = union_of_lookups(&[1]);
-        let physical = lower_plan(&plan).unwrap();
-        let ticket = CostTicket::derive(&plan, &schema, 100, &physical);
+        let lowered = lower_plan(&plan).unwrap();
+        let ticket = CostTicket::derive(&plan, &schema, 100, &lowered);
         let line = ticket.to_string();
         assert!(line.contains("fetch_bound=10"));
         assert!(line.contains("alloc_surface="));

@@ -4,29 +4,30 @@
 //! index of its backing access constraint; nothing in this executor ever scans a
 //! relation, so the amount of data read is exactly what the plan's cost model bounds.
 //!
-//! [`execute_plan`] lowers the plan to a [`bea_core::plan::PhysicalPlan`] and
-//! [`execute_physical_on`] runs it through the batch pipeline in [`crate::ops`]:
-//! intermediate results flow through one tree of operators in bounded batches, and
-//! only the output is materialized, so peak memory residency tracks the access-schema
-//! bounds. Both run the query on the calling thread. Lowering refuses only a plan
-//! [`QueryPlan::validate`] refuses (a step read twice, a column out of range); a fetch
-//! the store cannot serve (an unknown constraint, another relation than its
-//! constraint's) is refused before the run.
+//! [`execute_plan`] lowers the plan ([`lower_plan`], which adds the δs set semantics
+//! needs) and [`execute_physical_on`] runs a lowered plan through the batch pipeline in
+//! [`crate::ops`]: intermediate results flow through one tree of operators in bounded
+//! batches, and only the output is materialized, so peak memory residency tracks the
+//! access-schema bounds. Both run the query on the calling thread. Lowering refuses only
+//! a plan [`QueryPlan::validate`] refuses (a step read twice, a column out of range); a
+//! fetch the store cannot serve (an unknown constraint, another relation than its
+//! constraint's) is refused before the run, by the one check both executors share.
 //!
 //! [`execute_plan_materialized`] is the **reference**: the literal step loop, one
-//! [`Table`] per plan step, all of them alive until the end. A keyed join runs as the
-//! paper writes it — the fetch of the source's distinct keys, the full product of the
-//! source and the fetched table, then σ — and `T × {c}` as a product too; no code is
-//! shared with lowering. It takes no options and serves no query; the property
-//! suites and `bea-bench`'s scenario tests compare the pipeline against it — both
-//! perform the same index lookups and fetch the same tuples; see
-//! [`AccessStats::same_data_access`].
+//! [`Table`] per plan step, all of them alive until the end, every one a set. A keyed
+//! join runs as the paper writes it — the fetch of the source's distinct keys, the full
+//! product of the source and the fetched table, then σ — and `T × {c}` as a product
+//! too; a δ, which only a lowered plan holds, dedups its source again. No code is shared
+//! with lowering. It takes no options and serves no query; the property suites and
+//! `bea-bench`'s scenario tests compare the pipeline against it — both perform the same
+//! index lookups and fetch the same tuples; see [`AccessStats::same_data_access`] — and
+//! hold a plan and its lowering to the same answer under it.
 
 use crate::ops;
 use crate::stats::AccessStats;
 use crate::table::Table;
 use bea_core::error::{Error, Result};
-use bea_core::plan::{lower_plan, PhysicalPlan, PlanOp, Predicate, QueryPlan};
+use bea_core::plan::{lower_plan, PlanOp, Predicate, QueryPlan};
 use bea_core::value::Row;
 use bea_storage::Store;
 use std::collections::BTreeSet;
@@ -51,10 +52,10 @@ impl ExecOptions {
     }
 }
 
-/// Execute an already-lowered physical plan against a store (the options change
+/// Execute a plan [`lower_plan`] returned against a store (the options change
 /// nothing).
 pub fn execute_physical_on(
-    plan: &PhysicalPlan,
+    plan: &QueryPlan,
     store: Store<'_>,
     _options: &ExecOptions,
 ) -> Result<(Table, AccessStats)> {
@@ -62,7 +63,7 @@ pub fn execute_physical_on(
 }
 
 /// Execute a plan against a store: lower it ([`lower_plan`], which never looks at the
-/// store) and run the physical plan.
+/// store) and run the lowered plan.
 pub fn execute_plan(plan: &QueryPlan, store: Store<'_>) -> Result<(Table, AccessStats)> {
     ops::execute(&lower_plan(plan)?, store)
 }
@@ -78,8 +79,7 @@ pub fn execute_plan_materialized(
     plan: &QueryPlan,
     store: Store<'_>,
 ) -> Result<(Table, AccessStats)> {
-    plan.validate()?;
-    validate_fetches_for(plan, store)?;
+    ops::validate_for(plan, store)?;
     let mut stats = AccessStats::default();
     let mut resident: u64 = 0;
     let mut results: Vec<Table> = Vec::with_capacity(plan.len());
@@ -95,8 +95,7 @@ pub fn execute_plan_materialized(
                 source,
                 key_cols,
                 relation,
-                x_attrs,
-                y_attrs,
+                positions,
                 constraint_index,
                 residual,
             } => {
@@ -111,7 +110,6 @@ pub fn execute_plan_materialized(
                 // Every candidate key projection is cloned before the set dedups.
                 stats.values_cloned += (src.len() * key_cols.len()) as u64;
                 let mut fetched = Table::new(step.columns[src.arity()..].to_vec());
-                let positions: Vec<usize> = x_attrs.iter().chain(y_attrs.iter()).copied().collect();
                 for key in keys {
                     stats.index_lookups += 1;
                     let (tuples, _) = store.fetch_iter(*constraint_index, &key)?;
@@ -185,6 +183,13 @@ pub fn execute_plan_materialized(
                 dedup_counted(&mut out, &mut stats);
                 out
             }
+            PlanOp::Dedup { source } => {
+                let src = &results[*source];
+                let mut out = Table::with_rows(step.columns.clone(), src.rows().to_vec());
+                stats.values_cloned += (out.len() * out.arity()) as u64;
+                dedup_counted(&mut out, &mut stats);
+                out
+            }
         };
         // Every step's table stays alive until the end of the loop, so residency only
         // ever grows: the high-water mark is the sum of all intermediate sizes.
@@ -208,36 +213,6 @@ pub fn execute_plan_materialized(
 fn dedup_counted(table: &mut Table, stats: &mut AccessStats) {
     stats.values_cloned += (table.len() * table.arity()) as u64;
     table.dedup();
-}
-
-/// Validate every fetch of a logical plan against the store it is about to run on,
-/// through the same [`ops::validate_fetch_shape`] check the physical executor applies
-/// at its entry. [`QueryPlan::validate`] covers step wiring and predicate column
-/// bounds; together they make malformed plans fail *before* execution instead of
-/// panicking mid-loop on an out-of-range index.
-fn validate_fetches_for(plan: &QueryPlan, store: Store<'_>) -> Result<()> {
-    for (i, step) in plan.steps().iter().enumerate() {
-        let PlanOp::KeyedJoin {
-            relation,
-            key_cols,
-            x_attrs,
-            y_attrs,
-            constraint_index,
-            ..
-        } = &step.op
-        else {
-            continue;
-        };
-        ops::validate_fetch_shape(
-            store,
-            format_args!("plan step {i}"),
-            relation,
-            key_cols,
-            x_attrs.iter().chain(y_attrs.iter()),
-            *constraint_index,
-        )?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -13,9 +13,9 @@
 //!   (MySQL in the paper's Example 1.1). Its cost grows with `|D|`.
 //!
 //! The bounded executor is the **streaming batch pipeline** ([`ops`]): plans are
-//! lowered to physical plans and run with bounded memory residency on the calling
-//! thread, through two entry points — [`execute_plan`] and [`execute_physical_on`]
-//! (an already-lowered plan). Beside it stands a reference it is tested
+//! lowered ([`bea_core::plan::lower_plan`] adds the δs set semantics needs) and run
+//! with bounded memory residency on the calling thread, through two entry points —
+//! [`execute_plan`] and [`execute_physical_on`] (an already-lowered plan). Beside it stands a reference it is tested
 //! against, not a second way to serve a query: [`execute_plan_materialized`], the
 //! literal step loop that keeps one table per plan step and materializes every
 //! product in full, sharing no code with lowering.
@@ -89,8 +89,9 @@
 //!
 //! A query runs start to finish on the thread that asks for it — the caller of
 //! [`execute_plan`], or of [`session::Session::run`] and its siblings. Every step of a
-//! logical plan has one reader (`QueryPlan::validate` refuses any other plan), and
-//! lowering maps each onto one operator, so a plan is one tree of streaming operators:
+//! plan has one reader (`QueryPlan::validate` refuses any other plan), lowering keeps
+//! that, and the engine builds one operator per step of the lowered plan, so a plan is
+//! one tree of streaming operators:
 //! it is drained into the output table, the one
 //! result it materializes. Nothing of a query crosses threads; its residency ledger makes
 //! `peak_rows_resident` the number of rows it held at once, and every counter is a

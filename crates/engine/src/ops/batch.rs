@@ -24,7 +24,7 @@
 //! the copy traffic of a plan is asserted, not eyeballed.
 //!
 //! The batch length is tracked explicitly (`stored`), so zero-column batches — unit
-//! rows, as produced by `PhysOp::Unit` — still have a well-defined row count.
+//! rows, as produced by `PlanOp::Unit` — still have a well-defined row count.
 //!
 //! Beside the batch lives [`RowTable`], the one structure operators *remember* rows in
 //! (δ's seen set, the keys a keyed lookup has seen). Both hash rows with

@@ -1,10 +1,9 @@
-//! The index operator: [`KeyedLookupOp`], through which every fetch of a physical plan
-//! reads the store.
+//! The index operator: [`KeyedLookupOp`], through which every fetch of a plan reads the
+//! store.
 //!
-//! Lowering leaves a plan one index operator. Plan synthesis wraps each fetch as
-//! `σ[key equalities](T × fetch(X ∈ T, R, Y))`, which is a keyed lookup over `T`; any
-//! other fetch becomes a keyed lookup over its distinct keys `δπ[keys](T)` whose
-//! emission keeps only the fetched columns (see `bea_core::plan::physical`). The
+//! Plan synthesis writes each fetch as the keyed join
+//! `σ[key equalities](T × fetch(X ∈ T, R, Y))`, and the engine runs each keyed join of a
+//! lowered plan as one keyed lookup over `T` (see `bea_core::plan::physical`). The
 //! operator reaches the index through one call, the store's batched
 //! [`bea_storage::IndexedDatabase::resolve`]: it names the keys' values where it holds
 //! them, and the store finds them and appends their tuple offsets to one flat list.
@@ -20,7 +19,7 @@
 //! compacted in place. A key whose fetched positions are all in `X` keeps its first
 //! tuple: every tuple projects to the key's row. Distinct keys cannot produce equal
 //! projections as long as the key attributes survive in the positions (lowering adds a
-//! global dedup when a pushed-down projection dropped them), so per-key dedup suffices.
+//! δ after a projection that drops them), so per-key dedup suffices.
 //!
 //! A key read at `X` of one of the relation's own tuples names that tuple alone where
 //! the store proves the tuples distinct on `X` (a unique index whose key `X` covers;
@@ -40,10 +39,8 @@
 //!
 //! The memo, which serves a repeated key from its settled offsets, exists only where
 //! keys can repeat: when the plan proves that the source never repeats a key
-//! ([`PhysicalPlan::keys_distinct`]), every probe is a first probe and nothing is
+//! ([`QueryPlan::keys_distinct`]), every probe is a first probe and nothing is
 //! remembered.
-//!
-//! [`PhysicalPlan::keys_distinct`]: bea_core::plan::PhysicalPlan::keys_distinct
 //!
 //! # One pass per source batch
 //!
@@ -97,7 +94,7 @@ use super::batch::{retain_pairs, Batch, Column, RowTable, Tuples};
 use super::{BoxOp, Operator, SharedState, BATCH_SIZE};
 use crate::stats::AccessStats;
 use bea_core::error::Result;
-use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
+use bea_core::plan::{PlanOp, Predicate, QueryPlan};
 use bea_core::value::hash_row;
 use bea_storage::index::GROUP;
 use bea_storage::Store;
@@ -150,7 +147,7 @@ impl RowSet {
     }
 }
 
-/// The fields of a [`PhysOp::KeyedLookup`] step that validation and the index operator
+/// The fields of a [`PlanOp::KeyedJoin`] step that validation and the index operator
 /// read, borrowed from the plan.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FetchStep<'a> {
@@ -172,13 +169,12 @@ pub(crate) struct FetchStep<'a> {
 
 impl<'a> FetchStep<'a> {
     /// The fields of `plan`'s step `step`, if it fetches.
-    pub(crate) fn of(plan: &'a PhysicalPlan, step: usize) -> Option<Self> {
+    pub(crate) fn of(plan: &'a QueryPlan, step: usize) -> Option<Self> {
         match &plan.steps()[step].op {
-            PhysOp::KeyedLookup {
+            PlanOp::KeyedJoin {
                 source,
                 relation,
                 key_cols,
-                x_attrs,
                 positions,
                 constraint_index,
                 ..
@@ -187,7 +183,7 @@ impl<'a> FetchStep<'a> {
                 relation,
                 key_cols,
                 source_arity: plan.steps()[*source].columns.len(),
-                x_attrs,
+                x_attrs: &positions[..key_cols.len()],
                 positions,
                 constraint_index: *constraint_index,
             }),
@@ -360,7 +356,7 @@ impl<'db> KeyedLookupOp<'db> {
     }
 
     /// Drop the arena's memo when `distinct`: the plan proves the source never repeats
-    /// a key (`PhysicalPlan::keys_distinct`), so every probe is a first probe and a
+    /// a key (`QueryPlan::keys_distinct`), so every probe is a first probe and a
     /// memo would only cost a slot walk per row and a key clone per key.
     pub(crate) fn distinct_keys(mut self, distinct: bool) -> Self {
         self.memo = !distinct;

@@ -1,7 +1,7 @@
-//! The streaming batch pipeline executing physical plans.
+//! The streaming batch pipeline executing lowered plans.
 //!
-//! [`crate::exec::execute_physical_on`] runs a [`PhysicalPlan`] (lowered by
-//! `bea_core::plan::physical::lower_plan`) against a [`Store`] as one tree of pull-based
+//! [`crate::exec::execute_physical_on`] runs a [`QueryPlan`] lowered by
+//! [`bea_core::plan::lower_plan`] against a [`Store`] as one tree of pull-based
 //! operators, each implementing `Operator::next_batch`. Rows move through the tree in
 //! bounded **columnar** batches (`batch::Batch`), whose columns hold values or point
 //! into the store (tuple offsets): project is column-permutation metadata, a keyed
@@ -45,7 +45,7 @@ use crate::stats::{AccessStats, FetchTally};
 use crate::table::Table;
 use batch::Batch;
 use bea_core::error::{Error, Result};
-use bea_core::plan::{PhysOp, PhysicalPlan, Predicate};
+use bea_core::plan::{PlanOp, Predicate, QueryPlan};
 use bea_core::value::Value;
 use bea_storage::Store;
 use std::borrow::Cow;
@@ -243,87 +243,57 @@ pub(crate) trait Operator<'db> {
 /// Boxed operator borrowing the database for `'db`.
 pub(crate) type BoxOp<'db> = Box<dyn Operator<'db> + 'db>;
 
-/// Validate one fetch-shaped step (`step` names it, e.g. "physical step 3", and is
-/// formatted only into an error message) against the database it is about to probe:
-/// the backing constraint must exist in the access schema, be on the step's relation
-/// (the store fetches through the constraint's index, so from the constraint's
-/// relation) and agree with the key arity, and `attrs` may only name attribute
-/// positions the relation has. Shared by the
-/// streaming executor (keyed-lookup steps) and the materialized reference (logical
-/// fetch steps) so the two can never drift on what counts as a malformed plan.
-pub(crate) fn validate_fetch_shape<'a>(
-    store: Store<'_>,
-    step: impl std::fmt::Display,
-    relation: &str,
-    key_cols: &[usize],
-    attrs: impl Iterator<Item = &'a usize>,
-    constraint_index: usize,
-) -> Result<()> {
-    let constraint =
-        store
-            .schema()
-            .constraint(constraint_index)
-            .ok_or_else(|| Error::MissingConstraint {
+/// Validate a plan against the store it is about to run on, so a malformed plan fails
+/// *before* execution starts instead of panicking mid-run: [`QueryPlan::validate`]
+/// checks step wiring, arities and predicate column bounds, and every keyed join's
+/// backing constraint must exist in the access schema, be on the step's relation (the
+/// store fetches through the constraint's index, so from the constraint's relation) and
+/// agree with the key arity, and its positions may only name attributes the relation
+/// has. The one check of both executors, the streaming one and the materialized
+/// reference, so the two can never drift on what counts as a malformed plan.
+pub(crate) fn validate_for(plan: &QueryPlan, store: Store<'_>) -> Result<()> {
+    plan.validate()?;
+    for fetch in (0..plan.len()).filter_map(|step| fetch::FetchStep::of(plan, step)) {
+        let (step, relation, constraint_index) =
+            (fetch.step, fetch.relation, fetch.constraint_index);
+        let constraint = store.schema().constraint(constraint_index).ok_or_else(|| {
+            Error::MissingConstraint {
                 reason: format!(
-                    "{step} fetches via constraint {constraint_index}, which the access schema \
-                     does not contain"
+                    "step T{step} fetches via constraint {constraint_index}, which the \
+                     access schema does not contain"
                 ),
-            })?;
-    if constraint.relation() != relation {
-        return Err(Error::InvalidPlan {
-            reason: format!(
-                "{step} fetches from {relation} via constraint {constraint_index}, which is \
-                 on {}",
+            }
+        })?;
+        let invalid = |reason: String| Err(Error::InvalidPlan { reason });
+        if constraint.relation() != relation {
+            return invalid(format!(
+                "step T{step} fetches from {relation} via constraint {constraint_index}, \
+                 which is on {}",
                 constraint.relation()
-            ),
-        });
-    }
-    if key_cols.len() != constraint.x().len() {
-        return Err(Error::InvalidPlan {
-            reason: format!(
-                "{step} probes constraint {constraint_index} with {} key columns; the \
-                 constraint's key has {}",
-                key_cols.len(),
+            ));
+        }
+        if fetch.key_cols.len() != constraint.x().len() {
+            return invalid(format!(
+                "step T{step} probes constraint {constraint_index} with {} key columns; \
+                 the constraint's key has {}",
+                fetch.key_cols.len(),
                 constraint.x().len()
-            ),
-        });
-    }
-    let arity = store.database().catalog().relation(relation)?.arity();
-    for &position in attrs {
-        if position >= arity {
-            return Err(Error::InvalidPlan {
-                reason: format!(
-                    "{step} projects attribute positions out of range for {relation} \
-                     (arity {arity})"
-                ),
-            });
+            ));
+        }
+        let arity = store.database().catalog().relation(relation)?.arity();
+        if fetch.positions.iter().any(|&position| position >= arity) {
+            return invalid(format!(
+                "step T{step} projects attribute positions out of range for {relation} \
+                 (arity {arity})"
+            ));
         }
     }
     Ok(())
 }
 
-/// Validate a physical plan against the store it is about to run on, so malformed
-/// plans fail *before* execution starts instead of panicking mid-pipeline:
-/// [`PhysicalPlan::validate`] checks step wiring, arities and predicate column bounds;
-/// [`validate_fetch_shape`] checks every fetch against the schema and catalog.
-pub(crate) fn validate_for(plan: &PhysicalPlan, store: Store<'_>) -> Result<()> {
-    plan.validate()?;
-    for fetch in (0..plan.len()).filter_map(|step| fetch::FetchStep::of(plan, step)) {
-        validate_fetch_shape(
-            store,
-            format_args!("physical step {}", fetch.step),
-            fetch.relation,
-            fetch.key_cols,
-            fetch.x_attrs.iter().chain(fetch.positions),
-            fetch.constraint_index,
-        )?;
-    }
-    Ok(())
-}
-
-/// Execute a physical plan on the calling thread, returning the output table and the
+/// Execute a lowered plan on the calling thread, returning the output table and the
 /// access/residency statistics.
-pub(crate) fn execute(plan: &PhysicalPlan, store: Store<'_>) -> Result<(Table, AccessStats)> {
+pub(crate) fn execute(plan: &QueryPlan, store: Store<'_>) -> Result<(Table, AccessStats)> {
     let (table, stats, _ledger) = execute_inner(plan, store)?;
     Ok((table, stats))
 }
@@ -331,7 +301,7 @@ pub(crate) fn execute(plan: &PhysicalPlan, store: Store<'_>) -> Result<(Table, A
 /// [`execute`], additionally returning the residency ledger so tests can assert that
 /// accounting drained back to zero.
 pub(crate) fn execute_inner(
-    plan: &PhysicalPlan,
+    plan: &QueryPlan,
     store: Store<'_>,
 ) -> Result<(Table, AccessStats, Rc<ResidencyLedger>)> {
     validate_for(plan, store)?;
@@ -346,7 +316,7 @@ pub(crate) fn execute_inner(
 /// without being copied.
 #[derive(Clone, Copy)]
 pub(crate) struct RunCtx<'a> {
-    pub(crate) plan: &'a PhysicalPlan,
+    pub(crate) plan: &'a QueryPlan,
     pub(crate) constants: &'a [Value],
     pub(crate) store: Store<'a>,
     pub(crate) state: &'a SharedState,
@@ -380,14 +350,14 @@ pub(crate) fn build_op<'a>(ctx: RunCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
     let input = |j: usize| build_op(ctx, j);
     // A keyed lookup keeps a memo only where its source can repeat a key.
     let lookup = |step: usize, out_cols: Option<&'a [usize]>| -> Result<BoxOp<'a>> {
-        let PhysOp::KeyedLookup {
+        let PlanOp::KeyedJoin {
             source,
             key_cols,
             residual,
             ..
         } = &plan.steps()[step].op
         else {
-            unreachable!("a lookup is built from a keyed-lookup step");
+            unreachable!("a lookup is built from a keyed-join step");
         };
         let op = fetch::KeyedLookupOp::new(
             input(*source)?,
@@ -401,13 +371,13 @@ pub(crate) fn build_op<'a>(ctx: RunCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
         Ok(Box::new(op))
     };
     let op: BoxOp<'a> = match &plan.steps()[node].op {
-        PhysOp::Const { value } => Box::new(source::SingletonOp::new(vec![value
+        PlanOp::Const { value } => Box::new(source::SingletonOp::new(vec![value
             .bound(constants)
             .clone()])),
-        PhysOp::Unit => Box::new(source::SingletonOp::new(Vec::new())),
-        PhysOp::Empty { .. } => Box::new(source::EmptyOp),
-        PhysOp::KeyedLookup { .. } => lookup(node, None)?,
-        PhysOp::Project { source, cols } => {
+        PlanOp::Unit => Box::new(source::SingletonOp::new(Vec::new())),
+        PlanOp::Empty { .. } => Box::new(source::EmptyOp),
+        PlanOp::KeyedJoin { .. } => lookup(node, None)?,
+        PlanOp::Project { source, cols } => {
             // Fusion: a projection whose input is a keyed lookup (its one reader)
             // becomes the lookup's emission column set, so columns the projection would
             // drop are never built at all.
@@ -419,22 +389,22 @@ pub(crate) fn build_op<'a>(ctx: RunCtx<'a>, node: usize) -> Result<BoxOp<'a>> {
             // so). If the fused pattern is broken by a future
             // lowering change, execution falls back to the explicit ProjectOp —
             // slower, never wrong.
-            if matches!(plan.steps()[*source].op, PhysOp::KeyedLookup { .. }) {
+            if matches!(plan.steps()[*source].op, PlanOp::KeyedJoin { .. }) {
                 return lookup(*source, Some(cols));
             }
             Box::new(relational::ProjectOp::new(input(*source)?, cols))
         }
-        PhysOp::Dedup { source } => Box::new(relational::DedupOp::new(
+        PlanOp::Dedup { source } => Box::new(relational::DedupOp::new(
             input(*source)?,
             plan.steps()[node].columns.len(),
             state.clone(),
         )),
-        PhysOp::AppendConst { source, value } => Box::new(relational::AppendConstOp::new(
+        PlanOp::AppendConst { source, value } => Box::new(relational::AppendConstOp::new(
             input(*source)?,
             value.bound(constants).clone(),
             state.clone(),
         )),
-        PhysOp::Union { left, right } => {
+        PlanOp::Union { left, right } => {
             Box::new(relational::UnionOp::new(input(*left)?, input(*right)?))
         }
     };
@@ -526,7 +496,7 @@ pub(crate) mod tests {
             assert!(phys
                 .steps()
                 .iter()
-                .any(|s| matches!(s.op, PhysOp::AppendConst { .. })));
+                .any(|s| matches!(s.op, PlanOp::AppendConst { .. })));
             let (table, stats, ledger) = execute_inner(&phys, &idb).unwrap();
             assert_eq!(table.rows(), rows);
             assert_eq!(stats.tuples_fetched, rows.len() as u64);
@@ -727,10 +697,10 @@ pub(crate) mod tests {
         assert!(dedup
             .steps()
             .iter()
-            .any(|step| matches!(step.op, PhysOp::Dedup { .. })));
+            .any(|step| matches!(step.op, PlanOp::Dedup { .. })));
 
         // On this thread, one query each: the large δ, then a point lookup.
-        let run = |plan: &PhysicalPlan, store| {
+        let run = |plan: &QueryPlan, store| {
             let (table, _, ledger) = execute_inner(plan, store).unwrap();
             assert_eq!(ledger.resident(), 0, "the ledger drains whatever is pooled");
             let state = PARKED

@@ -20,7 +20,7 @@ use super::{build_op, BoxOp, ExecState, ResidencyLedger, RunCtx, SharedState};
 use crate::stats::AccessStats;
 use crate::table::Table;
 use bea_core::error::Result;
-use bea_core::plan::PhysicalPlan;
+use bea_core::plan::QueryPlan;
 use bea_core::value::{Row, Value};
 use bea_storage::Store;
 use std::borrow::Cow;
@@ -31,8 +31,8 @@ use std::sync::Arc;
 /// session keeps one per prepared template, a solo run borrows its caller's plan.
 #[derive(Debug)]
 pub(crate) struct Prepared<'p> {
-    pub(crate) plan: Cow<'p, PhysicalPlan>,
-    /// [`PhysicalPlan::placeholders`].
+    pub(crate) plan: Cow<'p, QueryPlan>,
+    /// [`QueryPlan::placeholders`].
     pub(crate) placeholders: usize,
     /// The output step's column labels, shared by every result table.
     labels: Arc<[String]>,
@@ -40,7 +40,7 @@ pub(crate) struct Prepared<'p> {
 
 impl<'p> Prepared<'p> {
     /// `plan` (validated by the caller) with what its runs share.
-    pub(crate) fn new(plan: Cow<'p, PhysicalPlan>) -> Self {
+    pub(crate) fn new(plan: Cow<'p, QueryPlan>) -> Self {
         Prepared {
             placeholders: plan.placeholders(),
             labels: plan.steps()[plan.output()].columns.as_slice().into(),

@@ -14,7 +14,7 @@
 //!   are per query, and a panicking operator unwinds through its own caller only
 //!   ([`Session::submit`] keeps the payload for [`QueryHandle::wait`] to re-raise).
 //! * **One way in** — a submission is two halves. [`Session::prepare`] is the
-//!   value-free one: lower the logical plan, validate it against the store, derive
+//!   value-free one: lower the plan, validate the lowered plan against the store, derive
 //!   its [`CostTicket`]. None of that reads a constant's value and the store is
 //!   immutable, so a [`PreparedPlan`] made from a template —
 //!   [`bea_core::value::Value::placeholder`]s where the constants go — is good for
@@ -44,7 +44,7 @@ use crate::ops::validate_for;
 use crate::stats::AccessStats;
 use crate::table::Table;
 use bea_core::error::{Error, Result};
-use bea_core::plan::{lower_plan, CostTicket, PhysicalPlan, QueryPlan};
+use bea_core::plan::{lower_plan, CostTicket, QueryPlan};
 use bea_core::value::Value;
 use bea_storage::{IndexedDatabase, Store};
 use std::borrow::Cow;
@@ -220,7 +220,7 @@ impl QueryHandle {
     }
 }
 
-/// A logical plan lowered, validated and priced for one [`Session`] — everything a
+/// A plan lowered, validated and priced for one [`Session`] — everything a
 /// submission computes before it looks at the load, and what every run of it shares:
 /// the lowered plan and its output labels. See [`Session::prepare`].
 #[derive(Debug)]
@@ -231,7 +231,7 @@ pub struct PreparedPlan {
 
 impl PreparedPlan {
     /// The lowered plan, placeholders and all.
-    pub fn physical(&self) -> &PhysicalPlan {
+    pub fn plan(&self) -> &QueryPlan {
         &self.prepared.plan
     }
 
@@ -240,7 +240,7 @@ impl PreparedPlan {
         &self.ticket
     }
 
-    /// How many constants a run takes ([`PhysicalPlan::placeholders`]) — exactly what
+    /// How many constants a run takes ([`QueryPlan::placeholders`]) — exactly what
     /// [`Session::run_prepared`] must be given.
     pub fn placeholders(&self) -> usize {
         self.prepared.placeholders
@@ -373,8 +373,8 @@ impl Session {
     }
 
     /// The value-free half of a submission: lower `plan` exactly as
-    /// [`crate::exec::execute_plan`] does (so a session run is the same physical plan
-    /// as a solo run; lowering fails only where [`QueryPlan::validate`] does), validate
+    /// [`crate::exec::execute_plan`] does (so a session run is the same lowered plan as
+    /// a solo run; lowering fails only where [`QueryPlan::validate`] does), validate
     /// the result against the store (an unknown constraint, a relation other than its
     /// constraint's, a position out of range), and price it. None of
     /// the three looks at a constant's value, and the store is immutable, so one
@@ -384,10 +384,10 @@ impl Session {
     /// [`Session::run_prepared`].
     pub fn prepare(&self, plan: &QueryPlan) -> Result<PreparedPlan> {
         let store = self.store.store();
-        let physical = lower_plan(plan)?;
-        validate_for(&physical, store)?;
-        let ticket = CostTicket::derive(plan, store.schema(), store.size(), &physical);
-        let prepared = Prepared::new(Cow::Owned(physical));
+        let lowered = lower_plan(plan)?;
+        validate_for(&lowered, store)?;
+        let ticket = CostTicket::derive(plan, store.schema(), store.size(), &lowered);
+        let prepared = Prepared::new(Cow::Owned(lowered));
         Ok(PreparedPlan { prepared, ticket })
     }
 

@@ -55,7 +55,7 @@ pub struct AccessStats {
     pub values_cloned: u64,
     /// Number of buffers the streaming executor's probe path demands per key — the
     /// steady-state allocation model of the serving loop. Nothing charges it any more:
-    /// every fetch of a physical plan runs as a keyed lookup
+    /// every fetch of a lowered plan runs as a keyed lookup
     /// ([`KeyedLookupOp`](crate::ops)), which demands **no** buffer per key, hit or
     /// miss — each probe reads its key where the source row holds it, a key new to the
     /// operator is cloned into its flat memo key columns (where keys can repeat), the

@@ -1,7 +1,7 @@
 //! The store: a database plus one index per access constraint.
 //!
 //! [`IndexedDatabase`] builds, for every constraint `R(X → Y, N)`, one [`HashIndex`]
-//! on `X` over `R` — the index the paper's `fetch` reads. A physical plan names only
+//! on `X` over `R` — the index the paper's `fetch` reads. A plan names only
 //! `(constraint, key)` lookups, and the store answers each from that constraint's one
 //! index: per key, its tuples in insertion order ([`IndexedDatabase::fetch_iter`]), or
 //! per key of a batch ([`IndexedDatabase::resolve`]), which is how the executor reaches
@@ -111,8 +111,10 @@ impl IndexedDatabase {
     /// Iterate, through the index of constraint `constraint_index`, over the tuples of
     /// its relation whose `X`-projection equals `key`, straight out of the index (see
     /// [`FetchIter`]). Yields full tuples; callers project onto `X ∪ Y` as needed (the
-    /// executor in `bea-engine` does). The pair's second field is always 0, kept only
-    /// because the end-to-end benchmark harness (`benchmark/`) reads `.0`.
+    /// literal reference executor in `bea-engine`, `execute_plan_materialized`, and
+    /// tests do; the streaming executor reaches the store through
+    /// [`IndexedDatabase::resolve`] only). The pair's second field is always 0, kept
+    /// only because the end-to-end benchmark harness (`benchmark/`) reads `.0`.
     ///
     /// No intermediate collection is allocated, and the rows stay borrowed from the
     /// relation until the consumer decides what to project out of them. The iterator
@@ -287,9 +289,12 @@ impl ExactSizeIterator for FetchIter<'_> {}
 impl FetchIter<'_> {
     /// Append, for every remaining tuple, the values at `positions` into the
     /// corresponding output columns (`out[i]` receives the tuple's value at the `i`-th
-    /// position); returns how many tuples were appended. The columnar fetch kernel:
-    /// [`IndexedDatabase::fetch_into_columns`] and the executor's resolved fetches go
-    /// through it, so they cannot drift on the append semantics.
+    /// position); returns how many tuples were appended. The columnar fetch kernel of
+    /// [`IndexedDatabase::fetch_into_columns`]. No query takes this path: the streaming
+    /// executor reaches the store only through [`IndexedDatabase::resolve`] and keeps
+    /// tuple offsets, not values. `fetch_into_columns`, and with it `project_into`, is
+    /// kept because the end-to-end benchmark harness (`benchmark/`) times it for its
+    /// `storage.probe_*` metrics.
     pub fn project_into<'p>(
         self,
         positions: impl Iterator<Item = &'p usize> + Clone,

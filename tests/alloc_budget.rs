@@ -9,7 +9,7 @@
 
 use bea::bench::scenarios::{AccidentsScenario, BENCH_REPORT_SEED};
 use bea::core::access::{AccessConstraint, AccessSchema};
-use bea::core::plan::{lower_plan, PhysOp, PhysicalPlan, PlanBuilder};
+use bea::core::plan::{lower_plan, PlanBuilder, PlanOp, QueryPlan};
 use bea::core::schema::Catalog;
 use bea::core::value::Value;
 use bea::engine::{execute_physical_on, ExecOptions};
@@ -89,13 +89,13 @@ fn peak_bytes_of<T>(run: impl FnOnce() -> T) -> (T, u64, u64) {
 #[test]
 fn a_cold_q0_stays_inside_its_allocation_budget() {
     let scenario = AccidentsScenario::with_total_tuples(20_000, BENCH_REPORT_SEED).unwrap();
-    let physical = lower_plan(&scenario.plan).unwrap();
+    let lowered = lower_plan(&scenario.plan).unwrap();
     let store = &scenario.indexed;
     let options = ExecOptions::new();
     // Once unmeasured, so lazily initialised process state is not billed to the query.
-    let (expected, _) = execute_physical_on(&physical, store, &options).unwrap();
+    let (expected, _) = execute_physical_on(&lowered, store, &options).unwrap();
     let ((table, stats), allocations) =
-        allocations_of(|| execute_physical_on(&physical, store, &options).unwrap());
+        allocations_of(|| execute_physical_on(&lowered, store, &options).unwrap());
     assert_eq!(table.rows(), expected.rows());
     assert!(
         stats.tuples_fetched > 400,
@@ -103,8 +103,9 @@ fn a_cold_q0_stays_inside_its_allocation_budget() {
     );
     // One owned row per answer, the output table, and a handful of operator boxes,
     // batch handles and pooled columns growing by doubling — nothing per fetched tuple
-    // or per probed key (which used to cost 1 293 here). 115 today, the thread's pooled
-    // buffers kept from the unmeasured run (121 — which this comment misstated as 125 —
+    // or per probed key (which used to cost 1 293 here). 105 today, the thread's pooled
+    // buffers kept from the unmeasured run (115 while the plan check allocated a list of
+    // inputs per step; 121 — which this comment misstated as 125 —
     // while each keyed lookup started its staging vectors empty on every query, and
     // Q0's ψ3 step resolved the accidents ψ1 had just fetched; 157 while each lookup's
     // emission cloned its rows into value columns and its arena held values instead of
@@ -126,7 +127,7 @@ fn a_cold_q0_stays_inside_its_allocation_budget() {
 /// `δ π[] δ π[v] σ[k = k'](({1} ∪ {2}) × fetch(k' ∈ …, R, v))` over `R(k, v)` holding
 /// `rows` tuples `(1, i)`: the δ over `v` sees `rows` distinct rows, and only the empty
 /// row leaves the plan — so the owned rows of the output table do not drown the count.
-fn dedup_of_distinct_rows(rows: i64) -> (IndexedDatabase, PhysicalPlan) {
+fn dedup_of_distinct_rows(rows: i64) -> (IndexedDatabase, QueryPlan) {
     let mut catalog = Catalog::new();
     catalog.declare("R", ["k", "v"]).unwrap();
     let constraint = AccessConstraint::new(&catalog, "R", &["k"], &["v"], rows as u64).unwrap();
@@ -146,29 +147,31 @@ fn dedup_of_distinct_rows(rows: i64) -> (IndexedDatabase, PhysicalPlan) {
     // Dropping a key that is not a constant is what makes lowering ask for a δ.
     let values = b.project(fetched, vec![2]);
     let out = b.project(values, Vec::new());
-    let physical = lower_plan(&b.finish("Q", out).unwrap()).unwrap();
+    let lowered = lower_plan(&b.finish("Q", out).unwrap()).unwrap();
     assert!(
-        physical
+        lowered
             .steps()
             .iter()
-            .any(|step| matches!(step.op, PhysOp::Dedup { .. })),
-        "the plan must run a δ:\n{physical}"
+            .any(|step| matches!(step.op, PlanOp::Dedup { .. })),
+        "the plan must run a δ:\n{lowered}"
     );
-    (store, physical)
+    (store, lowered)
 }
 
 #[test]
 fn dedup_allocates_logarithmically_in_its_distinct_rows() {
     const ROWS: i64 = 16_384;
-    let (store, physical) = dedup_of_distinct_rows(ROWS);
+    let (store, lowered) = dedup_of_distinct_rows(ROWS);
     let options = ExecOptions::new();
     let ((table, stats), allocations) =
-        allocations_of(|| execute_physical_on(&physical, &store, &options).unwrap());
+        allocations_of(|| execute_physical_on(&lowered, &store, &options).unwrap());
     assert_eq!(table.rows(), [Vec::<Value>::new()]);
     assert_eq!(stats.tuples_fetched, ROWS as u64);
     // Per 1 024-row batch a selection vector and a few handles (16 batches here), per
-    // doubling a column, hash or slot reallocation (14 doublings) — 298 today, the
-    // second δ's selection vectors and the two-key union with its δ included (279–280
+    // doubling a column, hash or slot reallocation (14 doublings) — 293 today, the
+    // second δ's selection vectors and the two-key union with its δ included (299 while
+    // the plan check allocated a list of inputs per step, which this comment had as
+    // 298; 279–280
     // while the plan was a bare fetch of one constant key, whose lowering emitted the
     // key's identity π and needed no union for the δ to be asked for; 294 while the
     // lookup's emission gathered its values into growing columns, 278 while the plan

@@ -5,7 +5,7 @@
 use bea::core::bounded::{analyze_cq, BoundedConfig, BoundedVerdict};
 use bea::core::cover;
 use bea::core::envelope::{lower_envelope_cq, upper_envelope_cq, EnvelopeConfig};
-use bea::core::plan::{bounded_plan, lower_plan_with, CostTicket, LowerOptions, PhysOp};
+use bea::core::plan::{bounded_plan, lower_plan_with, CostTicket, LowerOptions, PlanOp};
 use bea::core::reason::ReasonConfig;
 use bea::core::specialize::{instantiate, specialize_cq, SpecializeConfig};
 use bea::engine::{eval_cq, execute_plan};
@@ -119,30 +119,30 @@ fn example_1_1_lowers_with_two_dedups() {
     let plan = bounded_plan(&q0, &schema).unwrap();
     for exchange in [false, true] {
         let options = LowerOptions::new().with_exchange_parallelism(exchange);
-        let physical = lower_plan_with(&plan, &options).unwrap();
-        let steps = physical.steps();
+        let lowered = lower_plan_with(&plan, &options).unwrap();
+        let steps = lowered.steps();
         let dedups: Vec<usize> = (0..steps.len())
-            .filter(|&i| matches!(steps[i].op, PhysOp::Dedup { .. }))
+            .filter(|&i| matches!(steps[i].op, PlanOp::Dedup { .. }))
             .collect();
-        assert_eq!(dedups.len(), 2, "{physical}");
-        assert_eq!(dedups[1], physical.output());
-        let PhysOp::Dedup { source } = steps[dedups[0]].op else {
+        assert_eq!(dedups.len(), 2, "{lowered}");
+        assert_eq!(dedups[1], lowered.output());
+        let PlanOp::Dedup { source } = steps[dedups[0]].op else {
             unreachable!()
         };
-        let PhysOp::Project { source: lookup, .. } = steps[source].op else {
-            panic!("the first δ follows a projection:\n{physical}");
+        let PlanOp::Project { source: lookup, .. } = steps[source].op else {
+            panic!("the first δ follows a projection:\n{lowered}");
         };
         assert!(
             matches!(
                 steps[lookup].op,
-                PhysOp::KeyedLookup {
+                PlanOp::KeyedJoin {
                     constraint_index: 2,
                     ..
                 }
             ),
-            "ψ3 feeds it:\n{physical}"
+            "ψ3 feeds it:\n{lowered}"
         );
-        let ticket = CostTicket::derive(&plan, &schema, 1_000_000, &physical);
+        let ticket = CostTicket::derive(&plan, &schema, 1_000_000, &lowered);
         assert_eq!(ticket.pipelines, 1);
         let priced = (
             ticket.fetch_bound,

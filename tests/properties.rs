@@ -129,7 +129,8 @@ fn random_workload(
 /// property of the plan, not of the execution strategy); nothing fetches
 /// more than the statically derived bound (Theorem 3.11, constructive direction); and
 /// the streaming pipeline's peak row residency never exceeds the materialized
-/// executor's.
+/// executor's. The materialized executor also holds lowering to the literal plan: the
+/// lowered plan gives it the plan's rows and reads the plan's data.
 fn assert_bounded_plans_agree_with_naive(
     schema: &AccessSchema,
     db: bea::storage::Database,
@@ -150,9 +151,24 @@ fn assert_bounded_plans_agree_with_naive(
         let (bounded, stats) = execute_plan(&plan, &indexed).unwrap();
         let (materialized, materialized_stats) =
             execute_plan_materialized(&plan, &indexed).unwrap();
+        let lowered = lower_plan(&plan).unwrap();
+        let (literal, literal_stats) = execute_plan_materialized(&lowered, &indexed).unwrap();
+        assert!(
+            literal.same_rows(&materialized),
+            "the lowered plan of {query} answers otherwise"
+        );
+        assert!(
+            literal_stats.same_data_access(&materialized_stats),
+            "the lowered plan of {query} reads other data: {literal_stats} vs \
+             {materialized_stats}"
+        );
         let (naive, _) = eval_cq(query, indexed.database()).unwrap();
         // `same_rows` compares sets, so a leg that emits a row twice would pass it.
-        let legs = [("streaming", &bounded), ("materialized", &materialized)];
+        let legs = [
+            ("streaming", &bounded),
+            ("materialized", &materialized),
+            ("lowered materialized", &literal),
+        ];
         for (leg, table) in legs {
             assert!(table.is_set(), "the {leg} leg repeats a row of {query}");
         }
@@ -313,7 +329,7 @@ fn warmed_anchored_probes_allocate_nothing() {
         AccessConstraint::new(&catalog, "S", &["k"], &["v"], 10).unwrap(),
     ]);
 
-    // Join the anchor's R-rows, then join S by key R.b and project: one KeyedLookup on
+    // Join the anchor's R-rows, then join S by key R.b and project: one keyed lookup on
     // S with a fused projection — the anchored probe.
     let plan = {
         let mut b = PlanBuilder::new();
@@ -379,7 +395,7 @@ fn warmed_anchored_probes_allocate_nothing() {
 
 /// Preparing does not see the session's configuration: a session with a fetch budget
 /// prepares every covered query of the three querygen families to
-/// the physical plan and the [`bea_core::plan::CostTicket`] a default session
+/// the lowered plan and the [`bea_core::plan::CostTicket`] a default session
 /// prepares, field for field — and that plan is the library's [`lower_plan`] of it.
 #[test]
 fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
@@ -413,10 +429,10 @@ fn sessions_prepare_one_plan_and_ticket_at_every_thread_and_shard_count() {
                 let configured = Session::new(store, SessionConfig::new().with_fetch_budget(1_000));
                 for plan in &plans {
                     let expected = plain.prepare(plan).unwrap();
-                    assert_eq!(expected.physical(), &lower_plan(plan).unwrap());
+                    assert_eq!(expected.plan(), &lower_plan(plan).unwrap());
                     let prepared = configured.prepare(plan).unwrap();
                     let name = plan.query_name();
-                    assert_eq!(prepared.physical(), expected.physical(), "{name}");
+                    assert_eq!(prepared.plan(), expected.plan(), "{name}");
                     assert_eq!(prepared.ticket(), expected.ticket(), "{name}");
                 }
             }
@@ -740,7 +756,7 @@ fn repeated_session_submissions_match_solo_execution() {
             .unwrap();
 
             // A union of anchored lookups over a random distinct key set; each
-            // branch's keyed join lowers to one KeyedLookup.
+            // branch's keyed join runs as one keyed lookup.
             let mut keys: Vec<i64> = (1..=key_space).collect();
             for i in (1..keys.len()).rev() {
                 keys.swap(i, rng.gen_range(0..=i));
@@ -1072,17 +1088,17 @@ fn small_instance_evaluator_agrees_with_engine() {
     );
 }
 
-/// Whether `physical` reads a fetched column whose attribute is in its keyed lookup's
+/// Whether `lowered` reads a fetched column whose attribute is in its keyed join's
 /// `X` — a column the lookup holds as the source row's key, not as a copy: through the
-/// lookup's residual, or through a consumer that keeps it (the output, or any step but
+/// join's residual, or through a consumer that keeps it (the output, or any step but
 /// a projection that drops it).
-fn reads_a_fetched_key_column(physical: &bea::core::plan::PhysicalPlan) -> bool {
-    use bea::core::plan::{PhysOp, Predicate};
-    let steps = physical.steps();
+fn reads_a_fetched_key_column(lowered: &bea::core::plan::QueryPlan) -> bool {
+    use bea::core::plan::{PlanOp, Predicate};
+    let steps = lowered.steps();
     steps.iter().enumerate().any(|(id, step)| {
-        let PhysOp::KeyedLookup {
+        let PlanOp::KeyedJoin {
             source,
-            x_attrs,
+            key_cols,
             positions,
             residual,
             ..
@@ -1091,6 +1107,7 @@ fn reads_a_fetched_key_column(physical: &bea::core::plan::PhysicalPlan) -> bool 
             return false;
         };
         let left = steps[*source].columns.len();
+        let x_attrs = &positions[..key_cols.len()];
         let key: Vec<usize> = (0..positions.len())
             .filter(|&c| x_attrs.contains(&positions[c]))
             .map(|c| left + c)
@@ -1099,12 +1116,12 @@ fn reads_a_fetched_key_column(physical: &bea::core::plan::PhysicalPlan) -> bool 
             Predicate::ColEqCol(a, b) => key.contains(a) || key.contains(b),
             Predicate::ColEqConst(a, _) => key.contains(a),
         });
-        let mut consumers = steps.iter().filter(|s| s.op.inputs().contains(&id));
+        let mut consumers = steps.iter().filter(|s| s.op.inputs().any(|j| j == id));
         let kept = consumers.any(|consumer| match &consumer.op {
-            PhysOp::Project { cols, .. } => cols.iter().any(|c| key.contains(c)),
+            PlanOp::Project { cols, .. } => cols.iter().any(|c| key.contains(c)),
             _ => true,
         });
-        !key.is_empty() && (in_residual || kept || id == physical.output())
+        !key.is_empty() && (in_residual || kept || id == lowered.output())
     })
 }
 
