@@ -426,8 +426,10 @@ pub fn lower_envelope_ucq(
 }
 
 /// Enumerate all `size`-subsets of `0..n` in lexicographic order, visiting each; the
-/// visitor returns `Ok(true)` to stop.
-fn for_each_combination(
+/// visitor returns `Ok(true)` to stop, and so does the call then. Size 0 visits the
+/// empty subset once; a size past `n` visits nothing. The one k-subset enumerator:
+/// specialization picks its parameters by index with it too.
+pub(crate) fn for_each_combination(
     n: usize,
     size: usize,
     visit: &mut dyn FnMut(&[usize]) -> Result<bool>,
@@ -651,8 +653,8 @@ mod tests {
             Ok(false)
         })
         .unwrap();
-        assert_eq!(seen.len(), 6);
-        assert!(seen.contains(&vec![0, 3]));
+        let lexicographic = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]];
+        assert_eq!(seen, lexicographic);
         // Early stop.
         let mut count = 0;
         let stopped = for_each_combination(5, 2, &mut |_| {
@@ -662,8 +664,16 @@ mod tests {
         .unwrap();
         assert!(stopped);
         assert_eq!(count, 3);
-        // Degenerate cases.
-        assert!(!for_each_combination(2, 5, &mut |_| Ok(false)).unwrap());
+        // Degenerate cases: size 0 visits the empty subset once, a size past `n` nothing.
+        assert!(!for_each_combination(2, 5, &mut |_| Ok(true)).unwrap());
+        let mut count = 0;
+        for_each_combination(3, 0, &mut |c| {
+            assert!(c.is_empty());
+            count += 1;
+            Ok(false)
+        })
+        .unwrap();
+        assert_eq!(count, 1);
     }
 
     #[test]

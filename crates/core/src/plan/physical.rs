@@ -126,6 +126,19 @@ impl QueryPlan {
     pub fn keys_distinct(&self, source: NodeId, key_cols: &[usize]) -> bool {
         set_valued(&self.steps, source) && determined_by(&self.steps, source, key_cols)
     }
+
+    /// True when the streaming executor can run this plan as it stands under set
+    /// semantics: every step but a δ reads sets, and the output is one. A plan
+    /// [`lower_plan`] returned always can. Allocates nothing; the plan must be one
+    /// [`QueryPlan::validate`] accepts.
+    pub fn streams_sets(&self) -> bool {
+        let steps = &self.steps;
+        let reads_sets = |step: &PlanStep| {
+            matches!(step.op, PlanOp::Dedup { .. })
+                || step.op.inputs().all(|j| set_valued(steps, j))
+        };
+        set_valued(steps, self.output) && steps.iter().all(reads_sets)
+    }
 }
 
 /// Append a step; its id.

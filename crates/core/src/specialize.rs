@@ -21,6 +21,7 @@
 
 use crate::access::AccessSchema;
 use crate::cover::{coverage, ucq_coverage, CoverageReport};
+use crate::envelope::for_each_combination;
 use crate::error::{Error, Result};
 use crate::query::cq::ConjunctiveQuery;
 use crate::query::fo::FirstOrderQuery;
@@ -109,11 +110,12 @@ pub fn specialize_cq(
     let max_size = k.min(params.len());
     for size in 0..=max_size {
         let mut chosen: Option<Vec<Var>> = None;
-        for_each_subset(&params, size, &mut |subset| {
-            let template = generic_template(query, subset)?;
+        for_each_combination(params.len(), size, &mut |picked| {
+            let subset: Vec<Var> = picked.iter().map(|&i| params[i]).collect();
+            let template = generic_template(query, &subset)?;
             let report = coverage(&template, schema);
             if report.is_covered() {
-                chosen = Some(subset.to_vec());
+                chosen = Some(subset);
                 return Ok(true);
             }
             Ok(false)
@@ -163,11 +165,12 @@ pub fn specialize_ucq(
     let max_size = k.min(names.len());
     for size in 0..=max_size {
         let mut chosen: Option<Vec<String>> = None;
-        for_each_subset(&names, size, &mut |subset| {
-            let template = specialize_union_generically(query, subset)?;
+        for_each_combination(names.len(), size, &mut |picked| {
+            let subset: Vec<String> = picked.iter().map(|&i| names[i].clone()).collect();
+            let template = specialize_union_generically(query, &subset)?;
             let report = ucq_coverage(&template, schema, &config.reason)?;
             if report.is_covered() {
-                chosen = Some(subset.to_vec());
+                chosen = Some(subset);
                 return Ok(true);
             }
             Ok(false)
@@ -206,42 +209,6 @@ pub fn always_boundedly_specializable(
     catalog: &Catalog,
 ) -> bool {
     schema.covers_catalog(catalog) && query.is_fully_parameterized()
-}
-
-/// Enumerate all `size`-subsets of `items`, visiting each; the visitor returns `Ok(true)`
-/// to stop early.
-fn for_each_subset<T: Clone>(
-    items: &[T],
-    size: usize,
-    visit: &mut dyn FnMut(&[T]) -> Result<bool>,
-) -> Result<bool> {
-    fn rec<T: Clone>(
-        items: &[T],
-        start: usize,
-        remaining: usize,
-        current: &mut Vec<T>,
-        visit: &mut dyn FnMut(&[T]) -> Result<bool>,
-    ) -> Result<bool> {
-        if remaining == 0 {
-            return visit(current);
-        }
-        for i in start..items.len() {
-            if items.len() - i < remaining {
-                break;
-            }
-            current.push(items[i].clone());
-            if rec(items, i + 1, remaining - 1, current, visit)? {
-                current.pop();
-                return Ok(true);
-            }
-            current.pop();
-        }
-        Ok(false)
-    }
-    if size > items.len() {
-        return Ok(false);
-    }
-    rec(items, 0, size, &mut Vec::with_capacity(size), visit)
 }
 
 #[cfg(test)]
@@ -452,18 +419,19 @@ mod tests {
 
     #[test]
     fn subset_enumeration() {
-        let items = vec![1, 2, 3];
+        // Specialization picks its parameter subsets by index, as here.
+        let items = [1, 2, 3];
         let mut seen = Vec::new();
-        for_each_subset(&items, 2, &mut |s| {
-            seen.push(s.to_vec());
+        for_each_combination(items.len(), 2, &mut |picked| {
+            seen.push(picked.iter().map(|&i| items[i]).collect::<Vec<_>>());
             Ok(false)
         })
         .unwrap();
         assert_eq!(seen, vec![vec![1, 2], vec![1, 3], vec![2, 3]]);
-        assert!(!for_each_subset(&items, 9, &mut |_| Ok(true)).unwrap());
+        assert!(!for_each_combination(items.len(), 9, &mut |_| Ok(true)).unwrap());
         // Size 0 visits the empty subset once.
         let mut count = 0;
-        for_each_subset(&items, 0, &mut |s| {
+        for_each_combination(items.len(), 0, &mut |s| {
             assert!(s.is_empty());
             count += 1;
             Ok(false)

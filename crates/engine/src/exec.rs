@@ -5,13 +5,15 @@
 //! relation, so the amount of data read is exactly what the plan's cost model bounds.
 //!
 //! [`execute_plan`] lowers the plan ([`lower_plan`], which adds the δs set semantics
-//! needs) and [`execute_physical_on`] runs a lowered plan through the batch pipeline in
-//! [`crate::ops`]: intermediate results flow through one tree of operators in bounded
-//! batches, and only the output is materialized, so peak memory residency tracks the
-//! access-schema bounds. Both run the query on the calling thread. Lowering refuses only
-//! a plan [`QueryPlan::validate`] refuses (a step read twice, a column out of range); a
-//! fetch the store cannot serve (an unknown constraint, another relation than its
-//! constraint's) is refused before the run, by the one check both executors share.
+//! needs) and runs it through the batch pipeline in [`crate::ops`];
+//! [`execute_physical_on`] runs a plan that needs no δ, a lowered one included, as it
+//! stands, and lowers any other first. Intermediate results flow through one tree of
+//! operators in bounded batches, and only the output is materialized, so peak memory
+//! residency tracks the access-schema bounds. Both run the query on the calling
+//! thread. Lowering refuses only a plan [`QueryPlan::validate`] refuses (a step read
+//! twice, a column out of range); a fetch the store cannot serve (an unknown
+//! constraint, another relation than its constraint's) is refused before the run, by
+//! the one check both executors share.
 //!
 //! [`execute_plan_materialized`] is the **reference**: the literal step loop, one
 //! [`Table`] per plan step, all of them alive until the end, every one a set. A keyed
@@ -52,8 +54,9 @@ impl ExecOptions {
     }
 }
 
-/// Execute a plan [`lower_plan`] returned against a store (the options change
-/// nothing).
+/// Execute a plan against a store (the options change nothing). A plan that needs no δ
+/// ([`QueryPlan::streams_sets`]), as every plan [`lower_plan`] returns, runs as it
+/// stands; any other is lowered first, as [`execute_plan`] does.
 pub fn execute_physical_on(
     plan: &QueryPlan,
     store: Store<'_>,
@@ -470,6 +473,33 @@ pub(crate) mod tests {
                 .collect()
         );
         assert_eq!(streamed.columns(), &["x".to_owned()]);
+    }
+
+    #[test]
+    fn a_plan_lowering_never_saw_still_answers_a_set() {
+        // Two identical keyed lookups under a ∪ with no δ: streamed as it stands, the
+        // union would emit each of key 1's rows twice.
+        let (_, _, idb) = setup();
+        let mut b = bea_core::plan::PlanBuilder::new();
+        let lookup = |b: &mut bea_core::plan::PlanBuilder| {
+            let key = b.constant(Value::int(1), "x");
+            let labels = vec!["a".into(), "b".into()];
+            b.keyed_join(key, vec![0], "R", vec![0], vec![1], 0, labels, vec![])
+        };
+        let (left, right) = (lookup(&mut b), lookup(&mut b));
+        let union = b.union(left, right);
+        let plan = b.finish("Q", union).unwrap();
+        assert!(!plan.streams_sets());
+        let lowered = lower_plan(&plan).unwrap();
+        assert!(lowered.streams_sets());
+
+        let (table, _) = execute_physical_on(&plan, &idb, &ExecOptions::new()).unwrap();
+        assert!(table.is_set(), "{:?}", table.rows());
+        let row = |b: i64| vec![Value::int(1), Value::int(1), Value::int(b)];
+        assert_eq!(table.row_set(), [row(10), row(11)].into_iter().collect());
+        assert_eq!(table.len(), 2);
+        let (expected, _) = execute_plan(&plan, &idb).unwrap();
+        assert_eq!(table.rows(), expected.rows());
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::stats::{AccessStats, FetchTally};
 use crate::table::Table;
 use batch::Batch;
 use bea_core::error::{Error, Result};
-use bea_core::plan::{PlanOp, Predicate, QueryPlan};
+use bea_core::plan::{lower_plan, PlanOp, Predicate, QueryPlan};
 use bea_core::value::Value;
 use bea_storage::Store;
 use std::borrow::Cow;
@@ -291,8 +291,10 @@ pub(crate) fn validate_for(plan: &QueryPlan, store: Store<'_>) -> Result<()> {
     Ok(())
 }
 
-/// Execute a lowered plan on the calling thread, returning the output table and the
-/// access/residency statistics.
+/// Execute a plan on the calling thread, returning the output table and the
+/// access/residency statistics. A plan that needs a δ somewhere
+/// ([`QueryPlan::streams_sets`] is false) is lowered first; any other, a lowered one
+/// included, runs as it stands.
 pub(crate) fn execute(plan: &QueryPlan, store: Store<'_>) -> Result<(Table, AccessStats)> {
     let (table, stats, _ledger) = execute_inner(plan, store)?;
     Ok((table, stats))
@@ -305,7 +307,11 @@ pub(crate) fn execute_inner(
     store: Store<'_>,
 ) -> Result<(Table, AccessStats, Rc<ResidencyLedger>)> {
     validate_for(plan, store)?;
-    sched::run(&sched::Prepared::new(Cow::Borrowed(plan)), &[], store)
+    let plan = match plan.streams_sets() {
+        true => Cow::Borrowed(plan),
+        false => Cow::Owned(lower_plan(plan)?),
+    };
+    sched::run(&sched::Prepared::new(plan), &[], store)
 }
 
 /// What the operators of one query are built from, all of it outliving the operator

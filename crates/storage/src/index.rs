@@ -78,7 +78,9 @@
 //! [`HashIndex::lookup`] takes too: of the accidents indexes only ψ1, keyed by date, is
 //! hashed, and it is probed one date at a time. [`prefetch`] is the hint, and the one
 //! `unsafe` item of the workspace; the executor calls it too, on the stored key it
-//! will hand over one group later.
+//! will hand over one group later. The hints are worth ≈2.5 µs of a served Q0's ≈18 µs
+//! (10⁶ tuples, one core of a 2-vCPU VM, median of 10 alternations): one find-and-emit
+//! loop per probe, or these hints compiled to nothing, served it in 20.8–20.9 µs.
 //!
 //! # Build
 //!

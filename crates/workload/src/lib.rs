@@ -57,4 +57,55 @@ mod tests {
         let schema = graph::access_schema(db.catalog(), &config);
         assert_eq!(dense(db, schema), [0], "graph: Person's pid");
     }
+
+    /// Over the accidents store's own layouts — ψ1 hashed by date, ψ2 dense and
+    /// clustered, ψ3 and ψ4 dense and unique — one batch of every key of an index, with
+    /// an absent key after every third, resolves each probe to the very tuples
+    /// `fetch_iter` returns for it, in order.
+    #[test]
+    fn every_key_of_the_accidents_indexes_resolves_as_its_single_fetch() {
+        use crate::accidents;
+        use bea_core::value::{Row, Value};
+        use bea_storage::index::Offsets;
+        use bea_storage::Relation;
+        let config = accidents::AccidentsConfig::with_total_tuples(20_000, 0xBEAD);
+        let db = accidents::generate(&config).unwrap();
+        let schema = accidents::access_schema(db.catalog());
+        let store = IndexedDatabase::build(db, schema).unwrap();
+        let layouts = [(false, false), (true, false), (true, true), (true, true)];
+        for (c, (dense, unique)) in layouts.into_iter().enumerate() {
+            let index = store.index(c).unwrap();
+            let constraint = &store.schema().constraints()[c];
+            let relation = store.database().relation(constraint.relation()).unwrap();
+            assert_eq!(index.is_dense(), dense, "ψ{}", c + 1);
+            let runs = index.groups().all(|group| matches!(group, Offsets::Run(_)));
+            let singles = index.groups().all(|group| group.len() == 1);
+            assert!(runs && singles == unique, "ψ{}'s layout", c + 1);
+            let absent = [Value::int(-1), Value::int(i64::MAX), Value::str("day-none")];
+            let (attrs, mut keys) = (index.key_attrs(), Vec::<Row>::new());
+            for (g, mut group) in index.groups().enumerate() {
+                let first = relation.row(group.next().unwrap() as usize).unwrap();
+                keys.push(Relation::project(first, attrs));
+                if g % 3 == 0 {
+                    keys.push(vec![absent[g / 3 % absent.len()].clone()]);
+                }
+            }
+            let (mut offsets, mut ends) = (Vec::new(), Vec::new());
+            let key = |i: usize, m: usize| &keys[i][m];
+            store
+                .resolve(c, keys.len(), attrs.len(), key, &mut offsets, &mut ends)
+                .unwrap();
+            assert_eq!(ends.len(), keys.len());
+            let mut start = 0;
+            for (key, &end) in keys.iter().zip(&ends) {
+                let (single, _) = store.fetch_iter(c, key).unwrap();
+                let found = &offsets[start..end as usize];
+                assert_eq!(found.len(), single.len(), "ψ{} key {key:?}", c + 1);
+                for (&o, tuple) in found.iter().zip(single) {
+                    assert!(std::ptr::eq(relation.row(o as usize).unwrap(), tuple));
+                }
+                start = end as usize;
+            }
+        }
+    }
 }
